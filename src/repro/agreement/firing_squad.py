@@ -27,18 +27,28 @@ processor has GO decides 1 by validity... decided value 1 requires at
 least one correct GO — see :meth:`FiringSquadProcess._decide_fire` —
 so a fire implies a stimulus, and unanimous GO forces one).
 
-Cost: at most ``t + 2`` concurrent instances matter before the first
-possible fire; we cap concurrency at ``t + 2`` live instances and
-retire decided ones, keeping each round's traffic bounded.
+Cost: an instance opened at round ``r`` is retired after its
+``t + 1``-th exchange (round ``r + t``), so at most ``t + 1`` instances
+are live in any round and each relays a view of depth at most ``t`` —
+the bound ``MESSAGE_BOUNDS`` declares.
+
+Each instance *is* a binary full-information protocol (Protocol 1)
+with the EIG decision rule, so it runs on the same array kernel as
+:class:`repro.fullinfo.protocol.FullInformationProcess`: one
+:class:`repro.fullinfo.protocol.ReceiveGate` per processor, shared by its
+live instances, turns every received view into a canonical node of the
+shared store or rejects it, and instance states are interned, so
+validation is O(new nodes) and the decision takes the flat sweep.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
-from repro.arrays.value_array import validate_array
+from repro.arrays.store import shared_store
 from repro.errors import ConfigurationError
 from repro.fullinfo.decision import eig_byzantine_decision
+from repro.fullinfo.protocol import REJECT, ReceiveGate
 from repro.runtime.node import Process, broadcast
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
 
@@ -52,45 +62,6 @@ MESSAGE_BOUNDS = {
         "each is bounded by the EIG horizon, not an unbounded history",
     ),
 }
-
-
-class _AgreementInstance:
-    """One staggered EIG agreement instance, binary, simultaneous."""
-
-    def __init__(self, config: SystemConfig, start_round: Round, my_input: int):
-        self.config = config
-        self.start_round = start_round
-        self.state: Any = my_input
-        self.rounds_done = 0
-        self.decision: Optional[int] = None
-
-    def outgoing(self) -> Any:
-        return self.state
-
-    def receive(self, messages: Dict[ProcessId, Any]) -> None:
-        expected_depth = self.rounds_done
-        components = []
-        for sender in self.config.process_ids:
-            message = messages.get(sender, BOTTOM)
-            if is_bottom(message) or not validate_array(
-                message,
-                self.config.n,
-                depth=expected_depth,
-                leaf_ok=lambda leaf: leaf in (0, 1),
-            ):
-                message = self.state
-            components.append(message)
-        self.state = tuple(components)
-        self.rounds_done += 1
-        if self.rounds_done == self.config.t + 1:
-            self.decision = eig_byzantine_decision(
-                self.state,
-                self.config.n,
-                self.config.t,
-                process_id=0,
-                default=0,
-                alphabet=[0, 1],
-            )
 
 
 class FiringSquadProcess(Process):
@@ -121,7 +92,11 @@ class FiringSquadProcess(Process):
                 f"input must be a GO round >= 1 or BOTTOM, got {input_value!r}"
             )
         self.go_round = input_value
-        self._instances: Dict[Round, _AgreementInstance] = {}
+        # Live instances: start round -> full-information state.  An
+        # instance's age is the current round minus its start, so the
+        # state is all there is to keep.
+        self._instances: Dict[Round, Any] = {}
+        self._gate = ReceiveGate(shared_store(config.n), (0, 1))
 
     # -- stimuli ---------------------------------------------------------
 
@@ -131,45 +106,59 @@ class FiringSquadProcess(Process):
     # -- round structure -----------------------------------------------------
 
     def outgoing(self, round_number: Round) -> Dict[ProcessId, Any]:
-        # Open this round's instance (its first send happens now).
-        self._instances[round_number] = _AgreementInstance(
-            self.config,
-            start_round=round_number,
-            my_input=1 if self._go_received_by(round_number) else 0,
+        # Open this round's instance (its first send happens now) on
+        # the input "have I received GO by this round?".
+        self._instances[round_number] = (
+            1 if self._go_received_by(round_number) else 0
         )
-        payload = {
-            start: instance.outgoing()
-            for start, instance in self._instances.items()
-        }
-        return broadcast(payload, self.config)
+        return broadcast(dict(self._instances), self.config)
 
     def receive(self, round_number: Round, incoming: Dict[ProcessId, Any]) -> None:
-        for start in sorted(self._instances):
-            instance = self._instances[start]
-            messages = {}
-            for sender in self.config.process_ids:
-                payload = incoming.get(sender, BOTTOM)
-                if isinstance(payload, dict):
-                    messages[sender] = payload.get(start, BOTTOM)
-                else:
-                    messages[sender] = BOTTOM
-            instance.receive(messages)
-        self._decide_fire(round_number)
-        # Retire decided instances; once fired, everything can go.
-        for start in list(self._instances):
-            if self._instances[start].decision is not None:
-                del self._instances[start]
+        # A well-formed payload maps instance start rounds to views;
+        # anything else contributes nothing to any instance.
+        payloads = [
+            payload if isinstance(payload, dict) else None
+            for payload in map(incoming.get, self.config.process_ids)
+        ]
+        gate = self._gate
+        intern = gate.store.intern
+        instances = self._instances
+        for start, own in instances.items():
+            depth = round_number - start
+            components = []
+            for payload in payloads:
+                message = (
+                    REJECT
+                    if payload is None
+                    else gate.admit(payload.get(start, BOTTOM), depth)
+                )
+                # Theorem 9 Case 3: own previous state, right shape.
+                components.append(own if message is REJECT else message)
+            instances[start] = intern(tuple(components))
+        # The instance opened t rounds ago has had its t + 1 exchanges:
+        # it decides now, everywhere, and is retired.
+        finished = instances.pop(round_number - self.config.t, None)
+        if finished is not None and not self.has_decided():
+            self._decide_fire(finished, round_number)
         if self.has_decided():
-            self._instances.clear()
+            instances.clear()  # once fired, everything can go
 
-    def _decide_fire(self, round_number: Round) -> None:
-        if self.has_decided():
-            return
-        for start in sorted(self._instances):
-            instance = self._instances[start]
-            if instance.decision == 1:
-                self.decide("FIRE", round_number)
-                return
+    def _decide_fire(self, state: Any, round_number: Round) -> None:
+        """Fire iff the finished instance's EIG decision is 1.
+
+        The default is 0, so deciding 1 takes a strict majority of
+        relayed GOs at the root — at least one of them correct.
+        """
+        decision = eig_byzantine_decision(
+            state,
+            self.config.n,
+            self.config.t,
+            process_id=0,  # does not enter the resolution
+            default=0,
+            alphabet=(0, 1),
+        )
+        if decision == 1:
+            self.decide("FIRE", round_number)
 
     def snapshot(self) -> Any:
         return {

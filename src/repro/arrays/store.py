@@ -53,6 +53,14 @@ import repro.obs.core as _obs
 from repro.errors import ProtocolViolation
 from repro.types import is_bottom
 
+#: Deepest plain-tuple nesting :meth:`ArrayStore.intern` will open.  A
+#: depth-``d`` array has ``n ** d`` leaves and takes ``d`` rounds of
+#: full information to build, so nothing honest comes near it; the cap
+#: exists so that a hostile payload nested thousands deep is a
+#: :class:`~repro.errors.ProtocolViolation` well inside the
+#: interpreter's recursion limit, never a ``RecursionError``.
+MAX_DEPTH = 256
+
 #: A distinct typed leaf: ``(type(leaf), leaf)``.  The second element
 #: is the original leaf object, so predicates see its true type.
 TypedLeaf = Tuple[type, Any]
@@ -181,26 +189,37 @@ class ArrayStore:
         ------
         ProtocolViolation
             If ``array`` is not a well-shaped ``n``-ary array (ragged,
-            wrong-length level) or contains an unhashable leaf.  No
+            wrong-length level), contains an unhashable leaf, or nests
+            plain tuples more than :data:`MAX_DEPTH` deep.  No
             malformed node is ever added to the store (well-shaped
             *sub*-arrays of a malformed array are, harmlessly: they
             are valid nodes in their own right).
         """
         if not isinstance(array, tuple):
             return array
-        return self._intern_node(array, {})
+        return self._intern_node(array, {}, MAX_DEPTH)
 
-    def try_intern(self, array: Any) -> Optional[InternedArray]:
+    def try_intern(
+        self, array: Any, max_depth: int = MAX_DEPTH
+    ) -> Optional[InternedArray]:
         """Like :meth:`intern` for tuples, but ``None`` on garbage.
 
         The defensive entry point for anything received from a
         possibly faulty sender.  ``array`` must be a tuple (scalars
         have no canonical form; callers handle them first).
+
+        ``max_depth`` bounds the descent: a receiver that knows the
+        depth it expects passes it, and a payload nested deeper is
+        rejected after at most that many levels instead of being
+        walked to the bottom (or to the interpreter's recursion
+        limit).  An already-canonical node is returned whatever its
+        depth — that costs nothing — so callers still compare
+        ``depth`` themselves.
         """
         if not isinstance(array, tuple):
             return None
         try:
-            return self._intern_node(array, {})
+            return self._intern_node(array, {}, min(max_depth, MAX_DEPTH))
         except ProtocolViolation:
             return None
 
@@ -208,6 +227,7 @@ class ArrayStore:
         self,
         node: Tuple[Any, ...],
         seen: Dict[int, InternedArray],
+        budget: int,
     ) -> InternedArray:
         """Recursive intern with a per-call identity memo.
 
@@ -216,7 +236,8 @@ class ArrayStore:
         (the normal case: broadcast states share sub-objects) is
         walked in O(unique objects), not O(tree).  The caller's root
         reference keeps every sub-object alive for the duration, so
-        ids cannot be recycled mid-call.
+        ids cannot be recycled mid-call.  ``budget`` is how many more
+        levels of plain tuples may be opened, this one included.
         """
         if type(node) is InternedArray and node.store is self:
             observer = _obs.ACTIVE
@@ -230,13 +251,15 @@ class ArrayStore:
             raise ProtocolViolation(
                 f"array level has length {len(node)}, expected n={self.n}"
             )
+        if budget <= 0:
+            raise ProtocolViolation("array is nested deeper than allowed")
 
         children: List[Any] = []
         key_parts: List[Any] = []
         child_depths: List[int] = []
         for component in node:
             if isinstance(component, tuple):
-                canonical = self._intern_node(component, seen)
+                canonical = self._intern_node(component, seen, budget - 1)
                 children.append(canonical)
                 # Key the child by its identity token, not the node:
                 # nodes compare by type-insensitive tuple equality, so

@@ -7,8 +7,9 @@ received.  After ``r`` rounds a state is a depth-``r`` value array —
 exponentially large, which is exactly the cost the compact protocol
 removes.
 
-* :mod:`repro.fullinfo.protocol` — Protocol 1 on the runtime, plus its
-  automaton form,
+* :mod:`repro.fullinfo.protocol` — Protocol 1 on the runtime, its
+  automaton form, and the canonical-or-reject receive gate every
+  value-array consumer shares,
 * :mod:`repro.fullinfo.eig` — the exponential-information-gathering
   tree view of a full-information state,
 * :mod:`repro.fullinfo.decision` — Theorem 2's recursive
@@ -21,6 +22,7 @@ removes.
 from repro.fullinfo.protocol import (
     FullInformationAutomaton,
     FullInformationProcess,
+    ReceiveGate,
     full_information_factory,
 )
 from repro.fullinfo.eig import EIGView
@@ -37,6 +39,7 @@ from repro.fullinfo.interactive import (
 __all__ = [
     "FullInformationAutomaton",
     "FullInformationProcess",
+    "ReceiveGate",
     "full_information_factory",
     "EIGView",
     "DerivedDecisionRule",

@@ -19,7 +19,16 @@ the faulty processor could have sent).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import repro.obs.core as _obs
 from repro.arrays import persist as _persist
@@ -31,9 +40,9 @@ from repro.core.automaton import AutomatonProtocol
 from repro.runtime.node import Process, broadcast
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
 
-# Sentinel distinguishing "message rejected" from a legal message that
-# happens to be None (None is a perfectly good alphabet value).
-_REJECT = object()
+#: Returned for a rejected message.  A sentinel rather than ``None``
+#: because ``None`` is a perfectly good alphabet value.
+REJECT = object()
 
 # A decision rule examines (state, simulated_round, process_id) and
 # returns a value or BOTTOM.
@@ -42,15 +51,15 @@ DecisionRule = Callable[[Any, int, ProcessId], Value]
 #: Protoflow taint: both receive paths run every incoming message
 #: through a legality filter before it can enter STATE.
 TAINT_SANITIZERS = {
-    "_canonical_legal": (
-        "interned fast path: exact depth, exact width n at every "
-        "level, every leaf in the alphabet V — anything else is "
-        "replaced by the receiver's own previous state (Theorem 9 "
-        "Case 3)"
+    "ReceiveGate.admit": (
+        "interned path: exact depth, exact width n at every level, "
+        "every leaf in the alphabet V — anything else is REJECT, which "
+        "callers replace by the receiver's own previous state (Theorem "
+        "9 Case 3)"
     ),
     "_is_legal_message": (
         "plain-tuple path: validate_array checks the same shape and "
-        "alphabet-leaf conditions as the interned path"
+        "alphabet-leaf conditions as the interned receive gate"
     ),
 }
 
@@ -72,12 +81,128 @@ MESSAGE_BOUNDS = {
 }
 
 
-def _legality_detail(n: int, alphabet: Any) -> Optional[str]:
-    """Persistent-cache key prefix for legality verdicts, if stable."""
-    alpha_fp = values_fingerprint(alphabet)
-    if alpha_fp is None:
-        return None
-    return f"fullinfo.legality;n={n};alpha={alpha_fp}"
+def _alphabet_predicate(alphabet: FrozenSet[Value]) -> Callable[[Any], bool]:
+    """``leaf in alphabet`` that answers ``False`` for unhashable junk."""
+
+    def leaf_ok(leaf: Any) -> bool:
+        try:
+            return leaf in alphabet
+        except TypeError:  # unhashable leaf from a Byzantine sender
+            return False
+
+    return leaf_ok
+
+
+class ReceiveGate:
+    """Step 2 of Protocol 1 on the array kernel: canonical node or reject.
+
+    Every consumer of Section 5.1 value arrays asks the same question
+    once per incoming message: is this a depth-``r - 1`` ``n``-ary
+    array over the alphabet ``V`` — and if so, which canonical node of
+    the shared :class:`~repro.arrays.store.ArrayStore` is it?
+    :meth:`admit` answers in O(new nodes): a message that is already
+    canonical (the broadcast common case: its sender interned it last
+    round) costs one depth read and one verdict-cache hit; a plain
+    tuple from an adversary pays one depth-bounded intern walk — shape
+    validation included — and joins the fast path wherever it is
+    replayed.  Hostile input never raises: scalars, ragged or
+    wrong-``n`` levels, unhashable leaves and nesting deeper than
+    expected are all :data:`REJECT`.
+
+    One gate serves one receiver: :class:`FullInformationProcess`
+    holds one, and
+    :class:`repro.agreement.firing_squad.FiringSquadProcess` shares one
+    across its live EIG instances.
+    """
+
+    def __init__(self, store: ArrayStore, alphabet: Iterable[Value]):
+        self.store = store
+        legal = frozenset(alphabet)
+        self.leaf_ok = _alphabet_predicate(legal)
+        # Canonical node -> "leaves all in V" verdict.  A subtree
+        # vetted at round r is the *same node* when it reappears inside
+        # round r + 1 states, so re-validation collapses to one
+        # dictionary hit.
+        self._verdicts: Dict[Any, bool] = {}
+        # Persistent-cache key prefix for those verdicts: legality is
+        # a pure function of (typed structure, n, V), so a verdict
+        # keyed by content digest under the alphabet fingerprint is
+        # valid across processes and runs.  None when the alphabet has
+        # unstable members (caching then simply stays out of the way).
+        alpha_fp = values_fingerprint(legal)
+        self._persist_detail: Optional[str] = (
+            None
+            if alpha_fp is None
+            else f"fullinfo.legality;n={store.n};alpha={alpha_fp}"
+        )
+
+    def admit(self, message: Any, expected_depth: int) -> Any:
+        """The interned legal ``message``, or :data:`REJECT`."""
+        if expected_depth == 0:
+            # Depth-0 arrays are bare scalars from V.
+            if isinstance(message, tuple) or not self.leaf_ok(message):
+                return REJECT
+            return message
+        store = self.store
+        if type(message) is InternedArray and message.store is store:
+            node = message
+        else:
+            maybe = store.try_intern(message, expected_depth)
+            if maybe is None:
+                return REJECT  # scalar, ragged, wrong-n, deep or unhashable
+            node = maybe
+        if node.depth != expected_depth:
+            return REJECT
+        verdict = self._verdicts.get(node.key_token)
+        observer = _obs.ACTIVE
+        if verdict is None:
+            verdict = self._persisted_verdict(node)
+        if verdict is None:
+            verdict = all(
+                self.leaf_ok(leaf) for _, leaf in node.leaves_unique
+            )
+            self._verdicts[node.key_token] = verdict
+            self._record_verdict(node, verdict)
+            if observer is not None:
+                observer.count("fullinfo.legality.miss")
+        elif observer is not None:
+            observer.count("fullinfo.legality.hit")
+        return node if verdict else REJECT
+
+    def _persisted_verdict(self, node: InternedArray) -> Optional[bool]:
+        """Cross-run legality verdict, or ``None`` to compute afresh.
+
+        A bool in the persistent cache under this gate's alphabet
+        fingerprint and the node's content digest was computed by the
+        same pure predicate in some earlier run; anything else (absent
+        entry, unstable node, poisoned value) falls through to
+        recomputation.
+        """
+        detail = self._persist_detail
+        if detail is None:
+            return None
+        cache = _persist.active()
+        if cache is None:
+            return None
+        digest = content_digest(node)
+        if digest is None:
+            return None
+        stored = cache.map_get(detail, digest.hex())
+        if not isinstance(stored, bool):
+            return None
+        self._verdicts[node.key_token] = stored
+        return stored
+
+    def _record_verdict(self, node: InternedArray, verdict: bool) -> None:
+        detail = self._persist_detail
+        if detail is None:
+            return
+        cache = _persist.active()
+        if cache is None:
+            return
+        digest = content_digest(node)
+        if digest is not None:
+            cache.map_put(detail, digest.hex(), verdict)
 
 
 class FullInformationProcess(Process):
@@ -118,43 +243,27 @@ class FullInformationProcess(Process):
         """
         super().__init__(process_id, config)
         self.state: Any = input_value
-        self._alphabet = frozenset(value_alphabet)
+        self._leaf_ok = _alphabet_predicate(frozenset(value_alphabet))
         self._decision_rule = decision_rule
         self._horizon = horizon
         self.rounds_completed = 0
-        self._store: Optional[ArrayStore] = (
-            shared_store(config.n) if intern else None
-        )
-        # Canonical node -> "leaves all in V" verdict, shared across
-        # rounds: a subtree vetted at round r is the *same node* when
-        # it reappears inside round r + 1 states, so the exponential
-        # re-validation the plain path pays every round collapses to
-        # one dictionary hit.
-        self._leaf_verdicts: Dict[Any, bool] = {}
-        # Persistent-cache key prefix for those verdicts: legality is
-        # a pure function of (typed structure, n, V), so a verdict
-        # keyed by content digest under the alphabet fingerprint is
-        # valid across processes and runs.  None when the alphabet has
-        # unstable members (caching then simply stays out of the way).
-        self._legality_detail: Optional[str] = (
-            None
-            if self._store is None
-            else _legality_detail(config.n, self._alphabet)
-        )
+        # The interned receive path: one canonical-or-reject gate over
+        # the shared store.  None in the plain-tuple reference mode.
+        self._gate: Optional[ReceiveGate] = None
+        if intern:
+            self._gate = ReceiveGate(shared_store(config.n), value_alphabet)
 
     def outgoing(self, round_number: Round) -> Dict[ProcessId, Any]:
         return broadcast(self.state, self.config)
 
     def receive(self, round_number: Round, incoming: Dict[ProcessId, Any]) -> None:
         expected_depth = round_number - 1
-        store = self._store
+        gate = self._gate
         components = []
         for sender in self.config.process_ids:
-            if store is not None:
-                message = self._canonical_legal(
-                    incoming[sender], expected_depth
-                )
-                if message is _REJECT:
+            if gate is not None:
+                message = gate.admit(incoming[sender], expected_depth)
+                if message is REJECT:
                     message = self.state  # own previous state: right shape
             else:
                 message = incoming[sender]
@@ -162,86 +271,9 @@ class FullInformationProcess(Process):
                     message = self.state
             components.append(message)
         state = tuple(components)
-        self.state = store.intern(state) if store is not None else state
+        self.state = gate.store.intern(state) if gate is not None else state
         self.rounds_completed = round_number
         self._maybe_decide(round_number)
-
-    def _canonical_legal(self, message: Any, expected_depth: int) -> Any:
-        """The interned legal message, or :data:`_REJECT`.
-
-        A message that is already a canonical node of the shared store
-        (the broadcast common case: the sender interned it last round)
-        validates in O(1) metadata checks plus one verdict-cache hit.
-        Plain tuples from an adversary pay one intern walk — shape
-        validation included — and then join the fast path for every
-        later round they are replayed in.
-        """
-        if expected_depth == 0:
-            # Depth-0 arrays are bare scalars from V.
-            if isinstance(message, tuple) or not self._leaf_ok(message):
-                return _REJECT
-            return message
-        store = self._store
-        assert store is not None  # caller guards
-        if type(message) is InternedArray and message.store is store:
-            node = message
-        else:
-            maybe = store.try_intern(message)
-            if maybe is None:
-                return _REJECT  # scalar, ragged, wrong-n or unhashable
-            node = maybe
-        if node.depth != expected_depth:
-            return _REJECT
-        verdict = self._leaf_verdicts.get(node.key_token)
-        observer = _obs.ACTIVE
-        if verdict is None:
-            verdict = self._persisted_verdict(node)
-        if verdict is None:
-            verdict = all(
-                self._leaf_ok(leaf) for _, leaf in node.leaves_unique
-            )
-            self._leaf_verdicts[node.key_token] = verdict
-            self._record_verdict(node, verdict)
-            if observer is not None:
-                observer.count("fullinfo.legality.miss")
-        elif observer is not None:
-            observer.count("fullinfo.legality.hit")
-        return node if verdict else _REJECT
-
-    def _persisted_verdict(self, node: InternedArray) -> Optional[bool]:
-        """Cross-run legality verdict, or ``None`` to compute afresh.
-
-        A bool in the persistent cache under this process's alphabet
-        fingerprint and the node's content digest was computed by the
-        same pure predicate in some earlier run; anything else (absent
-        entry, unstable node, poisoned value) falls through to
-        recomputation.
-        """
-        detail = self._legality_detail
-        if detail is None:
-            return None
-        cache = _persist.active()
-        if cache is None:
-            return None
-        digest = content_digest(node)
-        if digest is None:
-            return None
-        stored = cache.map_get(detail, digest.hex())
-        if not isinstance(stored, bool):
-            return None
-        self._leaf_verdicts[node.key_token] = stored
-        return stored
-
-    def _record_verdict(self, node: InternedArray, verdict: bool) -> None:
-        detail = self._legality_detail
-        if detail is None:
-            return
-        cache = _persist.active()
-        if cache is None:
-            return
-        digest = content_digest(node)
-        if digest is not None:
-            cache.map_put(detail, digest.hex(), verdict)
 
     def _is_legal_message(self, message: Any, expected_depth: int) -> bool:
         if message is BOTTOM:
@@ -252,12 +284,6 @@ class FullInformationProcess(Process):
             depth=expected_depth,
             leaf_ok=self._leaf_ok,
         )
-
-    def _leaf_ok(self, leaf: Any) -> bool:
-        try:
-            return leaf in self._alphabet
-        except TypeError:  # unhashable junk from a Byzantine sender
-            return False
 
     def _maybe_decide(self, round_number: Round) -> None:
         if self.has_decided() or self._decision_rule is None:

@@ -32,7 +32,7 @@ when no trace is attached.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 import repro.obs.core as _obs
 from repro.adversary.base import Adversary, RoundContext
@@ -47,6 +47,10 @@ from repro.runtime.trace import ExecutionTrace
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
 
 
+# Closes a mutable container on the sizer's work stack.
+_CLOSE = object()
+
+
 def _default_sizer(message: Any) -> int:
     """Fallback message measure: 8 bits per scalar leaf, 2 per node.
 
@@ -57,17 +61,40 @@ def _default_sizer(message: Any) -> int:
     cost a 2-bit node header plus the sum of their elements (dicts:
     keys and values) — so a list-shaped message is never silently
     undercounted as a single scalar leaf.
+
+    Byzantine payloads come through here too (trace edges), so the
+    walk keeps its own stack instead of recursing — nesting thousands
+    deep is just a long message — and a mutable container that
+    contains itself is charged as one leaf where it recurs.
     """
-    if is_bottom(message):
-        return 0
-    if isinstance(message, (tuple, list, set, frozenset)):
-        return 2 + sum(_default_sizer(component) for component in message)
-    if isinstance(message, dict):
-        return 2 + sum(
-            _default_sizer(key) + _default_sizer(value)
-            for key, value in message.items()
-        )
-    return 8
+    bits = 0
+    stack: List[Any] = [message]
+    open_ids: Set[int] = set()  # mutable containers on the current path
+    while stack:
+        item = stack.pop()
+        if item is BOTTOM:
+            continue
+        if item is _CLOSE:
+            open_ids.discard(stack.pop())
+        elif isinstance(item, (tuple, frozenset)):
+            bits += 2
+            stack.extend(item)
+        elif isinstance(item, (list, set, dict)):
+            if id(item) in open_ids:
+                bits += 8
+                continue
+            open_ids.add(id(item))
+            stack.append(id(item))
+            stack.append(_CLOSE)
+            bits += 2
+            if isinstance(item, dict):
+                stack.extend(item.keys())
+                stack.extend(item.values())
+            else:
+                stack.extend(item)
+        else:
+            bits += 8
+    return bits
 
 
 class SynchronousNetwork:

@@ -7,11 +7,13 @@ from repro.agreement.firing_squad import (
     fire_deadline,
     firing_squad_factory,
 )
+from repro.arrays.store import InternedArray
 from repro.errors import ConfigurationError
+from repro.obs.core import Observer, observing
 from repro.runtime.engine import run_protocol
 from repro.types import BOTTOM, SystemConfig, is_bottom
 
-from tests.conftest import byzantine_adversaries
+from tests.conftest import byzantine_adversaries, nested_tuple
 
 
 def run_squad(config, inputs, adversary=None, rounds=12, seed=0):
@@ -92,6 +94,28 @@ class TestLiveness:
             )
 
 
+class TestFailClosed:
+    def test_payload_nested_past_the_recursion_limit_is_ignored(self, config4):
+        """A Byzantine sender cannot crash a correct processor: the
+        5000-deep view (and the 5000-deep non-dict payload) count as
+        malformed and the three correct processors fire on time."""
+        hostile = nested_tuple(config4.n)  # right width at every level
+        squad = {p: FiringSquadProcess(p, config4, 1) for p in (1, 2, 3)}
+        for round_number in (1, 2, 3):
+            sent = {p: q.outgoing(round_number)[p] for p, q in squad.items()}
+            junk = (
+                hostile
+                if round_number == 3
+                else {start: hostile for start in sent[1]}
+            )
+            for process in squad.values():
+                process.receive(round_number, {**sent, 4: junk})
+        assert {p.decision for p in squad.values()} == {"FIRE"}
+        assert {p.decision_round for p in squad.values()} == {
+            fire_deadline(1, config4.t)
+        }
+
+
 class TestHousekeeping:
     def test_live_instances_bounded(self, config4):
         inputs = {p: BOTTOM for p in config4.process_ids}
@@ -107,6 +131,21 @@ class TestHousekeeping:
                 round_number
             ).values():
                 assert len(snapshot["live_instances"]) <= config4.t + 1
+
+    def test_instances_run_on_the_interned_kernel(self, config4):
+        """One path: views go through the shared receive gate (its
+        verdict cache hits across instances and rounds) and every
+        live state is a canonical node, never a plain tuple."""
+        observer = Observer(spans=False)
+        with observing(observer):
+            result = run_squad(
+                config4, {1: 1, 2: 3, 3: BOTTOM, 4: 2}, rounds=2
+            )
+        assert observer.registry.counter("fullinfo.legality.hit") > 0
+        for process in result.processes.values():
+            assert process._instances
+            for state in process._instances.values():
+                assert type(state) is InternedArray
 
     def test_input_validation(self, config4):
         with pytest.raises(ConfigurationError):

@@ -32,6 +32,8 @@ from repro.arrays.encoding import MessageSizer, encoded_array_bits, structural_k
 from repro.errors import ProtocolViolation
 from repro.types import BOTTOM
 
+from tests.conftest import nested_tuple
+
 
 def plain_arrays(n: int, max_depth: int = 3, leaves=None):
     """Strategy: uniform-depth plain nested tuples over ``n``."""
@@ -186,6 +188,30 @@ def test_garbage_fails_without_polluting(garbage):
     # Nothing new was registered, and prior nodes are untouched.
     assert len(store) == size_before
     assert store.intern(((0, 1), (1, 0))) is baseline
+
+
+def test_nesting_past_the_recursion_limit_is_garbage_not_a_crash():
+    """A 5000-deep payload is rejected, never a RecursionError."""
+    store = ArrayStore(1)
+    hostile = nested_tuple(1)
+    assert store.try_intern(hostile) is None
+    assert store.try_intern(hostile, 3) is None
+    with pytest.raises(ProtocolViolation):
+        store.intern(hostile)
+    assert len(store) == 0
+
+
+def test_try_intern_descends_no_deeper_than_asked():
+    store = ArrayStore(1)
+    assert store.try_intern(nested_tuple(1, 3), 2) is None
+    assert len(store) == 0  # rejected on the way down: nothing built
+    node = store.try_intern(nested_tuple(1, 3), 3)
+    assert node is not None and node.depth == 3
+    # Already-canonical nodes cost nothing and come back at any depth;
+    # the bound is on plain levels opened, so wrapping one is one level.
+    assert store.try_intern(node, 1) is node
+    assert store.try_intern((node,), 1).depth == 4
+    assert store.try_intern(((node,),), 1) is None
 
 
 def test_try_intern_requires_tuples():

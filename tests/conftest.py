@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import pytest
@@ -85,3 +87,28 @@ def faulty_subsets(config: SystemConfig) -> List[Tuple[ProcessId, ...]]:
     if middle not in subsets and len(middle) == t:
         subsets.append(middle)
     return subsets
+
+
+def nested_tuple(width: int, levels: int = 5000, leaf: Value = 0):
+    """``leaf`` wrapped ``levels`` deep in ``width``-tuples.
+
+    The default depth is far past the interpreter's recursion limit:
+    the Byzantine payload every recursive walker used to crash on.
+    Levels share one child object, so building it is O(levels).
+    """
+    array = leaf
+    for _ in range(levels):
+        array = (array,) * width
+    return array
+
+
+def canonical_bytes(result) -> bytes:
+    """The checkpoint pickle of ``result``, topology-normalised.
+
+    Live processes hold closures (unpicklable) and are not part of any
+    cross-implementation contract; a loads/dumps round trip normalises
+    object-sharing topology the same way the parallel executor's
+    portable path does.
+    """
+    stripped = dataclasses.replace(result, processes={})
+    return pickle.dumps(pickle.loads(pickle.dumps(stripped)))

@@ -16,6 +16,8 @@ from repro.fullinfo.protocol import (
 from repro.runtime.engine import run_protocol
 from repro.types import BOTTOM, SystemConfig
 
+from tests.conftest import nested_tuple
+
 
 def run_fullinfo(config, inputs, adversary=None, rounds=3, **kwargs):
     return run_protocol(
@@ -86,6 +88,27 @@ class TestMalformedHandling:
         )
         for process in result.processes.values():
             assert all(leaf in (0, 1) for leaf in array_leaves(process.state))
+
+
+    def test_payload_nested_past_the_recursion_limit_is_substituted(
+        self, config4
+    ):
+        """A Byzantine sender cannot crash a correct EIG processor."""
+        from repro.agreement.eig_agreement import eig_agreement_factory
+
+        hostile = nested_tuple(config4.n)  # right width at every level
+        processes = {
+            p: eig_agreement_factory(config4, [0, 1], default=0)(p, config4, 1)
+            for p in (1, 2, 3)
+        }
+        for round_number in (1, 2):
+            sent = {p: q.outgoing(round_number)[p] for p, q in processes.items()}
+            for process in processes.values():
+                process.receive(round_number, {**sent, 4: hostile})
+        for process in processes.values():
+            assert array_depth(process.state, config4.n) == 2
+            assert set(array_leaves(process.state)) == {1}
+            assert process.decision == 1
 
 
 class TestDecisionPlumbing:

@@ -1,9 +1,13 @@
 """Campaign driver: determinism across workers, clean acceptance sweep."""
 
+import hashlib
+
 import pytest
 
 from repro.fuzz.campaign import CampaignSettings, replay_case, run_campaign
 from repro.fuzz.case import FuzzCase
+from repro.fuzz.protocols import CATALOG_PROTOCOLS
+from repro.obs.core import Observer, observing
 
 
 class TestWorkerDeterminism:
@@ -26,6 +30,37 @@ class TestWorkerDeterminism:
         first = run_campaign(CampaignSettings(seed=1, cases=6))
         second = run_campaign(CampaignSettings(seed=2, cases=6))
         assert first.to_json() != second.to_json()
+
+
+class TestGoldenCampaign:
+    """The benchmark's ``fuzz-campaign`` pass at seed 0, pinned.
+
+    Recorded at the commit before the firing squad moved onto the
+    interned array kernel.  A change sold as pure performance must
+    leave every one of these alone; one that means to change behaviour
+    re-records them and says so.
+    """
+
+    REPORT_SHA256 = (
+        "41c034fe6ed688313d525ea009e03f92634bf3fc6f3b9e2341035d8927be33d4"
+    )
+    COUNTERS = {"net.bits": 2362556, "net.messages": 31241, "runs": 158}
+
+    @pytest.mark.parametrize("scheduler", ["lockstep", "async"])
+    def test_report_and_traffic_counters_are_pinned(self, scheduler):
+        observer = Observer(spans=False)
+        with observing(observer):
+            report = run_campaign(CampaignSettings(
+                seed=0, cases=25, n=7, t=2, protocols=CATALOG_PROTOCOLS,
+                workers=1, scheduler=scheduler,
+            ))
+        assert report.executions == 150
+        assert report.clean
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == self.REPORT_SHA256
+        assert {
+            name: observer.registry.counter(name) for name in self.COUNTERS
+        } == self.COUNTERS
 
 
 class TestAcceptanceSweep:

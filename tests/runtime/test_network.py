@@ -10,6 +10,8 @@ from repro.runtime.rng import make_rng
 from repro.runtime.trace import ExecutionTrace
 from repro.types import BOTTOM, SystemConfig, is_bottom
 
+from tests.conftest import nested_tuple
+
 
 class Recorder(Process):
     def __init__(self, process_id, config, value):
@@ -174,6 +176,18 @@ class TestDefaultSizer:
 
     def test_bottom_inside_container_is_free(self):
         assert _default_sizer((BOTTOM, 1)) == 2 + 8
+
+    def test_nesting_past_the_recursion_limit_is_just_long(self):
+        hostile = nested_tuple(1)
+        assert _default_sizer(hostile) == 5000 * 2 + 8
+        assert _default_sizer({1: [hostile]}) == 2 + 8 + 2 + 5000 * 2 + 8
+
+    def test_self_containing_container_terminates(self):
+        loop = [1]
+        loop.append(loop)
+        # The back-reference is one leaf: node + leaf 1 + leaf "loop".
+        assert _default_sizer(loop) == 2 + 8 + 8
+        assert _default_sizer((loop, loop)) == 2 + 2 * 18  # shared, not cyclic
 
 
 class TestHotPathEquivalence:

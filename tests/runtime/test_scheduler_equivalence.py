@@ -20,7 +20,6 @@ async, any delay bound, any schedule salt — produces the *identical*
 """
 
 import dataclasses
-import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -41,22 +40,12 @@ from repro.runtime.scheduler import (
 )
 from repro.types import BOTTOM, SystemConfig
 
+from tests.conftest import canonical_bytes
+
 N, T = 4, 1
 
 #: Async backend specs spread across the delay/salt axes.
 ASYNC_SPECS = ("async", "async:1", "async:5", "async:3:17", "async:7:101")
-
-
-def canonical_bytes(result):
-    """The checkpoint pickle of ``result``, topology-normalised.
-
-    Live processes hold closures (unpicklable) and are not part of the
-    cross-backend contract; a loads/dumps round trip normalises
-    object-sharing topology the same way the parallel executor's
-    portable path does.
-    """
-    stripped = dataclasses.replace(result, processes={})
-    return pickle.dumps(pickle.loads(pickle.dumps(stripped)))
 
 
 def catalog_case(protocol, seed, faulty=(1,)):
