@@ -30,8 +30,11 @@ re-implementation of a hot per-round pass:
   verdicts for whole row ranges at once (block-1 expansion and
   legality checks);
 * :func:`eig_sweep` — the suffix-grouped strict-majority resolution
-  of the EIG Byzantine decision rule as a descent + ``bincount``
-  pipeline over a cached distinct-label chain topology.
+  of the EIG Byzantine decision rule as a row-gather descent and a
+  ``bincount`` + threshold pass per level over a cached
+  distinct-label chain topology.  It runs once per distinct state:
+  :func:`repro.fullinfo.decision.eig_byzantine_decision` memoises its
+  outcome on the store.
 
 The kernel is selected with the ``REPRO_KERNEL`` environment variable
 (``flat`` — the default — or ``python``) or programmatically with
@@ -106,8 +109,9 @@ PURITY_EXEMPT = {
     ),
     "chain_topology": (
         "memoises the (n, depth) chain-enumeration tables in a "
-        "module-level registry; the topology is a pure function of its "
-        "arguments"
+        "module-level registry (each keeping the tally bins of the "
+        "last candidate count it served); both are pure functions of "
+        "their arguments"
     ),
 }
 
@@ -441,49 +445,64 @@ class ChainTopology:
 
     Level ``l`` (1-based) enumerates the length-``l`` chains of
     distinct labels from ``1..n`` in prefix-major label order.  For
-    level ``l``'s chain ``i``, three parallel int64 arrays say how it
+    level ``l``'s chain ``i``, two parallel int64 arrays say how it
     relates to level ``l - 1``:
 
-    * ``prefix[l - 1][i]`` — the index of ``chain[:-1]``,
-    * ``last[l - 1][i]`` — the final label (1-based),
+    * ``pick[l - 1][i]`` — ``index(chain[:-1]) * n + (chain[-1] - 1)``:
+      where the chain's component sits once the ``children`` rows of
+      all length-``l - 1`` chains are gathered and flattened,
     * ``suffix[l - 1][i]`` — the index of ``chain[1:]``.
 
-    ``prefix``/``last`` drive the downward array descent (extending a
-    path appends the label indexing the next component); ``suffix``
-    drives the upward majority sweep (extending a *chain* prepends
-    the later relayer in array-path order).
+    ``pick`` drives the downward array descent (extending a path
+    appends the label indexing the next component); ``suffix`` drives
+    the upward majority sweep (extending a *chain* prepends the later
+    relayer in array-path order).
     """
 
-    __slots__ = ("n", "depth", "prefix", "last", "suffix", "level_sizes")
+    __slots__ = ("n", "depth", "pick", "suffix", "level_sizes", "_bins")
 
     def __init__(self, n: int, depth: int):
         self.n = n
         self.depth = depth
-        self.prefix: List[IntColumn] = []
-        self.last: List[IntColumn] = []
+        self.pick: List[IntColumn] = []
         self.suffix: List[IntColumn] = []
         #: Chains per level, level 0 included (the empty chain).
         self.level_sizes: List[int] = [1]
+        # The last ``(spread, tally_bins(spread))`` served.
+        self._bins: Tuple[int, List[IntColumn]] = (0, [])
         previous: Dict[Tuple[int, ...], int] = {(): 0}
         for _ in range(depth):
             index_of: Dict[Tuple[int, ...], int] = {}
-            prefix: List[int] = []
-            last: List[int] = []
+            pick: List[int] = []
             suffix: List[int] = []
             for prior_chain, prior_index in previous.items():
                 for label in range(1, n + 1):
                     if label in prior_chain:
                         continue
                     chain = prior_chain + (label,)
-                    index_of[chain] = len(prefix)
-                    prefix.append(prior_index)
-                    last.append(label)
+                    index_of[chain] = len(pick)
+                    pick.append(prior_index * n + label - 1)
                     suffix.append(previous[chain[1:]])
-            self.prefix.append(np.asarray(prefix, dtype=np.int64))
-            self.last.append(np.asarray(last, dtype=np.int64))
+            self.pick.append(np.asarray(pick, dtype=np.int64))
             self.suffix.append(np.asarray(suffix, dtype=np.int64))
-            self.level_sizes.append(len(prefix))
+            self.level_sizes.append(len(pick))
             previous = index_of
+
+    def tally_bins(self, spread: int) -> List[IntColumn]:
+        """Per level, each chain's first ``bincount`` bin: ``suffix * spread``.
+
+        A chain voting for candidate ``v`` lands in bin
+        ``suffix * spread + v``.  Consecutive sweeps almost always
+        rank the same number of candidates (the alphabet plus the
+        default), so the products of the last ``spread`` are kept —
+        one entry, because a Byzantine sender can vary the candidate
+        count of an alphabet-less state at will.
+        """
+        cached_spread, bins = self._bins
+        if cached_spread != spread:
+            bins = [suffix * spread for suffix in self.suffix]
+            self._bins = (spread, bins)
+        return bins
 
 
 def chain_topology(n: int, depth: int) -> ChainTopology:
@@ -513,17 +532,21 @@ def eig_sweep(
     """The EIG strict-majority resolution of ``state``, vectorized.
 
     ``vote_of_code`` maps every leaf code of the state's store to a
-    candidate index; candidate indices MUST be assigned in ascending
-    deterministic-rank order, because count ties break toward the
-    lowest index (``argmax`` returns the first maximum) — exactly the
-    reference sweep's rank tie-break.  Returns the winning candidate
-    index for the empty chain.
+    candidate index below ``num_candidates``.  Returns the winning
+    candidate index for the empty chain.
 
-    One descent reads every distinct-label chain's recorded leaf
-    (paths sharing an array prefix share the gather), then each
-    upward pass tallies length-``l`` resolutions under their
-    length-``l - 1`` suffix with one ``bincount`` and applies the
-    strict-majority rule ``2 * best > n - (l - 1)`` in bulk.  Every
+    One descent reads every distinct-label chain's recorded leaf: per
+    level, the ``children`` rows of all chains so far are gathered
+    whole and the distinct-label columns taken out of the flattened
+    block (``ChainTopology.pick``), so paths sharing an array prefix
+    share the gather.  Then each upward pass tallies length-``l``
+    resolutions under their length-``l - 1`` suffix with one
+    ``bincount`` and applies the strict-majority rule
+    ``2 * count > n - (l - 1)`` in bulk: at most one candidate per
+    group can pass it, so the winners are scattered over a
+    ``default_index`` fill and no tie-break is ever consulted —
+    which is the reference sweep's outcome, whose rank tie-break only
+    picks among candidates that then lose to the default.  Every
     length-``l - 1`` chain has exactly ``n - (l - 1)`` one-relayer
     extensions (``depth <= n``), so no tally group is empty.
     """
@@ -533,25 +556,19 @@ def eig_sweep(
     topology = chain_topology(n, depth)
     tables.sync()
     children = tables.children
-    refs: IntColumn = np.asarray([tables.row_of(state)], dtype=np.int64)
-    for level in range(depth):
-        gathered: IntColumn = children[
-            refs[topology.prefix[level]], topology.last[level] - 1
-        ].astype(np.int64)
-        refs = gathered
-    votes: IntColumn = vote_of_code[-(refs + 1)]
-    spread = num_candidates
+    refs: NDArray[Any] = np.asarray([tables.row_of(state)], dtype=np.int64)
+    for pick in topology.pick:
+        refs = children.take(refs, axis=0).reshape(-1).take(pick)
+    votes: IntColumn = vote_of_code.take(-(refs + 1))
+    bins = topology.tally_bins(num_candidates)
     for level in range(depth, 0, -1):
         groups = topology.level_sizes[level - 1]
         counts = np.bincount(
-            topology.suffix[level - 1] * spread + votes,
-            minlength=groups * spread,
-        ).reshape(groups, spread)
-        best = counts.argmax(axis=1)
-        best_count = counts[np.arange(groups), best]
-        extensions = n - (level - 1)
-        resolved: IntColumn = np.where(
-            best_count * 2 > extensions, best, default_index
-        ).astype(np.int64)
-        votes = resolved
+            bins[level - 1] + votes, minlength=groups * num_candidates
+        )
+        # 2 * count > extensions  <=>  count > extensions // 2.
+        won = np.flatnonzero(counts > (n - (level - 1)) // 2)
+        group, vote = np.divmod(won, num_candidates)
+        votes = np.full(groups, default_index, dtype=np.int64)
+        votes[group] = vote
     return int(votes[0])

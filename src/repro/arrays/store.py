@@ -95,7 +95,9 @@ PURITY_EXEMPT = {
     "release_shared_stores": (
         "the one between-workload lifecycle helper: records the "
         "registry gauges, flushes persistent-cache deltas, then drops "
-        "the registry — composing three observationally-pure steps"
+        "the registry — composing three observationally-pure steps; "
+        "what is memoised on a store (flat tables, the EIG decision "
+        "memo: pure functions of its canonical nodes) goes with it"
     ),
 }
 
@@ -167,6 +169,11 @@ class ArrayStore:
         # attached lazily by repro.arrays.persist under the same
         # one-way import rule as flat_tables.
         self.persist_state: Optional[Any] = None
+        # EIG decisions already resolved on this store's nodes, keyed
+        # and filled by repro.fullinfo.decision (node key_token + typed
+        # rule parameters).  Kept here so that it shares the store's
+        # lifetime: release_shared_stores drops both together.
+        self.eig_decisions: Dict[Any, Any] = {}
 
     def __len__(self) -> int:
         """Number of unique canonical nodes interned so far."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.arrays.store import InternedArray
+from repro.arrays.store import MAX_DEPTH, InternedArray
 from repro.errors import ProtocolViolation
 from repro.types import is_bottom
 
@@ -58,9 +58,21 @@ def array_depth(array: Any, n: int) -> int:
     ------
     ProtocolViolation
         If the array is ragged, has a level whose length is not ``n``,
-        or mixes scalars and sub-arrays at one level.  Messages
-        arriving off the network are validated with this before use,
-        so a faulty sender cannot crash a correct processor.
+        mixes scalars and sub-arrays at one level, or nests plain
+        tuples more than :data:`~repro.arrays.store.MAX_DEPTH` deep.
+        Messages arriving off the network are validated with this
+        before use, so a faulty sender cannot crash a correct
+        processor.
+    """
+    return _depth_within(array, n, MAX_DEPTH)
+
+
+def _depth_within(array: Any, n: int, budget: int) -> int:
+    """:func:`array_depth`, opening at most ``budget`` plain levels.
+
+    The bound is what keeps a hostile payload nested thousands deep a
+    :class:`ProtocolViolation` instead of a ``RecursionError``; an
+    interned node answers from its metadata and opens none.
     """
     if not isinstance(array, tuple):
         return 0
@@ -70,7 +82,15 @@ def array_depth(array: Any, n: int) -> int:
         raise ProtocolViolation(
             f"array level has length {len(array)}, expected n={n}"
         )
-    depths = {array_depth(component, n) for component in array}
+    if budget <= 0:
+        raise ProtocolViolation("array is nested deeper than allowed")
+    budget -= 1
+    # Scalars are depth 0 without a call: most components are leaves.
+    depths = {
+        _depth_within(component, n, budget)
+        if isinstance(component, tuple) else 0
+        for component in array
+    }
     if len(depths) != 1:
         raise ProtocolViolation(f"ragged array: component depths {depths}")
     return 1 + depths.pop()
@@ -86,7 +106,11 @@ def validate_array(
 
     Returns ``True`` when the array is well-formed; ``False`` otherwise
     (never raises, unlike :func:`array_depth`).  This is the defensive
-    entry point for anything received from a possibly faulty sender.
+    entry point for anything received from a possibly faulty sender,
+    so the shape walk opens no more plain-tuple levels than ``depth``
+    (:data:`~repro.arrays.store.MAX_DEPTH` when none is given): a
+    payload nested deeper is ``False`` without being walked to the
+    bottom.
 
     An interned array short-circuits the shape walk entirely, and the
     leaf predicate runs over the node's *distinct* typed leaves rather
@@ -100,7 +124,9 @@ def validate_array(
             return all(leaf_ok(leaf) for _, leaf in array.leaves_unique)
         return True
     try:
-        actual = array_depth(array, n)
+        actual = _depth_within(
+            array, n, MAX_DEPTH if depth is None else min(depth, MAX_DEPTH)
+        )
     except ProtocolViolation:
         return False
     if depth is not None and actual != depth:

@@ -28,6 +28,15 @@ power and are excluded, as in the standard EIG analysis):
 
 Malformed leaves (a Byzantine processor's garbage surviving into a
 claim about itself) are normalised to the default value first.
+
+The rule is a function of the information state alone — which
+processor evaluates it does not matter — and the hash-consing store
+makes equal states one canonical node.  So on interned states under
+the flat kernel each ``(node, n, t, default, alphabet)`` is resolved
+once per store and every other correct processor (and every later
+execution sharing the store) reads the answer back; see
+:func:`eig_byzantine_decision`.  Plain tuples and the ``python``
+kernel never consult the memo and stay the reference.
 """
 
 from __future__ import annotations
@@ -191,30 +200,106 @@ def eig_byzantine_decision(
     alphabet:
         When given, leaves outside it are replaced by ``default``
         before resolution (defence against garbage leaves).
+
+    Three layers, outermost first: the store's in-memory memo
+    (:func:`_eig_memo_key`; ``eig.decision.hit`` / ``.miss``), the
+    cross-run cache when one is active, and the resolution itself
+    (``eig.kernel.flat`` / ``.fallback`` therefore count memo misses,
+    not calls).
     """
     with _obs.span("eig.decision"):
         # The resolution is a pure function of (typed structure, n, t,
-        # default, alphabet) — process_id does not enter it — so a
-        # content-digested outcome from an earlier run is the outcome.
-        cache = _persist.active()
-        key: Optional[Tuple[str, str]] = None
-        if cache is not None and type(state) is InternedArray:
-            key = _eig_persist_key(state, n, t, default, alphabet)
-            if key is not None:
-                stored = cache.map_get(key[0], key[1])
-                if stored is not _persist.MISSING:
-                    try:
-                        return decode_value(stored)
-                    except (ValueError, LookupError, TypeError):
-                        pass  # poisoned entry: recompute
-        value = _resolve_eig_decision(
+        # default, alphabet) — process_id does not enter it — and equal
+        # typed structures are one canonical node, so whichever
+        # processor resolves a node first resolves it for all of them.
+        memo_key = _eig_memo_key(state, n, t, default, alphabet)
+        if memo_key is None:
+            return _persisted_eig_decision(
+                state, n, t, process_id, default, alphabet
+            )
+        memo = state.store.eig_decisions
+        observer = _obs.ACTIVE
+        value = memo.get(memo_key, _MISSING)
+        if value is not _MISSING:
+            if observer is not None:
+                observer.count("eig.decision.hit")
+            return value
+        if observer is not None:
+            observer.count("eig.decision.miss")
+        # Written only once the resolution has succeeded: a state of
+        # the wrong depth raises on every call, memo or no memo.
+        value = memo[memo_key] = _persisted_eig_decision(
             state, n, t, process_id, default, alphabet
         )
-        if cache is not None and key is not None:
-            encoded = encode_value(value)
-            if encoded is not None:
-                cache.map_put(key[0], key[1], encoded)
         return value
+
+
+def _eig_memo_key(
+    state: Any,
+    n: int,
+    t: int,
+    default: Value,
+    alphabet: Optional[Sequence[Value]],
+) -> Optional[Tuple[Any, ...]]:
+    """The in-memory memo key of one EIG decision, or ``None`` to bypass.
+
+    ``key_token`` stands for the state's typed structure (and pins
+    the store: tokens are never shared between stores).  ``default``
+    can be returned as the decision itself, so it is keyed the way
+    :func:`_flat_sweep_index` tells votes apart — class, value and
+    repr, which separates ``True`` from ``1`` and ``0.0`` from
+    ``-0.0``.  The alphabet only ever answers membership tests, which
+    its typed member set determines.  Bypassed — the call is then
+    exactly the un-memoised one — for plain tuples, under the
+    ``python`` reference kernel, and when ``default`` or an alphabet
+    member is unhashable.
+    """
+    if type(state) is not InternedArray or not _flat.flat_enabled():
+        return None
+    try:
+        key = (
+            state.key_token, n, t,
+            default.__class__, default, repr(default),
+            None if alphabet is None else frozenset(
+                (member.__class__, member) for member in alphabet
+            ),
+        )
+        hash(key)
+    except TypeError:
+        return None
+    return key
+
+
+def _persisted_eig_decision(
+    state: Any,
+    n: int,
+    t: int,
+    process_id: ProcessId,
+    default: Value,
+    alphabet: Optional[Sequence[Value]],
+) -> Value:
+    """The decision through the cross-run cache, when one is active.
+
+    A content-digested outcome from an earlier run is the outcome, for
+    the same reason an in-memory one is.
+    """
+    cache = _persist.active()
+    key: Optional[Tuple[str, str]] = None
+    if cache is not None and type(state) is InternedArray:
+        key = _eig_persist_key(state, n, t, default, alphabet)
+        if key is not None:
+            stored = cache.map_get(key[0], key[1])
+            if stored is not _persist.MISSING:
+                try:
+                    return decode_value(stored)
+                except (ValueError, LookupError, TypeError):
+                    pass  # poisoned entry: recompute
+    value = _resolve_eig_decision(state, n, t, process_id, default, alphabet)
+    if cache is not None and key is not None:
+        encoded = encode_value(value)
+        if encoded is not None:
+            cache.map_put(key[0], key[1], encoded)
+    return value
 
 
 def _eig_persist_key(

@@ -156,6 +156,12 @@ class SynchronousNetwork:
         # hit.  Both entries are stable: the sizer and the null
         # predicate are pure functions of the payload value.
         self._interned_size_cache: Dict[Any, Tuple[int, bool]] = {}
+        # The payload summariser of `state`/`corrupt` event records,
+        # bound once per network.  Imported here rather than at module
+        # level because render imports the engine, which imports us.
+        from repro.runtime.render import summarise_payload
+
+        self._summarise = summarise_payload
         self.scheduler = (
             scheduler if scheduler is not None else LockstepScheduler()
         )
@@ -241,16 +247,13 @@ class SynchronousNetwork:
                 round_number, receiver, process.snapshot()
             )
         if events:
-            # Lazy: render imports the engine, which imports us.
-            from repro.runtime.render import summarise_payload
-
             assert observer is not None
             # Shape summary, never repr: full-information snapshots are
             # exponential and repr-ing them would dominate an observed
             # run.
             observer.emit(
                 "state", process=receiver,
-                summary=summarise_payload(process.snapshot(), limit=60),
+                summary=self._summarise(process.snapshot(), limit=60),
             )
             if process.decision_round == round_number:
                 observer.emit(
@@ -361,12 +364,10 @@ class SynchronousNetwork:
                 # Adversary-fixed traffic: recorded as a corruption,
                 # summarized rather than sized (a Byzantine payload's
                 # size says nothing about the protocol).
-                from repro.runtime.render import summarise_payload
-
                 assert observer is not None
                 observer.emit(
                     "corrupt", sender=sender, receiver=receiver,
-                    summary=summarise_payload(payload),
+                    summary=self._summarise(payload),
                 )
             if tracing and incoming is not None:
                 # Causal trace edge: a non-bottom payload actually

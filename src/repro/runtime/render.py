@@ -40,6 +40,10 @@ def _describe(payload: Any) -> str:
         return f"core:{main} votes:{len(payload.votes)}"
     if type_name == "CrashPayload":
         return f"core:{_describe(payload.main)} patches:{len(payload.patches)}"
+    if type(payload).__repr__ is object.__repr__:
+        # The default repr prints the object's address, which would
+        # make two logs of one workload differ (repro.obs.events).
+        return f"<{type_name}>"
     return repr(payload)
 
 

@@ -19,6 +19,7 @@ from repro.arrays.value_array import (
 )
 from repro.errors import ProtocolViolation
 from repro.types import BOTTOM
+from tests.conftest import nested_tuple
 
 
 def nested_arrays(n: int, max_depth: int = 3):
@@ -76,6 +77,17 @@ class TestValidate:
     def test_never_raises_on_garbage(self):
         assert not validate_array(((1,), 2, 3), n=3)
         assert not validate_array((1, 2), n=3)
+
+    def test_nesting_past_the_recursion_limit_is_false_not_a_crash(self):
+        """The plain-tuple walk is bounded by the depth asked for."""
+        hostile = nested_tuple(3)  # right width at every level
+        assert not validate_array(hostile, n=3)
+        assert not validate_array(hostile, n=3, depth=2)
+        with pytest.raises(ProtocolViolation):
+            array_depth(hostile, n=3)
+        # The bound is on levels opened, not an off-by-one on depth.
+        assert validate_array(nested_tuple(3, 4), n=3, depth=4)
+        assert not validate_array(nested_tuple(3, 4), n=3, depth=3)
 
     def test_scalar_leaf_check(self):
         assert validate_array(1, n=3, depth=0, leaf_ok=lambda leaf: leaf == 1)

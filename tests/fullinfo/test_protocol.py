@@ -3,6 +3,7 @@
 import pytest
 
 from repro.adversary import (
+    Adversary,
     EquivocatingAdversary,
     MalformedArrayAdversary,
     SilentAdversary,
@@ -16,7 +17,7 @@ from repro.fullinfo.protocol import (
 from repro.runtime.engine import run_protocol
 from repro.types import BOTTOM, SystemConfig
 
-from tests.conftest import nested_tuple
+from tests.conftest import canonical_bytes, nested_tuple
 
 
 def run_fullinfo(config, inputs, adversary=None, rounds=3, **kwargs):
@@ -109,6 +110,27 @@ class TestMalformedHandling:
             assert array_depth(process.state, config4.n) == 2
             assert set(array_leaves(process.state)) == {1}
             assert process.decision == 1
+
+    def test_plain_tuple_reference_path_substitutes_it_too(self, config4):
+        """``intern=False`` validates with ``validate_array``, whose
+        plain walk is bounded by the depth the receiver expects."""
+        from repro.agreement.eig_agreement import run_eig_agreement
+
+        hostile = nested_tuple(config4.n)
+
+        class Nester(Adversary):
+            def outgoing(self, round_number, sender, context):
+                return {p: hostile for p in self.config.process_ids}
+
+        results = [
+            run_eig_agreement(
+                config4, {p: 1 for p in config4.process_ids}, [0, 1],
+                adversary=Nester([4]), intern=intern,
+            )
+            for intern in (False, True)
+        ]
+        assert results[0].decided_values() == {1}
+        assert canonical_bytes(results[0]) == canonical_bytes(results[1])
 
 
 class TestDecisionPlumbing:

@@ -173,24 +173,40 @@ class TestObservedSweep:
 
 
 class TestFreshProcessByteIdentity:
-    def test_two_fresh_processes_write_identical_logs(self, tmp_path):
-        """The cross-process half of the determinism contract."""
+    @staticmethod
+    def deterministic_lines(tmp_path, *run_ba_args):
+        """Two fresh `run-ba --events` logs, nondeterministic records cut."""
         paths = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
         env = dict(os.environ)
         env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
         for path in paths:
             subprocess.run(
                 [sys.executable, "-m", "repro", "run-ba", "--t", "1",
-                 "--events", str(path)],
+                 *run_ba_args, "--events", str(path)],
                 check=True, env=env, capture_output=True,
             )
-        first, second = (path.read_bytes() for path in paths)
+        logs = [path.read_bytes().splitlines() for path in paths]
         # the nondeterministic section is exempt from byte identity
-        def deterministic(raw):
-            return [
-                line for line in raw.splitlines()
-                if b'"nondeterministic": true' not in line
-            ]
+        kept = [
+            [line for line in log if b'"nondeterministic": true' not in line]
+            for log in logs
+        ]
+        assert all(len(k) < len(log) for k, log in zip(kept, logs))
+        return kept
 
-        assert deterministic(first) == deterministic(second)
-        assert len(deterministic(first)) < len(first.splitlines())
+    def test_two_fresh_processes_write_identical_logs(self, tmp_path):
+        """The cross-process half of the determinism contract."""
+        first, second = self.deterministic_lines(tmp_path)
+        assert first == second
+
+    def test_junk_objects_are_summarised_without_their_address(
+        self, tmp_path
+    ):
+        """`malformed` sends a bare ``object()``; its default repr
+        carries an address, which used to land in the summary of every
+        `corrupt` record and make the two logs differ."""
+        first, second = self.deterministic_lines(
+            tmp_path, "--adversary", "malformed"
+        )
+        assert first == second
+        assert any(b'"summary": "<object>"' in line for line in first)

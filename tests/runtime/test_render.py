@@ -36,6 +36,10 @@ class TestSummarise:
         assert summarise_payload("v") == "'v'"
         assert summarise_payload(7) == "7"
 
+    def test_default_repr_objects_show_only_their_type(self):
+        # repr(object()) carries an address: never in a summary.
+        assert summarise_payload(object()) == "<object>"
+
     def test_arrays_show_shape(self):
         assert summarise_payload(((1, 2), (3, 4))) == "array[d2 w2]"
 
