@@ -28,7 +28,7 @@ from __future__ import annotations
 import contextlib
 from typing import Any, Dict, Iterator, List, Optional, Union
 
-from repro.obs.events import EventLog, json_safe
+from repro.obs.events import EventLog, TrafficBurst, json_safe
 from repro.obs.registry import InstrumentRegistry
 from repro.obs.spans import (
     NULL_SPAN,
@@ -98,26 +98,24 @@ class Observer:
         self._run: Optional[str] = None
         self._run_seq = 0
         self._round = 0
-        self._step = 0
         self._closed = False
 
     # -- event log ---------------------------------------------------------
 
     def emit(self, kind: str, **fields: Any) -> None:
         """Append one deterministic event, stamped with the clock."""
-        if not self.events_on:
-            return
-        self._step += 1
-        record: Dict[str, Any] = {
-            "v": 1,
-            "kind": kind,
-            "run": self._run,
-            "round": self._round,
-            "step": self._step,
-        }
-        record.update(fields)
+        if self.events is not None:
+            self.events.emit(kind, self._run, self._round, fields)
+
+    def burst(self, sender: int, faulty: bool) -> TrafficBurst:
+        """The writer for ``sender``'s traffic records this round.
+
+        Only meaningful with an event sink (``events_on``); the runtime
+        takes one per sender so the clock and the sender are stamped
+        once for the whole burst.
+        """
         assert self.events is not None
-        self.events.write(record)
+        return self.events.burst(self._run, self._round, sender, faulty)
 
     def emit_nondet(self, kind: str, **fields: Any) -> None:
         """Append one wall-clock-derived event, flagged as such."""

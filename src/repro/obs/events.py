@@ -23,9 +23,22 @@ can rely on the documented shape in ``docs/observability.md``.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import re
-from typing import Any, Dict, IO, Iterable, List, Optional, Tuple, Union
+from json.encoder import encode_basestring_ascii as _quote
+from typing import (
+    Any,
+    Dict,
+    IO,
+    Iterable,
+    List,
+    Mapping,
+    NoReturn,
+    Optional,
+    Tuple,
+    Union,
+)
 
 #: Bump on incompatible record-shape changes.
 SCHEMA_VERSION = 1
@@ -129,6 +142,10 @@ EVENT_FIELDS: Dict[str, Dict[str, Tuple[type, ...]]] = {
     },
 }
 
+#: Names a payload field may not take: the line encoders write the
+#: envelope ahead of the payload, so a clash would repeat a key.
+_ENVELOPE_NAMES = frozenset(ENVELOPE_FIELDS) | {"run"}
+
 #: Kinds whose records must be flagged ``"nondeterministic": true`` —
 #: they embed wall-clock measurements.
 NONDETERMINISTIC_KINDS = frozenset({"profile", "workers", "worker_sample"})
@@ -140,11 +157,43 @@ def json_safe(value: Any) -> Any:
     Event payload fields must stay diffable text; arbitrary protocol
     values (BOTTOM, tuples, payload objects) are rendered, never
     serialized — the full-fidelity path is the trace codec
-    (:mod:`repro.obs.codec`), not the event log.
+    (:mod:`repro.obs.codec`), not the event log.  Non-finite floats
+    have no JSON spelling (the sink refuses them), so they are rendered
+    too.
     """
-    if value is None or isinstance(value, (bool, int, float, str)):
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if isinstance(value, float) and math.isfinite(value):
         return value
     return repr(value)
+
+
+# -- line encoders ----------------------------------------------------------
+#
+# A streamed record is the line ``json.dumps(record, separators=(", ",
+# ": ")) + "\n"`` would give — that spelling is the on-disk contract
+# (pinned by tests/obs/test_golden_log.py) — but it is assembled from
+# parts that are each rendered once: the envelope prefix per
+# kind/run/round, the ``, "name": `` fragment per field name, and the
+# traffic kinds' sender-bound middles per burst.
+
+#: The one stdlib encoder behind every value without a direct path:
+#: ``None``, floats, containers, and subclasses of the scalar types.
+_encode_other = json.JSONEncoder(
+    separators=(", ", ": "), allow_nan=False
+).encode
+
+
+def _encode_value(value: Any) -> str:
+    """``value`` as JSON text; exact ``str``/``int``/``bool`` directly."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _quote(value)
+    if kind is bool:
+        return "true" if value else "false"
+    return _encode_other(value)
 
 
 #: Rollover part naming: ``<base>.jsonl.part-N`` (N starts at 1; the
@@ -155,10 +204,15 @@ _PART_RE = re.compile(r"^(?P<base>.+\.jsonl)\.part-(?P<n>\d+)$")
 class EventLog:
     """An append-only JSONL sink, in memory or streamed to a path.
 
-    With a ``path`` the records stream straight to disk (one
-    ``json.dumps`` line per record, flushed on :meth:`close`) and are
-    not retained; without one they accumulate in :attr:`records` for
-    in-process inspection (tests, the summarizer).
+    With a ``path`` the records stream straight to disk (one encoded
+    line per record, flushed on :meth:`close`) and are not retained;
+    without one they accumulate in :attr:`records` for in-process
+    inspection (tests, the summarizer).  Writing to a streamed log
+    after :meth:`close` raises ``ValueError``, as a closed file does.
+
+    The log owns ``step``, the per-log sequence number: :meth:`emit`
+    and the traffic bursts (:meth:`burst`) stamp it; the caller
+    supplies the rest of the logical clock (run id and round).
 
     ``cap_bytes`` bounds each on-disk file: once a write would push the
     current file past the cap, the log rolls over to
@@ -177,30 +231,111 @@ class EventLog:
         self.path = pathlib.Path(path) if path is not None else None
         self.cap_bytes = cap_bytes if path is not None else None
         self.records: List[Dict[str, Any]] = []
+        self.step = 0
         self._handle: Optional[IO[str]] = None
         self._part = 0
         self._part_bytes = 0
+        # Rendered-once line parts: ``, "name": `` per field name, and
+        # the envelope prefix per kind at the clock last stamped.
+        self._names: Dict[str, str] = {}
+        self._prefixes: Dict[str, str] = {}
+        self._clock: Optional[Tuple[Optional[str], int]] = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self.path, "w")
 
     def write(self, record: Dict[str, Any]) -> None:
-        """Append one record (already enveloped by the observer)."""
-        if self._handle is not None:
-            line = (
-                json.dumps(record, separators=(", ", ": "), sort_keys=False)
-                + "\n"
+        """Append one record that already carries its envelope."""
+        if self._handle is None:
+            self.records.append(record)
+        else:
+            self._write_line("{" + self._render(record)[2:] + "}\n")
+
+    def emit(
+        self,
+        kind: str,
+        run: Optional[str],
+        round_number: int,
+        fields: Mapping[str, Any],
+    ) -> None:
+        """Append one event stamped ``run``, ``round`` and the next step."""
+        if not _ENVELOPE_NAMES.isdisjoint(fields):
+            raise ValueError(
+                f"{kind}: payload fields "
+                f"{sorted(_ENVELOPE_NAMES.intersection(fields))} would "
+                "shadow the envelope"
             )
+        self.step = step = self.step + 1
+        if self._handle is None:
+            record: Dict[str, Any] = {
+                "v": SCHEMA_VERSION,
+                "kind": kind,
+                "run": run,
+                "round": round_number,
+                "step": step,
+            }
+            record.update(fields)
+            self.records.append(record)
+        else:
+            self._write_line(
+                f"{self._prefix(kind, run, round_number)}{step}"
+                f"{self._render(fields)}}}\n"
+            )
+
+    def burst(
+        self,
+        run: Optional[str],
+        round_number: int,
+        sender: int,
+        faulty: bool,
+    ) -> "TrafficBurst":
+        """A writer for one sender's traffic in one round of ``run``."""
+        maker = TrafficBurst if self._handle is None else _StreamedBurst
+        return maker(self, run, round_number, sender, faulty)
+
+    def _render(self, fields: Mapping[str, Any]) -> str:
+        """``, "name": value`` for every field, in order."""
+        names = self._names
+        parts: List[str] = []
+        for name, value in fields.items():
+            fragment = names.get(name)
+            if fragment is None:
+                fragment = names[name] = ", " + _quote(name) + ": "
+            parts.append(fragment)
+            parts.append(_encode_value(value))
+        return "".join(parts)
+
+    def _prefix(
+        self, kind: str, run: Optional[str], round_number: int
+    ) -> str:
+        """The line of ``kind`` at this clock, up to its step value."""
+        clock = (run, round_number)
+        if clock != self._clock:
+            self._clock = clock
+            self._prefixes.clear()
+        prefix = self._prefixes.get(kind)
+        if prefix is None:
+            prefix = self._prefixes[kind] = (
+                '{"v": %d, "kind": %s, "run": %s, "round": %s, "step": '
+                % (
+                    SCHEMA_VERSION,
+                    _encode_value(kind),
+                    _encode_value(run),
+                    _encode_value(round_number),
+                )
+            )
+        return prefix
+
+    def _write_line(self, line: str) -> None:
+        assert self._handle is not None
+        if self.cap_bytes is not None:
             if (
-                self.cap_bytes is not None
-                and self._part_bytes > 0
+                self._part_bytes > 0
                 and self._part_bytes + len(line) > self.cap_bytes
             ):
                 self._rollover()
-            self._handle.write(line)
             self._part_bytes += len(line)
-        else:
-            self.records.append(record)
+        self._handle.write(line)
 
     def _rollover(self) -> None:
         assert self._handle is not None and self.path is not None
@@ -213,13 +348,131 @@ class EventLog:
         self._part_bytes = 0
 
     def close(self) -> None:
+        """Flush and close a streamed log; the handle stays closed."""
         if self._handle is not None:
             self._handle.close()
-            self._handle = None
+
+
+class TrafficBurst:
+    """Writes one sender's ``send`` / ``corrupt`` / ``deliver`` records.
+
+    Taken once per sender per round (:meth:`EventLog.burst`) so that
+    what a sender's records share — clock, sender, faulty flag — is
+    bound once and each record supplies only what varies.  This class
+    is the in-memory sink's writer; the streamed sink's subclass
+    renders the shared part ahead of the burst.
+    """
+
+    __slots__ = ("faulty", "_log", "_run", "_round", "_sender")
+
+    def __init__(
+        self,
+        log: EventLog,
+        run: Optional[str],
+        round_number: int,
+        sender: int,
+        faulty: bool,
+    ):
+        self.faulty = faulty
+        self._log = log
+        self._run = run
+        self._round = round_number
+        self._sender = sender
+
+    def send(self, receiver: int, bits: int, non_null: bool) -> None:
+        """One metered message of a correct sender."""
+        self._log.emit("send", self._run, self._round, {
+            "sender": self._sender, "receiver": receiver,
+            "bits": bits, "non_null": non_null,
+        })
+
+    def corrupt(self, receiver: int, summary: str) -> None:
+        """One adversary-fixed message, summarized rather than sized."""
+        self._log.emit("corrupt", self._run, self._round, {
+            "sender": self._sender, "receiver": receiver,
+            "summary": summary,
+        })
+
+    def deliver(self, receiver: int, bits: int, non_null: bool) -> None:
+        """One causal edge: a payload landing at a correct receiver."""
+        self._log.emit("deliver", self._run, self._round, {
+            "sender": self._sender, "receiver": receiver,
+            "bits": bits, "non_null": non_null, "faulty": self.faulty,
+        })
+
+
+class _StreamedBurst(TrafficBurst):
+    """The burst of a streamed log: one formatted line per record.
+
+    Everything up to the step and the sender-to-receiver middle is
+    rendered when the burst is taken.  Per record, anything but an
+    exact ``int`` is encoded before it is formatted (an f-string spells
+    an exact ``int`` the way JSON does).
+    """
+
+    __slots__ = ("_send", "_corrupt", "_deliver", "_receiver", "_faulty")
+
+    def __init__(
+        self,
+        log: EventLog,
+        run: Optional[str],
+        round_number: int,
+        sender: int,
+        faulty: bool,
+    ):
+        super().__init__(log, run, round_number, sender, faulty)
+        self._send = log._prefix("send", run, round_number)
+        self._corrupt = log._prefix("corrupt", run, round_number)
+        self._deliver = log._prefix("deliver", run, round_number)
+        self._receiver = f', "sender": {_encode_value(sender)}, "receiver": '
+        self._faulty = f', "faulty": {_encode_value(faulty)}}}\n'
+
+    def send(self, receiver: Any, bits: Any, non_null: Any) -> None:
+        if type(receiver) is not int:
+            receiver = _encode_value(receiver)
+        if type(bits) is not int:
+            bits = _encode_value(bits)
+        log = self._log
+        log.step = step = log.step + 1
+        log._write_line(
+            f'{self._send}{step}{self._receiver}{receiver}, "bits": {bits}'
+            f', "non_null": {_encode_value(non_null)}}}\n'
+        )
+
+    def corrupt(self, receiver: Any, summary: Any) -> None:
+        if type(receiver) is not int:
+            receiver = _encode_value(receiver)
+        log = self._log
+        log.step = step = log.step + 1
+        log._write_line(
+            f'{self._corrupt}{step}{self._receiver}{receiver}'
+            f', "summary": {_encode_value(summary)}}}\n'
+        )
+
+    def deliver(self, receiver: Any, bits: Any, non_null: Any) -> None:
+        if type(receiver) is not int:
+            receiver = _encode_value(receiver)
+        if type(bits) is not int:
+            bits = _encode_value(bits)
+        log = self._log
+        log.step = step = log.step + 1
+        log._write_line(
+            f'{self._deliver}{step}{self._receiver}{receiver}, "bits": {bits}'
+            f', "non_null": {_encode_value(non_null)}{self._faulty}'
+        )
+
+
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not JSON")
 
 
 def read_jsonl(path: Union[str, pathlib.Path]) -> List[Dict[str, Any]]:
-    """Load every record of a JSONL event log."""
+    """Load every record of a JSONL event log.
+
+    Strict JSON only: the bare ``NaN`` / ``Infinity`` constants Python's
+    decoder would otherwise accept are rejected like any other
+    malformed line.
+    """
     records: List[Dict[str, Any]] = []
     with open(path) as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -227,8 +480,8 @@ def read_jsonl(path: Union[str, pathlib.Path]) -> List[Dict[str, Any]]:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as error:
+                record = json.loads(line, parse_constant=_reject_constant)
+            except ValueError as error:
                 raise ValueError(
                     f"{path}:{line_number}: not valid JSON: {error}"
                 ) from None

@@ -38,7 +38,7 @@ import repro.obs.core as _obs
 from repro.adversary.base import Adversary, RoundContext
 from repro.arrays.store import InternedArray
 from repro.obs.core import Observer
-from repro.obs.events import json_safe
+from repro.obs.events import TrafficBurst, json_safe
 from repro.runtime.message import Envelope
 from repro.runtime.metrics import MessageMetrics
 from repro.runtime.node import Process
@@ -263,30 +263,27 @@ class SynchronousNetwork:
 
     def emit_deliver_edge(
         self,
-        round_number: Round,
-        sender: ProcessId,
+        burst: TrafficBurst,
         receiver: ProcessId,
         payload: Any,
         observer: Optional[Observer],
-        faulty: bool,
     ) -> None:
-        """Emit one causal ``deliver`` edge outside :meth:`_deliver`.
+        """Emit the causal ``deliver`` edge of one landed payload.
 
-        Backends that realise their own delivery order (async) meter in
-        canonical order first and emit trace edges in schedule order
-        afterwards; the sizing rules here mirror :meth:`_deliver`'s
-        tracing block exactly.
+        The one place an edge is sized, whichever backend orders the
+        edges (lockstep emits them from :meth:`_deliver`; async meters
+        in canonical order first and calls this in schedule order
+        afterwards).  Faulty payloads are sized by the structural
+        fallback — the protocol sizer may choke on Byzantine garbage,
+        and a corrupt payload's "cost" is informational, not a
+        canonical-form bit claim.
         """
-        assert observer is not None
-        if faulty:
-            edge_bits = _default_sizer(payload)
-            edge_non_null = not is_bottom(payload)
+        if burst.faulty:
+            bits = _default_sizer(payload)
+            non_null = not is_bottom(payload)
         else:
-            edge_bits, edge_non_null = self._measured(payload, observer)
-        observer.emit(
-            "deliver", sender=sender, receiver=receiver,
-            bits=edge_bits, non_null=edge_non_null, faulty=faulty,
-        )
+            bits, non_null = self._measured(payload, observer)
+        burst.deliver(receiver, bits, non_null)
 
     def _measured(
         self, payload: Any, observer: Optional[Observer] = None
@@ -333,7 +330,13 @@ class SynchronousNetwork:
         tracing: bool = False,
     ) -> None:
         trace = self.trace
-        events = observer is not None and observer.events_on
+        # One writer per sender: the clock, the sender and the faulty
+        # flag of its event records are bound here, not per message.
+        burst = (
+            observer.burst(sender, faulty)
+            if observer is not None and observer.events_on
+            else None
+        )
         # Bound lazily on the first metered delivery, so an all-bottom
         # burst creates no metric rows (rounds_used counts only rounds
         # with recorded traffic).
@@ -354,40 +357,18 @@ class SynchronousNetwork:
                     )
                 bits, non_null = self._measured(payload, observer)
                 record(receiver, bits, non_null)
-                if events and not faulty:
-                    assert observer is not None
-                    observer.emit(
-                        "send", sender=sender, receiver=receiver,
-                        bits=bits, non_null=non_null,
-                    )
-            if events and faulty:
-                # Adversary-fixed traffic: recorded as a corruption,
-                # summarized rather than sized (a Byzantine payload's
-                # size says nothing about the protocol).
-                assert observer is not None
-                observer.emit(
-                    "corrupt", sender=sender, receiver=receiver,
-                    summary=self._summarise(payload),
-                )
-            if tracing and incoming is not None:
-                # Causal trace edge: a non-bottom payload actually
-                # landing in a correct receiver's incoming row.  Faulty
-                # payloads are sized by the structural fallback — the
-                # protocol sizer may choke on Byzantine garbage, and a
-                # corrupt payload's "cost" is informational, not a
-                # canonical-form bit claim.
-                assert observer is not None
+            if burst is not None:
                 if faulty:
-                    edge_bits = _default_sizer(payload)
-                    edge_non_null = not is_bottom(payload)
-                else:
-                    edge_bits, edge_non_null = self._measured(
-                        payload, observer
-                    )
-                observer.emit(
-                    "deliver", sender=sender, receiver=receiver,
-                    bits=edge_bits, non_null=edge_non_null, faulty=faulty,
-                )
+                    # Adversary-fixed traffic: recorded as a corruption,
+                    # summarized rather than sized (a Byzantine
+                    # payload's size says nothing about the protocol).
+                    burst.corrupt(receiver, self._summarise(payload))
+                elif metered:
+                    burst.send(receiver, bits, non_null)
+                if tracing and incoming is not None:
+                    # Causal trace edge: a non-bottom payload actually
+                    # landing in a correct receiver's incoming row.
+                    self.emit_deliver_edge(burst, receiver, payload, observer)
             if incoming is not None and trace is not None:
                 trace.record_envelope(
                     Envelope(sender, receiver, round_number, payload)

@@ -68,6 +68,7 @@ import repro.obs.core as _obs
 from repro.adversary.base import RoundContext
 from repro.core.rounds import RoundRecovery
 from repro.errors import ConfigurationError
+from repro.obs.events import TrafficBurst
 from repro.runtime.rng import derive_rng
 from repro.types import ProcessId, Round, is_bottom
 
@@ -300,15 +301,22 @@ class AsyncScheduler(Scheduler):
         heapq.heapify(heap)
         recovery = RoundRecovery(network.config.n, network.processes)
         faulty_ids = network.adversary.faulty_ids
+        # Edges leave in schedule order, so consecutive ones rarely
+        # share a sender: each sender's burst writer is taken on its
+        # first edge and kept for the round.
+        bursts: Dict[ProcessId, TrafficBurst] = {}
         expected_order = iter(sorted(network.processes))
         while heap:
             _delay, _seq, sender, receiver = heapq.heappop(heap)
             payload = incoming_by_receiver[receiver][sender]
             if tracing and not is_bottom(payload):
-                network.emit_deliver_edge(
-                    round_number, sender, receiver, payload,
-                    observer=observer, faulty=sender in faulty_ids,
-                )
+                assert observer is not None
+                burst = bursts.get(sender)
+                if burst is None:
+                    burst = bursts[sender] = observer.burst(
+                        sender, sender in faulty_ids
+                    )
+                network.emit_deliver_edge(burst, receiver, payload, observer)
             if recovery.deliver(receiver):
                 # Round recovery: this receiver's closed message set is
                 # fully delivered — its round-r state change fires now,

@@ -1,9 +1,14 @@
 """The event log: schema v1, sinks, and validation."""
 
+import enum
 import json
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.obs.core import Observer
 from repro.obs.events import (
     EVENT_FIELDS,
     NONDETERMINISTIC_KINDS,
@@ -11,6 +16,7 @@ from repro.obs.events import (
     EventLog,
     json_safe,
     read_jsonl,
+    validate_jsonl,
     validate_record,
     validate_records,
 )
@@ -32,6 +38,12 @@ class TestJsonSafe:
     def test_structures_become_repr(self):
         assert json_safe((1, 2)) == "(1, 2)"
         assert json_safe(BOTTOM) == repr(BOTTOM)
+
+    def test_non_finite_floats_become_repr(self):
+        # NaN / Infinity have no JSON spelling
+        assert json_safe(float("nan")) == "nan"
+        assert json_safe(float("inf")) == "inf"
+        assert json_safe(float("-inf")) == "-inf"
 
 
 class TestEventLog:
@@ -58,6 +70,155 @@ class TestEventLog:
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == _record()
+
+
+    def test_closed_streamed_log_raises(self, tmp_path):
+        # a closed path-backed log must not turn into a memory sink
+        path = tmp_path / "events.jsonl"
+        observer = Observer(events=EventLog(path), spans=False)
+        observer.emit("round_start")
+        observer.close()
+        for write in (
+            lambda: observer.emit("round_start"),
+            lambda: observer.burst(1, False).send(2, 8, True),
+            lambda: observer.events.write(_record(step=9)),
+        ):
+            with pytest.raises(ValueError, match="closed file"):
+                write()
+        assert observer.events.records == []
+        assert len(path.read_text().splitlines()) == 1
+
+    def test_closed_memory_log_keeps_recording(self):
+        log = EventLog()
+        log.close()
+        log.write(_record())
+        assert log.records == [_record()]
+
+    def test_non_finite_float_is_refused_not_written(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        observer = Observer(events=EventLog(path))
+        observer.emit("decide", process=1, value=json_safe(float("nan")))
+        for value in (float("nan"), float("inf"), [float("-inf")]):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                observer.emit("decide", process=1, value=value)
+        observer.events.close()
+        assert validate_jsonl(path) == []
+        assert [r["value"] for r in read_jsonl(path)] == ["nan"]
+
+    def test_payload_may_not_shadow_the_envelope(self, tmp_path):
+        for log in (EventLog(), EventLog(tmp_path / "events.jsonl")):
+            with pytest.raises(ValueError, match="shadow the envelope"):
+                Observer(events=log).emit("round_start", step=7)
+            log.close()
+
+
+# -- encoder equivalence ----------------------------------------------------
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+_TEXT = st.one_of(
+    st.text(),
+    # what the default alphabet leaves out or rarely draws: controls and
+    # lone surrogates (low ones only — a high one followed by a low one
+    # would read back as a single astral character)
+    st.text(st.sampled_from(
+        ["\udc80", "\udfff", "\x00", "\x1f", "\x7f", "\u2028", "\xe9",
+         "\U0001f600", '"', "\\", "/"]
+    )),
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2 ** 64, max_value=2 ** 200),
+    st.integers(min_value=-10, max_value=10),
+    st.floats(allow_nan=False, allow_infinity=False),
+    _TEXT,
+    st.integers().map(_Int),
+    _TEXT.map(_Str),
+    st.just(_Level.LOW),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=8,
+)
+_TRAFFIC = ("send", "corrupt", "deliver")
+
+
+@st.composite
+def _events(draw):
+    """One event: ``(run?, round, kind, fields)`` with arbitrary values."""
+    kind = draw(st.sampled_from(sorted(EVENT_FIELDS)))
+    fields = {name: draw(_VALUES) for name in EVENT_FIELDS[kind]}
+    if kind in NONDETERMINISTIC_KINDS:
+        fields = dict(nondeterministic=True, **fields)
+    return draw(st.booleans()), draw(st.integers(0, 12)), kind, fields
+
+
+def _replay(observer, events):
+    """Emit ``events``; traffic kinds go through the burst writer."""
+    for in_run, round_number, kind, fields in events:
+        if in_run:
+            observer.begin_run(4, 1, 0, "A", [])
+        observer.set_round(round_number)
+        if kind in _TRAFFIC:
+            fields = dict(fields)
+            burst = observer.burst(
+                fields.pop("sender"), fields.pop("faulty", False)
+            )
+            getattr(burst, kind)(**fields)
+        else:
+            observer.emit(kind, **fields)
+        if in_run:
+            observer.end_run(1, 4, 0, 0, 0)
+
+
+class TestEncoderEquivalence:
+    """The streamed line is exactly the stdlib encoding of the record."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_events(), min_size=1, max_size=6))
+    def test_streamed_lines_equal_json_dumps_of_memory_records(self, events):
+        memory = EventLog()
+        _replay(Observer(events=memory), events)
+        with tempfile.TemporaryDirectory() as directory:
+            streamed = EventLog(f"{directory}/events.jsonl")
+            _replay(Observer(events=streamed), events)
+            streamed.close()
+            with open(streamed.path, newline="") as handle:
+                lines = handle.readlines()
+        assert lines == [
+            json.dumps(record, separators=(", ", ": ")) + "\n"
+            for record in memory.records
+        ]
+        assert [json.loads(line) for line in lines] == memory.records
+
+    def test_traffic_kinds_stream_their_schema_order(self, tmp_path):
+        # the traffic kinds' pre-rendered field order is the schema's
+        log = EventLog(tmp_path / "events.jsonl")
+        burst = Observer(events=log).burst(1, True)
+        burst.send(2, 8, True)
+        burst.corrupt(2, "x")
+        burst.deliver(2, 8, True)
+        log.close()
+        for record in read_jsonl(log.path):
+            assert list(record)[5:] == list(EVENT_FIELDS[record["kind"]])
+            assert validate_record(record) == []
 
 
 class TestValidateRecord:
@@ -134,6 +295,15 @@ class TestReadJsonl:
         path.write_text("[1, 2]\n")
         with pytest.raises(ValueError, match="not a JSON object"):
             read_jsonl(path)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_bare_non_finite_constants(self, tmp_path, constant):
+        path = tmp_path / "bad.jsonl"
+        record = json.dumps(_record(kind="decide", process=1, value=0.5))
+        path.write_text(record.replace("0.5", constant) + "\n")
+        with pytest.raises(ValueError, match="not valid JSON"):
+            read_jsonl(path)
+        assert any(constant in p for p in validate_jsonl(path))
 
     def test_skips_blank_lines(self, tmp_path):
         path = tmp_path / "log.jsonl"
