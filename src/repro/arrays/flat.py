@@ -168,7 +168,7 @@ def set_kernel(name: Optional[str]) -> None:
 
 @contextmanager
 def use_kernel(name: str) -> Iterator[None]:
-    """Scope a kernel override to a ``with`` block (tests, benches)."""
+    """Scope a kernel override to a ``with`` block (tests, benchmarks)."""
     previous = _FORCED
     set_kernel(name)
     try:

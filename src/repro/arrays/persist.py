@@ -7,11 +7,11 @@ legality-verdict memos and the expansion caches from nothing.  This
 module is the disk layer underneath all three: a content-addressed
 store keyed on the stable structural digests of
 :mod:`repro.arrays.digest`, so the canonical DAG and the pure verdicts
-derived from it survive across executions, sweep cells, fuzz campaigns
-and bench runs.
+derived from it survive across executions, sweep cells and fuzz
+campaigns.
 
 On-disk layout (one directory, opt-in via ``REPRO_CACHE_DIR`` /
-``repro bench --cache-dir`` / ``sweep(..., cache=...)``)::
+``sweep(..., cache=...)``)::
 
     manifest.jsonl      append-only: one JSON line per segment
     seg-<sha>.json      immutable content-addressed segments
@@ -113,7 +113,7 @@ PURITY_EXEMPT = {
     ),
     "using_cache": (
         "swaps the module-global cache override for a scope and "
-        "restores it; the sanctioned way bench/sweep select a cache "
+        "restores it; the sanctioned way sweep selects a cache "
         "directory (or disable caching) without mutating the env"
     ),
     "configure_cache": (
@@ -177,7 +177,7 @@ class PersistentStore:
         self._tmp_counter = 0
         self._bytes = 0
         #: Mirror of the ``persist.*`` observer counters, always
-        #: maintained (bench reads these even when unobserved).
+        #: maintained (``stats()`` reports them even when unobserved).
         self.counters: Dict[str, int] = {
             "hit": 0,
             "miss": 0,

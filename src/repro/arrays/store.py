@@ -384,7 +384,7 @@ def clear_shared_stores() -> None:
 
     The registry otherwise grows without bound across unrelated
     workloads (every sweep cell's states stay reachable through it),
-    so the bench harness and the fuzz campaign runner call this
+    so the sweep and fuzz campaign runners call this
     between workloads; the peak is recorded first (see
     :func:`shared_store_stats`).
     """
@@ -418,8 +418,8 @@ def release_shared_stores() -> None:
     """End-of-workload registry release: observe, flush, clear.
 
     The one helper every workload boundary goes through — the sweep
-    runner (serial and pooled), the bench harness between suites and
-    the fuzz campaign between workload groups.  It records the
+    runner (serial and pooled) and the fuzz campaign between
+    workload groups.  It records the
     ``arrays.shared_store.*`` gauges, flushes any persistent-cache
     deltas (:func:`repro.arrays.persist.flush_active`; a no-op when
     caching is off) while the stores are still alive, and then drops

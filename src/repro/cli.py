@@ -9,12 +9,10 @@ Gives a downstream user the paper's artifacts without writing code:
 * ``tradeoff``  — the eps <-> k table,
 * ``crossover`` — the exponential-vs-polynomial growth figure,
 * ``avalanche`` — a standalone avalanche agreement demo,
-* ``bench``     — the perf-trajectory suite of
-  :mod:`repro.analysis.bench`; writes ``BENCH_<date>.json``,
 * ``cache``     — inspect the persistent structural-sharing cache of
   :mod:`repro.arrays.persist` (stats, verify, gc; see docs/perf.md),
 * ``events``    — summarize / profile / validate a structured event
-  log recorded via ``run-ba --events`` or ``bench --events``
+  log recorded via ``run-ba --events`` or ``fuzz --events``
   (see :mod:`repro.obs` and docs/observability.md),
 * ``lint``      — the protocol-aware static analysis of
   :mod:`repro.statics` (determinism, purity and catalog contracts),
@@ -25,6 +23,7 @@ Gives a downstream user the paper's artifacts without writing code:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Any, List, Optional
 
@@ -152,111 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--adversary", choices=sorted(ADVERSARY_CHOICES), default="splitter"
     )
     avalanche.add_argument("--rounds", type=int, default=8)
-
-    bench = commands.add_parser(
-        "bench",
-        help="run the perf suite and write BENCH_<date>.json "
-        "(see docs/perf.md)",
-    )
-    bench.add_argument(
-        "mode",
-        nargs="?",
-        choices=("trend",),
-        default=None,
-        help="'trend': tabulate every committed BENCH_*.json as a "
-        "perf trajectory instead of running the suite",
-    )
-    bench.add_argument(
-        "--dir",
-        default=None,
-        metavar="DIR",
-        help="directory holding BENCH_*.json files (trend mode; "
-        "default: current directory)",
-    )
-    bench.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        help="wall-time drift fraction to flag in trend mode "
-        "(default 0.25)",
-    )
-    bench.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="trend report format (trend mode only)",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="small grids for CI smoke runs (seconds, not minutes)",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="sweep process-pool size (default: all available cores, "
-        "capped at 4; 1 = serial reference)",
-    )
-    bench.add_argument(
-        "--suite",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="run only this suite (repeatable); default: all suites",
-    )
-    bench.add_argument(
-        "--output",
-        default=None,
-        help="output JSON path (default: ./BENCH_<date>.json)",
-    )
-    bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE",
-        help="baseline BENCH_*.json to gate against; exits non-zero on "
-        "a >25%% per-suite wall-time regression or any drift in the "
-        "deterministic counters (executions, bits, rounds); when both "
-        "reports carry span profiles the top regressions are listed "
-        "(informational, never gating)",
-    )
-    bench.add_argument(
-        "--events",
-        default=None,
-        metavar="PATH",
-        help="record the suite's structured event log to PATH (JSONL)",
-    )
-    bench.add_argument(
-        "--trace",
-        action="store_true",
-        help="also record causal deliver edges for every serial "
-        "envelope delivery (requires --events; see "
-        "docs/observability.md)",
-    )
-    bench.add_argument(
-        "--kernel",
-        choices=("flat", "python"),
-        default=None,
-        help="force the array kernel for this run (default: the "
-        "REPRO_KERNEL environment variable, else flat); the report "
-        "records which kernel produced it",
-    )
-    bench.add_argument(
-        "--no-profile",
-        action="store_true",
-        help="run without the observer (no span profiles in the "
-        "report); use when wall times must exclude instrumentation "
-        "overhead",
-    )
-    bench.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="run every suite cold-then-warm against the persistent "
-        "structural-sharing cache rooted at DIR (see docs/perf.md); "
-        "recorded numbers are the cold leg's, the warm wall time and "
-        "persist.* counter deltas land in details.persist",
-    )
 
     cache = commands.add_parser(
         "cache",
@@ -658,104 +552,8 @@ def _command_avalanche(args) -> str:
     return "\n".join(lines)
 
 
-def _command_bench(args):
-    import os
-    import pathlib
-
-    from repro.analysis.bench import (
-        compare_reports,
-        default_output_path,
-        profile_regressions,
-        render_report,
-        render_trend,
-        run_bench,
-        trend_report,
-        write_report,
-    )
-
-    if args.mode == "trend":
-        import json
-
-        directory = (
-            pathlib.Path(args.dir) if args.dir is not None
-            else pathlib.Path.cwd()
-        )
-        if not directory.is_dir():
-            return f"error: {directory} is not a directory", 2
-        report = trend_report(directory, threshold=args.threshold)
-        if args.format == "json":
-            rendered = json.dumps(report, indent=2)
-        else:
-            rendered = render_trend(report)
-        return rendered, (1 if report["flags"] else 0)
-
-    workers = args.workers
-    if workers is None:
-        workers = min(4, os.cpu_count() or 1)
-    if workers < 1:
-        return f"error: --workers must be >= 1, got {workers}", 2
-    if args.trace and args.events is None:
-        return "error: --trace requires --events", 2
-    baseline = None
-    if args.compare is not None:
-        baseline_path = pathlib.Path(args.compare)
-        if not baseline_path.is_file():
-            return f"error: baseline {baseline_path} not found", 2
-        import json
-
-        baseline = json.loads(baseline_path.read_text())
-    from repro.arrays import flat as _flat
-
-    try:
-        with _flat.use_kernel(
-            args.kernel if args.kernel is not None else _flat.kernel_name()
-        ):
-            report = run_bench(
-                suites=args.suite,
-                quick=args.quick,
-                workers=workers,
-                events=(
-                    pathlib.Path(args.events)
-                    if args.events is not None
-                    else None
-                ),
-                profile=not args.no_profile,
-                cache_dir=(
-                    pathlib.Path(args.cache_dir)
-                    if args.cache_dir is not None
-                    else None
-                ),
-                trace=args.trace,
-            )
-    except KeyError as error:
-        return f"error: {error.args[0]}", 2
-    path = (
-        pathlib.Path(args.output)
-        if args.output
-        else default_output_path()
-    )
-    write_report(report, path)
-    output = f"{render_report(report)}\n\nwrote {path}"
-    if args.events is not None:
-        output += f"\nevents: wrote {args.events}"
-    if baseline is not None:
-        problems = compare_reports(report, baseline)
-        span_lines = profile_regressions(report, baseline)
-        if span_lines:
-            output += (
-                "\n\nslowest span regressions (informational, wall "
-                "time):\n" + "\n".join(f"  {line}" for line in span_lines)
-            )
-        if problems:
-            verdict = "\n".join(f"REGRESSION: {line}" for line in problems)
-            return f"{output}\n\n{verdict}", 1
-        output += f"\n\ncompare: no regressions against {args.compare}"
-    return output
-
-
 def _command_cache(args):
     import json
-    import os
     import pathlib
 
     from repro.arrays import persist
@@ -1109,7 +907,6 @@ _HANDLERS = {
     "tradeoff": _command_tradeoff,
     "crossover": _command_crossover,
     "avalanche": _command_avalanche,
-    "bench": _command_bench,
     "cache": _command_cache,
     "events": _command_events,
     "status": _command_status,
@@ -1130,7 +927,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     code = 0
     if isinstance(output, tuple):
         output, code = output
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (``| head``).  Point stdout at
+        # devnull so the interpreter's exit-time flush cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

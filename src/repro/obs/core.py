@@ -4,7 +4,7 @@ Instrumented code across the runtime, the arrays kernel and the
 executors reads one module global, :data:`ACTIVE`, and does nothing
 when it is ``None`` — the **null observer** default.  That check is
 the entire cost of instrumentation on the default path, which is what
-keeps un-observed sweeps and benches byte-identical to the
+keeps un-observed sweeps and campaigns byte-identical to the
 pre-instrumentation code (pinned by ``tests/obs/``).
 
 An :class:`Observer` is run-scoped state: a logical clock
@@ -209,9 +209,6 @@ class Observer:
 
     def profile_snapshot(self) -> ProfileSnapshot:
         return self.profile.snapshot()
-
-    def profile_since(self, mark: ProfileSnapshot) -> ProfileSnapshot:
-        return self.profile.since(mark)
 
     # -- lifecycle ---------------------------------------------------------
 

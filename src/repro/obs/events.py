@@ -16,7 +16,7 @@ contract.
 
 The schema is deliberately closed: :func:`validate_record` rejects
 unknown kinds and missing or mistyped required fields, so CI can gate
-recorded artifacts (see the bench-smoke job) and downstream tooling
+recorded artifacts (see the fuzz-smoke job) and downstream tooling
 can rely on the documented shape in ``docs/observability.md``.
 """
 
@@ -110,9 +110,9 @@ EVENT_FIELDS: Dict[str, Dict[str, Tuple[type, ...]]] = {
     # mid-run so ``repro status`` can reconstruct progress and cache
     # hit rates from a half-finished log.  ``scope`` names the unit of
     # work ("plan" announces a pool's cell total, "chunk" follows each
-    # returned pool chunk, "protocol" each fuzz protocol, "suite" each
-    # bench suite); ``counters`` is the registry delta since the
-    # previous rollup.
+    # returned pool chunk, "protocol" each fuzz protocol; "suite" is
+    # read from older logs, nothing writes it); ``counters`` is the
+    # registry delta since the previous rollup.
     "rollup": {
         "scope": (str,),
         "index": (int,),

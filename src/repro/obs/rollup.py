@@ -1,7 +1,7 @@
 """Cross-worker telemetry rollups: ``repro status`` from artifacts.
 
 A long parallel sweep or fuzz campaign streams compact ``rollup``
-records — counter deltas per finished chunk / protocol / bench suite —
+records — counter deltas per finished chunk / protocol —
 through its event log (:meth:`repro.obs.core.Observer.emit_rollup`).
 This module reconstructs the state of such a run **from the artifact
 alone**: progress against the announced plan, per-worker throughput,
@@ -144,7 +144,6 @@ def status_from_records(
         profile["spans"].items(),
         key=lambda item: (-float(item[1]["total_s"]), item[0]),
     )[:top_spans]
-    done = pooled_cells + serial_cells
     return {
         "phase": "complete" if complete else "in-flight",
         "records": len(records),
@@ -154,9 +153,12 @@ def status_from_records(
             "planned": planned,
             "pooled": pooled_cells,
             "serial": serial_cells,
-            "done": done,
+            "done": pooled_cells + serial_cells,
         },
-        "progress": round(done / planned, 4) if planned > 0 else None,
+        # serial cells belong to no plan: progress is pooled over planned
+        "progress": (
+            round(pooled_cells / planned, 4) if planned > 0 else None
+        ),
         "chunks": chunks,
         "rollups": {
             scope: rollup_counts[scope] for scope in sorted(rollup_counts)
@@ -201,9 +203,9 @@ def render_status(status: Dict[str, Any]) -> str:
         f"  progress {progress * 100:.1f}%" if progress is not None else ""
     )
     lines.append(
-        f"cells: done {cells['done']} "
-        f"(pooled {cells['pooled']}, serial {cells['serial']}) "
-        f"of planned {cells['planned']}{progress_text}"
+        f"cells: done {cells['done']}  "
+        f"pooled {cells['pooled']} of planned {cells['planned']}"
+        f"{progress_text}  serial {cells['serial']}"
     )
     if status["chunks"]:
         lines.append(f"chunks: {status['chunks']}")

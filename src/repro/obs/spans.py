@@ -4,7 +4,7 @@
 :func:`time.perf_counter` and folds the duration into a
 :class:`SpanProfile` under the span's *path* — the ``/``-joined chain
 of the currently open spans, so a ``sweep.cell`` opened inside
-``bench.avalanche`` aggregates under ``bench.avalanche/sweep.cell``.
+``sweep.execute`` aggregates under ``sweep.execute/sweep.cell``.
 The profile keeps count / total / max per path, not individual
 intervals, so recording cost is O(1) per span and the profile stays
 small no matter how hot the instrumented region is.
@@ -88,7 +88,7 @@ class SpanProfile:
 def profile_dict(
     snapshot: ProfileSnapshot, digits: int = 6
 ) -> Dict[str, Dict[str, Any]]:
-    """Render a snapshot as the JSON shape bench reports embed."""
+    """Render a snapshot as the JSON shape ``profile`` records embed."""
     return {
         path: {
             "count": count,

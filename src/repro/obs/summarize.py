@@ -16,7 +16,7 @@ reproducible as wall time is.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from repro.obs.registry import InstrumentRegistry
 
@@ -230,47 +230,9 @@ def render_profile(profile: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def top_regressions(
-    current: Dict[str, Any],
-    baseline: Dict[str, Any],
-    limit: int = 3,
-) -> List[Dict[str, Any]]:
-    """The ``limit`` largest span slowdowns between two profiles.
-
-    Both arguments are bench-report ``profile`` sections
-    (``path -> {count, total_s, max_s}``).  A path only counts as a
-    regression when it exists in both and its total grew; results are
-    ordered by absolute growth.  Informational only — wall time is
-    nondeterministic, so this never gates.
-    """
-    regressions: List[Dict[str, Any]] = []
-    for path, stats in current.items():
-        base = baseline.get(path)
-        if base is None:
-            continue
-        delta = stats["total_s"] - base["total_s"]
-        if delta <= 0:
-            continue
-        ratio: Optional[float] = (
-            stats["total_s"] / base["total_s"] if base["total_s"] else None
-        )
-        regressions.append(
-            {
-                "span": path,
-                "delta_s": round(delta, 6),
-                "current_s": stats["total_s"],
-                "baseline_s": base["total_s"],
-                "ratio": round(ratio, 3) if ratio is not None else None,
-            }
-        )
-    regressions.sort(key=lambda entry: entry["delta_s"], reverse=True)
-    return regressions[:limit]
-
-
 __all__ = [
     "profile_records",
     "render_profile",
     "render_summary",
     "summarize_records",
-    "top_regressions",
 ]

@@ -98,7 +98,7 @@ class Scheduler(abc.ABC):
     """
 
     #: Stable backend name (``repro run-ba --scheduler`` choices,
-    #: bench report fields, test parametrisation).
+    #: test parametrisation).
     name: str = "?"
 
     def __init__(self) -> None:

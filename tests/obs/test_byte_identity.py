@@ -7,7 +7,6 @@ tests pin that with pickled-equality comparisons on whole reports.
 
 import pickle
 
-from repro.analysis.bench import run_bench
 from repro.analysis.sweeps import standard_adversary_makers, sweep
 from repro.avalanche.protocol import avalanche_factory
 from repro.obs import EventLog, Observer, observing
@@ -36,30 +35,3 @@ class TestSweepByteIdentity:
         with observing(Observer(events=EventLog())):
             observed = small_sweep(workers=2)
         assert pickle.dumps(plain) == pickle.dumps(observed)
-
-
-class TestBenchByteIdentity:
-    def test_deterministic_suite_fields_ignore_profiling(self, tmp_path):
-        """Profiling on/off must not move any gated bench quantity."""
-        deterministic_keys = (
-            "name", "executions", "total_bits", "max_rounds",
-            "violations", "errors",
-        )
-
-        def deterministic_view(report):
-            return [
-                {key: suite[key] for key in deterministic_keys}
-                for suite in report["suites"]
-            ]
-
-        plain = run_bench(
-            suites=["avalanche"], quick=True, workers=1, profile=False,
-        )
-        profiled = run_bench(
-            suites=["avalanche"], quick=True, workers=1,
-            events=tmp_path / "bench-events.jsonl", profile=True,
-        )
-        assert deterministic_view(plain) == deterministic_view(profiled)
-        assert "profile" not in plain["suites"][0]
-        assert profiled["suites"][0]["profile"]  # per-suite span rollup
-        assert (tmp_path / "bench-events.jsonl").is_file()

@@ -140,19 +140,3 @@ class TestEventsCommand:
         )
         assert code == 2
         assert "error:" in out
-
-
-class TestBenchEvents:
-    def test_quick_suite_records_and_profiles(self, tmp_path, capsys):
-        events = tmp_path / "bench.jsonl"
-        output = tmp_path / "bench.json"
-        code, out = run_cli(
-            capsys, "bench", "--quick", "--suite", "avalanche",
-            "--workers", "1", "--output", str(output),
-            "--events", str(events),
-        )
-        assert code == 0
-        assert f"events: wrote {events}" in out
-        assert validate_jsonl(events) == []
-        report = json.loads(output.read_text())
-        assert report["suites"][0]["profile"]

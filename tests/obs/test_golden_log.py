@@ -24,6 +24,7 @@ from repro.compact.byzantine_agreement import (
 from repro.compact.payload import compact_sizer, payload_is_null
 from repro.core.predicates import byzantine_agreement_predicate
 from repro.obs import EventLog, Observer, log_paths, observing
+from repro.obs.events import read_jsonl
 from repro.obs.trace import check_closedness
 from repro.types import SystemConfig
 
@@ -57,7 +58,7 @@ def _flat_kernel_on_fresh_stores():
     clear_shared_stores()
 
 
-def _write_grid_log(path, scheduler, cap_bytes=None):
+def _write_grid_log(path, scheduler, cap_bytes=None, workers=1):
     config = SystemConfig(n=7, t=2)
     log = EventLog(path, cap_bytes=cap_bytes)
     with observing(Observer(events=log, trace=True)):
@@ -73,7 +74,7 @@ def _write_grid_log(path, scheduler, cap_bytes=None):
             max_rounds=compact_ba_rounds(config.t, 1) + 1,
             sizer=compact_sizer(config, 2),
             is_null=payload_is_null,
-            workers=1,
+            workers=workers,
             scheduler=scheduler,
             cache=False,
         )
@@ -113,3 +114,23 @@ def test_capped_log_rolls_over_at_the_pinned_records(tmp_path):
     # rotation moves file boundaries, never bytes
     digest = hashlib.sha256(b"".join(lines)).hexdigest()
     assert (len(lines), digest) == GOLDEN["lockstep"]
+
+
+def test_pooled_log_is_exactly_the_stdlib_encoding(tmp_path):
+    """The sink assembles lines from pre-rendered parts instead of
+    calling ``json.dumps``; a pooled log carries the records the serial
+    grid does not (``rollup``, ``worker_sample``, ``workers``,
+    ``profile``: nested dicts, floats), so every parsed record must
+    re-encode to the bytes on disk.  ``read_jsonl`` is strict JSON: a
+    bare NaN / Infinity fails the parse.
+    """
+    path = tmp_path / "events.jsonl"
+    _write_grid_log(path, "lockstep", workers=2)
+    records = read_jsonl(path)
+    assert {"rollup", "worker_sample", "workers", "profile"} <= {
+        record["kind"] for record in records
+    }
+    assert path.read_text().splitlines(keepends=True) == [
+        json.dumps(record, separators=(", ", ": ")) + "\n"
+        for record in records
+    ]

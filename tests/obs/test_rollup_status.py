@@ -7,6 +7,7 @@ import sys
 
 from repro.analysis.sweeps import standard_adversary_makers, sweep
 from repro.avalanche.protocol import avalanche_factory
+from repro.fuzz.campaign import CampaignSettings, run_campaign
 from repro.obs import (
     EventLog,
     Observer,
@@ -121,6 +122,35 @@ class TestStatus:
         assert "in-flight" in rendered
         assert "1 torn line(s) skipped" in rendered
         assert "counters:" in rendered
+
+    def test_serial_cells_do_not_count_against_the_plan(self):
+        """A pooled fuzz campaign also runs cells serially (belonging to
+        no plan); progress is pooled-done over planned, never > 100%."""
+        log = EventLog()
+        with observing(Observer(events=log)):
+            run_campaign(CampaignSettings(seed=0, cases=2, workers=2))
+        status = status_from_records(log.records)
+        cells = status["cells"]
+        assert cells["serial"] > 0
+        assert cells["pooled"] == cells["planned"] > 0
+        assert cells["done"] == cells["pooled"] + cells["serial"]
+        assert status["progress"] == 1.0
+        rendered = render_status(status)
+        assert "progress 100.0%" in rendered
+        assert f"serial {cells['serial']}" in rendered
+
+    def test_suite_rollups_of_older_logs_still_read(self):
+        """``scope == "suite"`` was written by the retired bench harness;
+        logs recorded then must keep validating and rendering."""
+        records = [{
+            "v": 1, "kind": "rollup", "run": None, "round": 0,
+            "step": 1, "scope": "suite", "index": 0, "cells": 4,
+            "counters": {"runs": 4},
+        }]
+        assert validate_records(records) == []
+        status = status_from_records(records)
+        assert status["counters"] == {"runs": 4}
+        assert "bench suites: suite[0]=4" in render_status(status)
 
     def test_status_of_an_empty_log(self):
         status = status_from_records([])

@@ -1,11 +1,10 @@
-"""Offline event-log queries: summarize, profile, and regressions."""
+"""Offline event-log queries: summarize and profile."""
 
 from repro.obs.summarize import (
     profile_records,
     render_profile,
     render_summary,
     summarize_records,
-    top_regressions,
 )
 
 
@@ -110,38 +109,3 @@ class TestProfile:
 
     def test_render_without_spans(self):
         assert "no span profile" in render_profile(profile_records([]))
-
-
-class TestTopRegressions:
-    BASE = {
-        "a": {"count": 1, "total_s": 1.0, "max_s": 1.0},
-        "b": {"count": 1, "total_s": 0.5, "max_s": 0.5},
-        "c": {"count": 1, "total_s": 0.2, "max_s": 0.2},
-        "gone": {"count": 1, "total_s": 9.0, "max_s": 9.0},
-    }
-
-    def test_ordered_by_absolute_growth(self):
-        current = {
-            "a": {"count": 1, "total_s": 1.4, "max_s": 1.4},   # +0.4
-            "b": {"count": 1, "total_s": 1.5, "max_s": 1.5},   # +1.0
-            "c": {"count": 1, "total_s": 0.1, "max_s": 0.1},   # improved
-            "new": {"count": 1, "total_s": 5.0, "max_s": 5.0},  # no baseline
-        }
-        regressions = top_regressions(current, self.BASE)
-        assert [entry["span"] for entry in regressions] == ["b", "a"]
-        assert regressions[0]["delta_s"] == 1.0
-        assert regressions[0]["ratio"] == 3.0
-
-    def test_limit(self):
-        current = {
-            name: {"count": 1, "total_s": stats["total_s"] + 1.0,
-                   "max_s": stats["max_s"]}
-            for name, stats in self.BASE.items()
-        }
-        assert len(top_regressions(current, self.BASE, limit=2)) == 2
-
-    def test_zero_baseline_has_no_ratio(self):
-        baseline = {"a": {"count": 1, "total_s": 0.0, "max_s": 0.0}}
-        current = {"a": {"count": 1, "total_s": 0.3, "max_s": 0.3}}
-        (entry,) = top_regressions(current, baseline)
-        assert entry["ratio"] is None
