@@ -40,7 +40,6 @@ def eig_agreement_factory(
     config: SystemConfig,
     value_alphabet: Sequence[Value],
     default: Optional[Value] = None,
-    intern: bool = True,
 ):
     """A run_protocol factory for the exponential baseline."""
     if default is None:
@@ -52,7 +51,6 @@ def eig_agreement_factory(
         value_alphabet=value_alphabet,
         decision_rule=rule,
         horizon=config.t + 1,
-        intern=intern,
     )
 
 
@@ -64,12 +62,9 @@ def run_eig_agreement(
     default: Optional[Value] = None,
     seed: int = 0,
     record_trace: bool = False,
-    intern: bool = True,
 ) -> ExecutionResult:
     """Run the ``t + 1``-round exponential protocol, fully metered."""
-    factory = eig_agreement_factory(
-        config, value_alphabet, default=default, intern=intern
-    )
+    factory = eig_agreement_factory(config, value_alphabet, default=default)
     return run_protocol(
         factory,
         config,

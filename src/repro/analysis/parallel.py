@@ -402,6 +402,23 @@ def _run_serial(
     return [_canonical(run_cell(context, cell)) for cell in cells]
 
 
+def _degrade_to_serial(
+    context: SweepContext, cells: Sequence[SweepCell], reason: str
+) -> List[SweepOutcome]:
+    """The serial path for a sweep that lost its pool, made visible.
+
+    Warns the caller of :func:`execute_cells` and counts
+    ``sweep.pool.degraded`` on the active observer, so the run's own
+    artifacts (``repro events summarize``, ``repro status``) show it.
+    """
+    warnings.warn(reason, RuntimeWarning, stacklevel=3)
+    observer = _obs.ACTIVE
+    if observer is not None:
+        observer.count("sweep.pool.degraded")
+    with _obs.span("sweep.execute"):
+        return _run_serial(context, cells)
+
+
 def execute_cells(
     context: SweepContext,
     cells: Sequence[SweepCell],
@@ -412,7 +429,8 @@ def execute_cells(
     ``workers <= 1`` (or a grid of fewer than two cells) takes the
     in-process reference path.  Pool start-up or transport failures —
     no ``fork`` start method, a broken pool, unpicklable outcomes —
-    degrade to that same path with a :class:`RuntimeWarning`; protocol
+    degrade to that same path with a :class:`RuntimeWarning` and a
+    ``sweep.pool.degraded`` count on the active observer; protocol
     errors inside a cell are *not* masked and propagate as they would
     serially.
     """
@@ -423,13 +441,10 @@ def execute_cells(
     try:
         mp_context = multiprocessing.get_context("fork")
     except ValueError:
-        warnings.warn(
+        return _degrade_to_serial(
+            context, cells,
             "parallel sweep needs the 'fork' start method; running serially",
-            RuntimeWarning,
-            stacklevel=2,
         )
-        with _obs.span("sweep.execute"):
-            return _run_serial(context, cells)
 
     cache = _persist.active()
     if cache is not None:
@@ -513,13 +528,10 @@ def execute_cells(
             )
         return outcomes
     except (BrokenProcessPool, OSError, pickle.PicklingError) as error:
-        warnings.warn(
+        return _degrade_to_serial(
+            context, cells,
             f"parallel sweep degraded to serial execution: {error}",
-            RuntimeWarning,
-            stacklevel=2,
         )
-        with _obs.span("sweep.execute"):
-            return _run_serial(context, cells)
     finally:
         _WORKER_CONTEXT = None
         _WORKER_OBSERVED = False

@@ -5,8 +5,7 @@
 typed-structure identity an O(1) dictionary key *within* one process.
 This module adds the cross-process counterpart: a **content digest**,
 a 16-byte BLAKE2b hash of the typed structure that is equal for equal
-typed structures in every process and under every kernel
-(``REPRO_KERNEL=flat|python``), and distinct for typed-distinct ones
+typed structures in every process, and distinct for typed-distinct ones
 (``(True, True)`` vs ``(1, 1)`` digest differently, exactly as they
 intern differently).
 
@@ -95,7 +94,7 @@ def leaf_digest(value: Any) -> Optional[bytes]:
 def content_digest(node: InternedArray) -> Optional[bytes]:
     """The stable structural digest of a canonical node (memoised).
 
-    Equal across processes and kernels for equal typed structure;
+    Equal across processes for equal typed structure;
     ``None`` (memoised too) when any leaf is unstable.  Children are
     digested first and cached, so the amortised cost is O(n) per
     unique node.

@@ -73,8 +73,9 @@ def encoded_array_bits(array: Any, leaf_bits: int) -> int:
     For an interned array with no :data:`~repro.types.BOTTOM` leaves
     the size is closed-form (every leaf costs ``leaf_bits``, every
     tuple node :data:`HEADER_BITS`), so measurement is O(1) instead of
-    O(``n ** depth``) — bottoms cost 0 bits, so undefined arrays fall
-    back to the walk.
+    O(``n ** depth``) — bottoms cost 0 bits, so undefined interned
+    arrays read the store's flat size column, and plain tuples are
+    walked.
     """
     if is_bottom(array):
         return NULL_BITS
@@ -84,15 +85,14 @@ def encoded_array_bits(array: Any, leaf_bits: int) -> int:
                 array.leaf_count * leaf_bits
                 + _interned_node_count(array) * HEADER_BITS
             )
-        if _flat.flat_enabled():
-            # Undefined arrays need per-leaf costs (bottoms are free);
-            # the flat column batches that instead of walking the tree.
-            return _flat.tables_for(array.store).measured_bits(
-                array,
-                ("uniform", leaf_bits),
-                lambda leaf: NULL_BITS if is_bottom(leaf) else leaf_bits,
-                HEADER_BITS,
-            )
+        # Undefined arrays need per-leaf costs (bottoms are free);
+        # the flat column batches that instead of walking the tree.
+        return _flat.tables_for(array.store).measured_bits(
+            array,
+            ("uniform", leaf_bits),
+            lambda leaf: NULL_BITS if is_bottom(leaf) else leaf_bits,
+            HEADER_BITS,
+        )
     if isinstance(array, tuple):
         return HEADER_BITS + sum(
             encoded_array_bits(component, leaf_bits) for component in array
@@ -178,15 +178,13 @@ class MessageSizer:
     def measure(self, message: Any) -> int:
         """Exact measured size of ``message`` in bits (memoized).
 
-        Interned arrays recurse through this cache per *component*:
-        children are canonical nodes with O(1) keys, so a new round's
-        state — one new node over last round's children — costs one
-        cache insert instead of a full O(``n ** depth``) walk.
+        Interned arrays are served from their store's flat size
+        column (same policy: value/index split, bottoms free), so a
+        new round's state — one new node over last round's children —
+        costs one batched scan per sync instead of a full
+        O(``n ** depth``) walk.
         """
-        if isinstance(message, InternedArray) and _flat.flat_enabled():
-            # Same policy (value/index split, bottoms free), served
-            # from the store's flat size column: one batched scan per
-            # sync instead of a memoized recursion per new node.
+        if isinstance(message, InternedArray):
             return _flat.tables_for(message.store).measured_bits(
                 message,
                 ("sizer", self.value_bits, self.index_bits, self._n),
@@ -201,12 +199,7 @@ class MessageSizer:
             cached = self._cache.get(key)
             if cached is not None:
                 return cached
-        if isinstance(message, InternedArray):
-            bits = HEADER_BITS + sum(
-                self.measure(component) for component in message
-            )
-        else:
-            bits = encoded_message_bits(message, self._leaf_bits)
+        bits = encoded_message_bits(message, self._leaf_bits)
         if key is not None:
             self._cache[key] = bits
         return bits

@@ -1,4 +1,4 @@
-"""Flat integer-table kernel over the interned DAG (``REPRO_KERNEL``).
+"""Flat integer-table kernel over the interned DAG.
 
 The hash-consing store (:mod:`repro.arrays.store`) collapses the
 exponential full-information state into a DAG of canonical nodes,
@@ -36,18 +36,17 @@ re-implementation of a hot per-round pass:
   :func:`repro.fullinfo.decision.eig_byzantine_decision` memoises its
   outcome on the store.
 
-The kernel is selected with the ``REPRO_KERNEL`` environment variable
-(``flat`` — the default — or ``python``) or programmatically with
-:func:`use_kernel`; the pure-Python paths remain in place as the
-semantic reference, and every flat path is byte-identical to them
-(pinned by ``tests/arrays/test_flat.py`` and the fuzz-corpus replay).
+Every interned array takes these scans; there is no selection.  The
+plain-tuple walkers that hostile and non-array messages still reach
+(``encoded_message_bits``, ``validate_array``, the reference sweep in
+:mod:`repro.fullinfo.decision`, ``ExpansionState(store=None)``) are
+the semantic reference: ``tests/arrays/test_flat.py`` hands them the
+same array as builtin tuples and requires identical results.
 ``docs/perf.md`` has the encoding layout and measurements.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from typing import (
     Any,
     Callable,
@@ -65,43 +64,11 @@ import repro.obs.core as _obs
 from repro.arrays.store import ArrayStore, InternedArray, TypedLeaf
 from repro.errors import ConfigurationError
 
-#: Environment variable selecting the kernel for the process.
-KERNEL_ENV = "REPRO_KERNEL"
-
-#: The two kernels.  ``flat`` is the default; ``python`` keeps every
-#: pass on the reference pure-Python implementation.
-FLAT_KERNEL = "flat"
-PYTHON_KERNEL = "python"
-_KERNELS = (FLAT_KERNEL, PYTHON_KERNEL)
-
-#: Process-wide programmatic override (``None`` defers to the
-#: environment).  Like the shared-store registry this is hash-consing
-#: machinery, not protocol state: both kernels compute byte-identical
-#: results, so the selection can never alter a protocol-visible
-#: outcome.
-_FORCED: Optional[str] = None
-
 #: ``(n, depth)`` -> the distinct-label chain topology (a pure
 #: function of its arguments; see :func:`chain_topology`).
 _TOPOLOGIES: Dict[Tuple[int, int], "ChainTopology"] = {}
 
 PURITY_EXEMPT = {
-    "kernel_name": (
-        "reads the REPRO_KERNEL environment switch and the module-level "
-        "override; kernel selection only chooses between two "
-        "byte-identical implementations, so the read is observationally "
-        "pure"
-    ),
-    "set_kernel": (
-        "writes the module-level kernel override (the programmatic "
-        "counterpart of the REPRO_KERNEL environment variable); both "
-        "kernels are byte-identical, so the shared state cannot alter "
-        "an outcome"
-    ),
-    "use_kernel": (
-        "scoped wrapper around set_kernel; reads the override to "
-        "restore it on exit"
-    ),
     "tables_for": (
         "memoises one FlatTables mirror per ArrayStore on the store "
         "itself; the tables are derived read-only views of interned "
@@ -114,67 +81,6 @@ PURITY_EXEMPT = {
         "their arguments"
     ),
 }
-
-
-#: Last ``(raw env string, parsed kernel)`` pair; every hot pass asks
-#: :func:`flat_enabled`, so the parse is memoised on the raw string and
-#: re-done only when the variable actually changes.
-_ENV_CACHE: Tuple[Optional[str], str] = (None, FLAT_KERNEL)
-
-
-def kernel_name() -> str:
-    """The active kernel: the override, else ``REPRO_KERNEL``, else flat.
-
-    Raises
-    ------
-    ConfigurationError
-        If ``REPRO_KERNEL`` names neither kernel — a typo'd switch
-        silently running the wrong kernel would defeat the point of
-        keeping a reference path.
-    """
-    if _FORCED is not None:
-        return _FORCED
-    global _ENV_CACHE
-    raw = os.environ.get(KERNEL_ENV)
-    cached_raw, cached_name = _ENV_CACHE
-    if raw == cached_raw:
-        return cached_name
-    value = (raw or "").strip().lower()
-    if not value:
-        value = FLAT_KERNEL
-    elif value not in _KERNELS:
-        raise ConfigurationError(
-            f"{KERNEL_ENV}={value!r} is not a kernel; choose one of "
-            f"{'|'.join(_KERNELS)}"
-        )
-    _ENV_CACHE = (raw, value)
-    return value
-
-
-def flat_enabled() -> bool:
-    """Whether the flat kernel is active for this process."""
-    return kernel_name() == FLAT_KERNEL
-
-
-def set_kernel(name: Optional[str]) -> None:
-    """Force the kernel programmatically (``None`` defers to the env)."""
-    global _FORCED
-    if name is not None and name not in _KERNELS:
-        raise ConfigurationError(
-            f"unknown kernel {name!r}; choose one of {'|'.join(_KERNELS)}"
-        )
-    _FORCED = name
-
-
-@contextmanager
-def use_kernel(name: str) -> Iterator[None]:
-    """Scope a kernel override to a ``with`` block (tests, benchmarks)."""
-    previous = _FORCED
-    set_kernel(name)
-    try:
-        yield
-    finally:
-        set_kernel(previous)
 
 
 # -- the tables --------------------------------------------------------------

@@ -25,8 +25,8 @@ segments.  ``map`` segments carry ``key -> value`` verdict tables
 (legality booleans, tagged-JSON decision values, expansion-result
 digests), one table per *fingerprint*.
 
-Every fingerprint embeds the persistence schema version, the active
-kernel and the cost-policy constants (see :meth:`PersistentStore.\
+Every fingerprint embeds the persistence schema version and the
+cost-policy constants (see :meth:`PersistentStore.\
 fingerprint`), plus per-kind parameters such as the value-alphabet
 digest — so an entry written under different semantics is simply
 invisible, never silently reused.
@@ -192,17 +192,13 @@ class PersistentStore:
     def fingerprint(self, detail: str) -> str:
         """The full versioned fingerprint for a ``detail`` suffix.
 
-        Prefixes schema version, active kernel and the cost-policy
-        constants, so entries written under any different semantics
-        are never visible, let alone reused.
+        Prefixes schema version and the cost-policy constants, so
+        entries written under any different semantics are never
+        visible, let alone reused.
         """
-        from repro.arrays import flat as _flat
         from repro.arrays.encoding import HEADER_BITS, NULL_BITS
 
-        return (
-            f"v{SCHEMA_VERSION};kernel={_flat.kernel_name()};"
-            f"costs={HEADER_BITS}.{NULL_BITS};{detail}"
-        )
+        return f"v{SCHEMA_VERSION};costs={HEADER_BITS}.{NULL_BITS};{detail}"
 
     def _nodes_detail(self, n: int) -> str:
         return f"nodes;n={n}"

@@ -123,7 +123,7 @@ class InternedArray(Tuple[Any, ...]):
     # Stable structural digest, memoised lazily by
     # repro.arrays.digest.content_digest (None = unstable leaves).
     # key_token distinguishes typed structure within this process;
-    # the content digest is its cross-process, cross-kernel twin.
+    # the content digest is its cross-process twin.
     _content_digest: Optional[bytes]
 
     def __hash__(self) -> int:

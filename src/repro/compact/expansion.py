@@ -293,35 +293,28 @@ class ExpansionState:
                         if not is_bottom(restored):
                             self._node_cache[key] = restored
                         return restored
-        flat_kernel = _flat.flat_enabled()
         if boundary == 1:
             # phi_1 is the identity on value arrays; the node IS its
             # own expansion when every distinct leaf is a value.
-            if flat_kernel:
-                # Served from the store's per-alphabet verdict column:
-                # unlike the node cache (defined results only), the
-                # column may keep negative verdicts too, because
-                # alphabet membership never changes.
-                ok = _flat.tables_for(node.store).leaves_ok(
-                    node,
-                    ("expansion.alphabet", self._alphabet),
-                    self._leaf_is_value,
-                )
-            else:
-                ok = all(
-                    leaf in self._alphabet for _, leaf in node.leaves_unique
-                )
+            # Served from the store's per-alphabet verdict column:
+            # unlike the node cache (defined results only), the
+            # column may keep negative verdicts too, because
+            # alphabet membership never changes.
+            ok = _flat.tables_for(node.store).leaves_ok(
+                node,
+                ("expansion.alphabet", self._alphabet),
+                self._leaf_is_value,
+            )
             result: Any = node if ok else BOTTOM
         else:
-            if flat_kernel:
-                # Substitutive prefilter: one bottom leaf bubbles all
-                # the way up, so the root expansion is defined iff
-                # every *distinct* leaf expands — O(distinct leaves)
-                # to rule out the (frequent, uncacheable) undefined
-                # case before paying for the recursive build.
-                for _, leaf in node.leaves_unique:
-                    if is_bottom(self.expand_scalar(boundary, leaf)):
-                        return BOTTOM
+            # Substitutive prefilter: one bottom leaf bubbles all
+            # the way up, so the root expansion is defined iff
+            # every *distinct* leaf expands — O(distinct leaves)
+            # to rule out the (frequent, uncacheable) undefined
+            # case before paying for the recursive build.
+            for _, leaf in node.leaves_unique:
+                if is_bottom(self.expand_scalar(boundary, leaf)):
+                    return BOTTOM
             expanded = []
             for component in node:
                 if type(component) is InternedArray:

@@ -47,7 +47,7 @@ from typing import Any, Callable, Dict, Optional, Sequence
 
 from repro.avalanche.fast import fast_thresholds
 from repro.avalanche.protocol import Thresholds, standard_thresholds
-from repro.arrays.store import ArrayStore, shared_store
+from repro.arrays.store import shared_store
 from repro.arrays.value_array import is_index_scalar, validate_array
 from repro.compact.expansion import ExpansionState
 from repro.compact.payload import CompactPayload
@@ -97,9 +97,12 @@ class CompactProcess(Process):
         overhead: int = 2,
         thresholds: Optional[Thresholds] = None,
         expose_full_state: bool = False,
-        intern: bool = True,
     ):
         """
+        COREs are hash-consed through the shared store, so honest
+        messages validate and expand through O(1) canonical-node fast
+        paths.
+
         Parameters
         ----------
         k:
@@ -120,10 +123,6 @@ class CompactProcess(Process):
         expose_full_state:
             Include the (exponential) expanded state in snapshots, for
             the simulation checker.  Test scale only.
-        intern:
-            Hash-cons COREs through the shared store (the default);
-            honest messages then validate and expand through O(1)
-            canonical-node fast paths.  ``False`` keeps plain tuples.
         """
         super().__init__(process_id, config)
         alphabet = frozenset(value_alphabet)
@@ -139,9 +138,7 @@ class CompactProcess(Process):
             )
         self.schedule = BlockSchedule(k, overhead)
         self.k = k
-        self._store: Optional[ArrayStore] = (
-            shared_store(config.n) if intern else None
-        )
+        self._store = shared_store(config.n)
         self.expansion = ExpansionState(config, value_alphabet, store=self._store)
         self._alphabet = alphabet
         self._thresholds = thresholds
@@ -253,7 +250,7 @@ class CompactProcess(Process):
         self._set_core(tuple(components), block)
 
     def _set_core(self, core: Any, block: int) -> None:
-        self.core = self._store.intern(core) if self._store is not None else core
+        self.core = self._store.intern(core)
         self.core_boundary = block
         self._assert_core_expandable()
 
@@ -357,7 +354,6 @@ def compact_factory(
     overhead: int = 2,
     thresholds: Optional[Thresholds] = None,
     expose_full_state: bool = False,
-    intern: bool = True,
 ):
     """A run_protocol factory for Protocol 3."""
 
@@ -375,7 +371,6 @@ def compact_factory(
             overhead=overhead,
             thresholds=thresholds,
             expose_full_state=expose_full_state,
-            intern=intern,
         )
 
     return factory

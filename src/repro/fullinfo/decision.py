@@ -31,12 +31,12 @@ claim about itself) are normalised to the default value first.
 
 The rule is a function of the information state alone — which
 processor evaluates it does not matter — and the hash-consing store
-makes equal states one canonical node.  So on interned states under
-the flat kernel each ``(node, n, t, default, alphabet)`` is resolved
-once per store and every other correct processor (and every later
-execution sharing the store) reads the answer back; see
-:func:`eig_byzantine_decision`.  Plain tuples and the ``python``
-kernel never consult the memo and stay the reference.
+makes equal states one canonical node.  So on interned states each
+``(node, n, t, default, alphabet)`` is resolved once per store and
+every other correct processor (and every later execution sharing the
+store) reads the answer back; see :func:`eig_byzantine_decision`.
+Plain tuples never consult the memo or the flat sweep: the same state
+handed over as builtin tuples is the reference.
 """
 
 from __future__ import annotations
@@ -250,11 +250,10 @@ def _eig_memo_key(
     repr, which separates ``True`` from ``1`` and ``0.0`` from
     ``-0.0``.  The alphabet only ever answers membership tests, which
     its typed member set determines.  Bypassed — the call is then
-    exactly the un-memoised one — for plain tuples, under the
-    ``python`` reference kernel, and when ``default`` or an alphabet
-    member is unhashable.
+    exactly the un-memoised one — for plain tuples and when
+    ``default`` or an alphabet member is unhashable.
     """
-    if type(state) is not InternedArray or not _flat.flat_enabled():
+    if type(state) is not InternedArray:
         return None
     try:
         key = (
@@ -387,11 +386,7 @@ def _resolve_eig_decision(
     # per-level bincount over the interned tables (repro.arrays.flat).
     # Falls back to the reference sweep whenever byte-identity cannot
     # be guaranteed by construction (see _flat_sweep_index).
-    if (
-        type(state) is InternedArray
-        and depth <= n
-        and _flat.flat_enabled()
-    ):
+    if type(state) is InternedArray and depth <= n:
         winner = _flat_sweep_index(state, normalise, ordered, rank, default)
         observer = _obs.ACTIVE
         if winner is not None:

@@ -35,7 +35,6 @@ from repro.arrays import persist as _persist
 from repro.arrays.digest import content_digest, values_fingerprint
 from repro.arrays.encoding import MessageSizer
 from repro.arrays.store import ArrayStore, InternedArray, shared_store
-from repro.arrays.value_array import validate_array
 from repro.core.automaton import AutomatonProtocol
 from repro.runtime.node import Process, broadcast
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
@@ -48,18 +47,13 @@ REJECT = object()
 # returns a value or BOTTOM.
 DecisionRule = Callable[[Any, int, ProcessId], Value]
 
-#: Protoflow taint: both receive paths run every incoming message
+#: Protoflow taint: the receive path runs every incoming message
 #: through a legality filter before it can enter STATE.
 TAINT_SANITIZERS = {
     "ReceiveGate.admit": (
-        "interned path: exact depth, exact width n at every level, "
-        "every leaf in the alphabet V — anything else is REJECT, which "
-        "callers replace by the receiver's own previous state (Theorem "
-        "9 Case 3)"
-    ),
-    "_is_legal_message": (
-        "plain-tuple path: validate_array checks the same shape and "
-        "alphabet-leaf conditions as the interned receive gate"
+        "exact depth, exact width n at every level, every leaf in the "
+        "alphabet V — anything else is REJECT, which callers replace "
+        "by the receiver's own previous state (Theorem 9 Case 3)"
     ),
 }
 
@@ -216,9 +210,14 @@ class FullInformationProcess(Process):
         value_alphabet: Sequence[Value],
         decision_rule: Optional[DecisionRule] = None,
         horizon: Optional[int] = None,
-        intern: bool = True,
     ):
         """
+        States are hash-consed through the shared
+        :class:`~repro.arrays.store.ArrayStore`: they remain tuples —
+        equal, iterable and pickled as plain tuples — but validation
+        and sizing are O(new nodes) per round instead of
+        O(``n ** round``).
+
         Parameters
         ----------
         value_alphabet:
@@ -232,26 +231,14 @@ class FullInformationProcess(Process):
         horizon:
             If given, the rule is only consulted from this round on
             (saves exponential decision work in earlier rounds).
-        intern:
-            Hash-cons states through the shared
-            :class:`~repro.arrays.store.ArrayStore` (the default).
-            States remain tuples — equal, iterable and pickled exactly
-            as before — but validation and sizing become O(new nodes)
-            per round instead of O(``n ** round``).  ``False`` keeps
-            plain tuples (the reference mode the byte-identity tests
-            compare against).
         """
         super().__init__(process_id, config)
         self.state: Any = input_value
-        self._leaf_ok = _alphabet_predicate(frozenset(value_alphabet))
         self._decision_rule = decision_rule
         self._horizon = horizon
         self.rounds_completed = 0
-        # The interned receive path: one canonical-or-reject gate over
-        # the shared store.  None in the plain-tuple reference mode.
-        self._gate: Optional[ReceiveGate] = None
-        if intern:
-            self._gate = ReceiveGate(shared_store(config.n), value_alphabet)
+        # One canonical-or-reject gate over the shared store.
+        self._gate = ReceiveGate(shared_store(config.n), value_alphabet)
 
     def outgoing(self, round_number: Round) -> Dict[ProcessId, Any]:
         return broadcast(self.state, self.config)
@@ -261,29 +248,13 @@ class FullInformationProcess(Process):
         gate = self._gate
         components = []
         for sender in self.config.process_ids:
-            if gate is not None:
-                message = gate.admit(incoming[sender], expected_depth)
-                if message is REJECT:
-                    message = self.state  # own previous state: right shape
-            else:
-                message = incoming[sender]
-                if not self._is_legal_message(message, expected_depth):
-                    message = self.state
+            message = gate.admit(incoming[sender], expected_depth)
+            if message is REJECT:
+                message = self.state  # own previous state: right shape
             components.append(message)
-        state = tuple(components)
-        self.state = gate.store.intern(state) if gate is not None else state
+        self.state = gate.store.intern(tuple(components))
         self.rounds_completed = round_number
         self._maybe_decide(round_number)
-
-    def _is_legal_message(self, message: Any, expected_depth: int) -> bool:
-        if message is BOTTOM:
-            return False
-        return validate_array(
-            message,
-            self.config.n,
-            depth=expected_depth,
-            leaf_ok=self._leaf_ok,
-        )
 
     def _maybe_decide(self, round_number: Round) -> None:
         if self.has_decided() or self._decision_rule is None:
@@ -302,7 +273,6 @@ def full_information_factory(
     value_alphabet: Sequence[Value],
     decision_rule: Optional[DecisionRule] = None,
     horizon: Optional[int] = None,
-    intern: bool = True,
 ):
     """A run_protocol factory for Protocol 1."""
 
@@ -316,7 +286,6 @@ def full_information_factory(
             value_alphabet=value_alphabet,
             decision_rule=decision_rule,
             horizon=horizon,
-            intern=intern,
         )
 
     return factory

@@ -47,7 +47,7 @@ from repro.runtime.trace import ExecutionTrace
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
 
 
-# Closes a mutable container on the sizer's work stack.
+# Closes a container on the sizer's work stack.
 _CLOSE = object()
 
 
@@ -64,34 +64,41 @@ def _default_sizer(message: Any) -> int:
 
     Byzantine payloads come through here too (trace edges), so the
     walk keeps its own stack instead of recursing — nesting thousands
-    deep is just a long message — and a mutable container that
+    deep is just a long message.  Each distinct container object is
+    walked once per call and its total reused wherever it recurs, so
+    a payload sharing one child at every level (``x = (x, x)`` sixty
+    times over) costs sixty walks, not ``2 ** 60``, while the result
+    is still the sum over the tree it stands for.  A container that
     contains itself is charged as one leaf where it recurs.
     """
     bits = 0
     stack: List[Any] = [message]
-    open_ids: Set[int] = set()  # mutable containers on the current path
+    open_ids: Set[int] = set()  # containers on the current path
+    sized: Dict[int, int] = {}  # id of a walked container -> its bits
     while stack:
         item = stack.pop()
         if item is BOTTOM:
             continue
         if item is _CLOSE:
-            open_ids.discard(stack.pop())
-        elif isinstance(item, (tuple, frozenset)):
-            bits += 2
-            stack.extend(item)
-        elif isinstance(item, (list, set, dict)):
-            if id(item) in open_ids:
+            ident, bits_before = stack.pop(), stack.pop()
+            open_ids.discard(ident)
+            sized[ident] = bits - bits_before
+        elif isinstance(item, (tuple, frozenset, list, set, dict)):
+            ident = id(item)
+            known = sized.get(ident)
+            if known is not None:
+                bits += known
+            elif ident in open_ids:
                 bits += 8
-                continue
-            open_ids.add(id(item))
-            stack.append(id(item))
-            stack.append(_CLOSE)
-            bits += 2
-            if isinstance(item, dict):
-                stack.extend(item.keys())
-                stack.extend(item.values())
             else:
-                stack.extend(item)
+                open_ids.add(ident)
+                stack.extend((bits, ident, _CLOSE))
+                bits += 2
+                if isinstance(item, dict):
+                    stack.extend(item.keys())
+                    stack.extend(item.values())
+                else:
+                    stack.extend(item)
         else:
             bits += 8
     return bits

@@ -29,7 +29,7 @@ from repro.runtime.network import _default_sizer
 from repro.runtime.rng import derive_rng
 from repro.types import BOTTOM, SystemConfig
 
-from tests.conftest import canonical_bytes, nested_tuple
+from tests.conftest import canonical_bytes, nested_tuple, to_plain
 from tests.agreement.reference_firing_squad import (
     ReferenceFiringSquadProcess,
     reference_firing_squad_factory,
@@ -39,11 +39,6 @@ CORPUS_CASE = (
     pathlib.Path(__file__).parent.parent
     / "fuzz" / "corpus" / "firing-squad-a58b67ef3307.json"
 )
-
-
-def plain(value):
-    """``value`` rebuilt from builtin tuples (drops interning)."""
-    return map_leaves(lambda leaf: leaf, value)
 
 
 def typed(value):
@@ -65,7 +60,7 @@ def _poke(view, leaf, n, rng):
 
 
 def corrupt_view(kind, view, n, rng):
-    view = plain(view)
+    view = to_plain(view)
     if kind == "honest":
         return view
     if kind == "flip":
@@ -147,7 +142,7 @@ def test_states_payloads_and_fires_match_the_oracle(n, t, seed):
             else:
                 bit = rng.randrange(2)
                 incoming[sender] = {
-                    start: map_leaves(lambda leaf: leaf | bit, plain(view))
+                    start: map_leaves(lambda leaf: leaf | bit, to_plain(view))
                     for start, view in expected.items()
                 }
         kernel.receive(round_number, incoming)

@@ -20,6 +20,7 @@ from repro.compact.byzantine_agreement import (
 )
 from repro.compact.payload import compact_sizer, payload_is_null
 from repro.core.predicates import byzantine_agreement_predicate
+from repro.obs import Observer, observing
 from repro.runtime.engine import run_protocol
 from repro.types import BOTTOM
 
@@ -177,8 +178,10 @@ class TestGracefulDegradation:
         )
         factory = compact_ba_factory(config4, [0, 1], default=0, k=1)
         grid = compact_grid(config4)
-        with pytest.warns(RuntimeWarning, match="fork"):
-            degraded = sweep(factory, config4, workers=4, **grid)
+        with observing(Observer()) as observer:
+            with pytest.warns(RuntimeWarning, match="fork"):
+                degraded = sweep(factory, config4, workers=4, **grid)
+        assert observer.registry.counter("sweep.pool.degraded") == 1
         reference = sweep(factory, config4, workers=1, **grid)
         assert pickle.dumps(degraded) == pickle.dumps(reference)
 
@@ -203,8 +206,10 @@ class TestGracefulDegradation:
         )
         factory = compact_ba_factory(config4, [0, 1], default=0, k=1)
         grid = compact_grid(config4)
-        with pytest.warns(RuntimeWarning, match="degraded to serial"):
-            degraded = sweep(factory, config4, workers=4, **grid)
+        with observing(Observer()) as observer:
+            with pytest.warns(RuntimeWarning, match="degraded to serial"):
+                degraded = sweep(factory, config4, workers=4, **grid)
+        assert observer.registry.counter("sweep.pool.degraded") == 1
         reference = sweep(factory, config4, workers=1, **grid)
         assert pickle.dumps(degraded) == pickle.dumps(reference)
         assert parallel._WORKER_CONTEXT is None  # always cleaned up

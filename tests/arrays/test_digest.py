@@ -24,7 +24,6 @@ from repro.arrays.digest import (
     value_digest,
     values_fingerprint,
 )
-from repro.arrays.flat import FLAT_KERNEL, PYTHON_KERNEL, use_kernel
 from repro.arrays.store import ArrayStore
 from repro.types import BOTTOM
 
@@ -90,14 +89,6 @@ class TestStability:
         first = content_digest(node)
         assert node._content_digest == first
         assert content_digest(node) is node._content_digest
-
-    def test_equal_across_kernels(self):
-        structure = (((0, 1), (1, 1)), ((1, 0), (0, 0)))
-        with use_kernel(PYTHON_KERNEL):
-            python_digest = digest_of(structure)
-        with use_kernel(FLAT_KERNEL):
-            flat_digest = digest_of(structure)
-        assert python_digest == flat_digest
 
     @pytest.mark.skipif(
         not hasattr(os, "fork"), reason="fork-based cross-process check"

@@ -1,14 +1,16 @@
-"""The flat integer-table kernel: mirror fidelity and kernel equality.
+"""The flat integer-table kernel: mirror fidelity and plain-walk equality.
 
-The flat kernel's contract is *byte-identity*: with ``REPRO_KERNEL``
-flipped, every measured size, every decision, every expansion — and
-ultimately every serialised execution outcome — must be
-indistinguishable from the pure-Python reference path.  These tests
-pin that contract at three levels: the table mirror itself (rows
-reproduce the interned DAG exactly), the hot primitives (sizer,
-EIG resolution, expansion) under hypothesis-generated and
-Byzantine-ragged inputs, and whole fuzz-corpus replays compared as
-pickled bytes.
+The flat kernel's contract is *byte-identity* with the plain-tuple
+walkers: every measured size, every decision, every expansion computed
+from an interned node's tables must equal what the recursive
+reference computes from the same array handed over as builtin tuples
+(``to_plain``) — no switch is needed to reach the oracle, because a
+plain tuple never touches the tables.  These tests pin that contract
+at three levels: the table mirror itself (rows reproduce the interned
+DAG exactly), the hot primitives (sizer, EIG resolution, expansion)
+under hypothesis-generated and Byzantine-ragged inputs, and whole
+fuzz-corpus replays compared as pickled bytes between cold and warm
+shared stores.
 """
 
 import pathlib
@@ -18,25 +20,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arrays.encoding import MessageSizer, encoded_array_bits
-from repro.arrays.flat import (
-    FLAT_KERNEL,
-    KERNEL_ENV,
-    PYTHON_KERNEL,
-    FlatTables,
-    kernel_name,
-    set_kernel,
-    tables_for,
-    use_kernel,
-)
+from repro.arrays.flat import FlatTables, tables_for
 from repro.arrays.store import ArrayStore, InternedArray, clear_shared_stores
 from repro.compact.expansion import ExpansionState
-from repro.errors import ConfigurationError, ProtocolViolation
+from repro.errors import ProtocolViolation
 from repro.fullinfo.decision import eig_byzantine_decision
 from repro.fuzz.campaign import replay_case
 from repro.fuzz.case import load_corpus
 from repro.types import BOTTOM, SystemConfig
 
 from tests.arrays.test_store import plain_arrays
+from tests.conftest import to_plain, typed
 
 CORPUS_DIR = pathlib.Path(__file__).parent.parent / "fuzz" / "corpus"
 
@@ -54,52 +48,6 @@ def _fresh_shared_stores():
     clear_shared_stores()
     yield
     clear_shared_stores()
-
-
-# -- kernel selection --------------------------------------------------------
-
-
-class TestKernelSwitch:
-    def test_default_is_flat(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert kernel_name() == FLAT_KERNEL
-
-    def test_environment_selects_python(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "python")
-        assert kernel_name() == PYTHON_KERNEL
-
-    def test_environment_is_case_insensitive(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "  FLAT ")
-        assert kernel_name() == FLAT_KERNEL
-
-    def test_typoed_environment_raises(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "flatt")
-        with pytest.raises(ConfigurationError):
-            kernel_name()
-
-    def test_override_beats_environment(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "python")
-        with use_kernel(FLAT_KERNEL):
-            assert kernel_name() == FLAT_KERNEL
-        assert kernel_name() == PYTHON_KERNEL
-
-    def test_unknown_override_raises(self):
-        with pytest.raises(ConfigurationError):
-            set_kernel("numpy")
-
-    def test_use_kernel_nests_and_restores(self):
-        with use_kernel(PYTHON_KERNEL):
-            with use_kernel(FLAT_KERNEL):
-                assert kernel_name() == FLAT_KERNEL
-            assert kernel_name() == PYTHON_KERNEL
-
-    def test_use_kernel_restores_after_error(self):
-        with pytest.raises(RuntimeError):
-            with use_kernel(PYTHON_KERNEL):
-                raise RuntimeError("boom")
-        # The override must be cleared again despite the exception.
-        with use_kernel(FLAT_KERNEL):
-            assert kernel_name() == FLAT_KERNEL
 
 
 # -- the table mirror --------------------------------------------------------
@@ -188,36 +136,31 @@ class TestTableMirror:
         assert tables_for(ArrayStore(2)) is not tables_for(store)
 
 
-# -- cross-kernel equality of the hot primitives -----------------------------
-
-
-def both_kernels(operation):
-    """Run ``operation`` under each kernel on its own shared stores."""
-    results = {}
-    for kernel in (PYTHON_KERNEL, FLAT_KERNEL):
-        clear_shared_stores()
-        with use_kernel(kernel):
-            results[kernel] = operation()
-    clear_shared_stores()
-    return results[PYTHON_KERNEL], results[FLAT_KERNEL]
+# -- flat tables against the plain-tuple walkers ----------------------------
 
 
 class TestKernelEquality:
-    @given(plain_arrays(n=3))
+    @given(
+        plain_arrays(
+            n=3,
+            leaves=st.one_of(
+                st.integers(min_value=0, max_value=3),
+                st.booleans(),
+                st.sampled_from(["a", "b"]),
+                st.just(BOTTOM),
+            ),
+        )
+    )
     @settings(max_examples=100, deadline=None)
     def test_sizer_measures_identically(self, array):
-        def measure():
-            store = ArrayStore(3)
-            node = store.intern(array)
-            sizer = MessageSizer(value_alphabet_size=4, n=3)
-            return (
-                sizer.measure(node),
-                sizer.measure(array),
-                encoded_array_bits(node, leaf_bits=2),
-            )
-
-        python_bits, flat_bits = both_kernels(measure)
-        assert python_bits == flat_bits
+        node = ArrayStore(3).intern(array)
+        plain = to_plain(node)
+        assert type(plain) is tuple
+        sizer = MessageSizer(value_alphabet_size=4, n=3)
+        assert sizer.measure(node) == sizer.measure(plain)
+        assert encoded_array_bits(node, leaf_bits=2) == encoded_array_bits(
+            plain, leaf_bits=2
+        )
 
     @given(
         uniform_trees(
@@ -232,42 +175,33 @@ class TestKernelEquality:
     )
     @settings(max_examples=100, deadline=None)
     def test_eig_decision_identical(self, state):
-        def decide():
-            store = ArrayStore(4)
-            node = store.intern(state)
-            return (
+        node = ArrayStore(4).intern(state)
+        plain = to_plain(node)
+        for alphabet in ([0, 1], None):
+            flat, reference = (
                 eig_byzantine_decision(
-                    node, n=4, t=1, process_id=1, default=0, alphabet=[0, 1]
-                ),
-                eig_byzantine_decision(
-                    node, n=4, t=1, process_id=1, default=0
-                ),
+                    subject, n=4, t=1, process_id=1, default=0,
+                    alphabet=alphabet,
+                )
+                for subject in (node, plain)
             )
-
-        python_result, flat_result = both_kernels(decide)
-        assert python_result == flat_result
+            assert typed(flat) == typed(reference)
 
     def test_eig_decision_on_ragged_state_identical(self):
         # A Byzantine processor relays a ragged (wrong-arity) level:
-        # both kernels must degrade identically, without crashing.
+        # it can never become a node, so only the plain walk ever sees
+        # it — and that must reject it without crashing.
         ragged = (
             ((0, 1, 0, 1), (1, 1, 1, 1), (0, 0), (1, 0, 1, 0)),
             "garbage",
             ((1, 1, 1, 1), (0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 0, 0)),
             ((0, 1, 0, 1), (1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 1, 0)),
         )
-
-        def decide():
-            try:
-                return eig_byzantine_decision(
-                    ragged, n=4, t=1, process_id=2, default=0, alphabet=[0, 1]
-                )
-            except ProtocolViolation as violation:
-                return ("rejected", str(violation))
-
-        python_result, flat_result = both_kernels(decide)
-        assert python_result == flat_result
-        assert python_result[0] == "rejected"
+        assert ArrayStore(4).try_intern(ragged) is None
+        with pytest.raises(ProtocolViolation):
+            eig_byzantine_decision(
+                ragged, n=4, t=1, process_id=2, default=0, alphabet=[0, 1]
+            )
 
     @given(
         uniform_trees(
@@ -284,20 +218,20 @@ class TestKernelEquality:
     def test_expansion_identical(self, array, decided):
         config = SystemConfig(n=3, t=1)
 
-        def expand():
-            store = ArrayStore(3)
+        def expand(store):
+            """With a store: interned nodes; without: builtin tuples."""
+            convert = to_plain if store is None else store.intern
             expansion = ExpansionState(config, [0, 1], store=store)
             for sender in sorted(decided):
-                expansion.set_out(2, sender, store.intern((0, 1, sender % 2)))
-            node = store.intern(array)
-            first = expansion.expand(2, node)
-            identity = expansion.expand(1, node)
+                expansion.set_out(2, sender, convert((0, 1, sender % 2)))
+            subject = convert(array)
+            first = expansion.expand(2, subject)
+            identity = expansion.expand(1, subject)
             # Defined results are memoised; a second call must agree.
-            assert expansion.expand(2, node) == first
-            return (first, identity, expansion.defined(2, node))
+            assert expansion.expand(2, subject) == first
+            return (first, identity, expansion.defined(2, subject))
 
-        python_result, flat_result = both_kernels(expand)
-        assert python_result == flat_result
+        assert expand(ArrayStore(3)) == expand(None)
 
 
 # -- corpus replay: whole executions, compared as bytes ----------------------
@@ -329,5 +263,8 @@ def replay_bytes(case):
     ids=[path.name for path, _ in _ENTRIES],
 )
 def test_corpus_replay_bytes_identical_across_kernels(case):
-    python_blob, flat_blob = both_kernels(lambda: replay_bytes(case))
-    assert python_blob == flat_blob
+    # Cold tables against warm ones: the second replay finds every
+    # node, size column and decision memo of the first still on the
+    # shared stores, and none of that may show in the outcome.
+    cold = replay_bytes(case)
+    assert replay_bytes(case) == cold

@@ -16,6 +16,7 @@ from repro.adversary import (
     SilentAdversary,
     VoteSplitterAdversary,
 )
+from repro.arrays.value_array import map_leaves
 from repro.types import BOTTOM, ProcessId, SystemConfig, Value
 
 
@@ -100,6 +101,21 @@ def nested_tuple(width: int, levels: int = 5000, leaf: Value = 0):
     for _ in range(levels):
         array = (array,) * width
     return array
+
+
+def to_plain(value):
+    """``value`` rebuilt from builtin tuples (drops interning).
+
+    The plain-tuple walkers are the reference for every flat-table
+    pass: hand them ``to_plain(node)`` and compare with the result on
+    ``node``.
+    """
+    return map_leaves(lambda leaf: leaf, value)
+
+
+def typed(value):
+    """What byte-identity means for one result value."""
+    return (type(value), repr(value), pickle.dumps(value))
 
 
 def canonical_bytes(result) -> bytes:

@@ -4,14 +4,10 @@
 and the rule's parameters, and equal states are one canonical node, so
 the flat kernel resolves each ``(node, n, t, default, alphabet)`` once
 per store.  These tests pin that the memo is *only* that: every
-memoised answer is byte-identical to the two un-memoised references
-(the plain-tuple sweep and the ``python`` kernel), a hit never crosses
-a parameter or a store, errors are never remembered, and the memo dies
-with its store.
-
-The whole file forces the flat kernel, so it means the same thing in
-the ``REPRO_KERNEL=python`` tier-1 leg (where the memo is bypassed by
-design and the assertions on hits would otherwise be vacuous).
+memoised answer is byte-identical to the un-memoised reference (the
+same state as builtin tuples, which reaches neither the memo nor the
+flat sweep), a hit never crosses a parameter or a store, errors are
+never remembered, and the memo dies with its store.
 """
 
 import pickle
@@ -21,7 +17,6 @@ import pytest
 
 from repro.agreement.eig_agreement import eig_agreement_factory
 from repro.analysis.sweeps import standard_adversary_makers, sweep
-from repro.arrays.flat import use_kernel
 from repro.arrays.store import (
     ArrayStore,
     clear_shared_stores,
@@ -35,14 +30,15 @@ from repro.fullinfo.protocol import full_information_sizer
 from repro.obs import Observer, observing
 from repro.types import BOTTOM, SystemConfig
 
+from tests.conftest import to_plain, typed
+
 N, T = 4, 1
 
 
 @pytest.fixture(autouse=True)
-def _flat_kernel_on_fresh_stores():
+def _fresh_shared_stores():
     clear_shared_stores()
-    with use_kernel("flat"):
-        yield
+    yield
     clear_shared_stores()
 
 
@@ -52,11 +48,6 @@ def seeded_state(seed, leaves=(0, 1, 1, "garbage", BOTTOM, True, 2.5)):
     return tuple(
         tuple(rng.choice(leaves) for _ in range(N)) for _ in range(N)
     )
-
-
-def typed(value):
-    """What byte-identity means for one decision value."""
-    return (type(value), repr(value), pickle.dumps(value))
 
 
 def decide(state, default=0, alphabet=(0, 1), t=T):
@@ -94,13 +85,14 @@ def test_memoised_decision_equals_both_references(seed, alphabet):
         again = decide(node, alphabet=alphabet)
     assert memo_counts(observer) == (1, 1)
     assert len(node.store.eig_decisions) == 1
-    # The reference sweep (plain tuples never touch the memo) ...
-    reference = decide(plain, alphabet=alphabet)
-    # ... and the python kernel on the very same node.
-    with use_kernel("python"), observing(Observer()) as oracle:
-        python = decide(node, alphabet=alphabet)
+    # The reference sweep: plain tuples touch neither the memo nor the
+    # flat tables, whether built by hand or rebuilt from the node.
+    with observing(Observer()) as oracle:
+        reference = decide(plain, alphabet=alphabet)
+        rebuilt = decide(to_plain(node), alphabet=alphabet)
     assert memo_counts(oracle) == (0, 0)
-    assert typed(first) == typed(again) == typed(reference) == typed(python)
+    assert "eig.kernel.flat" not in oracle.registry.counters()
+    assert typed(first) == typed(again) == typed(reference) == typed(rebuilt)
 
 
 def test_garbage_leaves_are_laundered_by_the_alphabet_on_a_hit_too():

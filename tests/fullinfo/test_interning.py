@@ -1,12 +1,13 @@
 """Interned vs. plain-tuple protocol runs: identical bytes, fewer walks.
 
-The hash-consing kernel's promise to the protocols is that ``intern=``
-is *purely* a performance switch.  These tests pin that promise at the
-observable level — pickled sweep reports byte-identical across the two
-modes — and pin the asymptotics at the mechanism level: the interned
-receive path performs no per-round validation walks (zero
-``validate_array`` calls) and the store holds O(rounds * n) nodes
-after a deep run, not O(n ** rounds).
+The hash-consing kernel's promise to the protocols is that interning
+is *purely* an optimisation.  These tests pin that promise at the
+observable level — pickled sweep reports byte-identical between
+Protocol 1 and the plain-tuple oracle in
+``tests/fullinfo/reference_full_information.py`` — and pin the
+asymptotics at the mechanism level: the interned receive path performs
+no per-round validation walks (zero ``validate_array`` calls) and the
+store holds O(rounds * n) nodes after a deep run, not O(n ** rounds).
 """
 
 import pickle
@@ -16,9 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.agreement.eig_agreement import eig_agreement_factory
 from repro.analysis.sweeps import standard_adversary_makers, sweep
+from repro.arrays import value_array
 from repro.arrays.store import clear_shared_stores, shared_store
 from repro.core.predicates import byzantine_agreement_predicate
-from repro.fullinfo import protocol as fullinfo_protocol
 from repro.fullinfo.decision import (
     DerivedDecisionRule,
     eig_byzantine_decision,
@@ -31,6 +32,11 @@ from repro.fullinfo.protocol import (
 from repro.runtime.engine import run_protocol
 from repro.types import BOTTOM, SystemConfig
 
+from tests.fullinfo.reference_full_information import (
+    reference_eig_agreement_factory,
+    reference_full_information_factory,
+)
+
 
 @pytest.fixture(autouse=True)
 def _fresh_shared_stores():
@@ -39,9 +45,9 @@ def _fresh_shared_stores():
     clear_shared_stores()
 
 
-def _eig_sweep(config, intern, seeds=(0,)):
+def _eig_sweep(config, factory, seeds=(0,)):
     return sweep(
-        eig_agreement_factory(config, [0, 1], default=0, intern=intern),
+        factory,
         config,
         input_patterns=[{p: p % 2 for p in config.process_ids}],
         fault_sets=[(1,)],
@@ -56,8 +62,12 @@ def _eig_sweep(config, intern, seeds=(0,)):
 
 def test_interned_and_plain_sweeps_are_byte_identical():
     config = SystemConfig(n=4, t=1)
-    interned = _eig_sweep(config, intern=True)
-    plain = _eig_sweep(config, intern=False)
+    interned = _eig_sweep(
+        config, eig_agreement_factory(config, [0, 1], default=0)
+    )
+    plain = _eig_sweep(
+        config, reference_eig_agreement_factory(config, [0, 1], default=0)
+    )
     assert pickle.dumps(interned) == pickle.dumps(plain)
     assert len(interned.violations) == 0
     assert interned.total_bits() == plain.total_bits()
@@ -66,23 +76,26 @@ def test_interned_and_plain_sweeps_are_byte_identical():
 def test_deep_run_matches_plain_where_plain_is_feasible():
     config = SystemConfig(n=3, t=0)
     states = {}
-    for intern in (True, False):
+    for mode, factory in (
+        ("interned", full_information_factory([0, 1])),
+        ("plain", reference_full_information_factory([0, 1])),
+    ):
         result = run_protocol(
-            full_information_factory([0, 1], intern=intern),
+            factory,
             config,
             inputs={1: 0, 2: 1, 3: 1},
             run_full_rounds=6,
             sizer=full_information_sizer(2, config.n),
         )
-        states[intern] = {
+        states[mode] = {
             pid: process.state for pid, process in result.processes.items()
         }
-    assert states[True] == states[False]
+    assert states["interned"] == states["plain"]
     # Pickles decode to the plain structure (pickle *streams* may
     # differ: interning shares more objects, so memo refs land in
     # different spots — the decoded value is what must agree).
-    revived = pickle.loads(pickle.dumps(states[True]))
-    assert revived == states[False]
+    revived = pickle.loads(pickle.dumps(states["interned"]))
+    assert revived == states["plain"]
 
     def all_plain(value):
         if isinstance(value, tuple):
@@ -96,17 +109,17 @@ def test_deep_run_matches_plain_where_plain_is_feasible():
 
 def test_interned_receive_skips_validation_walks(monkeypatch):
     calls = {"n": 0}
-    real = fullinfo_protocol.validate_array
+    real = value_array.validate_array
 
     def counting(*args, **kwargs):
         calls["n"] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fullinfo_protocol, "validate_array", counting)
+    monkeypatch.setattr(value_array, "validate_array", counting)
     config = SystemConfig(n=3, t=0)
     rounds = 8
     run_protocol(
-        full_information_factory([0, 1], intern=True),
+        full_information_factory([0, 1]),
         config,
         inputs={1: 0, 2: 1, 3: 1},
         run_full_rounds=rounds,
@@ -114,7 +127,7 @@ def test_interned_receive_skips_validation_walks(monkeypatch):
     interned_calls = calls["n"]
     calls["n"] = 0
     run_protocol(
-        full_information_factory([0, 1], intern=False),
+        reference_full_information_factory([0, 1]),
         config,
         inputs={1: 0, 2: 1, 3: 1},
         run_full_rounds=rounds,
@@ -130,7 +143,7 @@ def test_store_stays_small_on_deep_runs():
     config = SystemConfig(n=3, t=0)
     rounds = 12
     run_protocol(
-        full_information_factory([0, 1], intern=True),
+        full_information_factory([0, 1]),
         config,
         inputs={1: 0, 2: 1, 3: 1},
         run_full_rounds=rounds,

@@ -18,6 +18,9 @@ from repro.runtime.engine import run_protocol
 from repro.types import BOTTOM, SystemConfig
 
 from tests.conftest import canonical_bytes, nested_tuple
+from tests.fullinfo.reference_full_information import (
+    reference_eig_agreement_factory,
+)
 
 
 def run_fullinfo(config, inputs, adversary=None, rounds=3, **kwargs):
@@ -112,9 +115,9 @@ class TestMalformedHandling:
             assert process.decision == 1
 
     def test_plain_tuple_reference_path_substitutes_it_too(self, config4):
-        """``intern=False`` validates with ``validate_array``, whose
-        plain walk is bounded by the depth the receiver expects."""
-        from repro.agreement.eig_agreement import run_eig_agreement
+        """The oracle validates with ``validate_array``, whose plain
+        walk is bounded by the depth the receiver expects."""
+        from repro.agreement.eig_agreement import eig_agreement_factory
 
         hostile = nested_tuple(config4.n)
 
@@ -123,11 +126,17 @@ class TestMalformedHandling:
                 return {p: hostile for p in self.config.process_ids}
 
         results = [
-            run_eig_agreement(
-                config4, {p: 1 for p in config4.process_ids}, [0, 1],
-                adversary=Nester([4]), intern=intern,
+            run_protocol(
+                factory(config4, [0, 1], default=0),
+                config4,
+                {p: 1 for p in config4.process_ids},
+                adversary=Nester([4]),
+                max_rounds=config4.t + 2,
+                sizer=full_information_sizer(2, config4.n),
             )
-            for intern in (False, True)
+            for factory in (
+                reference_eig_agreement_factory, eig_agreement_factory
+            )
         ]
         assert results[0].decided_values() == {1}
         assert canonical_bytes(results[0]) == canonical_bytes(results[1])

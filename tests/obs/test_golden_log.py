@@ -15,7 +15,6 @@ import json
 import pytest
 
 from repro.analysis.sweeps import standard_adversary_makers, sweep
-from repro.arrays.flat import use_kernel
 from repro.arrays.store import clear_shared_stores
 from repro.compact.byzantine_agreement import (
     compact_ba_factory,
@@ -48,13 +47,11 @@ GOLDEN_PARTS = [
 
 
 @pytest.fixture(autouse=True)
-def _flat_kernel_on_fresh_stores():
+def _fresh_shared_stores():
     # The closing ``counters`` record names kernel and intern counters,
-    # so the digest is taken on the flat kernel over empty pools in
-    # every CI leg.
+    # so the digest is taken over empty pools.
     clear_shared_stores()
-    with use_kernel("flat"):
-        yield
+    yield
     clear_shared_stores()
 
 

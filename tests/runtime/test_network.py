@@ -189,6 +189,15 @@ class TestDefaultSizer:
         assert _default_sizer(loop) == 2 + 8 + 8
         assert _default_sizer((loop, loop)) == 2 + 2 * 18  # shared, not cyclic
 
+    @pytest.mark.parametrize("pair", [lambda x: (x, x), lambda x: [x, x]])
+    def test_shared_children_are_walked_once(self, pair):
+        # One object per level standing for a 2 ** 61-leaf tree: sized
+        # as that tree (s_0 = 18, s_k = 2 + 2 * s_(k-1)) in 61 walks.
+        hostile = pair(0)
+        for _ in range(60):
+            hostile = pair(hostile)
+        assert _default_sizer(hostile) == 20 * 2 ** 60 - 2
+
 
 class TestHotPathEquivalence:
     """The skip-trace fast path meters exactly like the traced path."""
