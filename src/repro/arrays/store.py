@@ -97,7 +97,8 @@ PURITY_EXEMPT = {
         "registry gauges, flushes persistent-cache deltas, then drops "
         "the registry — composing three observationally-pure steps; "
         "what is memoised on a store (flat tables, the EIG decision "
-        "memo: pure functions of its canonical nodes) goes with it"
+        "and expansion memos: pure functions of its canonical nodes) "
+        "goes with it"
     ),
 }
 
@@ -174,6 +175,11 @@ class ArrayStore:
         # rule parameters).  Kept here so that it shares the store's
         # lifetime: release_shared_stores drops both together.
         self.eig_decisions: Dict[Any, Any] = {}
+        # Defined compact-protocol expansions phi_b(node), keyed and
+        # filled by repro.compact.expansion (node key_token + the
+        # images of its distinct leaves — all a result depends on),
+        # shared by every processor on this store.  Same lifetime.
+        self.expansions: Dict[Any, Any] = {}
 
     def __len__(self) -> int:
         """Number of unique canonical nodes interned so far."""

@@ -36,7 +36,6 @@ from repro.avalanche.protocol import (
 from repro.avalanche.fast import FastAvalancheInstance, fast_thresholds
 from repro.avalanche.coding import (
     NULL_MESSAGE,
-    NullDecoder,
     NullEncoder,
     is_null_message,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "FastAvalancheInstance",
     "fast_thresholds",
     "NULL_MESSAGE",
-    "NullDecoder",
     "NullEncoder",
     "is_null_message",
     "check_avalanche_condition",

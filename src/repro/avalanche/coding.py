@@ -12,17 +12,18 @@ input ``v`` (round 1), then either bottom or the persistent value
 three runs — e.g. ``v, bottom, ..., bottom, w, w, ...`` — and only the
 first element of each run is non-null.
 
-:class:`NullEncoder` (sender side) and :class:`NullDecoder` (receiver
-side) implement the convention for broadcast channels.  The metrics
-layer charges :data:`NULL_MESSAGE` zero bits via the network's
-``is_null``/``sizer`` hooks.
+:class:`NullEncoder` implements the sender side for broadcast
+channels.  The receiving side — a null decodes to the sender's last
+real message, or to bottom if there never was one — lives where the
+votes are kept: :class:`repro.compact.subprotocol.AgreementBatch`
+holds the decoded vote matrix across rounds, so a null there is simply
+a cell left alone.  The metrics layer charges :data:`NULL_MESSAGE`
+zero bits via the network's ``is_null``/``sizer`` hooks.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict
-
-from repro.types import BOTTOM, ProcessId
+from typing import Any
 
 
 class _NullMessage:
@@ -65,29 +66,6 @@ class NullEncoder:
         if self._last is not _UNSET and message == self._last:
             return NULL_MESSAGE
         self._last = message
-        return message
-
-
-class NullDecoder:
-    """Receiver-side state: expands null back to the sender's last value.
-
-    Tracks one remembered message per sender.  A null from a sender
-    that has never sent a real message decodes to :data:`BOTTOM` —
-    only a faulty sender can produce that, and bottom is exactly how
-    the protocols treat garbage.
-    """
-
-    def __init__(self) -> None:
-        self._last: Dict[ProcessId, Any] = {}
-
-    def decode(self, sender: ProcessId, message: Any) -> Any:
-        """Expand ``message`` from ``sender``; remembers real values."""
-        # Identity test inlined (is_null_message): decode runs n**2
-        # times per subprotocol round and the call overhead shows up
-        # in sweep profiles.
-        if message is NULL_MESSAGE:
-            return self._last.get(sender, BOTTOM)
-        self._last[sender] = message
         return message
 
 

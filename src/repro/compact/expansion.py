@@ -19,11 +19,28 @@ functions get *more defined* over time as avalanche decisions land
 (never less — decisions are irrevocable), which is why defined
 expansion results can be memoised safely while undefined ones must
 not be.
+
+**Who remembers what.**  ``phi_b`` of a canonical node is a pure
+function of the node and of the images ``phi_b(x)`` of its distinct
+leaves ``x`` — the OUT tables enter only through those images.  By the
+avalanche condition correct processors' OUT tables agree, so the
+``n - t`` of them would each rebuild and re-intern the very same
+expansions; instead defined results are memoised once per store, in
+:attr:`repro.arrays.store.ArrayStore.expansions`, under
+``(node, images of its distinct leaves)``, and shared by every
+processor (and every execution) on that store until
+:func:`repro.arrays.store.release_shared_stores` drops it.  What stays
+per processor is what genuinely is: the OUT table and the scalar images
+``phi_b(q)`` it currently defines.  Whether ``phi_b`` is defined on a
+node needs no build at all — it is defined iff it is on every distinct
+leaf — so validation (:meth:`ExpansionState.defined`) costs
+O(distinct leaves) and only ``FULL_STATE`` pays for an expansion.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import repro.obs.core as _obs
@@ -36,30 +53,29 @@ from repro.arrays.digest import (
     values_fingerprint,
 )
 from repro.arrays.partial import substitutive_apply
-from repro.arrays.store import ArrayStore, InternedArray
+from repro.arrays.store import ArrayStore, InternedArray, TypedLeaf
 from repro.errors import ProtocolViolation
 from repro.types import BOTTOM, ProcessId, SystemConfig, Value, is_bottom
 
 #: Protoflow taint: the persistent-cache fast path replays *recorded
 #: verdicts*, never raw bytes.  A phi_1 entry is the alphabet-
 #: membership verdict the inline filter would compute (keyed by the
-#: node's content digest under the alphabet fingerprint), and a deeper
-#: entry resolves only through the content digest of a result that a
-#: fully legality-filtered expansion produced in an earlier run —
-#: anything else decodes to ``None`` and falls back to the inline
-#: filter.
+#: node's content digest under the alphabet fingerprint; only a bool
+#: is believed), and a deeper entry resolves only through the content
+#: digest of a result that a fully legality-filtered expansion
+#: produced in an earlier run — anything else decodes to ``None`` and
+#: falls back to the inline filter.
 TAINT_SANITIZERS = {
     "_restore_expansion": (
-        "persistent-cache gate: returns the node only under a "
-        "recorded phi_1 alphabet verdict, a digest-resolved prior "
-        "expansion result, or None (= recompute through the inline "
-        "legality filter)"
+        "persistent-cache gate: returns a node only as the "
+        "digest-resolved result of a prior expansion, else None "
+        "(= recompute through the inline legality filter)"
     ),
 }
 
 
 class ExpansionState:
-    """OUT tables plus memoised expansion, for one processor."""
+    """OUT tables and the expansion functions they define, for one processor."""
 
     def __init__(
         self,
@@ -72,18 +88,18 @@ class ExpansionState:
         self._store = store
         # (boundary, sender) -> agreed end-of-block CORE of sender.
         self._out: Dict[Tuple[int, ProcessId], Any] = {}
-        # (boundary, array) -> defined expansion result.
+        # (boundary, array) -> defined expansion of a plain (not
+        # canonical) array.  Canonical nodes are memoised store-wide.
         self._cache: Dict[Tuple[int, Any], Any] = {}
-        # (boundary, canonical-node key token) -> defined expansion.
-        # Canonical sub-arrays are shared across senders and rounds, so
-        # this memo turns re-expansion of an already-seen CORE into one
-        # dictionary hit per *new* node instead of a full tree walk.
-        self._node_cache: Dict[Tuple[int, Any], Any] = {}
-        # (boundary, index scalar) -> defined phi_b(scalar).  Same
-        # defined-results-only rule: a defined scalar expansion chains
-        # only through irrevocable OUT entries, so it never changes,
-        # while an undefined one may become defined later.
-        self._scalar_cache: Dict[Tuple[int, int], Any] = {}
+        # boundary -> typed index leaf -> (defined phi_b(leaf), its
+        # memo token): the images this processor's OUT table gives the
+        # index leaves, canonical whenever there is a store.  A defined
+        # scalar expansion chains only through irrevocable OUT entries,
+        # so it never changes, while an undefined one may become
+        # defined later and is not remembered.
+        self._images: Dict[int, Dict[TypedLeaf, Tuple[Any, Any]]] = (
+            defaultdict(dict)
+        )
         # Cross-run persistence keys.  phi_1 verdicts depend only on
         # the alphabet; phi_b for b > 1 is additionally a function of
         # the OUT tables it chains through, so its cache entries carry
@@ -92,7 +108,6 @@ class ExpansionState:
         # tables can never collide.  None alphabet fingerprint means
         # unstable members: persistence stays out of the way.
         self._alpha_fp: Optional[str] = values_fingerprint(self._alphabet)
-        self._out_digests: Dict[Tuple[int, ProcessId], Optional[bytes]] = {}
         self._out_fp_cache: Dict[int, Optional[str]] = {}
 
     # -- OUT table maintenance ---------------------------------------------
@@ -110,7 +125,6 @@ class ExpansionState:
                 f"{self._out[key]!r} to {value!r}"
             )
         self._out[key] = value
-        self._out_digests[key] = value_digest(value)
         self._out_fp_cache.clear()
 
     def out(self, boundary: int, sender: ProcessId) -> Any:
@@ -134,25 +148,36 @@ class ExpansionState:
     def expand_scalar(self, boundary: int, scalar: Any) -> Any:
         """``phi_b`` on a scalar; bottom when outside the domain."""
         if boundary == 1:
-            try:
-                return scalar if scalar in self._alphabet else BOTTOM
-            except TypeError:
-                return BOTTOM
+            return scalar if self._leaf_is_value(scalar) else BOTTOM
         if (
             not isinstance(scalar, int)
             or isinstance(scalar, bool)
             or not 1 <= scalar <= self.config.n
         ):
             return BOTTOM
-        cached = self._scalar_cache.get((boundary, scalar))
+        typed_leaf = (scalar.__class__, scalar)
+        cached = self._images[boundary].get(typed_leaf)
         if cached is not None:
-            return cached
+            return cached[0]
         agreed = self._out.get((boundary, scalar))
         if agreed is None:
             return BOTTOM
         result = self.expand(boundary - 1, agreed)
-        if not is_bottom(result):
-            self._scalar_cache[(boundary, scalar)] = result
+        if is_bottom(result):
+            return BOTTOM
+        if (
+            self._store is not None
+            and isinstance(result, tuple)
+            and not self._is_canonical(result)
+        ):
+            # A plain OUT entry expands to a plain tuple; any array
+            # it is substituted into would canonicalise it anyway.
+            result = self._store.intern(result)
+        token = (
+            result.key_token if type(result) is InternedArray
+            else (result.__class__, result)
+        )
+        self._images[boundary][typed_leaf] = (result, token)
         return result
 
     def expand(self, boundary: int, array: Any) -> Any:
@@ -163,12 +188,16 @@ class ExpansionState:
         """
         if is_bottom(array):
             return BOTTOM
-        if (
-            self._store is not None
-            and type(array) is InternedArray
-            and array.store is self._store
-        ):
-            return self._expand_interned(boundary, array)
+        if self._is_canonical(array):
+            if not self._node_defined(boundary, array):
+                return BOTTOM
+            if boundary > 1:
+                return self._substitute(boundary, array)
+            # phi_1 is the identity on value arrays: nothing to build.
+            observer = _obs.ACTIVE
+            if observer is not None:
+                observer.count("compact.expansion.hit")
+            return array
         cache_key: Optional[Tuple[int, Any]]
         try:
             cache_key = (boundary, array)
@@ -186,6 +215,101 @@ class ExpansionState:
             self._cache[cache_key] = result
         return result
 
+    def defined(self, boundary: int, array: Any) -> bool:
+        """Whether ``phi_b`` is defined on ``array`` right now."""
+        if self._is_canonical(array):
+            return self._node_defined(boundary, array)
+        return not is_bottom(self.expand(boundary, array))
+
+    def _node_defined(self, boundary: int, node: InternedArray) -> bool:
+        """:meth:`defined` on a canonical node, which builds nothing.
+
+        One bottom leaf bubbles all the way up, so the expansion is
+        defined iff every *distinct* leaf expands: for ``phi_1`` iff
+        every leaf is a value, otherwise iff every leaf has an image
+        here already or gets one now.
+        """
+        if boundary == 1:
+            return self._values_only(node)
+        return all(
+            map(self._images[boundary].__contains__, node.leaves_unique)
+        ) or all(
+            self.expand_scalar(boundary, leaf) is not BOTTOM
+            for _, leaf in node.leaves_unique
+        )
+
+    def _is_canonical(self, array: Any) -> bool:
+        return (
+            type(array) is InternedArray
+            and self._store is not None
+            and array.store is self._store
+        )
+
+    def _values_only(self, node: InternedArray) -> bool:
+        """Whether every leaf of ``node`` is in ``V`` (``phi_1``'s domain).
+
+        Served from the store's per-alphabet verdict column, which —
+        like the persistent cache in front of it — may keep negative
+        verdicts too: alphabet membership never changes.
+        """
+        cache = _persist.active()
+        persist_key = None if cache is None else self._persist_key(1, node)
+        if persist_key is not None:
+            stored = cache.map_get(persist_key[0], persist_key[1])
+            if isinstance(stored, bool):  # anything else: recompute
+                return stored
+        ok = _flat.tables_for(node.store).leaves_ok(
+            node, ("expansion.alphabet", self._alphabet), self._leaf_is_value
+        )
+        if persist_key is not None:
+            cache.map_put(persist_key[0], persist_key[1], ok)
+        return ok
+
+    def _substitute(self, boundary: int, node: InternedArray) -> Any:
+        """``phi_b`` (``b > 1``) of a node whose leaves all have images.
+
+        Memoised per unique node on the store the node lives in, under
+        the images of the node's own distinct leaves — everything the
+        result depends on — so processors whose OUT tables agree share
+        one build.  Only defined results get here, so nothing
+        undefined is ever memoised, in memory or in the persistent
+        cache behind it.
+        """
+        store = node.store
+        images = self._images[boundary]
+        key = (
+            node.key_token,
+            tuple([images[leaf][1] for leaf in node.leaves_unique]),
+        )
+        observer = _obs.ACTIVE
+        result = store.expansions.get(key)
+        if result is not None:
+            if observer is not None:
+                observer.count("compact.expansion.hit")
+            return result
+        cache = _persist.active()
+        persist_key = (
+            None if cache is None else self._persist_key(boundary, node)
+        )
+        if persist_key is not None:
+            stored = cache.map_get(persist_key[0], persist_key[1])
+            result = self._restore_expansion(cache, stored)
+        if result is None:
+            result = store.intern(tuple(
+                self._substitute(boundary, component)
+                if type(component) is InternedArray
+                else images[(component.__class__, component)][0]
+                for component in node
+            ))
+            if observer is not None:
+                observer.count("compact.expansion.miss")
+            if persist_key is not None:
+                digest_hex = cache.register_node(store, result)
+                if digest_hex is not None:
+                    cache.map_put(persist_key[0], persist_key[1], digest_hex)
+        store.expansions[key] = result
+        return result
+
     def _out_fingerprint(self, boundary: int) -> Optional[str]:
         """Hex fingerprint of every decided OUT slot phi_b can reach.
 
@@ -199,15 +323,12 @@ class ExpansionState:
             return cached
         hasher = hashlib.blake2b(digest_size=DIGEST_BYTES)
         fingerprint: Optional[str]
-        slots = sorted(
-            slot for slot in self._out_digests if 2 <= slot[0] <= boundary
-        )
-        for slot_boundary, sender in slots:
-            digest = self._out_digests[(slot_boundary, sender)]
+        for slot in sorted(s for s in self._out if 2 <= s[0] <= boundary):
+            digest = value_digest(self._out[slot])
             if digest is None:
                 fingerprint = None
                 break
-            hasher.update(f"{slot_boundary}.{sender}.".encode("ascii"))
+            hasher.update(f"{slot[0]}.{slot[1]}.".encode("ascii"))
             hasher.update(digest)
         else:
             fingerprint = hasher.hexdigest()
@@ -238,121 +359,17 @@ class ExpansionState:
         return detail, digest.hex()
 
     def _restore_expansion(
-        self,
-        cache: "_persist.PersistentStore",
-        boundary: int,
-        node: InternedArray,
-        stored: Any,
+        self, cache: "_persist.PersistentStore", stored: Any
     ) -> Optional[Any]:
-        """Decode a persisted expansion entry; ``None`` = treat as miss.
+        """Decode a persisted ``phi_b`` (``b > 1``) entry; ``None`` = miss.
 
-        phi_1 entries are booleans (the node is its own expansion, or
-        bottom); deeper entries are the content-digest hex of the
-        result node, resolvable only if the cache has the live node —
-        otherwise recomputing is cheaper than trusting a dangling ref.
+        Entries are the content-digest hex of the result node,
+        resolvable only if the cache has the live node — otherwise
+        recomputing is cheaper than trusting a dangling ref.
         """
-        if boundary == 1:
-            if stored is True:
-                return node
-            if stored is False:
-                return BOTTOM
-            return None
         if isinstance(stored, str) and self._store is not None:
             return cache.node_for(self._store, stored)
         return None
-
-    def _expand_interned(self, boundary: int, node: InternedArray) -> Any:
-        """``phi_b`` over the canonical DAG, memoised per unique node.
-
-        Same defined-results-only caching rule as :meth:`expand`: OUT
-        entries are irrevocable, so a defined expansion never changes,
-        while an undefined one may become defined as decisions land.
-        The persistent cache follows the same rule, except phi_1
-        *negative* verdicts are persisted too (alphabet membership
-        never changes, so they are stable — mirroring the flat
-        kernel's verdict column).
-        """
-        key = (boundary, node.key_token)
-        cached = self._node_cache.get(key)
-        if cached is not None:
-            observer = _obs.ACTIVE
-            if observer is not None:
-                observer.count("compact.expansion.hit")
-            return cached
-        cache = _persist.active()
-        persist_key: Optional[Tuple[str, str]] = None
-        if cache is not None:
-            persist_key = self._persist_key(boundary, node)
-            if persist_key is not None:
-                stored = cache.map_get(persist_key[0], persist_key[1])
-                if stored is not _persist.MISSING:
-                    restored = self._restore_expansion(
-                        cache, boundary, node, stored
-                    )
-                    if restored is not None:
-                        if not is_bottom(restored):
-                            self._node_cache[key] = restored
-                        return restored
-        if boundary == 1:
-            # phi_1 is the identity on value arrays; the node IS its
-            # own expansion when every distinct leaf is a value.
-            # Served from the store's per-alphabet verdict column:
-            # unlike the node cache (defined results only), the
-            # column may keep negative verdicts too, because
-            # alphabet membership never changes.
-            ok = _flat.tables_for(node.store).leaves_ok(
-                node,
-                ("expansion.alphabet", self._alphabet),
-                self._leaf_is_value,
-            )
-            result: Any = node if ok else BOTTOM
-        else:
-            # Substitutive prefilter: one bottom leaf bubbles all
-            # the way up, so the root expansion is defined iff
-            # every *distinct* leaf expands — O(distinct leaves)
-            # to rule out the (frequent, uncacheable) undefined
-            # case before paying for the recursive build.
-            for _, leaf in node.leaves_unique:
-                if is_bottom(self.expand_scalar(boundary, leaf)):
-                    return BOTTOM
-            expanded = []
-            for component in node:
-                if type(component) is InternedArray:
-                    piece = self._expand_interned(boundary, component)
-                else:
-                    piece = self.expand_scalar(boundary, component)
-                if is_bottom(piece):
-                    return BOTTOM
-                expanded.append(piece)
-            assert self._store is not None  # guarded by expand()
-            result = self._store.intern(tuple(expanded))
-        if not is_bottom(result):
-            self._node_cache[key] = result
-            observer = _obs.ACTIVE
-            if observer is not None:
-                observer.count("compact.expansion.miss")
-            if cache is not None and persist_key is not None:
-                self._record_expansion(cache, persist_key, boundary, result)
-        elif boundary == 1 and cache is not None and persist_key is not None:
-            # Stable negative: alphabet membership never changes.
-            cache.map_put(persist_key[0], persist_key[1], False)
-        return result
-
-    def _record_expansion(
-        self,
-        cache: "_persist.PersistentStore",
-        persist_key: Tuple[str, str],
-        boundary: int,
-        result: Any,
-    ) -> None:
-        if boundary == 1:
-            cache.map_put(persist_key[0], persist_key[1], True)
-            return
-        if type(result) is not InternedArray or self._store is None:
-            return
-        digest_hex = cache.register_node(self._store, result)
-        if digest_hex is not None:
-            cache.map_put(persist_key[0], persist_key[1], digest_hex)
 
     def _leaf_is_value(self, leaf: Any) -> bool:
         """Whether one leaf is in ``V`` (the ``phi_1`` domain test)."""
@@ -360,7 +377,3 @@ class ExpansionState:
             return leaf in self._alphabet
         except TypeError:  # unhashable leaf (plain-tuple path only)
             return False
-
-    def defined(self, boundary: int, array: Any) -> bool:
-        """Whether ``phi_b`` is defined on ``array`` right now."""
-        return not is_bottom(self.expand(boundary, array))

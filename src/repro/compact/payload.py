@@ -12,6 +12,12 @@ The sizer charges exactly what Section 5.6 counts:
   (values for block 1, processor indices afterwards),
 * null-coded votes — 0 bits,
 * absent components — 0 bits.
+
+``votes`` arrives from possibly faulty senders, so every reader —
+the receiving processor, the sizer and the null test — goes through
+:meth:`CompactPayload.vote_slots`, which fails closed: a ``votes``
+field or a slot of the wrong shape carries no votes (0 bits, null),
+whatever it holds, and never raises.
 """
 
 from __future__ import annotations
@@ -20,8 +26,19 @@ import dataclasses
 from typing import Any, Callable, Tuple
 
 from repro.arrays.encoding import MessageSizer
-from repro.avalanche.coding import is_null_message
+from repro.avalanche.coding import NULL_MESSAGE, is_null_message
 from repro.types import BOTTOM, SystemConfig, is_bottom
+
+VoteSlot = Tuple[int, Tuple[Any, ...]]
+
+
+def _well_formed(slot: Any) -> bool:
+    return (
+        isinstance(slot, tuple)
+        and len(slot) == 2
+        and isinstance(slot[0], int)
+        and isinstance(slot[1], tuple)
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,14 +52,24 @@ class CompactPayload:
     """
 
     main: Any
-    votes: Tuple[Tuple[int, Tuple[Any, ...]], ...] = ()
+    votes: Tuple[VoteSlot, ...] = ()
 
-    def votes_for(self, boundary: int) -> Any:
-        """The vote tuple for one batch, or bottom if absent."""
-        for slot_boundary, vote_tuple in self.votes:
-            if slot_boundary == boundary:
-                return vote_tuple
-        return BOTTOM
+    def vote_slots(self) -> Tuple[VoteSlot, ...]:
+        """The well-formed ``(boundary, vote_tuple)`` slots of ``votes``.
+
+        The one fail-closed reading of a field a Byzantine sender
+        controls: ``votes`` that is not a tuple holds no slots, and a
+        slot that is not an ``(int, tuple)`` pair is dropped — that
+        sender simply cast no votes there.  Whether a vote tuple has
+        the receiver's ``n`` slots is the batch's test, not this one.
+        """
+        votes = self.votes
+        if not isinstance(votes, tuple):
+            return ()
+        for slot in votes:
+            if not _well_formed(slot):
+                return tuple(filter(_well_formed, votes))
+        return votes  # every honest payload: no copy
 
 
 def compact_sizer(
@@ -60,11 +87,11 @@ def compact_sizer(
         if not isinstance(payload, CompactPayload):
             return measure_component(payload)
         total = measure_component(payload.main)
-        for _, vote_tuple in payload.votes:
-            if isinstance(vote_tuple, tuple):
-                total += sum(measure_component(vote) for vote in vote_tuple)
-            else:
-                total += measure_component(vote_tuple)
+        for _, vote_tuple in payload.vote_slots():
+            for vote in vote_tuple:
+                # Almost every vote of a run is null: no call for those.
+                if vote is not NULL_MESSAGE and vote is not BOTTOM:
+                    total += sizer.measure(vote)
         return total
 
     return measure
@@ -76,12 +103,8 @@ def payload_is_null(payload: Any) -> bool:
         return is_bottom(payload) or is_null_message(payload)
     if not (is_bottom(payload.main) or is_null_message(payload.main)):
         return False
-    for _, vote_tuple in payload.votes:
-        if not isinstance(vote_tuple, tuple):
-            if not (is_bottom(vote_tuple) or is_null_message(vote_tuple)):
-                return False
-            continue
+    for _, vote_tuple in payload.vote_slots():
         for vote in vote_tuple:
-            if not (is_bottom(vote) or is_null_message(vote)):
+            if vote is not NULL_MESSAGE and vote is not BOTTOM:
                 return False
     return True

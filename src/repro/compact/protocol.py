@@ -39,21 +39,35 @@ rule), so rebasing and validation always see the freshest ``OUT``.
 ``FULL_STATE = phi_b(CORE)`` reconstructs the simulated
 full-information state (Section 5.5); decision rules are evaluated on
 it at progress rounds once the simulated horizon is reached.
+
+**What a round costs** is what changed in it (docs/perf.md, "The
+compact hot path").  "Correctly shaped" is the verdict of a
+:class:`repro.fullinfo.protocol.ReceiveGate` — canonical node or
+reject, one leaf scan per distinct node — over ``V`` in block 1 and
+over processor indices afterwards; "expandable" asks the expansion
+state whether every distinct leaf has an image, which builds nothing.
+Each sender's ``votes`` field is read once per round, through the
+fail-closed :meth:`repro.compact.payload.CompactPayload.vote_slots`
+(a malformed field or slot is simply no votes from that sender), and
+routed to the batches, which re-tally only the instances whose votes
+changed (:mod:`repro.compact.subprotocol`).  Expansions are built when
+``FULL_STATE`` is needed, once per store rather than once per
+processor (:mod:`repro.compact.expansion`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.avalanche.fast import fast_thresholds
 from repro.avalanche.protocol import Thresholds, standard_thresholds
 from repro.arrays.store import shared_store
-from repro.arrays.value_array import is_index_scalar, validate_array
 from repro.compact.expansion import ExpansionState
 from repro.compact.payload import CompactPayload
 from repro.compact.subprotocol import AgreementBatch
 from repro.core.rounds import BlockSchedule
 from repro.errors import ConfigurationError, ProtocolViolation
+from repro.fullinfo.protocol import REJECT, IndexGate, ReceiveGate
 from repro.runtime.node import Process, broadcast
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
 
@@ -65,7 +79,8 @@ DecisionRule = Callable[[Any, int, ProcessId], Value]
 # previous-round one) leans on the avalanche condition's one-round
 # propagation window staying open, so instances keep stepping until
 # the protocol ends.  The Section 4 null-message coding keeps the cost
-# of an already-settled instance at zero bits.
+# of an already-settled instance at zero bits, and the batch's skip
+# rule keeps a settled batch-round at O(n) identity checks.
 
 
 #: Protoflow message-size bound (COM rule family): the whole point of
@@ -140,7 +155,10 @@ class CompactProcess(Process):
         self.k = k
         self._store = shared_store(config.n)
         self.expansion = ExpansionState(config, value_alphabet, store=self._store)
-        self._alphabet = alphabet
+        # Canonical-or-reject admission of CORE messages: value arrays
+        # in block 1, index arrays afterwards.
+        self._value_gate = ReceiveGate(self._store, alphabet)
+        self._index_gate = IndexGate(self._store)
         self._thresholds = thresholds
         self._decision_rule = decision_rule
         self._horizon = horizon
@@ -148,8 +166,8 @@ class CompactProcess(Process):
 
         self.core: Any = input_value  # depth-0 value array
         self.core_boundary: int = 1  # the phi_b that expands self.core
+        # Boundary -> batch, in starting (= boundary) order.
         self._batches: Dict[int, AgreementBatch] = {}
-        self._candidates: Dict[ProcessId, Any] = {}
         self._last_round: Round = 0
 
     # -- sending ----------------------------------------------------------
@@ -163,8 +181,8 @@ class CompactProcess(Process):
             # avalanche-only phase k+2 carry no main component.
             main = self.core
         votes = tuple(
-            (boundary, self._batches[boundary].outgoing_votes())
-            for boundary in sorted(self._batches)
+            (boundary, batch.outgoing_votes())
+            for boundary, batch in self._batches.items()
         )
         return broadcast(CompactPayload(main=main, votes=votes), self.config)
 
@@ -173,24 +191,29 @@ class CompactProcess(Process):
     def receive(self, round_number: Round, incoming: Dict[ProcessId, Any]) -> None:
         phase = self.schedule.phase(round_number)
         block = self.schedule.block(round_number)
-        payloads = {
-            sender: message
-            if isinstance(message, CompactPayload)
-            else CompactPayload(main=BOTTOM)
-            for sender, message in incoming.items()
-        }
 
         # Subprotocol state changes run before the main protocol's
         # (Section 5.2), so rebasing and validation see fresh OUTs.
-        self._step_batches(round_number, payloads)
+        if self._batches:
+            self._step_batches(incoming)
 
         if phase == 1 and round_number > 1:
             self._rebase_core(block)
         elif round_number == 1 or 2 <= phase <= self.k:
-            self._exchange_core(phase, block, payloads)
+            # Substitute the receiver's own previous CORE for unusable
+            # messages — the right shape and expandable by construction.
+            self._set_core(
+                tuple(self._admit_cores(incoming, phase - 1, block, self.core)),
+                block,
+            )
         elif phase == self.k + 1:
-            self._collect_candidates(block, payloads)
-            self._start_batch(block + 1, round_number)
+            candidates = self._admit_cores(incoming, self.k, block, BOTTOM)
+            self._batches[block + 1] = AgreementBatch(
+                self.config,
+                boundary=block + 1,
+                inputs=dict(zip(self.config.process_ids, candidates)),
+                thresholds=self._thresholds,
+            )
         # Phase k + 2 (standard overhead) has avalanche traffic only.
 
         self._last_round = round_number
@@ -198,93 +221,71 @@ class CompactProcess(Process):
 
     # -- avalanche plumbing ---------------------------------------------------
 
-    def _step_batches(
-        self, round_number: Round, payloads: Dict[ProcessId, CompactPayload]
-    ) -> None:
-        for boundary in sorted(self._batches):
-            batch = self._batches[boundary]
-            votes_by_sender = {
-                sender: payload.votes_for(boundary)
-                for sender, payload in payloads.items()
-            }
-            for subject, value in batch.step(votes_by_sender):
+    def _step_batches(self, incoming: Dict[ProcessId, Any]) -> None:
+        # One pass over every sender's vote slots, routed by boundary;
+        # a sender's first slot for a boundary is the one that counts.
+        components: Dict[int, Dict[ProcessId, Any]] = {
+            boundary: {} for boundary in self._batches
+        }
+        for sender, message in incoming.items():
+            if isinstance(message, CompactPayload):
+                for boundary, vote_tuple in message.vote_slots():
+                    by_sender = components.get(boundary)
+                    if by_sender is not None:
+                        by_sender.setdefault(sender, vote_tuple)
+        for boundary, batch in self._batches.items():
+            for subject, value in batch.step(components[boundary]):
                 self.expansion.set_out(boundary, subject, value)
-
-    def _start_batch(self, boundary: int, round_number: Round) -> None:
-        self._batches[boundary] = AgreementBatch(
-            self.config,
-            boundary=boundary,
-            inputs=dict(self._candidates),
-            thresholds=self._thresholds,
-        )
-        self._candidates = {}
 
     # -- main-component state changes ---------------------------------------
 
-    def _exchange_core(
-        self, phase: int, block: int, payloads: Dict[ProcessId, CompactPayload]
-    ) -> None:
-        expected_depth = phase - 1
-        components = []
+    def _admit_cores(
+        self,
+        incoming: Dict[ProcessId, Any],
+        expected_depth: int,
+        block: int,
+        substitute: Any,
+    ) -> List[Any]:
+        """Per sender, its usable CORE message or ``substitute``.
+
+        Usable (the paper's steps 5/6 and 11) means correctly shaped
+        for the phase — a depth-``expected_depth`` array over ``V`` in
+        block 1, over processor indices afterwards, which is the
+        gate's verdict — *and* expandable by the current ``phi_b``.
+        ``phi_1`` is the identity on arrays over ``V``, so in block 1
+        the gate's verdict already is expandability.
+        """
+        cores = []
         for sender in self.config.process_ids:
-            message = payloads.get(
-                sender, CompactPayload(main=BOTTOM)
-            ).main
-            if self._valid_core_message(message, expected_depth, block):
-                components.append(message)
+            message = incoming.get(sender)
+            main = message.main if isinstance(message, CompactPayload) else BOTTOM
+            if main is BOTTOM:
+                core = REJECT
+            elif block == 1:
+                core = self._value_gate.admit(main, expected_depth)
             else:
-                # Substitute the receiver's own previous CORE — the
-                # right shape and expandable by construction.
-                components.append(self.core)
-        self._set_core(tuple(components), block)
+                core = self._index_gate.admit(main, expected_depth)
+                if core is not REJECT and not self.expansion.defined(block, core):
+                    core = REJECT
+            cores.append(substitute if core is REJECT else core)
+        return cores
 
     def _rebase_core(self, block: int) -> None:
-        components = []
-        for sender in self.config.process_ids:
-            if self.expansion.has_out(block, sender) and not is_bottom(
-                self.expansion.expand_scalar(block, sender)
-            ):
-                components.append(sender)
-            else:
-                components.append(self.process_id)
-        self._set_core(tuple(components), block)
+        own = self.process_id
+        self._set_core(
+            tuple(
+                sender
+                if self.expansion.expand_scalar(block, sender) is not BOTTOM
+                else own
+                for sender in self.config.process_ids
+            ),
+            block,
+        )
 
     def _set_core(self, core: Any, block: int) -> None:
         self.core = self._store.intern(core)
         self.core_boundary = block
         self._assert_core_expandable()
-
-    def _collect_candidates(
-        self, block: int, payloads: Dict[ProcessId, CompactPayload]
-    ) -> None:
-        self._candidates = {}
-        for sender in self.config.process_ids:
-            message = payloads.get(sender, CompactPayload(main=BOTTOM)).main
-            if self._valid_core_message(message, self.k, block):
-                self._candidates[sender] = message
-            else:
-                self._candidates[sender] = BOTTOM
-
-    def _valid_core_message(
-        self, message: Any, expected_depth: int, block: int
-    ) -> bool:
-        if is_bottom(message):
-            return False
-        if block == 1:
-            leaf_ok = lambda leaf: self._leaf_in_alphabet(leaf)  # noqa: E731
-        else:
-            leaf_ok = lambda leaf: is_index_scalar(leaf, self.config.n)  # noqa: E731
-        if not validate_array(
-            message, self.config.n, depth=expected_depth, leaf_ok=leaf_ok
-        ):
-            return False
-        return self.expansion.defined(block, message)
-
-    def _leaf_in_alphabet(self, leaf: Any) -> bool:
-        try:
-            return leaf in self._alphabet
-        except TypeError:
-            return False
 
     def _assert_core_expandable(self) -> None:
         # The paper's step-5 invariant: phi_b(CORE) is always defined

@@ -35,6 +35,7 @@ from repro.arrays import persist as _persist
 from repro.arrays.digest import content_digest, values_fingerprint
 from repro.arrays.encoding import MessageSizer
 from repro.arrays.store import ArrayStore, InternedArray, shared_store
+from repro.arrays.value_array import is_index_scalar
 from repro.core.automaton import AutomatonProtocol
 from repro.runtime.node import Process, broadcast
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
@@ -104,36 +105,50 @@ class ReceiveGate:
     expected are all :data:`REJECT`.
 
     One gate serves one receiver: :class:`FullInformationProcess`
-    holds one, and
+    holds one,
     :class:`repro.agreement.firing_squad.FiringSquadProcess` shares one
-    across its live EIG instances.
+    across its live EIG instances, and
+    :class:`repro.compact.protocol.CompactProcess` holds one over ``V``
+    for block 1 and an :class:`IndexGate` for the index arrays of later
+    blocks.
     """
 
     def __init__(self, store: ArrayStore, alphabet: Iterable[Value]):
-        self.store = store
         legal = frozenset(alphabet)
-        self.leaf_ok = _alphabet_predicate(legal)
-        # Canonical node -> "leaves all in V" verdict.  A subtree
+        # Legality is a pure function of (typed structure, n, V), so a
+        # verdict keyed by content digest under the alphabet
+        # fingerprint is valid across processes and runs.  No
+        # fingerprint when the alphabet has unstable members (caching
+        # then simply stays out of the way).
+        alpha_fp = values_fingerprint(legal)
+        self._bind(
+            store,
+            _alphabet_predicate(legal),
+            None
+            if alpha_fp is None
+            else f"fullinfo.legality;n={store.n};alpha={alpha_fp}",
+        )
+
+    def _bind(
+        self,
+        store: ArrayStore,
+        leaf_ok: Callable[[Any], bool],
+        persist_detail: Optional[str],
+    ) -> None:
+        self.store = store
+        self.leaf_ok = leaf_ok
+        # Canonical node -> "every leaf legal" verdict.  A subtree
         # vetted at round r is the *same node* when it reappears inside
         # round r + 1 states, so re-validation collapses to one
         # dictionary hit.
         self._verdicts: Dict[Any, bool] = {}
-        # Persistent-cache key prefix for those verdicts: legality is
-        # a pure function of (typed structure, n, V), so a verdict
-        # keyed by content digest under the alphabet fingerprint is
-        # valid across processes and runs.  None when the alphabet has
-        # unstable members (caching then simply stays out of the way).
-        alpha_fp = values_fingerprint(legal)
-        self._persist_detail: Optional[str] = (
-            None
-            if alpha_fp is None
-            else f"fullinfo.legality;n={store.n};alpha={alpha_fp}"
-        )
+        # Persistent-cache key prefix for those verdicts.
+        self._persist_detail = persist_detail
 
     def admit(self, message: Any, expected_depth: int) -> Any:
         """The interned legal ``message``, or :data:`REJECT`."""
         if expected_depth == 0:
-            # Depth-0 arrays are bare scalars from V.
+            # Depth-0 arrays are bare legal scalars.
             if isinstance(message, tuple) or not self.leaf_ok(message):
                 return REJECT
             return message
@@ -197,6 +212,25 @@ class ReceiveGate:
         digest = content_digest(node)
         if digest is not None:
             cache.map_put(detail, digest.hex(), verdict)
+
+
+class IndexGate(ReceiveGate):
+    """A :class:`ReceiveGate` whose legal leaves are the ids ``1..n``.
+
+    For the index arrays of the compact protocol's later blocks.  The
+    leaf test is the *predicate*
+    :func:`~repro.arrays.value_array.is_index_scalar`, not membership
+    in ``{1, ..., n}``: ``True`` and ``2.0`` equal (and hash like) the
+    ids ``1`` and ``2`` but are not index scalars.
+    """
+
+    def __init__(self, store: ArrayStore):
+        n = store.n
+        self._bind(
+            store,
+            lambda leaf: is_index_scalar(leaf, n),
+            f"fullinfo.legality;n={n};indices",
+        )
 
 
 class FullInformationProcess(Process):

@@ -2,14 +2,10 @@
 
 import pytest
 
-from repro.avalanche.coding import (
-    NULL_MESSAGE,
-    NullDecoder,
-    NullEncoder,
-    is_null_message,
-)
+from repro.avalanche.coding import NULL_MESSAGE, NullEncoder, is_null_message
 from repro.avalanche.protocol import AvalancheInstance
 from repro.types import BOTTOM, SystemConfig, is_bottom
+from tests.compact.reference_agreement_batch import NullDecoder
 
 
 class TestEncoder:
@@ -36,6 +32,9 @@ class TestEncoder:
 
 
 class TestDecoder:
+    """The receiver side, as the test-only dense batch oracle keeps it
+    (production holds the decoded votes in the batch's matrix)."""
+
     def test_real_values_remembered_per_sender(self):
         decoder = NullDecoder()
         assert decoder.decode(1, "a") == "a"

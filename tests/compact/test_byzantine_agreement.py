@@ -3,11 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.adversary.base import Adversary
 from repro.compact.byzantine_agreement import (
     compact_ba_rounds,
     resolve_k,
     run_compact_byzantine_agreement,
 )
+from repro.compact.payload import CompactPayload
 from repro.core.simulation import check_fullinfo_consistency
 from repro.errors import ConfigurationError
 from repro.types import BOTTOM, SystemConfig
@@ -120,6 +122,47 @@ class TestAgreementSweep:
             )
             assert_agreement_and_validity(result, inputs)
             assert result.rounds == compact_ba_rounds(config9.t, 1, overhead=1)
+
+
+class MalformedVotesAdversary(Adversary):
+    """A correct-looking main component beside a malformed ``votes``."""
+
+    def __init__(self, faulty_ids, votes):
+        super().__init__(faulty_ids)
+        self.votes = votes
+
+    def outgoing(self, round_number, sender, context):
+        messages = {}
+        for receiver in self.config.process_ids:
+            template = context.sample_correct_message(receiver)
+            main = template.main if isinstance(template, CompactPayload) else 0
+            messages[receiver] = CompactPayload(main=main, votes=self.votes)
+        return messages
+
+
+class TestMalformedVotesFailClosed:
+    """``votes`` that is not a tuple of ``(boundary, n-tuple)`` pairs
+    used to raise out of a correct processor's ``receive`` (and out of
+    the sizer and the null test when adversary traffic is metered)."""
+
+    @pytest.mark.parametrize("meter_adversary", [False, True])
+    @pytest.mark.parametrize(
+        "votes", [7, None, (5,), ((1, 2, 3),), ([2], [3])], ids=repr
+    )
+    @pytest.mark.parametrize("faulty", [1, 4])
+    def test_hostile_sender_per_shape(
+        self, config4, faulty, votes, meter_adversary
+    ):
+        inputs = {p: p % 2 for p in config4.process_ids}
+        result = run_compact_byzantine_agreement(
+            config4,
+            inputs,
+            value_alphabet=[0, 1],
+            k=1,
+            adversary=MalformedVotesAdversary([faulty], votes),
+            meter_adversary=meter_adversary,
+        )
+        assert_agreement_and_validity(result, inputs)
 
 
 class TestMatchesExponentialBaseline:

@@ -2,8 +2,15 @@
 
 import pytest
 
+from repro.arrays.store import (
+    ArrayStore,
+    clear_shared_stores,
+    release_shared_stores,
+    shared_store,
+)
 from repro.compact.expansion import ExpansionState
 from repro.errors import ProtocolViolation
+from repro.obs import Observer, observing
 from repro.types import BOTTOM, SystemConfig, is_bottom
 
 
@@ -116,3 +123,111 @@ class TestBookkeeping:
     def test_defined_predicate(self, expansion):
         assert expansion.defined(1, (0, 1, 0, 1))
         assert not expansion.defined(2, (1, 1, 1, 1))
+
+
+class TestStoreSharedExpansions:
+    """``phi_b`` of a canonical node depends only on the node and the
+    images of its distinct leaves, so processors whose OUT tables agree
+    share one build per store; undefined results are never remembered,
+    and the memo goes when the store does."""
+
+    CORES = {1: (0, 0, 0, 0), 2: (1, 1, 1, 1), 3: (0, 1, 0, 1), 4: (1, 0, 0, 1)}
+
+    def processor(self, config4, store, cores=None):
+        expansion = ExpansionState(config4, [0, 1], store=store)
+        for sender, core in (cores or self.CORES).items():
+            expansion.set_out(2, sender, store.intern(core))
+        return expansion
+
+    def test_second_processor_builds_and_interns_nothing(self, config4):
+        store = ArrayStore(4)
+        node = store.intern(((1, 2, 3, 4), (4, 3, 2, 1), (1, 1, 2, 2), (3, 3, 4, 4)))
+        first = self.processor(config4, store).expand(2, node)
+        size, memo = len(store), dict(store.expansions)
+        observer = Observer()
+        with observing(observer, close=False):
+            second = self.processor(config4, store).expand(2, node)
+        assert second is first
+        assert (len(store), store.expansions) == (size, memo)
+        registry = observer.registry
+        # the node itself, and the identity phi_1 of the four OUT entries
+        assert registry.counter("compact.expansion.hit") == 5
+        assert registry.counter("compact.expansion.miss") == 0
+        assert registry.counter("arrays.intern.miss") == 0
+
+    def test_result_equals_the_plain_substitution(self, config4):
+        store = ArrayStore(4)
+        array = ((1, 2, 3, 4), (4, 3, 2, 1), (1, 1, 2, 2), (3, 3, 4, 4))
+        plain = ExpansionState(config4, [0, 1])
+        for sender, core in self.CORES.items():
+            plain.set_out(2, sender, core)
+        shared = self.processor(config4, store).expand(2, store.intern(array))
+        assert shared == plain.expand(2, array)
+
+    def test_differing_out_tables_never_collide(self, config4):
+        store = ArrayStore(4)
+        node = store.intern((1, 2, 1, 2))
+        ours = self.processor(config4, store)
+        theirs = self.processor(
+            config4, store, {**self.CORES, 2: (0, 0, 1, 1)}
+        )
+        assert ours.expand(2, node) == (
+            (0, 0, 0, 0), (1, 1, 1, 1), (0, 0, 0, 0), (1, 1, 1, 1)
+        )
+        assert theirs.expand(2, node) == (
+            (0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0), (0, 0, 1, 1)
+        )
+
+    def test_typed_images_never_collide(self, config4):
+        """``True == 1``, but an expansion must keep the leaf it was given."""
+        store = ArrayStore(4)
+        node = store.intern((1, 1, 1, 1))
+        ints = self.processor(config4, store, {1: (1, 1, 1, 1)})
+        bools = self.processor(config4, store, {1: (True, True, True, True)})
+        assert ints.expand(2, node) == bools.expand(2, node)
+        assert {type(leaf) for leaf in ints.expand(2, node)[0]} == {int}
+        assert {type(leaf) for leaf in bools.expand(2, node)[0]} == {bool}
+
+    def test_undefined_results_are_never_memoised(self, config4):
+        store = ArrayStore(4)
+        node = store.intern((1, 2, 3, 4))
+        partial = dict(self.CORES)
+        del partial[4]
+        expansion = self.processor(config4, store, partial)
+        assert is_bottom(expansion.expand(2, node))
+        assert not expansion.defined(2, node)
+        assert store.expansions == {}
+        # ... and becomes defined once the missing decision lands.
+        expansion.set_out(2, 4, store.intern(self.CORES[4]))
+        assert expansion.defined(2, node)
+        assert expansion.expand(2, node) == tuple(
+            self.CORES[q] for q in (1, 2, 3, 4)
+        )
+
+    def test_defined_builds_nothing(self, config4):
+        store = ArrayStore(4)
+        node = store.intern((1, 2, 3, 4))
+        expansion = self.processor(config4, store)
+        size = len(store)
+        assert expansion.defined(2, node)
+        assert (len(store), store.expansions) == (size, {})
+
+    def test_plain_out_entries_share_too(self, config4):
+        """A decided value may be a Byzantine voter's plain tuple."""
+        store = ArrayStore(4)
+        node = store.intern((1, 2, 3, 4))
+        canonical = self.processor(config4, store).expand(2, node)
+        plain = ExpansionState(config4, [0, 1], store=store)
+        for sender, core in self.CORES.items():
+            plain.set_out(2, sender, core)  # not interned
+        assert plain.expand(2, node) is canonical
+
+    def test_memo_is_dropped_with_the_shared_stores(self, config4):
+        clear_shared_stores()
+        store = shared_store(4)
+        self.processor(config4, store).expand(2, store.intern((1, 2, 3, 4)))
+        assert store.expansions
+        release_shared_stores()
+        assert shared_store(4) is not store
+        assert shared_store(4).expansions == {}
+        clear_shared_stores()

@@ -97,8 +97,8 @@ class TestAgreementBatch:
 class TestCompactPayload:
     def test_votes_for_lookup(self):
         payload = CompactPayload(main="core", votes=((2, ("a", "b")),))
-        assert payload.votes_for(2) == ("a", "b")
-        assert is_bottom(payload.votes_for(3))
+        assert dict(payload.vote_slots()) == {2: ("a", "b")}
+        assert payload.vote_slots() is payload.votes  # well-formed: no copy
 
     def test_payload_is_null(self):
         assert payload_is_null(CompactPayload(main=BOTTOM))
@@ -114,6 +114,45 @@ class TestCompactPayload:
         assert payload_is_null(BOTTOM)
         assert payload_is_null(NULL_MESSAGE)
         assert not payload_is_null("x")
+
+
+#: ``votes`` a Byzantine sender can put in a payload that is not a tuple
+#: of ``(boundary, vote_tuple)`` pairs.
+HOSTILE_VOTES = [7, None, (5,), ((1, 2, 3),), ([2], [3])]
+
+
+@pytest.mark.parametrize("votes", HOSTILE_VOTES, ids=repr)
+class TestMalformedVotesFailClosed:
+    """A malformed ``votes`` field is "no votes from this sender this
+    round": no slots, 0 bits, null — and never an exception out of a
+    correct processor's ``receive`` or the meters."""
+
+    def test_no_slots(self, votes):
+        assert CompactPayload(main=BOTTOM, votes=votes).vote_slots() == ()
+
+    def test_sized_as_its_main_component_alone(self, config, votes):
+        sizer = compact_sizer(config, value_alphabet_size=2)
+        assert sizer(CompactPayload(main=BOTTOM, votes=votes)) == 0
+        assert sizer(CompactPayload(main=(0, 1, 0, 1), votes=votes)) == sizer(
+            CompactPayload(main=(0, 1, 0, 1))
+        )
+
+    def test_null_iff_its_main_component_is(self, votes):
+        assert payload_is_null(CompactPayload(main=BOTTOM, votes=votes))
+        assert not payload_is_null(CompactPayload(main="core", votes=votes))
+
+
+def test_malformed_slots_are_dropped_one_by_one(config):
+    """A well-formed slot next to a malformed one still counts."""
+    good = (2, ("vote", NULL_MESSAGE, BOTTOM, BOTTOM))
+    payload = CompactPayload(
+        main=BOTTOM,
+        votes=(good, (3, "not a tuple"), ("3", ()), (4,), [5, ()], good),
+    )
+    assert payload.vote_slots() == (good, good)
+    assert not payload_is_null(payload)
+    sizer = compact_sizer(config, value_alphabet_size=2)
+    assert sizer(payload) == 2 * sizer(CompactPayload(main=BOTTOM, votes=(good,)))
 
 
 class TestCompactSizer:

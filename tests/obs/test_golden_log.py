@@ -7,6 +7,14 @@ separators, escapes — is part of the on-disk contract, under the
 lockstep scheduler and the async one, and a capped log must roll over
 at the same records.  Only the wall-clock ``profile`` record is
 excluded (it is flagged ``"nondeterministic": true``).
+
+The pin is in two parts.  ``GOLDEN`` hashes every deterministic line
+except the closing ``counters`` record (re-recorded, over the same
+bytes, at the parent of the PR that split it).  That record names
+cache and kernel counters, which are *meant* to move when a PR removes
+redundant work, so it is pinned as the literal ``COUNTERS`` instead:
+a review shows exactly which counters a change moved, and nothing else
+in the log can hide behind them.
 """
 
 import hashlib
@@ -29,18 +37,50 @@ from repro.types import SystemConfig
 
 GOLDEN = {
     "lockstep": (
-        14833,
-        "91c86149322260b1ec49ca94fe4e6fb1300be7100b77f358751fc759c57bdf63",
+        14832,
+        "3a062e34107c6296c3cc3fff946e9e0871c071f9375b14183e96ad0315edfd4a",
     ),
     "async:3:7": (
-        14833,
-        "7fa28e693ecfc6393f89d4ce8314904f442d5039312ff4e42f1c6a3736843c77",
+        14832,
+        "690628fc70c4aeb707539472620901e023ca5873503f328ea3487b17d97a0df6",
     ),
+}
+
+#: The closing ``counters`` record, the same under both schedulers.
+#: Against the parent of the PR that made Protocol 3's rounds
+#: delta-driven: ``arrays.intern.hit`` was 5181 (expansions are now
+#: built once per store, not once per processor), ``compact.expansion``
+#: was hit 2326 / miss 830 (a miss is now a build, shared store-wide;
+#: a hit is an expansion that needed none), the two
+#: ``compact.avalanche.*`` names are new, and ``fullinfo.legality.*``
+#: appear because CORE admission goes through the ``ReceiveGate`` that
+#: counts them.  Every other value is the parent's.
+COUNTERS = {
+    "arrays.flat.rows": 59,
+    "arrays.intern.hit": 909,
+    "arrays.intern.miss": 59,
+    "compact.avalanche.skipped": 2480,
+    "compact.avalanche.tallied": 3400,
+    "compact.expansion.hit": 1360,
+    "compact.expansion.miss": 76,
+    "eig.decision.hit": 100,
+    "eig.decision.miss": 20,
+    "eig.kernel.flat": 20,
+    "fullinfo.legality.hit": 650,
+    "fullinfo.legality.miss": 710,
+    "net.bits": 224056,
+    "net.messages": 5880,
+    "net.non_null_messages": 4256,
+    "net.size_cache.hit": 9240,
+    "net.size_cache.miss": 840,
+    "runs": 24,
+    "sweep.cells": 24,
 }
 
 CAP_BYTES = 400_000
 #: ``(first step, deterministic lines)`` of each part of the lockstep
-#: log written under ``CAP_BYTES``.
+#: log written under ``CAP_BYTES``; the last part ends with the
+#: ``counters`` record.
 GOLDEN_PARTS = [
     (1, 3164), (3165, 3145), (6310, 3128), (9438, 3105), (12543, 2291),
 ]
@@ -86,13 +126,24 @@ def _deterministic_lines(path):
     ]
 
 
+def _check_against_golden(lines, scheduler):
+    """The pinned digest over all but the ``counters`` line, then that."""
+    counters = [line for line in lines if b'"kind": "counters"' in line]
+    assert counters == lines[-1:]
+    rest = lines[:-1]
+    digest = hashlib.sha256(b"".join(rest)).hexdigest()
+    assert (len(rest), digest) == GOLDEN[scheduler]
+    record = json.loads(counters[0])
+    assert record["counters"] == COUNTERS
+    assert record["step"] == len(lines)
+
+
 @pytest.mark.parametrize("scheduler", sorted(GOLDEN))
 def test_deterministic_records_match_the_pinned_digest(scheduler, tmp_path):
     path = tmp_path / "events.jsonl"
     _write_grid_log(path, scheduler)
     lines = _deterministic_lines(path)
-    digest = hashlib.sha256(b"".join(lines)).hexdigest()
-    assert (len(lines), digest) == GOLDEN[scheduler]
+    _check_against_golden(lines, scheduler)
     assert check_closedness([json.loads(line) for line in lines]) == []
 
 
@@ -109,8 +160,7 @@ def test_capped_log_rolls_over_at_the_pinned_records(tmp_path):
             lines.extend(part_lines)
     assert parts == GOLDEN_PARTS
     # rotation moves file boundaries, never bytes
-    digest = hashlib.sha256(b"".join(lines)).hexdigest()
-    assert (len(lines), digest) == GOLDEN["lockstep"]
+    _check_against_golden(lines, "lockstep")
 
 
 def test_pooled_log_is_exactly_the_stdlib_encoding(tmp_path):

@@ -11,10 +11,13 @@ import subprocess
 import sys
 
 from repro.adversary import EquivocatingAdversary, SilentAdversary
+from repro.adversary.base import Adversary
 from repro.analysis.sweeps import standard_adversary_makers, sweep
 from repro.avalanche.protocol import avalanche_factory
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
+from repro.compact.payload import CompactPayload
 from repro.obs import EventLog, Observer, observing, validate_records
+from repro.obs.summarize import summarize_records
 from repro.runtime.engine import run_protocol
 
 
@@ -99,6 +102,66 @@ class TestObservedRun:
             adversary=EquivocatingAdversary([4], 0, 1),
         )
         assert result.decisions
+
+
+class RevotingAdversary(Adversary):
+    """Casts a fresh non-null vote in every slot of every batch, every
+    round — the delta-driven batch's worst case."""
+
+    def outgoing(self, round_number, sender, context):
+        messages = {}
+        for receiver in self.config.process_ids:
+            template = context.sample_correct_message(receiver)
+            messages[receiver] = CompactPayload(
+                main=template.main,
+                votes=tuple(
+                    (boundary, (f"noise-{round_number}",) * len(votes))
+                    for boundary, votes in template.votes
+                ),
+            )
+        return messages
+
+
+class TestAvalancheWorkCounters:
+    """``compact.avalanche.{tallied,skipped}``: how many avalanche
+    instances a run re-tallied and how many it left alone."""
+
+    def run(self, config, adversary=None):
+        log = EventLog()
+        inputs = {p: p % 2 for p in config.process_ids}
+        with observing(Observer(events=log)):
+            result = run_compact_byzantine_agreement(
+                config, inputs, value_alphabet=[0, 1], k=1, adversary=adversary
+            )
+        batches = [
+            batch
+            for process in result.processes.values()
+            for batch in process._batches.values()
+        ]
+        return batches, summarize_records(log.records)["counters"]
+
+    def test_fault_free_run_tallies_two_rounds_per_batch(self, config7):
+        batches, counters = self.run(config7)
+        n = config7.n
+        steps = [batch.rounds_stepped for batch in batches]
+        # Seven rounds, batches started in rounds 2 and 5.
+        assert sorted(steps) == [2] * n + [5] * n
+        # A batch's first two steps run different rules and always
+        # tally; after that nothing changes, so nothing is tallied.
+        assert counters["compact.avalanche.tallied"] == 2 * n * len(batches)
+        assert (
+            counters["compact.avalanche.tallied"]
+            + counters["compact.avalanche.skipped"]
+            == n * sum(steps)
+        )
+
+    def test_a_revoting_sender_shows_up_as_tallies(self, config7):
+        batches, counters = self.run(config7, RevotingAdversary([1, 2]))
+        n = config7.n
+        steps = sum(batch.rounds_stepped for batch in batches)
+        # Every round dirties every row: nothing is ever skipped.
+        assert counters["compact.avalanche.tallied"] == n * steps
+        assert counters["compact.avalanche.skipped"] == 0
 
 
 class TestObservedSweep:
