@@ -13,12 +13,19 @@ functions built from avalanche agreement outcomes.
   with null-message coding on the wire,
 * :mod:`repro.compact.payload` — the ``(x + 1)``-tuple round messages
   and their exact bit sizer,
-* :mod:`repro.compact.protocol` — Protocol 3 itself,
+* :mod:`repro.compact.driver` — the block loop, written once for every
+  fault model,
+* :mod:`repro.compact.protocol` — Protocol 3 itself: the driver with
+  avalanche-agreed references,
 * :mod:`repro.compact.byzantine_agreement` — Corollary 10: Byzantine
   agreement in ``(1 + eps)(t + 1)`` rounds with polynomial
   communication,
+* :mod:`repro.compact.lazy_decision` — the same, deciding on the
+  compressed state in polynomial space,
 * :mod:`repro.compact.crash_variant` — the benign-fault extension with
-  *no* round overhead (Section 1's claim, experiment E8).
+  *no* round overhead (Section 1's claim, experiment E8),
+* :mod:`repro.compact.authenticated_variant` — the same zero overhead
+  under Byzantine faults, given signatures.
 """
 
 from repro.compact.expansion import ExpansionState
@@ -36,7 +43,6 @@ from repro.compact.crash_variant import (
     flooding_decision_rule,
 )
 from repro.compact.lazy_decision import (
-    attach_lazy_decision,
     full_state_leaf,
     lazy_compact_ba_factory,
     lazy_eig_decision,
@@ -59,7 +65,6 @@ __all__ = [
     "CrashCompactProcess",
     "crash_compact_factory",
     "flooding_decision_rule",
-    "attach_lazy_decision",
     "full_state_leaf",
     "lazy_compact_ba_factory",
     "lazy_eig_decision",

@@ -45,13 +45,17 @@ else here.  The decision rule (EIG) still requires ``n >= 3t + 1``.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.arrays.encoding import MessageSizer
-from repro.errors import ConfigurationError, ProtocolViolation
+from repro.arrays.value_array import is_index_scalar
+from repro.compact.driver import BlockDriver
+from repro.compact.expansion import BindingExpansion
+from repro.errors import ConfigurationError
 from repro.fullinfo.decision import make_eig_decision_rule
+from repro.fullinfo.protocol import DecisionRule
 from repro.runtime.crypto import SignatureOracle
-from repro.runtime.node import Process, broadcast
+from repro.runtime.node import broadcast
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
 
 # A binding key: (block, owner, digest).
@@ -71,18 +75,46 @@ def _signed_payload(block: int, digest: str) -> Tuple:
     return ("auth-core", block, digest)
 
 
-#: Protoflow taint: received cores and certificates pass signature +
-#: shape + expandability validation before use (docs/statics.md).
+def _signed_core(main: Any) -> Optional[Tuple[Any, Any]]:
+    """``(core, signature)`` of a phase-1 ``("signed", core, signature)``
+    main component, ``None`` for anything else."""
+    if isinstance(main, tuple) and len(main) == 3 and main[0] == "signed":
+        return main[1], main[2]
+    return None
+
+
+def _certificates_of(payload: Any, n: int) -> List[Tuple]:
+    """The well-formed ``("cert", owner, block, core, signature)`` patches.
+
+    The one fail-closed reading of a field a Byzantine sender controls,
+    shared by the receiver and the sizer: a payload that is not a dict,
+    ``patches`` that is not a tuple, or an entry that is not a ``cert``
+    5-tuple naming an owner id and a block ``>= 2`` is no certificate —
+    0 bits, never an exception.  Nothing here looks inside ``core``.
+    """
+    patches = payload.get("patches") if isinstance(payload, dict) else None
+    if not isinstance(patches, tuple):
+        return []
+    return [
+        entry
+        for entry in patches
+        if isinstance(entry, tuple)
+        and len(entry) == 5
+        and entry[0] == "cert"
+        and is_index_scalar(entry[1], n)
+        and isinstance(entry[2], int)
+        and entry[2] >= 2
+    ]
+
+
+#: Protoflow taint: received cores and certificates pass shape +
+#: signature + expandability validation before use (docs/statics.md).
 TAINT_SANITIZERS = {
-    "_learn_certificate": (
-        "verifies the owner's signature over (block, digest), checks "
-        "the CORE shape and that its references are already defined; "
-        "only then does the certificate enter the expansion"
-    ),
-    "_core_shape_ok": (
-        "structural legality of a received CORE: exact depth, exact "
-        "width n at every level, alphabet leaves or refs exactly where "
-        "the block structure requires them"
+    "_bind_certificate": (
+        "checks the CORE shape before anything walks or hashes it, "
+        "then the owner's signature over (block, digest) and that its "
+        "references are already defined; only then does the "
+        "certificate enter the expansion"
     ),
     "digest_of": (
         "a 16-hex-digit sha256 commitment: constant size, collision "
@@ -102,87 +134,46 @@ MESSAGE_BOUNDS = {
 }
 
 
-class AuthExpansion:
-    """Content-addressed expansion functions with used-key tracking."""
+class AuthExpansion(BindingExpansion):
+    """Content-addressed expansion functions with used-key tracking.
+
+    A reference is the scalar ``("ref", owner, digest)``, bound under
+    ``(block, owner, digest)``; every key a lookup resolves through is
+    recorded in :attr:`touched`.
+    """
 
     def __init__(self, config: SystemConfig, value_alphabet: Sequence[Value]):
-        self.config = config
-        self._alphabet = frozenset(value_alphabet)
-        self._bindings: Dict[BindingKey, Any] = {}
-        self._cache: Dict[Tuple[int, Any], Any] = {}
+        super().__init__(config, value_alphabet)
         self.touched: Set[BindingKey] = set()
 
-    def learn(self, key: BindingKey, core: Any) -> bool:
-        """Store a certificate's content; returns True when new."""
-        if key in self._bindings:
-            if self._bindings[key] != core:
-                # Same digest, different content: a hash collision or
-                # a library bug, never legitimate traffic.
-                raise ProtocolViolation(f"digest collision on {key}")
-            return False
-        self._bindings[key] = core
-        return True
-
-    def has(self, key: BindingKey) -> bool:
-        return key in self._bindings
-
-    def binding(self, key: BindingKey) -> Any:
-        return self._bindings.get(key, BOTTOM)
-
-    def _is_ref(self, scalar: Any) -> bool:
+    def is_reference(self, scalar: Any) -> bool:
         return (
             isinstance(scalar, tuple)
             and len(scalar) == 3
             and scalar[0] == "ref"
-            and isinstance(scalar[1], int)
-            and not isinstance(scalar[1], bool)
-            and 1 <= scalar[1] <= self.config.n
+            and is_index_scalar(scalar[1], self.config.n)
             and isinstance(scalar[2], str)
         )
 
-    def expand_scalar(self, block: int, scalar: Any) -> Any:
-        if block == 1:
-            try:
-                return scalar if scalar in self._alphabet else BOTTOM
-            except TypeError:
-                return BOTTOM
-        if not self._is_ref(scalar):
-            return BOTTOM
+    def _resolve(self, block: int, scalar: Any) -> Any:
+        if not self.is_reference(scalar):
+            return None
         key = (block, scalar[1], scalar[2])
         bound = self._bindings.get(key)
-        if bound is None:
-            return BOTTOM
-        self.touched.add(key)
-        return self.expand(block - 1, bound)
-
-    def expand(self, block: int, array: Any) -> Any:
-        if is_bottom(array):
-            return BOTTOM
-        if not isinstance(array, tuple) or self._is_ref(array):
-            return self.expand_scalar(block, array)
-        try:
-            cache_key = (block, array)
-            if cache_key in self._cache:
-                return self._cache[cache_key]
-        except TypeError:
-            cache_key = None
-        expanded = []
-        for component in array:
-            result = self.expand(block, component)
-            if is_bottom(result):
-                return BOTTOM
-            expanded.append(result)
-        result_tuple = tuple(expanded)
-        if cache_key is not None:
-            self._cache[cache_key] = result_tuple
-        return result_tuple
-
-    def defined(self, block: int, array: Any) -> bool:
-        return not is_bottom(self.expand(block, array))
+        if bound is not None:
+            self.touched.add(key)
+        return bound
 
 
-class AuthCompactProcess(Process):
-    """One processor of the authenticated compact protocol."""
+class AuthCompactProcess(BlockDriver):
+    """One processor of the authenticated compact protocol.
+
+    On the shared block driver with no overhead rounds: a reference is
+    ``("ref", owner, digest)``, bound by the owner's signed certificate;
+    an unusable message is replaced by the receiver's own CORE (the
+    Theorem 9 Case 3 substitution); the side channel carries each
+    certificate a processor newly *used*, once.
+    """
 
     def __init__(
         self,
@@ -192,229 +183,101 @@ class AuthCompactProcess(Process):
         k: int,
         value_alphabet: Sequence[Value],
         oracle: SignatureOracle,
-        decision_rule: Optional[Callable[[Any, int, ProcessId], Value]] = None,
+        decision_rule: Optional[DecisionRule] = None,
         horizon: Optional[int] = None,
     ):
-        super().__init__(process_id, config)
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        alphabet = frozenset(value_alphabet)
-        if input_value not in alphabet:
-            raise ConfigurationError(
-                f"input {input_value!r} outside the value alphabet"
-            )
-        self.k = k
-        self._alphabet = alphabet
+        super().__init__(
+            process_id, config, input_value, k, 0, value_alphabet,
+            decision_rule, horizon,
+        )
         self.oracle = oracle
         self.expansion = AuthExpansion(config, value_alphabet)
-        self._decision_rule = decision_rule
-        self._horizon = horizon
-        self.core: Any = input_value
-        self.core_boundary: int = 1
         # Certificates by binding key, for (single-shot) re-broadcast.
         self._certificates: Dict[BindingKey, Tuple] = {}
         self._attached: Set[BindingKey] = set()
-        self._last_round: Round = 0
-
-    # -- block arithmetic: blocks of exactly k rounds -----------------------
-
-    def _phase(self, round_number: Round) -> int:
-        return (round_number - 1) % self.k + 1
-
-    def _block(self, round_number: Round) -> int:
-        return (round_number - 1) // self.k + 1
-
-    # -- sending ----------------------------------------------------------------
+        # What the next outgoing() sends, readied by _prepare_send().
+        self._main: Any = input_value
+        self._patches: Tuple = ()
 
     def outgoing(self, round_number: Round) -> Dict[ProcessId, Any]:
-        phase = self._phase(round_number)
-        if phase == 1 and round_number > 1:
-            block = self._block(round_number)
+        return broadcast(
+            {"main": self._main, "patches": self._patches}, self.config
+        )
+
+    def _prepare_send(self, next_round: Round) -> None:
+        self._main = self.core
+        if self.schedule.is_block_start(next_round):
+            # The end-of-block CORE travels signed by its owner, and is
+            # a binding its owner relies on like any other.
+            block = self.schedule.block(next_round)
             digest = digest_of(self.core)
             signature = self.oracle.sign(
                 self.process_id, _signed_payload(block, digest)
             )
-            main: Any = ("signed", self.core, signature)
-            # Our own end-of-block CORE is a binding we rely on.
             key = (block, self.process_id, digest)
             self.expansion.learn(key, self.core)
             self.expansion.touched.add(key)
             self._certificates[key] = (
                 "cert", self.process_id, block, self.core, signature,
             )
-        else:
-            main = self.core
-        patches = self._fresh_used_certificates()
-        return broadcast({"main": main, "patches": patches}, self.config)
+            self._main = ("signed", self.core, signature)
+        fresh = sorted(self.expansion.touched - self._attached)
+        self._attached.update(fresh)
+        self._patches = tuple(self._certificates[key] for key in fresh)
 
-    def _fresh_used_certificates(self) -> Tuple:
-        fresh = []
-        for key in sorted(self.expansion.touched - self._attached):
-            certificate = self._certificates.get(key)
-            if certificate is not None:
-                fresh.append(certificate)
-                self._attached.add(key)
-        return tuple(fresh)
+    # -- the side channel: certificates ----------------------------------------
 
-    # -- receiving -----------------------------------------------------------------
-
-    def receive(self, round_number: Round, incoming: Dict[ProcessId, Any]) -> None:
-        phase = self._phase(round_number)
-        block = self._block(round_number)
-        payloads = {
-            sender: message if isinstance(message, dict) else {}
-            for sender, message in incoming.items()
-        }
-        self._absorb_certificates(payloads)
-
-        if phase == 1 and round_number > 1:
-            self._rebase(block, payloads)
-        else:
-            self._exchange(phase, block, payloads)
-
-        self._last_round = round_number
-        self._maybe_decide(round_number)
-
-    def _absorb_certificates(self, payloads: Dict[ProcessId, dict]) -> None:
-        entries: List[Tuple] = []
-        for sender in self.config.process_ids:
-            patches = payloads[sender].get("patches", ())
-            if isinstance(patches, tuple):
-                entries.extend(
-                    entry for entry in patches
-                    if isinstance(entry, tuple) and len(entry) == 5
-                )
+    def _side_channel(self, incoming: Dict[ProcessId, Any]) -> None:
+        entries = [
+            entry
+            for sender in self.config.process_ids
+            for entry in _certificates_of(incoming.get(sender), self.config.n)
+        ]
         # Lower blocks first: certificates may depend on one another.
-        def block_of(entry):
-            return entry[2] if isinstance(entry[2], int) else 0
+        entries.sort(key=lambda entry: entry[2])
+        for entry in entries:
+            self._bind_certificate(entry)
 
-        for entry in sorted(entries, key=block_of):
-            self._learn_certificate(entry)
+    def _bind_certificate(self, certificate: Tuple) -> Optional[BindingKey]:
+        """The key ``certificate`` binds, or ``None`` if it is invalid.
 
-    def _learn_certificate(self, entry: Tuple) -> bool:
-        tag, owner, block, core, signature = entry
-        if tag != "cert":
-            return False
-        if not (
-            isinstance(owner, int)
-            and not isinstance(owner, bool)
-            and 1 <= owner <= self.config.n
-            and isinstance(block, int)
-            and block >= 2
-        ):
-            return False
+        The depth-bounded shape test runs before anything walks, hashes
+        or signs the received ``core``; a key that is already bound
+        vouches for every further copy of its content.
+        """
+        _, owner, block, core, signature = certificate
+        if not self._shape_ok(core, self.k, block - 1):
+            return None
         digest = digest_of(core)
-        if not self.oracle.verify(
-            signature, owner, _signed_payload(block, digest)
-        ):
-            return False
-        if not self._core_shape_ok(core, self.k, block - 1):
-            return False
-        if not self.expansion.defined(block - 1, core):
-            return False
         key = (block, owner, digest)
-        if self.expansion.learn(key, core):
-            self._certificates[key] = entry
-            return True
-        return False
+        if not self.expansion.has(key) and not (
+            self.oracle.verify(signature, owner, _signed_payload(block, digest))
+            and self.expansion.defined(block - 1, core)
+        ):
+            return None
+        if self.expansion.learn(key, core):  # raises on a digest collision
+            self._certificates[key] = certificate
+        return key
 
-    def _rebase(self, block: int, payloads: Dict[ProcessId, dict]) -> None:
-        own_digest = digest_of(self.core)
+    # -- main-component state changes ------------------------------------------
+
+    def _rebase(self, block: int, incoming: Dict[ProcessId, Any]) -> None:
+        # Unusable: the Theorem 9 Case 3 substitution, our own state.
+        own = (block, self.process_id, digest_of(self.core))
         components = []
         for sender in self.config.process_ids:
-            main = payloads[sender].get("main")
-            reference = None
-            if (
-                isinstance(main, tuple)
-                and len(main) == 3
-                and main[0] == "signed"
-            ):
-                _, core, signature = main
-                if self._learn_certificate(
-                    ("cert", sender, block, core, signature)
-                ) or self.expansion.has((block, sender, digest_of(core))):
-                    reference = ("ref", sender, digest_of(core))
-            if reference is None:
-                # The Theorem 9 Case 3 substitution: our own state.
-                reference = ("ref", self.process_id, own_digest)
-            key = (block, reference[1], reference[2])
+            key = None
+            signed = _signed_core(self._main_of(incoming.get(sender)))
+            if signed is not None:
+                key = self._bind_certificate(("cert", sender, block) + signed)
+            if key is None:
+                key = own
             self.expansion.touched.add(key)
-            components.append(reference)
-        self.core = tuple(components)
-        self.core_boundary = block
-        self._assert_expandable()
+            components.append(("ref", key[1], key[2]))
+        self._set_core(tuple(components), block)
 
-    def _exchange(
-        self, phase: int, block: int, payloads: Dict[ProcessId, dict]
-    ) -> None:
-        expected_depth = phase - 1
-        components = []
-        for sender in self.config.process_ids:
-            main = payloads[sender].get("main", BOTTOM)
-            if self._core_shape_ok(
-                main, expected_depth, block
-            ) and self.expansion.defined(block, main):
-                components.append(main)
-            else:
-                components.append(self.core)
-        self.core = tuple(components)
-        self.core_boundary = block
-        self._assert_expandable()
-
-    # -- validation --------------------------------------------------------------------
-
-    def _core_shape_ok(self, array: Any, depth: int, block: int) -> bool:
-        if is_bottom(array):
-            return False
-        if depth == 0:
-            if block == 1:
-                try:
-                    return array in self._alphabet
-                except TypeError:
-                    return False
-            return self.expansion._is_ref(array)
-        if self.expansion._is_ref(array):
-            return False  # a ref where a tuple level is expected
-        if not isinstance(array, tuple) or len(array) != self.config.n:
-            return False
-        return all(
-            self._core_shape_ok(component, depth - 1, block)
-            for component in array
-        )
-
-    def _assert_expandable(self) -> None:
-        if not self.expansion.defined(self.core_boundary, self.core):
-            raise ProtocolViolation(
-                f"processor {self.process_id}: authenticated CORE became "
-                f"non-expandable"
-            )
-
-    # -- decisions ------------------------------------------------------------------------
-
-    def full_state(self) -> Any:
-        expanded = self.expansion.expand(self.core_boundary, self.core)
-        if is_bottom(expanded):
-            raise ProtocolViolation("FULL_STATE undefined")
-        return expanded
-
-    def _maybe_decide(self, round_number: Round) -> None:
-        if self._decision_rule is None or self.has_decided():
-            return
-        if self._horizon is not None and round_number < self._horizon:
-            return
-        value = self._decision_rule(
-            self.full_state(), round_number, self.process_id
-        )
-        if value is not BOTTOM:
-            self.decide(value, round_number)
-
-    def snapshot(self) -> Any:
-        return {
-            "core": self.core,
-            "core_boundary": self.core_boundary,
-            "simul": self._last_round,  # every round is progress
-            "decision": self.decision,
-        }
+    def _main_of(self, message: Any) -> Any:
+        return message.get("main", BOTTOM) if isinstance(message, dict) else BOTTOM
 
 
 def auth_compact_ba_factory(
@@ -454,7 +317,7 @@ def auth_compact_ba_factory(
 
 
 def auth_sizer(config: SystemConfig, value_alphabet_size: int):
-    """Bit measure: arrays as usual, 128-bit digests, 64-bit signatures."""
+    """Bit measure: arrays as usual, 64-bit digests, 64-bit signatures."""
     sizer = MessageSizer(value_alphabet_size, config.n)
     DIGEST_BITS = 64  # 16 hex chars
     SIGNATURE_BITS = 64
@@ -471,23 +334,15 @@ def auth_sizer(config: SystemConfig, value_alphabet_size: int):
     def measure(payload: Any) -> int:
         if not isinstance(payload, dict):
             return 0
-        total = 0
         main = payload.get("main", BOTTOM)
-        if (
-            isinstance(main, tuple)
-            and len(main) == 3
-            and main[0] == "signed"
-        ):
-            total += measure_core(main[1]) + SIGNATURE_BITS
-        else:
-            total += measure_core(main)
-        for entry in payload.get("patches", ()):
-            if isinstance(entry, tuple) and len(entry) == 5:
-                total += (
-                    sizer.measure(entry[1])
-                    + measure_core(entry[3])
-                    + SIGNATURE_BITS
-                )
+        signed = _signed_core(main)
+        total = (
+            measure_core(main)
+            if signed is None
+            else measure_core(signed[0]) + SIGNATURE_BITS
+        )
+        for _, owner, _, core, _ in _certificates_of(payload, config.n):
+            total += sizer.measure(owner) + measure_core(core) + SIGNATURE_BITS
         return total
 
     return measure

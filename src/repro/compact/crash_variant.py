@@ -45,8 +45,11 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.arrays.encoding import MessageSizer
 from repro.arrays.value_array import array_leaves, is_index_scalar
-from repro.errors import ConfigurationError, ProtocolViolation
-from repro.runtime.node import Process, broadcast
+from repro.compact.driver import BlockDriver
+from repro.compact.expansion import BindingExpansion
+from repro.errors import ProtocolViolation
+from repro.fullinfo.protocol import DecisionRule
+from repro.runtime.node import broadcast
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
 
 
@@ -79,97 +82,80 @@ class CrashPayload:
     main: Any
     patches: Tuple[Tuple[BindingKey, Any], ...] = ()
 
+    def patch_entries(self, n: int) -> Tuple[Tuple[BindingKey, Any], ...]:
+        """The well-formed ``((boundary, sender), value)`` patches.
 
-class CrashExpansion:
+        The one fail-closed reading of a field a faulty sender
+        controls, for receiver and sizer alike: ``patches`` that is not
+        a tuple, or an entry not keyed by a ``(boundary, sender id)``
+        pair, is no patch — 0 bits, never an exception.  Whether the
+        value is a usable binding is the receiver's test.
+        """
+        patches = self.patches
+        if not isinstance(patches, tuple):
+            return ()
+        return tuple(
+            entry
+            for entry in patches
+            if isinstance(entry, tuple)
+            and len(entry) == 2
+            and isinstance(entry[0], tuple)
+            and len(entry[0]) == 2
+            and isinstance(entry[0][0], int)
+            and not isinstance(entry[0][0], bool)
+            and is_index_scalar(entry[0][1], n)
+        )
+
+
+def _payload(message: Any) -> CrashPayload:
+    """``message`` as a payload; anything else is a silent sender's."""
+    return message if isinstance(message, CrashPayload) else CrashPayload(BOTTOM)
+
+
+class CrashExpansion(BindingExpansion):
     """Expansion functions for the benign variant: a binding store.
 
-    ``phi_1`` is the identity on values (and on :data:`CRASHED`);
-    ``phi_b(q) = phi_{b-1}(binding[(b, q)])`` as in the Byzantine
-    construction, except the bindings come from remembered broadcasts
-    and patches instead of avalanche agreement.
+    ``phi_1`` is the identity on values, ``phi_b(q) =
+    phi_{b-1}(binding[(b, q)])`` as in the Byzantine construction,
+    except that the bindings come from remembered broadcasts and
+    patches instead of avalanche agreement — and :data:`CRASHED`
+    expands to itself under every ``phi_b``.
     """
-
-    def __init__(self, config: SystemConfig, value_alphabet: Sequence[Value]):
-        self.config = config
-        self._alphabet = frozenset(value_alphabet)
-        self._bindings: Dict[BindingKey, Any] = {}
-        self._cache: Dict[Tuple[int, Any], Any] = {}
-
-    def learn(self, key: BindingKey, value: Any) -> bool:
-        """Store a binding; returns True when it is new.
-
-        In a crash model two copies of one binding can never differ; a
-        difference means the execution is not benign and raises.
-        """
-        if key in self._bindings:
-            if self._bindings[key] != value:
-                raise ProtocolViolation(
-                    f"binding {key} has two distinct values — the fault "
-                    f"model is not benign"
-                )
-            return False
-        self._bindings[key] = value
-        return True
-
-    def has(self, key: BindingKey) -> bool:
-        return key in self._bindings
-
-    def binding(self, key: BindingKey) -> Any:
-        return self._bindings.get(key, BOTTOM)
 
     def expand_scalar(self, boundary: int, scalar: Any) -> Any:
         if scalar is CRASHED:
             return CRASHED
-        if boundary == 1:
-            try:
-                return scalar if scalar in self._alphabet else BOTTOM
-            except TypeError:
-                return BOTTOM
-        if not is_index_scalar(scalar, self.config.n):
-            return BOTTOM
-        bound = self._bindings.get((boundary, scalar))
-        if bound is None:
-            return BOTTOM
-        return self.expand(boundary - 1, bound)
+        return super().expand_scalar(boundary, scalar)
 
-    def expand(self, boundary: int, array: Any) -> Any:
-        if is_bottom(array):
-            return BOTTOM
-        if not isinstance(array, tuple):
-            return self.expand_scalar(boundary, array)
-        try:
-            cache_key = (boundary, array)
-            if cache_key in self._cache:
-                return self._cache[cache_key]
-        except TypeError:
-            cache_key = None
-        expanded = []
-        for component in array:
-            result = self.expand(boundary, component)
-            if is_bottom(result):
-                return BOTTOM
-            expanded.append(result)
-        result_tuple = tuple(expanded)
-        if cache_key is not None:
-            self._cache[cache_key] = result_tuple
-        return result_tuple
 
-    def defined(self, boundary: int, array: Any) -> bool:
-        return not is_bottom(self.expand(boundary, array))
-
+#: Protoflow taint: a binding enters the table only through ``_bind``.
+TAINT_SANITIZERS = {
+    "_bind": (
+        "a patch or phase-1 broadcast becomes a binding only as a "
+        "depth-k CORE of the previous block that is shaped for it and "
+        "expandable there (the driver's _usable), and a second, "
+        "different value for its key raises"
+    ),
+}
 
 #: Protoflow message-size bound (COM rule family).
 MESSAGE_BOUNDS = {
     "CrashCompactProcess": (
         "linear",
-        "the payload is a depth<=k CORE plus fresh patches drained "
-        "every round; nothing accumulates across blocks",
+        "the payload is a depth<=k CORE plus the patches learned in "
+        "the previous round only; nothing accumulates across blocks",
     ),
 }
 
 
-class CrashCompactProcess(Process):
-    """One processor of the benign-fault compact protocol."""
+class CrashCompactProcess(BlockDriver):
+    """One processor of the benign-fault compact protocol.
+
+    On the shared block driver with no overhead rounds: a reference is
+    a processor index bound by remembering that processor's phase-1
+    broadcast (or a patch of it), an unusable message is recorded as
+    :data:`CRASHED`, and the side channel carries patches.
+    """
 
     def __init__(
         self,
@@ -178,212 +164,81 @@ class CrashCompactProcess(Process):
         input_value: Value,
         k: int,
         value_alphabet: Sequence[Value],
-        decision_rule: Optional[Callable[[Any, int, ProcessId], Value]] = None,
+        decision_rule: Optional[DecisionRule] = None,
         horizon: Optional[int] = None,
     ):
-        super().__init__(process_id, config)
-        if k < 1:
-            raise ConfigurationError(f"k must be >= 1, got {k}")
-        alphabet = frozenset(value_alphabet)
-        if input_value not in alphabet:
-            raise ConfigurationError(
-                f"input {input_value!r} outside the value alphabet"
-            )
-        self.k = k
-        self._alphabet = alphabet
+        super().__init__(
+            process_id, config, input_value, k, 0, value_alphabet,
+            decision_rule, horizon,
+        )
         self.expansion = CrashExpansion(config, value_alphabet)
-        self._decision_rule = decision_rule
-        self._horizon = horizon
-        self.core: Any = input_value
-        self.core_boundary: int = 1
+        # Bindings learned in the latest receive: the next patches.
         self._fresh: List[Tuple[BindingKey, Any]] = []
-        self._last_round: Round = 0
-
-    # -- block arithmetic: blocks of exactly k rounds ----------------------
-
-    def _phase(self, round_number: Round) -> int:
-        return (round_number - 1) % self.k + 1
-
-    def _block(self, round_number: Round) -> int:
-        return (round_number - 1) // self.k + 1
-
-    # -- sending -------------------------------------------------------------
 
     def outgoing(self, round_number: Round) -> Dict[ProcessId, Any]:
-        patches = tuple(self._fresh)
-        self._fresh = []
         return broadcast(
-            CrashPayload(main=self.core, patches=patches), self.config
+            CrashPayload(main=self.core, patches=tuple(self._fresh)), self.config
         )
 
-    # -- receiving --------------------------------------------------------------
+    # -- the side channel: patches ---------------------------------------------
 
-    def receive(self, round_number: Round, incoming: Dict[ProcessId, Any]) -> None:
-        phase = self._phase(round_number)
-        block = self._block(round_number)
-        payloads = {
-            sender: message
-            if isinstance(message, CrashPayload)
-            else CrashPayload(main=BOTTOM)
-            for sender, message in incoming.items()
-        }
-
-        self._absorb_patches(payloads)
-
-        if round_number == 1:
-            self._build_initial_core(payloads)
-        elif phase == 1:
-            self._store_bindings_and_rebase(block, payloads)
-        else:
-            self._exchange(phase, block, payloads)
-
-        self._last_round = round_number
-        self._maybe_decide(round_number)
-
-    def _absorb_patches(self, payloads: Dict[ProcessId, CrashPayload]) -> None:
+    def _side_channel(self, incoming: Dict[ProcessId, Any]) -> None:
+        self._fresh = []
         # Patches can depend on one another within a round (a binding
         # for boundary b references boundary b-1 bindings a peer may
         # only have learned last round too); absorbing in ascending
         # boundary order resolves every such chain in one pass.
-        entries: List[Tuple[BindingKey, Any]] = []
-        for sender in self.config.process_ids:
-            patches = payloads[sender].patches
-            if not isinstance(patches, tuple):
-                continue
-            for entry in patches:
-                if not (isinstance(entry, tuple) and len(entry) == 2):
-                    continue
-                key, value = entry
-                if (
-                    isinstance(key, tuple)
-                    and len(key) == 2
-                    and isinstance(key[0], int)
-                    and not isinstance(key[0], bool)
-                    and is_index_scalar(key[1], self.config.n)
-                ):
-                    entries.append(((key[0], key[1]), value))
-        entries.sort(key=lambda item: item[0][0])
+        entries = [
+            entry
+            for sender in self.config.process_ids
+            for entry in _payload(incoming.get(sender)).patch_entries(self.config.n)
+        ]
+        entries.sort(key=lambda entry: entry[0][0])
         for key, value in entries:
-            if self._valid_binding(key[0], value) and self.expansion.learn(
-                key, value
-            ):
-                self._fresh.append((key, value))
+            self._bind(key, value)
 
-    def _build_initial_core(self, payloads: Dict[ProcessId, CrashPayload]) -> None:
-        components = []
-        for sender in self.config.process_ids:
-            message = payloads[sender].main
-            if self._valid_core(message, expected_depth=0, block=1):
-                components.append(message)
-            else:
-                components.append(CRASHED)
-        self.core = tuple(components)
-        self.core_boundary = 1
+    def _bind(self, key: BindingKey, value: Any) -> bool:
+        """Remember ``value`` as the end-of-block CORE ``key`` names, if
+        it can be one: depth ``k``, shaped for the boundary's previous
+        block and expandable there.  True when the key is bound after
+        the call; a binding that is new is also the next round's patch.
+        """
+        boundary = key[0]
+        if boundary < 2 or not self._usable(value, self.k, boundary - 1):
+            return False
+        if self.expansion.learn(key, value):
+            self._fresh.append((key, value))
+        return True
 
-    def _store_bindings_and_rebase(
-        self, block: int, payloads: Dict[ProcessId, CrashPayload]
-    ) -> None:
+    # -- main-component state changes ---------------------------------------------
+
+    def _rebase(self, block: int, incoming: Dict[ProcessId, Any]) -> None:
         # The phase-1 message from each live sender is its end-of-
         # previous-block CORE: simultaneously this round's simulated
         # exchange and the binding table for boundary ``block``.
-        components = []
-        for sender in self.config.process_ids:
-            message = payloads[sender].main
-            if self._valid_binding(block, message):
-                if self.expansion.learn((block, sender), message):
-                    self._fresh.append(((block, sender), message))
-                components.append(sender)
-            else:
-                components.append(CRASHED)
-        self.core = tuple(components)
-        self.core_boundary = block
-
-    def _exchange(
-        self, phase: int, block: int, payloads: Dict[ProcessId, CrashPayload]
-    ) -> None:
-        expected_depth = phase - 1
-        components = []
-        for sender in self.config.process_ids:
-            message = payloads[sender].main
-            if self._valid_core(message, expected_depth, block):
-                components.append(message)
-            else:
-                components.append(CRASHED)
-        self.core = tuple(components)
-        self.core_boundary = block
-
-    # -- validation ---------------------------------------------------------------
-
-    def _leaf_ok(self, leaf: Any, block: int) -> bool:
-        if block == 1:
-            try:
-                return leaf in self._alphabet
-            except TypeError:
-                return False
-        return is_index_scalar(leaf, self.config.n)
-
-    def _shape_ok(self, message: Any, expected_depth: int, block: int) -> bool:
-        """Crash-model shape check: CRASHED is a subtree of any depth.
-
-        A missing transmission leaves a hole where a whole sub-array
-        would be, so crash-model arrays are not uniform-depth; the
-        marker is accepted in place of any component.
-        """
-        if message is CRASHED:
-            return True
-        if expected_depth == 0:
-            return self._leaf_ok(message, block)
-        if not isinstance(message, tuple) or len(message) != self.config.n:
-            return False
-        return all(
-            self._shape_ok(component, expected_depth - 1, block)
-            for component in message
+        self._set_core(
+            tuple(
+                sender
+                if self._bind((block, sender), self._main_of(incoming.get(sender)))
+                else CRASHED
+                for sender in self.config.process_ids
+            ),
+            block,
         )
 
-    def _valid_core(self, message: Any, expected_depth: int, block: int) -> bool:
-        if is_bottom(message):
-            return False
-        if not self._shape_ok(message, expected_depth, block):
-            return False
-        return self.expansion.defined(block, message)
+    def _main_of(self, message: Any) -> Any:
+        return _payload(message).main
 
-    def _valid_binding(self, boundary: int, message: Any) -> bool:
-        """A binding is an end-of-block CORE: depth ``k`` for the
-        boundary's previous block."""
-        if is_bottom(message) or boundary < 2:
-            return False
-        return self._shape_ok(
-            message, self.k, boundary - 1
-        ) and self.expansion.defined(boundary - 1, message)
+    def _stand_in(self) -> Any:
+        # A missing transmission is recorded, not substituted: the
+        # crash model's full-information "no message".
+        return CRASHED
 
-    # -- simulated state and decisions -----------------------------------------
-
-    def full_state(self) -> Any:
-        expanded = self.expansion.expand(self.core_boundary, self.core)
-        if is_bottom(expanded):
-            raise ProtocolViolation(
-                f"processor {self.process_id}: FULL_STATE undefined in the "
-                f"benign variant — the patch invariant was violated"
-            )
-        return expanded
-
-    def _maybe_decide(self, round_number: Round) -> None:
-        if self._decision_rule is None or self.has_decided():
-            return
-        if self._horizon is not None and round_number < self._horizon:
-            return
-        # Every round is a progress round: simul(r) = r.
-        value = self._decision_rule(self.full_state(), round_number, self.process_id)
-        if value is not BOTTOM:
-            self.decide(value, round_number)
-
-    def snapshot(self) -> Any:
-        return {
-            "core": self.core,
-            "core_boundary": self.core_boundary,
-            "simul": self._last_round,
-            "decision": self.decision,
-        }
+    def _shape_ok(self, array: Any, depth: int, block: int) -> bool:
+        # CRASHED is a subtree of any depth: a missing transmission
+        # leaves a hole where a whole sub-array would be, so crash-model
+        # arrays are not uniform-depth.
+        return array is CRASHED or super()._shape_ok(array, depth, block)
 
 
 def flooding_decision_rule(t: int) -> Callable[[Any, int, ProcessId], Value]:
@@ -446,7 +301,7 @@ def crash_sizer(
         if not isinstance(payload, CrashPayload):
             return 0 if is_bottom(payload) else sizer.measure(payload)
         total = 0 if is_bottom(payload.main) else sizer.measure(payload.main)
-        for key, value in payload.patches:
+        for key, value in payload.patch_entries(config.n):
             total += sizer.measure(key) + sizer.measure(value)
         return total
 

@@ -20,6 +20,11 @@ functions get *more defined* over time as avalanche decisions land
 expansion results can be memoised safely while undefined ones must
 not be.
 
+None of that depends on *who* fills the table: :class:`BindingExpansion`
+is what every fault model shares (the benign and authenticated variants
+subclass it directly), and :class:`ExpansionState` adds the
+canonical-node machinery below.
+
 **Who remembers what.**  ``phi_b`` of a canonical node is a pure
 function of the node and of the images ``phi_b(x)`` of its distinct
 leaves ``x`` — the OUT tables enter only through those images.  By the
@@ -52,8 +57,8 @@ from repro.arrays.digest import (
     value_digest,
     values_fingerprint,
 )
-from repro.arrays.partial import substitutive_apply
 from repro.arrays.store import ArrayStore, InternedArray, TypedLeaf
+from repro.arrays.value_array import is_index_scalar
 from repro.errors import ProtocolViolation
 from repro.types import BOTTOM, ProcessId, SystemConfig, Value, is_bottom
 
@@ -74,8 +79,136 @@ TAINT_SANITIZERS = {
 }
 
 
-class ExpansionState:
-    """OUT tables and the expansion functions they define, for one processor."""
+class BindingExpansion:
+    """An irrevocable binding table and the expansion functions on it.
+
+    What every fault model's ``phi_b`` shares: a table from reference
+    keys to end-of-block COREs that only grows, ``phi_1`` = membership
+    in ``V``, ``phi_b(x) = phi_{b-1}(table[b, x])``, the substitutive
+    recursion over plain arrays and a memo of *defined* results only.
+    A fault model changes what a reference looks like and who fills
+    the table.
+    """
+
+    def __init__(self, config: SystemConfig, value_alphabet: Sequence[Value]):
+        self.config = config
+        self._alphabet = frozenset(value_alphabet)
+        # Reference key -> the end-of-block CORE it stands for; for
+        # index references the key is ``(boundary, processor)``.
+        self._bindings: Dict[Any, Any] = {}
+        # (boundary, plain array) -> its defined expansion.
+        self._cache: Dict[Tuple[int, Any], Any] = {}
+
+    def learn(self, key: Any, value: Any) -> bool:
+        """Bind ``key`` to ``value``; returns True when the key is new.
+
+        Bindings are irrevocable.  A second, *different* value for one
+        key is never legitimate traffic — a broken avalanche layer, an
+        equivocation in a model that excludes it, a digest collision —
+        and raises.
+        """
+        if key in self._bindings:
+            if self._bindings[key] != value:
+                raise ProtocolViolation(
+                    f"binding {key} changed from {self._bindings[key]!r} "
+                    f"to {value!r}"
+                )
+            return False
+        self._bindings[key] = value
+        return True
+
+    def has(self, key: Any) -> bool:
+        """Whether ``key`` is bound at this processor."""
+        return key in self._bindings
+
+    def binding(self, key: Any) -> Any:
+        """The bound value, or bottom if ``key`` is not bound (yet)."""
+        return self._bindings.get(key, BOTTOM)
+
+    def is_reference(self, scalar: Any) -> bool:
+        """Whether ``scalar`` has a reference's form: a processor index."""
+        return is_index_scalar(scalar, self.config.n)
+
+    def is_leaf(self, boundary: int, scalar: Any) -> bool:
+        """Whether ``scalar`` may be a leaf of a boundary-``boundary``
+        CORE: a value in block 1, a reference afterwards."""
+        if boundary == 1:
+            return self._leaf_is_value(scalar)
+        return self.is_reference(scalar)
+
+    def _resolve(self, boundary: int, scalar: Any) -> Any:
+        """What ``scalar`` refers to at ``boundary``; ``None`` if nothing."""
+        if self.is_reference(scalar):
+            return self._bindings.get((boundary, scalar))
+        return None
+
+    def _leaf_is_value(self, leaf: Any) -> bool:
+        """Whether one leaf is in ``V`` (the ``phi_1`` domain test).
+
+        A tuple is an array level, never a value — and is not hashed
+        to find that out: a Byzantine one may be nested without bound.
+        """
+        try:
+            return not isinstance(leaf, tuple) and leaf in self._alphabet
+        except TypeError:  # unhashable leaf
+            return False
+
+    def expand_scalar(self, boundary: int, scalar: Any) -> Any:
+        """``phi_b`` on a scalar; bottom when outside the domain."""
+        if boundary == 1:
+            return scalar if self._leaf_is_value(scalar) else BOTTOM
+        bound = self._resolve(boundary, scalar)
+        if bound is None:
+            return BOTTOM
+        return self.expand(boundary - 1, bound)
+
+    def expand(self, boundary: int, array: Any) -> Any:
+        """``phi_b`` applied substitutively to an array.
+
+        Returns the value array the compressed ``array`` stands for,
+        or bottom if any leaf is (currently) outside the domain.
+        """
+        return self._expand_plain(boundary, array)
+
+    def _expand_plain(self, boundary: int, array: Any) -> Any:
+        if is_bottom(array):
+            return BOTTOM
+        if not isinstance(array, tuple) or self.is_reference(array):
+            return self.expand_scalar(boundary, array)
+        cache_key: Optional[Tuple[int, Any]]
+        try:
+            cache_key = (boundary, array)
+            if cache_key in self._cache:
+                return self._cache[cache_key]
+        except TypeError:
+            cache_key = None
+        components = []
+        for component in array:
+            image = self._expand_plain(boundary, component)
+            if is_bottom(image):
+                # Undefined now may be defined once more bindings
+                # land, so it is deliberately not remembered.
+                return BOTTOM
+            components.append(image)
+        expanded = tuple(components)
+        if cache_key is not None:
+            # Defined results are stable: bindings never change.
+            self._cache[cache_key] = expanded
+        return expanded
+
+    def defined(self, boundary: int, array: Any) -> bool:
+        """Whether ``phi_b`` is defined on ``array`` right now."""
+        return not is_bottom(self.expand(boundary, array))
+
+
+class ExpansionState(BindingExpansion):
+    """OUT tables and the expansion functions they define, for one processor.
+
+    The bindings are avalanche decisions: ``OUT[boundary][sender]`` is
+    ``learn``-ed, and read back, under the key ``(boundary, sender)``.
+    On top of the shared table sit the canonical-node fast paths
+    described above.
+    """
 
     def __init__(
         self,
@@ -83,14 +216,8 @@ class ExpansionState:
         value_alphabet: Sequence[Value],
         store: Optional[ArrayStore] = None,
     ):
-        self.config = config
-        self._alphabet = frozenset(value_alphabet)
+        super().__init__(config, value_alphabet)
         self._store = store
-        # (boundary, sender) -> agreed end-of-block CORE of sender.
-        self._out: Dict[Tuple[int, ProcessId], Any] = {}
-        # (boundary, array) -> defined expansion of a plain (not
-        # canonical) array.  Canonical nodes are memoised store-wide.
-        self._cache: Dict[Tuple[int, Any], Any] = {}
         # boundary -> typed index leaf -> (defined phi_b(leaf), its
         # memo token): the images this processor's OUT table gives the
         # index leaves, canonical whenever there is a store.  A defined
@@ -108,47 +235,25 @@ class ExpansionState:
         # tables can never collide.  None alphabet fingerprint means
         # unstable members: persistence stays out of the way.
         self._alpha_fp: Optional[str] = values_fingerprint(self._alphabet)
-        self._out_fp_cache: Dict[int, Optional[str]] = {}
-
-    # -- OUT table maintenance ---------------------------------------------
-
-    def set_out(self, boundary: int, sender: ProcessId, value: Any) -> None:
-        """Record an avalanche decision ``OUT[boundary][sender]``.
-
-        Decisions are irrevocable; recording a *different* value for
-        the same slot indicates a broken avalanche layer and raises.
-        """
-        key = (boundary, sender)
-        if key in self._out and self._out[key] != value:
-            raise ProtocolViolation(
-                f"OUT[{boundary}][{sender}] changed from "
-                f"{self._out[key]!r} to {value!r}"
-            )
-        self._out[key] = value
-        self._out_fp_cache.clear()
-
-    def out(self, boundary: int, sender: ProcessId) -> Any:
-        """The agreed value, or bottom if this slot has not decided."""
-        return self._out.get((boundary, sender), BOTTOM)
-
-    def has_out(self, boundary: int, sender: ProcessId) -> bool:
-        """Whether the avalanche slot has decided at this processor."""
-        return (boundary, sender) in self._out
+        # (boundary, table size) -> fingerprint: the table only grows,
+        # so its size is its version.
+        self._out_fp_cache: Dict[Tuple[int, int], Optional[str]] = {}
 
     def out_table(self, boundary: int) -> Dict[ProcessId, Any]:
         """All decided slots of one boundary (a snapshot)."""
         return {
             sender: value
-            for (slot_boundary, sender), value in self._out.items()
+            for (slot_boundary, sender), value in self._bindings.items()
             if slot_boundary == boundary
         }
 
     # -- expansion ---------------------------------------------------------
 
     def expand_scalar(self, boundary: int, scalar: Any) -> Any:
-        """``phi_b`` on a scalar; bottom when outside the domain."""
+        # The base rule with each defined image remembered (and the
+        # index test and table lookup inline: this is the rebase path).
         if boundary == 1:
-            return scalar if self._leaf_is_value(scalar) else BOTTOM
+            return super().expand_scalar(1, scalar)
         if (
             not isinstance(scalar, int)
             or isinstance(scalar, bool)
@@ -159,7 +264,7 @@ class ExpansionState:
         cached = self._images[boundary].get(typed_leaf)
         if cached is not None:
             return cached[0]
-        agreed = self._out.get((boundary, scalar))
+        agreed = self._bindings.get((boundary, scalar))
         if agreed is None:
             return BOTTOM
         result = self.expand(boundary - 1, agreed)
@@ -181,45 +286,22 @@ class ExpansionState:
         return result
 
     def expand(self, boundary: int, array: Any) -> Any:
-        """``phi_b`` applied substitutively to an array.
-
-        Returns the value array the compressed ``array`` stands for,
-        or bottom if any leaf is (currently) outside the domain.
-        """
-        if is_bottom(array):
+        if not self._is_canonical(array):
+            return self._expand_plain(boundary, array)
+        if not self._node_defined(boundary, array):
             return BOTTOM
-        if self._is_canonical(array):
-            if not self._node_defined(boundary, array):
-                return BOTTOM
-            if boundary > 1:
-                return self._substitute(boundary, array)
-            # phi_1 is the identity on value arrays: nothing to build.
-            observer = _obs.ACTIVE
-            if observer is not None:
-                observer.count("compact.expansion.hit")
-            return array
-        cache_key: Optional[Tuple[int, Any]]
-        try:
-            cache_key = (boundary, array)
-            if cache_key in self._cache:
-                return self._cache[cache_key]
-        except TypeError:
-            cache_key = None
-        result = substitutive_apply(
-            lambda scalar: self.expand_scalar(boundary, scalar), array
-        )
-        if cache_key is not None and not is_bottom(result):
-            # Defined results are stable: OUT entries never change.
-            # Undefined results may become defined later, so they are
-            # deliberately not cached.
-            self._cache[cache_key] = result
-        return result
+        if boundary > 1:
+            return self._substitute(boundary, array)
+        # phi_1 is the identity on value arrays: nothing to build.
+        observer = _obs.ACTIVE
+        if observer is not None:
+            observer.count("compact.expansion.hit")
+        return array
 
     def defined(self, boundary: int, array: Any) -> bool:
-        """Whether ``phi_b`` is defined on ``array`` right now."""
         if self._is_canonical(array):
             return self._node_defined(boundary, array)
-        return not is_bottom(self.expand(boundary, array))
+        return super().defined(boundary, array)
 
     def _node_defined(self, boundary: int, node: InternedArray) -> bool:
         """:meth:`defined` on a canonical node, which builds nothing.
@@ -318,13 +400,14 @@ class ExpansionState:
         expansion chains through.  ``None`` (poisoned) when any
         reachable slot holds an undigestable value.
         """
-        cached = self._out_fp_cache.get(boundary)
-        if cached is not None or boundary in self._out_fp_cache:
+        version = (boundary, len(self._bindings))
+        cached = self._out_fp_cache.get(version)
+        if cached is not None or version in self._out_fp_cache:
             return cached
         hasher = hashlib.blake2b(digest_size=DIGEST_BYTES)
         fingerprint: Optional[str]
-        for slot in sorted(s for s in self._out if 2 <= s[0] <= boundary):
-            digest = value_digest(self._out[slot])
+        for slot in sorted(s for s in self._bindings if 2 <= s[0] <= boundary):
+            digest = value_digest(self._bindings[slot])
             if digest is None:
                 fingerprint = None
                 break
@@ -332,7 +415,7 @@ class ExpansionState:
             hasher.update(digest)
         else:
             fingerprint = hasher.hexdigest()
-        self._out_fp_cache[boundary] = fingerprint
+        self._out_fp_cache[version] = fingerprint
         return fingerprint
 
     def _persist_key(
@@ -370,10 +453,3 @@ class ExpansionState:
         if isinstance(stored, str) and self._store is not None:
             return cache.node_for(self._store, stored)
         return None
-
-    def _leaf_is_value(self, leaf: Any) -> bool:
-        """Whether one leaf is in ``V`` (the ``phi_1`` domain test)."""
-        try:
-            return leaf in self._alphabet
-        except TypeError:  # unhashable leaf (plain-tuple path only)
-            return False

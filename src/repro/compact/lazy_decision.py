@@ -31,11 +31,14 @@ benchmark measures the node-count gap.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
 
+from repro.arrays.value_array import is_index_scalar
 from repro.compact.expansion import ExpansionState
+from repro.compact.protocol import CompactProcess
 from repro.errors import ProtocolViolation
-from repro.types import BOTTOM, ProcessId, Value, is_bottom
+from repro.types import BOTTOM, ProcessId, SystemConfig, Value, is_bottom
 
 Path = Tuple[ProcessId, ...]
 
@@ -90,16 +93,9 @@ def full_state_leaf(
                     f"{len(remaining)} components left"
                 )
             return expansion.expand_scalar(1, node)
-        if (
-            not isinstance(node, int)
-            or isinstance(node, bool)
-            or not 1 <= node <= expansion.config.n
-        ):
+        if not is_index_scalar(node, expansion.config.n):
             return BOTTOM
-        agreed = expansion.out(level, node)
-        if is_bottom(agreed):
-            return BOTTOM
-        node = agreed
+        node = expansion.binding((level, node))  # bottom: no OUT (yet)
         level -= 1
 
 
@@ -164,97 +160,28 @@ def lazy_eig_decision(
     return resolve(())
 
 
-def make_lazy_eig_decision_rule(
-    t: int, default: Value, alphabet: Optional[Sequence[Value]] = None
-):
-    """A drop-in decision rule for :class:`CompactProcess` that never
-    expands FULL_STATE.
+#: Protoflow message-size bound (COM rule family): the wire is
+#: :class:`CompactProcess`'s, only the decision path differs.
+MESSAGE_BOUNDS = {
+    "LazyCompactProcess": (
+        "linear",
+        "sends exactly what CompactProcess sends: CORE depth capped at "
+        "k + overhead, rebased to references at block boundaries",
+    ),
+}
 
-    Unlike the eager rule it receives the *process*, not the state —
-    use via :func:`attach_lazy_decision`.
+
+class LazyCompactProcess(CompactProcess):
+    """Protocol 3 whose decision rule reads the *compressed* state.
+
+    Overrides the block driver's one decision step: the rule is handed
+    ``(expansion, boundary, CORE)`` instead of ``FULL_STATE``, so
+    ``full_state()`` is never called on the decision path and the
+    exponential array never exists.
     """
 
-    def rule(process, simulated_round: int) -> Value:
-        if simulated_round < t + 1:
-            return BOTTOM
-        return lazy_eig_decision(
-            process.expansion,
-            process.core_boundary,
-            process.core,
-            n=process.config.n,
-            t=t,
-            default=default,
-            alphabet=alphabet,
-        )
-
-    return rule
-
-
-class LazyDecisionAdapter:
-    """Adapts a lazy rule to the ``(state, round, pid)`` interface.
-
-    :class:`CompactProcess` hands decision rules the expanded
-    FULL_STATE; to keep polynomial space the adapter is installed with
-    a back-reference to the process and *ignores* the state argument —
-    pair it with ``CompactProcess``'s ``decision_rule`` slot via
-    :func:`attach_lazy_decision`, which also suppresses the eager
-    expansion.
-    """
-
-    def __init__(self, process, t: int, default: Value,
-                 alphabet: Optional[Sequence[Value]] = None):
-        self._process = process
-        self._t = t
-        self._default = default
-        self._alphabet = alphabet
-
-    def __call__(self, state: Any, simulated_round: int, process_id) -> Value:
-        if simulated_round < self._t + 1:
-            return BOTTOM
-        return lazy_eig_decision(
-            self._process.expansion,
-            self._process.core_boundary,
-            self._process.core,
-            n=self._process.config.n,
-            t=self._t,
-            default=self._default,
-            alphabet=self._alphabet,
-        )
-
-
-def attach_lazy_decision(
-    process,
-    t: int,
-    default: Value,
-    alphabet: Optional[Sequence[Value]] = None,
-) -> None:
-    """Install a polynomial-space decision rule on a CompactProcess.
-
-    Replaces the process's decision machinery so that at the horizon
-    it resolves directly on the compressed state; ``full_state()`` is
-    never called on the decision path.
-    """
-    adapter = LazyDecisionAdapter(process, t, default, alphabet)
-    process._decision_rule = adapter
-    process._horizon = t + 1
-
-    # Suppress the eager expansion in _maybe_decide by routing the
-    # state argument as BOTTOM-safe: CompactProcess calls
-    # self._decision_rule(self.full_state(), ...), so we replace
-    # _maybe_decide with a lazy-aware version.
-    def _maybe_decide(round_number):
-        if process.has_decided():
-            return
-        if not process.schedule.is_progress_round(round_number):
-            return
-        simulated = process.schedule.simul(round_number)
-        if simulated < t + 1:
-            return
-        value = adapter(None, simulated, process.process_id)
-        if value is not BOTTOM:
-            process.decide(value, round_number)
-
-    process._maybe_decide = _maybe_decide
+    def _value_at(self, simulated: int) -> Value:
+        return self._decision_rule(self.expansion, self.core_boundary, self.core)
 
 
 def lazy_compact_ba_factory(
@@ -269,18 +196,26 @@ def lazy_compact_ba_factory(
     :func:`repro.compact.byzantine_agreement.compact_ba_factory` whose
     processes never materialise FULL_STATE.
     """
-    from repro.compact.protocol import CompactProcess
 
-    def factory(process_id, config, input_value):
-        process = CompactProcess(
+    def factory(
+        process_id: ProcessId, config: SystemConfig, input_value: Value
+    ) -> LazyCompactProcess:
+        return LazyCompactProcess(
             process_id,
             config,
             input_value,
             k=k,
             value_alphabet=value_alphabet,
+            # Called with (expansion, boundary, CORE): see _value_at.
+            decision_rule=functools.partial(
+                lazy_eig_decision,
+                n=config.n,
+                t=config.t,
+                default=default,
+                alphabet=value_alphabet,
+            ),
+            horizon=config.t + 1,
             overhead=overhead,
         )
-        attach_lazy_decision(process, config.t, default, value_alphabet)
-        return process
 
     return factory

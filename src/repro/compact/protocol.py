@@ -40,6 +40,13 @@ rule), so rebasing and validation always see the freshest ``OUT``.
 full-information state (Section 5.5); decision rules are evaluated on
 it at progress rounds once the simulated horizon is reached.
 
+The loop itself is :class:`repro.compact.driver.BlockDriver`, shared
+with the benign and authenticated variants; this module adds what the
+unauthenticated Byzantine model needs: references are processor indices
+bound by avalanche agreement (hence the overhead rounds), the side
+channel carries the votes, and COREs are canonical nodes admitted
+through the gates below.
+
 **What a round costs** is what changed in it (docs/perf.md, "The
 compact hot path").  "Correctly shaped" is the verdict of a
 :class:`repro.fullinfo.protocol.ReceiveGate` — canonical node or
@@ -57,22 +64,19 @@ processor (:mod:`repro.compact.expansion`).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.avalanche.fast import fast_thresholds
 from repro.avalanche.protocol import Thresholds, standard_thresholds
 from repro.arrays.store import shared_store
+from repro.compact.driver import BlockDriver
 from repro.compact.expansion import ExpansionState
 from repro.compact.payload import CompactPayload
 from repro.compact.subprotocol import AgreementBatch
-from repro.core.rounds import BlockSchedule
-from repro.errors import ConfigurationError, ProtocolViolation
-from repro.fullinfo.protocol import REJECT, IndexGate, ReceiveGate
-from repro.runtime.node import Process, broadcast
-from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
-
-# (full_state, simulated_round, process_id) -> value or BOTTOM.
-DecisionRule = Callable[[Any, int, ProcessId], Value]
+from repro.errors import ConfigurationError
+from repro.fullinfo.protocol import REJECT, DecisionRule, IndexGate, ReceiveGate
+from repro.runtime.node import broadcast
+from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
 
 # Avalanche batches are never retired: Lemma 7 (each correct
 # processor's expansion function extends every correct processor's
@@ -97,7 +101,7 @@ MESSAGE_BOUNDS = {
 }
 
 
-class CompactProcess(Process):
+class CompactProcess(BlockDriver):
     """One processor of the compact full-information protocol."""
 
     def __init__(
@@ -139,43 +143,40 @@ class CompactProcess(Process):
             Include the (exponential) expanded state in snapshots, for
             the simulation checker.  Test scale only.
         """
-        super().__init__(process_id, config)
-        alphabet = frozenset(value_alphabet)
-        if input_value not in alphabet:
-            raise ConfigurationError(
-                f"input {input_value!r} outside V={sorted(map(repr, alphabet))}"
-            )
+        if overhead not in (1, 2):
+            # Equivocation makes the agreement rounds unavoidable here.
+            raise ConfigurationError(f"overhead must be 1 or 2, got {overhead}")
+        super().__init__(
+            process_id, config, input_value, k, overhead, value_alphabet,
+            decision_rule, horizon,
+        )
         if thresholds is None:
             thresholds = (
                 standard_thresholds(config)
                 if overhead == 2
                 else fast_thresholds(config)
             )
-        self.schedule = BlockSchedule(k, overhead)
-        self.k = k
         self._store = shared_store(config.n)
         self.expansion = ExpansionState(config, value_alphabet, store=self._store)
         # Canonical-or-reject admission of CORE messages: value arrays
         # in block 1, index arrays afterwards.
-        self._value_gate = ReceiveGate(self._store, alphabet)
+        self._value_gate = ReceiveGate(self._store, frozenset(value_alphabet))
         self._index_gate = IndexGate(self._store)
         self._thresholds = thresholds
-        self._decision_rule = decision_rule
-        self._horizon = horizon
         self._expose_full_state = expose_full_state
-
-        self.core: Any = input_value  # depth-0 value array
-        self.core_boundary: int = 1  # the phi_b that expands self.core
         # Boundary -> batch, in starting (= boundary) order.
         self._batches: Dict[int, AgreementBatch] = {}
-        self._last_round: Round = 0
 
     # -- sending ----------------------------------------------------------
 
     def outgoing(self, round_number: Round) -> Dict[ProcessId, Any]:
-        phase = self.schedule.phase(round_number)
+        schedule = self.schedule
         main: Any = BOTTOM
-        if round_number == 1 or 2 <= phase <= self.k + 1:
+        rebase = round_number > 1 and schedule.is_block_start(round_number)
+        if not rebase and (
+            schedule.is_progress_round(round_number)
+            or schedule.is_rebroadcast_round(round_number)
+        ):
             # Progress exchanges and the phase-(k+1) rebroadcast carry
             # the CORE; rebase rounds (phase 1, block > 1) and the
             # avalanche-only phase k+2 carry no main component.
@@ -186,42 +187,11 @@ class CompactProcess(Process):
         )
         return broadcast(CompactPayload(main=main, votes=votes), self.config)
 
-    # -- receiving ---------------------------------------------------------
+    # -- the side channel: avalanche votes -----------------------------------
 
-    def receive(self, round_number: Round, incoming: Dict[ProcessId, Any]) -> None:
-        phase = self.schedule.phase(round_number)
-        block = self.schedule.block(round_number)
-
-        # Subprotocol state changes run before the main protocol's
-        # (Section 5.2), so rebasing and validation see fresh OUTs.
-        if self._batches:
-            self._step_batches(incoming)
-
-        if phase == 1 and round_number > 1:
-            self._rebase_core(block)
-        elif round_number == 1 or 2 <= phase <= self.k:
-            # Substitute the receiver's own previous CORE for unusable
-            # messages — the right shape and expandable by construction.
-            self._set_core(
-                tuple(self._admit_cores(incoming, phase - 1, block, self.core)),
-                block,
-            )
-        elif phase == self.k + 1:
-            candidates = self._admit_cores(incoming, self.k, block, BOTTOM)
-            self._batches[block + 1] = AgreementBatch(
-                self.config,
-                boundary=block + 1,
-                inputs=dict(zip(self.config.process_ids, candidates)),
-                thresholds=self._thresholds,
-            )
-        # Phase k + 2 (standard overhead) has avalanche traffic only.
-
-        self._last_round = round_number
-        self._maybe_decide(round_number)
-
-    # -- avalanche plumbing ---------------------------------------------------
-
-    def _step_batches(self, incoming: Dict[ProcessId, Any]) -> None:
+    def _side_channel(self, incoming: Dict[ProcessId, Any]) -> None:
+        if not self._batches:
+            return
         # One pass over every sender's vote slots, routed by boundary;
         # a sender's first slot for a boundary is the one that counts.
         components: Dict[int, Dict[ProcessId, Any]] = {
@@ -235,7 +205,7 @@ class CompactProcess(Process):
                         by_sender.setdefault(sender, vote_tuple)
         for boundary, batch in self._batches.items():
             for subject, value in batch.step(components[boundary]):
-                self.expansion.set_out(boundary, subject, value)
+                self.expansion.learn((boundary, subject), value)  # OUT[b][q]
 
     # -- main-component state changes ---------------------------------------
 
@@ -270,69 +240,35 @@ class CompactProcess(Process):
             cores.append(substitute if core is REJECT else core)
         return cores
 
-    def _rebase_core(self, block: int) -> None:
-        own = self.process_id
-        self._set_core(
-            tuple(
-                sender
-                if self.expansion.expand_scalar(block, sender) is not BOTTOM
-                else own
-                for sender in self.config.process_ids
-            ),
-            block,
+    def _exchange(
+        self, depth: int, block: int, incoming: Dict[ProcessId, Any]
+    ) -> None:
+        # Substitute the receiver's own previous CORE for unusable
+        # messages — the right shape and expandable by construction.
+        cores = self._admit_cores(incoming, depth, block, self.core)
+        self._set_core(self._store.intern(tuple(cores)), block)
+
+    def _stage(self, block: int, incoming: Dict[ProcessId, Any]) -> None:
+        candidates = self._admit_cores(incoming, self.k, block, BOTTOM)
+        self._batches[block + 1] = AgreementBatch(
+            self.config,
+            boundary=block + 1,
+            inputs=dict(zip(self.config.process_ids, candidates)),
+            thresholds=self._thresholds,
         )
 
-    def _set_core(self, core: Any, block: int) -> None:
-        self.core = self._store.intern(core)
-        self.core_boundary = block
-        self._assert_core_expandable()
-
-    def _assert_core_expandable(self) -> None:
-        # The paper's step-5 invariant: phi_b(CORE) is always defined
-        # at its owner.  A failure here is a library bug, never an
-        # adversary achievement.
-        if not self.expansion.defined(self.core_boundary, self.core):
-            raise ProtocolViolation(
-                f"processor {self.process_id}: CORE became non-expandable "
-                f"at boundary {self.core_boundary}"
-            )
-
-    # -- simulated state and decisions ---------------------------------------
-
-    def full_state(self) -> Any:
-        """``FULL_STATE = phi_b(CORE)`` — the simulated state.
-
-        Exponential in the simulated round; call at decision time or
-        from checkers only.
-        """
-        expanded = self.expansion.expand(self.core_boundary, self.core)
-        if is_bottom(expanded):
-            raise ProtocolViolation(
-                f"processor {self.process_id}: FULL_STATE undefined"
-            )
-        return expanded
-
-    def _maybe_decide(self, round_number: Round) -> None:
-        if self._decision_rule is None or self.has_decided():
-            return
-        if not self.schedule.is_progress_round(round_number):
-            return
-        simulated = self.schedule.simul(round_number)
-        if self._horizon is not None and simulated < self._horizon:
-            return
-        value = self._decision_rule(self.full_state(), simulated, self.process_id)
-        if value is not BOTTOM:
-            self.decide(value, round_number)
+    def _rebase(self, block: int, incoming: Dict[ProcessId, Any]) -> None:
+        own = self.process_id
+        references = tuple(
+            sender
+            if self.expansion.expand_scalar(block, sender) is not BOTTOM
+            else own
+            for sender in self.config.process_ids
+        )
+        self._set_core(self._store.intern(references), block)
 
     def snapshot(self) -> Any:
-        snapshot = {
-            "core": self.core,
-            "core_boundary": self.core_boundary,
-            "simul": (
-                self.schedule.simul(self._last_round) if self._last_round else 0
-            ),
-            "decision": self.decision,
-        }
+        snapshot = super().snapshot()
         if self._expose_full_state and self._last_round:
             if self.schedule.is_progress_round(self._last_round):
                 snapshot["full_state"] = self.full_state()

@@ -11,7 +11,10 @@ relations between actual round numbers and simulated round numbers:
 
 Table 1 of the paper tabulates these for ``k = 2`` over 14 actual
 rounds (8 simulated rounds); ``benchmarks/test_bench_table1.py``
-regenerates that table from these functions.
+regenerates that table from these functions.  The module-level
+functions are that standard case of :class:`BlockSchedule`, which also
+covers the fast variant's single overhead round and the zero-overhead
+fault models, where ``simul(r) = r``.
 
 The source text's formulas are OCR-damaged; the definitions below are
 the unique ones consistent with the table's shape and with the uses in
@@ -31,31 +34,19 @@ from repro.errors import ConfigurationError
 from repro.types import Round
 
 
-def _check(round_number: Round, k: int) -> None:
-    if k < 1:
-        raise ConfigurationError(f"block parameter k must be >= 1, got {k}")
-    if round_number < 1:
-        raise ConfigurationError(
-            f"round numbers are 1-based, got {round_number}"
-        )
-
-
 def block(round_number: Round, k: int) -> int:
     """The block (1-based) of which ``round_number`` is a part."""
-    _check(round_number, k)
-    return (round_number - 1) // (k + 2) + 1
+    return BlockSchedule(k).block(round_number)
 
 
 def prior(round_number: Round, k: int) -> Round:
     """The last round prior to the current block (0 for block 1)."""
-    _check(round_number, k)
-    return (block(round_number, k) - 1) * (k + 2)
+    return BlockSchedule(k).prior(round_number)
 
 
 def phase(round_number: Round, k: int) -> int:
     """Rounds since the start of the current block, in ``1..k+2``."""
-    _check(round_number, k)
-    return round_number - prior(round_number, k)
+    return BlockSchedule(k).phase(round_number)
 
 
 def simul(round_number: Round, k: int) -> int:
@@ -64,8 +55,7 @@ def simul(round_number: Round, k: int) -> int:
     Gains one per phase through phase ``k``; freezes during the two
     overhead phases.
     """
-    _check(round_number, k)
-    return k * (block(round_number, k) - 1) + min(phase(round_number, k), k)
+    return BlockSchedule(k).simul(round_number)
 
 
 def actual_rounds_for(simulated_rounds: int, k: int, overhead: int = 2) -> Round:
@@ -78,15 +68,7 @@ def actual_rounds_for(simulated_rounds: int, k: int, overhead: int = 2) -> Round
     is at most ``(1 + eps) * simulated_rounds``.  The ``n >= 4t + 1``
     variant of Section 5.6 has ``overhead = 1``.
     """
-    if k < 1:
-        raise ConfigurationError(f"block parameter k must be >= 1, got {k}")
-    if simulated_rounds < 1:
-        raise ConfigurationError(
-            f"simulated_rounds must be >= 1, got {simulated_rounds}"
-        )
-    full_blocks = (simulated_rounds - 1) // k
-    tail = (simulated_rounds - 1) % k + 1
-    return full_blocks * (k + overhead) + tail
+    return BlockSchedule(k, overhead).actual_rounds_for(simulated_rounds)
 
 
 def k_for_epsilon(epsilon: float, overhead: int = 2) -> int:
@@ -102,9 +84,7 @@ def k_for_epsilon(epsilon: float, overhead: int = 2) -> int:
 
 def overhead_factor(k: int, overhead: int = 2) -> float:
     """Worst-case actual/simulated round ratio, ``(k + overhead) / k``."""
-    if k < 1:
-        raise ConfigurationError(f"block parameter k must be >= 1, got {k}")
-    return (k + overhead) / k
+    return BlockSchedule(k, overhead).block_length / k
 
 
 @dataclasses.dataclass(frozen=True)
@@ -119,36 +99,40 @@ class BlockSchedule:
     the paper's main construction (rebroadcast + avalanche start), 1
     for the ``n >= 4t + 1`` fast variant of Section 5.6 in which the
     one-round-consensus avalanche folds its first round into the next
-    block's first progress round.
+    block's first progress round, and 0 for the fault models whose
+    block-boundary references need no agreement at all (crash,
+    omission, authenticated Byzantine): every round is a progress
+    round and ``simul(r) = r``.
     """
 
     k: int
     overhead: int = 2
+    #: Rounds per block, ``k + overhead``.
+    block_length: int = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigurationError(
                 f"block parameter k must be >= 1, got {self.k}"
             )
-        if self.overhead not in (1, 2):
+        if self.overhead not in (0, 1, 2):
             raise ConfigurationError(
-                f"overhead must be 1 or 2, got {self.overhead}"
+                f"overhead must be 0, 1 or 2, got {self.overhead}"
             )
-
-    @property
-    def block_length(self) -> int:
-        """Rounds per block, ``k + overhead``."""
-        return self.k + self.overhead
+        object.__setattr__(self, "block_length", self.k + self.overhead)
 
     def block(self, round_number: Round) -> int:
-        _check(round_number, self.k)
+        if round_number < 1:
+            raise ConfigurationError(
+                f"round numbers are 1-based, got {round_number}"
+            )
         return (round_number - 1) // self.block_length + 1
 
     def prior(self, round_number: Round) -> Round:
         return (self.block(round_number) - 1) * self.block_length
 
     def phase(self, round_number: Round) -> int:
-        return round_number - self.prior(round_number)
+        return round_number - (self.block(round_number) - 1) * self.block_length
 
     def simul(self, round_number: Round) -> int:
         return self.k * (self.block(round_number) - 1) + min(
@@ -165,11 +149,16 @@ class BlockSchedule:
 
     def is_agreement_start_round(self, round_number: Round) -> bool:
         """The round in which a block's avalanche batch takes its
-        first step: phase ``k + 2`` with the standard overhead, or the
-        next block's phase 1 with the fast variant's overhead of 1."""
+        first step: phase ``k + 2`` with the standard overhead, the
+        next block's phase 1 with the fast variant's overhead of 1,
+        and never without overhead (no avalanche runs)."""
         if self.overhead == 2:
             return self.phase(round_number) == self.k + 2
-        return self.phase(round_number) == 1 and round_number > 1
+        return (
+            self.overhead == 1
+            and round_number > 1
+            and self.is_block_start(round_number)
+        )
 
     def is_block_start(self, round_number: Round) -> bool:
         """Phase 1 — where block ``b > 1`` rebases its CORE."""
@@ -185,11 +174,12 @@ class BlockSchedule:
 
     def actual_rounds_for(self, simulated_rounds: int) -> Round:
         """Fewest actual rounds to reach ``simulated_rounds`` of progress."""
-        return actual_rounds_for(simulated_rounds, self.k, self.overhead)
-
-    def decision_round(self, simulated_rounds: int) -> Round:
-        """Alias of :meth:`actual_rounds_for` — where a decision rule fires."""
-        return self.actual_rounds_for(simulated_rounds)
+        if simulated_rounds < 1:
+            raise ConfigurationError(
+                f"simulated_rounds must be >= 1, got {simulated_rounds}"
+            )
+        full_blocks, last = divmod(simulated_rounds - 1, self.k)
+        return full_blocks * self.block_length + last + 1
 
     def table(self, rounds: int) -> List[dict]:
         """Rows of Table 1: round, block, prior, phase, simul."""

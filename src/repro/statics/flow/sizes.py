@@ -88,7 +88,9 @@ class SizeAnalyzer:
         """Infer the per-round payload bound of a ``Process`` subclass."""
         bindings = static_bindings(self.index, info)
         state = _ClassSizeState(self.index, info, bindings)
+        # FLOW003 sends drains to receive(); either home counts.
         state.scan_drains("outgoing")
+        state.scan_drains("receive")
         state.run_receive_path(("receive",))
         payload = state.eval_payload("outgoing")
         return SizeSummary(

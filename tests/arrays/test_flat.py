@@ -223,7 +223,7 @@ class TestKernelEquality:
             convert = to_plain if store is None else store.intern
             expansion = ExpansionState(config, [0, 1], store=store)
             for sender in sorted(decided):
-                expansion.set_out(2, sender, convert((0, 1, sender % 2)))
+                expansion.learn((2, sender), convert((0, 1, sender % 2)))
             subject = convert(array)
             first = expansion.expand(2, subject)
             identity = expansion.expand(1, subject)

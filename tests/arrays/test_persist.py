@@ -127,7 +127,7 @@ class TestRestartSurvival:
             store = shared_store(4)
             expansion = ExpansionState(config, (0, 1), store=store)
             for sender in config.process_ids:
-                expansion.set_out(2, sender, sender % 2)
+                expansion.learn((2, sender), sender % 2)
             index_array = store.intern(((1, 2, 3, 4),) * 4)
             return expansion.expand(2, index_array)
 

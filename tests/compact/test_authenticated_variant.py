@@ -22,7 +22,7 @@ from repro.runtime.crypto import SignatureOracle
 from repro.runtime.engine import run_protocol
 from repro.types import BOTTOM, SystemConfig
 
-from tests.conftest import assert_agreement_and_validity
+from tests.conftest import assert_agreement_and_validity, nested_tuple
 
 
 def run_auth(config, inputs, k, oracle=None, adversary=None, seed=0,
@@ -98,6 +98,19 @@ class ForgingEquivocator(Adversary):
         return {receiver: payload for receiver in self.config.process_ids}
 
 
+class DeepCoreAdversary(Adversary):
+    """Ships a 5000-deep ``core`` attributed to correct processor 1,
+    both as a certificate patch and as a signed main component."""
+
+    def outgoing(self, round_number, sender, context):
+        deep = nested_tuple(self.config.n)
+        payload = {
+            "main": ("signed", deep, "not-a-signature"),
+            "patches": (("cert", 1, 2, deep, "not-a-signature"),),
+        }
+        return {receiver: payload for receiver in self.config.process_ids}
+
+
 class TestZeroOverheadRounds:
     @pytest.mark.parametrize("k", [1, 2])
     def test_decides_in_exactly_t_plus_one_rounds(self, config7, k):
@@ -141,6 +154,24 @@ class TestByzantineResilience:
         for process in result.processes.values():
             assert not process.expansion.has((2, 1, digest_of(fake_core)))
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_deep_core_rejected_before_anything_walks_it(self, config7, k):
+        """The depth-bounded shape test comes first: hashing or
+        comparing the payload would raise ``RecursionError`` out of
+        every correct processor's ``receive``."""
+        inputs = {p: p % 2 for p in config7.process_ids}
+        result = run_auth(
+            config7, inputs, k=k, adversary=DeepCoreAdversary([2, 5])
+        )
+        assert_agreement_and_validity(result, inputs)
+        assert result.rounds == config7.t + 1
+        # Nobody learned a binding from the attackers: every reference
+        # in use is to a correct processor's CORE, one per block.
+        for process in result.processes.values():
+            used = [key[:2] for key in process.expansion.touched]
+            assert len(used) == len(set(used))
+            assert not {owner for _, owner in used} & {2, 5}
+
     def test_generic_gallery(self, config7):
         from tests.conftest import byzantine_adversaries
 
@@ -165,6 +196,34 @@ class TestCommunication:
         # cores + certs: generous explicit budget, far below n^(t+1).
         budget = (t + 1) * n * n * (n * n + n) * (n * 16 + 64 + 64)
         assert 0 < result.metrics.total_bits <= budget
+
+
+class TestSizerFailsClosed:
+    """``patches`` is a field a Byzantine sender controls: a malformed
+    field or entry is no certificate — 0 bits, never an exception."""
+
+    @pytest.mark.parametrize(
+        "patches", [None, 5, (1, 2), ("cert",), (("cert", 1, 2),), [()]]
+    )
+    def test_malformed_patches_cost_nothing(self, config7, patches):
+        measure = auth_sizer(config7, 2)
+        assert measure({"main": 0, "patches": patches}) == measure({"main": 0})
+
+    def test_malformed_certificates_are_no_certificates(self, config7):
+        measure = auth_sizer(config7, 2)
+        core = tuple(0 for _ in range(config7.n))
+        good = ("cert", 1, 2, core, "s")
+        for bad in (
+            ("tag", 1, 2, core, "s"),
+            ("cert", 99, 2, core, "s"),
+            ("cert", True, 2, core, "s"),
+            ("cert", 1, 1, core, "s"),
+            ("cert", 1, "2", core, "s"),
+        ):
+            assert measure({"main": 0, "patches": (good, bad)}) == measure(
+                {"main": 0, "patches": (good,)}
+            )
+        assert measure({"main": 0, "patches": (good,)}) > measure({"main": 0})
 
 
 class TestConstruction:

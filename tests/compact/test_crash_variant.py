@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.adversary.base import Adversary
 from repro.adversary.crash import CrashAdversary
 from repro.adversary.omission import OmissionAdversary
 from repro.compact.crash_variant import (
     CRASHED,
     CrashCompactProcess,
     CrashExpansion,
+    CrashPayload,
     crash_compact_factory,
     crash_sizer,
     flooding_decision_rule,
@@ -132,6 +134,56 @@ class TestCrashExpansion:
         expansion = CrashExpansion(config4, ALPHABET)
         assert expansion.learn((2, 3), (0, 0, 0, 0))
         assert not expansion.learn((2, 3), (0, 0, 0, 0))
+
+
+class TestPatchesFailClosed:
+    """``patches`` is a field a faulty sender controls: one reader for
+    the receiver and the sizer, and a malformed field or entry is no
+    patch — 0 bits, never an exception."""
+
+    @pytest.mark.parametrize("patches", [None, 5, (1, 2), ((1,),), [((2, 3), 0)]])
+    def test_malformed_field_is_no_patch(self, config4, patches):
+        payload = CrashPayload(main=0, patches=patches)
+        assert payload.patch_entries(config4.n) == ()
+        measure = crash_sizer(config4, len(ALPHABET))
+        assert measure(payload) == measure(CrashPayload(main=0))
+
+    def test_malformed_entries_are_dropped(self, config4):
+        good = ((2, 3), (0, 1, 0, 1))
+        payload = CrashPayload(
+            main=0,
+            patches=(
+                good,
+                ((2, 9), (0, 1, 0, 1)),  # no such processor
+                ((True, 3), (0, 1, 0, 1)),
+                (("2", 3), (0, 1, 0, 1)),
+                ((2, 3, 4), (0, 1, 0, 1)),
+                ((2, 3),),
+            ),
+        )
+        assert payload.patch_entries(config4.n) == (good,)
+        measure = crash_sizer(config4, len(ALPHABET))
+        assert measure(payload) == measure(CrashPayload(main=0, patches=(good,)))
+        assert measure(payload) > measure(CrashPayload(main=0))
+
+    def test_receiver_survives_malformed_patches(self, config7, inputs):
+        class Mangler(Adversary):
+            def outgoing(self, round_number, sender, context):
+                payload = CrashPayload(main=0, patches=(1, 2))
+                if round_number % 2:
+                    payload = CrashPayload(main=0, patches=None)
+                return {p: payload for p in self.config.process_ids}
+
+        result = run_protocol(
+            crash_compact_factory(k=2, value_alphabet=ALPHABET, t=config7.t),
+            config7,
+            inputs,
+            adversary=Mangler([2, 5]),
+            max_rounds=config7.t + 2,
+            sizer=crash_sizer(config7, len(ALPHABET)),
+            meter_adversary=True,
+        )
+        assert len(result.decided_values()) == 1
 
 
 class TestFloodingRule:

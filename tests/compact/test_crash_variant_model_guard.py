@@ -14,6 +14,7 @@ from repro.compact.crash_variant import CrashPayload, crash_compact_factory
 from repro.errors import ProtocolViolation
 from repro.runtime.engine import run_protocol
 from repro.types import SystemConfig
+from tests.conftest import nested_tuple
 
 ALPHABET = [0, 1, 2]
 
@@ -35,6 +36,16 @@ class EquivocatingPatcher(Adversary):
         return messages
 
 
+class DeepPatcher(Adversary):
+    """Ships a 5000-deep array as its CORE and as a patch for a correct
+    processor's binding: nothing may walk, hash or compare it."""
+
+    def outgoing(self, round_number, sender, context):
+        deep = nested_tuple(self.config.n)
+        payload = CrashPayload(main=deep, patches=(((2, 1), deep),))
+        return {receiver: payload for receiver in self.config.process_ids}
+
+
 class TestModelGuard:
     def test_equivocating_patches_detected(self, config7):
         inputs = {p: p % 3 for p in config7.process_ids}
@@ -52,6 +63,26 @@ class TestModelGuard:
                 adversary=EquivocatingPatcher([6, 7]),
                 max_rounds=config7.t + 2,
             )
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_deep_payload_is_just_an_unusable_message(self, config7, k):
+        """Shape first, depth-bounded: the senders read as crashed and
+        no binding is learned from them.  (Unmetered: sizing a deep
+        *plain* array is ``MessageSizer``'s walk, not this variant's.)"""
+        inputs = {p: p % 3 for p in config7.process_ids}
+        result = run_protocol(
+            crash_compact_factory(k=k, value_alphabet=ALPHABET, t=config7.t),
+            config7,
+            inputs,
+            adversary=DeepPatcher([6, 7]),
+            max_rounds=config7.t + 2,
+        )
+        assert len(result.decided_values()) == 1
+        assert result.rounds == config7.t + 1
+        for process in result.processes.values():
+            for boundary in range(2, config7.t + 2):
+                assert not process.expansion.has((boundary, 6))
+                assert not process.expansion.has((boundary, 7))
 
     def test_silence_is_a_legal_benign_behaviour(self, config7):
         """Silence is valid in the crash model: no guard trips."""

@@ -38,23 +38,23 @@ class TestBlockOne:
 
 class TestHigherBlocks:
     def test_index_expands_through_out_table(self, expansion):
-        expansion.set_out(2, 3, (0, 1, 0, 1))
+        expansion.learn((2, 3), (0, 1, 0, 1))
         assert expansion.expand_scalar(2, 3) == (0, 1, 0, 1)
 
     def test_missing_out_is_undefined(self, expansion):
         assert is_bottom(expansion.expand_scalar(2, 3))
 
     def test_non_index_undefined(self, expansion):
-        expansion.set_out(2, 3, (0, 1, 0, 1))
+        expansion.learn((2, 3), (0, 1, 0, 1))
         assert is_bottom(expansion.expand_scalar(2, 0))
         assert is_bottom(expansion.expand_scalar(2, 5))
         assert is_bottom(expansion.expand_scalar(2, True))
 
     def test_recursive_two_levels(self, expansion):
         # phi_3(q) = phi_2(OUT[3][q]); OUT[3][q] is an index array.
-        expansion.set_out(2, 1, (0, 0, 0, 0))
-        expansion.set_out(2, 2, (1, 1, 1, 1))
-        expansion.set_out(3, 4, (1, 2, 1, 2))
+        expansion.learn((2, 1), (0, 0, 0, 0))
+        expansion.learn((2, 2), (1, 1, 1, 1))
+        expansion.learn((3, 4), (1, 2, 1, 2))
         assert expansion.expand_scalar(3, 4) == (
             (0, 0, 0, 0),
             (1, 1, 1, 1),
@@ -63,14 +63,14 @@ class TestHigherBlocks:
         )
 
     def test_partial_nested_definition_undefined(self, expansion):
-        expansion.set_out(3, 4, (1, 2, 1, 2))
-        expansion.set_out(2, 1, (0, 0, 0, 0))
+        expansion.learn((3, 4), (1, 2, 1, 2))
+        expansion.learn((2, 1), (0, 0, 0, 0))
         # OUT[2][2] missing: the whole expansion is undefined.
         assert is_bottom(expansion.expand_scalar(3, 4))
 
     def test_substitutive_on_arrays(self, expansion):
-        expansion.set_out(2, 1, (0, 0, 0, 0))
-        expansion.set_out(2, 2, (1, 1, 1, 1))
+        expansion.learn((2, 1), (0, 0, 0, 0))
+        expansion.learn((2, 2), (1, 1, 1, 1))
         array = (1, 2, 1, 2)
         expanded = expansion.expand(2, array)
         assert expanded == (
@@ -89,36 +89,36 @@ class TestMonotonicity:
     def test_undefined_becomes_defined_after_out(self, expansion):
         array = (3, 3, 3, 3)
         assert is_bottom(expansion.expand(2, array))
-        expansion.set_out(2, 3, (0, 1, 0, 1))
+        expansion.learn((2, 3), (0, 1, 0, 1))
         assert not is_bottom(expansion.expand(2, array))
 
     def test_defined_results_are_stable(self, expansion):
-        expansion.set_out(2, 3, (0, 1, 0, 1))
+        expansion.learn((2, 3), (0, 1, 0, 1))
         before = expansion.expand(2, (3, 3, 3, 3))
-        expansion.set_out(2, 1, (1, 1, 1, 1))  # unrelated growth
+        expansion.learn((2, 1), (1, 1, 1, 1))  # unrelated growth
         after = expansion.expand(2, (3, 3, 3, 3))
         assert before == after
 
     def test_out_entries_irrevocable(self, expansion):
-        expansion.set_out(2, 3, (0, 1, 0, 1))
+        expansion.learn((2, 3), (0, 1, 0, 1))
         with pytest.raises(ProtocolViolation):
-            expansion.set_out(2, 3, (1, 1, 1, 1))
+            expansion.learn((2, 3), (1, 1, 1, 1))
 
     def test_idempotent_set_out_allowed(self, expansion):
-        expansion.set_out(2, 3, (0, 1, 0, 1))
-        expansion.set_out(2, 3, (0, 1, 0, 1))  # same value: fine
+        expansion.learn((2, 3), (0, 1, 0, 1))
+        expansion.learn((2, 3), (0, 1, 0, 1))  # same value: fine
 
 
 class TestBookkeeping:
     def test_has_out_and_table(self, expansion):
-        assert not expansion.has_out(2, 3)
-        expansion.set_out(2, 3, (0, 1, 0, 1))
-        assert expansion.has_out(2, 3)
+        assert not expansion.has((2, 3))
+        expansion.learn((2, 3), (0, 1, 0, 1))
+        assert expansion.has((2, 3))
         assert expansion.out_table(2) == {3: (0, 1, 0, 1)}
         assert expansion.out_table(3) == {}
 
     def test_out_returns_bottom_when_missing(self, expansion):
-        assert is_bottom(expansion.out(2, 1))
+        assert is_bottom(expansion.binding((2, 1)))
 
     def test_defined_predicate(self, expansion):
         assert expansion.defined(1, (0, 1, 0, 1))
@@ -136,7 +136,7 @@ class TestStoreSharedExpansions:
     def processor(self, config4, store, cores=None):
         expansion = ExpansionState(config4, [0, 1], store=store)
         for sender, core in (cores or self.CORES).items():
-            expansion.set_out(2, sender, store.intern(core))
+            expansion.learn((2, sender), store.intern(core))
         return expansion
 
     def test_second_processor_builds_and_interns_nothing(self, config4):
@@ -160,7 +160,7 @@ class TestStoreSharedExpansions:
         array = ((1, 2, 3, 4), (4, 3, 2, 1), (1, 1, 2, 2), (3, 3, 4, 4))
         plain = ExpansionState(config4, [0, 1])
         for sender, core in self.CORES.items():
-            plain.set_out(2, sender, core)
+            plain.learn((2, sender), core)
         shared = self.processor(config4, store).expand(2, store.intern(array))
         assert shared == plain.expand(2, array)
 
@@ -198,7 +198,7 @@ class TestStoreSharedExpansions:
         assert not expansion.defined(2, node)
         assert store.expansions == {}
         # ... and becomes defined once the missing decision lands.
-        expansion.set_out(2, 4, store.intern(self.CORES[4]))
+        expansion.learn((2, 4), store.intern(self.CORES[4]))
         assert expansion.defined(2, node)
         assert expansion.expand(2, node) == tuple(
             self.CORES[q] for q in (1, 2, 3, 4)
@@ -219,7 +219,7 @@ class TestStoreSharedExpansions:
         canonical = self.processor(config4, store).expand(2, node)
         plain = ExpansionState(config4, [0, 1], store=store)
         for sender, core in self.CORES.items():
-            plain.set_out(2, sender, core)  # not interned
+            plain.learn((2, sender), core)  # not interned
         assert plain.expand(2, node) is canonical
 
     def test_memo_is_dropped_with_the_shared_stores(self, config4):

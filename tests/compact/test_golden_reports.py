@@ -18,6 +18,15 @@ COREs):
 
 The fast variant (``overhead=1``) needs ``n >= 4t + 1``, hence its own
 system sizes.
+
+The two zero-overhead variants are pinned the same way (the projection
+only: they run no avalanche, so there is no dense oracle to swap in).
+Their digests were recorded at the parent of the PR that put all three
+fault models on one block driver, with ``crash_sizer`` / ``auth_sizer``
+metering every patch and certificate: a crash grid (crash mid-broadcast
+at cut 0.0 / 0.5 / 1.0, the i-th faulty processor in round i, and send
+omissions) and an authenticated grid (the gallery plus the signing and
+the forging equivocator).
 """
 
 import hashlib
@@ -27,6 +36,8 @@ import pickle
 import pytest
 
 import repro.compact.protocol as compact_protocol
+from repro.adversary.crash import CrashAdversary
+from repro.adversary.omission import OmissionAdversary
 from repro.adversary.compact_attacks import (
     AvalancheEquivocator,
     ForgedIndexAdversary,
@@ -38,10 +49,20 @@ from repro.compact.byzantine_agreement import (
     compact_ba_factory,
     compact_ba_rounds,
 )
+from repro.compact.authenticated_variant import (
+    auth_compact_ba_factory,
+    auth_sizer,
+)
+from repro.compact.crash_variant import crash_compact_factory, crash_sizer
 from repro.compact.payload import compact_sizer, payload_is_null
 from repro.core.predicates import byzantine_agreement_predicate
 from repro.types import SystemConfig
+from repro.runtime.crypto import SignatureOracle
 from tests.compact.reference_agreement_batch import ReferenceAgreementBatch
+from tests.compact.test_authenticated_variant import (
+    ForgingEquivocator,
+    SigningEquivocator,
+)
 
 MAKERS = standard_adversary_makers() + [
     ("stale-core", StaleCoreAdversary),
@@ -58,6 +79,20 @@ GOLDEN = {
     (7, 2, 2, 2): "9675bc0efd960cce21f2fc90c4e010f0c47026a56d7f421e4c7dfe4fd222fc18",
     (9, 2, 1, 1): "93a57d8e894ed1b07cb0e915425aecb72b2ded11dd82b43e23866fcfb2c2b514",
     (9, 2, 1, 2): "3bf62e56a934d436bf280e590e318685f559f932387ae6d65b1bd34afe2f682e",
+}
+
+#: ``(n, t, k)`` -> digest, the benign variant under crash and omission.
+CRASH_GOLDEN = {
+    (7, 2, 1): "168d89a06372c1b48ad32b0bed45692452592dcbecb2d823aef8a20848feeb76",
+    (7, 2, 2): "2c69f44d6972ede4098f172946bf1e07507d2c62cdd71e14ac1a221f22aaca77",
+    (10, 3, 1): "7506c4d2de34c1a621c9a3c985154eda549e95d4cdb1570f23ef789b6f5794f9",
+    (10, 3, 2): "134078d69a5e0416e6e008ef68796d4fba117d327396619e84b759a92d1e51a7",
+}
+
+#: ``(n, t, k)`` -> digest, the authenticated variant.
+AUTH_GOLDEN = {
+    (7, 2, 1): "3da4094b6846913f6f7e182fdaeccf9bcabe5d54783fb83bbf35b0813227b6df",
+    (7, 2, 2): "d9497fa94983712888565ca660c386ff69e327dbc77a3b4c8eb7fe0cb5100bfc",
 }
 
 
@@ -78,6 +113,62 @@ def run_grid(grid, scheduler):
         workers=1,
         scheduler=scheduler,
         cache=False,
+    )
+
+
+def run_variant_grid(factory, config, values, makers, sizer, scheduler):
+    n, t = config.n, config.t
+    return sweep(
+        factory,
+        config,
+        [
+            {p: (p + shift) % len(values) for p in config.process_ids}
+            for shift in range(2)
+        ],
+        [tuple(range(1, t + 1)), tuple(range(n - t + 1, n + 1))],
+        makers,
+        seeds=(1701, 1702),
+        predicate=byzantine_agreement_predicate(),
+        max_rounds=t + 2,
+        sizer=sizer,
+        workers=1,
+        scheduler=scheduler,
+        cache=False,
+    )
+
+
+def run_crash_grid(grid, scheduler):
+    n, t, k = grid
+    config = SystemConfig(n=n, t=t)
+    factory = crash_compact_factory(k=k, value_alphabet=[0, 1, 2], t=t)
+
+    def crash_at(cut):
+        return lambda faulty: CrashAdversary(
+            {p: rank for rank, p in enumerate(sorted(faulty), start=1)},
+            factory,
+            cut_fraction=cut,
+        )
+
+    makers = [(f"crash-{cut}", crash_at(cut)) for cut in (0.0, 0.5, 1.0)]
+    makers.append(
+        ("omission", lambda faulty: OmissionAdversary(faulty, factory, 0.4))
+    )
+    return run_variant_grid(
+        factory, config, [0, 1, 2], makers, crash_sizer(config, 3), scheduler
+    )
+
+
+def run_auth_grid(grid, scheduler):
+    n, t, k = grid
+    config = SystemConfig(n=n, t=t)
+    oracle = SignatureOracle()
+    makers = standard_adversary_makers() + [
+        ("signing", lambda faulty: SigningEquivocator(faulty, oracle, k)),
+        ("forging", ForgingEquivocator),
+    ]
+    return run_variant_grid(
+        auth_compact_ba_factory(config, [0, 1], oracle, k=k),
+        config, [0, 1], makers, auth_sizer(config, 2), scheduler,
     )
 
 
@@ -119,3 +210,21 @@ def test_reports_are_the_parents_and_the_dense_oracles(
         compact_protocol, "AgreementBatch", ReferenceAgreementBatch
     )
     assert pickle.dumps(run_grid(grid, scheduler)) == pickle.dumps(report)
+
+
+@pytest.mark.parametrize("scheduler", ["lockstep", "async:3:7"])
+@pytest.mark.parametrize("grid", sorted(CRASH_GOLDEN), ids=str)
+def test_crash_variant_reports_are_the_parents(grid, scheduler):
+    report = run_crash_grid(grid, scheduler)
+    assert not report.violations
+    assert report.executions == 32
+    assert projection(report) == CRASH_GOLDEN[grid]
+
+
+@pytest.mark.parametrize("scheduler", ["lockstep", "async:3:7"])
+@pytest.mark.parametrize("grid", sorted(AUTH_GOLDEN), ids=str)
+def test_authenticated_variant_reports_are_the_parents(grid, scheduler):
+    report = run_auth_grid(grid, scheduler)
+    assert not report.violations
+    assert report.executions == 64
+    assert projection(report) == AUTH_GOLDEN[grid]

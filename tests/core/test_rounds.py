@@ -167,3 +167,41 @@ class TestBlockSchedule:
     def test_invalid_overhead_rejected(self):
         with pytest.raises(ConfigurationError):
             BlockSchedule(k=2, overhead=3)
+        with pytest.raises(ConfigurationError):
+            BlockSchedule(k=2, overhead=-1)
+
+
+class TestZeroOverhead:
+    """``overhead=0``: the benign and authenticated models, where every
+    round is a progress round and nothing is re-broadcast or agreed."""
+
+    def test_table_rows(self):
+        rows = BlockSchedule(k=2, overhead=0).table(6)
+        assert [row["block"] for row in rows] == [1, 1, 2, 2, 3, 3]
+        assert [row["prior"] for row in rows] == [0, 0, 2, 2, 4, 4]
+        assert [row["phase"] for row in rows] == [1, 2, 1, 2, 1, 2]
+        assert [row["simul"] for row in rows] == [1, 2, 3, 4, 5, 6]
+
+    @given(st.integers(1, 500), st.integers(1, 6))
+    def test_simul_is_the_round(self, round_number, k):
+        schedule = BlockSchedule(k, overhead=0)
+        assert schedule.block_length == k
+        assert schedule.simul(round_number) == round_number
+        assert schedule.actual_rounds_for(round_number) == round_number
+        assert actual_rounds_for(round_number, k, overhead=0) == round_number
+
+    @given(st.integers(1, 500), st.integers(1, 6))
+    def test_every_round_is_progress_and_only_that(self, round_number, k):
+        schedule = BlockSchedule(k, overhead=0)
+        assert schedule.is_progress_round(round_number)
+        assert not schedule.is_rebroadcast_round(round_number)
+        assert not schedule.is_agreement_start_round(round_number)
+        assert schedule.is_block_start(round_number) == (
+            (round_number - 1) % k == 0
+        )
+
+    def test_block_starts(self):
+        schedule = BlockSchedule(k=3, overhead=0)
+        assert schedule.first_round_of_block(2) == 4
+        assert list(schedule.progress_rounds(5)) == [1, 2, 3, 4, 5]
+        assert overhead_factor(3, overhead=0) == 1.0

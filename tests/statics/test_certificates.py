@@ -54,8 +54,9 @@ def test_every_catalog_protocol_is_certified_canonical(regenerated):
 
 def test_catalog_covers_the_full_protocol_set(regenerated):
     keys = set(regenerated["protocols"])
-    assert len(keys) == 20
+    assert len(keys) == 21
     for expected in (
+        "repro/compact/lazy_decision.py::LazyCompactProcess",
         "repro/agreement/phase_king.py::PhaseKingProcess",
         "repro/agreement/dolev_strong.py::DolevStrongProcess",
         "repro/compact/protocol.py::CompactProcess",

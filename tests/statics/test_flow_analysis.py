@@ -41,6 +41,7 @@ def test_catalog_coverage(by_name):
         "FiringSquadProcess",
         "FullInformationAutomaton",
         "FullInformationProcess",
+        "LazyCompactProcess",
         "PhaseKingProcess",
         "PhaseQueenProcess",
         "STAgreementProcess",
@@ -94,6 +95,20 @@ def test_dolev_strong_history_bound_is_declared_and_justified(by_name):
 def test_compact_protocol_is_blocked_structure(by_name):
     assert by_name["CompactProcess"].structure == "block(k)"
     assert by_name["FullInformationProcess"].structure == "lockstep"
+
+
+def test_the_block_driver_certifies_every_fault_model_unwaived(by_name):
+    """One loop, one legality filter: nothing on the shared send or
+    decision path needs a baseline entry, and a drain that FLOW003
+    sent to receive() still bounds the payload for COM."""
+    for name in ("CompactProcess", "LazyCompactProcess",
+                 "CrashCompactProcess", "AuthCompactProcess"):
+        report = by_name[name]
+        assert report.structure == "block(k)"
+        assert report.findings == []
+    for name in ("CrashCompactProcess", "AuthCompactProcess"):
+        assert "_usable" in by_name[name].sanitizers_used
+    assert by_name["CrashCompactProcess"].inferred_bound is Size.LINEAR
 
 
 def test_full_information_baseline_is_flagged_not_silently_passed(by_name):

@@ -74,6 +74,37 @@ def test_gap_inside_the_parents_own_spread_is_no_gain(tool, monkeypatch):
     assert drive(tool, monkeypatch, parent, change)[0] == 2
 
 
+def test_no_gain_runs_are_read_against_the_benchmarks_bound(
+    tool, monkeypatch, capsys
+):
+    """The line a no-gain PR quotes; exit codes stay the gain rule's."""
+    assert tool.bound() == 0.25  # BENCHMARK.json, executions_per_s
+    steady = [50, 51, 49, 50, 52, 50, 49, 51, 50, 50]
+
+    def verdict(parent, change):
+        status, _ = drive(tool, monkeypatch, parent, change)
+        return status, capsys.readouterr().out.splitlines()[-1]
+
+    status, last = verdict(steady, [rate * 0.98 for rate in steady])
+    assert status == 2
+    assert "median ratio 0.980 against a floor of 0.75" in last
+    assert last.endswith("quartile ranges overlap -> within bound")
+    # Clearly slower, yet inside the bound: apart, and still no regression.
+    status, last = verdict(steady, [rate * 0.9 for rate in steady])
+    assert status == 2 and last.endswith("quartile ranges apart -> within bound")
+    status, last = verdict(steady, [rate * 0.7 for rate in steady])
+    assert status == 2 and last.endswith("-> regression")
+    # Runs spread wider than the bound cannot show "no regression" ...
+    noisy = [40, 60, 40, 60, 40, 60, 40, 60, 40, 60]
+    status, last = verdict(noisy, [rate + 1 for rate in noisy])
+    assert status == 2 and last.endswith("overlap -> unresolved")
+    # ... unless every change run beat every parent run.
+    status, last = verdict(noisy, [rate * 2 for rate in noisy])
+    assert last.endswith("-> within bound")
+    status, last = verdict(steady, [rate * 1.5 for rate in steady])
+    assert status == 0 and last.endswith("apart -> within bound")
+
+
 def test_differing_bits_or_failures_exit_one(tool, monkeypatch):
     parent, change = [50.0] * 10, [75.0] * 10
     assert drive(tool, monkeypatch, parent, change, {"bits": 101.0})[0] == 1
