@@ -19,7 +19,9 @@ Determinism is engineered, not assumed:
 * results are collected in submission order (never completion order),
   so chunking and scheduling cannot reorder outcomes;
 * both the serial and the pooled paths run the *same* per-cell
-  function, :func:`run_cell`, with the same portability rules.
+  function, :func:`run_cell`, with the same portability rules, and
+  pass every outcome through the same two functions: :func:`_encode`
+  where the cell ran, :func:`_decode` once where the report is built.
 
 Portability: sweep contexts hold closures (factories, decision rules)
 that pickle refuses, so the pool uses the ``fork`` start method and
@@ -321,9 +323,12 @@ _WORKER_OBSERVED = False
 
 def _run_cell_chunk(
     cells: List[SweepCell],
-) -> Tuple[List[SweepOutcome], int, float, Dict[str, int]]:
+) -> Tuple[List[bytes], int, float, Dict[str, int]]:
     """Worker entry point: run a chunk of cells against the inherited
-    context; returns ``(outcomes, worker_pid, busy_seconds, counters)``.
+    context; returns ``(blobs, worker_pid, busy_seconds, counters)``,
+    one :func:`_encode` blob per cell — encoding is part of the
+    worker's busy time, and a list of ``bytes`` costs the executor's
+    own transport next to nothing.
 
     Must stay module-level — the pool transports it by qualified name.
     A fork-started worker inherits the parent's active observer; it is
@@ -351,7 +356,7 @@ def _run_cell_chunk(
             chunk_observer = _obs.Observer(spans=False)
             _obs.activate(chunk_observer)
             try:
-                outcomes = [run_cell(context, cell) for cell in cells]
+                blobs = [_encode(run_cell(context, cell)) for cell in cells]
             finally:
                 _obs.deactivate()
             counters = {
@@ -360,7 +365,7 @@ def _run_cell_chunk(
                 if not name.endswith((".hit", ".miss"))
             }
         else:
-            outcomes = [run_cell(context, cell) for cell in cells]
+            blobs = [_encode(run_cell(context, cell)) for cell in cells]
     finally:
         # Flush persistent-cache deltas on chunk exit: the worker
         # inherited the parent's preloaded manifest at fork; its new
@@ -368,7 +373,7 @@ def _run_cell_chunk(
         # concurrent workers writing identical deltas collide
         # harmlessly (see repro.arrays.persist).
         _persist.flush_active()
-    return outcomes, os.getpid(), _now() - started, counters
+    return blobs, os.getpid(), _now() - started, counters
 
 
 def _chunked(cells: List[SweepCell], workers: int) -> List[List[SweepCell]]:
@@ -382,24 +387,33 @@ def _chunked(cells: List[SweepCell], workers: int) -> List[List[SweepCell]]:
     ]
 
 
-def _canonical(outcome: SweepOutcome) -> SweepOutcome:
-    """Break object sharing so the outcome's byte form is standalone.
+def _encode(outcome: SweepOutcome) -> bytes:
+    """The outcome's standalone byte form, made where its cell ran.
 
-    Outcomes coming back from a pool chunk share subobjects (one
-    config instance per worker) while serial outcomes share them
-    grid-wide; pickle encodes that sharing topology as memo
-    references, so identically-valued reports would serialize
-    differently per worker count.  A per-outcome round-trip normalizes
-    every outcome to its own object graph — singletons like
-    :data:`~repro.types.BOTTOM` survive by ``__reduce__`` identity.
+    Outcomes of one process share subobjects (one config instance per
+    worker, or grid-wide on the serial path), and pickle encodes that
+    sharing topology as memo references, so identically-valued reports
+    would serialize differently per worker count.  One pickle per
+    outcome gives every outcome its own object graph on decoding —
+    singletons like :data:`~repro.types.BOTTOM` survive by
+    ``__reduce__`` identity.
     """
-    return pickle.loads(pickle.dumps(outcome))
+    return pickle.dumps(outcome)
+
+
+def _decode(blob: bytes) -> SweepOutcome:
+    """The outcome an :func:`_encode` blob stands for, sharing nothing.
+
+    Called once per outcome, by the process that builds the report, on
+    bytes this process or a worker it forked wrote.
+    """
+    return pickle.loads(blob)
 
 
 def _run_serial(
     context: SweepContext, cells: Sequence[SweepCell]
 ) -> List[SweepOutcome]:
-    return [_canonical(run_cell(context, cell)) for cell in cells]
+    return [_decode(_encode(run_cell(context, cell))) for cell in cells]
 
 
 def _degrade_to_serial(
@@ -461,12 +475,14 @@ def execute_cells(
     try:
         chunks = _chunked(cells, workers)
         worker_count = min(workers, len(chunks))
-        busy_by_pid: Dict[int, float] = {}
-        cells_by_pid: Dict[int, int] = {}
-        # Worker slots are assigned by first-appearance order in the
-        # deterministic collection sequence, so telemetry never leaks
-        # raw (scheduling-dependent) pids into the log.
+        # A worker's slot is its first appearance in the deterministic
+        # collection sequence, so telemetry never leaks raw pids or
+        # their order into the log, and every record of one run —
+        # ``worker_sample``, the ``pool.worker.<slot>.*`` gauges, the
+        # ``workers`` event — numbers a worker the same way.
         slot_by_pid: Dict[int, int] = {}
+        cells_by_slot: Dict[int, int] = {}
+        busy_by_slot: Dict[int, float] = {}
         if observer is not None and observer.events_on:
             # Announce the plan so `repro status` can compute progress
             # for an interrupted run from the artifact alone.
@@ -483,48 +499,34 @@ def execute_cells(
             futures = [pool.submit(_run_cell_chunk, chunk) for chunk in chunks]
             outcomes: List[SweepOutcome] = []
             for chunk_index, future in enumerate(futures):
-                (
-                    chunk_outcomes, worker_pid, busy_s, worker_counters,
-                ) = future.result()
+                blobs, worker_pid, busy_s, worker_counters = future.result()
                 if observer is not None:
+                    slot = slot_by_pid.setdefault(worker_pid, len(slot_by_pid))
+                    cells_by_slot[slot] = cells_by_slot.get(slot, 0) + len(blobs)
+                    busy_by_slot[slot] = busy_by_slot.get(slot, 0.0) + busy_s
                     if observer.counters_on:
                         observer.registry.absorb(worker_counters)
                     observer.count("pool.chunks")
                     if observer.events_on:
                         observer.emit(
-                            "chunk",
-                            index=chunk_index,
-                            cells=len(chunk_outcomes),
+                            "chunk", index=chunk_index, cells=len(blobs)
                         )
                         # Telemetry rollup: the counter delta this
                         # chunk contributed (deterministic — worker
                         # counters are absorbed in submission order).
-                        observer.emit_rollup(
-                            "chunk", chunk_index, len(chunk_outcomes)
-                        )
-                        slot = slot_by_pid.setdefault(
-                            worker_pid, len(slot_by_pid)
-                        )
+                        observer.emit_rollup("chunk", chunk_index, len(blobs))
                         observer.emit_nondet(
                             "worker_sample",
                             chunk=chunk_index,
                             worker=slot,
-                            cells=len(chunk_outcomes),
+                            cells=len(blobs),
                             busy_s=round(busy_s, 6),
                         )
-                    busy_by_pid[worker_pid] = (
-                        busy_by_pid.get(worker_pid, 0.0) + busy_s
-                    )
-                    cells_by_pid[worker_pid] = (
-                        cells_by_pid.get(worker_pid, 0) + len(chunk_outcomes)
-                    )
-                outcomes.extend(
-                    _canonical(outcome) for outcome in chunk_outcomes
-                )
+                outcomes.extend(_decode(blob) for blob in blobs)
         if observer is not None:
             _record_pool_stats(
                 observer, worker_count, _now() - pool_started,
-                busy_by_pid, cells_by_pid,
+                cells_by_slot, busy_by_slot,
             )
         return outcomes
     except (BrokenProcessPool, OSError, pickle.PicklingError) as error:
@@ -541,25 +543,25 @@ def _record_pool_stats(
     observer: "_obs.Observer",
     worker_count: int,
     wall_s: float,
-    busy_by_pid: Dict[int, float],
-    cells_by_pid: Dict[int, int],
+    cells_by_slot: Dict[int, int],
+    busy_by_slot: Dict[int, float],
 ) -> None:
     """Fold one pool run's worker utilization into the observer.
 
     Everything here derives from the wall clock and worker scheduling,
     so it lands in gauges and the ``workers`` event — the log's
-    explicitly nondeterministic section.  Workers are reported as
-    slots (ordered by pid) rather than by pid, keeping the *shape*
-    stable across runs.
+    explicitly nondeterministic section.  Workers are reported by the
+    slots :func:`execute_cells` assigned in collection order, never by
+    pid, keeping the *shape* stable across runs and every record of a
+    worker under one number.
     """
-    idle_s = max(0.0, worker_count * wall_s - sum(busy_by_pid.values()))
+    idle_s = max(0.0, worker_count * wall_s - sum(busy_by_slot.values()))
     observer.gauge("pool.workers", worker_count)
     observer.gauge("pool.wall_s", round(wall_s, 6))
     observer.gauge("pool.idle_s", round(idle_s, 6))
     workers_payload = []
-    for slot, worker_pid in enumerate(sorted(cells_by_pid)):
-        cells_run = cells_by_pid[worker_pid]
-        busy = round(busy_by_pid.get(worker_pid, 0.0), 6)
+    for slot, cells_run in sorted(cells_by_slot.items()):
+        busy = round(busy_by_slot[slot], 6)
         observer.gauge(f"pool.worker.{slot}.cells", cells_run)
         observer.gauge(f"pool.worker.{slot}.busy_s", busy)
         workers_payload.append({"cells": cells_run, "busy_s": busy})

@@ -27,8 +27,12 @@ from repro.runtime.engine import ExecutionResult
 
 Pathish = Union[str, pathlib.Path]
 
-# Bump when the saved layout changes incompatibly.
-FORMAT_VERSION = 1
+# Bump when the saved layout changes incompatibly.  That includes the
+# attributes of anything a result embeds: unpickling restores whatever
+# attributes the file names, so a stale layout loads without error and
+# shows only when the result is pickled again.
+# 2: MessageMetrics keeps per-round and per-sender rows only.
+FORMAT_VERSION = 2
 
 
 def save_result(result: ExecutionResult, path: Pathish) -> None:

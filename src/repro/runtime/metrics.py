@@ -1,4 +1,4 @@
-"""Per-round, per-link communication meters.
+"""Per-round, per-sender communication meters.
 
 The paper's headline quantity is *message bits*.  The meter records,
 for every round:
@@ -9,6 +9,11 @@ for every round:
   coding convention of Section 4 bounds ("each correct processor sends
   at most 3 non-null messages in any execution").
 
+Usage is broken down per round and per sender, the two units the
+paper prices a protocol in (Corollary 10; Section 4).  The meter rides
+in every pickled :class:`~repro.runtime.engine.ExecutionResult`, so it
+keeps no table that grows with ``n ** 2``.
+
 By default only traffic of **correct** processors is metered: the
 paper's bounds quantify the protocol's cost, and a Byzantine processor
 can send arbitrarily large garbage that says nothing about the
@@ -18,7 +23,7 @@ protocol.  Adversary traffic can be included for diagnostics.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.types import ProcessId, Round
 
@@ -26,11 +31,11 @@ from repro.types import ProcessId, Round
 class RoundUsage:
     """Aggregated communication in one round.
 
-    A ``__slots__`` class rather than a dataclass: three counters exist
-    per round, per sender, *and* per link, so a metered execution
-    allocates thousands of these and the per-instance ``__dict__`` was
-    measurable in sweep profiles.  Equality and repr keep the dataclass
-    semantics tests rely on.
+    A ``__slots__`` class rather than a dataclass: one exists per round
+    and per sender of every metered execution and each is pickled with
+    its result, so the per-instance ``__dict__`` was measurable in
+    sweep profiles.  Equality and repr keep the dataclass semantics
+    tests rely on.
     """
 
     __slots__ = ("messages", "non_null_messages", "bits")
@@ -47,6 +52,12 @@ class RoundUsage:
         self.bits += bits
         if non_null:
             self.non_null_messages += 1
+
+    def add_many(self, messages: int, non_null_messages: int, bits: int) -> None:
+        """Fold in the summed usage of several messages at once."""
+        self.messages += messages
+        self.non_null_messages += non_null_messages
+        self.bits += bits
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, RoundUsage):
@@ -70,9 +81,6 @@ class MessageMetrics:
     def __init__(self) -> None:
         self._per_round: Dict[Round, RoundUsage] = defaultdict(RoundUsage)
         self._per_sender: Dict[ProcessId, RoundUsage] = defaultdict(RoundUsage)
-        self._per_link: Dict[Tuple[ProcessId, ProcessId], RoundUsage] = defaultdict(
-            RoundUsage
-        )
 
     def record(
         self,
@@ -82,40 +90,34 @@ class MessageMetrics:
         bits: int,
         non_null: bool = True,
     ) -> None:
-        """Record one transmitted message."""
+        """Record one transmitted message.
+
+        ``receiver`` says which message this is and selects no row:
+        usage is kept per round and per sender.
+        """
         self._per_round[round_number].add(bits, non_null)
         self._per_sender[sender].add(bits, non_null)
-        self._per_link[(sender, receiver)].add(bits, non_null)
 
-    def sender_round_recorder(
-        self, round_number: Round, sender: ProcessId
-    ) -> Callable[[ProcessId, int, bool], None]:
-        """A per-receiver :meth:`record` with the fixed rows prefetched.
+    def record_burst(
+        self,
+        round_number: Round,
+        sender: ProcessId,
+        messages: int,
+        non_null_messages: int,
+        bits: int,
+    ) -> None:
+        """Record one sender's summed traffic of one round.
 
-        The network delivers one sender's round traffic in a burst of
-        up to ``n`` messages that share the round and sender rows;
-        binding those two rows once leaves only the per-link lookup on
-        the per-message path.  Semantically identical to calling
-        :meth:`record` per message.
+        The network delivers a sender's round traffic in a burst of up
+        to ``n`` messages that all land in the same two rows, so it
+        sums them and touches each row once.  Equal to one
+        :meth:`record` per message; like it, creates the rows it names
+        — an all-bottom burst must not call this.
         """
-        round_usage = self._per_round[round_number]
-        sender_usage = self._per_sender[sender]
-        per_link = self._per_link
-
-        def record(receiver: ProcessId, bits: int, non_null: bool) -> None:
-            link_usage = per_link[(sender, receiver)]
-            round_usage.messages += 1
-            round_usage.bits += bits
-            sender_usage.messages += 1
-            sender_usage.bits += bits
-            link_usage.messages += 1
-            link_usage.bits += bits
-            if non_null:
-                round_usage.non_null_messages += 1
-                sender_usage.non_null_messages += 1
-                link_usage.non_null_messages += 1
-
-        return record
+        self._per_round[round_number].add_many(
+            messages, non_null_messages, bits
+        )
+        self._per_sender[sender].add_many(messages, non_null_messages, bits)
 
     # -- totals -----------------------------------------------------------
 
@@ -179,17 +181,10 @@ class MessageMetrics:
     def merge(self, other: "MessageMetrics") -> None:
         """Fold another meter's records into this one."""
         for round_number, usage in other._per_round.items():
-            target = self._per_round[round_number]
-            target.messages += usage.messages
-            target.non_null_messages += usage.non_null_messages
-            target.bits += usage.bits
+            self._per_round[round_number].add_many(
+                usage.messages, usage.non_null_messages, usage.bits
+            )
         for sender, usage in other._per_sender.items():
-            target = self._per_sender[sender]
-            target.messages += usage.messages
-            target.non_null_messages += usage.non_null_messages
-            target.bits += usage.bits
-        for link, usage in other._per_link.items():
-            target = self._per_link[link]
-            target.messages += usage.messages
-            target.non_null_messages += usage.non_null_messages
-            target.bits += usage.bits
+            self._per_sender[sender].add_many(
+                usage.messages, usage.non_null_messages, usage.bits
+            )

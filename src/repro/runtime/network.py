@@ -26,8 +26,10 @@ Hot-path notes: sweeps run this loop millions of times, so the round
 loop (a) clones a preallocated all-:data:`BOTTOM` delivery row per
 receiver instead of growing dicts with ``setdefault``, (b) memoizes
 the sizer per payload *object* within a round — broadcasts present the
-same object up to ``n`` times — and (c) skips all trace bookkeeping
-when no trace is attached.
+same object up to ``n`` times — (c) skips all trace bookkeeping
+when no trace is attached, and (d) sums the metered usage of one
+sender's burst and records it once, in the round row and the sender
+row every message of the burst shares.
 """
 
 from __future__ import annotations
@@ -344,10 +346,10 @@ class SynchronousNetwork:
             if observer is not None and observer.events_on
             else None
         )
-        # Bound lazily on the first metered delivery, so an all-bottom
-        # burst creates no metric rows (rounds_used counts only rounds
-        # with recorded traffic).
-        record: Optional[Callable[[ProcessId, int, bool], None]] = None
+        # The burst's metered usage: every message of it lands in the
+        # same round row and sender row, so it is summed here and
+        # recorded once, after the loop.
+        messages = non_null_messages = total_bits = 0
         for receiver, payload in per_receiver.items():
             incoming = incoming_by_receiver.get(receiver)
             if incoming is not None:
@@ -358,12 +360,11 @@ class SynchronousNetwork:
             if is_bottom(payload):
                 continue
             if metered:
-                if record is None:
-                    record = self.metrics.sender_round_recorder(
-                        round_number, sender
-                    )
                 bits, non_null = self._measured(payload, observer)
-                record(receiver, bits, non_null)
+                messages += 1
+                total_bits += bits
+                if non_null:
+                    non_null_messages += 1
             if burst is not None:
                 if faulty:
                     # Adversary-fixed traffic: recorded as a corruption,
@@ -380,3 +381,9 @@ class SynchronousNetwork:
                 trace.record_envelope(
                     Envelope(sender, receiver, round_number, payload)
                 )
+        # An all-bottom burst records nothing and so creates no metric
+        # rows: rounds_used counts only rounds with recorded traffic.
+        if messages:
+            self.metrics.record_burst(
+                round_number, sender, messages, non_null_messages, total_bits
+            )

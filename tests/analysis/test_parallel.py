@@ -1,6 +1,9 @@
 """The parallel sweep executor: determinism, portability, degradation."""
 
+import itertools
 import pickle
+import warnings
+from concurrent.futures import Future
 
 import pytest
 
@@ -20,9 +23,10 @@ from repro.compact.byzantine_agreement import (
 )
 from repro.compact.payload import compact_sizer, payload_is_null
 from repro.core.predicates import byzantine_agreement_predicate
-from repro.obs import Observer, observing
+from repro.obs import EventLog, Observer, observing
 from repro.runtime.engine import run_protocol
-from repro.types import BOTTOM
+from repro.runtime.node import Process
+from repro.types import BOTTOM, SystemConfig
 
 
 def avalanche_grid(config):
@@ -103,6 +107,149 @@ class TestWorkerCountInvariance:
         legacy = sweep(factory, config4, **grid)
         pooled = sweep(factory, config4, workers=2, **grid)
         assert signature(legacy) == signature(pooled)
+
+
+#: Module-level, so pickle fails on the attribute lookup by name (a
+#: ``PicklingError``) rather than on a local object.
+unpicklable = lambda: 0  # noqa: E731
+
+
+class LambdaDecider(Process):
+    """Decides a value no pickle can carry, in round 1."""
+
+    def outgoing(self, round_number):
+        return {}
+
+    def receive(self, round_number, incoming):
+        self.decide(("value", unpicklable), round_number)
+
+
+class InertPool:
+    """A ``ProcessPoolExecutor`` stand-in that starts nothing; tests
+    subclass it with the ``submit`` they need."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def one_cell_grid(config, faulty):
+    return dict(
+        input_patterns=[{p: p % 2 for p in config.process_ids}],
+        fault_sets=[faulty],
+        adversary_makers=standard_adversary_makers()[:1],
+    )
+
+
+class TestWireForm:
+    """One standalone pickle per outcome, made where its cell ran."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_outcomes_of_one_report_share_no_object(self, config7, workers):
+        report = sweep(
+            avalanche_factory(), config7, workers=workers,
+            **avalanche_grid(config7),
+        )
+        first, second = report.outcomes[:2]
+        assert first.result.config == second.result.config
+        assert first.result.config is not second.result.config
+
+    def test_unpicklable_outcome_fails_alike_serial_and_pooled(self, config4):
+        def factory(process_id, config, value):
+            return LambdaDecider(process_id, config)
+
+        def failure(workers):
+            with observing(Observer()) as observer:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    with pytest.raises(Exception) as caught:
+                        sweep(
+                            factory, config4, workers=workers, seeds=(0, 1),
+                            max_rounds=2, **one_cell_grid(config4, (4,)),
+                        )
+            assert parallel._WORKER_CONTEXT is None
+            return (
+                caught.type,
+                observer.registry.counter("sweep.pool.degraded"),
+            )
+
+        serial_error, serial_degraded = failure(1)
+        pooled_error, pooled_degraded = failure(2)
+        assert pooled_error is serial_error
+        assert serial_degraded == 0
+        # A PicklingError is a transport failure: the pool degrades to
+        # the serial path first, which then fails the same way.
+        transport = issubclass(serial_error, pickle.PicklingError)
+        assert pooled_degraded == (1 if transport else 0)
+
+    def test_an_outcome_carries_no_quadratic_table(self):
+        """1,328 bytes; 5,073 when the meter kept a row per link."""
+        config = SystemConfig(n=13, t=4)
+        report = sweep(
+            avalanche_factory(), config, workers=1, seeds=(0,),
+            run_full_rounds=8, **one_cell_grid(config, (1, 2, 3, 4)),
+        )
+        (outcome,) = report.outcomes
+        # Every correct sender reached every processor: 117 live links.
+        links = (config.n - config.t) * config.n
+        assert outcome.result.metrics.total_messages >= links
+        assert len(pickle.dumps(outcome)) < 2000
+
+
+class TestPoolTelemetry:
+    @pytest.mark.parametrize("events", [True, False])
+    def test_a_worker_has_one_slot_in_every_record(
+        self, config4, monkeypatch, events
+    ):
+        """Slots follow collection order; pid order never shows."""
+        blob = pickle.dumps("an outcome")
+        pids = itertools.cycle([900, 800])
+
+        class FakePool(InertPool):
+            def submit(self, function, chunk):
+                future = Future()
+                future.set_result(
+                    ([blob] * len(chunk), next(pids), 0.25, {})
+                )
+                return future
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
+        context = SweepContext(
+            factory=avalanche_factory(), config=config4,
+            adversary_makers=tuple(standard_adversary_makers()[:1]),
+            predicate=None, max_rounds=3, run_full_rounds=None,
+            sizer=None, is_null=None,
+        )
+        cells = [
+            SweepCell(index=i, inputs={}, faulty=(), adversary_name="x",
+                      adversary_index=0, seed=0)
+            for i in range(5)
+        ]  # one per chunk at workers=2: pids 900, 800, 900, 800, 900
+        log = EventLog()
+        with observing(Observer(events=log if events else None)) as observer:
+            outcomes = parallel.execute_cells(context, cells, workers=2)
+        assert outcomes == ["an outcome"] * 5
+        gauges = observer.registry.gauges()
+        assert gauges["pool.worker.0.cells"] == 3  # pid 900, collected first
+        assert gauges["pool.worker.1.cells"] == 2
+        assert gauges["pool.worker.0.busy_s"] == 0.75
+        assert gauges["pool.worker.1.busy_s"] == 0.5
+        if events:
+            samples = [
+                record["worker"] for record in log.records
+                if record["kind"] == "worker_sample"
+            ]
+            assert samples == [0, 1, 0, 1, 0]
+            (summary,) = [
+                record for record in log.records
+                if record["kind"] == "workers"
+            ]
+            assert [w["cells"] for w in summary["workers"]] == [3, 2]
 
 
 class TestCells:
@@ -188,16 +335,7 @@ class TestGracefulDegradation:
     def test_broken_pool_degrades_to_serial_with_warning(
         self, config4, monkeypatch
     ):
-        class ExplodingPool:
-            def __init__(self, *args, **kwargs):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
+        class ExplodingPool(InertPool):
             def submit(self, *args, **kwargs):
                 raise OSError("cannot spawn worker")
 

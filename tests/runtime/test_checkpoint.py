@@ -83,3 +83,20 @@ class TestValidation:
         path.write_bytes(pickle.dumps({"version": 0, "result": None}))
         with pytest.raises(ConfigurationError):
             load_result(path)
+
+    def test_rejects_the_layout_before_this_one(self, result, tmp_path):
+        """A version-1 file embeds a meter with a per-link table: it must
+        be refused, not handed back with the stale attribute."""
+        import pickle
+
+        from repro.runtime.checkpoint import FORMAT_VERSION
+
+        assert FORMAT_VERSION == 2
+        path = tmp_path / "v1.pkl"
+        save_result(result, path)
+        payload = pickle.loads(path.read_bytes())
+        assert load_result(path).metrics.total_bits == result.metrics.total_bits
+        payload["version"] = 1
+        path.write_bytes(pickle.dumps(payload))
+        with pytest.raises(ConfigurationError, match="version-2"):
+            load_result(path)

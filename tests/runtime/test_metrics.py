@@ -1,5 +1,7 @@
 """Tests for the communication meters."""
 
+import pickle
+
 import pytest
 
 from repro.runtime.metrics import MessageMetrics, RoundUsage
@@ -54,6 +56,51 @@ class TestMessageMetrics:
         assert left.total_bits == 11
         assert left.total_messages == 3
         assert left.round_usage(1).messages == 2
+
+    def test_burst_equals_its_messages_recorded_one_by_one(self):
+        """One summed add per sender per round is the per-message meter."""
+        traffic = {  # (round, sender) -> [(receiver, bits, non_null)]
+            (1, 1): [(1, 8, True), (2, 8, True), (3, 0, False)],
+            (1, 2): [(1, 5, True)],
+            (2, 1): [(2, 0, False), (3, 0, False)],
+            (4, 3): [(1, 7, True), (2, 9, True)],
+        }
+        single, burst = MessageMetrics(), MessageMetrics()
+        for (round_number, sender), messages in traffic.items():
+            for receiver, bits, non_null in messages:
+                single.record(round_number, sender, receiver, bits, non_null)
+            burst.record_burst(
+                round_number, sender, len(messages),
+                sum(non_null for _, _, non_null in messages),
+                sum(bits for _, bits, _ in messages),
+            )
+
+        def view(metrics):
+            return (
+                metrics.total_bits,
+                metrics.total_messages,
+                metrics.total_non_null_messages,
+                metrics.rounds_used,
+                metrics.bits_by_round(),
+                [metrics.round_usage(r) for r in range(1, 6)],
+                [metrics.sender_usage(s) for s in range(1, 5)],
+                metrics.non_null_by_sender(),
+                metrics.as_counters(),
+            )
+
+        assert view(burst) == view(single)
+        assert pickle.dumps(burst) == pickle.dumps(single)
+        assert burst.round_usage(1) == RoundUsage(4, 3, 21)
+        assert burst.sender_usage(1) == RoundUsage(5, 2, 16)
+        # ... and the two kinds of record merge alike, either way round.
+        left, right = MessageMetrics(), MessageMetrics()
+        left.merge(single)
+        left.merge(burst)
+        right.merge(burst)
+        right.merge(single)
+        assert view(left) == view(right)
+        assert left.total_bits == 2 * single.total_bits
+        assert left.sender_usage(1) == RoundUsage(10, 4, 32)
 
     def test_empty_metrics(self):
         metrics = MessageMetrics()

@@ -2,11 +2,18 @@
 
 import pytest
 
+from repro.adversary import EquivocatingAdversary
 from repro.adversary.base import Adversary, PassiveAdversary
-from repro.runtime.metrics import MessageMetrics
+from repro.agreement.eig_agreement import eig_agreement_factory
+from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
+from repro.fullinfo.protocol import full_information_sizer
+from repro.obs import Observer, observing
+from repro.runtime.engine import run_protocol
+from repro.runtime.metrics import MessageMetrics, RoundUsage
 from repro.runtime.network import SynchronousNetwork, _default_sizer
 from repro.runtime.node import Process, broadcast
 from repro.runtime.rng import make_rng
+from repro.runtime.scheduler import resolve_scheduler
 from repro.runtime.trace import ExecutionTrace
 from repro.types import BOTTOM, SystemConfig, is_bottom
 
@@ -136,6 +143,146 @@ class TestMetering:
         )
         network.run_round()
         assert network.metrics.total_non_null_messages == 0
+
+
+class Scripted(Process):
+    """Sends ``script[round][own id]``: a per-receiver map, or nothing."""
+
+    def __init__(self, process_id, config, script):
+        super().__init__(process_id, config)
+        self.script = script
+
+    def outgoing(self, round_number):
+        return self.script.get(round_number, {}).get(self.process_id, {})
+
+    def receive(self, round_number, incoming):
+        pass
+
+
+#: Three rounds at n=4 with processor 4 faulty.  Round 2 is silent
+#: altogether, processor 3 is silent throughout, and the payloads mix
+#: sizes, nulls ("null...") and explicit bottoms.
+SCRIPT = {
+    1: {
+        1: {1: "a", 2: "null", 3: BOTTOM, 4: "abc"},
+        2: {receiver: "bb" for receiver in (1, 2, 3, 4)},
+        3: {1: BOTTOM, 2: BOTTOM},
+    },
+    3: {
+        1: {2: "null", 3: "null"},
+        2: {4: "to-the-faulty-one"},
+    },
+}
+
+
+def scripted_network(scheduler):
+    config = SystemConfig(n=4, t=1)
+    adversary = FirstHalfOnly([4])
+    adversary.bind(config, make_rng(0))
+    processes = {
+        process_id: Scripted(process_id, config, SCRIPT)
+        for process_id in (1, 2, 3)
+    }
+    return SynchronousNetwork(
+        config, processes, adversary, {p: 0 for p in config.process_ids},
+        sizer=len, is_null=lambda message: message.startswith("null"),
+        scheduler=resolve_scheduler(scheduler),
+    )
+
+
+@pytest.mark.parametrize("scheduler", ["lockstep", "async:3:7"])
+class TestBurstMetering:
+    """A sender's burst, summed and recorded once, meters per message."""
+
+    def test_network_meter_equals_record_per_message(self, scheduler):
+        network = scripted_network(scheduler)
+        for _ in range(3):
+            network.run_round()
+        reference = MessageMetrics()
+        for round_number, senders in SCRIPT.items():
+            for sender, per_receiver in senders.items():
+                for receiver, payload in per_receiver.items():
+                    if not is_bottom(payload):
+                        reference.record(
+                            round_number, sender, receiver, len(payload),
+                            not payload.startswith("null"),
+                        )
+        metrics = network.metrics
+        assert metrics.total_messages == reference.total_messages == 10
+        assert metrics.total_bits == reference.total_bits
+        assert metrics.bits_by_round() == reference.bits_by_round()
+        assert metrics.non_null_by_sender() == reference.non_null_by_sender()
+        for key in (1, 2, 3, 4):
+            assert metrics.round_usage(key) == reference.round_usage(key)
+            assert metrics.sender_usage(key) == reference.sender_usage(key)
+        assert metrics.round_usage(3) == RoundUsage(3, 1, 25)
+
+    def test_all_bottom_bursts_create_no_rows(self, scheduler):
+        network = scripted_network(scheduler)
+        network.run_round()
+        network.run_round()  # nobody sends
+        metrics = network.metrics
+        assert metrics.rounds_used == 1
+        assert [entry[0] for entry in metrics.bits_by_round()] == [1]
+        # Processor 3 sent explicit bottoms only: no sender row either.
+        assert set(metrics.non_null_by_sender()) == {1, 2}
+        network.run_round()
+        assert metrics.rounds_used == 3
+        assert [entry[0] for entry in metrics.bits_by_round()] == [1, 3]
+        assert set(metrics.non_null_by_sender()) == {1, 2}
+
+
+@pytest.mark.parametrize("scheduler", ["lockstep", "async:3:7"])
+class TestSizeCacheCounters:
+    """The sizing memo is consulted once per metered message, as before
+    bursts were summed: numbers pinned at the commit that still recorded
+    message by message."""
+
+    CONFIG = SystemConfig(n=7, t=2)
+    INPUTS = {process_id: process_id % 2 for process_id in CONFIG.process_ids}
+
+    @staticmethod
+    def net_counters(observer):
+        return {
+            name: value
+            for name, value in observer.registry.counters().items()
+            if name.startswith("net.")
+        }
+
+    def test_plain_payloads(self, scheduler):
+        with observing(Observer()) as observer:
+            run_compact_byzantine_agreement(
+                self.CONFIG, self.INPUTS, value_alphabet=[0, 1], k=1,
+                adversary=EquivocatingAdversary([6, 7], 0, 1),
+                scheduler=scheduler,
+            )
+        assert self.net_counters(observer) == {
+            "net.bits": 8561,
+            "net.messages": 245,
+            "net.non_null_messages": 175,
+            "net.size_cache.hit": 210,
+            "net.size_cache.miss": 35,
+        }
+
+    def test_interned_payloads(self, scheduler):
+        with observing(Observer()) as observer:
+            run_protocol(
+                eig_agreement_factory(self.CONFIG, [0, 1]),
+                self.CONFIG, self.INPUTS,
+                adversary=EquivocatingAdversary([6, 7], 0, 1),
+                max_rounds=self.CONFIG.t + 2,
+                sizer=full_information_sizer(2, self.CONFIG.n),
+                scheduler=scheduler, seed=3,
+            )
+        assert self.net_counters(observer) == {
+            "net.bits": 2625,
+            "net.messages": 105,
+            "net.non_null_messages": 105,
+            "net.size_cache.hit": 33,
+            "net.size_cache.miss": 2,
+            "net.interned_size_cache.hit": 66,
+            "net.interned_size_cache.miss": 4,
+        }
 
 
 class TestTrace:

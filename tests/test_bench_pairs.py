@@ -18,12 +18,16 @@ def tool():
     return module
 
 
-def line(rate, bits=100.0, failed=0):
+def line(rate, bits=100.0, failed=0, cpu_ms=2.0, rss_mb=100.0, setup_s=0.5):
+    """One run's last stdout line: all five end-to-end metrics."""
     return {
         "failed": failed,
         "metrics": {
             "executions_per_s": {"value": rate},
+            "cpu_ms_per_execution": {"value": cpu_ms},
             "bits_per_execution": {"value": bits},
+            "peak_rss_mb": {"value": rss_mb},
+            "setup_s": {"value": setup_s},
         },
     }
 
@@ -78,12 +82,15 @@ def test_no_gain_runs_are_read_against_the_benchmarks_bound(
     tool, monkeypatch, capsys
 ):
     """The line a no-gain PR quotes; exit codes stay the gain rule's."""
-    assert tool.bound() == 0.25  # BENCHMARK.json, executions_per_s
     steady = [50, 51, 49, 50, 52, 50, 49, 51, 50, 50]
 
     def verdict(parent, change):
         status, _ = drive(tool, monkeypatch, parent, change)
-        return status, capsys.readouterr().out.splitlines()[-1]
+        (last,) = (
+            text for text in capsys.readouterr().out.splitlines()
+            if text.startswith("executions_per_s bound 0.25: ")
+        )
+        return status, last
 
     status, last = verdict(steady, [rate * 0.98 for rate in steady])
     assert status == 2
@@ -103,6 +110,88 @@ def test_no_gain_runs_are_read_against_the_benchmarks_bound(
     assert last.endswith("-> within bound")
     status, last = verdict(steady, [rate * 1.5 for rate in steady])
     assert status == 0 and last.endswith("apart -> within bound")
+
+
+def test_every_other_metric_is_read_against_its_own_bound(
+    tool, monkeypatch, capsys
+):
+    """Direction and bound come from BENCHMARK.json; lower is better for
+    the three that ride along, and a regression on any of them exits 1."""
+    assert [
+        (metric["name"], metric["better"], metric["bound"])
+        for metric in tool.declared()
+    ] == [
+        ("executions_per_s", "higher", 0.25),
+        ("cpu_ms_per_execution", "lower", 0.25),
+        ("peak_rss_mb", "lower", 0.1),
+        ("setup_s", "lower", 0.25),
+    ]
+    parent = [50, 51, 49, 50, 52, 50, 49, 51, 50, 50]
+    gain = [rate * 1.5 for rate in parent]
+
+    def verdicts(**change_line):
+        status, _ = drive(tool, monkeypatch, parent, gain, change_line)
+        lines = capsys.readouterr().out.splitlines()
+        return status, {
+            text.split(" bound ")[0]: text
+            for text in lines if " bound " in text
+        }, lines[-1]
+
+    status, by_metric, _ = verdicts()
+    assert status == 0
+    assert list(by_metric) == [
+        "executions_per_s", "cpu_ms_per_execution", "peak_rss_mb", "setup_s",
+    ]
+    assert by_metric["peak_rss_mb"].endswith(
+        "median ratio 1.000 against a ceiling of 1.1, quartile ranges "
+        "overlap -> within bound"
+    )
+    assert "parent 2 [2..2]  change 2 [2..2]" in by_metric[
+        "cpu_ms_per_execution"
+    ]
+    # Worse, inside the bound: reported, and the gain still stands.
+    status, by_metric, _ = verdicts(rss_mb=109.0)
+    assert status == 0
+    assert by_metric["peak_rss_mb"].endswith("ranges apart -> within bound")
+    # Beyond it: exit 1 although the claimed metric gained.
+    status, by_metric, last = verdicts(rss_mb=111.0)
+    assert status == 1
+    assert by_metric["peak_rss_mb"].endswith("-> regression")
+    assert by_metric["setup_s"].endswith("-> within bound")
+    assert last == "beyond the bound on compact-sweep: peak_rss_mb"
+    status, by_metric, last = verdicts(cpu_ms=2.6, setup_s=0.7)
+    assert status == 1
+    assert last == (
+        "beyond the bound on compact-sweep: cpu_ms_per_execution, setup_s"
+    )
+    # Lower is better: a fall is never a regression, however large.
+    status, by_metric, _ = verdicts(cpu_ms=0.5, rss_mb=50.0, setup_s=0.1)
+    assert status == 0
+    assert all(
+        text.endswith("apart -> within bound") for text in by_metric.values()
+    )
+
+
+def test_runs_too_noisy_for_a_lower_is_better_bound_are_unresolved(
+    tool, monkeypatch, capsys
+):
+    parent = [50, 51, 49, 50, 52, 50, 49, 51, 50, 50]
+    noisy = iter([80.0, 120.0] * 10)  # both sides, medians equal
+
+    def fake_run(checkout, workload, seed):
+        return line(parent[seed - 1], rss_mb=next(noisy))
+
+    monkeypatch.setattr(tool, "run", fake_run)
+    status = tool.main([
+        "--parent", "parent", "--change", "change",
+        "--workload", "pool-sweep", "--seeds", "1-10",
+    ])
+    assert status == 2  # no gain, and nothing provably beyond its bound
+    (rss,) = (
+        text for text in capsys.readouterr().out.splitlines()
+        if text.startswith("peak_rss_mb bound 0.1: ")
+    )
+    assert rss.endswith("quartile ranges overlap -> unresolved")
 
 
 def test_differing_bits_or_failures_exit_one(tool, monkeypatch):

@@ -7,16 +7,20 @@ for each seed run ``benchmarks/perf/run.py --workload W --seed S
 first, then print per-seed values, each side's median and quartiles,
 wins/pairs and the verdict — a gain needs the change to win at least
 nine tenths of the pairs *and* the medians to differ by more than the
-parent's own quartile distance.  One more line is what a PR that claims
-*no* gain quotes: the median ratio against the metric's ``bound`` from
-``BENCHMARK.json``, whether the two sides' quartile ranges overlap, and
-``regression`` (the median is worse by more than the bound),
-``unresolved`` (it is not, but a side's quartile distance is wider than
-the bound, so the runs cannot tell — unless every change run beat every
-parent run) or ``within bound``; overlapping runs are never "unchanged".
-Exits 1 when ``bits_per_execution`` differs at any seed or any
-execution failed, 2 when the claim is not met.  The checkouts are the
-caller's business (no git handling here).
+parent's own quartile distance.  Then one line per end-to-end metric the
+same runs carry (``executions_per_s``, ``cpu_ms_per_execution``,
+``peak_rss_mb``, ``setup_s``), which is what a PR that claims *no* gain
+quotes and what the pipeline rejects a PR by: the median ratio against
+the metric's ``bound`` and direction from ``BENCHMARK.json``, whether the
+two sides' quartile ranges overlap, and ``regression`` (the median is
+worse by more than the bound), ``unresolved`` (it is not, but a side's
+quartile distance is wider than the bound, so the runs cannot tell —
+unless every change run beat every parent run) or ``within bound``;
+overlapping runs are never "unchanged".  Exits 1 when
+``bits_per_execution`` differs at any seed, any execution failed or a
+metric other than the claimed one reads ``regression``, 2 when the claim
+is not met.  The checkouts are the caller's business (no git handling
+here).
 
 Run:  python tools/bench_pairs.py --parent DIR --change DIR \\
           --workload compact-sweep --seeds 1901-1910
@@ -36,6 +40,8 @@ from typing import Any, Dict, List
 # higher-is-better end-to-end metric: neither is the caller's to choose.
 SECONDS = 12
 METRIC = "executions_per_s"
+# Compared for equality at every seed, never read against a bound.
+EXACT = "bits_per_execution"
 
 
 def run(checkout: pathlib.Path, workload: str, seed: int) -> Dict[str, Any]:
@@ -47,16 +53,50 @@ def run(checkout: pathlib.Path, workload: str, seed: int) -> Dict[str, Any]:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def bound() -> float:
-    """The share by which ``METRIC`` may worsen, as the benchmark fixes it."""
-    declared = json.loads(
+def declared() -> List[Dict[str, Any]]:
+    """The end-to-end metrics read against a bound, as the benchmark
+    declares them: ``name``, ``better`` and the share ``bound`` by which
+    the metric may worsen."""
+    benchmark = json.loads(
         (pathlib.Path(__file__).resolve().parent.parent / "BENCHMARK.json")
         .read_text()
     )
-    return next(
-        metric["bound"] for metric in declared["end_to_end"]
-        if metric["name"] == METRIC
-    )
+    return [
+        metric for metric in benchmark["end_to_end"] if metric["name"] != EXACT
+    ]
+
+
+def read_against_bound(
+    metric: Dict[str, Any], values: Dict[str, List[float]]
+) -> str:
+    """Print ``metric``'s line of the report; returns its verdict."""
+    limit = metric["bound"]
+    low, median, high = {}, {}, {}
+    for side, samples in values.items():
+        low[side], median[side], high[side] = statistics.quantiles(samples, n=4)
+    ratio = median["change"] / median["parent"]
+    if metric["better"] == "higher":
+        edge, worse = f"floor of {1 - limit:g}", ratio < 1 - limit
+        beat_all = min(values["change"]) > max(values["parent"])
+    else:
+        edge, worse = f"ceiling of {1 + limit:g}", ratio > 1 + limit
+        beat_all = max(values["change"]) < min(values["parent"])
+    overlap = low["change"] <= high["parent"] and low["parent"] <= high["change"]
+    if worse:
+        verdict = "regression"
+    elif not beat_all and any(
+        high[side] - low[side] > limit * median[side] for side in values
+    ):
+        verdict = "unresolved"
+    else:
+        verdict = "within bound"
+    print(f"{metric['name']} bound {limit:g}: parent {median['parent']:.4g} "
+          f"[{low['parent']:.4g}..{high['parent']:.4g}]  change "
+          f"{median['change']:.4g} [{low['change']:.4g}.."
+          f"{high['change']:.4g}], median ratio {ratio:.3f} against a "
+          f"{edge}, quartile ranges {'overlap' if overlap else 'apart'} "
+          f"-> {verdict}")
+    return verdict
 
 
 def seeds(spec: str) -> List[int]:
@@ -72,53 +112,51 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=seeds, required=True, metavar="A-B")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent, "change": args.change}
-    values: Dict[str, List[float]] = {"parent": [], "change": []}
+    metrics = declared()
+    values: Dict[str, Dict[str, List[float]]] = {
+        metric["name"]: {side: [] for side in sides} for metric in metrics
+    }
     broken = wins = losses = 0
     for index, seed in enumerate(args.seeds):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         lines = {side: run(sides[side], args.workload, seed) for side in order}
         pair = {side: lines[side]["metrics"] for side in sides}
-        bits = {
-            side: pair[side]["bits_per_execution"]["value"] for side in sides
-        }
+        for name, by_side in values.items():
+            for side in sides:
+                by_side[side].append(pair[side][name]["value"])
+        bits = {side: pair[side][EXACT]["value"] for side in sides}
         failed = sum(lines[side]["failed"] for side in sides)
         broken += (bits["parent"] != bits["change"]) + bool(failed)
-        parent, change = (pair[side][METRIC]["value"] for side in sides)
-        values["parent"].append(parent)
-        values["change"].append(change)
+        parent, change = (values[METRIC][side][-1] for side in sides)
         wins += change > parent
         losses += change < parent
         print(f"seed {seed} ({order[0]} first): parent {parent:.4g}  "
               f"change {change:.4g}  ratio {change / parent:.3f}  bits "
               f"{bits['parent']:.0f}/{bits['change']:.0f}  failed {failed}")
-    medians, spread, low, high = {}, {}, {}, {}
-    for side, samples in values.items():
-        low[side], medians[side], high[side] = statistics.quantiles(samples, n=4)
-        spread[side] = high[side] - low[side]
+    medians, spread = {}, {}
+    for side, samples in values[METRIC].items():
+        low, medians[side], high = statistics.quantiles(samples, n=4)
+        spread[side] = high - low
         print(f"{side}: median {medians[side]:.4g}  "
-              f"quartiles {low[side]:.4g}..{high[side]:.4g}")
+              f"quartiles {low:.4g}..{high:.4g}")
     gap = medians["change"] - medians["parent"]
     gained = wins >= 0.9 * len(args.seeds) and gap > spread["parent"]
-    ratio = medians["change"] / medians["parent"]
     print(f"{METRIC} on {args.workload}: change wins {wins}/"
-          f"{len(args.seeds)} (loses {losses}), median ratio {ratio:.3f}, "
+          f"{len(args.seeds)} (loses {losses}), median ratio "
+          f"{medians['change'] / medians['parent']:.3f}, "
           f"medians apart by {gap:.4g} vs parent quartile distance "
           f"{spread['parent']:.4g} -> {'GAIN' if gained else 'NO GAIN'}")
-    limit = bound()
-    overlap = low["change"] <= high["parent"] and low["parent"] <= high["change"]
-    if ratio < 1 - limit:
-        verdict = "regression"
-    elif min(values["change"]) <= max(values["parent"]) and any(
-        spread[side] > limit * medians[side] for side in sides
-    ):
-        verdict = "unresolved"
-    else:
-        verdict = "within bound"
-    print(f"{METRIC} bound {limit:g}: median ratio {ratio:.3f} against a "
-          f"floor of {1 - limit:g}, quartile ranges "
-          f"{'overlap' if overlap else 'apart'} -> {verdict}")
+    regressed = []
+    for metric in metrics:
+        verdict = read_against_bound(metric, values[metric["name"]])
+        # A regression on the claimed metric is a claim not met: exit 2.
+        if verdict == "regression" and metric["name"] != METRIC:
+            regressed.append(metric["name"])
     if broken:
         print(f"{broken} seed(s) with differing bits or failed executions")
+    if regressed:
+        print(f"beyond the bound on {args.workload}: {', '.join(regressed)}")
+    if broken or regressed:
         return 1
     return 0 if gained else 2
 
