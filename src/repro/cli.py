@@ -747,7 +747,10 @@ def _command_lint(args):
             else pathlib.Path.cwd() / "tools" / "lint_baseline.json"
         )
         target.parent.mkdir(parents=True, exist_ok=True)
-        findings = collect_findings(root)
+        try:
+            findings = collect_findings(root)
+        except SyntaxError as error:
+            return _unparsable(error), 2
         write_baseline(target, findings, previous=baseline)
         return (
             f"wrote {len(findings)} suppression(s) to {target} — fill in "
@@ -755,7 +758,10 @@ def _command_lint(args):
             0,
         )
 
-    result = lint_tree(root, baseline)
+    try:
+        result = lint_tree(root, baseline)
+    except SyntaxError as error:
+        return _unparsable(error), 2
     if args.format == "json":
         rendered = render_json(result)
     elif args.format == "sarif":
@@ -764,17 +770,22 @@ def _command_lint(args):
         rendered = render_text(result)
     if args.certificates:
         from repro.statics.flow.certificates import (
-            certify_tree,
+            certify,
             render_certificates,
         )
 
         target = pathlib.Path(args.certificates)
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(
-            render_certificates(certify_tree(root, baseline)),
+            render_certificates(certify(result.flow, baseline)),
             encoding="utf-8",
         )
     return rendered, result.exit_code
+
+
+def _unparsable(error):
+    # A file no pass can read fails the whole lint run, for every pass.
+    return f"error: {error.filename}: {error.msg} (line {error.lineno})"
 
 
 def _command_fuzz(args):

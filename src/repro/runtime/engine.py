@@ -51,8 +51,14 @@ class ExecutionResult:
 
     @property
     def correct_ids(self) -> Tuple[ProcessId, ...]:
-        """Correct processor ids, ascending (faulty ids excluded)."""
-        return tuple(sorted(self.processes))
+        """Correct processor ids, ascending (faulty ids excluded).
+
+        Read off ``decisions``, which has one entry per correct
+        processor on every path a result travels: live, pool-portable
+        (``processes`` stubbed) and loaded from a checkpoint
+        (``processes`` empty).
+        """
+        return tuple(sorted(self.decisions))
 
     def decided_values(self) -> set:
         """The set of values decided by correct processors."""

@@ -29,12 +29,17 @@ import re
 from typing import Dict, List, Optional, Set
 
 from repro.statics.findings import Finding
-from repro.statics.rules import rule
+from repro.statics.model import ModuleInfo, ProjectIndex, parse_module
+from repro.statics.rules import Rule, rule
 from repro.statics.visitor import attribute_chain
 
 #: Packages whose top-level ``*_factory`` functions fall under the
 #: registration contract.
 CONTRACT_PACKAGES = ("agreement", "compact", "avalanche")
+
+#: The module holding ``catalog()`` and the exemption declaration.
+CATALOG_MODULE = "agreement/interfaces.py"
+EXEMPT_DECLARATION = "CATALOG_EXEMPT"
 
 #: ``SystemConfig`` helper -> the bound it encodes.
 _QUORUM_HELPERS = {
@@ -166,15 +171,11 @@ def _entry_from_call(
 
 def parse_catalog(source: str) -> List[CatalogEntry]:
     """Extract every ``ProtocolEntry(...)`` from ``interfaces.py`` source."""
-    tree = ast.parse(source)
-    catalog_def = next(
-        (
-            node
-            for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name == "catalog"
-        ),
-        None,
-    )
+    return _catalog_entries(parse_module(source, CATALOG_MODULE))
+
+
+def _catalog_entries(module: ModuleInfo) -> List[CatalogEntry]:
+    catalog_def = module.functions.get("catalog")
     if catalog_def is None:
         return []
     # Local helpers (def or lambda assignment) may wrap a factory; map
@@ -204,49 +205,27 @@ def parse_catalog(source: str) -> List[CatalogEntry]:
 
 
 def parse_exemptions(source: str) -> Dict[str, str]:
-    """The ``CATALOG_EXEMPT`` dict literal from ``interfaces.py`` source."""
-    tree = ast.parse(source)
-    for node in tree.body:
-        targets: List[ast.expr] = []
-        value: Optional[ast.expr] = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        for target in targets:
-            if (
-                isinstance(target, ast.Name)
-                and target.id == "CATALOG_EXEMPT"
-                and isinstance(value, ast.Dict)
-            ):
-                exempt: Dict[str, str] = {}
-                for key, val in zip(value.keys, value.values):
-                    if (
-                        isinstance(key, ast.Constant)
-                        and isinstance(key.value, str)
-                        and isinstance(val, ast.Constant)
-                        and isinstance(val.value, str)
-                    ):
-                        exempt[key.value] = val.value
-                return exempt
-    return {}
+    """The well-formed ``CATALOG_EXEMPT`` entries of ``interfaces.py`` source."""
+    declaration = parse_module(source, CATALOG_MODULE).declaration(
+        EXEMPT_DECLARATION
+    )
+    return {name: entry.value for name, entry in declaration.entries.items()}
+
+
+def _factories(index: ProjectIndex) -> Dict[str, ModuleInfo]:
+    """Every top-level ``*_factory`` def under the contract packages."""
+    return {
+        name: module
+        for module in index.under(CONTRACT_PACKAGES)
+        for name in module.functions
+        if name.endswith("_factory")
+    }
 
 
 def tree_factories(package_root: pathlib.Path) -> Dict[str, pathlib.Path]:
-    """Every top-level ``*_factory`` def under the contract packages."""
-    factories: Dict[str, pathlib.Path] = {}
-    for package in CONTRACT_PACKAGES:
-        directory = package_root / package
-        if not directory.is_dir():
-            continue
-        for path in sorted(directory.rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            for node in tree.body:
-                if isinstance(node, ast.FunctionDef) and node.name.endswith(
-                    "_factory"
-                ):
-                    factories[node.name] = path
-    return factories
+    """``*_factory`` name -> defining file, for the tree at ``package_root``."""
+    index = ProjectIndex(package_root, CONTRACT_PACKAGES, ())
+    return {name: module.path for name, module in _factories(index).items()}
 
 
 def _bound_documented(docstring: str, bound: str) -> bool:
@@ -270,19 +249,27 @@ def run_contract_pass(package_root: pathlib.Path) -> List[Finding]:
     """Cross-check the catalog against the tree rooted at ``package_root``.
 
     ``package_root`` is the directory of the ``repro`` package itself
-    (or a fixture tree of the same shape).  Returns all contract
-    findings; an absent ``agreement/interfaces.py`` yields none, so
-    fixture trees exercising only the other passes stay valid.
+    (or a fixture tree of the same shape).
     """
-    interfaces_path = package_root / "agreement" / "interfaces.py"
-    if not interfaces_path.is_file():
+    return check_contracts(
+        ProjectIndex(package_root, CONTRACT_PACKAGES, (CATALOG_MODULE,))
+    )
+
+
+def check_contracts(index: ProjectIndex) -> List[Finding]:
+    """All contract findings of an indexed tree.
+
+    An absent ``agreement/interfaces.py`` yields none, so fixture trees
+    exercising only the other passes stay valid.
+    """
+    catalog = index.module(CATALOG_MODULE)
+    if catalog is None:
         return []
-    prefix = package_root.name
-    relative = f"{prefix}/agreement/interfaces.py"
-    source = interfaces_path.read_text()
-    entries = parse_catalog(source)
-    exemptions = parse_exemptions(source)
-    factories = tree_factories(package_root)
+    relative = catalog.relative
+    entries = _catalog_entries(catalog)
+    declaration = catalog.declaration(EXEMPT_DECLARATION)
+    exemptions = declaration.entries
+    factories = _factories(index)
     registered: Set[str] = set()
     for entry in entries:
         registered |= entry.factories
@@ -290,7 +277,11 @@ def run_contract_pass(package_root: pathlib.Path) -> List[Finding]:
     findings: List[Finding] = []
 
     def add(
-        rule_obj, line: int, symbol: str, message: str, path: str = relative
+        rule_obj: Rule,
+        line: int,
+        symbol: str,
+        message: str,
+        path: str = relative,
     ) -> None:
         findings.append(
             Finding(
@@ -303,16 +294,30 @@ def run_contract_pass(package_root: pathlib.Path) -> List[Finding]:
             )
         )
 
-    for name, path in sorted(factories.items()):
+    for note in declaration.malformed:
+        add(
+            CON002,
+            note.node.lineno,
+            note.key or "<module>",
+            {
+                "dict": f"{EXEMPT_DECLARATION} must be a literal dict of "
+                "factory -> justification",
+                "key": f"{EXEMPT_DECLARATION} keys must be string literals "
+                "naming factories",
+                "value": f"{EXEMPT_DECLARATION} entry for {note.key} has no "
+                "justification — say why the factory stays out of the "
+                "catalog",
+            }[note.kind],
+        )
+    for name, module in factories.items():
         if name not in registered and name not in exemptions:
             add(
                 CON001,
                 1,
                 name,
-                f"{name} (defined in "
-                f"{prefix}/{path.relative_to(package_root)}) is neither "
+                f"{name} (defined in {module.relative}) is neither "
                 "registered in catalog() nor exempted in CATALOG_EXEMPT",
-                path=f"{prefix}/{path.relative_to(package_root)}",
+                path=module.relative,
             )
     for name in sorted(exemptions):
         if name not in factories:
@@ -354,17 +359,13 @@ def run_contract_pass(package_root: pathlib.Path) -> List[Finding]:
             module = factories.get(factory)
             if module is None:
                 continue
-            docstring = (
-                ast.get_docstring(ast.parse(module.read_text())) or ""
-            )
-            if not _bound_documented(docstring, entry.bound):
+            if not _bound_documented(module.docstring, entry.bound):
                 add(
                     CON004,
                     entry.line,
                     entry.name,
                     f"entry {entry.name!r} requires n >= {entry.bound} but "
-                    f"the docstring of "
-                    f"{prefix}/{module.relative_to(package_root)} never "
-                    "states that bound",
+                    f"the docstring of {module.relative} never states "
+                    "that bound",
                 )
     return findings

@@ -17,6 +17,7 @@ import ast
 from typing import Dict, List, Optional, Set
 
 from repro.statics.findings import Finding
+from repro.statics.model import ModuleInfo, parse_module
 from repro.statics.rules import rule
 from repro.statics.visitor import (
     ScopedVisitor,
@@ -256,8 +257,13 @@ class _DeterminismVisitor(ScopedVisitor):
     visit_GeneratorExp = _visit_comprehension
 
 
-def run_determinism_pass(source: str, path: str) -> List[Finding]:
-    """Lint one protocol-package file; returns its findings."""
-    visitor = _DeterminismVisitor(path)
-    visitor.visit(ast.parse(source, filename=path))
+def check_determinism(module: ModuleInfo) -> List[Finding]:
+    """The determinism findings of one indexed module."""
+    visitor = _DeterminismVisitor(module.relative)
+    visitor.visit(module.tree)
     return visitor.findings
+
+
+def run_determinism_pass(source: str, path: str) -> List[Finding]:
+    """Lint one protocol-package file given as text."""
+    return check_determinism(parse_module(source, path))

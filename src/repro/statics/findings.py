@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 from typing import Any, Dict
 
@@ -22,6 +23,20 @@ class Finding:
     rule: str
     symbol: str
     message: str
+
+    @classmethod
+    def at(
+        cls, rule: str, path: str, node: ast.AST, symbol: str, message: str
+    ) -> "Finding":
+        """The finding for rule id ``rule`` at ``node``'s line and column."""
+        return cls(
+            path=path,
+            line=getattr(node, "lineno", 0),
+            col=getattr(node, "col_offset", 0),
+            rule=rule,
+            symbol=symbol,
+            message=message,
+        )
 
     @property
     def suppression_key(self) -> str:

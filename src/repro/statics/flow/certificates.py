@@ -4,10 +4,11 @@ The closedness certificate is the artifact ROADMAP item 1 needs: the
 asynchrony reduction (Damian/Dragoi/Widder, see PAPERS.md) applies
 exactly to protocols whose rounds are communication-closed, and the
 Alpturer-Ruj limited-information-exchange bounds need the per-round
-size class.  ``certify_tree`` re-runs the protoflow analyses and folds
-in the lint baseline: a violation with a justified suppression leaves
-the protocol ``waived`` (deliberately non-canonical in a documented
-way), an unsuppressed violation leaves it ``open``.
+size class.  ``certify`` folds the lint baseline into a protoflow
+analysis (``certify_tree`` runs one first): a violation with a
+justified suppression leaves the protocol ``waived`` (deliberately
+non-canonical in a documented way), an unsuppressed violation leaves
+it ``open``.
 
 Certificate schema (version 1)::
 
@@ -47,7 +48,11 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.statics.baseline import Baseline
 from repro.statics.findings import Finding
 from repro.statics.flow.lattice import SIZE_NAMES, size_name
-from repro.statics.flow.passes import ProtocolReport, analyze_tree
+from repro.statics.flow.passes import (
+    FlowAnalysis,
+    ProtocolReport,
+    analyze_tree,
+)
 
 CERTIFICATE_VERSION = 1
 
@@ -121,17 +126,27 @@ def certificate_for(
     }
 
 
-def certify_tree(
-    package_root: pathlib.Path, baseline: Optional[Baseline] = None
-) -> Dict[str, Any]:
-    """Certificates for every certified protocol under ``package_root``."""
-    baseline = baseline if baseline is not None else Baseline()
-    analysis = analyze_tree(package_root)
+def certify(analysis: FlowAnalysis, baseline: Baseline) -> Dict[str, Any]:
+    """Certificates for every protocol an analysis reported on.
+
+    ``repro lint --certificates`` passes the analysis its findings came
+    from (``LintResult.flow``), so the tree is analysed once.
+    """
     protocols: Dict[str, Any] = {}
     for report in analysis.reports:
         key = f"{report.cls.module.relative}::{report.cls.name}"
         protocols[key] = certificate_for(report, baseline)
     return {"version": CERTIFICATE_VERSION, "protocols": protocols}
+
+
+def certify_tree(
+    package_root: pathlib.Path, baseline: Optional[Baseline] = None
+) -> Dict[str, Any]:
+    """Certificates for every certified protocol under ``package_root``."""
+    return certify(
+        analyze_tree(package_root),
+        baseline if baseline is not None else Baseline(),
+    )
 
 
 def render_certificates(certificates: Dict[str, Any]) -> str:

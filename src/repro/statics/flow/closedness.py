@@ -25,12 +25,17 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.statics.findings import Finding
-from repro.statics.flow.model import ClassInfo, ProjectIndex
 from repro.statics.flow.rules import FLOW001, FLOW002, FLOW003
-from repro.statics.flow.sizes import reachable_methods, static_bindings
+from repro.statics.model import (
+    ClassInfo,
+    Method,
+    ProjectIndex,
+    parameter_names,
+)
+from repro.statics.visitor import attribute_chain
 
 #: Mutating container methods on ``self``-rooted receivers.
 _MUTATORS = frozenset(
@@ -46,17 +51,6 @@ _BASE_ATTRS = frozenset(
 )
 
 
-def _chain(node: ast.AST) -> Optional[List[str]]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return list(reversed(parts))
-    return None
-
-
 @dataclasses.dataclass
 class FlowSummary:
     """FLOW findings for one certified class."""
@@ -67,22 +61,10 @@ class FlowSummary:
 
 def analyze_flow(index: ProjectIndex, info: ClassInfo) -> FlowSummary:
     """Run all three FLOW checks over one ``Process`` subclass."""
-    bindings = static_bindings(index, info)
-    findings: List[Finding] = []
-    send_path = reachable_methods(index, info, bindings, "outgoing")
-    send_names = {
-        (owner.qualname, name) for owner, name, _ in send_path
-    }
-    receive_path = [
-        entry
-        for entry in reachable_methods(index, info, bindings, "receive")
-        if (entry[0].qualname, entry[1]) not in send_names
-    ]
-    findings.extend(_check_send_mutations(send_path))
-    findings.extend(_check_map_capture(index, info, bindings))
-    findings.extend(
-        _check_provenance(index, info, bindings, send_path)
-    )
+    send_path = index.reachable_methods(info, "outgoing")
+    findings = _check_send_mutations(send_path)
+    findings.extend(_check_map_capture(index, info))
+    findings.extend(_check_provenance(index, info, send_path))
     return FlowSummary(
         findings=sorted(findings), structure=_structure_of(index, info)
     )
@@ -97,7 +79,7 @@ def _structure_of(index: ProjectIndex, info: ClassInfo) -> str:
     ``// self.block_length``), so bound helper classes are scanned too.
     """
     classes = list(index.mro(info))
-    classes.extend(static_bindings(index, info).values())
+    classes.extend(index.static_bindings(info).values())
     for cls in classes:
         for method in cls.methods.values():
             for node in ast.walk(method):
@@ -114,9 +96,7 @@ def _structure_of(index: ProjectIndex, info: ClassInfo) -> str:
 # -- FLOW003: send-path purity -----------------------------------------------
 
 
-def _check_send_mutations(
-    send_path: List[Tuple[ClassInfo, str, ast.FunctionDef]]
-) -> List[Finding]:
+def _check_send_mutations(send_path: List[Method]) -> List[Finding]:
     findings: List[Finding] = []
     for owner, name, method in send_path:
         for node in ast.walk(method):
@@ -125,18 +105,15 @@ def _check_send_mutations(
                 continue
             attr, site = mutation
             findings.append(
-                Finding(
-                    path=owner.module.relative,
-                    line=site.lineno,
-                    col=site.col_offset,
-                    rule=FLOW003.id,
-                    symbol=f"{owner.name}.{name}",
-                    message=(
-                        f"send path writes self.{attr}; mu_pq must be a "
-                        "pure function of the pre-round state (drain or "
-                        "schedule in receive(), or baseline with the "
-                        "invariant that makes this safe)"
-                    ),
+                Finding.at(
+                    FLOW003.id,
+                    owner.module.relative,
+                    site,
+                    f"{owner.name}.{name}",
+                    f"send path writes self.{attr}; mu_pq must be a "
+                    "pure function of the pre-round state (drain or "
+                    "schedule in receive(), or baseline with the "
+                    "invariant that makes this safe)",
                 )
             )
     return findings
@@ -144,28 +121,26 @@ def _check_send_mutations(
 
 def _mutation_of(node: ast.AST) -> Optional[Tuple[str, ast.AST]]:
     """The ``self`` attribute ``node`` mutates, if any."""
-    target: Optional[ast.expr] = None
     if isinstance(node, ast.Assign):
-        for candidate in node.targets:
+        # Tuple-swap drains mutate too: ``a, self.x = self.x, []``.
+        candidates = list(node.targets) + [
+            element
+            for target in node.targets
+            if isinstance(target, (ast.Tuple, ast.List))
+            for element in target.elts
+        ]
+        for candidate in candidates:
             found = _self_rooted(candidate)
             if found is not None:
                 return found, node
-        # Tuple-swap drains mutate too: ``a, self.x = self.x, []``.
-        for candidate in node.targets:
-            if isinstance(candidate, (ast.Tuple, ast.List)):
-                for element in candidate.elts:
-                    found = _self_rooted(element)
-                    if found is not None:
-                        return found, node
         return None
     if isinstance(node, (ast.AugAssign, ast.AnnAssign)):
         if isinstance(node, ast.AnnAssign) and node.value is None:
             return None
-        target = node.target
-        found = _self_rooted(target)
+        found = _self_rooted(node.target)
         return (found, node) if found is not None else None
     if isinstance(node, ast.Call):
-        chain = _chain(node.func)
+        chain = attribute_chain(node.func)
         if (
             chain is not None
             and chain[0] == "self"
@@ -184,7 +159,7 @@ def _mutation_of(node: ast.AST) -> Optional[Tuple[str, ast.AST]]:
 def _self_rooted(target: ast.expr) -> Optional[str]:
     if isinstance(target, ast.Subscript):
         target = target.value
-    chain = _chain(target)
+    chain = attribute_chain(target)
     if chain is not None and chain[0] == "self" and len(chain) >= 2:
         return chain[1]
     return None
@@ -193,16 +168,14 @@ def _self_rooted(target: ast.expr) -> Optional[str]:
 # -- FLOW001: raw map capture ------------------------------------------------
 
 
-def _check_map_capture(
-    index: ProjectIndex, info: ClassInfo, bindings: Dict[str, ClassInfo]
-) -> List[Finding]:
+def _check_map_capture(index: ProjectIndex, info: ClassInfo) -> List[Finding]:
     findings: List[Finding] = []
     found = index.find_method(info, "receive")
     if found is None:
         return findings
     owner, method = found
-    params = [arg.arg for arg in method.args.args]
-    map_params = {params[2]} if len(params) >= 3 else set()
+    bindings = index.static_bindings(info)
+    map_params = set(parameter_names(method)[1:2])
     # One level of interprocedural propagation: helpers the map is
     # passed to, by parameter position.
     frontier: List[Tuple[ClassInfo, ast.FunctionDef, Set[str]]] = [
@@ -219,7 +192,7 @@ def _check_map_capture(
         for node in ast.walk(fn):
             if not isinstance(node, ast.Call):
                 continue
-            chain = _chain(node.func)
+            chain = attribute_chain(node.func)
             if chain is None or chain[0] != "self":
                 continue
             passed = {
@@ -241,9 +214,7 @@ def _check_map_capture(
             if resolved is None:
                 continue
             callee_owner, callee = resolved
-            callee_params = [arg.arg for arg in callee.args.args]
-            if callee_params and callee_params[0] == "self":
-                callee_params = callee_params[1:]
+            callee_params = parameter_names(callee)
             callee_maps = {
                 callee_params[position]
                 for position in passed
@@ -267,7 +238,7 @@ def _map_captures_in(
                     if attr is not None:
                         stored, site = attr, node
         elif isinstance(node, ast.Call):
-            chain = _chain(node.func)
+            chain = attribute_chain(node.func)
             if (
                 chain is not None
                 and chain[0] == "self"
@@ -281,18 +252,15 @@ def _map_captures_in(
                 stored, site = chain[1], node
         if stored is not None and site is not None:
             findings.append(
-                Finding(
-                    path=cls.module.relative,
-                    line=site.lineno,
-                    col=site.col_offset,
-                    rule=FLOW001.id,
-                    symbol=f"{cls.name}.{fn.name}",
-                    message=(
-                        f"the raw incoming message map is captured into "
-                        f"self.{stored}; extract and validate the values "
-                        "this round instead of re-reading round-r "
-                        "messages later (communication-closedness)"
-                    ),
+                Finding.at(
+                    FLOW001.id,
+                    cls.module.relative,
+                    site,
+                    f"{cls.name}.{fn.name}",
+                    f"the raw incoming message map is captured into "
+                    f"self.{stored}; extract and validate the values "
+                    "this round instead of re-reading round-r "
+                    "messages later (communication-closedness)",
                 )
             )
     return findings
@@ -302,13 +270,10 @@ def _map_captures_in(
 
 
 def _check_provenance(
-    index: ProjectIndex,
-    info: ClassInfo,
-    bindings: Dict[str, ClassInfo],
-    send_path: List[Tuple[ClassInfo, str, ast.FunctionDef]],
+    index: ProjectIndex, info: ClassInfo, send_path: List[Method]
 ) -> List[Finding]:
     written: Set[str] = set(_BASE_ATTRS)
-    written.update(bindings)
+    written.update(index.static_bindings(info))
     for cls in index.mro(info):
         for node in ast.walk(cls.node):
             if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
@@ -330,7 +295,7 @@ def _check_provenance(
                         # Class-level defaults double as attributes.
                         written.add(target.id)
             elif isinstance(node, ast.Call):
-                chain = _chain(node.func)
+                chain = attribute_chain(node.func)
                 if (
                     chain is not None
                     and chain[0] == "self"
@@ -352,35 +317,26 @@ def _check_provenance(
                 continue
             if not isinstance(node.ctx, ast.Load):
                 continue
-            chain = _chain(node)
+            chain = attribute_chain(node)
             if (
                 chain is not None
                 and chain[0] == "self"
                 and len(chain) >= 2
                 and chain[1] not in written
                 and chain[1] not in flagged
-                and not _is_method_name(index, info, chain[1])
+                and index.find_method(info, chain[1]) is None
             ):
                 flagged.add(chain[1])
                 findings.append(
-                    Finding(
-                        path=owner.module.relative,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        rule=FLOW002.id,
-                        symbol=f"{owner.name}.{name}",
-                        message=(
-                            f"send path reads self.{chain[1]}, which no "
-                            "__init__, receive path, or class default "
-                            "ever writes — the value has no provenance "
-                            "in the round structure"
-                        ),
+                    Finding.at(
+                        FLOW002.id,
+                        owner.module.relative,
+                        node,
+                        f"{owner.name}.{name}",
+                        f"send path reads self.{chain[1]}, which no "
+                        "__init__, receive path, or class default "
+                        "ever writes — the value has no provenance "
+                        "in the round structure",
                     )
                 )
     return findings
-
-
-def _is_method_name(
-    index: ProjectIndex, info: ClassInfo, name: str
-) -> bool:
-    return index.find_method(info, name) is not None

@@ -33,12 +33,27 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.statics.findings import Finding
 from repro.statics.flow.lattice import Taint, demote, join_taint
-from repro.statics.flow.model import ClassInfo, ModuleInfo, ProjectIndex
-from repro.statics.flow.rules import TAINT001, TAINT002
+from repro.statics.flow.rules import TAINT001
+from repro.statics.model import (
+    ClassInfo,
+    ModuleInfo,
+    ProjectIndex,
+    bind_parameters,
+)
+from repro.statics.visitor import attribute_chain
 
 #: Builtins whose result carries no adversarial content.
 _CLEAN_CALLS = frozenset(
@@ -57,7 +72,19 @@ _MUTATORS = frozenset(
 )
 
 _MAX_DEPTH = 12
-_MAX_ITERATIONS = 8
+
+#: The module-level declaration this pass trusts, and the sanitizers
+#: recognized project-wide without a per-module declaration.
+SANITIZER_DECLARATION = "TAINT_SANITIZERS"
+GLOBAL_SANITIZERS = ("eig_byzantine_decision",)
+
+
+def sanitizer_names(module: ModuleInfo) -> FrozenSet[str]:
+    """Bare terminal names ``module`` may call as sanitizers."""
+    declared = module.declaration(SANITIZER_DECLARATION).entries
+    names = {key.split(".")[-1] for key in declared}
+    names.update(GLOBAL_SANITIZERS)
+    return frozenset(names)
 
 Value = Union[Taint, "Instance"]
 
@@ -85,7 +112,7 @@ class Instance:
 def taint_of(value: Value) -> Taint:
     """The payload taint of a value (object identity itself is clean)."""
     if isinstance(value, Instance):
-        return join_taint(*value.attrs.values()) if value.attrs else Taint.CLEAN
+        return join_taint(*value.attrs.values())
     return value
 
 
@@ -95,8 +122,6 @@ class TaintReport:
 
     findings: List[Finding] = dataclasses.field(default_factory=list)
     sanitizers_used: Set[str] = dataclasses.field(default_factory=set)
-    payload_taint: Taint = Taint.CLEAN
-    decision_taint: Taint = Taint.CLEAN
 
 
 class _Frame:
@@ -130,16 +155,14 @@ class TaintInterpreter:
     # -- entry points --------------------------------------------------------
 
     def instantiate(
-        self, info: ClassInfo, args: Optional[Sequence[Taint]] = None
+        self, info: ClassInfo, args: Sequence[Taint] = (), depth: int = 0
     ) -> Instance:
         """Abstractly run ``__init__`` to build the attribute state."""
         inst = Instance(cls=info)
         found = self.index.find_method(info, "__init__")
         if found is not None:
             owner, method = found
-            self._call(
-                inst, owner, method, list(args or []), depth=0
-            )
+            self._call(inst, owner, method, list(args), depth)
         return inst
 
     def run_method(
@@ -151,7 +174,7 @@ class TaintInterpreter:
         """Interpret ``inst.name(*args)``; returns (taint, return sites)."""
         found = self.index.find_method(inst.cls, name)
         if found is None:
-            return join_taint(*args) if args else Taint.CLEAN, []
+            return join_taint(*args), []
         owner, method = found
         return self._call_with_sites(inst, owner, method, list(args), 0)
 
@@ -165,8 +188,7 @@ class TaintInterpreter:
         args: List[Taint],
         depth: int,
     ) -> Taint:
-        taint, _ = self._call_with_sites(inst, owner, method, args, depth)
-        return taint
+        return self._call_with_sites(inst, owner, method, args, depth)[0]
 
     def _call_with_sites(
         self,
@@ -176,38 +198,32 @@ class TaintInterpreter:
         args: List[Taint],
         depth: int,
     ) -> Tuple[Taint, List[Tuple[ast.AST, Taint]]]:
-        key = (id(inst), method.name)
-        fallback = join_taint(*args) if args else Taint.CLEAN
+        frame = _Frame(
+            inst,
+            owner.module,
+            f"{owner.name}.{method.name}",
+            bind_parameters(method, args, Taint.CLEAN),
+        )
+        return self._activate((id(inst), method.name), frame, method, args, depth)
+
+    def _activate(
+        self,
+        key: Tuple[int, str],
+        frame: _Frame,
+        function: ast.FunctionDef,
+        args: List[Taint],
+        depth: int,
+    ) -> Tuple[Taint, List[Tuple[ast.AST, Taint]]]:
+        """Interpret ``function`` in ``frame``; (taint, return sites).
+
+        Too deep, or already running (recursion): the join of ``args``.
+        """
         if depth > _MAX_DEPTH or key in self._in_progress:
-            return fallback, []
+            return join_taint(*args), []
         self._in_progress.add(key)
         try:
-            env: Dict[str, Value] = {}
-            params = [arg.arg for arg in method.args.args]
-            if params and params[0] == "self":
-                params = params[1:]
-            for position, name in enumerate(params):
-                env[name] = (
-                    args[position] if position < len(args) else Taint.CLEAN
-                )
-            for name in [
-                arg.arg
-                for arg in method.args.kwonlyargs
-            ]:
-                env.setdefault(name, Taint.CLEAN)
-            frame = _Frame(
-                inst,
-                owner.module,
-                f"{owner.name}.{method.name}",
-                env,
-            )
-            self._exec_block(method.body, frame, depth)
-            if frame.returns:
-                result = join_taint(
-                    *(taint for _, taint in frame.returns)
-                )
-            else:
-                result = Taint.CLEAN
+            self._exec_block(function.body, frame, depth)
+            result = join_taint(*(taint for _, taint in frame.returns))
             return result, frame.returns
         finally:
             self._in_progress.discard(key)
@@ -282,7 +298,7 @@ class TaintInterpreter:
                 )
             frame.env[target.id] = value
         elif isinstance(target, ast.Attribute):
-            chain = _chain(target)
+            chain = attribute_chain(target)
             if chain is not None and chain[0] == "self" and len(chain) >= 2:
                 self._store_attr(frame.inst, chain[1:], value)
         elif isinstance(target, ast.Subscript):
@@ -299,24 +315,18 @@ class TaintInterpreter:
                         taint_of(previous), absorbed
                     )
             elif isinstance(inner, ast.Attribute):
-                chain = _chain(inner)
+                chain = attribute_chain(inner)
                 if chain is not None and chain[0] == "self":
                     if isinstance(value, Instance):
                         self._bind_object(frame.inst, chain[1:], value)
                     else:
-                        self._store_attr(
-                            frame.inst, chain[1:], absorbed, monotone=True
-                        )
+                        self._store_attr(frame.inst, chain[1:], absorbed)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 self._store(element, taint_of(value), frame)
 
     def _store_attr(
-        self,
-        inst: Instance,
-        chain: List[str],
-        value: Value,
-        monotone: bool = True,
+        self, inst: Instance, chain: List[str], value: Value
     ) -> None:
         if not chain:
             return
@@ -324,7 +334,7 @@ class TaintInterpreter:
         if len(chain) > 1:
             nested = inst.objects.get(head)
             if nested is not None:
-                self._store_attr(nested, chain[1:], value, monotone)
+                self._store_attr(nested, chain[1:], value)
             else:
                 inst.attrs[head] = join_taint(
                     inst.attrs.get(head, Taint.CLEAN), taint_of(value)
@@ -335,12 +345,9 @@ class TaintInterpreter:
             return
         # Attribute taints only grow during the fixpoint; a drain/reset
         # (``self._outbox = []``) therefore cannot launder earlier taint.
-        if monotone:
-            inst.attrs[head] = join_taint(
-                inst.attrs.get(head, Taint.CLEAN), value
-            )
-        else:
-            inst.attrs[head] = value
+        inst.attrs[head] = join_taint(
+            inst.attrs.get(head, Taint.CLEAN), value
+        )
 
     def _bind_object(
         self, inst: Instance, chain: List[str], value: Instance
@@ -480,7 +487,7 @@ class TaintInterpreter:
             return join_taint(
                 *(taint_of(self._eval(item, frame, depth))
                   for item in node.elts)
-            ) if node.elts else Taint.CLEAN
+            )
         if isinstance(node, ast.Dict):
             taints = [
                 taint_of(self._eval(key, frame, depth))
@@ -491,7 +498,7 @@ class TaintInterpreter:
                 taint_of(self._eval(value, frame, depth))
                 for value in node.values
             )
-            return join_taint(*taints) if taints else Taint.CLEAN
+            return join_taint(*taints)
         if isinstance(
             node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
         ):
@@ -500,23 +507,18 @@ class TaintInterpreter:
             return self._eval(node.value, frame, depth)
         if isinstance(node, ast.Lambda):
             return Taint.CLEAN
-        if isinstance(node, (ast.JoinedStr, ast.FormattedValue)):
-            taints = [
+        # Any other expression kind (f-strings, awaits, ...): join every
+        # child expression.
+        return join_taint(
+            *(
                 taint_of(self._eval(child, frame, depth))
                 for child in ast.iter_child_nodes(node)
                 if isinstance(child, ast.expr)
-            ]
-            return join_taint(*taints) if taints else Taint.CLEAN
-        # Unknown expression kind: join every child expression.
-        taints = [
-            taint_of(self._eval(child, frame, depth))
-            for child in ast.iter_child_nodes(node)
-            if isinstance(child, ast.expr)
-        ]
-        return join_taint(*taints) if taints else Taint.CLEAN
+            )
+        )
 
     def _eval_attribute(self, node: ast.Attribute, frame: _Frame) -> Value:
-        chain = _chain(node)
+        chain = attribute_chain(node)
         if chain is not None and chain[0] == "self":
             value = self._load_attr(frame.inst, chain[1:])
             if frame.guard and not isinstance(value, Instance):
@@ -587,8 +589,8 @@ class TaintInterpreter:
             for keyword in node.keywords
         )
         arg_taints = [taint_of(value) for value in arg_values]
-        joined = join_taint(*arg_taints) if arg_taints else Taint.CLEAN
-        chain = _chain(node.func)
+        joined = join_taint(*arg_taints)
+        chain = attribute_chain(node.func)
         terminal = chain[-1] if chain else None
         if terminal is None and isinstance(node.func, ast.Attribute):
             # ``something().method(...)`` — receiver not a pure chain.
@@ -596,7 +598,7 @@ class TaintInterpreter:
             return join_taint(taint_of(receiver), joined)
 
         # Sanitizers launder; record which ones the class relies on.
-        if terminal is not None and terminal in frame.module.sanitizer_names():
+        if terminal is not None and terminal in sanitizer_names(frame.module):
             self.report.sanitizers_used.add(terminal)
             return Taint.FILTERED if joined is Taint.RAW else joined
 
@@ -605,18 +607,8 @@ class TaintInterpreter:
 
         # Constructor of an indexed class -> a fresh abstract instance.
         constructed = self.index.resolve_class(frame.module, node.func)
-        if constructed is not None and (
-            terminal == constructed.name
-        ):
-            interpreter = self
-            instance = Instance(cls=constructed)
-            found = self.index.find_method(constructed, "__init__")
-            if found is not None:
-                owner, method = found
-                interpreter._call(
-                    instance, owner, method, arg_taints, depth + 1
-                )
-            return instance
+        if constructed is not None:
+            return self.instantiate(constructed, arg_taints, depth + 1)
 
         assert chain is not None or terminal is None
         if chain is not None and chain[0] == "self":
@@ -674,23 +666,16 @@ class TaintInterpreter:
             )
             if frame.guard:
                 value = demote(value)
-            self.report.decision_taint = join_taint(
-                self.report.decision_taint, value
-            )
             if value is Taint.RAW and self.reporting:
                 self.report.findings.append(
-                    Finding(
-                        path=frame.module.relative,
-                        line=node.lineno,
-                        col=node.col_offset,
-                        rule=TAINT001.id,
-                        symbol=frame.symbol,
-                        message=(
-                            "decide() receives a value derived from "
-                            "receive() that never passed a recognized "
-                            "sanitizer (majority/threshold/legality "
-                            "filter)"
-                        ),
+                    Finding.at(
+                        TAINT001.id,
+                        frame.module.relative,
+                        node,
+                        frame.symbol,
+                        "decide() receives a value derived from "
+                        "receive() that never passed a recognized "
+                        "sanitizer (majority/threshold/legality filter)",
                     )
                 )
             return Taint.CLEAN
@@ -701,8 +686,6 @@ class TaintInterpreter:
                 return self._call(
                     frame.inst, owner, method, arg_taints, depth + 1
                 )
-            if chain[1] in _MUTATORS:
-                return joined
             return joined
         # self.attr.method(...) — resolved through the binding map.
         return self._call_on_instance(
@@ -744,7 +727,7 @@ class TaintInterpreter:
             return joined
         name = chain[-1]
         module = receiver.cls.module
-        if name in module.sanitizer_names():
+        if name in sanitizer_names(module):
             self.report.sanitizers_used.add(name)
             return Taint.FILTERED if joined is Taint.RAW else joined
         found = self.index.find_method(receiver.cls, name)
@@ -765,54 +748,27 @@ class TaintInterpreter:
         arg_taints: List[Taint],
         depth: int,
     ) -> Taint:
-        key = (id(module), function.name)
-        fallback = (
-            join_taint(*arg_taints) if arg_taints else Taint.CLEAN
+        # A module-level function runs against an attribute-less
+        # stand-in for ``self``.
+        owner = ClassInfo(
+            name="<module>", qualname=module.qualname, module=module,
+            node=ast.ClassDef(
+                name="<module>", bases=[], keywords=[], body=[],
+                decorator_list=[],
+            ),
+            bases=[],
         )
-        if depth > _MAX_DEPTH or key in self._in_progress:
-            return fallback
-        self._in_progress.add(key)
-        try:
-            env: Dict[str, Value] = {}
-            params = [arg.arg for arg in function.args.args]
-            for position, name in enumerate(params):
-                env[name] = (
-                    arg_taints[position]
-                    if position < len(arg_taints)
-                    else Taint.CLEAN
-                )
-            frame = _Frame(
-                Instance(cls=ClassInfo(
-                    name="<module>", qualname=module.qualname,
-                    module=module, node=ast.ClassDef(
-                        name="<module>", bases=[], keywords=[], body=[],
-                        decorator_list=[],
-                    ), bases=[],
-                )),
-                module,
-                function.name,
-                env,
-            )
-            self._exec_block(function.body, frame, depth + 1)
-            if frame.returns:
-                return join_taint(*(taint for _, taint in frame.returns))
-            return Taint.CLEAN
-        finally:
-            self._in_progress.discard(key)
+        frame = _Frame(
+            Instance(cls=owner),
+            module,
+            function.name,
+            bind_parameters(function, arg_taints, Taint.CLEAN),
+        )
+        key = (id(module), function.name)
+        return self._activate(key, frame, function, arg_taints, depth + 1)[0]
 
 
 # -- guard classification ----------------------------------------------------
-
-
-def _chain(node: ast.AST) -> Optional[List[str]]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return list(reversed(parts))
-    return None
 
 
 def _is_abrupt(body: Sequence[ast.stmt]) -> bool:
@@ -824,7 +780,7 @@ def _is_abrupt(body: Sequence[ast.stmt]) -> bool:
 def _references_quorum(node: ast.AST) -> bool:
     for sub in ast.walk(node):
         if isinstance(sub, ast.Attribute) and sub.attr in ("n", "t"):
-            chain = _chain(sub)
+            chain = attribute_chain(sub)
             if chain is not None and "config" in chain:
                 return True
         if (
@@ -842,8 +798,8 @@ def _is_threshold_test(test: ast.expr, module: ModuleInfo) -> bool:
         if isinstance(sub, ast.Compare) and _references_quorum(sub):
             return True
         if isinstance(sub, ast.Call):
-            chain = _chain(sub.func)
-            if chain and chain[-1] in module.sanitizer_names():
+            chain = attribute_chain(sub.func)
+            if chain and chain[-1] in sanitizer_names(module):
                 return True
     return False
 
@@ -874,8 +830,8 @@ def _sanitizer_args(
         return names
     if not isinstance(target, ast.Call):
         return []
-    chain = _chain(target.func)
-    if not chain or chain[-1] not in module.sanitizer_names():
+    chain = attribute_chain(target.func)
+    if not chain or chain[-1] not in sanitizer_names(module):
         return []
     args: List[str] = []
     for arg in target.args:

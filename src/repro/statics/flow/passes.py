@@ -13,22 +13,37 @@ from __future__ import annotations
 
 import dataclasses
 import pathlib
-from typing import Dict, List, Optional, Set
+from typing import List, Optional, Set
 
 from repro.statics.findings import Finding
 from repro.statics.flow.closedness import analyze_flow
-from repro.statics.flow.engine import Instance, TaintInterpreter, TaintReport
-from repro.statics.flow.lattice import SIZE_NAMES, Size, Taint, size_name
-from repro.statics.flow.model import (
-    BoundDecl,
-    ClassInfo,
-    ModuleInfo,
-    ProjectIndex,
+from repro.statics.flow.engine import (
+    SANITIZER_DECLARATION,
+    Instance,
+    TaintInterpreter,
+    TaintReport,
 )
-from repro.statics.flow.rules import COM001, COM002, COM003, TAINT002, TAINT003
-from repro.statics.flow.sizes import SizeAnalyzer, SizeSummary
+from repro.statics.flow.lattice import SIZE_NAMES, Size, Taint, size_name
+from repro.statics.flow.rules import (
+    COM001,
+    COM002,
+    COM003,
+    TAINT001,
+    TAINT002,
+    TAINT003,
+)
+from repro.statics.flow.sizes import (
+    SizeSummary,
+    analyze_automaton,
+    analyze_process,
+)
+from repro.statics.model import ClassInfo, Entry, ModuleInfo, ProjectIndex
+from repro.statics.rules import Rule
 
 _FIXPOINT_LIMIT = 8
+
+#: The module-level declaration the COM pass trusts.
+BOUNDS_DECLARATION = "MESSAGE_BOUNDS"
 
 
 @dataclasses.dataclass
@@ -43,7 +58,7 @@ class ProtocolReport:
     com_findings: List[Finding]
     sanitizers_used: List[str]
     inferred_bound: Size
-    declared: Optional[BoundDecl]
+    declared: Optional[Entry]
 
     @property
     def findings(self) -> List[Finding]:
@@ -72,24 +87,17 @@ class FlowAnalysis:
 
 def analyze_tree(package_root: pathlib.Path) -> FlowAnalysis:
     """Run protoflow over the tree rooted at ``package_root``."""
-    index = ProjectIndex(package_root)
+    return analyze_index(ProjectIndex(package_root))
+
+
+def analyze_index(index: ProjectIndex) -> FlowAnalysis:
+    """Run protoflow over an already indexed tree."""
     certified = index.certified()
-    certified_names: Dict[str, Set[str]] = {}
-    for info in certified:
-        certified_names.setdefault(info.module.relative, set()).add(
-            info.name
-        )
-    sizes = SizeAnalyzer(index)
-    reports = [
-        _analyze_protocol(index, sizes, info) for info in certified
-    ]
+    reports = [_analyze_protocol(index, info) for info in certified]
     module_findings: List[Finding] = []
     for module in index.linted:
-        module_findings.extend(
-            _validate_declarations(
-                module, certified_names.get(module.relative, set())
-            )
-        )
+        names = {info.name for info in certified if info.module is module}
+        module_findings.extend(_validate_declarations(module, names))
     return FlowAnalysis(reports=reports, module_findings=module_findings)
 
 
@@ -101,20 +109,20 @@ def run_flow_pass(package_root: pathlib.Path) -> List[Finding]:
 # -- per-protocol analysis ---------------------------------------------------
 
 
-def _analyze_protocol(
-    index: ProjectIndex, sizes: SizeAnalyzer, info: ClassInfo
-) -> ProtocolReport:
+def _analyze_protocol(index: ProjectIndex, info: ClassInfo) -> ProtocolReport:
     kind = index.kind_of(info)
     if kind == "process":
         flow = analyze_flow(index, info)
         flow_findings, structure = flow.findings, flow.structure
         taint = _taint_process(index, info)
-        summary = sizes.analyze_process(info)
+        summary = analyze_process(index, info)
     else:
         flow_findings, structure = [], "automaton"
         taint = _taint_automaton(index, info)
-        summary = sizes.analyze_automaton(info)
-    declared = info.module.bounds.get(info.name)
+        summary = analyze_automaton(index, info)
+    declared = info.module.declaration(BOUNDS_DECLARATION).entries.get(
+        info.name
+    )
     com_findings = _check_bounds(info, summary, declared)
     return ProtocolReport(
         cls=info,
@@ -129,6 +137,17 @@ def _analyze_protocol(
     )
 
 
+_RELAYED = (
+    "outgoing payload carries a value derived from receive() that never "
+    "passed a recognized sanitizer — a faulty sender's bytes would be "
+    "relayed verbatim"
+)
+_DECIDED = (
+    "gamma_p returns a value derived from the message tuple that never "
+    "passed a recognized sanitizer (majority/threshold/legality filter)"
+)
+
+
 def _taint_process(index: ProjectIndex, info: ClassInfo) -> TaintReport:
     warm = TaintInterpreter(index, reporting=False)
     inst = warm.instantiate(info)
@@ -140,7 +159,9 @@ def _taint_process(index: ProjectIndex, info: ClassInfo) -> TaintReport:
             break
     reporter = TaintInterpreter(index, reporting=True)
     reporter.run_method(inst, "receive", receive_args)
-    _check_payload(reporter, index, inst.cls, inst, "outgoing", [Taint.CLEAN])
+    _check_sink(
+        reporter, index, inst, "outgoing", [Taint.CLEAN], TAINT002, _RELAYED
+    )
     reporter.report.sanitizers_used |= warm.report.sanitizers_used
     return reporter.report
 
@@ -153,82 +174,42 @@ def _taint_automaton(index: ProjectIndex, info: ClassInfo) -> TaintReport:
     )
     reporter = TaintInterpreter(index, reporting=True)
     reporter.run_method(inst, "transition", [Taint.CLEAN, Taint.RAW])
-    _check_payload(
-        reporter, index, info, inst, "message",
-        [Taint.CLEAN, Taint.CLEAN, state_taint],
+    _check_sink(
+        reporter, index, inst, "message",
+        [Taint.CLEAN, Taint.CLEAN, state_taint], TAINT002, _RELAYED,
     )
-    _check_decision(reporter, index, info, inst, state_taint)
+    _check_sink(
+        reporter, index, inst, "decision",
+        [Taint.CLEAN, state_taint], TAINT001, _DECIDED,
+    )
     reporter.report.sanitizers_used |= warm.report.sanitizers_used
     return reporter.report
 
 
-def _check_payload(
+def _check_sink(
     reporter: TaintInterpreter,
     index: ProjectIndex,
-    info: ClassInfo,
     inst: Instance,
     method_name: str,
     args: List[Taint],
+    rule_obj: Rule,
+    message: str,
 ) -> None:
+    """Flag every return site of ``inst.method_name(*args)`` left ``RAW``."""
     _, sites = reporter.run_method(inst, method_name, args)
-    found = index.find_method(info, method_name)
+    found = index.find_method(inst.cls, method_name)
     if found is None:
         return
     owner, _ = found
     for node, taint in sites:
         if taint is Taint.RAW:
             reporter.report.findings.append(
-                Finding(
-                    path=owner.module.relative,
-                    line=getattr(node, "lineno", owner.node.lineno),
-                    col=getattr(node, "col_offset", 0),
-                    rule=TAINT002.id,
-                    symbol=f"{owner.name}.{method_name}",
-                    message=(
-                        "outgoing payload carries a value derived from "
-                        "receive() that never passed a recognized "
-                        "sanitizer — a faulty sender's bytes would be "
-                        "relayed verbatim"
-                    ),
-                )
-            )
-    reporter.report.payload_taint = max(
-        reporter.report.payload_taint,
-        max((taint for _, taint in sites), default=Taint.CLEAN),
-    )
-
-
-def _check_decision(
-    reporter: TaintInterpreter,
-    index: ProjectIndex,
-    info: ClassInfo,
-    inst: Instance,
-    state_taint: Taint,
-) -> None:
-    from repro.statics.flow.rules import TAINT001
-
-    _, sites = reporter.run_method(
-        inst, "decision", [Taint.CLEAN, state_taint]
-    )
-    found = index.find_method(info, "decision")
-    if found is None:
-        return
-    owner, _ = found
-    for node, taint in sites:
-        if taint is Taint.RAW:
-            reporter.report.decision_taint = Taint.RAW
-            reporter.report.findings.append(
-                Finding(
-                    path=owner.module.relative,
-                    line=getattr(node, "lineno", owner.node.lineno),
-                    col=getattr(node, "col_offset", 0),
-                    rule=TAINT001.id,
-                    symbol=f"{owner.name}.decision",
-                    message=(
-                        "gamma_p returns a value derived from the "
-                        "message tuple that never passed a recognized "
-                        "sanitizer (majority/threshold/legality filter)"
-                    ),
+                Finding.at(
+                    rule_obj.id,
+                    owner.module.relative,
+                    node,
+                    f"{owner.name}.{method_name}",
+                    message,
                 )
             )
 
@@ -239,81 +220,66 @@ def _check_decision(
 def _check_bounds(
     info: ClassInfo,
     summary: SizeSummary,
-    declared: Optional[BoundDecl],
+    declared: Optional[Entry],
 ) -> List[Finding]:
-    findings: List[Finding] = []
-    path = info.module.relative
     if declared is None:
+        return [
+            Finding.at(
+                COM003.id,
+                info.module.relative,
+                info.node,
+                info.name,
+                f"certified protocol {info.name} has no "
+                "MESSAGE_BOUNDS entry; declare its per-round payload "
+                "bound ('constant', 'linear', or 'history' with a "
+                "justification)",
+            )
+        ]
+    findings: List[Finding] = []
+    line = declared.line
+
+    def add(rule_obj: Rule, message: str) -> None:
         findings.append(
             Finding(
-                path=path,
-                line=info.node.lineno,
-                col=info.node.col_offset,
-                rule=COM003.id,
+                path=info.module.relative,
+                line=line,
+                col=0,
+                rule=rule_obj.id,
                 symbol=info.name,
-                message=(
-                    f"certified protocol {info.name} has no "
-                    "MESSAGE_BOUNDS entry; declare its per-round payload "
-                    "bound ('constant', 'linear', or 'history' with a "
-                    "justification)"
-                ),
+                message=message,
             )
         )
-        return findings
+
     if declared.bound not in SIZE_NAMES:
-        findings.append(
-            Finding(
-                path=path,
-                line=declared.line,
-                col=0,
-                rule=COM003.id,
-                symbol=info.name,
-                message=(
-                    f"MESSAGE_BOUNDS entry for {info.name} declares "
-                    f"unknown bound {declared.bound!r}; expected "
-                    "'constant', 'linear', or 'history'"
-                ),
-            )
+        add(
+            COM003,
+            f"MESSAGE_BOUNDS entry for {info.name} declares "
+            f"unknown bound {declared.bound!r}; expected "
+            "'constant', 'linear', or 'history'",
         )
         return findings
     declared_size = SIZE_NAMES[declared.bound]
     if declared_size < summary.inferred and not declared.justification:
-        findings.append(
-            Finding(
-                path=path,
-                line=declared.line,
-                col=0,
-                rule=COM002.id,
-                symbol=info.name,
-                message=(
-                    f"MESSAGE_BOUNDS declares {declared.bound!r} but the "
-                    f"size interpreter infers "
-                    f"{size_name(summary.inferred)!r} (accumulating: "
-                    f"{sorted(summary.accumulating) or 'none'}); add the "
-                    "(bound, justification) form naming the invariant — "
-                    "e.g. a MessageSizer ceiling or depth cap — the "
-                    "analysis cannot see"
-                ),
-            )
+        add(
+            COM002,
+            f"MESSAGE_BOUNDS declares {declared.bound!r} but the "
+            f"size interpreter infers "
+            f"{size_name(summary.inferred)!r} (accumulating: "
+            f"{sorted(summary.accumulating) or 'none'}); add the "
+            "(bound, justification) form naming the invariant — "
+            "e.g. a MessageSizer ceiling or depth cap — the "
+            "analysis cannot see",
         )
     if (
         summary.inferred is Size.HISTORY
         and declared_size is Size.HISTORY
         and not declared.justification
     ):
-        findings.append(
-            Finding(
-                path=path,
-                line=declared.line,
-                col=0,
-                rule=COM001.id,
-                symbol=info.name,
-                message=(
-                    f"{info.name} sends history-accumulating payloads; "
-                    "route it through repro.compact (Theorem 5) or "
-                    "justify why full-information growth is intended"
-                ),
-            )
+        add(
+            COM001,
+            f"{info.name} sends history-accumulating payloads; "
+            "route it through repro.compact (Theorem 5) or "
+            "justify why full-information growth is intended",
         )
     return findings
 
@@ -325,80 +291,66 @@ def _validate_declarations(
     module: ModuleInfo, certified_names: Set[str]
 ) -> List[Finding]:
     findings: List[Finding] = []
-    for declaration, line, problem in module.malformed:
+
+    def add(rule_obj: Rule, line: int, message: str) -> None:
         findings.append(
             Finding(
                 path=module.relative,
                 line=line,
                 col=0,
-                rule=(
-                    TAINT003.id
-                    if declaration == "TAINT_SANITIZERS"
-                    else COM003.id
-                ),
+                rule=rule_obj.id,
                 symbol="<module>",
-                message=f"malformed {declaration} declaration: {problem}",
+                message=message,
             )
         )
-    method_names = {
-        f"{cls.name}.{name}"
-        for cls in module.classes.values()
-        for name in cls.methods
-    }
-    bare_methods = {
-        name for cls in module.classes.values() for name in cls.methods
-    }
-    for key, decl in sorted(module.sanitizers.items()):
-        exists = (
-            key in module.functions
-            or key in method_names
-            or key in bare_methods
-            or key in module.imports
-        )
-        if not exists:
-            findings.append(
-                Finding(
-                    path=module.relative,
-                    line=decl.line,
-                    col=0,
-                    rule=TAINT003.id,
-                    symbol="<module>",
-                    message=(
-                        f"TAINT_SANITIZERS names {key!r}, which this "
-                        "module does not define — dead entries would "
-                        "silently launder adversarial data"
-                    ),
+
+    for rule_obj, name, bad_value in (
+        (
+            TAINT003,
+            SANITIZER_DECLARATION,
+            "TAINT_SANITIZERS entry {key!r} has no justification; state "
+            "why its output is safe against Byzantine inputs",
+        ),
+        (
+            COM003,
+            BOUNDS_DECLARATION,
+            "malformed MESSAGE_BOUNDS declaration: entry {key!r} must map "
+            "to a bound string or a (bound, justification) tuple of strings",
+        ),
+    ):
+        for note in module.declaration(name).malformed:
+            if note.kind == "value":
+                message = bad_value.format(key=note.key)
+            elif note.kind == "key":
+                message = f"malformed {name} declaration: non-string key"
+            else:
+                message = (
+                    f"malformed {name} declaration: {name} must be a dict "
+                    "literal"
                 )
+            add(rule_obj, note.node.lineno, message)
+
+    defined = set(module.functions) | set(module.imports)
+    for cls in module.classes.values():
+        defined.update(cls.methods)
+        defined.update(f"{cls.name}.{name}" for name in cls.methods)
+    sanitizers = module.declaration(SANITIZER_DECLARATION).entries
+    for key, entry in sorted(sanitizers.items()):
+        if key not in defined:
+            add(
+                TAINT003,
+                entry.line,
+                f"TAINT_SANITIZERS names {key!r}, which this module does "
+                "not define — dead entries would silently launder "
+                "adversarial data",
             )
-        elif not decl.justification.strip():
-            findings.append(
-                Finding(
-                    path=module.relative,
-                    line=decl.line,
-                    col=0,
-                    rule=TAINT003.id,
-                    symbol="<module>",
-                    message=(
-                        f"TAINT_SANITIZERS entry {key!r} has no "
-                        "justification; state why its output is safe "
-                        "against Byzantine inputs"
-                    ),
-                )
-            )
-    for key, bound in sorted(module.bounds.items()):
+    bounds = module.declaration(BOUNDS_DECLARATION).entries
+    for key, entry in sorted(bounds.items()):
         if key not in certified_names:
-            findings.append(
-                Finding(
-                    path=module.relative,
-                    line=bound.line,
-                    col=0,
-                    rule=COM003.id,
-                    symbol="<module>",
-                    message=(
-                        f"MESSAGE_BOUNDS names {key!r}, which is not a "
-                        "certified protocol class in this module — "
-                        "remove the dead entry"
-                    ),
-                )
+            add(
+                COM003,
+                entry.line,
+                f"MESSAGE_BOUNDS names {key!r}, which is not a certified "
+                "protocol class in this module — remove the dead entry",
             )
     return findings

@@ -24,10 +24,16 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.statics.flow.lattice import Size, SizeVal, join_sizes
-from repro.statics.flow.model import ClassInfo, ProjectIndex
+from repro.statics.model import (
+    ClassInfo,
+    ProjectIndex,
+    bind_parameters,
+    self_attribute,
+)
+from repro.statics.visitor import attribute_chain
 
 _MAX_DEPTH = 10
 
@@ -38,17 +44,6 @@ _ACCUMULATORS = frozenset(
 
 #: Methods returning (a view of) their receiver unchanged in size.
 _VIEWS = frozenset({"items", "values", "keys", "copy", "get"})
-
-
-def _chain(node: ast.AST) -> Optional[List[str]]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return list(reversed(parts))
-    return None
 
 
 def _is_empty_literal(node: ast.expr) -> bool:
@@ -72,143 +67,51 @@ class SizeSummary:
 
     inferred: Size
     accumulating: Set[str]
-    self_referential: Set[str]
-    drained: Set[str]
 
 
-class SizeAnalyzer:
-    """Shared across classes; holds the project index."""
-
-    def __init__(self, index: ProjectIndex):
-        self.index = index
-
-    # -- public --------------------------------------------------------------
-
-    def analyze_process(self, info: ClassInfo) -> SizeSummary:
-        """Infer the per-round payload bound of a ``Process`` subclass."""
-        bindings = static_bindings(self.index, info)
-        state = _ClassSizeState(self.index, info, bindings)
-        # FLOW003 sends drains to receive(); either home counts.
-        state.scan_drains("outgoing")
-        state.scan_drains("receive")
-        state.run_receive_path(("receive",))
-        payload = state.eval_payload("outgoing")
-        return SizeSummary(
-            inferred=payload,
-            accumulating=state.accumulating,
-            self_referential=state.self_referential,
-            drained=state.drained,
-        )
-
-    def analyze_automaton(self, info: ClassInfo) -> SizeSummary:
-        """Infer the bound of an ``AutomatonProtocol``'s message map.
-
-        The Section 3.1 automaton threads its state through the message
-        tuple: ``delta_p`` maps the n-tuple of round-r messages to the
-        next state, and ``mu_pq`` maps that state to round-(r+1)
-        messages.  The full-information recursion is therefore a
-        transition whose result *retains* the message tuple (size >=
-        linear, derived from ``messages``) feeding a ``message`` that
-        embeds the state — each round nests the previous n-tuple, so
-        the bound is ``history``.
-        """
-        bindings = static_bindings(self.index, info)
-        state = _ClassSizeState(self.index, info, bindings)
-        messages = SizeVal(Size.LINEAR, frozenset({"<messages>"}))
-        produced = state.eval_method_return(
-            "transition", {"messages": messages}
-        )
-        nests = (
-            produced.size >= Size.LINEAR and "<messages>" in produced.deps
-        )
-        state_size = SizeVal(
-            Size.HISTORY if nests else produced.size,
-            frozenset({"<state>"}),
-        )
-        payload = state.eval_method_return("message", {"state": state_size})
-        inferred = payload.size
-        if "<state>" in payload.deps:
-            inferred = max(inferred, state_size.size)
-        return SizeSummary(
-            inferred=inferred,
-            accumulating=state.accumulating,
-            self_referential=({"<state>"} if nests else set()),
-            drained=set(),
-        )
+def analyze_process(index: ProjectIndex, info: ClassInfo) -> SizeSummary:
+    """Infer the per-round payload bound of a ``Process`` subclass."""
+    state = _ClassSizeState(index, info)
+    # FLOW003 sends drains to receive(); either home counts.
+    state.scan_drains("outgoing")
+    state.scan_drains("receive")
+    state.run_receive_path(("receive",))
+    payload = state.eval_payload("outgoing")
+    return SizeSummary(inferred=payload, accumulating=state.accumulating)
 
 
-def static_bindings(
-    index: ProjectIndex, info: ClassInfo
-) -> Dict[str, ClassInfo]:
-    """``self.attr -> ClassInfo`` bindings made anywhere in the class.
+def analyze_automaton(index: ProjectIndex, info: ClassInfo) -> SizeSummary:
+    """Infer the bound of an ``AutomatonProtocol``'s message map.
 
-    Covers plain assignment, subscript assignment, and dict/list
-    comprehensions whose element is a constructor call — the idioms the
-    compact stack uses to bind per-subject helper instances.
+    The Section 3.1 automaton threads its state through the message
+    tuple: ``delta_p`` maps the n-tuple of round-r messages to the next
+    state, and ``mu_pq`` maps that state to round-(r+1) messages.  The
+    full-information recursion is therefore a transition whose result
+    *retains* the message tuple (size >= linear, derived from
+    ``messages``) feeding a ``message`` that embeds the state — each
+    round nests the previous n-tuple, so the bound is ``history``.
     """
-    bindings: Dict[str, ClassInfo] = {}
-    for cls in index.mro(info):
-        for method in cls.methods.values():
-            for node in ast.walk(method):
-                if not isinstance(node, ast.Assign):
-                    continue
-                calls: List[ast.Call] = []
-                value = node.value
-                if isinstance(value, ast.Call):
-                    calls.append(value)
-                elif isinstance(value, ast.DictComp) and isinstance(
-                    value.value, ast.Call
-                ):
-                    calls.append(value.value)
-                elif isinstance(value, ast.ListComp) and isinstance(
-                    value.elt, ast.Call
-                ):
-                    calls.append(value.elt)
-                if not calls:
-                    continue
-                constructed = index.resolve_class(cls.module, calls[0].func)
-                if constructed is None:
-                    continue
-                terminal = (
-                    calls[0].func.attr
-                    if isinstance(calls[0].func, ast.Attribute)
-                    else calls[0].func.id
-                    if isinstance(calls[0].func, ast.Name)
-                    else None
-                )
-                if terminal != constructed.name:
-                    continue
-                for target in node.targets:
-                    attr_name = _self_target_attr(target)
-                    if attr_name is not None:
-                        bindings.setdefault(attr_name, constructed)
-    return bindings
-
-
-def _self_target_attr(target: ast.expr) -> Optional[str]:
-    if isinstance(target, ast.Subscript):
-        target = target.value
-    if (
-        isinstance(target, ast.Attribute)
-        and isinstance(target.value, ast.Name)
-        and target.value.id == "self"
-    ):
-        return target.attr
-    return None
+    state = _ClassSizeState(index, info)
+    messages = SizeVal(Size.LINEAR, frozenset({"<messages>"}))
+    produced = state.eval_method_return("transition", {"messages": messages})
+    nests = produced.size >= Size.LINEAR and "<messages>" in produced.deps
+    state_size = SizeVal(
+        Size.HISTORY if nests else produced.size, frozenset({"<state>"})
+    )
+    payload = state.eval_method_return("message", {"state": state_size})
+    inferred = payload.size
+    if "<state>" in payload.deps:
+        inferred = max(inferred, state_size.size)
+    return SizeSummary(inferred=inferred, accumulating=state.accumulating)
 
 
 class _ClassSizeState:
     """Mutable per-class analysis state for the size interpreter."""
 
-    def __init__(
-        self,
-        index: ProjectIndex,
-        info: ClassInfo,
-        bindings: Dict[str, ClassInfo],
-    ):
+    def __init__(self, index: ProjectIndex, info: ClassInfo):
         self.index = index
         self.info = info
-        self.bindings = bindings
+        self.bindings = index.static_bindings(info)
         self.attr_sizes: Dict[str, Size] = {}
         self.accumulating: Set[str] = set()
         self.self_referential: Set[str] = set()
@@ -231,7 +134,7 @@ class _ClassSizeState:
     # -- drains (send path, structural) --------------------------------------
 
     def scan_drains(self, entry: str) -> None:
-        for _, _, method in self._reachable(entry):
+        for _, _, method in self.index.reachable_methods(self.info, entry):
             for node in ast.walk(method):
                 if isinstance(node, ast.Assign):
                     # Tuple swap: ``items, self._x = self._x, []``.
@@ -242,22 +145,17 @@ class _ClassSizeState:
                             for element, rhs in zip(
                                 target.elts, node.value.elts
                             ):
-                                name = _self_target_attr(element)
+                                name = self_attribute(element)
                                 if name is not None and _is_empty_literal(
                                     rhs
                                 ):
                                     self.drained.add(name)
                         else:
-                            name = _self_target_attr(target)
+                            name = self_attribute(target)
                             if name is not None and _is_empty_literal(
                                 node.value
                             ):
                                 self.drained.add(name)
-
-    def _reachable(
-        self, entry: str
-    ) -> List[Tuple[ClassInfo, str, ast.FunctionDef]]:
-        return reachable_methods(self.index, self.info, self.bindings, entry)
 
     # -- receive-path interpretation -----------------------------------------
 
@@ -273,7 +171,7 @@ class _ClassSizeState:
                 if found is None:
                     continue
                 owner, method = found
-                env = self._param_env(method)
+                env = bind_parameters(method, (), SizeVal())
                 self._exec_block(method.body, env, owner, 0, per_n=False)
             after = (
                 dict(self.attr_sizes),
@@ -282,13 +180,6 @@ class _ClassSizeState:
             )
             if before == after:
                 break
-
-    def _param_env(self, method: ast.FunctionDef) -> Dict[str, SizeVal]:
-        env: Dict[str, SizeVal] = {}
-        for arg in method.args.args:
-            if arg.arg != "self":
-                env[arg.arg] = SizeVal()
-        return env
 
     # -- payload evaluation ---------------------------------------------------
 
@@ -306,7 +197,7 @@ class _ClassSizeState:
         if found is None:
             return SizeVal()
         owner, method = found
-        env = self._param_env(method)
+        env = bind_parameters(method, (), SizeVal())
         env.update(param_overrides)
         return self._exec_for_return(method, env, owner, 0)
 
@@ -359,7 +250,7 @@ class _ClassSizeState:
             )
         elif isinstance(stmt, ast.AugAssign):
             value = self._eval(stmt.value, env, owner, depth)
-            name = _self_target_attr(stmt.target)
+            name = self_attribute(stmt.target)
             if name is not None:
                 self.accumulating.add(name)
                 if name in value.deps and value.size >= Size.LINEAR:
@@ -413,7 +304,7 @@ class _ClassSizeState:
         if isinstance(target, ast.Name):
             env[target.id] = value
             return
-        name = _self_target_attr(target)
+        name = self_attribute(target)
         if name is None:
             if isinstance(target, (ast.Tuple, ast.List)):
                 for element in target.elts:
@@ -446,12 +337,11 @@ class _ClassSizeState:
     def _is_per_n(
         self, iterable: ast.expr, env: Dict[str, SizeVal]
     ) -> bool:
-        chain = _chain(iterable)
+        chain = attribute_chain(iterable)
         if chain is None and isinstance(iterable, ast.Call):
-            chain = _chain(iterable.func)
+            chain = attribute_chain(iterable.func)
         if chain is None:
-            value = self._size_of_chainless(iterable, env)
-            return value.size >= Size.LINEAR
+            return False
         if "process_ids" in chain:
             return True
         root = chain[0]
@@ -463,13 +353,6 @@ class _ClassSizeState:
         if root in env:
             return env[root].size >= Size.LINEAR
         return False
-
-    def _size_of_chainless(
-        self, iterable: ast.expr, env: Dict[str, SizeVal]
-    ) -> SizeVal:
-        if isinstance(iterable, ast.Call):
-            return SizeVal()
-        return SizeVal()
 
     # -- expression evaluation ------------------------------------------------
 
@@ -486,7 +369,7 @@ class _ClassSizeState:
         if isinstance(node, ast.Name):
             return env.get(node.id, SizeVal())
         if isinstance(node, ast.Attribute):
-            chain = _chain(node)
+            chain = attribute_chain(node)
             if chain is not None and chain[0] == "self" and len(chain) >= 2:
                 if chain[1] == "config":
                     if chain[-1] == "process_ids":
@@ -527,13 +410,6 @@ class _ClassSizeState:
                     self._eval(node.orelse, env, owner, depth),
                 ]
             )
-        if isinstance(node, (ast.BinOp, ast.BoolOp)):
-            parts = [
-                self._eval(child, env, owner, depth)
-                for child in ast.iter_child_nodes(node)
-                if isinstance(child, ast.expr)
-            ]
-            return join_sizes(parts)
         if isinstance(node, (ast.Compare, ast.UnaryOp, ast.Lambda)):
             return SizeVal()
         if isinstance(node, ast.Starred):
@@ -607,7 +483,7 @@ class _ClassSizeState:
             for keyword in node.keywords
         )
         joined = join_sizes(args)
-        chain = _chain(node.func)
+        chain = attribute_chain(node.func)
         terminal = chain[-1] if chain else None
 
         if terminal in ("len", "isinstance", "range", "min", "max", "sum"):
@@ -676,14 +552,7 @@ class _ClassSizeState:
         if found is None:
             return join_sizes(args)
         owner, method = found
-        call_env: Dict[str, SizeVal] = {}
-        params = [arg.arg for arg in method.args.args]
-        if params and params[0] == "self":
-            params = params[1:]
-        for position, param in enumerate(params):
-            call_env[param] = (
-                args[position] if position < len(args) else SizeVal()
-            )
+        call_env = bind_parameters(method, args, SizeVal())
         self._in_progress.add(key)
         try:
             return self._exec_for_return(method, call_env, owner, depth + 1)
@@ -700,58 +569,9 @@ class _ClassSizeState:
         key = f"{owner.module.qualname}.{function.name}"
         if depth > _MAX_DEPTH or key in self._in_progress:
             return join_sizes(args)
-        call_env: Dict[str, SizeVal] = {}
-        for position, arg in enumerate(function.args.args):
-            call_env[arg.arg] = (
-                args[position] if position < len(args) else SizeVal()
-            )
+        call_env = bind_parameters(function, args, SizeVal())
         self._in_progress.add(key)
         try:
             return self._exec_for_return(function, call_env, owner, depth + 1)
         finally:
             self._in_progress.discard(key)
-
-
-def reachable_methods(
-    index: ProjectIndex,
-    info: ClassInfo,
-    bindings: Dict[str, ClassInfo],
-    entry: str,
-) -> List[Tuple[ClassInfo, str, ast.FunctionDef]]:
-    """Methods reachable from ``info.entry`` through self/helper calls.
-
-    Follows ``self.method(...)`` within the class (and its indexed
-    ancestors) and ``self.attr.method(...)`` into helper classes bound
-    in ``__init__`` — the call graph the send/receive path analyses
-    walk.  Bounded by visited-set, so cycles terminate.
-    """
-    out: List[Tuple[ClassInfo, str, ast.FunctionDef]] = []
-    seen: Set[Tuple[str, str]] = set()
-    frontier: List[Tuple[ClassInfo, Dict[str, ClassInfo], str]] = [
-        (info, bindings, entry)
-    ]
-    while frontier:
-        cls, cls_bindings, name = frontier.pop(0)
-        key = (cls.qualname, name)
-        if key in seen:
-            continue
-        seen.add(key)
-        found = index.find_method(cls, name)
-        if found is None:
-            continue
-        owner, method = found
-        out.append((owner, name, method))
-        for node in ast.walk(method):
-            if not isinstance(node, ast.Call):
-                continue
-            chain = _chain(node.func)
-            if chain is None or chain[0] != "self":
-                continue
-            if len(chain) == 2:
-                frontier.append((cls, cls_bindings, chain[1]))
-            elif len(chain) >= 3 and chain[1] in cls_bindings:
-                helper = cls_bindings[chain[1]]
-                frontier.append(
-                    (helper, static_bindings(index, helper), chain[-1])
-                )
-    return out

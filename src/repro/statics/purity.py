@@ -30,13 +30,24 @@ checks; invalid or dead entries are themselves findings (PUR005).
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+import pathlib
+from typing import List, Optional, Sequence, Set
 
 from repro.statics.findings import Finding
+from repro.statics.model import (
+    AUTOMATON_ROOT,
+    ModuleInfo,
+    ProjectIndex,
+    parse_module,
+)
 from repro.statics.rules import rule
 from repro.statics.visitor import ScopedVisitor, attribute_chain
 
-#: The AutomatonProtocol methods that Theorem 2 replays.
+#: The AutomatonProtocol methods that Theorem 2 replays.  All of them
+#: receive state/messages as arguments and return their result; none
+#: may write ``self`` — one ``AutomatonProtocol`` instance is shared by
+#: all n processors (see ``automaton_factory``), so ``self``-mutation
+#: couples processors outside the channels.
 AUTOMATON_METHODS: Set[str] = {
     "initial_state",
     "message",
@@ -45,12 +56,6 @@ AUTOMATON_METHODS: Set[str] = {
     "coerce_message",
     "default_message",
 }
-
-#: All four functions receive state/messages as arguments and return
-#: their result; none may write ``self`` — one ``AutomatonProtocol``
-#: instance is shared by all n processors (see ``automaton_factory``),
-#: so ``self``-mutation couples processors outside the channels.
-READ_ONLY_METHODS: Set[str] = set(AUTOMATON_METHODS)
 
 _IO_ROOTS: Set[str] = {
     "sys",
@@ -164,6 +169,9 @@ class _FunctionChecker(ScopedVisitor):
         self._shadowed: Set[str] = set()
 
     def check(self, node: ast.AST, scope: Sequence[str]) -> List[Finding]:
+        # The function's own defaults are evaluated in (and reported
+        # under) the enclosing scope, before its name is entered.
+        _check_defaults(self, node)
         self._scope = list(scope)
         self._shadowed = _parameter_names(node)
         self.generic_visit(node)
@@ -315,114 +323,36 @@ def _check_defaults(checker: _FunctionChecker, node: ast.AST) -> None:
             )
 
 
-def _automaton_classes(tree: ast.Module) -> List[ast.ClassDef]:
-    """Classes deriving (possibly transitively, within this file) from
-    ``AutomatonProtocol``."""
-    by_name = {
-        node.name: node
-        for node in tree.body
-        if isinstance(node, ast.ClassDef)
-    }
-    automaton: Set[str] = set()
-
-    def derives(node: ast.ClassDef, seen: Set[str]) -> bool:
-        for base in node.bases:
-            chain = attribute_chain(base)
-            if chain is None:
-                continue
-            if chain[-1] == "AutomatonProtocol" or chain[-1] in automaton:
-                return True
-            local = by_name.get(chain[-1])
-            if local is not None and local.name not in seen:
-                if derives(local, seen | {local.name}):
-                    return True
-        return False
-
-    changed = True
-    while changed:
-        changed = False
-        for name, node in by_name.items():
-            if name not in automaton and derives(node, {name}):
-                automaton.add(name)
-                changed = True
-    return [by_name[name] for name in by_name if name in automaton]
-
-
-def _finding(path: str, node: ast.AST, symbol: str, message: str) -> Finding:
-    return Finding(
-        path=path,
-        line=getattr(node, "lineno", 0),
-        col=getattr(node, "col_offset", 0),
-        rule=PUR005.id,
-        symbol=symbol,
-        message=message,
-    )
-
-
-def _parse_exemptions(
-    tree: ast.Module, path: str
-) -> Tuple[Dict[str, ast.AST], List[Finding]]:
-    """The module's ``PURITY_EXEMPT`` declaration, validated.
-
-    Returns ``(exemptions, findings)`` where ``exemptions`` maps each
-    *well-justified* symbol to the AST node that declared it (for
-    dead-entry reporting) and ``findings`` holds PUR005s for
-    malformed entries: non-literal declarations, non-string keys, or
-    empty/missing justifications.
-    """
-    exemptions: Dict[str, ast.AST] = {}
+def _exemption_findings(module: ModuleInfo) -> List[Finding]:
+    """PUR005 for every ``PURITY_EXEMPT`` shape the grammar rejects."""
     findings: List[Finding] = []
-    for node in tree.body:
-        targets: List[ast.AST] = []
-        value: Optional[ast.AST] = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        named = any(
-            isinstance(target, ast.Name) and target.id == EXEMPT_DECLARATION
-            for target in targets
-        )
-        if not named:
-            continue
-        if not isinstance(value, ast.Dict):
-            findings.append(_finding(
-                path, node, "<module>",
+    for note in module.declaration(EXEMPT_DECLARATION).malformed:
+        if note.kind == "dict":
+            message = (
                 f"{EXEMPT_DECLARATION} must be a literal dict of "
-                "symbol -> justification",
-            ))
-            continue
-        for key, justification in zip(value.keys, value.values):
-            if not (
-                isinstance(key, ast.Constant) and isinstance(key.value, str)
-            ):
-                findings.append(_finding(
-                    path, key if key is not None else node, "<module>",
-                    f"{EXEMPT_DECLARATION} keys must be string literals "
-                    "naming checked symbols",
-                ))
-                continue
-            symbol = key.value
-            justified = (
-                isinstance(justification, ast.Constant)
-                and isinstance(justification.value, str)
-                and justification.value.strip()
+                "symbol -> justification"
             )
-            if not justified:
-                findings.append(_finding(
-                    path, justification, symbol,
-                    f"exemption for {symbol!r} has no justification — "
-                    "an unexplained suppression is a process violation",
-                ))
-                continue
-            exemptions[symbol] = key
-    return exemptions, findings
+        elif note.kind == "key":
+            message = (
+                f"{EXEMPT_DECLARATION} keys must be string literals "
+                "naming checked symbols"
+            )
+        else:
+            message = (
+                f"exemption for {note.key!r} has no justification — "
+                "an unexplained suppression is a process violation"
+            )
+        findings.append(Finding.at(
+            PUR005.id, module.relative, note.node, note.key or "<module>",
+            message,
+        ))
+    return findings
 
 
-def run_purity_pass(
-    source: str, path: str, all_functions: bool = False
+def check_purity(
+    index: ProjectIndex, module: ModuleInfo, all_functions: bool = False
 ) -> List[Finding]:
-    """Lint one file; returns its findings.
+    """The purity findings of one indexed module.
 
     By default only automaton methods and ``*_factory`` constructors
     are checked.  ``all_functions=True`` extends the check to every
@@ -430,9 +360,10 @@ def run_purity_pass(
     points are replayed in forked pool processes.  Either way, symbols
     named in a valid ``PURITY_EXEMPT`` declaration are skipped.
     """
-    tree = ast.parse(source, filename=path)
-    module_names = _module_level_names(tree)
-    exemptions, findings = _parse_exemptions(tree, path)
+    path = module.relative
+    module_names = _module_level_names(module.tree)
+    exemptions = module.declaration(EXEMPT_DECLARATION).entries
+    findings = _exemption_findings(module)
     used_exemptions: Set[str] = set()
 
     def exempted(symbol: str) -> bool:
@@ -441,38 +372,43 @@ def run_purity_pass(
             return True
         return False
 
-    for cls in _automaton_classes(tree):
-        for item in cls.body:
-            if not isinstance(item, ast.FunctionDef):
+    for cls in module.classes.values():
+        if not index.is_subclass(cls, AUTOMATON_ROOT, by_name=True):
+            continue
+        for name, item in cls.methods.items():
+            if name not in AUTOMATON_METHODS:
                 continue
-            if item.name not in AUTOMATON_METHODS:
+            if exempted(f"{cls.name}.{name}"):
                 continue
-            if exempted(f"{cls.name}.{item.name}"):
-                continue
-            checker = _FunctionChecker(
-                path,
-                module_names,
-                read_only_self=item.name in READ_ONLY_METHODS,
-            )
-            _check_defaults(checker, item)
-            findings.extend(checker.check(item, [cls.name, item.name]))
+            checker = _FunctionChecker(path, module_names, read_only_self=True)
+            findings.extend(checker.check(item, [cls.name, name]))
 
-    for item in tree.body:
-        if not isinstance(item, ast.FunctionDef):
+    for name, item in module.functions.items():
+        if not (all_functions or name.endswith("_factory")):
             continue
-        if not (all_functions or item.name.endswith("_factory")):
-            continue
-        if exempted(item.name):
+        if exempted(name):
             continue
         checker = _FunctionChecker(path, module_names, read_only_self=False)
-        _check_defaults(checker, item)
-        findings.extend(checker.check(item, [item.name]))
+        findings.extend(checker.check(item, [name]))
 
-    for symbol, node in exemptions.items():
+    for symbol, entry in exemptions.items():
         if symbol not in used_exemptions:
-            findings.append(_finding(
-                path, node, symbol,
+            findings.append(Finding.at(
+                PUR005.id, path, entry.node, symbol,
                 f"exemption for {symbol!r} matches no symbol this pass "
                 "checks — delete the dead entry",
             ))
     return findings
+
+
+def run_purity_pass(
+    source: str, path: str, all_functions: bool = False
+) -> List[Finding]:
+    """Lint one file given as text (see :func:`check_purity`).
+
+    With no tree to resolve against, a class is an automaton when its
+    bases reach one spelled ``AutomatonProtocol`` within this file.
+    """
+    index = ProjectIndex(pathlib.Path(path).parent, packages=(), modules=())
+    module = index.add(parse_module(source, path))
+    return check_purity(index, module, all_functions)

@@ -1,4 +1,5 @@
-"""Pass orchestration: discover files, run passes, apply the baseline.
+"""Pass orchestration: index the tree once, run every pass over it,
+apply the baseline.
 
 The scanned scope is deliberately the *protocol* packages — ``core``,
 ``agreement``, ``avalanche``, ``compact``, ``fullinfo`` — plus the
@@ -13,14 +14,19 @@ from __future__ import annotations
 
 import dataclasses
 import pathlib
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.statics.baseline import Baseline, Suppression
-from repro.statics.contracts import run_contract_pass
-from repro.statics.determinism import run_determinism_pass
+from repro.statics.contracts import (
+    CATALOG_MODULE,
+    CONTRACT_PACKAGES,
+    check_contracts,
+)
+from repro.statics.determinism import check_determinism
 from repro.statics.findings import Finding
-from repro.statics.flow import run_flow_pass
-from repro.statics.purity import run_purity_pass
+from repro.statics.flow.passes import FlowAnalysis, analyze_index
+from repro.statics.model import FLOW_PACKAGES, SUPPORT_MODULES, ProjectIndex
+from repro.statics.purity import check_purity
 
 #: The packages whose files get the determinism and purity passes.
 #: ``arrays`` joined when the hash-consing store landed: interning is
@@ -62,13 +68,16 @@ class LintResult:
 
     ``findings`` are actionable (unsuppressed); ``suppressed`` matched
     a baseline entry; ``unused_suppressions`` are baseline entries
-    that matched nothing and should be deleted.
+    that matched nothing and should be deleted.  ``flow`` is the
+    protoflow analysis the FLOW/COM/TAINT findings came from, which
+    ``--certificates`` renders instead of analysing the tree again.
     """
 
     findings: List[Finding]
     suppressed: List[Finding]
     unused_suppressions: List[Suppression]
     stale_suppressions: List[str] = dataclasses.field(default_factory=list)
+    flow: Optional[FlowAnalysis] = None
 
     @property
     def exit_code(self) -> int:
@@ -83,38 +92,40 @@ def default_package_root() -> pathlib.Path:
     return pathlib.Path(repro.__file__).resolve().parent
 
 
+def _run_passes(
+    package_root: pathlib.Path,
+) -> Tuple[List[Finding], FlowAnalysis]:
+    """Every pass over one index of the tree: each file parsed once."""
+    index = ProjectIndex(
+        package_root,
+        packages=PROTOCOL_PACKAGES + FLOW_PACKAGES + CONTRACT_PACKAGES,
+        modules=WORKER_MODULES + SUPPORT_MODULES + (CATALOG_MODULE,),
+    )
+    workers = [
+        module
+        for module in map(index.module, WORKER_MODULES)
+        if module is not None
+    ]
+    clocks = [index.module(subpath) for subpath in CLOCK_MODULES]
+    findings: List[Finding] = []
+    for module in index.under(PROTOCOL_PACKAGES):
+        if module not in clocks:
+            findings.extend(check_determinism(module))
+        # Worker modules get the stricter all-functions mode below; the
+        # default mode would report their (live) exemptions as dead.
+        if module not in workers:
+            findings.extend(check_purity(index, module))
+    for module in workers:
+        findings.extend(check_purity(index, module, all_functions=True))
+    findings.extend(check_contracts(index))
+    flow = analyze_index(index)
+    findings.extend(flow.findings)
+    return sorted(findings), flow
+
+
 def collect_findings(package_root: pathlib.Path) -> List[Finding]:
     """Run every pass over the tree rooted at ``package_root``."""
-    findings: List[Finding] = []
-    prefix = package_root.name
-    worker_paths = {package_root / module for module in WORKER_MODULES}
-    clock_paths = {package_root / module for module in CLOCK_MODULES}
-    for package in PROTOCOL_PACKAGES:
-        directory = package_root / package
-        if not directory.is_dir():
-            continue
-        for path in sorted(directory.rglob("*.py")):
-            relative = f"{prefix}/{path.relative_to(package_root).as_posix()}"
-            source = path.read_text()
-            if path not in clock_paths:
-                findings.extend(run_determinism_pass(source, relative))
-            if path in worker_paths:
-                # Checked below in the stricter all-functions mode; the
-                # default-mode pass would report its (live) exemptions
-                # as dead entries.
-                continue
-            findings.extend(run_purity_pass(source, relative))
-    for module in WORKER_MODULES:
-        path = package_root / module
-        if not path.is_file():
-            continue
-        relative = f"{prefix}/{module}"
-        findings.extend(
-            run_purity_pass(path.read_text(), relative, all_functions=True)
-        )
-    findings.extend(run_contract_pass(package_root))
-    findings.extend(run_flow_pass(package_root))
-    return sorted(findings)
+    return _run_passes(package_root)[0]
 
 
 def lint_tree(
@@ -128,7 +139,8 @@ def lint_tree(
     baseline = baseline if baseline is not None else Baseline()
     actionable: List[Finding] = []
     suppressed: List[Finding] = []
-    for finding in collect_findings(root):
+    findings, flow = _run_passes(root)
+    for finding in findings:
         if baseline.match(finding) is not None:
             suppressed.append(finding)
         else:
@@ -138,6 +150,7 @@ def lint_tree(
         suppressed=suppressed,
         unused_suppressions=baseline.unused(),
         stale_suppressions=list(baseline.stale),
+        flow=flow,
     )
 
 

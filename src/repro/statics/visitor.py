@@ -59,14 +59,7 @@ class ScopedVisitor(ast.NodeVisitor):
     def add(self, rule: Rule, node: ast.AST, message: str) -> None:
         """Record one violation of ``rule`` at ``node``."""
         self.findings.append(
-            Finding(
-                path=self.path,
-                line=getattr(node, "lineno", 0),
-                col=getattr(node, "col_offset", 0),
-                rule=rule.id,
-                symbol=self.symbol,
-                message=message,
-            )
+            Finding.at(rule.id, self.path, node, self.symbol, message)
         )
 
     # -- scope bookkeeping --------------------------------------------------

@@ -1,5 +1,7 @@
 """Tests for result persistence."""
 
+import dataclasses
+
 import pytest
 
 from repro.adversary import EquivocatingAdversary
@@ -65,6 +67,30 @@ class TestRoundtrip:
         save_result(result, path)
         restored = load_result(path)
         assert restored.answer_vector() == result.answer_vector()
+
+    def test_accessors_read_the_same_from_a_loaded_result(
+        self, result, tmp_path
+    ):
+        """``correct_ids``/``is_deciding`` must not depend on the live
+        ``processes`` table the checkpoint strips."""
+        path = tmp_path / "run.pkl"
+        save_result(result, path)
+        restored = load_result(path)
+        assert result.correct_ids and result.is_deciding()
+        assert restored.correct_ids == result.correct_ids
+        assert restored.is_deciding() == result.is_deciding()
+        assert restored.answer_vector() == result.answer_vector()
+
+    def test_loaded_all_bottom_result_is_not_deciding(self, result, tmp_path):
+        undecided = dataclasses.replace(
+            result, decisions={pid: BOTTOM for pid in result.decisions}
+        )
+        assert not undecided.is_deciding()
+        path = tmp_path / "undecided.pkl"
+        save_result(undecided, path)
+        restored = load_result(path)
+        assert restored.correct_ids == result.correct_ids
+        assert not restored.is_deciding()
 
 
 class TestValidation:

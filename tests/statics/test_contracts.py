@@ -10,6 +10,7 @@ from repro.statics.contracts import (
 )
 
 FIXTURE_TREE = pathlib.Path(__file__).parent / "fixtures" / "tree"
+EXEMPT_TREE = pathlib.Path(__file__).parent / "fixtures" / "exempttree"
 REAL_INTERFACES = (
     pathlib.Path(__file__).parent.parent.parent
     / "src"
@@ -44,6 +45,50 @@ class TestFixtureTree:
             "        ProtocolEntry(  # noqa: F821 - parsed, never run"
         ) + 1
         assert [f.line for f in con003] == [entry_line]
+
+
+class TestExemptionGrammar:
+    """``CATALOG_EXEMPT`` is held to the grammar of the other three
+    declarations: a malformed entry is CON002 and exempts nothing."""
+
+    def findings(self):
+        return sorted(run_contract_pass(EXEMPT_TREE))
+
+    def test_each_malformed_entry_is_con002_at_its_line(self):
+        got = [
+            (f.line, f.symbol) for f in self.findings() if f.rule == "CON002"
+        ]
+        assert got == [
+            (9, "silent_factory"),  # "" justifies nothing
+            (10, "numeric_factory"),  # 7 is not a justification
+            (11, "<module>"),  # 13 is not a factory name
+        ]
+        assert all(
+            f.path == "exempttree/agreement/interfaces.py"
+            for f in self.findings()
+            if f.rule == "CON002"
+        )
+
+    def test_a_malformed_exemption_exempts_nothing(self):
+        unregistered = {
+            f.symbol for f in self.findings() if f.rule == "CON001"
+        }
+        assert unregistered == {"silent_factory", "numeric_factory"}
+
+    def test_accessor_returns_only_well_formed_entries(self):
+        source = (EXEMPT_TREE / "agreement" / "interfaces.py").read_text()
+        assert parse_exemptions(source) == {}
+
+    def test_non_dict_declaration_is_con002(self, tmp_path):
+        package = tmp_path / "repro" / "agreement"
+        package.mkdir(parents=True)
+        (package / "interfaces.py").write_text(
+            "CATALOG_EXEMPT = ['orphan_factory']\n"
+        )
+        (finding,) = run_contract_pass(tmp_path / "repro")
+        assert (finding.rule, finding.line, finding.symbol) == (
+            "CON002", 1, "<module>",
+        )
 
 
 class TestRealCatalogParsing:

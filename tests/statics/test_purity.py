@@ -58,6 +58,52 @@ def test_transitive_subclass_in_same_file_is_in_scope():
     ]
 
 
+class TestBaseImportedFromAnotherModule:
+    """The automaton hierarchy is resolved tree-wide, like protoflow's."""
+
+    PATH = "tree/agreement/imported_automaton.py"
+    SOURCE = (FIXTURES / "agreement" / "imported_automaton.py").read_text()
+
+    def test_tree_run_checks_the_derived_class(self):
+        from repro.statics.runner import lint_tree
+
+        got = {
+            (f.rule, f.line, f.symbol)
+            for f in lint_tree(FIXTURES).findings
+            if f.path == self.PATH
+        }
+        assert got == {
+            ("PUR001", 14, "ImportedAutomaton.transition"),  # print(...)
+            ("PUR004", 15, "ImportedAutomaton.transition"),  # self.seen =
+        }
+
+    def test_the_clean_base_module_reports_nothing(self):
+        from repro.statics.runner import lint_tree
+
+        assert [
+            f
+            for f in lint_tree(FIXTURES).findings
+            if f.path == "tree/agreement/shared_base.py"
+        ] == []
+
+    def test_lone_source_string_stays_file_local(self):
+        # No tree to resolve ``SharedBase`` against: nothing in this
+        # file is spelled ``AutomatonProtocol``, so nothing is checked.
+        assert run_purity_pass(self.SOURCE, self.PATH) == []
+
+    def test_imported_root_under_any_module_path_is_in_scope(self):
+        source = (
+            "from somewhere.other import AutomatonProtocol\n"
+            "class Relocated(AutomatonProtocol):\n"
+            "    def decision(self, process_id, state):\n"
+            "        print(state)\n"
+            "        return state\n"
+        )
+        assert [
+            (f.rule, f.symbol) for f in run_purity_pass(source, "x.py")
+        ] == [("PUR001", "Relocated.decision")]
+
+
 def test_pure_automaton_is_clean():
     source = (
         "class Clean(AutomatonProtocol):\n"

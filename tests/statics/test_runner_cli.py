@@ -132,6 +132,38 @@ class TestErrorHandling:
         assert code == 2
         assert "error" in out
 
+    @pytest.mark.parametrize(
+        "subpath",
+        [
+            "obs/broken.py",  # determinism and purity only
+            "agreement/broken.py",  # every pass, protoflow included
+        ],
+    )
+    def test_unparsable_file_exits_two_for_every_pass(
+        self, capsys, tmp_path, subpath
+    ):
+        # One front end: a file no pass can read fails the whole run
+        # the same way, instead of raising out of determinism/purity
+        # while protoflow certifies around it.
+        broken = tmp_path / "repro" / subpath
+        broken.parent.mkdir(parents=True)
+        broken.write_text("def f(:\n    return 1\n")
+        baseline = tmp_path / "baseline.json"
+        write_baseline(baseline, [])
+        before = baseline.read_text()
+        for extra in ([], ["--update-baseline"], ["--format", "json"]):
+            code, out = run_lint(
+                capsys,
+                "--root",
+                str(tmp_path / "repro"),
+                "--baseline",
+                str(baseline),
+                *extra,
+            )
+            assert code == 2, out
+            assert out.startswith(f"error: {broken}: invalid syntax")
+        assert baseline.read_text() == before
+
     def test_unknown_rule_in_baseline_warns_but_does_not_fail(
         self, capsys, tmp_path
     ):
