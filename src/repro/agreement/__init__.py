@@ -26,8 +26,6 @@
   the ideal signature oracle (the [18] context),
 * :mod:`repro.agreement.early_stopping` — crash consensus in
   ``min(f + 2, t + 1)`` rounds,
-* :mod:`repro.agreement.interfaces` — the protocol catalog backing the
-  conformance sweep,
 * :mod:`repro.agreement.lower_bounds` — the known bounds the paper
   measures itself against.
 """
@@ -71,7 +69,6 @@ from repro.agreement.early_stopping import (
     early_stopping_factory,
     early_stopping_rounds,
 )
-from repro.agreement.interfaces import ProtocolEntry, catalog, entries_supporting
 from repro.agreement.firing_squad import (
     FiringSquadProcess,
     fire_deadline,
@@ -116,9 +113,6 @@ __all__ = [
     "EarlyStoppingCrashProcess",
     "early_stopping_factory",
     "early_stopping_rounds",
-    "ProtocolEntry",
-    "catalog",
-    "entries_supporting",
     "FiringSquadProcess",
     "fire_deadline",
     "firing_squad_factory",

@@ -13,8 +13,8 @@ different, possibly no) rounds; correct processors must eventually
 **Construction** (the staggered-instances reduction of Burns–Lynch):
 starting at every round ``r``, all processors run one fresh instance
 of a *simultaneous-decision* Byzantine agreement protocol — here the
-``t + 1``-round EIG protocol, whose correct processors all decide in
-the same round — with input "have I received GO by round ``r``?".
+``t + 1``-round EIG protocol (``n >= 3t + 1``), whose correct processors all
+decide in the same round — with input "have I received GO by round ``r``?".
 Instance start rounds are common knowledge (every round has one), so
 no agreement about starting is needed; everyone fires at the decision
 round of the earliest instance that decides 1.

@@ -16,7 +16,8 @@ apparent unanimity, then ordinary binary agreement on the result.
 Agreement follows from the inner protocol's agreement.  Weak validity:
 with no faults and unanimous inputs ``v``, every processor's round-1
 view is all-``v``, so every ``x = v`` and the inner protocol's
-validity forces a ``v`` decision.
+validity forces a ``v`` decision.  The resilience is the inner
+protocol's: ``n >= 3t + 1`` over Phase King.
 """
 
 from __future__ import annotations

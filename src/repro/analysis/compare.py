@@ -14,28 +14,18 @@ the analytic predictions.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
-from repro.adversary.base import Adversary
-from repro.agreement.eig_agreement import run_eig_agreement
 from repro.agreement.lower_bounds import min_rounds_for_agreement
-from repro.agreement.srikanth_toueg import (
-    st_agreement_factory,
-    st_agreement_rounds,
-    st_sizer,
-)
 from repro.analysis.complexity import (
     compact_bits_estimate,
     eig_total_bits,
     st_bits_estimate,
 )
-from repro.compact.byzantine_agreement import (
-    compact_ba_rounds,
-    run_compact_byzantine_agreement,
-)
+from repro.compact.byzantine_agreement import compact_ba_rounds
 from repro.core.rounds import k_for_epsilon
 from repro.runtime.engine import run_protocol
-from repro.types import SystemConfig, Value
+from repro.types import SystemConfig
 
 
 def comparison_table(
@@ -89,132 +79,60 @@ def measured_comparison(
     t: int,
     adversary_maker=None,
     epsilons: Sequence[float] = (1.0, 0.5),
-    value_alphabet: Sequence[Value] = (0, 1),
     seed: int = 0,
     extended: bool = False,
 ) -> List[Dict[str, Any]]:
     """Run every protocol on ``n = 3t + 1`` and report measured costs.
 
-    ``adversary_maker(faulty_ids)`` builds a fresh adversary per run
-    (``None`` runs fault-free).  Inputs alternate over the alphabet so
-    validity does not trivialise the executions.  ``extended`` adds
-    rows beyond the paper's own comparison: Phase King and the
-    authenticated Dolev–Strong protocol (the latter fault-free — its
-    adversaries need oracle wiring the generic makers don't have).
+    Each row is one catalogued protocol
+    (:mod:`repro.fuzz.protocols`), run under its declared round bound
+    and its paper-exact bit meter.  ``adversary_maker(faulty_ids)``
+    builds a fresh adversary per run (``None`` runs fault-free).
+    Inputs alternate over ``{0, 1}`` so validity does not trivialise
+    the executions.  ``extended`` adds rows beyond the paper's own
+    comparison: Phase King and the authenticated Dolev–Strong protocol
+    (the latter fault-free — its adversaries need oracle wiring the
+    generic makers don't have).
     """
-    n = 3 * t + 1
-    config = SystemConfig(n=n, t=t)
-    alphabet = list(value_alphabet)
-    inputs = {
-        process_id: alphabet[process_id % len(alphabet)]
-        for process_id in config.process_ids
-    }
+    from repro.fuzz.protocols import compact_ba_spec, get_spec
+
+    config = SystemConfig(n=3 * t + 1, t=t)
+    inputs = {process_id: process_id % 2 for process_id in config.process_ids}
     faulty = list(range(1, t + 1))
-
-    def adversary() -> Optional[Adversary]:
-        return adversary_maker(faulty) if adversary_maker else None
-
-    rows: List[Dict[str, Any]] = []
-
-    result = run_eig_agreement(
-        config, inputs, alphabet, adversary=adversary(), seed=seed
-    )
-    rows.append(
-        {
-            "protocol": "exponential EIG",
-            "rounds": result.rounds,
-            "bits": result.metrics.total_bits,
-            "decisions": sorted(map(repr, result.decided_values())),
-        }
-    )
-
-    result = run_protocol(
-        st_agreement_factory(default=alphabet[0]),
-        config,
-        inputs,
-        adversary=adversary(),
-        max_rounds=st_agreement_rounds(t) + 1,
-        sizer=st_sizer(config, len(alphabet)),
-        seed=seed,
-    )
-    rows.append(
-        {
-            "protocol": "Srikanth-Toueg style",
-            "rounds": result.rounds,
-            "bits": result.metrics.total_bits,
-            "decisions": sorted(map(repr, result.decided_values())),
-        }
-    )
-
-    for epsilon in epsilons:
-        result = run_compact_byzantine_agreement(
-            config,
-            inputs,
-            value_alphabet=alphabet,
-            epsilon=epsilon,
-            adversary=adversary(),
-            seed=seed,
-        )
-        rows.append(
-            {
-                "protocol": f"compact (eps={epsilon})",
-                "rounds": result.rounds,
-                "bits": result.metrics.total_bits,
-                "decisions": sorted(map(repr, result.decided_values())),
-            }
-        )
-
+    specs = [
+        ("exponential EIG", get_spec("eig")),
+        ("Srikanth-Toueg style", get_spec("srikanth-toueg")),
+    ] + [
+        (f"compact (eps={epsilon})", compact_ba_spec(k_for_epsilon(epsilon)))
+        for epsilon in epsilons
+    ]
     if extended:
-        rows.extend(
-            _extended_rows(config, inputs, alphabet, adversary, seed)
-        )
-    return rows
-
-
-def _extended_rows(config, inputs, alphabet, adversary, seed):
-    """Rows beyond the paper's own Section 5.6 table."""
-    from repro.agreement.dolev_strong import (
-        dolev_strong_factory,
-        dolev_strong_rounds,
-    )
-    from repro.agreement.phase_king import (
-        phase_king_factory,
-        phase_king_rounds,
-    )
-    from repro.runtime.crypto import SignatureOracle
-
-    rows = []
-    if set(alphabet) <= {0, 1}:
+        specs += [
+            ("Phase King (binary)", get_spec("phase-king")),
+            (
+                "Dolev-Strong (authenticated, fault-free run)",
+                get_spec("dolev-strong"),
+            ),
+        ]
+    rows: List[Dict[str, Any]] = []
+    for label, spec in specs:
+        adversary = None
+        if adversary_maker is not None and not spec.authenticated:
+            adversary = adversary_maker(faulty)
         result = run_protocol(
-            phase_king_factory(),
+            spec.build(config),
             config,
             inputs,
-            adversary=adversary(),
-            max_rounds=phase_king_rounds(config.t) + 1,
+            adversary=adversary,
             seed=seed,
+            **spec.engine_arguments(config, metered=True),
         )
         rows.append(
             {
-                "protocol": "Phase King (binary)",
+                "protocol": label,
                 "rounds": result.rounds,
                 "bits": result.metrics.total_bits,
                 "decisions": sorted(map(repr, result.decided_values())),
             }
         )
-
-    result = run_protocol(
-        dolev_strong_factory(SignatureOracle(), default=list(alphabet)[0]),
-        config,
-        inputs,
-        max_rounds=dolev_strong_rounds(config.t) + 1,
-        seed=seed,
-    )
-    rows.append(
-        {
-            "protocol": "Dolev-Strong (authenticated, fault-free run)",
-            "rounds": result.rounds,
-            "bits": result.metrics.total_bits,
-            "decisions": sorted(map(repr, result.decided_values())),
-        }
-    )
     return rows

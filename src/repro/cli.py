@@ -27,33 +27,23 @@ import os
 import sys
 from typing import Any, List, Optional
 
-from repro.adversary import (
-    CollusionAdversary,
-    EquivocatingAdversary,
-    MalformedArrayAdversary,
-    PassiveAdversary,
-    RandomGarbageAdversary,
-    SilentAdversary,
-    VoteSplitterAdversary,
-)
+from repro.adversary import PassiveAdversary
 from repro.analysis.compare import comparison_table, measured_comparison
 from repro.analysis.figures import crossover_chart
 from repro.analysis.report import format_table
+from repro.analysis.sweeps import standard_adversary_makers
 from repro.analysis.tradeoff import epsilon_table
 from repro.avalanche.protocol import avalanche_factory
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.core.rounds import BlockSchedule
+from repro.errors import ConfigurationError
 from repro.runtime.engine import run_protocol
 from repro.types import SystemConfig
 
+#: The Byzantine gallery the sweeps use, plus the fault-free run.
 ADVERSARY_CHOICES = {
     "none": lambda faulty: PassiveAdversary(),
-    "silent": SilentAdversary,
-    "garbage": RandomGarbageAdversary,
-    "equivocator": lambda faulty: EquivocatingAdversary(faulty, 0, 1),
-    "splitter": VoteSplitterAdversary,
-    "malformed": MalformedArrayAdversary,
-    "collusion": CollusionAdversary,
+    **dict(standard_adversary_makers()),
 }
 
 
@@ -507,7 +497,7 @@ def _command_compare(args) -> str:
     )
     if args.measured:
         measured = measured_comparison(
-            args.t, lambda faulty: EquivocatingAdversary(faulty, 0, 1)
+            args.t, ADVERSARY_CHOICES["equivocator"]
         )
         output += "\n\n" + format_table(
             measured,
@@ -791,7 +781,6 @@ def _unparsable(error):
 def _command_fuzz(args):
     import pathlib
 
-    from repro.errors import ConfigurationError
     from repro.fuzz.campaign import CampaignSettings, replay_case, run_campaign
     from repro.fuzz.case import load_case, load_corpus
     from repro.fuzz.protocols import DEFAULT_PROTOCOLS
@@ -826,14 +815,10 @@ def _command_fuzz(args):
                 certificates = load_certificates(certificates_path)
             except (OSError, ValueError) as error:
                 return f"error: {error}", 2
-            cases = []
-            for case_path, case in entries:
-                try:
-                    cases.append(check_case(
-                        case, certificates, scheduler=args.scheduler
-                    ))
-                except ConfigurationError as error:
-                    return f"error: {case_path.name}: {error}", 2
+            cases = [
+                check_case(case, certificates, scheduler=args.scheduler)
+                for _case_path, case in entries
+            ]
             report = {
                 "corpus": str(path),
                 "certificates": str(certificates_path),
@@ -854,10 +839,7 @@ def _command_fuzz(args):
         lines = []
         failures = 0
         for case_path, case in entries:
-            try:
-                outcome = replay_case(case, scheduler=args.scheduler)
-            except ConfigurationError as error:
-                return f"error: {case_path.name}: {error}", 2
+            outcome = replay_case(case, scheduler=args.scheduler)
             if outcome.failed:
                 failures += 1
                 lines.append(f"FAIL {case_path.name}")
@@ -897,11 +879,8 @@ def _command_fuzz(args):
         import contextlib
 
         scope = contextlib.nullcontext()
-    try:
-        with scope:
-            report = run_campaign(settings)
-    except ConfigurationError as error:
-        return f"error: {error}", 2
+    with scope:
+        report = run_campaign(settings)
     if args.format == "json":
         rendered = report.to_json()
     else:
@@ -931,10 +910,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     Handlers return either the report text (exit code 0) or a
     ``(text, exit_code)`` pair — ``lint`` uses the latter so CI can
-    gate on findings.
+    gate on findings.  A :class:`ConfigurationError` from any handler
+    is reported as ``error: <message>`` with exit code 2.
     """
     args = _build_parser().parse_args(argv)
-    output = _HANDLERS[args.command](args)
+    try:
+        output = _HANDLERS[args.command](args)
+    except ConfigurationError as error:
+        # Fail closed at the boundary: a configuration no protocol
+        # accepts is a usage error, not a traceback.
+        output = f"error: {error}", 2
     code = 0
     if isinstance(output, tuple):
         output, code = output

@@ -210,26 +210,20 @@ def _generate_scenarios(
 def _context_for(
     spec: ProtocolSpec,
     config: SystemConfig,
-    rounds: Optional[int],
+    rounds: Optional[int] = None,
     mask: Tuple[Tuple[int, int], ...] = (),
     scheduler: Optional[str] = None,
 ) -> SweepContext:
     def maker(faulty: Sequence[int]) -> FuzzAdversary:
         return FuzzAdversary(faulty, palette=spec.palette, mask=mask)
 
-    cap = spec.max_rounds(config)
-    if rounds is not None:
-        cap = max(cap, rounds + 1)
     return SweepContext(
         factory=spec.build(config),
         config=config,
         adversary_makers=((_ADVERSARY_NAME, maker),),
         predicate=None,
-        max_rounds=cap,
-        run_full_rounds=rounds,
-        sizer=None,
-        is_null=None,
         scheduler=scheduler,
+        **spec.engine_arguments(config, rounds),
     )
 
 
@@ -277,9 +271,8 @@ def replay_case(
             f"case {case.filename()} targets {case.protocol} at an "
             f"unsupported configuration: {unsupported}"
         )
-    rounds = case.rounds if case.rounds is not None else spec.default_rounds(config)
     context = _context_for(
-        spec, config, rounds, mask=case.mask, scheduler=scheduler
+        spec, config, case.rounds, mask=case.mask, scheduler=scheduler
     )
     outcome = run_cell(context, _cell_for(case, index=0), portable=False)
     violations = tuple(run_oracles(
@@ -406,8 +399,7 @@ def _run_protocol_cases(
     workers: int,
     scheduler: Optional[str] = None,
 ) -> Tuple[List[CaseVerdict], List[ExecutionResult]]:
-    rounds = spec.default_rounds(config)
-    context = _context_for(spec, config, rounds, scheduler=scheduler)
+    context = _context_for(spec, config, scheduler=scheduler)
     cells = [_cell_for(case, index) for index, case in enumerate(cases)]
     with _obs.span("fuzz.execute"):
         outcomes = execute_cells(context, cells, workers)
@@ -438,8 +430,7 @@ def _consistency_phase(
     its states still attached.
     """
     checked = min(sample, len(cases))
-    rounds = spec.default_rounds(config)
-    context = _context_for(spec, config, rounds, scheduler=scheduler)
+    context = _context_for(spec, config, scheduler=scheduler)
     verdicts: List[CaseVerdict] = []
     with _obs.span("fuzz.consistency"):
         for index in range(checked):

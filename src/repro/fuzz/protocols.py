@@ -1,18 +1,25 @@
-"""The fuzz target registry: how to run and judge each protocol.
+"""The protocol catalog: each protocol registered once.
 
-A :class:`ProtocolSpec` packages everything the campaign driver needs
-to fuzz one protocol — how to build its processes for a given system
-configuration, how to sample a legal input vector, how long to run,
-and which oracles judge the outcome.  Registering a spec is the whole
-integration surface: `repro fuzz --protocol <name>` and the corpus
-replayer find it here, so every future protocol gets adversarial
-coverage by adding one entry.
+A :class:`ProtocolSpec` is everything the harness knows about one
+protocol — how to build its processes for a system configuration, the
+resilience it needs, its declared round bound, how to sample a legal
+input vector, which oracles judge an execution (the protocol's *own*
+correctness predicate, in Theorem 1's sense), its paper-exact bit
+meter where it has one, and the protoflow certificates of the process
+classes a run executes.  Registering a spec is the whole integration
+surface: `repro fuzz --protocol <name>`, the corpus replayer, the
+gallery conformance sweep (``tests/integration/test_catalog.py``), the
+scheduler-equivalence suite, the Section 5.6 comparison
+(:mod:`repro.analysis.compare`) and the static/dynamic closedness
+cross-check (:mod:`repro.statics.crosscheck`) all read the entry, and
+the contract pass (:mod:`repro.statics.contracts`) checks this
+module's AST against the tree, so a ``*_factory`` that is neither
+registered here nor excused in :data:`CATALOG_EXEMPT` is a lint
+finding.
 
-Specs for the paper's protocols (avalanche, compact-BA, EIG) and the
-agreement catalog (crusader, weak, firing squad) are registered at
-import.  Tests may register throwaway mutants (e.g. a deliberately
-weakened decision rule) under fresh names; see
-:func:`register` / :func:`unregister`.
+Tests may register throwaway mutants (e.g. a deliberately weakened
+decision rule) under fresh names; see :func:`register` /
+:func:`unregister`.
 
 ``differential_group`` ties protocols that must be judged on
 *identical* scenarios: members of a group share sampled inputs, fault
@@ -29,7 +36,31 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.agreement.ben_or import ben_or_factory
+from repro.agreement.crusader import crusader_factory
+from repro.agreement.dolev_strong import dolev_strong_factory, dolev_strong_rounds
+from repro.agreement.eig_agreement import eig_agreement_factory
+from repro.agreement.firing_squad import firing_squad_factory
+from repro.agreement.phase_king import (
+    phase_king_factory,
+    phase_king_rounds,
+    phase_queen_factory,
+    phase_queen_rounds,
+)
+from repro.agreement.srikanth_toueg import (
+    st_agreement_factory,
+    st_agreement_rounds,
+    st_sizer,
+)
+from repro.agreement.weak import weak_agreement_factory
+from repro.avalanche.protocol import avalanche_factory
+from repro.compact.authenticated_variant import auth_compact_ba_factory, auth_sizer
+from repro.compact.byzantine_agreement import compact_ba_factory, compact_ba_rounds
+from repro.compact.lazy_decision import lazy_compact_ba_factory
+from repro.compact.payload import compact_sizer, payload_is_null
 from repro.errors import ConfigurationError
+from repro.fullinfo.protocol import full_information_sizer
+from repro.runtime.crypto import SignatureOracle
 from repro.types import BOTTOM, ProcessId, SystemConfig, Value
 
 #: Builds one correct processor (the run_protocol factory shape).
@@ -38,24 +69,74 @@ ProcessBuilder = Callable[[ProcessId, SystemConfig, Value], Any]
 #: Samples one legal input vector for the protocol.
 InputSampler = Callable[[SystemConfig, np.random.Generator], Dict[ProcessId, Value]]
 
+#: Factories that deliberately stay out of the registry, with the
+#: reason.  The contract pass requires every ``*_factory`` in the
+#: protocol packages to appear in a spec's ``build`` or here, so opting
+#: out of the conformance sweep is an explicit, reviewed decision
+#: rather than an omission.
+CATALOG_EXEMPT = {
+    "approximate_factory": "approximate agreement converges on reals; "
+    "no oracle in repro.fuzz.oracles states its epsilon-agreement, and "
+    "the gallery's discrete palettes are outside its input domain",
+    "compact_factory": "the canonical-form combinator: it wraps an "
+    "inner automaton and has no protocol of its own to catalog",
+    "crash_compact_factory": "benign/crash-model variant; the "
+    "Byzantine adversary gallery is outside its fault model",
+    "early_stopping_factory": "crash-model consensus; the Byzantine "
+    "gallery is outside its fault model",
+    "turpin_coan_factory": "a multivalued-to-binary reduction that "
+    "needs an inner binary BA factory as argument; covered through "
+    "the protocols it wraps",
+}
+
+#: The engine cap for a randomized protocol, which declares no bound.
+RANDOMIZED_ROUND_CAP = 800
+
+#: The oracles of the Byzantine agreement task (Section 2).
+BA_ORACLES: Tuple[str, ...] = ("decided", "agreement", "validity")
+
+
+def sample_binary_inputs(
+    config: SystemConfig, rng: np.random.Generator
+) -> Dict[ProcessId, Value]:
+    """An independent fair bit per processor."""
+    return {
+        process_id: int(rng.integers(0, 2))
+        for process_id in config.process_ids
+    }
+
 
 @dataclasses.dataclass(frozen=True)
 class ProtocolSpec:
-    """One fuzz target."""
+    """One catalogued protocol: how to build, bound, judge and certify it."""
 
     name: str
+    #: Human-readable label (docs, test ids).
+    title: str
     #: Builds the run_protocol process factory for a configuration.
     build: Callable[[SystemConfig], ProcessBuilder]
-    #: Draws one input vector from the campaign's RNG substream.
-    sample_inputs: InputSampler
     #: Names into :data:`repro.fuzz.oracles.ORACLES`, checked on every
     #: execution (portable results suffice).
     oracles: Tuple[str, ...]
-    #: Safety cap on rounds (the engine raises beyond it).
-    max_rounds: Callable[[SystemConfig], int]
-    #: For non-terminating / externally-clocked protocols: how many
-    #: full rounds to run (``None`` = run until all correct decide).
-    full_rounds: Optional[Callable[[SystemConfig], int]] = None
+    #: The declared round bound: every correct processor has decided
+    #: by round ``rounds(config)``.  ``None`` only for a ``randomized``
+    #: protocol (contract rule CON003).
+    rounds: Optional[Callable[[SystemConfig], int]]
+    #: The protocol needs ``n >= resilience * t + 1``; a literal, read
+    #: by :meth:`supports` and by the contract pass (CON004).
+    resilience: int
+    #: ``tools/protoflow_certificates.json`` keys of every process
+    #: class a run executes (a wrapper lists the classes it wraps).
+    certificates: Tuple[str, ...]
+    #: Draws one input vector from the campaign's RNG substream.
+    sample_inputs: InputSampler = sample_binary_inputs
+    #: Non-terminating / externally clocked: run exactly ``rounds``
+    #: full rounds instead of stopping once all correct decide.
+    run_full: bool = False
+    randomized: bool = False
+    #: Runs over the signature oracle: the generic gallery cannot
+    #: sign, so only its silent strategy is a meaningful opponent.
+    authenticated: bool = False
     #: Oracles needing live process objects (run in the serial
     #: consistency phase and on replay, never through the pool).
     state_oracles: Tuple[str, ...] = ()
@@ -64,19 +145,59 @@ class ProtocolSpec:
     differential_group: Optional[str] = None
     #: Values the adversary uses for equivocation and forged leaves.
     palette: Tuple[Value, ...] = (0, 1)
-    #: Reject configurations the protocol cannot run at (returns a
-    #: reason string, or ``None`` when supported).
-    supports: Callable[[SystemConfig], Optional[str]] = lambda config: None
+    #: The paper-exact bit meter, where the protocol has one:
+    #: ``config -> {"sizer": ..., "is_null": ...}`` for run_protocol.
+    metering: Optional[Callable[[SystemConfig], Dict[str, Any]]] = None
+
+    def supports(self, config: SystemConfig) -> Optional[str]:
+        """Why ``config`` is outside the protocol's resilience, if it is."""
+        if config.n >= self.resilience * config.t + 1:
+            return None
+        return (
+            f"needs n >= {self.resilience}t+1, got n={config.n}, t={config.t}"
+        )
 
     def default_rounds(self, config: SystemConfig) -> Optional[int]:
-        return None if self.full_rounds is None else self.full_rounds(config)
+        """Full rounds a run takes (``None`` = until all correct decide)."""
+        if self.run_full and self.rounds is not None:
+            return self.rounds(config)
+        return None
+
+    def round_cap(self, config: SystemConfig, rounds: Optional[int] = None) -> int:
+        """The engine's safety cap: one past the declared bound, and
+        past an explicit ``rounds`` (a replayed case may carry one)."""
+        bound = RANDOMIZED_ROUND_CAP if self.rounds is None else self.rounds(config)
+        return max(bound, rounds or 0) + 1
+
+    def engine_arguments(
+        self,
+        config: SystemConfig,
+        rounds: Optional[int] = None,
+        metered: bool = False,
+    ) -> Dict[str, Any]:
+        """How to run the protocol, under the keyword names
+        ``run_protocol`` and ``SweepContext`` share.
+
+        ``rounds`` overrides the spec's full-round count.  ``metered``
+        selects the paper-exact meter; campaigns leave it off, so
+        their bit totals are the default sizer's.
+        """
+        if rounds is None:
+            rounds = self.default_rounds(config)
+        meter = self.metering(config) if metered and self.metering else {}
+        return {
+            "max_rounds": self.round_cap(config, rounds),
+            "run_full_rounds": rounds,
+            "sizer": meter.get("sizer"),
+            "is_null": meter.get("is_null"),
+        }
 
 
 _REGISTRY: Dict[str, ProtocolSpec] = {}
 
 
 def register(spec: ProtocolSpec) -> ProtocolSpec:
-    """Add a fuzz target; its name becomes a `--protocol` choice."""
+    """Add a protocol; its name becomes a `--protocol` choice."""
     if spec.name in _REGISTRY:
         raise ConfigurationError(f"fuzz protocol {spec.name!r} already registered")
     _REGISTRY[spec.name] = spec
@@ -89,7 +210,7 @@ def unregister(name: str) -> None:
 
 
 def get_spec(name: str) -> ProtocolSpec:
-    """Look up a registered fuzz target by name."""
+    """Look up a registered protocol by name."""
     try:
         return _REGISTRY[name]
     except KeyError:
@@ -100,7 +221,7 @@ def get_spec(name: str) -> ProtocolSpec:
 
 
 def protocol_names() -> Tuple[str, ...]:
-    """All registered target names, sorted."""
+    """All registered names, sorted."""
     return tuple(sorted(_REGISTRY))
 
 
@@ -108,23 +229,14 @@ def protocol_names() -> Tuple[str, ...]:
 #: protocols (the acceptance trio).
 DEFAULT_PROTOCOLS: Tuple[str, ...] = ("avalanche", "compact-ba", "eig")
 
-#: Everything registered at import — campaigns over the full catalog.
+#: The six-target campaign (the paper's trio plus crusader, weak
+#: agreement and the firing squad) the benchmark's fuzz workload runs.
 CATALOG_PROTOCOLS: Tuple[str, ...] = (
     "avalanche", "compact-ba", "crusader", "eig", "firing-squad", "weak"
 )
 
 
 # -- input samplers ----------------------------------------------------------
-
-
-def sample_binary_inputs(
-    config: SystemConfig, rng: np.random.Generator
-) -> Dict[ProcessId, Value]:
-    """An independent fair bit per processor."""
-    return {
-        process_id: int(rng.integers(0, 2))
-        for process_id in config.process_ids
-    }
 
 
 def sample_avalanche_inputs(
@@ -153,148 +265,209 @@ def sample_go_rounds(
     return inputs
 
 
-def _needs_byzantine_quorum(config: SystemConfig) -> Optional[str]:
-    if not config.requires_byzantine_quorum():
-        return f"needs n >= 3t+1, got n={config.n}, t={config.t}"
-    return None
-
-
-# -- the built-in targets ----------------------------------------------------
-
-
-def _build_avalanche(config: SystemConfig) -> ProcessBuilder:
-    from repro.avalanche.protocol import avalanche_factory
-
-    return avalanche_factory()
-
-
-def _avalanche_rounds(config: SystemConfig) -> int:
-    # Long enough for decisions to propagate and the one-round
-    # avalanche window to be observable several times over.
-    return config.t + 5
-
+# -- the paper's protocols ---------------------------------------------------
 
 register(ProtocolSpec(
     name="avalanche",
-    build=_build_avalanche,
+    title="avalanche agreement (Protocol 2)",
+    build=lambda config: avalanche_factory(),
     sample_inputs=sample_avalanche_inputs,
     oracles=("avalanche",),
-    max_rounds=lambda config: _avalanche_rounds(config) + 1,
-    full_rounds=_avalanche_rounds,
-    supports=_needs_byzantine_quorum,
+    # Long enough for decisions to propagate and the one-round
+    # avalanche window to be observable several times over.
+    rounds=lambda config: config.t + 5,
+    run_full=True,
+    resilience=3,
+    certificates=("repro/avalanche/protocol.py::AvalancheProcess",),
 ))
 
 
-def _build_compact_ba(config: SystemConfig) -> ProcessBuilder:
-    from repro.compact.byzantine_agreement import compact_ba_factory
-
-    return compact_ba_factory(config, (0, 1), default=0, k=1)
+def _compact_metering(config: SystemConfig) -> Dict[str, Any]:
+    return {"sizer": compact_sizer(config, 2), "is_null": payload_is_null}
 
 
-def _compact_ba_cap(config: SystemConfig) -> int:
-    from repro.compact.byzantine_agreement import compact_ba_rounds
+def compact_ba_spec(k: int) -> ProtocolSpec:
+    """Corollary 10 at block parameter ``k`` (``k = 1`` is the
+    registered ``compact-ba``: the smallest messages)."""
+    return ProtocolSpec(
+        name="compact-ba" if k == 1 else f"compact-ba-k{k}",
+        title=f"compact BA (k={k})",
+        build=lambda config: compact_ba_factory(config, (0, 1), default=0, k=k),
+        oracles=BA_ORACLES,
+        rounds=lambda config: compact_ba_rounds(config.t, k),
+        resilience=3,
+        certificates=("repro/compact/protocol.py::CompactProcess",),
+        differential_group="ba",
+        metering=_compact_metering,
+    )
 
-    return compact_ba_rounds(config.t, k=1) + 1
 
-
-register(ProtocolSpec(
-    name="compact-ba",
-    build=_build_compact_ba,
-    sample_inputs=sample_binary_inputs,
-    oracles=("decided", "agreement", "validity"),
-    max_rounds=_compact_ba_cap,
-    differential_group="ba",
-    supports=_needs_byzantine_quorum,
-))
-
-
-def _build_eig(config: SystemConfig) -> ProcessBuilder:
-    from repro.agreement.eig_agreement import eig_agreement_factory
-
-    return eig_agreement_factory(config, (0, 1), default=0)
-
+register(compact_ba_spec(1))
+register(compact_ba_spec(2))  # Corollary 10 at eps = 1
 
 register(ProtocolSpec(
     name="eig",
-    build=_build_eig,
-    sample_inputs=sample_binary_inputs,
-    oracles=("decided", "agreement", "validity"),
-    max_rounds=lambda config: config.t + 2,
+    title="exponential EIG",  # Lamport et al. [13]: optimal rounds
+    build=lambda config: eig_agreement_factory(config, (0, 1), default=0),
+    oracles=BA_ORACLES,
+    rounds=lambda config: config.t + 1,
+    resilience=3,
+    # Protocol 1's processes under the EIG decision rule.
+    certificates=(
+        "repro/fullinfo/protocol.py::FullInformationProcess",
+        "repro/agreement/eig_agreement.py::ExponentialAgreementAutomaton",
+    ),
     state_oracles=("fullinfo-consistency",),
     differential_group="ba",
-    supports=_needs_byzantine_quorum,
+    metering=lambda config: {"sizer": full_information_sizer(2, config.n)},
 ))
 
+register(ProtocolSpec(
+    name="compact-ba-lazy",
+    title="compact BA (lazy, k=1)",  # polynomial-space decision path
+    build=lambda config: lazy_compact_ba_factory((0, 1), default=0, k=1),
+    oracles=BA_ORACLES,
+    rounds=lambda config: compact_ba_rounds(config.t, 1),
+    resilience=3,
+    certificates=("repro/compact/lazy_decision.py::LazyCompactProcess",),
+    differential_group="ba",
+    metering=_compact_metering,
+))
 
-def _build_crusader(config: SystemConfig) -> ProcessBuilder:
-    from repro.agreement.crusader import crusader_factory
+register(ProtocolSpec(
+    name="compact-ba-fast",
+    title="compact BA (fast, k=1)",  # Section 5.6 variant, blocks of k + 1
+    build=lambda config: compact_ba_factory(
+        config, (0, 1), default=0, k=1, overhead=1
+    ),
+    oracles=BA_ORACLES,
+    rounds=lambda config: compact_ba_rounds(config.t, 1, overhead=1),
+    resilience=4,
+    certificates=("repro/compact/protocol.py::CompactProcess",),
+    differential_group="ba",
+    metering=_compact_metering,
+))
 
-    # The highest id is the source, so sampled fault sets cover both
-    # the correct-source and faulty-source regimes.
-    return crusader_factory(source=config.n)
+register(ProtocolSpec(
+    name="compact-ba-auth",
+    title="compact BA (authenticated, k=1)",  # zero overhead rounds
+    build=lambda config: auth_compact_ba_factory(
+        config, (0, 1), SignatureOracle(), k=1, default=0
+    ),
+    oracles=BA_ORACLES,
+    rounds=lambda config: config.t + 1,
+    resilience=3,
+    certificates=(
+        "repro/compact/authenticated_variant.py::AuthCompactProcess",
+    ),
+    authenticated=True,
+    differential_group="ba",
+    metering=lambda config: {"sizer": auth_sizer(config, 2)},
+))
 
+# -- the agreement catalog ---------------------------------------------------
+
+register(ProtocolSpec(
+    name="srikanth-toueg",
+    title="Srikanth-Toueg style",  # witnessed broadcasts, no signatures
+    build=lambda config: st_agreement_factory(default=0),
+    oracles=BA_ORACLES,
+    rounds=lambda config: st_agreement_rounds(config.t),
+    resilience=3,
+    certificates=("repro/agreement/srikanth_toueg.py::STAgreementProcess",),
+    metering=lambda config: {"sizer": st_sizer(config, 2)},
+))
+
+register(ProtocolSpec(
+    name="phase-king",
+    title="Phase King",
+    build=lambda config: phase_king_factory(),
+    oracles=BA_ORACLES,
+    rounds=lambda config: phase_king_rounds(config.t),
+    resilience=3,
+    certificates=("repro/agreement/phase_king.py::PhaseKingProcess",),
+))
+
+register(ProtocolSpec(
+    name="phase-queen",
+    title="Phase Queen",
+    build=lambda config: phase_queen_factory(),
+    oracles=BA_ORACLES,
+    rounds=lambda config: phase_queen_rounds(config.t),
+    resilience=4,
+    certificates=("repro/agreement/phase_king.py::PhaseQueenProcess",),
+))
+
+register(ProtocolSpec(
+    name="ben-or",
+    title="Ben-Or",
+    build=lambda config: ben_or_factory(),
+    oracles=BA_ORACLES,
+    rounds=None,
+    randomized=True,
+    resilience=3,
+    certificates=("repro/agreement/ben_or.py::BenOrProcess",),
+))
+
+register(ProtocolSpec(
+    name="dolev-strong",
+    title="Dolev-Strong (authenticated)",
+    build=lambda config: dolev_strong_factory(SignatureOracle(), default=0),
+    oracles=BA_ORACLES,
+    rounds=lambda config: dolev_strong_rounds(config.t),
+    resilience=2,
+    certificates=("repro/agreement/dolev_strong.py::DolevStrongProcess",),
+    authenticated=True,
+))
 
 register(ProtocolSpec(
     name="crusader",
-    build=_build_crusader,
-    sample_inputs=sample_binary_inputs,
+    title="crusader agreement",
+    # The highest id is the source, so sampled fault sets cover both
+    # the correct-source and faulty-source regimes.
+    build=lambda config: crusader_factory(source=config.n),
     oracles=("decided", "crusader"),
-    max_rounds=lambda config: 3,
-    supports=_needs_byzantine_quorum,
+    rounds=lambda config: 2,
+    resilience=3,
+    certificates=("repro/agreement/crusader.py::CrusaderProcess",),
 ))
-
-
-def _build_weak(config: SystemConfig) -> ProcessBuilder:
-    from repro.agreement.phase_king import phase_king_factory
-    from repro.agreement.weak import weak_agreement_factory
-
-    return weak_agreement_factory(phase_king_factory(), default=0)
-
-
-def _weak_cap(config: SystemConfig) -> int:
-    from repro.agreement.phase_king import phase_king_rounds
-
-    # One unanimity-test round, then the inner binary protocol.
-    return 1 + phase_king_rounds(config.t) + 1
-
 
 register(ProtocolSpec(
     name="weak",
-    build=_build_weak,
-    sample_inputs=sample_binary_inputs,
+    title="weak agreement",
+    build=lambda config: weak_agreement_factory(phase_king_factory(), default=0),
     oracles=("decided", "agreement", "weak-validity"),
-    max_rounds=_weak_cap,
-    supports=_needs_byzantine_quorum,
+    # One unanimity-test round, then the inner binary protocol.
+    rounds=lambda config: 1 + phase_king_rounds(config.t),
+    resilience=3,
+    certificates=(
+        "repro/agreement/weak.py::WeakAgreementProcess",
+        "repro/agreement/phase_king.py::PhaseKingProcess",
+    ),
 ))
-
-
-def _build_firing_squad(config: SystemConfig) -> ProcessBuilder:
-    from repro.agreement.firing_squad import firing_squad_factory
-
-    return firing_squad_factory()
-
-
-def _firing_squad_rounds(config: SystemConfig) -> int:
-    # Latest sampled GO round (3) + the instance's t + 1 exchanges,
-    # with one round of slack so simultaneity violations are visible.
-    return 3 + config.t + 2
-
 
 register(ProtocolSpec(
     name="firing-squad",
-    build=_build_firing_squad,
+    title="Byzantine firing squad",
+    build=lambda config: firing_squad_factory(),
     sample_inputs=sample_go_rounds,
     oracles=("firing-squad",),
-    max_rounds=lambda config: _firing_squad_rounds(config) + 1,
-    full_rounds=_firing_squad_rounds,
-    supports=_needs_byzantine_quorum,
+    # Latest sampled GO round (3) + the instance's t + 1 exchanges,
+    # with one round of slack so simultaneity violations are visible.
+    rounds=lambda config: 3 + config.t + 2,
+    run_full=True,
+    resilience=3,
+    certificates=("repro/agreement/firing_squad.py::FiringSquadProcess",),
 ))
 
 
 __all__ = [
+    "BA_ORACLES",
+    "CATALOG_EXEMPT",
     "CATALOG_PROTOCOLS",
     "DEFAULT_PROTOCOLS",
     "ProtocolSpec",
+    "compact_ba_spec",
     "get_spec",
     "protocol_names",
     "register",

@@ -116,7 +116,7 @@ def shrink_case(
         # Axis 3: silence individual messages.
         round_bound = current.rounds
         if round_bound is None:
-            round_bound = spec.max_rounds(config)
+            round_bound = spec.round_cap(config)
         round_bound = min(round_bound, _MASK_ROUND_LIMIT)
         for round_number in range(1, round_bound + 1):
             for sender in current.faulty:

@@ -15,7 +15,7 @@ any protocol:
   factories are free of I/O, global mutation and mutable default
   arguments (protects the Section 3.1 formalism),
 * :mod:`repro.statics.contracts` — the catalog in
-  :mod:`repro.agreement.interfaces` agrees with the source tree
+  :mod:`repro.fuzz.protocols` agrees with the source tree
   (protects the conformance sweep's coverage guarantee).
 
 Run it as ``python -m repro lint`` or ``python tools/run_lint.py``;

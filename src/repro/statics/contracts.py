@@ -1,23 +1,25 @@
 """The contract pass: the catalog agrees with the source tree.
 
-``repro.agreement.interfaces.catalog()`` is the coverage contract of
+The registry of ``repro.fuzz.protocols`` is the coverage contract of
 this repository: the conformance sweep in
-``tests/integration/test_catalog.py`` runs *every* catalogued protocol
-against the full adversary gallery, so a factory that never gets
-registered silently opts out of that safety net.  This pass
-cross-checks the catalog's AST against the tree without importing or
-executing any protocol code:
+``tests/integration/test_catalog.py``, seeded fuzzing, the
+scheduler-equivalence suite and the closedness cross-check run *every*
+registered protocol, so a factory that never gets registered silently
+opts out of that safety net.  This pass cross-checks the registry
+module's AST against the tree without importing or executing any
+protocol code:
 
 * every ``*_factory`` in ``agreement/``, ``compact/`` and
-  ``avalanche/`` is registered in ``catalog()`` or listed (with a
-  justification) in ``CATALOG_EXEMPT``;
+  ``avalanche/`` is built by some ``ProtocolSpec(...)`` or listed (with
+  a justification) in ``CATALOG_EXEMPT``;
 * ``CATALOG_EXEMPT`` names real, genuinely unregistered factories;
-* every non-randomized entry declares a concrete round bound (the
-  sweep cannot bound a run it believes is randomized);
-* every entry's ``supports`` predicate encodes a recognizable
-  resilience bound (``n >= 3t + 1``, ``n >= 4t + 1``, ...) and the
-  module defining the factory states that bound in its docstring, so
-  the registered requirement can never drift from the documented one.
+* every non-randomized spec declares a round bound (the engine cap is
+  derived from it; a run the harness believes is randomized is only
+  capped by a constant);
+* every spec declares its resilience as a literal (``resilience=3`` is
+  ``n >= 3t + 1``) and the module defining the factory states that
+  bound in its docstring, so the registered requirement can never
+  drift from the documented one.
 """
 
 from __future__ import annotations
@@ -31,27 +33,20 @@ from typing import Dict, List, Optional, Set
 from repro.statics.findings import Finding
 from repro.statics.model import ModuleInfo, ProjectIndex, parse_module
 from repro.statics.rules import Rule, rule
-from repro.statics.visitor import attribute_chain
 
 #: Packages whose top-level ``*_factory`` functions fall under the
 #: registration contract.
 CONTRACT_PACKAGES = ("agreement", "compact", "avalanche")
 
-#: The module holding ``catalog()`` and the exemption declaration.
-CATALOG_MODULE = "agreement/interfaces.py"
+#: The module holding the registry and the exemption declaration.
+CATALOG_MODULE = "fuzz/protocols.py"
 EXEMPT_DECLARATION = "CATALOG_EXEMPT"
-
-#: ``SystemConfig`` helper -> the bound it encodes.
-_QUORUM_HELPERS = {
-    "requires_byzantine_quorum": "3t + 1",
-    "requires_fast_quorum": "4t + 1",
-}
 
 CON001 = rule(
     "CON001",
     "contracts",
     "unregistered factory",
-    "an uncatalogued protocol skips the catalog-wide conformance "
+    "an unregistered protocol skips the registry-wide conformance "
     "sweep, so nothing checks it against the adversary gallery",
 )
 CON002 = rule(
@@ -65,8 +60,8 @@ CON003 = rule(
     "CON003",
     "contracts",
     "missing round bound",
-    "the sweep bounds deterministic runs by entry.rounds(t); a "
-    "non-randomized entry without one can loop forever unnoticed",
+    "the engine cap is derived from spec.rounds(config); a "
+    "non-randomized spec without one can loop forever unnoticed",
 )
 CON004 = rule(
     "CON004",
@@ -80,7 +75,7 @@ CON004 = rule(
 
 @dataclasses.dataclass
 class CatalogEntry:
-    """The statically extracted shape of one ``ProtocolEntry(...)``."""
+    """The statically extracted shape of one ``ProtocolSpec(...)``."""
 
     name: str
     line: int
@@ -107,105 +102,63 @@ def _lambda_factories(
     return found
 
 
-def _classify_bound(supports: ast.expr) -> Optional[str]:
-    """The resilience bound a ``supports`` lambda encodes, if recognizable."""
-    if not isinstance(supports, ast.Lambda):
-        return None
-    for node in ast.walk(supports.body):
-        if isinstance(node, ast.Call):
-            chain = attribute_chain(node.func)
-            if chain and chain[-1] in _QUORUM_HELPERS:
-                return _QUORUM_HELPERS[chain[-1]]
-    # Explicit comparisons: config.n >= c * config.t + 1 (or t + 1).
-    for node in ast.walk(supports.body):
-        if not isinstance(node, ast.Compare):
-            continue
-        coefficient = None
-        saw_t = False
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, ast.BinOp)
-                and isinstance(sub.op, ast.Mult)
-                and isinstance(sub.left, ast.Constant)
-                and isinstance(sub.left.value, int)
-            ):
-                coefficient = sub.left.value
-            if isinstance(sub, ast.Attribute) and sub.attr == "t":
-                saw_t = True
-        if saw_t:
-            return f"{coefficient}t + 1" if coefficient else "t + 1"
-    return None
+def _is_constant(node: Optional[ast.expr], value: object) -> bool:
+    return isinstance(node, ast.Constant) and node.value is value
 
 
 def _entry_from_call(
     call: ast.Call, helpers: Dict[str, Set[str]]
-) -> Optional[CatalogEntry]:
+) -> CatalogEntry:
     keywords = {kw.arg: kw.value for kw in call.keywords if kw.arg}
-    name_node = keywords.get("name")
-    if not (isinstance(name_node, ast.Constant) and isinstance(
-        name_node.value, str
-    )):
-        return None
+    name = keywords.get("name")
     build = keywords.get("build")
     rounds = keywords.get("rounds")
-    randomized = keywords.get("randomized")
-    supports = keywords.get("supports")
+    resilience = keywords.get("resilience")
     return CatalogEntry(
-        name=name_node.value,
+        # A spec-returning function names its specs with an expression.
+        name=(
+            str(name.value)
+            if isinstance(name, ast.Constant)
+            else ast.unparse(name) if name is not None else "<unnamed>"
+        ),
         line=call.lineno,
         factories=(
             _lambda_factories(build, helpers) if build is not None else set()
         ),
-        rounds_is_none=(
-            isinstance(rounds, ast.Lambda)
-            and isinstance(rounds.body, ast.Constant)
-            and rounds.body.value is None
+        rounds_is_none=rounds is None or _is_constant(rounds, None),
+        randomized=_is_constant(keywords.get("randomized"), True),
+        bound=(
+            f"{resilience.value}t + 1"
+            if isinstance(resilience, ast.Constant)
+            and isinstance(resilience.value, int)
+            else None
         ),
-        randomized=(
-            isinstance(randomized, ast.Constant)
-            and randomized.value is True
-        ),
-        bound=_classify_bound(supports) if supports is not None else None,
     )
 
 
 def parse_catalog(source: str) -> List[CatalogEntry]:
-    """Extract every ``ProtocolEntry(...)`` from ``interfaces.py`` source."""
+    """Extract every ``ProtocolSpec(...)`` from the registry module's source."""
     return _catalog_entries(parse_module(source, CATALOG_MODULE))
 
 
 def _catalog_entries(module: ModuleInfo) -> List[CatalogEntry]:
-    catalog_def = module.functions.get("catalog")
-    if catalog_def is None:
-        return []
-    # Local helpers (def or lambda assignment) may wrap a factory; map
-    # one level of indirection: helper name -> factory names inside it.
-    helpers: Dict[str, Set[str]] = {}
-    for node in catalog_def.body:
-        if isinstance(node, ast.FunctionDef):
-            helpers[node.name] = _lambda_factories(node, {})
-        elif (
-            isinstance(node, ast.Assign)
-            and len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Name)
-            and isinstance(node.value, ast.Lambda)
-        ):
-            helpers[node.targets[0].id] = _lambda_factories(node.value, {})
-    entries = []
-    for node in ast.walk(catalog_def):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "ProtocolEntry"
-        ):
-            entry = _entry_from_call(node, helpers)
-            if entry is not None:
-                entries.append(entry)
-    return entries
+    # A ``build`` may name a module-level helper wrapping the factory;
+    # map one level of indirection: helper name -> factories inside.
+    helpers = {
+        name: _lambda_factories(node, {})
+        for name, node in module.functions.items()
+    }
+    return [
+        _entry_from_call(node, helpers)
+        for node in ast.walk(module.tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "ProtocolSpec"
+    ]
 
 
 def parse_exemptions(source: str) -> Dict[str, str]:
-    """The well-formed ``CATALOG_EXEMPT`` entries of ``interfaces.py`` source."""
+    """The well-formed ``CATALOG_EXEMPT`` entries of the registry source."""
     declaration = parse_module(source, CATALOG_MODULE).declaration(
         EXEMPT_DECLARATION
     )
@@ -259,7 +212,7 @@ def run_contract_pass(package_root: pathlib.Path) -> List[Finding]:
 def check_contracts(index: ProjectIndex) -> List[Finding]:
     """All contract findings of an indexed tree.
 
-    An absent ``agreement/interfaces.py`` yields none, so fixture trees
+    An absent ``fuzz/protocols.py`` yields none, so fixture trees
     exercising only the other passes stay valid.
     """
     catalog = index.module(CATALOG_MODULE)
@@ -316,7 +269,7 @@ def check_contracts(index: ProjectIndex) -> List[Finding]:
                 1,
                 name,
                 f"{name} (defined in {module.relative}) is neither "
-                "registered in catalog() nor exempted in CATALOG_EXEMPT",
+                "built by a ProtocolSpec nor exempted in CATALOG_EXEMPT",
                 path=module.relative,
             )
     for name in sorted(exemptions):
@@ -333,7 +286,7 @@ def check_contracts(index: ProjectIndex) -> List[Finding]:
                 CON002,
                 1,
                 name,
-                f"CATALOG_EXEMPT lists {name}, but catalog() registers it "
+                f"CATALOG_EXEMPT lists {name}, but a ProtocolSpec builds it "
                 "— remove the stale exemption",
             )
 
@@ -344,15 +297,15 @@ def check_contracts(index: ProjectIndex) -> List[Finding]:
                 entry.line,
                 entry.name,
                 f"entry {entry.name!r} is not randomized but declares no "
-                "round bound (rounds=lambda t: None)",
+                "round bound (rounds=None)",
             )
         if entry.bound is None:
             add(
                 CON004,
                 entry.line,
                 entry.name,
-                f"entry {entry.name!r}: supports predicate does not encode "
-                "a recognizable n >= c*t + 1 resilience bound",
+                f"entry {entry.name!r} declares no literal resilience "
+                "(resilience=c for n >= c*t + 1)",
             )
             continue
         for factory in sorted(entry.factories):

@@ -26,25 +26,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Dict, List, Optional, Tuple, Union
-
-#: Fuzz protocol name -> the certificate keys its execution exercises
-#: (``tools/protoflow_certificates.json`` ``protocols`` keys).  A
-#: protocol built from another protocol (weak agreement wraps phase
-#: king) lists every process class the replay actually runs.
-PROTOCOL_CERTIFICATES: Dict[str, Tuple[str, ...]] = {
-    "avalanche": ("repro/avalanche/protocol.py::AvalancheProcess",),
-    "compact-ba": ("repro/compact/protocol.py::CompactProcess",),
-    "eig": (
-        "repro/agreement/eig_agreement.py::ExponentialAgreementAutomaton",
-    ),
-    "crusader": ("repro/agreement/crusader.py::CrusaderProcess",),
-    "weak": (
-        "repro/agreement/weak.py::WeakAgreementProcess",
-        "repro/agreement/phase_king.py::PhaseKingProcess",
-    ),
-    "firing-squad": ("repro/agreement/firing_squad.py::FiringSquadProcess",),
-}
+from typing import Any, Dict, List, Optional, Union
 
 #: Default location of the committed certificate catalog.
 DEFAULT_CERTIFICATES = pathlib.Path("tools/protoflow_certificates.json")
@@ -64,9 +46,15 @@ def load_certificates(
 def _static_verdicts(
     protocol: str, certificates: Dict[str, Any]
 ) -> Dict[str, str]:
-    """Certificate-key -> FLOW verdict for one fuzz protocol."""
+    """Certificate-key -> FLOW verdict for one registered protocol.
+
+    The keys are the spec's own ``certificates``: an unregistered name
+    raises instead of vacuously agreeing.
+    """
+    from repro.fuzz.protocols import get_spec
+
     verdicts: Dict[str, str] = {}
-    for key in PROTOCOL_CERTIFICATES.get(protocol, ()):
+    for key in get_spec(protocol).certificates:
         entry = certificates.get(key)
         flow = entry.get("flow") if isinstance(entry, dict) else None
         if isinstance(flow, dict):
@@ -179,7 +167,6 @@ def render_cross_check(report: Dict[str, Any]) -> str:
 
 __all__ = [
     "DEFAULT_CERTIFICATES",
-    "PROTOCOL_CERTIFICATES",
     "check_case",
     "cross_check_corpus",
     "load_certificates",

@@ -109,6 +109,41 @@ class TestComparison:
             assert row["bits"] > 0
 
 
+#: ``measured_comparison(t, equivocator, extended=True)`` at the parent
+#: of the catalog merge: (label, rounds, bits, decisions) per row.
+PINNED_ROWS = {
+    1: [
+        ("exponential EIG", 2, 84, ["0"]),
+        ("Srikanth-Toueg style", 4, 1080, ["0"]),
+        ("compact (eps=1.0)", 2, 104, ["0"]),
+        ("compact (eps=0.5)", 2, 104, ["0"]),
+        ("Phase King (binary)", 6, 416, ["1"]),
+        ("Dolev-Strong (authenticated, fault-free run)", 2, 2752, ["0"]),
+    ],
+    2: [
+        ("exponential EIG", 3, 2625, ["1"]),
+        ("Srikanth-Toueg style", 6, 6160, ["0"]),
+        ("compact (eps=1.0)", 5, 26684, ["1"]),
+        ("compact (eps=0.5)", 3, 5019, ["1"]),
+        ("Phase King (binary)", 9, 1736, ["1"]),
+        ("Dolev-Strong (authenticated, fault-free run)", 3, 14994, ["1"]),
+    ],
+}
+
+
+@pytest.mark.parametrize("t", sorted(PINNED_ROWS))
+def test_measured_comparison_rows_are_pinned(t):
+    """Labels, rounds and paper-exact bits: EXPERIMENTS.md E4 and
+    benchmarks/test_bench_comparison.py read these rows by label."""
+    rows = measured_comparison(
+        t, lambda faulty: EquivocatingAdversary(faulty, 0, 1), extended=True
+    )
+    assert [
+        (row["protocol"], row["rounds"], row["bits"], row["decisions"])
+        for row in rows
+    ] == PINNED_ROWS[t]
+
+
 class TestReport:
     def test_format_basic(self):
         text = format_table(

@@ -8,14 +8,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import pytest
 
-from repro.adversary import (
-    CollusionAdversary,
-    EquivocatingAdversary,
-    MalformedArrayAdversary,
-    RandomGarbageAdversary,
-    SilentAdversary,
-    VoteSplitterAdversary,
-)
+from repro.analysis.sweeps import standard_adversary_makers
 from repro.arrays.value_array import map_leaves
 from repro.types import BOTTOM, ProcessId, SystemConfig, Value
 
@@ -52,14 +45,8 @@ def unanimous_inputs(config: SystemConfig, value: Value) -> Dict[ProcessId, Valu
 
 def byzantine_adversaries(faulty: Sequence[ProcessId], values=(0, 1)) -> List:
     """One instance of every Byzantine strategy, for sweep tests."""
-    value_a, value_b = values[0], values[-1]
     return [
-        SilentAdversary(faulty),
-        RandomGarbageAdversary(faulty, palette=list(values)),
-        EquivocatingAdversary(faulty, value_a, value_b),
-        VoteSplitterAdversary(faulty),
-        MalformedArrayAdversary(faulty),
-        CollusionAdversary(faulty),
+        maker(faulty) for _name, maker in standard_adversary_makers(values)
     ]
 
 

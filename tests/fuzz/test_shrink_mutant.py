@@ -8,18 +8,13 @@ that the oracles catch the violation and the shrinker reduces it to a
 small replayable :class:`FuzzCase`.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.fuzz.campaign import CampaignSettings, replay_case, run_campaign
 from repro.fuzz.case import load_case
-from repro.fuzz.protocols import (
-    ProtocolSpec,
-    _avalanche_rounds,
-    _needs_byzantine_quorum,
-    register,
-    sample_avalanche_inputs,
-    unregister,
-)
+from repro.fuzz.protocols import get_spec, register, unregister
 from repro.fuzz.shrink import shrink_case
 
 MUTANT = "avalanche-weak-mutant"
@@ -47,14 +42,8 @@ def _build_mutant(config):
 
 @pytest.fixture
 def mutant_registered():
-    register(ProtocolSpec(
-        name=MUTANT,
-        build=_build_mutant,
-        sample_inputs=sample_avalanche_inputs,
-        oracles=("avalanche",),
-        max_rounds=lambda config: _avalanche_rounds(config) + 1,
-        full_rounds=_avalanche_rounds,
-        supports=_needs_byzantine_quorum,
+    register(dataclasses.replace(
+        get_spec("avalanche"), name=MUTANT, build=_build_mutant
     ))
     try:
         yield

@@ -16,30 +16,12 @@ import pytest
 
 from repro.fuzz.campaign import replay_case
 from repro.fuzz.case import load_corpus
-from repro.fuzz.protocols import protocol_names
+from repro.fuzz.protocols import get_spec, protocol_names
 from repro.statics.flow.certificates import is_certified_canonical
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 CERTIFICATES = REPO_ROOT / "tools" / "protoflow_certificates.json"
-
-#: Which certified protocol classes one fuzz target executes.  Wrapper
-#: targets list every certificate their run traverses (weak agreement
-#: embeds phase king; eig runs Protocol 1 under the EIG decision rule).
-SPEC_TO_CERTIFICATES = {
-    "avalanche": ("repro/avalanche/protocol.py::AvalancheProcess",),
-    "compact-ba": ("repro/compact/protocol.py::CompactProcess",),
-    "crusader": ("repro/agreement/crusader.py::CrusaderProcess",),
-    "eig": (
-        "repro/fullinfo/protocol.py::FullInformationProcess",
-        "repro/agreement/eig_agreement.py::ExponentialAgreementAutomaton",
-    ),
-    "firing-squad": ("repro/agreement/firing_squad.py::FiringSquadProcess",),
-    "weak": (
-        "repro/agreement/weak.py::WeakAgreementProcess",
-        "repro/agreement/phase_king.py::PhaseKingProcess",
-    ),
-}
 
 _ENTRIES = load_corpus(CORPUS_DIR)
 
@@ -50,10 +32,11 @@ def certificates():
 
 
 def test_every_fuzz_target_maps_to_committed_certificates(certificates):
-    assert set(SPEC_TO_CERTIFICATES) == set(protocol_names())
-    for spec, keys in SPEC_TO_CERTIFICATES.items():
+    for name in protocol_names():
+        keys = get_spec(name).certificates
+        assert keys, f"{name} declares no certificate"
         for key in keys:
-            assert key in certificates, f"{spec} maps to unknown {key}"
+            assert key in certificates, f"{name} maps to unknown {key}"
 
 
 @pytest.mark.parametrize(
@@ -67,7 +50,7 @@ def test_no_corpus_violation_touches_a_certified_protocol(
     outcome = replay_case(case)
     if not outcome.violations:
         return
-    involved = SPEC_TO_CERTIFICATES[case.protocol]
+    involved = get_spec(case.protocol).certificates
     certified = [
         key for key in involved if is_certified_canonical(certificates[key])
     ]
@@ -86,7 +69,7 @@ def test_corpus_exercises_certified_canonical_protocols(certificates):
     exercised = {
         key
         for _, case in _ENTRIES
-        for key in SPEC_TO_CERTIFICATES[case.protocol]
+        for key in get_spec(case.protocol).certificates
     }
     assert any(
         is_certified_canonical(certificates[key]) for key in exercised

@@ -5,7 +5,7 @@ communication-closed protocol, every admissible schedule — lockstep or
 async, any delay bound, any schedule salt — produces the *identical*
 ``ExecutionResult``.  This suite is that contract, executable:
 
-* every certified-canonical catalog protocol runs under lockstep and a
+* every registered protocol runs under lockstep and a
   spread of async schedules, and the results must be pickle-identical
   (checkpoint serialisation — the saved form minus unpicklable live
   processes);
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.fuzz.campaign import replay_case
 from repro.fuzz.case import FuzzCase
-from repro.fuzz.protocols import CATALOG_PROTOCOLS, get_spec
+from repro.fuzz.protocols import get_spec, protocol_names
 from repro.runtime.engine import run_protocol
 from repro.runtime.node import Process, broadcast
 from repro.runtime.rng import derive_rng
@@ -49,18 +49,20 @@ ASYNC_SPECS = ("async", "async:1", "async:5", "async:3:17", "async:7:101")
 
 
 def catalog_case(protocol, seed, faulty=(1,)):
+    """A case at the smallest system the protocol supports for ``T``."""
     spec = get_spec(protocol)
-    config = SystemConfig(n=N, t=T)
+    config = SystemConfig(n=spec.resilience * T + 1, t=T)
     inputs = spec.sample_inputs(config, derive_rng(seed, "inputs", protocol))
     return FuzzCase.build(
-        protocol=protocol, n=N, t=T, seed=seed, inputs=inputs, faulty=faulty
+        protocol=protocol, n=config.n, t=T, seed=seed, inputs=inputs,
+        faulty=faulty,
     )
 
 
 # -- catalog equivalence -----------------------------------------------------
 
 
-@pytest.mark.parametrize("protocol", CATALOG_PROTOCOLS)
+@pytest.mark.parametrize("protocol", protocol_names())
 @pytest.mark.parametrize("backend", ASYNC_SPECS)
 def test_catalog_protocol_invariant_under_async(protocol, backend):
     """Every catalog protocol: async result pickle-identical to lockstep."""
@@ -73,7 +75,7 @@ def test_catalog_protocol_invariant_under_async(protocol, backend):
     )
 
 
-@pytest.mark.parametrize("protocol", CATALOG_PROTOCOLS)
+@pytest.mark.parametrize("protocol", protocol_names())
 def test_catalog_protocol_invariant_fault_free(protocol):
     case = catalog_case(protocol, seed=7, faulty=())
     reference = replay_case(case, scheduler="lockstep")
@@ -161,10 +163,9 @@ def test_async_actually_reorders_state_changes():
         spec.build(config),
         config,
         inputs,
-        max_rounds=spec.max_rounds(config),
-        run_full_rounds=spec.default_rounds(config),
         seed=11,
         scheduler=scheduler,
+        **spec.engine_arguments(config),
     )
     assert scheduler.reordered_state_changes > 0
     assert scheduler.delays_sampled > 0

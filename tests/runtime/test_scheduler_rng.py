@@ -52,12 +52,9 @@ def _bound_scheduler(seed, max_delay=3, salt=0, rounds=None):
         spec.build(CONFIG),
         CONFIG,
         inputs,
-        max_rounds=spec.max_rounds(CONFIG),
-        run_full_rounds=(
-            rounds if rounds is not None else spec.default_rounds(CONFIG)
-        ),
         seed=seed,
         scheduler=scheduler,
+        **spec.engine_arguments(CONFIG, rounds),
     )
     return scheduler
 

@@ -1,4 +1,4 @@
-"""Fixture catalog: every ``CATALOG_EXEMPT`` entry breaks the grammar.
+"""Fixture registry: every ``CATALOG_EXEMPT`` entry breaks the grammar.
 
 A declaration entry is ``"name": "non-blank justification"``; each
 entry below is malformed in a different way and must be a CON002
@@ -10,7 +10,3 @@ CATALOG_EXEMPT = {
     "numeric_factory": 7,
     13: "a key that names nothing",
 }
-
-
-def catalog():
-    return []

@@ -11,12 +11,12 @@ from repro.statics.contracts import (
 
 FIXTURE_TREE = pathlib.Path(__file__).parent / "fixtures" / "tree"
 EXEMPT_TREE = pathlib.Path(__file__).parent / "fixtures" / "exempttree"
-REAL_INTERFACES = (
+REAL_REGISTRY = (
     pathlib.Path(__file__).parent.parent.parent
     / "src"
     / "repro"
-    / "agreement"
-    / "interfaces.py"
+    / "fuzz"
+    / "protocols.py"
 )
 
 
@@ -40,9 +40,9 @@ class TestFixtureTree:
         con003 = [
             f for f in run_contract_pass(FIXTURE_TREE) if f.rule == "CON003"
         ]
-        source = (FIXTURE_TREE / "agreement" / "interfaces.py").read_text()
+        source = (FIXTURE_TREE / "fuzz" / "protocols.py").read_text()
         entry_line = source.splitlines().index(
-            "        ProtocolEntry(  # noqa: F821 - parsed, never run"
+            "    ProtocolSpec(  # noqa: F821 - parsed, never run"
         ) + 1
         assert [f.line for f in con003] == [entry_line]
 
@@ -64,7 +64,7 @@ class TestExemptionGrammar:
             (11, "<module>"),  # 13 is not a factory name
         ]
         assert all(
-            f.path == "exempttree/agreement/interfaces.py"
+            f.path == "exempttree/fuzz/protocols.py"
             for f in self.findings()
             if f.rule == "CON002"
         )
@@ -76,13 +76,13 @@ class TestExemptionGrammar:
         assert unregistered == {"silent_factory", "numeric_factory"}
 
     def test_accessor_returns_only_well_formed_entries(self):
-        source = (EXEMPT_TREE / "agreement" / "interfaces.py").read_text()
+        source = (EXEMPT_TREE / "fuzz" / "protocols.py").read_text()
         assert parse_exemptions(source) == {}
 
     def test_non_dict_declaration_is_con002(self, tmp_path):
-        package = tmp_path / "repro" / "agreement"
+        package = tmp_path / "repro" / "fuzz"
         package.mkdir(parents=True)
-        (package / "interfaces.py").write_text(
+        (package / "protocols.py").write_text(
             "CATALOG_EXEMPT = ['orphan_factory']\n"
         )
         (finding,) = run_contract_pass(tmp_path / "repro")
@@ -93,46 +93,56 @@ class TestExemptionGrammar:
 
 class TestRealCatalogParsing:
     def test_every_entry_is_extracted(self):
-        entries = parse_catalog(REAL_INTERFACES.read_text())
+        entries = parse_catalog(REAL_REGISTRY.read_text())
         names = {entry.name for entry in entries}
-        assert "compact BA (k=1)" in names
-        assert "Ben-Or" in names
-        assert len(entries) >= 10
+        assert "compact-ba-lazy" in names
+        assert "ben-or" in names
+        assert len(entries) >= 14
 
     def test_bounds_are_classified(self):
         entries = {
             entry.name: entry
-            for entry in parse_catalog(REAL_INTERFACES.read_text())
+            for entry in parse_catalog(REAL_REGISTRY.read_text())
         }
-        assert entries["compact BA (k=1)"].bound == "3t + 1"
-        assert entries["Phase Queen"].bound == "4t + 1"
-        assert entries["Dolev-Strong (authenticated)"].bound == "2t + 1"
+        assert entries["eig"].bound == "3t + 1"
+        assert entries["phase-queen"].bound == "4t + 1"
+        assert entries["dolev-strong"].bound == "2t + 1"
 
     def test_randomized_and_rounds_flags(self):
         entries = {
             entry.name: entry
-            for entry in parse_catalog(REAL_INTERFACES.read_text())
+            for entry in parse_catalog(REAL_REGISTRY.read_text())
         }
-        assert entries["Ben-Or"].randomized
-        assert entries["Ben-Or"].rounds_is_none
-        assert not entries["compact BA (k=2)"].rounds_is_none
+        assert entries["ben-or"].randomized
+        assert entries["ben-or"].rounds_is_none
+        assert not entries["phase-king"].rounds_is_none
 
     def test_helper_indirection_resolves_to_factory(self):
         entries = {
             entry.name: entry
-            for entry in parse_catalog(REAL_INTERFACES.read_text())
+            for entry in parse_catalog(REAL_REGISTRY.read_text())
         }
         assert "auth_compact_ba_factory" in entries[
-            "compact BA (authenticated, k=1)"
+            "compact-ba-auth"
         ].factories
 
+    def test_spec_returning_function_is_an_entry(self):
+        (entry,) = [
+            entry
+            for entry in parse_catalog(REAL_REGISTRY.read_text())
+            if "compact-ba-k" in entry.name
+        ]
+        assert entry.factories == {"compact_ba_factory"}
+        assert entry.bound == "3t + 1" and not entry.rounds_is_none
+
     def test_exemptions_parse(self):
-        exemptions = parse_exemptions(REAL_INTERFACES.read_text())
-        assert "avalanche_factory" in exemptions
+        exemptions = parse_exemptions(REAL_REGISTRY.read_text())
+        assert "turpin_coan_factory" in exemptions
+        assert "avalanche_factory" not in exemptions
         assert all(reason.strip() for reason in exemptions.values())
 
     def test_tree_factories_finds_known_modules(self):
-        factories = tree_factories(REAL_INTERFACES.parent.parent)
+        factories = tree_factories(REAL_REGISTRY.parent.parent)
         assert "ben_or_factory" in factories
         assert "compact_ba_factory" in factories
         assert "avalanche_factory" in factories

@@ -19,7 +19,7 @@ OWNERS = {
     "PURITY_EXEMPT": ("agreement/protocol.py", "PUR005"),
     "TAINT_SANITIZERS": ("agreement/protocol.py", "TAINT003"),
     "MESSAGE_BOUNDS": ("agreement/protocol.py", "COM003"),
-    "CATALOG_EXEMPT": ("agreement/interfaces.py", "CON002"),
+    "CATALOG_EXEMPT": ("fuzz/protocols.py", "CON002"),
 }
 
 MALFORMED = {

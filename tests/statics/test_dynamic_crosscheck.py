@@ -10,9 +10,9 @@ it fails the suite, it is never a warning.
 import pathlib
 
 from repro.fuzz.case import load_corpus
+from repro.fuzz.protocols import get_spec, protocol_names
 from repro.statics.crosscheck import (
     DEFAULT_CERTIFICATES,
-    PROTOCOL_CERTIFICATES,
     check_case,
     cross_check_corpus,
     load_certificates,
@@ -29,7 +29,9 @@ class TestCertificateCatalog:
 
     def test_every_fuzz_protocol_maps_to_known_certificates(self):
         certificates = load_certificates()
-        for protocol, keys in PROTOCOL_CERTIFICATES.items():
+        for protocol in protocol_names():
+            keys = get_spec(protocol).certificates
+            assert keys, f"{protocol} is certified by nothing"
             for key in keys:
                 entry = certificates.get(key)
                 assert entry is not None, (protocol, key)

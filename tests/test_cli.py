@@ -38,6 +38,34 @@ class TestRunBA:
         assert "decisions:" in out
         assert "rounds:" in out
 
+    @pytest.mark.parametrize(
+        "adversary,decisions,bits",
+        [
+            ("none", "{1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1}", 48370),
+            ("silent", "{3: 1, 4: 1, 5: 1, 6: 1, 7: 1}", 26684),
+            ("garbage", "{3: 1, 4: 1, 5: 1, 6: 1, 7: 1}", 26684),
+            ("equivocator", "{3: 1, 4: 1, 5: 1, 6: 1, 7: 1}", 26684),
+            ("splitter", "{3: 1, 4: 1, 5: 1, 6: 1, 7: 1}", 36946),
+            ("malformed", "{3: 1, 4: 1, 5: 1, 6: 1, 7: 1}", 26684),
+            ("collusion", "{3: 1, 4: 1, 5: 1, 6: 1, 7: 1}", 38542),
+        ],
+    )
+    def test_output_pinned_for_every_adversary(
+        self, capsys, adversary, decisions, bits
+    ):
+        """The whole report, byte for byte: the gallery table the CLI
+        reads is shared with the sweeps, so a strategy's construction
+        cannot drift between the two."""
+        code, out = run_cli(capsys, "run-ba", "--adversary", adversary)
+        assert code == 0
+        assert out == (
+            "n = 7, t = 2, variant = compact (Corollary 10), "
+            f"adversary = {adversary} (faulty = [1, 2])\n"
+            f"decisions: {decisions}\n"
+            "rounds: 5\n"
+            f"message bits: {bits}\n"
+        )
+
     def test_explicit_k(self, capsys):
         _, out = run_cli(capsys, "run-ba", "--t", "1", "--k", "1")
         assert "message bits:" in out
@@ -85,6 +113,44 @@ class TestOtherCommands:
     def test_unknown_command_exits(self, capsys):
         with pytest.raises(SystemExit):
             main(["no-such-command"])
+
+
+class TestConfigurationErrorsFailClosed:
+    """A configuration no protocol accepts is a usage error at the CLI
+    boundary — ``error: <message>`` and exit code 2 from ``main()``,
+    for every subcommand alike — never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            (("run-ba", "--t", "1", "--n", "3"), "n >= 3t+1"),
+            (("run-ba", "--t", "1", "--k", "0"), "k must be >= 1"),
+            (("run-ba", "--t", "1", "--epsilon", "0"), "epsilon"),
+            (("table1", "--k", "0"), "k must be >= 1"),
+            (("tradeoff", "--t", "-1"), "must be >= 1"),
+            (("fuzz", "--cases", "1", "--n", "3", "--t", "1"), "n >= 3t+1"),
+        ],
+    )
+    def test_error_line_and_exit_2(self, capsys, argv, fragment):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        assert out.startswith("error: ") and out.count("\n") == 1
+        assert fragment in out
+
+    def test_replay_of_an_unregistered_protocol(self, capsys, tmp_path):
+        import pathlib
+
+        corpus = pathlib.Path(__file__).parent / "fuzz" / "corpus"
+        source = sorted(corpus.glob("avalanche-*.json"))[0]
+        case = tmp_path / source.name
+        case.write_text(
+            source.read_text().replace('"avalanche"', '"retired-protocol"')
+        )
+        for extra in ((), ("--check-closedness",)):
+            code, out = run_cli(capsys, "fuzz", "--replay", str(case), *extra)
+            assert code == 2
+            assert out.startswith("error: ")
+            assert "unknown fuzz protocol 'retired-protocol'" in out
 
 
 class TestClosedPipe:
