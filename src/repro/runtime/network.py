@@ -15,21 +15,24 @@ delivered as :data:`BOTTOM`, which the recipient can detect (and the
 paper's protocols do: "a single message that contains more than one
 value is obviously erroneous and is discarded immediately").
 
-Delivery ordering and the receive/state-change phase are owned by a
+Delivery *ordering* and the receive/state-change phase are owned by a
 pluggable :class:`~repro.runtime.scheduler.Scheduler` (phase 3 above);
-the network keeps the send/adversary phases, which every backend
-shares — the rushing adversary's full-round view is what serialises
-rounds globally.  The default backend is the lockstep reference;
-see :mod:`repro.runtime.scheduler` for the asynchronous one.
+the network keeps the send/adversary phases and
+:meth:`SynchronousNetwork.deliver_round`, which fixes and meters the
+round's traffic for every backend — the rushing adversary's full-round
+view is what serialises rounds globally.  The default backend is the
+lockstep reference; see :mod:`repro.runtime.scheduler` for the
+asynchronous one.
 
-Hot-path notes: sweeps run this loop millions of times, so the round
-loop (a) clones a preallocated all-:data:`BOTTOM` delivery row per
-receiver instead of growing dicts with ``setdefault``, (b) memoizes
-the sizer per payload *object* within a round — broadcasts present the
-same object up to ``n`` times — (c) skips all trace bookkeeping
-when no trace is attached, and (d) sums the metered usage of one
-sender's burst and records it once, in the round row and the sender
-row every message of the burst shares.
+Hot-path notes: sweeps run this loop millions of times, and every
+protocol of the paper sends one message to all ``n``, so a
+:class:`~repro.runtime.node.Broadcast` burst is (a) landed by cloning,
+per receiver, one row that already holds the round's broadcasts,
+(b) measured once — and each payload *object* at most once a round,
+whatever map it arrives in — and (c) metered once, in the round row
+and the sender row every message of the burst shares.  Per-message
+records (``send`` lines, ``deliver`` edges, envelopes) are written
+only when an event sink or a trace is attached to read them.
 """
 
 from __future__ import annotations
@@ -38,12 +41,13 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 import repro.obs.core as _obs
 from repro.adversary.base import Adversary, RoundContext
+from repro.errors import ConfigurationError
 from repro.arrays.store import InternedArray
 from repro.obs.core import Observer
 from repro.obs.events import TrafficBurst, json_safe
 from repro.runtime.message import Envelope
 from repro.runtime.metrics import MessageMetrics
-from repro.runtime.node import Process
+from repro.runtime.node import Broadcast, Process
 from repro.runtime.scheduler import LockstepScheduler, Scheduler
 from repro.runtime.trace import ExecutionTrace
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
@@ -51,6 +55,11 @@ from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
 
 # Closes a container on the sizer's work stack.
 _CLOSE = object()
+
+# The size-memo counters: per-round identity memo, cross-round interned memo.
+_PLAIN_MISS, _PLAIN_HIT = "net.size_cache.miss", "net.size_cache.hit"
+_INTERNED_MISS = "net.interned_size_cache.miss"
+_INTERNED_HIT = "net.interned_size_cache.hit"
 
 
 def _default_sizer(message: Any) -> int:
@@ -190,9 +199,15 @@ class SynchronousNetwork:
                 observer.emit("round_start")
 
         # 1. Correct processors send.
-        correct_outgoing: Dict[ProcessId, Dict[ProcessId, Any]] = {}
+        correct_outgoing: Dict[ProcessId, Mapping[ProcessId, Any]] = {}
         for process_id, process in self.processes.items():
-            correct_outgoing[process_id] = dict(process.outgoing(round_number))
+            burst = process.outgoing(round_number)
+            # A Broadcast cannot be edited after the fact, so it is
+            # kept as it is — and stays recognisable to delivery; any
+            # other map is copied, as the sender may go on writing it.
+            correct_outgoing[process_id] = (
+                burst if type(burst) is Broadcast else dict(burst)
+            )
 
         # 2. The adversary, having seen that traffic, fixes faulty messages.
         context = RoundContext(
@@ -231,17 +246,6 @@ class SynchronousNetwork:
     # metering, snapshots, state/decide events — to one implementation,
     # so backends can only vary *ordering*, never *accounting*.
 
-    def fresh_delivery_rows(self) -> Dict[ProcessId, Dict[ProcessId, Any]]:
-        """A new all-:data:`BOTTOM` incoming map per correct receiver.
-
-        Also resets the per-round payload-identity size memo; call
-        exactly once per round, before any delivery.
-        """
-        self._size_cache.clear()
-        return {
-            receiver: dict(self._bottom_row) for receiver in self.processes
-        }
-
     def record_state_change(
         self,
         round_number: Round,
@@ -279,23 +283,36 @@ class SynchronousNetwork:
     ) -> None:
         """Emit the causal ``deliver`` edge of one landed payload.
 
+        Lockstep writes its edges from :meth:`deliver_round`; async
+        meters in canonical order first and calls this in schedule
+        order afterwards.
+        """
+        burst.deliver(receiver, *self._edge_measure(
+            payload, burst.faulty, observer, 1
+        ))
+
+    def _edge_measure(
+        self,
+        payload: Any,
+        faulty: bool,
+        observer: Optional[Observer],
+        edges: int,
+    ) -> Tuple[int, bool]:
+        """``(bits, non_null)`` shown on ``edges`` edges of one payload.
+
         The one place an edge is sized, whichever backend orders the
-        edges (lockstep emits them from :meth:`_deliver`; async meters
-        in canonical order first and calls this in schedule order
-        afterwards).  Faulty payloads are sized by the structural
-        fallback — the protocol sizer may choke on Byzantine garbage,
-        and a corrupt payload's "cost" is informational, not a
+        edges.  Faulty payloads are sized by the structural fallback —
+        the protocol sizer may choke on Byzantine garbage, and a
+        corrupt payload's "cost" is informational, not a
         canonical-form bit claim.
         """
-        if burst.faulty:
-            bits = _default_sizer(payload)
-            non_null = not is_bottom(payload)
-        else:
-            bits, non_null = self._measured(payload, observer)
-        burst.deliver(receiver, bits, non_null)
+        if faulty:
+            return _default_sizer(payload), not is_bottom(payload)
+        return self._measured(payload, observer, edges)
 
     def _measured(
-        self, payload: Any, observer: Optional[Observer] = None
+        self, payload: Any, observer: Optional[Observer] = None,
+        copies: int = 1,
     ) -> Tuple[int, bool]:
         """``(bits, non_null)`` for ``payload``, memoized together.
 
@@ -303,61 +320,175 @@ class SynchronousNetwork:
         survive round boundaries; everything else memoizes on object
         identity within the round.  The null verdict rides in the same
         entry because both are pure functions of the payload and both
-        are needed per delivery.
+        are needed per delivery.  ``copies`` is how many messages the
+        one answer stands for: the cache counters move as if each had
+        asked (a miss at most once, hits for the rest).
         """
         if type(payload) is InternedArray:
-            token = payload.key_token
-            entry = self._interned_size_cache.get(token)
-            if entry is None:
-                entry = (self.sizer(payload), not self.is_null(payload))
-                self._interned_size_cache[token] = entry
-                if observer is not None:
-                    observer.count("net.interned_size_cache.miss")
-            elif observer is not None:
-                observer.count("net.interned_size_cache.hit")
-            return entry
-        key = id(payload)
-        entry = self._size_cache.get(key)
+            cache, key = self._interned_size_cache, payload.key_token
+            miss, hit = _INTERNED_MISS, _INTERNED_HIT
+        else:
+            cache, key = self._size_cache, id(payload)
+            miss, hit = _PLAIN_MISS, _PLAIN_HIT
+        entry = cache.get(key)
         if entry is None:
-            entry = (self.sizer(payload), not self.is_null(payload))
-            self._size_cache[key] = entry
+            entry = cache[key] = (
+                self.sizer(payload), not self.is_null(payload)
+            )
+            copies -= 1
             if observer is not None:
-                observer.count("net.size_cache.miss")
-        elif observer is not None:
-            observer.count("net.size_cache.hit")
+                observer.count(miss)
+        if copies and observer is not None:
+            observer.count(hit, copies)
         return entry
 
-    def _deliver(
+    def deliver_round(
+        self,
+        round_number: Round,
+        correct_outgoing: Mapping[ProcessId, Mapping[ProcessId, Any]],
+        faulty_outgoing: Mapping[ProcessId, Mapping[ProcessId, Any]],
+        observer: Optional[Observer],
+        tracing: bool,
+    ) -> Dict[ProcessId, Dict[ProcessId, Any]]:
+        """Phase A of every backend: fix and meter the round's traffic.
+
+        Returns each correct receiver's incoming map, one entry per
+        processor id, after metering every sender's burst in the
+        canonical order (correct senders in process order, then faulty
+        senders) and writing its ``send`` / ``corrupt`` records, its
+        envelopes and — when ``tracing`` — its ``deliver`` edges.  This
+        is what the protocol *sent*, which no admissible schedule may
+        change; a backend only chooses the order in which the returned
+        rows are consumed.
+
+        A :class:`~repro.runtime.node.Broadcast` to all ``n`` is handled
+        once, not once per copy: its message already sits in the row
+        every receiver's map is cloned from, and :meth:`_deliver_uniform`
+        measures and meters it a single time.
+        """
+        self._size_cache.clear()
+        base = dict(self._bottom_row)
+        uniform: Set[ProcessId] = set()
+        for outgoing in (correct_outgoing, faulty_outgoing):
+            for sender, burst in outgoing.items():
+                if type(burst) is Broadcast and len(burst) == len(base):
+                    base[sender] = burst.message
+                    uniform.add(sender)
+        rows = {receiver: dict(base) for receiver in self.processes}
+        # One writer per sender: the clock, the sender and the faulty
+        # flag of its event records are bound once, not per message.
+        writer = (
+            observer.burst
+            if observer is not None and observer.events_on else None
+        )
+        for faulty, outgoing in (
+            (False, correct_outgoing), (True, faulty_outgoing)
+        ):
+            metered = not faulty or self.meter_adversary
+            for sender, burst in outgoing.items():
+                sink = writer(sender, faulty) if writer else None
+                if sender in uniform:
+                    # An all-BOTTOM burst records nothing and so creates
+                    # no metric rows: rounds_used counts only rounds
+                    # with recorded traffic.
+                    if base[sender] is not BOTTOM:
+                        self._deliver_uniform(
+                            round_number, sender, base[sender], metered,
+                            observer, sink, faulty, tracing,
+                        )
+                else:
+                    self._deliver_each(
+                        round_number, sender, burst, rows, metered,
+                        observer, sink, faulty, tracing,
+                    )
+        return rows
+
+    def _deliver_uniform(
         self,
         round_number: Round,
         sender: ProcessId,
-        per_receiver: Dict[ProcessId, Any],
-        incoming_by_receiver: Dict[ProcessId, Dict[ProcessId, Any]],
+        message: Any,
         metered: bool,
-        observer: Optional[Observer] = None,
-        faulty: bool = False,
-        tracing: bool = False,
+        observer: Optional[Observer],
+        sink: Optional[TrafficBurst],
+        faulty: bool,
+        tracing: bool,
     ) -> None:
+        """One non-BOTTOM message to all ``n``, already landed: measure
+        it once."""
+        n = self.config.n
+        bits, non_null = 0, False
+        if metered:
+            bits, non_null = self._measured(message, observer, n)
+            self.metrics.record_burst(
+                round_number, sender, n, n if non_null else 0, n * bits
+            )
         trace = self.trace
-        # One writer per sender: the clock, the sender and the faulty
-        # flag of its event records are bound here, not per message.
-        burst = (
-            observer.burst(sender, faulty)
-            if observer is not None and observer.events_on
-            else None
-        )
+        if sink is None and trace is None:
+            return
+        # Someone reads per-message records: the ones the per-copy loop
+        # writes, in its order, from the one measurement.
+        summary, edge = "", None
+        if sink is not None and faulty:
+            summary = self._summarise(message)
+        if sink is not None and tracing:
+            edge = self._edge_measure(
+                message, faulty, observer, len(self.processes)
+            )
+        for receiver in self.config.process_ids:
+            landed = receiver in self.processes
+            if sink is not None:
+                if faulty:
+                    sink.corrupt(receiver, summary)
+                elif metered:
+                    sink.send(receiver, bits, non_null)
+                if edge is not None and landed:
+                    sink.deliver(receiver, *edge)
+            if landed and trace is not None:
+                trace.record_envelope(
+                    Envelope(sender, receiver, round_number, message)
+                )
+
+    def _deliver_each(
+        self,
+        round_number: Round,
+        sender: ProcessId,
+        per_receiver: Mapping[ProcessId, Any],
+        rows: Dict[ProcessId, Dict[ProcessId, Any]],
+        metered: bool,
+        observer: Optional[Observer],
+        sink: Optional[TrafficBurst],
+        faulty: bool,
+        tracing: bool,
+    ) -> None:
+        """A per-receiver map: land, measure and record every copy."""
+        trace = self.trace
+        if not metered and sink is None and trace is None:
+            # Nobody reads anything of this burst but the rows.
+            for receiver, payload in per_receiver.items():
+                incoming = rows.get(receiver)
+                if incoming is not None:
+                    incoming[sender] = payload
+            return
         # The burst's metered usage: every message of it lands in the
         # same round row and sender row, so it is summed here and
         # recorded once, after the loop.
         messages = non_null_messages = total_bits = 0
         for receiver, payload in per_receiver.items():
-            incoming = incoming_by_receiver.get(receiver)
+            incoming = rows.get(receiver)
             if incoming is not None:
                 incoming[sender] = payload
-            # Destination-is-faulty deliveries (incoming is None) "do
-            # not matter" (Theorem 9) — dropped, but a correct sender's
-            # cost is still metered below.
-            if is_bottom(payload):
+            elif not faulty and receiver not in self._bottom_row:
+                # A faulty destination "does not matter" (Theorem 9):
+                # dropped, the sender's cost still metered below.  A
+                # destination that does not exist is a protocol bug,
+                # not traffic; only a Byzantine sender may address
+                # anything.
+                raise ConfigurationError(
+                    f"correct processor {sender} sent to {receiver!r}, "
+                    f"which is not a processor id in 1..{self.config.n}"
+                )
+            if payload is BOTTOM:
                 continue
             if metered:
                 bits, non_null = self._measured(payload, observer)
@@ -365,18 +496,18 @@ class SynchronousNetwork:
                 total_bits += bits
                 if non_null:
                     non_null_messages += 1
-            if burst is not None:
+            if sink is not None:
                 if faulty:
                     # Adversary-fixed traffic: recorded as a corruption,
                     # summarized rather than sized (a Byzantine
                     # payload's size says nothing about the protocol).
-                    burst.corrupt(receiver, self._summarise(payload))
+                    sink.corrupt(receiver, self._summarise(payload))
                 elif metered:
-                    burst.send(receiver, bits, non_null)
+                    sink.send(receiver, bits, non_null)
                 if tracing and incoming is not None:
                     # Causal trace edge: a non-bottom payload actually
                     # landing in a correct receiver's incoming row.
-                    self.emit_deliver_edge(burst, receiver, payload, observer)
+                    self.emit_deliver_edge(sink, receiver, payload, observer)
             if incoming is not None and trace is not None:
                 trace.record_envelope(
                     Envelope(sender, receiver, round_number, payload)

@@ -17,20 +17,51 @@ value raises :class:`repro.errors.DecisionError`.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Optional
+from typing import Any, Dict, NoReturn, Optional, Tuple
 
 from repro.errors import DecisionError
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
 
 
-def broadcast(message: Any, config: SystemConfig) -> Dict[ProcessId, Any]:
+class Broadcast(Dict[ProcessId, Any]):
+    """A recipient map that sends one ``message`` to every processor.
+
+    What :func:`broadcast` builds (and nothing else should): equal to
+    the plain ``{process_id: message}`` dict for every reader, it
+    additionally says so in :attr:`message`, which lets the network
+    measure, meter and land the burst once instead of once per copy.
+    Because delivery trusts that attribute, the map refuses in-place
+    edits — ``dict(b)`` is the editable copy — and it pickles and
+    copies as the plain dict.
+    """
+
+    # No ``__init__``: the constructor stays the C-level ``dict`` one,
+    # which is measurably cheaper on the once-per-sender-per-round path.
+    __slots__ = ("message",)
+
+    def _refuse_edit(self, *args: Any, **kwargs: Any) -> NoReturn:
+        raise TypeError(
+            "a Broadcast sends one message to everyone and cannot be "
+            "edited; edit dict(broadcast) instead"
+        )
+
+    __setitem__ = __delitem__ = __ior__ = _refuse_edit
+    clear = pop = popitem = setdefault = update = _refuse_edit
+
+    def __reduce__(self) -> Tuple[type, Tuple[Dict[ProcessId, Any]]]:
+        return dict, (dict(self),)
+
+
+def broadcast(message: Any, config: SystemConfig) -> Broadcast:
     """Send the same ``message`` to every processor (including self).
 
     The paper's protocols broadcast to all ``n`` processors, self
     included — a processor "can send any required information in a
     message to itself" (Section 3.1).
     """
-    return {process_id: message for process_id in config.process_ids}
+    burst = Broadcast(dict.fromkeys(config.process_ids, message))
+    burst.message = message
+    return burst
 
 
 class Process(abc.ABC):
@@ -74,7 +105,10 @@ class Process(abc.ABC):
     def outgoing(self, round_number: Round) -> Dict[ProcessId, Any]:
         """Messages to send this round, keyed by destination.
 
-        Destinations omitted from the map receive :data:`BOTTOM`.
+        Destinations omitted from the map receive :data:`BOTTOM`; a key
+        that is not a processor id is an error.  One message for
+        everyone is best returned as :func:`broadcast` builds it — the
+        network then delivers the burst once, not once per copy.
         """
 
     @abc.abstractmethod

@@ -40,8 +40,9 @@ Two backends:
   fires the moment its round's closed message set is fully delivered,
   so receivers advance in *schedule* order, skewed against each
   other, not in processor-id order.  Metering and row construction
-  happen before the schedule is sampled, in the lockstep-canonical
-  order, so an execution's :class:`~repro.runtime.metrics.MessageMetrics`
+  are the network's ``deliver_round`` — the call the lockstep backend
+  makes too — and happen before the schedule is sampled, so an
+  execution's :class:`~repro.runtime.metrics.MessageMetrics`
   (and hence its :class:`~repro.runtime.engine.ExecutionResult`) is
   bit-for-bit the lockstep one whenever the protocol is
   communication-closed.
@@ -170,18 +171,9 @@ class LockstepScheduler(Scheduler):
         events = observer is not None and observer.events_on
         tracing = events and observer is not None and observer.trace_on
 
-        incoming_by_receiver = network.fresh_delivery_rows()
-        for sender, per_receiver in correct_outgoing.items():
-            network._deliver(round_number, sender, per_receiver,
-                             incoming_by_receiver, metered=True,
-                             observer=observer, faulty=False,
-                             tracing=tracing)
-        for sender, per_receiver in faulty_outgoing.items():
-            network._deliver(round_number, sender, per_receiver,
-                             incoming_by_receiver,
-                             metered=network.meter_adversary,
-                             observer=observer, faulty=True,
-                             tracing=tracing)
+        incoming_by_receiver = network.deliver_round(
+            round_number, correct_outgoing, faulty_outgoing, observer, tracing
+        )
 
         network.adversary.observe_round(round_number, context, faulty_outgoing)
 
@@ -269,24 +261,13 @@ class AsyncScheduler(Scheduler):
         events = observer is not None and observer.events_on
         tracing = events and observer is not None and observer.trace_on
 
-        # Phase A — fix and meter the round's traffic in the lockstep-
-        # canonical order.  Metering measures what the protocol *sent*,
-        # which no admissible schedule may change, so the meters (and
-        # the ExecutionResult they land in) stay bit-for-bit identical
-        # to the reference backend.  Deliver trace edges are withheld
-        # here; they are emitted below, in schedule order.
-        incoming_by_receiver = network.fresh_delivery_rows()
-        for sender, per_receiver in correct_outgoing.items():
-            network._deliver(round_number, sender, per_receiver,
-                             incoming_by_receiver, metered=True,
-                             observer=observer, faulty=False,
-                             tracing=False)
-        for sender, per_receiver in faulty_outgoing.items():
-            network._deliver(round_number, sender, per_receiver,
-                             incoming_by_receiver,
-                             metered=network.meter_adversary,
-                             observer=observer, faulty=True,
-                             tracing=False)
+        # Phase A — the reference backend's, call for call, so the
+        # meters (and the ExecutionResult they land in) stay bit-for-bit
+        # identical to it.  Deliver trace edges are withheld here; they
+        # are emitted below, in schedule order.
+        incoming_by_receiver = network.deliver_round(
+            round_number, correct_outgoing, faulty_outgoing, observer, False
+        )
 
         network.adversary.observe_round(round_number, context, faulty_outgoing)
 

@@ -10,6 +10,7 @@ processors are always ``range(1, n + 1)``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, FrozenSet, Hashable, Tuple
 
 # A processor identifier.  The paper numbers processors 1..n.
@@ -62,6 +63,12 @@ def is_bottom(value: Any) -> bool:
     return value is BOTTOM
 
 
+@functools.lru_cache()
+def _process_ids(n: int) -> Tuple[ProcessId, ...]:
+    """The ids ``1..n``: one shared tuple per ``n``, not one per access."""
+    return tuple(range(1, n + 1))
+
+
 @dataclasses.dataclass(frozen=True)
 class SystemConfig:
     """Static parameters of a synchronous system.
@@ -91,7 +98,7 @@ class SystemConfig:
     @property
     def process_ids(self) -> Tuple[ProcessId, ...]:
         """All processor ids, 1-based as in the paper."""
-        return tuple(range(1, self.n + 1))
+        return _process_ids(self.n)
 
     def requires_byzantine_quorum(self) -> bool:
         """Whether ``n >= 3t + 1`` (the Byzantine agreement threshold)."""

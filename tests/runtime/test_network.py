@@ -6,6 +6,7 @@ from repro.adversary import EquivocatingAdversary
 from repro.adversary.base import Adversary, PassiveAdversary
 from repro.agreement.eig_agreement import eig_agreement_factory
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
+from repro.errors import ConfigurationError
 from repro.fullinfo.protocol import full_information_sizer
 from repro.obs import Observer, observing
 from repro.runtime.engine import run_protocol
@@ -41,9 +42,9 @@ class FirstHalfOnly(Adversary):
         return {receiver: "evil" for receiver in range(1, half + 1)}
 
 
-def build(config, adversary, **kwargs):
+def build(config, adversary, process_class=Recorder, **kwargs):
     processes = {
-        process_id: Recorder(process_id, config, f"v{process_id}")
+        process_id: process_class(process_id, config, f"v{process_id}")
         for process_id in config.process_ids
         if process_id not in adversary.faulty_ids
     }
@@ -109,6 +110,54 @@ class TestValidation:
             SynchronousNetwork(
                 config, processes, adversary, {p: 0 for p in config.process_ids}
             )
+
+
+class TestStrayRecipients:
+    """A key outside ``1..n`` is a bug in a correct sender's map — not a
+    faulty destination whose copy is metered and dropped."""
+
+    class Misaddressed(Recorder):
+        stray = 5
+
+        def outgoing(self, round_number):
+            messages = dict(super().outgoing(round_number))
+            if self.process_id == 2:
+                messages[self.stray] = "lost"
+            return messages
+
+    def network(self, adversary, process_class):
+        return build(SystemConfig(n=4, t=1), adversary, process_class)[1]
+
+    @pytest.mark.parametrize("stray", [0, 5, "3"])
+    def test_correct_sender_fails_closed(self, stray, monkeypatch):
+        monkeypatch.setattr(self.Misaddressed, "stray", stray)
+        network = self.network(PassiveAdversary(), self.Misaddressed)
+        with pytest.raises(ConfigurationError, match=f"2 sent to {stray!r}"):
+            network.run_round()
+        assert network.metrics.sender_usage(2).messages == 0
+
+    def test_a_broadcast_built_for_a_wider_system_fails_closed(self):
+        class Wide(Recorder):
+            def outgoing(self, round_number):
+                return broadcast("m", SystemConfig(n=6, t=1))
+
+        with pytest.raises(ConfigurationError, match="1 sent to 5"):
+            self.network(PassiveAdversary(), Wide).run_round()
+
+    def test_faulty_destination_is_still_metered_and_dropped(self):
+        network = self.network(FirstHalfOnly([4]), Recorder)
+        network.run_round()
+        assert network.metrics.sender_usage(2).messages == 4
+
+    def test_faulty_sender_may_address_anything(self):
+        class Anywhere(Adversary):
+            def outgoing(self, round_number, sender, context):
+                return {0: "x", 1: "evil", 7: "y", "3": "z"}
+
+        network = self.network(Anywhere([4]), Recorder)
+        network.run_round()
+        assert network.processes[1].rounds[0][4] == "evil"
+        assert set(network.processes[1].rounds[0]) == {1, 2, 3, 4}
 
 
 class TestMetering:

@@ -1,5 +1,8 @@
 """Tests for the process harness: round structure and decisions."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.errors import DecisionError
@@ -33,6 +36,38 @@ class TestBroadcast:
         messages = broadcast("m", config)
         assert set(messages) == {1, 2, 3, 4}
         assert all(message == "m" for message in messages.values())
+
+    def test_reads_as_the_plain_map_and_says_it_is_uniform(self):
+        config = SystemConfig(n=4, t=1)
+        messages = broadcast("m", config)
+        assert messages == {1: "m", 2: "m", 3: "m", 4: "m"}
+        assert list(messages) == [1, 2, 3, 4]
+        assert messages.message == "m"
+
+    @pytest.mark.parametrize("edit", [
+        lambda messages: messages.__setitem__(2, "other"),
+        lambda messages: messages.__delitem__(2),
+        lambda messages: messages.update({2: "other"}),
+        lambda messages: messages.__ior__({2: "other"}),
+        lambda messages: messages.setdefault(9, "other"),
+        lambda messages: messages.pop(2),
+        lambda messages: messages.popitem(),
+        lambda messages: messages.clear(),
+    ])
+    def test_refuses_edits_that_would_falsify_message(self, edit):
+        messages = broadcast("m", SystemConfig(n=4, t=1))
+        with pytest.raises(TypeError):
+            edit(messages)
+        assert messages == {1: "m", 2: "m", 3: "m", 4: "m"}
+
+    def test_copies_and_pickles_as_the_editable_plain_dict(self):
+        messages = broadcast(("m",), SystemConfig(n=4, t=1))
+        for clone in (
+            dict(messages), messages.copy(), copy.copy(messages),
+            copy.deepcopy(messages), pickle.loads(pickle.dumps(messages)),
+        ):
+            assert type(clone) is dict and clone == messages
+            clone[2] = "other"
 
 
 class TestDecisions:

@@ -200,6 +200,51 @@ def test_differing_bits_or_failures_exit_one(tool, monkeypatch):
     assert drive(tool, monkeypatch, parent, change, {"failed": 1})[0] == 1
 
 
+def test_workload_lists_and_all(tool):
+    every = ["compact-sweep", "eig-sweep", "fuzz-campaign", "pool-sweep",
+             "observed-sweep", "cli-cold"]
+    assert tool.workloads("pool-sweep") == ["pool-sweep"]
+    assert tool.workloads("all") == every
+    assert tool.workloads("pool-sweep,all") == ["pool-sweep"] + [
+        name for name in every if name != "pool-sweep"
+    ]
+    assert tool.workloads("cli-cold,eig-sweep") == ["cli-cold", "eig-sweep"]
+
+
+def test_one_block_per_workload_and_a_claim_only_on_the_first(
+    tool, monkeypatch, capsys
+):
+    """The rows a gain PR quotes for the workloads that must not move."""
+    steady = [50, 51, 49, 50, 52, 50, 49, 51, 50, 50]
+    # Faster on the claimed workload, flat elsewhere.
+    factor = {"pool-sweep": 1.5, "compact-sweep": 1.0, "eig-sweep": 1.0}
+
+    def fake_run(checkout, workload, seed):
+        rate = steady[seed - 1]
+        return line(rate * factor[workload] if checkout.name == "change"
+                    else rate)
+
+    monkeypatch.setattr(tool, "run", fake_run)
+    argv = ["--parent", "parent", "--change", "change", "--seeds", "1-10",
+            "--workload", "pool-sweep,compact-sweep,eig-sweep"]
+    assert tool.main(argv) == 0
+    out = capsys.readouterr().out
+    assert [text for text in out.splitlines() if text.startswith("== ")] == [
+        "== pool-sweep", "== compact-sweep", "== eig-sweep",
+    ]
+    assert out.count("-> GAIN") == 1 and "NO GAIN" not in out
+    assert out.count("executions_per_s bound 0.25: ") == 3
+    # A flat first workload is a claim not met, whatever follows it ...
+    assert tool.main(argv[:-1] + ["compact-sweep,pool-sweep"]) == 2
+    capsys.readouterr()
+    # ... and a throughput regression on a later one is exit 1, not "no gain".
+    factor["eig-sweep"] = 0.7
+    assert tool.main(argv) == 1
+    assert "beyond the bound on eig-sweep: executions_per_s" in (
+        capsys.readouterr().out
+    )
+
+
 @pytest.mark.parametrize("flag", ["--metric", "--seconds"])
 def test_metric_and_run_length_are_not_the_callers_to_choose(tool, flag):
     # A lower-is-better metric would read a regression as GAIN, and a claim

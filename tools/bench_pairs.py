@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Alternating parent/change pairs of one benchmark workload.
+"""Alternating parent/change pairs of benchmark workloads.
 
 The measurement loop a perf PR claims a gain by (choosing-metrics §8):
 for each seed run ``benchmarks/perf/run.py --workload W --seed S
@@ -19,11 +19,15 @@ unless every change run beat every parent run) or ``within bound``;
 overlapping runs are never "unchanged".  Exits 1 when
 ``bits_per_execution`` differs at any seed, any execution failed or a
 metric other than the claimed one reads ``regression``, 2 when the claim
-is not met.  The checkouts are the caller's business (no git handling
-here).
+is not met.  ``--workload`` takes a comma-separated list, in which
+``all`` stands for every workload of the benchmark not yet named: one
+block per workload, the first being the one the claim is about — the
+others are only read against their bounds, ``executions_per_s`` included,
+and any of them can turn the exit status into 1.  The checkouts are the
+caller's business (no git handling here).
 
 Run:  python tools/bench_pairs.py --parent DIR --change DIR \\
-          --workload compact-sweep --seeds 1901-1910
+          --workload pool-sweep,all --seeds 1901-1910
 """
 
 from __future__ import annotations
@@ -53,16 +57,20 @@ def run(checkout: pathlib.Path, workload: str, seed: int) -> Dict[str, Any]:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
+def benchmark() -> Dict[str, Any]:
+    return json.loads(
+        (pathlib.Path(__file__).resolve().parent.parent / "BENCHMARK.json")
+        .read_text()
+    )
+
+
 def declared() -> List[Dict[str, Any]]:
     """The end-to-end metrics read against a bound, as the benchmark
     declares them: ``name``, ``better`` and the share ``bound`` by which
     the metric may worsen."""
-    benchmark = json.loads(
-        (pathlib.Path(__file__).resolve().parent.parent / "BENCHMARK.json")
-        .read_text()
-    )
     return [
-        metric for metric in benchmark["end_to_end"] if metric["name"] != EXACT
+        metric for metric in benchmark()["end_to_end"]
+        if metric["name"] != EXACT
     ]
 
 
@@ -104,22 +112,38 @@ def seeds(spec: str) -> List[int]:
     return list(range(int(first), int(last or first) + 1))
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", type=pathlib.Path, required=True)
-    parser.add_argument("--change", type=pathlib.Path, required=True)
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=seeds, required=True, metavar="A-B")
-    args = parser.parse_args(argv)
-    sides = {"parent": args.parent, "change": args.change}
+def workloads(spec: str) -> List[str]:
+    """``a,b`` names workloads in order; ``all`` stands for every
+    workload of the benchmark not named before it."""
+    names: List[str] = []
+    for name in spec.split(","):
+        names.extend(
+            [workload["name"] for workload in benchmark()["workloads"]]
+            if name == "all" else [name]
+        )
+    return list(dict.fromkeys(names))
+
+
+def pairs(
+    sides: Dict[str, pathlib.Path],
+    workload: str,
+    seed_list: List[int],
+    claimed: bool,
+) -> int:
+    """Run and report one workload's pairs; returns its exit status.
+
+    Only the ``claimed`` workload is read for a gain (0 or 2); on any
+    other, ``executions_per_s`` is one more metric that must stay within
+    its bound, and the status is 0 unless something broke or regressed.
+    """
     metrics = declared()
     values: Dict[str, Dict[str, List[float]]] = {
         metric["name"]: {side: [] for side in sides} for metric in metrics
     }
     broken = wins = losses = 0
-    for index, seed in enumerate(args.seeds):
+    for index, seed in enumerate(seed_list):
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
-        lines = {side: run(sides[side], args.workload, seed) for side in order}
+        lines = {side: run(sides[side], workload, seed) for side in order}
         pair = {side: lines[side]["metrics"] for side in sides}
         for name, by_side in values.items():
             for side in sides:
@@ -133,32 +157,53 @@ def main(argv=None) -> int:
         print(f"seed {seed} ({order[0]} first): parent {parent:.4g}  "
               f"change {change:.4g}  ratio {change / parent:.3f}  bits "
               f"{bits['parent']:.0f}/{bits['change']:.0f}  failed {failed}")
-    medians, spread = {}, {}
-    for side, samples in values[METRIC].items():
-        low, medians[side], high = statistics.quantiles(samples, n=4)
-        spread[side] = high - low
-        print(f"{side}: median {medians[side]:.4g}  "
-              f"quartiles {low:.4g}..{high:.4g}")
-    gap = medians["change"] - medians["parent"]
-    gained = wins >= 0.9 * len(args.seeds) and gap > spread["parent"]
-    print(f"{METRIC} on {args.workload}: change wins {wins}/"
-          f"{len(args.seeds)} (loses {losses}), median ratio "
-          f"{medians['change'] / medians['parent']:.3f}, "
-          f"medians apart by {gap:.4g} vs parent quartile distance "
-          f"{spread['parent']:.4g} -> {'GAIN' if gained else 'NO GAIN'}")
+    gained = True
+    if claimed:
+        medians, spread = {}, {}
+        for side, samples in values[METRIC].items():
+            low, medians[side], high = statistics.quantiles(samples, n=4)
+            spread[side] = high - low
+            print(f"{side}: median {medians[side]:.4g}  "
+                  f"quartiles {low:.4g}..{high:.4g}")
+        gap = medians["change"] - medians["parent"]
+        gained = wins >= 0.9 * len(seed_list) and gap > spread["parent"]
+        print(f"{METRIC} on {workload}: change wins {wins}/"
+              f"{len(seed_list)} (loses {losses}), median ratio "
+              f"{medians['change'] / medians['parent']:.3f}, "
+              f"medians apart by {gap:.4g} vs parent quartile distance "
+              f"{spread['parent']:.4g} -> {'GAIN' if gained else 'NO GAIN'}")
     regressed = []
     for metric in metrics:
         verdict = read_against_bound(metric, values[metric["name"]])
         # A regression on the claimed metric is a claim not met: exit 2.
-        if verdict == "regression" and metric["name"] != METRIC:
+        if verdict == "regression" and not (
+            claimed and metric["name"] == METRIC
+        ):
             regressed.append(metric["name"])
     if broken:
         print(f"{broken} seed(s) with differing bits or failed executions")
     if regressed:
-        print(f"beyond the bound on {args.workload}: {', '.join(regressed)}")
+        print(f"beyond the bound on {workload}: {', '.join(regressed)}")
     if broken or regressed:
         return 1
     return 0 if gained else 2
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=pathlib.Path, required=True)
+    parser.add_argument("--change", type=pathlib.Path, required=True)
+    parser.add_argument("--workload", type=workloads, required=True,
+                        metavar="W[,W...|,all]")
+    parser.add_argument("--seeds", type=seeds, required=True, metavar="A-B")
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent, "change": args.change}
+    statuses = []
+    for index, workload in enumerate(args.workload):
+        if len(args.workload) > 1:
+            print(f"== {workload}")
+        statuses.append(pairs(sides, workload, args.seeds, claimed=index == 0))
+    return 1 if 1 in statuses else statuses[0]
 
 
 if __name__ == "__main__":
