@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Set, Tuple
 
+from repro.arrays.value_array import is_index_scalar
 from repro.errors import ConfigurationError
 from repro.runtime.crypto import SignatureOracle
 from repro.runtime.node import Process, broadcast
@@ -119,7 +120,10 @@ class DolevStrongProcess(Process):
             for item in payload:
                 self._consider(item, round_number)
         if round_number == dolev_strong_rounds(self.config.t):
-            self.decide(self._resolve(), round_number)
+            self.decide(
+                resolve_extracted(self._extracted, self.config, self.default),
+                round_number,
+            )
 
     # -- chain validation -----------------------------------------------------
 
@@ -149,11 +153,7 @@ class DolevStrongProcess(Process):
     def _valid_chain(
         self, source: Any, value: Any, chain: Any, round_number: Round
     ) -> bool:
-        if not (
-            isinstance(source, int)
-            and not isinstance(source, bool)
-            and 1 <= source <= self.config.n
-        ):
+        if not is_index_scalar(source, self.config.n):
             return False
         if not isinstance(chain, tuple) or len(chain) != round_number:
             return False
@@ -174,26 +174,30 @@ class DolevStrongProcess(Process):
             return False  # we never signed this; a replay of our sig
         return True
 
-    # -- decision ----------------------------------------------------------------
-
-    def _resolve(self) -> Value:
-        per_source: Dict[ProcessId, List[Value]] = {}
-        for source, value in self._extracted:
-            per_source.setdefault(source, []).append(value)
-        vector = []
-        for source in self.config.process_ids:
-            values = per_source.get(source, [])
-            vector.append(values[0] if len(values) == 1 else self.default)
-        tally: Dict[Value, int] = {}
-        for value in vector:
-            tally[value] = tally.get(value, 0) + 1
-        return min(tally, key=lambda value: (-tally[value], repr(value)))
-
     def snapshot(self) -> Any:
         return {
             "extracted": sorted(self._extracted, key=repr),
             "decision": self.decision,
         }
+
+
+def resolve_extracted(
+    extracted: Set[Tuple[ProcessId, Value]], config: SystemConfig, default: Value
+) -> Value:
+    """The decision from the extracted ``(source, value)`` pairs: a
+    source with exactly one value contributes it, any other the default,
+    and the plurality of that vector wins (ties by ``repr``).  Shared
+    with :mod:`repro.agreement.srikanth_toueg`, which extracts otherwise
+    and resolves alike."""
+    per_source: Dict[ProcessId, List[Value]] = {}
+    for source, value in sorted(extracted, key=repr):
+        per_source.setdefault(source, []).append(value)
+    tally: Dict[Value, int] = {}
+    for source in config.process_ids:
+        values = per_source.get(source, [])
+        value = values[0] if len(values) == 1 else default
+        tally[value] = tally.get(value, 0) + 1
+    return min(tally, key=lambda value: (-tally[value], repr(value)))
 
 
 def dolev_strong_factory(oracle: SignatureOracle, default: Value = 0):

@@ -50,6 +50,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, FrozenSet, List, Set, Tuple
 
+from repro.agreement.dolev_strong import resolve_extracted
+from repro.arrays.value_array import is_index_scalar
 from repro.errors import ConfigurationError
 from repro.runtime.node import Process, broadcast
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
@@ -189,11 +191,7 @@ class WitnessedBroadcast:
         kind, broadcaster, payload, phase = item
         if kind not in ("init", "echo"):
             return False
-        if not (
-            isinstance(broadcaster, int)
-            and not isinstance(broadcaster, bool)
-            and 1 <= broadcaster <= self.config.n
-        ):
+        if not is_index_scalar(broadcaster, self.config.n):
             return False
         if not (isinstance(phase, int) and phase >= 1):
             return False
@@ -240,11 +238,7 @@ class STAgreementProcess(Process):
                 and payload[0] == "val"
             ):
                 _, source, value = payload
-                if (
-                    isinstance(source, int)
-                    and not isinstance(source, bool)
-                    and 1 <= source <= self.config.n
-                ):
+                if is_index_scalar(source, self.config.n):
                     self._support.setdefault((source, value), set()).add(
                         broadcaster
                     )
@@ -253,7 +247,10 @@ class STAgreementProcess(Process):
         if step == 2:  # end of a phase: try to extract
             self._extract(phase)
         if round_number == st_agreement_rounds(self.config.t):
-            self.decide(self._resolve(), round_number)
+            self.decide(
+                resolve_extracted(self._extracted, self.config, self.default),
+                round_number,
+            )
 
     def _extract(self, phase: int) -> None:
         for (source, value), supporters in self._support.items():
@@ -265,19 +262,6 @@ class STAgreementProcess(Process):
                     self.primitive.schedule_broadcast(
                         ("val", source, value), phase + 1
                     )
-
-    def _resolve(self) -> Value:
-        per_source: Dict[ProcessId, List[Value]] = {}
-        for source, value in self._extracted:
-            per_source.setdefault(source, []).append(value)
-        vector = []
-        for source in self.config.process_ids:
-            values = per_source.get(source, [])
-            vector.append(values[0] if len(values) == 1 else self.default)
-        tally: Dict[Value, int] = {}
-        for value in vector:
-            tally[value] = tally.get(value, 0) + 1
-        return min(tally, key=lambda value: (-tally[value], repr(value)))
 
     def snapshot(self) -> Any:
         return {

@@ -22,10 +22,11 @@ the paper's asymptotic claims; EXPERIMENTS.md reports both.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, List
 
 from repro.arrays import flat as _flat
 from repro.arrays.store import InternedArray
+from repro.arrays.value_array import fold_tree, is_index_scalar, when_interned
 from repro.errors import EncodingError
 from repro.types import is_bottom
 
@@ -67,6 +68,29 @@ def _interned_node_count(array: InternedArray) -> int:
     return (array.leaf_count - 1) // (n - 1)
 
 
+def _node_bits(child_bits: List[int]) -> int:
+    """A tuple node: its framing header plus its children."""
+    return HEADER_BITS + sum(child_bits)
+
+
+def _policy_bits(
+    message: Any, policy: Any, leaf_cost: Callable[[Any], int]
+) -> int:
+    """``message`` folded under one cost policy; an interned node reads
+    that policy's flat size column instead of being opened."""
+
+    def column_bits(node: InternedArray) -> int:
+        return _flat.tables_for(node.store).measured_bits(
+            node, policy, leaf_cost, HEADER_BITS
+        )
+
+    if isinstance(message, InternedArray):  # every correct sender's array
+        return column_bits(message)
+    return fold_tree(
+        message, leaf_cost, _node_bits, closed=when_interned(column_bits)
+    )
+
+
 def encoded_array_bits(array: Any, leaf_bits: int) -> int:
     """Measured size of a nested-tuple array with uniform leaf cost.
 
@@ -75,29 +99,17 @@ def encoded_array_bits(array: Any, leaf_bits: int) -> int:
     tuple node :data:`HEADER_BITS`), so measurement is O(1) instead of
     O(``n ** depth``) — bottoms cost 0 bits, so undefined interned
     arrays read the store's flat size column, and plain tuples are
-    walked.
+    folded (:func:`~repro.arrays.value_array.fold_tree`).
     """
-    if is_bottom(array):
-        return NULL_BITS
-    if isinstance(array, InternedArray):
-        if array.defined:
-            return (
-                array.leaf_count * leaf_bits
-                + _interned_node_count(array) * HEADER_BITS
-            )
-        # Undefined arrays need per-leaf costs (bottoms are free);
-        # the flat column batches that instead of walking the tree.
-        return _flat.tables_for(array.store).measured_bits(
-            array,
-            ("uniform", leaf_bits),
-            lambda leaf: NULL_BITS if is_bottom(leaf) else leaf_bits,
-            HEADER_BITS,
+    if isinstance(array, InternedArray) and array.defined:
+        return (
+            array.leaf_count * leaf_bits
+            + _interned_node_count(array) * HEADER_BITS
         )
-    if isinstance(array, tuple):
-        return HEADER_BITS + sum(
-            encoded_array_bits(component, leaf_bits) for component in array
-        )
-    return leaf_bits
+    return _policy_bits(
+        array, ("uniform", leaf_bits),
+        lambda leaf: NULL_BITS if is_bottom(leaf) else leaf_bits,
+    )
 
 
 def encoded_message_bits(message: Any, leaf_bits: Callable[[Any], int]) -> int:
@@ -106,35 +118,11 @@ def encoded_message_bits(message: Any, leaf_bits: Callable[[Any], int]) -> int:
     ``leaf_bits`` receives each scalar leaf and returns its bit cost;
     use this when a message mixes value leaves and index leaves.
     """
-    if is_bottom(message):
-        return NULL_BITS
-    if isinstance(message, tuple):
-        return HEADER_BITS + sum(
-            encoded_message_bits(component, leaf_bits) for component in message
-        )
-    return leaf_bits(message)
-
-
-def structural_key(message: Any) -> Any:
-    """A hashable cache key capturing a message's *typed* structure.
-
-    Equal keys imply equal typed structure, so a sizer may memoize on
-    them.  The key must discriminate leaf types because measurement
-    does: ``True == 1`` yet a bool is charged as a value while a small
-    int may be charged as an index.  Raises ``TypeError`` for
-    unhashable leaves (callers then skip the cache).
-
-    An interned array returns its ``key_token`` in O(1): the store
-    already discriminates leaf types, so canonical-node *identity* is
-    typed structure.  (A plain tuple and its interned twin get
-    different keys — both correct, one cold cache entry.)
-    """
-    if isinstance(message, InternedArray):
-        return message.key_token
-    if isinstance(message, tuple):
-        return tuple(structural_key(component) for component in message)
-    hash(message)  # unhashable -> TypeError, caller falls back
-    return (type(message), message)
+    return fold_tree(
+        message,
+        lambda leaf: NULL_BITS if is_bottom(leaf) else leaf_bits(leaf),
+        _node_bits,
+    )
 
 
 class MessageSizer:
@@ -151,64 +139,40 @@ class MessageSizer:
     n:
         Number of processors (sizes index leaves).
 
-    Repeated measurements of structurally equal messages are served
-    from a memo cache: protocols broadcast, so one round presents the
-    same message up to ``n`` times, and block repetition re-presents it
-    across rounds.  The cache key is :func:`structural_key`, which
-    distinguishes leaf types, so a hit is always size-exact.
+    Nothing is memoized here: a repeated message is the network's to
+    recognise (one object a round, one ``key_token`` across rounds).
     """
 
     def __init__(self, value_alphabet_size: int, n: int):
         self.value_bits = bits_for_alphabet(value_alphabet_size)
         self.index_bits = bits_for_alphabet(n)
         self._n = n
-        self._cache: Dict[Any, int] = {}
-
-    def _leaf_bits(self, leaf: Any) -> int:
-        # Index leaves are ints in 1..n; everything else is charged as
-        # a value.  Booleans are values (True/False inputs), not ids.
-        if (
-            isinstance(leaf, int)
-            and not isinstance(leaf, bool)
-            and 1 <= leaf <= self._n
-        ):
-            return self.index_bits
-        return self.value_bits
 
     def measure(self, message: Any) -> int:
-        """Exact measured size of ``message`` in bits (memoized).
+        """Exact measured size of ``message`` in bits.
 
         Interned arrays are served from their store's flat size
         column (same policy: value/index split, bottoms free), so a
         new round's state — one new node over last round's children —
         costs one batched scan per sync instead of a full
-        O(``n ** depth``) walk.
+        O(``n ** depth``) walk.  Anything else — by now only a faulty
+        sender's payload — is folded.
         """
-        if isinstance(message, InternedArray):
-            return _flat.tables_for(message.store).measured_bits(
-                message,
-                ("sizer", self.value_bits, self.index_bits, self._n),
-                self._measure_leaf,
-                HEADER_BITS,
-            )
-        try:
-            key: Optional[Tuple[Any, ...]] = (structural_key(message),)
-        except TypeError:
-            key = None  # unhashable somewhere inside: measure directly
-        if key is not None:
-            cached = self._cache.get(key)
-            if cached is not None:
-                return cached
-        bits = encoded_message_bits(message, self._leaf_bits)
-        if key is not None:
-            self._cache[key] = bits
-        return bits
+        return _policy_bits(
+            message,
+            ("sizer", self.value_bits, self.index_bits, self._n),
+            self._measure_leaf,
+        )
 
     def _measure_leaf(self, leaf: Any) -> int:
-        """One leaf's cost under :meth:`measure` (bottoms are free)."""
+        """One leaf's cost under :meth:`measure`."""
         if is_bottom(leaf):
             return NULL_BITS
-        return self._leaf_bits(leaf)
+        # Index leaves are ints in 1..n; everything else is charged as
+        # a value.  Booleans are values (True/False inputs), not ids.
+        if is_index_scalar(leaf, self._n):
+            return self.index_bits
+        return self.value_bits
 
     def measure_value_array(self, array: Any) -> int:
         """Size of an array charging every leaf as a value."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, Optional
 
+from repro.arrays.value_array import map_leaves
 from repro.types import BOTTOM, is_bottom
 
 
@@ -87,25 +88,30 @@ def compose(outer: Callable[[Any], Any], inner: Callable[[Any], Any],
     return PartialFunction(composed, name=name or "compose")
 
 
+class _Undefined(Exception):
+    """Abandons :func:`substitutive_apply` at the first undefined leaf."""
+
+
 def substitutive_apply(scalar_function: Callable[[Any], Any], array: Any) -> Any:
     """Apply a scalar partial function substitutively to an array.
 
-    Distributes over the nested-tuple structure.  If the result of any
-    leaf application is undefined then, per the paper's convention, the
-    entire result is undefined (:data:`BOTTOM`), not an array with a
-    bottom hole in it.
+    Distributes over the nested-tuple structure
+    (:func:`~repro.arrays.value_array.map_leaves`).  If the result of
+    any leaf application is undefined then, per the paper's convention,
+    the entire result is undefined (:data:`BOTTOM`), not an array with
+    a bottom hole in it — and no later leaf is applied.
     """
-    if is_bottom(array):
+
+    def apply(leaf: Any) -> Any:
+        result = BOTTOM if is_bottom(leaf) else scalar_function(leaf)
+        if is_bottom(result):
+            raise _Undefined
+        return result
+
+    try:
+        return map_leaves(apply, array)
+    except _Undefined:
         return BOTTOM
-    if isinstance(array, tuple):
-        expanded = []
-        for component in array:
-            result = substitutive_apply(scalar_function, component)
-            if is_bottom(result):
-                return BOTTOM
-            expanded.append(result)
-        return tuple(expanded)
-    return scalar_function(array)
 
 
 def is_extension(

@@ -16,11 +16,12 @@ gathering (EIG) tree view in :mod:`repro.fullinfo.eig`.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+import itertools
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.arrays.store import MAX_DEPTH, InternedArray
 from repro.errors import ProtocolViolation
-from repro.types import is_bottom
+from repro.types import BOTTOM
 
 Path = Tuple[int, ...]
 
@@ -29,7 +30,66 @@ Path = Tuple[int, ...]
 # length exactly ``n``), shape-validated at intern time for this very
 # ``n`` — so shape walks collapse to O(1) metadata reads.  All fast
 # paths below are exact: they return precisely what the plain
-# recursive walk would.
+# walk would.
+
+
+def fold_tree(
+    root: Any,
+    leaf: Callable[[Any], Any],
+    combine: Callable[[List[Any]], Any],
+    containers: Any = tuple,
+    closed: Optional[Callable[[Any], Any]] = None,
+) -> Any:
+    """Post-order fold of a nested container: the one plain-tuple walk.
+
+    ``leaf(x)`` answers for anything that is not one of ``containers``,
+    ``combine(answers)`` for a container from its children's answers in
+    order (a dict's: keys, then values); ``closed(container)`` may
+    answer for one without opening it, or return ``None`` to open it.
+
+    Anything may arrive here from a Byzantine sender, so the walk keeps
+    its own stack — nesting thousands deep is just a long message — and
+    folds each distinct container *object* once per call, reusing its
+    answer wherever it recurs: a payload sharing one child at every
+    level (``x = (x, x)`` sixty times over) costs sixty combines, not
+    ``2 ** 60``, and the answer is still the fold of the tree it stands
+    for.  A container met again on its own path (a list holding itself)
+    is handed to ``leaf`` there.
+    """
+    if not isinstance(root, containers):
+        return leaf(root)
+    folded: Dict[int, Any] = {}  # id of a folded container -> its answer
+    on_path: Set[int] = set()
+    # (id of a container, its children still to visit, their answers)
+    frames: List[Tuple[int, Iterator[Any], List[Any]]] = [(0, iter((root,)), [])]
+    while True:
+        ident, children, answers = frames[-1]
+        for item in children:
+            if not isinstance(item, containers) or id(item) in on_path:
+                answers.append(leaf(item))
+            elif id(item) in folded:
+                answers.append(folded[id(item)])
+            else:
+                known = closed(item) if closed is not None else None
+                if known is None:
+                    on_path.add(id(item))
+                    values = item.values() if isinstance(item, dict) else ()
+                    frames.append((id(item), itertools.chain(item, values), []))
+                    break
+                answers.append(known)
+        else:
+            frames.pop()
+            if not frames:
+                return answers[0]
+            on_path.discard(ident)
+            folded[ident] = combine(answers)
+            frames[-1][2].append(folded[ident])
+
+
+def when_interned(answer: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """A ``closed`` for :func:`fold_tree`: an interned node answers from
+    its metadata, anything else is opened."""
+    return lambda node: answer(node) if isinstance(node, InternedArray) else None
 
 
 def make_array(components: Sequence[Any]) -> Tuple[Any, ...]:
@@ -137,21 +197,25 @@ def validate_array(
 
 
 def array_leaves(array: Any) -> Iterator[Any]:
-    """Yield the scalar leaves of ``array`` in left-to-right order."""
-    if isinstance(array, tuple):
-        for component in array:
-            yield from array_leaves(component)
-    else:
-        yield array
+    """Yield the scalar leaves of ``array`` in left-to-right order:
+    one per occurrence, so any depth is fine but sharing buys nothing."""
+    stack = [iter((array,))]
+    while stack:
+        for item in stack[-1]:
+            if isinstance(item, tuple):
+                stack.append(iter(item))
+                break
+            yield item
+        else:
+            stack.pop()
 
 
 def count_leaves(array: Any) -> int:
     """Number of scalar leaves (``n ** depth`` for a well-shaped array)."""
-    if not isinstance(array, tuple):
-        return 1
-    if isinstance(array, InternedArray):
-        return array.leaf_count
-    return sum(count_leaves(component) for component in array)
+    return fold_tree(
+        array, lambda leaf: 1, sum,
+        closed=when_interned(lambda node: node.leaf_count),
+    )
 
 
 def is_defined_array(array: Any) -> bool:
@@ -159,9 +223,10 @@ def is_defined_array(array: Any) -> bool:
 
     A bare :data:`BOTTOM` is also undefined.
     """
-    if isinstance(array, InternedArray):
-        return array.defined
-    return not any(is_bottom(leaf) for leaf in array_leaves(array))
+    return fold_tree(
+        array, lambda leaf: leaf is not BOTTOM, all,
+        closed=when_interned(lambda node: node.defined),
+    )
 
 
 def unique_leaves(array: Any) -> Tuple[Tuple[type, Any], ...]:
@@ -169,20 +234,23 @@ def unique_leaves(array: Any) -> Tuple[Tuple[type, Any], ...]:
 
     ``(type(leaf), leaf)`` pairs, deduplicated by typed equality —
     ``True`` and ``1`` stay distinct even though they compare equal.
-    O(1) for interned arrays; one walk otherwise.  Raises ``TypeError``
-    when a leaf is unhashable (callers then fall back to
-    :func:`array_leaves`).
+    O(1) for interned arrays; one fold otherwise (a subtree met twice
+    has nothing new the second time).  Raises ``TypeError`` when a leaf
+    is unhashable.
     """
     if isinstance(array, InternedArray):
         return array.leaves_unique
-    ordered: List[Tuple[type, Any]] = []
     seen: Dict[Tuple[type, Any], None] = {}
-    for leaf in array_leaves(array):
-        typed = (leaf.__class__, leaf)
-        if typed not in seen:
-            seen[typed] = None
-            ordered.append(typed)
-    return tuple(ordered)
+
+    def see_interned(node: InternedArray) -> bool:
+        seen.update(dict.fromkeys(node.leaves_unique))
+        return True
+
+    fold_tree(
+        array, lambda leaf: seen.setdefault((leaf.__class__, leaf)),
+        lambda _: None, closed=when_interned(see_interned),
+    )
+    return tuple(seen)
 
 
 def map_leaves(function: Callable[[Any], Any], array: Any) -> Any:
@@ -194,9 +262,7 @@ def map_leaves(function: Callable[[Any], Any], array: Any) -> Any:
     :func:`repro.arrays.partial.substitutive_apply` when an undefined
     leaf must make the whole result undefined.
     """
-    if isinstance(array, tuple):
-        return tuple(map_leaves(function, component) for component in array)
-    return function(array)
+    return fold_tree(array, function, tuple)
 
 
 def leaf_at(array: Any, path: Path) -> Any:

@@ -47,8 +47,8 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.arrays.encoding import MessageSizer
-from repro.arrays.value_array import is_index_scalar
+from repro.arrays.encoding import HEADER_BITS, MessageSizer
+from repro.arrays.value_array import fold_tree, is_index_scalar
 from repro.compact.driver import BlockDriver
 from repro.compact.expansion import BindingExpansion
 from repro.errors import ConfigurationError
@@ -56,7 +56,7 @@ from repro.fullinfo.decision import make_eig_decision_rule
 from repro.fullinfo.protocol import DecisionRule
 from repro.runtime.crypto import SignatureOracle
 from repro.runtime.node import broadcast
-from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
+from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
 
 # A binding key: (block, owner, digest).
 BindingKey = Tuple[int, ProcessId, str]
@@ -322,14 +322,16 @@ def auth_sizer(config: SystemConfig, value_alphabet_size: int):
     DIGEST_BITS = 64  # 16 hex chars
     SIGNATURE_BITS = 64
 
-    def measure_core(array: Any) -> int:
-        if is_bottom(array):
-            return 0
-        if isinstance(array, tuple) and len(array) == 3 and array[0] == "ref":
+    def reference_bits(array: Tuple) -> Optional[int]:
+        if len(array) == 3 and array[0] == "ref":
             return sizer.measure(array[1]) + DIGEST_BITS
-        if isinstance(array, tuple):
-            return 2 + sum(measure_core(component) for component in array)
-        return sizer.measure(array)
+        return None
+
+    def measure_core(array: Any) -> int:
+        return fold_tree(
+            array, sizer.measure, lambda bits: HEADER_BITS + sum(bits),
+            closed=reference_bits,
+        )
 
     def measure(payload: Any) -> int:
         if not isinstance(payload, dict):

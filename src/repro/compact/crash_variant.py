@@ -44,7 +44,7 @@ import dataclasses
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.arrays.encoding import MessageSizer
-from repro.arrays.value_array import array_leaves, is_index_scalar
+from repro.arrays.value_array import is_index_scalar, unique_leaves
 from repro.compact.driver import BlockDriver
 from repro.compact.expansion import BindingExpansion
 from repro.errors import ProtocolViolation
@@ -256,7 +256,7 @@ def flooding_decision_rule(t: int) -> Callable[[Any, int, ProcessId], Value]:
         if simulated_round < t + 1:
             return BOTTOM
         values = {
-            leaf for leaf in array_leaves(state) if leaf is not CRASHED
+            leaf for _, leaf in unique_leaves(state) if leaf is not CRASHED
         }
         if not values:
             raise ProtocolViolation(

@@ -32,12 +32,13 @@ benchmark measures the node-count gap.
 from __future__ import annotations
 
 import functools
-from typing import Any, Dict, Hashable, Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 from repro.arrays.value_array import is_index_scalar
 from repro.compact.expansion import ExpansionState
 from repro.compact.protocol import CompactProcess
 from repro.errors import ProtocolViolation
+from repro.fullinfo.decision import resolve_chains
 from repro.types import BOTTOM, ProcessId, SystemConfig, Value, is_bottom
 
 Path = Tuple[ProcessId, ...]
@@ -117,47 +118,12 @@ def lazy_eig_decision(
     simulated state), but leaves are fetched lazily with
     :func:`full_state_leaf`, so the exponential array never exists.
     """
-    depth = t + 1
-    legal = frozenset(alphabet) if alphabet is not None else None
 
-    def normalise(leaf: Any) -> Value:
-        if is_bottom(leaf):
-            return default
-        if legal is None:
-            return leaf
-        try:
-            return leaf if leaf in legal else default
-        except TypeError:
-            return default
+    def leaf_of(path: Path) -> Any:
+        leaf = full_state_leaf(expansion, boundary, core, path, _counter)
+        return default if is_bottom(leaf) else leaf
 
-    memo: Dict[Path, Value] = {}
-
-    def resolve(path: Path) -> Value:
-        if path in memo:
-            return memo[path]
-        if len(path) == depth:
-            value = normalise(
-                full_state_leaf(expansion, boundary, core, path, _counter)
-            )
-            memo[path] = value
-            return value
-        tally: Dict[Hashable, int] = {}
-        children = 0
-        for relayer in range(1, n + 1):
-            if relayer in path:
-                continue
-            children += 1
-            vote = resolve((relayer,) + path)
-            tally[vote] = tally.get(vote, 0) + 1
-        best_value, best_count = default, 0
-        for vote, count in sorted(tally.items(), key=lambda item: repr(item[0])):
-            if count > best_count:
-                best_value, best_count = vote, count
-        value = best_value if best_count * 2 > children else default
-        memo[path] = value
-        return value
-
-    return resolve(())
+    return resolve_chains(leaf_of, n, t + 1, default, alphabet)
 
 
 #: Protoflow message-size bound (COM rule family): the wire is

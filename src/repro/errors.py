@@ -20,6 +20,11 @@ class ConfigurationError(ReproError):
     """
 
 
+class SystemConfigError(ConfigurationError, ValueError):
+    """An ``(n, t)`` no system has; also the :class:`ValueError` that
+    :class:`~repro.types.SystemConfig` raised before it had a class."""
+
+
 class ProtocolViolation(ReproError):
     """A correct processor observed behaviour that breaks the protocol.
 

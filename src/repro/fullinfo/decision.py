@@ -336,6 +336,64 @@ def _eig_persist_key(
     return detail, state_digest.hex()
 
 
+def _normaliser(
+    default: Value, alphabet: Optional[Sequence[Value]]
+) -> Callable[[Any], Value]:
+    """Leaf laundering: outside ``alphabet`` (or unhashable) is ``default``."""
+    if alphabet is None:
+        return lambda leaf: leaf
+    legal = frozenset(alphabet)
+
+    def normalise(leaf: Any) -> Value:
+        try:
+            return leaf if leaf in legal else default
+        except TypeError:
+            return default
+
+    return normalise
+
+
+def resolve_chains(
+    leaf_of: Callable[[Chain], Any],
+    n: int,
+    depth: int,
+    default: Value,
+    alphabet: Optional[Sequence[Value]],
+    root: Chain = (),
+) -> Value:
+    """:func:`eig_byzantine_decision`'s rule top-down from ``root``,
+    leaves on demand: a length-``depth`` chain resolves to its
+    normalised ``leaf_of(chain)``, a shorter one to the strict majority
+    of its distinct-label extensions.  For callers with no whole array
+    to sweep: one source's tree (``root = (q,)``), a compressed state.
+    """
+    normalise = _normaliser(default, alphabet)
+    memo: Dict[Chain, Value] = {}
+
+    def resolve(path: Chain) -> Value:
+        if path in memo:
+            return memo[path]
+        if len(path) == depth:
+            value = normalise(leaf_of(path))
+        else:
+            relayers = [q for q in range(1, n + 1) if q not in path]
+            tally: Dict[Hashable, int] = {}
+            for relayer in relayers:
+                vote = resolve((relayer,) + path)
+                tally[vote] = tally.get(vote, 0) + 1
+            # The first of the most frequent votes in repr order.
+            value, count = max(
+                sorted(tally.items(), key=lambda item: repr(item[0])),
+                key=lambda item: item[1], default=(default, 0),
+            )
+            if count * 2 <= len(relayers):
+                value = default
+        memo[path] = value
+        return value
+
+    return resolve(root)
+
+
 def _resolve_eig_decision(
     state: Any,
     n: int,
@@ -349,15 +407,7 @@ def _resolve_eig_decision(
         raise ProtocolViolation(
             f"EIG decision needs a depth-{t + 1} state, got depth {depth}"
         )
-    legal = frozenset(alphabet) if alphabet is not None else None
-
-    def normalise(leaf: Any) -> Value:
-        if legal is None:
-            return leaf
-        try:
-            return leaf if leaf in legal else default
-        except TypeError:
-            return default
+    normalise = _normaliser(default, alphabet)
 
     # All leaves equal (O(1) to see on an interned state): every full
     # chain records the one normalised value, so by induction every

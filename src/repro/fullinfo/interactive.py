@@ -21,13 +21,12 @@ are reverse chronological, so the chains of source ``q`` are the paths
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Hashable, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 from repro.arrays.value_array import array_depth, leaf_at
 from repro.errors import ProtocolViolation
+from repro.fullinfo.decision import resolve_chains
 from repro.types import BOTTOM, ProcessId, Value
-
-Chain = Tuple[ProcessId, ...]
 
 
 def interactive_consistency_decision(
@@ -50,42 +49,13 @@ def interactive_consistency_decision(
             f"interactive consistency needs a depth-{t + 1} state, got "
             f"depth {depth}"
         )
-    legal = frozenset(alphabet) if alphabet is not None else None
-
-    def normalise(leaf: Any) -> Value:
-        if legal is None:
-            return leaf
-        try:
-            return leaf if leaf in legal else default
-        except TypeError:
-            return default
-
-    memo: Dict[Chain, Value] = {}
-
-    def resolve(path: Chain) -> Value:
-        if path in memo:
-            return memo[path]
-        if len(path) == depth:
-            value = normalise(leaf_at(state, path))
-            memo[path] = value
-            return value
-        tally: Dict[Hashable, int] = {}
-        children = 0
-        for relayer in range(1, n + 1):
-            if relayer in path:
-                continue
-            children += 1
-            vote = resolve((relayer,) + path)
-            tally[vote] = tally.get(vote, 0) + 1
-        best_value, best_count = default, 0
-        for vote, count in sorted(tally.items(), key=lambda item: repr(item[0])):
-            if count > best_count:
-                best_value, best_count = vote, count
-        value = best_value if best_count * 2 > children else default
-        memo[path] = value
-        return value
-
-    return tuple(resolve((source,)) for source in range(1, n + 1))
+    return tuple(
+        resolve_chains(
+            lambda path: leaf_at(state, path), n, depth, default, alphabet,
+            root=(source,),
+        )
+        for source in range(1, n + 1)
+    )
 
 
 def make_interactive_consistency_rule(

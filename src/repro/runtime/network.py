@@ -37,12 +37,13 @@ only when an event sink or a trace is attached to read them.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple
 
 import repro.obs.core as _obs
 from repro.adversary.base import Adversary, RoundContext
 from repro.errors import ConfigurationError
 from repro.arrays.store import InternedArray
+from repro.arrays.value_array import fold_tree
 from repro.obs.core import Observer
 from repro.obs.events import TrafficBurst, json_safe
 from repro.runtime.message import Envelope
@@ -52,9 +53,6 @@ from repro.runtime.scheduler import LockstepScheduler, Scheduler
 from repro.runtime.trace import ExecutionTrace
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
 
-
-# Closes a container on the sizer's work stack.
-_CLOSE = object()
 
 # The size-memo counters: per-round identity memo, cross-round interned memo.
 _PLAIN_MISS, _PLAIN_HIT = "net.size_cache.miss", "net.size_cache.hit"
@@ -73,46 +71,16 @@ def _default_sizer(message: Any) -> int:
     keys and values) — so a list-shaped message is never silently
     undercounted as a single scalar leaf.
 
-    Byzantine payloads come through here too (trace edges), so the
-    walk keeps its own stack instead of recursing — nesting thousands
-    deep is just a long message.  Each distinct container object is
-    walked once per call and its total reused wherever it recurs, so
-    a payload sharing one child at every level (``x = (x, x)`` sixty
-    times over) costs sixty walks, not ``2 ** 60``, while the result
-    is still the sum over the tree it stands for.  A container that
-    contains itself is charged as one leaf where it recurs.
+    Byzantine payloads come through here too (trace edges), hence the
+    fold: deep or shared nesting is just a long message, and a container
+    that contains itself is one leaf where it recurs.
     """
-    bits = 0
-    stack: List[Any] = [message]
-    open_ids: Set[int] = set()  # containers on the current path
-    sized: Dict[int, int] = {}  # id of a walked container -> its bits
-    while stack:
-        item = stack.pop()
-        if item is BOTTOM:
-            continue
-        if item is _CLOSE:
-            ident, bits_before = stack.pop(), stack.pop()
-            open_ids.discard(ident)
-            sized[ident] = bits - bits_before
-        elif isinstance(item, (tuple, frozenset, list, set, dict)):
-            ident = id(item)
-            known = sized.get(ident)
-            if known is not None:
-                bits += known
-            elif ident in open_ids:
-                bits += 8
-            else:
-                open_ids.add(ident)
-                stack.extend((bits, ident, _CLOSE))
-                bits += 2
-                if isinstance(item, dict):
-                    stack.extend(item.keys())
-                    stack.extend(item.values())
-                else:
-                    stack.extend(item)
-        else:
-            bits += 8
-    return bits
+    return fold_tree(
+        message,
+        lambda leaf: 0 if leaf is BOTTOM else 8,
+        lambda child_bits: 2 + sum(child_bits),
+        containers=(tuple, frozenset, list, set, dict),
+    )
 
 
 class SynchronousNetwork:

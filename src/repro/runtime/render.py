@@ -24,7 +24,21 @@ def summarise_payload(payload: Any, limit: int = 28) -> str:
     return description
 
 
+# The round payloads, by the field beside ``main`` a summary counts.
+_SIDE_FIELD = {"CompactPayload": "votes", "CrashPayload": "patches"}
+
+
 def _describe(payload: Any) -> str:
+    side = _SIDE_FIELD.get(type(payload).__name__)
+    if side is None:
+        return _describe_plain(payload)
+    count = len(getattr(payload, side))
+    return f"core:{_describe_plain(payload.main)} {side}:{count}"
+
+
+def _describe_plain(payload: Any) -> str:
+    """Anything but a round payload — one nested in a ``main`` included,
+    so no sender chooses how deep a summary goes."""
     if is_bottom(payload):
         return "-"
     if isinstance(payload, tuple):
@@ -35,12 +49,7 @@ def _describe(payload: Any) -> str:
     if isinstance(payload, dict):
         return f"map({len(payload)})"
     type_name = type(payload).__name__
-    if type_name == "CompactPayload":
-        main = _describe(payload.main)
-        return f"core:{main} votes:{len(payload.votes)}"
-    if type_name == "CrashPayload":
-        return f"core:{_describe(payload.main)} patches:{len(payload.patches)}"
-    if type(payload).__repr__ is object.__repr__:
+    if type(payload).__repr__ is object.__repr__ or type_name in _SIDE_FIELD:
         # The default repr prints the object's address, which would
         # make two logs of one workload differ (repro.obs.events).
         return f"<{type_name}>"

@@ -13,6 +13,8 @@ import dataclasses
 import functools
 from typing import Any, FrozenSet, Hashable, Tuple
 
+from repro.errors import SystemConfigError
+
 # A processor identifier.  The paper numbers processors 1..n.
 ProcessId = int
 
@@ -87,11 +89,11 @@ class SystemConfig:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError(f"n must be positive, got {self.n}")
+            raise SystemConfigError(f"n must be positive, got {self.n}")
         if self.t < 0:
-            raise ValueError(f"t must be non-negative, got {self.t}")
+            raise SystemConfigError(f"t must be non-negative, got {self.t}")
         if self.t >= self.n:
-            raise ValueError(
+            raise SystemConfigError(
                 f"t must be smaller than n, got n={self.n}, t={self.t}"
             )
 

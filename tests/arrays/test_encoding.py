@@ -10,10 +10,10 @@ from repro.arrays.encoding import (
     bits_for_alphabet,
     encoded_array_bits,
     encoded_message_bits,
-    structural_key,
 )
 from repro.errors import EncodingError
 from repro.types import BOTTOM
+from tests.arrays import reference_walks
 
 
 class TestAlphabetBits:
@@ -107,28 +107,15 @@ class TestMessageSizer:
         assert sizer.measure_value_array(BOTTOM) == 0
 
 
-class TestStructuralKey:
-    def test_equal_messages_share_key(self):
-        assert structural_key((1, (2, 3))) == structural_key((1, (2, 3)))
-
-    def test_key_discriminates_leaf_types(self):
-        """True == 1, but their measured costs may differ."""
-        assert structural_key(True) != structural_key(1)
-        assert structural_key((True,)) != structural_key((1,))
-        assert structural_key(1.0) != structural_key(1)
-
-    def test_unhashable_leaf_raises(self):
-        with pytest.raises(TypeError):
-            structural_key(([1, 2],))
-
-
 class TestMessageSizerMemo:
+    """Named for the memo ``MessageSizer`` once kept; what they pin is
+    the measurement, which must not depend on what was measured before."""
+
     def test_repeat_measurement_is_cached(self):
         sizer = MessageSizer(value_alphabet_size=1024, n=4)
         message = (3, (0, 1), 2000)
         first = sizer.measure(message)
         assert sizer.measure((3, (0, 1), 2000)) == first
-        assert len(sizer._cache) == 1
 
     def test_cache_never_conflates_bool_and_index(self):
         # value_bits=10, index_bits=2: a collision would be off by 8.
@@ -139,14 +126,12 @@ class TestMessageSizerMemo:
     def test_unhashable_message_measured_uncached(self):
         sizer = MessageSizer(value_alphabet_size=2, n=4)
         assert sizer.measure(([1],)) > 0
-        assert len(sizer._cache) == 0
 
     def test_cached_and_direct_agree(self):
         sizer = MessageSizer(value_alphabet_size=8, n=7)
         messages = [BOTTOM, 5, (1, 2), ((0,), (BOTTOM,)), True, 99]
         direct = [
-            encoded_message_bits(m, sizer._leaf_bits) for m in messages
+            reference_walks.bits(m, sizer._measure_leaf) for m in messages
         ]
-        # Measure twice: second pass is served from the memo.
         assert [sizer.measure(m) for m in messages] == direct
         assert [sizer.measure(m) for m in messages] == direct

@@ -28,7 +28,7 @@ from repro.arrays.value_array import (
     unique_leaves,
     validate_array,
 )
-from repro.arrays.encoding import MessageSizer, encoded_array_bits, structural_key
+from repro.arrays.encoding import MessageSizer, encoded_array_bits
 from repro.errors import ProtocolViolation
 from repro.types import BOTTOM
 
@@ -258,14 +258,6 @@ def test_validate_and_size_fast_paths_agree(array):
     assert sizer_a.measure_value_array(node) == sizer_b.measure_value_array(
         array
     )
-
-
-def test_structural_key_is_token_for_interned():
-    store = ArrayStore(2)
-    node = store.intern(((0, 1), (0, 1)))
-    assert structural_key(node) is node.key_token
-    other = store.intern(((0, 1), (1, 0)))
-    assert structural_key(other) is not node.key_token
 
 
 def test_wrong_store_width_falls_back_to_walk():

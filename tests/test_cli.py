@@ -129,6 +129,10 @@ class TestConfigurationErrorsFailClosed:
             (("table1", "--k", "0"), "k must be >= 1"),
             (("tradeoff", "--t", "-1"), "must be >= 1"),
             (("fuzz", "--cases", "1", "--n", "3", "--t", "1"), "n >= 3t+1"),
+            (("run-ba", "--t", "-1"), "n must be positive"),
+            (("run-ba", "--t", "2", "--n", "2"), "t must be smaller than n"),
+            (("avalanche", "--t", "-1"), "n must be positive"),
+            (("fuzz", "--cases", "1", "--t", "-1"), "t must be non-negative"),
         ],
     )
     def test_error_line_and_exit_2(self, capsys, argv, fragment):

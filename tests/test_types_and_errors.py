@@ -53,6 +53,9 @@ class TestSystemConfig:
             SystemConfig(n=4, t=-1)
         with pytest.raises(ValueError):
             SystemConfig(n=3, t=3)  # t must be < n
+        # ... and a configuration error like any other (the CLI's exit 2).
+        with pytest.raises(errors.ConfigurationError):
+            SystemConfig(n=3, t=3)
 
     def test_frozen(self):
         config = SystemConfig(n=4, t=1)
@@ -68,6 +71,7 @@ class TestErrorHierarchy:
     def test_all_derive_from_repro_error(self):
         for name in (
             "ConfigurationError",
+            "SystemConfigError",
             "ProtocolViolation",
             "SimulationMismatch",
             "DecisionError",
