@@ -26,7 +26,15 @@ from typing import Any, Dict
 
 from repro.errors import ConfigurationError
 from repro.runtime.node import Process, broadcast
-from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
+from repro.types import (
+    BOTTOM,
+    ProcessId,
+    Round,
+    Sentinel,
+    SystemConfig,
+    Value,
+    is_bottom,
+)
 
 
 #: Protoflow taint: values from ``incoming`` must pass a legality
@@ -45,21 +53,10 @@ MESSAGE_BOUNDS = {
 }
 
 
-class _SenderFaulty:
+class _SenderFaulty(Sentinel):
     """The crusader verdict "the sender is faulty"."""
 
-    _instance = None
-
-    def __new__(cls) -> "_SenderFaulty":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "SENDER_FAULTY"
-
-    def __reduce__(self):
-        return (_SenderFaulty, ())
+    NAME, TAG = "SENDER_FAULTY", "sender-faulty"
 
 
 SENDER_FAULTY = _SenderFaulty()

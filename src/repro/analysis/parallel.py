@@ -131,8 +131,7 @@ class SweepContext:
     is_null: Optional[Callable[[Any], bool]]
     # Scheduler backend spec ("lockstep", "async", "async:<d>[:<s>]");
     # a *name*, not an instance — schedulers carry per-execution state,
-    # so each cell resolves its own fresh one.  None honours
-    # REPRO_SCHEDULER (default lockstep).
+    # so each cell resolves its own fresh one.  None is lockstep.
     scheduler: Optional[str] = None
 
 

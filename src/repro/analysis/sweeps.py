@@ -133,7 +133,7 @@ def sweep(
 
     ``scheduler`` names the round-engine backend every cell runs under
     (``"lockstep"``, ``"async"``, ``"async:<max_delay>[:<salt>]"``);
-    ``None`` honours ``REPRO_SCHEDULER``.  Communication-closed
+    ``None`` is lockstep.  Communication-closed
     protocols yield the same report under every backend
     (docs/runtime.md), for any worker count.
 

@@ -22,11 +22,10 @@ the paper's asymptotic claims; EXPERIMENTS.md reports both.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, List
+from typing import Any, Callable, List, Optional
 
-from repro.arrays import flat as _flat
 from repro.arrays.store import InternedArray
-from repro.arrays.value_array import fold_tree, is_index_scalar, when_interned
+from repro.arrays.value_array import fold_tree, is_index_scalar
 from repro.errors import EncodingError
 from repro.types import is_bottom
 
@@ -54,20 +53,6 @@ def bits_for_alphabet(size: int) -> int:
     return math.ceil(math.log2(size))
 
 
-def _interned_node_count(array: InternedArray) -> int:
-    """Tuple nodes in the tree an interned array stands for.
-
-    A well-shaped depth-``d`` array over ``n`` ids has
-    ``1 + n + ... + n**(d-1) = (n**d - 1) / (n - 1)`` tuple nodes
-    (``d`` nodes when ``n == 1``); ``leaf_count`` is ``n ** d``, so
-    the count is O(1) arithmetic on precomputed metadata.
-    """
-    n = len(array)
-    if n == 1:
-        return array.depth
-    return (array.leaf_count - 1) // (n - 1)
-
-
 def _node_bits(child_bits: List[int]) -> int:
     """A tuple node: its framing header plus its children."""
     return HEADER_BITS + sum(child_bits)
@@ -76,36 +61,45 @@ def _node_bits(child_bits: List[int]) -> int:
 def _policy_bits(
     message: Any, policy: Any, leaf_cost: Callable[[Any], int]
 ) -> int:
-    """``message`` folded under one cost policy; an interned node reads
-    that policy's flat size column instead of being opened."""
+    """``message`` folded under one cost policy: :data:`HEADER_BITS`
+    per tuple level plus ``leaf_cost(leaf)`` per leaf occurrence.
 
-    def column_bits(node: InternedArray) -> int:
-        return _flat.tables_for(node.store).measured_bits(
-            node, policy, leaf_cost, HEADER_BITS
-        )
+    ``policy`` names the costs (same key, same ``leaf_cost``).  An
+    interned node is sized once per store and policy, from its
+    children's sizes, and remembered in :attr:`ArrayStore.sizes`; met
+    again — as the message or anywhere inside a plain tuple wrapping it
+    — it is one lookup and is not opened.
+    """
+    # fold_tree asks ``closed`` about a tuple just before opening it
+    # and combines its children just after the last one, so the two
+    # calls nest like brackets: the tuple being combined is the one
+    # most recently opened and not yet closed.
+    opened: List[Any] = []
 
-    if isinstance(message, InternedArray):  # every correct sender's array
-        return column_bits(message)
-    return fold_tree(
-        message, leaf_cost, _node_bits, closed=when_interned(column_bits)
-    )
+    def known_bits(node: Any) -> Optional[int]:
+        if type(node) is InternedArray:
+            known = node.store.sizes.get((policy, node.key_token))
+            if known is not None:
+                return known
+        opened.append(node)
+        return None
+
+    def node_bits(child_bits: List[int]) -> int:
+        node = opened.pop()
+        bits = _node_bits(child_bits)
+        if type(node) is InternedArray:
+            node.store.sizes[(policy, node.key_token)] = bits
+        return bits
+
+    return fold_tree(message, leaf_cost, node_bits, closed=known_bits)
 
 
 def encoded_array_bits(array: Any, leaf_bits: int) -> int:
     """Measured size of a nested-tuple array with uniform leaf cost.
 
-    For an interned array with no :data:`~repro.types.BOTTOM` leaves
-    the size is closed-form (every leaf costs ``leaf_bits``, every
-    tuple node :data:`HEADER_BITS`), so measurement is O(1) instead of
-    O(``n ** depth``) — bottoms cost 0 bits, so undefined interned
-    arrays read the store's flat size column, and plain tuples are
-    folded (:func:`~repro.arrays.value_array.fold_tree`).
+    Every leaf costs ``leaf_bits`` and every tuple node
+    :data:`HEADER_BITS`, except that bottoms cost 0 bits.
     """
-    if isinstance(array, InternedArray) and array.defined:
-        return (
-            array.leaf_count * leaf_bits
-            + _interned_node_count(array) * HEADER_BITS
-        )
     return _policy_bits(
         array, ("uniform", leaf_bits),
         lambda leaf: NULL_BITS if is_bottom(leaf) else leaf_bits,
@@ -151,12 +145,11 @@ class MessageSizer:
     def measure(self, message: Any) -> int:
         """Exact measured size of ``message`` in bits.
 
-        Interned arrays are served from their store's flat size
-        column (same policy: value/index split, bottoms free), so a
-        new round's state — one new node over last round's children —
-        costs one batched scan per sync instead of a full
-        O(``n ** depth``) walk.  Anything else — by now only a faulty
-        sender's payload — is folded.
+        An interned array is sized once per store (same policy:
+        value/index split, bottoms free), so a new round's state —
+        one new node over last round's children — costs ``n`` lookups
+        instead of a full O(``n ** depth``) walk.  Anything else — by
+        now only a faulty sender's payload — is folded.
         """
         return _policy_bits(
             message,

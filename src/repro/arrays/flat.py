@@ -1,61 +1,42 @@
-"""Flat integer-table kernel over the interned DAG.
+"""Flat integer tables over the interned DAG, for the EIG sweep.
 
 The hash-consing store (:mod:`repro.arrays.store`) collapses the
-exponential full-information state into a DAG of canonical nodes,
-making every per-round pass O(unique nodes).  What remains is pure
-Python *node churn*: each pass still visits nodes one at a time
-through dictionaries and recursion.  This module removes that layer
-for the hot passes by mirroring a store into **flat integer tables**
-and batch-scanning them with numpy:
+exponential full-information state into a DAG of canonical nodes.  A
+whole benchmark pass interns tens to a thousand of them (counts in
+``docs/perf.md``), so what a node's *own* facts cost — its size under
+a policy, whether its leaves are legal — is a dictionary's work, and
+lives in the store's ``sizes`` and ``verdicts`` memos.  The one
+numeric job that is large is the EIG decision rule: 154,440
+distinct-label chains at n=13, t=4, each a descent through the DAG.
+This module keeps what that sweep gathers over, and nothing else:
 
-* every canonical node becomes a dense **row id**, assigned in intern
-  order — so children always occupy smaller ids than their parents,
-  and a single ascending scan is a valid bottom-up traversal;
-* leaf values are bit-packed into small-integer **codes** from a
-  per-store typed-leaf alphabet (keyed ``(type, value)``, mirroring
-  the store's typed identity, so ``True`` and ``1`` get distinct
-  codes);
+* every canonical node has a dense **row id** — ``node.row``, its index
+  in :meth:`ArrayStore.interned_nodes`, assigned at intern time — so
+  children always occupy smaller ids than their parents;
+* leaf values are packed into small-integer **codes** from a per-store
+  typed-leaf alphabet (keyed ``(type, value)``, mirroring the store's
+  typed identity, so ``True`` and ``1`` get distinct codes);
 * ``children[row]`` holds one *ref* per component — a row id for a
-  sub-array, or ``-(code + 1)`` for a leaf — beside parallel
-  ``depth`` / ``leaf_count`` / ``defined`` columns.
+  sub-array, or ``-(code + 1)`` for a leaf.
 
-On top of the tables sit three vectorized scans, each an exact
-re-implementation of a hot per-round pass:
+:func:`eig_sweep` is the suffix-grouped strict-majority resolution of
+the EIG Byzantine decision rule as a row-gather descent and a
+``bincount`` + threshold pass per level over a cached distinct-label
+chain topology.  It runs once per distinct state:
+:func:`repro.fullinfo.decision.eig_byzantine_decision` memoises its
+outcome on the store.
 
-* :meth:`FlatTables.measured_bits` — per-node encoded sizes under a
-  cost policy, computed level-by-level (an interned node's children
-  all share one depth, so one gather-and-sum per depth layer covers
-  every new row);
-* :meth:`FlatTables.leaves_ok` — "every leaf satisfies a predicate"
-  verdicts for whole row ranges at once (block-1 expansion and
-  legality checks);
-* :func:`eig_sweep` — the suffix-grouped strict-majority resolution
-  of the EIG Byzantine decision rule as a row-gather descent and a
-  ``bincount`` + threshold pass per level over a cached
-  distinct-label chain topology.  It runs once per distinct state:
-  :func:`repro.fullinfo.decision.eig_byzantine_decision` memoises its
-  outcome on the store.
-
-Every interned array takes these scans; there is no selection.  The
-plain-tuple walkers that hostile and non-array messages still reach
-(``encoded_message_bits``, ``validate_array``, the reference sweep in
-:mod:`repro.fullinfo.decision`, ``ExpansionState(store=None)``) are
-the semantic reference: ``tests/arrays/test_flat.py`` hands them the
-same array as builtin tuples and requires identical results.
-``docs/perf.md`` has the encoding layout and measurements.
+Every interned state takes the sweep; there is no selection.  The
+reference sweep in :mod:`repro.fullinfo.decision`, which hostile and
+non-array states still reach, is the semantic reference:
+``tests/arrays/test_flat.py`` hands it the same array as builtin tuples
+and requires identical results.  ``docs/perf.md`` has the layout and
+measurements.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -89,45 +70,6 @@ _INITIAL_CAPACITY = 64
 
 RefTable = NDArray[np.int32]
 IntColumn = NDArray[np.int64]
-BoolColumn = NDArray[np.bool_]
-
-
-def _grown(column: NDArray[Any], rows: int) -> NDArray[Any]:
-    """``column`` with capacity for at least ``rows`` rows (amortized)."""
-    capacity = int(column.shape[0])
-    if rows <= capacity:
-        return column
-    while capacity < rows:
-        capacity *= 2
-    shape = (capacity,) + column.shape[1:]
-    grown = np.zeros(shape, dtype=column.dtype)
-    grown[: column.shape[0]] = column
-    return grown
-
-
-class _MeasureColumn:
-    """One incremental per-row bit-size column (one cost policy)."""
-
-    __slots__ = ("header_bits", "leaf_cost", "bits", "rows_done")
-
-    def __init__(self, header_bits: int):
-        self.header_bits = header_bits
-        # Per-leaf-code cost, extended as the alphabet grows; each
-        # distinct typed leaf is costed exactly once, ever.
-        self.leaf_cost: List[int] = []
-        self.bits: IntColumn = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self.rows_done = 0
-
-
-class _OkColumn:
-    """One incremental per-row all-leaves-satisfy verdict column."""
-
-    __slots__ = ("leaf_ok", "ok", "rows_done")
-
-    def __init__(self) -> None:
-        self.leaf_ok: List[bool] = []
-        self.ok: BoolColumn = np.zeros(_INITIAL_CAPACITY, dtype=np.bool_)
-        self.rows_done = 0
 
 
 class FlatTables:
@@ -135,37 +77,25 @@ class FlatTables:
 
     Stores only ever grow and canonical nodes are immutable, so rows
     are immutable once written and children always occupy smaller row
-    ids than their parents.  Every derived column (sizes, verdicts)
-    exploits that: extending it to new rows is one batched gather per
-    depth layer, never a revisit of old rows.  Obtain a store's
-    mirror with :func:`tables_for`; it stays attached to the store
-    and shares its lifetime.
+    ids than their parents.  Obtain a store's mirror with
+    :func:`tables_for`; it stays attached to the store and shares its
+    lifetime.
     """
 
     def __init__(self, store: ArrayStore):
         self.store = store
         self.n = store.n
-        # Node ``key_token`` -> row id, and row id -> node.
-        self._row_index: Dict[object, int] = {}
-        self._nodes: List[InternedArray] = []
+        # Rows mirrored so far: ``interned_nodes()[:_rows]``.
+        self._rows = 0
         # Typed leaf -> small-integer code, and its inverse.
         self._code_of: Dict[TypedLeaf, int] = {}
         self._leaves: List[Any] = []
         self.children: RefTable = np.zeros(
             (_INITIAL_CAPACITY, store.n), dtype=np.int32
         )
-        self.depth: IntColumn = np.zeros(_INITIAL_CAPACITY, dtype=np.int64)
-        self.leaf_count: IntColumn = np.zeros(
-            _INITIAL_CAPACITY, dtype=np.int64
-        )
-        self.defined: BoolColumn = np.zeros(_INITIAL_CAPACITY, dtype=np.bool_)
-        self._measure_columns: Dict[Any, _MeasureColumn] = {}
-        self._ok_columns: Dict[Any, _OkColumn] = {}
-
-    # -- mirroring ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return self._rows
 
     @property
     def leaf_alphabet_size(self) -> int:
@@ -188,23 +118,24 @@ class FlatTables:
         assigned when the row is written.
         """
         nodes = self.store.interned_nodes()
-        start = len(self._nodes)
+        start = self._rows
         total = len(nodes)
         if total == start:
             return start
-        self.children = _grown(self.children, total)
-        self.depth = _grown(self.depth, total)
-        self.leaf_count = _grown(self.leaf_count, total)
-        self.defined = _grown(self.defined, total)
-        row_index = self._row_index
+        capacity = len(self.children)
+        if total > capacity:
+            while capacity < total:
+                capacity *= 2
+            grown = np.zeros((capacity, self.n), dtype=np.int32)
+            grown[:start] = self.children[:start]
+            self.children = grown
         code_of = self._code_of
         leaves = self._leaves
         children = self.children
         for row in range(start, total):
-            node = nodes[row]
-            for slot, component in enumerate(node):
+            for slot, component in enumerate(nodes[row]):
                 if type(component) is InternedArray:
-                    children[row, slot] = row_index[component.key_token]
+                    children[row, slot] = component.row
                 else:
                     typed = (component.__class__, component)
                     code = code_of.get(typed)
@@ -213,119 +144,11 @@ class FlatTables:
                         code_of[typed] = code
                         leaves.append(component)
                     children[row, slot] = -(code + 1)
-            self.depth[row] = node.depth
-            self.leaf_count[row] = node.leaf_count
-            self.defined[row] = node.defined
-            row_index[node.key_token] = row
-            self._nodes.append(node)
+        self._rows = total
         observer = _obs.ACTIVE
         if observer is not None:
             observer.count("arrays.flat.rows", total - start)
         return total
-
-    def row_of(self, node: InternedArray) -> int:
-        """The row id of a node of this store (syncs if necessary)."""
-        row = self._row_index.get(node.key_token)
-        if row is None:
-            self.sync()
-            row = self._row_index[node.key_token]
-        return row
-
-    def node_at(self, row: int) -> InternedArray:
-        """The canonical node a row mirrors."""
-        return self._nodes[row]
-
-    def _new_row_batches(
-        self, start: int, total: int
-    ) -> Iterator[Tuple[int, IntColumn]]:
-        """Rows ``start:total`` grouped by depth, ascending.
-
-        Children precede parents in row order, so ascending-depth
-        batches are a valid bottom-up schedule for any column whose
-        row value depends only on child rows — and the batch gathers
-        see only complete inputs, because an interned node's children
-        all share depth ``level - 1``.
-        """
-        fresh = np.arange(start, total, dtype=np.int64)
-        depths = self.depth[fresh]
-        for level in np.unique(depths):
-            yield int(level), fresh[depths == level]
-
-    # -- derived columns ---------------------------------------------------
-
-    def measured_bits(
-        self,
-        node: InternedArray,
-        key: Any,
-        leaf_cost: Callable[[Any], int],
-        header_bits: int,
-    ) -> int:
-        """Exact encoded size of ``node`` under one cost policy.
-
-        ``key`` identifies the policy (callers derive it from their
-        cost parameters — same key, same policy); ``leaf_cost`` maps
-        one leaf object to its bit cost and is consulted once per
-        distinct typed leaf, ever.  Equivalent to the recursive walk
-        charging ``header_bits`` per tuple level plus
-        ``leaf_cost(leaf)`` per leaf occurrence — computed for every
-        store row at once, one vectorized gather-and-sum per depth
-        layer, so steady-state per-message calls are O(1) lookups.
-        """
-        total = self.sync()
-        column = self._measure_columns.get(key)
-        if column is None:
-            column = self._measure_columns[key] = _MeasureColumn(header_bits)
-        if column.rows_done < total:
-            cost_list = column.leaf_cost
-            for code in range(len(cost_list), len(self._leaves)):
-                cost_list.append(int(leaf_cost(self._leaves[code])))
-            column.bits = _grown(column.bits, total)
-            costs = np.asarray(cost_list, dtype=np.int64)
-            children = self.children
-            bits = column.bits
-            header = column.header_bits
-            for level, rows in self._new_row_batches(column.rows_done, total):
-                refs = children[rows]
-                if level == 1:
-                    bits[rows] = header + costs[-(refs + 1)].sum(axis=1)
-                else:
-                    bits[rows] = header + bits[refs].sum(axis=1)
-            column.rows_done = total
-        return int(column.bits[self.row_of(node)])
-
-    def leaves_ok(
-        self,
-        node: InternedArray,
-        key: Any,
-        leaf_ok: Callable[[Any], bool],
-    ) -> bool:
-        """Whether every leaf of ``node`` satisfies ``leaf_ok``.
-
-        ``key`` identifies the (immutable) predicate; ``leaf_ok`` runs
-        once per distinct typed leaf, ever.  Exact: a leaf predicate's
-        verdict depends only on the leaf, so scanning distinct codes
-        is equivalent to scanning all ``n ** depth`` occurrences.
-        """
-        total = self.sync()
-        column = self._ok_columns.get(key)
-        if column is None:
-            column = self._ok_columns[key] = _OkColumn()
-        if column.rows_done < total:
-            ok_list = column.leaf_ok
-            for code in range(len(ok_list), len(self._leaves)):
-                ok_list.append(bool(leaf_ok(self._leaves[code])))
-            column.ok = _grown(column.ok, total)
-            code_ok = np.asarray(ok_list, dtype=np.bool_)
-            children = self.children
-            ok = column.ok
-            for level, rows in self._new_row_batches(column.rows_done, total):
-                refs = children[rows]
-                if level == 1:
-                    ok[rows] = code_ok[-(refs + 1)].all(axis=1)
-                else:
-                    ok[rows] = ok[refs].all(axis=1)
-            column.rows_done = total
-        return bool(column.ok[self.row_of(node)])
 
 
 def tables_for(store: ArrayStore) -> FlatTables:
@@ -462,7 +285,7 @@ def eig_sweep(
     topology = chain_topology(n, depth)
     tables.sync()
     children = tables.children
-    refs: NDArray[Any] = np.asarray([tables.row_of(state)], dtype=np.int64)
+    refs: NDArray[Any] = np.asarray([state.row], dtype=np.int64)
     for pick in topology.pick:
         refs = children.take(refs, axis=0).reshape(-1).take(pick)
     votes: IntColumn = vote_of_code.take(-(refs + 1))

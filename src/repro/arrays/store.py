@@ -96,9 +96,9 @@ PURITY_EXEMPT = {
         "the one between-workload lifecycle helper: records the "
         "registry gauges, flushes persistent-cache deltas, then drops "
         "the registry — composing three observationally-pure steps; "
-        "what is memoised on a store (flat tables, the EIG decision "
-        "and expansion memos: pure functions of its canonical nodes) "
-        "goes with it"
+        "what is memoised on a store (the EIG sweep's flat tables and "
+        "the sizes, verdicts, EIG decision and expansion memos: pure "
+        "functions of its canonical nodes) goes with it"
     ),
 }
 
@@ -120,6 +120,8 @@ class InternedArray(Tuple[Any, ...]):
     defined: bool
     key_token: object
     store: "ArrayStore"
+    # Index in the store's intern order: the flat kernel's row id.
+    row: int
     _hash: int
     # Stable structural digest, memoised lazily by
     # repro.arrays.digest.content_digest (None = unstable leaves).
@@ -148,8 +150,11 @@ class ArrayStore:
     Every node in a store has exactly ``n`` components at every level,
     so membership doubles as a shape certificate.  Stores only ever
     *grow* — canonical nodes are immutable and never replaced — which
-    is what makes identity-keyed memo caches (sizing, validation
-    verdicts, expansion results) safe across rounds and executions.
+    is what makes the identity-keyed memos below (sizes, legality
+    verdicts, EIG decisions, expansions) safe across rounds and
+    executions.  Each is a pure function of canonical nodes, filled by
+    the module named beside it and dropped with the store by
+    :func:`release_shared_stores`.
     """
 
     def __init__(self, n: int):
@@ -159,9 +164,17 @@ class ArrayStore:
         # Typed structure key -> the canonical node.
         self._nodes: Dict[Tuple[Any, ...], InternedArray] = {}
         # The same nodes in intern order (children always precede
-        # parents): the append-only feed the flat-kernel mirror
-        # (repro.arrays.flat) syncs from incrementally.
+        # parents; ``node.row`` is its index here): the append-only
+        # feed the flat-kernel mirror (repro.arrays.flat) syncs from
+        # incrementally.
         self._order: List[InternedArray] = []
+        # (cost policy, node key_token) -> the node's encoded size in
+        # bits, each from its children's sizes (repro.arrays.encoding).
+        self.sizes: Dict[Any, int] = {}
+        # (leaf policy, node key_token) -> whether every distinct leaf
+        # of the node satisfies the policy's predicate, shared by every
+        # processor and gate on this store (repro.fullinfo.protocol).
+        self.verdicts: Dict[Any, bool] = {}
         # The store's FlatTables mirror, attached lazily by
         # repro.arrays.flat.tables_for (typed Any: flat imports this
         # module, not the other way around).
@@ -341,6 +354,7 @@ class ArrayStore:
         node.defined = defined
         node.key_token = object()
         node.store = self
+        node.row = len(self._order)
         node._hash = tuple.__hash__(node)
         self._nodes[key] = node
         self._order.append(node)

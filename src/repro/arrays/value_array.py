@@ -46,6 +46,8 @@ def fold_tree(
     ``combine(answers)`` for a container from its children's answers in
     order (a dict's: keys, then values); ``closed(container)`` may
     answer for one without opening it, or return ``None`` to open it.
+    A container is asked about just before it is opened and combined
+    just after its last child, so those two calls nest like brackets.
 
     Anything may arrive here from a Byzantine sender, so the walk keeps
     its own stack — nesting thousands deep is just a long message — and
@@ -124,19 +126,25 @@ def array_depth(array: Any, n: int) -> int:
         before use, so a faulty sender cannot crash a correct
         processor.
     """
-    return _depth_within(array, n, MAX_DEPTH)
+    return _depth_within(array, n, MAX_DEPTH, {})
 
 
-def _depth_within(array: Any, n: int, budget: int) -> int:
+def _depth_within(
+    array: Any, n: int, budget: int, seen: Dict[int, int]
+) -> int:
     """:func:`array_depth`, opening at most ``budget`` plain levels.
 
     The bound is what keeps a hostile payload nested thousands deep a
     :class:`ProtocolViolation` instead of a ``RecursionError``; an
-    interned node answers from its metadata and opens none.
+    interned node answers from its metadata and opens none.  ``seen``
+    maps the ``id`` of each plain tuple already measured in this call
+    to its depth (the caller's root keeps them alive), so a payload
+    sharing one child object at every level costs the objects its
+    sender built, not the ``n ** depth`` tree they stand for.
     """
     if not isinstance(array, tuple):
         return 0
-    if isinstance(array, InternedArray) and len(array) == n:
+    if type(array) is InternedArray and len(array) == n:
         return array.depth
     if len(array) != n:
         raise ProtocolViolation(
@@ -145,12 +153,16 @@ def _depth_within(array: Any, n: int, budget: int) -> int:
     if budget <= 0:
         raise ProtocolViolation("array is nested deeper than allowed")
     budget -= 1
-    # Scalars are depth 0 without a call: most components are leaves.
-    depths = {
-        _depth_within(component, n, budget)
-        if isinstance(component, tuple) else 0
-        for component in array
-    }
+    depths: Set[int] = set()
+    for component in array:
+        if not isinstance(component, tuple):
+            depths.add(0)  # most components are leaves: no call
+            continue
+        depth = seen.get(id(component))
+        if depth is None:
+            depth = _depth_within(component, n, budget, seen)
+            seen[id(component)] = depth
+        depths.add(depth)
     if len(depths) != 1:
         raise ProtocolViolation(f"ragged array: component depths {depths}")
     return 1 + depths.pop()
@@ -172,28 +184,20 @@ def validate_array(
     payload nested deeper is ``False`` without being walked to the
     bottom.
 
-    An interned array short-circuits the shape walk entirely, and the
-    leaf predicate runs over the node's *distinct* typed leaves rather
-    than all ``n ** depth`` occurrences — same verdict, since a
+    An interned array answers the shape walk from its metadata, and
+    the leaf predicate runs once per occurrence in each *distinct*
+    sub-array object (:func:`fold_tree`) — same verdict, since a
     predicate's answer depends only on the leaf itself.
     """
-    if isinstance(array, InternedArray) and len(array) == n:
-        if depth is not None and array.depth != depth:
-            return False
-        if leaf_ok is not None:
-            return all(leaf_ok(leaf) for _, leaf in array.leaves_unique)
-        return True
     try:
         actual = _depth_within(
-            array, n, MAX_DEPTH if depth is None else min(depth, MAX_DEPTH)
+            array, n, MAX_DEPTH if depth is None else min(depth, MAX_DEPTH), {}
         )
     except ProtocolViolation:
         return False
     if depth is not None and actual != depth:
         return False
-    if leaf_ok is not None:
-        return all(leaf_ok(leaf) for leaf in array_leaves(array))
-    return True
+    return leaf_ok is None or bool(fold_tree(array, leaf_ok, all))
 
 
 def array_leaves(array: Any) -> Iterator[Any]:

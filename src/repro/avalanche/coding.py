@@ -25,22 +25,13 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.types import Sentinel
 
-class _NullMessage:
-    """Singleton wire marker: "same as my previous round's message"."""
 
-    _instance = None
+class _NullMessage(Sentinel):
+    """Wire marker: "same as my previous round's message"."""
 
-    def __new__(cls) -> "_NullMessage":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NULL_MESSAGE"
-
-    def __reduce__(self):
-        return (_NullMessage, ())
+    NAME, TAG = "NULL_MESSAGE", "null-message"
 
 
 NULL_MESSAGE = _NullMessage()
@@ -69,16 +60,8 @@ class NullEncoder:
         return message
 
 
-class _Unset:
-    _instance = None
-
-    def __new__(cls) -> "_Unset":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "UNSET"
+class _Unset(Sentinel):
+    NAME, TAG = "UNSET", "unset"
 
 
 _UNSET = _Unset()

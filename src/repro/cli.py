@@ -113,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="round-engine backend: 'lockstep' (default), 'async', or "
         "'async:<max_delay>[:<salt>]' — communication-closed protocols "
         "produce the identical execution under every backend "
-        "(docs/runtime.md); default honours REPRO_SCHEDULER",
+        "(docs/runtime.md)",
     )
 
     compare = commands.add_parser(

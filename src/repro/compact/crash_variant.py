@@ -50,24 +50,21 @@ from repro.compact.expansion import BindingExpansion
 from repro.errors import ProtocolViolation
 from repro.fullinfo.protocol import DecisionRule
 from repro.runtime.node import broadcast
-from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
+from repro.types import (
+    BOTTOM,
+    ProcessId,
+    Round,
+    Sentinel,
+    SystemConfig,
+    Value,
+    is_bottom,
+)
 
 
-class _Crashed:
+class _Crashed(Sentinel):
     """Marker leaf: "this transmission never arrived" (fail-stop gap)."""
 
-    _instance = None
-
-    def __new__(cls) -> "_Crashed":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "CRASHED"
-
-    def __reduce__(self):
-        return (_Crashed, ())
+    NAME, TAG = "CRASHED", "crashed"
 
 
 CRASHED = _Crashed()

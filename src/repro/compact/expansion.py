@@ -49,7 +49,6 @@ from collections import defaultdict
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import repro.obs.core as _obs
-from repro.arrays import flat as _flat
 from repro.arrays import persist as _persist
 from repro.arrays.digest import (
     DIGEST_BYTES,
@@ -60,16 +59,16 @@ from repro.arrays.digest import (
 from repro.arrays.store import ArrayStore, InternedArray, TypedLeaf
 from repro.arrays.value_array import is_index_scalar
 from repro.errors import ProtocolViolation
+from repro.fullinfo.protocol import leaves_satisfy
 from repro.types import BOTTOM, ProcessId, SystemConfig, Value, is_bottom
 
 #: Protoflow taint: the persistent-cache fast path replays *recorded
-#: verdicts*, never raw bytes.  A phi_1 entry is the alphabet-
-#: membership verdict the inline filter would compute (keyed by the
-#: node's content digest under the alphabet fingerprint; only a bool
-#: is believed), and a deeper entry resolves only through the content
-#: digest of a result that a fully legality-filtered expansion
+#: results*, never raw bytes.  An entry resolves only through the
+#: content digest of a result that a fully legality-filtered expansion
 #: produced in an earlier run — anything else decodes to ``None`` and
-#: falls back to the inline filter.
+#: falls back to the inline filter.  (``phi_1`` persists nothing of its
+#: own: its domain test is the receive gate's legality verdict,
+#: :func:`repro.fullinfo.protocol.leaves_satisfy`.)
 TAINT_SANITIZERS = {
     "_restore_expansion": (
         "persistent-cache gate: returns a node only as the "
@@ -227,13 +226,13 @@ class ExpansionState(BindingExpansion):
         self._images: Dict[int, Dict[TypedLeaf, Tuple[Any, Any]]] = (
             defaultdict(dict)
         )
-        # Cross-run persistence keys.  phi_1 verdicts depend only on
-        # the alphabet; phi_b for b > 1 is additionally a function of
-        # the OUT tables it chains through, so its cache entries carry
-        # a fingerprint over every decided (boundary' <= b) slot —
-        # equal tables, reached in any order, share entries; unequal
-        # tables can never collide.  None alphabet fingerprint means
-        # unstable members: persistence stays out of the way.
+        # Cross-run persistence keys.  phi_b for b > 1 is a function
+        # of the alphabet and of the OUT tables it chains through, so
+        # its cache entries carry a fingerprint over every decided
+        # (boundary' <= b) slot — equal tables, reached in any order,
+        # share entries; unequal tables can never collide.  None
+        # alphabet fingerprint means unstable members: persistence
+        # stays out of the way.
         self._alpha_fp: Optional[str] = values_fingerprint(self._alphabet)
         # (boundary, table size) -> fingerprint: the table only grows,
         # so its size is its version.
@@ -312,7 +311,11 @@ class ExpansionState(BindingExpansion):
         here already or gets one now.
         """
         if boundary == 1:
-            return self._values_only(node)
+            # The verdict the block-1 receive gate asks for, shared
+            # with it through the store.
+            return leaves_satisfy(
+                node, ("alphabet", self._alphabet), self._leaf_is_value
+            )
         return all(
             map(self._images[boundary].__contains__, node.leaves_unique)
         ) or all(
@@ -326,26 +329,6 @@ class ExpansionState(BindingExpansion):
             and self._store is not None
             and array.store is self._store
         )
-
-    def _values_only(self, node: InternedArray) -> bool:
-        """Whether every leaf of ``node`` is in ``V`` (``phi_1``'s domain).
-
-        Served from the store's per-alphabet verdict column, which —
-        like the persistent cache in front of it — may keep negative
-        verdicts too: alphabet membership never changes.
-        """
-        cache = _persist.active()
-        persist_key = None if cache is None else self._persist_key(1, node)
-        if persist_key is not None:
-            stored = cache.map_get(persist_key[0], persist_key[1])
-            if isinstance(stored, bool):  # anything else: recompute
-                return stored
-        ok = _flat.tables_for(node.store).leaves_ok(
-            node, ("expansion.alphabet", self._alphabet), self._leaf_is_value
-        )
-        if persist_key is not None:
-            cache.map_put(persist_key[0], persist_key[1], ok)
-        return ok
 
     def _substitute(self, boundary: int, node: InternedArray) -> Any:
         """``phi_b`` (``b > 1``) of a node whose leaves all have images.
@@ -421,24 +404,19 @@ class ExpansionState(BindingExpansion):
     def _persist_key(
         self, boundary: int, node: InternedArray
     ) -> Optional[Tuple[str, str]]:
-        """(fingerprint detail, key) for a persistable expansion."""
+        """(fingerprint detail, key) for a persistable ``phi_b``, ``b > 1``."""
         if self._alpha_fp is None:
             return None
         digest = content_digest(node)
         if digest is None:
             return None
-        if boundary == 1:
-            detail = (
-                f"compact.phi1;n={self.config.n};alpha={self._alpha_fp}"
-            )
-        else:
-            out_fp = self._out_fingerprint(boundary)
-            if out_fp is None:
-                return None
-            detail = (
-                f"compact.expansion;n={self.config.n};"
-                f"alpha={self._alpha_fp};b={boundary};out={out_fp}"
-            )
+        out_fp = self._out_fingerprint(boundary)
+        if out_fp is None:
+            return None
+        detail = (
+            f"compact.expansion;n={self.config.n};"
+            f"alpha={self._alpha_fp};b={boundary};out={out_fp}"
+        )
         return detail, digest.hex()
 
     def _restore_expansion(

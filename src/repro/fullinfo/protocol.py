@@ -88,6 +88,70 @@ def _alphabet_predicate(alphabet: FrozenSet[Value]) -> Callable[[Any], bool]:
     return leaf_ok
 
 
+def _verdict_slot(
+    node: InternedArray, policy: Tuple[str, Any]
+) -> Optional[Tuple["_persist.PersistentStore", str, str]]:
+    """Where the persistent cache keeps a verdict: ``(cache, detail, key)``.
+
+    Legality is a pure function of (typed structure, n, predicate), so
+    a verdict keyed by the node's content digest under the predicate's
+    fingerprint is valid across processes and runs.  ``None`` when
+    caching is off or the alphabet or the node has unstable members
+    (caching then simply stays out of the way).
+    """
+    cache = _persist.active()
+    if cache is None:
+        return None
+    kind, legal = policy
+    if kind == "alphabet":
+        fingerprint = values_fingerprint(legal)
+        if fingerprint is None:
+            return None
+        kind = f"alpha={fingerprint}"
+    digest = content_digest(node)
+    if digest is None:
+        return None
+    return cache, f"fullinfo.legality;n={node.store.n};{kind}", digest.hex()
+
+
+def leaves_satisfy(
+    node: InternedArray,
+    policy: Tuple[str, Any],
+    leaf_ok: Callable[[Any], bool],
+) -> bool:
+    """Whether every leaf of the canonical ``node`` satisfies ``leaf_ok``.
+
+    ``policy`` names the (immutable) predicate — ``("alphabet",
+    frozenset(V))`` or ``("indices", n)`` — and keys the verdict in
+    :attr:`~repro.arrays.store.ArrayStore.verdicts`, so a node is
+    vetted once per store, whichever processor, gate or expansion
+    asks; a subtree vetted at round ``r`` is the *same node* inside
+    round ``r + 1`` states.  Exact: a leaf predicate's verdict depends
+    only on the leaf, so scanning ``leaves_unique`` is equivalent to
+    scanning all ``n ** depth`` occurrences.  Negative verdicts are
+    kept too: neither predicate ever changes.
+    """
+    verdicts = node.store.verdicts
+    key = (policy, node.key_token)
+    verdict = verdicts.get(key)
+    counter = "fullinfo.legality.hit"
+    if verdict is None:
+        slot = _verdict_slot(node, policy)
+        stored = None if slot is None else slot[0].map_get(slot[1], slot[2])
+        if isinstance(stored, bool):  # anything else: recompute
+            verdict = stored
+        else:
+            verdict = all(leaf_ok(leaf) for _, leaf in node.leaves_unique)
+            counter = "fullinfo.legality.miss"
+            if slot is not None:
+                slot[0].map_put(slot[1], slot[2], verdict)
+        verdicts[key] = verdict
+    observer = _obs.ACTIVE
+    if observer is not None:
+        observer.count(counter)
+    return verdict
+
+
 class ReceiveGate:
     """Step 2 of Protocol 1 on the array kernel: canonical node or reject.
 
@@ -97,15 +161,15 @@ class ReceiveGate:
     the shared :class:`~repro.arrays.store.ArrayStore` is it?
     :meth:`admit` answers in O(new nodes): a message that is already
     canonical (the broadcast common case: its sender interned it last
-    round) costs one depth read and one verdict-cache hit; a plain
-    tuple from an adversary pays one depth-bounded intern walk — shape
-    validation included — and joins the fast path wherever it is
+    round) costs one depth read and one :func:`leaves_satisfy` hit; a
+    plain tuple from an adversary pays one depth-bounded intern walk —
+    shape validation included — and joins the fast path wherever it is
     replayed.  Hostile input never raises: scalars, ragged or
     wrong-``n`` levels, unhashable leaves and nesting deeper than
     expected are all :data:`REJECT`.
 
-    One gate serves one receiver: :class:`FullInformationProcess`
-    holds one,
+    A gate is a store and a leaf policy, nothing per receiver:
+    :class:`FullInformationProcess` holds one,
     :class:`repro.agreement.firing_squad.FiringSquadProcess` shares one
     across its live EIG instances, and
     :class:`repro.compact.protocol.CompactProcess` holds one over ``V``
@@ -115,35 +179,17 @@ class ReceiveGate:
 
     def __init__(self, store: ArrayStore, alphabet: Iterable[Value]):
         legal = frozenset(alphabet)
-        # Legality is a pure function of (typed structure, n, V), so a
-        # verdict keyed by content digest under the alphabet
-        # fingerprint is valid across processes and runs.  No
-        # fingerprint when the alphabet has unstable members (caching
-        # then simply stays out of the way).
-        alpha_fp = values_fingerprint(legal)
-        self._bind(
-            store,
-            _alphabet_predicate(legal),
-            None
-            if alpha_fp is None
-            else f"fullinfo.legality;n={store.n};alpha={alpha_fp}",
-        )
+        self._bind(store, ("alphabet", legal), _alphabet_predicate(legal))
 
     def _bind(
         self,
         store: ArrayStore,
+        policy: Tuple[str, Any],
         leaf_ok: Callable[[Any], bool],
-        persist_detail: Optional[str],
     ) -> None:
         self.store = store
+        self.policy = policy
         self.leaf_ok = leaf_ok
-        # Canonical node -> "every leaf legal" verdict.  A subtree
-        # vetted at round r is the *same node* when it reappears inside
-        # round r + 1 states, so re-validation collapses to one
-        # dictionary hit.
-        self._verdicts: Dict[Any, bool] = {}
-        # Persistent-cache key prefix for those verdicts.
-        self._persist_detail = persist_detail
 
     def admit(self, message: Any, expected_depth: int) -> Any:
         """The interned legal ``message``, or :data:`REJECT`."""
@@ -162,56 +208,9 @@ class ReceiveGate:
             node = maybe
         if node.depth != expected_depth:
             return REJECT
-        verdict = self._verdicts.get(node.key_token)
-        observer = _obs.ACTIVE
-        if verdict is None:
-            verdict = self._persisted_verdict(node)
-        if verdict is None:
-            verdict = all(
-                self.leaf_ok(leaf) for _, leaf in node.leaves_unique
-            )
-            self._verdicts[node.key_token] = verdict
-            self._record_verdict(node, verdict)
-            if observer is not None:
-                observer.count("fullinfo.legality.miss")
-        elif observer is not None:
-            observer.count("fullinfo.legality.hit")
-        return node if verdict else REJECT
-
-    def _persisted_verdict(self, node: InternedArray) -> Optional[bool]:
-        """Cross-run legality verdict, or ``None`` to compute afresh.
-
-        A bool in the persistent cache under this gate's alphabet
-        fingerprint and the node's content digest was computed by the
-        same pure predicate in some earlier run; anything else (absent
-        entry, unstable node, poisoned value) falls through to
-        recomputation.
-        """
-        detail = self._persist_detail
-        if detail is None:
-            return None
-        cache = _persist.active()
-        if cache is None:
-            return None
-        digest = content_digest(node)
-        if digest is None:
-            return None
-        stored = cache.map_get(detail, digest.hex())
-        if not isinstance(stored, bool):
-            return None
-        self._verdicts[node.key_token] = stored
-        return stored
-
-    def _record_verdict(self, node: InternedArray, verdict: bool) -> None:
-        detail = self._persist_detail
-        if detail is None:
-            return
-        cache = _persist.active()
-        if cache is None:
-            return
-        digest = content_digest(node)
-        if digest is not None:
-            cache.map_put(detail, digest.hex(), verdict)
+        if not leaves_satisfy(node, self.policy, self.leaf_ok):
+            return REJECT
+        return node
 
 
 class IndexGate(ReceiveGate):
@@ -227,9 +226,7 @@ class IndexGate(ReceiveGate):
     def __init__(self, store: ArrayStore):
         n = store.n
         self._bind(
-            store,
-            lambda leaf: is_index_scalar(leaf, n),
-            f"fullinfo.legality;n={n};indices",
+            store, ("indices", n), lambda leaf: is_index_scalar(leaf, n)
         )
 
 

@@ -67,10 +67,10 @@ class CampaignSettings:
     corpus_dir: Optional[str] = None
     consistency_sample: int = 8
     # Round-engine backend every execution runs under ("lockstep",
-    # "async", "async:<max_delay>[:<salt>]"); None honours
-    # REPRO_SCHEDULER.  The scheduler's delay/reordering/round-skew
-    # axis rides on its own RNG substream, so the same settings fuzz
-    # the identical scenario list under every backend.
+    # "async", "async:<max_delay>[:<salt>]"); None is lockstep.  The
+    # scheduler's delay/reordering/round-skew axis rides on its own
+    # RNG substream, so the same settings fuzz the identical scenario
+    # list under every backend.
     scheduler: Optional[str] = None
 
 

@@ -17,9 +17,9 @@ tuple (incl. InternedArray)     ``{"t": [items...]}``
 list                            ``{"l": [items...]}``
 dict                            ``{"d": [[k, v], ...]}``
 frozenset / set                 ``{"fs"|"s": [items...]}`` (sorted)
-BOTTOM                          ``{"$": "bottom"}``
-NULL_MESSAGE                    ``{"$": "null-message"}``
-CRASHED                         ``{"$": "crashed"}``
+any ``repro.types.Sentinel``    ``{"$": TAG}`` — ``bottom``,
+                                ``null-message``, ``crashed``,
+                                ``sender-faulty``
 CompactPayload                  ``{"$": "compact-payload", ...}``
 ==============================  =======================================
 
@@ -28,15 +28,27 @@ pickles the same way, and both the protocols and the trace queries
 compare structurally, so equality is preserved.  Set members are
 ordered by their encoded JSON form, making the output canonical.
 
-Singleton and payload types live in protocol packages that import
+Sentinel and payload types live in protocol packages that import
 widely; they are imported lazily here to keep :mod:`repro.obs` free
 of import cycles.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 from typing import Any, Dict, List
+
+from repro.types import SENTINELS, Sentinel
+
+#: The modules that define a wire sentinel.  Encoding needs none of
+#: them — whoever holds a sentinel has imported its module — but a
+#: trace may be decoded before the protocol that wrote it is imported.
+_SENTINEL_MODULES = (
+    "repro.avalanche.coding",
+    "repro.compact.crash_variant",
+    "repro.agreement.crusader",
+)
 
 
 def encode_value(value: Any) -> Any:
@@ -62,9 +74,8 @@ def encode_value(value: Any) -> Any:
             key=lambda encoded: json.dumps(encoded, sort_keys=True),
         )
         return {"fs" if isinstance(value, frozenset) else "s": members}
-    tag = _singleton_tag(value)
-    if tag is not None:
-        return {"$": tag}
+    if isinstance(value, Sentinel):
+        return {"$": value.TAG}
     from repro.compact.payload import CompactPayload
 
     if isinstance(value, CompactPayload):
@@ -105,34 +116,8 @@ def decode_value(encoded: Any) -> Any:
     raise ValueError(f"malformed encoded value: {encoded!r}")
 
 
-def _singleton_tag(value: Any) -> Any:
-    from repro.avalanche.coding import NULL_MESSAGE
-    from repro.compact.crash_variant import CRASHED
-    from repro.types import BOTTOM
-
-    if value is BOTTOM:
-        return "bottom"
-    if value is NULL_MESSAGE:
-        return "null-message"
-    if value is CRASHED:
-        return "crashed"
-    return None
-
-
 def _decode_tagged(encoded: Dict[str, Any]) -> Any:
     tag = encoded["$"]
-    if tag == "bottom":
-        from repro.types import BOTTOM
-
-        return BOTTOM
-    if tag == "null-message":
-        from repro.avalanche.coding import NULL_MESSAGE
-
-        return NULL_MESSAGE
-    if tag == "crashed":
-        from repro.compact.crash_variant import CRASHED
-
-        return CRASHED
     if tag == "compact-payload":
         from repro.compact.payload import CompactPayload
 
@@ -140,7 +125,13 @@ def _decode_tagged(encoded: Dict[str, Any]) -> Any:
             main=decode_value(encoded["main"]),
             votes=decode_value(encoded["votes"]),
         )
-    raise ValueError(f"unknown value tag {tag!r}")
+    if tag not in SENTINELS:
+        for module in _SENTINEL_MODULES:
+            importlib.import_module(module)
+    sentinel = SENTINELS.get(tag)
+    if sentinel is None:
+        raise ValueError(f"unknown value tag {tag!r}")
+    return sentinel
 
 
 __all__: List[str] = ["decode_value", "encode_value"]

@@ -31,7 +31,6 @@ from repro.runtime.scheduler import (
     AsyncScheduler,
     LockstepScheduler,
     Scheduler,
-    SCHEDULER_ENV,
     resolve_scheduler,
 )
 from repro.runtime.engine import ExecutionResult, run_protocol
@@ -55,7 +54,6 @@ __all__ = [
     "Scheduler",
     "LockstepScheduler",
     "AsyncScheduler",
-    "SCHEDULER_ENV",
     "resolve_scheduler",
     "ExecutionResult",
     "run_protocol",

@@ -141,9 +141,8 @@ def run_protocol(
     scheduler:
         Round-engine backend: a :class:`~repro.runtime.scheduler.
         Scheduler` instance, a backend name (``"lockstep"``,
-        ``"async"``, ``"async:<max_delay>[:<salt>]"``), or ``None`` to
-        honour the ``REPRO_SCHEDULER`` environment variable (default
-        lockstep).  Communication-closed protocols produce the same
+        ``"async"``, ``"async:<max_delay>[:<salt>]"``), or ``None``
+        for lockstep.  Communication-closed protocols produce the same
         result under every backend; see docs/runtime.md.
     """
     adversary = adversary or PassiveAdversary()

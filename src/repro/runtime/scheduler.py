@@ -53,16 +53,14 @@ pickle-identical results across backends for every certified-canonical
 catalog protocol and every committed fuzz case, and demonstrates
 divergence on a deliberately non-closed fixture (the negative
 control).  The backend is selected per execution through
-``run_protocol(..., scheduler=...)``, per grid through
-``sweep(..., scheduler=...)``, or ambiently through the
-``REPRO_SCHEDULER`` environment variable (see docs/runtime.md).
+``run_protocol(..., scheduler=...)`` or per grid through
+``sweep(..., scheduler=...)`` (see docs/runtime.md).
 """
 
 from __future__ import annotations
 
 import abc
 import heapq
-import os
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 import repro.obs.core as _obs
@@ -75,9 +73,6 @@ from repro.types import ProcessId, Round, is_bottom
 
 if TYPE_CHECKING:
     from repro.runtime.network import SynchronousNetwork
-
-#: Environment variable selecting the ambient default backend.
-SCHEDULER_ENV = "REPRO_SCHEDULER"
 
 #: Default logical-delay bound for the async backend: small enough to
 #: keep event queues cheap, large enough that delivery and state-change
@@ -323,13 +318,11 @@ def resolve_scheduler(
     """Build the scheduler an execution should run under.
 
     ``spec`` may be a ready :class:`Scheduler` (returned as-is), a
-    backend name, or ``None`` — in which case the ``REPRO_SCHEDULER``
-    environment variable chooses, defaulting to ``lockstep``.  Accepted
+    backend name, or ``None`` for the ``lockstep`` default.  Accepted
     names:
 
-    - ``lockstep`` (aliases ``sync``, ``synchronous``) — the reference;
-    - ``async`` (alias ``asynchronous``) — the event-driven backend at
-      its default delay bound;
+    - ``lockstep`` — the reference;
+    - ``async`` — the event-driven backend at its default delay bound;
     - ``async:<max_delay>`` or ``async:<max_delay>:<salt>`` — the
       async backend with an explicit partial-synchrony bound and
       schedule salt (e.g. ``async:5:17``).
@@ -337,11 +330,11 @@ def resolve_scheduler(
     if isinstance(spec, Scheduler):
         return spec
     if spec is None:
-        spec = os.environ.get(SCHEDULER_ENV) or LockstepScheduler.name
-    name = str(spec).strip().lower()
-    if name in ("lockstep", "sync", "synchronous"):
         return LockstepScheduler()
-    if name in ("async", "asynchronous"):
+    name = str(spec).strip().lower()
+    if name == LockstepScheduler.name:
+        return LockstepScheduler()
+    if name == AsyncScheduler.name:
         return AsyncScheduler()
     if name.startswith("async:"):
         fields = name.split(":")[1:]
@@ -368,7 +361,6 @@ SCHEDULER_CHOICES = (LockstepScheduler.name, AsyncScheduler.name)
 __all__ = [
     "DEFAULT_MAX_DELAY",
     "SCHEDULER_CHOICES",
-    "SCHEDULER_ENV",
     "AsyncScheduler",
     "LockstepScheduler",
     "Scheduler",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, FrozenSet, Hashable, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Tuple
 
 from repro.errors import SystemConfigError
 
@@ -28,33 +28,51 @@ Round = int
 # dictionary keys, and compared for equality in vote tallies.
 Value = Hashable
 
+#: Trace-codec tag -> the sentinel it names.  A sentinel registers
+#: itself when the module that defines it creates it.
+SENTINELS: Dict[str, "Sentinel"] = {}
+
+
+class Sentinel:
+    """A unique named marker: one instance per subclass, compared by ``is``.
+
+    A subclass states its ``NAME`` (its repr) and its ``TAG`` (how
+    :mod:`repro.obs.codec` writes it: ``{"$": TAG}``).  Calling the
+    class again returns the one instance, so it pickles back to itself;
+    it is hashable, so it can appear inside message tuples.
+    """
+
+    NAME: str
+    TAG: str
+
+    def __new__(cls) -> "Sentinel":
+        instance = SENTINELS.get(cls.TAG)
+        if instance is None:
+            instance = SENTINELS[cls.TAG] = super().__new__(cls)
+        return instance
+
+    def __repr__(self) -> str:
+        return self.NAME
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # Pickle back to the singleton, preserving ``is`` identity.
+        return (type(self), ())
+
+
 # The paper's "bottom" (no value / undecided / no input).  ``None`` is
 # deliberately NOT used for this so that protocols may legitimately
 # carry ``None`` payloads without colliding with "absent".
-class _Bottom:
+class _Bottom(Sentinel):
     """The unique "no value" marker (the paper's bottom element).
 
-    A singleton: every module compares against :data:`BOTTOM` with
-    ``is``.  It is falsy, hashable and has a stable repr so it can
-    appear inside message tuples and test output.
+    Every module compares against :data:`BOTTOM` with ``is``.  Unlike
+    the other sentinels it is falsy.
     """
 
-    _instance = None
-
-    def __new__(cls) -> "_Bottom":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "BOTTOM"
+    NAME, TAG = "BOTTOM", "bottom"
 
     def __bool__(self) -> bool:
         return False
-
-    def __reduce__(self):
-        # Pickle back to the singleton, preserving ``is`` identity.
-        return (_Bottom, ())
 
 
 BOTTOM = _Bottom()

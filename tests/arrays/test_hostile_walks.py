@@ -25,19 +25,25 @@ from repro.arrays.encoding import (
 from repro.arrays.partial import substitutive_apply
 from repro.arrays.store import ArrayStore
 from repro.arrays.value_array import (
+    array_depth,
     array_leaves,
     count_leaves,
     fold_tree,
     is_defined_array,
     map_leaves,
     unique_leaves,
+    validate_array,
 )
 from repro.compact.authenticated_variant import auth_sizer
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.compact.crash_variant import CrashPayload, crash_sizer
 from repro.compact.payload import CompactPayload, compact_sizer
+from repro.core.automaton import AutomatonProcess
 from repro.errors import EncodingError, ProtocolViolation
-from repro.fullinfo.protocol import full_information_sizer
+from repro.fullinfo.protocol import (
+    FullInformationAutomaton,
+    full_information_sizer,
+)
 from repro.runtime.engine import run_protocol
 from repro.runtime.network import _default_sizer
 from repro.runtime.render import summarise_payload
@@ -152,6 +158,54 @@ def test_summarise_payload_reads_the_shape_only():
 
 def test_array_leaves_keeps_its_own_stack():
     assert timed(lambda x: list(array_leaves(x)), nested_tuple(1)) == [0]
+
+
+# -- the shape walks: the objects the sender built, not the tree --------------
+
+
+def automaton_depth_seen(payload):
+    """The depth ``FullInformationAutomaton.decision`` — no gate in front
+    of it — reads off a state built from three copies of ``payload``."""
+    config = SystemConfig(n=3, t=1)
+    depths = []
+
+    def rule(state, depth, process_id):
+        depths.append(depth)
+        return BOTTOM
+
+    process = AutomatonProcess(
+        1, config, 0, FullInformationAutomaton(config, [0, 1], rule)
+    )
+    process.receive(1, {p: payload for p in config.process_ids})
+    return depths[-1]
+
+
+# 3 ** 40 leaves standing on 40 tuple objects.
+SHAPE_WALKS = {
+    "array_depth": (lambda x: array_depth(x, 3), 40),
+    "validate_array": (lambda x: validate_array(x, 3), True),
+    "validate_array depth": (lambda x: validate_array(x, 3, depth=40), True),
+    "validate_array too deep": (lambda x: validate_array(x, 3, depth=39), False),
+    "validate_array leaves": (
+        lambda x: validate_array(x, 3, leaf_ok=lambda leaf: leaf == 0), True,
+    ),
+    "FullInformationAutomaton": (automaton_depth_seen, 41),
+}
+
+
+@pytest.mark.parametrize("name", SHAPE_WALKS)
+def test_shape_walks_cost_the_shared_objects_not_the_tree(name):
+    walker, expected = SHAPE_WALKS[name]
+    assert timed(walker, nested_tuple(3, 40)) == expected
+
+
+def test_a_shared_object_at_two_levels_is_ragged_not_deep():
+    # The identity memo answers for an object wherever it recurs, so a
+    # repeat at another level must still read as the ragged array it is.
+    pair = (0, 0, 0)
+    with pytest.raises(ProtocolViolation):
+        array_depth((pair, (pair, pair, pair), pair), 3)
+    assert array_depth(((pair,) * 3,) * 3, 3) == 3
 
 
 def self_containing():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.agreement.crusader import SENDER_FAULTY
 from repro.avalanche.coding import NULL_MESSAGE
 from repro.compact.crash_variant import CRASHED
 from repro.compact.payload import CompactPayload
@@ -44,9 +45,17 @@ class TestRoundTrips:
         # member order must not leak into the encoded form
         assert encode_value(frozenset({3, 1, 2})) == {"fs": [1, 2, 3]}
 
-    @pytest.mark.parametrize("singleton", [BOTTOM, NULL_MESSAGE, CRASHED])
+    @pytest.mark.parametrize(
+        "singleton", [BOTTOM, NULL_MESSAGE, CRASHED, SENDER_FAULTY]
+    )
     def test_singletons_decode_to_the_same_object(self, singleton):
         assert roundtrip(singleton) is singleton
+
+    def test_sentinel_tags_on_disk_are_pinned(self):
+        # TRACE_FORMAT_VERSION 1 files and the fuzz corpus carry these.
+        assert [
+            encode_value(sentinel) for sentinel in (BOTTOM, NULL_MESSAGE, CRASHED)
+        ] == [{"$": "bottom"}, {"$": "null-message"}, {"$": "crashed"}]
 
     def test_compact_payload(self):
         payload = CompactPayload(

@@ -33,7 +33,6 @@ from repro.runtime.engine import run_protocol
 from repro.runtime.node import Process, broadcast
 from repro.runtime.rng import derive_rng
 from repro.runtime.scheduler import (
-    SCHEDULER_ENV,
     AsyncScheduler,
     LockstepScheduler,
     resolve_scheduler,
@@ -246,7 +245,7 @@ def test_zero_delay_async_degenerates_to_lockstep_order():
 
 def test_resolve_scheduler_names():
     assert isinstance(resolve_scheduler("lockstep"), LockstepScheduler)
-    assert isinstance(resolve_scheduler("sync"), LockstepScheduler)
+    assert isinstance(resolve_scheduler(None), LockstepScheduler)
     backend = resolve_scheduler("async")
     assert isinstance(backend, AsyncScheduler)
     parsed = resolve_scheduler("async:5:17")
@@ -262,26 +261,6 @@ def test_resolve_scheduler_names():
 def test_resolve_scheduler_rejects_malformed_specs(bogus):
     with pytest.raises(ConfigurationError):
         resolve_scheduler(bogus)
-
-
-def test_resolve_scheduler_honours_environment(monkeypatch):
-    monkeypatch.setenv(SCHEDULER_ENV, "async:2:9")
-    backend = resolve_scheduler(None)
-    assert isinstance(backend, AsyncScheduler)
-    assert (backend.max_delay, backend.salt) == (2, 9)
-    monkeypatch.delenv(SCHEDULER_ENV)
-    assert isinstance(resolve_scheduler(None), LockstepScheduler)
-
-
-def test_environment_backend_is_equivalent_end_to_end(monkeypatch):
-    """REPRO_SCHEDULER=async (the CI leg) changes nothing observable."""
-    case = catalog_case("compact-ba", seed=2)
-    reference = replay_case(case, scheduler="lockstep")
-    monkeypatch.setenv(SCHEDULER_ENV, "async:3:5")
-    ambient = replay_case(case)
-    assert canonical_bytes(ambient.result) == canonical_bytes(
-        reference.result
-    )
 
 
 def test_scheduler_rejects_rebinding_to_a_second_network():

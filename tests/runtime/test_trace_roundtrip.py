@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.adversary import EquivocatingAdversary
+from repro.agreement.crusader import SENDER_FAULTY, crusader_factory
 from repro.avalanche.protocol import avalanche_factory
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.runtime.engine import run_protocol
@@ -44,6 +45,19 @@ class TestRoundTrips:
         path = assert_roundtrips(result.trace, tmp_path)
         header = json.loads(path.read_text().splitlines()[0])
         assert header == {"kind": "trace", "v": TRACE_FORMAT_VERSION}
+
+    def test_crusader_trace(self, config4, tmp_path):
+        # SENDER_FAULTY sits in the deciders' snapshots: the codec
+        # once hand-listed three of the five sentinels and raised here.
+        result = run_protocol(
+            crusader_factory(source=4), config4,
+            {p: 0 for p in config4.process_ids},
+            adversary=EquivocatingAdversary([4], 0, 1),
+            max_rounds=2, record_trace=True,
+        )
+        assert result.decisions == {1: 0, 2: 0, 3: SENDER_FAULTY}
+        path = assert_roundtrips(result.trace, tmp_path)
+        assert '{"$": "sender-faulty"}' in path.read_text()
 
     def test_reloaded_trace_serves_queries(self, config4, tmp_path):
         inputs = {p: p % 2 for p in config4.process_ids}
