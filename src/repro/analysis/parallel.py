@@ -62,7 +62,6 @@ from typing import (
 
 import repro.obs.core as _obs
 from repro.analysis.sweeps import AdversaryMaker, SweepOutcome
-from repro.arrays import persist as _persist
 from repro.obs.spans import now as _now
 from repro.core.predicates import CorrectnessPredicate
 from repro.runtime.engine import ExecutionResult, ProcessFactory, run_protocol
@@ -350,28 +349,20 @@ def _run_cell_chunk(
         )
     started = _now()
     counters: Dict[str, int] = {}
-    try:
-        if observed:
-            chunk_observer = _obs.Observer(spans=False)
-            _obs.activate(chunk_observer)
-            try:
-                blobs = [_encode(run_cell(context, cell)) for cell in cells]
-            finally:
-                _obs.deactivate()
-            counters = {
-                name: value
-                for name, value in chunk_observer.registry.counters().items()
-                if not name.endswith((".hit", ".miss"))
-            }
-        else:
+    if observed:
+        chunk_observer = _obs.Observer(spans=False)
+        _obs.activate(chunk_observer)
+        try:
             blobs = [_encode(run_cell(context, cell)) for cell in cells]
-    finally:
-        # Flush persistent-cache deltas on chunk exit: the worker
-        # inherited the parent's preloaded manifest at fork; its new
-        # nodes/verdicts land as content-addressed segments, so
-        # concurrent workers writing identical deltas collide
-        # harmlessly (see repro.arrays.persist).
-        _persist.flush_active()
+        finally:
+            _obs.deactivate()
+        counters = {
+            name: value
+            for name, value in chunk_observer.registry.counters().items()
+            if not name.endswith((".hit", ".miss"))
+        }
+    else:
+        blobs = [_encode(run_cell(context, cell)) for cell in cells]
     return blobs, os.getpid(), _now() - started, counters
 
 
@@ -458,14 +449,6 @@ def execute_cells(
             context, cells,
             "parallel sweep needs the 'fork' start method; running serially",
         )
-
-    cache = _persist.active()
-    if cache is not None:
-        # Preload the manifest (and every matching segment) once in
-        # the parent, pre-fork: every worker inherits the warmed
-        # stores and loaded verdict maps instead of re-reading the
-        # cache directory per process.
-        cache.preload_all()
 
     global _WORKER_CONTEXT, _WORKER_OBSERVED
     observer = _obs.ACTIVE

@@ -15,7 +15,6 @@ workers=N)`` fans the cells out over a process pool via
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -137,18 +136,14 @@ def sweep(
     protocols yield the same report under every backend
     (docs/runtime.md), for any worker count.
 
-    ``cache`` selects the persistent structural-sharing cache for the
-    duration of the sweep: a directory path enables it, ``False``
-    disables it even when ``REPRO_CACHE_DIR`` is set, and ``None``
-    (the default) leaves the ambient selection alone.  Either way the
-    sweep ends by releasing the shared-store registry
+    The sweep ends by releasing the shared-store registry
     (:func:`repro.arrays.store.release_shared_stores`): gauges are
-    recorded, cache deltas are flushed, and unrelated workloads start
-    from empty pools.  The cache never changes a report — cold, warm
-    and disabled runs are pickle-equal.
+    recorded and unrelated workloads start from empty pools.
+
+    ``cache`` is inert; deleted by the next `benchmark` PR (ROADMAP
+    item 1(a)).
     """
     from repro.analysis import parallel  # deferred: parallel imports us
-    from repro.arrays import persist as _persist
     from repro.arrays.store import release_shared_stores
 
     makers = list(adversary_makers)
@@ -164,22 +159,16 @@ def sweep(
         scheduler=scheduler,
     )
     cells = parallel.build_cells(input_patterns, fault_sets, makers, seeds)
-    scope = (
-        _persist.using_cache(cache)
-        if cache is not None
-        else contextlib.nullcontext()
-    )
-    with scope:
-        try:
-            if workers is None:
-                outcomes = [
-                    parallel.run_cell(context, cell, portable=False)
-                    for cell in cells
-                ]
-            else:
-                outcomes = parallel.execute_cells(context, cells, workers)
-        finally:
-            release_shared_stores()
+    try:
+        if workers is None:
+            outcomes = [
+                parallel.run_cell(context, cell, portable=False)
+                for cell in cells
+            ]
+        else:
+            outcomes = parallel.execute_cells(context, cells, workers)
+    finally:
+        release_shared_stores()
     return SweepReport(outcomes)
 
 

@@ -94,8 +94,8 @@ PURITY_EXEMPT = {
     ),
     "release_shared_stores": (
         "the one between-workload lifecycle helper: records the "
-        "registry gauges, flushes persistent-cache deltas, then drops "
-        "the registry — composing three observationally-pure steps; "
+        "registry gauges, then drops the registry — composing two "
+        "observationally-pure steps; "
         "what is memoised on a store (the EIG sweep's flat tables and "
         "the sizes, verdicts, EIG decision and expansion memos: pure "
         "functions of its canonical nodes) goes with it"
@@ -123,11 +123,6 @@ class InternedArray(Tuple[Any, ...]):
     # Index in the store's intern order: the flat kernel's row id.
     row: int
     _hash: int
-    # Stable structural digest, memoised lazily by
-    # repro.arrays.digest.content_digest (None = unstable leaves).
-    # key_token distinguishes typed structure within this process;
-    # the content digest is its cross-process twin.
-    _content_digest: Optional[bytes]
 
     def __hash__(self) -> int:
         # The standard tuple hash, cached: children are canonical
@@ -179,10 +174,6 @@ class ArrayStore:
         # repro.arrays.flat.tables_for (typed Any: flat imports this
         # module, not the other way around).
         self.flat_tables: Optional[Any] = None
-        # Cross-run persistence bookkeeping (watermark + digest index),
-        # attached lazily by repro.arrays.persist under the same
-        # one-way import rule as flat_tables.
-        self.persist_state: Optional[Any] = None
         # EIG decisions already resolved on this store's nodes, keyed
         # and filled by repro.fullinfo.decision (node key_token + typed
         # rule parameters).  Kept here so that it shares the store's
@@ -384,13 +375,6 @@ def shared_store(n: int) -> ArrayStore:
     if store is None:
         store = ArrayStore(n)
         _SHARED_STORES[n] = store
-        # Deferred import: persist imports this module.  A fresh
-        # shared store is warmed from the active persistent cache (a
-        # no-op when caching is off), so repeated subtrees are shared
-        # across *runs*, not just within one.
-        from repro.arrays import persist as _persist
-
-        _persist.warm_shared_store(store)
     return store
 
 
@@ -435,20 +419,15 @@ def shared_store_stats() -> Dict[str, int]:
 
 
 def release_shared_stores() -> None:
-    """End-of-workload registry release: observe, flush, clear.
+    """End-of-workload registry release: observe, then clear.
 
     The one helper every workload boundary goes through — the sweep
     runner (serial and pooled) and the fuzz campaign between
-    workload groups.  It records the
-    ``arrays.shared_store.*`` gauges, flushes any persistent-cache
-    deltas (:func:`repro.arrays.persist.flush_active`; a no-op when
-    caching is off) while the stores are still alive, and then drops
-    the registry so unrelated workloads start from empty pools.
+    workload groups.  It records the ``arrays.shared_store.*`` gauges
+    while the stores are still alive, and then drops the registry so
+    unrelated workloads start from empty pools.
     """
     observe_shared_stores()
-    from repro.arrays import persist as _persist
-
-    _persist.flush_active()
     clear_shared_stores()
 
 

@@ -9,8 +9,6 @@ Gives a downstream user the paper's artifacts without writing code:
 * ``tradeoff``  — the eps <-> k table,
 * ``crossover`` — the exponential-vs-polynomial growth figure,
 * ``avalanche`` — a standalone avalanche agreement demo,
-* ``cache``     — inspect the persistent structural-sharing cache of
-  :mod:`repro.arrays.persist` (stats, verify, gc; see docs/perf.md),
 * ``events``    — summarize / profile / validate a structured event
   log recorded via ``run-ba --events`` or ``fuzz --events``
   (see :mod:`repro.obs` and docs/observability.md),
@@ -141,48 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--adversary", choices=sorted(ADVERSARY_CHOICES), default="splitter"
     )
     avalanche.add_argument("--rounds", type=int, default=8)
-
-    cache = commands.add_parser(
-        "cache",
-        help="inspect the persistent structural-sharing cache "
-        "(see docs/perf.md)",
-    )
-    cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    for name, description in (
-        ("stats", "manifest summary: segments, entries, bytes, widths"),
-        ("verify", "re-hash segments and re-derive node digests"),
-        ("gc", "prune segments older than --keep-days"),
-    ):
-        sub = cache_sub.add_parser(name, help=description)
-        sub.add_argument(
-            "--cache-dir",
-            default=None,
-            metavar="DIR",
-            help="cache directory (default: the REPRO_CACHE_DIR "
-            "environment variable)",
-        )
-        sub.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default="text",
-            help="report format",
-        )
-        if name == "verify":
-            sub.add_argument(
-                "--sample",
-                type=int,
-                default=0,
-                help="re-derive digests for at most this many nodes "
-                "segments (0 = all)",
-            )
-        if name == "gc":
-            sub.add_argument(
-                "--keep-days",
-                type=float,
-                required=True,
-                help="prune segments whose mtime is older than this "
-                "many days",
-            )
 
     events = commands.add_parser(
         "events",
@@ -542,71 +498,6 @@ def _command_avalanche(args) -> str:
     return "\n".join(lines)
 
 
-def _command_cache(args):
-    import json
-    import pathlib
-
-    from repro.arrays import persist
-
-    raw = (
-        args.cache_dir
-        if args.cache_dir is not None
-        else os.environ.get(persist.CACHE_ENV)
-    )
-    if not raw:
-        return (
-            "error: no cache directory (pass --cache-dir or set "
-            f"{persist.CACHE_ENV})",
-            2,
-        )
-    root = pathlib.Path(raw)
-    if not root.is_dir():
-        return f"error: cache directory {root} does not exist", 2
-    cache = persist.store_for(root)
-
-    if args.cache_command == "stats":
-        stats = cache.stats()
-        if args.format == "json":
-            return json.dumps(stats, indent=2)
-        kinds = ", ".join(
-            f"{kind}={count}" for kind, count in sorted(stats["kinds"].items())
-        ) or "none"
-        return "\n".join([
-            f"cache {stats['path']}",
-            f"segments: {stats['segments']} ({kinds})",
-            f"entries: {stats['entries']}",
-            f"bytes: {stats['bytes']}",
-            f"widths: {stats['widths']}",
-            f"fingerprints: {stats['fingerprints']}",
-        ])
-
-    if args.cache_command == "verify":
-        verdict = cache.verify(sample=args.sample)
-        code = 0 if verdict["ok"] else 1
-        if args.format == "json":
-            return json.dumps(verdict, indent=2), code
-        lines = [
-            f"segments checked: {verdict['segments']}",
-            f"nodes segments re-digested: {verdict['redigested']}",
-        ]
-        for problem in verdict["corrupt"]:
-            lines.append(
-                f"CORRUPT {problem['segment']}: {problem['error']}"
-            )
-        lines.append("ok" if verdict["ok"] else "corruption detected")
-        return "\n".join(lines), code
-
-    import time
-
-    outcome = cache.gc(keep_days=args.keep_days, now=time.time())
-    if args.format == "json":
-        return json.dumps(outcome, indent=2)
-    return (
-        f"kept {outcome['kept']} segment(s), removed {outcome['removed']}, "
-        f"freed {outcome['bytes_freed']} bytes"
-    )
-
-
 def _command_events(args):
     import json
 
@@ -897,7 +788,6 @@ _HANDLERS = {
     "tradeoff": _command_tradeoff,
     "crossover": _command_crossover,
     "avalanche": _command_avalanche,
-    "cache": _command_cache,
     "events": _command_events,
     "status": _command_status,
     "lint": _command_lint,

@@ -44,38 +44,15 @@ O(distinct leaves) and only ``FULL_STATE`` pays for an expansion.
 
 from __future__ import annotations
 
-import hashlib
 from collections import defaultdict
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import repro.obs.core as _obs
-from repro.arrays import persist as _persist
-from repro.arrays.digest import (
-    DIGEST_BYTES,
-    content_digest,
-    value_digest,
-    values_fingerprint,
-)
 from repro.arrays.store import ArrayStore, InternedArray, TypedLeaf
 from repro.arrays.value_array import is_index_scalar
 from repro.errors import ProtocolViolation
 from repro.fullinfo.protocol import leaves_satisfy
 from repro.types import BOTTOM, ProcessId, SystemConfig, Value, is_bottom
-
-#: Protoflow taint: the persistent-cache fast path replays *recorded
-#: results*, never raw bytes.  An entry resolves only through the
-#: content digest of a result that a fully legality-filtered expansion
-#: produced in an earlier run — anything else decodes to ``None`` and
-#: falls back to the inline filter.  (``phi_1`` persists nothing of its
-#: own: its domain test is the receive gate's legality verdict,
-#: :func:`repro.fullinfo.protocol.leaves_satisfy`.)
-TAINT_SANITIZERS = {
-    "_restore_expansion": (
-        "persistent-cache gate: returns a node only as the "
-        "digest-resolved result of a prior expansion, else None "
-        "(= recompute through the inline legality filter)"
-    ),
-}
 
 
 class BindingExpansion:
@@ -226,17 +203,6 @@ class ExpansionState(BindingExpansion):
         self._images: Dict[int, Dict[TypedLeaf, Tuple[Any, Any]]] = (
             defaultdict(dict)
         )
-        # Cross-run persistence keys.  phi_b for b > 1 is a function
-        # of the alphabet and of the OUT tables it chains through, so
-        # its cache entries carry a fingerprint over every decided
-        # (boundary' <= b) slot — equal tables, reached in any order,
-        # share entries; unequal tables can never collide.  None
-        # alphabet fingerprint means unstable members: persistence
-        # stays out of the way.
-        self._alpha_fp: Optional[str] = values_fingerprint(self._alphabet)
-        # (boundary, table size) -> fingerprint: the table only grows,
-        # so its size is its version.
-        self._out_fp_cache: Dict[Tuple[int, int], Optional[str]] = {}
 
     def out_table(self, boundary: int) -> Dict[ProcessId, Any]:
         """All decided slots of one boundary (a snapshot)."""
@@ -337,8 +303,7 @@ class ExpansionState(BindingExpansion):
         the images of the node's own distinct leaves — everything the
         result depends on — so processors whose OUT tables agree share
         one build.  Only defined results get here, so nothing
-        undefined is ever memoised, in memory or in the persistent
-        cache behind it.
+        undefined is ever memoised.
         """
         store = node.store
         images = self._images[boundary]
@@ -352,82 +317,12 @@ class ExpansionState(BindingExpansion):
             if observer is not None:
                 observer.count("compact.expansion.hit")
             return result
-        cache = _persist.active()
-        persist_key = (
-            None if cache is None else self._persist_key(boundary, node)
-        )
-        if persist_key is not None:
-            stored = cache.map_get(persist_key[0], persist_key[1])
-            result = self._restore_expansion(cache, stored)
-        if result is None:
-            result = store.intern(tuple(
-                self._substitute(boundary, component)
-                if type(component) is InternedArray
-                else images[(component.__class__, component)][0]
-                for component in node
-            ))
-            if observer is not None:
-                observer.count("compact.expansion.miss")
-            if persist_key is not None:
-                digest_hex = cache.register_node(store, result)
-                if digest_hex is not None:
-                    cache.map_put(persist_key[0], persist_key[1], digest_hex)
-        store.expansions[key] = result
+        result = store.expansions[key] = store.intern(tuple(
+            self._substitute(boundary, component)
+            if type(component) is InternedArray
+            else images[(component.__class__, component)][0]
+            for component in node
+        ))
+        if observer is not None:
+            observer.count("compact.expansion.miss")
         return result
-
-    def _out_fingerprint(self, boundary: int) -> Optional[str]:
-        """Hex fingerprint of every decided OUT slot phi_b can reach.
-
-        Order-insensitive over slots (sorted), covering boundaries
-        ``2..boundary`` — exactly the entries a boundary-``boundary``
-        expansion chains through.  ``None`` (poisoned) when any
-        reachable slot holds an undigestable value.
-        """
-        version = (boundary, len(self._bindings))
-        cached = self._out_fp_cache.get(version)
-        if cached is not None or version in self._out_fp_cache:
-            return cached
-        hasher = hashlib.blake2b(digest_size=DIGEST_BYTES)
-        fingerprint: Optional[str]
-        for slot in sorted(s for s in self._bindings if 2 <= s[0] <= boundary):
-            digest = value_digest(self._bindings[slot])
-            if digest is None:
-                fingerprint = None
-                break
-            hasher.update(f"{slot[0]}.{slot[1]}.".encode("ascii"))
-            hasher.update(digest)
-        else:
-            fingerprint = hasher.hexdigest()
-        self._out_fp_cache[version] = fingerprint
-        return fingerprint
-
-    def _persist_key(
-        self, boundary: int, node: InternedArray
-    ) -> Optional[Tuple[str, str]]:
-        """(fingerprint detail, key) for a persistable ``phi_b``, ``b > 1``."""
-        if self._alpha_fp is None:
-            return None
-        digest = content_digest(node)
-        if digest is None:
-            return None
-        out_fp = self._out_fingerprint(boundary)
-        if out_fp is None:
-            return None
-        detail = (
-            f"compact.expansion;n={self.config.n};"
-            f"alpha={self._alpha_fp};b={boundary};out={out_fp}"
-        )
-        return detail, digest.hex()
-
-    def _restore_expansion(
-        self, cache: "_persist.PersistentStore", stored: Any
-    ) -> Optional[Any]:
-        """Decode a persisted ``phi_b`` (``b > 1``) entry; ``None`` = miss.
-
-        Entries are the content-digest hex of the result node,
-        resolvable only if the cache has the live node — otherwise
-        recomputing is cheaper than trusting a dangling ref.
-        """
-        if isinstance(stored, str) and self._store is not None:
-            return cache.node_for(self._store, stored)
-        return None

@@ -47,14 +47,6 @@ import numpy as np
 
 import repro.obs.core as _obs
 from repro.arrays import flat as _flat
-from repro.arrays import persist as _persist
-from repro.arrays.digest import (
-    content_digest,
-    decode_value,
-    encode_value,
-    value_digest,
-    values_fingerprint,
-)
 from repro.arrays.store import InternedArray
 from repro.arrays.value_array import array_depth, unique_leaves
 from repro.core.automaton import AutomatonProtocol
@@ -123,7 +115,6 @@ class DerivedDecisionRule:
         self,
         protocol: AutomatonProtocol,
         horizon: Optional[int] = None,
-        persist_key: Optional[str] = None,
     ):
         self.protocol = protocol
         self.horizon = (
@@ -135,49 +126,14 @@ class DerivedDecisionRule:
         # pays for the top layer.  Sound because ``f_p`` is a pure
         # function of (process, sub-array) for a fixed protocol.
         self._memo: Dict[Tuple[ProcessId, Any], Any] = {}
-        # Cross-run decision memo, opt-in: ``gamma_p(f_p(s))`` is a
-        # pure function of (protocol, process, typed structure), but a
-        # protocol has no intrinsic stable identity — the caller must
-        # assert one.  Passing ``persist_key`` declares that every run
-        # using this key builds an equivalent protocol, which makes a
-        # decision keyed (key, n, process, content digest) valid in the
-        # persistent cache.
-        self.persist_key = persist_key
-        self._persist_detail: Optional[str] = (
-            None
-            if persist_key is None
-            else (
-                f"derived.decision;key={persist_key};"
-                f"n={protocol.config.n}"
-            )
-        )
 
     def __call__(self, state: Any, simulated_round: int, process_id: ProcessId) -> Value:
         if self.horizon is not None and simulated_round < self.horizon:
             return BOTTOM
-        detail = self._persist_detail
-        cache = _persist.active() if detail is not None else None
-        cache_key: Optional[str] = None
-        if cache is not None and type(state) is InternedArray:
-            digest = content_digest(state)
-            if digest is not None:
-                cache_key = f"{digest.hex()}:{process_id}"
-                assert detail is not None  # cache implies detail
-                stored = cache.map_get(detail, cache_key)
-                if stored is not _persist.MISSING:
-                    try:
-                        return decode_value(stored)
-                    except (ValueError, LookupError, TypeError):
-                        pass  # poisoned entry: recompute
         reconstructed = reconstruct_state(
             self.protocol, process_id, state, self._memo
         )
-        value = self.protocol.decision(process_id, reconstructed)
-        if cache is not None and cache_key is not None and detail is not None:
-            encoded = encode_value(value)
-            if encoded is not None:
-                cache.map_put(detail, cache_key, encoded)
-        return value
+        return self.protocol.decision(process_id, reconstructed)
 
 
 def eig_byzantine_decision(
@@ -201,11 +157,10 @@ def eig_byzantine_decision(
         When given, leaves outside it are replaced by ``default``
         before resolution (defence against garbage leaves).
 
-    Three layers, outermost first: the store's in-memory memo
-    (:func:`_eig_memo_key`; ``eig.decision.hit`` / ``.miss``), the
-    cross-run cache when one is active, and the resolution itself
-    (``eig.kernel.flat`` / ``.fallback`` therefore count memo misses,
-    not calls).
+    Two layers, outermost first: the store's in-memory memo
+    (:func:`_eig_memo_key`; ``eig.decision.hit`` / ``.miss``) and the
+    resolution itself (``eig.kernel.flat`` / ``.fallback`` therefore
+    count memo misses, not calls).
     """
     with _obs.span("eig.decision"):
         # The resolution is a pure function of (typed structure, n, t,
@@ -214,7 +169,7 @@ def eig_byzantine_decision(
         # processor resolves a node first resolves it for all of them.
         memo_key = _eig_memo_key(state, n, t, default, alphabet)
         if memo_key is None:
-            return _persisted_eig_decision(
+            return _resolve_eig_decision(
                 state, n, t, process_id, default, alphabet
             )
         memo = state.store.eig_decisions
@@ -228,7 +183,7 @@ def eig_byzantine_decision(
             observer.count("eig.decision.miss")
         # Written only once the resolution has succeeded: a state of
         # the wrong depth raises on every call, memo or no memo.
-        value = memo[memo_key] = _persisted_eig_decision(
+        value = memo[memo_key] = _resolve_eig_decision(
             state, n, t, process_id, default, alphabet
         )
         return value
@@ -267,73 +222,6 @@ def _eig_memo_key(
     except TypeError:
         return None
     return key
-
-
-def _persisted_eig_decision(
-    state: Any,
-    n: int,
-    t: int,
-    process_id: ProcessId,
-    default: Value,
-    alphabet: Optional[Sequence[Value]],
-) -> Value:
-    """The decision through the cross-run cache, when one is active.
-
-    A content-digested outcome from an earlier run is the outcome, for
-    the same reason an in-memory one is.
-    """
-    cache = _persist.active()
-    key: Optional[Tuple[str, str]] = None
-    if cache is not None and type(state) is InternedArray:
-        key = _eig_persist_key(state, n, t, default, alphabet)
-        if key is not None:
-            stored = cache.map_get(key[0], key[1])
-            if stored is not _persist.MISSING:
-                try:
-                    return decode_value(stored)
-                except (ValueError, LookupError, TypeError):
-                    pass  # poisoned entry: recompute
-    value = _resolve_eig_decision(state, n, t, process_id, default, alphabet)
-    if cache is not None and key is not None:
-        encoded = encode_value(value)
-        if encoded is not None:
-            cache.map_put(key[0], key[1], encoded)
-    return value
-
-
-def _eig_persist_key(
-    state: InternedArray,
-    n: int,
-    t: int,
-    default: Value,
-    alphabet: Optional[Sequence[Value]],
-) -> Optional[Tuple[str, str]]:
-    """(fingerprint detail, key) for a persistable EIG decision.
-
-    ``None`` whenever any parameter is unstable under content
-    digesting — the cache then never sees the call.  A hit can only be
-    served for a state whose recorded resolution succeeded, so the
-    depth-validation error path is preserved bit-for-bit (equal
-    digests imply equal depth).
-    """
-    state_digest = content_digest(state)
-    if state_digest is None:
-        return None
-    default_digest = value_digest(default)
-    if default_digest is None:
-        return None
-    if alphabet is None:
-        alpha_part = "-"
-    else:
-        alpha_fp = values_fingerprint(alphabet)
-        if alpha_fp is None:
-            return None
-        alpha_part = alpha_fp
-    detail = (
-        f"eig.decision;n={n};t={t};"
-        f"default={default_digest.hex()};alpha={alpha_part}"
-    )
-    return detail, state_digest.hex()
 
 
 def _normaliser(

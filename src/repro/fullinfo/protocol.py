@@ -31,8 +31,6 @@ from typing import (
 )
 
 import repro.obs.core as _obs
-from repro.arrays import persist as _persist
-from repro.arrays.digest import content_digest, values_fingerprint
 from repro.arrays.encoding import MessageSizer
 from repro.arrays.store import ArrayStore, InternedArray, shared_store
 from repro.arrays.value_array import is_index_scalar
@@ -88,32 +86,6 @@ def _alphabet_predicate(alphabet: FrozenSet[Value]) -> Callable[[Any], bool]:
     return leaf_ok
 
 
-def _verdict_slot(
-    node: InternedArray, policy: Tuple[str, Any]
-) -> Optional[Tuple["_persist.PersistentStore", str, str]]:
-    """Where the persistent cache keeps a verdict: ``(cache, detail, key)``.
-
-    Legality is a pure function of (typed structure, n, predicate), so
-    a verdict keyed by the node's content digest under the predicate's
-    fingerprint is valid across processes and runs.  ``None`` when
-    caching is off or the alphabet or the node has unstable members
-    (caching then simply stays out of the way).
-    """
-    cache = _persist.active()
-    if cache is None:
-        return None
-    kind, legal = policy
-    if kind == "alphabet":
-        fingerprint = values_fingerprint(legal)
-        if fingerprint is None:
-            return None
-        kind = f"alpha={fingerprint}"
-    digest = content_digest(node)
-    if digest is None:
-        return None
-    return cache, f"fullinfo.legality;n={node.store.n};{kind}", digest.hex()
-
-
 def leaves_satisfy(
     node: InternedArray,
     policy: Tuple[str, Any],
@@ -136,16 +108,10 @@ def leaves_satisfy(
     verdict = verdicts.get(key)
     counter = "fullinfo.legality.hit"
     if verdict is None:
-        slot = _verdict_slot(node, policy)
-        stored = None if slot is None else slot[0].map_get(slot[1], slot[2])
-        if isinstance(stored, bool):  # anything else: recompute
-            verdict = stored
-        else:
-            verdict = all(leaf_ok(leaf) for _, leaf in node.leaves_unique)
-            counter = "fullinfo.legality.miss"
-            if slot is not None:
-                slot[0].map_put(slot[1], slot[2], verdict)
-        verdicts[key] = verdict
+        verdict = verdicts[key] = all(
+            leaf_ok(leaf) for _, leaf in node.leaves_unique
+        )
+        counter = "fullinfo.legality.miss"
     observer = _obs.ACTIVE
     if observer is not None:
         observer.count(counter)

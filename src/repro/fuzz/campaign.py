@@ -359,9 +359,8 @@ def run_campaign(settings: CampaignSettings) -> CampaignReport:
                 ))
             # Each group's interned state is unrelated to the next
             # group's, so release the shared stores between them
-            # (gauges recorded, persistent-cache deltas flushed)
-            # instead of letting the process-wide registry grow for
-            # the whole campaign.
+            # (gauges recorded) instead of letting the process-wide
+            # registry grow for the whole campaign.
             release_shared_stores()
 
         if settings.shrink and failing_cases:

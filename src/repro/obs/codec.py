@@ -39,6 +39,7 @@ import importlib
 import json
 from typing import Any, Dict, List
 
+from repro.arrays.store import MAX_DEPTH
 from repro.types import SENTINELS, Sentinel
 
 #: The modules that define a wire sentinel.  Encoding needs none of
@@ -52,25 +53,42 @@ _SENTINEL_MODULES = (
 
 
 def encode_value(value: Any) -> Any:
-    """Encode one protocol value as tagged JSON."""
+    """Encode one protocol value as tagged JSON.
+
+    Raises :class:`TypeError` for a value of an unknown type, and for
+    one nested more than :data:`~repro.arrays.store.MAX_DEPTH` levels
+    deep — deeper than any honest array, and what a faulty sender
+    would otherwise use to run the encoder into the interpreter's
+    recursion limit.
+    """
+    return _encode(value, MAX_DEPTH)
+
+
+def _encode(value: Any, budget: int) -> Any:
+    """:func:`encode_value` ``MAX_DEPTH - budget`` levels down."""
+    if budget < 0:
+        raise TypeError(
+            f"cannot encode a value nested more than {MAX_DEPTH} levels deep"
+        )
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
         return {"f": repr(value)}
+    budget -= 1
     if isinstance(value, tuple):
-        return {"t": [encode_value(item) for item in value]}
+        return {"t": [_encode(item, budget) for item in value]}
     if isinstance(value, list):
-        return {"l": [encode_value(item) for item in value]}
+        return {"l": [_encode(item, budget) for item in value]}
     if isinstance(value, dict):
         return {
             "d": [
-                [encode_value(key), encode_value(item)]
+                [_encode(key, budget), _encode(item, budget)]
                 for key, item in value.items()
             ]
         }
     if isinstance(value, (frozenset, set)):
         members = sorted(
-            (encode_value(item) for item in value),
+            (_encode(item, budget) for item in value),
             key=lambda encoded: json.dumps(encoded, sort_keys=True),
         )
         return {"fs" if isinstance(value, frozenset) else "s": members}
@@ -81,8 +99,8 @@ def encode_value(value: Any) -> Any:
     if isinstance(value, CompactPayload):
         return {
             "$": "compact-payload",
-            "main": encode_value(value.main),
-            "votes": encode_value(value.votes),
+            "main": _encode(value.main, budget),
+            "votes": _encode(value.votes, budget),
         }
     raise TypeError(
         f"cannot encode {type(value).__name__} value {value!r} — "
@@ -91,39 +109,53 @@ def encode_value(value: Any) -> Any:
 
 
 def decode_value(encoded: Any) -> Any:
-    """Invert :func:`encode_value`."""
+    """Invert :func:`encode_value`.
+
+    Raises :class:`ValueError` for an unknown tag or shape, and for
+    nesting deeper than :func:`encode_value` writes.
+    """
+    return _decode(encoded, MAX_DEPTH)
+
+
+def _decode(encoded: Any, budget: int) -> Any:
+    """:func:`decode_value` ``MAX_DEPTH - budget`` levels down."""
+    if budget < 0:
+        raise ValueError(
+            f"encoded value nested more than {MAX_DEPTH} levels deep"
+        )
     if encoded is None or isinstance(encoded, (bool, int, str)):
         return encoded
     if not isinstance(encoded, dict) or len(encoded) < 1:
         raise ValueError(f"malformed encoded value: {encoded!r}")
     if "f" in encoded:
         return float(encoded["f"])
+    budget -= 1
     if "t" in encoded:
-        return tuple(decode_value(item) for item in encoded["t"])
+        return tuple(_decode(item, budget) for item in encoded["t"])
     if "l" in encoded:
-        return [decode_value(item) for item in encoded["l"]]
+        return [_decode(item, budget) for item in encoded["l"]]
     if "d" in encoded:
         return {
-            decode_value(key): decode_value(item)
+            _decode(key, budget): _decode(item, budget)
             for key, item in encoded["d"]
         }
     if "fs" in encoded:
-        return frozenset(decode_value(item) for item in encoded["fs"])
+        return frozenset(_decode(item, budget) for item in encoded["fs"])
     if "s" in encoded:
-        return {decode_value(item) for item in encoded["s"]}
+        return {_decode(item, budget) for item in encoded["s"]}
     if "$" in encoded:
-        return _decode_tagged(encoded)
+        return _decode_tagged(encoded, budget)
     raise ValueError(f"malformed encoded value: {encoded!r}")
 
 
-def _decode_tagged(encoded: Dict[str, Any]) -> Any:
+def _decode_tagged(encoded: Dict[str, Any], budget: int) -> Any:
     tag = encoded["$"]
     if tag == "compact-payload":
         from repro.compact.payload import CompactPayload
 
         return CompactPayload(
-            main=decode_value(encoded["main"]),
-            votes=decode_value(encoded["votes"]),
+            main=_decode(encoded["main"], budget),
+            votes=_decode(encoded["votes"], budget),
         )
     if tag not in SENTINELS:
         for module in _SENTINEL_MODULES:

@@ -5,7 +5,7 @@ records — counter deltas per finished chunk / protocol —
 through its event log (:meth:`repro.obs.core.Observer.emit_rollup`).
 This module reconstructs the state of such a run **from the artifact
 alone**: progress against the announced plan, per-worker throughput,
-cache hit rates (including ``persist.*``), and the top spans.  It
+cache hit rates, and the top spans.  It
 works equally on a finished log (which ends with the authoritative
 ``counters`` dump) and on the torn log of a killed run (deltas are
 summed; the final partial line is skipped and counted).

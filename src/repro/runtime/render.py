@@ -32,7 +32,10 @@ def _describe(payload: Any) -> str:
     side = _SIDE_FIELD.get(type(payload).__name__)
     if side is None:
         return _describe_plain(payload)
-    count = len(getattr(payload, side))
+    # A faulty sender may put anything in the field: only a tuple is
+    # counted, anything else reads ``?``.
+    field = getattr(payload, side)
+    count = len(field) if isinstance(field, tuple) else "?"
     return f"core:{_describe_plain(payload.main)} {side}:{count}"
 
 

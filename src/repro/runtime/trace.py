@@ -13,6 +13,7 @@ full-information protocols is exponential) and are enabled per run via
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 from typing import Any, Dict, List, Union
 
@@ -89,40 +90,55 @@ class ExecutionTrace:
         re-checked by the simulation checker offline.  One header line
         carries the format version; then one record per envelope in
         delivery order, then one per snapshot in recording order.
+
+        The file is written under a temporary name and renamed into
+        place only once every record is encoded, so a value the codec
+        refuses (a :class:`TypeError`) leaves no file at ``path``.
         """
         from repro.obs.codec import encode_value
 
         target = pathlib.Path(path)
         target.parent.mkdir(parents=True, exist_ok=True)
-        with open(target, "w") as handle:
-            header = {"kind": "trace", "v": TRACE_FORMAT_VERSION}
-            handle.write(json.dumps(header) + "\n")
-            for envelope in self._envelopes:
-                record: Dict[str, Any] = {
-                    "kind": "envelope",
-                    "sender": envelope.sender,
-                    "receiver": envelope.receiver,
-                    "round": envelope.round_number,
-                    "payload": encode_value(envelope.payload),
-                }
-                handle.write(json.dumps(record) + "\n")
-            for round_number in sorted(self._snapshots):
-                for process_id, state in self._snapshots[
-                    round_number
-                ].items():
-                    record = {
-                        "kind": "snapshot",
-                        "round": round_number,
-                        "process": process_id,
-                        "state": encode_value(state),
+        partial = target.with_name(target.name + ".partial")
+        try:
+            with open(partial, "w") as handle:
+                header = {"kind": "trace", "v": TRACE_FORMAT_VERSION}
+                handle.write(json.dumps(header) + "\n")
+                for envelope in self._envelopes:
+                    record: Dict[str, Any] = {
+                        "kind": "envelope",
+                        "sender": envelope.sender,
+                        "receiver": envelope.receiver,
+                        "round": envelope.round_number,
+                        "payload": encode_value(envelope.payload),
                     }
                     handle.write(json.dumps(record) + "\n")
+                for round_number in sorted(self._snapshots):
+                    for process_id, state in self._snapshots[
+                        round_number
+                    ].items():
+                        record = {
+                            "kind": "snapshot",
+                            "round": round_number,
+                            "process": process_id,
+                            "state": encode_value(state),
+                        }
+                        handle.write(json.dumps(record) + "\n")
+            os.replace(partial, target)
+        finally:
+            partial.unlink(missing_ok=True)
 
     @classmethod
     def from_jsonl(
         cls, path: Union[str, pathlib.Path]
     ) -> "ExecutionTrace":
-        """Reload a trace written by :meth:`to_jsonl`."""
+        """Reload a trace written by :meth:`to_jsonl`.
+
+        Raises :class:`ValueError` for a file :meth:`to_jsonl` did not
+        write: empty, a foreign header, or a line that is not JSON, is
+        nested too deep, or holds a record or value the codec does not
+        know.
+        """
         from repro.obs.codec import decode_value
 
         trace = cls()
@@ -130,7 +146,7 @@ class ExecutionTrace:
             lines = [line for line in handle if line.strip()]
         if not lines:
             raise ValueError(f"{path}: empty trace file")
-        header = json.loads(lines[0])
+        header = _load_line(path, 1, lines[0])
         if not (
             isinstance(header, dict)
             and header.get("kind") == "trace"
@@ -139,24 +155,38 @@ class ExecutionTrace:
             raise ValueError(
                 f"{path}: not a version-{TRACE_FORMAT_VERSION} trace file"
             )
-        for line in lines[1:]:
-            record = json.loads(line)
-            kind = record.get("kind")
-            if kind == "envelope":
-                trace.record_envelope(
-                    Envelope(
-                        record["sender"],
-                        record["receiver"],
-                        record["round"],
-                        decode_value(record["payload"]),
-                    )
-                )
-            elif kind == "snapshot":
-                trace.record_snapshot(
-                    record["round"],
-                    record["process"],
-                    decode_value(record["state"]),
-                )
-            else:
+        for number, line in enumerate(lines[1:], start=2):
+            record = _load_line(path, number, line)
+            kind = record.get("kind") if isinstance(record, dict) else None
+            if kind not in ("envelope", "snapshot"):
                 raise ValueError(f"{path}: unknown trace record {kind!r}")
+            try:
+                if kind == "envelope":
+                    trace.record_envelope(
+                        Envelope(
+                            record["sender"],
+                            record["receiver"],
+                            record["round"],
+                            decode_value(record["payload"]),
+                        )
+                    )
+                else:
+                    trace.record_snapshot(
+                        record["round"],
+                        record["process"],
+                        decode_value(record["state"]),
+                    )
+            except (ValueError, TypeError, KeyError) as error:
+                raise ValueError(f"{path}: line {number}: {error}") from None
         return trace
+
+
+def _load_line(path: Union[str, pathlib.Path], number: int, line: str) -> Any:
+    """One line's JSON; :class:`ValueError` if it is not (deep nesting
+    makes the parser raise :class:`RecursionError`, reported the same)."""
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as error:
+        raise ValueError(
+            f"{path}: line {number} is not JSON ({type(error).__name__})"
+        ) from None

@@ -49,8 +49,8 @@ PROTOCOL_PACKAGES = (
 #: exempted in-module via a justified ``PURITY_EXEMPT`` declaration
 #: rather than ad-hoc markers.
 WORKER_MODULES = (
-    "analysis/parallel.py", "arrays/flat.py", "arrays/persist.py",
-    "arrays/store.py", "fuzz/campaign.py", "obs/core.py",
+    "analysis/parallel.py", "arrays/flat.py", "arrays/store.py",
+    "fuzz/campaign.py", "obs/core.py",
 )
 
 #: The one sanctioned wall-clock module.  Timing spans are explicitly

@@ -12,11 +12,14 @@ from hypothesis import given, settings, strategies as st
 from repro.arrays.encoding import HEADER_BITS, MessageSizer
 from repro.arrays.store import (
     ArrayStore,
+    clear_shared_stores,
     release_shared_stores,
     shared_store,
+    shared_store_stats,
 )
 from repro.arrays.value_array import fold_tree, is_index_scalar
 from repro.fullinfo.protocol import IndexGate, ReceiveGate, leaves_satisfy
+from repro.obs.core import Observer, observing
 from repro.types import BOTTOM
 
 from tests.arrays.test_store import plain_arrays
@@ -148,3 +151,23 @@ def test_release_drops_both_memos_with_the_store():
     assert fresh is not store
     assert not fresh.sizes and not fresh.verdicts
     release_shared_stores()
+
+
+def test_release_records_gauges_and_resets():
+    clear_shared_stores()
+    observer = Observer()
+    with observing(observer, close=False):
+        shared_store(4).intern(((0, 1, 1, 0),) * 4)
+        assert shared_store_stats()["nodes"] > 0
+        release_shared_stores()
+    gauges = observer.registry.gauges()
+    assert gauges["arrays.shared_store.nodes"] > 0
+    assert gauges["arrays.shared_store.stores"] == 1
+    assert shared_store_stats()["nodes"] == 0
+    assert shared_store_stats()["stores"] == 0
+
+
+def test_release_without_an_observer_still_clears():
+    shared_store(4).intern(((1, 0, 0, 1),) * 4)
+    release_shared_stores()
+    assert shared_store_stats()["nodes"] == 0

@@ -112,7 +112,6 @@ def run_grid(grid, scheduler):
         is_null=payload_is_null,
         workers=1,
         scheduler=scheduler,
-        cache=False,
     )
 
 
@@ -133,7 +132,6 @@ def run_variant_grid(factory, config, values, makers, sizer, scheduler):
         sizer=sizer,
         workers=1,
         scheduler=scheduler,
-        cache=False,
     )
 
 

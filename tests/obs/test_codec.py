@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.agreement.crusader import SENDER_FAULTY
+from repro.arrays.store import MAX_DEPTH
 from repro.avalanche.coding import NULL_MESSAGE
 from repro.compact.crash_variant import CRASHED
 from repro.compact.payload import CompactPayload
@@ -84,3 +85,22 @@ class TestErrors:
     def test_malformed_encoding_raises(self):
         with pytest.raises(ValueError, match="malformed"):
             decode_value({"zz": 1})
+
+    @pytest.mark.parametrize("leaf", [0, BOTTOM, 1.5])
+    def test_nesting_past_max_depth_raises(self, leaf):
+        # MAX_DEPTH levels round-trip whatever the leaf; one more is a
+        # TypeError to encode and a ValueError to decode, never a
+        # RecursionError however deep the value goes.
+        value = leaf
+        for _ in range(MAX_DEPTH):
+            value = (value,)
+        assert roundtrip(value) == value
+        deeper = CompactPayload(main=value, votes=())
+        with pytest.raises(TypeError, match="levels deep"):
+            encode_value(deeper)
+        with pytest.raises(ValueError, match="levels deep"):
+            decode_value({"t": [encode_value(value)]})
+        for _ in range(5000):
+            value = (value,)
+        with pytest.raises(TypeError, match="levels deep"):
+            encode_value(value)

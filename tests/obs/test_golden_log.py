@@ -119,7 +119,6 @@ def _write_grid_log(path, scheduler, cap_bytes=None, workers=1):
             is_null=payload_is_null,
             workers=workers,
             scheduler=scheduler,
-            cache=False,
         )
     assert not report.violations
     return report

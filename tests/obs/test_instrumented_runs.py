@@ -122,6 +122,53 @@ class RevotingAdversary(Adversary):
         return messages
 
 
+class MalformedVotesAdversary(Adversary):
+    """Sends everyone a payload whose ``votes`` is not a tuple."""
+
+    def outgoing(self, round_number, sender, context):
+        return {
+            receiver: CompactPayload(main=(), votes=7)
+            for receiver in self.config.process_ids
+        }
+
+
+class TestMalformedVotesObserved:
+    """Observing a run must not change whether it completes: the
+    ``corrupt`` record's summary of a non-tuple ``votes`` used to
+    raise where the unobserved run decided."""
+
+    @staticmethod
+    def decide(config4, observer=None):
+        def run():
+            return run_compact_byzantine_agreement(
+                config4,
+                {p: 1 for p in config4.process_ids},
+                value_alphabet=[0, 1],
+                k=1,
+                adversary=MalformedVotesAdversary([4]),
+            ).decisions
+
+        if observer is None:
+            return run()
+        with observing(observer):
+            return run()
+
+    def test_observed_run_decides_like_the_unobserved_one(self, config4):
+        unobserved = self.decide(config4)
+        assert unobserved == {1: 1, 2: 1, 3: 1}
+        for trace in (False, True):
+            log = EventLog()
+            observed = self.decide(
+                config4, Observer(events=log, trace=trace)
+            )
+            assert observed == unobserved
+            assert validate_records(log.records) == []
+            assert any(
+                record.get("summary") == "core:array[d0 w0] votes:?"
+                for record in log.records
+            )
+
+
 class TestAvalancheWorkCounters:
     """``compact.avalanche.{tallied,skipped}``: how many avalanche
     instances a run re-tallied and how many it left alone."""

@@ -50,6 +50,22 @@ class TestSummarise:
         assert "core:array[d1 w4]" in summarise_payload(payload, limit=60)
         assert "votes:1" in summarise_payload(payload, limit=60)
 
+    def test_malformed_votes_field_is_not_counted(self):
+        from repro.compact.payload import CompactPayload
+
+        payload = CompactPayload(main=(), votes=7)
+        assert summarise_payload(payload, limit=60) == (
+            "core:array[d0 w0] votes:?"
+        )
+
+    def test_malformed_patches_field_is_not_counted(self):
+        from repro.compact.crash_variant import CrashPayload
+
+        payload = CrashPayload(main=(), patches=None)
+        assert summarise_payload(payload, limit=60) == (
+            "core:array[d0 w0] patches:?"
+        )
+
     def test_truncation(self):
         long_string = "x" * 100
         assert len(summarise_payload(long_string)) <= 28

@@ -6,9 +6,11 @@ import pytest
 
 from repro.adversary import EquivocatingAdversary
 from repro.agreement.crusader import SENDER_FAULTY, crusader_factory
+from repro.arrays.store import MAX_DEPTH
 from repro.avalanche.protocol import avalanche_factory
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.runtime.engine import run_protocol
+from repro.runtime.message import Envelope
 from repro.runtime.trace import TRACE_FORMAT_VERSION, ExecutionTrace
 
 
@@ -99,3 +101,80 @@ class TestMalformedFiles:
         )
         with pytest.raises(ValueError, match="unknown trace record"):
             ExecutionTrace.from_jsonl(path)
+
+    @staticmethod
+    def envelope_line(payload_json):
+        return (
+            '{"kind": "envelope", "sender": 1, "receiver": 2, "round": 1, '
+            f'"payload": {payload_json}}}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "{not json\n",
+            '{"kind": "envelope", "sender": 1}\n',
+            '{"kind": "snapshot", "round": 1, "process": 1, '
+            '"state": {"?": 0}}\n',
+            "[1, 2]\n",
+        ],
+    )
+    def test_undecodable_line(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"kind": "trace", "v": 1}\n' + line)
+        with pytest.raises(ValueError):
+            ExecutionTrace.from_jsonl(path)
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 900])
+    def test_over_deep_line(self, tmp_path, depth):
+        # Past MAX_DEPTH the codec refuses; far past it the JSON parser
+        # itself hits the recursion limit.  Either is the ValueError.
+        path = tmp_path / "deep.jsonl"
+        nested = '{"t": [' * depth + "0" + "]}" * depth
+        path.write_text(
+            '{"kind": "trace", "v": 1}\n' + self.envelope_line(nested)
+        )
+        with pytest.raises(ValueError, match="line 2"):
+            ExecutionTrace.from_jsonl(path)
+
+
+class TestFailedWrites:
+    """A trace the codec refuses leaves no file behind: a partial one
+    would load without error and look like the whole execution."""
+
+    @staticmethod
+    def nested(depth):
+        value = 0
+        for _ in range(depth):
+            value = (value,)
+        return value
+
+    def test_deepest_encodable_payload_round_trips(self, tmp_path):
+        trace = ExecutionTrace()
+        trace.record_envelope(Envelope(1, 2, 1, self.nested(MAX_DEPTH)))
+        assert_roundtrips(trace, tmp_path)
+
+    def test_over_deep_payload_raises_type_error_and_writes_nothing(
+        self, tmp_path
+    ):
+        trace = ExecutionTrace()
+        trace.record_envelope(Envelope(1, 2, 1, 0))
+        trace.record_envelope(Envelope(1, 2, 1, self.nested(5000)))
+        path = tmp_path / "deep.jsonl"
+        with pytest.raises(TypeError, match="levels deep"):
+            trace.to_jsonl(path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_malformed_adversary_run_leaves_no_trace_file(self, tmp_path):
+        # `malformed` sends a bare object(), which the codec refuses
+        # after ten envelopes are already encoded.
+        from repro.cli import main
+
+        events = tmp_path / "m.jsonl"
+        assert main([
+            "run-ba", "--t", "1", "--adversary", "malformed",
+            "--events", str(events),
+        ]) == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "m.jsonl"
+        ]

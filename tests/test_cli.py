@@ -175,84 +175,6 @@ class TestClosedPipe:
         assert stderr == b""
 
 
-class TestCache:
-    def _seed_cache(self, tmp_path):
-        from repro.agreement.eig_agreement import eig_agreement_factory
-        from repro.analysis.sweeps import standard_adversary_makers, sweep
-        from repro.types import SystemConfig
-
-        cache_dir = tmp_path / "cache"
-        config = SystemConfig(n=4, t=1)
-        sweep(
-            eig_agreement_factory(config, (0, 1)),
-            config,
-            input_patterns=[{1: 0, 2: 1, 3: 0, 4: 1}],
-            fault_sets=[(4,)],
-            adversary_makers=standard_adversary_makers((0, 1))[:2],
-            cache=cache_dir,
-        )
-        return cache_dir
-
-    def test_stats(self, capsys, tmp_path):
-        import json
-
-        cache_dir = self._seed_cache(tmp_path)
-        code, out = run_cli(
-            capsys, "cache", "stats", "--cache-dir", str(cache_dir),
-            "--format", "json",
-        )
-        assert code == 0
-        stats = json.loads(out)
-        assert stats["segments"] > 0
-        assert stats["bytes"] > 0
-        code, out = run_cli(
-            capsys, "cache", "stats", "--cache-dir", str(cache_dir)
-        )
-        assert code == 0
-        assert "segments:" in out
-
-    def test_verify_clean_and_corrupt(self, capsys, tmp_path):
-        cache_dir = self._seed_cache(tmp_path)
-        code, out = run_cli(
-            capsys, "cache", "verify", "--cache-dir", str(cache_dir)
-        )
-        assert code == 0
-        assert "ok" in out
-        segment = next(cache_dir.glob("seg-*.json"))
-        segment.write_bytes(b"junk")
-        from repro.arrays import persist
-
-        persist.forget_caches()  # the handler must re-read from disk
-        code, out = run_cli(
-            capsys, "cache", "verify", "--cache-dir", str(cache_dir)
-        )
-        assert code == 1
-        assert "sha-mismatch" in out
-
-    def test_gc(self, capsys, tmp_path):
-        import json
-
-        cache_dir = self._seed_cache(tmp_path)
-        code, out = run_cli(
-            capsys, "cache", "gc", "--cache-dir", str(cache_dir),
-            "--keep-days", "30", "--format", "json",
-        )
-        assert code == 0
-        assert json.loads(out)["removed"] == 0
-
-    def test_missing_cache_dir_exits_2(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-        code, out = run_cli(capsys, "cache", "stats")
-        assert code == 2
-        assert "REPRO_CACHE_DIR" in out
-        code, out = run_cli(
-            capsys, "cache", "stats",
-            "--cache-dir", str(tmp_path / "nowhere"),
-        )
-        assert code == 2
-        assert "does not exist" in out
-
-
 class TestFuzz:
     def test_small_campaign_clean(self, capsys):
         code, out = run_cli(
