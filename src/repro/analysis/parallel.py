@@ -128,10 +128,6 @@ class SweepContext:
     run_full_rounds: Optional[int]
     sizer: Optional[Callable[[Any], int]]
     is_null: Optional[Callable[[Any], bool]]
-    # Scheduler backend spec ("lockstep", "async", "async:<d>[:<s>]");
-    # a *name*, not an instance — schedulers carry per-execution state,
-    # so each cell resolves its own fresh one.  None is lockstep.
-    scheduler: Optional[str] = None
 
 
 class ProcessSummary:
@@ -288,7 +284,6 @@ def run_cell(
             sizer=context.sizer,
             is_null=context.is_null,
             seed=cell.seed,
-            scheduler=context.scheduler,
         )
     holds, error = evaluate_predicate(context.predicate, result, context.config)
     if observer is not None:
@@ -535,7 +530,9 @@ def _record_pool_stats(
     explicitly nondeterministic section.  Workers are reported by the
     slots :func:`execute_cells` assigned in collection order, never by
     pid, keeping the *shape* stable across runs and every record of a
-    worker under one number.
+    worker under one number.  How many slots collected a chunk depends
+    on OS scheduling; ``planned`` (the pool size ``idle_s`` is charged
+    against) does not.
     """
     idle_s = max(0.0, worker_count * wall_s - sum(busy_by_slot.values()))
     observer.gauge("pool.workers", worker_count)
@@ -550,6 +547,7 @@ def _record_pool_stats(
     if observer.events_on:
         observer.emit_nondet(
             "workers",
+            planned=worker_count,
             workers=workers_payload,
             wall_s=round(wall_s, 6),
             idle_s=round(idle_s, 6),

@@ -130,18 +130,13 @@ def sweep(
     traces dropped), and the report is identical for every ``N`` —
     ``workers=1`` is the in-process reference the pool must match.
 
-    ``scheduler`` names the round-engine backend every cell runs under
-    (``"lockstep"``, ``"async"``, ``"async:<max_delay>[:<salt>]"``);
-    ``None`` is lockstep.  Communication-closed
-    protocols yield the same report under every backend
-    (docs/runtime.md), for any worker count.
-
     The sweep ends by releasing the shared-store registry
     (:func:`repro.arrays.store.release_shared_stores`): gauges are
     recorded and unrelated workloads start from empty pools.
 
     ``cache`` is inert; deleted by the next `benchmark` PR (ROADMAP
-    item 1(a)).
+    item 1(a)).  ``scheduler`` is inert; deleted by the next
+    `benchmark` PR (ROADMAP item 1(e)).
     """
     from repro.analysis import parallel  # deferred: parallel imports us
     from repro.arrays.store import release_shared_stores
@@ -156,7 +151,6 @@ def sweep(
         run_full_rounds=run_full_rounds,
         sizer=sizer,
         is_null=is_null,
-        scheduler=scheduler,
     )
     cells = parallel.build_cells(input_patterns, fault_sets, makers, seeds)
     try:

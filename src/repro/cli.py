@@ -104,15 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also meter faulty processors' traffic (diagnostics; the "
         "paper's bounds meter correct traffic only)",
     )
-    run_ba.add_argument(
-        "--scheduler",
-        default=None,
-        metavar="BACKEND",
-        help="round-engine backend: 'lockstep' (default), 'async', or "
-        "'async:<max_delay>[:<salt>]' — communication-closed protocols "
-        "produce the identical execution under every backend "
-        "(docs/runtime.md)",
-    )
+    # Inert; deleted by the next `benchmark` PR (ROADMAP item 1(e)).
+    run_ba.add_argument("--scheduler", help=argparse.SUPPRESS)
 
     compare = commands.add_parser(
         "compare", help="the Section 5.6 comparison"
@@ -324,15 +317,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="certificate catalog for --check-closedness (default: "
         "tools/protoflow_certificates.json)",
     )
-    fuzz.add_argument(
-        "--scheduler",
-        default=None,
-        metavar="BACKEND",
-        help="round-engine backend for campaign executions and "
-        "--replay: 'lockstep' (default), 'async', or "
-        "'async:<max_delay>[:<salt>]' (docs/runtime.md); a corpus "
-        "case must replay to the same verdicts under every backend",
-    )
 
     return parser
 
@@ -356,7 +340,6 @@ def _command_run_ba(args) -> str:
     faulty = list(range(1, args.t + 1))
     adversary = ADVERSARY_CHOICES[args.adversary](faulty)
     meter_adversary = getattr(args, "include_adversary_traffic", False)
-    scheduler = getattr(args, "scheduler", None)
     events_path = getattr(args, "events", None)
     record = events_path is not None
 
@@ -400,7 +383,6 @@ def _command_run_ba(args) -> str:
                 seed=args.seed,
                 record_trace=record,
                 meter_adversary=meter_adversary,
-                scheduler=scheduler,
             )
             variant = "authenticated (zero overhead)"
         else:
@@ -419,7 +401,6 @@ def _command_run_ba(args) -> str:
                 seed=args.seed,
                 record_trace=record,
                 meter_adversary=meter_adversary,
-                scheduler=scheduler,
                 **kwargs,
             )
             variant = "compact (Corollary 10)"
@@ -432,8 +413,6 @@ def _command_run_ba(args) -> str:
     ]
     if meter_adversary:
         lines.append("(metering includes adversary traffic)")
-    if scheduler is not None:
-        lines.append(f"scheduler: {scheduler}")
     if record:
         lines.append(f"events: wrote {events_path}")
         trace_path = pathlib.Path(str(events_path) + ".trace.jsonl")
@@ -707,7 +686,7 @@ def _command_fuzz(args):
             except (OSError, ValueError) as error:
                 return f"error: {error}", 2
             cases = [
-                check_case(case, certificates, scheduler=args.scheduler)
+                check_case(case, certificates)
                 for _case_path, case in entries
             ]
             report = {
@@ -730,7 +709,7 @@ def _command_fuzz(args):
         lines = []
         failures = 0
         for case_path, case in entries:
-            outcome = replay_case(case, scheduler=args.scheduler)
+            outcome = replay_case(case)
             if outcome.failed:
                 failures += 1
                 lines.append(f"FAIL {case_path.name}")
@@ -754,7 +733,6 @@ def _command_fuzz(args):
         workers=args.workers,
         shrink=args.shrink or args.corpus is not None,
         corpus_dir=args.corpus,
-        scheduler=args.scheduler,
     )
     scope: Any
     if args.events is not None:

@@ -91,7 +91,6 @@ def run_compact_byzantine_agreement(
     record_trace: bool = False,
     expose_full_state: bool = False,
     meter_adversary: bool = False,
-    scheduler: Optional[str] = None,
 ) -> ExecutionResult:
     """Run one execution of the Corollary 10 protocol, fully metered."""
     if default is None:
@@ -117,5 +116,4 @@ def run_compact_byzantine_agreement(
         seed=seed,
         record_trace=record_trace,
         meter_adversary=meter_adversary,
-        scheduler=scheduler,
     )

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, Iterator, List
+from typing import Iterator, List
 
 from repro.errors import ConfigurationError
 from repro.types import Round
@@ -200,56 +200,3 @@ class BlockSchedule:
             if self.is_progress_round(round_number):
                 yield round_number
 
-
-class RoundRecovery:
-    """Per-receiver round-completion tracking under asynchronous delivery.
-
-    The reduction from asynchrony to synchronized rounds turns the
-    global round barrier into a local counting argument: in the
-    canonical form every processor consumes exactly one message per
-    channel per round (an omission arrives as a detectable
-    :data:`~repro.types.BOTTOM`), so a receiver's round-``r`` closed
-    message set is complete exactly when ``expected`` deliveries
-    stamped round ``r`` have reached it — no clock, no barrier, no
-    knowledge of other processors' progress.  This object is that
-    argument, executable; the async scheduler
-    (:class:`repro.runtime.scheduler.AsyncScheduler`) drives one per
-    round, and receivers advance in whatever order their counts
-    complete (the round skew docs/runtime.md describes).
-    """
-
-    __slots__ = ("expected", "_remaining")
-
-    def __init__(self, expected: int, receivers: Iterable[int]):
-        if expected < 1:
-            raise ConfigurationError(
-                f"expected deliveries per receiver must be >= 1, "
-                f"got {expected}"
-            )
-        self.expected = expected
-        self._remaining = {receiver: expected for receiver in receivers}
-
-    def deliver(self, receiver: int) -> bool:
-        """Record one delivery; ``True`` iff the receiver's round just
-        completed (its state change may fire now, and only now)."""
-        remaining = self._remaining[receiver] - 1
-        if remaining < 0:
-            raise ConfigurationError(
-                f"receiver {receiver} was delivered more than "
-                f"{self.expected} messages in one round — not a "
-                "canonical-form schedule"
-            )
-        self._remaining[receiver] = remaining
-        return remaining == 0
-
-    def complete(self) -> bool:
-        """Whether every receiver's round has been recovered."""
-        return all(count == 0 for count in self._remaining.values())
-
-    def incomplete_receivers(self) -> List[int]:
-        """Receivers still awaiting deliveries, ascending."""
-        return sorted(
-            receiver
-            for receiver, count in self._remaining.items()
-            if count
-        )

@@ -66,11 +66,7 @@ class CampaignSettings:
     shrink: bool = False
     corpus_dir: Optional[str] = None
     consistency_sample: int = 8
-    # Round-engine backend every execution runs under ("lockstep",
-    # "async", "async:<max_delay>[:<salt>]"); None is lockstep.  The
-    # scheduler's delay/reordering/round-skew axis rides on its own
-    # RNG substream, so the same settings fuzz the identical scenario
-    # list under every backend.
+    # Inert; deleted by the next `benchmark` PR (ROADMAP item 1(e)).
     scheduler: Optional[str] = None
 
 
@@ -212,7 +208,6 @@ def _context_for(
     config: SystemConfig,
     rounds: Optional[int] = None,
     mask: Tuple[Tuple[int, int], ...] = (),
-    scheduler: Optional[str] = None,
 ) -> SweepContext:
     def maker(faulty: Sequence[int]) -> FuzzAdversary:
         return FuzzAdversary(faulty, palette=spec.palette, mask=mask)
@@ -222,7 +217,6 @@ def _context_for(
         config=config,
         adversary_makers=((_ADVERSARY_NAME, maker),),
         predicate=None,
-        scheduler=scheduler,
         **spec.engine_arguments(config, rounds),
     )
 
@@ -251,17 +245,12 @@ class ReplayOutcome:
         return bool(self.violations)
 
 
-def replay_case(
-    case: FuzzCase, scheduler: Optional[str] = None
-) -> ReplayOutcome:
+def replay_case(case: FuzzCase) -> ReplayOutcome:
     """Re-execute one case serially with live processes and judge it.
 
     The single replay path: the shrinker's failure predicate, the
     corpus pytest replayer, and ``repro fuzz --replay`` all call this,
-    so a saved case means the same thing everywhere.  ``scheduler``
-    selects the round-engine backend; a corpus case must replay to the
-    same verdicts under every backend (the differential gate in
-    tests/fuzz/test_corpus.py and ``repro fuzz --replay --scheduler``).
+    so a saved case means the same thing everywhere.
     """
     spec = get_spec(case.protocol)
     config = SystemConfig(n=case.n, t=case.t)
@@ -271,9 +260,7 @@ def replay_case(
             f"case {case.filename()} targets {case.protocol} at an "
             f"unsupported configuration: {unsupported}"
         )
-    context = _context_for(
-        spec, config, case.rounds, mask=case.mask, scheduler=scheduler
-    )
+    context = _context_for(spec, config, case.rounds, mask=case.mask)
     outcome = run_cell(context, _cell_for(case, index=0), portable=False)
     violations = tuple(run_oracles(
         spec.oracles + spec.state_oracles, outcome.result
@@ -319,8 +306,7 @@ def run_campaign(settings: CampaignSettings) -> CampaignReport:
                     for scenario in scenarios
                 ]
                 verdicts, results = _run_protocol_cases(
-                    spec, config, cases, settings.workers,
-                    scheduler=settings.scheduler,
+                    spec, config, cases, settings.workers
                 )
                 executions += len(results)
                 group_results[spec.name] = results
@@ -342,8 +328,7 @@ def run_campaign(settings: CampaignSettings) -> CampaignReport:
                         ))
                 if spec.state_oracles:
                     checked, state_verdicts = _consistency_phase(
-                        spec, config, cases, settings.consistency_sample,
-                        scheduler=settings.scheduler,
+                        spec, config, cases, settings.consistency_sample
                     )
                     consistency_checked[spec.name] = checked
                     for verdict in state_verdicts:
@@ -396,9 +381,8 @@ def _run_protocol_cases(
     config: SystemConfig,
     cases: List[FuzzCase],
     workers: int,
-    scheduler: Optional[str] = None,
 ) -> Tuple[List[CaseVerdict], List[ExecutionResult]]:
-    context = _context_for(spec, config, scheduler=scheduler)
+    context = _context_for(spec, config)
     cells = [_cell_for(case, index) for index, case in enumerate(cases)]
     with _obs.span("fuzz.execute"):
         outcomes = execute_cells(context, cells, workers)
@@ -420,7 +404,6 @@ def _consistency_phase(
     config: SystemConfig,
     cases: List[FuzzCase],
     sample: int,
-    scheduler: Optional[str] = None,
 ) -> Tuple[int, List[CaseVerdict]]:
     """Serially re-run a case prefix with live processes (state oracles).
 
@@ -429,7 +412,7 @@ def _consistency_phase(
     its states still attached.
     """
     checked = min(sample, len(cases))
-    context = _context_for(spec, config, scheduler=scheduler)
+    context = _context_for(spec, config)
     verdicts: List[CaseVerdict] = []
     with _obs.span("fuzz.consistency"):
         for index in range(checked):

@@ -9,7 +9,7 @@ meter where it has one, and the protoflow certificates of the process
 classes a run executes.  Registering a spec is the whole integration
 surface: `repro fuzz --protocol <name>`, the corpus replayer, the
 gallery conformance sweep (``tests/integration/test_catalog.py``), the
-scheduler-equivalence suite, the Section 5.6 comparison
+schedule-equivalence suite, the Section 5.6 comparison
 (:mod:`repro.analysis.compare`) and the static/dynamic closedness
 cross-check (:mod:`repro.statics.crosscheck`) all read the entry, and
 the contract pass (:mod:`repro.statics.contracts`) checks this

@@ -133,7 +133,12 @@ EVENT_FIELDS: Dict[str, Dict[str, Tuple[type, ...]]] = {
     "counters": {"counters": (dict,)},
     # nondeterministic section
     "profile": {"spans": (dict,), "gauges": (dict,)},
-    "workers": {"workers": (list,), "wall_s": (float, int), "idle_s": (float, int)},
+    "workers": {
+        "planned": (int,),
+        "workers": (list,),
+        "wall_s": (float, int),
+        "idle_s": (float, int),
+    },
     "worker_sample": {
         "chunk": (int,),
         "worker": (int,),

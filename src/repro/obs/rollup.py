@@ -97,8 +97,10 @@ def status_from_records(
         elif kind == "worker_sample":
             samples.append(record)
         elif kind == "workers":
+            # The planned pool size, not the slots that happened to
+            # collect a chunk: under load one worker may take them all.
             pool = {
-                "workers": len(record.get("workers", [])),
+                "workers": record.get("planned"),
                 "wall_s": record.get("wall_s"),
                 "idle_s": record.get("idle_s"),
             }

@@ -200,10 +200,10 @@ def check_closedness(records: List[Dict[str, Any]]) -> List[str]:
     - within a round, every delivery to a processor precedes *that
       processor's* state update on the logical clock (the paper's
       send → receive → state-change phase order, tracked per
-      receiver: under the async scheduler a processor whose closed
-      message set is complete legitimately changes state while late
-      messages are still in flight to *other* processors — the round
-      skew docs/runtime.md describes — but a message arriving at a
+      receiver: under an asynchronous schedule a processor whose
+      closed message set is complete legitimately changes state while
+      late messages are still in flight to *other* processors — the
+      round skew docs/runtime.md describes — but a message arriving at a
       processor after its own round-``r`` state change could not have
       been consumed in round ``r``, which is exactly a closedness
       violation);
@@ -213,8 +213,7 @@ def check_closedness(records: List[Dict[str, Any]]) -> List[str]:
 
     This is the dynamic counterpart of protoflow's static FLOW
     verdict: static analysis certifies the protocol *text* closed,
-    this certifies a particular *execution* closed — under any
-    scheduler backend.
+    this certifies a particular *execution* closed.
     """
     problems: List[str] = []
     run: Optional[str] = None

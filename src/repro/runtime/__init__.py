@@ -9,13 +9,10 @@ This package is that model, executable:
 
 * :mod:`repro.runtime.node` — the :class:`Process` base class every
   protocol implements (one ``outgoing``/``receive`` pair per round),
-* :mod:`repro.runtime.network` — delivers messages, letting an
-  adversary speak for the faulty processors (with a full view of the
-  round's correct traffic, i.e. a rushing adversary),
-* :mod:`repro.runtime.scheduler` — pluggable round backends: the
-  lockstep synchronous reference and an event-driven asynchronous
-  scheduler that recovers rounds via communication-closedness
-  (docs/runtime.md),
+* :mod:`repro.runtime.network` — runs lockstep rounds and delivers
+  messages, letting an adversary speak for the faulty processors (with
+  a full view of the round's correct traffic, i.e. a rushing
+  adversary),
 * :mod:`repro.runtime.engine` — drives executions to completion and
   returns a structured result,
 * :mod:`repro.runtime.metrics` — exact per-round message/bit meters,
@@ -27,12 +24,6 @@ from repro.runtime.message import Envelope
 from repro.runtime.metrics import MessageMetrics, RoundUsage
 from repro.runtime.node import Process, broadcast
 from repro.runtime.network import SynchronousNetwork
-from repro.runtime.scheduler import (
-    AsyncScheduler,
-    LockstepScheduler,
-    Scheduler,
-    resolve_scheduler,
-)
 from repro.runtime.engine import ExecutionResult, run_protocol
 from repro.runtime.trace import ExecutionTrace
 from repro.runtime.rng import derive_rng, make_rng
@@ -51,10 +42,6 @@ __all__ = [
     "Process",
     "broadcast",
     "SynchronousNetwork",
-    "Scheduler",
-    "LockstepScheduler",
-    "AsyncScheduler",
-    "resolve_scheduler",
     "ExecutionResult",
     "run_protocol",
     "ExecutionTrace",

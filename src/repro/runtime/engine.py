@@ -10,7 +10,7 @@ experiments measure (decisions, decision rounds, bits, traces).
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import repro.obs.core as _obs
 from repro.adversary.base import Adversary, PassiveAdversary
@@ -19,7 +19,6 @@ from repro.runtime.metrics import MessageMetrics
 from repro.runtime.network import SynchronousNetwork
 from repro.runtime.node import Process
 from repro.runtime.rng import derive_rng
-from repro.runtime.scheduler import Scheduler, resolve_scheduler
 from repro.runtime.trace import ExecutionTrace
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
 
@@ -100,7 +99,6 @@ def run_protocol(
     record_trace: bool = False,
     seed: int = 0,
     meter_adversary: bool = False,
-    scheduler: Union[None, str, Scheduler] = None,
 ) -> ExecutionResult:
     """Run one execution to completion.
 
@@ -138,12 +136,6 @@ def run_protocol(
         Include faulty processors' traffic in the metrics — a
         diagnostics view; the paper's bounds meter correct traffic
         only (see :mod:`repro.runtime.metrics`).
-    scheduler:
-        Round-engine backend: a :class:`~repro.runtime.scheduler.
-        Scheduler` instance, a backend name (``"lockstep"``,
-        ``"async"``, ``"async:<max_delay>[:<salt>]"``), or ``None``
-        for lockstep.  Communication-closed protocols produce the same
-        result under every backend; see docs/runtime.md.
     """
     adversary = adversary or PassiveAdversary()
     adversary.bind(config, derive_rng(seed, "adversary"))
@@ -168,8 +160,6 @@ def run_protocol(
         is_null=is_null,
         trace=trace,
         meter_adversary=meter_adversary,
-        scheduler=resolve_scheduler(scheduler),
-        seed=seed,
     )
 
     observer = _obs.ACTIVE

@@ -15,14 +15,13 @@ delivered as :data:`BOTTOM`, which the recipient can detect (and the
 paper's protocols do: "a single message that contains more than one
 value is obviously erroneous and is discarded immediately").
 
-Delivery *ordering* and the receive/state-change phase are owned by a
-pluggable :class:`~repro.runtime.scheduler.Scheduler` (phase 3 above);
-the network keeps the send/adversary phases and
-:meth:`SynchronousNetwork.deliver_round`, which fixes and meters the
-round's traffic for every backend — the rushing adversary's full-round
-view is what serialises rounds globally.  The default backend is the
-lockstep reference; see :mod:`repro.runtime.scheduler` for the
-asynchronous one.
+Phase 3 is :meth:`SynchronousNetwork.dispatch`: it lands and meters
+the round's traffic through :meth:`SynchronousNetwork.deliver_round`,
+then runs every receiver's state change in processor-id order.  The
+round is lockstep; communication-closedness is what makes any
+admissible asynchronous schedule produce this same run, and the test
+suite checks that with an asynchronous reference network
+(docs/runtime.md).
 
 Hot-path notes: sweeps run this loop millions of times, and every
 protocol of the paper sends one message to all ``n``, so a
@@ -49,7 +48,6 @@ from repro.obs.events import TrafficBurst, json_safe
 from repro.runtime.message import Envelope
 from repro.runtime.metrics import MessageMetrics
 from repro.runtime.node import Broadcast, Process
-from repro.runtime.scheduler import LockstepScheduler, Scheduler
 from repro.runtime.trace import ExecutionTrace
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
 
@@ -97,8 +95,6 @@ class SynchronousNetwork:
         metrics: Optional[MessageMetrics] = None,
         trace: Optional[ExecutionTrace] = None,
         meter_adversary: bool = False,
-        scheduler: Optional[Scheduler] = None,
-        seed: int = 0,
     ):
         overlap = set(processes) & set(adversary.faulty_ids)
         if overlap:
@@ -148,10 +144,6 @@ class SynchronousNetwork:
         from repro.runtime.render import summarise_payload
 
         self._summarise = summarise_payload
-        self.scheduler = (
-            scheduler if scheduler is not None else LockstepScheduler()
-        )
-        self.scheduler.bind(self, seed)
 
     def run_round(self) -> Round:
         """Execute one full round; returns its (1-based) number."""
@@ -191,10 +183,9 @@ class SynchronousNetwork:
                 self.adversary.outgoing(round_number, sender, context)
             )
 
-        # 3. Deliver, observe, state-change — the scheduler's phase:
-        # delivery ordering and round advancement are backend policy.
-        self.scheduler.dispatch(
-            round_number, context, correct_outgoing, faulty_outgoing
+        # 3. Deliver, observe, state-change.
+        self.dispatch(
+            round_number, context, correct_outgoing, faulty_outgoing, observer
         )
         if events:
             assert observer is not None
@@ -207,12 +198,50 @@ class SynchronousNetwork:
             )
         return round_number
 
-    # -- scheduler-facing primitives --------------------------------------
+    def dispatch(
+        self,
+        round_number: Round,
+        context: RoundContext,
+        correct_outgoing: Mapping[ProcessId, Mapping[ProcessId, Any]],
+        faulty_outgoing: Mapping[ProcessId, Mapping[ProcessId, Any]],
+        observer: Optional[Observer],
+    ) -> None:
+        """Phase 3: deliver every row, then every state change.
+
+        The round's traffic is fixed by now (correct sends collected,
+        faulty sends chosen by the rushing adversary).  Rows are landed
+        and metered by :meth:`deliver_round`, the adversary observes the
+        round once, and each receiver's ``receive`` runs in
+        processor-id order.  A subclass may reorder deliveries and state
+        changes inside the round; it must leave every correct processor
+        advanced through ``round_number``.
+        """
+        events = observer is not None and observer.events_on
+        tracing = events and observer is not None and observer.trace_on
+
+        incoming_by_receiver = self.deliver_round(
+            round_number, correct_outgoing, faulty_outgoing, observer, tracing
+        )
+
+        self.adversary.observe_round(round_number, context, faulty_outgoing)
+
+        if self.trace is None and not events:
+            # Fast path: no snapshot or event bookkeeping at all.
+            for receiver, process in self.processes.items():
+                process.receive(round_number, incoming_by_receiver[receiver])
+        else:
+            for receiver, process in self.processes.items():
+                process.receive(round_number, incoming_by_receiver[receiver])
+                self.record_state_change(
+                    round_number, receiver, process, observer, events
+                )
+
+    # -- phase-3 primitives -------------------------------------------------
     #
-    # The pieces a Scheduler composes phase 3 from.  Keeping them on
-    # the network (rather than in each backend) pins the bookkeeping —
-    # metering, snapshots, state/decide events — to one implementation,
-    # so backends can only vary *ordering*, never *accounting*.
+    # Keeping the bookkeeping — metering, snapshots, state/decide
+    # events — in these methods pins it to one implementation, so an
+    # override of :meth:`dispatch` can vary only *ordering*, never
+    # *accounting*.
 
     def record_state_change(
         self,
@@ -251,9 +280,9 @@ class SynchronousNetwork:
     ) -> None:
         """Emit the causal ``deliver`` edge of one landed payload.
 
-        Lockstep writes its edges from :meth:`deliver_round`; async
-        meters in canonical order first and calls this in schedule
-        order afterwards.
+        :meth:`deliver_round` writes edges as it lands rows; a
+        :meth:`dispatch` that reorders deliveries passes it
+        ``tracing=False`` and calls this in its own order instead.
         """
         burst.deliver(receiver, *self._edge_measure(
             payload, burst.faulty, observer, 1
@@ -268,8 +297,8 @@ class SynchronousNetwork:
     ) -> Tuple[int, bool]:
         """``(bits, non_null)`` shown on ``edges`` edges of one payload.
 
-        The one place an edge is sized, whichever backend orders the
-        edges.  Faulty payloads are sized by the structural fallback —
+        The one place an edge is sized, whatever order the edges are
+        written in.  Faulty payloads are sized by the structural fallback —
         the protocol sizer may choke on Byzantine garbage, and a
         corrupt payload's "cost" is informational, not a
         canonical-form bit claim.
@@ -318,7 +347,7 @@ class SynchronousNetwork:
         observer: Optional[Observer],
         tracing: bool,
     ) -> Dict[ProcessId, Dict[ProcessId, Any]]:
-        """Phase A of every backend: fix and meter the round's traffic.
+        """Fix and meter the round's traffic.
 
         Returns each correct receiver's incoming map, one entry per
         processor id, after metering every sender's burst in the
@@ -326,8 +355,8 @@ class SynchronousNetwork:
         senders) and writing its ``send`` / ``corrupt`` records, its
         envelopes and — when ``tracing`` — its ``deliver`` edges.  This
         is what the protocol *sent*, which no admissible schedule may
-        change; a backend only chooses the order in which the returned
-        rows are consumed.
+        change; :meth:`dispatch` only chooses the order in which the
+        returned rows are consumed.
 
         A :class:`~repro.runtime.node.Broadcast` to all ``n`` is handled
         once, not once per copy: its message already sits in the row

@@ -73,17 +73,16 @@ class Process(abc.ABC):
     once, with ``incoming`` holding one entry per processor id (absent
     or malformed transmissions appear as :data:`BOTTOM`).
 
-    The contract is deliberately *scheduler-independent*: the per-round
-    call sequence above is fixed, but *when* one processor's
-    ``receive(r, ...)`` runs relative to another's is backend policy
-    (:mod:`repro.runtime.scheduler`) — the lockstep reference calls
-    receivers in processor-id order, the async backend in delivery-
-    completion order.  A protocol therefore must not communicate with
-    other processes except through its returned messages (no shared
-    mutable state, no out-of-band channels); protolint's purity pass
-    checks this statically, and the scheduler-invariance suite
+    The contract is deliberately *order-independent*: the engine calls
+    receivers in processor-id order, but a protocol may not rely on
+    *when* one processor's ``receive(r, ...)`` runs relative to
+    another's.  It must not communicate with other processes except
+    through its returned messages (no shared mutable state, no
+    out-of-band channels); protolint's purity pass checks this
+    statically, and the schedule-invariance suite
     (tests/runtime/test_scheduler_equivalence.py) demonstrates that
-    violating it — and only violating it — makes backends observable.
+    violating it — and only violating it — makes an asynchronous
+    schedule observable.
 
     The base class declares ``__slots__`` so its four fields never pay
     for a dict entry; subclasses that declare their own ``__slots__``

@@ -3,7 +3,7 @@
 The registry of ``repro.fuzz.protocols`` is the coverage contract of
 this repository: the conformance sweep in
 ``tests/integration/test_catalog.py``, seeded fuzzing, the
-scheduler-equivalence suite and the closedness cross-check run *every*
+schedule-equivalence suite and the closedness cross-check run *every*
 registered protocol, so a factory that never gets registered silently
 opts out of that safety net.  This pass cross-checks the registry
 module's AST against the tree without importing or executing any

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Union
 
 #: Default location of the committed certificate catalog.
 DEFAULT_CERTIFICATES = pathlib.Path("tools/protoflow_certificates.json")
@@ -64,19 +64,12 @@ def _static_verdicts(
     return verdicts
 
 
-def check_case(
-    case: Any,
-    certificates: Dict[str, Any],
-    scheduler: Optional[str] = None,
-) -> Dict[str, Any]:
+def check_case(case: Any, certificates: Dict[str, Any]) -> Dict[str, Any]:
     """Replay one corpus case under a tracing observer and cross-check.
 
     Returns a JSON-ready verdict entry; ``agrees`` is ``False`` only
     when the static certificate promises closedness (``closed`` or
-    ``waived``) and the observed execution violates it.  ``scheduler``
-    selects the round-engine backend for the replay: a certified-
-    closed protocol's trace must pass the dynamic checker under every
-    backend, async delivery order included (docs/runtime.md).
+    ``waived``) and the observed execution violates it.
     """
     import repro.obs.core as _obs
     from repro.fuzz.campaign import replay_case
@@ -87,7 +80,7 @@ def check_case(
     with _obs.observing(
         _obs.Observer(events=log, trace=True, spans=False)
     ):
-        outcome = replay_case(case, scheduler=scheduler)
+        outcome = replay_case(case)
     problems = check_closedness(log.records)
     dags = build_dags(log.records)
     dynamic = "closed" if not problems else "open"

@@ -19,7 +19,7 @@ certificate for each one:
   sanitizer before reaching a decision or an outgoing payload.
 
 See ``docs/statics.md`` for the rule tables and the certificate
-format consumed by the planned asynchronous backend.
+format consumed by the closedness cross-check.
 """
 
 from __future__ import annotations

@@ -203,9 +203,9 @@ class HostileViewAdversary(Adversary):
         return messages
 
 
-@pytest.mark.parametrize("scheduler", ["lockstep", "async:3:5"])
+@pytest.mark.parametrize("schedule", ["lockstep", "async:3:5"], indirect=True)
 @pytest.mark.parametrize("seed", range(6))
-def test_executions_pickle_identical_to_the_oracle(seed, scheduler):
+def test_executions_pickle_identical_to_the_oracle(seed, schedule):
     config = SystemConfig(n=7, t=2)
     rng = random.Random(f"run-{seed}")
     inputs = {
@@ -220,7 +220,6 @@ def test_executions_pickle_identical_to_the_oracle(seed, scheduler):
             adversary=HostileViewAdversary(faulty, seed),
             run_full_rounds=9,
             seed=seed,
-            scheduler=scheduler,
         )
         for factory in (
             firing_squad_factory(), reference_firing_squad_factory()

@@ -376,17 +376,18 @@ PAYLOADS = {
 }
 
 
-@pytest.mark.parametrize("scheduler", ["lockstep", "async"])
+@pytest.mark.parametrize("schedule", ["lockstep", "async"], indirect=True)
 @pytest.mark.parametrize("shape", PAYLOADS)
+@pytest.mark.usefixtures("schedule")
 class TestMeteredHostileRuns:
     """``meter_adversary=True`` charges a faulty sender's payload as the
     tree it stands for, and cannot raise on its shape."""
 
-    def metered_and_not(self, run, shape, scheduler):
+    def metered_and_not(self, run, shape):
         inputs = {p: p % 2 for p in CONFIG.process_ids}
         adversary = lambda: Shipper([4], nested_tuple(*PAYLOADS[shape]))
         metered, unmetered = (
-            run(inputs, adversary(), flag, scheduler) for flag in (True, False)
+            run(inputs, adversary(), flag) for flag in (True, False)
         )
         assert metered.decisions == unmetered.decisions
         assert metered.rounds == unmetered.rounds
@@ -396,25 +397,23 @@ class TestMeteredHostileRuns:
             + metered.rounds * CONFIG.n * hostile_bits
         )
 
-    def test_compact_byzantine_agreement(self, shape, scheduler):
+    def test_compact_byzantine_agreement(self, shape):
         self.metered_and_not(
-            lambda inputs, adversary, flag, scheduler: (
-                run_compact_byzantine_agreement(
-                    CONFIG, inputs, [0, 1], k=1, adversary=adversary,
-                    meter_adversary=flag, scheduler=scheduler,
-                )
+            lambda inputs, adversary, flag: run_compact_byzantine_agreement(
+                CONFIG, inputs, [0, 1], k=1, adversary=adversary,
+                meter_adversary=flag,
             ),
-            shape, scheduler,
+            shape,
         )
 
-    def test_eig(self, shape, scheduler):
+    def test_eig(self, shape):
         self.metered_and_not(
-            lambda inputs, adversary, flag, scheduler: run_protocol(
+            lambda inputs, adversary, flag: run_protocol(
                 eig_agreement_factory(CONFIG, [0, 1], default=0),
                 CONFIG, inputs, adversary=adversary,
                 max_rounds=CONFIG.t + 2,
                 sizer=full_information_sizer(2, CONFIG.n),
-                meter_adversary=flag, scheduler=scheduler,
+                meter_adversary=flag,
             ),
-            shape, scheduler,
+            shape,
         )

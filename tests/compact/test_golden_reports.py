@@ -2,8 +2,8 @@
 
 Making Protocol 3's rounds delta-driven (one CORE gate, store-shared
 expansions, batches that re-tally only what changed) must be invisible
-in every report.  Two checks per grid, under the lockstep scheduler and
-the async one, over the six-adversary gallery *and* the four
+in every report.  Two checks per grid, under the lockstep engine and
+the asynchronous reference, over the six-adversary gallery *and* the four
 compact-aware attackers (which do send real votes and stale or forged
 COREs):
 
@@ -59,6 +59,7 @@ from repro.core.predicates import byzantine_agreement_predicate
 from repro.types import SystemConfig
 from repro.runtime.crypto import SignatureOracle
 from tests.compact.reference_agreement_batch import ReferenceAgreementBatch
+from tests.conftest import SCHEDULES
 from tests.compact.test_authenticated_variant import (
     ForgingEquivocator,
     SigningEquivocator,
@@ -72,7 +73,7 @@ MAKERS = standard_adversary_makers() + [
 ]
 
 #: ``(n, t, overhead, k)`` -> digest of the report's projection, the
-#: same under both schedulers, recorded at the parent commit.
+#: same under both schedules, recorded at the parent commit.
 GOLDEN = {
     (7, 2, 2, 1): "ea430db98f73ba242023ad5e97db5530963a8696c5595c7905f217ac04c5d290",
     (10, 3, 2, 1): "d046ee45ce1c499eb5ca1f6c6c9edd0a2c34980f9923db762a584f0b7cea4d31",
@@ -96,7 +97,7 @@ AUTH_GOLDEN = {
 }
 
 
-def run_grid(grid, scheduler):
+def run_grid(grid):
     n, t, overhead, k = grid
     config = SystemConfig(n=n, t=t)
     return sweep(
@@ -111,11 +112,10 @@ def run_grid(grid, scheduler):
         sizer=compact_sizer(config, 2),
         is_null=payload_is_null,
         workers=1,
-        scheduler=scheduler,
     )
 
 
-def run_variant_grid(factory, config, values, makers, sizer, scheduler):
+def run_variant_grid(factory, config, values, makers, sizer):
     n, t = config.n, config.t
     return sweep(
         factory,
@@ -131,11 +131,10 @@ def run_variant_grid(factory, config, values, makers, sizer, scheduler):
         max_rounds=t + 2,
         sizer=sizer,
         workers=1,
-        scheduler=scheduler,
     )
 
 
-def run_crash_grid(grid, scheduler):
+def run_crash_grid(grid):
     n, t, k = grid
     config = SystemConfig(n=n, t=t)
     factory = crash_compact_factory(k=k, value_alphabet=[0, 1, 2], t=t)
@@ -152,11 +151,11 @@ def run_crash_grid(grid, scheduler):
         ("omission", lambda faulty: OmissionAdversary(faulty, factory, 0.4))
     )
     return run_variant_grid(
-        factory, config, [0, 1, 2], makers, crash_sizer(config, 3), scheduler
+        factory, config, [0, 1, 2], makers, crash_sizer(config, 3)
     )
 
 
-def run_auth_grid(grid, scheduler):
+def run_auth_grid(grid):
     n, t, k = grid
     config = SystemConfig(n=n, t=t)
     oracle = SignatureOracle()
@@ -166,7 +165,7 @@ def run_auth_grid(grid, scheduler):
     ]
     return run_variant_grid(
         auth_compact_ba_factory(config, [0, 1], oracle, k=k),
-        config, [0, 1], makers, auth_sizer(config, 2), scheduler,
+        config, [0, 1], makers, auth_sizer(config, 2),
     )
 
 
@@ -195,34 +194,34 @@ def projection(report):
     ).hexdigest()
 
 
-@pytest.mark.parametrize("scheduler", ["lockstep", "async:3:7"])
+@pytest.mark.parametrize("schedule", SCHEDULES, indirect=True)
 @pytest.mark.parametrize("grid", sorted(GOLDEN), ids=str)
 def test_reports_are_the_parents_and_the_dense_oracles(
-    grid, scheduler, monkeypatch
+    grid, schedule, monkeypatch
 ):
-    report = run_grid(grid, scheduler)
+    report = run_grid(grid)
     assert not report.violations
     assert report.executions == 80
     assert projection(report) == GOLDEN[grid]
     monkeypatch.setattr(
         compact_protocol, "AgreementBatch", ReferenceAgreementBatch
     )
-    assert pickle.dumps(run_grid(grid, scheduler)) == pickle.dumps(report)
+    assert pickle.dumps(run_grid(grid)) == pickle.dumps(report)
 
 
-@pytest.mark.parametrize("scheduler", ["lockstep", "async:3:7"])
+@pytest.mark.parametrize("schedule", SCHEDULES, indirect=True)
 @pytest.mark.parametrize("grid", sorted(CRASH_GOLDEN), ids=str)
-def test_crash_variant_reports_are_the_parents(grid, scheduler):
-    report = run_crash_grid(grid, scheduler)
+def test_crash_variant_reports_are_the_parents(grid, schedule):
+    report = run_crash_grid(grid)
     assert not report.violations
     assert report.executions == 32
     assert projection(report) == CRASH_GOLDEN[grid]
 
 
-@pytest.mark.parametrize("scheduler", ["lockstep", "async:3:7"])
+@pytest.mark.parametrize("schedule", SCHEDULES, indirect=True)
 @pytest.mark.parametrize("grid", sorted(AUTH_GOLDEN), ids=str)
-def test_authenticated_variant_reports_are_the_parents(grid, scheduler):
-    report = run_auth_grid(grid, scheduler)
+def test_authenticated_variant_reports_are_the_parents(grid, schedule):
+    report = run_auth_grid(grid)
     assert not report.violations
     assert report.executions == 64
     assert projection(report) == AUTH_GOLDEN[grid]

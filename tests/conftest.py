@@ -12,6 +12,25 @@ from repro.analysis.sweeps import standard_adversary_makers
 from repro.arrays.value_array import map_leaves
 from repro.types import BOTTOM, ProcessId, SystemConfig, Value
 
+from tests.runtime.reference_async import schedule_for
+
+
+#: The ``schedule`` fixture's default parameters.
+SCHEDULES = ("lockstep", "async:3:7")
+
+
+@pytest.fixture(params=SCHEDULES)
+def schedule(request):
+    """Run the test under the lockstep engine or the asynchronous
+    reference: ``nullcontext()`` or ``async_schedule(3, 7)``.
+
+    A closed protocol cannot tell them apart.  Parametrise it
+    indirectly (``indirect=True``) with other ``schedule_for`` specs,
+    or to place its id among a test's other parameters.
+    """
+    with schedule_for(request.param) as networks:
+        yield networks
+
 
 @pytest.fixture
 def config4() -> SystemConfig:

@@ -31,6 +31,7 @@ from repro.obs import Observer, observing
 from repro.types import BOTTOM, SystemConfig
 
 from tests.conftest import to_plain, typed
+from tests.runtime.reference_async import schedule_for
 
 N, T = 4, 1
 
@@ -211,15 +212,13 @@ def test_every_decision_span_is_a_hit_or_a_miss_under_any_schedule(config7):
     """
     readings = {}
     reports = {}
-    for scheduler in ("lockstep", "async"):
-        with observing(Observer()) as observer:
-            reports[scheduler] = eig_grid(
-                config7, workers=1, scheduler=scheduler
-            )
+    for spec in ("lockstep", "async"):
+        with schedule_for(spec), observing(Observer()) as observer:
+            reports[spec] = eig_grid(config7, workers=1)
         hits, misses = memo_counts(observer)
         assert hits + misses == decision_spans(observer) == 12 * 5
         assert hits > misses > 0
-        readings[scheduler] = (hits, misses)
+        readings[spec] = (hits, misses)
     assert readings["lockstep"] == readings["async"]
 
     with observing(Observer()) as pooled:

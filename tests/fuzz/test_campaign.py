@@ -46,13 +46,13 @@ class TestGoldenCampaign:
     )
     COUNTERS = {"net.bits": 2362556, "net.messages": 31241, "runs": 158}
 
-    @pytest.mark.parametrize("scheduler", ["lockstep", "async"])
-    def test_report_and_traffic_counters_are_pinned(self, scheduler):
+    @pytest.mark.parametrize("schedule", ["lockstep", "async"], indirect=True)
+    def test_report_and_traffic_counters_are_pinned(self, schedule):
         observer = Observer(spans=False)
         with observing(observer):
             report = run_campaign(CampaignSettings(
                 seed=0, cases=25, n=7, t=2, protocols=CATALOG_PROTOCOLS,
-                workers=1, scheduler=scheduler,
+                workers=1,
             ))
         assert report.executions == 150
         assert report.clean

@@ -1,14 +1,12 @@
 """Corpus-wide lockstep/async differential gate.
 
 Mirror of the static↔dynamic agreement test: every committed corpus
-case replays under the async backend and must agree with the lockstep
+case replays under the asynchronous reference
+(``tests/runtime/reference_async.py``) and must agree with the lockstep
 replay on *everything* — oracle verdicts, decisions, and the full
 checkpoint pickle of the result.  A disagreement here means either a
-scheduler bug or a protocol that silently stopped being
+reference bug or a protocol that silently stopped being
 communication-closed, and both are hard failures.
-
-``repro fuzz --replay tests/fuzz/corpus --scheduler async`` is the CLI
-face of the same gate (CI's fuzz-smoke job runs it).
 """
 
 import dataclasses
@@ -19,6 +17,8 @@ import pytest
 
 from repro.fuzz.campaign import replay_case
 from repro.fuzz.case import load_corpus
+
+from tests.runtime.reference_async import async_schedule, schedule_for
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"
 
@@ -39,8 +39,9 @@ def _checkpoint_pickle(result):
 )
 @pytest.mark.parametrize("backend", _BACKENDS)
 def test_corpus_case_agrees_across_backends(path, case, backend):
-    reference = replay_case(case, scheduler="lockstep")
-    outcome = replay_case(case, scheduler=backend)
+    reference = replay_case(case)
+    with schedule_for(backend):
+        outcome = replay_case(case)
     assert outcome.violations == reference.violations, (
         f"{path.name}: verdicts diverged under {backend}: "
         f"{list(outcome.violations)} vs {list(reference.violations)}"
@@ -64,7 +65,9 @@ def test_corpus_case_closed_under_async_delivery(path, case):
     from repro.obs.trace import check_closedness
 
     log = EventLog()
-    with _obs.observing(_obs.Observer(events=log, trace=True, spans=False)):
-        replay_case(case, scheduler="async:3:1")
+    with async_schedule(3, 1), _obs.observing(
+        _obs.Observer(events=log, trace=True, spans=False)
+    ):
+        replay_case(case)
     problems = check_closedness(log.records)
     assert problems == [], f"{path.name}: {problems}"

@@ -3,10 +3,12 @@
 The digests were recorded at the commit *before* the sink's line
 encoders replaced ``json.dumps`` and must never move: every
 deterministic line of the streamed log — envelope, field order,
-separators, escapes — is part of the on-disk contract, under the
-lockstep scheduler and the async one, and a capped log must roll over
-at the same records.  Only the wall-clock ``profile`` record is
-excluded (it is flagged ``"nondeterministic": true``).
+separators, escapes — is part of the on-disk contract, and a capped
+log must roll over at the same records.  Only the wall-clock
+``profile`` record is excluded (it is flagged
+``"nondeterministic": true``).  Under the asynchronous reference
+(``tests/runtime/reference_async.py``) the same grid writes, round by
+round, the same records in schedule order.
 
 The pin is in two parts.  ``GOLDEN`` hashes every deterministic line
 except the closing ``counters`` record (re-recorded, over the same
@@ -35,18 +37,14 @@ from repro.obs.events import read_jsonl
 from repro.obs.trace import check_closedness
 from repro.types import SystemConfig
 
-GOLDEN = {
-    "lockstep": (
-        14832,
-        "3a062e34107c6296c3cc3fff946e9e0871c071f9375b14183e96ad0315edfd4a",
-    ),
-    "async:3:7": (
-        14832,
-        "690628fc70c4aeb707539472620901e023ca5873503f328ea3487b17d97a0df6",
-    ),
-}
+from tests.runtime.reference_async import async_schedule
 
-#: The closing ``counters`` record, the same under both schedulers.
+GOLDEN = (
+    14832,
+    "3a062e34107c6296c3cc3fff946e9e0871c071f9375b14183e96ad0315edfd4a",
+)
+
+#: The closing ``counters`` record.
 #: Against the parent of the PR that made Protocol 3's rounds
 #: delta-driven: ``arrays.intern.hit`` was 5181 (expansions are now
 #: built once per store, not once per processor), ``compact.expansion``
@@ -101,7 +99,7 @@ def _fresh_shared_stores():
     clear_shared_stores()
 
 
-def _write_grid_log(path, scheduler, cap_bytes=None, workers=1):
+def _write_grid_log(path, cap_bytes=None, workers=1):
     config = SystemConfig(n=7, t=2)
     log = EventLog(path, cap_bytes=cap_bytes)
     with observing(Observer(events=log, trace=True)):
@@ -118,7 +116,6 @@ def _write_grid_log(path, scheduler, cap_bytes=None, workers=1):
             sizer=compact_sizer(config, 2),
             is_null=payload_is_null,
             workers=workers,
-            scheduler=scheduler,
         )
     assert not report.violations
     return report
@@ -131,30 +128,53 @@ def _deterministic_lines(path):
     ]
 
 
-def _check_against_golden(lines, scheduler):
+def _check_against_golden(lines):
     """The pinned digest over all but the ``counters`` line, then that."""
     counters = [line for line in lines if b'"kind": "counters"' in line]
     assert counters == lines[-1:]
     rest = lines[:-1]
     digest = hashlib.sha256(b"".join(rest)).hexdigest()
-    assert (len(rest), digest) == GOLDEN[scheduler]
+    assert (len(rest), digest) == GOLDEN
     record = json.loads(counters[0])
     assert record["counters"] == COUNTERS
     assert record["step"] == len(lines)
 
 
-@pytest.mark.parametrize("scheduler", sorted(GOLDEN))
+def _brackets(lines):
+    """Each ``(run, round)``'s records, ``step`` dropped, as a multiset."""
+    brackets = {}
+    for line in lines:
+        record = json.loads(line)
+        del record["step"]
+        key = (record["run"], record["round"])
+        brackets.setdefault(key, []).append(
+            json.dumps(record, sort_keys=True)
+        )
+    return {key: sorted(records) for key, records in brackets.items()}
+
+
+@pytest.mark.parametrize("scheduler", ["async:3:7", "lockstep"])
 def test_deterministic_records_match_the_pinned_digest(scheduler, tmp_path):
+    """Lockstep writes the pinned bytes; an asynchronous schedule writes
+    a permutation of them inside every round, and stays closed."""
     path = tmp_path / "events.jsonl"
-    _write_grid_log(path, scheduler)
+    _write_grid_log(path)
     lines = _deterministic_lines(path)
-    _check_against_golden(lines, scheduler)
+    _check_against_golden(lines)
+    if scheduler != "lockstep":
+        lockstep = lines
+        path = tmp_path / "async.jsonl"
+        with async_schedule(3, 7):
+            _write_grid_log(path)
+        lines = _deterministic_lines(path)
+        assert lines != lockstep
+        assert _brackets(lines) == _brackets(lockstep)
     assert check_closedness([json.loads(line) for line in lines]) == []
 
 
 def test_capped_log_rolls_over_at_the_pinned_records(tmp_path):
     path = tmp_path / "events.jsonl"
-    _write_grid_log(path, "lockstep", cap_bytes=CAP_BYTES)
+    _write_grid_log(path, cap_bytes=CAP_BYTES)
     parts = []
     lines = []
     for part in log_paths(path):
@@ -165,7 +185,7 @@ def test_capped_log_rolls_over_at_the_pinned_records(tmp_path):
             lines.extend(part_lines)
     assert parts == GOLDEN_PARTS
     # rotation moves file boundaries, never bytes
-    _check_against_golden(lines, "lockstep")
+    _check_against_golden(lines)
 
 
 def test_pooled_log_is_exactly_the_stdlib_encoding(tmp_path):
@@ -177,7 +197,7 @@ def test_pooled_log_is_exactly_the_stdlib_encoding(tmp_path):
     bare NaN / Infinity fails the parse.
     """
     path = tmp_path / "events.jsonl"
-    _write_grid_log(path, "lockstep", workers=2)
+    _write_grid_log(path, workers=2)
     records = read_jsonl(path)
     assert {"rollup", "worker_sample", "workers", "profile"} <= {
         record["kind"] for record in records

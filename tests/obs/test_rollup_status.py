@@ -2,9 +2,13 @@
 
 import json
 import os
+import pickle
 import subprocess
 import sys
+from concurrent.futures import Future
 
+from repro.analysis import parallel
+from repro.analysis.parallel import SweepCell, SweepContext
 from repro.analysis.sweeps import standard_adversary_makers, sweep
 from repro.avalanche.protocol import avalanche_factory
 from repro.fuzz.campaign import CampaignSettings, run_campaign
@@ -17,6 +21,8 @@ from repro.obs import (
     status_from_records,
     validate_records,
 )
+
+from tests.analysis.test_parallel import InertPool
 
 
 def pooled_sweep_log(config4, close=True):
@@ -91,12 +97,48 @@ class TestStatus:
         assert status["cells"]["planned"] == 4
         assert status["cells"]["done"] == 4
         assert status["progress"] == 1.0
-        assert status["workers"]
+        # The planned pool size is deterministic; how many slots
+        # collected a chunk depends on OS scheduling.
         assert status["pool"]["workers"] == 2
+        assert 1 <= len(status["workers"]) <= 2
+        assert sum(row["cells"] for row in status["workers"]) == 4
         rendered = render_status(status)
         assert "status: complete" in rendered
         assert "progress 100.0%" in rendered
         assert "per-worker throughput (nondeterministic):" in rendered
+        assert "pool: 2 worker(s)" in rendered
+
+    def test_pool_reports_the_plan_when_one_slot_collects_everything(
+        self, config4, monkeypatch
+    ):
+        """A two-worker plan whose second worker never collects a chunk."""
+        blob = pickle.dumps("an outcome")
+
+        class OneWorkerPool(InertPool):
+            def submit(self, function, chunk):
+                future = Future()
+                future.set_result(([blob] * len(chunk), 900, 0.25, {}))
+                return future
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", OneWorkerPool)
+        context = SweepContext(
+            factory=avalanche_factory(), config=config4,
+            adversary_makers=tuple(standard_adversary_makers()[:1]),
+            predicate=None, max_rounds=3, run_full_rounds=None,
+            sizer=None, is_null=None,
+        )
+        cells = [
+            SweepCell(index=i, inputs={}, faulty=(), adversary_name="x",
+                      adversary_index=0, seed=0)
+            for i in range(2)
+        ]  # one chunk each at workers=2
+        log = EventLog()
+        with observing(Observer(events=log)):
+            parallel.execute_cells(context, cells, workers=2)
+        assert validate_records(log.records) == []
+        status = status_from_records(log.records)
+        assert status["pool"]["workers"] == 2
+        assert [row["chunks"] for row in status["workers"]] == [2]
 
     def test_interrupted_run_reconstructs_from_the_torn_log(
         self, config4, tmp_path

@@ -5,8 +5,8 @@
 plain recipient map copy by copy.  The two must be the same execution:
 here one protocol runs twice — returning ``broadcast(...)`` and
 returning ``dict(broadcast(...))`` — and the pickled result, the
-counters and the event log are compared byte for byte, under both
-backends.  The protocol covers the cases the single delivery treats
+counters and the event log are compared byte for byte, under the
+lockstep engine and the asynchronous reference.  The protocol covers the cases the single delivery treats
 apart: a faulty destination, a faulty sender (metered and not), an
 all-``BOTTOM`` broadcast, and a hash-consed payload.
 """
@@ -59,12 +59,12 @@ class PlainTalker(Talker):
         return dict(super().outgoing(round_number))
 
 
-def run(talker, scheduler, **engine_arguments):
+def run(talker, **engine_arguments):
     return run_protocol(
         lambda process_id, config, value: talker(process_id, config),
         CONFIG, INPUTS,
         adversary=EquivocatingAdversary([4], 0, 1),
-        run_full_rounds=ROUNDS, seed=7, scheduler=scheduler,
+        run_full_rounds=ROUNDS, seed=7,
         **engine_arguments,
     )
 
@@ -73,12 +73,11 @@ def result_bytes(result):
     return pickle.dumps(dataclasses.replace(result, processes={}))
 
 
-@pytest.mark.parametrize("scheduler", BACKENDS)
+@pytest.mark.parametrize("schedule", BACKENDS, indirect=True)
 @pytest.mark.parametrize("meter_adversary", (False, True))
-def test_results_pickle_identically(scheduler, meter_adversary):
-    uniform = run(Talker, scheduler, meter_adversary=meter_adversary,
-                  record_trace=True)
-    plain = run(PlainTalker, scheduler, meter_adversary=meter_adversary,
+def test_results_pickle_identically(schedule, meter_adversary):
+    uniform = run(Talker, meter_adversary=meter_adversary, record_trace=True)
+    plain = run(PlainTalker, meter_adversary=meter_adversary,
                 record_trace=True)
     assert result_bytes(uniform) == result_bytes(plain)
     # The faulty destination's copies are metered, the BOTTOM round's
@@ -96,12 +95,12 @@ def test_results_pickle_identically(scheduler, meter_adversary):
     assert metrics.rounds_used == (ROUNDS if meter_adversary else ROUNDS - 1)
 
 
-@pytest.mark.parametrize("scheduler", BACKENDS)
-def test_counters_move_as_if_every_copy_had_asked(scheduler):
+@pytest.mark.parametrize("schedule", BACKENDS, indirect=True)
+def test_counters_move_as_if_every_copy_had_asked(schedule):
     counters = {}
     for talker in (Talker, PlainTalker):
         with observing(Observer(spans=False)) as observer:
-            run(talker, scheduler)
+            run(talker)
         counters[talker] = observer.registry.counters()
     assert counters[Talker] == counters[PlainTalker]
     # Round 2's array is one canonical node per parity: two misses, and
@@ -110,14 +109,14 @@ def test_counters_move_as_if_every_copy_had_asked(scheduler):
     assert counters[Talker]["net.interned_size_cache.hit"] == 4 * CONFIG.n - 2
 
 
-@pytest.mark.parametrize("scheduler", BACKENDS)
-def test_event_logs_are_byte_identical(scheduler, tmp_path):
+@pytest.mark.parametrize("schedule", BACKENDS, indirect=True)
+def test_event_logs_are_byte_identical(schedule, tmp_path):
     logs = {}
     for talker in (Talker, PlainTalker):
         path = tmp_path / f"{talker.__name__}.jsonl"
         log = EventLog(path)
         with observing(Observer(events=log, trace=True, spans=False)):
-            run(talker, scheduler, record_trace=True)
+            run(talker, record_trace=True)
         log.close()
         logs[talker] = path.read_bytes()
     assert logs[Talker] == logs[PlainTalker]

@@ -9,12 +9,12 @@ from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.errors import ConfigurationError
 from repro.fullinfo.protocol import full_information_sizer
 from repro.obs import Observer, observing
+from repro.runtime import engine
 from repro.runtime.engine import run_protocol
 from repro.runtime.metrics import MessageMetrics, RoundUsage
 from repro.runtime.network import SynchronousNetwork, _default_sizer
 from repro.runtime.node import Process, broadcast
 from repro.runtime.rng import make_rng
-from repro.runtime.scheduler import resolve_scheduler
 from repro.runtime.trace import ExecutionTrace
 from repro.types import BOTTOM, SystemConfig, is_bottom
 
@@ -224,7 +224,8 @@ SCRIPT = {
 }
 
 
-def scripted_network(scheduler):
+def scripted_network():
+    """Built as the engine builds it, so ``schedule`` applies."""
     config = SystemConfig(n=4, t=1)
     adversary = FirstHalfOnly([4])
     adversary.bind(config, make_rng(0))
@@ -232,19 +233,18 @@ def scripted_network(scheduler):
         process_id: Scripted(process_id, config, SCRIPT)
         for process_id in (1, 2, 3)
     }
-    return SynchronousNetwork(
+    return engine.SynchronousNetwork(
         config, processes, adversary, {p: 0 for p in config.process_ids},
         sizer=len, is_null=lambda message: message.startswith("null"),
-        scheduler=resolve_scheduler(scheduler),
     )
 
 
-@pytest.mark.parametrize("scheduler", ["lockstep", "async:3:7"])
+@pytest.mark.usefixtures("schedule")
 class TestBurstMetering:
     """A sender's burst, summed and recorded once, meters per message."""
 
-    def test_network_meter_equals_record_per_message(self, scheduler):
-        network = scripted_network(scheduler)
+    def test_network_meter_equals_record_per_message(self):
+        network = scripted_network()
         for _ in range(3):
             network.run_round()
         reference = MessageMetrics()
@@ -266,8 +266,8 @@ class TestBurstMetering:
             assert metrics.sender_usage(key) == reference.sender_usage(key)
         assert metrics.round_usage(3) == RoundUsage(3, 1, 25)
 
-    def test_all_bottom_bursts_create_no_rows(self, scheduler):
-        network = scripted_network(scheduler)
+    def test_all_bottom_bursts_create_no_rows(self):
+        network = scripted_network()
         network.run_round()
         network.run_round()  # nobody sends
         metrics = network.metrics
@@ -281,7 +281,7 @@ class TestBurstMetering:
         assert set(metrics.non_null_by_sender()) == {1, 2}
 
 
-@pytest.mark.parametrize("scheduler", ["lockstep", "async:3:7"])
+@pytest.mark.usefixtures("schedule")
 class TestSizeCacheCounters:
     """The sizing memo is consulted once per metered message, as before
     bursts were summed: numbers pinned at the commit that still recorded
@@ -298,12 +298,11 @@ class TestSizeCacheCounters:
             if name.startswith("net.")
         }
 
-    def test_plain_payloads(self, scheduler):
+    def test_plain_payloads(self):
         with observing(Observer()) as observer:
             run_compact_byzantine_agreement(
                 self.CONFIG, self.INPUTS, value_alphabet=[0, 1], k=1,
                 adversary=EquivocatingAdversary([6, 7], 0, 1),
-                scheduler=scheduler,
             )
         assert self.net_counters(observer) == {
             "net.bits": 8561,
@@ -313,7 +312,7 @@ class TestSizeCacheCounters:
             "net.size_cache.miss": 35,
         }
 
-    def test_interned_payloads(self, scheduler):
+    def test_interned_payloads(self):
         with observing(Observer()) as observer:
             run_protocol(
                 eig_agreement_factory(self.CONFIG, [0, 1]),
@@ -321,7 +320,7 @@ class TestSizeCacheCounters:
                 adversary=EquivocatingAdversary([6, 7], 0, 1),
                 max_rounds=self.CONFIG.t + 2,
                 sizer=full_information_sizer(2, self.CONFIG.n),
-                scheduler=scheduler, seed=3,
+                seed=3,
             )
         assert self.net_counters(observer) == {
             "net.bits": 2625,

@@ -1,9 +1,11 @@
-"""Scheduler-invariance conformance suite.
+"""Schedule-invariance conformance suite.
 
-The pluggable round engine's contract (docs/runtime.md): for any
+The round engine's contract (docs/runtime.md): for any
 communication-closed protocol, every admissible schedule — lockstep or
-async, any delay bound, any schedule salt — produces the *identical*
-``ExecutionResult``.  This suite is that contract, executable:
+asynchronous, any delay bound, any schedule salt — produces the
+*identical* ``ExecutionResult``.  The asynchronous schedules come from
+the test-side reference, ``tests/runtime/reference_async.py``.  This
+suite is that contract, executable:
 
 * every registered protocol runs under lockstep and a
   spread of async schedules, and the results must be pickle-identical
@@ -15,7 +17,7 @@ async, any delay bound, any schedule salt — produces the *identical*
 * async deliver traces still satisfy the dynamic closedness checker;
 * and a deliberately NON-closed fixture (processes leaking state
   through an out-of-band shared list) demonstrably *diverges* across
-  backends — the negative control proving the suite can tell backends
+  schedules — the negative control proving the suite can tell schedules
   apart when, and only when, the protocol breaks the canonical form.
 """
 
@@ -25,25 +27,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
 from repro.fuzz.campaign import replay_case
 from repro.fuzz.case import FuzzCase
 from repro.fuzz.protocols import get_spec, protocol_names
 from repro.runtime.engine import run_protocol
 from repro.runtime.node import Process, broadcast
 from repro.runtime.rng import derive_rng
-from repro.runtime.scheduler import (
-    AsyncScheduler,
-    LockstepScheduler,
-    resolve_scheduler,
-)
 from repro.types import BOTTOM, SystemConfig
 
 from tests.conftest import canonical_bytes
+from tests.runtime.reference_async import async_schedule, schedule_for
 
 N, T = 4, 1
 
-#: Async backend specs spread across the delay/salt axes.
+#: Async schedules spread across the delay/salt axes.
 ASYNC_SPECS = ("async", "async:1", "async:5", "async:3:17", "async:7:101")
 
 
@@ -58,6 +55,11 @@ def catalog_case(protocol, seed, faulty=(1,)):
     )
 
 
+def replay(case, spec):
+    with schedule_for(spec):
+        return replay_case(case)
+
+
 # -- catalog equivalence -----------------------------------------------------
 
 
@@ -66,8 +68,8 @@ def catalog_case(protocol, seed, faulty=(1,)):
 def test_catalog_protocol_invariant_under_async(protocol, backend):
     """Every catalog protocol: async result pickle-identical to lockstep."""
     case = catalog_case(protocol, seed=2026)
-    reference = replay_case(case, scheduler="lockstep")
-    outcome = replay_case(case, scheduler=backend)
+    reference = replay_case(case)
+    outcome = replay(case, backend)
     assert outcome.violations == reference.violations
     assert canonical_bytes(outcome.result) == canonical_bytes(
         reference.result
@@ -77,8 +79,8 @@ def test_catalog_protocol_invariant_under_async(protocol, backend):
 @pytest.mark.parametrize("protocol", protocol_names())
 def test_catalog_protocol_invariant_fault_free(protocol):
     case = catalog_case(protocol, seed=7, faulty=())
-    reference = replay_case(case, scheduler="lockstep")
-    outcome = replay_case(case, scheduler="async:4:9")
+    reference = replay_case(case)
+    outcome = replay(case, "async:4:9")
     assert canonical_bytes(outcome.result) == canonical_bytes(
         reference.result
     )
@@ -99,8 +101,8 @@ def test_schedule_permutations_leave_results_unchanged(
 ):
     """Any (delay bound, salt) pair is an admissible-schedule identity."""
     case = catalog_case(protocol, seed=seed)
-    reference = replay_case(case, scheduler="lockstep")
-    outcome = replay_case(case, scheduler=f"async:{max_delay}:{salt}")
+    reference = replay_case(case)
+    outcome = replay(case, f"async:{max_delay}:{salt}")
     assert outcome.result.decisions == reference.result.decisions
     assert outcome.result.rounds == reference.result.rounds
     assert (
@@ -122,8 +124,8 @@ def test_schedule_permutations_leave_results_unchanged(
 def test_two_async_schedules_agree_with_each_other(seed, salt_a, salt_b):
     """Backend invariance is transitive: any two async schedules agree."""
     case = catalog_case("eig", seed=seed)
-    a = replay_case(case, scheduler=f"async:3:{salt_a}")
-    b = replay_case(case, scheduler=f"async:5:{salt_b}")
+    a = replay(case, f"async:3:{salt_a}")
+    b = replay(case, f"async:5:{salt_b}")
     assert canonical_bytes(a.result) == canonical_bytes(b.result)
 
 
@@ -140,7 +142,7 @@ def test_async_deliver_traces_pass_closedness(protocol):
     case = catalog_case(protocol, seed=31)
     log = EventLog()
     with _obs.observing(_obs.Observer(events=log, trace=True, spans=False)):
-        replay_case(case, scheduler="async:4:2")
+        replay(case, "async:4:2")
     deliver_records = [
         record for record in log.records if record.get("kind") == "deliver"
     ]
@@ -151,23 +153,23 @@ def test_async_deliver_traces_pass_closedness(protocol):
 def test_async_actually_reorders_state_changes():
     """The diagnostic counter proves schedules are genuinely permuted.
 
-    Equivalence tests would pass vacuously if the async backend
-    secretly ran in lockstep order; this pins that it does not.
+    Equivalence tests would pass vacuously if the reference secretly
+    ran in lockstep order; this pins that it does not.
     """
-    scheduler = AsyncScheduler(max_delay=3, salt=0)
     spec = get_spec("avalanche")
     config = SystemConfig(n=N, t=T)
     inputs = spec.sample_inputs(config, derive_rng(11, "inputs"))
-    run_protocol(
-        spec.build(config),
-        config,
-        inputs,
-        seed=11,
-        scheduler=scheduler,
-        **spec.engine_arguments(config),
-    )
-    assert scheduler.reordered_state_changes > 0
-    assert scheduler.delays_sampled > 0
+    with async_schedule(max_delay=3, salt=0) as networks:
+        run_protocol(
+            spec.build(config),
+            config,
+            inputs,
+            seed=11,
+            **spec.engine_arguments(config),
+        )
+    (network,) = networks
+    assert network.reordered_state_changes > 0
+    assert network.delays_sampled > 0
 
 
 # -- the negative control ----------------------------------------------------
@@ -179,8 +181,8 @@ class _OrderLeakProcess(Process):
     Correct processes share one mutable list (an out-of-band channel —
     exactly what the canonical form forbids) and decide on the order
     their state changes happen to run in.  Lockstep runs receivers in
-    processor-id order; the async backend runs them in
-    delivery-completion order, so the decision is backend-visible.
+    processor-id order; an async schedule runs them in
+    delivery-completion order, so the decision is schedule-visible.
     """
 
     __slots__ = ("shared",)
@@ -206,16 +208,15 @@ def _order_leak_factory():
     return factory
 
 
-def _run_order_leak(scheduler):
+def _run_order_leak(spec):
     config = SystemConfig(n=4, t=0)
     inputs = {process_id: 0 for process_id in config.process_ids}
-    return run_protocol(
-        _order_leak_factory(), config, inputs, seed=11, scheduler=scheduler
-    )
+    with schedule_for(spec):
+        return run_protocol(_order_leak_factory(), config, inputs, seed=11)
 
 
 def test_non_closed_fixture_diverges_across_backends():
-    """Negative control: backends ARE distinguishable — by exactly the
+    """Negative control: schedules ARE distinguishable — by exactly the
     protocols the canonical form rules out."""
     reference = _run_order_leak("lockstep")
     assert reference.decisions == {
@@ -227,8 +228,10 @@ def test_non_closed_fixture_diverges_across_backends():
 
 @pytest.mark.parametrize("salt", range(4))
 def test_non_closed_fixture_diverges_for_every_salt(salt):
+    # At n=4 a delay bound of 3 leaves salts 1 and 2 in processor-id
+    # order; 5 permutes all four.
     reference = _run_order_leak("lockstep")
-    assert _run_order_leak(f"async:3:{salt}").decisions != reference.decisions
+    assert _run_order_leak(f"async:5:{salt}").decisions != reference.decisions
 
 
 def test_zero_delay_async_degenerates_to_lockstep_order():
@@ -240,54 +243,12 @@ def test_zero_delay_async_degenerates_to_lockstep_order():
     assert degenerate.decisions == reference.decisions
 
 
-# -- backend selection -------------------------------------------------------
-
-
-def test_resolve_scheduler_names():
-    assert isinstance(resolve_scheduler("lockstep"), LockstepScheduler)
-    assert isinstance(resolve_scheduler(None), LockstepScheduler)
-    backend = resolve_scheduler("async")
-    assert isinstance(backend, AsyncScheduler)
-    parsed = resolve_scheduler("async:5:17")
-    assert (parsed.max_delay, parsed.salt) == (5, 17)
-    assert resolve_scheduler("async:2").salt == 0
-    instance = AsyncScheduler(max_delay=1)
-    assert resolve_scheduler(instance) is instance
-
-
-@pytest.mark.parametrize(
-    "bogus", ("", "asink", "async:", "async:x", "async:1:2:3", "async:-")
-)
-def test_resolve_scheduler_rejects_malformed_specs(bogus):
-    with pytest.raises(ConfigurationError):
-        resolve_scheduler(bogus)
-
-
-def test_scheduler_rejects_rebinding_to_a_second_network():
-    """Schedulers carry per-execution state; reuse is a hard error."""
-    scheduler = AsyncScheduler()
-    config = SystemConfig(n=4, t=0)
-    inputs = {process_id: 0 for process_id in config.process_ids}
-    run_protocol(
-        _order_leak_factory(), config, inputs, seed=0, scheduler=scheduler
-    )
-    with pytest.raises(ConfigurationError):
-        run_protocol(
-            _order_leak_factory(), config, inputs, seed=0, scheduler=scheduler
-        )
-
-
-def test_async_rejects_negative_delay_bound():
-    with pytest.raises(ConfigurationError):
-        AsyncScheduler(max_delay=-1)
-
-
 def test_results_carry_no_backend_field():
-    """ExecutionResult must stay backend-anonymous: cross-backend pickle
-    identity is the acceptance gate, so the result cannot record which
-    scheduler produced it."""
+    """ExecutionResult must stay schedule-anonymous: cross-schedule
+    pickle identity is the acceptance gate, so the result cannot record
+    which schedule produced it."""
     field_names = {
-        field.name for field in dataclasses.fields(_run_order_leak(None))
+        field.name for field in dataclasses.fields(_run_order_leak("lockstep"))
     }
     assert "scheduler" not in field_names
     assert BOTTOM not in field_names  # guard the guard: set is non-trivial

@@ -4,10 +4,11 @@ The round loop prefills every receiver's incoming row with
 :data:`BOTTOM` (one slot per processor id), so a sender that sends
 *nothing* in a round — a correct processor whose ``outgoing`` is empty,
 or a crashed processor — must surface as detectable BOTTOM entries, a
-complete ``n``-entry row, under **both** scheduler backends.  The async
-backend counts BOTTOM arrivals toward round recovery (an omission is a
-detectable event in the synchronous reduction), so silence must never
-stall round advancement either.
+complete ``n``-entry row, under the lockstep engine and the
+asynchronous reference alike.  The reference counts BOTTOM arrivals
+toward round recovery (an omission is a detectable event in the
+synchronous reduction), so silence must never stall round advancement
+either.
 """
 
 import dataclasses
@@ -20,6 +21,8 @@ from repro.avalanche.protocol import avalanche_factory
 from repro.runtime.engine import run_protocol
 from repro.runtime.node import Process, broadcast
 from repro.types import BOTTOM, SystemConfig, is_bottom
+
+from tests.runtime.reference_async import schedule_for
 
 BACKENDS = ("lockstep", "async", "async:5:3")
 
@@ -46,7 +49,7 @@ class _SometimesSilent(Process):
         return {"decision": self.decision, "rows": len(self.seen)}
 
 
-def _run_silent(scheduler, config=None):
+def _run_silent(config=None):
     config = config or SystemConfig(n=4, t=0)
     inputs = {process_id: 0 for process_id in config.process_ids}
     return run_protocol(
@@ -55,13 +58,12 @@ def _run_silent(scheduler, config=None):
         inputs,
         run_full_rounds=4,
         seed=3,
-        scheduler=scheduler,
     )
 
 
-@pytest.mark.parametrize("scheduler", BACKENDS)
-def test_silent_round_delivers_full_bottom_rows(scheduler):
-    result = _run_silent(scheduler)
+@pytest.mark.parametrize("schedule", BACKENDS, indirect=True)
+def test_silent_round_delivers_full_bottom_rows(schedule):
+    result = _run_silent()
     config = result.config
     for process in result.processes.values():
         assert [row[0] for row in process.seen] == [1, 2, 3, 4]
@@ -78,21 +80,22 @@ def test_silent_round_delivers_full_bottom_rows(scheduler):
 
 
 def test_silent_rounds_identical_across_backends():
-    rows = {
-        scheduler: [
-            (pid, process.seen)
-            for pid, process in sorted(_run_silent(scheduler).processes.items())
-        ]
-        for scheduler in BACKENDS
-    }
+    rows = {}
+    for spec in BACKENDS:
+        with schedule_for(spec):
+            rows[spec] = [
+                (pid, process.seen)
+                for pid, process in sorted(_run_silent().processes.items())
+            ]
     assert rows["lockstep"] == rows["async"] == rows["async:5:3"]
 
 
 def test_silent_rounds_cost_zero_bits():
     """An all-silent round creates no metric rows at all (the lazily
-    bound recorder), under every backend."""
-    for scheduler in BACKENDS:
-        metrics = _run_silent(scheduler).metrics
+    bound recorder), under every schedule."""
+    for spec in BACKENDS:
+        with schedule_for(spec):
+            metrics = _run_silent().metrics
         for silent_round in (2, 4):
             usage = metrics.round_usage(silent_round)
             assert (usage.messages, usage.bits) == (0, 0)
@@ -100,10 +103,10 @@ def test_silent_rounds_cost_zero_bits():
         assert metrics.total_bits > 0  # the beats themselves were metered
 
 
-@pytest.mark.parametrize("scheduler", BACKENDS)
-def test_crash_faulted_sender_goes_bottom(scheduler):
+@pytest.mark.parametrize("schedule", BACKENDS, indirect=True)
+def test_crash_faulted_sender_goes_bottom(schedule):
     """A crashed processor's post-crash silence arrives as BOTTOM and
-    the execution still terminates and decides — on every backend."""
+    the execution still terminates and decides — on every schedule."""
     config = SystemConfig(n=7, t=2)
     inputs = {pid: pid % 2 for pid in config.process_ids}
     factory = avalanche_factory()
@@ -114,7 +117,6 @@ def test_crash_faulted_sender_goes_bottom(scheduler):
         adversary=CrashAdversary({1: 2, 2: 1}, factory, cut_fraction=0.5),
         run_full_rounds=6,
         seed=5,
-        scheduler=scheduler,
     )
     assert result.rounds == 6
     assert result.faulty_ids == frozenset({1, 2})
@@ -124,17 +126,19 @@ def test_crash_execution_identical_across_backends():
     config = SystemConfig(n=7, t=2)
     inputs = {pid: pid % 2 for pid in config.process_ids}
 
-    def run(scheduler):
+    def run(spec):
         factory = avalanche_factory()
-        result = run_protocol(
-            factory,
-            config,
-            inputs,
-            adversary=CrashAdversary({1: 2, 2: 1}, factory, cut_fraction=0.5),
-            run_full_rounds=6,
-            seed=5,
-            scheduler=scheduler,
-        )
+        with schedule_for(spec):
+            result = run_protocol(
+                factory,
+                config,
+                inputs,
+                adversary=CrashAdversary(
+                    {1: 2, 2: 1}, factory, cut_fraction=0.5
+                ),
+                run_full_rounds=6,
+                seed=5,
+            )
         return pickle.dumps(dataclasses.replace(result, processes={}))
 
     reference = run("lockstep")
@@ -156,16 +160,16 @@ def test_bottom_broadcast_equals_empty_outgoing():
 
     config = SystemConfig(n=4, t=0)
     inputs = {pid: 0 for pid in config.process_ids}
-    for scheduler in BACKENDS:
-        implicit = _run_silent(scheduler, config)
-        explicit = run_protocol(
-            lambda pid, cfg, value: ExplicitBottom(pid, cfg),
-            config,
-            inputs,
-            run_full_rounds=4,
-            seed=3,
-            scheduler=scheduler,
-        )
+    for spec in BACKENDS:
+        with schedule_for(spec):
+            implicit = _run_silent(config)
+            explicit = run_protocol(
+                lambda pid, cfg, value: ExplicitBottom(pid, cfg),
+                config,
+                inputs,
+                run_full_rounds=4,
+                seed=3,
+            )
         assert [
             process.seen for _, process in sorted(implicit.processes.items())
         ] == [
