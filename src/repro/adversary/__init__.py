@@ -12,40 +12,25 @@ Strategies are deterministic given their seeded RNG, so any execution
 is replayable from ``(protocol, inputs, adversary, seed)``.
 """
 
-from repro.adversary.base import Adversary, PassiveAdversary, RoundContext
-from repro.adversary.byzantine import (
-    CollusionAdversary,
-    EquivocatingAdversary,
-    MalformedArrayAdversary,
-    RandomGarbageAdversary,
-    SilentAdversary,
-    StrategyTable,
-    VoteSplitterAdversary,
-)
-from repro.adversary.crash import CrashAdversary
-from repro.adversary.omission import OmissionAdversary
-from repro.adversary.compact_attacks import (
-    AvalancheEquivocator,
-    ForgedIndexAdversary,
-    SpliceAdversary,
-    StaleCoreAdversary,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Adversary",
-    "PassiveAdversary",
-    "RoundContext",
-    "CollusionAdversary",
-    "EquivocatingAdversary",
-    "MalformedArrayAdversary",
-    "RandomGarbageAdversary",
-    "SilentAdversary",
-    "StrategyTable",
-    "VoteSplitterAdversary",
-    "CrashAdversary",
-    "OmissionAdversary",
-    "AvalancheEquivocator",
-    "ForgedIndexAdversary",
-    "SpliceAdversary",
-    "StaleCoreAdversary",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "base": ("Adversary", "PassiveAdversary", "RoundContext"),
+    "byzantine": (
+        "CollusionAdversary",
+        "EquivocatingAdversary",
+        "MalformedArrayAdversary",
+        "RandomGarbageAdversary",
+        "SilentAdversary",
+        "StrategyTable",
+        "VoteSplitterAdversary",
+    ),
+    "crash": ("CrashAdversary",),
+    "omission": ("OmissionAdversary",),
+    "compact_attacks": (
+        "AvalancheEquivocator",
+        "ForgedIndexAdversary",
+        "SpliceAdversary",
+        "StaleCoreAdversary",
+    ),
+})

@@ -20,13 +20,23 @@ from __future__ import annotations
 
 import abc
 import types
-from typing import Any, Dict, Iterable, Mapping, Optional
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Mapping,
+    Optional,
+    Union,
+)
 
 from repro.errors import ConfigurationError
 from repro.runtime.rng import make_rng
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class RoundContext:
@@ -95,10 +105,20 @@ class Adversary(abc.ABC):
     def __init__(self, faulty_ids: Iterable[ProcessId]):
         self.faulty_ids = frozenset(faulty_ids)
         self._rng: Optional[np.random.Generator] = None
+        self._make_rng: Callable[[], np.random.Generator] = make_rng
         self._config: Optional[SystemConfig] = None
 
-    def bind(self, config: SystemConfig, rng: np.random.Generator) -> None:
-        """Attach configuration and an RNG substream (engine calls this)."""
+    def bind(
+        self,
+        config: SystemConfig,
+        rng: Union[np.random.Generator, Callable[[], np.random.Generator]],
+    ) -> None:
+        """Attach configuration and an RNG substream (engine calls this).
+
+        ``rng`` is the substream itself or a function building it; the
+        engine passes the latter, so a strategy that never draws never
+        builds a generator (nor imports numpy).
+        """
         if len(self.faulty_ids) > config.t:
             raise ConfigurationError(
                 f"adversary corrupts {len(self.faulty_ids)} processors but "
@@ -110,13 +130,19 @@ class Adversary(abc.ABC):
                     f"faulty id {process_id} outside 1..{config.n}"
                 )
         self._config = config
-        self._rng = rng
+        if callable(rng):
+            self._rng, self._make_rng = None, rng
+        else:
+            self._rng = rng
 
     @property
     def rng(self) -> np.random.Generator:
-        """The adversary's RNG substream (available after ``bind``)."""
+        """The adversary's RNG substream, built on first use and kept.
+
+        Unbound, it is ``make_rng(0)``.
+        """
         if self._rng is None:
-            self._rng = make_rng(0)
+            self._rng = self._make_rng()
         return self._rng
 
     @property

@@ -216,7 +216,7 @@ class StrategyTable(Adversary):
     """Heterogeneous faults: a different strategy per faulty processor.
 
     Wraps single-processor strategies; each sub-strategy is bound with
-    the same configuration and a derived RNG substream.
+    the same configuration and draws from the table's one RNG stream.
     """
 
     def __init__(self, strategies: Mapping[ProcessId, Adversary]):
@@ -229,7 +229,7 @@ class StrategyTable(Adversary):
             # Sub-strategies may declare fewer faulty ids than they are
             # assigned; rebind them to their own slot.
             strategy.faulty_ids = frozenset({process_id})
-            strategy.bind(config, rng)
+            strategy.bind(config, lambda: self.rng)
 
     def outgoing(
         self, round_number: Round, sender: ProcessId, context: RoundContext

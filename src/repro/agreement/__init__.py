@@ -30,93 +30,56 @@
   measures itself against.
 """
 
-from repro.agreement.eig_agreement import (
-    ExponentialAgreementAutomaton,
-    eig_agreement_factory,
-    run_eig_agreement,
-)
-from repro.agreement.phase_king import (
-    PhaseKingProcess,
-    PhaseQueenProcess,
-    phase_king_factory,
-    phase_king_rounds,
-    phase_queen_factory,
-    phase_queen_rounds,
-)
-from repro.agreement.srikanth_toueg import (
-    STAgreementProcess,
-    WitnessedBroadcast,
-    st_agreement_factory,
-    st_agreement_rounds,
-)
-from repro.agreement.ben_or import BenOrProcess, ben_or_factory
-from repro.agreement.turpin_coan import TurpinCoanProcess, turpin_coan_factory
-from repro.agreement.crusader import CrusaderProcess, SENDER_FAULTY, crusader_factory
-from repro.agreement.weak import WeakAgreementProcess, weak_agreement_factory
-from repro.agreement.approximate import (
-    ApproximateAgreementAutomaton,
-    ApproximateProcess,
-    approximate_factory,
-    rounds_for_precision,
-)
-from repro.agreement.dolev_strong import (
-    DolevStrongProcess,
-    dolev_strong_factory,
-    dolev_strong_rounds,
-)
-from repro.agreement.early_stopping import (
-    EarlyStoppingCrashProcess,
-    early_stopping_factory,
-    early_stopping_rounds,
-)
-from repro.agreement.firing_squad import (
-    FiringSquadProcess,
-    fire_deadline,
-    firing_squad_factory,
-)
-from repro.agreement.lower_bounds import (
-    min_processors_for_agreement,
-    min_processors_for_fast_avalanche,
-    min_rounds_for_agreement,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ExponentialAgreementAutomaton",
-    "eig_agreement_factory",
-    "run_eig_agreement",
-    "PhaseKingProcess",
-    "PhaseQueenProcess",
-    "phase_king_factory",
-    "phase_king_rounds",
-    "phase_queen_factory",
-    "phase_queen_rounds",
-    "STAgreementProcess",
-    "WitnessedBroadcast",
-    "st_agreement_factory",
-    "st_agreement_rounds",
-    "BenOrProcess",
-    "ben_or_factory",
-    "TurpinCoanProcess",
-    "turpin_coan_factory",
-    "CrusaderProcess",
-    "SENDER_FAULTY",
-    "crusader_factory",
-    "WeakAgreementProcess",
-    "weak_agreement_factory",
-    "ApproximateAgreementAutomaton",
-    "ApproximateProcess",
-    "approximate_factory",
-    "rounds_for_precision",
-    "DolevStrongProcess",
-    "dolev_strong_factory",
-    "dolev_strong_rounds",
-    "EarlyStoppingCrashProcess",
-    "early_stopping_factory",
-    "early_stopping_rounds",
-    "FiringSquadProcess",
-    "fire_deadline",
-    "firing_squad_factory",
-    "min_processors_for_agreement",
-    "min_processors_for_fast_avalanche",
-    "min_rounds_for_agreement",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "eig_agreement": (
+        "ExponentialAgreementAutomaton",
+        "eig_agreement_factory",
+        "run_eig_agreement",
+    ),
+    "phase_king": (
+        "PhaseKingProcess",
+        "PhaseQueenProcess",
+        "phase_king_factory",
+        "phase_king_rounds",
+        "phase_queen_factory",
+        "phase_queen_rounds",
+    ),
+    "srikanth_toueg": (
+        "STAgreementProcess",
+        "WitnessedBroadcast",
+        "st_agreement_factory",
+        "st_agreement_rounds",
+    ),
+    "ben_or": ("BenOrProcess", "ben_or_factory"),
+    "turpin_coan": ("TurpinCoanProcess", "turpin_coan_factory"),
+    "crusader": ("CrusaderProcess", "SENDER_FAULTY", "crusader_factory"),
+    "weak": ("WeakAgreementProcess", "weak_agreement_factory"),
+    "approximate": (
+        "ApproximateAgreementAutomaton",
+        "ApproximateProcess",
+        "approximate_factory",
+        "rounds_for_precision",
+    ),
+    "dolev_strong": (
+        "DolevStrongProcess",
+        "dolev_strong_factory",
+        "dolev_strong_rounds",
+    ),
+    "early_stopping": (
+        "EarlyStoppingCrashProcess",
+        "early_stopping_factory",
+        "early_stopping_rounds",
+    ),
+    "firing_squad": (
+        "FiringSquadProcess",
+        "fire_deadline",
+        "firing_squad_factory",
+    ),
+    "lower_bounds": (
+        "min_processors_for_agreement",
+        "min_processors_for_fast_avalanche",
+        "min_rounds_for_agreement",
+    ),
+})

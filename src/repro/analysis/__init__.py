@@ -11,29 +11,20 @@
   the benchmarks and EXPERIMENTS.md.
 """
 
-from repro.analysis.complexity import (
-    compact_bits_estimate,
-    eig_total_bits,
-    full_information_message_bits,
-    st_bits_estimate,
-)
-from repro.analysis.tradeoff import (
-    achieved_round_factor,
-    epsilon_table,
-    message_size_exponent,
-)
-from repro.analysis.compare import comparison_table, measured_comparison
-from repro.analysis.report import format_table
+from repro import _lazy_exports
 
-__all__ = [
-    "compact_bits_estimate",
-    "eig_total_bits",
-    "full_information_message_bits",
-    "st_bits_estimate",
-    "achieved_round_factor",
-    "epsilon_table",
-    "message_size_exponent",
-    "comparison_table",
-    "measured_comparison",
-    "format_table",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "complexity": (
+        "compact_bits_estimate",
+        "eig_total_bits",
+        "full_information_message_bits",
+        "st_bits_estimate",
+    ),
+    "tradeoff": (
+        "achieved_round_factor",
+        "epsilon_table",
+        "message_size_exponent",
+    ),
+    "compare": ("comparison_table", "measured_comparison"),
+    "report": ("format_table",),
+})

@@ -42,6 +42,7 @@ other way round: it drops the processes and keeps the trace.)
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import math
 import multiprocessing
 import os
@@ -86,6 +87,12 @@ PURITY_EXEMPT = {
         "nondeterministic worker-utilization section"
     ),
 }
+
+#: Modules a cell imports on first use (numpy comes with the flat EIG
+#: sweep; the adversaries' RNG needs it too).  :func:`execute_cells`
+#: imports them once before the pool forks, so workers inherit them
+#: instead of each worker of each pool importing them again.
+_PRELOAD = ("repro.arrays.flat", "repro.runtime.render")
 
 #: Target number of chunks handed to each worker.  More than one chunk
 #: per worker smooths load imbalance (cells differ in round counts);
@@ -446,6 +453,8 @@ def execute_cells(
         )
 
     global _WORKER_CONTEXT, _WORKER_OBSERVED
+    for module in _PRELOAD:
+        importlib.import_module(module)
     observer = _obs.ACTIVE
     _WORKER_CONTEXT = context
     _WORKER_OBSERVED = observer is not None and observer.counters_on

@@ -26,70 +26,43 @@ every walk in this package takes an O(unique nodes) — usually O(1) —
 fast path over them.
 """
 
-from repro.arrays.store import (
-    ArrayStore,
-    InternedArray,
-    clear_shared_stores,
-    release_shared_stores,
-    shared_store,
-)
-from repro.arrays.value_array import (
-    array_depth,
-    array_leaves,
-    count_leaves,
-    is_defined_array,
-    is_index_scalar,
-    iter_paths,
-    leaf_at,
-    make_array,
-    map_leaves,
-    replace_at,
-    uniform_array,
-    unique_leaves,
-    validate_array,
-)
-from repro.arrays.partial import (
-    PartialFunction,
-    compose,
-    identity,
-    is_extension,
-    substitutive_apply,
-    table_function,
-)
-from repro.arrays.encoding import (
-    MessageSizer,
-    bits_for_alphabet,
-    encoded_array_bits,
-    encoded_message_bits,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ArrayStore",
-    "InternedArray",
-    "clear_shared_stores",
-    "release_shared_stores",
-    "shared_store",
-    "unique_leaves",
-    "array_depth",
-    "array_leaves",
-    "count_leaves",
-    "is_defined_array",
-    "is_index_scalar",
-    "iter_paths",
-    "leaf_at",
-    "make_array",
-    "map_leaves",
-    "replace_at",
-    "uniform_array",
-    "validate_array",
-    "PartialFunction",
-    "compose",
-    "identity",
-    "is_extension",
-    "substitutive_apply",
-    "table_function",
-    "MessageSizer",
-    "bits_for_alphabet",
-    "encoded_array_bits",
-    "encoded_message_bits",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "store": (
+        "ArrayStore",
+        "InternedArray",
+        "clear_shared_stores",
+        "release_shared_stores",
+        "shared_store",
+    ),
+    "value_array": (
+        "array_depth",
+        "array_leaves",
+        "count_leaves",
+        "is_defined_array",
+        "is_index_scalar",
+        "iter_paths",
+        "leaf_at",
+        "make_array",
+        "map_leaves",
+        "replace_at",
+        "uniform_array",
+        "unique_leaves",
+        "validate_array",
+    ),
+    "partial": (
+        "PartialFunction",
+        "compose",
+        "identity",
+        "is_extension",
+        "substitutive_apply",
+        "table_function",
+    ),
+    "encoding": (
+        "MessageSizer",
+        "bits_for_alphabet",
+        "encoded_array_bits",
+        "encoded_message_bits",
+    ),
+})

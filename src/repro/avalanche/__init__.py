@@ -26,37 +26,21 @@ sufficient; Protocol 2 achieves it.
   three conditions, used by tests and experiment E1.
 """
 
-from repro.avalanche.protocol import (
-    AvalancheInstance,
-    AvalancheProcess,
-    Thresholds,
-    avalanche_factory,
-    standard_thresholds,
-)
-from repro.avalanche.fast import FastAvalancheInstance, fast_thresholds
-from repro.avalanche.coding import (
-    NULL_MESSAGE,
-    NullEncoder,
-    is_null_message,
-)
-from repro.avalanche.conditions import (
-    check_avalanche_condition,
-    check_consensus_condition,
-    check_plausibility_condition,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AvalancheInstance",
-    "AvalancheProcess",
-    "Thresholds",
-    "avalanche_factory",
-    "standard_thresholds",
-    "FastAvalancheInstance",
-    "fast_thresholds",
-    "NULL_MESSAGE",
-    "NullEncoder",
-    "is_null_message",
-    "check_avalanche_condition",
-    "check_consensus_condition",
-    "check_plausibility_condition",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "protocol": (
+        "AvalancheInstance",
+        "AvalancheProcess",
+        "Thresholds",
+        "avalanche_factory",
+        "standard_thresholds",
+    ),
+    "fast": ("FastAvalancheInstance", "fast_thresholds"),
+    "coding": ("NULL_MESSAGE", "NullEncoder", "is_null_message"),
+    "conditions": (
+        "check_avalanche_condition",
+        "check_consensus_condition",
+        "check_plausibility_condition",
+    ),
+})

@@ -23,26 +23,32 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Tuple, Union
 
-from repro.adversary import PassiveAdversary
-from repro.analysis.compare import comparison_table, measured_comparison
-from repro.analysis.figures import crossover_chart
-from repro.analysis.report import format_table
-from repro.analysis.sweeps import standard_adversary_makers
-from repro.analysis.tradeoff import epsilon_table
-from repro.avalanche.protocol import avalanche_factory
-from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
-from repro.core.rounds import BlockSchedule
 from repro.errors import ConfigurationError
-from repro.runtime.engine import run_protocol
-from repro.types import SystemConfig
 
-#: The Byzantine gallery the sweeps use, plus the fault-free run.
-ADVERSARY_CHOICES = {
-    "none": lambda faulty: PassiveAdversary(),
-    **dict(standard_adversary_makers()),
-}
+#: What a handler returns: the report (exit code 0) or ``(report, code)``.
+_Output = Union[str, Tuple[str, int]]
+
+#: ``--adversary`` choices: the fault-free run, then the Byzantine
+#: gallery of :func:`repro.analysis.sweeps.standard_adversary_makers`
+#: by name (``tests/test_cold_start.py`` pins the two lists equal), so
+#: building the parser imports no strategy.
+ADVERSARY_CHOICES = (
+    "none", "silent", "garbage", "equivocator", "splitter", "malformed",
+    "collusion",
+)
+
+
+def _adversary(name: str, faulty: List[int]) -> Any:
+    """A fresh ``name`` adversary corrupting ``faulty``."""
+    if name == "none":
+        from repro.adversary.base import PassiveAdversary
+
+        return PassiveAdversary()
+    from repro.analysis.sweeps import standard_adversary_makers
+
+    return dict(standard_adversary_makers())[name](faulty)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -321,7 +327,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_table1(args) -> str:
+def _command_table1(args) -> _Output:
+    from repro.analysis.report import format_table
+    from repro.core.rounds import BlockSchedule
+
     schedule = BlockSchedule(args.k)
     return format_table(
         schedule.table(args.rounds),
@@ -330,15 +339,16 @@ def _command_table1(args) -> str:
     )
 
 
-def _command_run_ba(args) -> str:
+def _command_run_ba(args) -> _Output:
     import contextlib
     import pathlib
+
+    from repro.types import SystemConfig
 
     n = args.n if args.n is not None else 3 * args.t + 1
     config = SystemConfig(n=n, t=args.t)
     inputs = {p: p % 2 for p in config.process_ids}
     faulty = list(range(1, args.t + 1))
-    adversary = ADVERSARY_CHOICES[args.adversary](faulty)
     meter_adversary = getattr(args, "include_adversary_traffic", False)
     events_path = getattr(args, "events", None)
     record = events_path is not None
@@ -349,6 +359,7 @@ def _command_run_ba(args) -> str:
         return "error: --trace requires --events", 2
     if events_cap is not None and not record:
         return "error: --events-cap requires --events", 2
+    adversary = _adversary(args.adversary, faulty)
 
     scope: Any
     if record:
@@ -370,6 +381,7 @@ def _command_run_ba(args) -> str:
                 auth_sizer,
             )
             from repro.runtime.crypto import SignatureOracle
+            from repro.runtime.engine import run_protocol
 
             result = run_protocol(
                 auth_compact_ba_factory(
@@ -386,6 +398,10 @@ def _command_run_ba(args) -> str:
             )
             variant = "authenticated (zero overhead)"
         else:
+            from repro.compact.byzantine_agreement import (
+                run_compact_byzantine_agreement,
+            )
+
             kwargs = {}
             if args.k is None and args.epsilon is None:
                 kwargs["epsilon"] = 1.0
@@ -425,14 +441,18 @@ def _command_run_ba(args) -> str:
     return "\n".join(lines)
 
 
-def _command_compare(args) -> str:
+def _command_compare(args) -> _Output:
+    from repro.analysis.compare import comparison_table, measured_comparison
+    from repro.analysis.report import format_table
+    from repro.analysis.sweeps import standard_adversary_makers
+
     output = format_table(
         comparison_table(args.t),
         title=f"Section 5.6 comparison, analytic (t = {args.t})",
     )
     if args.measured:
         measured = measured_comparison(
-            args.t, ADVERSARY_CHOICES["equivocator"]
+            args.t, dict(standard_adversary_makers())["equivocator"]
         )
         output += "\n\n" + format_table(
             measured,
@@ -442,24 +462,33 @@ def _command_compare(args) -> str:
     return output
 
 
-def _command_tradeoff(args) -> str:
+def _command_tradeoff(args) -> _Output:
+    from repro.analysis.report import format_table
+    from repro.analysis.tradeoff import epsilon_table
+
     return format_table(
         epsilon_table((2.0, 1.0, 0.5, 0.25), t=args.t),
         title=f"eps <-> k tradeoff at t = {args.t}",
     )
 
 
-def _command_crossover(args) -> str:
+def _command_crossover(args) -> _Output:
+    from repro.analysis.figures import crossover_chart
+
     return crossover_chart(max_t=args.max_t, k=args.k)
 
 
-def _command_avalanche(args) -> str:
+def _command_avalanche(args) -> _Output:
+    from repro.avalanche.protocol import avalanche_factory
+    from repro.runtime.engine import run_protocol
+    from repro.types import SystemConfig
+
     config = SystemConfig(n=3 * args.t + 1, t=args.t)
     inputs = {
         p: ("v" if p % 3 else "w") for p in config.process_ids
     }
     faulty = list(range(1, args.t + 1))
-    adversary = ADVERSARY_CHOICES[args.adversary](faulty)
+    adversary = _adversary(args.adversary, faulty)
     result = run_protocol(
         avalanche_factory(),
         config,
@@ -477,7 +506,7 @@ def _command_avalanche(args) -> str:
     return "\n".join(lines)
 
 
-def _command_events(args):
+def _command_events(args) -> _Output:
     import json
 
     from repro.obs.events import read_log, validate_records
@@ -547,7 +576,7 @@ def _command_events(args):
     return render_profile(profile)
 
 
-def _command_status(args):
+def _command_status(args) -> _Output:
     import json
     import pathlib
 
@@ -565,7 +594,7 @@ def _command_status(args):
     return render_status(status)
 
 
-def _command_lint(args):
+def _command_lint(args) -> _Output:
     import json
     import pathlib
 
@@ -648,7 +677,7 @@ def _unparsable(error):
     return f"error: {error.filename}: {error.msg} (line {error.lineno})"
 
 
-def _command_fuzz(args):
+def _command_fuzz(args) -> _Output:
     import pathlib
 
     from repro.fuzz.campaign import CampaignSettings, replay_case, run_campaign

@@ -28,46 +28,27 @@ functions built from avalanche agreement outcomes.
   under Byzantine faults, given signatures.
 """
 
-from repro.compact.expansion import ExpansionState
-from repro.compact.subprotocol import AgreementBatch
-from repro.compact.payload import CompactPayload, compact_sizer
-from repro.compact.protocol import CompactProcess, compact_factory
-from repro.compact.byzantine_agreement import (
-    compact_ba_factory,
-    compact_ba_rounds,
-    run_compact_byzantine_agreement,
-)
-from repro.compact.crash_variant import (
-    CrashCompactProcess,
-    crash_compact_factory,
-    flooding_decision_rule,
-)
-from repro.compact.lazy_decision import (
-    full_state_leaf,
-    lazy_compact_ba_factory,
-    lazy_eig_decision,
-)
-from repro.compact.authenticated_variant import (
-    AuthCompactProcess,
-    auth_compact_ba_factory,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "ExpansionState",
-    "AgreementBatch",
-    "CompactPayload",
-    "compact_sizer",
-    "CompactProcess",
-    "compact_factory",
-    "compact_ba_factory",
-    "compact_ba_rounds",
-    "run_compact_byzantine_agreement",
-    "CrashCompactProcess",
-    "crash_compact_factory",
-    "flooding_decision_rule",
-    "full_state_leaf",
-    "lazy_compact_ba_factory",
-    "lazy_eig_decision",
-    "AuthCompactProcess",
-    "auth_compact_ba_factory",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "expansion": ("ExpansionState",),
+    "subprotocol": ("AgreementBatch",),
+    "payload": ("CompactPayload", "compact_sizer"),
+    "protocol": ("CompactProcess", "compact_factory"),
+    "byzantine_agreement": (
+        "compact_ba_factory",
+        "compact_ba_rounds",
+        "run_compact_byzantine_agreement",
+    ),
+    "crash_variant": (
+        "CrashCompactProcess",
+        "crash_compact_factory",
+        "flooding_decision_rule",
+    ),
+    "lazy_decision": (
+        "full_state_leaf",
+        "lazy_compact_ba_factory",
+        "lazy_eig_decision",
+    ),
+    "authenticated_variant": ("AuthCompactProcess", "auth_compact_ba_factory"),
+})

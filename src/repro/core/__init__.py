@@ -15,32 +15,18 @@
   protocol out.
 """
 
-from repro.core.rounds import BlockSchedule, block, phase, prior, simul
-from repro.core.automaton import AutomatonProtocol, run_automaton_locally
-from repro.core.execution import ExecutionRecord
-from repro.core.predicates import (
-    CorrectnessPredicate,
-    agreement_predicate,
-    approximate_agreement_predicate,
-    byzantine_agreement_predicate,
-    validity_predicate,
-)
-from repro.core.simulation import SimulationWitness, check_simulation
+from repro import _lazy_exports
 
-__all__ = [
-    "BlockSchedule",
-    "block",
-    "phase",
-    "prior",
-    "simul",
-    "AutomatonProtocol",
-    "run_automaton_locally",
-    "ExecutionRecord",
-    "CorrectnessPredicate",
-    "agreement_predicate",
-    "approximate_agreement_predicate",
-    "byzantine_agreement_predicate",
-    "validity_predicate",
-    "SimulationWitness",
-    "check_simulation",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "rounds": ("BlockSchedule", "block", "phase", "prior", "simul"),
+    "automaton": ("AutomatonProtocol", "run_automaton_locally"),
+    "execution": ("ExecutionRecord",),
+    "predicates": (
+        "CorrectnessPredicate",
+        "agreement_predicate",
+        "approximate_agreement_predicate",
+        "byzantine_agreement_predicate",
+        "validity_predicate",
+    ),
+    "simulation": ("SimulationWitness", "check_simulation"),
+})

@@ -19,32 +19,23 @@ removes.
   agreement for ``n > 3t``.
 """
 
-from repro.fullinfo.protocol import (
-    FullInformationAutomaton,
-    FullInformationProcess,
-    ReceiveGate,
-    full_information_factory,
-)
-from repro.fullinfo.eig import EIGView
-from repro.fullinfo.decision import (
-    DerivedDecisionRule,
-    eig_byzantine_decision,
-    reconstruct_state,
-)
-from repro.fullinfo.interactive import (
-    interactive_consistency_decision,
-    make_interactive_consistency_rule,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "FullInformationAutomaton",
-    "FullInformationProcess",
-    "ReceiveGate",
-    "full_information_factory",
-    "EIGView",
-    "DerivedDecisionRule",
-    "eig_byzantine_decision",
-    "reconstruct_state",
-    "interactive_consistency_decision",
-    "make_interactive_consistency_rule",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "protocol": (
+        "FullInformationAutomaton",
+        "FullInformationProcess",
+        "ReceiveGate",
+        "full_information_factory",
+    ),
+    "eig": ("EIGView",),
+    "decision": (
+        "DerivedDecisionRule",
+        "eig_byzantine_decision",
+        "reconstruct_state",
+    ),
+    "interactive": (
+        "interactive_consistency_decision",
+        "make_interactive_consistency_rule",
+    ),
+})

@@ -36,17 +36,17 @@ makes equal states one canonical node.  So on interned states each
 every other correct processor (and every later execution sharing the
 store) reads the answer back; see :func:`eig_byzantine_decision`.
 Plain tuples never consult the memo or the flat sweep: the same state
-handed over as builtin tuples is the reference.
+handed over as builtin tuples is the reference.  Interned states with
+few relay chains skip the flat sweep too (its tables cost more than
+they save there), so a small run never imports numpy.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 import repro.obs.core as _obs
-from repro.arrays import flat as _flat
 from repro.arrays.store import InternedArray
 from repro.arrays.value_array import array_depth, unique_leaves
 from repro.core.automaton import AutomatonProtocol
@@ -160,7 +160,9 @@ def eig_byzantine_decision(
     Two layers, outermost first: the store's in-memory memo
     (:func:`_eig_memo_key`; ``eig.decision.hit`` / ``.miss``) and the
     resolution itself (``eig.kernel.flat`` / ``.fallback`` therefore
-    count memo misses, not calls).
+    count memo misses, not calls, and only of states with more than
+    ``_REFERENCE_MAX_CHAINS`` chains: smaller ones take the reference
+    sweep uncounted).
     """
     with _obs.span("eig.decision"):
         # The resolution is a pure function of (typed structure, n, t,
@@ -323,8 +325,14 @@ def _resolve_eig_decision(
     # Flat-kernel sweep: the same resolution as one numpy descent +
     # per-level bincount over the interned tables (repro.arrays.flat).
     # Falls back to the reference sweep whenever byte-identity cannot
-    # be guaranteed by construction (see _flat_sweep_index).
-    if type(state) is InternedArray and depth <= n:
+    # be guaranteed by construction (see _flat_sweep_index).  A state
+    # with few chains goes to the reference sweep directly: there the
+    # tables cost more than they save.  ``math.perm`` is 0 when
+    # ``depth > n``, which the flat sweep does not cover either.
+    if (
+        type(state) is InternedArray
+        and math.perm(n, depth) > _REFERENCE_MAX_CHAINS
+    ):
         winner = _flat_sweep_index(state, normalise, ordered, rank, default)
         observer = _obs.ACTIVE
         if winner is not None:
@@ -388,6 +396,13 @@ def _resolve_eig_decision(
 #: :func:`_flat_sweep_index` relies on.
 _FLAT_VOTE_TYPES = (bool, int, float, str, bytes, type(None))
 
+#: Interned states with at most this many distinct-label chains
+#: (``n! / (n - depth)!``) take the reference sweep.  The two sweeps
+#: break even near 24 chains (n=4, depth 3); at 12 chains the tables
+#: cost more than the walk, at 210 (n=7, depth 3) the flat sweep is
+#: several times faster (docs/perf.md, "Cold start — measured").
+_REFERENCE_MAX_CHAINS = 24
+
 _MISSING = object()
 
 
@@ -420,7 +435,11 @@ def _flat_sweep_index(
             representative[vote] = vote
         elif prior.__class__ is not vote.__class__ or repr(prior) != repr(vote):
             return None
-    tables = _flat.tables_for(state.store)
+    import numpy as np
+
+    from repro.arrays import flat
+
+    tables = flat.tables_for(state.store)
     tables.sync()
     default_index = rank[default]
     vote_of_code = np.full(
@@ -430,7 +449,7 @@ def _flat_sweep_index(
         code = tables.code_of((typed_class, leaf))
         assert code is not None  # sync() mirrored every leaf of state
         vote_of_code[code] = rank[votes[position + 1]]
-    return _flat.eig_sweep(state, vote_of_code, len(ordered), default_index)
+    return flat.eig_sweep(state, vote_of_code, len(ordered), default_index)
 
 
 def make_eig_decision_rule(

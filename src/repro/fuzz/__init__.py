@@ -25,47 +25,27 @@ See docs/fuzzing.md for the determinism contract and the triage
 workflow.
 """
 
-from repro.fuzz.adversary import FuzzAdversary
-from repro.fuzz.campaign import (
-    CampaignReport,
-    CampaignSettings,
-    ReplayOutcome,
-    replay_case,
-    run_campaign,
-)
-from repro.fuzz.case import FuzzCase, load_case, load_corpus
-from repro.fuzz.oracles import ORACLES, STATE_ORACLES, differential_mismatches
-from repro.fuzz.protocols import (
-    CATALOG_PROTOCOLS,
-    DEFAULT_PROTOCOLS,
-    ProtocolSpec,
-    get_spec,
-    protocol_names,
-    register,
-    unregister,
-)
-from repro.fuzz.shrink import ShrinkResult, shrink_case
+from repro import _lazy_exports
 
-__all__ = [
-    "CATALOG_PROTOCOLS",
-    "CampaignReport",
-    "CampaignSettings",
-    "DEFAULT_PROTOCOLS",
-    "FuzzAdversary",
-    "FuzzCase",
-    "ORACLES",
-    "ProtocolSpec",
-    "ReplayOutcome",
-    "STATE_ORACLES",
-    "ShrinkResult",
-    "differential_mismatches",
-    "get_spec",
-    "load_case",
-    "load_corpus",
-    "protocol_names",
-    "register",
-    "replay_case",
-    "run_campaign",
-    "shrink_case",
-    "unregister",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "adversary": ("FuzzAdversary",),
+    "campaign": (
+        "CampaignReport",
+        "CampaignSettings",
+        "ReplayOutcome",
+        "replay_case",
+        "run_campaign",
+    ),
+    "case": ("FuzzCase", "load_case", "load_corpus"),
+    "oracles": ("ORACLES", "STATE_ORACLES", "differential_mismatches"),
+    "protocols": (
+        "CATALOG_PROTOCOLS",
+        "DEFAULT_PROTOCOLS",
+        "ProtocolSpec",
+        "get_spec",
+        "protocol_names",
+        "register",
+        "unregister",
+    ),
+    "shrink": ("ShrinkResult", "shrink_case"),
+})

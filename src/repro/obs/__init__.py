@@ -17,61 +17,30 @@ path reduces to one ``is None`` check and produces byte-identical
 results to uninstrumented code.  See ``docs/observability.md``.
 """
 
-from repro.obs.core import (
-    Observer,
-    activate,
-    active,
-    deactivate,
-    observing,
-    span,
-)
-from repro.obs.events import (
-    SCHEMA_VERSION,
-    EventLog,
-    log_paths,
-    read_jsonl,
-    read_jsonl_lenient,
-    read_log,
-    validate_jsonl,
-    validate_records,
-)
-from repro.obs.export import (
-    chrome_trace,
-    speedscope_profile,
-    validate_chrome_trace,
-)
-from repro.obs.registry import InstrumentRegistry
-from repro.obs.rollup import load_status, render_status, status_from_records
-from repro.obs.spans import NULL_SPAN, SpanProfile, profile_dict
-from repro.obs.trace import CausalDag, CausalEdge, build_dags, check_closedness
+from repro import _lazy_exports
 
-__all__ = [
-    "NULL_SPAN",
-    "SCHEMA_VERSION",
-    "CausalDag",
-    "CausalEdge",
-    "EventLog",
-    "InstrumentRegistry",
-    "Observer",
-    "SpanProfile",
-    "activate",
-    "active",
-    "build_dags",
-    "check_closedness",
-    "chrome_trace",
-    "deactivate",
-    "load_status",
-    "log_paths",
-    "observing",
-    "profile_dict",
-    "read_jsonl",
-    "read_jsonl_lenient",
-    "read_log",
-    "render_status",
-    "span",
-    "speedscope_profile",
-    "status_from_records",
-    "validate_chrome_trace",
-    "validate_jsonl",
-    "validate_records",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "core": (
+        "Observer",
+        "activate",
+        "active",
+        "deactivate",
+        "observing",
+        "span",
+    ),
+    "events": (
+        "SCHEMA_VERSION",
+        "EventLog",
+        "log_paths",
+        "read_jsonl",
+        "read_jsonl_lenient",
+        "read_log",
+        "validate_jsonl",
+        "validate_records",
+    ),
+    "export": ("chrome_trace", "speedscope_profile", "validate_chrome_trace"),
+    "registry": ("InstrumentRegistry",),
+    "rollup": ("load_status", "render_status", "status_from_records"),
+    "spans": ("NULL_SPAN", "SpanProfile", "profile_dict"),
+    "trace": ("CausalDag", "CausalEdge", "build_dags", "check_closedness"),
+})

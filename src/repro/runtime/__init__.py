@@ -20,37 +20,21 @@ This package is that model, executable:
 * :mod:`repro.runtime.rng` — deterministic seeded randomness.
 """
 
-from repro.runtime.message import Envelope
-from repro.runtime.metrics import MessageMetrics, RoundUsage
-from repro.runtime.node import Process, broadcast
-from repro.runtime.network import SynchronousNetwork
-from repro.runtime.engine import ExecutionResult, run_protocol
-from repro.runtime.trace import ExecutionTrace
-from repro.runtime.rng import derive_rng, make_rng
-from repro.runtime.crypto import Signature, SignatureOracle
-from repro.runtime.render import (
-    render_decisions,
-    render_execution,
-    render_round,
-    summarise_payload,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Envelope",
-    "MessageMetrics",
-    "RoundUsage",
-    "Process",
-    "broadcast",
-    "SynchronousNetwork",
-    "ExecutionResult",
-    "run_protocol",
-    "ExecutionTrace",
-    "derive_rng",
-    "make_rng",
-    "Signature",
-    "SignatureOracle",
-    "render_decisions",
-    "render_execution",
-    "render_round",
-    "summarise_payload",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "message": ("Envelope",),
+    "metrics": ("MessageMetrics", "RoundUsage"),
+    "node": ("Process", "broadcast"),
+    "network": ("SynchronousNetwork",),
+    "engine": ("ExecutionResult", "run_protocol"),
+    "trace": ("ExecutionTrace",),
+    "rng": ("derive_rng", "make_rng"),
+    "crypto": ("Signature", "SignatureOracle"),
+    "render": (
+        "render_decisions",
+        "render_execution",
+        "render_round",
+        "summarise_payload",
+    ),
+})

@@ -10,6 +10,7 @@ experiments measure (decisions, decision rounds, bits, traces).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import repro.obs.core as _obs
@@ -138,7 +139,9 @@ def run_protocol(
         only (see :mod:`repro.runtime.metrics`).
     """
     adversary = adversary or PassiveAdversary()
-    adversary.bind(config, derive_rng(seed, "adversary"))
+    # Built on the adversary's first draw: the deterministic strategies
+    # never pay for a generator.
+    adversary.bind(config, functools.partial(derive_rng, seed, "adversary"))
 
     missing = set(config.process_ids) - set(inputs)
     if missing:

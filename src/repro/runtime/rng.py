@@ -5,16 +5,20 @@ Every execution in this library is replayable: all random choices
 Substreams are derived with :func:`derive_rng` so that, e.g., the
 adversary's stream is independent of a protocol's stream yet both are
 fixed by the top-level seed.
+
+numpy is imported on the first call, not with this module, so a run
+that draws nothing never loads it.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-Seedish = Union[int, np.random.Generator, None]
+Seedish = Union[int, "np.random.Generator", None]
 
 
 def make_rng(seed: Seedish = None) -> np.random.Generator:
@@ -25,6 +29,8 @@ def make_rng(seed: Seedish = None) -> np.random.Generator:
     intentional departure from numpy's default, because replayability
     is a core requirement here).
     """
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     if seed is None:
@@ -40,6 +46,8 @@ def derive_rng(seed: Seedish, *keys: object) -> np.random.Generator:
     given a generator rather than an int, a stable base is first drawn
     from it — callers who need exact replay should pass ints.
     """
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         base = int(seed.integers(0, 2**63 - 1))
     else:

@@ -22,26 +22,15 @@ Run it as ``python -m repro lint`` or ``python tools/run_lint.py``;
 see ``docs/statics.md`` for the rule reference.
 """
 
-from repro.statics.baseline import Baseline
-from repro.statics.contracts import run_contract_pass
-from repro.statics.determinism import run_determinism_pass
-from repro.statics.findings import Finding
-from repro.statics.purity import run_purity_pass
-from repro.statics.report import render_json, render_text
-from repro.statics.rules import RULES, Rule, rule
-from repro.statics.runner import LintResult, lint_tree
+from repro import _lazy_exports
 
-__all__ = [
-    "Baseline",
-    "Finding",
-    "LintResult",
-    "RULES",
-    "Rule",
-    "lint_tree",
-    "render_json",
-    "render_text",
-    "rule",
-    "run_contract_pass",
-    "run_determinism_pass",
-    "run_purity_pass",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "baseline": ("Baseline",),
+    "contracts": ("run_contract_pass",),
+    "determinism": ("run_determinism_pass",),
+    "findings": ("Finding",),
+    "purity": ("run_purity_pass",),
+    "report": ("render_json", "render_text"),
+    "rules": ("RULES", "Rule", "rule"),
+    "runner": ("LintResult", "lint_tree"),
+})

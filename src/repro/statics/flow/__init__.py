@@ -22,14 +22,9 @@ See ``docs/statics.md`` for the rule tables and the certificate
 format consumed by the closedness cross-check.
 """
 
-from __future__ import annotations
+from repro import _lazy_exports
 
-from repro.statics.flow.certificates import certify_tree
-from repro.statics.flow.passes import FlowAnalysis, analyze_tree, run_flow_pass
-
-__all__ = [
-    "FlowAnalysis",
-    "analyze_tree",
-    "certify_tree",
-    "run_flow_pass",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(__name__, {
+    "certificates": ("certify_tree",),
+    "passes": ("FlowAnalysis", "analyze_tree", "run_flow_pass"),
+})

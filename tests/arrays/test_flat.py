@@ -13,6 +13,7 @@ fuzz-corpus replays compared as pickled bytes between cold and warm
 shared stores.
 """
 
+import math
 import pathlib
 import pickle
 
@@ -24,9 +25,11 @@ from repro.arrays.flat import FlatTables, tables_for
 from repro.arrays.store import ArrayStore, InternedArray, clear_shared_stores
 from repro.compact.expansion import ExpansionState
 from repro.errors import ProtocolViolation
+from repro.fullinfo import decision
 from repro.fullinfo.decision import eig_byzantine_decision
 from repro.fuzz.campaign import replay_case
 from repro.fuzz.case import load_corpus
+from repro.obs import Observer, observing
 from repro.types import BOTTOM, SystemConfig
 
 from tests.arrays.test_store import plain_arrays
@@ -137,6 +140,21 @@ class TestTableMirror:
 # -- flat tables against the plain-tuple walkers ----------------------------
 
 
+def decide(subject, n, t, alphabet):
+    return eig_byzantine_decision(
+        subject, n=n, t=t, process_id=1, default=0, alphabet=alphabet
+    )
+
+
+def kernel_counts(observer):
+    """``(eig.kernel.flat, eig.kernel.fallback)`` as ``observer`` counted."""
+    counters = observer.registry.counters()
+    return (
+        counters.get("eig.kernel.flat", 0),
+        counters.get("eig.kernel.fallback", 0),
+    )
+
+
 class TestKernelEquality:
     @given(
         plain_arrays(
@@ -162,7 +180,7 @@ class TestKernelEquality:
 
     @given(
         uniform_trees(
-            n=4,
+            n=6,
             depth=2,
             leaves=st.one_of(
                 st.integers(min_value=0, max_value=1),
@@ -173,17 +191,56 @@ class TestKernelEquality:
     )
     @settings(max_examples=100, deadline=None)
     def test_eig_decision_identical(self, state):
-        node = ArrayStore(4).intern(state)
+        # n=6, depth 2: 30 relay chains, above the reference-sweep
+        # threshold, so the interned node reaches the flat kernel.
+        node = ArrayStore(6).intern(state)
         plain = to_plain(node)
         for alphabet in ([0, 1], None):
-            flat, reference = (
-                eig_byzantine_decision(
-                    subject, n=4, t=1, process_id=1, default=0,
-                    alphabet=alphabet,
-                )
-                for subject in (node, plain)
-            )
+            with observing(Observer()) as observer:
+                flat = decide(node, 6, 1, alphabet)
+            reference = decide(plain, 6, 1, alphabet)
             assert typed(flat) == typed(reference)
+            if len(node.leaves_unique) > 1:
+                # Without an alphabet a BOTTOM vote is no flat-table
+                # scalar, so the kernel hands the state back.
+                fallback = alphabet is None and any(
+                    leaf is BOTTOM for _, leaf in node.leaves_unique
+                )
+                assert kernel_counts(observer) == (
+                    (0, 1) if fallback else (1, 0)
+                )
+
+    @pytest.mark.parametrize(
+        "n, depth", [(5, 2), (4, 3), (6, 2)],
+        ids=["20-chains", "24-chains", "30-chains"],
+    )
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_both_sweeps_agree_on_each_side_of_the_threshold(
+        self, n, depth, data
+    ):
+        """The routing is a function of size alone: at most
+        ``_REFERENCE_MAX_CHAINS`` chains never touch the flat kernel,
+        more always do — and forced onto the flat kernel, the small
+        states resolve exactly as the reference sweep resolves them."""
+        state = data.draw(uniform_trees(
+            n=n, depth=depth,
+            leaves=st.one_of(st.integers(0, 1), st.just("garbage")),
+        ))
+        node = ArrayStore(n).intern(state)
+        reference = decide(to_plain(node), n, depth - 1, [0, 1])
+        routed_flat = math.perm(n, depth) > decision._REFERENCE_MAX_CHAINS
+        with observing(Observer()) as routed:
+            assert typed(decide(node, n, depth - 1, [0, 1])) == typed(reference)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decision, "_REFERENCE_MAX_CHAINS", 0)
+            with observing(Observer()) as forced:
+                assert typed(
+                    decide(ArrayStore(n).intern(state), n, depth - 1, [0, 1])
+                ) == typed(reference)
+        if len(node.leaves_unique) > 1:
+            assert kernel_counts(routed) == ((1, 0) if routed_flat else (0, 0))
+            assert kernel_counts(forced) == (1, 0)
 
     def test_eig_decision_on_ragged_state_identical(self):
         # A Byzantine processor relays a ragged (wrong-arity) level:

@@ -43,17 +43,32 @@ def _fresh_shared_stores():
     clear_shared_stores()
 
 
-def seeded_state(seed, leaves=(0, 1, 1, "garbage", BOTTOM, True, 2.5)):
-    """A plain depth-``T + 1`` array over ``N`` with seeded mixed leaves."""
+#: A width whose depth-2 states have 30 relay chains: above the
+#: reference-sweep threshold, so interned states reach the flat kernel.
+KERNEL_N = 6
+
+
+def seeded_state(
+    seed, leaves=(0, 1, 1, "garbage", BOTTOM, True, 2.5), n=N
+):
+    """A plain depth-``T + 1`` array over ``n`` with seeded mixed leaves."""
     rng = random.Random(seed)
     return tuple(
-        tuple(rng.choice(leaves) for _ in range(N)) for _ in range(N)
+        tuple(rng.choice(leaves) for _ in range(n)) for _ in range(n)
     )
 
 
-def decide(state, default=0, alphabet=(0, 1), t=T):
+def decide(state, default=0, alphabet=(0, 1), t=T, n=N):
     return eig_byzantine_decision(
-        state, N, t, process_id=1, default=default, alphabet=alphabet
+        state, n, t, process_id=1, default=default, alphabet=alphabet
+    )
+
+
+def kernel_counts(observer):
+    counters = observer.registry.counters()
+    return (
+        counters.get("eig.kernel.flat", 0),
+        counters.get("eig.kernel.fallback", 0),
     )
 
 
@@ -79,21 +94,42 @@ def decision_spans(observer):
 @pytest.mark.parametrize("alphabet", [(0, 1), None], ids=["alphabet", "bare"])
 @pytest.mark.parametrize("seed", range(40))
 def test_memoised_decision_equals_both_references(seed, alphabet):
-    plain = seeded_state(seed)
-    node = ArrayStore(N).intern(plain)
+    plain = seeded_state(seed, n=KERNEL_N)
+    node = ArrayStore(KERNEL_N).intern(plain)
     with observing(Observer()) as observer:
-        first = decide(node, alphabet=alphabet)
-        again = decide(node, alphabet=alphabet)
+        first = decide(node, alphabet=alphabet, n=KERNEL_N)
+        again = decide(node, alphabet=alphabet, n=KERNEL_N)
     assert memo_counts(observer) == (1, 1)
+    # The one miss reached the kernel.  These leaves mix ``True`` with
+    # ``1`` and carry BOTTOM, so the kernel mostly hands the state to
+    # the reference sweep (``.fallback``); see the next test for the
+    # flat sweep itself.
+    assert sum(kernel_counts(observer)) == 1
     assert len(node.store.eig_decisions) == 1
     # The reference sweep: plain tuples touch neither the memo nor the
     # flat tables, whether built by hand or rebuilt from the node.
     with observing(Observer()) as oracle:
-        reference = decide(plain, alphabet=alphabet)
-        rebuilt = decide(to_plain(node), alphabet=alphabet)
+        reference = decide(plain, alphabet=alphabet, n=KERNEL_N)
+        rebuilt = decide(to_plain(node), alphabet=alphabet, n=KERNEL_N)
     assert memo_counts(oracle) == (0, 0)
-    assert "eig.kernel.flat" not in oracle.registry.counters()
+    assert kernel_counts(oracle) == (0, 0)
     assert typed(first) == typed(again) == typed(reference) == typed(rebuilt)
+
+
+@pytest.mark.parametrize("alphabet", [(0, 1), None], ids=["alphabet", "bare"])
+@pytest.mark.parametrize("seed", range(10))
+def test_memoised_flat_decision_equals_the_reference(seed, alphabet):
+    # Scalar leaves no two of which are equal yet distinguishable: the
+    # flat sweep resolves the state and must match the reference.
+    plain = seeded_state(seed, leaves=(0, 1, 1, "garbage", 2.5), n=KERNEL_N)
+    node = ArrayStore(KERNEL_N).intern(plain)
+    with observing(Observer()) as observer:
+        first = decide(node, alphabet=alphabet, n=KERNEL_N)
+        again = decide(node, alphabet=alphabet, n=KERNEL_N)
+    assert memo_counts(observer) == (1, 1)
+    assert kernel_counts(observer) == (1, 0)
+    reference = decide(plain, alphabet=alphabet, n=KERNEL_N)
+    assert typed(first) == typed(again) == typed(reference)
 
 
 def test_garbage_leaves_are_laundered_by_the_alphabet_on_a_hit_too():

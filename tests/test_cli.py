@@ -157,6 +157,29 @@ class TestConfigurationErrorsFailClosed:
             assert "unknown fuzz protocol 'retired-protocol'" in out
 
 
+class TestUsageErrors:
+    """A flag that needs a partner flag is a usage error: exit code 2
+    and one ``error:`` line naming both, before anything runs."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("run-ba", "--t", "1", "--trace"),
+             "--trace requires --events"),
+            (("run-ba", "--t", "1", "--events-cap", "2000"),
+             "--events-cap requires --events"),
+            (("fuzz", "--cases", "1", "--events-cap", "2000"),
+             "--events-cap requires --events"),
+            (("fuzz", "--check-closedness"),
+             "--check-closedness requires --replay"),
+        ],
+        ids=["run-ba-trace", "run-ba-events-cap", "fuzz-events-cap",
+             "fuzz-check-closedness"],
+    )
+    def test_exit_2_with_message(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, f"error: {message}\n")
+
+
 class TestClosedPipe:
     def test_reader_closing_the_pipe_is_not_a_traceback(self):
         import os
