@@ -30,6 +30,11 @@ from repro.errors import ConfigurationError
 #: What a handler returns: the report (exit code 0) or ``(report, code)``.
 _Output = Union[str, Tuple[str, int]]
 
+#: The event schema ``events validate`` checks against; kept here so
+#: building the parser imports no :mod:`repro.obs`
+#: (``tests/obs/test_cli_events.py`` pins it to ``SCHEMA_VERSION``).
+EVENT_SCHEMA_VERSION = 2
+
 #: ``--adversary`` choices: the fault-free run, then the Byzantine
 #: gallery of :func:`repro.analysis.sweeps.standard_adversary_makers`
 #: by name (``tests/test_cold_start.py`` pins the two lists equal), so
@@ -86,8 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="record the structured event log to PATH (JSONL, schema in "
-        "docs/observability.md) plus the execution trace to "
-        "PATH.trace.jsonl",
+        "docs/observability.md)",
     )
     run_ba.add_argument(
         "--events-cap",
@@ -96,13 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="rotate the event log into PATH.part-N files once a file "
         "would exceed BYTES (requires --events)",
-    )
-    run_ba.add_argument(
-        "--trace",
-        action="store_true",
-        help="also emit causal deliver edges into the event log "
-        "(requires --events; see docs/observability.md, 'Causal "
-        "tracing')",
     )
     run_ba.add_argument(
         "--include-adversary-traffic",
@@ -147,7 +144,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, description in (
         ("summarize", "per-round traffic, cache hit rates, counters"),
         ("profile", "span rollup and worker utilization"),
-        ("validate", "check every record against event schema v1"),
+        (
+            "validate",
+            "check every record against event schema "
+            f"v{EVENT_SCHEMA_VERSION}",
+        ),
     ):
         sub = events_sub.add_parser(name, help=description)
         sub.add_argument(
@@ -341,7 +342,6 @@ def _command_table1(args) -> _Output:
 
 def _command_run_ba(args) -> _Output:
     import contextlib
-    import pathlib
 
     from repro.types import SystemConfig
 
@@ -352,11 +352,7 @@ def _command_run_ba(args) -> _Output:
     meter_adversary = getattr(args, "include_adversary_traffic", False)
     events_path = getattr(args, "events", None)
     record = events_path is not None
-
-    trace_edges = getattr(args, "trace", False)
     events_cap = getattr(args, "events_cap", None)
-    if trace_edges and not record:
-        return "error: --trace requires --events", 2
     if events_cap is not None and not record:
         return "error: --events-cap requires --events", 2
     adversary = _adversary(args.adversary, faulty)
@@ -367,10 +363,7 @@ def _command_run_ba(args) -> _Output:
         from repro.obs.events import EventLog
 
         scope = observing(
-            Observer(
-                events=EventLog(events_path, cap_bytes=events_cap),
-                trace=trace_edges,
-            )
+            Observer(events=EventLog(events_path, cap_bytes=events_cap))
         )
     else:
         scope = contextlib.nullcontext()
@@ -393,7 +386,6 @@ def _command_run_ba(args) -> _Output:
                 max_rounds=config.t + 2,
                 sizer=auth_sizer(config, 2),
                 seed=args.seed,
-                record_trace=record,
                 meter_adversary=meter_adversary,
             )
             variant = "authenticated (zero overhead)"
@@ -415,7 +407,6 @@ def _command_run_ba(args) -> _Output:
                 value_alphabet=[0, 1],
                 adversary=adversary,
                 seed=args.seed,
-                record_trace=record,
                 meter_adversary=meter_adversary,
                 **kwargs,
             )
@@ -431,13 +422,6 @@ def _command_run_ba(args) -> _Output:
         lines.append("(metering includes adversary traffic)")
     if record:
         lines.append(f"events: wrote {events_path}")
-        trace_path = pathlib.Path(str(events_path) + ".trace.jsonl")
-        try:
-            assert result.trace is not None
-            result.trace.to_jsonl(trace_path)
-            lines.append(f"trace: wrote {trace_path}")
-        except TypeError as error:
-            lines.append(f"trace: not serializable ({error})")
     return "\n".join(lines)
 
 
@@ -509,7 +493,7 @@ def _command_avalanche(args) -> _Output:
 def _command_events(args) -> _Output:
     import json
 
-    from repro.obs.events import read_log, validate_records
+    from repro.obs.events import SCHEMA_VERSION, read_log, validate_records
     from repro.obs.summarize import (
         profile_records,
         render_profile,
@@ -562,7 +546,10 @@ def _command_events(args) -> _Output:
         if problems:
             body = "\n".join(problems)
             return f"{body}\ninvalid: {len(problems)} problem(s)", 1
-        return f"OK: {len(records)} record(s) conform to event schema v1"
+        return (
+            f"OK: {len(records)} record(s) conform to event schema "
+            f"v{SCHEMA_VERSION}"
+        )
 
     if args.events_command == "summarize":
         summary = summarize_records(records)

@@ -7,9 +7,10 @@ mask.  Replaying a case (see :func:`repro.fuzz.campaign.replay_case`)
 re-derives the adversary from the seed, so the file needs none of the
 attack's sampled choices — the seed *is* the attack.
 
-Cases serialise as tagged JSON through :mod:`repro.obs.codec` (inputs
-may contain :data:`~repro.types.BOTTOM`, e.g. firing-squad
-never-starters), and the corpus filename embeds a content digest so
+Cases serialise as JSON, the input vector tagged so that a sentinel
+input round-trips (inputs may contain :data:`~repro.types.BOTTOM`,
+e.g. firing-squad never-starters), and the corpus filename embeds a
+content digest so
 two different cases can never collide and a corrupted file is
 self-evident.  Files under ``tests/fuzz/corpus/`` are replayed by the
 ordinary pytest suite: a shrunk counterexample committed there becomes
@@ -24,11 +25,35 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, List, Optional, Tuple
 
-from repro.obs.codec import decode_value, encode_value
-from repro.types import ProcessId, Round, Value
+from repro.types import SENTINELS, ProcessId, Round, Sentinel, Value
 
 #: Bumped when the serialised form changes incompatibly.
 CASE_SCHEMA_VERSION = 1
+
+
+def _tag_inputs(inputs: Tuple[Tuple[ProcessId, Value], ...]) -> Any:
+    """``inputs`` as ``{"t": [{"t": [pid, value]}, ...]}``, a sentinel
+    value written ``{"$": TAG}``.  Inputs are scalars or sentinels."""
+    return {"t": [
+        {"t": [pid, _tag(value)]} for pid, value in inputs
+    ]}
+
+
+def _tag(value: Value) -> Any:
+    return {"$": value.TAG} if isinstance(value, Sentinel) else value
+
+
+def _untag_inputs(document: Any) -> List[Tuple[ProcessId, Value]]:
+    """Invert :func:`_tag_inputs`; :class:`ValueError` on anything else."""
+    try:
+        pairs = [entry["t"] for entry in document["t"]]
+        return [(pid, _untag(value)) for pid, value in pairs]
+    except (KeyError, TypeError, ValueError) as error:
+        raise ValueError(f"malformed fuzz case inputs: {error}") from None
+
+
+def _untag(value: Any) -> Value:
+    return SENTINELS[value["$"]] if isinstance(value, dict) else value
 
 
 @dataclass(frozen=True)
@@ -107,7 +132,7 @@ class FuzzCase:
             "n": self.n,
             "t": self.t,
             "seed": self.seed,
-            "inputs": encode_value(tuple(self.inputs)),
+            "inputs": _tag_inputs(self.inputs),
             "faulty": list(self.faulty),
             "rounds": self.rounds,
             "mask": [list(entry) for entry in self.mask],
@@ -130,7 +155,7 @@ class FuzzCase:
             n=document["n"],
             t=document["t"],
             seed=document["seed"],
-            inputs=decode_value(document["inputs"]),
+            inputs=_untag_inputs(document["inputs"]),
             faulty=document["faulty"],
             rounds=document["rounds"],
             mask=tuple(tuple(entry) for entry in document["mask"]),
@@ -151,7 +176,7 @@ class FuzzCase:
                 "n": self.n,
                 "t": self.t,
                 "seed": self.seed,
-                "inputs": encode_value(tuple(self.inputs)),
+                "inputs": _tag_inputs(self.inputs),
                 "faulty": list(self.faulty),
                 "rounds": self.rounds,
                 "mask": [list(entry) for entry in self.mask],

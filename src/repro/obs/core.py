@@ -28,7 +28,7 @@ from __future__ import annotations
 import contextlib
 from typing import Any, Dict, Iterator, List, Optional, Union
 
-from repro.obs.events import EventLog, TrafficBurst, json_safe
+from repro.obs.events import EventLog, json_safe
 from repro.obs.registry import InstrumentRegistry
 from repro.obs.spans import (
     NULL_SPAN,
@@ -73,10 +73,10 @@ class Observer:
         Whether :meth:`span` times regions (``False`` returns the
         no-op span).
     trace:
-        Whether the runtime emits causal ``deliver`` edges (the raw
-        material of :mod:`repro.obs.trace`).  Requires an event sink;
-        off by default because one edge per delivered message is the
-        chattiest thing the log can record.
+        Inert: every event log is causal, since each ``send`` record
+        lists the messages a sender's round landed
+        (:mod:`repro.obs.trace`).  Deleted by the next `benchmark` PR,
+        with the harness that still passes it.
     """
 
     def __init__(
@@ -90,7 +90,6 @@ class Observer:
         self.events_on = events is not None
         self.counters_on = counters
         self.spans_on = spans
-        self.trace_on = trace and self.events_on
         self._rollup_mark: Dict[str, int] = {}
         self.registry = InstrumentRegistry()
         self.profile = SpanProfile()
@@ -106,16 +105,6 @@ class Observer:
         """Append one deterministic event, stamped with the clock."""
         if self.events is not None:
             self.events.emit(kind, self._run, self._round, fields)
-
-    def burst(self, sender: int, faulty: bool) -> TrafficBurst:
-        """The writer for ``sender``'s traffic records this round.
-
-        Only meaningful with an event sink (``events_on``); the runtime
-        takes one per sender so the clock and the sender are stamped
-        once for the whole burst.
-        """
-        assert self.events is not None
-        return self.events.burst(self._run, self._round, sender, faulty)
 
     def emit_nondet(self, kind: str, **fields: Any) -> None:
         """Append one wall-clock-derived event, flagged as such."""

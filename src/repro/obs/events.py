@@ -1,9 +1,9 @@
-"""The structured event log: schema v1, sinks, and validation.
+"""The structured event log: schema v2, sinks, and validation.
 
 Every record is one JSON object per line (JSONL) with a common
 envelope::
 
-    {"v": 1, "kind": "...", "run": "r1" | null, "round": 3, "step": 17, ...}
+    {"v": 2, "kind": "...", "run": "r1" | null, "round": 3, "step": 17, ...}
 
 The clock is **logical**: ``run`` is the observer-scoped run id,
 ``round`` the protocol round the observer was last told about, and
@@ -41,7 +41,7 @@ from typing import (
 )
 
 #: Bump on incompatible record-shape changes.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Fields present on every record.  ``run`` may be null (events emitted
 #: outside any run — sweep chunks, checkpoints, the counters dump).
@@ -72,25 +72,12 @@ EVENT_FIELDS: Dict[str, Dict[str, Tuple[type, ...]]] = {
     },
     "round_start": {},
     "round_end": {"messages": (int,), "non_null": (int,), "bits": (int,)},
-    # traffic
-    "send": {
-        "sender": (int,),
-        "receiver": (int,),
-        "bits": (int,),
-        "non_null": (bool,),
-    },
-    "corrupt": {"sender": (int,), "receiver": (int,), "summary": (str,)},
-    # causal trace edges (emitted only when ``Observer(trace=True)``):
-    # one record per non-bottom payload actually delivered to a
-    # correct receiver, faulty senders included — the raw material of
-    # the post-hoc causal DAG (:mod:`repro.obs.trace`)
-    "deliver": {
-        "sender": (int,),
-        "receiver": (int,),
-        "bits": (int,),
-        "non_null": (bool,),
-        "faulty": (bool,),
-    },
+    # traffic: one record per sender per round, ``messages`` holding
+    # one entry per non-bottom message in landing order —
+    # ``[receiver, bits, non_null]``, plus a payload ``summary`` when
+    # the sender is faulty.  Faulty receivers are listed too; the
+    # causal DAG (:mod:`repro.obs.trace`) keeps the correct ones.
+    "send": {"sender": (int,), "faulty": (bool,), "messages": (list,)},
     # state changes
     "state": {"process": (int,), "summary": (str,)},
     "decide": {
@@ -110,9 +97,8 @@ EVENT_FIELDS: Dict[str, Dict[str, Tuple[type, ...]]] = {
     # mid-run so ``repro status`` can reconstruct progress and cache
     # hit rates from a half-finished log.  ``scope`` names the unit of
     # work ("plan" announces a pool's cell total, "chunk" follows each
-    # returned pool chunk, "protocol" each fuzz protocol; "suite" is
-    # read from older logs, nothing writes it); ``counters`` is the
-    # registry delta since the previous rollup.
+    # returned pool chunk, "protocol" each fuzz protocol); ``counters``
+    # is the registry delta since the previous rollup.
     "rollup": {
         "scope": (str,),
         "index": (int,),
@@ -161,10 +147,10 @@ def json_safe(value: Any) -> Any:
 
     Event payload fields must stay diffable text; arbitrary protocol
     values (BOTTOM, tuples, payload objects) are rendered, never
-    serialized — the full-fidelity path is the trace codec
-    (:mod:`repro.obs.codec`), not the event log.  Non-finite floats
-    have no JSON spelling (the sink refuses them), so they are rendered
-    too.
+    serialized — the full-fidelity record of a run is its checkpoint
+    (:mod:`repro.runtime.checkpoint`), not the event log.  Non-finite
+    floats have no JSON spelling (the sink refuses them), so they are
+    rendered too.
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -179,8 +165,7 @@ def json_safe(value: Any) -> Any:
 # ": ")) + "\n"`` would give — that spelling is the on-disk contract
 # (pinned by tests/obs/test_golden_log.py) — but it is assembled from
 # parts that are each rendered once: the envelope prefix per
-# kind/run/round, the ``, "name": `` fragment per field name, and the
-# traffic kinds' sender-bound middles per burst.
+# kind/run/round and the ``, "name": `` fragment per field name.
 
 #: The one stdlib encoder behind every value without a direct path:
 #: ``None``, floats, containers, and subclasses of the scalar types.
@@ -189,7 +174,7 @@ _encode_other = json.JSONEncoder(
 ).encode
 
 
-def _encode_value(value: Any) -> str:
+def _json(value: Any) -> str:
     """``value`` as JSON text; exact ``str``/``int``/``bool`` directly."""
     kind = type(value)
     if kind is int:
@@ -216,8 +201,8 @@ class EventLog:
     after :meth:`close` raises ``ValueError``, as a closed file does.
 
     The log owns ``step``, the per-log sequence number: :meth:`emit`
-    and the traffic bursts (:meth:`burst`) stamp it; the caller
-    supplies the rest of the logical clock (run id and round).
+    stamps it; the caller supplies the rest of the logical clock (run
+    id and round).
 
     ``cap_bytes`` bounds each on-disk file: once a write would push the
     current file past the cap, the log rolls over to
@@ -287,17 +272,6 @@ class EventLog:
                 f"{self._render(fields)}}}\n"
             )
 
-    def burst(
-        self,
-        run: Optional[str],
-        round_number: int,
-        sender: int,
-        faulty: bool,
-    ) -> "TrafficBurst":
-        """A writer for one sender's traffic in one round of ``run``."""
-        maker = TrafficBurst if self._handle is None else _StreamedBurst
-        return maker(self, run, round_number, sender, faulty)
-
     def _render(self, fields: Mapping[str, Any]) -> str:
         """``, "name": value`` for every field, in order."""
         names = self._names
@@ -307,7 +281,7 @@ class EventLog:
             if fragment is None:
                 fragment = names[name] = ", " + _quote(name) + ": "
             parts.append(fragment)
-            parts.append(_encode_value(value))
+            parts.append(_json(value))
         return "".join(parts)
 
     def _prefix(
@@ -324,9 +298,9 @@ class EventLog:
                 '{"v": %d, "kind": %s, "run": %s, "round": %s, "step": '
                 % (
                     SCHEMA_VERSION,
-                    _encode_value(kind),
-                    _encode_value(run),
-                    _encode_value(round_number),
+                    _json(kind),
+                    _json(run),
+                    _json(round_number),
                 )
             )
         return prefix
@@ -356,115 +330,6 @@ class EventLog:
         """Flush and close a streamed log; the handle stays closed."""
         if self._handle is not None:
             self._handle.close()
-
-
-class TrafficBurst:
-    """Writes one sender's ``send`` / ``corrupt`` / ``deliver`` records.
-
-    Taken once per sender per round (:meth:`EventLog.burst`) so that
-    what a sender's records share — clock, sender, faulty flag — is
-    bound once and each record supplies only what varies.  This class
-    is the in-memory sink's writer; the streamed sink's subclass
-    renders the shared part ahead of the burst.
-    """
-
-    __slots__ = ("faulty", "_log", "_run", "_round", "_sender")
-
-    def __init__(
-        self,
-        log: EventLog,
-        run: Optional[str],
-        round_number: int,
-        sender: int,
-        faulty: bool,
-    ):
-        self.faulty = faulty
-        self._log = log
-        self._run = run
-        self._round = round_number
-        self._sender = sender
-
-    def send(self, receiver: int, bits: int, non_null: bool) -> None:
-        """One metered message of a correct sender."""
-        self._log.emit("send", self._run, self._round, {
-            "sender": self._sender, "receiver": receiver,
-            "bits": bits, "non_null": non_null,
-        })
-
-    def corrupt(self, receiver: int, summary: str) -> None:
-        """One adversary-fixed message, summarized rather than sized."""
-        self._log.emit("corrupt", self._run, self._round, {
-            "sender": self._sender, "receiver": receiver,
-            "summary": summary,
-        })
-
-    def deliver(self, receiver: int, bits: int, non_null: bool) -> None:
-        """One causal edge: a payload landing at a correct receiver."""
-        self._log.emit("deliver", self._run, self._round, {
-            "sender": self._sender, "receiver": receiver,
-            "bits": bits, "non_null": non_null, "faulty": self.faulty,
-        })
-
-
-class _StreamedBurst(TrafficBurst):
-    """The burst of a streamed log: one formatted line per record.
-
-    Everything up to the step and the sender-to-receiver middle is
-    rendered when the burst is taken.  Per record, anything but an
-    exact ``int`` is encoded before it is formatted (an f-string spells
-    an exact ``int`` the way JSON does).
-    """
-
-    __slots__ = ("_send", "_corrupt", "_deliver", "_receiver", "_faulty")
-
-    def __init__(
-        self,
-        log: EventLog,
-        run: Optional[str],
-        round_number: int,
-        sender: int,
-        faulty: bool,
-    ):
-        super().__init__(log, run, round_number, sender, faulty)
-        self._send = log._prefix("send", run, round_number)
-        self._corrupt = log._prefix("corrupt", run, round_number)
-        self._deliver = log._prefix("deliver", run, round_number)
-        self._receiver = f', "sender": {_encode_value(sender)}, "receiver": '
-        self._faulty = f', "faulty": {_encode_value(faulty)}}}\n'
-
-    def send(self, receiver: Any, bits: Any, non_null: Any) -> None:
-        if type(receiver) is not int:
-            receiver = _encode_value(receiver)
-        if type(bits) is not int:
-            bits = _encode_value(bits)
-        log = self._log
-        log.step = step = log.step + 1
-        log._write_line(
-            f'{self._send}{step}{self._receiver}{receiver}, "bits": {bits}'
-            f', "non_null": {_encode_value(non_null)}}}\n'
-        )
-
-    def corrupt(self, receiver: Any, summary: Any) -> None:
-        if type(receiver) is not int:
-            receiver = _encode_value(receiver)
-        log = self._log
-        log.step = step = log.step + 1
-        log._write_line(
-            f'{self._corrupt}{step}{self._receiver}{receiver}'
-            f', "summary": {_encode_value(summary)}}}\n'
-        )
-
-    def deliver(self, receiver: Any, bits: Any, non_null: Any) -> None:
-        if type(receiver) is not int:
-            receiver = _encode_value(receiver)
-        if type(bits) is not int:
-            bits = _encode_value(bits)
-        log = self._log
-        log.step = step = log.step + 1
-        log._write_line(
-            f'{self._deliver}{step}{self._receiver}{receiver}, "bits": {bits}'
-            f', "non_null": {_encode_value(non_null)}{self._faulty}'
-        )
 
 
 def _reject_constant(name: str) -> NoReturn:
@@ -506,7 +371,9 @@ def read_jsonl_lenient(
     Unlike :func:`read_jsonl`, undecodable or non-object lines (a torn
     final line of a killed writer, typically) are skipped rather than
     raised; the skip count is returned alongside the good records so
-    ``repro status`` can report how much it ignored.
+    ``repro status`` can report how much it ignored.  The JSON is as
+    strict as :func:`read_jsonl`'s: a bare ``NaN`` / ``Infinity`` line
+    is skipped too.
     """
     records: List[Dict[str, Any]] = []
     skipped = 0
@@ -516,8 +383,8 @@ def read_jsonl_lenient(
             if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
+                record = json.loads(line, parse_constant=_reject_constant)
+            except ValueError:
                 skipped += 1
                 continue
             if not isinstance(record, dict):
@@ -539,8 +406,7 @@ def log_paths(path: Union[str, pathlib.Path]) -> List[pathlib.Path]:
     """The ordered file sequence making up one (possibly rotated) log.
 
     - a directory: every ``*.jsonl`` base log plus its rollover parts,
-      grouped by base name and ordered by part number (trace sidecars,
-      ``*.trace.jsonl``, carry a different schema and are excluded);
+      grouped by base name and ordered by part number;
     - a base ``x.jsonl`` file: the file followed by any
       ``x.jsonl.part-N`` siblings;
     - an explicit ``.part-N`` file: just that part.
@@ -552,7 +418,6 @@ def log_paths(path: Union[str, pathlib.Path]) -> List[pathlib.Path]:
             for child in root.iterdir()
             if child.is_file()
             and (child.suffix == ".jsonl" or _PART_RE.match(child.name))
-            and not _part_index(child)[0].endswith(".trace.jsonl")
         ]
         return sorted(candidates, key=_part_index)
     if _PART_RE.match(root.name):
@@ -579,7 +444,7 @@ def read_log(path: Union[str, pathlib.Path]) -> List[Dict[str, Any]]:
 
 
 def validate_record(record: Dict[str, Any]) -> List[str]:
-    """Schema-v1 problems with one record (empty list = valid)."""
+    """Schema problems with one record (empty list = valid)."""
     problems: List[str] = []
     for field, types in ENVELOPE_FIELDS.items():
         value = record.get(field)
@@ -613,6 +478,8 @@ def validate_record(record: Dict[str, Any]) -> List[str]:
                 f"{kind}: field {field!r} has wrong type "
                 f"{type(value).__name__}"
             )
+    if kind == "send" and isinstance(record.get("messages"), list):
+        problems.extend(_message_problems(record))
     if kind in NONDETERMINISTIC_KINDS:
         if record.get("nondeterministic") is not True:
             problems.append(
@@ -623,6 +490,24 @@ def validate_record(record: Dict[str, Any]) -> List[str]:
         problems.append(
             f"{kind}: deterministic kind wrongly flagged nondeterministic"
         )
+    return problems
+
+
+def _message_problems(record: Dict[str, Any]) -> List[str]:
+    """Malformed entries of a ``send`` record's ``messages``."""
+    faulty = record.get("faulty") is True
+    shape = "[receiver, bits, non_null" + (", summary]" if faulty else "]")
+    problems: List[str] = []
+    for index, entry in enumerate(record["messages"]):
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 3 + faulty
+            and type(entry[0]) is int
+            and type(entry[1]) is int
+            and type(entry[2]) is bool
+            and (not faulty or isinstance(entry[3], str))
+        ):
+            problems.append(f"send: message {index} is not {shape}")
     return problems
 
 

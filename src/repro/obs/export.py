@@ -8,8 +8,9 @@ directly:
   ``{"traceEvents": [...]}`` shape Perfetto and ``chrome://tracing``
   ingest).  Each recorded run becomes a process; its rounds become
   slices on a dedicated "rounds" track, each processor gets its own
-  thread track, and every causal ``deliver`` edge becomes a flow
-  event (``ph: s``/``f``) arrow from sender to receiver.  Timestamps
+  thread track, and every message a ``send`` record lands at a correct
+  receiver (:func:`repro.obs.trace.burst_edges`) becomes a flow event
+  (``ph: s``/``f``) arrow from sender to receiver.  Timestamps
   are the **logical clock** — one microsecond per ``step`` — so the
   rendering is deterministic and diffable, not a wall-time profile.
 - :func:`speedscope_profile` turns the merged span profile into a
@@ -27,6 +28,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Set, Tuple
 
 from repro.obs.summarize import profile_records
+from repro.obs.trace import burst_edges
 
 #: Synthetic pid hosting the span flame graph (far above any run id).
 SPAN_PID = 10_000
@@ -89,6 +91,7 @@ def chrome_trace(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     events: List[Dict[str, Any]] = []
     pid = 0
     run_id = ""
+    run_start: Dict[str, Any] = {}
     round_open_step = 0
     threads_seen: Set[Tuple[int, int]] = set()
     flow_id = 0
@@ -103,6 +106,7 @@ def chrome_trace(records: List[Dict[str, Any]]) -> Dict[str, Any]:
         step = record.get("step", 0)
         if kind == "run_start":
             run_id = str(record.get("run"))
+            run_start = record
             pid = int(run_id[1:]) if run_id[1:].isdigit() else pid + 1
             events.append(
                 _meta(
@@ -132,45 +136,46 @@ def chrome_trace(records: List[Dict[str, Any]]) -> Dict[str, Any]:
                     },
                 }
             )
-        elif kind == "deliver":
+        elif kind == "send":
             sender = record["sender"]
-            receiver = record["receiver"]
-            thread(sender, f"p{sender}")
-            thread(receiver, f"p{receiver}")
-            flow_id += 1
-            args = {
-                "bits": record["bits"],
-                "non_null": record["non_null"],
-                "faulty": record["faulty"],
-                "round": record["round"],
-            }
-            events.append(
-                {
-                    "ph": "X", "name": f"send->{receiver}",
-                    "cat": "deliver", "pid": pid, "tid": sender,
-                    "ts": step, "dur": 1, "args": args,
+            for receiver, bits, non_null in burst_edges(record, run_start):
+                thread(sender, f"p{sender}")
+                thread(receiver, f"p{receiver}")
+                flow_id += 1
+                args = {
+                    "bits": bits,
+                    "non_null": non_null,
+                    "faulty": record["faulty"],
+                    "round": record["round"],
                 }
-            )
-            events.append(
-                {
-                    "ph": "X", "name": f"recv<-{sender}",
-                    "cat": "deliver", "pid": pid, "tid": receiver,
-                    "ts": step, "dur": 1, "args": args,
-                }
-            )
-            events.append(
-                {
-                    "ph": "s", "name": "deliver", "cat": "deliver",
-                    "id": flow_id, "pid": pid, "tid": sender, "ts": step,
-                }
-            )
-            events.append(
-                {
-                    "ph": "f", "bp": "e", "name": "deliver",
-                    "cat": "deliver", "id": flow_id, "pid": pid,
-                    "tid": receiver, "ts": step,
-                }
-            )
+                events.append(
+                    {
+                        "ph": "X", "name": f"send->{receiver}",
+                        "cat": "deliver", "pid": pid, "tid": sender,
+                        "ts": step, "dur": 1, "args": args,
+                    }
+                )
+                events.append(
+                    {
+                        "ph": "X", "name": f"recv<-{sender}",
+                        "cat": "deliver", "pid": pid, "tid": receiver,
+                        "ts": step, "dur": 1, "args": args,
+                    }
+                )
+                events.append(
+                    {
+                        "ph": "s", "name": "deliver", "cat": "deliver",
+                        "id": flow_id, "pid": pid, "tid": sender,
+                        "ts": step,
+                    }
+                )
+                events.append(
+                    {
+                        "ph": "f", "bp": "e", "name": "deliver",
+                        "cat": "deliver", "id": flow_id, "pid": pid,
+                        "tid": receiver, "ts": step,
+                    }
+                )
         elif kind == "state":
             process = record["process"]
             thread(process, f"p{process}")

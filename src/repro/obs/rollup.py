@@ -20,7 +20,7 @@ from __future__ import annotations
 import pathlib
 from typing import Any, Dict, List, Tuple, Union
 
-from repro.obs.events import log_paths, read_jsonl_lenient
+from repro.obs.events import log_paths, read_jsonl_lenient, validate_record
 from repro.obs.registry import InstrumentRegistry
 from repro.obs.summarize import profile_records
 
@@ -49,7 +49,12 @@ def status_from_records(
     The deterministic section (runs, cells, counters, hit rates) comes
     from the deterministic log records; worker throughput and spans
     are wall-clock derived and reported under nondeterministic keys.
+    A record that fails :func:`~repro.obs.events.validate_record` is
+    counted with ``skipped`` and not read.
     """
+    valid = [record for record in records if not validate_record(record)]
+    skipped += len(records) - len(valid)
+    records = valid
     runs_started = 0
     runs_ended = 0
     serial_cells = 0
@@ -57,7 +62,6 @@ def status_from_records(
     chunks = 0
     planned = 0
     rollup_counts: Dict[str, int] = {}
-    suites: List[Dict[str, Any]] = []
     protocols: List[Dict[str, Any]] = []
     summed: Dict[str, int] = {}
     final_counters: Dict[str, int] = {}
@@ -81,10 +85,6 @@ def status_from_records(
             cells = int(record.get("cells", 0))
             if scope == "plan":
                 planned += cells
-            elif scope == "suite":
-                suites.append(
-                    {"index": record.get("index"), "cells": cells}
-                )
             elif scope == "protocol":
                 protocols.append(
                     {"index": record.get("index"), "cells": cells}
@@ -165,7 +165,6 @@ def status_from_records(
         "rollups": {
             scope: rollup_counts[scope] for scope in sorted(rollup_counts)
         },
-        "suites": suites,
         "protocols": protocols,
         "counters": counters,
         "hit_rates": hit_rates,
@@ -211,12 +210,6 @@ def render_status(status: Dict[str, Any]) -> str:
     )
     if status["chunks"]:
         lines.append(f"chunks: {status['chunks']}")
-    if status["suites"]:
-        summary = "  ".join(
-            f"suite[{entry['index']}]={entry['cells']}"
-            for entry in status["suites"]
-        )
-        lines.append(f"bench suites: {summary}")
     if status["protocols"]:
         summary = "  ".join(
             f"protocol[{entry['index']}]={entry['cells']}"

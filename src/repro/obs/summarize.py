@@ -1,7 +1,7 @@
 """Offline queries over recorded event logs: summarize and profile.
 
 These are the analysis halves of ``repro events summarize`` and
-``repro events profile``.  Both consume a list of schema-v1 records
+``repro events profile``.  Both consume a list of event-log records
 (see :mod:`repro.obs.events`) and build a JSON-ready report; the
 ``render_*`` functions turn a report into the aligned-text form the
 CLI prints by default.
@@ -38,10 +38,12 @@ def summarize_records(records: List[Dict[str, Any]]) -> Dict[str, Any]:
             runs += 1
         elif kind == "decide":
             decisions += 1
-        elif kind == "corrupt":
-            corruptions += 1
         elif kind == "send":
-            sends += 1
+            # One record per burst; the counts stay per message.
+            if record["faulty"]:
+                corruptions += len(record["messages"])
+            else:
+                sends += len(record["messages"])
         elif kind == "round_end":
             row = per_round.setdefault(
                 record["round"],

@@ -4,8 +4,9 @@ The paper's canonical form is a claim about *which information flows
 where and when*: a communication-closed protocol's causal structure is
 exactly one deliver layer per round — every message sent in round
 ``r`` is consumed in round ``r`` and nowhere else.  This module turns
-a recorded event log (``Observer(trace=True)``) into that structure
-post hoc:
+any recorded event log into that structure post hoc, reading each
+``send`` record — one per sender per round — through
+:func:`burst_edges`:
 
 - :func:`build_dags` assembles one :class:`CausalDag` per recorded
   run, with a node per ``(process, round)`` state and an edge per
@@ -19,15 +20,15 @@ Everything here is offline analysis over already-recorded JSON
 records; nothing touches wall time, and the logical clock
 (``{run, round, step}``) is the only ordering used.
 
-``repro.statics.crosscheck`` replays the fuzz corpus under a tracing
-observer and requires :func:`check_closedness` to agree with the
+``repro.statics.crosscheck`` replays the fuzz corpus under an event
+log and requires :func:`check_closedness` to agree with the
 committed certificate catalog (``tools/protoflow_certificates.json``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 #: A causal node: ``(process id, round)``.  Round 0 is the initial
 #: state; a deliver in round ``r`` links the sender's round ``r - 1``
@@ -126,17 +127,35 @@ class CausalDag:
         }
 
 
+def burst_edges(
+    send: Dict[str, Any], run_start: Dict[str, Any]
+) -> Iterator[Tuple[int, int, bool]]:
+    """``(receiver, bits, non_null)`` of every message of one ``send``
+    record that landed at a correct receiver, in landing order.
+
+    The correct receivers are the ids ``1..n`` of the run's
+    ``run_start`` record that its ``faulty`` list does not name; a
+    message to a faulty or nonexistent processor stays in the record
+    but is no edge of the causal DAG.
+    """
+    n = int(run_start.get("n", 0))
+    faulty = run_start.get("faulty", ())
+    for receiver, bits, non_null, *_summary in send["messages"]:
+        if 1 <= receiver <= n and receiver not in faulty:
+            yield receiver, bits, non_null
+
+
 def build_dags(records: List[Dict[str, Any]]) -> List[CausalDag]:
     """Assemble one causal DAG per recorded run.
 
-    A ``deliver`` record in round ``r`` becomes a deliver edge
-    ``(sender, r - 1) -> (receiver, r)``; the first ``state`` record a
-    process emits in round ``r`` becomes a local edge
-    ``(process, r - 1) -> (process, r)``.  Runs without ``trace=True``
-    deliveries still produce a DAG of local edges.
+    Each message a ``send`` record in round ``r`` lands at a correct
+    receiver becomes a deliver edge ``(sender, r - 1) -> (receiver,
+    r)``; the first ``state`` record a process emits in round ``r``
+    becomes a local edge ``(process, r - 1) -> (process, r)``.
     """
     dags: List[CausalDag] = []
     current: Optional[CausalDag] = None
+    run_start: Dict[str, Any] = {}
     local_seen: Set[Node] = set()
     for record in records:
         kind = record.get("kind")
@@ -144,24 +163,27 @@ def build_dags(records: List[Dict[str, Any]]) -> List[CausalDag]:
             current = CausalDag(
                 run=str(record.get("run")), n=int(record.get("n", 0))
             )
+            run_start = record
             local_seen = set()
             dags.append(current)
         elif current is None:
             continue
-        elif kind == "deliver":
+        elif kind == "send":
             round_number = int(record["round"])
             current.rounds = max(current.rounds, round_number)
-            current.edges.append(
-                CausalEdge(
-                    kind="deliver",
-                    src=(int(record["sender"]), round_number - 1),
-                    dst=(int(record["receiver"]), round_number),
-                    bits=int(record["bits"]),
-                    non_null=bool(record["non_null"]),
-                    faulty=bool(record["faulty"]),
-                    step=int(record["step"]),
+            sender = int(record["sender"])
+            for receiver, bits, non_null in burst_edges(record, run_start):
+                current.edges.append(
+                    CausalEdge(
+                        kind="deliver",
+                        src=(sender, round_number - 1),
+                        dst=(receiver, round_number),
+                        bits=bits,
+                        non_null=non_null,
+                        faulty=bool(record["faulty"]),
+                        step=int(record["step"]),
+                    )
                 )
-            )
         elif kind == "state":
             round_number = int(record["round"])
             process = int(record["process"])
@@ -194,7 +216,7 @@ def check_closedness(records: List[Dict[str, Any]]) -> List[str]:
     The empty list certifies that every observed delivery respects the
     canonical form's round structure:
 
-    - a ``deliver`` only occurs inside an open run and inside the
+    - a ``send`` only occurs inside an open run and inside the
       round bracket (``round_start`` .. ``round_end``) it is stamped
       with — messages never leak across round boundaries;
     - within a round, every delivery to a processor precedes *that
@@ -217,6 +239,7 @@ def check_closedness(records: List[Dict[str, Any]]) -> List[str]:
     """
     problems: List[str] = []
     run: Optional[str] = None
+    run_start: Dict[str, Any] = {}
     open_round: Optional[int] = None
     state_changed: Set[int] = set()
     delivered: Set[Tuple[int, int]] = set()
@@ -224,6 +247,7 @@ def check_closedness(records: List[Dict[str, Any]]) -> List[str]:
         kind = record.get("kind")
         if kind == "run_start":
             run = str(record.get("run"))
+            run_start = record
             open_round = None
         elif kind == "run_end":
             run = None
@@ -234,39 +258,37 @@ def check_closedness(records: List[Dict[str, Any]]) -> List[str]:
             delivered = set()
         elif kind == "round_end":
             open_round = None
-        elif kind == "deliver":
+        elif kind == "send":
             round_number = int(record["round"])
             if run is None:
-                problems.append(
-                    f"record {index}: deliver outside any run"
-                )
+                problems.append(f"record {index}: send outside any run")
                 continue
             if open_round is None:
                 problems.append(
-                    f"record {index}: run {run}: deliver in round "
+                    f"record {index}: run {run}: send in round "
                     f"{round_number} outside a round bracket"
                 )
                 continue
             if round_number != open_round:
                 problems.append(
-                    f"record {index}: run {run}: deliver stamped round "
+                    f"record {index}: run {run}: send stamped round "
                     f"{round_number} inside round {open_round} — not "
                     "communication-closed"
                 )
-            receiver = int(record["receiver"])
-            if receiver in state_changed:
-                problems.append(
-                    f"record {index}: run {run}: round {round_number}: "
-                    f"deliver to {receiver} after its state update — "
-                    "send/receive phase order violated"
-                )
-            channel = (int(record["sender"]), receiver)
-            if channel in delivered:
-                problems.append(
-                    f"record {index}: run {run}: round {round_number}: "
-                    f"channel {channel[0]}->{channel[1]} delivered twice"
-                )
-            delivered.add(channel)
+            sender = int(record["sender"])
+            for receiver, _bits, _non_null in burst_edges(record, run_start):
+                if receiver in state_changed:
+                    problems.append(
+                        f"record {index}: run {run}: round {round_number}: "
+                        f"deliver to {receiver} after its state update — "
+                        "send/receive phase order violated"
+                    )
+                if (sender, receiver) in delivered:
+                    problems.append(
+                        f"record {index}: run {run}: round {round_number}: "
+                        f"channel {sender}->{receiver} delivered twice"
+                    )
+                delivered.add((sender, receiver))
         elif kind == "state":
             if open_round is not None:
                 state_changed.add(int(record["process"]))
@@ -278,5 +300,6 @@ __all__ = [
     "CausalEdge",
     "Node",
     "build_dags",
+    "burst_edges",
     "check_closedness",
 ]

@@ -29,14 +29,14 @@ protocol of the paper sends one message to all ``n``, so a
 per receiver, one row that already holds the round's broadcasts,
 (b) measured once — and each payload *object* at most once a round,
 whatever map it arrives in — and (c) metered once, in the round row
-and the sender row every message of the burst shares.  Per-message
-records (``send`` lines, ``deliver`` edges, envelopes) are written
-only when an event sink or a trace is attached to read them.
+and the sender row every message of the burst shares.  A burst's one
+``send`` record and its envelopes are written only when an event sink
+or a trace is attached to read them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 import repro.obs.core as _obs
 from repro.adversary.base import Adversary, RoundContext
@@ -44,7 +44,7 @@ from repro.errors import ConfigurationError
 from repro.arrays.store import InternedArray
 from repro.arrays.value_array import fold_tree
 from repro.obs.core import Observer
-from repro.obs.events import TrafficBurst, json_safe
+from repro.obs.events import json_safe
 from repro.runtime.message import Envelope
 from repro.runtime.metrics import MessageMetrics
 from repro.runtime.node import Broadcast, Process
@@ -69,9 +69,10 @@ def _default_sizer(message: Any) -> int:
     keys and values) — so a list-shaped message is never silently
     undercounted as a single scalar leaf.
 
-    Byzantine payloads come through here too (trace edges), hence the
-    fold: deep or shared nesting is just a long message, and a container
-    that contains itself is one leaf where it recurs.
+    Byzantine payloads come through here too (a faulty sender's
+    ``send`` entries), hence the fold: deep or shared nesting is just a
+    long message, and a container that contains itself is one leaf
+    where it recurs.
     """
     return fold_tree(
         message,
@@ -138,7 +139,7 @@ class SynchronousNetwork:
         # hit.  Both entries are stable: the sizer and the null
         # predicate are pure functions of the payload value.
         self._interned_size_cache: Dict[Any, Tuple[int, bool]] = {}
-        # The payload summariser of `state`/`corrupt` event records,
+        # The payload summariser of `state`/`send` event records,
         # bound once per network.  Imported here rather than at module
         # level because render imports the engine, which imports us.
         from repro.runtime.render import summarise_payload
@@ -217,10 +218,8 @@ class SynchronousNetwork:
         advanced through ``round_number``.
         """
         events = observer is not None and observer.events_on
-        tracing = events and observer is not None and observer.trace_on
-
         incoming_by_receiver = self.deliver_round(
-            round_number, correct_outgoing, faulty_outgoing, observer, tracing
+            round_number, correct_outgoing, faulty_outgoing, observer
         )
 
         self.adversary.observe_round(round_number, context, faulty_outgoing)
@@ -271,42 +270,6 @@ class SynchronousNetwork:
                     value=json_safe(process.decision),
                 )
 
-    def emit_deliver_edge(
-        self,
-        burst: TrafficBurst,
-        receiver: ProcessId,
-        payload: Any,
-        observer: Optional[Observer],
-    ) -> None:
-        """Emit the causal ``deliver`` edge of one landed payload.
-
-        :meth:`deliver_round` writes edges as it lands rows; a
-        :meth:`dispatch` that reorders deliveries passes it
-        ``tracing=False`` and calls this in its own order instead.
-        """
-        burst.deliver(receiver, *self._edge_measure(
-            payload, burst.faulty, observer, 1
-        ))
-
-    def _edge_measure(
-        self,
-        payload: Any,
-        faulty: bool,
-        observer: Optional[Observer],
-        edges: int,
-    ) -> Tuple[int, bool]:
-        """``(bits, non_null)`` shown on ``edges`` edges of one payload.
-
-        The one place an edge is sized, whatever order the edges are
-        written in.  Faulty payloads are sized by the structural fallback —
-        the protocol sizer may choke on Byzantine garbage, and a
-        corrupt payload's "cost" is informational, not a
-        canonical-form bit claim.
-        """
-        if faulty:
-            return _default_sizer(payload), not is_bottom(payload)
-        return self._measured(payload, observer, edges)
-
     def _measured(
         self, payload: Any, observer: Optional[Observer] = None,
         copies: int = 1,
@@ -345,17 +308,15 @@ class SynchronousNetwork:
         correct_outgoing: Mapping[ProcessId, Mapping[ProcessId, Any]],
         faulty_outgoing: Mapping[ProcessId, Mapping[ProcessId, Any]],
         observer: Optional[Observer],
-        tracing: bool,
     ) -> Dict[ProcessId, Dict[ProcessId, Any]]:
         """Fix and meter the round's traffic.
 
         Returns each correct receiver's incoming map, one entry per
         processor id, after metering every sender's burst in the
         canonical order (correct senders in process order, then faulty
-        senders) and writing its ``send`` / ``corrupt`` records, its
-        envelopes and — when ``tracing`` — its ``deliver`` edges.  This
-        is what the protocol *sent*, which no admissible schedule may
-        change; :meth:`dispatch` only chooses the order in which the
+        senders) and writing its envelopes and its one ``send`` record.
+        This is what the protocol *sent*, which no admissible schedule
+        may change; :meth:`dispatch` only chooses the order in which the
         returned rows are consumed.
 
         A :class:`~repro.runtime.node.Broadcast` to all ``n`` is handled
@@ -372,33 +333,39 @@ class SynchronousNetwork:
                     base[sender] = burst.message
                     uniform.add(sender)
         rows = {receiver: dict(base) for receiver in self.processes}
-        # One writer per sender: the clock, the sender and the faulty
-        # flag of its event records are bound once, not per message.
-        writer = (
-            observer.burst
-            if observer is not None and observer.events_on else None
-        )
+        events = observer is not None and observer.events_on
         for faulty, outgoing in (
             (False, correct_outgoing), (True, faulty_outgoing)
         ):
             metered = not faulty or self.meter_adversary
             for sender, burst in outgoing.items():
-                sink = writer(sender, faulty) if writer else None
-                if sender in uniform:
-                    # An all-BOTTOM burst records nothing and so creates
-                    # no metric rows: rounds_used counts only rounds
-                    # with recorded traffic.
-                    if base[sender] is not BOTTOM:
-                        self._deliver_uniform(
-                            round_number, sender, base[sender], metered,
-                            observer, sink, faulty, tracing,
-                        )
-                else:
-                    self._deliver_each(
+                if sender not in uniform:
+                    entries = self._deliver_each(
                         round_number, sender, burst, rows, metered,
-                        observer, sink, faulty, tracing,
+                        observer, faulty, events,
+                    )
+                elif base[sender] is not BOTTOM:
+                    entries = self._deliver_uniform(
+                        round_number, sender, base[sender], metered,
+                        observer, faulty, events,
+                    )
+                else:
+                    continue
+                # An all-BOTTOM burst records nothing.
+                if entries:
+                    assert observer is not None
+                    observer.emit(
+                        "send", sender=sender, faulty=faulty,
+                        messages=entries,
                     )
         return rows
+
+    def _faulty_tail(self, payload: Any) -> List[Any]:
+        """A faulty sender's ``send`` entry after the receiver: sized by
+        the structural fallback, since the protocol sizer may choke on
+        Byzantine garbage, and summarized — its cost is informational,
+        not a canonical-form bit claim."""
+        return [_default_sizer(payload), True, self._summarise(payload)]
 
     def _deliver_uniform(
         self,
@@ -407,12 +374,11 @@ class SynchronousNetwork:
         message: Any,
         metered: bool,
         observer: Optional[Observer],
-        sink: Optional[TrafficBurst],
         faulty: bool,
-        tracing: bool,
-    ) -> None:
+        events: bool,
+    ) -> List[List[Any]]:
         """One non-BOTTOM message to all ``n``, already landed: measure
-        it once."""
+        it once.  Returns the burst's ``send`` entries when ``events``."""
         n = self.config.n
         bits, non_null = 0, False
         if metered:
@@ -421,30 +387,16 @@ class SynchronousNetwork:
                 round_number, sender, n, n if non_null else 0, n * bits
             )
         trace = self.trace
-        if sink is None and trace is None:
-            return
-        # Someone reads per-message records: the ones the per-copy loop
-        # writes, in its order, from the one measurement.
-        summary, edge = "", None
-        if sink is not None and faulty:
-            summary = self._summarise(message)
-        if sink is not None and tracing:
-            edge = self._edge_measure(
-                message, faulty, observer, len(self.processes)
-            )
-        for receiver in self.config.process_ids:
-            landed = receiver in self.processes
-            if sink is not None:
-                if faulty:
-                    sink.corrupt(receiver, summary)
-                elif metered:
-                    sink.send(receiver, bits, non_null)
-                if edge is not None and landed:
-                    sink.deliver(receiver, *edge)
-            if landed and trace is not None:
-                trace.record_envelope(
-                    Envelope(sender, receiver, round_number, message)
-                )
+        if trace is not None:
+            for receiver in self.config.process_ids:
+                if receiver in self.processes:
+                    trace.record_envelope(
+                        Envelope(sender, receiver, round_number, message)
+                    )
+        if not events:
+            return []
+        tail = self._faulty_tail(message) if faulty else [bits, non_null]
+        return [[receiver, *tail] for receiver in self.config.process_ids]
 
     def _deliver_each(
         self,
@@ -454,23 +406,27 @@ class SynchronousNetwork:
         rows: Dict[ProcessId, Dict[ProcessId, Any]],
         metered: bool,
         observer: Optional[Observer],
-        sink: Optional[TrafficBurst],
         faulty: bool,
-        tracing: bool,
-    ) -> None:
-        """A per-receiver map: land, measure and record every copy."""
+        events: bool,
+    ) -> List[List[Any]]:
+        """A per-receiver map: land, measure and record every copy.
+        Returns the burst's ``send`` entries when ``events``."""
         trace = self.trace
-        if not metered and sink is None and trace is None:
+        entries: List[List[Any]] = []
+        if not metered and not events and trace is None:
             # Nobody reads anything of this burst but the rows.
             for receiver, payload in per_receiver.items():
                 incoming = rows.get(receiver)
                 if incoming is not None:
                     incoming[sender] = payload
-            return
+            return entries
         # The burst's metered usage: every message of it lands in the
         # same round row and sender row, so it is summed here and
         # recorded once, after the loop.
         messages = non_null_messages = total_bits = 0
+        # A faulty entry's size and summary, per payload object: an
+        # equivocator sends a handful of objects to all n.
+        tails: Dict[int, List[Any]] = {}
         for receiver, payload in per_receiver.items():
             incoming = rows.get(receiver)
             if incoming is not None:
@@ -493,25 +449,21 @@ class SynchronousNetwork:
                 total_bits += bits
                 if non_null:
                     non_null_messages += 1
-            if sink is not None:
-                if faulty:
-                    # Adversary-fixed traffic: recorded as a corruption,
-                    # summarized rather than sized (a Byzantine
-                    # payload's size says nothing about the protocol).
-                    sink.corrupt(receiver, self._summarise(payload))
-                elif metered:
-                    sink.send(receiver, bits, non_null)
-                if tracing and incoming is not None:
-                    # Causal trace edge: a non-bottom payload actually
-                    # landing in a correct receiver's incoming row.
-                    self.emit_deliver_edge(sink, receiver, payload, observer)
+            if events and faulty:
+                tail = tails.get(id(payload))
+                if tail is None:
+                    tail = tails[id(payload)] = self._faulty_tail(payload)
+                entries.append([receiver, *tail])
+            elif events:
+                entries.append([receiver, bits, non_null])
             if incoming is not None and trace is not None:
                 trace.record_envelope(
                     Envelope(sender, receiver, round_number, payload)
                 )
-        # An all-bottom burst records nothing and so creates no metric
-        # rows: rounds_used counts only rounds with recorded traffic.
+        # An all-bottom burst creates no metric rows: rounds_used
+        # counts only rounds with recorded traffic.
         if messages:
             self.metrics.record_burst(
                 round_number, sender, messages, non_null_messages, total_bits
             )
+        return entries

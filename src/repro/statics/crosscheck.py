@@ -4,7 +4,7 @@ Protoflow certifies each protocol *text* communication-closed (the
 FLOW verdicts committed in ``tools/protoflow_certificates.json``);
 the causal tracer certifies a particular *execution* closed
 (:func:`repro.obs.trace.check_closedness`).  This module connects the
-two: it replays every saved corpus case under a tracing observer and
+two: it replays every saved corpus case under an event log and
 demands the dynamic verdict agree with the static one.
 
 The agreement rule is one-sided, because static analysis is the
@@ -65,7 +65,7 @@ def _static_verdicts(
 
 
 def check_case(case: Any, certificates: Dict[str, Any]) -> Dict[str, Any]:
-    """Replay one corpus case under a tracing observer and cross-check.
+    """Replay one corpus case under an event log and cross-check.
 
     Returns a JSON-ready verdict entry; ``agrees`` is ``False`` only
     when the static certificate promises closedness (``closed`` or
@@ -77,9 +77,7 @@ def check_case(case: Any, certificates: Dict[str, Any]) -> Dict[str, Any]:
     from repro.obs.trace import build_dags, check_closedness
 
     log = EventLog()
-    with _obs.observing(
-        _obs.Observer(events=log, trace=True, spans=False)
-    ):
+    with _obs.observing(_obs.Observer(events=log, spans=False)):
         outcome = replay_case(case)
     problems = check_closedness(log.records)
     dags = build_dags(log.records)

@@ -28,7 +28,7 @@ Round = int
 # dictionary keys, and compared for equality in vote tallies.
 Value = Hashable
 
-#: Trace-codec tag -> the sentinel it names.  A sentinel registers
+#: Tag -> the sentinel it names.  A sentinel registers
 #: itself when the module that defines it creates it.
 SENTINELS: Dict[str, "Sentinel"] = {}
 
@@ -36,10 +36,11 @@ SENTINELS: Dict[str, "Sentinel"] = {}
 class Sentinel:
     """A unique named marker: one instance per subclass, compared by ``is``.
 
-    A subclass states its ``NAME`` (its repr) and its ``TAG`` (how
-    :mod:`repro.obs.codec` writes it: ``{"$": TAG}``).  Calling the
-    class again returns the one instance, so it pickles back to itself;
-    it is hashable, so it can appear inside message tuples.
+    A subclass states its ``NAME`` (its repr) and its ``TAG`` (how a
+    fuzz case file writes it: ``{"$": TAG}``, :mod:`repro.fuzz.case`).
+    Calling the class again returns the one instance, so it pickles
+    back to itself; it is hashable, so it can appear inside message
+    tuples.
     """
 
     NAME: str

@@ -20,7 +20,6 @@ SCANNED = (
     "compact/driver.py",
     "compact/authenticated_variant.py",
     "compact/crash_variant.py",
-    "obs/codec.py",
     "runtime/network.py",
     "runtime/render.py",
 )
@@ -37,14 +36,6 @@ BOUNDED = {
     ),
     ("arrays/value_array.py", "iter_paths"): (
         "recurses on the caller's `depth` argument; no payload involved"
-    ),
-    ("obs/codec.py", "_encode"): (
-        "spends one unit of a MAX_DEPTH budget per container level and "
-        "raises TypeError once it is gone"
-    ),
-    ("obs/codec.py", "_decode"): (
-        "spends one unit of a MAX_DEPTH budget per container level and "
-        "raises ValueError once it is gone"
     ),
     ("compact/driver.py", "_shape_ok"): (
         "descends exactly `depth` levels, the block length the receiver "

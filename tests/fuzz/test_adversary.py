@@ -51,15 +51,13 @@ class TestDeterminism:
             ])
         assert attacks[0] != attacks[1]
 
-    def test_full_execution_twice_is_identical(self, tmp_path):
+    def test_full_execution_twice_is_identical(self):
         from repro.avalanche.protocol import avalanche_factory
 
         config = SystemConfig(n=4, t=1)
         inputs = {1: 1, 2: 0, 3: 1, 4: 1}
-        traces = []
-        results = []
-        for index in range(2):
-            result = run_protocol(
+        results = [
+            run_protocol(
                 avalanche_factory(),
                 config,
                 inputs,
@@ -68,13 +66,17 @@ class TestDeterminism:
                 seed=23,
                 record_trace=True,
             )
-            results.append(result)
-            path = tmp_path / f"trace-{index}.jsonl"
-            result.trace.to_jsonl(path)
-            traces.append(path.read_bytes())
+            for _ in range(2)
+        ]
         assert results[0].decisions == results[1].decisions
         assert results[0].decision_rounds == results[1].decision_rounds
-        assert traces[0] == traces[1]
+        first, second = (result.trace for result in results)
+        assert first.envelopes == second.envelopes
+        assert first.rounds == second.rounds == list(range(1, 7))
+        for round_number in first.rounds:
+            assert first.snapshots_in_round(
+                round_number
+            ) == second.snapshots_in_round(round_number)
 
 
 class TestMask:

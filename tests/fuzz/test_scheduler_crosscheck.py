@@ -66,7 +66,7 @@ def test_corpus_case_closed_under_async_delivery(path, case):
 
     log = EventLog()
     with async_schedule(3, 1), _obs.observing(
-        _obs.Observer(events=log, trace=True, spans=False)
+        _obs.Observer(events=log, spans=False)
     ):
         replay_case(case)
     problems = check_closedness(log.records)

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from repro.cli import main
-from repro.obs.events import read_jsonl, validate_jsonl
+from repro.cli import EVENT_SCHEMA_VERSION, main
+from repro.obs.events import SCHEMA_VERSION, read_jsonl, validate_jsonl
+from repro.obs.trace import build_dags
 
 
 def run_cli(capsys, *argv):
@@ -30,14 +31,12 @@ class TestRunBAEvents:
         assert f"events: wrote {path}" in out
         assert validate_jsonl(path) == []
 
-    def test_writes_the_trace_next_to_it(self, recorded_log, tmp_path):
+    def test_the_log_is_the_causal_trace(self, recorded_log, tmp_path):
         path, out = recorded_log
-        trace_path = tmp_path / "events.jsonl.trace.jsonl"
-        assert f"trace: wrote {trace_path}" in out
-        from repro.runtime.trace import ExecutionTrace
-
-        trace = ExecutionTrace.from_jsonl(trace_path)
-        assert trace.envelopes
+        assert "trace:" not in out
+        assert [child.name for child in tmp_path.iterdir()] == [path.name]
+        (dag,) = build_dags(read_jsonl(path))
+        assert dag.deliver_edges()
 
     def test_log_covers_the_run(self, recorded_log):
         path, _ = recorded_log
@@ -115,7 +114,23 @@ class TestEventsCommand:
         path, _ = recorded_log
         code, out = run_cli(capsys, "events", "validate", str(path))
         assert code == 0
-        assert "conform to event schema v1" in out
+        assert f"conform to event schema v{SCHEMA_VERSION}" in out
+
+    def test_validate_rejects_a_v1_log(self, tmp_path, capsys):
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"v": 1, "kind": "round_start", "run": "r1", "round": 1, '
+            '"step": 1}\n'
+        )
+        code, out = run_cli(capsys, "events", "validate", str(path))
+        assert code == 1
+        assert f"schema version 1 != {SCHEMA_VERSION}" in out
+
+    def test_validate_help_names_the_schema_version(self, capsys):
+        assert EVENT_SCHEMA_VERSION == SCHEMA_VERSION
+        with pytest.raises(SystemExit):
+            main(["events", "--help"])
+        assert f"event schema v{SCHEMA_VERSION}" in capsys.readouterr().out
 
     def test_validate_json(self, recorded_log, capsys):
         path, _ = recorded_log

@@ -1,4 +1,4 @@
-"""The event log: schema v1, sinks, and validation."""
+"""The event log: the schema, sinks, and validation."""
 
 import enum
 import json
@@ -80,7 +80,9 @@ class TestEventLog:
         observer.close()
         for write in (
             lambda: observer.emit("round_start"),
-            lambda: observer.burst(1, False).send(2, 8, True),
+            lambda: observer.emit(
+                "send", sender=1, faulty=False, messages=[[2, 8, True]]
+            ),
             lambda: observer.events.write(_record(step=9)),
         ):
             with pytest.raises(ValueError, match="closed file"):
@@ -157,9 +159,6 @@ _VALUES = st.recursive(
     ),
     max_leaves=8,
 )
-_TRAFFIC = ("send", "corrupt", "deliver")
-
-
 @st.composite
 def _events(draw):
     """One event: ``(run?, round, kind, fields)`` with arbitrary values."""
@@ -171,19 +170,12 @@ def _events(draw):
 
 
 def _replay(observer, events):
-    """Emit ``events``; traffic kinds go through the burst writer."""
+    """Emit ``events``, each inside a run of its own when drawn so."""
     for in_run, round_number, kind, fields in events:
         if in_run:
             observer.begin_run(4, 1, 0, "A", [])
         observer.set_round(round_number)
-        if kind in _TRAFFIC:
-            fields = dict(fields)
-            burst = observer.burst(
-                fields.pop("sender"), fields.pop("faulty", False)
-            )
-            getattr(burst, kind)(**fields)
-        else:
-            observer.emit(kind, **fields)
+        observer.emit(kind, **fields)
         if in_run:
             observer.end_run(1, 4, 0, 0, 0)
 
@@ -209,15 +201,26 @@ class TestEncoderEquivalence:
         assert [json.loads(line) for line in lines] == memory.records
 
     def test_traffic_kinds_stream_their_schema_order(self, tmp_path):
-        # the traffic kinds' pre-rendered field order is the schema's
+        # the network emits ``send`` fields in the schema's order
+        from repro.analysis.sweeps import standard_adversary_makers
+        from repro.avalanche.protocol import avalanche_factory
+        from repro.obs.core import observing
+        from repro.runtime.engine import run_protocol
+        from repro.types import SystemConfig
+
+        config = SystemConfig(n=4, t=1)
         log = EventLog(tmp_path / "events.jsonl")
-        burst = Observer(events=log).burst(1, True)
-        burst.send(2, 8, True)
-        burst.corrupt(2, "x")
-        burst.deliver(2, 8, True)
-        log.close()
-        for record in read_jsonl(log.path):
-            assert list(record)[5:] == list(EVENT_FIELDS[record["kind"]])
+        with observing(Observer(events=log)):
+            run_protocol(
+                avalanche_factory(), config,
+                {p: p % 2 for p in config.process_ids},
+                adversary=dict(standard_adversary_makers())["splitter"]([4]),
+                run_full_rounds=2,
+            )
+        sends = [r for r in read_jsonl(log.path) if r["kind"] == "send"]
+        assert {record["faulty"] for record in sends} == {False, True}
+        for record in sends:
+            assert list(record)[5:] == list(EVENT_FIELDS["send"])
             assert validate_record(record) == []
 
 
@@ -244,15 +247,38 @@ class TestValidateRecord:
         assert problems == ["unknown event kind 'telemetry'"]
 
     def test_missing_payload_field(self):
-        record = _record(kind="send", sender=1, receiver=2, bits=10)
+        record = _record(kind="send", sender=1, faulty=False)
         problems = validate_record(record)
-        assert any("non_null" in p for p in problems)
+        assert any("messages" in p for p in problems)
 
     def test_bool_is_not_an_int(self):
         # bool subclasses int; the schema keeps them apart
-        record = _record(kind="send", sender=True, receiver=2, bits=10,
-                         non_null=True)
+        record = _record(kind="send", sender=True, faulty=False, messages=[])
         assert any("sender" in p for p in validate_record(record))
+
+    @pytest.mark.parametrize("faulty,entry", [
+        (False, [2, 8, True]),
+        (True, [2, 8, True, "(0, 1)"]),
+    ])
+    def test_send_entries_have_the_sender_kind_shape(self, faulty, entry):
+        record = _record(kind="send", sender=1, faulty=faulty,
+                         messages=[entry])
+        assert validate_record(record) == []
+        record["faulty"] = not faulty
+        assert validate_record(record) == [
+            "send: message 0 is not [receiver, bits, non_null"
+            + ("]" if faulty else ", summary]")
+        ]
+
+    @pytest.mark.parametrize("entry", [
+        [2, 8], [2, 8, 1], [True, 8, True], [2, "8", True], {"2": 8}, 2,
+    ])
+    def test_malformed_send_entry_rejected(self, entry):
+        record = _record(kind="send", sender=1, faulty=False,
+                         messages=[[3, 8, True], entry])
+        assert validate_record(record) == [
+            "send: message 1 is not [receiver, bits, non_null]"
+        ]
 
     def test_nullable_run(self):
         record = _record()

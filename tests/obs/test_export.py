@@ -11,11 +11,12 @@ from repro.obs.export import (
     speedscope_profile,
     validate_chrome_trace,
 )
+from repro.obs.trace import build_dags
 
 
 def traced_records(config4):
     log = EventLog()
-    with observing(Observer(events=log, trace=True)):
+    with observing(Observer(events=log)):
         run_compact_byzantine_agreement(
             config4,
             {1: 1, 2: 0, 3: 1, 4: 0},
@@ -48,10 +49,8 @@ class TestChromeTrace:
         ends = [e for e in events if e["ph"] == "f"]
         assert starts
         assert len(starts) == len(ends)
-        delivers = sum(
-            1 for r in traced_records(config4) if r["kind"] == "deliver"
-        )
-        assert len(starts) == delivers
+        (dag,) = build_dags(traced_records(config4))
+        assert len(starts) == len(dag.deliver_edges())
         assert all(e["bp"] == "e" for e in ends)
 
     def test_timestamps_are_the_logical_clock(self, config4):

@@ -1,14 +1,22 @@
-"""Golden digests of a traced compact-BA grid's streamed event log.
+"""Golden digests of a compact-BA grid's streamed event log.
 
-The digests were recorded at the commit *before* the sink's line
-encoders replaced ``json.dumps`` and must never move: every
-deterministic line of the streamed log — envelope, field order,
+Every deterministic line of the streamed log — envelope, field order,
 separators, escapes — is part of the on-disk contract, and a capped
 log must roll over at the same records.  Only the wall-clock
 ``profile`` record is excluded (it is flagged
 ``"nondeterministic": true``).  Under the asynchronous reference
 (``tests/runtime/reference_async.py``) the same grid writes, round by
 round, the same records in schedule order.
+
+The pin moved once, on purpose, with event schema v2: a sender's round
+of traffic became one ``send`` record listing its messages, where v1
+wrote a ``send`` or ``corrupt`` line per message and, under the old
+trace mode, a ``deliver`` line per message landing at a correct
+receiver.  The traced grid went from 14,832 deterministic lines before
+the ``counters`` record (5,880 ``send``, 1,960 ``corrupt``, 5,600
+``deliver``) to 2,512 (1,120 ``send``).  ``test_v2_log_carries_what_v1_did``
+holds the new log to a fixture recorded from the v1 log, so the move
+lost no information.
 
 The pin is in two parts.  ``GOLDEN`` hashes every deterministic line
 except the closing ``counters`` record (re-recorded, over the same
@@ -21,6 +29,7 @@ in the log can hide behind them.
 
 import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -34,14 +43,16 @@ from repro.compact.payload import compact_sizer, payload_is_null
 from repro.core.predicates import byzantine_agreement_predicate
 from repro.obs import EventLog, Observer, log_paths, observing
 from repro.obs.events import read_jsonl
-from repro.obs.trace import check_closedness
+from repro.obs.rollup import status_from_records
+from repro.obs.summarize import summarize_records
+from repro.obs.trace import build_dags, check_closedness
 from repro.types import SystemConfig
 
 from tests.runtime.reference_async import async_schedule
 
 GOLDEN = (
-    14832,
-    "3a062e34107c6296c3cc3fff946e9e0871c071f9375b14183e96ad0315edfd4a",
+    2512,
+    "5e6c6050c5e0902e361efaaba6f5f2bd9d7a09ee469993f3fef33472333a1eab",
 )
 
 #: The closing ``counters`` record.
@@ -58,7 +69,11 @@ GOLDEN = (
 #: once per store (19 distinct nodes), not once per processor's gate,
 #: and the 780 ``phi_1`` domain asks, which had their own uncounted
 #: verdict column, go through the same function and count as hits.
-#: Every other value is the parent's.
+#: Against the parent of event schema v2: ``net.size_cache.hit`` was
+#: 9240, because the retired trace mode measured every ``deliver`` edge
+#: again through the size memo (4,200 extra hits); a ``send`` entry
+#: reuses the meter's one measurement.  Every other value is the
+#: parent's.
 COUNTERS = {
     "arrays.flat.rows": 59,
     "arrays.intern.hit": 909,
@@ -75,19 +90,31 @@ COUNTERS = {
     "net.bits": 224056,
     "net.messages": 5880,
     "net.non_null_messages": 4256,
-    "net.size_cache.hit": 9240,
+    "net.size_cache.hit": 5040,
     "net.size_cache.miss": 840,
     "runs": 24,
     "sweep.cells": 24,
 }
 
-CAP_BYTES = 400_000
+CAP_BYTES = 100_000
 #: ``(first step, deterministic lines)`` of each part of the lockstep
 #: log written under ``CAP_BYTES``; the last part ends with the
 #: ``counters`` record.
 GOLDEN_PARTS = [
-    (1, 3164), (3165, 3145), (6310, 3128), (9438, 3105), (12543, 2291),
+    (1, 629), (630, 623), (1253, 618), (1871, 623), (2494, 20),
 ]
+
+#: What the v1 log of this grid said, recorded from it before schema
+#: v2 (see :func:`_information`).
+EQUIVALENCE = pathlib.Path(__file__).parent / "golden" / (
+    "information_equivalence.json"
+)
+
+#: The deterministic keys of ``status_from_records``.
+STATUS_KEYS = (
+    "phase", "runs", "cells", "progress", "chunks", "rollups",
+    "protocols", "counters", "hit_rates", "fuzz",
+)
 
 
 @pytest.fixture(autouse=True)
@@ -102,7 +129,7 @@ def _fresh_shared_stores():
 def _write_grid_log(path, cap_bytes=None, workers=1):
     config = SystemConfig(n=7, t=2)
     log = EventLog(path, cap_bytes=cap_bytes)
-    with observing(Observer(events=log, trace=True)):
+    with observing(Observer(events=log)):
         report = sweep(
             compact_ba_factory(config, [0, 1], default=0, k=1),
             config,
@@ -206,3 +233,48 @@ def test_pooled_log_is_exactly_the_stdlib_encoding(tmp_path):
         json.dumps(record, separators=(", ", ": ")) + "\n"
         for record in records
     ]
+
+
+def _information(records):
+    """What a log says about its runs, independent of how it spells it.
+
+    Per run, the causal DAG with edge ``step`` dropped (a v1 edge had
+    its own record, a v2 edge shares its burst's step) and the edge
+    list as a digest; the summary without ``records`` (the line count
+    is what v2 changed); and the deterministic part of the status.
+    """
+    dags = []
+    for dag in build_dags(records):
+        document = dag.to_json()
+        edges = [
+            [edge["kind"], edge["src"], edge["dst"], edge["bits"],
+             edge["non_null"], edge["faulty"]]
+            for edge in document["edges"]
+        ]
+        document["edges"] = {
+            "count": len(edges),
+            "sha256": hashlib.sha256(
+                json.dumps(edges, separators=(",", ":")).encode()
+            ).hexdigest(),
+        }
+        dags.append(document)
+    summary = summarize_records(records)
+    del summary["records"]
+    status = status_from_records(records)
+    return {
+        "dags": dags,
+        "summary": summary,
+        "status": {key: status[key] for key in STATUS_KEYS},
+    }
+
+
+def test_v2_log_carries_what_v1_did(tmp_path):
+    """The fixture holds, from the v1 log of this grid, the DAGs of its
+    traced form and the summary and status of its plain form (the
+    traced form's ``net.size_cache.hit`` counted the trace mode's own
+    re-measurements)."""
+    path = tmp_path / "events.jsonl"
+    _write_grid_log(path)
+    records = read_jsonl(path)
+    assert _information(records) == json.loads(EQUIVALENCE.read_text())
+    assert check_closedness(records) == []

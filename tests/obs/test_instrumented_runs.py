@@ -44,13 +44,13 @@ class TestObservedRun:
         kinds = {record["kind"] for record in records}
         assert {
             "run_start", "run_end", "round_start", "round_end",
-            "send", "state", "decide", "corrupt", "counters", "profile",
+            "send", "state", "decide", "counters", "profile",
         } <= kinds
+        assert any(r["kind"] == "send" and r["faulty"] for r in records)
 
     def test_corrupt_events_only_under_an_adversary(self, config4):
         silent = observed_compact_ba(config4, SilentAdversary([]))
-        kinds = {record["kind"] for record in silent}
-        assert "corrupt" not in kinds
+        assert not any(r.get("faulty") is True for r in silent)
 
     def test_run_start_describes_the_scenario(self, config4):
         records = observed_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
@@ -66,7 +66,11 @@ class TestObservedRun:
         round_bits = sum(
             r["bits"] for r in records if r["kind"] == "round_end"
         )
-        send_bits = sum(r["bits"] for r in records if r["kind"] == "send")
+        send_bits = sum(
+            entry[1] for r in records
+            if r["kind"] == "send" and not r["faulty"]
+            for entry in r["messages"]
+        )
         assert end["bits"] == round_bits == send_bits
 
     def test_counters_expose_the_caches(self, config4):
@@ -133,8 +137,8 @@ class MalformedVotesAdversary(Adversary):
 
 
 class TestMalformedVotesObserved:
-    """Observing a run must not change whether it completes: the
-    ``corrupt`` record's summary of a non-tuple ``votes`` used to
+    """Observing a run must not change whether it completes: a faulty
+    ``send`` entry's summary of a non-tuple ``votes`` used to
     raise where the unobserved run decided."""
 
     @staticmethod
@@ -164,8 +168,10 @@ class TestMalformedVotesObserved:
             assert observed == unobserved
             assert validate_records(log.records) == []
             assert any(
-                record.get("summary") == "core:array[d0 w0] votes:?"
+                entry[3] == "core:array[d0 w0] votes:?"
                 for record in log.records
+                if record["kind"] == "send" and record["faulty"]
+                for entry in record["messages"]
             )
 
 
@@ -314,9 +320,9 @@ class TestFreshProcessByteIdentity:
     ):
         """`malformed` sends a bare ``object()``; its default repr
         carries an address, which used to land in the summary of every
-        `corrupt` record and make the two logs differ."""
+        faulty message and make the two logs differ."""
         first, second = self.deterministic_lines(
             tmp_path, "--adversary", "malformed"
         )
         assert first == second
-        assert any(b'"summary": "<object>"' in line for line in first)
+        assert any(b', "<object>"]' in line for line in first)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from concurrent.futures import Future
 
+import pytest
+
 from repro.analysis import parallel
 from repro.analysis.parallel import SweepCell, SweepContext
 from repro.analysis.sweeps import standard_adversary_makers, sweep
@@ -21,6 +23,7 @@ from repro.obs import (
     status_from_records,
     validate_records,
 )
+from repro.obs.events import SCHEMA_VERSION
 
 from tests.analysis.test_parallel import InertPool
 
@@ -181,18 +184,35 @@ class TestStatus:
         assert "progress 100.0%" in rendered
         assert f"serial {cells['serial']}" in rendered
 
-    def test_suite_rollups_of_older_logs_still_read(self):
-        """``scope == "suite"`` was written by the retired bench harness;
-        logs recorded then must keep validating and rendering."""
-        records = [{
-            "v": 1, "kind": "rollup", "run": None, "round": 0,
-            "step": 1, "scope": "suite", "index": 0, "cells": 4,
-            "counters": {"runs": 4},
-        }]
-        assert validate_records(records) == []
-        status = status_from_records(records)
-        assert status["counters"] == {"runs": 4}
-        assert "bench suites: suite[0]=4" in render_status(status)
+    @pytest.mark.parametrize("cells,counters", [
+        ("NaN", "{}"),
+        ('"4"', "{}"),
+        ("4", "[1, 2]"),
+    ])
+    def test_malformed_rollup_is_skipped_not_read(
+        self, tmp_path, cells, counters
+    ):
+        """A bare NaN fails the parse; a string ``cells`` or a list
+        ``counters`` fails the schema.  Either way ``repro status``
+        counts the line as skipped instead of crashing on it."""
+        good = {
+            "v": SCHEMA_VERSION, "kind": "rollup", "run": None,
+            "round": 0, "step": 1, "scope": "plan", "index": 0,
+            "cells": 3, "counters": {"runs": 3},
+        }
+        path = tmp_path / "events.jsonl"
+        path.write_text(
+            json.dumps(good) + "\n"
+            + '{"v": %d, "kind": "rollup", "run": null, "round": 0, '
+            '"step": 2, "scope": "plan", "index": 1, "cells": %s, '
+            '"counters": %s}\n' % (SCHEMA_VERSION, cells, counters)
+        )
+        status = load_status(path)
+        assert status["skipped_lines"] == 1
+        assert status["records"] == 1
+        assert status["cells"]["planned"] == 3
+        assert status["counters"] == {"runs": 3}
+        assert "1 torn line(s) skipped" in render_status(status)
 
     def test_status_of_an_empty_log(self):
         status = status_from_records([])
@@ -213,7 +233,7 @@ class TestFreshProcessGoldens:
         path = tmp_path / "events.jsonl"
         subprocess.run(
             [sys.executable, "-m", "repro", "run-ba", "--t", "1",
-             "--events", str(path), "--trace"],
+             "--events", str(path)],
             check=True, env=self._env(), capture_output=True,
         )
         return path

@@ -20,7 +20,7 @@ from repro.obs import (
 class TestRotation:
     def _write_capped(self, config4, path, cap_bytes):
         log = EventLog(path, cap_bytes=cap_bytes)
-        with observing(Observer(events=log, trace=True)):
+        with observing(Observer(events=log)):
             run_compact_byzantine_agreement(
                 config4, {1: 1, 2: 0, 3: 1, 4: 0},
                 value_alphabet=[0, 1], k=2,
@@ -70,13 +70,13 @@ class TestRotation:
 
 
 class TestLogPaths:
-    def test_directory_collects_logs_but_not_trace_sidecars(self, tmp_path):
+    def test_directory_collects_every_log_and_its_parts(self, tmp_path):
         (tmp_path / "a.jsonl").write_text("{}\n")
         (tmp_path / "a.jsonl.part-1").write_text("{}\n")
         (tmp_path / "b.trace.jsonl").write_text("{}\n")
         (tmp_path / "notes.txt").write_text("x\n")
         names = [p.name for p in log_paths(tmp_path)]
-        assert names == ["a.jsonl", "a.jsonl.part-1"]
+        assert names == ["a.jsonl", "a.jsonl.part-1", "b.trace.jsonl"]
 
     def test_parts_sort_numerically(self, tmp_path):
         base = tmp_path / "events.jsonl"
@@ -107,7 +107,7 @@ class TestRotationCli:
         path = tmp_path / "events.jsonl"
         subprocess.run(
             [sys.executable, "-m", "repro", "run-ba", "--t", "1",
-             "--events", str(path), "--trace",
+             "--events", str(path),
              "--events-cap", "2000"],
             check=True, env=self._env(), capture_output=True,
         )
@@ -118,7 +118,8 @@ class TestRotationCli:
                  target],
                 check=True, env=self._env(), capture_output=True,
             )
-            assert b"OK: 73 record(s)" in result.stdout
+            # one ``send`` record per sender per round
+            assert b"OK: 25 record(s)" in result.stdout
 
     def test_cap_without_events_is_a_usage_error(self):
         result = subprocess.run(

@@ -9,16 +9,16 @@ from repro.obs.summarize import (
 
 
 def _event(kind, step, **fields):
-    record = {"v": 1, "kind": kind, "run": "r1", "round": 0, "step": step}
+    record = {"v": 2, "kind": kind, "run": "r1", "round": 0, "step": step}
     record.update(fields)
     return record
 
 
 SAMPLE = [
     _event("run_start", 1, n=4, t=1, seed=0, adversary="A", faulty=[4]),
-    _event("send", 2, sender=1, receiver=2, bits=3, non_null=True),
-    _event("send", 3, sender=2, receiver=1, bits=3, non_null=True),
-    _event("corrupt", 4, sender=4, receiver=1, summary="0"),
+    _event("send", 2, sender=1, faulty=False, messages=[[2, 3, True]]),
+    _event("send", 3, sender=2, faulty=False, messages=[[1, 3, True]]),
+    _event("send", 4, sender=4, faulty=True, messages=[[1, 8, True, "0"]]),
     _event("round_end", 5, round=1, messages=9, non_null=9, bits=27),
     _event("round_end", 6, round=2, messages=9, non_null=6, bits=18),
     _event("decide", 7, process=1, value=0),
@@ -52,6 +52,16 @@ class TestSummarize:
         assert summary["sends"] == 2
         assert summary["corruptions"] == 1
         assert summary["cells"] == {"total": 3, "held": 1, "falsified": 1}
+
+    def test_a_burst_counts_per_message(self):
+        burst = _event("send", 2, sender=1, faulty=False, messages=[
+            [2, 3, True], [3, 3, True], [4, 3, True],
+        ])
+        corrupt = _event("send", 3, sender=4, faulty=True, messages=[
+            [1, 8, True, "0"], [2, 8, True, "1"],
+        ])
+        summary = summarize_records([burst, corrupt])
+        assert (summary["sends"], summary["corruptions"]) == (3, 2)
 
     def test_per_round_traffic(self):
         summary = summarize_records(SAMPLE)

@@ -1,21 +1,23 @@
-"""Causal tracing: deliver edges, DAG assembly, dynamic closedness."""
+"""Causal tracing: send bursts, DAG assembly, dynamic closedness."""
 
 from repro.adversary import EquivocatingAdversary, SilentAdversary
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.obs import EventLog, Observer, observing, validate_records
-from repro.obs.trace import build_dags, check_closedness
+from repro.obs.trace import build_dags, burst_edges, check_closedness
 
 
-def traced_compact_ba(config4, adversary):
+def traced_compact_ba(config4, adversary, result=None):
     log = EventLog()
-    with observing(Observer(events=log, trace=True)):
-        run_compact_byzantine_agreement(
+    with observing(Observer(events=log)):
+        outcome = run_compact_byzantine_agreement(
             config4,
             {1: 1, 2: 0, 3: 1, 4: 0},
             value_alphabet=[0, 1],
             k=2,
             adversary=adversary,
         )
+    if result is not None:
+        result.append(outcome)
     return log.records
 
 
@@ -23,47 +25,63 @@ class TestDeliverEvents:
     def test_traced_records_validate(self, config4):
         records = traced_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
         assert validate_records(records) == []
-        assert any(r["kind"] == "deliver" for r in records)
+        assert {r["faulty"] for r in records if r["kind"] == "send"} == {
+            False, True,
+        }
 
     def test_trace_off_means_no_deliver_records(self, config4):
-        log = EventLog()
-        with observing(Observer(events=log)):
-            run_compact_byzantine_agreement(
-                config4, {1: 1, 2: 0, 3: 1, 4: 0},
-                value_alphabet=[0, 1], k=2,
-                adversary=EquivocatingAdversary([4], 0, 1),
-            )
-        assert not any(r["kind"] == "deliver" for r in log.records)
-
-    def test_trace_requires_an_event_sink(self):
-        observer = Observer(events=None, trace=True)
-        assert observer.trace_on is False
+        # There is no trace mode: ``trace=True`` writes the same log.
+        logs = []
+        for trace in (False, True):
+            log = EventLog()
+            with observing(Observer(events=log, trace=trace, spans=False)):
+                run_compact_byzantine_agreement(
+                    config4, {1: 1, 2: 0, 3: 1, 4: 0},
+                    value_alphabet=[0, 1], k=2,
+                    adversary=EquivocatingAdversary([4], 0, 1),
+                )
+            logs.append(log.records)
+        assert logs[0] == logs[1]
+        assert not any(r["kind"] == "deliver" for r in logs[0])
 
     def test_correct_deliver_bits_match_send_events(self, config4):
-        """A correct sender's deliver edge reuses the metered size."""
-        records = traced_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
-        sends = {
-            (r["round"], r["sender"], r["receiver"]): r["bits"]
-            for r in records if r["kind"] == "send"
+        """A correct sender's entries carry the meter's measurement."""
+        results = []
+        records = traced_compact_ba(
+            config4, EquivocatingAdversary([4], 0, 1), results
+        )
+        correct_sends = [
+            r for r in records if r["kind"] == "send" and not r["faulty"]
+        ]
+        assert sum(
+            bits for record in correct_sends
+            for _receiver, bits, _non_null in record["messages"]
+        ) == results[0].metrics.total_bits
+        entries = {
+            (r["round"], r["sender"], receiver): bits
+            for r in correct_sends
+            for receiver, bits, _non_null in r["messages"]
         }
         correct_delivers = [
-            r for r in records
-            if r["kind"] == "deliver" and not r["faulty"]
+            edge for edge in build_dags(records)[0].deliver_edges()
+            if not edge.faulty
         ]
         assert correct_delivers
-        for record in correct_delivers:
-            key = (record["round"], record["sender"], record["receiver"])
-            # deliveries to faulty receivers are dropped, so every
-            # correct deliver has a matching metered send
-            assert sends[key] == record["bits"]
+        for edge in correct_delivers:
+            # deliveries to faulty receivers are no edges, so every
+            # correct edge has a metered entry
+            key = (edge.dst[1], edge.src[0], edge.dst[0])
+            assert entries[key] == edge.bits
+        assert all(edge.dst[0] != 4 for edge in correct_delivers)
 
     def test_faulty_deliveries_are_marked(self, config4):
         records = traced_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
         faulty = [
-            r for r in records if r["kind"] == "deliver" and r["faulty"]
+            edge for edge in build_dags(records)[0].deliver_edges()
+            if edge.faulty
         ]
         assert faulty
-        assert all(r["sender"] == 4 for r in faulty)
+        assert all(edge.src[0] == 4 for edge in faulty)
 
 
 class TestCausalDag:
@@ -117,30 +135,30 @@ class TestClosednessChecker:
 
     def test_cross_round_delivery_is_flagged(self, config4):
         records = [dict(r) for r in self._closed_log(config4)]
-        deliver = next(r for r in records if r["kind"] == "deliver")
-        deliver["round"] = deliver["round"] + 1
+        send = next(r for r in records if r["kind"] == "send")
+        send["round"] = send["round"] + 1
         problems = check_closedness(records)
         assert any("communication-closed" in p for p in problems)
 
     def test_delivery_after_state_update_is_flagged(self, config4):
         records = [dict(r) for r in self._closed_log(config4)]
-        # move the first deliver record after the round's last state
+        # move the first send record after the round's last state
         index = next(
-            i for i, r in enumerate(records) if r["kind"] == "deliver"
+            i for i, r in enumerate(records) if r["kind"] == "send"
         )
-        deliver = records.pop(index)
+        send = records.pop(index)
         state_index = max(
             i for i, r in enumerate(records)
-            if r["kind"] == "state" and r["round"] == deliver["round"]
+            if r["kind"] == "state" and r["round"] == send["round"]
         )
-        records.insert(state_index + 1, deliver)
+        records.insert(state_index + 1, send)
         problems = check_closedness(records)
         assert any("phase order violated" in p for p in problems)
 
     def test_duplicate_channel_delivery_is_flagged(self, config4):
         records = [dict(r) for r in self._closed_log(config4)]
         index = next(
-            i for i, r in enumerate(records) if r["kind"] == "deliver"
+            i for i, r in enumerate(records) if r["kind"] == "send"
         )
         records.insert(index, dict(records[index]))
         problems = check_closedness(records)
@@ -148,22 +166,43 @@ class TestClosednessChecker:
 
     def test_delivery_outside_round_bracket_is_flagged(self):
         records = [
-            {"v": 1, "kind": "run_start", "run": "r1", "round": 0,
+            {"v": 2, "kind": "run_start", "run": "r1", "round": 0,
              "step": 1, "n": 4, "t": 1, "seed": 0, "adversary": "X",
              "faulty": []},
-            {"v": 1, "kind": "deliver", "run": "r1", "round": 1,
-             "step": 2, "sender": 1, "receiver": 2, "bits": 8,
-             "non_null": True, "faulty": False},
+            {"v": 2, "kind": "send", "run": "r1", "round": 1,
+             "step": 2, "sender": 1, "faulty": False,
+             "messages": [[2, 8, True]]},
         ]
         problems = check_closedness(records)
         assert any("outside a round bracket" in p for p in problems)
 
     def test_delivery_outside_any_run_is_flagged(self):
         records = [
-            {"v": 1, "kind": "deliver", "run": None, "round": 1,
-             "step": 1, "sender": 1, "receiver": 2, "bits": 8,
-             "non_null": True, "faulty": False},
+            {"v": 2, "kind": "send", "run": None, "round": 1,
+             "step": 1, "sender": 1, "faulty": False,
+             "messages": [[2, 8, True]]},
         ]
         assert any(
             "outside any run" in p for p in check_closedness(records)
         )
+
+
+class TestBurstEdges:
+    RUN_START = {"kind": "run_start", "n": 4, "faulty": [3]}
+
+    def test_only_correct_receivers_are_edges(self):
+        send = {"kind": "send", "sender": 3, "faulty": True, "messages": [
+            [1, 8, True, "0"], [3, 8, True, "0"], [4, 9, True, "1"],
+            [7, 8, True, "1"],
+        ]}
+        assert list(burst_edges(send, self.RUN_START)) == [
+            (1, 8, True), (4, 9, True),
+        ]
+
+    def test_landing_order_is_kept(self):
+        send = {"kind": "send", "sender": 1, "faulty": False, "messages": [
+            [4, 2, False], [2, 5, True], [1, 5, True],
+        ]}
+        assert list(burst_edges(send, self.RUN_START)) == [
+            (4, 2, False), (2, 5, True), (1, 5, True),
+        ]

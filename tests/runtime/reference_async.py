@@ -13,8 +13,9 @@ module makes it a metamorphic oracle for closedness.
 
 :class:`AsyncNetwork` overrides the network's phase 3,
 :meth:`~repro.runtime.network.SynchronousNetwork.dispatch`.  Rows are
-landed and metered exactly as in lockstep (``deliver_round``), so the
-meters cannot move.  Then every ``(sender, receiver)`` channel — a
+landed, metered and recorded exactly as in lockstep (``deliver_round``
+writes each sender's one ``send`` record), so neither the meters nor
+the traffic records can move.  Then every ``(sender, receiver)`` channel — a
 silent one too, since an omission is a detectable ``BOTTOM`` arrival —
 becomes an event with a bounded logical delay.  Events drain in
 logical-time order, and a receiver's state change fires the moment its
@@ -28,13 +29,11 @@ inherits the substitution.  Nothing under ``src/`` may import this.
 
 import contextlib
 import heapq
-from typing import Any, ContextManager, Dict, Iterator, List, Tuple
+from typing import Any, ContextManager, Iterator, List, Tuple
 
 import repro.runtime.engine as engine
-from repro.obs.events import TrafficBurst
 from repro.runtime.network import SynchronousNetwork
 from repro.runtime.rng import derive_rng
-from repro.types import is_bottom
 
 #: The delay bound of a bare ``"async"`` spec: large enough that
 #: delivery and state-change order is genuinely permuted (a bound of 0
@@ -85,10 +84,8 @@ class AsyncNetwork(SynchronousNetwork):
         self, round_number, context, correct_outgoing, faulty_outgoing, observer
     ) -> None:
         events = observer is not None and observer.events_on
-        tracing = events and observer.trace_on
-        # Deliver edges are withheld here and written in schedule order.
         incoming = self.deliver_round(
-            round_number, correct_outgoing, faulty_outgoing, observer, False
+            round_number, correct_outgoing, faulty_outgoing, observer
         )
         self.adversary.observe_round(round_number, context, faulty_outgoing)
 
@@ -97,18 +94,9 @@ class AsyncNetwork(SynchronousNetwork):
         # Round recovery: a receiver's round is complete once one
         # delivery per channel has reached it — no barrier, no clock.
         remaining = dict.fromkeys(self.processes, self.config.n)
-        bursts: Dict[int, TrafficBurst] = {}
         expected_order = iter(sorted(self.processes))
         while heap:
-            _delay, _seq, sender, receiver = heapq.heappop(heap)
-            payload = incoming[receiver][sender]
-            if tracing and not is_bottom(payload):
-                burst = bursts.get(sender)
-                if burst is None:
-                    burst = bursts[sender] = observer.burst(
-                        sender, sender in self.adversary.faulty_ids
-                    )
-                self.emit_deliver_edge(burst, receiver, payload, observer)
+            _delay, _seq, _sender, receiver = heapq.heappop(heap)
             remaining[receiver] -= 1
             if remaining[receiver] == 0:
                 process = self.processes[receiver]

@@ -115,14 +115,17 @@ def test_event_logs_are_byte_identical(schedule, tmp_path):
     for talker in (Talker, PlainTalker):
         path = tmp_path / f"{talker.__name__}.jsonl"
         log = EventLog(path)
-        with observing(Observer(events=log, trace=True, spans=False)):
+        with observing(Observer(events=log, spans=False)):
             run(talker, record_trace=True)
         log.close()
         logs[talker] = path.read_bytes()
     assert logs[Talker] == logs[PlainTalker]
     records = read_jsonl(tmp_path / "Talker.jsonl")
     kinds = {record["kind"] for record in records}
-    assert {"send", "corrupt", "deliver", "counters"} <= kinds
+    assert {"send", "counters"} <= kinds
+    assert {r["faulty"] for r in records if r["kind"] == "send"} == {
+        False, True,
+    }
     assert check_closedness(records) == []
 
 

@@ -1,30 +1,38 @@
-"""Trace persistence: to_jsonl / from_jsonl structural round-trips."""
+"""Trace persistence: a checkpoint carries the execution trace whole.
 
-import json
+:class:`ExecutionTrace` is an in-memory recorder; what persists it is
+:func:`repro.runtime.checkpoint.save_result`, with the rest of the
+result.  A reloaded trace must compare equal to the recorded one —
+interned arrays, compact payloads and sentinels included — so the
+simulation checker can re-verify a saved execution offline.
+"""
 
-import pytest
+import dataclasses
 
 from repro.adversary import EquivocatingAdversary
 from repro.agreement.crusader import SENDER_FAULTY, crusader_factory
 from repro.arrays.store import MAX_DEPTH
 from repro.avalanche.protocol import avalanche_factory
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
+from repro.runtime.checkpoint import load_result, save_result
 from repro.runtime.engine import run_protocol
 from repro.runtime.message import Envelope
-from repro.runtime.trace import TRACE_FORMAT_VERSION, ExecutionTrace
+from repro.runtime.trace import ExecutionTrace
 
 
-def assert_roundtrips(trace, tmp_path):
-    path = tmp_path / "trace.jsonl"
-    trace.to_jsonl(path)
-    reloaded = ExecutionTrace.from_jsonl(path)
-    assert reloaded.envelopes == trace.envelopes
-    assert reloaded.rounds == trace.rounds
+def assert_roundtrips(result, tmp_path):
+    """Save ``result``, reload it, and return the reloaded result."""
+    path = tmp_path / "result.pkl"
+    save_result(result, path)
+    reloaded = load_result(path)
+    trace = result.trace
+    assert reloaded.trace.envelopes == trace.envelopes
+    assert reloaded.trace.rounds == trace.rounds
     for round_number in trace.rounds:
-        assert reloaded.snapshots_in_round(
+        assert reloaded.trace.snapshots_in_round(
             round_number
         ) == trace.snapshots_in_round(round_number)
-    return path
+    return reloaded
 
 
 class TestRoundTrips:
@@ -35,22 +43,20 @@ class TestRoundTrips:
             adversary=EquivocatingAdversary([4], 0, 1),
             run_full_rounds=3, record_trace=True,
         )
-        assert_roundtrips(result.trace, tmp_path)
+        assert_roundtrips(result, tmp_path)
 
     def test_compact_ba_trace(self, config4, tmp_path):
-        # exercises the CompactPayload and interned-array codec paths
+        # CompactPayload envelopes and interned-array snapshots
         result = run_compact_byzantine_agreement(
             config4, {1: 1, 2: 0, 3: 1, 4: 0}, value_alphabet=[0, 1],
             k=2, adversary=EquivocatingAdversary([4], 0, 1),
             record_trace=True,
         )
-        path = assert_roundtrips(result.trace, tmp_path)
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header == {"kind": "trace", "v": TRACE_FORMAT_VERSION}
+        assert_roundtrips(result, tmp_path)
 
     def test_crusader_trace(self, config4, tmp_path):
-        # SENDER_FAULTY sits in the deciders' snapshots: the codec
-        # once hand-listed three of the five sentinels and raised here.
+        # SENDER_FAULTY sits in the deciders' snapshots and reloads as
+        # the same object.
         result = run_protocol(
             crusader_factory(source=4), config4,
             {p: 0 for p in config4.process_ids},
@@ -58,8 +64,8 @@ class TestRoundTrips:
             max_rounds=2, record_trace=True,
         )
         assert result.decisions == {1: 0, 2: 0, 3: SENDER_FAULTY}
-        path = assert_roundtrips(result.trace, tmp_path)
-        assert '{"$": "sender-faulty"}' in path.read_text()
+        reloaded = assert_roundtrips(result, tmp_path)
+        assert reloaded.decisions[3] is SENDER_FAULTY
 
     def test_reloaded_trace_serves_queries(self, config4, tmp_path):
         inputs = {p: p % 2 for p in config4.process_ids}
@@ -67,81 +73,13 @@ class TestRoundTrips:
             avalanche_factory(), config4, inputs,
             run_full_rounds=2, record_trace=True,
         )
-        path = tmp_path / "trace.jsonl"
-        result.trace.to_jsonl(path)
-        reloaded = ExecutionTrace.from_jsonl(path)
+        reloaded = assert_roundtrips(result, tmp_path).trace
         assert reloaded.messages_in_round(1) == result.trace.messages_in_round(1)
         assert reloaded.messages_from(1) == result.trace.messages_from(1)
         assert reloaded.snapshot(1, 2) == result.trace.snapshot(1, 2)
 
 
-class TestMalformedFiles:
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(ValueError, match="empty trace file"):
-            ExecutionTrace.from_jsonl(path)
-
-    def test_wrong_header(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind": "events", "v": 1}\n')
-        with pytest.raises(ValueError, match="not a version-1 trace file"):
-            ExecutionTrace.from_jsonl(path)
-
-    def test_wrong_version(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind": "trace", "v": 99}\n')
-        with pytest.raises(ValueError, match="not a version-1 trace file"):
-            ExecutionTrace.from_jsonl(path)
-
-    def test_unknown_record_kind(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"kind": "trace", "v": 1}\n{"kind": "mystery"}\n'
-        )
-        with pytest.raises(ValueError, match="unknown trace record"):
-            ExecutionTrace.from_jsonl(path)
-
-    @staticmethod
-    def envelope_line(payload_json):
-        return (
-            '{"kind": "envelope", "sender": 1, "receiver": 2, "round": 1, '
-            f'"payload": {payload_json}}}\n'
-        )
-
-    @pytest.mark.parametrize(
-        "line",
-        [
-            "{not json\n",
-            '{"kind": "envelope", "sender": 1}\n',
-            '{"kind": "snapshot", "round": 1, "process": 1, '
-            '"state": {"?": 0}}\n',
-            "[1, 2]\n",
-        ],
-    )
-    def test_undecodable_line(self, tmp_path, line):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind": "trace", "v": 1}\n' + line)
-        with pytest.raises(ValueError):
-            ExecutionTrace.from_jsonl(path)
-
-    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 900])
-    def test_over_deep_line(self, tmp_path, depth):
-        # Past MAX_DEPTH the codec refuses; far past it the JSON parser
-        # itself hits the recursion limit.  Either is the ValueError.
-        path = tmp_path / "deep.jsonl"
-        nested = '{"t": [' * depth + "0" + "]}" * depth
-        path.write_text(
-            '{"kind": "trace", "v": 1}\n' + self.envelope_line(nested)
-        )
-        with pytest.raises(ValueError, match="line 2"):
-            ExecutionTrace.from_jsonl(path)
-
-
 class TestFailedWrites:
-    """A trace the codec refuses leaves no file behind: a partial one
-    would load without error and look like the whole execution."""
-
     @staticmethod
     def nested(depth):
         value = 0
@@ -149,25 +87,18 @@ class TestFailedWrites:
             value = (value,)
         return value
 
-    def test_deepest_encodable_payload_round_trips(self, tmp_path):
+    def test_deepest_encodable_payload_round_trips(self, config4, tmp_path):
+        result = run_protocol(
+            avalanche_factory(), config4,
+            {p: p % 2 for p in config4.process_ids}, run_full_rounds=1,
+        )
         trace = ExecutionTrace()
         trace.record_envelope(Envelope(1, 2, 1, self.nested(MAX_DEPTH)))
-        assert_roundtrips(trace, tmp_path)
-
-    def test_over_deep_payload_raises_type_error_and_writes_nothing(
-        self, tmp_path
-    ):
-        trace = ExecutionTrace()
-        trace.record_envelope(Envelope(1, 2, 1, 0))
-        trace.record_envelope(Envelope(1, 2, 1, self.nested(5000)))
-        path = tmp_path / "deep.jsonl"
-        with pytest.raises(TypeError, match="levels deep"):
-            trace.to_jsonl(path)
-        assert list(tmp_path.iterdir()) == []
+        assert_roundtrips(dataclasses.replace(result, trace=trace), tmp_path)
 
     def test_malformed_adversary_run_leaves_no_trace_file(self, tmp_path):
-        # `malformed` sends a bare object(), which the codec refuses
-        # after ten envelopes are already encoded.
+        # `malformed` sends a bare object(); an events run writes the
+        # event log and nothing beside it.
         from repro.cli import main
 
         events = tmp_path / "m.jsonl"

@@ -164,8 +164,6 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv,message",
         [
-            (("run-ba", "--t", "1", "--trace"),
-             "--trace requires --events"),
             (("run-ba", "--t", "1", "--events-cap", "2000"),
              "--events-cap requires --events"),
             (("fuzz", "--cases", "1", "--events-cap", "2000"),
@@ -173,7 +171,7 @@ class TestUsageErrors:
             (("fuzz", "--check-closedness"),
              "--check-closedness requires --replay"),
         ],
-        ids=["run-ba-trace", "run-ba-events-cap", "fuzz-events-cap",
+        ids=["run-ba-events-cap", "fuzz-events-cap",
              "fuzz-check-closedness"],
     )
     def test_exit_2_with_message(self, capsys, argv, message):

@@ -1,12 +1,13 @@
-"""The three inert ``scheduler`` switches, and nothing more.
+"""The inert switches the frozen benchmark harness still passes.
 
 Asynchrony is a test oracle now (``tests/runtime/reference_async.py``).
 What is left of the old production switch exists only because the
 frozen ``benchmarks/perf`` harness still passes it:
 ``sweep(..., scheduler=)``, ``CampaignSettings.scheduler`` and
-``run-ba --scheduler``.  These tests prove that none of them does
-anything, and fail once the harness stops naming them — that is when
-the stubs go.
+``run-ba --scheduler``.  The same goes for ``Observer(trace=)``: every
+event log is causal now, so there is no trace mode to switch on.  These
+tests prove that none of them does anything, and fail once the harness
+stops naming them — that is when the stubs go.
 """
 
 import os
@@ -18,6 +19,7 @@ import sys
 from repro.analysis.sweeps import standard_adversary_makers, sweep
 from repro.avalanche.protocol import avalanche_factory
 from repro.fuzz.campaign import CampaignSettings, run_campaign
+from repro.obs import EventLog, Observer, observing
 from repro.types import SystemConfig
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -77,3 +79,30 @@ def test_the_benchmark_harness_still_names_them():
 
 def test_fuzz_scheduler_flag_is_gone():
     assert run_repro("fuzz", "--scheduler", "async").returncode == 2
+
+
+def test_observer_ignores_trace(tmp_path):
+    logs = []
+    for name, observer in (
+        ("plain", lambda log: Observer(events=log, spans=False)),
+        ("traced", lambda log: Observer(events=log, spans=False, trace=True)),
+    ):
+        path = tmp_path / f"{name}.jsonl"
+        with observing(observer(EventLog(path))):
+            run_sweep()
+        logs.append([
+            line for line in path.read_bytes().splitlines()
+            if b'"nondeterministic": true' not in line
+        ])
+    assert logs[0] == logs[1]
+
+
+def test_the_benchmark_harness_still_passes_trace():
+    assert any(
+        "trace=True" in path.read_text()
+        for path in (ROOT / "benchmarks" / "perf").glob("*.py")
+    )
+
+
+def test_run_ba_trace_flag_is_gone():
+    assert run_repro("run-ba", "--t", "1", "--trace").returncode == 2
