@@ -133,14 +133,17 @@ class MessageSizer:
     n:
         Number of processors (sizes index leaves).
 
-    Nothing is memoized here: a repeated message is the network's to
-    recognise (one object a round, one ``key_token`` across rounds).
+    Sizes of interned nodes are memoized in their store's
+    :attr:`~repro.arrays.store.ArrayStore.sizes`, keyed by this
+    sizer's policy; a repeated plain message is the network's to
+    recognise (one object a round).
     """
 
     def __init__(self, value_alphabet_size: int, n: int):
         self.value_bits = bits_for_alphabet(value_alphabet_size)
         self.index_bits = bits_for_alphabet(n)
         self._n = n
+        self._policy = ("sizer", self.value_bits, self.index_bits, n)
 
     def measure(self, message: Any) -> int:
         """Exact measured size of ``message`` in bits.
@@ -148,14 +151,15 @@ class MessageSizer:
         An interned array is sized once per store (same policy:
         value/index split, bottoms free), so a new round's state —
         one new node over last round's children — costs ``n`` lookups
-        instead of a full O(``n ** depth``) walk.  Anything else — by
-        now only a faulty sender's payload — is folded.
+        instead of a full O(``n ** depth``) walk, and a node already
+        sized costs one.  Anything else — by now only a faulty
+        sender's payload — is folded.
         """
-        return _policy_bits(
-            message,
-            ("sizer", self.value_bits, self.index_bits, self._n),
-            self._measure_leaf,
-        )
+        if type(message) is InternedArray:
+            known = message.store.sizes.get((self._policy, message.key_token))
+            if known is not None:
+                return known
+        return _policy_bits(message, self._policy, self._measure_leaf)
 
     def _measure_leaf(self, leaf: Any) -> int:
         """One leaf's cost under :meth:`measure`."""

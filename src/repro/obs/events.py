@@ -22,6 +22,7 @@ can rely on the documented shape in ``docs/observability.md``.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import pathlib
@@ -165,13 +166,20 @@ def json_safe(value: Any) -> Any:
 # ": ")) + "\n"`` would give — that spelling is the on-disk contract
 # (pinned by tests/obs/test_golden_log.py) — but it is assembled from
 # parts that are each rendered once: the envelope prefix per
-# kind/run/round and the ``, "name": `` fragment per field name.
+# kind/run/round, the ``, "name": `` fragment per field name, and an
+# entry list's text per distinct tail (:meth:`EventLog.entries`).
 
 #: The one stdlib encoder behind every value without a direct path:
 #: ``None``, floats, containers, and subclasses of the scalar types.
 _encode_other = json.JSONEncoder(
     separators=(", ", ": "), allow_nan=False
 ).encode
+
+
+class _Text(str):
+    """JSON text a streamed log writes as it is."""
+
+    __slots__ = ()
 
 
 def _json(value: Any) -> str:
@@ -183,7 +191,20 @@ def _json(value: Any) -> str:
         return _quote(value)
     if kind is bool:
         return "true" if value else "false"
+    if kind is _Text:
+        return value
     return _encode_other(value)
+
+
+@functools.lru_cache(maxsize=1024, typed=True)  # keeps 1 and True apart
+def _tail_text(*tail: Any) -> str:
+    """An entry's text after its head: ``tail`` up to the closing ``]``."""
+    return _encode_other(tail)[1:]
+
+
+@functools.lru_cache(maxsize=1024)
+def _uniform_text(heads: Tuple[Any, ...], tail: str) -> _Text:
+    return _Text("[" + ", ".join(f"[{_json(h)}, {tail}" for h in heads) + "]")
 
 
 #: Rollover part naming: ``<base>.jsonl.part-N`` (N starts at 1; the
@@ -271,6 +292,27 @@ class EventLog:
                 f"{self._prefix(kind, run, round_number)}{step}"
                 f"{self._render(fields)}}}\n"
             )
+
+    def entries(
+        self, heads: Iterable[Any], tails: Iterable[Tuple[Any, ...]]
+    ) -> Any:
+        """``[[head, *tail], ...]`` (tails are tuples of scalars) as this
+        log takes a field: a plain list in memory; for a stream, text
+        joined from each distinct tail's, rendered once."""
+        pairs = zip(heads, tails)
+        if self._handle is None:
+            return [[head, *tail] for head, tail in pairs]
+        entries = (f"[{_json(h)}, {_tail_text(*t)}" for h, t in pairs)
+        return _Text("[" + ", ".join(entries) + "]")
+
+    def uniform_entries(
+        self, heads: Tuple[Any, ...], tail: Tuple[Any, ...]
+    ) -> Any:
+        """:meth:`entries` with one ``tail`` for every head; a stream's
+        text is rendered once per ``(heads, tail)``."""
+        if self._handle is None:
+            return [[head, *tail] for head in heads]
+        return _uniform_text(heads, _tail_text(*tail))
 
     def _render(self, fields: Mapping[str, Any]) -> str:
         """``, "name": value`` for every field, in order."""

@@ -44,7 +44,7 @@ from repro.errors import ConfigurationError
 from repro.arrays.store import InternedArray
 from repro.arrays.value_array import fold_tree
 from repro.obs.core import Observer
-from repro.obs.events import json_safe
+from repro.obs.events import EventLog, json_safe
 from repro.runtime.message import Envelope
 from repro.runtime.metrics import MessageMetrics
 from repro.runtime.node import Broadcast, Process
@@ -139,6 +139,9 @@ class SynchronousNetwork:
         # hit.  Both entries are stable: the sizer and the null
         # predicate are pure functions of the payload value.
         self._interned_size_cache: Dict[Any, Tuple[int, bool]] = {}
+        # A faulty payload's `send` entry tail per object, for the
+        # round (whoever sends it); cleared like the size memo.
+        self._faulty_tails: Dict[int, Tuple[Any, ...]] = {}
         # The payload summariser of `state`/`send` event records,
         # bound once per network.  Imported here rather than at module
         # level because render imports the engine, which imports us.
@@ -325,6 +328,9 @@ class SynchronousNetwork:
         measures and meters it a single time.
         """
         self._size_cache.clear()
+        sink = observer.events if observer is not None else None
+        if sink is not None:
+            self._faulty_tails.clear()
         base = dict(self._bottom_row)
         uniform: Set[ProcessId] = set()
         for outgoing in (correct_outgoing, faulty_outgoing):
@@ -333,7 +339,6 @@ class SynchronousNetwork:
                     base[sender] = burst.message
                     uniform.add(sender)
         rows = {receiver: dict(base) for receiver in self.processes}
-        events = observer is not None and observer.events_on
         for faulty, outgoing in (
             (False, correct_outgoing), (True, faulty_outgoing)
         ):
@@ -342,17 +347,17 @@ class SynchronousNetwork:
                 if sender not in uniform:
                     entries = self._deliver_each(
                         round_number, sender, burst, rows, metered,
-                        observer, faulty, events,
+                        observer, faulty, sink,
                     )
                 elif base[sender] is not BOTTOM:
                     entries = self._deliver_uniform(
                         round_number, sender, base[sender], metered,
-                        observer, faulty, events,
+                        observer, faulty, sink,
                     )
                 else:
                     continue
                 # An all-BOTTOM burst records nothing.
-                if entries:
+                if entries is not None:
                     assert observer is not None
                     observer.emit(
                         "send", sender=sender, faulty=faulty,
@@ -360,12 +365,17 @@ class SynchronousNetwork:
                     )
         return rows
 
-    def _faulty_tail(self, payload: Any) -> List[Any]:
+    def _faulty_tail(self, payload: Any) -> Tuple[Any, ...]:
         """A faulty sender's ``send`` entry after the receiver: sized by
         the structural fallback, since the protocol sizer may choke on
         Byzantine garbage, and summarized — its cost is informational,
-        not a canonical-form bit claim."""
-        return [_default_sizer(payload), True, self._summarise(payload)]
+        not a canonical-form bit claim.  Once per payload object a round."""
+        tail = self._faulty_tails.get(id(payload))
+        if tail is None:
+            tail = self._faulty_tails[id(payload)] = (
+                _default_sizer(payload), True, self._summarise(payload)
+            )
+        return tail
 
     def _deliver_uniform(
         self,
@@ -375,10 +385,10 @@ class SynchronousNetwork:
         metered: bool,
         observer: Optional[Observer],
         faulty: bool,
-        events: bool,
-    ) -> List[List[Any]]:
+        sink: Optional[EventLog],
+    ) -> Any:
         """One non-BOTTOM message to all ``n``, already landed: measure
-        it once.  Returns the burst's ``send`` entries when ``events``."""
+        it once.  Returns the burst's ``send`` entries for ``sink``."""
         n = self.config.n
         bits, non_null = 0, False
         if metered:
@@ -393,10 +403,10 @@ class SynchronousNetwork:
                     trace.record_envelope(
                         Envelope(sender, receiver, round_number, message)
                     )
-        if not events:
-            return []
-        tail = self._faulty_tail(message) if faulty else [bits, non_null]
-        return [[receiver, *tail] for receiver in self.config.process_ids]
+        if sink is None:
+            return None
+        tail = self._faulty_tail(message) if faulty else (bits, non_null)
+        return sink.uniform_entries(self.config.process_ids, tail)
 
     def _deliver_each(
         self,
@@ -407,26 +417,24 @@ class SynchronousNetwork:
         metered: bool,
         observer: Optional[Observer],
         faulty: bool,
-        events: bool,
-    ) -> List[List[Any]]:
+        sink: Optional[EventLog],
+    ) -> Any:
         """A per-receiver map: land, measure and record every copy.
-        Returns the burst's ``send`` entries when ``events``."""
+        Returns the burst's ``send`` entries for ``sink``, if any."""
         trace = self.trace
-        entries: List[List[Any]] = []
-        if not metered and not events and trace is None:
+        heads: List[Any] = []
+        tails: List[Tuple[Any, ...]] = []
+        if not metered and sink is None and trace is None:
             # Nobody reads anything of this burst but the rows.
             for receiver, payload in per_receiver.items():
                 incoming = rows.get(receiver)
                 if incoming is not None:
                     incoming[sender] = payload
-            return entries
+            return None
         # The burst's metered usage: every message of it lands in the
         # same round row and sender row, so it is summed here and
         # recorded once, after the loop.
         messages = non_null_messages = total_bits = 0
-        # A faulty entry's size and summary, per payload object: an
-        # equivocator sends a handful of objects to all n.
-        tails: Dict[int, List[Any]] = {}
         for receiver, payload in per_receiver.items():
             incoming = rows.get(receiver)
             if incoming is not None:
@@ -449,13 +457,11 @@ class SynchronousNetwork:
                 total_bits += bits
                 if non_null:
                     non_null_messages += 1
-            if events and faulty:
-                tail = tails.get(id(payload))
-                if tail is None:
-                    tail = tails[id(payload)] = self._faulty_tail(payload)
-                entries.append([receiver, *tail])
-            elif events:
-                entries.append([receiver, bits, non_null])
+            if sink is not None:
+                heads.append(receiver)
+                tails.append(
+                    self._faulty_tail(payload) if faulty else (bits, non_null)
+                )
             if incoming is not None and trace is not None:
                 trace.record_envelope(
                     Envelope(sender, receiver, round_number, payload)
@@ -466,4 +472,6 @@ class SynchronousNetwork:
             self.metrics.record_burst(
                 round_number, sender, messages, non_null_messages, total_bits
             )
-        return entries
+        if sink is None or not heads:
+            return None
+        return sink.entries(heads, tails)

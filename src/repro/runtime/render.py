@@ -10,62 +10,88 @@ payloads are exponential).
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+import functools
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.runtime.engine import ExecutionResult
-from repro.types import BOTTOM, is_bottom
+from repro.types import BOTTOM, SENTINELS, is_bottom
 
 
 def summarise_payload(payload: Any, limit: int = 28) -> str:
-    """A short, shape-first description of one message payload."""
-    description = _describe(payload)
+    """A short, shape-first description of one message payload, in
+    O(``limit``) plus a tuple's depth; no payload code runs.  Containers
+    read as kind and length, anything but a builtin scalar by type."""
+    description = _describe(payload, limit)
     if len(description) > limit:
         description = description[: limit - 1] + "…"
     return description
 
 
-# The round payloads, by the field beside ``main`` a summary counts.
-_SIDE_FIELD = {"CompactPayload": "votes", "CrashPayload": "patches"}
+@functools.lru_cache(maxsize=None)
+def _side_fields() -> Dict[int, str]:
+    """The round payload classes' ids, by the field beside ``main`` a
+    summary counts; imported on the first summary (only events ask)."""
+    from repro.compact.crash_variant import CrashPayload
+    from repro.compact.payload import CompactPayload
+
+    return {id(CompactPayload): "votes", id(CrashPayload): "patches"}
 
 
-def _describe(payload: Any) -> str:
-    side = _SIDE_FIELD.get(type(payload).__name__)
+def _describe(payload: Any, limit: int) -> str:
+    # By class identity, not name, and by id, as hashing a class may
+    # run its metaclass's code: a look-alike class is no round payload.
+    side = _side_fields().get(id(type(payload)))
     if side is None:
-        return _describe_plain(payload)
+        return _describe_plain(payload, limit)
     # A faulty sender may put anything in the field: only a tuple is
     # counted, anything else reads ``?``.
-    field = getattr(payload, side)
-    count = len(field) if isinstance(field, tuple) else "?"
-    return f"core:{_describe_plain(payload.main)} {side}:{count}"
+    field = getattr(payload, side, None)
+    count = tuple.__len__(field) if issubclass(type(field), tuple) else "?"
+    main = _describe_plain(getattr(payload, "main", BOTTOM), limit)
+    return f"core:{main} {side}:{count}"
 
 
-def _describe_plain(payload: Any) -> str:
+_CONTAINERS = ((frozenset, "items"), (dict, "map"), (list, "list"), (set, "set"))
+#: A class's own name, read past any ``__name__`` its metaclass defines.
+_TYPE_NAME = type.__dict__["__name__"]
+
+
+def _describe_plain(payload: Any, limit: int) -> str:
     """Anything but a round payload — one nested in a ``main`` included,
     so no sender chooses how deep a summary goes."""
     if is_bottom(payload):
         return "-"
-    if isinstance(payload, tuple):
+    # By type, not isinstance, which believes a ``__class__`` property;
+    # lengths by the base class, so a subclass's own code cannot run;
+    # types by ``is``, so a metaclass's cannot either.
+    kind = type(payload)
+    if issubclass(kind, tuple):
         depth, width = _shape(payload)
         return f"array[d{depth} w{width}]"
-    if isinstance(payload, frozenset):
-        return f"items({len(payload)})"
-    if isinstance(payload, dict):
-        return f"map({len(payload)})"
-    type_name = type(payload).__name__
-    if type(payload).__repr__ is object.__repr__ or type_name in _SIDE_FIELD:
-        # The default repr prints the object's address, which would
-        # make two logs of one workload differ (repro.obs.events).
-        return f"<{type_name}>"
-    return repr(payload)
+    for container, label in _CONTAINERS:
+        if issubclass(kind, container):
+            return f"{label}({container.__len__(payload)})"
+    if kind is str:
+        return repr(payload[:limit])
+    if kind is int and payload.bit_length() > 4 * limit:
+        return f"int({payload.bit_length()} bits)"
+    if kind is int or kind is float or kind is bool or payload is None:
+        return repr(payload)
+    for sentinel in SENTINELS.values():
+        if payload is sentinel:
+            return sentinel.NAME
+    # Not repr: a default one prints the object's address, which would
+    # make two logs of one workload differ (repro.obs.events).
+    return f"<{_TYPE_NAME.__get__(kind)[:limit]}>"
 
 
 def _shape(array: Any) -> tuple:
     depth = 0
     node = array
-    width = len(array) if isinstance(array, tuple) else 0
-    while isinstance(node, tuple) and node:
+    width = tuple.__len__(array)
+    while issubclass(type(node), tuple) and tuple.__len__(node):
         depth += 1
-        node = node[0]
+        node = tuple.__getitem__(node, 0)
     return depth, width
 
 

@@ -34,6 +34,7 @@ from repro.arrays.value_array import (
     unique_leaves,
     validate_array,
 )
+from repro.avalanche.protocol import avalanche_factory
 from repro.compact.authenticated_variant import auth_sizer
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.compact.crash_variant import CrashPayload, crash_sizer
@@ -44,6 +45,8 @@ from repro.fullinfo.protocol import (
     FullInformationAutomaton,
     full_information_sizer,
 )
+from repro.obs import EventLog, Observer, observing
+from repro.obs.events import read_jsonl, validate_records
 from repro.runtime.engine import run_protocol
 from repro.runtime.network import _default_sizer
 from repro.runtime.render import summarise_payload
@@ -147,6 +150,65 @@ def test_the_tree_sum_answer_in_under_a_second(name, width, levels):
     )
 
 
+class ReprRaises:
+    """An object whose own ``repr`` raises."""
+
+    def __repr__(self):
+        raise ValueError("no repr")
+
+
+#: An unrelated class that only shares a round payload's name.
+LookAlike = type("CompactPayload", (), {})
+
+
+class PosingAsTuple:
+    """Answers ``tuple`` when ``isinstance`` asks for its class."""
+
+    @property
+    def __class__(self):
+        return tuple
+
+
+class RaisingTuple(tuple):
+    def __len__(self):
+        raise ValueError("no len")
+
+    def __getitem__(self, index):
+        raise ValueError("no item")
+
+
+class RaisingList(list):
+    def __len__(self):
+        raise ValueError("no len")
+
+
+class RaisingMeta(type):
+    """A metaclass whose name, hash and equality all raise."""
+
+    @property
+    def __name__(cls):
+        raise ValueError("no name")
+
+    def __hash__(cls):
+        raise ValueError("no hash")
+
+    def __eq__(cls, other):
+        raise ValueError("no eq")
+
+
+class Metaclassed(metaclass=RaisingMeta):
+    pass
+
+
+def deep_list(levels=100_000):
+    """A list nested ``levels`` deep: its ``repr`` recurses."""
+    root = node = []
+    for _ in range(levels):
+        node.append([])
+        node = node[0]
+    return root
+
+
 def test_summarise_payload_reads_the_shape_only():
     assert timed(summarise_payload, nested_tuple(1)) == "array[d5000 w1]"
     assert timed(summarise_payload, nested_tuple(2, 60)) == "array[d60 w2]"
@@ -154,6 +216,21 @@ def test_summarise_payload_reads_the_shape_only():
     for _ in range(5000):
         nested_main = CompactPayload(main=nested_main)
     assert timed(summarise_payload, nested_main) == "core:<CompactPayload> votes…"
+    # Containers by kind and length, never by repr or their own code;
+    # repr only on exact builtin scalars, cut short first.
+    assert timed(summarise_payload, deep_list()) == "list(1)"
+    assert timed(summarise_payload, ReprRaises()) == "<ReprRaises>"
+    assert timed(summarise_payload, LookAlike()) == "<CompactPayload>"
+    assert timed(summarise_payload, PosingAsTuple()) == "<PosingAsTuple>"
+    assert timed(summarise_payload, RaisingTuple(((2, 3), 1))) == "array[d2 w2]"
+    assert timed(summarise_payload, RaisingList([1, 2])) == "list(2)"
+    assert timed(summarise_payload, Metaclassed()) == "<Metaclassed>"
+    assert timed(summarise_payload, {1, 2}) == "set(2)"
+    assert timed(summarise_payload, "x" * 10 ** 7) == "'" + "x" * 26 + "…"
+    giant = 10 ** 5000
+    assert timed(summarise_payload, giant) == f"int({giant.bit_length()} bits)"
+    hostile_fields = CompactPayload(main=deep_list(), votes=ReprRaises())
+    assert timed(summarise_payload, hostile_fields) == "core:list(1) votes:?"
 
 
 def test_array_leaves_keeps_its_own_stack():
@@ -417,3 +494,40 @@ class TestMeteredHostileRuns:
             ),
             shape,
         )
+
+
+#: Payloads whose summary crashed an observed run that succeeds
+#: unobserved: a repr that recurses, a repr that raises, and a class
+#: posing as a round payload by name.
+UNREPRESENTABLE = {
+    "deep list": deep_list,
+    "repr raises": ReprRaises,
+    "look-alike": LookAlike,
+}
+
+
+@pytest.mark.parametrize("schedule", ["lockstep", "async"], indirect=True)
+@pytest.mark.parametrize("name", UNREPRESENTABLE)
+@pytest.mark.usefixtures("schedule")
+def test_an_observed_run_summarises_any_payload(name, tmp_path):
+    inputs = {p: p % 2 for p in CONFIG.process_ids}
+
+    def run():
+        return run_protocol(
+            avalanche_factory(), CONFIG, inputs,
+            adversary=Shipper([4], UNREPRESENTABLE[name]()),
+            run_full_rounds=4,
+        )
+
+    unobserved = run()
+    path = tmp_path / "events.jsonl"
+    with observing(Observer(events=EventLog(path))):
+        observed = run()
+    assert observed.decisions == unobserved.decisions
+    assert observed.metrics.total_bits == unobserved.metrics.total_bits
+    records = read_jsonl(path)
+    assert validate_records(records) == []
+    assert [
+        record["round"] for record in records
+        if record["kind"] == "send" and record["faulty"]
+    ] == [1, 2, 3, 4]

@@ -9,6 +9,7 @@ the store.
 
 from hypothesis import given, settings, strategies as st
 
+import repro.arrays.encoding as encoding
 from repro.arrays.encoding import HEADER_BITS, MessageSizer
 from repro.arrays.store import (
     ArrayStore,
@@ -138,6 +139,25 @@ def test_a_plain_tuple_over_interned_children_reads_their_sizes(array, leaf):
     # the fold read.
     store.sizes[(("sizer", 1, 2, N), child.key_token)] = 1000
     assert SIZERS[0].measure((child, child, child)) == HEADER_BITS + 3000
+
+
+def test_measure_reads_a_sized_node_without_folding(monkeypatch):
+    # Two policies on one store: each folds the node once, cold, then
+    # answers from its own ``sizes`` entry without entering the fold.
+    store = ArrayStore(N)
+    node = store.intern(((0, 1, BOTTOM), (1, True, 3), (2, 2, "x")))
+    expected = [
+        fold_tree(to_plain(node), sizer._measure_leaf, node_bits)
+        for sizer in SIZERS
+    ]
+    assert expected[0] != expected[1]
+    assert [sizer.measure(node) for sizer in SIZERS] == expected
+
+    def no_fold(*args, **kwargs):
+        raise AssertionError("measure folded a node its store had sized")
+
+    monkeypatch.setattr(encoding, "fold_tree", no_fold)
+    assert [sizer.measure(node) for sizer in SIZERS] == expected
 
 
 def test_release_drops_both_memos_with_the_store():

@@ -33,19 +33,23 @@ import pathlib
 
 import pytest
 
+from repro.adversary.base import Adversary
+from repro.agreement.eig_agreement import eig_agreement_factory
 from repro.analysis.sweeps import standard_adversary_makers, sweep
-from repro.arrays.store import clear_shared_stores
+from repro.arrays.store import InternedArray, clear_shared_stores
 from repro.compact.byzantine_agreement import (
     compact_ba_factory,
     compact_ba_rounds,
 )
 from repro.compact.payload import compact_sizer, payload_is_null
 from repro.core.predicates import byzantine_agreement_predicate
+from repro.fullinfo.protocol import full_information_sizer
 from repro.obs import EventLog, Observer, log_paths, observing
 from repro.obs.events import read_jsonl
 from repro.obs.rollup import status_from_records
 from repro.obs.summarize import summarize_records
 from repro.obs.trace import build_dags, check_closedness
+from repro.runtime.engine import run_protocol
 from repro.types import SystemConfig
 
 from tests.runtime.reference_async import async_schedule
@@ -233,6 +237,77 @@ def test_pooled_log_is_exactly_the_stdlib_encoding(tmp_path):
         json.dumps(record, separators=(", ", ": ")) + "\n"
         for record in records
     ]
+
+
+class MemoProbe(Adversary):
+    """Faulty traffic that a stale ``send``-entry memo would misreport.
+
+    Both faulty senders ship one list object, which the first of them
+    grows every round (same ``id``, new content), to the odd ids; to
+    the even ids they replay, every round from the second on, an
+    interned correct message of an earlier round.
+    """
+
+    def __init__(self, faulty_ids):
+        super().__init__(faulty_ids)
+        self.grown = []
+        self.replayed = None
+
+    def outgoing(self, round_number, sender, context):
+        if sender == min(self.faulty_ids):
+            self.grown.append(round_number)
+        if self.replayed is None:
+            message = context.correct_message(1, 1)
+            if type(message) is InternedArray:
+                self.replayed = message
+        return {
+            p: self.grown if p % 2 or self.replayed is None else self.replayed
+            for p in self.config.process_ids
+        }
+
+
+def test_memoised_send_entries_are_the_fresh_ones(tmp_path):
+    """A streamed log renders ``send`` entries from memos; an in-memory
+    log builds them afresh.  Under traffic that changes behind each
+    memo's key — a correct sender's bits grow every round — the two
+    must agree line for line, warm memos included."""
+    config = SystemConfig(n=7, t=2)
+
+    def run(log):
+        adversary = MemoProbe([6, 7])
+        with observing(Observer(events=log)):
+            run_protocol(
+                eig_agreement_factory(config, [0, 1], default=0), config,
+                {p: p % 2 for p in config.process_ids},
+                adversary=adversary, max_rounds=config.t + 2,
+                sizer=full_information_sizer(2, config.n),
+            )
+        return adversary
+
+    fresh = EventLog()
+    streamed = [tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"]
+    adversary = run(EventLog(streamed[0]))
+    run(fresh)
+    run(EventLog(streamed[1]))
+    assert type(adversary.replayed) is InternedArray
+    sends = [record for record in fresh.records if record["kind"] == "send"]
+    assert len({
+        tuple(record["messages"][0]) for record in sends if not record["faulty"]
+    }) > 1
+    assert {
+        entry[3] for record in sends if record["faulty"]
+        for entry in record["messages"]
+    } == {"list(1)", "list(2)", "list(3)", "array[d1 w7]"}
+    # The closing counters differ run to run: the stores stay warm.
+    expected = [
+        (json.dumps(record, separators=(", ", ": ")) + "\n").encode()
+        for record in fresh.records[:-2]
+    ]
+    assert [record["kind"] for record in fresh.records[-2:]] == [
+        "counters", "profile",
+    ]
+    for path in streamed:
+        assert _deterministic_lines(path)[:-1] == expected
 
 
 def _information(records):
