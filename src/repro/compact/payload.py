@@ -17,13 +17,16 @@ The sizer charges exactly what Section 5.6 counts:
 the receiving processor, the sizer and the null test — goes through
 :meth:`CompactPayload.vote_slots`, which fails closed: a ``votes``
 field or a slot of the wrong shape carries no votes (0 bits, null),
-whatever it holds, and never raises.
+whatever it holds, and never raises.  It reads each payload once, and
+through the base classes — ``tuple``'s own ``__len__`` and
+``__iter__``, a boundary as an exact ``int`` — so no code of the
+payload's runs; vote tuples are iterated the same way wherever read.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Tuple
+from typing import Any, Callable, Dict, Tuple
 
 from repro.arrays.encoding import MessageSizer
 from repro.avalanche.coding import NULL_MESSAGE, is_null_message
@@ -32,13 +35,25 @@ from repro.types import BOTTOM, SystemConfig, is_bottom
 VoteSlot = Tuple[int, Tuple[Any, ...]]
 
 
-def _well_formed(slot: Any) -> bool:
-    return (
-        isinstance(slot, tuple)
-        and len(slot) == 2
-        and isinstance(slot[0], int)
-        and isinstance(slot[1], tuple)
-    )
+def _read_slots(votes: Any) -> Tuple[VoteSlot, ...]:
+    """The well-formed ``(int, tuple)`` slots of a ``votes`` field."""
+    if not issubclass(type(votes), tuple):
+        return ()
+    slots = []
+    exact = type(votes) is tuple
+    for slot in tuple.__iter__(votes):
+        if issubclass(type(slot), tuple) and tuple.__len__(slot) == 2:
+            boundary, vote_tuple = tuple.__iter__(slot)
+            if issubclass(type(boundary), int) and issubclass(
+                type(vote_tuple), tuple
+            ):
+                if type(slot) is not tuple or type(boundary) is not int:
+                    slot = (int.__int__(boundary), vote_tuple)
+                    exact = False
+                slots.append(slot)
+                continue
+        exact = False
+    return votes if exact else tuple(slots)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -54,6 +69,17 @@ class CompactPayload:
     main: Any
     votes: Tuple[VoteSlot, ...] = ()
 
+    def __post_init__(self) -> None:
+        # Read once, when the payload is built: every receiver, the
+        # sizer and the null test share the result.
+        slots = _read_slots(self.votes)
+        by_boundary: Dict[int, Tuple[Any, ...]] = {}
+        for boundary, vote_tuple in slots:
+            by_boundary.setdefault(boundary, vote_tuple)
+        object.__setattr__(self, "_slots", slots)
+        #: Per boundary, the vote tuple of its first well-formed slot.
+        object.__setattr__(self, "votes_by_boundary", by_boundary)
+
     def vote_slots(self) -> Tuple[VoteSlot, ...]:
         """The well-formed ``(boundary, vote_tuple)`` slots of ``votes``.
 
@@ -63,13 +89,7 @@ class CompactPayload:
         sender simply cast no votes there.  Whether a vote tuple has
         the receiver's ``n`` slots is the batch's test, not this one.
         """
-        votes = self.votes
-        if not isinstance(votes, tuple):
-            return ()
-        for slot in votes:
-            if not _well_formed(slot):
-                return tuple(filter(_well_formed, votes))
-        return votes  # every honest payload: no copy
+        return self._slots  # every honest payload: ``votes`` itself
 
 
 def compact_sizer(
@@ -84,11 +104,11 @@ def compact_sizer(
         return sizer.measure(component)
 
     def measure(payload: Any) -> int:
-        if not isinstance(payload, CompactPayload):
+        if type(payload) is not CompactPayload:
             return measure_component(payload)
         total = measure_component(payload.main)
         for _, vote_tuple in payload.vote_slots():
-            for vote in vote_tuple:
+            for vote in tuple.__iter__(vote_tuple):
                 # Almost every vote of a run is null: no call for those.
                 if vote is not NULL_MESSAGE and vote is not BOTTOM:
                     total += sizer.measure(vote)
@@ -99,12 +119,12 @@ def compact_sizer(
 
 def payload_is_null(payload: Any) -> bool:
     """Whether a payload carries no billable content at all."""
-    if not isinstance(payload, CompactPayload):
+    if type(payload) is not CompactPayload:
         return is_bottom(payload) or is_null_message(payload)
     if not (is_bottom(payload.main) or is_null_message(payload.main)):
         return False
     for _, vote_tuple in payload.vote_slots():
-        for vote in vote_tuple:
+        for vote in tuple.__iter__(vote_tuple):
             if vote is not NULL_MESSAGE and vote is not BOTTOM:
                 return False
     return True

@@ -53,11 +53,12 @@ compact hot path").  "Correctly shaped" is the verdict of a
 reject, one leaf scan per distinct node — over ``V`` in block 1 and
 over processor indices afterwards; "expandable" asks the expansion
 state whether every distinct leaf has an image, which builds nothing.
-Each sender's ``votes`` field is read once per round, through the
-fail-closed :meth:`repro.compact.payload.CompactPayload.vote_slots`
+Each payload's ``votes`` field is read once, when it is built, through
+the fail-closed :meth:`repro.compact.payload.CompactPayload.vote_slots`
 (a malformed field or slot is simply no votes from that sender), and
-routed to the batches, which re-tally only the instances whose votes
-changed (:mod:`repro.compact.subprotocol`).  Expansions are built when
+routed to the batches, which step once per distinct view and re-tally
+only the instances whose votes changed
+(:mod:`repro.compact.subprotocol`).  Expansions are built when
 ``FULL_STATE`` is needed, once per store rather than once per
 processor (:mod:`repro.compact.expansion`).
 """
@@ -192,17 +193,16 @@ class CompactProcess(BlockDriver):
     def _side_channel(self, incoming: Dict[ProcessId, Any]) -> None:
         if not self._batches:
             return
-        # One pass over every sender's vote slots, routed by boundary;
-        # a sender's first slot for a boundary is the one that counts.
+        # Each payload read its vote slots once, into a map by boundary
+        # (a sender's first slot for a boundary is the one that counts).
         components: Dict[int, Dict[ProcessId, Any]] = {
             boundary: {} for boundary in self._batches
         }
         for sender, message in incoming.items():
-            if isinstance(message, CompactPayload):
-                for boundary, vote_tuple in message.vote_slots():
-                    by_sender = components.get(boundary)
-                    if by_sender is not None:
-                        by_sender.setdefault(sender, vote_tuple)
+            if type(message) is CompactPayload:
+                votes = message.votes_by_boundary
+                for boundary, by_sender in components.items():
+                    by_sender[sender] = votes.get(boundary)
         for boundary, batch in self._batches.items():
             for subject, value in batch.step(components[boundary]):
                 self.expansion.learn((boundary, subject), value)  # OUT[b][q]
@@ -228,7 +228,7 @@ class CompactProcess(BlockDriver):
         cores = []
         for sender in self.config.process_ids:
             message = incoming.get(sender)
-            main = message.main if isinstance(message, CompactPayload) else BOTTOM
+            main = message.main if type(message) is CompactPayload else BOTTOM
             if main is BOTTOM:
                 core = REJECT
             elif block == 1:

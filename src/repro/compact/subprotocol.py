@@ -29,12 +29,31 @@ always tally.  The worst case is the dense cost: at most ``t``
 Byzantine senders re-voting every subject every round dirty every row.
 ``tests/compact/reference_agreement_batch.py`` keeps the dense step as
 the oracle this one is compared against round by round.
+
+**Who remembers what.**  A batch step is a pure function of the staged
+inputs and the vote components received so far, and the avalanche
+consensus condition exists to make correct processors' views the same;
+so the state — vote matrix, parked columns, instances, encoders, the
+quiet flag, reported subjects, rounds stepped and the next outgoing
+votes — lives in a :class:`_BatchState` that nothing writes after the
+step that made it, and an :class:`AgreementBatch` is one processor's
+pointer into it.  Processors that stage the same input objects start at
+one root; a step keys the round's components by sender identity (a
+tuple's slots never change, and anything else is malformed whatever it
+holds) and follows the current state's child for that key, so only the
+first processor with a given view clones the state and steps it, and
+correct senders that share a state send one vote tuple object.  A memo
+entry keeps the components it was keyed on, so no ``id`` in a live key
+is reused, and roots are held weakly, so states die with the processors
+that point at them.  Components are read through ``tuple``'s own
+``__len__`` and ``__iter__``: a subclass's overrides never run.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Any, Dict, List, Set, Tuple
+import weakref
+from typing import Any, Dict, List, Optional, Tuple
 
 import repro.obs.core as _obs
 from repro.avalanche.coding import NULL_MESSAGE, NullEncoder
@@ -50,6 +69,146 @@ def _null_votes(n: int) -> Tuple[Any, ...]:
     a receiver recognises "nothing changed" by identity.
     """
     return (NULL_MESSAGE,) * n
+
+
+def _copied(instances: List[Any]) -> List[Any]:
+    """Shallow twins of instances or encoders (their state is flat)."""
+    twins = []
+    for instance in instances:
+        twin = object.__new__(type(instance))
+        twin.__dict__ = instance.__dict__.copy()
+        twins.append(twin)
+    return twins
+
+
+class _BatchState:
+    """One batch history's state, shared by every processor that has it.
+
+    Nothing writes it after :meth:`successor` (or :meth:`root`)
+    returned it; ``children`` only grows, by memo entries
+    ``key -> (components, state)``.
+    """
+
+    __slots__ = (
+        "instances", "encoders", "rows", "parked", "quiet", "reported",
+        "rounds_stepped", "outgoing", "decided", "tallied", "children",
+        "__weakref__",
+    )
+
+    @classmethod
+    def root(
+        cls, config: SystemConfig, staged: Tuple[Any, ...], thresholds: Thresholds
+    ) -> "_BatchState":
+        n = config.n
+        state = cls()
+        state.instances = [
+            AvalancheInstance(config, input_value=value, thresholds=thresholds)
+            for value in staged
+        ]
+        state.encoders = [NullEncoder() for _ in range(n)]
+        # The decoded vote matrix: ``row[s]`` of subject ``q``'s row is
+        # the vote sender ``s`` currently holds for ``q`` — its last
+        # real (non-null) transmission, which is what a null decodes
+        # to.  BOTTOM doubles as "never sent": a null from a silent
+        # sender decodes to bottom either way.
+        state.rows = [[BOTTOM] * n for _ in range(n)]
+        # Columns of senders whose latest component was malformed or
+        # missing: they read bottom for as long as that lasts, while
+        # the remembered votes wait here for the sender's next
+        # well-formed component (whose nulls still decode to them).
+        state.parked = {}
+        # Set once the encoders return all nulls, cleared when a VAL is
+        # re-bound: until then each encoder would compare the same
+        # objects as last time and answer null again.
+        state.quiet = False
+        state.reported = frozenset()
+        state.rounds_stepped = 0
+        state.decided = []
+        state.tallied = 0
+        state.children = {}
+        state.outgoing = state._encode()
+        return state
+
+    def successor(self, components: List[Any]) -> "_BatchState":
+        """This state stepped by one round's components, on a clone."""
+        n = len(self.rows)
+        state = _BatchState()
+        state.instances = _copied(self.instances)
+        state.encoders = self.encoders  # _encode copies before writing
+        rows = state.rows = [row[:] for row in self.rows]
+        parked = state.parked = dict(self.parked)  # lists never written
+        state.quiet = self.quiet
+        reported = self.reported
+        state.rounds_stepped = self.rounds_stepped + 1
+        state.children = {}
+        null_votes = _null_votes(n)
+        everything = range(n)
+        dirty = set()
+        for s_index, component in enumerate(components):
+            if component is not null_votes and not (
+                issubclass(type(component), tuple)
+                and tuple.__len__(component) == n
+            ):
+                if s_index not in parked:
+                    parked[s_index] = [row[s_index] for row in rows]
+                    for row in rows:
+                        row[s_index] = BOTTOM
+                    dirty.update(everything)
+                continue
+            if s_index in parked:
+                for row, vote in zip(rows, parked.pop(s_index)):
+                    row[s_index] = vote
+                dirty.update(everything)
+            if component is not null_votes:
+                for index, vote in enumerate(tuple.__iter__(component)):
+                    if vote is not NULL_MESSAGE:
+                        rows[index][s_index] = vote
+                        dirty.add(index)
+        settled = state.rounds_stepped > 2
+        tallied = 0
+        decided: List[Tuple[int, Value]] = []
+        for index, instance in enumerate(state.instances):
+            if settled and index not in dirty:
+                # Same votes as in its previous round > 1 step: the
+                # same outcome, so only the round number moves.
+                instance.rounds_completed += 1
+                continue
+            tallied += 1
+            before = instance.val
+            instance.step(rows[index])
+            if instance.val is not before:
+                state.quiet = False
+            if instance.has_decided() and index not in reported:
+                reported = reported | {index}
+                decided.append((index, instance.decision))
+        state.reported = reported
+        state.decided = decided
+        state.tallied = tallied
+        state.outgoing = state._encode()
+        return state
+
+    def _encode(self) -> Tuple[Any, ...]:
+        """The null-encoded votes this state sends; copies the encoders
+        it consults, which an earlier state may share."""
+        null_votes = _null_votes(len(self.rows))
+        if self.quiet:
+            return null_votes
+        self.encoders = _copied(self.encoders)
+        votes = tuple(
+            encoder.encode(instance.val)
+            for encoder, instance in zip(self.encoders, self.instances)
+        )
+        if all(vote is NULL_MESSAGE for vote in votes):
+            self.quiet = True
+            return null_votes
+        return votes
+
+
+#: Roots by ``(config, boundary, thresholds, ids of the staged inputs)``;
+#: a root holds its inputs, so a live key's ids are its own.
+_ROOTS: "weakref.WeakValueDictionary[Any, _BatchState]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 class AgreementBatch:
@@ -76,53 +235,28 @@ class AgreementBatch:
         """
         self.config = config
         self.boundary = boundary
-        n = config.n
         self._subjects = config.process_ids
-        self.instances: Dict[ProcessId, AvalancheInstance] = {
-            subject: AvalancheInstance(
-                config,
-                input_value=inputs.get(subject, BOTTOM),
-                thresholds=thresholds,
-            )
-            for subject in self._subjects
-        }
-        # Instances, encoders and matrix rows are indexed by subject
-        # position in ``process_ids`` order.
-        self._instances: List[AvalancheInstance] = list(self.instances.values())
-        self._encoders: List[NullEncoder] = [NullEncoder() for _ in range(n)]
-        # The decoded vote matrix, kept across rounds: ``row[s]`` of
-        # subject ``q``'s row is the vote sender ``s`` currently holds
-        # for ``q`` — its last real (non-null) transmission, which is
-        # what a null decodes to.  BOTTOM doubles as "never sent": a
-        # null from a silent sender decodes to bottom either way.
-        self._rows: List[List[Any]] = [[BOTTOM] * n for _ in range(n)]
-        # Columns of senders whose latest component was malformed or
-        # missing: they read bottom for as long as that lasts, while
-        # the remembered votes wait here for the sender's next
-        # well-formed component (whose nulls still decode to them).
-        self._parked: Dict[int, List[Any]] = {}
-        self._null_votes = _null_votes(n)
-        # Set once the encoders return all nulls, cleared when a VAL is
-        # re-bound: until then each encoder would compare the same
-        # objects as last time and answer null again.
-        self._quiet = False
-        self._reported: Set[ProcessId] = set()
-        self.rounds_stepped = 0
+        staged = tuple(inputs.get(subject, BOTTOM) for subject in self._subjects)
+        key = (config, boundary, thresholds, tuple(map(id, staged)))
+        state: Optional[_BatchState] = _ROOTS.get(key)
+        if state is None:
+            state = _ROOTS[key] = _BatchState.root(config, staged, thresholds)
+        self._state = state
+
+    @property
+    def instances(self) -> Dict[ProcessId, AvalancheInstance]:
+        """Per subject, this processor's instance (shared, read only)."""
+        return dict(zip(self._subjects, self._state.instances))
+
+    @property
+    def rounds_stepped(self) -> int:
+        return self._state.rounds_stepped
 
     # -- sending ------------------------------------------------------------
 
     def outgoing_votes(self) -> Tuple[Any, ...]:
         """This round's null-encoded votes, one slot per subject."""
-        if self._quiet:
-            return self._null_votes
-        votes = tuple(
-            encoder.encode(instance.val)
-            for encoder, instance in zip(self._encoders, self._instances)
-        )
-        if all(vote is NULL_MESSAGE for vote in votes):
-            self._quiet = True
-            return self._null_votes
-        return votes
+        return self._state.outgoing
 
     # -- receiving -----------------------------------------------------------
 
@@ -138,58 +272,22 @@ class AgreementBatch:
         every subject, for this round only.  Returns the (subject,
         value) pairs newly decided in this step.
         """
+        components = list(map(votes_by_sender.get, self._subjects))
+        # Keyed by identity: a tuple's slots never change, and anything
+        # else is malformed, whatever it holds.
+        key = tuple(map(id, components))
+        state = self._state
+        entry = state.children.get(key)
+        if entry is None:
+            entry = state.children[key] = (components, state.successor(components))
+        state = self._state = entry[1]
         n = self.config.n
-        self.rounds_stepped += 1
-        rows = self._rows
-        parked = self._parked
-        null_votes = self._null_votes
-        everything = range(n)
-        dirty: Set[int] = set()
-        for s_index, sender in enumerate(self._subjects):
-            component = votes_by_sender.get(sender)
-            if component is not null_votes and not (
-                isinstance(component, tuple) and len(component) == n
-            ):
-                if s_index not in parked:
-                    parked[s_index] = [row[s_index] for row in rows]
-                    for row in rows:
-                        row[s_index] = BOTTOM
-                    dirty.update(everything)
-                continue
-            if s_index in parked:
-                for row, vote in zip(rows, parked.pop(s_index)):
-                    row[s_index] = vote
-                dirty.update(everything)
-            if component is not null_votes:
-                for index, vote in enumerate(component):
-                    if vote is not NULL_MESSAGE:
-                        rows[index][s_index] = vote
-                        dirty.add(index)
-        settled = self.rounds_stepped > 2
-        tallied = 0
-        decided: List[Tuple[ProcessId, Value]] = []
-        for index, instance in enumerate(self._instances):
-            if settled and index not in dirty:
-                # Same votes as in its previous round > 1 step: the
-                # same outcome, so only the round number moves.
-                instance.rounds_completed += 1
-                continue
-            tallied += 1
-            before = instance.val
-            instance.step(rows[index])
-            if instance.val is not before:
-                self._quiet = False
-            if instance.has_decided():
-                subject = self._subjects[index]
-                if subject not in self._reported:
-                    self._reported.add(subject)
-                    decided.append((subject, instance.decision))
         observer = _obs.ACTIVE
         if observer is not None:
-            observer.count("compact.avalanche.tallied", tallied)
-            observer.count("compact.avalanche.skipped", n - tallied)
-        return decided
+            observer.count("compact.avalanche.tallied", state.tallied)
+            observer.count("compact.avalanche.skipped", n - state.tallied)
+        return [(self._subjects[index], value) for index, value in state.decided]
 
     def decided_subjects(self) -> Tuple[ProcessId, ...]:
         """Subjects whose instance has decided at this processor."""
-        return tuple(sorted(self._reported))
+        return tuple(self._subjects[index] for index in sorted(self._state.reported))

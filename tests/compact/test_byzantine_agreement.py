@@ -165,6 +165,101 @@ class TestMalformedVotesFailClosed:
         assert_agreement_and_validity(result, inputs)
 
 
+class LenLiar(tuple):
+    """Claims four slots, holds nine."""
+
+    def __len__(self):
+        return 4
+
+
+class HashRaises(int):
+    """A boundary that cannot be a dict key."""
+
+    def __hash__(self):
+        raise RuntimeError("hostile __hash__")
+
+
+class IterRaises(tuple):
+    """A tuple whose own iteration raises."""
+
+    def __iter__(self):
+        raise RuntimeError("hostile __iter__")
+
+
+class LookAlike:
+    """Claims to be a ``CompactPayload`` through ``__class__`` only."""
+
+    __class__ = property(lambda self: CompactPayload)
+
+
+def redressed(reshape):
+    """The correct ``main`` beside a reshaped ``votes`` field."""
+    return lambda template: CompactPayload(
+        main=template.main, votes=reshape(template.votes)
+    )
+
+
+#: Faulty payloads built from a correct one, each with a subclass whose
+#: overrides lie or raise at a level a reader touches.
+OVERRIDDEN_SHAPES = {
+    "len-lying vote tuple": redressed(lambda votes: tuple(
+        (boundary, LenLiar(range(9))) for boundary, _ in votes
+    )),
+    "hash-raising boundary": redressed(lambda votes: tuple(
+        (HashRaises(boundary), vote_tuple) for boundary, vote_tuple in votes
+    )),
+    "iter-raising vote tuple": redressed(lambda votes: tuple(
+        (boundary, IterRaises(vote_tuple)) for boundary, vote_tuple in votes
+    )),
+    "iter-raising slot": redressed(lambda votes: tuple(
+        IterRaises(slot) for slot in votes
+    )),
+    "iter-raising votes field": redressed(IterRaises),
+    # Not a payload at all, though ``isinstance`` believes it is one.
+    "look-alike payload": lambda template: LookAlike(),
+}
+
+
+class OverriddenShapesAdversary(Adversary):
+    """Sends each receiver a forgery of the correct payload it gets."""
+
+    def __init__(self, faulty_ids, forge):
+        super().__init__(faulty_ids)
+        self.forge = forge
+
+    def outgoing(self, round_number, sender, context):
+        messages = {}
+        for receiver in self.config.process_ids:
+            template = context.sample_correct_message(receiver)
+            if isinstance(template, CompactPayload):
+                messages[receiver] = self.forge(template)
+        return messages
+
+
+class TestOverriddenVoteShapesFailClosed:
+    """A tuple or int subclass in ``votes`` used to run its own
+    ``__len__``, ``__hash__`` or ``__iter__`` inside a correct
+    processor's ``receive`` (or the meters) and crash the run, and so
+    did a look-alike's missing fields; the slot reader now goes through
+    the base classes only, and readers dispatch on ``type``."""
+
+    @pytest.mark.parametrize("meter_adversary", [False, True])
+    @pytest.mark.parametrize("shape", sorted(OVERRIDDEN_SHAPES))
+    def test_hostile_sender_per_shape(self, config4, shape, meter_adversary):
+        inputs = {p: p % 2 for p in config4.process_ids}
+        result = run_compact_byzantine_agreement(
+            config4,
+            inputs,
+            value_alphabet=[0, 1],
+            k=1,
+            adversary=OverriddenShapesAdversary(
+                [4], OVERRIDDEN_SHAPES[shape]
+            ),
+            meter_adversary=meter_adversary,
+        )
+        assert_agreement_and_validity(result, inputs)
+
+
 class TestMatchesExponentialBaseline:
     def test_same_decision_as_eig_fault_free(self, config4):
         """The compact protocol applies the same decision rule to a

@@ -17,7 +17,9 @@ COREs):
   it is the JSON projection that is pinned here).
 
 The fast variant (``overhead=1``) needs ``n >= 4t + 1``, hence its own
-system sizes.
+system sizes.  One more grid has the benchmark's own shape (n = 13,
+t = 4, one pattern, both edge fault sets, one seed: 20 cells), where
+nine correct processors share avalanche batch states.
 
 The two zero-overhead variants are pinned the same way (the projection
 only: they run no avalanche, so there is no dense oracle to swap in).
@@ -97,6 +99,13 @@ AUTH_GOLDEN = {
 }
 
 
+#: The ``compact-sweep`` shape's digest, recorded at the parent of the
+#: change that made correct processors share batch states.
+BENCHMARK_SHAPE_GOLDEN = (
+    "f48b297fd601ac30cc4494b105af3673bdc559cb32acc742264f80c3e09e7356"
+)
+
+
 def run_grid(grid):
     n, t, overhead, k = grid
     config = SystemConfig(n=n, t=t)
@@ -109,6 +118,23 @@ def run_grid(grid):
         seeds=(1701, 1702),
         predicate=byzantine_agreement_predicate(),
         max_rounds=compact_ba_rounds(t, k, overhead) + 1,
+        sizer=compact_sizer(config, 2),
+        is_null=payload_is_null,
+        workers=1,
+    )
+
+
+def run_benchmark_shape_grid():
+    config = SystemConfig(n=13, t=4)
+    return sweep(
+        compact_ba_factory(config, [0, 1], default=0, k=1),
+        config,
+        [{p: p % 2 for p in config.process_ids}],
+        [tuple(range(1, 5)), tuple(range(10, 14))],
+        MAKERS,
+        seeds=(7,),
+        predicate=byzantine_agreement_predicate(),
+        max_rounds=compact_ba_rounds(4, 1) + 1,
         sizer=compact_sizer(config, 2),
         is_null=payload_is_null,
         workers=1,
@@ -207,6 +233,20 @@ def test_reports_are_the_parents_and_the_dense_oracles(
         compact_protocol, "AgreementBatch", ReferenceAgreementBatch
     )
     assert pickle.dumps(run_grid(grid)) == pickle.dumps(report)
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES, indirect=True)
+def test_benchmark_shape_report_is_the_parents_and_the_dense_oracles(
+    schedule, monkeypatch
+):
+    report = run_benchmark_shape_grid()
+    assert not report.violations
+    assert report.executions == 20
+    assert projection(report) == BENCHMARK_SHAPE_GOLDEN
+    monkeypatch.setattr(
+        compact_protocol, "AgreementBatch", ReferenceAgreementBatch
+    )
+    assert pickle.dumps(run_benchmark_shape_grid()) == pickle.dumps(report)
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES, indirect=True)

@@ -182,3 +182,34 @@ class TestCompactSizer:
         sizer = compact_sizer(config, value_alphabet_size=2)
         assert sizer(BOTTOM) == 0
         assert sizer((0, 1, 0, 1)) > 0
+
+
+def test_slots_are_read_through_the_base_classes(config):
+    """Overrides on the field, a slot, a boundary or a vote tuple never
+    run: a boundary reads as its exact ``int``, and the batch sizes a
+    vote tuple by ``tuple.__len__``, whatever its class claims."""
+    from tests.compact.test_byzantine_agreement import (
+        HashRaises,
+        IterRaises,
+        LenLiar,
+    )
+
+    votes = ("v",) * 4
+    payload = CompactPayload(
+        main=BOTTOM,
+        votes=IterRaises(
+            [IterRaises((HashRaises(2), IterRaises(votes))), (3, LenLiar(range(9)))]
+        ),
+    )
+    assert [type(boundary) for boundary, _ in payload.vote_slots()] == [int, int]
+    assert payload.votes_by_boundary.keys() == {2, 3}
+    assert not payload_is_null(payload)
+    sizer = compact_sizer(config, value_alphabet_size=2)
+    assert sizer(payload) == sizer(
+        CompactPayload(main=BOTTOM, votes=((2, votes), (3, tuple(range(9)))))
+    )
+    batch = make_batch(config, inputs={q: "v" for q in config.process_ids})
+    batch.step({s: payload.votes_by_boundary[3] for s in config.process_ids})
+    assert {instance.val for instance in batch.instances.values()} == {BOTTOM}
+    batch.step({s: payload.votes_by_boundary[2] for s in config.process_ids})
+    assert {instance.val for instance in batch.instances.values()} == {"v"}
