@@ -27,25 +27,28 @@ canonical-node machinery below.
 
 **Who remembers what.**  ``phi_b`` of a canonical node is a pure
 function of the node and of the images ``phi_b(x)`` of its distinct
-leaves ``x`` — the OUT tables enter only through those images.  By the
-avalanche condition correct processors' OUT tables agree, so the
-``n - t`` of them would each rebuild and re-intern the very same
-expansions; instead defined results are memoised once per store, in
-:attr:`repro.arrays.store.ArrayStore.expansions`, under
-``(node, images of its distinct leaves)``, and shared by every
-processor (and every execution) on that store until
-:func:`repro.arrays.store.release_shared_stores` drops it.  What stays
-per processor is what genuinely is: the OUT table and the scalar images
-``phi_b(q)`` it currently defines.  Whether ``phi_b`` is defined on a
-node needs no build at all — it is defined iff it is on every distinct
-leaf — so validation (:meth:`ExpansionState.defined`) costs
-O(distinct leaves) and only ``FULL_STATE`` pays for an expansion.
+leaves ``x``, and those are a function of the OUT tables, which are a
+function of the avalanche batch states alone.  So nothing here is per
+processor.  Defined node expansions are memoised once per store, in
+:attr:`repro.arrays.store.ArrayStore.expansions`, under ``(node, images
+of its distinct leaves)``, until
+:func:`repro.arrays.store.release_shared_stores` drops them.  The OUT
+tables, the scalar images and the rebase verdicts form a *view*, shared
+by every processor at the same batch states
+(:func:`repro.compact.subprotocol.shared`): when a step decides
+something, the next view inherits the defined images (never an
+undefined verdict) and reads the new OUT entries off the batch states.
+Whether ``phi_b`` is defined on a node needs no build at all — it is
+defined iff it is on every distinct leaf — so validation
+(:meth:`ExpansionState.defined`) costs O(distinct leaves) and only
+``FULL_STATE`` pays for an expansion.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import defaultdict
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 import repro.obs.core as _obs
 from repro.arrays.store import ArrayStore, InternedArray, TypedLeaf
@@ -178,12 +181,13 @@ class BindingExpansion:
 
 
 class ExpansionState(BindingExpansion):
-    """OUT tables and the expansion functions they define, for one processor.
+    """OUT tables and the expansion functions they define: one view.
 
-    The bindings are avalanche decisions: ``OUT[boundary][sender]`` is
-    ``learn``-ed, and read back, under the key ``(boundary, sender)``.
-    On top of the shared table sit the canonical-node fast paths
-    described above.
+    The bindings are avalanche decisions, read back under the key
+    ``(boundary, sender)``.  A view never changes its OUT tables once
+    processors share it: :meth:`extended` makes the next one, and
+    :meth:`learn` is for a view nobody shares.  On top of the table sit
+    the canonical-node fast paths described above.
     """
 
     def __init__(
@@ -195,22 +199,75 @@ class ExpansionState(BindingExpansion):
         super().__init__(config, value_alphabet)
         self._store = store
         # boundary -> typed index leaf -> (defined phi_b(leaf), its
-        # memo token): the images this processor's OUT table gives the
-        # index leaves, canonical whenever there is a store.  A defined
+        # memo token): the images these OUT tables give the index
+        # leaves, canonical whenever there is a store.  A defined
         # scalar expansion chains only through irrevocable OUT entries,
         # so it never changes, while an undefined one may become
         # defined later and is not remembered.
         self._images: Dict[int, Dict[TypedLeaf, Tuple[Any, Any]]] = (
             defaultdict(dict)
         )
+        # boundary -> per processor q, whether phi_b(q) is defined: an
+        # answer for these OUT tables only, undefined verdicts included.
+        self._masks: Dict[int, Tuple[bool, ...]] = {}
+
+    @classmethod
+    def empty(
+        cls, config: SystemConfig, value_alphabet: Sequence[Value], store: ArrayStore
+    ) -> "ExpansionState":
+        """The OUT-less view every processor of a run starts at."""
+        key = (config, frozenset(value_alphabet), store)
+        view = _EMPTY.get(key)
+        if view is None:
+            view = _EMPTY[key] = cls(config, value_alphabet, store)
+        return view
+
+    def learn(self, key: Any, value: Any) -> bool:
+        self._masks.clear()  # a new binding may define a masked image
+        return super().learn(key, value)
+
+    def extended(self, fresh: Iterable[Tuple[int, ProcessId, Any]]) -> "ExpansionState":
+        """The next view: these OUT tables plus the ``(boundary,
+        subject, decision)`` entries of ``fresh``.
+
+        It inherits the defined images and expansions, which no later
+        binding can change, and no rebase mask, whose undefined verdicts
+        one can.
+        """
+        view = object.__new__(type(self))
+        view.__dict__ = dict(
+            self.__dict__,
+            _bindings=dict(self._bindings),
+            _cache=dict(self._cache),
+            _images=defaultdict(dict, {
+                boundary: dict(images) for boundary, images in self._images.items()
+            }),
+            _masks={},
+        )
+        for boundary, subject, value in fresh:
+            view.learn((boundary, subject), value)
+        return view
+
+    def out_tables(self) -> Dict[int, Dict[ProcessId, Any]]:
+        """Every boundary's decided slots, in one pass (a snapshot)."""
+        tables: Dict[int, Dict[ProcessId, Any]] = {}
+        for (boundary, sender), value in self._bindings.items():
+            tables.setdefault(boundary, {})[sender] = value
+        return tables
 
     def out_table(self, boundary: int) -> Dict[ProcessId, Any]:
         """All decided slots of one boundary (a snapshot)."""
-        return {
-            sender: value
-            for (slot_boundary, sender), value in self._bindings.items()
-            if slot_boundary == boundary
-        }
+        return self.out_tables().get(boundary, {})
+
+    def rebase_mask(self, boundary: int) -> Tuple[bool, ...]:
+        """Per processor ``q``, whether ``phi_boundary(q)`` is defined."""
+        mask = self._masks.get(boundary)
+        if mask is None:
+            mask = self._masks[boundary] = tuple(
+                self.expand_scalar(boundary, q) is not BOTTOM
+                for q in self.config.process_ids
+            )
+        return mask
 
     # -- expansion ---------------------------------------------------------
 
@@ -326,3 +383,9 @@ class ExpansionState(BindingExpansion):
         if observer is not None:
             observer.count("compact.expansion.miss")
         return result
+
+
+#: Empty views by ``(config, alphabet, store)``, held weakly.
+_EMPTY: "weakref.WeakValueDictionary[Any, ExpansionState]" = (
+    weakref.WeakValueDictionary()
+)

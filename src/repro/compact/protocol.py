@@ -31,10 +31,11 @@ and covered by tests.  The reconstruction, round by round (blocks of
   inputs; by the consensus condition every correct sender's CORE is
   agreed in time for the next rebase (Lemma 8).
 
-Every avalanche decision lands in the processor's
-:class:`repro.compact.expansion.ExpansionState` at the start of the
-local-state-change portion of its round (Section 5.2's availability
-rule), so rebasing and validation always see the freshest ``OUT``.
+The avalanche decisions of a round are read at the start of the
+local-state-change portion of that round (Section 5.2's availability
+rule) into the processor's expansion view, shared by every processor at
+the same batch states, so rebasing and validation always see the
+freshest ``OUT``.
 
 ``FULL_STATE = phi_b(CORE)`` reconstructs the simulated
 full-information state (Section 5.5); decision rules are evaluated on
@@ -58,9 +59,9 @@ the fail-closed :meth:`repro.compact.payload.CompactPayload.vote_slots`
 (a malformed field or slot is simply no votes from that sender), and
 routed to the batches, which step once per distinct view and re-tally
 only the instances whose votes changed
-(:mod:`repro.compact.subprotocol`).  Expansions are built when
-``FULL_STATE`` is needed, once per store rather than once per
-processor (:mod:`repro.compact.expansion`).
+(:mod:`repro.compact.subprotocol`).  Scalar images and rebase verdicts
+are computed once per view, and expansions when ``FULL_STATE`` is
+needed, once per store (:mod:`repro.compact.expansion`).
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from repro.arrays.store import shared_store
 from repro.compact.driver import BlockDriver
 from repro.compact.expansion import ExpansionState
 from repro.compact.payload import CompactPayload
-from repro.compact.subprotocol import AgreementBatch
+from repro.compact.subprotocol import AgreementBatch, shared
 from repro.errors import ConfigurationError
 from repro.fullinfo.protocol import REJECT, DecisionRule, IndexGate, ReceiveGate
 from repro.runtime.node import broadcast
@@ -158,7 +159,11 @@ class CompactProcess(BlockDriver):
                 else fast_thresholds(config)
             )
         self._store = shared_store(config.n)
-        self.expansion = ExpansionState(config, value_alphabet, store=self._store)
+        # The view of the empty history; later views are shared by every
+        # processor at the same batch states, and keyed on this one.
+        self._origin = self.expansion = ExpansionState.empty(
+            config, value_alphabet, self._store
+        )
         # Canonical-or-reject admission of CORE messages: value arrays
         # in block 1, index arrays afterwards.
         self._value_gate = ReceiveGate(self._store, frozenset(value_alphabet))
@@ -167,26 +172,35 @@ class CompactProcess(BlockDriver):
         self._expose_full_state = expose_full_state
         # Boundary -> batch, in starting (= boundary) order.
         self._batches: Dict[int, AgreementBatch] = {}
+        self._payload = CompactPayload(main=input_value)
 
     # -- sending ----------------------------------------------------------
 
     def outgoing(self, round_number: Round) -> Dict[ProcessId, Any]:
+        return broadcast(self._payload, self.config)
+
+    def _prepare_send(self, next_round: Round) -> None:
         schedule = self.schedule
         main: Any = BOTTOM
-        rebase = round_number > 1 and schedule.is_block_start(round_number)
+        rebase = next_round > 1 and schedule.is_block_start(next_round)
         if not rebase and (
-            schedule.is_progress_round(round_number)
-            or schedule.is_rebroadcast_round(round_number)
+            schedule.is_progress_round(next_round)
+            or schedule.is_rebroadcast_round(next_round)
         ):
             # Progress exchanges and the phase-(k+1) rebroadcast carry
             # the CORE; rebase rounds (phase 1, block > 1) and the
             # avalanche-only phase k+2 carry no main component.
             main = self.core
-        votes = tuple(
-            (boundary, batch.outgoing_votes())
-            for boundary, batch in self._batches.items()
+        # Processors at the same batch states with the same CORE send
+        # one payload object.
+        self._payload = shared(
+            self._batches.values(),
+            main,
+            lambda: CompactPayload(main=main, votes=tuple(
+                (boundary, batch.outgoing_votes())
+                for boundary, batch in self._batches.items()
+            )),
         )
-        return broadcast(CompactPayload(main=main, votes=votes), self.config)
 
     # -- the side channel: avalanche votes -----------------------------------
 
@@ -203,9 +217,16 @@ class CompactProcess(BlockDriver):
                 votes = message.votes_by_boundary
                 for boundary, by_sender in components.items():
                     by_sender[sender] = votes.get(boundary)
-        for boundary, batch in self._batches.items():
-            for subject, value in batch.step(components[boundary]):
-                self.expansion.learn((boundary, subject), value)  # OUT[b][q]
+        fresh = [
+            (boundary, subject, value)  # OUT[b][q]
+            for boundary, batch in self._batches.items()
+            for subject, value in batch.step(components[boundary])
+        ]
+        if fresh:  # else OUT, hence the view, is what it was
+            view = self.expansion
+            self.expansion = shared(
+                self._batches.values(), self._origin, lambda: view.extended(fresh)
+            )
 
     # -- main-component state changes ---------------------------------------
 
@@ -260,10 +281,10 @@ class CompactProcess(BlockDriver):
     def _rebase(self, block: int, incoming: Dict[ProcessId, Any]) -> None:
         own = self.process_id
         references = tuple(
-            sender
-            if self.expansion.expand_scalar(block, sender) is not BOTTOM
-            else own
-            for sender in self.config.process_ids
+            sender if defined else own
+            for sender, defined in zip(
+                self.config.process_ids, self.expansion.rebase_mask(block)
+            )
         )
         self._set_core(self._store.intern(references), block)
 
@@ -275,10 +296,11 @@ class CompactProcess(BlockDriver):
             # The OUT tables define this round's expansion functions;
             # recording them lets checkers test Lemma 7's extension
             # property directly across processors and rounds.
+            tables = self.expansion.out_tables()
             snapshot["out"] = {
-                boundary: self.expansion.out_table(boundary)
+                boundary: tables[boundary]
                 for boundary in range(2, self.core_boundary + 2)
-                if self.expansion.out_table(boundary)
+                if boundary in tables
             }
         return snapshot
 

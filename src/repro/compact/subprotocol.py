@@ -46,18 +46,24 @@ correct senders that share a state send one vote tuple object.  A memo
 entry keeps the components it was keyed on, so no ``id`` in a live key
 is reused, and roots are held weakly, so states die with the processors
 that point at them.  Components are read through ``tuple``'s own
-``__len__`` and ``__iter__``: a subclass's overrides never run.
+``__len__`` and ``__iter__``: a subclass's overrides never run.  The
+expansion view and the next payload of a processor's batch states are
+memoised on the newest of them (:func:`shared`), so each is built once
+per distinct history and dies with the states; since the view reads
+``OUT`` off reported decisions, a step that finds one of those changed
+raises.
 """
 
 from __future__ import annotations
 
 import functools
 import weakref
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 import repro.obs.core as _obs
 from repro.avalanche.coding import NULL_MESSAGE, NullEncoder
 from repro.avalanche.protocol import AvalancheInstance, Thresholds
+from repro.errors import ProtocolViolation
 from repro.types import BOTTOM, ProcessId, SystemConfig, Value
 
 
@@ -86,13 +92,13 @@ class _BatchState:
 
     Nothing writes it after :meth:`successor` (or :meth:`root`)
     returned it; ``children`` only grows, by memo entries
-    ``key -> (components, state)``.
+    ``key -> (components, state)``, and ``shared`` by :func:`shared`'s.
     """
 
     __slots__ = (
         "instances", "encoders", "rows", "parked", "quiet", "reported",
         "rounds_stepped", "outgoing", "decided", "tallied", "children",
-        "__weakref__",
+        "shared", "__weakref__",
     )
 
     @classmethod
@@ -126,6 +132,7 @@ class _BatchState:
         state.decided = []
         state.tallied = 0
         state.children = {}
+        state.shared = {}
         state.outgoing = state._encode()
         return state
 
@@ -141,6 +148,7 @@ class _BatchState:
         reported = self.reported
         state.rounds_stepped = self.rounds_stepped + 1
         state.children = {}
+        state.shared = {}
         null_votes = _null_votes(n)
         everything = range(n)
         dirty = set()
@@ -174,11 +182,19 @@ class _BatchState:
                 instance.rounds_completed += 1
                 continue
             tallied += 1
-            before = instance.val
+            before, decision = instance.val, instance.decision
             instance.step(rows[index])
             if instance.val is not before:
                 state.quiet = False
-            if instance.has_decided() and index not in reported:
+            if index in reported:
+                if instance.decision is not decision:
+                    # OUT entries are read off reported decisions, so
+                    # one that moved would rewrite an agreed CORE.
+                    raise ProtocolViolation(
+                        f"subject {index + 1}'s avalanche decision changed "
+                        f"after it was reported"
+                    )
+            elif instance.has_decided():
                 reported = reported | {index}
                 decided.append((index, instance.decision))
         state.reported = reported
@@ -209,6 +225,27 @@ class _BatchState:
 _ROOTS: "weakref.WeakValueDictionary[Any, _BatchState]" = (
     weakref.WeakValueDictionary()
 )
+
+
+def shared(
+    batches: Iterable["AgreementBatch"], key: Any, make: Callable[[], Any]
+) -> Any:
+    """What every processor at these batch states has in common.
+
+    ``batches`` are one processor's, one per boundary, the newest last.
+    The answer (its expansion view, its next payload) is memoised on the
+    newest state under ``key`` and the earlier states, so it dies with
+    them; ``make()`` builds it on a miss, and whenever there is no batch.
+    """
+    states = [batch._state for batch in batches]
+    if not states:
+        return make()
+    newest = states.pop()
+    key = (key, *states)
+    answer = newest.shared.get(key)
+    if answer is None:
+        answer = newest.shared[key] = make()
+    return answer
 
 
 class AgreementBatch:

@@ -46,6 +46,15 @@ class NullDecoder:
         return message
 
 
+class _Unshared:
+    """A dense batch's stand-in for a shared batch state: a fresh one per
+    step, so ``subprotocol.shared`` shares nothing between processors
+    or rounds."""
+
+    def __init__(self) -> None:
+        self.shared: Dict[Any, Any] = {}
+
+
 class ReferenceAgreementBatch:
     """``n`` avalanche instances for one block boundary, stepped densely."""
 
@@ -79,6 +88,7 @@ class ReferenceAgreementBatch:
         ]
         self._reported: set = set()
         self.rounds_stepped = 0
+        self._state = _Unshared()
 
     def outgoing_votes(self) -> Tuple[Any, ...]:
         """This round's null-encoded votes, one slot per subject."""
@@ -93,6 +103,7 @@ class ReferenceAgreementBatch:
         """Feed one round of received vote components to the instances."""
         n = self.config.n
         self.rounds_stepped += 1
+        self._state = _Unshared()
         decided: List[Tuple[ProcessId, Value]] = []
         process_ids = self.config.process_ids
         # A malformed component (not an n-tuple) contributes bottom for

@@ -6,7 +6,10 @@ components and clones-and-steps only on a miss.  These tests pin what
 makes that safe — one state per view and one clone-and-step per distinct
 view, oracle equality where views split, no ``id`` reuse across memo
 entries, nothing kept alive after a run — and that ``outgoing_votes()``
-is a read.
+is a read.  The expansion view memoised on those states is held to the
+same: one view per round where no fault splits the states, none alive
+after the run, no undefined verdict carried into the next view, and no
+reported decision that moves.
 """
 
 import gc
@@ -14,14 +17,18 @@ from collections import defaultdict
 
 import pytest
 
+import repro.compact.expansion as expansion
 import repro.compact.subprotocol as subprotocol
 from repro.adversary.compact_attacks import AvalancheEquivocator
 from repro.analysis.sweeps import standard_adversary_makers
 from repro.avalanche.coding import NULL_MESSAGE
-from repro.avalanche.protocol import standard_thresholds
+from repro.avalanche.protocol import AvalancheInstance, standard_thresholds
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
+from repro.compact.payload import CompactPayload
+from repro.compact.protocol import CompactProcess
 from repro.compact.subprotocol import AgreementBatch
-from repro.types import SystemConfig
+from repro.errors import ProtocolViolation
+from repro.types import BOTTOM, SystemConfig
 from tests.compact.reference_agreement_batch import ReferenceAgreementBatch
 from tests.compact.test_agreement_batch_equivalence import state, typed
 from tests.obs.test_instrumented_runs import RevotingAdversary
@@ -38,8 +45,12 @@ def quorum(config):
 
 
 def live_states():
+    """Batch states and the expansion views memoised on them."""
     gc.collect()
-    return [o for o in gc.get_objects() if type(o) is subprotocol._BatchState]
+    return [
+        o for o in gc.get_objects()
+        if type(o) in (subprotocol._BatchState, expansion.ExpansionState)
+    ]
 
 
 def recording_steps(monkeypatch):
@@ -173,6 +184,7 @@ def test_no_state_outlives_its_run():
     del result
     assert not live_states()
     assert not subprotocol._ROOTS
+    assert not expansion._EMPTY
 
 
 def test_outgoing_votes_is_a_read(config, quorum):
@@ -183,3 +195,87 @@ def test_outgoing_votes_is_a_read(config, quorum):
     votes = batch.outgoing_votes()
     batch.step({s: votes for s in config.process_ids})
     assert batch.outgoing_votes() is batch.outgoing_votes()
+
+
+def test_fault_free_processors_share_one_view_per_round(monkeypatch):
+    config = SystemConfig(n=7, t=2)
+    held = defaultdict(list)  # round -> each processor's view after it
+    sent = defaultdict(list)  # round -> each batch holder's next payload
+    receive = CompactProcess.receive
+
+    def recorded(process, round_number, incoming):
+        receive(process, round_number, incoming)
+        held[round_number].append(process.expansion)
+        if process._batches:
+            sent[round_number].append(process._payload)
+
+    monkeypatch.setattr(CompactProcess, "receive", recorded)
+    inputs = {p: p % 2 for p in config.process_ids}
+    result = run_compact_byzantine_agreement(
+        config, inputs, value_alphabet=[0, 1], k=1
+    )
+    assert result.decisions
+    for views in held.values():
+        assert len(views) == config.n
+        assert len({id(view) for view in views}) == 1
+    # A round that decides nothing keeps the view it had.
+    distinct = {id(view) for views in held.values() for view in views}
+    assert 1 < len(distinct) < len(held)
+    # Same batch states and the same CORE: one payload object is sent.
+    assert sent
+    for payloads in sent.values():
+        assert len(payloads) == config.n
+        assert len({id(payload) for payload in payloads}) == 1
+
+
+def _voting(config, votes):
+    """Every sender's payload casting ``votes`` in the boundary-2 batch."""
+    return {
+        sender: CompactPayload(main=BOTTOM, votes=((2, votes),))
+        for sender in config.process_ids
+    }
+
+
+def test_an_undefined_verdict_is_never_inherited(config):
+    """Subject 4's instance decides only after processor 1 asked for a
+    rebase: the next view defines its image, though the previous view's
+    rebase mask said undefined."""
+    process = CompactProcess(1, config, 0, k=1, value_alphabet=[0, 1])
+    cores = {1: (0, 0, 0, 0), 2: (1, 1, 1, 1), 3: (0, 1, 0, 1), 4: (1, 0, 1, 0)}
+    process._stage(1, {
+        q: CompactPayload(main=core, votes=()) for q, core in cores.items()
+    })
+    staged = [process._store.intern(cores[q]) for q in config.process_ids]
+    for _ in range(2):  # subjects 1-3 adopt, then decide; 4 hears nothing
+        process._side_channel(_voting(config, tuple(staged[:3]) + (BOTTOM,)))
+    process._rebase(2, {})
+    assert process.core == (1, 2, 3, 1)
+    before = process.expansion
+    process._side_channel(_voting(config, tuple(staged)))
+    assert process.expansion is not before
+    assert process.expansion.out_table(2)[4] is staged[3]
+    process._rebase(2, {})
+    assert process.core == (1, 2, 3, 4)
+    assert before.rebase_mask(2) == (True, True, True, False)
+
+
+def test_a_reported_decision_that_moves_raises(config, quorum, monkeypatch):
+    """OUT entries are read off reported decisions, so a decision that
+    changes between a state and its successor fails closed."""
+    batch = AgreementBatch(config, 2, {q: "v" for q in config.process_ids}, quorum)
+
+    def votes():  # fresh tuples: every row is dirty, every instance steps
+        return {s: tuple(["v"] * config.n) for s in config.process_ids}
+
+    batch.step(votes())
+    batch.step(votes())
+    assert batch.decided_subjects() == config.process_ids
+    step = AvalancheInstance.step
+
+    def moving(instance, row):
+        step(instance, row)
+        instance.decision = ("moved",)
+
+    monkeypatch.setattr(AvalancheInstance, "step", moving)
+    with pytest.raises(ProtocolViolation):
+        batch.step(votes())

@@ -76,26 +76,33 @@ GOLDEN = (
 #: Against the parent of event schema v2: ``net.size_cache.hit`` was
 #: 9240, because the retired trace mode measured every ``deliver`` edge
 #: again through the size memo (4,200 extra hits); a ``send`` entry
-#: reuses the meter's one measurement.  Every other value is the
-#: parent's.
+#: reuses the meter's one measurement.  Against the parent of the PR
+#: that shared expansion views between processors at the same batch
+#: states: ``compact.expansion.hit`` was 1360 and ``fullinfo.legality.hit``
+#: 2121 — a first-time scalar image (one ``phi_1`` identity hit and one
+#: domain verdict) is now computed once per view, not once per
+#: processor — and ``net.size_cache`` was hit 5040 / miss 840: processors
+#: at the same batch states with the same CORE now send one payload
+#: object, which the meter measures once a round.  Every other value is
+#: the parent's.
 COUNTERS = {
     "arrays.flat.rows": 59,
     "arrays.intern.hit": 909,
     "arrays.intern.miss": 59,
     "compact.avalanche.skipped": 2480,
     "compact.avalanche.tallied": 3400,
-    "compact.expansion.hit": 1360,
+    "compact.expansion.hit": 352,
     "compact.expansion.miss": 76,
     "eig.decision.hit": 100,
     "eig.decision.miss": 20,
     "eig.kernel.flat": 20,
-    "fullinfo.legality.hit": 2121,
+    "fullinfo.legality.hit": 1617,
     "fullinfo.legality.miss": 19,
     "net.bits": 224056,
     "net.messages": 5880,
     "net.non_null_messages": 4256,
-    "net.size_cache.hit": 5040,
-    "net.size_cache.miss": 840,
+    "net.size_cache.hit": 5430,
+    "net.size_cache.miss": 450,
     "runs": 24,
     "sweep.cells": 24,
 }
