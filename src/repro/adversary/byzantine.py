@@ -27,7 +27,7 @@ against:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.adversary.base import Adversary, RoundContext
 from repro.types import BOTTOM, ProcessId, Round, Value
@@ -35,7 +35,7 @@ from repro.types import BOTTOM, ProcessId, Round, Value
 
 def _split_recipients(
     recipients: Sequence[ProcessId],
-) -> (list, list):
+) -> Tuple[List[ProcessId], List[ProcessId]]:
     """Deterministically split recipients into two halves."""
     ordered = sorted(recipients)
     middle = len(ordered) // 2
@@ -75,9 +75,12 @@ class RandomGarbageAdversary(Adversary):
         self, round_number: Round, sender: ProcessId, context: RoundContext
     ) -> Dict[ProcessId, Any]:
         palette = self._values(context)
+        # One draw per burst: the same stream as one scalar draw per
+        # receiver, in receiver order (tests/adversary/test_byzantine.py).
+        picks = self.rng.integers(0, len(palette), size=self.config.n)
         return {
-            receiver: palette[int(self.rng.integers(0, len(palette)))]
-            for receiver in self.config.process_ids
+            receiver: palette[pick]
+            for receiver, pick in zip(self.config.process_ids, picks.tolist())
         }
 
 
@@ -129,11 +132,9 @@ class VoteSplitterAdversary(Adversary):
                 tally[vote] = tally.get(vote, 0) + 1
             except TypeError:
                 continue  # unhashable payload: nothing to split on
-        ranked = sorted(tally.items(), key=lambda item: (-item[1], repr(item[0])))
-        if not ranked:
+        if not tally:
             return {}
-        leader = ranked[0][0]
-        runner_up = ranked[1][0] if len(ranked) > 1 else leader
+        leader, runner_up = _two_leading(tally)
         low_half, high_half = _split_recipients(self.config.process_ids)
         messages: Dict[ProcessId, Any] = {}
         for receiver in low_half:
@@ -143,6 +144,26 @@ class VoteSplitterAdversary(Adversary):
         return messages
 
 
+def _two_leading(tally: Dict[Value, int]) -> Tuple[Value, Value]:
+    """The first two votes of ``tally`` ranked by count, descending,
+    then by ``repr`` (the leader twice when it is alone) — which is
+    ``sorted(tally.items(), key=(-count, repr))`` with ``repr`` taken
+    only of votes tied on a count that decides the pair."""
+    by_count: Dict[int, List[Value]] = {}
+    for vote, count in tally.items():
+        by_count.setdefault(count, []).append(vote)
+    ranked: List[Value] = []
+    for count in sorted(by_count, reverse=True):
+        votes = by_count[count]
+        if len(votes) == 1:
+            ranked.extend(votes)
+        else:
+            ranked.extend(sorted(votes, key=repr)[: 2 - len(ranked)])
+        if len(ranked) >= 2:
+            return ranked[0], ranked[1]
+    return ranked[0], ranked[0]
+
+
 class MalformedArrayAdversary(Adversary):
     """Sends structurally invalid payloads to exercise validation.
 
@@ -150,21 +171,29 @@ class MalformedArrayAdversary(Adversary):
     tuples, over-deep nesting, and Python objects that are not legal
     values at all.  A correct implementation must shrug all of these
     off (discard and substitute), never crash.
+
+    The menu is built once per binding, so every round and every
+    faulty sender sends the same five objects.
     """
 
-    def outgoing(
-        self, round_number: Round, sender: ProcessId, context: RoundContext
-    ) -> Dict[ProcessId, Any]:
-        n = self.config.n
-        menu: List[Any] = [
+    def bind(self, config, rng) -> None:  # type: ignore[override]
+        super().bind(config, rng)
+        n = config.n
+        self._menu: Tuple[Any, ...] = (
             tuple(0 for _ in range(n + 1)),          # wrong width
             ((0,), 0) + tuple(0 for _ in range(n - 2)) if n >= 2 else (0,),
             tuple(((0,) * n,) for _ in range(n)),     # ragged depth
             object(),                                  # unhashable-ish junk
             ("two", "values"),
-        ]
+        )
+
+    def outgoing(
+        self, round_number: Round, sender: ProcessId, context: RoundContext
+    ) -> Dict[ProcessId, Any]:
+        process_ids = self.config.process_ids
+        menu = self._menu
         messages: Dict[ProcessId, Any] = {}
-        for index, receiver in enumerate(self.config.process_ids):
+        for index, receiver in enumerate(process_ids):
             messages[receiver] = menu[(round_number + index) % len(menu)]
         return messages
 

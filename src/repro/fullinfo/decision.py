@@ -36,14 +36,24 @@ makes equal states one canonical node.  So on interned states each
 every other correct processor (and every later execution sharing the
 store) reads the answer back; see :func:`eig_byzantine_decision`.
 Plain tuples never consult the memo or the flat sweep: the same state
-handed over as builtin tuples is the reference.  Interned states with
-few relay chains skip the flat sweep too (its tables cost more than
-they save there), so a small run never imports numpy.
+handed over as builtin tuples is the reference.
+
+A memo miss on an interned state first walks the DAG down while one
+child object fills more than ``(n + depth - 1) / 2`` of a node's
+slots: such a node resolves exactly as that child does one level down
+(:func:`_dominant_child`), so states on which the correct processors
+agree — Theorem 9 keeps the simulated ones equal — are often settled
+by a leaf with no sweep at all.  Only the node where the walk stops is
+swept: by the flat kernel (:mod:`repro.arrays.flat`) when it has more
+than ``_REFERENCE_MAX_CHAINS`` relay chains, else by the reference
+sweep, whose tables-free walk is cheaper there (so a small run never
+imports numpy).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import repro.obs.core as _obs
@@ -159,10 +169,11 @@ def eig_byzantine_decision(
 
     Two layers, outermost first: the store's in-memory memo
     (:func:`_eig_memo_key`; ``eig.decision.hit`` / ``.miss``) and the
-    resolution itself (``eig.kernel.flat`` / ``.fallback`` therefore
-    count memo misses, not calls, and only of states with more than
-    ``_REFERENCE_MAX_CHAINS`` chains: smaller ones take the reference
-    sweep uncounted).
+    resolution itself, whose route counters therefore count memo
+    misses, not calls: ``eig.kernel.descent`` a miss the dominant-child
+    walk settled with no sweep, ``eig.kernel.flat`` / ``.fallback`` one
+    whose remaining node has more than ``_REFERENCE_MAX_CHAINS`` chains
+    (smaller ones take the reference sweep uncounted).
     """
     with _obs.span("eig.decision"):
         # The resolution is a pure function of (typed structure, n, t,
@@ -299,12 +310,28 @@ def _resolve_eig_decision(
         )
     normalise = _normaliser(default, alphabet)
 
-    # All leaves equal (O(1) to see on an interned state): every full
-    # chain records the one normalised value, so by induction every
-    # node — each has at least one child since ``depth <= n`` — holds
-    # it as a strict (unanimous) majority, and so does the root.
-    if isinstance(state, InternedArray) and len(state.leaves_unique) == 1:
-        return normalise(state.leaves_unique[0][1])
+    # Dominant-child walk.  If one child object fills ``a`` slots of a
+    # depth-``h`` node with ``2a > n + h - 1``, every length-``h - 1``
+    # chain has at least ``a - (h - 1)`` of its ``n - (h - 1)``
+    # one-relayer extensions reading that child's leaf, a strict
+    # majority, and the recursion above the leaves is the child's own:
+    # the node resolves exactly as the child does at depth ``h - 1``
+    # (at ``h = 1``, to the child leaf's normalised value).  The walk
+    # names its winner without the sweep's recording order, so it runs
+    # only when no value-equal votes are distinguishable (see
+    # _votes_unambiguous); a state's descendants carry no leaf it lacks.
+    if type(state) is InternedArray and _votes_unambiguous(
+        [default] + [normalise(leaf) for _, leaf in state.leaves_unique]
+    ):
+        child = _dominant_child(state, depth, n)
+        while child is not _MISSING:
+            state, depth = child, depth - 1
+            if depth == 0:
+                observer = _obs.ACTIVE
+                if observer is not None:
+                    observer.count("eig.kernel.descent")
+                return normalise(state)
+            child = _dominant_child(state, depth, n)
 
     # Precompute the deterministic vote order once: every vote a node
     # can tally is a normalised leaf or the default.  The old code
@@ -396,14 +423,65 @@ def _resolve_eig_decision(
 #: :func:`_flat_sweep_index` relies on.
 _FLAT_VOTE_TYPES = (bool, int, float, str, bytes, type(None))
 
-#: Interned states with at most this many distinct-label chains
-#: (``n! / (n - depth)!``) take the reference sweep.  The two sweeps
+#: Leaf classes whose equality implies an identical repr and pickle.
+#: ``float`` is not one (``0.0 == -0.0``); see :func:`_votes_unambiguous`.
+_EXACT_EQUALITY_TYPES = (bool, int, str, bytes, type(None))
+
+#: Interned nodes left by the dominant-child walk with at most this
+#: many distinct-label chains (``n! / (n - depth)!``) take the
+#: reference sweep.  The two sweeps
 #: break even near 24 chains (n=4, depth 3); at 12 chains the tables
 #: cost more than the walk, at 210 (n=7, depth 3) the flat sweep is
 #: several times faster (docs/perf.md, "Cold start — measured").
 _REFERENCE_MAX_CHAINS = 24
 
 _MISSING = object()
+
+
+def _votes_unambiguous(votes: Sequence[Any]) -> bool:
+    """Whether no two value-equal votes can be told apart.
+
+    A tally merges value-equal votes under the first object a chain
+    records, so a resolution that names its winner another way (the
+    flat tables, the dominant-child walk) returns the reference's
+    object only when value-equal votes are indistinguishable.  Two
+    ways they can differ: across classes (``True`` vs ``1``, both
+    visible among a state's typed leaves, so compared here), and
+    within one class.  The store's typed-leaf key cannot see the
+    latter — ``(float, 0.0) == (float, -0.0)`` — so a float zero is
+    refused outright, as is any class other than the exact builtins
+    of ``_EXACT_EQUALITY_TYPES`` that defines its own equality.
+    """
+    representative: Dict[Any, Any] = {}
+    for vote in votes:
+        try:
+            prior = representative.setdefault(vote, vote)
+        except TypeError:  # an unhashable default: no tally can hold it
+            continue
+        cls = vote.__class__
+        if prior.__class__ is not cls:
+            return False
+        if cls is float:
+            if vote == 0.0:
+                return False
+        elif cls not in _EXACT_EQUALITY_TYPES and cls.__eq__ is not object.__eq__:
+            return False
+    return True
+
+
+def _dominant_child(node: InternedArray, depth: int, n: int) -> Any:
+    """The component of ``node`` (of ``depth``) that fills more than
+    ``(n + depth - 1) / 2`` of its slots, or ``_MISSING``.  Components
+    are canonical nodes (told apart by identity) above depth 1 and
+    typed leaves at it."""
+    if depth > 1:
+        keys = [component.key_token for component in node]
+    else:
+        keys = [(component.__class__, component) for component in node]
+    key, filled = Counter(keys).most_common(1)[0]
+    if 2 * filled <= n + depth - 1:
+        return _MISSING
+    return node[keys.index(key)]
 
 
 def _flat_sweep_index(
@@ -416,25 +494,19 @@ def _flat_sweep_index(
     """``ordered``-index of the flat-kernel winner, or ``None``.
 
     ``None`` sends the caller to the reference sweep.  That happens
-    when a vote is not a plain scalar builtin, or when two candidate
-    objects are *value-equal but distinguishable* (class or repr
-    differs — ``True`` vs ``1``, ``0.0`` vs ``-0.0``): the reference
-    tallies merge such votes under whichever object a chain records
-    first, an order the tables do not track, so only the reference
-    sweep reproduces those bytes.
+    when a vote is not a plain scalar builtin, or when value-equal
+    votes may be distinguishable (:func:`_votes_unambiguous`): the
+    reference tallies merge such votes under whichever object a chain
+    records first, an order the tables do not track, so only the
+    reference sweep reproduces those bytes.
     """
     votes = [default]
     for _, leaf in state.leaves_unique:
         votes.append(normalise(leaf))
-    representative: Dict[Any, Any] = {}
-    for vote in votes:
-        if type(vote) not in _FLAT_VOTE_TYPES:
-            return None
-        prior = representative.get(vote, _MISSING)
-        if prior is _MISSING:
-            representative[vote] = vote
-        elif prior.__class__ is not vote.__class__ or repr(prior) != repr(vote):
-            return None
+    if not all(
+        type(vote) in _FLAT_VOTE_TYPES for vote in votes
+    ) or not _votes_unambiguous(votes):
+        return None
     import numpy as np
 
     from repro.arrays import flat

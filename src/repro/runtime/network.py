@@ -75,11 +75,39 @@ def _default_sizer(message: Any) -> int:
     where it recurs.
     """
     return fold_tree(
-        message,
-        lambda leaf: 0 if leaf is BOTTOM else 8,
-        lambda child_bits: 2 + sum(child_bits),
-        containers=(tuple, frozenset, list, set, dict),
+        message, _leaf_bits, _node_bits, containers=_SIZED_CONTAINERS
     )
+
+
+def _leaf_bits(leaf: Any) -> int:
+    return 0 if leaf is BOTTOM else 8
+
+
+def _node_bits(child_bits: List[int]) -> int:
+    return 2 + sum(child_bits)
+
+
+_SIZED_CONTAINERS = (tuple, frozenset, list, set, dict)
+#: Containers whose contents are fixed when they are made.
+_FIXED_CONTAINERS = frozenset({tuple, frozenset, InternedArray})
+
+
+def _fixed_default_size(message: Any) -> Tuple[int, bool]:
+    """:func:`_default_sizer` of ``message``, and whether the message is
+    built of exact tuples and frozensets only (an interned node counts
+    as a tuple): then nothing in it can change while it lives, so
+    neither can its size or summary.  A scalar reads ``False``."""
+    kinds: Set[type] = set()
+
+    def opened(container: Any) -> None:
+        kinds.add(type(container))
+        return None
+
+    bits = fold_tree(
+        message, _leaf_bits, _node_bits,
+        containers=_SIZED_CONTAINERS, closed=opened,
+    )
+    return bits, bool(kinds) and kinds <= _FIXED_CONTAINERS
 
 
 class SynchronousNetwork:
@@ -139,9 +167,14 @@ class SynchronousNetwork:
         # hit.  Both entries are stable: the sizer and the null
         # predicate are pure functions of the payload value.
         self._interned_size_cache: Dict[Any, Tuple[int, bool]] = {}
-        # A faulty payload's `send` entry tail per object, for the
-        # round (whoever sends it); cleared like the size memo.
-        self._faulty_tails: Dict[int, Tuple[Any, ...]] = {}
+        # A faulty payload's `send` entry tail per object, whoever
+        # sends it: ``id -> (payload, round, tail)``, with ``round``
+        # None when the tail holds for the whole execution (see
+        # _faulty_tail).  Each entry holds its payload, so no id is
+        # reused while it is cached.
+        self._faulty_tails: Dict[
+            int, Tuple[Any, Optional[Round], Tuple[Any, ...]]
+        ] = {}
         # The payload summariser of `state`/`send` event records,
         # bound once per network.  Imported here rather than at module
         # level because render imports the engine, which imports us.
@@ -329,8 +362,6 @@ class SynchronousNetwork:
         """
         self._size_cache.clear()
         sink = observer.events if observer is not None else None
-        if sink is not None:
-            self._faulty_tails.clear()
         base = dict(self._bottom_row)
         uniform: Set[ProcessId] = set()
         for outgoing in (correct_outgoing, faulty_outgoing):
@@ -365,16 +396,24 @@ class SynchronousNetwork:
                     )
         return rows
 
-    def _faulty_tail(self, payload: Any) -> Tuple[Any, ...]:
+    def _faulty_tail(
+        self, payload: Any, round_number: Round
+    ) -> Tuple[Any, ...]:
         """A faulty sender's ``send`` entry after the receiver: sized by
         the structural fallback, since the protocol sizer may choke on
         Byzantine garbage, and summarized — its cost is informational,
-        not a canonical-form bit claim.  Once per payload object a round."""
-        tail = self._faulty_tails.get(id(payload))
-        if tail is None:
-            tail = self._faulty_tails[id(payload)] = (
-                _default_sizer(payload), True, self._summarise(payload)
-            )
+        not a canonical-form bit claim.  Once per payload object an
+        execution when the object cannot change (exact tuples and
+        frozensets all the way down), else once per object a round: a
+        sender may grow a list it sends again."""
+        entry = self._faulty_tails.get(id(payload))
+        if entry is not None and entry[1] in (None, round_number):
+            return entry[2]
+        bits, fixed = _fixed_default_size(payload)
+        tail = (bits, True, self._summarise(payload))
+        self._faulty_tails[id(payload)] = (
+            payload, None if fixed else round_number, tail
+        )
         return tail
 
     def _deliver_uniform(
@@ -405,7 +444,10 @@ class SynchronousNetwork:
                     )
         if sink is None:
             return None
-        tail = self._faulty_tail(message) if faulty else (bits, non_null)
+        tail = (
+            self._faulty_tail(message, round_number) if faulty
+            else (bits, non_null)
+        )
         return sink.uniform_entries(self.config.process_ids, tail)
 
     def _deliver_each(
@@ -460,7 +502,8 @@ class SynchronousNetwork:
             if sink is not None:
                 heads.append(receiver)
                 tails.append(
-                    self._faulty_tail(payload) if faulty else (bits, non_null)
+                    self._faulty_tail(payload, round_number) if faulty
+                    else (bits, non_null)
                 )
             if incoming is not None and trace is not None:
                 trace.record_envelope(

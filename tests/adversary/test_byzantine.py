@@ -1,5 +1,7 @@
 """Tests for Byzantine adversary strategies."""
 
+import random
+
 import pytest
 
 from repro.adversary import (
@@ -13,9 +15,12 @@ from repro.adversary import (
     VoteSplitterAdversary,
 )
 from repro.adversary.base import RoundContext
+from repro.adversary.byzantine import _two_leading
 from repro.errors import ConfigurationError
 from repro.runtime.rng import make_rng
 from repro.types import BOTTOM, SystemConfig
+
+from tests.conftest import typed
 
 
 def context_for(config, correct_outgoing=None, inputs=None):
@@ -80,6 +85,29 @@ class TestRandomGarbage:
             runs.append(adversary.outgoing(1, 1, context_for(config)))
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("n", [4, 7, 10, 13])
+    @pytest.mark.parametrize("palette_size", range(1, 8))
+    def test_one_draw_per_burst_is_the_scalar_stream(self, n, palette_size):
+        # A burst draws its n picks at once; the stream must be the one
+        # n scalar draws in receiver order make, with other draws from
+        # the same generator interleaved between bursts.
+        config = SystemConfig(n=n, t=1)
+        palette = [f"v{index}" for index in range(palette_size)]
+        for seed in range(12):
+            adversary = bound(
+                RandomGarbageAdversary([1], palette=palette), config, seed=seed
+            )
+            twin = make_rng(seed)
+            for round_number in range(1, 4):
+                messages = adversary.outgoing(
+                    round_number, 1, context_for(config)
+                )
+                assert messages == {
+                    receiver: palette[int(twin.integers(0, palette_size))]
+                    for receiver in config.process_ids
+                }
+                assert adversary.rng.random() == twin.random()
+
 
 class TestEquivocating:
     def test_two_faces(self, config):
@@ -106,6 +134,25 @@ class TestVoteSplitter:
         adversary = bound(VoteSplitterAdversary([1]), config)
         assert adversary.outgoing(1, 1, context_for(config)) == {}
 
+    @pytest.mark.parametrize("seed", range(200))
+    def test_leader_and_runner_up_are_the_repr_sorted_pair(self, seed):
+        rng = random.Random(seed)
+        tally = {}
+        for _ in range(rng.randint(1, 9)):
+            vote = rng.choice(
+                [0, 1, 2, True, "a", "b", 2.5, None, ("x",), -1, 10]
+            )
+            tally[vote] = rng.randint(1, 4)
+        ranked = sorted(
+            tally.items(), key=lambda item: (-item[1], repr(item[0]))
+        )
+        leader = ranked[0][0]
+        runner_up = ranked[1][0] if len(ranked) > 1 else leader
+        got = _two_leading(tally)
+        assert [typed(vote) for vote in got] == [
+            typed(leader), typed(runner_up)
+        ]
+
 
 class TestMalformed:
     def test_payloads_are_structurally_bad(self, config):
@@ -117,6 +164,17 @@ class TestMalformed:
                 round_number, 1, context_for(config)
             ).values():
                 assert not validate_array(payload, config.n, depth=1)
+
+
+    def test_menu_is_built_once(self, config):
+        adversary = bound(MalformedArrayAdversary([1, 2]), config)
+        sent = [
+            adversary.outgoing(round_number, sender, context_for(config))
+            for round_number in range(1, 4)
+            for sender in (1, 2)
+        ]
+        objects = {id(payload) for burst in sent for payload in burst.values()}
+        assert len(objects) == 5
 
 
 class TestCollusion:

@@ -34,6 +34,7 @@ from repro.types import BOTTOM, SystemConfig
 
 from tests.arrays.test_store import plain_arrays
 from tests.conftest import to_plain, typed
+from tests.fullinfo.dominant_walk import expected_routes, walk_stop
 
 CORPUS_DIR = pathlib.Path(__file__).parent.parent / "fuzz" / "corpus"
 
@@ -147,9 +148,10 @@ def decide(subject, n, t, alphabet):
 
 
 def kernel_counts(observer):
-    """``(eig.kernel.flat, eig.kernel.fallback)`` as ``observer`` counted."""
+    """``(eig.kernel.descent, .flat, .fallback)`` as ``observer`` counted."""
     counters = observer.registry.counters()
     return (
+        counters.get("eig.kernel.descent", 0),
         counters.get("eig.kernel.flat", 0),
         counters.get("eig.kernel.fallback", 0),
     )
@@ -200,15 +202,18 @@ class TestKernelEquality:
                 flat = decide(node, 6, 1, alphabet)
             reference = decide(plain, 6, 1, alphabet)
             assert typed(flat) == typed(reference)
-            if len(node.leaves_unique) > 1:
-                # Without an alphabet a BOTTOM vote is no flat-table
-                # scalar, so the kernel hands the state back.
-                fallback = alphabet is None and any(
-                    leaf is BOTTOM for _, leaf in node.leaves_unique
-                )
-                assert kernel_counts(observer) == (
-                    (0, 1) if fallback else (1, 0)
-                )
+            # The dominant-child walk settles some states outright and
+            # hands others on at depth 1 (6 chains, the reference
+            # sweep's); only an unwalked state reaches the kernel, and
+            # without an alphabet a BOTTOM vote is no flat-table
+            # scalar, so the kernel hands it back.
+            descent, swept = expected_routes(plain, 6, 2, 0, alphabet)
+            fallback = alphabet is None and any(
+                leaf is BOTTOM for _, leaf in node.leaves_unique
+            )
+            assert kernel_counts(observer) == (
+                descent, int(swept and not fallback), int(swept and fallback)
+            )
 
     @pytest.mark.parametrize(
         "n, depth", [(5, 2), (4, 3), (6, 2)],
@@ -219,7 +224,8 @@ class TestKernelEquality:
     def test_both_sweeps_agree_on_each_side_of_the_threshold(
         self, n, depth, data
     ):
-        """The routing is a function of size alone: at most
+        """Past the dominant-child walk, the routing is a function of
+        the size of the node it stops at: at most
         ``_REFERENCE_MAX_CHAINS`` chains never touch the flat kernel,
         more always do — and forced onto the flat kernel, the small
         states resolve exactly as the reference sweep resolves them."""
@@ -229,7 +235,6 @@ class TestKernelEquality:
         ))
         node = ArrayStore(n).intern(state)
         reference = decide(to_plain(node), n, depth - 1, [0, 1])
-        routed_flat = math.perm(n, depth) > decision._REFERENCE_MAX_CHAINS
         with observing(Observer()) as routed:
             assert typed(decide(node, n, depth - 1, [0, 1])) == typed(reference)
         with pytest.MonkeyPatch.context() as patch:
@@ -238,9 +243,12 @@ class TestKernelEquality:
                 assert typed(
                     decide(ArrayStore(n).intern(state), n, depth - 1, [0, 1])
                 ) == typed(reference)
-        if len(node.leaves_unique) > 1:
-            assert kernel_counts(routed) == ((1, 0) if routed_flat else (0, 0))
-            assert kernel_counts(forced) == (1, 0)
+        stop = walk_stop(to_plain(node), n, depth, 0, [0, 1])
+        routed_flat = (
+            stop > 0 and math.perm(n, stop) > decision._REFERENCE_MAX_CHAINS
+        )
+        assert kernel_counts(routed) == (int(stop == 0), int(routed_flat), 0)
+        assert kernel_counts(forced) == (int(stop == 0), int(stop > 0), 0)
 
     def test_eig_decision_on_ragged_state_identical(self):
         # A Byzantine processor relays a ragged (wrong-arity) level:

@@ -47,6 +47,7 @@ from repro.adversary.compact_attacks import (
     StaleCoreAdversary,
 )
 from repro.analysis.sweeps import standard_adversary_makers, sweep
+from repro.arrays.store import clear_shared_stores
 from repro.compact.byzantine_agreement import (
     compact_ba_factory,
     compact_ba_rounds,
@@ -58,6 +59,7 @@ from repro.compact.authenticated_variant import (
 from repro.compact.crash_variant import crash_compact_factory, crash_sizer
 from repro.compact.payload import compact_sizer, payload_is_null
 from repro.core.predicates import byzantine_agreement_predicate
+from repro.obs import Observer, observing
 from repro.types import SystemConfig
 from repro.runtime.crypto import SignatureOracle
 from tests.compact.reference_agreement_batch import ReferenceAgreementBatch
@@ -247,6 +249,29 @@ def test_benchmark_shape_report_is_the_parents_and_the_dense_oracles(
         compact_protocol, "AgreementBatch", ReferenceAgreementBatch
     )
     assert pickle.dumps(run_benchmark_shape_grid()) == pickle.dumps(report)
+
+
+def test_benchmark_shape_eig_routes():
+    """How the benchmark shape's EIG decisions are resolved, exactly:
+    one memo entry per distinct state, and 6 of its 10 states settled
+    by the dominant-child walk with no sweep.  A change that silently
+    disables the walk moves ``eig.kernel.descent`` here, with no timing
+    involved."""
+    clear_shared_stores()
+    with observing(Observer()) as observer:
+        report = run_benchmark_shape_grid()
+    clear_shared_stores()
+    assert projection(report) == BENCHMARK_SHAPE_GOLDEN
+    counters = observer.registry.counters()
+    assert {
+        name: count for name, count in counters.items()
+        if name.startswith("eig.")
+    } == {
+        "eig.decision.hit": 170,
+        "eig.decision.miss": 10,
+        "eig.kernel.descent": 6,
+        "eig.kernel.flat": 4,
+    }
 
 
 @pytest.mark.parametrize("schedule", SCHEDULES, indirect=True)

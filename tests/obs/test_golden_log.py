@@ -83,10 +83,14 @@ GOLDEN = (
 #: domain verdict) is now computed once per view, not once per
 #: processor — and ``net.size_cache`` was hit 5040 / miss 840: processors
 #: at the same batch states with the same CORE now send one payload
-#: object, which the meter measures once a round.  Every other value is
-#: the parent's.
+#: object, which the meter measures once a round.  Against the parent
+#: of the PR that walks EIG states down their dominant children:
+#: ``eig.kernel.flat`` was 20 and ``arrays.flat.rows`` 59 — 12 of the
+#: 20 misses are now settled by the walk (``eig.kernel.descent``), with
+#: no sweep, so the flat tables mirror two fewer rows.  Every other
+#: value is the parent's.
 COUNTERS = {
-    "arrays.flat.rows": 59,
+    "arrays.flat.rows": 57,
     "arrays.intern.hit": 909,
     "arrays.intern.miss": 59,
     "compact.avalanche.skipped": 2480,
@@ -95,7 +99,8 @@ COUNTERS = {
     "compact.expansion.miss": 76,
     "eig.decision.hit": 100,
     "eig.decision.miss": 20,
-    "eig.kernel.flat": 20,
+    "eig.kernel.descent": 12,
+    "eig.kernel.flat": 8,
     "fullinfo.legality.hit": 1617,
     "fullinfo.legality.miss": 19,
     "net.bits": 224056,

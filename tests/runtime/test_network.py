@@ -8,11 +8,16 @@ from repro.agreement.eig_agreement import eig_agreement_factory
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.errors import ConfigurationError
 from repro.fullinfo.protocol import full_information_sizer
-from repro.obs import Observer, observing
+import repro.runtime.network as network_module
+from repro.obs import EventLog, Observer, observing
 from repro.runtime import engine
 from repro.runtime.engine import run_protocol
 from repro.runtime.metrics import MessageMetrics, RoundUsage
-from repro.runtime.network import SynchronousNetwork, _default_sizer
+from repro.runtime.network import (
+    SynchronousNetwork,
+    _default_sizer,
+    _fixed_default_size,
+)
 from repro.runtime.node import Process, broadcast
 from repro.runtime.rng import make_rng
 from repro.runtime.trace import ExecutionTrace
@@ -344,6 +349,72 @@ class TestTrace:
         network.run_round()
         assert len(trace.messages_in_round(1)) == 16
         assert set(trace.snapshots_in_round(1)) == {1, 2, 3, 4}
+
+
+class Resender(Adversary):
+    """Sends the same objects every round: a fixed tuple, a frozenset,
+    a list it grows, and a tuple holding that list."""
+
+    def __init__(self, faulty_ids):
+        super().__init__(faulty_ids)
+        self.grown = [0]
+        self.payloads = (
+            (1, (2, 3)), frozenset({4}), self.grown, (5, self.grown),
+        )
+
+    def outgoing(self, round_number, sender, context):
+        self.grown.append(round_number)
+        return {
+            receiver: self.payloads[receiver % 4]
+            for receiver in self.config.process_ids
+        }
+
+
+class TestFaultyTails:
+    """A faulty payload's ``send`` tail is computed once per object an
+    execution when nothing in it can change, else once a round."""
+
+    def test_fixed_payloads_are_sized_once_mutable_ones_every_round(
+        self, monkeypatch
+    ):
+        sized = []
+        real = network_module._fixed_default_size
+
+        def counting(message):
+            sized.append(id(message))
+            return real(message)
+
+        monkeypatch.setattr(network_module, "_fixed_default_size", counting)
+        config = SystemConfig(n=4, t=1)
+        adversary = Resender([4])
+        _, network = build(config, adversary)
+        log = EventLog()
+        with observing(Observer(events=log)):
+            for _ in range(3):
+                network.run_round()
+        fixed, frozen, grown, holder = map(id, adversary.payloads)
+        assert sorted(sized) == sorted(
+            [fixed, frozen] + [grown, holder] * 3
+        )
+        tails = [
+            entry[1:] for record in log.records
+            if record["kind"] == "send" and record["faulty"]
+            for entry in record["messages"]
+        ]
+        # Round r's grown list holds r + 1 items: its tail is fresh.
+        assert [tail for tail in tails if tail[2].startswith("list")] == [
+            [8 * size + 2, True, f"list({size})"] for size in (2, 3, 4)
+        ]
+
+    def test_fixed_default_size_is_the_default_size(self):
+        grown = [1]
+        for message, fixed in [
+            ((1, (2, 3)), True), (frozenset({4}), True), (7, False),
+            ([1, 2], False), ((1, grown), False), ({1: (2,)}, False),
+        ]:
+            assert _fixed_default_size(message) == (
+                _default_sizer(message), fixed
+            )
 
 
 class TestDefaultSizer:
