@@ -117,6 +117,9 @@ def lazy_rows():
     )
     elapsed = time.perf_counter() - start
     assert len(result.decided_values()) == 1
+    # The claim is "sub-second"; the cell states the claim, not the
+    # timing, so regenerating the table leaves it unchanged.
+    assert elapsed < 1.0, elapsed
     return [
         {
             "n": config.n,
@@ -124,7 +127,7 @@ def lazy_rows():
             "rounds": result.rounds,
             "distinct chains resolved": 10 * 9 * 8 * 7,
             "full tree (never built)": 10**4,
-            "wall time (s)": round(elapsed, 3),
+            "wall time": "< 1 s",
         }
     ]
 

@@ -27,10 +27,4 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     ),
     "crash": ("CrashAdversary",),
     "omission": ("OmissionAdversary",),
-    "compact_attacks": (
-        "AvalancheEquivocator",
-        "ForgedIndexAdversary",
-        "SpliceAdversary",
-        "StaleCoreAdversary",
-    ),
 })

@@ -60,7 +60,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "ApproximateAgreementAutomaton",
         "ApproximateProcess",
         "approximate_factory",
-        "rounds_for_precision",
     ),
     "dolev_strong": (
         "DolevStrongProcess",
@@ -70,16 +69,11 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "early_stopping": (
         "EarlyStoppingCrashProcess",
         "early_stopping_factory",
-        "early_stopping_rounds",
     ),
     "firing_squad": (
         "FiringSquadProcess",
         "fire_deadline",
         "firing_squad_factory",
     ),
-    "lower_bounds": (
-        "min_processors_for_agreement",
-        "min_processors_for_fast_avalanche",
-        "min_rounds_for_agreement",
-    ),
+    "lower_bounds": ("min_rounds_for_agreement",),
 })

@@ -64,15 +64,6 @@ MESSAGE_BOUNDS = {
 }
 
 
-def rounds_for_precision(initial_range: float, epsilon: float) -> int:
-    """Rounds of halving needed to shrink ``initial_range`` to ``epsilon``."""
-    if epsilon <= 0:
-        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
-    if initial_range <= epsilon:
-        return 1
-    return max(1, math.ceil(math.log2(initial_range / epsilon)))
-
-
 def _trimmed_midpoint(values: List[float], t: int) -> float:
     """The fault-tolerant midpoint: trim ``t`` from each end, then mid."""
     ordered = sorted(values)

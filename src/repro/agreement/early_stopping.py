@@ -55,11 +55,6 @@ MESSAGE_BOUNDS = {
 }
 
 
-def early_stopping_rounds(f: int, t: int) -> int:
-    """The decision-round bound for ``f`` actual crashes."""
-    return min(f + 2, t + 1)
-
-
 class EarlyStoppingCrashProcess(Process):
     """One processor of early-stopping crash consensus."""
 

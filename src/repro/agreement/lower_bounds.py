@@ -9,9 +9,11 @@
 * ``4t + 1`` processors for the one-round-consensus avalanche variant
   (Section 4: "if ``n <= 4t`` there is no solution to this variant").
 
-These are formulas, not proofs; the tests use them to assert every
-protocol in the library sits on the correct side of each bound, and
-the benchmarks plot protocols against them.
+These are formulas, not proofs.  The two processor bounds are where
+the system enforces them, :meth:`repro.types.SystemConfig.requires_byzantine_quorum`
+and :meth:`~repro.types.SystemConfig.requires_fast_quorum`; this module
+states the round bound that the comparison tables measure protocols
+against.
 """
 
 from __future__ import annotations
@@ -24,17 +26,3 @@ def min_rounds_for_agreement(t: int) -> int:
     if t < 0:
         raise ConfigurationError(f"t must be non-negative, got {t}")
     return t + 1
-
-
-def min_processors_for_agreement(t: int) -> int:
-    """Pease–Shostak–Lamport / Fischer–Lynch–Merritt: ``3t + 1``."""
-    if t < 0:
-        raise ConfigurationError(f"t must be non-negative, got {t}")
-    return 3 * t + 1
-
-
-def min_processors_for_fast_avalanche(t: int) -> int:
-    """Section 4's variant bound: ``4t + 1``."""
-    if t < 0:
-        raise ConfigurationError(f"t must be non-negative, got {t}")
-    return 4 * t + 1

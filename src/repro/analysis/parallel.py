@@ -35,8 +35,7 @@ than failing the sweep.
 Results are made *portable* before crossing the process boundary:
 live :class:`~repro.runtime.node.Process` objects (which may hold
 unpicklable closures) are replaced by :class:`ProcessSummary` stubs
-and traces are dropped.  (:mod:`repro.runtime.checkpoint` strips the
-other way round: it drops the processes and keeps the trace.)
+and traces are dropped.
 """
 
 from __future__ import annotations
@@ -184,9 +183,8 @@ def portable_result(result: ExecutionResult) -> ExecutionResult:
     """``result`` with unpicklable parts replaced, picklable parts kept.
 
     Live process objects become :class:`ProcessSummary` stubs and the
-    trace is dropped (:func:`repro.runtime.checkpoint.save_result`, by
-    contrast, drops the processes and keeps the trace).  Everything
-    quantitative (decisions, rounds, metrics) is untouched.
+    trace is dropped.  Everything quantitative (decisions, rounds,
+    metrics) is untouched.
     """
     return dataclasses.replace(
         result,

@@ -1,4 +1,4 @@
-"""Nested arrays and partial functions (Section 5.1 of the paper).
+"""Nested arrays (Section 5.1 of the paper).
 
 The compact full-information protocol manipulates *i-dimensional
 arrays*: a 0-dimensional array of a set ``S`` is any element of ``S``;
@@ -40,29 +40,14 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "array_depth",
         "array_leaves",
         "count_leaves",
-        "is_defined_array",
         "is_index_scalar",
-        "iter_paths",
         "leaf_at",
-        "make_array",
-        "map_leaves",
-        "replace_at",
-        "uniform_array",
         "unique_leaves",
         "validate_array",
-    ),
-    "partial": (
-        "PartialFunction",
-        "compose",
-        "identity",
-        "is_extension",
-        "substitutive_apply",
-        "table_function",
     ),
     "encoding": (
         "MessageSizer",
         "bits_for_alphabet",
         "encoded_array_bits",
-        "encoded_message_bits",
     ),
 })

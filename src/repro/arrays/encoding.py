@@ -106,19 +106,6 @@ def encoded_array_bits(array: Any, leaf_bits: int) -> int:
     )
 
 
-def encoded_message_bits(message: Any, leaf_bits: Callable[[Any], int]) -> int:
-    """Measured size with a per-leaf cost function.
-
-    ``leaf_bits`` receives each scalar leaf and returns its bit cost;
-    use this when a message mixes value leaves and index leaves.
-    """
-    return fold_tree(
-        message,
-        lambda leaf: NULL_BITS if is_bottom(leaf) else leaf_bits(leaf),
-        _node_bits,
-    )
-
-
 class MessageSizer:
     """Per-protocol message measurement policy.
 

@@ -29,7 +29,7 @@ Interning is **semantically invisible**: an ``InternedArray`` is a
 ``tuple`` subclass, so it compares, iterates, unpacks, hashes and
 prints exactly like the plain nested tuple it canonicalises, and it
 *pickles as a plain tuple* (see :meth:`InternedArray.__reduce__`), so
-checkpoints, traces and the parallel sweep executor observe identical
+pickled results, traces and the parallel sweep executor observe identical
 bytes.
 
 Leaf types are part of the intern key: ``(True, True)`` and ``(1, 1)``
@@ -133,7 +133,7 @@ class InternedArray(Tuple[Any, ...]):
 
     def __reduce__(self) -> Tuple[Any, ...]:
         # Pickle (and deepcopy) as the plain tuple this node stands
-        # for.  Children reduce recursively, so checkpoints, traces
+        # for.  Children reduce recursively, so pickled results, traces
         # and pooled sweep results carry ordinary nested tuples and
         # stay byte-compatible with un-interned runs.
         return (tuple, (tuple(self),))

@@ -11,17 +11,16 @@ A *path* into a depth-``d`` array is a tuple of up to ``d`` processor
 ids (1-based, matching the paper).  The empty path addresses the array
 itself; path ``(q,)`` addresses the ``q``-th component, and so on.
 Paths double as the node labels of the exponential-information-
-gathering (EIG) tree view in :mod:`repro.fullinfo.eig`.
+gathering (EIG) tree that :mod:`repro.fullinfo.decision` resolves.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.arrays.store import MAX_DEPTH, InternedArray
 from repro.errors import ProtocolViolation
-from repro.types import BOTTOM
 
 Path = Tuple[int, ...]
 
@@ -92,25 +91,6 @@ def when_interned(answer: Callable[[Any], Any]) -> Callable[[Any], Any]:
     """A ``closed`` for :func:`fold_tree`: an interned node answers from
     its metadata, anything else is opened."""
     return lambda node: answer(node) if isinstance(node, InternedArray) else None
-
-
-def make_array(components: Sequence[Any]) -> Tuple[Any, ...]:
-    """Build a 1-level-deeper array from ``n`` component arrays."""
-    return tuple(components)
-
-
-def uniform_array(scalar: Any, depth: int, n: int) -> Any:
-    """Return the depth-``depth`` array all of whose leaves are ``scalar``.
-
-    Used to build well-shaped default messages when a faulty
-    processor's message must be replaced (Theorem 9, Case 3).
-    """
-    if depth < 0:
-        raise ValueError(f"depth must be non-negative, got {depth}")
-    result: Any = scalar
-    for _ in range(depth):
-        result = tuple(result for _ in range(n))
-    return result
 
 
 def array_depth(array: Any, n: int) -> int:
@@ -222,17 +202,6 @@ def count_leaves(array: Any) -> int:
     )
 
 
-def is_defined_array(array: Any) -> bool:
-    """Paper convention: an array is undefined if any element is.
-
-    A bare :data:`BOTTOM` is also undefined.
-    """
-    return fold_tree(
-        array, lambda leaf: leaf is not BOTTOM, all,
-        closed=when_interned(lambda node: node.defined),
-    )
-
-
 def unique_leaves(array: Any) -> Tuple[Tuple[type, Any], ...]:
     """The distinct typed leaves of ``array`` in first-occurrence order.
 
@@ -257,18 +226,6 @@ def unique_leaves(array: Any) -> Tuple[Tuple[type, Any], ...]:
     return tuple(seen)
 
 
-def map_leaves(function: Callable[[Any], Any], array: Any) -> Any:
-    """Apply a scalar function to every leaf (a *substitutive* apply).
-
-    This realises the substitutivity property of Section 5.1:
-    ``f((a_1, ..., a_n)) = (f(a_1), ..., f(a_n))``.  The paper's
-    partiality convention is **not** applied here; use
-    :func:`repro.arrays.partial.substitutive_apply` when an undefined
-    leaf must make the whole result undefined.
-    """
-    return fold_tree(array, function, tuple)
-
-
 def leaf_at(array: Any, path: Path) -> Any:
     """Return the sub-array addressed by ``path`` (1-based components)."""
     node = array
@@ -283,38 +240,6 @@ def leaf_at(array: Any, path: Path) -> Any:
             )
         node = node[process_id - 1]
     return node
-
-
-def replace_at(array: Any, path: Path, value: Any) -> Any:
-    """Return a copy of ``array`` with the sub-array at ``path`` replaced."""
-    if not path:
-        return value
-    if not isinstance(array, tuple):
-        raise ProtocolViolation(
-            f"path {path} descends below the leaves of the array"
-        )
-    head = path[0]
-    if not 1 <= head <= len(array):
-        raise ProtocolViolation(
-            f"path component {head} outside 1..{len(array)}"
-        )
-    return tuple(
-        replace_at(component, path[1:], value) if index == head - 1 else component
-        for index, component in enumerate(array)
-    )
-
-
-def iter_paths(n: int, depth: int) -> Iterator[Path]:
-    """Yield every leaf path of a depth-``depth`` array over ``n`` ids.
-
-    The number of paths is ``n ** depth``; callers at test scale only.
-    """
-    if depth == 0:
-        yield ()
-        return
-    for prefix in iter_paths(n, depth - 1):
-        for process_id in range(1, n + 1):
-            yield prefix + (process_id,)
 
 
 def is_index_scalar(value: Any, n: int) -> bool:

@@ -36,7 +36,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "avalanche_factory",
         "standard_thresholds",
     ),
-    "fast": ("FastAvalancheInstance", "fast_thresholds"),
+    "fast": ("fast_thresholds",),
     "coding": ("NULL_MESSAGE", "NullEncoder", "is_null_message"),
     "conditions": (
         "check_avalanche_condition",

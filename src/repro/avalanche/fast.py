@@ -36,9 +36,9 @@ one-round consensus strengthening) against adversarial executions.
 
 from __future__ import annotations
 
-from repro.avalanche.protocol import AvalancheInstance, Thresholds
+from repro.avalanche.protocol import Thresholds
 from repro.errors import ConfigurationError
-from repro.types import BOTTOM, SystemConfig, Value
+from repro.types import SystemConfig
 
 
 def fast_thresholds(config: SystemConfig) -> Thresholds:
@@ -53,20 +53,3 @@ def fast_thresholds(config: SystemConfig) -> Thresholds:
         decide=config.n - config.t,
         round1_decide=config.n - config.t,
     )
-
-
-class FastAvalancheInstance(AvalancheInstance):
-    """An :class:`AvalancheInstance` preconfigured with fast quorums."""
-
-    def __init__(
-        self,
-        config: SystemConfig,
-        input_value: Value = BOTTOM,
-        value_ok=None,
-    ):
-        super().__init__(
-            config,
-            input_value=input_value,
-            thresholds=fast_thresholds(config),
-            value_ok=value_ok,
-        )

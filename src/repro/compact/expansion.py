@@ -194,16 +194,15 @@ class ExpansionState(BindingExpansion):
         self,
         config: SystemConfig,
         value_alphabet: Sequence[Value],
-        store: Optional[ArrayStore] = None,
+        store: ArrayStore,
     ):
         super().__init__(config, value_alphabet)
         self._store = store
         # boundary -> typed index leaf -> (defined phi_b(leaf), its
-        # memo token): the images these OUT tables give the index
-        # leaves, canonical whenever there is a store.  A defined
-        # scalar expansion chains only through irrevocable OUT entries,
-        # so it never changes, while an undefined one may become
-        # defined later and is not remembered.
+        # memo token): the canonical images these OUT tables give the
+        # index leaves.  A defined scalar expansion chains only through
+        # irrevocable OUT entries, so it never changes, while an
+        # undefined one may become defined later and is not remembered.
         self._images: Dict[int, Dict[TypedLeaf, Tuple[Any, Any]]] = (
             defaultdict(dict)
         )
@@ -255,10 +254,6 @@ class ExpansionState(BindingExpansion):
             tables.setdefault(boundary, {})[sender] = value
         return tables
 
-    def out_table(self, boundary: int) -> Dict[ProcessId, Any]:
-        """All decided slots of one boundary (a snapshot)."""
-        return self.out_tables().get(boundary, {})
-
     def rebase_mask(self, boundary: int) -> Tuple[bool, ...]:
         """Per processor ``q``, whether ``phi_boundary(q)`` is defined."""
         mask = self._masks.get(boundary)
@@ -292,11 +287,7 @@ class ExpansionState(BindingExpansion):
         result = self.expand(boundary - 1, agreed)
         if is_bottom(result):
             return BOTTOM
-        if (
-            self._store is not None
-            and isinstance(result, tuple)
-            and not self._is_canonical(result)
-        ):
+        if isinstance(result, tuple) and not self._is_canonical(result):
             # A plain OUT entry expands to a plain tuple; any array
             # it is substituted into would canonicalise it anyway.
             result = self._store.intern(result)
@@ -347,11 +338,7 @@ class ExpansionState(BindingExpansion):
         )
 
     def _is_canonical(self, array: Any) -> bool:
-        return (
-            type(array) is InternedArray
-            and self._store is not None
-            and array.store is self._store
-        )
+        return type(array) is InternedArray and array.store is self._store
 
     def _substitute(self, boundary: int, node: InternedArray) -> Any:
         """``phi_b`` (``b > 1``) of a node whose leaves all have images.

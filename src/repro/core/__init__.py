@@ -4,12 +4,10 @@
   arithmetic of Section 5.1 (Table 1),
 * :mod:`repro.core.automaton` — protocols as synchronous systems of
   automata (Section 3.1),
-* :mod:`repro.core.execution` — executions ``(k, F, I, M)``, deciding
-  executions, ``ans(E)``,
 * :mod:`repro.core.predicates` — correctness predicates and the
   standard instances (agreement, validity, approximate agreement),
-* :mod:`repro.core.simulation` — the simulation relation and a
-  runtime checker (Theorem 1 made executable),
+* :mod:`repro.core.simulation` — the simulation relation and its
+  runtime checker under faults (Theorem 9 made executable),
 * :mod:`repro.core.transform` — the headline canonical-form
   transformation: any consensus protocol in, a communication-efficient
   protocol out.
@@ -19,8 +17,7 @@ from repro import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "rounds": ("BlockSchedule", "block", "phase", "prior", "simul"),
-    "automaton": ("AutomatonProtocol", "run_automaton_locally"),
-    "execution": ("ExecutionRecord",),
+    "automaton": ("AutomatonProtocol",),
     "predicates": (
         "CorrectnessPredicate",
         "agreement_predicate",
@@ -28,5 +25,4 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "byzantine_agreement_predicate",
         "validity_predicate",
     ),
-    "simulation": ("SimulationWitness", "check_simulation"),
 })

@@ -24,7 +24,7 @@ canonical form via :mod:`repro.core.transform`.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.runtime.node import Process
@@ -165,37 +165,3 @@ def automaton_factory(protocol: AutomatonProtocol):
         return AutomatonProcess(process_id, config, input_value, protocol)
 
     return factory
-
-
-def run_automaton_locally(
-    protocol: AutomatonProtocol,
-    inputs: Dict[ProcessId, Value],
-    rounds: int,
-) -> Dict[ProcessId, List[Any]]:
-    """Fault-free reference execution without the network.
-
-    Returns, per processor, the list of states indexed by round
-    (``states[p][i]`` is the round-``i`` state; index 0 is the initial
-    state).  Used as the reference side ``E`` when checking
-    simulations of fault-free executions, and by the recursive
-    reconstruction tests of Theorem 2.
-    """
-    config = protocol.config
-    states: Dict[ProcessId, List[Any]] = {
-        process_id: [protocol.initial_state(process_id, inputs[process_id])]
-        for process_id in config.process_ids
-    }
-    for _ in range(1, rounds + 1):
-        messages_to: Dict[ProcessId, List[Any]] = {
-            receiver: [] for receiver in config.process_ids
-        }
-        for sender in config.process_ids:
-            for receiver in config.process_ids:
-                messages_to[receiver].append(
-                    protocol.message(sender, receiver, states[sender][-1])
-                )
-        for receiver in config.process_ids:
-            states[receiver].append(
-                protocol.transition(receiver, tuple(messages_to[receiver]))
-            )
-    return states

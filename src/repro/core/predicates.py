@@ -73,24 +73,6 @@ def byzantine_agreement_predicate() -> CorrectnessPredicate:
     return conjunction(agreement_predicate(), validity_predicate())
 
 
-def strong_validity_predicate() -> CorrectnessPredicate:
-    """Every decision was some correct processor's input.
-
-    Stronger than the paper's validity condition; useful for checking
-    the plausibility-style behaviour of multivalued protocols.
-    """
-
-    def check(answers, faulty, inputs) -> bool:
-        correct_inputs = set(_correct_entries(inputs, faulty))
-        return all(
-            decision in correct_inputs
-            for decision in _correct_entries(answers, faulty)
-            if decision is not BOTTOM
-        )
-
-    return check
-
-
 def approximate_agreement_predicate(epsilon: float) -> CorrectnessPredicate:
     """Approximate agreement: eps-closeness plus range validity.
 

@@ -7,73 +7,28 @@ matching execution ``E = (r(k), F, I, M)`` of ``P`` with
 ``f_p(state(p, i, E')) = state(p, r(i), E)`` for every correct ``p``
 and round ``i``.
 
-Checking this involves an existential over ``E``.  Two checkers are
-provided, matching how the paper's two simulations are verified:
-
-* :func:`check_simulation` — for the case where the reference
-  execution is known (e.g. fault-free runs, where ``E`` is unique
-  given the inputs): directly compares ``f_p(state')`` against
-  recorded reference states.
-* :func:`check_fullinfo_consistency` — for simulations *of the
-  full-information protocol* under faults (Theorem 9), where ``E``
-  must be constructed.  A family of claimed full-information states is
-  consistent with *some* execution iff (a) every correct processor's
-  round-``j`` state is an ``n``-vector whose ``q``-th component, for
-  correct ``q``, equals ``q``'s round-``j-1`` state, (b) components
-  for faulty ``q`` are well-shaped depth-``j-1`` value arrays (any
-  such array is a message a faulty processor could legally send), and
-  (c) round-0 states are the correct processors' inputs.  This checker
-  *constructs* the witness ``E`` in the only way possible and verifies
-  it, making Theorem 9 a runtime-checkable property.
+Checking this involves an existential over ``E``.  For simulations
+*of the full-information protocol* under faults (Theorem 9),
+:func:`check_fullinfo_consistency` constructs ``E``: a family of
+claimed full-information states is consistent with *some* execution
+iff (a) every correct processor's round-``j`` state is an ``n``-vector
+whose ``q``-th component, for correct ``q``, equals ``q``'s
+round-``j-1`` state, (b) components for faulty ``q`` are well-shaped
+depth-``j-1`` value arrays (any such array is a message a faulty
+processor could legally send), and (c) round-0 states are the correct
+processors' inputs.  The checker builds the witness ``E`` in the only
+way possible and verifies it, making Theorem 9 a runtime-checkable
+property.  (When ``E`` is known, as in a fault-free run, the direct
+comparison is a test oracle: ``tests/core/reference_simulation.py``.)
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from repro.arrays.value_array import array_depth, array_leaves
 from repro.errors import ProtocolViolation, SimulationMismatch
 from repro.types import ProcessId, Value
-
-
-@dataclasses.dataclass
-class SimulationWitness:
-    """The data of a simulation claim: ``f_p`` per processor and ``r``."""
-
-    simulation_functions: Mapping[ProcessId, Callable[[Any], Any]]
-    scaling: Callable[[int], int]
-
-    def map_state(self, process_id: ProcessId, state: Any) -> Any:
-        return self.simulation_functions[process_id](state)
-
-
-def check_simulation(
-    witness: SimulationWitness,
-    primed_states: Mapping[ProcessId, Sequence[Any]],
-    reference_states: Mapping[ProcessId, Sequence[Any]],
-    correct_ids: Sequence[ProcessId],
-    rounds: int,
-) -> None:
-    """Verify ``f_p(state(p, i, E')) = state(p, r(i), E)`` directly.
-
-    ``primed_states[p][i]`` is the round-``i`` state of ``p`` in the
-    simulating execution; ``reference_states[p][j]`` the round-``j``
-    state in the reference execution.  Raises
-    :class:`SimulationMismatch` on the first violated equality.
-    """
-    for process_id in correct_ids:
-        for round_number in range(1, rounds + 1):
-            mapped = witness.map_state(
-                process_id, primed_states[process_id][round_number]
-            )
-            target_round = witness.scaling(round_number)
-            expected = reference_states[process_id][target_round]
-            if mapped != expected:
-                raise SimulationMismatch(
-                    f"processor {process_id}, round {round_number}: "
-                    f"f_p(state') != state at scaled round {target_round}"
-                )
 
 
 def check_fullinfo_consistency(
@@ -161,20 +116,3 @@ def _check_legal_faulty_message(
                 raise SimulationMismatch(
                     f"{context}: leaf {leaf!r} outside the value alphabet"
                 )
-
-
-def states_by_round(
-    snapshots: Mapping[int, Mapping[ProcessId, Any]],
-    key: str,
-) -> Dict[ProcessId, List[Any]]:
-    """Pivot trace snapshots into per-processor state sequences.
-
-    ``snapshots[r][p]`` is a snapshot dict; the returned mapping has
-    ``result[p][r] = snapshots[r][p][key]`` with round 0 left to the
-    caller (traces start at round 1).
-    """
-    result: Dict[ProcessId, List[Any]] = {}
-    for round_number in sorted(snapshots):
-        for process_id, snapshot in snapshots[round_number].items():
-            result.setdefault(process_id, [None]).append(snapshot[key])
-    return result

@@ -10,8 +10,6 @@ removes.
 * :mod:`repro.fullinfo.protocol` — Protocol 1 on the runtime, its
   automaton form, and the canonical-or-reject receive gate every
   value-array consumer shares,
-* :mod:`repro.fullinfo.eig` — the exponential-information-gathering
-  tree view of a full-information state,
 * :mod:`repro.fullinfo.decision` — Theorem 2's recursive
   reconstruction ``f_p`` (any protocol's state from a full-information
   state) and the classic distinct-relay-chain Byzantine decision rule
@@ -28,7 +26,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "ReceiveGate",
         "full_information_factory",
     ),
-    "eig": ("EIGView",),
     "decision": (
         "DerivedDecisionRule",
         "eig_byzantine_decision",

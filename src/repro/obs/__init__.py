@@ -35,7 +35,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "read_jsonl",
         "read_jsonl_lenient",
         "read_log",
-        "validate_jsonl",
         "validate_records",
     ),
     "export": ("chrome_trace", "speedscope_profile", "validate_chrome_trace"),

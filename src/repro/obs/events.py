@@ -45,7 +45,7 @@ from typing import (
 SCHEMA_VERSION = 2
 
 #: Fields present on every record.  ``run`` may be null (events emitted
-#: outside any run — sweep chunks, checkpoints, the counters dump).
+#: outside any run — sweep chunks, the counters dump).
 ENVELOPE_FIELDS: Dict[str, Tuple[type, ...]] = {
     "v": (int,),
     "kind": (str,),
@@ -113,9 +113,6 @@ EVENT_FIELDS: Dict[str, Dict[str, Tuple[type, ...]]] = {
         "failures": (int,),
         "shrunk": (int,),
     },
-    # persistence
-    "checkpoint_save": {"path": (str,)},
-    "checkpoint_load": {"path": (str,)},
     # registry dump (deterministic counters only)
     "counters": {"counters": (dict,)},
     # nondeterministic section
@@ -148,10 +145,10 @@ def json_safe(value: Any) -> Any:
 
     Event payload fields must stay diffable text; arbitrary protocol
     values (BOTTOM, tuples, payload objects) are rendered, never
-    serialized — the full-fidelity record of a run is its checkpoint
-    (:mod:`repro.runtime.checkpoint`), not the event log.  Non-finite
-    floats have no JSON spelling (the sink refuses them), so they are
-    rendered too.
+    serialized — the full-fidelity record of a run is its pickled
+    :class:`~repro.runtime.engine.ExecutionResult`, not the event log.
+    Non-finite floats have no JSON spelling (the sink refuses them), so
+    they are rendered too.
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
@@ -573,12 +570,3 @@ def validate_records(records: Iterable[Dict[str, Any]]) -> List[str]:
                 )
             last_step = step
     return problems
-
-
-def validate_jsonl(path: Union[str, pathlib.Path]) -> List[str]:
-    """Validate a JSONL file end to end; returns all problems."""
-    try:
-        records = read_jsonl(path)
-    except (OSError, ValueError) as error:
-        return [str(error)]
-    return validate_records(records)

@@ -55,7 +55,7 @@ class ExecutionResult:
 
         Read off ``decisions``, which has one entry per correct
         processor on every path a result travels: live, pool-portable
-        (``processes`` stubbed) and loaded from a checkpoint
+        (``processes`` stubbed) and unpickled without its processes
         (``processes`` empty).
         """
         return tuple(sorted(self.decisions))

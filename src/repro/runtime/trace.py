@@ -1,15 +1,15 @@
 """Full execution traces.
 
 A trace records every delivered envelope and every correct processor's
-post-round state snapshot.  Traces are what the simulation checker of
-:mod:`repro.core.simulation` consumes to verify, round by round, that
+post-round state snapshot.  Traces are what a simulation check
+consumes to verify, round by round, that
 ``f_p(state(p, i, E')) = state(p, r(i), E)``.
 
 Traces are optional (they hold the entire message history, which for
 full-information protocols is exponential) and are enabled per run via
-:func:`repro.runtime.engine.run_protocol`.  A trace lives in memory;
-:func:`repro.runtime.checkpoint.save_result` persists it, with the rest
-of the result, at full fidelity.
+:func:`repro.runtime.engine.run_protocol`.  A trace lives in memory
+and pickles at full fidelity with the rest of the result (minus its
+live processes, which may hold closures).
 """
 
 from __future__ import annotations

@@ -26,10 +26,7 @@ from repro import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "baseline": ("Baseline",),
-    "contracts": ("run_contract_pass",),
-    "determinism": ("run_determinism_pass",),
     "findings": ("Finding",),
-    "purity": ("run_purity_pass",),
     "report": ("render_json", "render_text"),
     "rules": ("RULES", "Rule", "rule"),
     "runner": ("LintResult", "lint_tree"),

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import pathlib
 import re
 from typing import Dict, List, Optional, Set
 
 from repro.statics.findings import Finding
-from repro.statics.model import ModuleInfo, ProjectIndex, parse_module
+from repro.statics.model import ModuleInfo, ProjectIndex
 from repro.statics.rules import Rule, rule
 
 #: Packages whose top-level ``*_factory`` functions fall under the
@@ -136,12 +135,8 @@ def _entry_from_call(
     )
 
 
-def parse_catalog(source: str) -> List[CatalogEntry]:
-    """Extract every ``ProtocolSpec(...)`` from the registry module's source."""
-    return _catalog_entries(parse_module(source, CATALOG_MODULE))
-
-
-def _catalog_entries(module: ModuleInfo) -> List[CatalogEntry]:
+def catalog_entries(module: ModuleInfo) -> List[CatalogEntry]:
+    """Every ``ProtocolSpec(...)`` call in the parsed registry module."""
     # A ``build`` may name a module-level helper wrapping the factory;
     # map one level of indirection: helper name -> factories inside.
     helpers = {
@@ -157,15 +152,7 @@ def _catalog_entries(module: ModuleInfo) -> List[CatalogEntry]:
     ]
 
 
-def parse_exemptions(source: str) -> Dict[str, str]:
-    """The well-formed ``CATALOG_EXEMPT`` entries of the registry source."""
-    declaration = parse_module(source, CATALOG_MODULE).declaration(
-        EXEMPT_DECLARATION
-    )
-    return {name: entry.value for name, entry in declaration.entries.items()}
-
-
-def _factories(index: ProjectIndex) -> Dict[str, ModuleInfo]:
+def factory_modules(index: ProjectIndex) -> Dict[str, ModuleInfo]:
     """Every top-level ``*_factory`` def under the contract packages."""
     return {
         name: module
@@ -173,12 +160,6 @@ def _factories(index: ProjectIndex) -> Dict[str, ModuleInfo]:
         for name in module.functions
         if name.endswith("_factory")
     }
-
-
-def tree_factories(package_root: pathlib.Path) -> Dict[str, pathlib.Path]:
-    """``*_factory`` name -> defining file, for the tree at ``package_root``."""
-    index = ProjectIndex(package_root, CONTRACT_PACKAGES, ())
-    return {name: module.path for name, module in _factories(index).items()}
 
 
 def _bound_documented(docstring: str, bound: str) -> bool:
@@ -198,17 +179,6 @@ def _bound_documented(docstring: str, bound: str) -> bool:
     return False
 
 
-def run_contract_pass(package_root: pathlib.Path) -> List[Finding]:
-    """Cross-check the catalog against the tree rooted at ``package_root``.
-
-    ``package_root`` is the directory of the ``repro`` package itself
-    (or a fixture tree of the same shape).
-    """
-    return check_contracts(
-        ProjectIndex(package_root, CONTRACT_PACKAGES, (CATALOG_MODULE,))
-    )
-
-
 def check_contracts(index: ProjectIndex) -> List[Finding]:
     """All contract findings of an indexed tree.
 
@@ -219,10 +189,10 @@ def check_contracts(index: ProjectIndex) -> List[Finding]:
     if catalog is None:
         return []
     relative = catalog.relative
-    entries = _catalog_entries(catalog)
+    entries = catalog_entries(catalog)
     declaration = catalog.declaration(EXEMPT_DECLARATION)
     exemptions = declaration.entries
-    factories = _factories(index)
+    factories = factory_modules(index)
     registered: Set[str] = set()
     for entry in entries:
         registered |= entry.factories

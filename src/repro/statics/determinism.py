@@ -17,7 +17,7 @@ import ast
 from typing import Dict, List, Optional, Set
 
 from repro.statics.findings import Finding
-from repro.statics.model import ModuleInfo, parse_module
+from repro.statics.model import ModuleInfo
 from repro.statics.rules import rule
 from repro.statics.visitor import (
     ScopedVisitor,
@@ -262,8 +262,3 @@ def check_determinism(module: ModuleInfo) -> List[Finding]:
     visitor = _DeterminismVisitor(module.relative)
     visitor.visit(module.tree)
     return visitor.findings
-
-
-def run_determinism_pass(source: str, path: str) -> List[Finding]:
-    """Lint one protocol-package file given as text."""
-    return check_determinism(parse_module(source, path))

@@ -25,6 +25,5 @@ format consumed by the closedness cross-check.
 from repro import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
-    "certificates": ("certify_tree",),
-    "passes": ("FlowAnalysis", "analyze_tree", "run_flow_pass"),
+    "passes": ("FlowAnalysis", "analyze_index"),
 })

@@ -5,8 +5,8 @@ asynchrony reduction (Damian/Dragoi/Widder, see PAPERS.md) applies
 exactly to protocols whose rounds are communication-closed, and the
 Alpturer-Ruj limited-information-exchange bounds need the per-round
 size class.  ``certify`` folds the lint baseline into a protoflow
-analysis (``certify_tree`` runs one first): a violation with a
-justified suppression leaves the protocol ``waived`` (deliberately
+analysis (:func:`~repro.statics.flow.passes.analyze_index`): a violation
+with a justified suppression leaves the protocol ``waived`` (deliberately
 non-canonical in a documented way), an unsuppressed violation leaves
 it ``open``.
 
@@ -42,17 +42,12 @@ The shipped catalog's certificates are committed at
 from __future__ import annotations
 
 import json
-import pathlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.statics.baseline import Baseline
 from repro.statics.findings import Finding
 from repro.statics.flow.lattice import SIZE_NAMES, size_name
-from repro.statics.flow.passes import (
-    FlowAnalysis,
-    ProtocolReport,
-    analyze_tree,
-)
+from repro.statics.flow.passes import FlowAnalysis, ProtocolReport
 
 CERTIFICATE_VERSION = 1
 
@@ -139,31 +134,6 @@ def certify(analysis: FlowAnalysis, baseline: Baseline) -> Dict[str, Any]:
     return {"version": CERTIFICATE_VERSION, "protocols": protocols}
 
 
-def certify_tree(
-    package_root: pathlib.Path, baseline: Optional[Baseline] = None
-) -> Dict[str, Any]:
-    """Certificates for every certified protocol under ``package_root``."""
-    return certify(
-        analyze_tree(package_root),
-        baseline if baseline is not None else Baseline(),
-    )
-
-
 def render_certificates(certificates: Dict[str, Any]) -> str:
     """Canonical JSON serialization (stable across runs)."""
     return json.dumps(certificates, indent=2, sort_keys=True) + "\n"
-
-
-def is_certified_canonical(entry: Dict[str, Any]) -> bool:
-    """Whether a certificate entry claims closed + sanitized + bounded.
-
-    The static/dynamic agreement test uses this predicate: a fuzz
-    counterexample against a protocol whose certificate passes it
-    means either the oracle or protoflow is wrong — both ``closed``
-    and ``waived`` count, because a waiver documents a deliberate,
-    reviewed deviation, not an unknown one.
-    """
-    flow_ok = entry["flow"]["verdict"] in ("closed", "waived")
-    taint_ok = entry["taint"]["verdict"] in ("sanitized", "waived")
-    size_ok = entry["size"]["verdict"] != "open"
-    return bool(flow_ok and taint_ok and size_ok)

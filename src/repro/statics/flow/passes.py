@@ -1,18 +1,17 @@
 """Orchestration of the FLOW / COM / TAINT passes over a tree.
 
-``analyze_tree`` builds the project index once, then produces one
+``analyze_index`` reads the project index once, then produces one
 :class:`ProtocolReport` per certified class (every concrete ``Process``
 subclass and every ``AutomatonProtocol`` implementation in the flow
 packages) plus the declaration-validation findings for each module.
-``run_flow_pass`` flattens that into the finding list ``repro lint``
-merges with the other passes; ``certificates.py`` consumes the same
-reports to emit the per-protocol certificate file.
+:attr:`FlowAnalysis.findings` flattens that into the finding list
+``repro lint`` merges with the other passes; ``certificates.py``
+consumes the same reports to emit the per-protocol certificate file.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import pathlib
 from typing import List, Optional, Set
 
 from repro.statics.findings import Finding
@@ -85,11 +84,6 @@ class FlowAnalysis:
         return sorted(out)
 
 
-def analyze_tree(package_root: pathlib.Path) -> FlowAnalysis:
-    """Run protoflow over the tree rooted at ``package_root``."""
-    return analyze_index(ProjectIndex(package_root))
-
-
 def analyze_index(index: ProjectIndex) -> FlowAnalysis:
     """Run protoflow over an already indexed tree."""
     certified = index.certified()
@@ -99,11 +93,6 @@ def analyze_index(index: ProjectIndex) -> FlowAnalysis:
         names = {info.name for info in certified if info.module is module}
         module_findings.extend(_validate_declarations(module, names))
     return FlowAnalysis(reports=reports, module_findings=module_findings)
-
-
-def run_flow_pass(package_root: pathlib.Path) -> List[Finding]:
-    """The finding list ``collect_findings`` merges with other passes."""
-    return analyze_tree(package_root).findings
 
 
 # -- per-protocol analysis ---------------------------------------------------

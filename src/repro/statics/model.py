@@ -2,16 +2,15 @@
 
 A lint run builds one :class:`ProjectIndex` — each file read once and
 parsed once, by :func:`parse_module`, the package's only ``ast.parse``
-and also what the source-string entry points (``run_determinism_pass``,
-``run_purity_pass``, ``parse_catalog``) go through — and every pass is
-a rule over ``(index, module)``: determinism, purity, contracts and
-the protoflow families all ask this model for modules, classes,
-import-resolved inheritance, declarations and call-graph queries
-instead of walking the tree themselves.  Which *files* a pass looks at
-stays the pass's own policy (``PROTOCOL_PACKAGES``, ``WORKER_MODULES``,
-``CLOCK_MODULES`` in the runner, ``CONTRACT_PACKAGES`` in the contract
-pass, :data:`FLOW_PACKAGES` here with the protoflow queries that need
-it); the index only guarantees that asking twice costs one parse.
+— and every pass is a rule over ``(index, module)``: determinism,
+purity, contracts and the protoflow families all ask this model for
+modules, classes, import-resolved inheritance, declarations and
+call-graph queries instead of walking the tree themselves.  Which
+*files* a pass looks at stays the pass's own policy
+(``PROTOCOL_PACKAGES``, ``WORKER_MODULES``, ``CLOCK_MODULES`` in the
+runner, ``CONTRACT_PACKAGES`` in the contract pass, :data:`FLOW_PACKAGES`
+here with the protoflow queries that need it); the index only
+guarantees that asking twice costs one parse.
 
 Declarations
     Four module-level dict literals are trusted by the passes —

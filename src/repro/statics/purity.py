@@ -30,7 +30,6 @@ checks; invalid or dead entries are themselves findings (PUR005).
 from __future__ import annotations
 
 import ast
-import pathlib
 from typing import List, Optional, Sequence, Set
 
 from repro.statics.findings import Finding
@@ -38,7 +37,6 @@ from repro.statics.model import (
     AUTOMATON_ROOT,
     ModuleInfo,
     ProjectIndex,
-    parse_module,
 )
 from repro.statics.rules import rule
 from repro.statics.visitor import ScopedVisitor, attribute_chain
@@ -399,16 +397,3 @@ def check_purity(
                 "checks — delete the dead entry",
             ))
     return findings
-
-
-def run_purity_pass(
-    source: str, path: str, all_functions: bool = False
-) -> List[Finding]:
-    """Lint one file given as text (see :func:`check_purity`).
-
-    With no tree to resolve against, a class is an automaton when its
-    bases reach one spelled ``AutomatonProtocol`` within this file.
-    """
-    index = ProjectIndex(pathlib.Path(path).parent, packages=(), modules=())
-    module = index.add(parse_module(source, path))
-    return check_purity(index, module, all_functions)

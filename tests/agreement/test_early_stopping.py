@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adversary.crash import CrashAdversary
-from repro.agreement.early_stopping import (
-    early_stopping_factory,
-    early_stopping_rounds,
-)
+from repro.agreement.early_stopping import early_stopping_factory
 from repro.runtime.engine import run_protocol
 from repro.types import SystemConfig
+
+
+def early_stopping_rounds(f, t):
+    """Reischuk–Strong: the decision-round bound for ``f`` actual crashes."""
+    return min(f + 2, t + 1)
 
 
 def run_early(config, inputs, crash_rounds=None, cut=0.5, seed=0):

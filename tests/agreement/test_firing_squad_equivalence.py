@@ -20,7 +20,7 @@ from repro.agreement.firing_squad import (
     FiringSquadProcess,
     firing_squad_factory,
 )
-from repro.arrays.value_array import array_depth, map_leaves, replace_at
+from repro.arrays.value_array import array_depth
 from repro.fuzz.campaign import replay_case
 from repro.fuzz.case import FuzzCase, load_case
 from repro.fuzz.protocols import get_spec, register, unregister
@@ -29,6 +29,7 @@ from repro.runtime.network import _default_sizer
 from repro.runtime.rng import derive_rng
 from repro.types import BOTTOM, SystemConfig
 
+from tests.arrays.builders import map_leaves, replace_at
 from tests.conftest import canonical_bytes, nested_tuple, to_plain
 from tests.agreement.reference_firing_squad import (
     ReferenceFiringSquadProcess,

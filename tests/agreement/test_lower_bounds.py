@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.agreement.lower_bounds import (
-    min_processors_for_agreement,
-    min_processors_for_fast_avalanche,
-    min_rounds_for_agreement,
-)
+from repro.agreement.lower_bounds import min_rounds_for_agreement
 from repro.compact.byzantine_agreement import compact_ba_rounds
 from repro.errors import ConfigurationError
 
@@ -16,18 +12,9 @@ class TestFormulas:
         assert min_rounds_for_agreement(0) == 1
         assert min_rounds_for_agreement(3) == 4
 
-    def test_processors(self):
-        assert min_processors_for_agreement(2) == 7
-        assert min_processors_for_fast_avalanche(2) == 9
-
     def test_negative_t_rejected(self):
-        for formula in (
-            min_rounds_for_agreement,
-            min_processors_for_agreement,
-            min_processors_for_fast_avalanche,
-        ):
-            with pytest.raises(ConfigurationError):
-                formula(-1)
+        with pytest.raises(ConfigurationError):
+            min_rounds_for_agreement(-1)
 
 
 class TestProtocolsRespectBounds:

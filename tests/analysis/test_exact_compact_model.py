@@ -7,9 +7,10 @@ breaks these equalities.
 
 import pytest
 
-from repro.analysis.complexity import compact_exact_bits_fault_free
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.types import SystemConfig
+
+from tests.analysis.exact_compact_model import compact_exact_bits_fault_free
 
 # A value alphabet disjoint from processor indices, as the model
 # documents (int values colliding with ids 1..n would be charged index

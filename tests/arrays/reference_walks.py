@@ -31,11 +31,6 @@ def mapped(function, x):
     return fold(x, function, tuple)
 
 
-def substituted(function, x):
-    applied = mapped(lambda leaf: leaf if leaf is BOTTOM else function(leaf), x)
-    return BOTTOM if BOTTOM in leaves(applied) else applied
-
-
 def bits(x, leaf_bits, containers=tuple):
     """Two bits a node, ``leaf_bits(leaf)`` a leaf, bottoms free."""
     return fold(

@@ -9,11 +9,11 @@ from repro.arrays.encoding import (
     MessageSizer,
     bits_for_alphabet,
     encoded_array_bits,
-    encoded_message_bits,
 )
 from repro.errors import EncodingError
 from repro.types import BOTTOM
 from tests.arrays import reference_walks
+from tests.arrays.builders import uniform_array
 
 
 class TestAlphabetBits:
@@ -54,8 +54,6 @@ class TestArrayBits:
     @given(st.integers(0, 3), st.integers(2, 4))
     def test_matches_closed_form(self, depth, n):
         """Uniform arrays match the analytic node/leaf count."""
-        from repro.arrays.value_array import uniform_array
-
         array = uniform_array(0, depth=depth, n=n)
         leaves = n**depth
         nodes = sum(n**level for level in range(depth))
@@ -67,11 +65,9 @@ class TestArrayBits:
 
 class TestMessageBits:
     def test_mixed_leaf_costs(self):
-        message = (1, "v")
-        cost = encoded_message_bits(
-            message, lambda leaf: 3 if isinstance(leaf, int) else 7
-        )
-        assert cost == HEADER_BITS + 3 + 7
+        # An index leaf costs log n bits, a value leaf log |V|.
+        sizer = MessageSizer(value_alphabet_size=128, n=8)
+        assert sizer.measure((1, "v")) == HEADER_BITS + 3 + 7
 
 
 class TestMessageSizer:

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.arrays.encoding import MessageSizer, encoded_array_bits
 from repro.arrays.flat import FlatTables, tables_for
 from repro.arrays.store import ArrayStore, InternedArray, clear_shared_stores
-from repro.compact.expansion import ExpansionState
+from repro.compact.expansion import BindingExpansion, ExpansionState
 from repro.errors import ProtocolViolation
 from repro.fullinfo import decision
 from repro.fullinfo.decision import eig_byzantine_decision
@@ -282,9 +282,13 @@ class TestKernelEquality:
         config = SystemConfig(n=3, t=1)
 
         def expand(store):
-            """With a store: interned nodes; without: builtin tuples."""
-            convert = to_plain if store is None else store.intern
-            expansion = ExpansionState(config, [0, 1], store=store)
+            """With a store: the view over interned nodes; without: the
+            plain reference over builtin tuples."""
+            if store is None:
+                convert, expansion = to_plain, BindingExpansion(config, [0, 1])
+            else:
+                convert = store.intern
+                expansion = ExpansionState(config, [0, 1], store=store)
             for sender in sorted(decided):
                 expansion.learn((2, sender), convert((0, 1, sender % 2)))
             subject = convert(array)

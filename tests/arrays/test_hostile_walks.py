@@ -17,20 +17,13 @@ import pytest
 from repro.adversary.base import Adversary
 from repro.agreement.eig_agreement import eig_agreement_factory
 from repro.agreement.srikanth_toueg import st_sizer
-from repro.arrays.encoding import (
-    MessageSizer,
-    encoded_array_bits,
-    encoded_message_bits,
-)
-from repro.arrays.partial import substitutive_apply
+from repro.arrays.encoding import MessageSizer, encoded_array_bits
 from repro.arrays.store import ArrayStore
 from repro.arrays.value_array import (
     array_depth,
     array_leaves,
     count_leaves,
     fold_tree,
-    is_defined_array,
-    map_leaves,
     unique_leaves,
     validate_array,
 )
@@ -52,6 +45,7 @@ from repro.runtime.network import _default_sizer
 from repro.runtime.render import summarise_payload
 from repro.types import BOTTOM, SystemConfig
 from tests.arrays import reference_walks as reference
+from tests.arrays.builders import map_leaves
 from tests.conftest import nested_tuple
 
 CONFIG = SystemConfig(n=4, t=1)
@@ -72,10 +66,6 @@ WALKERS = {
     ),
     "measure_index_array": (
         SIZER.measure_index_array, lambda nodes, leaves: 2 * nodes + 2 * leaves,
-    ),
-    "encoded_message_bits": (
-        lambda x: encoded_message_bits(x, lambda leaf: 5),
-        lambda nodes, leaves: 2 * nodes + 5 * leaves,
     ),
     "compact_sizer": (
         compact_sizer(CONFIG, 2), lambda nodes, leaves: 2 * nodes + leaves,
@@ -110,7 +100,6 @@ WALKERS = {
         _default_sizer, lambda nodes, leaves: 2 * nodes + 8 * leaves,
     ),
     "count_leaves": (count_leaves, lambda nodes, leaves: leaves),
-    "is_defined_array": (is_defined_array, lambda nodes, leaves: True),
     "unique_leaves": (unique_leaves, lambda nodes, leaves: ((int, 0),)),
     "map_leaves": (
         lambda x: unique_leaves(map_leaves(increment, x)),
@@ -119,10 +108,6 @@ WALKERS = {
     "map_leaves keeps the shape": (
         lambda x: count_leaves(map_leaves(increment, x)),
         lambda nodes, leaves: leaves,
-    ),
-    "substitutive_apply": (
-        lambda x: unique_leaves(substitutive_apply(increment, x)),
-        lambda nodes, leaves: ((int, 1),),
     ),
 }
 
@@ -309,7 +294,7 @@ def test_odd_leaves_return_or_raise_a_library_error(name, leaf):
     walker, _ = WALKERS[name]
     odd = ODD_LEAVES[leaf]()
     # unique_leaves hashes what it deduplicates: its stated contract.
-    hashes = name in ("unique_leaves", "map_leaves", "substitutive_apply")
+    hashes = name in ("unique_leaves", "map_leaves")
     allowed = (ProtocolViolation, EncodingError) + (
         (TypeError,) if hashes else ()
     )
@@ -351,27 +336,13 @@ def test_every_rewritten_walker_equals_the_recursive_reference(seed):
     rng = random.Random(seed)
     tree = random_tree(rng, interned_nodes() if seed % 2 else ())
 
-    def leaf_bits(leaf):
-        return 3 if isinstance(leaf, str) else 7
-
     assert fold_tree(tree, repr, ",".join) == reference.fold(
         tree, repr, ",".join
     )
     assert list(array_leaves(tree)) == reference.leaves(tree)
     assert count_leaves(tree) == len(reference.leaves(tree))
-    assert is_defined_array(tree) == (BOTTOM not in reference.leaves(tree))
     assert unique_leaves(tree) == reference.unique(tree)
     assert map_leaves(repr, tree) == reference.mapped(repr, tree)
-
-    def partial(leaf):
-        return BOTTOM if leaf is None else (leaf, "seen")
-
-    assert substitutive_apply(partial, tree) == reference.substituted(
-        partial, tree
-    )
-    assert encoded_message_bits(tree, leaf_bits) == reference.bits(
-        tree, leaf_bits
-    )
     assert encoded_array_bits(tree, 3) == reference.bits(tree, lambda _: 3)
     sizer = MessageSizer(value_alphabet_size=1024, n=4)  # 10 and 2 bits
     assert sizer.measure(tree) == reference.bits(tree, sizer._measure_leaf)

@@ -15,7 +15,6 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 SCANNED = (
     "arrays/encoding.py",
     "arrays/value_array.py",
-    "arrays/partial.py",
     "compact/payload.py",
     "compact/driver.py",
     "compact/authenticated_variant.py",
@@ -29,13 +28,6 @@ BOUNDED = {
     ("arrays/value_array.py", "_depth_within"): (
         "opens at most `budget` <= MAX_DEPTH plain levels, then raises "
         "ProtocolViolation"
-    ),
-    ("arrays/value_array.py", "replace_at"): (
-        "one call per component of the caller's `path`, not per level of "
-        "the array"
-    ),
-    ("arrays/value_array.py", "iter_paths"): (
-        "recurses on the caller's `depth` argument; no payload involved"
     ),
     ("compact/driver.py", "_shape_ok"): (
         "descends exactly `depth` levels, the block length the receiver "

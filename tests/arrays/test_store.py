@@ -24,7 +24,6 @@ from repro.arrays.value_array import (
     array_depth,
     array_leaves,
     count_leaves,
-    is_defined_array,
     unique_leaves,
     validate_array,
 )
@@ -97,7 +96,7 @@ def test_metadata_matches_plain_walks(array):
     node = ArrayStore(3).intern(array)
     assert node.depth == array_depth(array, 3)
     assert node.leaf_count == count_leaves(array)
-    assert node.defined == is_defined_array(array)
+    assert node.defined == (BOTTOM not in list(array_leaves(array)))
     assert node.leaves_unique == unique_leaves(array)
 
 
@@ -157,7 +156,6 @@ def test_bottom_leaves_mark_undefined():
     store = ArrayStore(2)
     node = store.intern(((BOTTOM, 0), (1, 0)))
     assert not node.defined
-    assert is_defined_array(node) is False
     # Closed-form sizing only covers defined arrays; the walk fallback
     # must agree with the plain result.
     plain = ((BOTTOM, 0), (1, 0))

@@ -7,18 +7,14 @@ from repro.arrays.value_array import (
     array_depth,
     array_leaves,
     count_leaves,
-    is_defined_array,
     is_index_scalar,
-    iter_paths,
     leaf_at,
-    make_array,
-    map_leaves,
-    replace_at,
-    uniform_array,
     validate_array,
 )
+from repro.arrays.store import ArrayStore
 from repro.errors import ProtocolViolation
 from repro.types import BOTTOM
+from tests.arrays.builders import iter_paths, map_leaves, replace_at, uniform_array
 from tests.conftest import nested_tuple
 
 
@@ -161,12 +157,14 @@ class TestMapAndDefined:
         assert array_depth(map_leaves(str, array), n=2) == 2
 
     def test_defined_array(self):
-        assert is_defined_array((1, 2, 3))
-        assert not is_defined_array((1, BOTTOM, 3))
-        assert not is_defined_array(BOTTOM)
+        # The paper's convention, kept as interned-node metadata: an
+        # array is undefined if any element is.
+        store = ArrayStore(3)
+        assert store.intern((1, 2, 3)).defined
+        assert not store.intern((1, BOTTOM, 3)).defined
 
     def test_bottom_deep_inside_makes_undefined(self):
-        assert not is_defined_array(((1, 2), (BOTTOM, 4)))
+        assert not ArrayStore(2).intern(((1, 2), (BOTTOM, 4))).defined
 
 
 class TestIndexScalar:

@@ -8,8 +8,8 @@ from repro.avalanche.conditions import (
     check_consensus_condition,
     check_plausibility_condition,
 )
-from repro.avalanche.fast import FastAvalancheInstance, fast_thresholds
-from repro.avalanche.protocol import avalanche_factory
+from repro.avalanche.fast import fast_thresholds
+from repro.avalanche.protocol import AvalancheInstance, avalanche_factory
 from repro.errors import ConfigurationError
 from repro.runtime.engine import run_protocol
 from repro.types import BOTTOM, SystemConfig, is_bottom
@@ -95,11 +95,15 @@ class TestConditions:
 
 class TestInstance:
     def test_fast_instance_preconfigured(self, config9):
-        instance = FastAvalancheInstance(config9, input_value="v")
+        instance = AvalancheInstance(
+            config9, input_value="v", thresholds=fast_thresholds(config9)
+        )
         assert instance.thresholds == fast_thresholds(config9)
 
     def test_round_one_decision_path(self, config9):
-        instance = FastAvalancheInstance(config9, input_value="v")
+        instance = AvalancheInstance(
+            config9, input_value="v", thresholds=fast_thresholds(config9)
+        )
         instance.step(["v"] * 9)
         assert instance.has_decided()
         assert instance.decision_round == 1

@@ -30,14 +30,6 @@ class ReferenceExpansion(ExpansionState):
     """One processor's own OUT tables and images, learned decision by
     decision."""
 
-    def out_table(self, boundary: int) -> Dict[ProcessId, Any]:
-        """All decided slots of one boundary (a snapshot)."""
-        return {
-            sender: value
-            for (slot_boundary, sender), value in self._bindings.items()
-            if slot_boundary == boundary
-        }
-
     def expand_scalar(self, boundary: int, scalar: Any) -> Any:
         # The base rule with each defined image remembered (and the
         # index test and table lookup inline: this is the rebase path).

@@ -8,7 +8,7 @@ from repro.arrays.store import (
     release_shared_stores,
     shared_store,
 )
-from repro.compact.expansion import ExpansionState
+from repro.compact.expansion import BindingExpansion, ExpansionState
 from repro.errors import ProtocolViolation
 from repro.obs import Observer, observing
 from repro.types import BOTTOM, SystemConfig, is_bottom
@@ -16,7 +16,7 @@ from repro.types import BOTTOM, SystemConfig, is_bottom
 
 @pytest.fixture
 def expansion(config4):
-    return ExpansionState(config4, value_alphabet=[0, 1])
+    return ExpansionState(config4, value_alphabet=[0, 1], store=ArrayStore(4))
 
 
 class TestBlockOne:
@@ -114,8 +114,8 @@ class TestBookkeeping:
         assert not expansion.has((2, 3))
         expansion.learn((2, 3), (0, 1, 0, 1))
         assert expansion.has((2, 3))
-        assert expansion.out_table(2) == {3: (0, 1, 0, 1)}
-        assert expansion.out_table(3) == {}
+        assert expansion.out_tables().get(2, {}) == {3: (0, 1, 0, 1)}
+        assert expansion.out_tables().get(3, {}) == {}
 
     def test_out_returns_bottom_when_missing(self, expansion):
         assert is_bottom(expansion.binding((2, 1)))
@@ -158,7 +158,7 @@ class TestStoreSharedExpansions:
     def test_result_equals_the_plain_substitution(self, config4):
         store = ArrayStore(4)
         array = ((1, 2, 3, 4), (4, 3, 2, 1), (1, 1, 2, 2), (3, 3, 4, 4))
-        plain = ExpansionState(config4, [0, 1])
+        plain = BindingExpansion(config4, [0, 1])
         for sender, core in self.CORES.items():
             plain.learn((2, sender), core)
         shared = self.processor(config4, store).expand(2, store.intern(array))

@@ -64,6 +64,6 @@ class TestFastBlockLayout:
         """Fast avalanche's round-1 decision: every correct sender's
         OUT slot is already agreed in the batch's very first round."""
         process = traced.processes[1]
-        table = process.expansion.out_table(2)
+        table = process.expansion.out_tables().get(2, {})
         for sender in traced.processes:
             assert sender in table

@@ -40,12 +40,6 @@ import pytest
 import repro.compact.protocol as compact_protocol
 from repro.adversary.crash import CrashAdversary
 from repro.adversary.omission import OmissionAdversary
-from repro.adversary.compact_attacks import (
-    AvalancheEquivocator,
-    ForgedIndexAdversary,
-    SpliceAdversary,
-    StaleCoreAdversary,
-)
 from repro.analysis.sweeps import standard_adversary_makers, sweep
 from repro.arrays.store import clear_shared_stores
 from repro.compact.byzantine_agreement import (
@@ -62,6 +56,12 @@ from repro.core.predicates import byzantine_agreement_predicate
 from repro.obs import Observer, observing
 from repro.types import SystemConfig
 from repro.runtime.crypto import SignatureOracle
+from tests.adversary.compact_attacks import (
+    AvalancheEquivocator,
+    ForgedIndexAdversary,
+    SpliceAdversary,
+    StaleCoreAdversary,
+)
 from tests.compact.reference_agreement_batch import ReferenceAgreementBatch
 from tests.conftest import SCHEDULES
 from tests.compact.test_authenticated_variant import (

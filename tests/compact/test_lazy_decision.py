@@ -7,7 +7,8 @@ from repro.adversary import (
     EquivocatingAdversary,
     MalformedArrayAdversary,
 )
-from repro.arrays.value_array import count_leaves, iter_paths, leaf_at
+from repro.arrays.store import ArrayStore
+from repro.arrays.value_array import count_leaves, leaf_at
 from repro.compact.byzantine_agreement import (
     compact_ba_rounds,
     run_compact_byzantine_agreement,
@@ -24,6 +25,7 @@ from repro.fullinfo.decision import eig_byzantine_decision
 from repro.runtime.engine import run_protocol
 from repro.types import BOTTOM, SystemConfig, is_bottom
 
+from tests.arrays.builders import iter_paths
 from tests.conftest import assert_agreement_and_validity, byzantine_adversaries
 
 
@@ -58,23 +60,23 @@ class TestFullStateLeaf:
                 assert lazy == leaf_at(eager, path), path
 
     def test_short_path_rejected(self, config4):
-        expansion = ExpansionState(config4, [0, 1])
+        expansion = ExpansionState(config4, [0, 1], store=ArrayStore(4))
         core = ((0, 1, 0, 1),) * 4
         with pytest.raises(ProtocolViolation):
             full_state_leaf(expansion, 1, core, (1,))
 
     def test_long_path_rejected(self, config4):
-        expansion = ExpansionState(config4, [0, 1])
+        expansion = ExpansionState(config4, [0, 1], store=ArrayStore(4))
         with pytest.raises(ProtocolViolation):
             full_state_leaf(expansion, 1, (0, 1, 0, 1), (1, 2))
 
     def test_missing_out_gives_bottom(self, config4):
-        expansion = ExpansionState(config4, [0, 1])
+        expansion = ExpansionState(config4, [0, 1], store=ArrayStore(4))
         core = (1, 2, 3, 4)  # boundary-2 index array, empty OUT table
         assert is_bottom(full_state_leaf(expansion, 2, core, (1, 1)))
 
     def test_counter_counts_visits(self, config4):
-        expansion = ExpansionState(config4, [0, 1])
+        expansion = ExpansionState(config4, [0, 1], store=ArrayStore(4))
         counter = [0]
         full_state_leaf(expansion, 1, (0, 1, 0, 1), (2,), _counter=counter)
         assert counter[0] > 0

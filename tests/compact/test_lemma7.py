@@ -15,13 +15,14 @@ this property.
 import pytest
 
 from repro.adversary import (
-    AvalancheEquivocator,
     CollusionAdversary,
     EquivocatingAdversary,
     SilentAdversary,
 )
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.types import SystemConfig
+
+from tests.adversary.compact_attacks import AvalancheEquivocator
 
 ADVERSARIES = [
     SilentAdversary,

@@ -12,15 +12,15 @@ import pytest
 
 from repro.adversary import StrategyTable
 from repro.adversary.byzantine import MalformedArrayAdversary, SilentAdversary
-from repro.adversary.compact_attacks import (
-    AvalancheEquivocator,
-    ForgedIndexAdversary,
-)
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.compact.protocol import compact_factory
 from repro.runtime.engine import run_protocol
 from repro.types import SystemConfig
 
+from tests.adversary.compact_attacks import (
+    AvalancheEquivocator,
+    ForgedIndexAdversary,
+)
 from tests.conftest import assert_agreement_and_validity
 
 

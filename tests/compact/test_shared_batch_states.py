@@ -19,7 +19,6 @@ import pytest
 
 import repro.compact.expansion as expansion
 import repro.compact.subprotocol as subprotocol
-from repro.adversary.compact_attacks import AvalancheEquivocator
 from repro.analysis.sweeps import standard_adversary_makers
 from repro.avalanche.coding import NULL_MESSAGE
 from repro.avalanche.protocol import AvalancheInstance, standard_thresholds
@@ -29,6 +28,7 @@ from repro.compact.protocol import CompactProcess
 from repro.compact.subprotocol import AgreementBatch
 from repro.errors import ProtocolViolation
 from repro.types import BOTTOM, SystemConfig
+from tests.adversary.compact_attacks import AvalancheEquivocator
 from tests.compact.reference_agreement_batch import ReferenceAgreementBatch
 from tests.compact.test_agreement_batch_equivalence import state, typed
 from tests.obs.test_instrumented_runs import RevotingAdversary
@@ -253,7 +253,7 @@ def test_an_undefined_verdict_is_never_inherited(config):
     before = process.expansion
     process._side_channel(_voting(config, tuple(staged)))
     assert process.expansion is not before
-    assert process.expansion.out_table(2)[4] is staged[3]
+    assert process.expansion.out_tables().get(2, {})[4] is staged[3]
     process._rebase(2, {})
     assert process.core == (1, 2, 3, 4)
     assert before.rebase_mask(2) == (True, True, True, False)

@@ -13,10 +13,10 @@ that split views as well as faults that do not.
 import pytest
 
 import repro.compact.protocol as compact_protocol
-from repro.adversary.compact_attacks import AvalancheEquivocator, SpliceAdversary
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.compact.protocol import CompactProcess
 from repro.types import BOTTOM, SystemConfig
+from tests.adversary.compact_attacks import AvalancheEquivocator, SpliceAdversary
 from tests.compact.reference_expansion import ReferenceProcess
 from tests.obs.test_instrumented_runs import RevotingAdversary
 

@@ -9,9 +9,9 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import pytest
 
 from repro.analysis.sweeps import standard_adversary_makers
-from repro.arrays.value_array import map_leaves
 from repro.types import BOTTOM, ProcessId, SystemConfig, Value
 
+from tests.arrays.builders import map_leaves
 from tests.runtime.reference_async import schedule_for
 
 

@@ -7,11 +7,12 @@ from repro.core.automaton import (
     AutomatonProcess,
     AutomatonProtocol,
     automaton_factory,
-    run_automaton_locally,
 )
 from repro.errors import ConfigurationError
 from repro.runtime.engine import run_protocol
 from repro.types import BOTTOM, SystemConfig
+
+from tests.core.reference_simulation import run_automaton_locally
 
 
 class MajorityOnce(AutomatonProtocol):

@@ -3,17 +3,18 @@
 import pytest
 
 from repro.adversary import SilentAdversary
-from repro.core.execution import ExecutionRecord
-from repro.core.simulation import (
-    SimulationWitness,
-    check_fullinfo_consistency,
-    check_simulation,
-    states_by_round,
-)
+from repro.core.simulation import check_fullinfo_consistency
 from repro.errors import SimulationMismatch
 from repro.runtime.engine import run_protocol
 from repro.runtime.node import Process, broadcast
 from repro.types import BOTTOM, SystemConfig
+
+from tests.core.reference_simulation import (
+    ExecutionRecord,
+    SimulationWitness,
+    check_simulation,
+    states_by_round,
+)
 
 
 class TinyProcess(Process):

@@ -10,8 +10,9 @@ falsified by a targeted mutation and must raise
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.arrays.value_array import uniform_array
 from repro.core.simulation import SimulationMismatch, check_fullinfo_consistency
+
+from tests.arrays.builders import uniform_array
 
 N = 4
 ALPHABET = (0, 1)

@@ -5,10 +5,30 @@ from repro.core.predicates import (
     approximate_agreement_predicate,
     byzantine_agreement_predicate,
     conjunction,
-    strong_validity_predicate,
     validity_predicate,
 )
 from repro.types import BOTTOM
+
+
+def strong_validity_predicate():
+    """Every decision was some correct processor's input.
+
+    Stronger than the paper's validity condition; the plausibility-style
+    check of a multivalued protocol, kept here as a test predicate.
+    """
+
+    def check(answers, faulty, inputs):
+        def correct(entries):
+            return [e for i, e in enumerate(entries, 1) if i not in faulty]
+
+        correct_inputs = set(correct(inputs))
+        return all(
+            decision in correct_inputs
+            for decision in correct(answers)
+            if decision is not BOTTOM
+        )
+
+    return check
 
 
 class TestAgreement:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.adversary import CollusionAdversary, EquivocatingAdversary
-from repro.core.automaton import AutomatonProtocol, run_automaton_locally
+from repro.core.automaton import AutomatonProtocol
 from repro.errors import ProtocolViolation
 from repro.fullinfo.decision import (
     DerivedDecisionRule,
@@ -14,7 +14,9 @@ from repro.fullinfo.decision import (
 from repro.fullinfo.protocol import full_information_factory
 from repro.runtime.engine import run_protocol
 from repro.types import BOTTOM, SystemConfig
-from repro.arrays.value_array import uniform_array
+
+from tests.arrays.builders import uniform_array
+from tests.core.reference_simulation import run_automaton_locally
 
 
 class SumProtocol(AutomatonProtocol):

@@ -1,12 +1,18 @@
-"""Tests for the EIG tree view of full-information states."""
+"""The EIG tree addressing of full-information states.
+
+A full-information state after ``r`` rounds is a depth-``r`` value
+array.  Read as a tree, the path ``(q_1, ..., q_k)`` from the root
+means "``q_1`` said (in the newest round) that ``q_2`` said (one round
+earlier) that ...": paths run in reverse chronological order, which is
+how :mod:`repro.fullinfo.decision` reads relay chains off a state.
+"""
 
 import pytest
 
+from repro.arrays.value_array import array_depth, count_leaves, leaf_at
 from repro.errors import ProtocolViolation
-from repro.fullinfo.eig import EIGView
 from repro.fullinfo.protocol import full_information_factory
 from repro.runtime.engine import run_protocol
-from repro.types import SystemConfig
 
 
 @pytest.fixture
@@ -18,58 +24,28 @@ def view(config4):
         inputs,
         run_full_rounds=2,
     )
-    return EIGView(result.processes[1].state, config4.n, owner=1), inputs
+    return result.processes[1].state, inputs
 
 
 class TestStructure:
     def test_depth(self, view):
-        tree, _ = view
-        assert tree.depth == 2
+        state, _ = view
+        assert array_depth(state, 4) == 2
 
     def test_leaf_paths_reverse_chronological(self, view):
-        tree, inputs = view
+        state, inputs = view
         # Path (q1, q2): q1 said that q2's input was ...
-        assert tree.leaf((3, 2)) == inputs[2]
+        assert leaf_at(state, (3, 2)) == inputs[2]
 
     def test_subtree_is_senders_previous_state(self, view):
-        tree, inputs = view
-        assert tree.subtree((2,)) == ("a", "b", "c", "d")
+        state, inputs = view
+        assert leaf_at(state, (2,)) == ("a", "b", "c", "d")
 
     def test_wrong_length_leaf_path_rejected(self, view):
-        tree, _ = view
+        state, _ = view
         with pytest.raises(ProtocolViolation):
-            tree.leaf((1,))
+            leaf_at(state, (1, 2, 3))
 
     def test_leaves_enumerates_all(self, view):
-        tree, _ = view
-        leaves = list(tree.leaves())
-        assert len(leaves) == 4**2
-
-
-class TestChronologicalChains:
-    def test_full_chain(self, view):
-        tree, inputs = view
-        # sigma = (source, relayer): relayer said source's input was...
-        assert tree.val((2, 3)) == inputs[2]
-
-    def test_short_chain_via_self_padding(self, view):
-        tree, inputs = view
-        # What the owner itself heard from 3 in round 1: 3's input.
-        assert tree.val((3,)) == inputs[3]
-
-    def test_chain_length_bounds(self, view):
-        tree, _ = view
-        with pytest.raises(ProtocolViolation):
-            tree.val(())
-        with pytest.raises(ProtocolViolation):
-            tree.val((1, 2, 3))
-
-    def test_distinct_chains_count(self, view):
-        tree, _ = view
-        assert len(list(tree.distinct_chains(2))) == 4 * 3
-        assert len(list(tree.distinct_chains(1))) == 4
-
-    def test_distinct_chains_have_distinct_labels(self, view):
-        tree, _ = view
-        for chain in tree.distinct_chains(3):
-            assert len(set(chain)) == len(chain)
+        state, _ = view
+        assert count_leaves(state) == 4**2

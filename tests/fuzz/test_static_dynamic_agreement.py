@@ -17,7 +17,8 @@ import pytest
 from repro.fuzz.campaign import replay_case
 from repro.fuzz.case import load_corpus
 from repro.fuzz.protocols import get_spec, protocol_names
-from repro.statics.flow.certificates import is_certified_canonical
+
+from tests.statics.test_certificates import is_certified_canonical
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 CORPUS_DIR = pathlib.Path(__file__).parent / "corpus"

@@ -20,10 +20,13 @@ from repro.fuzz.protocols import CATALOG_EXEMPT, get_spec, protocol_names
 from repro.runtime.engine import run_protocol
 from repro.runtime.rng import derive_rng
 from repro.statics.contracts import (
-    parse_catalog,
-    run_contract_pass,
-    tree_factories,
+    CATALOG_MODULE,
+    CONTRACT_PACKAGES,
+    catalog_entries,
+    check_contracts,
+    factory_modules,
 )
+from repro.statics.model import ProjectIndex, parse_module
 from repro.types import SystemConfig
 
 from tests.conftest import byzantine_adversaries
@@ -130,7 +133,9 @@ class TestCatalogContract:
     """
 
     def test_catalog_agrees_with_source_tree(self):
-        findings = run_contract_pass(PACKAGE_ROOT)
+        findings = check_contracts(
+            ProjectIndex(PACKAGE_ROOT, CONTRACT_PACKAGES, (CATALOG_MODULE,))
+        )
         assert findings == [], "\n".join(
             f"{f.rule} {f.path}: {f.message}" for f in findings
         )
@@ -138,9 +143,12 @@ class TestCatalogContract:
     def test_every_factory_registered_or_exempted_is_disjoint(self):
         registry = PACKAGE_ROOT / "fuzz" / "protocols.py"
         registered = set()
-        for entry in parse_catalog(registry.read_text()):
+        catalog = parse_module(registry.read_text(), CATALOG_MODULE)
+        for entry in catalog_entries(catalog):
             registered |= entry.factories
-        factories = set(tree_factories(PACKAGE_ROOT))
+        factories = set(
+            factory_modules(ProjectIndex(PACKAGE_ROOT, CONTRACT_PACKAGES, ()))
+        )
         assert registered <= factories
         assert not registered & set(CATALOG_EXEMPT)
         assert registered | set(CATALOG_EXEMPT) == factories

@@ -13,9 +13,8 @@ import pytest
 
 from repro.adversary import EquivocatingAdversary, SilentAdversary
 from repro.agreement.eig_agreement import ExponentialAgreementAutomaton
-from repro.core.automaton import automaton_factory, run_automaton_locally
+from repro.core.automaton import automaton_factory
 from repro.core.predicates import byzantine_agreement_predicate
-from repro.core.simulation import SimulationWitness, check_simulation
 from repro.core.transform import canonical_form, full_information_form
 from repro.fullinfo.decision import reconstruct_state
 from repro.fullinfo.protocol import full_information_factory
@@ -23,6 +22,11 @@ from repro.runtime.engine import run_protocol
 from repro.types import BOTTOM, SystemConfig
 
 from tests.conftest import byzantine_adversaries
+from tests.core.reference_simulation import (
+    SimulationWitness,
+    check_simulation,
+    run_automaton_locally,
+)
 
 
 class TestTheorem2:

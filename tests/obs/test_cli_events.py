@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cli import EVENT_SCHEMA_VERSION, main
-from repro.obs.events import SCHEMA_VERSION, read_jsonl, validate_jsonl
+from repro.obs.events import SCHEMA_VERSION, read_jsonl, validate_records
 from repro.obs.trace import build_dags
 
 
@@ -29,7 +29,7 @@ class TestRunBAEvents:
     def test_writes_a_valid_log(self, recorded_log):
         path, out = recorded_log
         assert f"events: wrote {path}" in out
-        assert validate_jsonl(path) == []
+        assert validate_records(read_jsonl(path)) == []
 
     def test_the_log_is_the_causal_trace(self, recorded_log, tmp_path):
         path, out = recorded_log

@@ -16,7 +16,6 @@ from repro.obs.events import (
     EventLog,
     json_safe,
     read_jsonl,
-    validate_jsonl,
     validate_record,
     validate_records,
 )
@@ -104,7 +103,7 @@ class TestEventLog:
             with pytest.raises(ValueError, match="not JSON compliant"):
                 observer.emit("decide", process=1, value=value)
         observer.events.close()
-        assert validate_jsonl(path) == []
+        assert validate_records(read_jsonl(path)) == []
         assert [r["value"] for r in read_jsonl(path)] == ["nan"]
 
     def test_payload_may_not_shadow_the_envelope(self, tmp_path):
@@ -327,9 +326,9 @@ class TestReadJsonl:
         path = tmp_path / "bad.jsonl"
         record = json.dumps(_record(kind="decide", process=1, value=0.5))
         path.write_text(record.replace("0.5", constant) + "\n")
-        with pytest.raises(ValueError, match="not valid JSON"):
+        with pytest.raises(ValueError, match="not valid JSON") as error:
             read_jsonl(path)
-        assert any(constant in p for p in validate_jsonl(path))
+        assert constant in str(error.value)
 
     def test_skips_blank_lines(self, tmp_path):
         path = tmp_path / "log.jsonl"

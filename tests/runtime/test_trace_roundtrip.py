@@ -1,20 +1,20 @@
-"""Trace persistence: a checkpoint carries the execution trace whole.
+"""Trace persistence: a result's checkpoint form carries the trace whole.
 
-:class:`ExecutionTrace` is an in-memory recorder; what persists it is
-:func:`repro.runtime.checkpoint.save_result`, with the rest of the
-result.  A reloaded trace must compare equal to the recorded one —
-interned arrays, compact payloads and sentinels included — so the
-simulation checker can re-verify a saved execution offline.
+:class:`ExecutionTrace` is an in-memory recorder; it persists by
+pickling, with the rest of the result minus its live processes.  A
+reloaded trace must compare equal to the recorded one — interned
+arrays, compact payloads and sentinels included — so a saved
+execution can be re-verified offline.
 """
 
 import dataclasses
+import pickle
 
 from repro.adversary import EquivocatingAdversary
 from repro.agreement.crusader import SENDER_FAULTY, crusader_factory
 from repro.arrays.store import MAX_DEPTH
 from repro.avalanche.protocol import avalanche_factory
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
-from repro.runtime.checkpoint import load_result, save_result
 from repro.runtime.engine import run_protocol
 from repro.runtime.message import Envelope
 from repro.runtime.trace import ExecutionTrace
@@ -23,8 +23,8 @@ from repro.runtime.trace import ExecutionTrace
 def assert_roundtrips(result, tmp_path):
     """Save ``result``, reload it, and return the reloaded result."""
     path = tmp_path / "result.pkl"
-    save_result(result, path)
-    reloaded = load_result(path)
+    path.write_bytes(pickle.dumps(dataclasses.replace(result, processes={})))
+    reloaded = pickle.loads(path.read_bytes())
     trace = result.trace
     assert reloaded.trace.envelopes == trace.envelopes
     assert reloaded.trace.rounds == trace.rounds

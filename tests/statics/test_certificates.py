@@ -12,15 +12,25 @@ import pathlib
 import pytest
 
 from repro.statics.baseline import Baseline
-from repro.statics.flow.certificates import (
-    certify_tree,
-    is_certified_canonical,
-    render_certificates,
-)
+from repro.statics.flow.certificates import certify, render_certificates
+from repro.statics.flow.passes import analyze_index
+from repro.statics.model import ProjectIndex
 from repro.statics.runner import default_package_root, find_default_baseline
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 COMMITTED = REPO_ROOT / "tools" / "protoflow_certificates.json"
+
+
+def is_certified_canonical(entry):
+    """Whether a certificate entry claims closed + sanitized + bounded.
+
+    Both ``closed`` and ``waived`` count, because a waiver documents a
+    deliberate, reviewed deviation, not an unknown one.
+    """
+    flow_ok = entry["flow"]["verdict"] in ("closed", "waived")
+    taint_ok = entry["taint"]["verdict"] in ("sanitized", "waived")
+    size_ok = entry["size"]["verdict"] != "open"
+    return bool(flow_ok and taint_ok and size_ok)
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +42,7 @@ def regenerated():
         if baseline_path is not None
         else Baseline()
     )
-    return certify_tree(root, baseline)
+    return certify(analyze_index(ProjectIndex(root)), baseline)
 
 
 def test_committed_catalog_matches_regeneration(regenerated):

@@ -3,11 +3,14 @@
 import pathlib
 
 from repro.statics.contracts import (
-    parse_catalog,
-    parse_exemptions,
-    run_contract_pass,
-    tree_factories,
+    CATALOG_MODULE,
+    CONTRACT_PACKAGES,
+    EXEMPT_DECLARATION,
+    catalog_entries,
+    check_contracts,
+    factory_modules,
 )
+from repro.statics.model import ProjectIndex, parse_module
 
 FIXTURE_TREE = pathlib.Path(__file__).parent / "fixtures" / "tree"
 EXEMPT_TREE = pathlib.Path(__file__).parent / "fixtures" / "exempttree"
@@ -20,10 +23,29 @@ REAL_REGISTRY = (
 )
 
 
+def contract_findings(package_root):
+    """The contract pass over the tree rooted at ``package_root``."""
+    return check_contracts(
+        ProjectIndex(package_root, CONTRACT_PACKAGES, (CATALOG_MODULE,))
+    )
+
+
+def parse_catalog(source):
+    return catalog_entries(parse_module(source, CATALOG_MODULE))
+
+
+def parse_exemptions(source):
+    """The well-formed ``CATALOG_EXEMPT`` entries of a registry source."""
+    declaration = parse_module(source, CATALOG_MODULE).declaration(
+        EXEMPT_DECLARATION
+    )
+    return {name: entry.value for name, entry in declaration.entries.items()}
+
+
 class TestFixtureTree:
     def test_reports_each_contract_violation(self):
         by_rule = {}
-        for finding in run_contract_pass(FIXTURE_TREE):
+        for finding in contract_findings(FIXTURE_TREE):
             by_rule.setdefault(finding.rule, []).append(finding)
         assert {f.symbol for f in by_rule["CON001"]} == {"orphan_factory"}
         assert {f.symbol for f in by_rule["CON002"]} == {"ghost_factory"}
@@ -32,13 +54,13 @@ class TestFixtureTree:
 
     def test_unregistered_factory_points_at_its_module(self):
         (finding,) = [
-            f for f in run_contract_pass(FIXTURE_TREE) if f.rule == "CON001"
+            f for f in contract_findings(FIXTURE_TREE) if f.rule == "CON001"
         ]
         assert finding.path == "tree/agreement/orphan.py"
 
     def test_catalog_entry_findings_carry_the_entry_line(self):
         con003 = [
-            f for f in run_contract_pass(FIXTURE_TREE) if f.rule == "CON003"
+            f for f in contract_findings(FIXTURE_TREE) if f.rule == "CON003"
         ]
         source = (FIXTURE_TREE / "fuzz" / "protocols.py").read_text()
         entry_line = source.splitlines().index(
@@ -52,7 +74,7 @@ class TestExemptionGrammar:
     declarations: a malformed entry is CON002 and exempts nothing."""
 
     def findings(self):
-        return sorted(run_contract_pass(EXEMPT_TREE))
+        return sorted(contract_findings(EXEMPT_TREE))
 
     def test_each_malformed_entry_is_con002_at_its_line(self):
         got = [
@@ -85,7 +107,7 @@ class TestExemptionGrammar:
         (package / "protocols.py").write_text(
             "CATALOG_EXEMPT = ['orphan_factory']\n"
         )
-        (finding,) = run_contract_pass(tmp_path / "repro")
+        (finding,) = contract_findings(tmp_path / "repro")
         assert (finding.rule, finding.line, finding.symbol) == (
             "CON002", 1, "<module>",
         )
@@ -142,7 +164,9 @@ class TestRealCatalogParsing:
         assert all(reason.strip() for reason in exemptions.values())
 
     def test_tree_factories_finds_known_modules(self):
-        factories = tree_factories(REAL_REGISTRY.parent.parent)
+        factories = factory_modules(
+            ProjectIndex(REAL_REGISTRY.parent.parent, CONTRACT_PACKAGES, ())
+        )
         assert "ben_or_factory" in factories
         assert "compact_ba_factory" in factories
         assert "avalanche_factory" in factories

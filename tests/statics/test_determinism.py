@@ -2,14 +2,15 @@
 
 import pathlib
 
-from repro.statics.determinism import run_determinism_pass
+from repro.statics.determinism import check_determinism
+from repro.statics.model import parse_module
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "tree"
 SOURCE = (FIXTURES / "core" / "bad_determinism.py").read_text()
 
 
 def findings():
-    return run_determinism_pass(SOURCE, "tree/core/bad_determinism.py")
+    return check_determinism(parse_module(SOURCE, "tree/core/bad_determinism.py"))
 
 
 def test_reports_every_planted_violation():
@@ -50,7 +51,7 @@ def test_clean_constructs_stay_clean():
         "        rng.integers(0, 2)\n"
         "    return {k: v for k, v in sorted(items)}\n"
     )
-    assert run_determinism_pass(clean, "clean.py") == []
+    assert check_determinism(parse_module(clean, "clean.py")) == []
 
 
 def test_numpy_generator_annotation_is_not_a_call():
@@ -59,4 +60,4 @@ def test_numpy_generator_annotation_is_not_a_call():
         "def f(rng: np.random.Generator):\n"
         "    return rng.integers(0, 2)\n"
     )
-    assert run_determinism_pass(source, "ann.py") == []
+    assert check_determinism(parse_module(source, "ann.py")) == []

@@ -10,13 +10,14 @@ the structural classification of the compact protocol.
 import pytest
 
 from repro.statics.flow.lattice import Size
-from repro.statics.flow.passes import analyze_tree
+from repro.statics.flow.passes import analyze_index
+from repro.statics.model import ProjectIndex
 from repro.statics.runner import default_package_root
 
 
 @pytest.fixture(scope="module")
 def analysis():
-    return analyze_tree(default_package_root())
+    return analyze_index(ProjectIndex(default_package_root()))
 
 
 @pytest.fixture(scope="module")

@@ -10,14 +10,15 @@ import pathlib
 import pytest
 
 from repro.statics.flow.lattice import Size
-from repro.statics.flow.passes import analyze_tree
+from repro.statics.flow.passes import analyze_index
+from repro.statics.model import ProjectIndex
 
 FIXTURE_ROOT = pathlib.Path(__file__).parent / "fixtures" / "flowtree"
 
 
 @pytest.fixture(scope="module")
 def analysis():
-    return analyze_tree(FIXTURE_ROOT)
+    return analyze_index(ProjectIndex(FIXTURE_ROOT))
 
 
 def _findings(analysis, rule):

@@ -2,14 +2,22 @@
 
 import pathlib
 
-from repro.statics.purity import run_purity_pass
+from repro.statics.model import ProjectIndex, parse_module
+from repro.statics.purity import check_purity
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures" / "tree"
 SOURCE = (FIXTURES / "agreement" / "bad_purity.py").read_text()
 
 
+def purity_findings(source, path, all_functions=False):
+    """:func:`check_purity` on one file indexed alone: a class is an
+    automaton when its bases reach ``AutomatonProtocol`` within it."""
+    index = ProjectIndex(pathlib.Path(path).parent, packages=(), modules=())
+    return check_purity(index, index.add(parse_module(source, path)), all_functions)
+
+
 def findings():
-    return run_purity_pass(SOURCE, "tree/agreement/bad_purity.py")
+    return purity_findings(SOURCE, "tree/agreement/bad_purity.py")
 
 
 def test_reports_every_planted_violation():
@@ -40,7 +48,7 @@ def test_non_automaton_methods_are_out_of_scope():
         "    def message(self, sender, receiver, state):\n"
         "        print(state)  # not an AutomatonProtocol subclass\n"
     )
-    assert run_purity_pass(source, "x.py") == []
+    assert purity_findings(source, "x.py") == []
 
 
 def test_transitive_subclass_in_same_file_is_in_scope():
@@ -52,7 +60,7 @@ def test_transitive_subclass_in_same_file_is_in_scope():
         "        self.cache = state\n"
         "        return state\n"
     )
-    findings = run_purity_pass(source, "x.py")
+    findings = purity_findings(source, "x.py")
     assert [(f.rule, f.symbol) for f in findings] == [
         ("PUR004", "Derived.decision")
     ]
@@ -89,7 +97,7 @@ class TestBaseImportedFromAnotherModule:
     def test_lone_source_string_stays_file_local(self):
         # No tree to resolve ``SharedBase`` against: nothing in this
         # file is spelled ``AutomatonProtocol``, so nothing is checked.
-        assert run_purity_pass(self.SOURCE, self.PATH) == []
+        assert purity_findings(self.SOURCE, self.PATH) == []
 
     def test_imported_root_under_any_module_path_is_in_scope(self):
         source = (
@@ -100,7 +108,7 @@ class TestBaseImportedFromAnotherModule:
             "        return state\n"
         )
         assert [
-            (f.rule, f.symbol) for f in run_purity_pass(source, "x.py")
+            (f.rule, f.symbol) for f in purity_findings(source, "x.py")
         ] == [("PUR001", "Relocated.decision")]
 
 
@@ -118,7 +126,7 @@ def test_pure_automaton_is_clean():
         "        return (process_id, input_value, default)\n"
         "    return factory\n"
     )
-    assert run_purity_pass(source, "x.py") == []
+    assert purity_findings(source, "x.py") == []
 
 
 class TestAllFunctionsMode:
@@ -132,10 +140,10 @@ class TestAllFunctionsMode:
     )
 
     def test_plain_functions_skipped_by_default(self):
-        assert run_purity_pass(self.IMPURE_WORKER, "x.py") == []
+        assert purity_findings(self.IMPURE_WORKER, "x.py") == []
 
     def test_all_functions_flags_global_mutation(self):
-        findings = run_purity_pass(
+        findings = purity_findings(
             self.IMPURE_WORKER, "x.py", all_functions=True
         )
         assert {(f.rule, f.symbol) for f in findings} == {
@@ -144,7 +152,7 @@ class TestAllFunctionsMode:
 
     def test_factories_still_checked_in_all_functions_mode(self):
         source = "def thing_factory(log=[]):\n    return log\n"
-        findings = run_purity_pass(source, "x.py", all_functions=True)
+        findings = purity_findings(source, "x.py", all_functions=True)
         assert [f.rule for f in findings] == ["PUR003"]
 
 
@@ -157,7 +165,7 @@ class TestPurityExempt:
             "    global _CONTEXT\n"
             "    _CONTEXT = cells\n"
         )
-        assert run_purity_pass(source, "x.py", all_functions=True) == []
+        assert purity_findings(source, "x.py", all_functions=True) == []
 
     def test_exemption_is_per_symbol(self):
         source = (
@@ -168,7 +176,7 @@ class TestPurityExempt:
             "def other(cells):\n"
             "    global _CONTEXT\n"
         )
-        findings = run_purity_pass(source, "x.py", all_functions=True)
+        findings = purity_findings(source, "x.py", all_functions=True)
         assert [(f.rule, f.symbol) for f in findings] == [
             ("PUR002", "other")
         ]
@@ -181,7 +189,7 @@ class TestPurityExempt:
             "        self.cache = state\n"
             "        return state\n"
         )
-        assert run_purity_pass(source, "x.py") == []
+        assert purity_findings(source, "x.py") == []
 
     def test_empty_justification_is_pur005(self):
         source = (
@@ -189,7 +197,7 @@ class TestPurityExempt:
             "def run_chunk(cells):\n"
             "    global STATE\n"
         )
-        findings = run_purity_pass(source, "x.py", all_functions=True)
+        findings = purity_findings(source, "x.py", all_functions=True)
         rules = sorted((f.rule, f.symbol) for f in findings)
         # The unjustified entry does NOT suppress: the PUR002 survives.
         assert rules == [
@@ -202,7 +210,7 @@ class TestPurityExempt:
             "def fine(x):\n"
             "    return x\n"
         )
-        findings = run_purity_pass(source, "x.py", all_functions=True)
+        findings = purity_findings(source, "x.py", all_functions=True)
         assert [(f.rule, f.symbol) for f in findings] == [
             ("PUR005", "no_such_function")
         ]
@@ -210,13 +218,13 @@ class TestPurityExempt:
 
     def test_non_dict_declaration_is_pur005(self):
         source = 'PURITY_EXEMPT = ["run_chunk"]\n'
-        findings = run_purity_pass(source, "x.py")
+        findings = purity_findings(source, "x.py")
         assert [f.rule for f in findings] == ["PUR005"]
         assert "literal dict" in findings[0].message
 
     def test_non_string_key_is_pur005(self):
         source = 'PURITY_EXEMPT = {3: "why"}\n'
-        findings = run_purity_pass(source, "x.py")
+        findings = purity_findings(source, "x.py")
         assert [f.rule for f in findings] == ["PUR005"]
 
     def test_parallel_module_declaration_is_valid(self):
@@ -226,7 +234,7 @@ class TestPurityExempt:
         import repro.analysis.parallel as parallel_module
 
         path = pathlib.Path(parallel_module.__file__)
-        findings = run_purity_pass(
+        findings = purity_findings(
             path.read_text(), "repro/analysis/parallel.py",
             all_functions=True,
         )

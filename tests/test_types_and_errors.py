@@ -40,11 +40,20 @@ class TestSystemConfig:
         config = SystemConfig(n=4, t=1)
         assert config.process_ids == (1, 2, 3, 4)
 
-    def test_quorum_predicates(self):
-        assert SystemConfig(n=7, t=2).requires_byzantine_quorum()
-        assert not SystemConfig(n=6, t=2).requires_byzantine_quorum()
-        assert SystemConfig(n=9, t=2).requires_fast_quorum()
-        assert not SystemConfig(n=8, t=2).requires_fast_quorum()
+    @pytest.mark.parametrize("t", range(1, 6))
+    def test_quorum_predicates(self, t):
+        """The resilience bounds, exactly at their edges: Byzantine
+        agreement needs ``n >= 3t + 1``, the fast avalanche variant
+        ``n >= 4t + 1``."""
+        for n, byzantine, fast in (
+            (3 * t, False, False),
+            (3 * t + 1, True, False),
+            (4 * t, True, False),
+            (4 * t + 1, True, True),
+        ):
+            config = SystemConfig(n=n, t=t)
+            assert config.requires_byzantine_quorum() is byzantine
+            assert config.requires_fast_quorum() is fast
 
     def test_validation(self):
         with pytest.raises(ValueError):
