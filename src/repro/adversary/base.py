@@ -177,6 +177,85 @@ class Adversary(abc.ABC):
         """
 
 
+# Builds a ghost process: (process_id, config, input_value) -> Process.
+GhostFactory = Callable[[ProcessId, SystemConfig, Value], Any]
+
+
+class GhostAdversary(Adversary):
+    """Honest **ghost** copies of the protocol for the faulty ids.
+
+    Each ghost is built with the same factory as the correct
+    processors and fed exactly the messages a real processor in its
+    position would receive, so its ``outgoing`` is what an honest
+    processor would send.  A benign fault model (crash, omission) is
+    then only its drop rule, :meth:`_deliver`, and when a ghost stops
+    taking steps, :meth:`_steps`.
+    """
+
+    def __init__(self, faulty_ids: Iterable[ProcessId], factory: GhostFactory):
+        super().__init__(faulty_ids)
+        self._factory = factory
+        self._ghosts: Optional[Dict[ProcessId, Any]] = None
+
+    def ghost(self, process_id: ProcessId) -> Any:
+        """The ghost process object (for tests), or ``None`` pre-start."""
+        if self._ghosts is None:
+            return None
+        return self._ghosts.get(process_id)
+
+    def _steps(self, process_id: ProcessId, round_number: Round) -> bool:
+        """Whether ``process_id``'s ghost sends and receives this round."""
+        return True
+
+    @abc.abstractmethod
+    def _deliver(
+        self, round_number: Round, sender: ProcessId, honest: Dict[ProcessId, Any]
+    ) -> Dict[ProcessId, Any]:
+        """The part of a ghost's honest messages that is delivered."""
+
+    def outgoing(
+        self, round_number: Round, sender: ProcessId, context: RoundContext
+    ) -> Dict[ProcessId, Any]:
+        if self._ghosts is None:
+            self._ghosts = {
+                process_id: self._factory(
+                    process_id, self.config, context.inputs[process_id]
+                )
+                for process_id in sorted(self.faulty_ids)
+            }
+        if not self._steps(sender, round_number):
+            return {}
+        honest = dict(self._ghosts[sender].outgoing(round_number))
+        return self._deliver(round_number, sender, honest)
+
+    def observe_round(
+        self,
+        round_number: Round,
+        context: RoundContext,
+        faulty_outgoing: Mapping[ProcessId, Mapping[ProcessId, Any]],
+    ) -> None:
+        """Feed each stepping ghost its incoming messages.
+
+        A ghost's view combines correct traffic (from the context) and
+        what fellow faulty processors delivered to it (a crashed peer
+        that cut its broadcast reaches ghosts per the same cut).
+        """
+        if self._ghosts is None:
+            return
+        for process_id, ghost in self._ghosts.items():
+            if not self._steps(process_id, round_number):
+                continue
+            incoming: Dict[ProcessId, Any] = {}
+            for sender in self.config.process_ids:
+                if sender in self.faulty_ids:
+                    incoming[sender] = faulty_outgoing.get(sender, {}).get(
+                        process_id, BOTTOM
+                    )
+                else:
+                    incoming[sender] = context.correct_message(sender, process_id)
+            ghost.receive(round_number, incoming)
+
+
 class PassiveAdversary(Adversary):
     """No faults at all — the fault-free baseline execution."""
 

@@ -6,9 +6,8 @@ its final broadcast (the classic "crash mid-send" semantics), and is
 silent forever after.
 
 To "follow the protocol faithfully" the adversary runs a **ghost**
-instance of the real protocol for each faulty processor: it is built
-with the same factory as the correct processors, fed exactly the
-messages a real processor in its position would receive, and its
+instance of the real protocol for each faulty processor
+(:class:`repro.adversary.base.GhostAdversary`); the ghost's
 ``outgoing`` is what gets (partially) delivered.  This is the benign
 fault model in which the paper's transformation incurs no round
 overhead (Section 1), exercised by experiment E8.
@@ -16,16 +15,13 @@ overhead (Section 1), exercised by experiment E8.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
-from repro.adversary.base import Adversary, RoundContext
-from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
-
-# Builds a ghost process: (process_id, config, input_value) -> Process.
-GhostFactory = Callable[[ProcessId, SystemConfig, Value], Any]
+from repro.adversary.base import GhostAdversary, GhostFactory
+from repro.types import ProcessId, Round
 
 
-class CrashAdversary(Adversary):
+class CrashAdversary(GhostAdversary):
     """Runs real protocol logic for faulty ids, crashing them on cue.
 
     Parameters
@@ -49,75 +45,21 @@ class CrashAdversary(Adversary):
         factory: GhostFactory,
         cut_fraction: float = 0.5,
     ):
-        super().__init__(crash_rounds.keys())
+        super().__init__(crash_rounds.keys(), factory)
         if not 0.0 <= cut_fraction <= 1.0:
             raise ValueError(f"cut_fraction must be in [0, 1], got {cut_fraction}")
         self.crash_rounds = dict(crash_rounds)
-        self._factory = factory
         self._cut_fraction = cut_fraction
-        self._ghosts: Optional[Dict[ProcessId, Any]] = None
-        self._ghost_outgoing: Dict[ProcessId, Dict[ProcessId, Any]] = {}
 
-    # -- ghost management --------------------------------------------------
+    def _steps(self, process_id: ProcessId, round_number: Round) -> bool:
+        return round_number <= self.crash_rounds[process_id]
 
-    def _ensure_ghosts(self, context: RoundContext) -> Dict[ProcessId, Any]:
-        if self._ghosts is None:
-            self._ghosts = {
-                process_id: self._factory(
-                    process_id, self.config, context.inputs[process_id]
-                )
-                for process_id in sorted(self.faulty_ids)
-            }
-        return self._ghosts
-
-    def ghost(self, process_id: ProcessId) -> Any:
-        """The ghost process object (for tests), or ``None`` pre-start."""
-        if self._ghosts is None:
-            return None
-        return self._ghosts.get(process_id)
-
-    # -- adversary interface -----------------------------------------------
-
-    def outgoing(
-        self, round_number: Round, sender: ProcessId, context: RoundContext
+    def _deliver(
+        self, round_number: Round, sender: ProcessId, honest: Dict[ProcessId, Any]
     ) -> Dict[ProcessId, Any]:
-        ghosts = self._ensure_ghosts(context)
-        crash_round = self.crash_rounds[sender]
-        if round_number > crash_round:
-            self._ghost_outgoing[sender] = {}
-            return {}
-        full = dict(ghosts[sender].outgoing(round_number))
-        self._ghost_outgoing[sender] = full
-        if round_number < crash_round:
-            return full
+        if round_number < self.crash_rounds[sender]:
+            return honest
         # Crash round: deliver to an id-ordered prefix of recipients.
-        recipients = sorted(full)
+        recipients = sorted(honest)
         cut = int(round(len(recipients) * self._cut_fraction))
-        return {receiver: full[receiver] for receiver in recipients[:cut]}
-
-    def observe_round(
-        self,
-        round_number: Round,
-        context: RoundContext,
-        faulty_outgoing: Mapping[ProcessId, Mapping[ProcessId, Any]],
-    ) -> None:
-        """Feed each still-running ghost its incoming messages.
-
-        A ghost's view combines correct traffic (from the context) and
-        the *intended* messages of fellow faulty processors (a crashed
-        peer that cut its broadcast reaches ghosts per the same cut).
-        """
-        if self._ghosts is None:
-            return
-        for process_id, ghost in self._ghosts.items():
-            if round_number > self.crash_rounds[process_id]:
-                continue  # crashed ghosts no longer take steps
-            incoming: Dict[ProcessId, Any] = {}
-            for sender in self.config.process_ids:
-                if sender in self.faulty_ids:
-                    incoming[sender] = faulty_outgoing.get(sender, {}).get(
-                        process_id, BOTTOM
-                    )
-                else:
-                    incoming[sender] = context.correct_message(sender, process_id)
-            ghost.receive(round_number, incoming)
+        return {receiver: honest[receiver] for receiver in recipients[:cut]}

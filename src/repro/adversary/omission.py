@@ -13,15 +13,13 @@ drops a random subset.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Mapping, Optional
+from typing import Any, Dict, Iterable
 
-from repro.adversary.base import Adversary, RoundContext
-from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
-
-GhostFactory = Callable[[ProcessId, SystemConfig, Value], Any]
+from repro.adversary.base import GhostAdversary, GhostFactory
+from repro.types import ProcessId, Round
 
 
-class OmissionAdversary(Adversary):
+class OmissionAdversary(GhostAdversary):
     """Honest ghosts with randomly dropped outgoing messages."""
 
     def __init__(
@@ -30,57 +28,18 @@ class OmissionAdversary(Adversary):
         factory: GhostFactory,
         drop_probability: float = 0.3,
     ):
-        super().__init__(faulty_ids)
+        super().__init__(faulty_ids, factory)
         if not 0.0 <= drop_probability <= 1.0:
             raise ValueError(
                 f"drop_probability must be in [0, 1], got {drop_probability}"
             )
-        self._factory = factory
         self.drop_probability = drop_probability
-        self._ghosts: Optional[Dict[ProcessId, Any]] = None
 
-    def _ensure_ghosts(self, context: RoundContext) -> Dict[ProcessId, Any]:
-        if self._ghosts is None:
-            self._ghosts = {
-                process_id: self._factory(
-                    process_id, self.config, context.inputs[process_id]
-                )
-                for process_id in sorted(self.faulty_ids)
-            }
-        return self._ghosts
-
-    def ghost(self, process_id: ProcessId) -> Any:
-        """The ghost process object (for tests), or ``None`` pre-start."""
-        if self._ghosts is None:
-            return None
-        return self._ghosts.get(process_id)
-
-    def outgoing(
-        self, round_number: Round, sender: ProcessId, context: RoundContext
+    def _deliver(
+        self, round_number: Round, sender: ProcessId, honest: Dict[ProcessId, Any]
     ) -> Dict[ProcessId, Any]:
-        ghosts = self._ensure_ghosts(context)
-        honest = dict(ghosts[sender].outgoing(round_number))
-        delivered: Dict[ProcessId, Any] = {}
-        for receiver in sorted(honest):
-            if self.rng.random() >= self.drop_probability:
-                delivered[receiver] = honest[receiver]
-        return delivered
-
-    def observe_round(
-        self,
-        round_number: Round,
-        context: RoundContext,
-        faulty_outgoing: Mapping[ProcessId, Mapping[ProcessId, Any]],
-    ) -> None:
-        if self._ghosts is None:
-            return
-        for process_id, ghost in self._ghosts.items():
-            incoming: Dict[ProcessId, Any] = {}
-            for sender in self.config.process_ids:
-                if sender in self.faulty_ids:
-                    incoming[sender] = faulty_outgoing.get(sender, {}).get(
-                        process_id, BOTTOM
-                    )
-                else:
-                    incoming[sender] = context.correct_message(sender, process_id)
-            ghost.receive(round_number, incoming)
+        return {
+            receiver: honest[receiver]
+            for receiver in sorted(honest)
+            if self.rng.random() >= self.drop_probability
+        }

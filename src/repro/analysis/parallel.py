@@ -32,10 +32,13 @@ name).  Where ``fork`` is unavailable or the pool cannot start, the
 executor degrades gracefully to the serial path with a warning rather
 than failing the sweep.
 
-Results are made *portable* before crossing the process boundary:
-live :class:`~repro.runtime.node.Process` objects (which may hold
+Every result is made *portable* where its cell ran: live
+:class:`~repro.runtime.node.Process` objects (which may hold
 unpicklable closures) are replaced by :class:`ProcessSummary` stubs
-and traces are dropped.
+and traces are dropped.  Whatever needs the live execution — a sweep's
+predicate, a fuzz campaign's oracles — is the context's ``judge`` and
+runs just before that, so an outcome carries its verdict out of the
+process that ran it.
 """
 
 from __future__ import annotations
@@ -61,11 +64,10 @@ from typing import (
 )
 
 import repro.obs.core as _obs
-from repro.analysis.sweeps import AdversaryMaker, SweepOutcome
+from repro.analysis.sweeps import AdversaryMaker, Judge, SweepOutcome
 from repro.obs.spans import now as _now
-from repro.core.predicates import CorrectnessPredicate
 from repro.runtime.engine import ExecutionResult, ProcessFactory, run_protocol
-from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
+from repro.types import ProcessId, Round, SystemConfig, Value, is_bottom
 
 #: Purity exemptions for this module, consumed by ``repro.statics``
 #: (see docs/statics.md).  Worker-entry machinery must be module-level
@@ -76,7 +78,7 @@ from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
 PURITY_EXEMPT = {
     "execute_cells": (
         "sets the module-global worker context before forking the pool: "
-        "fork-started workers inherit closures (factories, predicates) "
+        "fork-started workers inherit closures (factories, judges) "
         "that pickling cannot transport; the global is cleared in a "
         "finally block and never read by in-process sweep code"
     ),
@@ -122,14 +124,14 @@ class SweepCell:
 class SweepContext:
     """The grid-wide constants shared by every cell.
 
-    Not picklable in general (factories and predicates are closures);
+    Not picklable in general (factories and judges are closures);
     shared with workers by fork inheritance.
     """
 
     factory: ProcessFactory
     config: SystemConfig
     adversary_makers: Tuple[Tuple[str, AdversaryMaker], ...]
-    predicate: Optional[CorrectnessPredicate]
+    judge: Optional[Judge]
     max_rounds: int
     run_full_rounds: Optional[int]
     sizer: Optional[Callable[[Any], int]]
@@ -230,43 +232,15 @@ def build_cells(
     return cells
 
 
-def evaluate_predicate(
-    predicate: Optional[CorrectnessPredicate],
-    result: ExecutionResult,
-    config: SystemConfig,
-) -> Tuple[Optional[bool], Optional[str]]:
-    """Evaluate the paper's ``(ans(E), F, I)`` predicate, capturing errors.
-
-    Returns ``(holds, error)``: ``(None, None)`` when no predicate was
-    supplied, ``(None, "TypeError: ...")`` when it raised.
-    """
-    if predicate is None:
-        return None, None
-    try:
-        holds = bool(
-            predicate(
-                result.answer_vector(),
-                frozenset(result.faulty_ids),
-                tuple(
-                    result.inputs.get(process_id, BOTTOM)
-                    for process_id in config.process_ids
-                ),
-            )
-        )
-    except Exception as error:  # surfaced per-cell, never aborts the grid
-        return None, f"{type(error).__name__}: {error}"
-    return holds, None
-
-
-def run_cell(
-    context: SweepContext, cell: SweepCell, portable: bool = True
-) -> SweepOutcome:
-    """Run one cell to completion — the single per-cell code path.
+def run_cell(context: SweepContext, cell: SweepCell) -> SweepOutcome:
+    """Run, judge and make portable one cell — the single per-cell path.
 
     Both the serial and the pooled executors call this, so a report's
-    content cannot depend on which executor produced it.  ``portable``
-    strips the result for process-boundary transport; the ``workers=1``
-    reference path strips too, keeping reports comparable bit-for-bit.
+    content cannot depend on which executor produced it.  The context's
+    judge reads the live result where the cell ran; a judge that raises
+    is recorded as the outcome's ``error``, never aborting the grid.
+    Then the result is stripped for process-boundary transport, on
+    every path, keeping reports comparable bit-for-bit.
     """
     observer = _obs.ACTIVE
     if observer is not None and observer.events_on:
@@ -290,22 +264,29 @@ def run_cell(
             is_null=context.is_null,
             seed=cell.seed,
         )
-    holds, error = evaluate_predicate(context.predicate, result, context.config)
-    if observer is not None:
-        observer.count("sweep.cells")
-        if observer.events_on:
-            observer.emit("cell_end", index=cell.index, holds=holds)
-    if portable:
-        result = portable_result(result)
-    return SweepOutcome(
+    violations: Optional[Tuple[str, ...]] = None
+    error: Optional[str] = None
+    if context.judge is not None:
+        try:
+            violations = tuple(context.judge(result))
+        except Exception as raised:  # surfaced per-cell, never aborts the grid
+            error = f"{type(raised).__name__}: {raised}"
+    outcome = SweepOutcome(
         inputs=dict(cell.inputs),
         faulty=cell.faulty,
         adversary_name=cell.adversary_name,
         seed=cell.seed,
-        result=result,
-        predicate_holds=holds,
+        result=portable_result(result),
+        violations=violations,
         error=error,
     )
+    if observer is not None:
+        observer.count("sweep.cells")
+        if observer.events_on:
+            observer.emit(
+                "cell_end", index=cell.index, holds=outcome.predicate_holds
+            )
+    return outcome
 
 
 #: Fork-inherited sweep context for pool workers.  Set by

@@ -21,21 +21,27 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from repro.adversary.base import Adversary
 from repro.core.predicates import CorrectnessPredicate
 from repro.runtime.engine import ExecutionResult, ProcessFactory
-from repro.types import ProcessId, SystemConfig, Value
+from repro.types import BOTTOM, ProcessId, SystemConfig, Value
 
 # Builds a fresh adversary for a fault set: (faulty_ids) -> Adversary.
 AdversaryMaker = Callable[[Sequence[ProcessId]], Adversary]
 
+# Judges one live execution where it ran: the violations it finds,
+# empty when the execution is fine.
+Judge = Callable[[ExecutionResult], Sequence[str]]
+
 
 @dataclasses.dataclass
 class SweepOutcome:
-    """One cell of the sweep grid.
+    """One cell of the sweep grid, judged where it ran.
 
-    ``predicate_holds`` is ``None`` both when no predicate was supplied
-    and when the predicate *raised*; the two are distinguished by
-    ``error``, which records the exception (``"TypeError: ..."``) in
-    the latter case.  Errored cells count as violations — a predicate
-    that cannot evaluate an outcome is a finding, not a pass.
+    ``violations`` is what the judge found (``None`` when there was no
+    judge or it raised).  ``predicate_holds`` is ``None`` both when no
+    predicate was supplied and when the predicate *raised*; the two
+    are distinguished by ``error``, which records the exception
+    (``"TypeError: ..."``) in the latter case.  Errored cells count as
+    violations — a predicate that cannot evaluate an outcome is a
+    finding, not a pass.
     """
 
     inputs: Dict[ProcessId, Value]
@@ -43,8 +49,12 @@ class SweepOutcome:
     adversary_name: str
     seed: int
     result: ExecutionResult
-    predicate_holds: Optional[bool]
+    violations: Optional[Tuple[str, ...]]
     error: Optional[str] = None
+
+    @property
+    def predicate_holds(self) -> Optional[bool]:
+        return None if self.violations is None else not self.violations
 
     def describe(self) -> str:
         if self.error is not None:
@@ -122,13 +132,13 @@ def sweep(
     that raises does not abort the sweep: the exception is captured in
     :attr:`SweepOutcome.error` and the cell is reported as a violation.
 
-    ``workers`` selects the executor.  ``None`` (the default) runs
-    in-process and keeps live process objects on each result.  Any
-    integer ``N >= 1`` routes through
-    :func:`repro.analysis.parallel.execute_cells`: results are made
-    *portable* (live process objects replaced by picklable summaries,
-    traces dropped), and the report is identical for every ``N`` —
-    ``workers=1`` is the in-process reference the pool must match.
+    ``workers`` is the number of processes the cells run on; ``None``
+    (the default) and ``1`` run them in-process, the reference the
+    pool must match.  Every cell goes through
+    :func:`repro.analysis.parallel.execute_cells`: the predicate is
+    judged where the cell ran, then the result is made *portable*
+    (live process objects replaced by picklable summaries, traces
+    dropped), and the report is identical for every ``N``.
 
     The sweep ends by releasing the shared-store registry
     (:func:`repro.arrays.store.release_shared_stores`): gauges are
@@ -146,7 +156,7 @@ def sweep(
         factory=factory,
         config=config,
         adversary_makers=tuple(makers),
-        predicate=predicate,
+        judge=None if predicate is None else _predicate_judge(predicate),
         max_rounds=max_rounds,
         run_full_rounds=run_full_rounds,
         sizer=sizer,
@@ -154,16 +164,27 @@ def sweep(
     )
     cells = parallel.build_cells(input_patterns, fault_sets, makers, seeds)
     try:
-        if workers is None:
-            outcomes = [
-                parallel.run_cell(context, cell, portable=False)
-                for cell in cells
-            ]
-        else:
-            outcomes = parallel.execute_cells(context, cells, workers)
+        outcomes = parallel.execute_cells(context, cells, workers or 1)
     finally:
         release_shared_stores()
     return SweepReport(outcomes)
+
+
+def _predicate_judge(predicate: CorrectnessPredicate) -> Judge:
+    """``predicate`` over the paper's ``(ans(E), F, I)`` as a judge."""
+
+    def judge(result: ExecutionResult) -> Tuple[str, ...]:
+        holds = predicate(
+            result.answer_vector(),
+            frozenset(result.faulty_ids),
+            tuple(
+                result.inputs.get(process_id, BOTTOM)
+                for process_id in result.config.process_ids
+            ),
+        )
+        return () if holds else ("predicate violated",)
+
+    return judge
 
 
 def standard_adversary_makers(

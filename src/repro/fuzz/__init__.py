@@ -37,7 +37,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "run_campaign",
     ),
     "case": ("FuzzCase", "load_case", "load_corpus"),
-    "oracles": ("ORACLES", "STATE_ORACLES", "differential_mismatches"),
+    "oracles": ("ORACLES", "differential_mismatches"),
     "protocols": (
         "CATALOG_PROTOCOLS",
         "DEFAULT_PROTOCOLS",

@@ -9,19 +9,17 @@ report, byte for byte, for any worker count.  The moving parts:
    *identical* scenario list — the precondition for the differential
    oracle — and adding a protocol to a campaign never perturbs
    another group's scenarios.
-2. **Execution.**  Each protocol's cases become
+2. **Execution and judging.**  Each protocol's cases become
    :class:`~repro.analysis.parallel.SweepCell`s fanned out through
    :func:`~repro.analysis.parallel.execute_cells`, which already pins
-   byte-identical outcomes for any worker count.
-3. **Judging.**  All oracles run in the campaign parent over the
-   returned outcomes (pool workers never judge), so verdict strings
-   are deterministic and a worker-count change cannot reorder them.
-4. **Consistency phase.**  State oracles (Theorem 9) need live
-   process objects, which portable pool results deliberately drop —
-   so a fixed-size prefix of each stateful protocol's cases is
-   re-executed serially (same seeds → same executions) and judged
-   live.  The sampled count is reported; nothing is silently capped.
-5. **Shrink & persist.**  Failing cases are minimized
+   byte-identical outcomes for any worker count.  The spec's oracles
+   are the cells' judge: each case is judged once, on its live
+   execution, where it ran — in-process or in a pool worker — and its
+   verdict travels back with its outcome, in case order.
+3. **Differential check.**  Protocols sharing a differential group
+   ran the identical scenarios; their portable results are compared
+   scenario by scenario.
+4. **Shrink & persist.**  Failing cases are minimized
    (:mod:`repro.fuzz.shrink`) and written to the corpus as replayable
    regression files.
 
@@ -32,11 +30,13 @@ shrinker, the corpus pytest replayer, and ``repro fuzz --replay``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import repro.obs.core as _obs
 from repro.analysis.parallel import SweepCell, SweepContext, execute_cells, run_cell
+from repro.analysis.sweeps import SweepOutcome
 from repro.arrays.store import release_shared_stores
 from repro.errors import ConfigurationError
 from repro.fuzz.adversary import FuzzAdversary
@@ -47,7 +47,7 @@ from repro.runtime.engine import ExecutionResult
 from repro.runtime.rng import derive_rng
 from repro.types import SystemConfig
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 #: Name under which the fuzz adversary appears in sweep cells.
 _ADVERSARY_NAME = "fuzz"
@@ -65,7 +65,6 @@ class CampaignSettings:
     workers: int = 1
     shrink: bool = False
     corpus_dir: Optional[str] = None
-    consistency_sample: int = 8
     # Inert; deleted by the next `benchmark` PR (ROADMAP item 1(e)).
     scheduler: Optional[str] = None
 
@@ -94,7 +93,6 @@ class CampaignReport:
     executions: int
     failures: List[Dict[str, Any]]
     differential_failures: List[Dict[str, Any]]
-    consistency_checked: Dict[str, int]
     differential_checked: int
     shrunk: List[Dict[str, Any]]
     schema_version: int = REPORT_SCHEMA_VERSION
@@ -113,14 +111,6 @@ class CampaignReport:
             f"  executions: {self.executions} "
             f"({self.cases_per_protocol} cases/protocol)",
         ]
-        for protocol in self.protocols:
-            checked = self.consistency_checked.get(protocol)
-            if checked is not None:
-                lines.append(
-                    f"  consistency phase [{protocol}]: {checked} of "
-                    f"{self.cases_per_protocol} cases re-run live "
-                    "(state oracles; prefix sample, not exhaustive)"
-                )
         if self.differential_checked:
             lines.append(
                 f"  differential scenarios cross-checked: "
@@ -216,7 +206,7 @@ def _context_for(
         factory=spec.build(config),
         config=config,
         adversary_makers=((_ADVERSARY_NAME, maker),),
-        predicate=None,
+        judge=functools.partial(run_oracles, spec.oracles),
         **spec.engine_arguments(config, rounds),
     )
 
@@ -234,7 +224,7 @@ def _cell_for(case: FuzzCase, index: int) -> SweepCell:
 
 @dataclasses.dataclass(frozen=True)
 class ReplayOutcome:
-    """A replayed case with its live result and oracle verdicts."""
+    """A replayed case with its portable result and oracle verdicts."""
 
     case: FuzzCase
     result: ExecutionResult
@@ -246,7 +236,7 @@ class ReplayOutcome:
 
 
 def replay_case(case: FuzzCase) -> ReplayOutcome:
-    """Re-execute one case serially with live processes and judge it.
+    """Re-execute one case serially and judge it, as the campaign does.
 
     The single replay path: the shrinker's failure predicate, the
     corpus pytest replayer, and ``repro fuzz --replay`` all call this,
@@ -261,11 +251,10 @@ def replay_case(case: FuzzCase) -> ReplayOutcome:
             f"unsupported configuration: {unsupported}"
         )
     context = _context_for(spec, config, case.rounds, mask=case.mask)
-    outcome = run_cell(context, _cell_for(case, index=0), portable=False)
-    violations = tuple(run_oracles(
-        spec.oracles + spec.state_oracles, outcome.result
-    ))
-    return ReplayOutcome(case=case, result=outcome.result, violations=violations)
+    outcome = run_cell(context, _cell_for(case, index=0))
+    return ReplayOutcome(
+        case=case, result=outcome.result, violations=_verdict(outcome)
+    )
 
 
 # -- the campaign ------------------------------------------------------------
@@ -282,7 +271,6 @@ def run_campaign(settings: CampaignSettings) -> CampaignReport:
     observer = _obs.ACTIVE
     failures: List[Dict[str, Any]] = []
     differential_failures: List[Dict[str, Any]] = []
-    consistency_checked: Dict[str, int] = {}
     shrunk_entries: List[Dict[str, Any]] = []
     failing_cases: List[FuzzCase] = []
     executions = 0
@@ -326,17 +314,6 @@ def run_campaign(settings: CampaignSettings) -> CampaignReport:
                         failing_cases.append(verdict.case.with_(
                             violations=verdict.violations
                         ))
-                if spec.state_oracles:
-                    checked, state_verdicts = _consistency_phase(
-                        spec, config, cases, settings.consistency_sample
-                    )
-                    consistency_checked[spec.name] = checked
-                    for verdict in state_verdicts:
-                        if verdict.failed:
-                            failures.append(_failure_entry(verdict))
-                            failing_cases.append(verdict.case.with_(
-                                violations=verdict.violations
-                            ))
             if len(specs) > 1:
                 differential_checked += len(scenarios)
                 differential_failures.extend(_differential_phase(
@@ -361,7 +338,6 @@ def run_campaign(settings: CampaignSettings) -> CampaignReport:
         executions=executions,
         failures=failures,
         differential_failures=differential_failures,
-        consistency_checked=consistency_checked,
         differential_checked=differential_checked,
         shrunk=shrunk_entries,
     )
@@ -386,42 +362,18 @@ def _run_protocol_cases(
     cells = [_cell_for(case, index) for index, case in enumerate(cases)]
     with _obs.span("fuzz.execute"):
         outcomes = execute_cells(context, cells, workers)
-    verdicts: List[CaseVerdict] = []
-    results: List[ExecutionResult] = []
-    for case, outcome in zip(cases, outcomes):
-        violations = tuple(run_oracles(spec.oracles, outcome.result))
-        if outcome.error:
-            violations = violations + (
-                f"[engine] execution error: {outcome.error}",
-            )
-        verdicts.append(CaseVerdict(case=case, violations=violations))
-        results.append(outcome.result)
-    return verdicts, results
+    verdicts = [
+        CaseVerdict(case=case, violations=_verdict(outcome))
+        for case, outcome in zip(cases, outcomes)
+    ]
+    return verdicts, [outcome.result for outcome in outcomes]
 
 
-def _consistency_phase(
-    spec: ProtocolSpec,
-    config: SystemConfig,
-    cases: List[FuzzCase],
-    sample: int,
-) -> Tuple[int, List[CaseVerdict]]:
-    """Serially re-run a case prefix with live processes (state oracles).
-
-    Re-running is sound because executions are pure functions of their
-    seeds: the live run is the very execution the pool judged, with
-    its states still attached.
-    """
-    checked = min(sample, len(cases))
-    context = _context_for(spec, config)
-    verdicts: List[CaseVerdict] = []
-    with _obs.span("fuzz.consistency"):
-        for index in range(checked):
-            outcome = run_cell(
-                context, _cell_for(cases[index], index), portable=False
-            )
-            violations = tuple(run_oracles(spec.state_oracles, outcome.result))
-            verdicts.append(CaseVerdict(case=cases[index], violations=violations))
-    return checked, verdicts
+def _verdict(outcome: SweepOutcome) -> Tuple[str, ...]:
+    """The oracles' violations, or the error that stopped them."""
+    if outcome.error is not None:
+        return (f"[oracle error] {outcome.error}",)
+    return outcome.violations or ()
 
 
 def _differential_phase(

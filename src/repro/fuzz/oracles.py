@@ -7,16 +7,12 @@ never raise on a judged failure — a raised exception means the oracle
 itself could not run, which campaigns surface separately from
 protocol violations.
 
-Two tiers:
-
-* **Result oracles** (:data:`ORACLES`) read only the portable slice
-  of an :class:`~repro.runtime.engine.ExecutionResult` — decisions,
-  decision rounds, inputs, fault set — so they run in the campaign
-  parent over pool-transported outcomes.
-* **State oracles** (:data:`STATE_ORACLES`) additionally need live
-  process objects (the Theorem 9 consistency check reads
-  full-information states), so campaigns run them in a serial
-  consistency phase and during corpus replay.
+Oracles run where the execution ran, on the live
+:class:`~repro.runtime.engine.ExecutionResult` — in-process or in a
+pool worker — before the result is stripped for transport.  So an
+oracle may read process state as well as decisions, inputs and the
+fault set: ``fullinfo-consistency`` checks Theorem 9 on the
+full-information states themselves, on every case it is listed for.
 
 The cross-protocol **differential oracle** is separate
 (:func:`differential_mismatches`): it compares the runs of one
@@ -221,13 +217,7 @@ def check_fullinfo_consistency_oracle(result: ExecutionResult) -> List[str]:
 
     full_states: Dict[int, List] = {}
     for process_id in result.correct_ids:
-        process = result.processes[process_id]
-        state = getattr(process, "state", None)
-        if state is None:
-            return [
-                "fullinfo consistency oracle needs live full-information "
-                f"processes; got {type(process).__name__} (portable result?)"
-            ]
+        state = result.processes[process_id].state
         states: List = [None] * (result.rounds + 1)
         for round_number in range(result.rounds, 0, -1):
             states[round_number] = state
@@ -247,7 +237,7 @@ def check_fullinfo_consistency_oracle(result: ExecutionResult) -> List[str]:
     return []
 
 
-#: Result oracles by registry name (see ProtocolSpec.oracles).
+#: Oracles by registry name (see ProtocolSpec.oracles).
 ORACLES: Dict[str, Oracle] = {
     "decided": check_decided,
     "agreement": check_agreement,
@@ -256,19 +246,15 @@ ORACLES: Dict[str, Oracle] = {
     "crusader": check_crusader,
     "weak-validity": check_weak_validity,
     "firing-squad": check_firing_squad,
-}
-
-#: State oracles by registry name (see ProtocolSpec.state_oracles).
-STATE_ORACLES: Dict[str, Oracle] = {
     "fullinfo-consistency": check_fullinfo_consistency_oracle,
 }
 
 
 def run_oracles(names: Tuple[str, ...], result: ExecutionResult) -> List[str]:
-    """All violations from the named result oracles, prefixed by name."""
+    """All violations from the named oracles, prefixed by name."""
     violations: List[str] = []
     for name in names:
-        oracle = ORACLES.get(name) or STATE_ORACLES.get(name)
+        oracle = ORACLES.get(name)
         if oracle is None:
             violations.append(f"[{name}] unknown oracle")
             continue
@@ -334,7 +320,6 @@ def differential_mismatches(
 
 __all__ = [
     "ORACLES",
-    "STATE_ORACLES",
     "Oracle",
     "check_agreement",
     "check_avalanche",

@@ -116,7 +116,7 @@ class ProtocolSpec:
     #: Builds the run_protocol process factory for a configuration.
     build: Callable[[SystemConfig], ProcessBuilder]
     #: Names into :data:`repro.fuzz.oracles.ORACLES`, checked on every
-    #: execution (portable results suffice).
+    #: execution where it ran.
     oracles: Tuple[str, ...]
     #: The declared round bound: every correct processor has decided
     #: by round ``rounds(config)``.  ``None`` only for a ``randomized``
@@ -137,9 +137,6 @@ class ProtocolSpec:
     #: Runs over the signature oracle: the generic gallery cannot
     #: sign, so only its silent strategy is a meaningful opponent.
     authenticated: bool = False
-    #: Oracles needing live process objects (run in the serial
-    #: consistency phase and on replay, never through the pool).
-    state_oracles: Tuple[str, ...] = ()
     #: Protocols sharing a group are run on identical scenarios and
     #: cross-checked by the differential oracle.
     differential_group: Optional[str] = None
@@ -309,7 +306,7 @@ register(ProtocolSpec(
     name="eig",
     title="exponential EIG",  # Lamport et al. [13]: optimal rounds
     build=lambda config: eig_agreement_factory(config, (0, 1), default=0),
-    oracles=BA_ORACLES,
+    oracles=BA_ORACLES + ("fullinfo-consistency",),
     rounds=lambda config: config.t + 1,
     resilience=3,
     # Protocol 1's processes under the EIG decision rule.
@@ -317,7 +314,6 @@ register(ProtocolSpec(
         "repro/fullinfo/protocol.py::FullInformationProcess",
         "repro/agreement/eig_agreement.py::ExponentialAgreementAutomaton",
     ),
-    state_oracles=("fullinfo-consistency",),
     differential_group="ba",
     metering=lambda config: {"sizer": full_information_sizer(2, config.n)},
 ))

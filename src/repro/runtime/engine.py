@@ -1,7 +1,8 @@
 """Execution driver.
 
 :func:`run_protocol` wires processes, adversary, network, metrics and
-trace together, runs rounds until a stop condition holds, and returns
+trace together, runs rounds until every correct processor has decided
+(or for a fixed number of rounds), and returns
 an :class:`ExecutionResult` — the executable analogue of the paper's
 execution tuple ``(k, F, I, M)`` together with everything the
 experiments measure (decisions, decision rounds, bits, traces).
@@ -25,15 +26,6 @@ from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
 
 # Builds one correct processor: (process_id, config, input_value) -> Process.
 ProcessFactory = Callable[[ProcessId, SystemConfig, Value], Process]
-
-# Decides when the execution may stop: (processes, round) -> bool.
-StopCondition = Callable[[Mapping[ProcessId, Process], Round], bool]
-
-
-def all_decided(processes: Mapping[ProcessId, Process], round_number: Round) -> bool:
-    """Default stop condition: every correct processor has decided."""
-    return all(process.has_decided() for process in processes.values())
-
 
 @dataclasses.dataclass
 class ExecutionResult:
@@ -93,7 +85,6 @@ def run_protocol(
     inputs: Mapping[ProcessId, Value],
     adversary: Optional[Adversary] = None,
     max_rounds: int = 1000,
-    stop_condition: Optional[StopCondition] = None,
     run_full_rounds: Optional[int] = None,
     sizer: Optional[Callable[[Any], int]] = None,
     is_null: Optional[Callable[[Any], bool]] = None,
@@ -121,11 +112,10 @@ def run_protocol(
         Safety bound; exceeding it without stopping raises
         :class:`ConfigurationError` (protocols here have known round
         bounds, so hitting the cap indicates a bug, not slow progress).
-    stop_condition:
-        Defaults to "all correct processors decided".
     run_full_rounds:
         If given, run exactly this many rounds regardless of decisions
-        (used when a later decision rule is applied to final states).
+        (used when a later decision rule is applied to final states);
+        otherwise stop once every correct processor has decided.
     sizer / is_null:
         Exact message measurement hooks (see the network).
     record_trace:
@@ -175,14 +165,15 @@ def run_protocol(
             faulty=sorted(adversary.faulty_ids),
         )
 
-    stop = stop_condition or all_decided
     rounds_run = 0
     with _obs.span("engine.run"):
         while True:
             if run_full_rounds is not None:
                 if rounds_run >= run_full_rounds:
                     break
-            elif rounds_run > 0 and stop(processes, rounds_run):
+            elif rounds_run > 0 and all(
+                process.has_decided() for process in processes.values()
+            ):
                 break
             if rounds_run >= max_rounds:
                 raise ConfigurationError(

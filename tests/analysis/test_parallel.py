@@ -91,17 +91,18 @@ class TestWorkerCountInvariance:
         assert serial.all_hold() and pooled.all_hold()
 
     def test_reports_are_byte_identical(self, config4):
+        """``workers=None`` is the serial path ``workers=1`` takes."""
         factory = compact_ba_factory(config4, [0, 1], default=0, k=1)
         grid = compact_grid(config4)
         blobs = {
             workers: pickle.dumps(sweep(factory, config4,
                                         workers=workers, **grid))
-            for workers in (1, 2, 4)
+            for workers in (None, 1, 2, 4)
         }
-        assert blobs[1] == blobs[2] == blobs[4]
+        assert blobs[None] == blobs[1] == blobs[2] == blobs[4]
 
     def test_matches_legacy_serial_path(self, config4):
-        """workers=None (live results) agrees on every metric."""
+        """workers=None (the default serial path) agrees on every metric."""
         factory = compact_ba_factory(config4, [0, 1], default=0, k=1)
         grid = compact_grid(config4)
         legacy = sweep(factory, config4, **grid)
@@ -222,7 +223,7 @@ class TestPoolTelemetry:
         context = SweepContext(
             factory=avalanche_factory(), config=config4,
             adversary_makers=tuple(standard_adversary_makers()[:1]),
-            predicate=None, max_rounds=3, run_full_rounds=None,
+            judge=None, max_rounds=3, run_full_rounds=None,
             sizer=None, is_null=None,
         )
         cells = [
@@ -360,7 +361,7 @@ class TestGracefulDegradation:
             factory=exploding_factory,
             config=config4,
             adversary_makers=tuple(standard_adversary_makers()[:1]),
-            predicate=None,
+            judge=None,
             max_rounds=5,
             run_full_rounds=None,
             sizer=None,

@@ -1,11 +1,14 @@
 """Campaign driver: determinism across workers, clean acceptance sweep."""
 
+import dataclasses
 import hashlib
 
 import pytest
 
+from repro.fuzz import protocols
 from repro.fuzz.campaign import CampaignSettings, replay_case, run_campaign
 from repro.fuzz.case import FuzzCase
+from repro.fuzz.oracles import ORACLES
 from repro.fuzz.protocols import CATALOG_PROTOCOLS
 from repro.obs.core import Observer, observing
 
@@ -35,16 +38,17 @@ class TestWorkerDeterminism:
 class TestGoldenCampaign:
     """The benchmark's ``fuzz-campaign`` pass at seed 0, pinned.
 
-    Recorded at the commit before the firing squad moved onto the
-    interned array kernel.  A change sold as pure performance must
-    leave every one of these alone; one that means to change behaviour
-    re-records them and says so.
+    Re-recorded when each case came to run exactly once (150 cases,
+    150 runs): the traffic is the earlier pin's without the re-runs of
+    the retired consistency phase.  A change sold as pure performance
+    must leave every one of these alone; one that means to change
+    behaviour re-records them and says so.
     """
 
     REPORT_SHA256 = (
-        "41c034fe6ed688313d525ea009e03f92634bf3fc6f3b9e2341035d8927be33d4"
+        "522c7ab1b2545f493ad11b69ec2e5e03c47ce7ae41a820f9d3169b2a4b812d58"
     )
-    COUNTERS = {"net.bits": 2362556, "net.messages": 31241, "runs": 158}
+    COUNTERS = {"net.bits": 2206610, "net.messages": 30254, "runs": 150}
 
     @pytest.mark.parametrize("schedule", ["lockstep", "async"], indirect=True)
     def test_report_and_traffic_counters_are_pinned(self, schedule):
@@ -73,11 +77,76 @@ class TestAcceptanceSweep:
         assert report.clean
 
     def test_differential_and_consistency_phases_ran(self):
-        report = run_campaign(CampaignSettings(seed=7, cases=12))
+        observer = Observer(spans=False)
+        with observing(observer):
+            report = run_campaign(CampaignSettings(seed=7, cases=12))
         # compact-ba and eig share the "ba" differential group.
         assert report.differential_checked > 0
-        # eig carries the Theorem 9 full-information state oracle.
-        assert report.consistency_checked.get("eig", 0) > 0
+        # Every case, eig's Theorem 9 state oracle included, ran once.
+        assert observer.registry.counter("runs") == report.executions
+
+
+class TestStateOraclesJudgeEveryCase:
+    """An oracle reads live process state on every case, where it ran."""
+
+    SETTINGS = CampaignSettings(seed=4, cases=12)
+
+    @pytest.fixture
+    def planted(self, monkeypatch):
+        """``eig`` with a "planted" oracle flagging the executions whose
+        correct processors' final full-information states are the
+        fixture's target; every judged execution's states are kept."""
+        seen, target = [], []
+
+        def planted(result):
+            states = tuple(
+                repr(result.processes[process_id].state)
+                for process_id in result.correct_ids
+            )
+            seen.append(states)
+            return ["the planted case"] if [states] == target else []
+
+        spec = protocols.get_spec("eig")
+        monkeypatch.setitem(ORACLES, "planted", planted)
+        monkeypatch.setitem(protocols._REGISTRY, "eig", dataclasses.replace(
+            spec, oracles=spec.oracles + ("planted",)
+        ))
+        report = run_campaign(self.SETTINGS)
+        assert report.clean and len(seen) == self.SETTINGS.cases
+        target.append(seen[9])
+        assert [index for index, states in enumerate(seen)
+                if states == target[0]] == [9]
+        return target
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_tenth_eig_case_fails_the_campaign(self, planted, workers):
+        report = run_campaign(
+            dataclasses.replace(self.SETTINGS, workers=workers)
+        )
+        assert not report.clean
+        assert [
+            (failure["protocol"], failure["violations"])
+            for failure in report.failures
+        ] == [("eig", ["[planted] the planted case"])]
+
+    def test_an_oracle_that_raises_fails_its_case(self, monkeypatch):
+        """Judged inside the cell, an oracle's exception is a verdict,
+        not a crash of the campaign."""
+
+        def broken(result):
+            raise RuntimeError("cannot judge")
+
+        spec = protocols.get_spec("eig")
+        monkeypatch.setitem(ORACLES, "broken", broken)
+        monkeypatch.setitem(protocols._REGISTRY, "eig", dataclasses.replace(
+            spec, oracles=spec.oracles + ("broken",)
+        ))
+        report = run_campaign(dataclasses.replace(
+            self.SETTINGS, cases=2, protocols=("eig",)
+        ))
+        assert [failure["violations"] for failure in report.failures] == [
+            ["[oracle error] RuntimeError: cannot judge"]
+        ] * 2
 
 
 class TestReportShape:

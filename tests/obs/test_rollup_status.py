@@ -13,7 +13,8 @@ from repro.analysis import parallel
 from repro.analysis.parallel import SweepCell, SweepContext
 from repro.analysis.sweeps import standard_adversary_makers, sweep
 from repro.avalanche.protocol import avalanche_factory
-from repro.fuzz.campaign import CampaignSettings, run_campaign
+from repro.fuzz.campaign import CampaignSettings, replay_case, run_campaign
+from repro.fuzz.case import FuzzCase
 from repro.obs import (
     EventLog,
     Observer,
@@ -127,7 +128,7 @@ class TestStatus:
         context = SweepContext(
             factory=avalanche_factory(), config=config4,
             adversary_makers=tuple(standard_adversary_makers()[:1]),
-            predicate=None, max_rounds=3, run_full_rounds=None,
+            judge=None, max_rounds=3, run_full_rounds=None,
             sizer=None, is_null=None,
         )
         cells = [
@@ -169,11 +170,16 @@ class TestStatus:
         assert "counters:" in rendered
 
     def test_serial_cells_do_not_count_against_the_plan(self):
-        """A pooled fuzz campaign also runs cells serially (belonging to
-        no plan); progress is pooled-done over planned, never > 100%."""
+        """A case replayed next to a pooled fuzz campaign runs serially
+        (belonging to no plan); progress is pooled-done over planned,
+        never > 100%."""
         log = EventLog()
         with observing(Observer(events=log)):
             run_campaign(CampaignSettings(seed=0, cases=2, workers=2))
+            replay_case(FuzzCase.build(
+                protocol="avalanche", n=4, t=1, seed=2026,
+                inputs={1: 1, 2: 1, 3: 0, 4: 1}, faulty=(3,),
+            ))
         status = status_from_records(log.records)
         cells = status["cells"]
         assert cells["serial"] > 0

@@ -65,15 +65,6 @@ class TestRun:
         with pytest.raises(ConfigurationError):
             run_protocol(countdown_factory(), config, {1: 0})
 
-    def test_custom_stop_condition(self, config, inputs):
-        stopped_at = run_protocol(
-            countdown_factory(10),
-            config,
-            inputs,
-            stop_condition=lambda processes, round_number: round_number >= 4,
-        )
-        assert stopped_at.rounds == 4
-
     def test_trace_recorded_when_asked(self, config, inputs):
         result = run_protocol(countdown_factory(2), config, inputs, record_trace=True)
         assert result.trace is not None
