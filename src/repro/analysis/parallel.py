@@ -394,7 +394,7 @@ def _degrade_to_serial(
 
     Warns the caller of :func:`execute_cells` and counts
     ``sweep.pool.degraded`` on the active observer, so the run's own
-    artifacts (``repro events summarize``, ``repro status``) show it.
+    artifacts (``repro status``) show it.
     """
     warnings.warn(reason, RuntimeWarning, stacklevel=3)
     observer = _obs.ACTIVE

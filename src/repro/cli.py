@@ -9,9 +9,11 @@ Gives a downstream user the paper's artifacts without writing code:
 * ``tradeoff``  — the eps <-> k table,
 * ``crossover`` — the exponential-vs-polynomial growth figure,
 * ``avalanche`` — a standalone avalanche agreement demo,
-* ``events``    — summarize / profile / validate a structured event
-  log recorded via ``run-ba --events`` or ``fuzz --events``
+* ``events``    — validate or export a structured event log
+  recorded via ``run-ba --events`` or ``fuzz --events``
   (see :mod:`repro.obs` and docs/observability.md),
+* ``status``    — read a recorded run: bits, rounds, cells, cache hit
+  rates, where the time went and what was skipped or degraded,
 * ``lint``      — the protocol-aware static analysis of
   :mod:`repro.statics` (determinism, purity and catalog contracts),
 * ``fuzz``      — seeded adversarial campaigns with differential
@@ -141,43 +143,30 @@ def _build_parser() -> argparse.ArgumentParser:
         help="query a recorded event log (see docs/observability.md)",
     )
     events_sub = events.add_subparsers(dest="events_command", required=True)
-    for name, description in (
-        ("summarize", "per-round traffic, cache hit rates, counters"),
-        ("profile", "span rollup and worker utilization"),
-        (
-            "validate",
-            "check every record against event schema "
-            f"v{EVENT_SCHEMA_VERSION}",
-        ),
-    ):
-        sub = events_sub.add_parser(name, help=description)
-        sub.add_argument(
-            "path",
-            help="event log to read: a JSONL file (rotated .part-N "
-            "siblings are included automatically) or a directory of "
-            "logs",
-        )
-        sub.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default="text",
-            help="report format",
-        )
+    validate = events_sub.add_parser(
+        "validate",
+        help="check every record against event schema "
+        f"v{EVENT_SCHEMA_VERSION}",
+    )
+    validate.add_argument(
+        "path",
+        help="event log to read: a JSONL file (rotated .part-N "
+        "siblings are included automatically) or a directory of logs",
+    )
+    validate.add_argument(
+        "--format",
+        choices=("text", "json"),
+        default="text",
+        help="report format",
+    )
     export = events_sub.add_parser(
         "export",
-        help="export to Chrome-trace/Perfetto JSON or a speedscope "
-        "profile (see docs/observability.md, 'Exporters')",
+        help="export to Chrome-trace/Perfetto JSON (see "
+        "docs/observability.md, 'Exporting a trace')",
     )
     export.add_argument(
         "path",
         help="event log to read (file, rotated parts, or directory)",
-    )
-    export.add_argument(
-        "--format",
-        choices=("chrome", "speedscope"),
-        default="chrome",
-        help="output format: 'chrome' loads in Perfetto / "
-        "chrome://tracing, 'speedscope' at speedscope.app",
     )
     export.add_argument(
         "--output",
@@ -188,27 +177,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     status = commands.add_parser(
         "status",
-        help="summarize an in-flight or finished run from its event-"
-        "log artifacts alone (progress, per-worker throughput, cache "
-        "hit rates, top spans)",
+        help="report a finished or in-flight run from its event log "
+        "alone: traffic, cells, counters, cache hit rates, spans, "
+        "pools and what was skipped or degraded (exit 1 if the log "
+        "is in flight or a line was skipped)",
     )
     status.add_argument(
         "path",
         help="event log: a JSONL file, a rotated .part-N sequence, or "
         "a directory of logs (torn final lines of a killed run are "
-        "tolerated)",
+        "skipped and named)",
     )
     status.add_argument(
         "--format",
         choices=("text", "json"),
         default="text",
         help="report format",
-    )
-    status.add_argument(
-        "--top-spans",
-        type=int,
-        default=5,
-        help="how many spans to list (default 5)",
     )
 
     lint = commands.add_parser(
@@ -493,74 +477,51 @@ def _command_avalanche(args) -> _Output:
 def _command_events(args) -> _Output:
     import json
 
-    from repro.obs.events import SCHEMA_VERSION, read_log, validate_records
-    from repro.obs.summarize import (
-        profile_records,
-        render_profile,
-        render_summary,
-        summarize_records,
-    )
+    from repro.obs.events import SCHEMA_VERSION, scan_log, validate_records
 
     try:
-        records = read_log(args.path)
-    except (OSError, ValueError) as error:
+        records, skipped = scan_log(args.path)
+    except OSError as error:
         return f"error: {error}", 2
 
     if args.events_command == "export":
         import pathlib
 
-        from repro.obs.export import (
-            chrome_trace,
-            speedscope_profile,
-            validate_chrome_trace,
-        )
+        from repro.obs.export import chrome_trace, validate_chrome_trace
 
-        if args.format == "speedscope":
-            payload = speedscope_profile(records)
-        else:
-            payload = chrome_trace(records)
-            problems = validate_chrome_trace(payload)
-            if problems:
-                body = "\n".join(problems)
-                return f"error: exported trace is invalid:\n{body}", 1
-        rendered = json.dumps(payload, indent=1, sort_keys=True)
-        if args.output is not None:
-            target = pathlib.Path(args.output)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(rendered + "\n")
-            return (
-                f"wrote {args.format} export of {len(records)} "
-                f"record(s) to {target}"
-            )
-        return rendered
-
-    if args.events_command == "validate":
-        problems = validate_records(records)
-        if args.format == "json":
-            payload = {
-                "records": len(records),
-                "valid": not problems,
-                "problems": problems,
-            }
-            return json.dumps(payload, indent=2), (1 if problems else 0)
+        payload = chrome_trace(records)
+        problems = validate_chrome_trace(payload)
         if problems:
             body = "\n".join(problems)
-            return f"{body}\ninvalid: {len(problems)} problem(s)", 1
-        return (
-            f"OK: {len(records)} record(s) conform to event schema "
-            f"v{SCHEMA_VERSION}"
-        )
+            return f"error: exported trace is invalid:\n{body}", 1
+        rendered = json.dumps(payload, indent=1, sort_keys=True)
+        code = 1 if skipped else 0
+        if args.output is None:
+            return rendered, code
+        target = pathlib.Path(args.output)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(rendered + "\n")
+        lines = [
+            f"wrote chrome export of {len(records)} record(s) to {target}"
+        ]
+        lines.extend(f"skipped {problem}" for problem in skipped)
+        return "\n".join(lines), code
 
-    if args.events_command == "summarize":
-        summary = summarize_records(records)
-        if args.format == "json":
-            return json.dumps(summary, indent=2)
-        return render_summary(summary)
-
-    profile = profile_records(records)
+    problems = skipped + validate_records(records)
     if args.format == "json":
-        return json.dumps(profile, indent=2)
-    return render_profile(profile)
+        payload = {
+            "records": len(records),
+            "valid": not problems,
+            "problems": problems,
+        }
+        return json.dumps(payload, indent=2), (1 if problems else 0)
+    if problems:
+        body = "\n".join(problems)
+        return f"{body}\ninvalid: {len(problems)} problem(s)", 1
+    return (
+        f"OK: {len(records)} record(s) conform to event schema "
+        f"v{SCHEMA_VERSION}"
+    )
 
 
 def _command_status(args) -> _Output:
@@ -573,12 +534,15 @@ def _command_status(args) -> _Output:
     if not path.exists():
         return f"error: {path} does not exist", 2
     try:
-        status = load_status(path, top_spans=args.top_spans)
+        status = load_status(path)
     except OSError as error:
         return f"error: {error}", 2
+    # Fail closed: a report of an unfinished or partly unread log is
+    # printed in full but does not pass for a complete one.
+    code = 1 if status["phase"] != "complete" or status["skipped_lines"] else 0
     if args.format == "json":
-        return json.dumps(status, indent=2)
-    return render_status(status)
+        return json.dumps(status, indent=2), code
+    return render_status(status), code
 
 
 def _command_lint(args) -> _Output:

@@ -32,12 +32,10 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "SCHEMA_VERSION",
         "EventLog",
         "log_paths",
-        "read_jsonl",
-        "read_jsonl_lenient",
         "read_log",
         "validate_records",
     ),
-    "export": ("chrome_trace", "speedscope_profile", "validate_chrome_trace"),
+    "export": ("chrome_trace", "validate_chrome_trace"),
     "registry": ("InstrumentRegistry",),
     "rollup": ("load_status", "render_status", "status_from_records"),
     "spans": ("NULL_SPAN", "SpanProfile", "profile_dict"),

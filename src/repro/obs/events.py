@@ -215,8 +215,9 @@ class EventLog:
     With a ``path`` the records stream straight to disk (one encoded
     line per record, flushed on :meth:`close`) and are not retained;
     without one they accumulate in :attr:`records` for in-process
-    inspection (tests, the summarizer).  Writing to a streamed log
-    after :meth:`close` raises ``ValueError``, as a closed file does.
+    inspection (tests, :func:`~repro.obs.rollup.status_from_records`).
+    Writing to a streamed log after :meth:`close` raises
+    ``ValueError``, as a closed file does.
 
     The log owns ``step``, the per-log sequence number: :meth:`emit`
     stamps it; the caller supplies the rest of the logical clock (run
@@ -375,64 +376,6 @@ def _reject_constant(name: str) -> NoReturn:
     raise ValueError(f"{name} is not JSON")
 
 
-def read_jsonl(path: Union[str, pathlib.Path]) -> List[Dict[str, Any]]:
-    """Load every record of a JSONL event log.
-
-    Strict JSON only: the bare ``NaN`` / ``Infinity`` constants Python's
-    decoder would otherwise accept are rejected like any other
-    malformed line.
-    """
-    records: List[Dict[str, Any]] = []
-    with open(path) as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line, parse_constant=_reject_constant)
-            except ValueError as error:
-                raise ValueError(
-                    f"{path}:{line_number}: not valid JSON: {error}"
-                ) from None
-            if not isinstance(record, dict):
-                raise ValueError(
-                    f"{path}:{line_number}: record is not a JSON object"
-                )
-            records.append(record)
-    return records
-
-
-def read_jsonl_lenient(
-    path: Union[str, pathlib.Path],
-) -> Tuple[List[Dict[str, Any]], int]:
-    """Best-effort load for in-flight or interrupted logs.
-
-    Unlike :func:`read_jsonl`, undecodable or non-object lines (a torn
-    final line of a killed writer, typically) are skipped rather than
-    raised; the skip count is returned alongside the good records so
-    ``repro status`` can report how much it ignored.  The JSON is as
-    strict as :func:`read_jsonl`'s: a bare ``NaN`` / ``Infinity`` line
-    is skipped too.
-    """
-    records: List[Dict[str, Any]] = []
-    skipped = 0
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line, parse_constant=_reject_constant)
-            except ValueError:
-                skipped += 1
-                continue
-            if not isinstance(record, dict):
-                skipped += 1
-                continue
-            records.append(record)
-    return records, skipped
-
-
 def _part_index(path: pathlib.Path) -> Tuple[str, int]:
     """Sort key placing ``x.jsonl`` before its ``x.jsonl.part-N``."""
     match = _PART_RE.match(path.name)
@@ -469,16 +412,50 @@ def log_paths(path: Union[str, pathlib.Path]) -> List[pathlib.Path]:
     return [root] + sorted(parts, key=_part_index)
 
 
-def read_log(path: Union[str, pathlib.Path]) -> List[Dict[str, Any]]:
-    """Load a log that may have been rotated into ``.part-N`` files.
+def scan_log(
+    path: Union[str, pathlib.Path],
+) -> Tuple[List[Dict[str, Any]], List[str]]:
+    """Load a log that may be in flight, torn or rotated.
 
-    ``path`` may be a single JSONL file (parts are discovered as
-    siblings), an explicit part, or a directory of logs; records come
-    back in logical-clock order across the whole sequence.
+    ``path`` may be a single JSONL file (``.part-N`` siblings are
+    discovered), an explicit part, or a directory of logs; records come
+    back in logical-clock order across the whole sequence.  A line that
+    is not a JSON object — typically the torn final line of a killed
+    writer — is skipped and named, ``"<file>:<line>: <why>"``, in the
+    second list.  Strict JSON only: the bare ``NaN`` / ``Infinity``
+    constants Python's decoder would otherwise accept are refused like
+    any other malformed line.  Lines are decoded one at a time, so
+    bytes that are not UTF-8 spoil only their own line.
     """
     records: List[Dict[str, Any]] = []
+    skipped: List[str] = []
     for part in log_paths(path):
-        records.extend(read_jsonl(part))
+        with open(part, "rb") as handle:
+            for line_number, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line, parse_constant=_reject_constant)
+                except ValueError as error:
+                    skipped.append(
+                        f"{part}:{line_number}: not valid JSON: {error}"
+                    )
+                    continue
+                if not isinstance(record, dict):
+                    skipped.append(
+                        f"{part}:{line_number}: record is not a JSON object"
+                    )
+                    continue
+                records.append(record)
+    return records, skipped
+
+
+def read_log(path: Union[str, pathlib.Path]) -> List[Dict[str, Any]]:
+    """:func:`scan_log`, strict: a skipped line raises ``ValueError``."""
+    records, skipped = scan_log(path)
+    if skipped:
+        raise ValueError(skipped[0])
     return records
 
 

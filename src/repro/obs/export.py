@@ -1,23 +1,17 @@
-"""Exporters: event logs to Chrome-trace/Perfetto and speedscope.
+"""Exporter: event logs to Chrome-trace/Perfetto.
 
-Two offline translations of a recorded event log
-(:mod:`repro.obs.events`) into formats existing profiling UIs load
-directly:
-
-- :func:`chrome_trace` emits the Chrome Trace Event Format (the JSON
-  ``{"traceEvents": [...]}`` shape Perfetto and ``chrome://tracing``
-  ingest).  Each recorded run becomes a process; its rounds become
-  slices on a dedicated "rounds" track, each processor gets its own
-  thread track, and every message a ``send`` record lands at a correct
-  receiver (:func:`repro.obs.trace.burst_edges`) becomes a flow event
-  (``ph: s``/``f``) arrow from sender to receiver.  Timestamps
-  are the **logical clock** — one microsecond per ``step`` — so the
-  rendering is deterministic and diffable, not a wall-time profile.
-- :func:`speedscope_profile` turns the merged span profile into a
-  speedscope "sampled" profile: each span path contributes one sample
-  whose stack is the path's components and whose weight is the span's
-  self time.  This half *is* wall-time derived (spans are
-  nondeterministic by contract).
+:func:`chrome_trace` translates a recorded event log
+(:mod:`repro.obs.events`) into the Chrome Trace Event Format (the JSON
+``{"traceEvents": [...]}`` shape Perfetto and ``chrome://tracing``
+ingest).  Each recorded run becomes a process; its rounds become
+slices on a dedicated "rounds" track, each processor gets its own
+thread track, and every message a ``send`` record lands at a correct
+receiver (:func:`repro.obs.trace.burst_edges`) becomes a flow event
+(``ph: s``/``f``) arrow from sender to receiver.  Timestamps are the
+**logical clock** — one microsecond per ``step`` — so the rendering is
+deterministic and diffable, not a wall-time profile.  The merged span
+profile (:func:`repro.obs.rollup.status_from_records`) is laid out as
+a flame graph under its own process; that half *is* wall-time derived.
 
 :func:`validate_chrome_trace` is the schema gate CI runs over the
 exported artifact before upload.
@@ -27,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Set, Tuple
 
-from repro.obs.summarize import profile_records
+from repro.obs.rollup import status_from_records
 from repro.obs.trace import burst_edges
 
 #: Synthetic pid hosting the span flame graph (far above any run id).
@@ -198,8 +192,7 @@ def chrome_trace(records: List[Dict[str, Any]]) -> Dict[str, Any]:
                 }
             )
 
-    profile = profile_records(records)
-    spans = profile["spans"]
+    spans = status_from_records(records)["spans"]
     if spans:
         events.append(_meta(SPAN_PID, 0, "span profile", "process_name"))
         events.append(_meta(SPAN_PID, 0, "spans", "thread_name"))
@@ -263,59 +256,8 @@ def validate_chrome_trace(payload: Any) -> List[str]:
     return problems
 
 
-def speedscope_profile(records: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """A speedscope "sampled" profile of the merged span tree.
-
-    One sample per span path; the stack is the path's components and
-    the weight is the path's **self** time (total minus direct
-    children), so the flame graph's widths sum correctly.
-    """
-    spans = profile_records(records)["spans"]
-    child_totals: Dict[str, float] = {}
-    for path, stats in spans.items():
-        if "/" in path:
-            parent = path.rsplit("/", 1)[0]
-            child_totals[parent] = (
-                child_totals.get(parent, 0.0) + float(stats["total_s"])
-            )
-    frame_index: Dict[str, int] = {}
-    frames: List[Dict[str, Any]] = []
-    samples: List[List[int]] = []
-    weights: List[float] = []
-    for path in sorted(spans):
-        stack: List[int] = []
-        for component in path.split("/"):
-            if component not in frame_index:
-                frame_index[component] = len(frames)
-                frames.append({"name": component})
-            stack.append(frame_index[component])
-        self_s = float(spans[path]["total_s"]) - child_totals.get(path, 0.0)
-        samples.append(stack)
-        weights.append(round(max(self_s, 0.0), 6))
-    total = round(sum(weights), 6)
-    return {
-        "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "name": "repro span profile",
-        "exporter": "repro events export",
-        "activeProfileIndex": 0,
-        "shared": {"frames": frames},
-        "profiles": [
-            {
-                "type": "sampled",
-                "name": "spans (self time)",
-                "unit": "seconds",
-                "startValue": 0,
-                "endValue": total,
-                "samples": samples,
-                "weights": weights,
-            }
-        ],
-    }
-
-
 __all__ = [
     "SPAN_PID",
     "chrome_trace",
-    "speedscope_profile",
     "validate_chrome_trace",
 ]

@@ -1,14 +1,23 @@
-"""Cross-worker telemetry rollups: ``repro status`` from artifacts.
+"""The one reader of a recorded run: ``repro status``.
 
-A long parallel sweep or fuzz campaign streams compact ``rollup``
-records — counter deltas per finished chunk / protocol —
-through its event log (:meth:`repro.obs.core.Observer.emit_rollup`).
-This module reconstructs the state of such a run **from the artifact
-alone**: progress against the announced plan, per-worker throughput,
-cache hit rates, and the top spans.  It
-works equally on a finished log (which ends with the authoritative
-``counters`` dump) and on the torn log of a killed run (deltas are
-summed; the final partial line is skipped and counted).
+:func:`status_from_records` folds an event log
+(:mod:`repro.obs.events`) once into a JSON-ready report with two
+sections:
+
+- **deterministic** — records, runs, decisions, sends and
+  corruptions, cells against the announced plan, per-round traffic,
+  counters and cache hit rates, progress, fuzz protocols and the
+  campaign summary.  Folding the same log twice, or logs of identical
+  runs recorded in fresh processes, gives the same values;
+- **wall clock** — every span path's count / total / max, the gauges,
+  every pool run and the per-worker throughput rows, read from the
+  log's ``"nondeterministic": true`` records.
+
+It works equally on a finished log (which ends with the authoritative
+``counters`` dump) and on the torn log of a killed run: the counters
+are then the summed ``rollup`` deltas, and every line that does not
+parse or record that fails the schema is skipped and named under
+``degraded``, beside any ``sweep.pool.degraded`` fallback.
 
 ``load_status`` accepts everything :func:`repro.obs.events.log_paths`
 does: a single JSONL file, a rotated ``.part-N`` sequence, or a
@@ -18,122 +27,146 @@ directory of logs.
 from __future__ import annotations
 
 import pathlib
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, List, Sequence, Union
 
-from repro.obs.events import log_paths, read_jsonl_lenient, validate_record
+from repro.obs.events import scan_log, validate_record
 from repro.obs.registry import InstrumentRegistry
-from repro.obs.summarize import profile_records
 
 
-def load_status(
-    path: Union[str, pathlib.Path], top_spans: int = 5
-) -> Dict[str, Any]:
+def load_status(path: Union[str, pathlib.Path]) -> Dict[str, Any]:
     """The status of the (possibly in-flight) run recorded at ``path``."""
-    records: List[Dict[str, Any]] = []
-    skipped = 0
-    for part in log_paths(path):
-        part_records, part_skipped = read_jsonl_lenient(part)
-        records.extend(part_records)
-        skipped += part_skipped
-    return status_from_records(records, skipped=skipped,
-                               top_spans=top_spans)
+    records, skipped = scan_log(path)
+    return status_from_records(records, skipped)
 
 
 def status_from_records(
     records: List[Dict[str, Any]],
-    skipped: int = 0,
-    top_spans: int = 5,
+    skipped: Sequence[str] = (),
 ) -> Dict[str, Any]:
-    """Reconstruct run status from loaded records.
+    """The report of one recorded run, in one pass over its records.
 
-    The deterministic section (runs, cells, counters, hit rates) comes
-    from the deterministic log records; worker throughput and spans
-    are wall-clock derived and reported under nondeterministic keys.
-    A record that fails :func:`~repro.obs.events.validate_record` is
-    counted with ``skipped`` and not read.
+    ``skipped`` names lines the loader could not parse; a record that
+    fails :func:`~repro.obs.events.validate_record` is named beside
+    them and not read.
     """
-    valid = [record for record in records if not validate_record(record)]
-    skipped += len(records) - len(valid)
-    records = valid
-    runs_started = 0
-    runs_ended = 0
-    serial_cells = 0
-    pooled_cells = 0
-    chunks = 0
-    planned = 0
+    degraded = list(skipped)
+    valid = 0
+    runs_started = runs_ended = decisions = sends = corruptions = 0
+    serial = held = falsified = pooled = chunks = planned = 0
+    per_round: Dict[int, Dict[str, int]] = {}
     rollup_counts: Dict[str, int] = {}
     protocols: List[Dict[str, Any]] = []
     summed: Dict[str, int] = {}
     final_counters: Dict[str, int] = {}
-    samples: List[Dict[str, Any]] = []
-    pool: Dict[str, Any] = {}
     fuzz: Dict[str, Any] = {}
-    for record in records:
-        kind = record.get("kind")
+    spans: Dict[str, Dict[str, Any]] = {}
+    gauges: Dict[str, float] = {}
+    pools: List[Dict[str, Any]] = []
+    workers: Dict[int, Dict[str, Any]] = {}
+    for index, record in enumerate(records):
+        problems = validate_record(record)
+        if problems:
+            degraded.append(f"record {index}: {problems[0]}")
+            continue
+        valid += 1
+        kind = record["kind"]
         if kind == "run_start":
             runs_started += 1
         elif kind == "run_end":
             runs_ended += 1
+        elif kind == "decide":
+            decisions += 1
+        elif kind == "send":
+            # One record per burst; the counts stay per message.
+            if record["faulty"]:
+                corruptions += len(record["messages"])
+            else:
+                sends += len(record["messages"])
+        elif kind == "round_end":
+            row = per_round.setdefault(
+                record["round"],
+                {"rounds": 0, "messages": 0, "non_null": 0, "bits": 0},
+            )
+            row["rounds"] += 1
+            row["messages"] += record["messages"]
+            row["non_null"] += record["non_null"]
+            row["bits"] += record["bits"]
         elif kind == "cell_end":
-            serial_cells += 1
+            serial += 1
+            if record["holds"] is True:
+                held += 1
+            elif record["holds"] is False:
+                falsified += 1
         elif kind == "chunk":
             chunks += 1
-            pooled_cells += int(record.get("cells", 0))
+            pooled += record["cells"]
         elif kind == "rollup":
-            scope = str(record.get("scope"))
+            scope = record["scope"]
             rollup_counts[scope] = rollup_counts.get(scope, 0) + 1
-            cells = int(record.get("cells", 0))
             if scope == "plan":
-                planned += cells
+                planned += record["cells"]
             elif scope == "protocol":
                 protocols.append(
-                    {"index": record.get("index"), "cells": cells}
+                    {"index": record["index"], "cells": record["cells"]}
                 )
-            for name, delta in record.get("counters", {}).items():
+            for name, delta in record["counters"].items():
                 if isinstance(delta, int):
                     summed[name] = summed.get(name, 0) + delta
         elif kind == "counters":
-            final_counters = dict(record.get("counters", {}))
-        elif kind == "worker_sample":
-            samples.append(record)
+            final_counters = dict(record["counters"])
+        elif kind == "fuzz_campaign":
+            fuzz = {
+                field: record[field]
+                for field in ("seed", "executions", "failures", "shrunk")
+            }
+        elif kind == "profile":
+            for path, stats in record["spans"].items():
+                merged = spans.setdefault(
+                    path, {"count": 0, "total_s": 0.0, "max_s": 0.0}
+                )
+                merged["count"] += stats["count"]
+                merged["total_s"] = round(
+                    merged["total_s"] + stats["total_s"], 6
+                )
+                merged["max_s"] = max(merged["max_s"], stats["max_s"])
+            gauges.update(record["gauges"])
         elif kind == "workers":
             # The planned pool size, not the slots that happened to
             # collect a chunk: under load one worker may take them all.
-            pool = {
-                "workers": record.get("planned"),
-                "wall_s": record.get("wall_s"),
-                "idle_s": record.get("idle_s"),
-            }
-        elif kind == "fuzz_campaign":
-            fuzz = {
-                "seed": record.get("seed"),
-                "executions": record.get("executions"),
-                "failures": record.get("failures"),
-                "shrunk": record.get("shrunk"),
-            }
+            pools.append(
+                {
+                    "planned": record["planned"],
+                    "wall_s": record["wall_s"],
+                    "idle_s": record["idle_s"],
+                    "workers": record["workers"],
+                }
+            )
+        elif kind == "worker_sample":
+            slot = record["worker"]
+            entry = workers.setdefault(
+                slot,
+                {"worker": slot, "chunks": 0, "cells": 0, "busy_s": 0.0},
+            )
+            entry["chunks"] += 1
+            entry["cells"] += record["cells"]
+            entry["busy_s"] = round(entry["busy_s"] + record["busy_s"], 6)
+    skipped_lines = len(degraded)
     complete = bool(final_counters)
     counters = (
         final_counters if complete
         else {name: summed[name] for name in sorted(summed)}
     )
+    if counters.get("sweep.pool.degraded"):
+        degraded.append(
+            f"sweep.pool.degraded = {counters['sweep.pool.degraded']}"
+        )
     registry = InstrumentRegistry()
     registry.absorb(counters)
     hit_rates = {
         cache: {"rate": round(rate, 4), "hits": hits, "misses": misses}
         for cache, (rate, hits, misses) in registry.hit_rates().items()
     }
-    workers: Dict[int, Dict[str, Any]] = {}
-    for sample in samples:
-        slot = int(sample.get("worker", 0))
-        entry = workers.setdefault(
-            slot, {"worker": slot, "chunks": 0, "cells": 0, "busy_s": 0.0}
-        )
-        entry["chunks"] += 1
-        entry["cells"] += int(sample.get("cells", 0))
-        entry["busy_s"] = round(
-            entry["busy_s"] + float(sample.get("busy_s", 0.0)), 6
-        )
-    worker_rows: List[Dict[str, Any]] = []
+    worker_rows = []
     for slot in sorted(workers):
         entry = workers[slot]
         busy = entry["busy_s"]
@@ -141,45 +174,61 @@ def status_from_records(
             round(entry["cells"] / busy, 1) if busy > 0 else None
         )
         worker_rows.append(entry)
-    profile = profile_records(records)
-    spans = sorted(
-        profile["spans"].items(),
-        key=lambda item: (-float(item[1]["total_s"]), item[0]),
-    )[:top_spans]
     return {
         "phase": "complete" if complete else "in-flight",
-        "records": len(records),
-        "skipped_lines": skipped,
+        "records": valid,
+        "skipped_lines": skipped_lines,
+        "degraded": degraded,
         "runs": {"started": runs_started, "ended": runs_ended},
+        "decisions": decisions,
+        "sends": sends,
+        "corruptions": corruptions,
         "cells": {
             "planned": planned,
-            "pooled": pooled_cells,
-            "serial": serial_cells,
-            "done": pooled_cells + serial_cells,
+            "pooled": pooled,
+            "serial": serial,
+            "done": pooled + serial,
+            "held": held,
+            "falsified": falsified,
         },
         # serial cells belong to no plan: progress is pooled over planned
-        "progress": (
-            round(pooled_cells / planned, 4) if planned > 0 else None
-        ),
+        "progress": round(pooled / planned, 4) if planned > 0 else None,
         "chunks": chunks,
         "rollups": {
             scope: rollup_counts[scope] for scope in sorted(rollup_counts)
         },
         "protocols": protocols,
+        "per_round": {
+            str(round_number): per_round[round_number]
+            for round_number in sorted(per_round)
+        },
         "counters": counters,
         "hit_rates": hit_rates,
         "fuzz": fuzz or None,
-        "pool": pool or None,
+        # the wall-clock section
+        "spans": {path: spans[path] for path in sorted(spans)},
+        "gauges": {name: gauges[name] for name in sorted(gauges)},
+        "pools": pools,
         "workers": worker_rows,
-        "top_spans": [
-            {
-                "span": path,
-                "count": stats["count"],
-                "total_s": stats["total_s"],
-            }
-            for path, stats in spans
-        ],
     }
+
+
+def _table(headers: List[str], rows: List[List[str]]) -> List[str]:
+    widths = [len(header) for header in headers]
+    for row in rows:
+        for column, cell in enumerate(row):
+            widths[column] = max(widths[column], len(cell))
+    lines = [
+        "  ".join(header.ljust(widths[column])
+                  for column, header in enumerate(headers)).rstrip(),
+        "  ".join("-" * widths[column] for column in range(len(headers))),
+    ]
+    for row in rows:
+        lines.append(
+            "  ".join(cell.ljust(widths[column])
+                      for column, cell in enumerate(row)).rstrip()
+        )
+    return lines
 
 
 def render_status(status: Dict[str, Any]) -> str:
@@ -189,14 +238,15 @@ def render_status(status: Dict[str, Any]) -> str:
     filesystem reads, so the same artifact always prints the same
     bytes (pinned by ``tests/obs/``).
     """
-    lines: List[str] = []
     phase = status["phase"]
-    torn = status["skipped_lines"]
-    suffix = f"  ({torn} torn line(s) skipped)" if torn else ""
-    lines.append(f"status: {phase}{suffix}")
+    lines = [f"status: {phase}"]
+    if status["degraded"]:
+        lines.append("degraded: " + "; ".join(status["degraded"]))
     runs = status["runs"]
     lines.append(
-        f"runs: started {runs['started']}  ended {runs['ended']}"
+        f"records: {status['records']}  runs: started {runs['started']}  "
+        f"ended {runs['ended']}  decisions: {status['decisions']}  "
+        f"sends: {status['sends']}  corruptions: {status['corruptions']}"
     )
     cells = status["cells"]
     progress = status["progress"]
@@ -206,7 +256,8 @@ def render_status(status: Dict[str, Any]) -> str:
     lines.append(
         f"cells: done {cells['done']}  "
         f"pooled {cells['pooled']} of planned {cells['planned']}"
-        f"{progress_text}  serial {cells['serial']}"
+        f"{progress_text}  serial {cells['serial']}  "
+        f"held {cells['held']}  falsified {cells['falsified']}"
     )
     if status["chunks"]:
         lines.append(f"chunks: {status['chunks']}")
@@ -223,6 +274,15 @@ def render_status(status: Dict[str, Any]) -> str:
             f"executions {fuzz['executions']}  "
             f"failures {fuzz['failures']}  shrunk {fuzz['shrunk']}"
         )
+    if status["per_round"]:
+        lines.append("")
+        lines.append("per-round traffic (summed across runs):")
+        rows = [
+            [number, str(row["messages"]), str(row["non_null"]),
+             str(row["bits"])]
+            for number, row in status["per_round"].items()
+        ]
+        lines.extend(_table(["round", "messages", "non-null", "bits"], rows))
     if status["hit_rates"]:
         lines.append("")
         source = (
@@ -239,30 +299,47 @@ def render_status(status: Dict[str, Any]) -> str:
         lines.append("counters:")
         for name, value in status["counters"].items():
             lines.append(f"  {name} = {value}")
-    if status["workers"] or status["pool"]:
+    if status["spans"]:
+        lines.append("")
+        lines.append("span profile (nondeterministic wall time):")
+        ordered = sorted(
+            status["spans"].items(),
+            key=lambda item: (-item[1]["total_s"], item[0]),
+        )
+        rows = [
+            [path, str(stats["count"]), f"{stats['total_s']:.6f}",
+             f"{stats['max_s']:.6f}"]
+            for path, stats in ordered
+        ]
+        lines.extend(_table(["span", "count", "total_s", "max_s"], rows))
+    if status["gauges"]:
+        lines.append("")
+        lines.append("gauges (nondeterministic):")
+        for name, value in status["gauges"].items():
+            lines.append(f"  {name} = {value}")
+    pools = status["pools"]
+    if status["workers"] or pools:
         lines.append("")
         lines.append("per-worker throughput (nondeterministic):")
         for entry in status["workers"]:
-            rate = entry.get("cells_per_s")
+            rate = entry["cells_per_s"]
             rate_text = f"  {rate} cells/s" if rate is not None else ""
             lines.append(
                 f"  worker {entry['worker']}: chunks {entry['chunks']}  "
                 f"cells {entry['cells']}  busy {entry['busy_s']}s"
                 f"{rate_text}"
             )
-        pool = status["pool"]
-        if pool:
+        for pool in pools:
             lines.append(
-                f"  pool: {pool['workers']} worker(s), "
+                f"  pool: {pool['planned']} worker(s), "
                 f"wall {pool['wall_s']}s, idle {pool['idle_s']}s"
             )
-    if status["top_spans"]:
-        lines.append("")
-        lines.append("top spans (nondeterministic):")
-        for entry in status["top_spans"]:
+        if len(pools) > 1:
+            wall = round(sum(pool["wall_s"] for pool in pools), 6)
+            idle = round(sum(pool["idle_s"] for pool in pools), 6)
             lines.append(
-                f"  {entry['span']}: {entry['total_s']}s "
-                f"x{entry['count']}"
+                f"  pools: {len(pools)} run(s), wall {wall}s, "
+                f"idle {idle}s in total"
             )
     return "\n".join(lines)
 

@@ -39,7 +39,7 @@ from repro.fullinfo.protocol import (
     full_information_sizer,
 )
 from repro.obs import EventLog, Observer, observing
-from repro.obs.events import read_jsonl, validate_records
+from repro.obs.events import read_log, validate_records
 from repro.runtime.engine import run_protocol
 from repro.runtime.network import _default_sizer
 from repro.runtime.render import summarise_payload
@@ -496,7 +496,7 @@ def test_an_observed_run_summarises_any_payload(name, tmp_path):
         observed = run()
     assert observed.decisions == unobserved.decisions
     assert observed.metrics.total_bits == unobserved.metrics.total_bits
-    records = read_jsonl(path)
+    records = read_log(path)
     assert validate_records(records) == []
     assert [
         record["round"] for record in records

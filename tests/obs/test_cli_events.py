@@ -1,11 +1,12 @@
-"""The observability CLI surface: --events recording and `repro events`."""
+"""The observability CLI surface: --events recording, `repro events`
+and `repro status`."""
 
 import json
 
 import pytest
 
 from repro.cli import EVENT_SCHEMA_VERSION, main
-from repro.obs.events import SCHEMA_VERSION, read_jsonl, validate_records
+from repro.obs.events import SCHEMA_VERSION, read_log, validate_records
 from repro.obs.trace import build_dags
 
 
@@ -29,18 +30,18 @@ class TestRunBAEvents:
     def test_writes_a_valid_log(self, recorded_log):
         path, out = recorded_log
         assert f"events: wrote {path}" in out
-        assert validate_records(read_jsonl(path)) == []
+        assert validate_records(read_log(path)) == []
 
     def test_the_log_is_the_causal_trace(self, recorded_log, tmp_path):
         path, out = recorded_log
         assert "trace:" not in out
         assert [child.name for child in tmp_path.iterdir()] == [path.name]
-        (dag,) = build_dags(read_jsonl(path))
+        (dag,) = build_dags(read_log(path))
         assert dag.deliver_edges()
 
     def test_log_covers_the_run(self, recorded_log):
         path, _ = recorded_log
-        kinds = {record["kind"] for record in read_jsonl(path)}
+        kinds = {record["kind"] for record in read_log(path)}
         assert {"run_start", "round_end", "send", "decide",
                 "run_end", "counters"} <= kinds
 
@@ -82,31 +83,38 @@ class TestIncludeAdversaryTraffic:
 
 
 class TestEventsCommand:
+    def test_events_lists_only_validate_and_export(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["events", "--help"])
+        assert "{validate,export}" in capsys.readouterr().out
+
     def test_summarize_text(self, recorded_log, capsys):
+        """The traffic summary is part of ``repro status``."""
         path, _ = recorded_log
-        code, out = run_cli(capsys, "events", "summarize", str(path))
+        code, out = run_cli(capsys, "status", str(path))
         assert code == 0
-        assert "runs: 1" in out
+        assert "runs: started 1  ended 1" in out
         assert "per-round traffic" in out
 
     def test_summarize_json(self, recorded_log, capsys):
         path, _ = recorded_log
         code, out = run_cli(
-            capsys, "events", "summarize", str(path), "--format", "json"
+            capsys, "status", str(path), "--format", "json"
         )
         assert code == 0
-        summary = json.loads(out)
-        assert summary["runs"] == 1
-        assert summary["counters"]["runs"] == 1
-        assert summary["per_round"]
+        status = json.loads(out)
+        assert status["runs"]["started"] == 1
+        assert status["counters"]["runs"] == 1
+        assert status["per_round"]
 
     def test_profile(self, recorded_log, capsys):
+        """So is the span profile."""
         path, _ = recorded_log
-        code, out = run_cli(capsys, "events", "profile", str(path))
+        code, out = run_cli(capsys, "status", str(path))
         assert code == 0
         assert "engine.run" in out
         code, out = run_cli(
-            capsys, "events", "profile", str(path), "--format", "json"
+            capsys, "status", str(path), "--format", "json"
         )
         assert json.loads(out)["spans"]["engine.run"]["count"] == 1
 
@@ -150,8 +158,87 @@ class TestEventsCommand:
         assert "unknown event kind" in out
 
     def test_unreadable_file_is_a_usage_error(self, tmp_path, capsys):
+        for command in (("events", "validate"), ("events", "export"),
+                        ("status",)):
+            code, out = run_cli(
+                capsys, *command, str(tmp_path / "missing.jsonl")
+            )
+            assert code == 2
+            assert "error:" in out
+
+
+def _torn(path):
+    """``path`` with its final line cut mid-record, as a kill leaves it."""
+    torn = path.with_name("torn.jsonl")
+    text = path.read_text()
+    torn.write_text(text[:-40])
+    return torn, len(text.splitlines())
+
+
+class TestStatusCommand:
+    """``repro status`` prints every skip or fallback on one
+    ``degraded:`` line and exits 1 unless the log is complete and every
+    line was read."""
+
+    def test_complete_log_exits_0(self, recorded_log, capsys):
+        path, _ = recorded_log
+        code, out = run_cli(capsys, "status", str(path))
+        assert code == 0
+        assert out.startswith("status: complete\n")
+        assert "degraded:" not in out
+
+    def test_in_flight_log_exits_1(self, recorded_log, capsys):
+        path, _ = recorded_log
+        lines = path.read_text().splitlines(keepends=True)
+        cut = next(i for i, line in enumerate(lines)
+                   if '"kind": "counters"' in line)
+        path.write_text("".join(lines[:cut]))
+        code, out = run_cli(capsys, "status", str(path))
+        assert code == 1
+        assert out.startswith("status: in-flight\n")
+        assert "degraded:" not in out
+
+    def test_torn_final_line_is_named_and_exits_1(self, recorded_log, capsys):
+        path, _ = recorded_log
+        _, complete = run_cli(capsys, "status", str(path))
+        torn, last = _torn(path)
+        code, out = run_cli(capsys, "status", str(torn))
+        assert code == 1
+        first, degraded, *rest = out.splitlines()
+        assert degraded.startswith(f"degraded: {torn}:{last}: not valid JSON")
+        # the full report still follows: only the torn profile is lost
+        assert "counters:" in rest
+        assert first == "status: complete"
+        code, out = run_cli(capsys, "status", str(torn), "--format", "json")
+        assert code == 1
+        status = json.loads(out)
+        assert status["skipped_lines"] == 1
+        assert status["degraded"][0].startswith(f"{torn}:{last}:")
+
+    def test_torn_final_line_fails_validate_and_export_reads_it(
+        self, recorded_log, capsys
+    ):
+        path, _ = recorded_log
+        torn, last = _torn(path)
+        code, out = run_cli(capsys, "events", "validate", str(torn))
+        assert code == 1
+        assert f"{torn}:{last}: not valid JSON" in out
+        output = torn.with_name("trace.json")
         code, out = run_cli(
-            capsys, "events", "summarize", str(tmp_path / "missing.jsonl")
+            capsys, "events", "export", str(torn), "--output", str(output)
         )
-        assert code == 2
-        assert "error:" in out
+        assert code == 1
+        assert f"skipped {torn}:{last}: not valid JSON" in out
+        assert json.loads(output.read_text())["traceEvents"]
+
+    def test_degraded_pool_is_reported_and_exits_0(self, tmp_path, capsys):
+        """A pool that fell back to serial execution lost no result."""
+        path = tmp_path / "events.jsonl"
+        path.write_text(json.dumps({
+            "v": SCHEMA_VERSION, "kind": "counters", "run": None,
+            "round": 0, "step": 1,
+            "counters": {"runs": 2, "sweep.pool.degraded": 1},
+        }) + "\n")
+        code, out = run_cli(capsys, "status", str(path))
+        assert code == 0
+        assert "degraded: sweep.pool.degraded = 1" in out.splitlines()

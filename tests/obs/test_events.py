@@ -15,7 +15,8 @@ from repro.obs.events import (
     SCHEMA_VERSION,
     EventLog,
     json_safe,
-    read_jsonl,
+    read_log,
+    scan_log,
     validate_record,
     validate_records,
 )
@@ -59,7 +60,7 @@ class TestEventLog:
         log.write(_record(step=2))
         log.close()
         assert log.records == []  # streamed, not retained
-        assert read_jsonl(path) == [_record(), _record(step=2)]
+        assert read_log(path) == [_record(), _record(step=2)]
 
     def test_one_json_object_per_line(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -103,8 +104,8 @@ class TestEventLog:
             with pytest.raises(ValueError, match="not JSON compliant"):
                 observer.emit("decide", process=1, value=value)
         observer.events.close()
-        assert validate_records(read_jsonl(path)) == []
-        assert [r["value"] for r in read_jsonl(path)] == ["nan"]
+        assert validate_records(read_log(path)) == []
+        assert [r["value"] for r in read_log(path)] == ["nan"]
 
     def test_payload_may_not_shadow_the_envelope(self, tmp_path):
         for log in (EventLog(), EventLog(tmp_path / "events.jsonl")):
@@ -216,7 +217,7 @@ class TestEncoderEquivalence:
                 adversary=dict(standard_adversary_makers())["splitter"]([4]),
                 run_full_rounds=2,
             )
-        sends = [r for r in read_jsonl(log.path) if r["kind"] == "send"]
+        sends = [r for r in read_log(log.path) if r["kind"] == "send"]
         assert {record["faulty"] for record in sends} == {False, True}
         for record in sends:
             assert list(record)[5:] == list(EVENT_FIELDS["send"])
@@ -309,17 +310,20 @@ class TestValidateRecords:
 
 
 class TestReadJsonl:
+    """One line parser, two sides: ``read_log`` raises at the first bad
+    line, ``scan_log`` skips it and names it."""
+
     def test_rejects_non_json(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n")
-        with pytest.raises(ValueError, match="not valid JSON"):
-            read_jsonl(path)
+        with pytest.raises(ValueError, match="bad.jsonl:1: not valid JSON"):
+            read_log(path)
 
     def test_rejects_non_object_lines(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("[1, 2]\n")
         with pytest.raises(ValueError, match="not a JSON object"):
-            read_jsonl(path)
+            read_log(path)
 
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_rejects_bare_non_finite_constants(self, tmp_path, constant):
@@ -327,10 +331,34 @@ class TestReadJsonl:
         record = json.dumps(_record(kind="decide", process=1, value=0.5))
         path.write_text(record.replace("0.5", constant) + "\n")
         with pytest.raises(ValueError, match="not valid JSON") as error:
-            read_jsonl(path)
+            read_log(path)
         assert constant in str(error.value)
+        assert scan_log(path) == (
+            [], [f"{path}:1: not valid JSON: {constant} is not JSON"],
+        )
 
     def test_skips_blank_lines(self, tmp_path):
         path = tmp_path / "log.jsonl"
         path.write_text(json.dumps(_record()) + "\n\n")
-        assert len(read_jsonl(path)) == 1
+        assert len(read_log(path)) == 1
+        assert scan_log(path) == ([_record()], [])
+
+    def test_scan_names_each_skipped_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        good = json.dumps(_record())
+        path.write_text(f"{good}\n[1, 2]\n\n{good}\n{good[:9]}")
+        records, skipped = scan_log(path)
+        assert records == [_record(), _record()]
+        assert skipped[0] == f"{path}:2: record is not a JSON object"
+        assert skipped[1].startswith(f"{path}:5: not valid JSON")
+        assert len(skipped) == 2
+
+    def test_a_line_that_is_not_utf8_is_one_bad_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        good = json.dumps(_record()).encode()
+        path.write_bytes(good + b"\n" + good.replace(b"r1", b"r\xff") + b"\n")
+        with pytest.raises(ValueError, match="log.jsonl:2: not valid JSON"):
+            read_log(path)
+        records, skipped = scan_log(path)
+        assert records == [_record()]
+        assert skipped[0].startswith(f"{path}:2: not valid JSON")

@@ -1,16 +1,11 @@
-"""Exporters: Chrome-trace schema and speedscope profile shape."""
+"""The Chrome-trace exporter and its schema gate."""
 
 import json
 
 from repro.adversary import EquivocatingAdversary
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.obs import EventLog, Observer, observing
-from repro.obs.export import (
-    SPAN_PID,
-    chrome_trace,
-    speedscope_profile,
-    validate_chrome_trace,
-)
+from repro.obs.export import SPAN_PID, chrome_trace, validate_chrome_trace
 from repro.obs.trace import build_dags
 
 
@@ -102,27 +97,3 @@ class TestChromeTrace:
         )
         assert any("finish" in p for p in problems)
 
-
-class TestSpeedscope:
-    def test_profile_shape(self, config4):
-        payload = speedscope_profile(traced_records(config4))
-        assert payload["$schema"] == (
-            "https://www.speedscope.app/file-format-schema.json"
-        )
-        profile = payload["profiles"][0]
-        assert profile["type"] == "sampled"
-        assert len(profile["samples"]) == len(profile["weights"])
-        frames = payload["shared"]["frames"]
-        for stack in profile["samples"]:
-            assert all(0 <= index < len(frames) for index in stack)
-
-    def test_weights_are_self_time(self, config4):
-        records = traced_records(config4)
-        payload = speedscope_profile(records)
-        profile = payload["profiles"][0]
-        assert all(weight >= 0 for weight in profile["weights"])
-        assert profile["endValue"] == round(sum(profile["weights"]), 6)
-
-    def test_empty_log_exports_an_empty_profile(self):
-        payload = speedscope_profile([])
-        assert payload["profiles"][0]["samples"] == []

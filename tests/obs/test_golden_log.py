@@ -45,9 +45,8 @@ from repro.compact.payload import compact_sizer, payload_is_null
 from repro.core.predicates import byzantine_agreement_predicate
 from repro.fullinfo.protocol import full_information_sizer
 from repro.obs import EventLog, Observer, log_paths, observing
-from repro.obs.events import read_jsonl
+from repro.obs.events import read_log
 from repro.obs.rollup import status_from_records
-from repro.obs.summarize import summarize_records
 from repro.obs.trace import build_dags, check_closedness
 from repro.runtime.engine import run_protocol
 from repro.types import SystemConfig
@@ -126,10 +125,21 @@ EQUIVALENCE = pathlib.Path(__file__).parent / "golden" / (
     "information_equivalence.json"
 )
 
-#: The deterministic keys of ``status_from_records``.
+#: The deterministic keys the status report had when the fixture was
+#: recorded.
 STATUS_KEYS = (
     "phase", "runs", "cells", "progress", "chunks", "rollups",
     "protocols", "counters", "hit_rates", "fuzz",
+)
+
+#: What this grid's log read as through the three readers that
+#: :func:`status_from_records` replaced — ``summarize_records``,
+#: ``profile_records`` and the status report of the time — recorded
+#: from them.  Of the wall-clock ``profile`` record it keeps span
+#: counts and gauge names: times vary run to run, and a high-water
+#: gauge with what the process ran before.
+MERGED_READERS = pathlib.Path(__file__).parent / "golden" / (
+    "merged_readers.json"
 )
 
 
@@ -236,12 +246,12 @@ def test_pooled_log_is_exactly_the_stdlib_encoding(tmp_path):
     calling ``json.dumps``; a pooled log carries the records the serial
     grid does not (``rollup``, ``worker_sample``, ``workers``,
     ``profile``: nested dicts, floats), so every parsed record must
-    re-encode to the bytes on disk.  ``read_jsonl`` is strict JSON: a
+    re-encode to the bytes on disk.  ``read_log`` is strict JSON: a
     bare NaN / Infinity fails the parse.
     """
     path = tmp_path / "events.jsonl"
     _write_grid_log(path, workers=2)
-    records = read_jsonl(path)
+    records = read_log(path)
     assert {"rollup", "worker_sample", "workers", "profile"} <= {
         record["kind"] for record in records
     }
@@ -322,6 +332,94 @@ def test_memoised_send_entries_are_the_fresh_ones(tmp_path):
         assert _deterministic_lines(path)[:-1] == expected
 
 
+def _retired_reports(status):
+    """The three retired readers' reports, re-read from the one report.
+
+    Each value is taken from where the one report keeps it; only these
+    moved: ``summarize``'s ``runs`` and ``cells.total`` are
+    ``runs.started`` and ``cells.serial``, ``profile``'s per-pool
+    ``workers`` are ``pools``, and the old status's ``pool`` and
+    ``top_spans`` are the last of ``pools`` and the largest ``spans``.
+    """
+    cells = status["cells"]
+    pools = status["pools"]
+    top = sorted(
+        status["spans"].items(),
+        key=lambda item: (-item[1]["total_s"], item[0]),
+    )[:5]
+    return {
+        "summarize": {
+            "records": status["records"],
+            "runs": status["runs"]["started"],
+            "decisions": status["decisions"],
+            "sends": status["sends"],
+            "corruptions": status["corruptions"],
+            "cells": {
+                "total": cells["serial"],
+                "held": cells["held"],
+                "falsified": cells["falsified"],
+            },
+            "per_round": status["per_round"],
+            "counters": status["counters"],
+            "hit_rates": status["hit_rates"],
+        },
+        "profile": {
+            "spans": status["spans"],
+            "gauges": status["gauges"],
+            "workers": [
+                {key: pool[key] for key in ("workers", "wall_s", "idle_s")}
+                for pool in pools
+            ],
+        },
+        "status": {
+            **{key: status[key] for key in STATUS_KEYS},
+            "records": status["records"],
+            "skipped_lines": status["skipped_lines"],
+            "workers": status["workers"],
+            "cells": {
+                key: cells[key]
+                for key in ("planned", "pooled", "serial", "done")
+            },
+            "pool": {
+                "workers": pools[-1]["planned"],
+                "wall_s": pools[-1]["wall_s"],
+                "idle_s": pools[-1]["idle_s"],
+            } if pools else None,
+            "top_spans": [
+                {"span": path, "count": stats["count"],
+                 "total_s": stats["total_s"]}
+                for path, stats in top
+            ],
+        },
+    }
+
+
+def _without_wall_times(reports):
+    """``reports`` with span times and gauge values dropped."""
+    reports["profile"]["gauges"] = sorted(reports["profile"]["gauges"])
+    reports["profile"]["spans"] = {
+        path: {"count": stats["count"]}
+        for path, stats in reports["profile"]["spans"].items()
+    }
+    reports["status"]["top_spans"] = sorted(
+        ({"span": entry["span"], "count": entry["count"]}
+         for entry in reports["status"]["top_spans"]),
+        key=lambda entry: entry["span"],
+    )
+    return reports
+
+
+def test_one_report_carries_what_the_three_readers_did(tmp_path):
+    """Every value the retired ``summarize``, ``profile`` and status
+    readers returned for this grid is in the one report, unchanged."""
+    path = tmp_path / "events.jsonl"
+    _write_grid_log(path)
+    reports = _retired_reports(status_from_records(read_log(path)))
+    assert _without_wall_times(reports) == json.loads(
+        MERGED_READERS.read_text()
+    )
+
+
 def _information(records):
     """What a log says about its runs, independent of how it spells it.
 
@@ -345,9 +443,10 @@ def _information(records):
             ).hexdigest(),
         }
         dags.append(document)
-    summary = summarize_records(records)
+    reports = _retired_reports(status_from_records(records))
+    summary = reports["summarize"]
     del summary["records"]
-    status = status_from_records(records)
+    status = reports["status"]
     return {
         "dags": dags,
         "summary": summary,
@@ -362,6 +461,6 @@ def test_v2_log_carries_what_v1_did(tmp_path):
     re-measurements)."""
     path = tmp_path / "events.jsonl"
     _write_grid_log(path)
-    records = read_jsonl(path)
+    records = read_log(path)
     assert _information(records) == json.loads(EQUIVALENCE.read_text())
     assert check_closedness(records) == []

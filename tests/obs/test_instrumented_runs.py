@@ -17,7 +17,7 @@ from repro.avalanche.protocol import avalanche_factory
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.compact.payload import CompactPayload
 from repro.obs import EventLog, Observer, observing, validate_records
-from repro.obs.summarize import summarize_records
+from repro.obs.rollup import status_from_records
 from repro.runtime.engine import run_protocol
 
 
@@ -191,7 +191,7 @@ class TestAvalancheWorkCounters:
             for process in result.processes.values()
             for batch in process._batches.values()
         ]
-        return batches, summarize_records(log.records)["counters"]
+        return batches, status_from_records(log.records)["counters"]
 
     def test_fault_free_run_tallies_two_rounds_per_batch(self, config7):
         batches, counters = self.run(config7)

@@ -103,7 +103,7 @@ class TestStatus:
         assert status["progress"] == 1.0
         # The planned pool size is deterministic; how many slots
         # collected a chunk depends on OS scheduling.
-        assert status["pool"]["workers"] == 2
+        assert [pool["planned"] for pool in status["pools"]] == [2]
         assert 1 <= len(status["workers"]) <= 2
         assert sum(row["cells"] for row in status["workers"]) == 4
         rendered = render_status(status)
@@ -141,7 +141,7 @@ class TestStatus:
             parallel.execute_cells(context, cells, workers=2)
         assert validate_records(log.records) == []
         status = status_from_records(log.records)
-        assert status["pool"]["workers"] == 2
+        assert [pool["planned"] for pool in status["pools"]] == [2]
         assert [row["chunks"] for row in status["workers"]] == [2]
 
     def test_interrupted_run_reconstructs_from_the_torn_log(
@@ -166,7 +166,7 @@ class TestStatus:
         assert status["counters"]
         rendered = render_status(status)
         assert "in-flight" in rendered
-        assert "1 torn line(s) skipped" in rendered
+        assert f"degraded: {path}:{cut + 1}: not valid JSON" in rendered
         assert "counters:" in rendered
 
     def test_serial_cells_do_not_count_against_the_plan(self):
@@ -218,7 +218,34 @@ class TestStatus:
         assert status["records"] == 1
         assert status["cells"]["planned"] == 3
         assert status["counters"] == {"runs": 3}
-        assert "1 torn line(s) skipped" in render_status(status)
+        (skipped,) = status["degraded"]
+        assert skipped.startswith(
+            f"{path}:2: not valid JSON" if cells == "NaN"
+            else "record 1: rollup: field"
+        )
+        assert f"degraded: {skipped}" in render_status(status)
+
+    def test_every_pool_of_a_three_protocol_campaign(self):
+        """Each default protocol runs its own pool; all three are
+        listed, and the text prints their totals."""
+        log = EventLog()
+        with observing(Observer(events=log)):
+            report = run_campaign(
+                CampaignSettings(seed=2026, cases=10, workers=2)
+            )
+        assert len(report.protocols) == 3
+        status = status_from_records(log.records)
+        pools = status["pools"]
+        assert [pool["planned"] for pool in pools] == [2, 2, 2]
+        assert status["cells"]["planned"] == status["cells"]["pooled"] == 30
+        # every worker row belongs to some pool
+        assert sum(
+            row["cells"] for pool in pools for row in pool["workers"]
+        ) == 30
+        rendered = render_status(status)
+        assert rendered.count("  pool: 2 worker(s)") == 3
+        wall = round(sum(pool["wall_s"] for pool in pools), 6)
+        assert f"  pools: 3 run(s), wall {wall}s" in rendered
 
     def test_status_of_an_empty_log(self):
         status = status_from_records([])
@@ -260,9 +287,8 @@ class TestFreshProcessGoldens:
     def test_profile_renders_identical_bytes(self, tmp_path):
         path = self._artifact(tmp_path)
         outputs = [
-            self._stdout("events", "profile", str(path),
-                         "--format", "text")
+            self._stdout("status", str(path), "--format", "json")
             for _ in range(2)
         ]
         assert outputs[0] == outputs[1]
-        assert outputs[0].strip()
+        assert json.loads(outputs[0])["spans"]

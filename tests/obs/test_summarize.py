@@ -1,11 +1,8 @@
-"""Offline event-log queries: summarize and profile."""
+"""Summarizing a recorded run: the traffic and wall-clock fields of the
+one report, :func:`repro.obs.rollup.status_from_records`."""
 
-from repro.obs.summarize import (
-    profile_records,
-    render_profile,
-    render_summary,
-    summarize_records,
-)
+from repro.obs.events import validate_records
+from repro.obs.rollup import render_status, status_from_records
 
 
 def _event(kind, step, **fields):
@@ -37,21 +34,28 @@ SAMPLE = [
         gauges={"pool.workers": 2.0},
     ),
     _event(
-        "workers", 14, nondeterministic=True,
+        "workers", 14, nondeterministic=True, planned=2,
         workers=[{"cells": 3, "busy_s": 0.4}], wall_s=0.5, idle_s=0.6,
     ),
 ]
 
 
+def test_the_sample_is_a_valid_log():
+    assert validate_records(SAMPLE) == []
+
+
 class TestSummarize:
     def test_counts(self):
-        summary = summarize_records(SAMPLE)
-        assert summary["records"] == len(SAMPLE)
-        assert summary["runs"] == 1
-        assert summary["decisions"] == 1
-        assert summary["sends"] == 2
-        assert summary["corruptions"] == 1
-        assert summary["cells"] == {"total": 3, "held": 1, "falsified": 1}
+        status = status_from_records(SAMPLE)
+        assert status["records"] == len(SAMPLE)
+        assert status["runs"] == {"started": 1, "ended": 1}
+        assert status["decisions"] == 1
+        assert status["sends"] == 2
+        assert status["corruptions"] == 1
+        assert status["cells"] == {
+            "planned": 0, "pooled": 0, "serial": 3, "done": 3,
+            "held": 1, "falsified": 1,
+        }
 
     def test_a_burst_counts_per_message(self):
         burst = _event("send", 2, sender=1, faulty=False, messages=[
@@ -60,62 +64,90 @@ class TestSummarize:
         corrupt = _event("send", 3, sender=4, faulty=True, messages=[
             [1, 8, True, "0"], [2, 8, True, "1"],
         ])
-        summary = summarize_records([burst, corrupt])
-        assert (summary["sends"], summary["corruptions"]) == (3, 2)
+        status = status_from_records([burst, corrupt])
+        assert (status["sends"], status["corruptions"]) == (3, 2)
 
     def test_per_round_traffic(self):
-        summary = summarize_records(SAMPLE)
-        assert summary["per_round"]["1"]["bits"] == 27
-        assert summary["per_round"]["2"]["non_null"] == 6
-        assert list(summary["per_round"]) == ["1", "2"]
+        per_round = status_from_records(SAMPLE)["per_round"]
+        assert per_round["1"] == {
+            "rounds": 1, "messages": 9, "non_null": 9, "bits": 27,
+        }
+        assert per_round["2"]["non_null"] == 6
+        assert list(per_round) == ["1", "2"]
+
+    def test_per_round_sums_across_runs(self):
+        again = [
+            _event(record["kind"], 20 + record["step"],
+                   **{key: value for key, value in record.items()
+                      if key not in ("kind", "step")})
+            for record in SAMPLE[:6]
+        ]
+        per_round = status_from_records(SAMPLE[:6] + again)["per_round"]
+        assert per_round["1"] == {
+            "rounds": 2, "messages": 18, "non_null": 18, "bits": 54,
+        }
+        assert per_round["2"]["bits"] == 36
 
     def test_hit_rates_derived_from_counters(self):
-        rates = summarize_records(SAMPLE)["hit_rates"]
+        rates = status_from_records(SAMPLE)["hit_rates"]
         assert rates["cache"] == {"rate": 0.75, "hits": 3, "misses": 1}
 
     def test_summarizing_twice_is_identical(self):
-        assert summarize_records(SAMPLE) == summarize_records(SAMPLE)
+        assert status_from_records(SAMPLE) == status_from_records(SAMPLE)
 
     def test_render(self):
-        text = render_summary(summarize_records(SAMPLE))
-        assert "runs: 1" in text
+        text = render_status(status_from_records(SAMPLE))
+        assert "runs: started 1  ended 1  decisions: 1" in text
+        assert "sends: 2  corruptions: 1" in text
+        assert "held 1  falsified 1" in text
         assert "per-round traffic" in text
         assert "cache hit rates" in text
         assert "75.00%" in text
         assert "net.bits = 45" in text
 
     def test_empty_log(self):
-        summary = summarize_records([])
-        assert summary["runs"] == 0
-        assert summary["per_round"] == {}
-        assert "runs: 0" in render_summary(summary)
+        status = status_from_records([])
+        assert status["runs"] == {"started": 0, "ended": 0}
+        assert status["per_round"] == {}
+        assert "runs: started 0" in render_status(status)
 
 
 class TestProfile:
     def test_rollup(self):
-        profile = profile_records(SAMPLE)
-        assert profile["spans"]["engine.run"]["count"] == 1
-        assert profile["gauges"]["pool.workers"] == 2.0
-        assert profile["workers"][0]["idle_s"] == 0.6
+        status = status_from_records(SAMPLE)
+        assert status["spans"]["engine.run"]["count"] == 1
+        assert status["gauges"]["pool.workers"] == 2.0
+        assert status["pools"] == [{
+            "planned": 2, "wall_s": 0.5, "idle_s": 0.6,
+            "workers": [{"cells": 3, "busy_s": 0.4}],
+        }]
 
     def test_multiple_profile_records_merge(self):
         doubled = SAMPLE + [
             _event(
                 "profile", 15, nondeterministic=True,
                 spans={"engine.run":
-                       {"count": 2, "total_s": 0.25, "max_s": 0.2}},
+                       {"count": 2, "total_s": 0.25, "max_s": 0.2},
+                       "engine.run/eig.decision":
+                       {"count": 4, "total_s": 0.125, "max_s": 0.05}},
                 gauges={},
             )
         ]
-        merged = profile_records(doubled)["spans"]["engine.run"]
-        assert merged == {"count": 3, "total_s": 0.75, "max_s": 0.5}
+        spans = status_from_records(doubled)["spans"]
+        assert spans == {
+            "engine.run": {"count": 3, "total_s": 0.75, "max_s": 0.5},
+            "engine.run/eig.decision":
+                {"count": 4, "total_s": 0.125, "max_s": 0.05},
+        }
 
     def test_render(self):
-        text = render_profile(profile_records(SAMPLE))
+        text = render_status(status_from_records(SAMPLE))
         assert "span profile" in text
         assert "engine.run" in text
         assert "pool.workers = 2.0" in text
-        assert "idle 0.600s" in text
+        assert "pool: 2 worker(s), wall 0.5s, idle 0.6s" in text
 
     def test_render_without_spans(self):
-        assert "no span profile" in render_profile(profile_records([]))
+        text = render_status(status_from_records(SAMPLE[:-2]))
+        assert "span profile" not in text
+        assert "per-worker throughput" not in text

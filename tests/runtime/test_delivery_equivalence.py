@@ -20,7 +20,7 @@ from repro.adversary import EquivocatingAdversary
 from repro.arrays.store import shared_store
 from repro.avalanche.protocol import avalanche_factory
 from repro.obs import Observer, observing
-from repro.obs.events import EventLog, read_jsonl
+from repro.obs.events import EventLog, read_log
 from repro.obs.trace import check_closedness
 from repro.runtime.engine import run_protocol
 from repro.runtime.node import Process, broadcast
@@ -120,7 +120,7 @@ def test_event_logs_are_byte_identical(schedule, tmp_path):
         log.close()
         logs[talker] = path.read_bytes()
     assert logs[Talker] == logs[PlainTalker]
-    records = read_jsonl(tmp_path / "Talker.jsonl")
+    records = read_log(tmp_path / "Talker.jsonl")
     kinds = {record["kind"] for record in records}
     assert {"send", "counters"} <= kinds
     assert {r["faulty"] for r in records if r["kind"] == "send"} == {
