@@ -223,13 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="accept all current findings into the baseline file",
     )
-    lint.add_argument(
-        "--certificates",
-        default=None,
-        metavar="PATH",
-        help="also write per-protocol closedness certificates (JSON) "
-        "to PATH",
-    )
 
     fuzz = commands.add_parser(
         "fuzz",
@@ -292,21 +285,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="rotate the event log into PATH.part-N files once a file "
         "would exceed BYTES (requires --events)",
-    )
-    fuzz.add_argument(
-        "--check-closedness",
-        action="store_true",
-        help="with --replay: re-run each case under a tracing "
-        "observer and cross-check the observed round structure "
-        "against the committed protoflow certificates "
-        "(docs/statics.md)",
-    )
-    fuzz.add_argument(
-        "--certificates",
-        default=None,
-        metavar="PATH",
-        help="certificate catalog for --check-closedness (default: "
-        "tools/protoflow_certificates.json)",
     )
 
     return parser
@@ -608,18 +586,6 @@ def _command_lint(args) -> _Output:
         rendered = render_sarif(result)
     else:
         rendered = render_text(result)
-    if args.certificates:
-        from repro.statics.flow.certificates import (
-            certify,
-            render_certificates,
-        )
-
-        target = pathlib.Path(args.certificates)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
-            render_certificates(certify(result.flow, baseline)),
-            encoding="utf-8",
-        )
     return rendered, result.exit_code
 
 
@@ -635,9 +601,6 @@ def _command_fuzz(args) -> _Output:
     from repro.fuzz.case import load_case, load_corpus
     from repro.fuzz.protocols import DEFAULT_PROTOCOLS
 
-    if args.check_closedness and args.replay is None:
-        return "error: --check-closedness requires --replay", 2
-
     if args.replay is not None:
         path = pathlib.Path(args.replay)
         if path.is_dir():
@@ -648,44 +611,6 @@ def _command_fuzz(args) -> _Output:
             entries = [(path, load_case(path))]
         else:
             return f"error: {path} is neither a case file nor a corpus", 2
-        if args.check_closedness:
-            from repro.statics.crosscheck import (
-                DEFAULT_CERTIFICATES,
-                check_case,
-                load_certificates,
-                render_cross_check,
-            )
-
-            certificates_path = pathlib.Path(
-                args.certificates
-                if args.certificates is not None
-                else DEFAULT_CERTIFICATES
-            )
-            try:
-                certificates = load_certificates(certificates_path)
-            except (OSError, ValueError) as error:
-                return f"error: {error}", 2
-            cases = [
-                check_case(case, certificates)
-                for _case_path, case in entries
-            ]
-            report = {
-                "corpus": str(path),
-                "certificates": str(certificates_path),
-                "cases": cases,
-                "disagreements": [
-                    entry["case"] for entry in cases
-                    if not entry["agrees"]
-                ],
-                "ok": all(entry["agrees"] for entry in cases),
-            }
-            import json
-
-            if args.format == "json":
-                rendered = json.dumps(report, indent=2)
-            else:
-                rendered = render_cross_check(report)
-            return rendered, (0 if report["ok"] else 1)
         lines = []
         failures = 0
         for case_path, case in entries:

@@ -22,8 +22,7 @@ only that difference.  A round's local state change, in order:
    ``FULL_STATE = phi_b(CORE)`` (Section 5.5), at progress rounds past
    the horizon;
 4. the next round's **send-side preparation**, so that ``outgoing``
-   only reads: ``mu_pq`` is a function of the end-of-round state
-   (protoflow's FLOW003).
+   only reads: ``mu_pq`` is a function of the end-of-round state.
 
 Wherever ``CORE`` changes, the invariant the construction rests on (the
 paper's step 5) is enforced: ``phi_b(CORE)`` is defined at its owner.

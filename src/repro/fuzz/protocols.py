@@ -4,14 +4,12 @@ A :class:`ProtocolSpec` is everything the harness knows about one
 protocol — how to build its processes for a system configuration, the
 resilience it needs, its declared round bound, how to sample a legal
 input vector, which oracles judge an execution (the protocol's *own*
-correctness predicate, in Theorem 1's sense), its paper-exact bit
-meter where it has one, and the protoflow certificates of the process
-classes a run executes.  Registering a spec is the whole integration
+correctness predicate, in Theorem 1's sense) and its paper-exact bit
+meter where it has one.  Registering a spec is the whole integration
 surface: `repro fuzz --protocol <name>`, the corpus replayer, the
 gallery conformance sweep (``tests/integration/test_catalog.py``), the
-schedule-equivalence suite, the Section 5.6 comparison
-(:mod:`repro.analysis.compare`) and the static/dynamic closedness
-cross-check (:mod:`repro.statics.crosscheck`) all read the entry, and
+schedule-equivalence suite and the Section 5.6 comparison
+(:mod:`repro.analysis.compare`) all read the entry, and
 the contract pass (:mod:`repro.statics.contracts`) checks this
 module's AST against the tree, so a ``*_factory`` that is neither
 registered here nor excused in :data:`CATALOG_EXEMPT` is a lint
@@ -108,7 +106,7 @@ def sample_binary_inputs(
 
 @dataclasses.dataclass(frozen=True)
 class ProtocolSpec:
-    """One catalogued protocol: how to build, bound, judge and certify it."""
+    """One catalogued protocol: how to build, bound and judge it."""
 
     name: str
     #: Human-readable label (docs, test ids).
@@ -125,9 +123,6 @@ class ProtocolSpec:
     #: The protocol needs ``n >= resilience * t + 1``; a literal, read
     #: by :meth:`supports` and by the contract pass (CON004).
     resilience: int
-    #: ``tools/protoflow_certificates.json`` keys of every process
-    #: class a run executes (a wrapper lists the classes it wraps).
-    certificates: Tuple[str, ...]
     #: Draws one input vector from the campaign's RNG substream.
     sample_inputs: InputSampler = sample_binary_inputs
     #: Non-terminating / externally clocked: run exactly ``rounds``
@@ -275,7 +270,6 @@ register(ProtocolSpec(
     rounds=lambda config: config.t + 5,
     run_full=True,
     resilience=3,
-    certificates=("repro/avalanche/protocol.py::AvalancheProcess",),
 ))
 
 
@@ -293,7 +287,6 @@ def compact_ba_spec(k: int) -> ProtocolSpec:
         oracles=BA_ORACLES,
         rounds=lambda config: compact_ba_rounds(config.t, k),
         resilience=3,
-        certificates=("repro/compact/protocol.py::CompactProcess",),
         differential_group="ba",
         metering=_compact_metering,
     )
@@ -310,10 +303,6 @@ register(ProtocolSpec(
     rounds=lambda config: config.t + 1,
     resilience=3,
     # Protocol 1's processes under the EIG decision rule.
-    certificates=(
-        "repro/fullinfo/protocol.py::FullInformationProcess",
-        "repro/agreement/eig_agreement.py::ExponentialAgreementAutomaton",
-    ),
     differential_group="ba",
     metering=lambda config: {"sizer": full_information_sizer(2, config.n)},
 ))
@@ -325,7 +314,6 @@ register(ProtocolSpec(
     oracles=BA_ORACLES,
     rounds=lambda config: compact_ba_rounds(config.t, 1),
     resilience=3,
-    certificates=("repro/compact/lazy_decision.py::LazyCompactProcess",),
     differential_group="ba",
     metering=_compact_metering,
 ))
@@ -339,7 +327,6 @@ register(ProtocolSpec(
     oracles=BA_ORACLES,
     rounds=lambda config: compact_ba_rounds(config.t, 1, overhead=1),
     resilience=4,
-    certificates=("repro/compact/protocol.py::CompactProcess",),
     differential_group="ba",
     metering=_compact_metering,
 ))
@@ -353,9 +340,6 @@ register(ProtocolSpec(
     oracles=BA_ORACLES,
     rounds=lambda config: config.t + 1,
     resilience=3,
-    certificates=(
-        "repro/compact/authenticated_variant.py::AuthCompactProcess",
-    ),
     authenticated=True,
     differential_group="ba",
     metering=lambda config: {"sizer": auth_sizer(config, 2)},
@@ -370,7 +354,6 @@ register(ProtocolSpec(
     oracles=BA_ORACLES,
     rounds=lambda config: st_agreement_rounds(config.t),
     resilience=3,
-    certificates=("repro/agreement/srikanth_toueg.py::STAgreementProcess",),
     metering=lambda config: {"sizer": st_sizer(config, 2)},
 ))
 
@@ -381,7 +364,6 @@ register(ProtocolSpec(
     oracles=BA_ORACLES,
     rounds=lambda config: phase_king_rounds(config.t),
     resilience=3,
-    certificates=("repro/agreement/phase_king.py::PhaseKingProcess",),
 ))
 
 register(ProtocolSpec(
@@ -391,7 +373,6 @@ register(ProtocolSpec(
     oracles=BA_ORACLES,
     rounds=lambda config: phase_queen_rounds(config.t),
     resilience=4,
-    certificates=("repro/agreement/phase_king.py::PhaseQueenProcess",),
 ))
 
 register(ProtocolSpec(
@@ -402,7 +383,6 @@ register(ProtocolSpec(
     rounds=None,
     randomized=True,
     resilience=3,
-    certificates=("repro/agreement/ben_or.py::BenOrProcess",),
 ))
 
 register(ProtocolSpec(
@@ -412,7 +392,6 @@ register(ProtocolSpec(
     oracles=BA_ORACLES,
     rounds=lambda config: dolev_strong_rounds(config.t),
     resilience=2,
-    certificates=("repro/agreement/dolev_strong.py::DolevStrongProcess",),
     authenticated=True,
 ))
 
@@ -425,7 +404,6 @@ register(ProtocolSpec(
     oracles=("decided", "crusader"),
     rounds=lambda config: 2,
     resilience=3,
-    certificates=("repro/agreement/crusader.py::CrusaderProcess",),
 ))
 
 register(ProtocolSpec(
@@ -436,10 +414,6 @@ register(ProtocolSpec(
     # One unanimity-test round, then the inner binary protocol.
     rounds=lambda config: 1 + phase_king_rounds(config.t),
     resilience=3,
-    certificates=(
-        "repro/agreement/weak.py::WeakAgreementProcess",
-        "repro/agreement/phase_king.py::PhaseKingProcess",
-    ),
 ))
 
 register(ProtocolSpec(
@@ -453,7 +427,6 @@ register(ProtocolSpec(
     rounds=lambda config: 3 + config.t + 2,
     run_full=True,
     resilience=3,
-    certificates=("repro/agreement/firing_squad.py::FiringSquadProcess",),
 ))
 
 

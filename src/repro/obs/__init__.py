@@ -23,7 +23,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "core": (
         "Observer",
         "activate",
-        "active",
         "deactivate",
         "observing",
         "span",
@@ -39,5 +38,5 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "registry": ("InstrumentRegistry",),
     "rollup": ("load_status", "render_status", "status_from_records"),
     "spans": ("NULL_SPAN", "SpanProfile", "profile_dict"),
-    "trace": ("CausalDag", "CausalEdge", "build_dags", "check_closedness"),
+    "trace": ("check_closedness",),
 })

@@ -234,11 +234,6 @@ class Observer:
 ACTIVE: Optional[Observer] = None
 
 
-def active() -> Optional[Observer]:
-    """The currently active observer, if any."""
-    return ACTIVE
-
-
 def activate(observer: Observer) -> None:
     """Make ``observer`` the process-wide active observer."""
     global ACTIVE
@@ -284,7 +279,6 @@ __all__ = [
     "ACTIVE",
     "Observer",
     "activate",
-    "active",
     "deactivate",
     "json_safe",
     "observing",

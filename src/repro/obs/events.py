@@ -76,8 +76,8 @@ EVENT_FIELDS: Dict[str, Dict[str, Tuple[type, ...]]] = {
     # traffic: one record per sender per round, ``messages`` holding
     # one entry per non-bottom message in landing order —
     # ``[receiver, bits, non_null]``, plus a payload ``summary`` when
-    # the sender is faulty.  Faulty receivers are listed too; the
-    # causal DAG (:mod:`repro.obs.trace`) keeps the correct ones.
+    # the sender is faulty.  Faulty receivers are listed too;
+    # :func:`repro.obs.trace.burst_edges` keeps the correct ones.
     "send": {"sender": (int,), "faulty": (bool,), "messages": (list,)},
     # state changes
     "state": {"process": (int,), "summary": (str,)},

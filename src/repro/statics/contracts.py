@@ -2,9 +2,8 @@
 
 The registry of ``repro.fuzz.protocols`` is the coverage contract of
 this repository: the conformance sweep in
-``tests/integration/test_catalog.py``, seeded fuzzing, the
-schedule-equivalence suite and the closedness cross-check run *every*
-registered protocol, so a factory that never gets registered silently
+``tests/integration/test_catalog.py``, seeded fuzzing and the
+schedule-equivalence suite run *every* registered protocol, so a factory that never gets registered silently
 opts out of that safety net.  This pass cross-checks the registry
 module's AST against the tree without importing or executing any
 protocol code:

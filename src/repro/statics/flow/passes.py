@@ -1,12 +1,11 @@
-"""Orchestration of the FLOW / COM / TAINT passes over a tree.
+"""Orchestration of the COM / TAINT passes over a tree.
 
 ``analyze_index`` reads the project index once, then produces one
 :class:`ProtocolReport` per certified class (every concrete ``Process``
 subclass and every ``AutomatonProtocol`` implementation in the flow
 packages) plus the declaration-validation findings for each module.
 :attr:`FlowAnalysis.findings` flattens that into the finding list
-``repro lint`` merges with the other passes; ``certificates.py``
-consumes the same reports to emit the per-protocol certificate file.
+``repro lint`` merges with the other passes.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import dataclasses
 from typing import List, Optional, Set
 
 from repro.statics.findings import Finding
-from repro.statics.flow.closedness import analyze_flow
 from repro.statics.flow.engine import (
     SANITIZER_DECLARATION,
     Instance,
@@ -47,12 +45,9 @@ BOUNDS_DECLARATION = "MESSAGE_BOUNDS"
 
 @dataclasses.dataclass
 class ProtocolReport:
-    """Everything the three passes concluded about one protocol class."""
+    """Everything the two passes concluded about one protocol class."""
 
     cls: ClassInfo
-    kind: str
-    structure: str
-    flow_findings: List[Finding]
     taint_findings: List[Finding]
     com_findings: List[Finding]
     sanitizers_used: List[str]
@@ -61,9 +56,7 @@ class ProtocolReport:
 
     @property
     def findings(self) -> List[Finding]:
-        return sorted(
-            self.flow_findings + self.taint_findings + self.com_findings
-        )
+        return sorted(self.taint_findings + self.com_findings)
 
 
 @dataclasses.dataclass
@@ -99,14 +92,10 @@ def analyze_index(index: ProjectIndex) -> FlowAnalysis:
 
 
 def _analyze_protocol(index: ProjectIndex, info: ClassInfo) -> ProtocolReport:
-    kind = index.kind_of(info)
-    if kind == "process":
-        flow = analyze_flow(index, info)
-        flow_findings, structure = flow.findings, flow.structure
+    if index.kind_of(info) == "process":
         taint = _taint_process(index, info)
         summary = analyze_process(index, info)
     else:
-        flow_findings, structure = [], "automaton"
         taint = _taint_automaton(index, info)
         summary = analyze_automaton(index, info)
     declared = info.module.declaration(BOUNDS_DECLARATION).entries.get(
@@ -115,9 +104,6 @@ def _analyze_protocol(index: ProjectIndex, info: ClassInfo) -> ProtocolReport:
     com_findings = _check_bounds(info, summary, declared)
     return ProtocolReport(
         cls=info,
-        kind=kind,
-        structure=structure,
-        flow_findings=sorted(set(flow_findings)),
         taint_findings=sorted(set(taint.findings)),
         com_findings=sorted(set(com_findings)),
         sanitizers_used=sorted(taint.sanitizers_used),

@@ -1,33 +1,9 @@
-"""Rule metadata for the three protoflow families (FLOW / COM / TAINT)."""
+"""Rule metadata for the two protoflow families (COM / TAINT)."""
 
 from __future__ import annotations
 
 from repro.statics.rules import rule
 
-FLOW001 = rule(
-    "FLOW001",
-    "flow",
-    "raw message map captured into persistent state",
-    "communication-closedness (Section 3.1): storing the whole round-r "
-    "incoming map lets later rounds re-read round-r messages, so the "
-    "round structure the canonical form relies on is violated",
-)
-FLOW002 = rule(
-    "FLOW002",
-    "flow",
-    "send phase reads state with no provenance",
-    "the canonical form makes round r's messages a function of the "
-    "end-of-round-(r-1) state; an attribute never written by __init__ "
-    "or any receive path has no such provenance",
-)
-FLOW003 = rule(
-    "FLOW003",
-    "flow",
-    "send phase mutates processor state",
-    "mu_pq is a pure function of the pre-round state (Section 3.1); a "
-    "send path that writes state makes the message history depend on "
-    "send ordering, which the Theorem 2 replay cannot reproduce",
-)
 COM001 = rule(
     "COM001",
     "com",
@@ -49,7 +25,7 @@ COM003 = rule(
     "com",
     "missing or invalid MESSAGE_BOUNDS declaration",
     "every certified protocol must state its per-round bound so the "
-    "certificate can compare declared against inferred; dead or "
+    "pass can compare declared against inferred; dead or "
     "malformed entries drift from the tree",
 )
 TAINT001 = rule(

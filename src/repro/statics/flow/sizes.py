@@ -72,7 +72,7 @@ class SizeSummary:
 def analyze_process(index: ProjectIndex, info: ClassInfo) -> SizeSummary:
     """Infer the per-round payload bound of a ``Process`` subclass."""
     state = _ClassSizeState(index, info)
-    # FLOW003 sends drains to receive(); either home counts.
+    # A drain idiom lives in outgoing() or receive(); either home counts.
     state.scan_drains("outgoing")
     state.scan_drains("receive")
     state.run_receive_path(("receive",))

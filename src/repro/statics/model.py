@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.statics.visitor import attribute_chain
 
-#: Packages whose protocol classes get the FLOW/COM/TAINT passes.
+#: Packages whose protocol classes get the COM/TAINT passes.
 FLOW_PACKAGES = ("core", "agreement", "avalanche", "compact", "fullinfo")
 
 #: Modules indexed for inheritance/binding resolution only (never linted).
@@ -563,7 +563,7 @@ class ProjectIndex:
     # -- certified protocols -------------------------------------------------
 
     def certified(self) -> List[ClassInfo]:
-        """Every protocol class the certificate covers, sorted.
+        """Every protocol class the COM and TAINT passes analyse, sorted.
 
         A class is certified when it is a concrete :class:`Process`
         subclass (defines or inherits an ``outgoing`` implementation

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import pathlib
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.statics.baseline import Baseline, Suppression
 from repro.statics.contracts import (
@@ -24,7 +24,7 @@ from repro.statics.contracts import (
 )
 from repro.statics.determinism import check_determinism
 from repro.statics.findings import Finding
-from repro.statics.flow.passes import FlowAnalysis, analyze_index
+from repro.statics.flow.passes import analyze_index
 from repro.statics.model import FLOW_PACKAGES, SUPPORT_MODULES, ProjectIndex
 from repro.statics.purity import check_purity
 
@@ -68,16 +68,13 @@ class LintResult:
 
     ``findings`` are actionable (unsuppressed); ``suppressed`` matched
     a baseline entry; ``unused_suppressions`` are baseline entries
-    that matched nothing and should be deleted.  ``flow`` is the
-    protoflow analysis the FLOW/COM/TAINT findings came from, which
-    ``--certificates`` renders instead of analysing the tree again.
+    that matched nothing and should be deleted.
     """
 
     findings: List[Finding]
     suppressed: List[Finding]
     unused_suppressions: List[Suppression]
     stale_suppressions: List[str] = dataclasses.field(default_factory=list)
-    flow: Optional[FlowAnalysis] = None
 
     @property
     def exit_code(self) -> int:
@@ -92,10 +89,8 @@ def default_package_root() -> pathlib.Path:
     return pathlib.Path(repro.__file__).resolve().parent
 
 
-def _run_passes(
-    package_root: pathlib.Path,
-) -> Tuple[List[Finding], FlowAnalysis]:
-    """Every pass over one index of the tree: each file parsed once."""
+def collect_findings(package_root: pathlib.Path) -> List[Finding]:
+    """Run every pass over ``package_root``, parsing each file once."""
     index = ProjectIndex(
         package_root,
         packages=PROTOCOL_PACKAGES + FLOW_PACKAGES + CONTRACT_PACKAGES,
@@ -118,14 +113,8 @@ def _run_passes(
     for module in workers:
         findings.extend(check_purity(index, module, all_functions=True))
     findings.extend(check_contracts(index))
-    flow = analyze_index(index)
-    findings.extend(flow.findings)
-    return sorted(findings), flow
-
-
-def collect_findings(package_root: pathlib.Path) -> List[Finding]:
-    """Run every pass over the tree rooted at ``package_root``."""
-    return _run_passes(package_root)[0]
+    findings.extend(analyze_index(index).findings)
+    return sorted(findings)
 
 
 def lint_tree(
@@ -139,8 +128,7 @@ def lint_tree(
     baseline = baseline if baseline is not None else Baseline()
     actionable: List[Finding] = []
     suppressed: List[Finding] = []
-    findings, flow = _run_passes(root)
-    for finding in findings:
+    for finding in collect_findings(root):
         if baseline.match(finding) is not None:
             suppressed.append(finding)
         else:
@@ -150,7 +138,6 @@ def lint_tree(
         suppressed=suppressed,
         unused_suppressions=baseline.unused(),
         stale_suppressions=list(baseline.stale),
-        flow=flow,
     )
 
 

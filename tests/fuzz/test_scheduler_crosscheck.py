@@ -1,14 +1,16 @@
 """Corpus-wide lockstep/async differential gate.
 
-Mirror of the static↔dynamic agreement test: every committed corpus
-case replays under the asynchronous reference
+Every committed corpus case replays under the asynchronous reference
 (``tests/runtime/reference_async.py``) and must agree with the lockstep
 replay on *everything* — oracle verdicts, decisions, and the full
 checkpoint pickle of the result.  A disagreement here means either a
 reference bug or a protocol that silently stopped being
-communication-closed, and both are hard failures.
+communication-closed, and both are hard failures.  The lockstep engine
+is closed by construction; the recorded trace of both replays must
+say so too (:func:`repro.obs.trace.check_closedness`).
 """
 
+import contextlib
 import dataclasses
 import pathlib
 import pickle
@@ -17,6 +19,9 @@ import pytest
 
 from repro.fuzz.campaign import replay_case
 from repro.fuzz.case import load_corpus
+from repro.obs.core import Observer, observing
+from repro.obs.events import EventLog
+from repro.obs.trace import check_closedness
 
 from tests.runtime.reference_async import async_schedule, schedule_for
 
@@ -54,20 +59,28 @@ def test_corpus_case_agrees_across_backends(path, case, backend):
     ), f"{path.name}: results not pickle-identical under {backend}"
 
 
-@pytest.mark.parametrize(
-    "path,case", _ENTRIES, ids=[path.name for path, _ in _ENTRIES]
-)
-def test_corpus_case_closed_under_async_delivery(path, case):
-    """Async replay traces must pass the dynamic closedness checker —
-    the same cross-check CI applies with --check-closedness."""
-    import repro.obs.core as _obs
-    from repro.obs.events import EventLog
-    from repro.obs.trace import check_closedness
+#: Each case once under the async reference (bare case id) and once
+#: as a plain lockstep replay (``lockstep-`` id).
+_CLOSEDNESS_RUNS = [
+    pytest.param(path, case, True, id=path.name) for path, case in _ENTRIES
+] + [
+    pytest.param(path, case, False, id=f"lockstep-{path.name}")
+    for path, case in _ENTRIES
+]
 
+
+@pytest.mark.parametrize("path,case,asynchronous", _CLOSEDNESS_RUNS)
+def test_corpus_case_closed_under_async_delivery(path, case, asynchronous):
+    """A replay's trace passes the dynamic closedness checker, and it is
+    a real trace: at least one processor sent something."""
+    schedule = (
+        async_schedule(3, 1) if asynchronous else contextlib.nullcontext()
+    )
     log = EventLog()
-    with async_schedule(3, 1), _obs.observing(
-        _obs.Observer(events=log, spans=False)
-    ):
+    with schedule, observing(Observer(events=log, spans=False)):
         replay_case(case)
+    assert any(record["kind"] == "send" for record in log.records), (
+        f"{path.name}: no send record"
+    )
     problems = check_closedness(log.records)
     assert problems == [], f"{path.name}: {problems}"

@@ -7,7 +7,8 @@ import pytest
 
 from repro.cli import EVENT_SCHEMA_VERSION, main
 from repro.obs.events import SCHEMA_VERSION, read_log, validate_records
-from repro.obs.trace import build_dags
+
+from tests.obs.causal_dag import build_dags
 
 
 def run_cli(capsys, *argv):

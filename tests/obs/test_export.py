@@ -6,7 +6,8 @@ from repro.adversary import EquivocatingAdversary
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.obs import EventLog, Observer, observing
 from repro.obs.export import SPAN_PID, chrome_trace, validate_chrome_trace
-from repro.obs.trace import build_dags
+
+from tests.obs.causal_dag import build_dags
 
 
 def traced_records(config4):

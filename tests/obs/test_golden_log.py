@@ -47,10 +47,11 @@ from repro.fullinfo.protocol import full_information_sizer
 from repro.obs import EventLog, Observer, log_paths, observing
 from repro.obs.events import read_log
 from repro.obs.rollup import status_from_records
-from repro.obs.trace import build_dags, check_closedness
+from repro.obs.trace import check_closedness
 from repro.runtime.engine import run_protocol
 from repro.types import SystemConfig
 
+from tests.obs.causal_dag import build_dags
 from tests.runtime.reference_async import async_schedule
 
 GOLDEN = (

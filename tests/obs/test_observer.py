@@ -10,7 +10,6 @@ from repro.obs import (
     Observer,
     SpanProfile,
     activate,
-    active,
     deactivate,
     observing,
     profile_dict,
@@ -177,22 +176,21 @@ class TestObserverLifecycle:
 class TestActivation:
     def test_default_is_null(self):
         assert obs_core.ACTIVE is None
-        assert active() is None
 
     def test_activate_deactivate(self):
         observer = Observer()
         activate(observer)
-        assert active() is observer
+        assert obs_core.ACTIVE is observer
         deactivate()
-        assert active() is None
+        assert obs_core.ACTIVE is None
 
     def test_observing_restores_previous(self):
         outer, inner = Observer(), Observer()
         activate(outer)
         with observing(inner) as current:
             assert current is inner
-            assert active() is inner
-        assert active() is outer
+            assert obs_core.ACTIVE is inner
+        assert obs_core.ACTIVE is outer
 
     def test_observing_closes_by_default(self):
         log = EventLog()

@@ -3,7 +3,9 @@
 from repro.adversary import EquivocatingAdversary, SilentAdversary
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.obs import EventLog, Observer, observing, validate_records
-from repro.obs.trace import build_dags, burst_edges, check_closedness
+from repro.obs.trace import burst_edges, check_closedness
+
+from tests.obs.causal_dag import build_dags
 
 
 def traced_compact_ba(config4, adversary, result=None):

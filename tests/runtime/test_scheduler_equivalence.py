@@ -137,7 +137,9 @@ def test_async_deliver_traces_pass_closedness(protocol):
     """Round skew reorders deliveries, never leaks them across rounds."""
     import repro.obs.core as _obs
     from repro.obs.events import EventLog
-    from repro.obs.trace import build_dags, check_closedness
+    from repro.obs.trace import check_closedness
+
+    from tests.obs.causal_dag import build_dags
 
     case = catalog_case(protocol, seed=31)
     log = EventLog()

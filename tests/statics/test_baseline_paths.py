@@ -18,10 +18,10 @@ def _write(tmp_path, suppressions):
 
 def _entry(**overrides):
     entry = {
-        "rule": "FLOW003",
+        "rule": "TAINT002",
         "path": "repro/agreement/x.py",
         "symbol": "X.outgoing",
-        "justification": "drain idiom, reviewed",
+        "justification": "relay of a signed value, reviewed",
     }
     entry.update(overrides)
     return entry
@@ -53,7 +53,7 @@ def test_denormalized_baseline_paths_still_match(tmp_path, written):
     baseline = Baseline.load(_write(tmp_path, [_entry(path=written)]))
     finding = Finding(
         path="repro/agreement/x.py", line=1, col=0,
-        rule="FLOW003", symbol="X.outgoing", message="m",
+        rule="TAINT002", symbol="X.outgoing", message="m",
     )
     assert baseline.match(finding) is not None
     assert baseline.unused() == []
@@ -71,7 +71,7 @@ def test_unknown_rule_id_is_stale_not_fatal(tmp_path):
     # The valid entry still works.
     finding = Finding(
         path="repro/agreement/x.py", line=1, col=0,
-        rule="FLOW003", symbol="X.outgoing", message="m",
+        rule="TAINT002", symbol="X.outgoing", message="m",
     )
     assert baseline.match(finding) is not None
 

@@ -1,8 +1,8 @@
 """Protoflow over the seeded non-canonical fixture tree.
 
 Each fixture module under ``fixtures/flowtree/agreement`` deliberately
-violates exactly one rule family; these tests pin that every FLOW,
-COM, and TAINT rule fires where intended and nowhere else.
+violates exactly one rule family; these tests pin that every COM and
+TAINT rule fires where intended and nowhere else.
 """
 
 import pathlib
@@ -23,18 +23,6 @@ def analysis():
 
 def _findings(analysis, rule):
     return [f for f in analysis.findings if f.rule == rule]
-
-
-def test_flow_fixture_flags_all_three_flow_rules(analysis):
-    assert [f.symbol for f in _findings(analysis, "FLOW001")] == [
-        "UnclosedProcess.receive"
-    ]
-    assert [f.symbol for f in _findings(analysis, "FLOW002")] == [
-        "UnclosedProcess.outgoing"
-    ]
-    assert [f.symbol for f in _findings(analysis, "FLOW003")] == [
-        "UnclosedProcess.outgoing"
-    ]
 
 
 def test_com_fixture_flags_undeclared_and_underdeclared(analysis):
@@ -69,14 +57,11 @@ def test_fixture_tree_has_no_unexpected_findings(analysis):
     assert rules == [
         "COM002",
         "COM003",
-        "FLOW001",
-        "FLOW002",
-        "FLOW003",
         "TAINT001",
         "TAINT002",
         "TAINT003",
     ]
-    assert len(analysis.findings) == 8
+    assert len(analysis.findings) == 5
 
 
 def test_fixture_paths_are_posix_relative(analysis):

@@ -8,9 +8,8 @@ single verdict.  (``tree.json`` additionally holds the two PUR findings
 of ``imported_automaton.py``, the fixture that model made visible.)
 
 The parse budget pins the refactor itself: one ``ast.parse`` per
-scanned file for a whole lint run (216 calls for 68 files before), and
-none extra for ``--certificates`` (258 before), so per-pass parsing
-cannot creep back.
+scanned file for a whole lint run (216 calls for 68 files before), so
+per-pass parsing cannot creep back.
 """
 
 import ast
@@ -18,7 +17,6 @@ import pathlib
 
 import pytest
 
-from repro.cli import main
 from repro.statics.baseline import Baseline
 from repro.statics.contracts import CATALOG_MODULE, CONTRACT_PACKAGES
 from repro.statics.model import FLOW_PACKAGES, SUPPORT_MODULES
@@ -34,7 +32,6 @@ HERE = pathlib.Path(__file__).parent
 REPO = HERE.parent.parent
 PACKAGE_ROOT = REPO / "src" / "repro"
 BASELINE = REPO / "tools" / "lint_baseline.json"
-CERTIFICATES = REPO / "tools" / "protoflow_certificates.json"
 
 CASES = {
     "repro": (PACKAGE_ROOT, BASELINE),
@@ -81,17 +78,3 @@ def test_collect_findings_parses_each_scanned_file_once(parsed):
     assert sorted(parsed) == scanned_files(PACKAGE_ROOT)
     assert len(parsed) > 60  # the scope tuples did not silently empty
 
-
-def test_certificates_cost_no_extra_parse(parsed, tmp_path, capsys):
-    target = tmp_path / "certificates.json"
-    code = main(
-        [
-            "lint",
-            "--root", str(PACKAGE_ROOT),
-            "--baseline", str(BASELINE),
-            "--certificates", str(target),
-        ]
-    )
-    assert code == 0, capsys.readouterr().out
-    assert sorted(parsed) == scanned_files(PACKAGE_ROOT)
-    assert target.read_text() == CERTIFICATES.read_text()

@@ -84,7 +84,7 @@ class TestFixtureTree:
                 "message",
             }
             assert finding["rule"].rstrip("0123456789") in (
-                "DET", "PUR", "CON", "FLOW", "COM", "TAINT",
+                "DET", "PUR", "CON", "COM", "TAINT",
             )
             assert finding["line"] >= 1
         rules = {finding["rule"] for finding in report["findings"]}

@@ -150,11 +150,10 @@ class TestConfigurationErrorsFailClosed:
         case.write_text(
             source.read_text().replace('"avalanche"', '"retired-protocol"')
         )
-        for extra in ((), ("--check-closedness",)):
-            code, out = run_cli(capsys, "fuzz", "--replay", str(case), *extra)
-            assert code == 2
-            assert out.startswith("error: ")
-            assert "unknown fuzz protocol 'retired-protocol'" in out
+        code, out = run_cli(capsys, "fuzz", "--replay", str(case))
+        assert code == 2
+        assert out.startswith("error: ")
+        assert "unknown fuzz protocol 'retired-protocol'" in out
 
 
 class TestUsageErrors:
@@ -168,14 +167,27 @@ class TestUsageErrors:
              "--events-cap requires --events"),
             (("fuzz", "--cases", "1", "--events-cap", "2000"),
              "--events-cap requires --events"),
-            (("fuzz", "--check-closedness"),
-             "--check-closedness requires --replay"),
         ],
-        ids=["run-ba-events-cap", "fuzz-events-cap",
-             "fuzz-check-closedness"],
+        ids=["run-ba-events-cap", "fuzz-events-cap"],
     )
     def test_exit_2_with_message(self, capsys, argv, message):
         assert run_cli(capsys, *argv) == (2, f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("lint", "--certificates", "out.json"),
+            ("fuzz", "--replay", "tests/fuzz/corpus", "--check-closedness"),
+            ("fuzz", "--replay", "tests/fuzz/corpus", "--certificates", "x"),
+        ],
+        ids=["lint-certificates", "fuzz-check-closedness",
+             "fuzz-certificates"],
+    )
+    def test_retired_closedness_flags_are_unknown(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestClosedPipe:

@@ -4,9 +4,11 @@ A public top-level ``def`` or ``class`` in ``src/repro`` is *live*
 when name references in code reach it from a root, following the
 bodies of the definitions they reach.  The roots are ``repro/cli.py``,
 ``repro/__main__.py``, the module-level statements of every
-non-``__init__`` module, and every ``.py`` under ``benchmarks/``,
-``examples/`` and ``tools/``.  A package ``__init__``'s export table
-is not a root: it re-exports whatever exists.
+non-``__init__`` module, every ``.py`` under ``benchmarks/``,
+``examples/`` and ``tools/``, and the inline Python of the CI
+workflows (``python -c "..."`` and ``python - <<'EOF'`` bodies in
+``.github/workflows/*.yml``).  A package ``__init__``'s export table
+and a module's ``__all__`` are not roots: they list whatever exists.
 
 A reference is an ``ast.Name``, an attribute name, an import alias or
 an identifier-shaped string constant (``CATALOG_EXEMPT`` keys,
@@ -35,6 +37,25 @@ ALLOWED: Dict[str, str] = {}
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 _CALLER_DIRS = ("benchmarks", "examples", "tools")
+
+_WORKFLOWS = Path(".github") / "workflows"
+
+#: ``python -c "..."`` (the body holds no double quote) and
+#: ``python - <<'EOF' ... EOF`` in a workflow's ``run:`` text.
+_INLINE_PYTHON = (
+    re.compile(r'\bpython3? -c "([^"]*)"'),
+    re.compile(r"\bpython3? - <<'?(\w+)'?\n(?P<body>.*?)\n[ \t]*\1\n", re.S),
+)
+
+
+def workflow_snippets(text: str) -> List[str]:
+    """The inline Python programs of one workflow file, dedented."""
+    snippets = []
+    for pattern in _INLINE_PYTHON:
+        for match in pattern.finditer(text):
+            body = match.group("body") if pattern.groupindex else match.group(1)
+            snippets.append(textwrap.dedent(body).strip("\n"))
+    return snippets
 
 
 def _strip_docstring(body: List[ast.stmt]) -> List[ast.stmt]:
@@ -98,11 +119,25 @@ def _module_level(definition: ast.AST) -> List[ast.AST]:
     return parts
 
 
+def _is_all(statement: ast.stmt) -> bool:
+    """Whether ``statement`` assigns or extends ``__all__``."""
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, (ast.AnnAssign, ast.AugAssign)):
+        targets = [statement.target]
+    else:
+        return False
+    return any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for target in targets
+    )
+
+
 def unreachable(root: Path) -> List[str]:
     """``"module:name"`` for every public definition no root reaches.
 
     ``root`` holds ``src/repro`` and, optionally, the caller
-    directories.
+    directories and ``.github/workflows``.
     """
     package = root / "src" / "repro"
     bodies: Dict[str, List[Tuple[str, ast.AST]]] = {}
@@ -115,7 +150,7 @@ def unreachable(root: Path) -> List[str]:
             continue
         for statement in _strip_docstring(tree.body):
             if not isinstance(statement, _DEFINITIONS):
-                if path.name != "__init__.py":
+                if path.name != "__init__.py" and not _is_all(statement):
                     seeds |= references(statement)
                 continue
             if path.name != "__init__.py":
@@ -127,6 +162,9 @@ def unreachable(root: Path) -> List[str]:
     for directory in _CALLER_DIRS:
         for path in sorted((root / directory).rglob("*.py")):
             seeds |= references(ast.parse(path.read_text(encoding="utf-8")))
+    for path in sorted((root / _WORKFLOWS).glob("*.yml")):
+        for snippet in workflow_snippets(path.read_text(encoding="utf-8")):
+            seeds |= references(ast.parse(snippet, filename=str(path)))
 
     reached: Set[str] = set()
     frontier = list(seeds)
@@ -205,13 +243,18 @@ def test_negative_control_flags_planted_dead_code(tmp_path):
             class Registered:
                 pass
 
+            def listed():
+                return 3
+
             REGISTRY = {"Registered": None}
+            __all__ = ["live", "listed"]
         ''',
         "tools/report.py": '''
             from repro.kernel import helper
         ''',
     })
     assert unreachable(root) == [
+        "repro.kernel:listed",
         "repro.kernel:only_via_dead",
         "repro.kernel:uncalled",
     ]
@@ -236,3 +279,44 @@ def test_caller_directories_are_roots(tmp_path):
         ''',
     })
     assert unreachable(root) == []
+
+
+def test_workflow_inline_python_is_a_root(tmp_path):
+    root = _plant(tmp_path, {
+        "src/repro/__init__.py": "",
+        "src/repro/kernel.py": '''
+            def listed():
+                return 1
+
+            def checked():
+                return 2
+
+            def uncalled():
+                return 3
+        ''',
+        ".github/workflows/ci.yml": '''
+            jobs:
+              smoke:
+                steps:
+                  - run: |
+                      NAMES=$(PYTHONPATH=src python -c "
+                      from repro.kernel import listed
+                      print(listed())")
+                      python - <<'EOF'
+                      import sys
+                      sys.path.insert(0, "src")
+                      from repro.kernel import checked
+                      assert checked() == 2
+                      EOF
+                      echo uncalled
+        ''',
+    })
+    assert unreachable(root) == ["repro.kernel:uncalled"]
+
+
+def test_every_inline_python_of_the_workflows_is_scanned():
+    """Each ``python -c`` / ``python - <<`` in CI yields one snippet."""
+    for path in sorted((REPO / _WORKFLOWS).glob("*.yml")):
+        text = path.read_text(encoding="utf-8")
+        invocations = len(re.findall(r"\bpython3? (?:-c|- <<)", text))
+        assert len(workflow_snippets(text)) == invocations, path.name
