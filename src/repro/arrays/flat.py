@@ -26,12 +26,18 @@ chain topology.  It runs once per distinct state:
 :func:`repro.fullinfo.decision.eig_byzantine_decision` memoises its
 outcome on the store.
 
-Every interned state takes the sweep; there is no selection.  The
-reference sweep in :mod:`repro.fullinfo.decision`, which hostile and
-non-array states still reach, is the semantic reference:
+Not every state reaches the sweep.  A memo miss first walks the DAG
+down dominant children (``fullinfo/decision.py::_dominant_child``),
+which settles many states at a leaf, and a node the walk stops at with
+at most ``_REFERENCE_MAX_CHAINS`` (24) chains takes the reference
+sweep in :mod:`repro.fullinfo.decision`, as do plain-tuple and
+hostile states.  That reference sweep is the semantic reference:
 ``tests/arrays/test_flat.py`` hands it the same array as builtin tuples
-and requires identical results.  ``docs/perf.md`` has the layout and
-measurements.
+and requires identical results.  The chain tables are built by index
+arithmetic, one numpy pass per level, and
+``tests/arrays/chain_reference.py`` enumerates them as tuples for
+``tests/arrays/test_chain_topology.py``.  ``docs/perf.md`` has the
+layout and measurements.
 """
 
 from __future__ import annotations
@@ -56,10 +62,10 @@ PURITY_EXEMPT = {
         "nodes, so the cached state is observationally pure"
     ),
     "chain_topology": (
-        "memoises the (n, depth) chain-enumeration tables in a "
-        "module-level registry (each keeping the tally bins of the "
-        "last candidate count it served); both are pure functions of "
-        "their arguments"
+        "memoises the (n, depth) chain tables, computed in closed form "
+        "from n and depth, in a module-level registry (each keeping the "
+        "tally bins of the last candidate count it served); both are "
+        "pure functions of their arguments"
     ),
 }
 
@@ -186,6 +192,17 @@ class ChainTopology:
     appends the label indexing the next component); ``suffix`` drives
     the upward majority sweep (extending a *chain* prepends the later
     relayer in array-path order).
+
+    No chain is materialised.  Each level is built from the one before
+    by index arithmetic: every parent chain ``p`` has ``n - l + 1``
+    free labels, listed in ``np.nonzero`` row-major order over a
+    per-parent used-label mask (which *is* prefix-major order), so
+    ``pick = index(p) * n + (label - 1)``, and for ``l >= 2``
+    ``suffix(p + (label,)) = suffix(p) * (n - l + 2) + rank + [p[0] <
+    label]``, ``rank`` being the label's position among ``p``'s free
+    labels: ``p[1:]`` has ``n - l + 2`` extensions in the same order,
+    with ``p[0]`` among them.  Building ``(13, 5)`` takes about 12 ms,
+    ``(16, 6)`` (5,765,760 chains) well under a second.
     """
 
     __slots__ = ("n", "depth", "pick", "suffix", "level_sizes", "_bins")
@@ -199,23 +216,37 @@ class ChainTopology:
         self.level_sizes: List[int] = [1]
         # The last ``(spread, tally_bins(spread))`` served.
         self._bins: Tuple[int, List[IntColumn]] = (0, [])
-        previous: Dict[Tuple[int, ...], int] = {(): 0}
-        for _ in range(depth):
-            index_of: Dict[Tuple[int, ...], int] = {}
-            pick: List[int] = []
-            suffix: List[int] = []
-            for prior_chain, prior_index in previous.items():
-                for label in range(1, n + 1):
-                    if label in prior_chain:
-                        continue
-                    chain = prior_chain + (label,)
-                    index_of[chain] = len(pick)
-                    pick.append(prior_index * n + label - 1)
-                    suffix.append(previous[chain[1:]])
-            self.pick.append(np.asarray(pick, dtype=np.int64))
-            self.suffix.append(np.asarray(suffix, dtype=np.int64))
-            self.level_sizes.append(len(pick))
-            previous = index_of
+        # Per parent chain, one row each from the empty chain on: the
+        # labels it holds, its first label's column and its suffix.
+        used: NDArray[np.bool_] = np.zeros((1, n), dtype=np.bool_)
+        first: NDArray[Any] = np.zeros(1, dtype=np.int64)
+        suffix: NDArray[Any] = np.zeros(1, dtype=np.int64)
+        for level in range(1, depth + 1):
+            # Row-major over (parent, free label): prefix-major order.
+            parent, label = (
+                axis.astype(np.int64, copy=False) for axis in np.nonzero(~used)
+            )
+            free = n - level + 1
+            if level == 1:
+                suffix = np.zeros(n, dtype=np.int64)
+            else:
+                # Every parent has ``free`` extensions, so a label's rank
+                # among its parent's free labels is its position mod
+                # ``free``; the suffix's parent ``p[1:]`` also has ``p[0]``
+                # free, which shifts every later label up by one.
+                rank = np.arange(len(label), dtype=np.int64) % free
+                suffix = (
+                    suffix[parent] * (free + 1)
+                    + rank
+                    + (first[parent] < label)
+                )
+            self.pick.append(parent * n + label)
+            self.suffix.append(suffix)
+            self.level_sizes.append(len(label))
+            if level < depth:
+                first = first[parent] if level > 1 else label
+                used = used[parent]
+                used[np.arange(len(label)), label] = True
 
     def tally_bins(self, spread: int) -> List[IntColumn]:
         """Per level, each chain's first ``bincount`` bin: ``suffix * spread``.

@@ -245,10 +245,97 @@ def test_one_block_per_workload_and_a_claim_only_on_the_first(
     )
 
 
+def drive_setup_claim(tool, monkeypatch, parent, change, **change_line):
+    """Claim ``setup_s`` (lower is better) on flat throughput."""
+
+    def fake_run(checkout, workload, seed):
+        if checkout.name == "parent":
+            return line(50.0, setup_s=parent[seed - 1])
+        return line(50.0, setup_s=change[seed - 1], **change_line)
+
+    monkeypatch.setattr(tool, "run", fake_run)
+    return tool.main([
+        "--parent", "parent", "--change", "change", "--claim", "setup_s",
+        "--workload", "eig-sweep", "--seeds", f"1-{len(parent)}",
+    ])
+
+
+SETUP = [0.33, 0.34, 0.32, 0.33, 0.35, 0.33, 0.32, 0.34, 0.33, 0.33]
+
+
+def test_a_lower_is_better_claim_that_rose_is_no_gain(
+    tool, monkeypatch, capsys
+):
+    status = drive_setup_claim(
+        tool, monkeypatch, SETUP, [value * 1.2 for value in SETUP]
+    )
+    assert status == 2
+    out = capsys.readouterr().out
+    assert "seed 1 (parent first): parent 0.33  change 0.396" in out
+    assert "setup_s on eig-sweep: change wins 0/10 (loses 10)" in out
+    assert "-> NO GAIN" in out
+    # Worse by less than the bound: the claim fails, nothing regressed.
+    assert "setup_s bound 0.25: " in out and "-> regression" not in out
+
+
+def test_a_lower_is_better_claim_that_fell_is_a_gain(
+    tool, monkeypatch, capsys
+):
+    change = [value * 0.6 for value in SETUP]
+    change[3] = 0.40  # one pair lost: nine of ten still wins
+    assert drive_setup_claim(tool, monkeypatch, SETUP, change) == 0
+    out = capsys.readouterr().out
+    assert "setup_s on eig-sweep: change wins 9/10 (loses 1)" in out
+    assert "-> GAIN" in out and "NO GAIN" not in out
+    # A fall inside the parent's own spread is not one.
+    noisy = [0.2, 0.4] * 5
+    assert drive_setup_claim(
+        tool, monkeypatch, noisy, [value - 0.01 for value in noisy]
+    ) == 2
+    assert "change wins 10/10 (loses 0)" in capsys.readouterr().out
+
+
+def test_a_lower_is_better_claim_still_gates_the_other_metrics(
+    tool, monkeypatch, capsys
+):
+    change = [value * 0.6 for value in SETUP]
+    status = drive_setup_claim(
+        tool, monkeypatch, SETUP, change, rss_mb=111.0
+    )
+    assert status == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "beyond the bound on eig-sweep: peak_rss_mb"
+    )
+    # Throughput is one more bounded metric once it is not the claim.
+    def slow(checkout, workload, seed):
+        if checkout.name == "parent":
+            return line(50.0, setup_s=SETUP[seed - 1])
+        return line(30.0, setup_s=change[seed - 1])
+
+    monkeypatch.setattr(tool, "run", slow)
+    assert tool.main([
+        "--parent", "parent", "--change", "change", "--claim", "setup_s",
+        "--workload", "eig-sweep", "--seeds", "1-10",
+    ]) == 1
+    out = capsys.readouterr().out
+    assert "-> GAIN" in out
+    assert out.splitlines()[-1] == (
+        "beyond the bound on eig-sweep: executions_per_s"
+    )
+
+
+@pytest.mark.parametrize("name", ["bits_per_execution", "wall_s"])
+def test_only_a_bounded_end_to_end_metric_can_be_claimed(tool, name):
+    with pytest.raises(SystemExit):
+        tool.main(["--parent", "p", "--change", "c", "--workload", "w",
+                   "--seeds", "1", "--claim", name])
+
+
 @pytest.mark.parametrize("flag", ["--metric", "--seconds"])
 def test_metric_and_run_length_are_not_the_callers_to_choose(tool, flag):
-    # A lower-is-better metric would read a regression as GAIN, and a claim
-    # is only comparable at the benchmark's own run length.
+    # The claimed metric is named by --claim, whose direction comes from
+    # BENCHMARK.json, and a claim is only comparable at the benchmark's own
+    # run length.
     with pytest.raises(SystemExit):
         tool.main(["--parent", "p", "--change", "c", "--workload", "w",
                    "--seeds", "1", flag, "1"])
