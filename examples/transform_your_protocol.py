@@ -12,6 +12,7 @@ Run:  python examples/transform_your_protocol.py
 """
 
 from repro.adversary import EquivocatingAdversary
+from repro.agreement.eig_agreement import ExponentialAgreementAutomaton
 from repro.core.automaton import AutomatonProtocol, automaton_factory
 from repro.core.transform import canonical_form, full_information_form
 from repro.runtime.engine import run_protocol
@@ -25,8 +26,8 @@ class IteratedMedianProtocol(AutomatonProtocol):
     (Median gossip is not a correct Byzantine agreement protocol in
     general — it is here to show the *mechanics* of transforming an
     arbitrary automaton protocol, not to add a new agreement result;
-    use :class:`repro.agreement.eig_agreement.ExponentialAgreementAutomaton`
-    when you need the real thing.)
+    :class:`repro.agreement.eig_agreement.ExponentialAgreementAutomaton`,
+    transformed last, is the real thing.)
     """
 
     def message(self, sender, receiver, state):
@@ -85,6 +86,17 @@ def main() -> None:
         "whatever correctness predicate the source protocol satisfied."
     )
     assert native.decisions == fullinfo.decisions
+
+    print()
+    print("=== the real thing: the exponential EIG automaton, compacted ===")
+    eig = ExponentialAgreementAutomaton(config, input_values=[0, 1])
+    binary = {process_id: value % 2 for process_id, value in inputs.items()}
+    agreed = canonical_form(eig, epsilon=1.0).run(
+        binary, adversary=EquivocatingAdversary([3, 6], 0, 1)
+    )
+    print(f"  decisions: {dict(sorted(agreed.decisions.items()))}")
+    print(f"  rounds: {agreed.rounds}, bits: {agreed.metrics.total_bits}")
+    assert len(set(agreed.decisions.values())) == 1
 
 
 if __name__ == "__main__":

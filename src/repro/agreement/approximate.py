@@ -57,12 +57,6 @@ TAINT_SANITIZERS = {
     ),
 }
 
-#: Protoflow message-size bounds (COM rule family).
-MESSAGE_BOUNDS = {
-    "ApproximateProcess": "constant",
-    "ApproximateAgreementAutomaton": "constant",
-}
-
 
 def _trimmed_midpoint(values: List[float], t: int) -> float:
     """The fault-tolerant midpoint: trim ``t`` from each end, then mid."""

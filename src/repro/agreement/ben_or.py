@@ -39,12 +39,6 @@ from repro.types import ProcessId, Round, SystemConfig, Value
 
 _NO_PROPOSAL = "no-proposal"
 
-#: Protoflow message-size bound (COM rule family): each round sends
-#: one bit (or the no-proposal marker).
-MESSAGE_BOUNDS = {
-    "BenOrProcess": "constant",
-}
-
 
 class BenOrProcess(Process):
     """Binary randomized agreement for ``n >= 3t + 1``."""

@@ -47,11 +47,6 @@ TAINT_SANITIZERS = {
     ),
 }
 
-#: Protoflow message-size bound (COM rule family).
-MESSAGE_BOUNDS = {
-    "CrusaderProcess": "constant",
-}
-
 
 class _SenderFaulty(Sentinel):
     """The crusader verdict "the sender is faulty"."""

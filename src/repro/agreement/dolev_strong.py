@@ -58,19 +58,6 @@ def _signed_payload(source: ProcessId, value: Value) -> Tuple:
     return ("ds", source, value)
 
 
-#: Protoflow message-size bound (COM rule family).  Signature chains
-#: are genuinely round-indexed, but their length is capped by the
-#: protocol's t + 1 rounds, not by an unbounded history.
-MESSAGE_BOUNDS = {
-    "DolevStrongProcess": (
-        "history",
-        "a round-r relay carries r signatures by construction; the "
-        "chain length is capped at t + 1 (dolev_strong_rounds), which "
-        "is the authenticated-model optimum, not accidental growth",
-    ),
-}
-
-
 class DolevStrongProcess(Process):
     """Authenticated consensus: n parallel Dolev–Strong broadcasts."""
 

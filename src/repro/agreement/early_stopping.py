@@ -43,18 +43,6 @@ from repro.runtime.node import Process, broadcast
 from repro.types import ProcessId, Round, SystemConfig, Value
 
 
-#: Protoflow message-size bound (COM rule family): the flooded set
-#: holds at most one input value per processor, so |values| <= n even
-#: though the analysis sees an accumulating union.
-MESSAGE_BOUNDS = {
-    "EarlyStoppingCrashProcess": (
-        "linear",
-        "the value set only unions in received inputs; with n inputs "
-        "in the system it holds at most n elements, not a round history",
-    ),
-}
-
-
 class EarlyStoppingCrashProcess(Process):
     """One processor of early-stopping crash consensus."""
 

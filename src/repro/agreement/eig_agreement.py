@@ -77,18 +77,6 @@ def run_eig_agreement(
     )
 
 
-#: Protoflow message-size bound (COM rule family): this automaton *is*
-#: the exponential baseline the compact transform repairs.
-MESSAGE_BOUNDS = {
-    "ExponentialAgreementAutomaton": (
-        "history",
-        "inherits Protocol 1's full-information relay; the "
-        "exponential growth is the comparison point for Theorem 5's "
-        "compact simulation",
-    ),
-}
-
-
 class ExponentialAgreementAutomaton(FullInformationAutomaton):
     """The exponential protocol as an automaton, for the transform.
 

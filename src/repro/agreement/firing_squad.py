@@ -30,7 +30,8 @@ so a fire implies a stimulus, and unanimous GO forces one).
 Cost: an instance opened at round ``r`` is retired after its
 ``t + 1``-th exchange (round ``r + t``), so at most ``t + 1`` instances
 are live in any round and each relays a view of depth at most ``t`` —
-the bound ``MESSAGE_BOUNDS`` declares.
+the message budget
+:func:`repro.analysis.complexity.firing_squad_message_bits` states.
 
 Each instance *is* a binary full-information protocol (Protocol 1)
 with the EIG decision rule, so it runs on the same array kernel as
@@ -51,17 +52,6 @@ from repro.fullinfo.decision import eig_byzantine_decision
 from repro.fullinfo.protocol import REJECT, ReceiveGate
 from repro.runtime.node import Process, broadcast
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
-
-
-#: Protoflow message-size bound (COM rule family).
-MESSAGE_BOUNDS = {
-    "FiringSquadProcess": (
-        "history",
-        "each live EIG instance relays its depth-r view; instances "
-        "retire after t + 1 rounds, so at most t + 1 run at once and "
-        "each is bounded by the EIG horizon, not an unbounded history",
-    ),
-}
 
 
 class FiringSquadProcess(Process):

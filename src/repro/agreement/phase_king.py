@@ -67,12 +67,6 @@ TAINT_SANITIZERS = {
     ),
 }
 
-#: Protoflow message-size bounds (COM rule family).
-MESSAGE_BOUNDS = {
-    "PhaseKingProcess": "constant",
-    "PhaseQueenProcess": "constant",
-}
-
 
 def phase_king_rounds(t: int) -> int:
     """Total rounds: ``t + 1`` phases of 3 rounds."""

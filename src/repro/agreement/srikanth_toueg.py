@@ -71,16 +71,6 @@ TAINT_SANITIZERS = {
     ),
 }
 
-#: Protoflow message-size bounds (COM rule family).
-MESSAGE_BOUNDS = {
-    "STAgreementProcess": (
-        "linear",
-        "a round message is the frozenset of this round's init/echo "
-        "items: at most one init plus one echo per active broadcast "
-        "instance, O(n) instances per phase",
-    ),
-}
-
 # Primitive instance key.
 InstanceKey = Tuple[ProcessId, Any, int]
 
@@ -281,8 +271,8 @@ def st_agreement_factory(default: Value = 0):
     return factory
 
 
-def st_sizer(config: SystemConfig, value_alphabet_size: int):
-    """Bit measure for ST traffic: per item, ids + value + phase tag.
+def st_item_bits(config: SystemConfig, value_alphabet_size: int) -> int:
+    """Bits of one ST item: ids + value + phase tag.
 
     An item names a kind (2 bits), a broadcaster (``log n``), a phase
     (``log`` of the round bound) and a ``("val", source, value)``
@@ -295,7 +285,12 @@ def st_sizer(config: SystemConfig, value_alphabet_size: int):
     index_bits = bits_for_alphabet(config.n)
     value_bits = bits_for_alphabet(value_alphabet_size)
     phase_bits = max(1, math.ceil(math.log2(config.t + 2)))
-    item_bits = 2 + index_bits + phase_bits + index_bits + value_bits
+    return 2 + index_bits + phase_bits + index_bits + value_bits
+
+
+def st_sizer(config: SystemConfig, value_alphabet_size: int):
+    """Bit measure for ST traffic: :func:`st_item_bits` per item."""
+    item_bits = st_item_bits(config, value_alphabet_size)
 
     def measure(message: Any) -> int:
         if isinstance(message, frozenset):

@@ -34,17 +34,6 @@ from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
 # Builds the embedded binary process from (process_id, config, bit).
 BinaryFactory = Callable[[ProcessId, SystemConfig, int], Process]
 
-#: Protoflow message-size bounds (COM rule family): two prefix rounds
-#: carry one value each, then the embedded binary protocol's traffic.
-MESSAGE_BOUNDS = {
-    "TurpinCoanProcess": (
-        "constant",
-        "prefix rounds send a single value / vote; later rounds relay "
-        "the embedded binary process's payload, certified on its own "
-        "class",
-    ),
-}
-
 
 class TurpinCoanProcess(Process):
     """Multivalued agreement wrapping a binary protocol."""

@@ -30,15 +30,6 @@ from repro.types import ProcessId, Round, SystemConfig, Value
 
 BinaryFactory = Callable[[ProcessId, SystemConfig, int], Process]
 
-#: Protoflow message-size bounds (COM rule family).
-MESSAGE_BOUNDS = {
-    "WeakAgreementProcess": (
-        "constant",
-        "round 1 broadcasts the input value; later rounds relay the "
-        "embedded binary process's payload, certified on its own class",
-    ),
-}
-
 
 class WeakAgreementProcess(Process):
     """Binary weak agreement wrapping a binary agreement protocol."""

@@ -125,7 +125,7 @@ def measured_comparison(
             inputs,
             adversary=adversary,
             seed=seed,
-            **spec.engine_arguments(config, metered=True),
+            **spec.engine_arguments(config),
         )
         rows.append(
             {

@@ -57,15 +57,6 @@ TAINT_SANITIZERS = {
     ),
 }
 
-#: Protoflow message-size bounds (COM rule family).
-MESSAGE_BOUNDS = {
-    "AvalancheProcess": (
-        "constant",
-        "the round message is VAL: one scalar vote (possibly BOTTOM), "
-        "never a collection",
-    ),
-}
-
 
 @dataclasses.dataclass(frozen=True)
 class Thresholds:

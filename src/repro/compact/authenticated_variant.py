@@ -123,16 +123,6 @@ TAINT_SANITIZERS = {
     ),
 }
 
-#: Protoflow message-size bounds (COM rule family).
-MESSAGE_BOUNDS = {
-    "AuthCompactProcess": (
-        "linear",
-        "CORE depth is capped at the block length k (O(n^k) for "
-        "constant k) and each used certificate is attached exactly "
-        "once, drained through _attached — never the round history",
-    ),
-}
-
 
 class AuthExpansion(BindingExpansion):
     """Content-addressed expansion functions with used-key tracking.
@@ -316,11 +306,15 @@ def auth_compact_ba_factory(
     return factory
 
 
+#: What the meter charges a reference's digest (16 hex digits) and a
+#: signature.
+DIGEST_BITS = 64
+SIGNATURE_BITS = 64
+
+
 def auth_sizer(config: SystemConfig, value_alphabet_size: int):
     """Bit measure: arrays as usual, 64-bit digests, 64-bit signatures."""
     sizer = MessageSizer(value_alphabet_size, config.n)
-    DIGEST_BITS = 64  # 16 hex chars
-    SIGNATURE_BITS = 64
 
     def reference_bits(array: Tuple) -> Optional[int]:
         if len(array) == 3 and array[0] == "ref":

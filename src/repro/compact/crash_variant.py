@@ -135,15 +135,6 @@ TAINT_SANITIZERS = {
     ),
 }
 
-#: Protoflow message-size bound (COM rule family).
-MESSAGE_BOUNDS = {
-    "CrashCompactProcess": (
-        "linear",
-        "the payload is a depth<=k CORE plus the patches learned in "
-        "the previous round only; nothing accumulates across blocks",
-    ),
-}
-
 
 class CrashCompactProcess(BlockDriver):
     """One processor of the benign-fault compact protocol.

@@ -126,17 +126,6 @@ def lazy_eig_decision(
     return resolve_chains(leaf_of, n, t + 1, default, alphabet)
 
 
-#: Protoflow message-size bound (COM rule family): the wire is
-#: :class:`CompactProcess`'s, only the decision path differs.
-MESSAGE_BOUNDS = {
-    "LazyCompactProcess": (
-        "linear",
-        "sends exactly what CompactProcess sends: CORE depth capped at "
-        "k + overhead, rebased to references at block boundaries",
-    ),
-}
-
-
 class LazyCompactProcess(CompactProcess):
     """Protocol 3 whose decision rule reads the *compressed* state.
 

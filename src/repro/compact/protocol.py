@@ -89,20 +89,6 @@ from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
 # rule keeps a settled batch-round at O(n) identity checks.
 
 
-#: Protoflow message-size bound (COM rule family): the whole point of
-#: the construction (Theorem 5) — CORE depth is capped by the block
-#: length, so per-round payloads stay polynomial while the *simulated*
-#: state is the full-information history.
-MESSAGE_BOUNDS = {
-    "CompactProcess": (
-        "linear",
-        "CORE depth is capped at k + overhead within a block and "
-        "rebased to references at block boundaries (O(n^k) for "
-        "constant k); avalanche votes are scalars",
-    ),
-}
-
-
 class CompactProcess(BlockDriver):
     """One processor of the compact full-information protocol."""
 

@@ -101,19 +101,6 @@ class AutomatonProtocol(abc.ABC):
         return self.input_values[0]
 
 
-#: Protoflow message-size bound (COM rule family).  The adapter sends
-#: one message per receiver; the payload is whatever the wrapped
-#: automaton's mu produces, certified per concrete automaton.
-MESSAGE_BOUNDS = {
-    "AutomatonProcess": (
-        "linear",
-        "n messages per round, each the wrapped automaton's payload; "
-        "the per-payload bound is certified on the automaton class "
-        "itself, not on this adapter",
-    ),
-}
-
-
 class AutomatonProcess(Process):
     """Runs one :class:`AutomatonProtocol` processor on the runtime."""
 

@@ -56,23 +56,6 @@ TAINT_SANITIZERS = {
     ),
 }
 
-#: Protoflow message-size bounds (COM rule family).  ``history`` is
-#: the honest answer: Protocol 1 *is* the full-information baseline
-#: the compact construction (repro.compact, Theorem 5) exists to fix.
-MESSAGE_BOUNDS = {
-    "FullInformationProcess": (
-        "history",
-        "STATE is the depth-r view by definition; the exponential "
-        "growth is the paper's motivating problem, compacted by "
-        "repro.compact",
-    ),
-    "FullInformationAutomaton": (
-        "history",
-        "the Section 3.1 formalisation of the same protocol: "
-        "message() relays the entire state",
-    ),
-}
-
 
 def _alphabet_predicate(alphabet: FrozenSet[Value]) -> Callable[[Any], bool]:
     """``leaf in alphabet`` that answers ``False`` for unhashable junk."""

@@ -13,9 +13,11 @@ report, byte for byte, for any worker count.  The moving parts:
    :class:`~repro.analysis.parallel.SweepCell`s fanned out through
    :func:`~repro.analysis.parallel.execute_cells`, which already pins
    byte-identical outcomes for any worker count.  The spec's oracles
-   are the cells' judge: each case is judged once, on its live
-   execution, where it ran — in-process or in a pool worker — and its
-   verdict travels back with its outcome, in case order.
+   and its budget (:func:`~repro.fuzz.oracles.check_budget`: bits a
+   message per metered round, decision rounds) are the cells' judge:
+   each case is judged once, on its live execution, where it ran —
+   in-process or in a pool worker — and its verdict travels back with
+   its outcome, in case order.
 3. **Differential check.**  Protocols sharing a differential group
    ran the identical scenarios; their portable results are compared
    scenario by scenario.
@@ -30,7 +32,6 @@ shrinker, the corpus pytest replayer, and ``repro fuzz --replay``.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -41,7 +42,7 @@ from repro.arrays.store import release_shared_stores
 from repro.errors import ConfigurationError
 from repro.fuzz.adversary import FuzzAdversary
 from repro.fuzz.case import FuzzCase
-from repro.fuzz.oracles import differential_mismatches, run_oracles
+from repro.fuzz.oracles import check_budget, differential_mismatches, run_oracles
 from repro.fuzz.protocols import DEFAULT_PROTOCOLS, ProtocolSpec, get_spec
 from repro.runtime.engine import ExecutionResult
 from repro.runtime.rng import derive_rng
@@ -202,11 +203,16 @@ def _context_for(
     def maker(faulty: Sequence[int]) -> FuzzAdversary:
         return FuzzAdversary(faulty, palette=spec.palette, mask=mask)
 
+    def judge(result: ExecutionResult) -> List[str]:
+        return run_oracles(spec.oracles, result) + [
+            f"[budget] {text}" for text in check_budget(spec, result)
+        ]
+
     return SweepContext(
         factory=spec.build(config),
         config=config,
         adversary_makers=((_ADVERSARY_NAME, maker),),
-        judge=functools.partial(run_oracles, spec.oracles),
+        judge=judge,
         **spec.engine_arguments(config, rounds),
     )
 

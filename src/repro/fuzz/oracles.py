@@ -34,11 +34,14 @@ would make the fuzzer cry wolf.  docs/fuzzing.md walks through this.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Tuple
 
 from repro.core.predicates import agreement_predicate, validity_predicate
 from repro.runtime.engine import ExecutionResult
 from repro.types import BOTTOM, Value, is_bottom
+
+if TYPE_CHECKING:
+    from repro.fuzz.protocols import ProtocolSpec
 
 #: An oracle judges one execution: violations, empty when clean.
 Oracle = Callable[[ExecutionResult], List[str]]
@@ -237,6 +240,40 @@ def check_fullinfo_consistency_oracle(result: ExecutionResult) -> List[str]:
     return []
 
 
+def check_budget(spec: ProtocolSpec, result: ExecutionResult) -> List[str]:
+    """The spec's declared costs, held to the execution.
+
+    Every metered round ``r`` stays within ``spec.message_bits(config,
+    r)`` bits per message (the meter keeps per-round totals, so this is
+    the round's average over its messages), and, unless the spec is
+    randomized, every correct processor decided by round
+    ``spec.rounds(config)``.  Not a named oracle: the campaign judges
+    every spec by it.
+    """
+    config = result.config
+    violations: List[str] = []
+    for round_number, bits in result.metrics.bits_by_round():
+        messages = result.metrics.round_usage(round_number).messages
+        budget = spec.message_bits(config, round_number)
+        if bits > messages * budget:
+            violations.append(
+                f"round {round_number}: {bits} bits in {messages} messages "
+                f"exceeds the budget of {budget} bits a message"
+            )
+    if spec.rounds is not None:
+        bound = spec.rounds(config)
+        late = {
+            process_id: result.decision_rounds[process_id]
+            for process_id in result.correct_ids
+            if (result.decision_rounds.get(process_id) or 0) > bound
+        }
+        if late:
+            violations.append(
+                f"decided after the declared bound of {bound} rounds: {late!r}"
+            )
+    return violations
+
+
 #: Oracles by registry name (see ProtocolSpec.oracles).
 ORACLES: Dict[str, Oracle] = {
     "decided": check_decided,
@@ -323,6 +360,7 @@ __all__ = [
     "Oracle",
     "check_agreement",
     "check_avalanche",
+    "check_budget",
     "check_crusader",
     "check_decided",
     "check_firing_squad",

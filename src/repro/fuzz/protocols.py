@@ -4,16 +4,17 @@ A :class:`ProtocolSpec` is everything the harness knows about one
 protocol — how to build its processes for a system configuration, the
 resilience it needs, its declared round bound, how to sample a legal
 input vector, which oracles judge an execution (the protocol's *own*
-correctness predicate, in Theorem 1's sense) and its paper-exact bit
-meter where it has one.  Registering a spec is the whole integration
-surface: `repro fuzz --protocol <name>`, the corpus replayer, the
-gallery conformance sweep (``tests/integration/test_catalog.py``), the
-schedule-equivalence suite and the Section 5.6 comparison
-(:mod:`repro.analysis.compare`) all read the entry, and
-the contract pass (:mod:`repro.statics.contracts`) checks this
-module's AST against the tree, so a ``*_factory`` that is neither
-registered here nor excused in :data:`CATALOG_EXEMPT` is a lint
-finding.
+correctness predicate, in Theorem 1's sense), its paper-exact bit
+meter where it has one, and its message budget: the most bits one
+correct processor's round-``r`` message can take under that meter.
+Registering a spec is the whole integration surface: `repro fuzz
+--protocol <name>`, the corpus replayer, the gallery conformance sweep
+(``tests/integration/test_catalog.py``), the schedule-equivalence
+suite and the Section 5.6 comparison (:mod:`repro.analysis.compare`)
+all read the entry, and the contract pass
+(:mod:`repro.statics.contracts`) checks this module's AST against the
+tree, so a ``*_factory`` that is neither registered here nor excused
+in :data:`CATALOG_EXEMPT` is a lint finding.
 
 Tests may register throwaway mutants (e.g. a deliberately weakened
 decision rule) under fresh names; see :func:`register` /
@@ -51,6 +52,14 @@ from repro.agreement.srikanth_toueg import (
     st_sizer,
 )
 from repro.agreement.weak import weak_agreement_factory
+from repro.analysis.complexity import (
+    auth_compact_message_bits,
+    compact_message_bits,
+    dolev_strong_message_bits,
+    firing_squad_message_bits,
+    full_information_message_bits,
+    st_message_bits,
+)
 from repro.avalanche.protocol import avalanche_factory
 from repro.compact.authenticated_variant import auth_compact_ba_factory, auth_sizer
 from repro.compact.byzantine_agreement import compact_ba_factory, compact_ba_rounds
@@ -59,6 +68,7 @@ from repro.compact.payload import compact_sizer, payload_is_null
 from repro.errors import ConfigurationError
 from repro.fullinfo.protocol import full_information_sizer
 from repro.runtime.crypto import SignatureOracle
+from repro.runtime.network import DEFAULT_LEAF_BITS, DEFAULT_NODE_BITS
 from repro.types import BOTTOM, ProcessId, SystemConfig, Value
 
 #: Builds one correct processor (the run_protocol factory shape).
@@ -123,6 +133,11 @@ class ProtocolSpec:
     #: The protocol needs ``n >= resilience * t + 1``; a literal, read
     #: by :meth:`supports` and by the contract pass (CON004).
     resilience: int
+    #: The message budget: ``(config, r) ->`` the most bits one correct
+    #: processor's round-``r`` message can take under the spec's meter
+    #: (closed forms in :mod:`repro.analysis.complexity`).  A campaign
+    #: holds every metered round of every execution to it.
+    message_bits: Callable[[SystemConfig, int], int]
     #: Draws one input vector from the campaign's RNG substream.
     sample_inputs: InputSampler = sample_binary_inputs
     #: Non-terminating / externally clocked: run exactly ``rounds``
@@ -162,21 +177,18 @@ class ProtocolSpec:
         return max(bound, rounds or 0) + 1
 
     def engine_arguments(
-        self,
-        config: SystemConfig,
-        rounds: Optional[int] = None,
-        metered: bool = False,
+        self, config: SystemConfig, rounds: Optional[int] = None
     ) -> Dict[str, Any]:
         """How to run the protocol, under the keyword names
         ``run_protocol`` and ``SweepContext`` share.
 
-        ``rounds`` overrides the spec's full-round count.  ``metered``
-        selects the paper-exact meter; campaigns leave it off, so
-        their bit totals are the default sizer's.
+        ``rounds`` overrides the spec's full-round count.  The meter is
+        the spec's own ``metering`` where it has one, the default
+        sizer otherwise: every caller sees the same bits.
         """
         if rounds is None:
             rounds = self.default_rounds(config)
-        meter = self.metering(config) if metered and self.metering else {}
+        meter = self.metering(config) if self.metering else {}
         return {
             "max_rounds": self.round_cap(config, rounds),
             "run_full_rounds": rounds,
@@ -270,6 +282,7 @@ register(ProtocolSpec(
     rounds=lambda config: config.t + 5,
     run_full=True,
     resilience=3,
+    message_bits=lambda config, r: DEFAULT_LEAF_BITS,  # one scalar vote
 ))
 
 
@@ -287,6 +300,7 @@ def compact_ba_spec(k: int) -> ProtocolSpec:
         oracles=BA_ORACLES,
         rounds=lambda config: compact_ba_rounds(config.t, k),
         resilience=3,
+        message_bits=lambda config, r: compact_message_bits(config, r, k),
         differential_group="ba",
         metering=_compact_metering,
     )
@@ -302,6 +316,7 @@ register(ProtocolSpec(
     oracles=BA_ORACLES + ("fullinfo-consistency",),
     rounds=lambda config: config.t + 1,
     resilience=3,
+    message_bits=lambda config, r: full_information_message_bits(config.n, r, 2),
     # Protocol 1's processes under the EIG decision rule.
     differential_group="ba",
     metering=lambda config: {"sizer": full_information_sizer(2, config.n)},
@@ -314,6 +329,7 @@ register(ProtocolSpec(
     oracles=BA_ORACLES,
     rounds=lambda config: compact_ba_rounds(config.t, 1),
     resilience=3,
+    message_bits=lambda config, r: compact_message_bits(config, r, 1),
     differential_group="ba",
     metering=_compact_metering,
 ))
@@ -327,6 +343,7 @@ register(ProtocolSpec(
     oracles=BA_ORACLES,
     rounds=lambda config: compact_ba_rounds(config.t, 1, overhead=1),
     resilience=4,
+    message_bits=lambda config, r: compact_message_bits(config, r, 1, 1),
     differential_group="ba",
     metering=_compact_metering,
 ))
@@ -340,6 +357,7 @@ register(ProtocolSpec(
     oracles=BA_ORACLES,
     rounds=lambda config: config.t + 1,
     resilience=3,
+    message_bits=lambda config, r: auth_compact_message_bits(config, r, 1),
     authenticated=True,
     differential_group="ba",
     metering=lambda config: {"sizer": auth_sizer(config, 2)},
@@ -354,6 +372,7 @@ register(ProtocolSpec(
     oracles=BA_ORACLES,
     rounds=lambda config: st_agreement_rounds(config.t),
     resilience=3,
+    message_bits=st_message_bits,
     metering=lambda config: {"sizer": st_sizer(config, 2)},
 ))
 
@@ -364,6 +383,7 @@ register(ProtocolSpec(
     oracles=BA_ORACLES,
     rounds=lambda config: phase_king_rounds(config.t),
     resilience=3,
+    message_bits=lambda config, r: DEFAULT_LEAF_BITS,  # a bit or no-proposal
 ))
 
 register(ProtocolSpec(
@@ -373,6 +393,7 @@ register(ProtocolSpec(
     oracles=BA_ORACLES,
     rounds=lambda config: phase_queen_rounds(config.t),
     resilience=4,
+    message_bits=lambda config, r: DEFAULT_LEAF_BITS,  # a bit
 ))
 
 register(ProtocolSpec(
@@ -383,6 +404,8 @@ register(ProtocolSpec(
     rounds=None,
     randomized=True,
     resilience=3,
+    # ("report" | "propose", bit or no-proposal)
+    message_bits=lambda config, r: DEFAULT_NODE_BITS + 2 * DEFAULT_LEAF_BITS,
 ))
 
 register(ProtocolSpec(
@@ -392,6 +415,7 @@ register(ProtocolSpec(
     oracles=BA_ORACLES,
     rounds=lambda config: dolev_strong_rounds(config.t),
     resilience=2,
+    message_bits=dolev_strong_message_bits,
     authenticated=True,
 ))
 
@@ -404,6 +428,7 @@ register(ProtocolSpec(
     oracles=("decided", "crusader"),
     rounds=lambda config: 2,
     resilience=3,
+    message_bits=lambda config, r: DEFAULT_LEAF_BITS,  # a value or an echo
 ))
 
 register(ProtocolSpec(
@@ -414,6 +439,7 @@ register(ProtocolSpec(
     # One unanimity-test round, then the inner binary protocol.
     rounds=lambda config: 1 + phase_king_rounds(config.t),
     resilience=3,
+    message_bits=lambda config, r: DEFAULT_LEAF_BITS,  # then Phase King's
 ))
 
 register(ProtocolSpec(
@@ -427,6 +453,7 @@ register(ProtocolSpec(
     rounds=lambda config: 3 + config.t + 2,
     run_full=True,
     resilience=3,
+    message_bits=firing_squad_message_bits,
 ))
 
 

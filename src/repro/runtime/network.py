@@ -58,6 +58,13 @@ _INTERNED_MISS = "net.interned_size_cache.miss"
 _INTERNED_HIT = "net.interned_size_cache.hit"
 
 
+#: What the default sizer charges a scalar leaf, and a container node
+#: on top of its elements; the message budgets of the specs it meters
+#: (:mod:`repro.analysis.complexity`) are stated in these.
+DEFAULT_LEAF_BITS = 8
+DEFAULT_NODE_BITS = 2
+
+
 def _default_sizer(message: Any) -> int:
     """Fallback message measure: 8 bits per scalar leaf, 2 per node.
 
@@ -80,11 +87,11 @@ def _default_sizer(message: Any) -> int:
 
 
 def _leaf_bits(leaf: Any) -> int:
-    return 0 if leaf is BOTTOM else 8
+    return 0 if leaf is BOTTOM else DEFAULT_LEAF_BITS
 
 
 def _node_bits(child_bits: List[int]) -> int:
-    return 2 + sum(child_bits)
+    return DEFAULT_NODE_BITS + sum(child_bits)
 
 
 _SIZED_CONTAINERS = (tuple, frozenset, list, set, dict)

@@ -2,16 +2,14 @@
 
 The paper's canonical-form theorem is a claim about program *text*:
 every protocol can be rewritten so its rounds are communication-closed
-and its messages are small.  Closedness needs no static pass: the
-lockstep engine calls each processor's ``outgoing`` once per round,
-before any ``receive``, so every run is closed by construction.  The
-passes in this subpackage check the rest statically, per protocol
-class, and report findings through ``repro lint``:
+and its messages are small.  Neither needs a static pass: the lockstep
+engine calls each processor's ``outgoing`` once per round, before any
+``receive``, so every run is closed by construction, and every fuzzed
+execution is held to its protocol's closed-form message budget
+(:func:`repro.fuzz.oracles.check_budget`), measured by its own meter.
+What this subpackage checks statically, per protocol class, and
+reports through ``repro lint`` is the rest:
 
-* **COM** — message-size bounds: an abstract interpretation of each
-  payload constructor infers a symbolic per-round bound (constant /
-  linear / history) and cross-checks it against the module's declared
-  ``MESSAGE_BOUNDS``.
 * **TAINT** — Byzantine influence: every value originating from
   ``receive()`` is adversary-controllable and must pass a recognized
   sanitizer before reaching a decision or an outgoing payload.

@@ -1,31 +1,17 @@
-"""The two abstract domains protoflow interprets over.
+"""The abstract domain protoflow's taint pass interprets over.
 
-Both are tiny totally-ordered join-semilattices; ``join`` is ``max``.
-
-* :class:`Taint` — how much of a value an adversary controls.
-  ``RAW`` values came from ``receive()`` and passed no filter;
-  ``FILTERED`` values passed a recognized sanitizer (or a threshold
-  guard); ``CLEAN`` values never touched the network.  Only ``RAW``
-  is flagged at the decision / payload sinks — a filtered value is by
-  definition one the protocol's fault-tolerance argument accounts for.
-
-* :class:`Size` — the symbolic per-round bit bound of a value.
-  ``CONSTANT`` is O(1) in both n and the round number, ``LINEAR`` is
-  O(n) per round (one entry per processor, or a buffer drained every
-  send), ``HISTORY`` grows with the execution (the full-information
-  regime Theorem 5 compiles away).
-
-:class:`SizeVal` pairs a :class:`Size` with the set of ``self``
-attributes the value was derived from, so the size interpreter can
-recognize self-referential growth (``self.state`` rebuilt from a local
-that was read from ``self.state``) through local variables.
+:class:`Taint` is a tiny totally-ordered join-semilattice; ``join`` is
+``max``.  It says how much of a value an adversary controls: ``RAW``
+values came from ``receive()`` and passed no filter; ``FILTERED``
+values passed a recognized sanitizer (or a threshold guard); ``CLEAN``
+values never touched the network.  Only ``RAW`` is flagged at the
+decision / payload sinks — a filtered value is by definition one the
+protocol's fault-tolerance argument accounts for.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from typing import FrozenSet, Iterable
 
 
 class Taint(enum.IntEnum):
@@ -48,47 +34,3 @@ def join_taint(*values: Taint) -> Taint:
 def demote(value: Taint) -> Taint:
     """``RAW`` becomes ``FILTERED`` (a guard vouched for it)."""
     return Taint.FILTERED if value is Taint.RAW else value
-
-
-class Size(enum.IntEnum):
-    """Symbolic per-round bit bound; ``join`` is ``max``."""
-
-    CONSTANT = 0
-    LINEAR = 1
-    HISTORY = 2
-
-
-#: The literal spellings accepted by ``MESSAGE_BOUNDS`` declarations.
-SIZE_NAMES = {
-    "constant": Size.CONSTANT,
-    "linear": Size.LINEAR,
-    "history": Size.HISTORY,
-}
-
-
-def size_name(value: Size) -> str:
-    """The declaration spelling of ``value`` (inverse of SIZE_NAMES)."""
-    return value.name.lower()
-
-
-@dataclasses.dataclass(frozen=True)
-class SizeVal:
-    """A size bound plus the ``self`` attributes it was derived from."""
-
-    size: Size = Size.CONSTANT
-    deps: FrozenSet[str] = frozenset()
-
-    def widen(self, size: Size) -> "SizeVal":
-        """The same dependencies at ``max(self.size, size)``."""
-        return SizeVal(max(self.size, size), self.deps)
-
-
-def join_sizes(values: Iterable[SizeVal]) -> SizeVal:
-    """Pointwise join: max bound, union of attribute dependencies."""
-    size = Size.CONSTANT
-    deps: FrozenSet[str] = frozenset()
-    for value in values:
-        if value.size > size:
-            size = value.size
-        deps = deps | value.deps
-    return SizeVal(size, deps)

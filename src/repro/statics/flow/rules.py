@@ -1,33 +1,9 @@
-"""Rule metadata for the two protoflow families (COM / TAINT)."""
+"""Rule metadata for protoflow's TAINT family."""
 
 from __future__ import annotations
 
 from repro.statics.rules import rule
 
-COM001 = rule(
-    "COM001",
-    "com",
-    "history-accumulating payload without a justified bound",
-    "Theorem 5 exists precisely to avoid full-information message "
-    "growth; a sender whose per-round bits grow with history should "
-    "route through repro.compact or declare why not",
-)
-COM002 = rule(
-    "COM002",
-    "com",
-    "declared bound below the inferred bound",
-    "a MESSAGE_BOUNDS entry tighter than what abstract interpretation "
-    "infers needs a justification (e.g. a depth cap the analysis "
-    "cannot see), or the declared bound is wishful",
-)
-COM003 = rule(
-    "COM003",
-    "com",
-    "missing or invalid MESSAGE_BOUNDS declaration",
-    "every certified protocol must state its per-round bound so the "
-    "pass can compare declared against inferred; dead or "
-    "malformed entries drift from the tree",
-)
 TAINT001 = rule(
     "TAINT001",
     "taint",

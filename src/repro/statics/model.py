@@ -3,9 +3,9 @@
 A lint run builds one :class:`ProjectIndex` — each file read once and
 parsed once, by :func:`parse_module`, the package's only ``ast.parse``
 — and every pass is a rule over ``(index, module)``: determinism,
-purity, contracts and the protoflow families all ask this model for
-modules, classes, import-resolved inheritance, declarations and
-call-graph queries instead of walking the tree themselves.  Which
+purity, contracts and protoflow's taint pass all ask this model for
+modules, classes, import-resolved inheritance, method lookup and
+declarations instead of walking the tree themselves.  Which
 *files* a pass looks at stays the pass's own policy
 (``PROTOCOL_PACKAGES``, ``WORKER_MODULES``, ``CLOCK_MODULES`` in the
 runner, ``CONTRACT_PACKAGES`` in the contract pass, :data:`FLOW_PACKAGES`
@@ -13,14 +13,13 @@ here with the protoflow queries that need it); the index only
 guarantees that asking twice costs one parse.
 
 Declarations
-    Four module-level dict literals are trusted by the passes —
-    ``PURITY_EXEMPT``, ``TAINT_SANITIZERS``, ``MESSAGE_BOUNDS`` and
-    ``CATALOG_EXEMPT`` — and :func:`read_declaration` reads all of
-    them under one grammar: a string key mapped to a non-blank string,
-    or to a ``(bound, justification)`` pair of non-blank strings.
-    Anything else comes back as a :class:`Malformed` note that the
-    owning pass turns into *its* finding (PUR005 / TAINT003 / COM003 /
-    CON002).
+    Three module-level dict literals are trusted by the passes —
+    ``PURITY_EXEMPT``, ``TAINT_SANITIZERS`` and ``CATALOG_EXEMPT`` —
+    and :func:`read_declaration` reads all of them under one grammar:
+    a string key mapped to a non-blank string, or to a pair of
+    non-blank strings.  Anything else comes back as a
+    :class:`Malformed` note that the owning pass turns into *its*
+    finding (PUR005 / TAINT003 / CON002).
 
 Class qualnames are canonicalized to the ``repro.`` namespace from the
 path below the scan root, so fixture trees (rooted anywhere) interoperate
@@ -36,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, TypeVar
 
 from repro.statics.visitor import attribute_chain
 
-#: Packages whose protocol classes get the COM/TAINT passes.
+#: Packages whose protocol classes get the TAINT pass.
 FLOW_PACKAGES = ("core", "agreement", "avalanche", "compact", "fullinfo")
 
 #: Modules indexed for inheritance/binding resolution only (never linted).
@@ -56,20 +55,15 @@ T = TypeVar("T")
 class Entry:
     """One well-formed declaration entry.
 
-    ``value`` is the plain string (a justification, or a bare bound)
-    or the first element of the pair form; ``justification`` is the
-    pair's second element and ``""`` otherwise.  ``node`` is the key's
+    ``value`` is the plain string or the first element of the pair
+    form; ``justification`` is the pair's second element and ``""``
+    otherwise.  ``node`` is the key's
     AST node, where findings about the entry are reported.
     """
 
     value: str
     justification: str
     node: ast.AST
-
-    @property
-    def bound(self) -> str:
-        """``value`` under the name ``MESSAGE_BOUNDS`` readers use."""
-        return self.value
 
     @property
     def line(self) -> int:
@@ -292,30 +286,6 @@ def bind_parameters(
     return env
 
 
-def self_attribute(target: ast.expr) -> Optional[str]:
-    """``attr`` for a ``self.attr`` / ``self.attr[key]`` store target."""
-    if isinstance(target, ast.Subscript):
-        target = target.value
-    if (
-        isinstance(target, ast.Attribute)
-        and isinstance(target.value, ast.Name)
-        and target.value.id == "self"
-    ):
-        return target.attr
-    return None
-
-
-def _constructor_call(value: ast.expr) -> Optional[ast.Call]:
-    """The call building ``value`` (or each element of a comprehension)."""
-    if isinstance(value, ast.Call):
-        return value
-    if isinstance(value, ast.DictComp) and isinstance(value.value, ast.Call):
-        return value.value
-    if isinstance(value, ast.ListComp) and isinstance(value.elt, ast.Call):
-        return value.elt
-    return None
-
-
 def _is_abstract(method: ast.FunctionDef) -> bool:
     for decorator in method.decorator_list:
         chain = attribute_chain(decorator)
@@ -333,9 +303,6 @@ def _is_abstract(method: ast.FunctionDef) -> bool:
 
 
 # -- the index -----------------------------------------------------------------
-
-Method = Tuple[ClassInfo, str, ast.FunctionDef]
-
 
 class ProjectIndex:
     """Every indexed module and class, with inheritance resolution.
@@ -356,8 +323,6 @@ class ProjectIndex:
         self.prefix = package_root.name
         self.modules: Dict[str, ModuleInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-        self._bindings: Dict[str, Dict[str, ClassInfo]] = {}
-        self._reachable: Dict[Tuple[str, str], List[Method]] = {}
         for package in packages:
             directory = package_root / package
             if directory.is_dir():
@@ -490,80 +455,10 @@ class ProjectIndex:
         ]
         return candidates[0] if len(candidates) == 1 else None
 
-    # -- call-graph queries (computed once per class) -----------------------
-
-    def static_bindings(self, info: ClassInfo) -> Dict[str, ClassInfo]:
-        """``self.attr -> ClassInfo`` bindings made anywhere in the class.
-
-        Covers plain assignment, subscript assignment, and dict/list
-        comprehensions whose element is a constructor call — the idioms
-        the compact stack uses to bind per-subject helper instances.
-        """
-        cached = self._bindings.get(info.qualname)
-        if cached is not None:
-            return cached
-        bindings: Dict[str, ClassInfo] = {}
-        for cls in self.mro(info):
-            for method in cls.methods.values():
-                for node in ast.walk(method):
-                    if not isinstance(node, ast.Assign):
-                        continue
-                    call = _constructor_call(node.value)
-                    if call is None:
-                        continue
-                    constructed = self.resolve_class(cls.module, call.func)
-                    if constructed is None:
-                        continue
-                    for target in node.targets:
-                        attr_name = self_attribute(target)
-                        if attr_name is not None:
-                            bindings.setdefault(attr_name, constructed)
-        self._bindings[info.qualname] = bindings
-        return bindings
-
-    def reachable_methods(self, info: ClassInfo, entry: str) -> List[Method]:
-        """Methods reachable from ``info.entry`` through self/helper calls.
-
-        Follows ``self.method(...)`` within the class (and its indexed
-        ancestors) and ``self.attr.method(...)`` into helper classes
-        bound in ``__init__`` — the call graph the send/receive path
-        analyses walk.  Bounded by visited-set, so cycles terminate.
-        """
-        cached = self._reachable.get((info.qualname, entry))
-        if cached is not None:
-            return cached
-        out: List[Method] = []
-        seen: Set[Tuple[str, str]] = set()
-        frontier: List[Tuple[ClassInfo, str]] = [(info, entry)]
-        while frontier:
-            cls, name = frontier.pop(0)
-            if (cls.qualname, name) in seen:
-                continue
-            seen.add((cls.qualname, name))
-            found = self.find_method(cls, name)
-            if found is None:
-                continue
-            owner, method = found
-            out.append((owner, name, method))
-            for node in ast.walk(method):
-                if not isinstance(node, ast.Call):
-                    continue
-                chain = attribute_chain(node.func)
-                if chain is None or chain[0] != "self":
-                    continue
-                if len(chain) == 2:
-                    frontier.append((cls, chain[1]))
-                elif len(chain) >= 3:
-                    helper = self.static_bindings(cls).get(chain[1])
-                    if helper is not None:
-                        frontier.append((helper, chain[-1]))
-        self._reachable[(info.qualname, entry)] = out
-        return out
-
     # -- certified protocols -------------------------------------------------
 
     def certified(self) -> List[ClassInfo]:
-        """Every protocol class the COM and TAINT passes analyse, sorted.
+        """Every protocol class the TAINT pass analyses, sorted.
 
         A class is certified when it is a concrete :class:`Process`
         subclass (defines or inherits an ``outgoing`` implementation

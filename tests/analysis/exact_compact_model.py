@@ -3,18 +3,13 @@
 A bit-for-bit prediction of what the meter records, derived from
 Protocol 3's structure and the sizer's encoding
 (:mod:`repro.arrays.encoding`).  ``tests/analysis/test_exact_compact_model.py``
-holds the meter to it.  ROADMAP item 8(b) moves it back under
-``src/repro/analysis/`` when a run's budget record calls it.
+holds the meter to it.  The CORE arithmetic is the message budget's
+(:func:`repro.analysis.complexity._core_bits`).
 """
 
-from repro.arrays.encoding import HEADER_BITS, bits_for_alphabet
+from repro.analysis.complexity import _core_bits
+from repro.arrays.encoding import bits_for_alphabet
 from repro.core.rounds import BlockSchedule
-
-
-def _core_bits(n: int, depth: int, leaf_bits: int) -> int:
-    """Exact size of one depth-``depth`` CORE array (``n >= 2``)."""
-    tuple_nodes = (n**depth - 1) // (n - 1)
-    return n**depth * leaf_bits + tuple_nodes * HEADER_BITS
 
 
 def compact_exact_bits_fault_free(

@@ -14,6 +14,7 @@ import pathlib
 import pytest
 
 import repro
+from repro.compact.payload import CompactPayload, compact_sizer
 from repro.fuzz.campaign import CampaignSettings, run_campaign
 from repro.fuzz.oracles import run_oracles
 from repro.fuzz.protocols import CATALOG_EXEMPT, get_spec, protocol_names
@@ -100,7 +101,8 @@ class TestCatalogStructure:
             assert (spec.rounds is None) == spec.randomized
 
     def test_one_cap_for_every_caller(self):
-        """`max(bound, rounds) + 1`, wherever a run is configured."""
+        """`max(bound, rounds) + 1`, wherever a run is configured, and
+        one meter: the spec's own where it has one."""
         spec = get_spec("avalanche")
         bound = spec.rounds(CONFIG)
         assert spec.default_rounds(CONFIG) == bound
@@ -111,6 +113,11 @@ class TestCatalogStructure:
             "sizer": None, "is_null": None,
         }
         assert get_spec("eig").engine_arguments(CONFIG)["run_full_rounds"] is None
+        compact = get_spec("compact-ba")
+        arguments = compact.engine_arguments(CONFIG)
+        assert arguments["is_null"] is compact.metering(CONFIG)["is_null"]
+        payload = CompactPayload(main=(1,) * CONFIG.n)
+        assert arguments["sizer"](payload) == compact_sizer(CONFIG, 2)(payload)
 
 
 def test_campaign_over_every_registered_name_is_clean_and_reproducible():

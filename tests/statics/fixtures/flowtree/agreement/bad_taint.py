@@ -2,8 +2,8 @@
 
 ``GullibleProcess`` relays a received value verbatim (TAINT002) and
 decides on it without any sanitizer (TAINT001); the module also
-declares a sanitizer that does not exist (TAINT003).  Flow and size
-are kept clean.
+declares a sanitizer that does not exist (TAINT003).  Flow is kept
+clean.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ TAINT_SANITIZERS = {
     "_missing_check": "claims to validate receptions but is never defined",
 }
 
-MESSAGE_BOUNDS = {"GullibleProcess": "constant"}
+# No size declaration: message sizes are judged on fuzzed runs.
 
 
 class GullibleProcess(Process):

@@ -1,10 +1,9 @@
-"""One grammar for the four declaration dicts.
+"""One grammar for the three declaration dicts.
 
-``PURITY_EXEMPT``, ``TAINT_SANITIZERS``, ``MESSAGE_BOUNDS`` and
-``CATALOG_EXEMPT`` go through one reader
-(:func:`repro.statics.model.read_declaration`): the same malformed
-shape is rejected for all four, and each owning pass reports it under
-its own rule.
+``PURITY_EXEMPT``, ``TAINT_SANITIZERS`` and ``CATALOG_EXEMPT`` go
+through one reader (:func:`repro.statics.model.read_declaration`): the
+same malformed shape is rejected for all three, and each owning pass
+reports it under its own rule.
 """
 
 import ast
@@ -18,7 +17,6 @@ from repro.statics.runner import lint_tree
 OWNERS = {
     "PURITY_EXEMPT": ("agreement/protocol.py", "PUR005"),
     "TAINT_SANITIZERS": ("agreement/protocol.py", "TAINT003"),
-    "MESSAGE_BOUNDS": ("agreement/protocol.py", "COM003"),
     "CATALOG_EXEMPT": ("fuzz/protocols.py", "CON002"),
 }
 
@@ -63,7 +61,6 @@ class TestReader:
         assert (pair.value, pair.justification, pair.line) == (
             "linear", "capped by k", 3,
         )
-        assert pair.bound == "linear"
 
     def test_annotated_assignment_and_absence(self):
         assert self.read("NAME: dict = {'a': 'b'}\n").entries["a"].value == "b"

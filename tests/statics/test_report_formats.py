@@ -13,10 +13,10 @@ from repro.statics.rules import RULES
 from repro.statics.runner import LintResult
 
 
-def _finding(rule="COM002", path="repro/agreement/x.py", symbol="X.outgoing"):
+def _finding(rule="TAINT002", path="repro/agreement/x.py", symbol="X.outgoing"):
     return Finding(
         path=path, line=7, col=4, rule=rule, symbol=symbol,
-        message="declared bound below the inferred one",
+        message="unsanitized adversarial value in an outgoing payload",
     )
 
 
@@ -33,7 +33,7 @@ def test_sarif_shape_and_schema():
     assert run["tool"]["driver"]["name"] == "protolint"
     rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
     assert rule_ids == sorted(RULES)
-    assert {"DET001", "COM001", "TAINT001"} <= set(rule_ids)
+    assert {"DET001", "TAINT001", "TAINT002"} <= set(rule_ids)
     assert len(run["results"]) == 2
 
 
@@ -44,7 +44,7 @@ def test_sarif_result_fields_and_suppressions():
         unused_suppressions=[],
     )
     live, waived = json.loads(render_sarif(result))["runs"][0]["results"]
-    assert live["ruleId"] == "COM002"
+    assert live["ruleId"] == "TAINT002"
     assert "suppressions" not in live
     location = live["locations"][0]["physicalLocation"]
     assert location["artifactLocation"]["uri"] == "repro/agreement/x.py"
