@@ -4,10 +4,12 @@
   traffic is bounded by value *changes* (at most 3 per processor);
   without it, cost grows linearly with the number of rounds the
   instances stay alive.  The gap is the convention's whole point.
-* **Lazy vs eager decision (the paper's open question)** — resolving
-  the EIG rule directly on the compressed state touches only
-  distinct-chain leaves; expanding FULL_STATE first touches the whole
-  ``n^(t+1)`` tree.
+* **Decision work on the interned state (the paper's open question)**
+  — FULL_STATE stands for an ``n^(t+1)``-leaf tree but is a DAG of a
+  handful of canonical nodes; the EIG rule on it is memoised across
+  correct processors, settled by the dominant-child walk or, where
+  the walk stops, swept over the ``n!/(n-t-1)!`` distinct-label
+  chains.
 """
 
 from repro.adversary import VoteSplitterAdversary
@@ -15,14 +17,10 @@ from repro.analysis.report import format_table
 from repro.arrays.encoding import bits_for_alphabet
 from repro.avalanche.coding import NullEncoder, is_null_message
 from repro.avalanche.protocol import avalanche_factory
-from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
-from repro.compact.lazy_decision import lazy_eig_decision
-from repro.fullinfo.decision import eig_byzantine_decision
-from repro.arrays.value_array import count_leaves
 from repro.runtime.engine import run_protocol
 from repro.types import SystemConfig, is_bottom
 
-from conftest import publish
+from conftest import eig_decision_work, publish
 
 
 def coding_ablation_rows():
@@ -69,71 +67,20 @@ def coding_ablation_rows():
     return rows
 
 
-def decision_ablation(benchmark):
-    config = SystemConfig(n=7, t=2)
-    inputs = {p: p % 2 for p in config.process_ids}
-    result = run_compact_byzantine_agreement(
-        config, inputs, value_alphabet=[0, 1], k=1
-    )
-    process = result.processes[1]
-
-    counter = [0]
-    lazy_value = lazy_eig_decision(
-        process.expansion,
-        process.core_boundary,
-        process.core,
-        n=config.n,
-        t=config.t,
-        default=0,
-        alphabet=[0, 1],
-        _counter=counter,
-    )
-    eager_state = process.full_state()
-    eager_value = eig_byzantine_decision(
-        eager_state, config.n, config.t, 1, default=0, alphabet=[0, 1]
-    )
-    assert lazy_value == eager_value
-
-    distinct_leaves = 7 * 6 * 5  # chains with distinct labels
-    rows = [
-        {
-            "path": "eager (expand FULL_STATE first)",
-            "leaves read": count_leaves(eager_state),
-            "node visits": "O(n^(t+1)) to materialise",
-            "exponential array built": "yes",
-            "decision": eager_value,
-        },
-        {
-            "path": "lazy (resolve on compressed CORE)",
-            "leaves read": distinct_leaves,
-            "node visits": counter[0],
-            "exponential array built": "no",
-            "decision": lazy_value,
-        },
-    ]
-    # The lazy path reads only distinct-chain leaves (210 of 343 here;
-    # the gap widens as n grows at fixed t) and, decisively, never
-    # materialises the exponential array — the space claim the paper
-    # leaves open.
-    assert distinct_leaves < count_leaves(eager_state)
-    assert counter[0] <= distinct_leaves * (config.t + 1 + 3)
-
-    benchmark(
-        lazy_eig_decision,
-        process.expansion,
-        process.core_boundary,
-        process.core,
-        n=config.n,
-        t=config.t,
-        default=0,
-        alphabet=[0, 1],
-    )
+def decision_rows():
+    rows = []
+    for label, faulty in (("fault-free", 0), ("EquivocatingAdversary", 2)):
+        work = eig_decision_work(7, 2, faulty)
+        # The interned state is a few nodes, the tree it stands for
+        # 343 leaves; the sweep, where it runs, reads 210 chains.
+        assert work["interned nodes"] < work["chains"] < work["tree leaves"]
+        rows.append({"run (n=7, t=2)": label, **work})
     return rows
 
 
 def test_ablations(benchmark):
     coding_rows = coding_ablation_rows()
-    decision_rows = decision_ablation(benchmark)
+    decision = benchmark(decision_rows)
     publish(
         "ablation",
         format_table(
@@ -142,7 +89,7 @@ def test_ablations(benchmark):
         )
         + "\n\n"
         + format_table(
-            decision_rows,
-            title="A2 — decision work: eager expansion vs lazy resolution",
+            decision,
+            title="A2 — EIG decision work on the interned FULL_STATE",
         ),
     )

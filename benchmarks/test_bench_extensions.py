@@ -7,19 +7,17 @@ repository's own additions:
   application of the transformation),
 * the Byzantine firing squad built from staggered simultaneous
   agreements,
-* the polynomial-space lazy decision path at the suite's largest
-  configuration,
+* the EIG decision on the interned FULL_STATE at the suite's larger
+  configurations: a handful of canonical nodes, and one chain sweep
+  per distinct state,
 * the authenticated-model compact variant reaching the ``t + 1``
   round optimum with zero overhead.
 """
-
-import time
 
 from repro.adversary import EquivocatingAdversary, SilentAdversary
 from repro.agreement.firing_squad import fire_deadline, firing_squad_factory
 from repro.analysis.report import format_table
 from repro.compact.byzantine_agreement import compact_ba_rounds
-from repro.compact.lazy_decision import lazy_compact_ba_factory
 from repro.compact.payload import compact_sizer, payload_is_null
 from repro.compact.protocol import compact_factory
 from repro.core.rounds import BlockSchedule
@@ -27,7 +25,7 @@ from repro.fullinfo.interactive import make_interactive_consistency_rule
 from repro.runtime.engine import run_protocol
 from repro.types import BOTTOM, SystemConfig
 
-from conftest import publish
+from conftest import eig_decision_work, publish
 
 
 def interactive_consistency_rows():
@@ -104,32 +102,15 @@ def firing_squad_rows():
     return rows
 
 
-def lazy_rows():
-    config = SystemConfig(n=10, t=3)
-    inputs = {p: p % 2 for p in config.process_ids}
-    start = time.perf_counter()
-    result = run_protocol(
-        lazy_compact_ba_factory([0, 1], default=0, k=1),
-        config,
-        inputs,
-        adversary=EquivocatingAdversary([1, 2, 3], 0, 1),
-        max_rounds=compact_ba_rounds(3, 1) + 1,
-    )
-    elapsed = time.perf_counter() - start
-    assert len(result.decided_values()) == 1
-    # The claim is "sub-second"; the cell states the claim, not the
-    # timing, so regenerating the table leaves it unchanged.
-    assert elapsed < 1.0, elapsed
-    return [
-        {
-            "n": config.n,
-            "t": config.t,
-            "rounds": result.rounds,
-            "distinct chains resolved": 10 * 9 * 8 * 7,
-            "full tree (never built)": 10**4,
-            "wall time": "< 1 s",
-        }
-    ]
+def interned_decision_rows():
+    rows = []
+    for n, t in ((10, 3), (13, 4)):
+        work = eig_decision_work(n, t, faulty=t)
+        assert work["rounds"] == compact_ba_rounds(t, 1)
+        # 2t + 1 canonical nodes stand for the n^(t+1)-leaf tree.
+        assert work["interned nodes"] == 2 * t + 1
+        rows.append({"n": n, "t": t, **work})
+    return rows
 
 
 def authenticated_rows():
@@ -179,7 +160,7 @@ def test_extensions(benchmark):
     ic = interactive_consistency_rows()
     squad = firing_squad_rows()
     auth = authenticated_rows()
-    lazy = benchmark(lazy_rows)
+    interned = benchmark(interned_decision_rows)
     publish(
         "extensions",
         format_table(
@@ -189,7 +170,9 @@ def test_extensions(benchmark):
         + format_table(squad, title="X2 — Byzantine firing squad")
         + "\n\n"
         + format_table(
-            lazy, title="X3 — polynomial-space decisions at n = 10, t = 3"
+            interned,
+            title="X3 — EIG decisions on the interned state, "
+            "EquivocatingAdversary on 1..t",
         )
         + "\n\n"
         + format_table(

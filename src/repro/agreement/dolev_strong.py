@@ -97,7 +97,8 @@ class DolevStrongProcess(Process):
 
     def outgoing(self, round_number: Round) -> Dict[ProcessId, Any]:
         items, self._outbox = self._outbox, []
-        return broadcast(tuple(items), self.config)
+        # Nothing to relay: send nothing (receivers see BOTTOM).
+        return broadcast(tuple(items), self.config) if items else {}
 
     def receive(self, round_number: Round, incoming: Dict[ProcessId, Any]) -> None:
         for sender in self.config.process_ids:

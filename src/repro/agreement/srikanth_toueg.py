@@ -217,7 +217,9 @@ class STAgreementProcess(Process):
         self._extracted: Set[Tuple[ProcessId, Value]] = set()
 
     def outgoing(self, round_number: Round) -> Dict[ProcessId, Any]:
-        return broadcast(self.primitive.outgoing_items(round_number), self.config)
+        items = self.primitive.outgoing_items(round_number)
+        # Nothing to init or echo: send nothing (receivers see BOTTOM).
+        return broadcast(items, self.config) if items else {}
 
     def receive(self, round_number: Round, incoming: Dict[ProcessId, Any]) -> None:
         for key in self.primitive.absorb(round_number, incoming):

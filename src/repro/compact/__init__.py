@@ -20,8 +20,6 @@ functions built from avalanche agreement outcomes.
 * :mod:`repro.compact.byzantine_agreement` — Corollary 10: Byzantine
   agreement in ``(1 + eps)(t + 1)`` rounds with polynomial
   communication,
-* :mod:`repro.compact.lazy_decision` — the same, deciding on the
-  compressed state in polynomial space,
 * :mod:`repro.compact.crash_variant` — the benign-fault extension with
   *no* round overhead (Section 1's claim, experiment E8),
 * :mod:`repro.compact.authenticated_variant` — the same zero overhead
@@ -44,11 +42,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "CrashCompactProcess",
         "crash_compact_factory",
         "flooding_decision_rule",
-    ),
-    "lazy_decision": (
-        "full_state_leaf",
-        "lazy_compact_ba_factory",
-        "lazy_eig_decision",
     ),
     "authenticated_variant": ("AuthCompactProcess", "auth_compact_ba_factory"),
 })

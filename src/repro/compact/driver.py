@@ -194,21 +194,17 @@ class BlockDriver(Process):
             )
         return expanded
 
-    def _value_at(self, simulated: int) -> Value:
-        """The decision rule's verdict at simulated round ``simulated``
-        (bottom: not yet) — the one step a decision path that does not
-        want ``FULL_STATE`` materialised overrides."""
-        if self._decision_rule is None:
-            return BOTTOM
-        return self._decision_rule(self.full_state(), simulated, self.process_id)
-
     def _maybe_decide(self, round_number: Round) -> None:
-        if self.has_decided() or not self.schedule.is_progress_round(round_number):
+        if (
+            self._decision_rule is None
+            or self.has_decided()
+            or not self.schedule.is_progress_round(round_number)
+        ):
             return
         simulated = self.schedule.simul(round_number)
         if self._horizon is not None and simulated < self._horizon:
             return
-        value = self._value_at(simulated)
+        value = self._decision_rule(self.full_state(), simulated, self.process_id)
         if value is not BOTTOM:
             self.decide(value, round_number)
 

@@ -100,10 +100,6 @@ class BindingExpansion:
         """Whether ``key`` is bound at this processor."""
         return key in self._bindings
 
-    def binding(self, key: Any) -> Any:
-        """The bound value, or bottom if ``key`` is not bound (yet)."""
-        return self._bindings.get(key, BOTTOM)
-
     def is_reference(self, scalar: Any) -> bool:
         """Whether ``scalar`` has a reference's form: a processor index."""
         return is_index_scalar(scalar, self.config.n)

@@ -266,7 +266,7 @@ def resolve_chains(
     leaves on demand: a length-``depth`` chain resolves to its
     normalised ``leaf_of(chain)``, a shorter one to the strict majority
     of its distinct-label extensions.  For callers with no whole array
-    to sweep: one source's tree (``root = (q,)``), a compressed state.
+    to sweep: one source's tree (``root = (q,)``).
     """
     normalise = _normaliser(default, alphabet)
     memo: Dict[Chain, Value] = {}

@@ -63,7 +63,6 @@ from repro.analysis.complexity import (
 from repro.avalanche.protocol import avalanche_factory
 from repro.compact.authenticated_variant import auth_compact_ba_factory, auth_sizer
 from repro.compact.byzantine_agreement import compact_ba_factory, compact_ba_rounds
-from repro.compact.lazy_decision import lazy_compact_ba_factory
 from repro.compact.payload import compact_sizer, payload_is_null
 from repro.errors import ConfigurationError
 from repro.fullinfo.protocol import full_information_sizer
@@ -320,18 +319,6 @@ register(ProtocolSpec(
     # Protocol 1's processes under the EIG decision rule.
     differential_group="ba",
     metering=lambda config: {"sizer": full_information_sizer(2, config.n)},
-))
-
-register(ProtocolSpec(
-    name="compact-ba-lazy",
-    title="compact BA (lazy, k=1)",  # polynomial-space decision path
-    build=lambda config: lazy_compact_ba_factory((0, 1), default=0, k=1),
-    oracles=BA_ORACLES,
-    rounds=lambda config: compact_ba_rounds(config.t, 1),
-    resilience=3,
-    message_bits=lambda config, r: compact_message_bits(config, r, 1),
-    differential_group="ba",
-    metering=_compact_metering,
 ))
 
 register(ProtocolSpec(

@@ -1,20 +1,25 @@
 """Tests for the signature oracle and Dolev–Strong agreement."""
 
+import functools
+
 import pytest
 
 from repro.adversary import SilentAdversary
 from repro.adversary.base import Adversary
 from repro.agreement.dolev_strong import (
+    DolevStrongProcess,
     dolev_strong_factory,
     dolev_strong_rounds,
 )
 from repro.agreement.srikanth_toueg import st_agreement_rounds
 from repro.errors import AdversaryError, ConfigurationError
+from repro.fuzz.protocols import get_spec
 from repro.runtime.crypto import Signature, SignatureOracle
 from repro.runtime.engine import run_protocol
+from repro.runtime.node import broadcast
 from repro.types import SystemConfig
 
-from tests.conftest import assert_agreement_and_validity
+from tests.conftest import assert_agreement_and_validity, byzantine_adversaries
 
 
 class TestSignatureOracle:
@@ -171,3 +176,50 @@ class TestSimulationRelationship:
         )
         assert len(authenticated.decided_values()) == 1
         assert authenticated.decided_values() == simulated.decided_values()
+
+
+class EveryRoundDolevStrong(DolevStrongProcess):
+    """Dolev–Strong broadcasting its relay tuple even when it is empty,
+    as it did before a round with nothing to relay went quiet."""
+
+    def outgoing(self, round_number):
+        items, self._outbox = self._outbox, []
+        return broadcast(tuple(items), self.config)
+
+
+class TestQuietRounds:
+    """A correct processor with nothing to relay sends nothing:
+    receivers read the omission as BOTTOM, which carries no claim."""
+
+    def test_rounds_with_nothing_to_relay_carry_no_message(self, config7):
+        spec = get_spec("dolev-strong")
+        inputs = {p: p % 2 for p in config7.process_ids}
+        result = run_protocol(
+            spec.build(config7), config7, inputs,
+            **spec.engine_arguments(config7),
+        )
+        non_null = [
+            result.metrics.round_usage(r).non_null_messages
+            for r in range(1, result.rounds + 1)
+        ]
+        assert non_null == [49, 49, 0]
+
+    @pytest.mark.parametrize("faulty", [(1, 2), (4, 7)])
+    def test_decisions_unchanged_under_the_gallery(self, config7, faulty):
+        inputs = {p: p % 2 for p in config7.process_ids}
+        rounds = dolev_strong_rounds(config7.t) + 1
+        for quiet_adversary, loud_adversary in zip(
+            byzantine_adversaries(list(faulty)),
+            byzantine_adversaries(list(faulty)),
+        ):
+            quiet = run_protocol(
+                dolev_strong_factory(SignatureOracle()), config7, inputs,
+                adversary=quiet_adversary, max_rounds=rounds, seed=2,
+            )
+            loud = run_protocol(
+                functools.partial(EveryRoundDolevStrong, oracle=SignatureOracle()),
+                config7, inputs,
+                adversary=loud_adversary, max_rounds=rounds, seed=2,
+            )
+            assert quiet.decisions == loud.decisions
+            assert quiet.decision_rounds == loud.decision_rounds

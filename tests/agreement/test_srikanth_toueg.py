@@ -16,6 +16,7 @@ from repro.agreement.srikanth_toueg import (
     st_agreement_rounds,
     st_sizer,
 )
+from repro.fuzz.protocols import get_spec
 from repro.runtime.engine import run_protocol
 from repro.runtime.node import Process, broadcast as broadcast_all
 from repro.types import BOTTOM, SystemConfig
@@ -207,3 +208,49 @@ class TestSTAgreement:
             max_rounds=st_agreement_rounds(config7.t) + 1,
         )
         assert len(result.decided_values()) == 1
+
+
+class EveryRoundST(STAgreementProcess):
+    """The agreement broadcasting its item set even when it is empty,
+    as it did before a round with nothing to send went quiet."""
+
+    def outgoing(self, round_number):
+        items = self.primitive.outgoing_items(round_number)
+        return broadcast_all(items, self.config)
+
+
+class TestQuietRounds:
+    """A correct processor with nothing to init or echo sends nothing:
+    receivers read the omission as BOTTOM, exactly what they skip."""
+
+    def test_rounds_with_nothing_to_send_carry_no_message(self, config7):
+        spec = get_spec("srikanth-toueg")
+        inputs = {p: p % 2 for p in config7.process_ids}
+        result = run_protocol(
+            spec.build(config7), config7, inputs,
+            **spec.engine_arguments(config7),
+        )
+        non_null = [
+            result.metrics.round_usage(r).non_null_messages
+            for r in range(1, result.rounds + 1)
+        ]
+        assert non_null == [49, 49, 49, 0, 0, 0]
+
+    @pytest.mark.parametrize("faulty", [(1, 2), (4, 7)])
+    def test_decisions_unchanged_under_the_gallery(self, config7, faulty):
+        inputs = {p: p % 2 for p in config7.process_ids}
+        rounds = st_agreement_rounds(config7.t) + 1
+        for quiet_adversary, loud_adversary in zip(
+            byzantine_adversaries(list(faulty)),
+            byzantine_adversaries(list(faulty)),
+        ):
+            quiet = run_protocol(
+                st_agreement_factory(), config7, inputs,
+                adversary=quiet_adversary, max_rounds=rounds, seed=2,
+            )
+            loud = run_protocol(
+                EveryRoundST, config7, inputs,
+                adversary=loud_adversary, max_rounds=rounds, seed=2,
+            )
+            assert quiet.decisions == loud.decisions
+            assert quiet.decision_rounds == loud.decision_rounds

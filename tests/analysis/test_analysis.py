@@ -111,6 +111,9 @@ class TestComparison:
 
 #: ``measured_comparison(t, equivocator, extended=True)`` at the parent
 #: of the catalog merge: (label, rounds, bits, decisions) per row.
+#: Dolev-Strong at t = 2 was re-recorded (14994 -> 14896 bits) when a
+#: processor with nothing to relay came to send nothing: round 3's 49
+#: empty 2-bit tuples are gone, the decisions are not.
 PINNED_ROWS = {
     1: [
         ("exponential EIG", 2, 84, ["0"]),
@@ -126,7 +129,7 @@ PINNED_ROWS = {
         ("compact (eps=1.0)", 5, 26684, ["1"]),
         ("compact (eps=0.5)", 3, 5019, ["1"]),
         ("Phase King (binary)", 9, 1736, ["1"]),
-        ("Dolev-Strong (authenticated, fault-free run)", 3, 14994, ["1"]),
+        ("Dolev-Strong (authenticated, fault-free run)", 3, 14896, ["1"]),
     ],
 }
 

@@ -118,7 +118,7 @@ class TestBookkeeping:
         assert expansion.out_tables().get(3, {}) == {}
 
     def test_out_returns_bottom_when_missing(self, expansion):
-        assert is_bottom(expansion.binding((2, 1)))
+        assert not expansion.has((2, 1))
 
     def test_defined_predicate(self, expansion):
         assert expansion.defined(1, (0, 1, 0, 1))

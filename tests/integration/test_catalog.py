@@ -81,7 +81,7 @@ class TestCatalogStructure:
     def test_names_unique(self):
         titles = [get_spec(name).title for name in protocol_names()]
         assert len(titles) == len(set(titles))
-        assert len(protocol_names()) >= 15
+        assert len(protocol_names()) >= 14
 
     def test_entries_supporting_filters(self):
         tight = SystemConfig(n=7, t=2)  # 3t + 1 but < 4t + 1

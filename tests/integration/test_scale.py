@@ -4,8 +4,12 @@ The paper's protocols are proved for all n; these tests push the
 implementation past the toy sizes used elsewhere.  The largest EIG
 decision the suite computes is n = 16, t = 5: 5,765,760 distinct relay
 chains, swept on the dense path over hash-consed arrays and closed-form
-chain tables (``repro.arrays.flat.ChainTopology``).  n = 13, t = 4
-(154,440 chains) also runs on the polynomial-space lazy path.
+chain tables (``repro.arrays.flat.ChainTopology``).  Both sizes run
+under ``EquivocatingAdversary`` and ``StaleCoreAdversary``
+(``tests/adversary/compact_attacks.py``), under which the
+dominant-child walk stops and the decision reaches the sweep; n = 13,
+t = 4 sweeps 154,440 chains.  The full-information state itself is a
+handful of interned nodes at either size: the sweep is the cost.
 """
 
 import pytest
@@ -15,11 +19,22 @@ from repro.compact.byzantine_agreement import (
     compact_ba_rounds,
     run_compact_byzantine_agreement,
 )
-from repro.compact.lazy_decision import lazy_compact_ba_factory
-from repro.runtime.engine import run_protocol
 from repro.types import SystemConfig
 
+from tests.adversary.compact_attacks import StaleCoreAdversary
 from tests.conftest import assert_agreement_and_validity
+
+
+def _decides_on_dense_path(t, adversary):
+    """Compact BA at n = 3t + 1, k = 1: agreement, validity, and the
+    decision in exactly Corollary 10's round count."""
+    config = SystemConfig(n=3 * t + 1, t=t)
+    inputs = {p: p % 2 for p in config.process_ids}
+    result = run_compact_byzantine_agreement(
+        config, inputs, value_alphabet=[0, 1], k=1, adversary=adversary,
+    )
+    assert_agreement_and_validity(result, inputs)
+    assert result.rounds == compact_ba_rounds(t, 1) == config.n
 
 
 class TestNTen:
@@ -48,45 +63,16 @@ class TestNTen:
         )
         assert_agreement_and_validity(result, inputs)
 
-    def test_lazy_equals_eager_n10(self):
-        config = SystemConfig(n=10, t=3)
-        inputs = {p: p % 2 for p in config.process_ids}
-        eager = run_compact_byzantine_agreement(
-            config,
-            inputs,
-            value_alphabet=[0, 1],
-            k=1,
-            adversary=EquivocatingAdversary([8, 9, 10], 0, 1),
-            seed=7,
-        )
-        lazy = run_protocol(
-            lazy_compact_ba_factory([0, 1], default=0, k=1),
-            config,
-            inputs,
-            adversary=EquivocatingAdversary([8, 9, 10], 0, 1),
-            max_rounds=compact_ba_rounds(3, 1) + 1,
-            seed=7,
-        )
-        assert lazy.decisions == eager.decisions
-
 
 class TestNThirteen:
-    def test_compact_ba_n13_t4_lazy(self):
-        """t = 4 over 13 processors on the polynomial-space path, which
-        keeps no full-information array at all (the dense path, whose
-        arrays are shared DAGs, decides the same run in well under a
-        second)."""
-        config = SystemConfig(n=13, t=4)
-        inputs = {p: p % 2 for p in config.process_ids}
-        result = run_protocol(
-            lazy_compact_ba_factory([0, 1], default=0, k=1),
-            config,
-            inputs,
-            adversary=EquivocatingAdversary([1, 2, 3, 4], 0, 1),
-            max_rounds=compact_ba_rounds(4, 1) + 1,
-        )
-        assert_agreement_and_validity(result, inputs)
-        assert result.rounds == compact_ba_rounds(4, 1) == 13
+    @pytest.mark.parametrize("make_adversary", [
+        lambda faulty: EquivocatingAdversary(faulty, 0, 1),
+        StaleCoreAdversary,
+    ], ids=["EquivocatingAdversary", "StaleCoreAdversary"])
+    def test_compact_ba_n13_t4_dense(self, make_adversary):
+        """t = 4 over 13 processors: each decision sweeps 154,440
+        chains of a FULL_STATE that interns to a handful of nodes."""
+        _decides_on_dense_path(4, make_adversary([1, 2, 3, 4]))
 
 
 class TestNSixteen:
@@ -95,14 +81,9 @@ class TestNSixteen:
         chains, so the chain tables' build cost shows here — about a
         second and 300 MB when built in closed form, against tens of
         seconds and 1.5 GB for a tuple enumeration of the chains."""
-        config = SystemConfig(n=16, t=5)
-        inputs = {p: p % 2 for p in config.process_ids}
-        result = run_compact_byzantine_agreement(
-            config,
-            inputs,
-            value_alphabet=[0, 1],
-            k=1,
-            adversary=EquivocatingAdversary([1, 2, 3, 4, 5], 0, 1),
-        )
-        assert_agreement_and_validity(result, inputs)
-        assert result.rounds == compact_ba_rounds(5, 1) == 16
+        _decides_on_dense_path(5, EquivocatingAdversary([1, 2, 3, 4, 5], 0, 1))
+
+    def test_compact_ba_n16_t5_dense_stale_core(self):
+        """The same sweep when the faulty processors replay stale
+        COREs, which correct receivers reject and substitute."""
+        _decides_on_dense_path(5, StaleCoreAdversary([1, 2, 3, 4, 5]))

@@ -117,9 +117,9 @@ class TestRealCatalogParsing:
     def test_every_entry_is_extracted(self):
         entries = parse_catalog(REAL_REGISTRY.read_text())
         names = {entry.name for entry in entries}
-        assert "compact-ba-lazy" in names
+        assert "compact-ba-fast" in names
         assert "ben-or" in names
-        assert len(entries) >= 14
+        assert len(entries) >= 13
 
     def test_bounds_are_classified(self):
         entries = {

@@ -42,7 +42,6 @@ def test_catalog_coverage(by_name):
         "FiringSquadProcess",
         "FullInformationAutomaton",
         "FullInformationProcess",
-        "LazyCompactProcess",
         "PhaseKingProcess",
         "PhaseQueenProcess",
         "STAgreementProcess",
@@ -76,8 +75,8 @@ def test_srikanth_toueg_drain_idiom_is_sanitized_and_constant(by_name):
 def test_the_block_driver_certifies_every_fault_model_unwaived(by_name):
     """One loop, one legality filter: nothing on the shared send or
     decision path needs a baseline entry."""
-    for name in ("CompactProcess", "LazyCompactProcess",
-                 "CrashCompactProcess", "AuthCompactProcess"):
+    for name in ("CompactProcess", "CrashCompactProcess",
+                 "AuthCompactProcess"):
         assert by_name[name].findings == []
     for name in ("CrashCompactProcess", "AuthCompactProcess"):
         assert "_usable" in by_name[name].sanitizers_used

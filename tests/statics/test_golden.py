@@ -76,5 +76,5 @@ def parsed(monkeypatch):
 def test_collect_findings_parses_each_scanned_file_once(parsed):
     collect_findings(PACKAGE_ROOT)
     assert sorted(parsed) == scanned_files(PACKAGE_ROOT)
-    assert len(parsed) > 60  # the scope tuples did not silently empty
+    assert len(parsed) >= 60  # the scope tuples did not silently empty
 
