@@ -15,7 +15,7 @@ Gives a downstream user the paper's artifacts without writing code:
 * ``status``    — read a recorded run: bits, rounds, cells, cache hit
   rates, where the time went and what was skipped or degraded,
 * ``lint``      — the protocol-aware static analysis of
-  :mod:`repro.statics` (determinism, purity and catalog contracts),
+  :mod:`repro.statics` (determinism, purity and taint),
 * ``fuzz``      — seeded adversarial campaigns with differential
   oracles and counterexample shrinking (see docs/fuzzing.md).
 """

@@ -11,10 +11,10 @@ Registering a spec is the whole integration surface: `repro fuzz
 --protocol <name>`, the corpus replayer, the gallery conformance sweep
 (``tests/integration/test_catalog.py``), the schedule-equivalence
 suite and the Section 5.6 comparison (:mod:`repro.analysis.compare`)
-all read the entry, and the contract pass
-(:mod:`repro.statics.contracts`) checks this module's AST against the
-tree, so a ``*_factory`` that is neither registered here nor excused
-in :data:`CATALOG_EXEMPT` is a lint finding.
+all read the entry, and ``tests/integration/test_catalog.py`` checks
+the live registry against the imported protocol packages, so a
+``*_factory`` that is neither registered here nor excused in
+:data:`CATALOG_EXEMPT` fails the test suite.
 
 Tests may register throwaway mutants (e.g. a deliberately weakened
 decision rule) under fresh names; see :func:`register` /
@@ -77,7 +77,7 @@ ProcessBuilder = Callable[[ProcessId, SystemConfig, Value], Any]
 InputSampler = Callable[[SystemConfig, np.random.Generator], Dict[ProcessId, Value]]
 
 #: Factories that deliberately stay out of the registry, with the
-#: reason.  The contract pass requires every ``*_factory`` in the
+#: reason.  The catalog test requires every ``*_factory`` in the
 #: protocol packages to appear in a spec's ``build`` or here, so opting
 #: out of the conformance sweep is an explicit, reviewed decision
 #: rather than an omission.
@@ -126,11 +126,11 @@ class ProtocolSpec:
     #: execution where it ran.
     oracles: Tuple[str, ...]
     #: The declared round bound: every correct processor has decided
-    #: by round ``rounds(config)``.  ``None`` only for a ``randomized``
-    #: protocol (contract rule CON003).
+    #: by round ``rounds(config)``.  ``None`` exactly for a
+    #: ``randomized`` protocol.
     rounds: Optional[Callable[[SystemConfig], int]]
-    #: The protocol needs ``n >= resilience * t + 1``; a literal, read
-    #: by :meth:`supports` and by the contract pass (CON004).
+    #: The protocol needs ``n >= resilience * t + 1`` (read by
+    #: :meth:`supports`); the factory's module docstring states it.
     resilience: int
     #: The message budget: ``(config, r) ->`` the most bits one correct
     #: processor's round-``r`` message can take under the spec's meter

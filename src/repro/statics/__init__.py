@@ -14,9 +14,13 @@ any protocol:
 * :mod:`repro.statics.purity` — automaton functions and registered
   factories are free of I/O, global mutation and mutable default
   arguments (protects the Section 3.1 formalism),
-* :mod:`repro.statics.contracts` — the catalog in
-  :mod:`repro.fuzz.protocols` agrees with the source tree
-  (protects the conformance sweep's coverage guarantee).
+* :mod:`repro.statics.flow` — no value from ``receive()`` reaches a
+  decision or a payload unsanitized (protects validity against a
+  Byzantine sender).
+
+Whether the catalog in :mod:`repro.fuzz.protocols` covers every
+factory is checked over the live registry by
+``tests/integration/test_catalog.py``, not here.
 
 Run it as ``python -m repro lint`` or ``python tools/run_lint.py``;
 see ``docs/statics.md`` for the rule reference.

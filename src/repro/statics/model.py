@@ -3,23 +3,22 @@
 A lint run builds one :class:`ProjectIndex` — each file read once and
 parsed once, by :func:`parse_module`, the package's only ``ast.parse``
 — and every pass is a rule over ``(index, module)``: determinism,
-purity, contracts and protoflow's taint pass all ask this model for
+purity and protoflow's taint pass all ask this model for
 modules, classes, import-resolved inheritance, method lookup and
 declarations instead of walking the tree themselves.  Which
 *files* a pass looks at stays the pass's own policy
 (``PROTOCOL_PACKAGES``, ``WORKER_MODULES``, ``CLOCK_MODULES`` in the
-runner, ``CONTRACT_PACKAGES`` in the contract pass, :data:`FLOW_PACKAGES`
-here with the protoflow queries that need it); the index only
-guarantees that asking twice costs one parse.
+runner, :data:`FLOW_PACKAGES` here with the protoflow queries that
+need it); the index only guarantees that asking twice costs one parse.
 
 Declarations
-    Three module-level dict literals are trusted by the passes —
-    ``PURITY_EXEMPT``, ``TAINT_SANITIZERS`` and ``CATALOG_EXEMPT`` —
-    and :func:`read_declaration` reads all of them under one grammar:
+    Two module-level dict literals are trusted by the passes —
+    ``PURITY_EXEMPT`` and ``TAINT_SANITIZERS`` — and
+    :func:`read_declaration` reads both under one grammar:
     a string key mapped to a non-blank string, or to a pair of
     non-blank strings.  Anything else comes back as a
     :class:`Malformed` note that the owning pass turns into *its*
-    finding (PUR005 / TAINT003 / CON002).
+    finding (PUR005 / TAINT003).
 
 Class qualnames are canonicalized to the ``repro.`` namespace from the
 path below the scan root, so fixture trees (rooted anywhere) interoperate
@@ -184,11 +183,6 @@ class ModuleInfo:
         if name not in self._declarations:
             self._declarations[name] = read_declaration(self.tree, name)
         return self._declarations[name]
-
-    @property
-    def docstring(self) -> str:
-        """The module docstring (``""`` when there is none)."""
-        return ast.get_docstring(self.tree) or ""
 
 
 def _parse_imports(tree: ast.Module) -> Dict[str, str]:

@@ -17,11 +17,6 @@ import pathlib
 from typing import List, Optional
 
 from repro.statics.baseline import Baseline, Suppression
-from repro.statics.contracts import (
-    CATALOG_MODULE,
-    CONTRACT_PACKAGES,
-    check_contracts,
-)
 from repro.statics.determinism import check_determinism
 from repro.statics.findings import Finding
 from repro.statics.flow.passes import analyze_index
@@ -93,8 +88,8 @@ def collect_findings(package_root: pathlib.Path) -> List[Finding]:
     """Run every pass over ``package_root``, parsing each file once."""
     index = ProjectIndex(
         package_root,
-        packages=PROTOCOL_PACKAGES + FLOW_PACKAGES + CONTRACT_PACKAGES,
-        modules=WORKER_MODULES + SUPPORT_MODULES + (CATALOG_MODULE,),
+        packages=PROTOCOL_PACKAGES + FLOW_PACKAGES,
+        modules=WORKER_MODULES + SUPPORT_MODULES,
     )
     workers = [
         module
@@ -112,7 +107,6 @@ def collect_findings(package_root: pathlib.Path) -> List[Finding]:
             findings.extend(check_purity(index, module))
     for module in workers:
         findings.extend(check_purity(index, module, all_functions=True))
-    findings.extend(check_contracts(index))
     findings.extend(analyze_index(index).findings)
     return sorted(findings)
 

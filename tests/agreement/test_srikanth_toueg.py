@@ -7,7 +7,7 @@ then the agreement layer is swept against adversaries.
 
 import pytest
 
-from repro.adversary import EquivocatingAdversary, SilentAdversary
+from repro.adversary import SilentAdversary
 from repro.adversary.base import Adversary
 from repro.agreement.srikanth_toueg import (
     STAgreementProcess,
@@ -19,7 +19,7 @@ from repro.agreement.srikanth_toueg import (
 from repro.fuzz.protocols import get_spec
 from repro.runtime.engine import run_protocol
 from repro.runtime.node import Process, broadcast as broadcast_all
-from repro.types import BOTTOM, SystemConfig
+from repro.types import SystemConfig
 
 from tests.conftest import assert_agreement_and_validity, byzantine_adversaries
 

@@ -37,8 +37,6 @@ class TestComplexityModels:
 
     def test_compact_estimate_polynomial_in_n(self):
         """Fixing k, the estimate grows polynomially (degree k+3)."""
-        import math
-
         small = compact_bits_estimate(10, 3, 2, 2)
         large = compact_bits_estimate(20, 3, 2, 2)
         # Round counts match, so ratio is exactly 2 ** (k+3) = 32.

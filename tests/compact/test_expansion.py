@@ -11,7 +11,7 @@ from repro.arrays.store import (
 from repro.compact.expansion import BindingExpansion, ExpansionState
 from repro.errors import ProtocolViolation
 from repro.obs import Observer, observing
-from repro.types import BOTTOM, SystemConfig, is_bottom
+from repro.types import is_bottom
 
 
 @pytest.fixture

@@ -1,9 +1,9 @@
-"""One grammar for the three declaration dicts.
+"""One grammar for the two declaration dicts.
 
-``PURITY_EXEMPT``, ``TAINT_SANITIZERS`` and ``CATALOG_EXEMPT`` go
-through one reader (:func:`repro.statics.model.read_declaration`): the
-same malformed shape is rejected for all three, and each owning pass
-reports it under its own rule.
+``PURITY_EXEMPT`` and ``TAINT_SANITIZERS`` go through one reader
+(:func:`repro.statics.model.read_declaration`): the same malformed
+shape is rejected for both, and each owning pass reports it under its
+own rule.
 """
 
 import ast
@@ -17,7 +17,6 @@ from repro.statics.runner import lint_tree
 OWNERS = {
     "PURITY_EXEMPT": ("agreement/protocol.py", "PUR005"),
     "TAINT_SANITIZERS": ("agreement/protocol.py", "TAINT003"),
-    "CATALOG_EXEMPT": ("fuzz/protocols.py", "CON002"),
 }
 
 MALFORMED = {

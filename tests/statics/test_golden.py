@@ -18,7 +18,6 @@ import pathlib
 import pytest
 
 from repro.statics.baseline import Baseline
-from repro.statics.contracts import CATALOG_MODULE, CONTRACT_PACKAGES
 from repro.statics.model import FLOW_PACKAGES, SUPPORT_MODULES
 from repro.statics.report import render_json
 from repro.statics.runner import (
@@ -51,9 +50,9 @@ def test_report_is_byte_identical_to_the_recorded_one(name):
 def scanned_files(root):
     """Every file some pass's scope tuple names, each once."""
     files = set()
-    for package in PROTOCOL_PACKAGES + FLOW_PACKAGES + CONTRACT_PACKAGES:
+    for package in PROTOCOL_PACKAGES + FLOW_PACKAGES:
         files.update((root / package).rglob("*.py"))
-    for module in WORKER_MODULES + SUPPORT_MODULES + (CATALOG_MODULE,):
+    for module in WORKER_MODULES + SUPPORT_MODULES:
         if (root / module).is_file():
             files.add(root / module)
     return sorted(map(str, files))
@@ -76,5 +75,9 @@ def parsed(monkeypatch):
 def test_collect_findings_parses_each_scanned_file_once(parsed):
     collect_findings(PACKAGE_ROOT)
     assert sorted(parsed) == scanned_files(PACKAGE_ROOT)
-    assert len(parsed) >= 60  # the scope tuples did not silently empty
+    # The scope tuples did not silently empty or lose a member.
+    for package in PROTOCOL_PACKAGES + FLOW_PACKAGES:
+        assert str(PACKAGE_ROOT / package / "__init__.py") in parsed
+    for module in WORKER_MODULES:
+        assert str(PACKAGE_ROOT / module) in parsed
 

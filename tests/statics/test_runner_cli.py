@@ -63,7 +63,7 @@ class TestFixtureTree:
     def test_exits_nonzero(self, capsys):
         code, out = run_lint(capsys, "--root", str(FIXTURE_TREE))
         assert code == 1
-        assert "DET001" in out and "PUR001" in out and "CON001" in out
+        assert "DET001" in out and "PUR001" in out
 
     def test_json_schema(self, capsys):
         code, out = run_lint(
@@ -84,11 +84,11 @@ class TestFixtureTree:
                 "message",
             }
             assert finding["rule"].rstrip("0123456789") in (
-                "DET", "PUR", "CON", "COM", "TAINT",
+                "DET", "PUR", "TAINT",
             )
             assert finding["line"] >= 1
         rules = {finding["rule"] for finding in report["findings"]}
-        assert {"DET001", "DET004", "PUR003", "CON001"} <= rules
+        assert {"DET001", "DET004", "PUR003"} <= rules
 
     def test_update_baseline_then_clean(self, capsys, tmp_path):
         baseline_path = tmp_path / "baseline.json"
