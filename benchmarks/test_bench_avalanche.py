@@ -8,11 +8,9 @@ Paper claims reproduced:
   non-null messages in any execution", giving O(n^2 log |V|) bits.
 """
 
-import pytest
-
 from repro.adversary import EquivocatingAdversary, VoteSplitterAdversary
 from repro.analysis.report import format_table
-from repro.arrays.encoding import MessageSizer, bits_for_alphabet
+from repro.arrays.encoding import bits_for_alphabet
 from repro.avalanche.coding import NullEncoder, is_null_message
 from repro.avalanche.fast import fast_thresholds
 from repro.avalanche.protocol import avalanche_factory

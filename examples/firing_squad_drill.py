@@ -15,7 +15,7 @@ from repro.adversary import EquivocatingAdversary, SilentAdversary
 from repro.agreement.firing_squad import fire_deadline, firing_squad_factory
 from repro.analysis.report import format_table
 from repro.runtime.engine import run_protocol
-from repro.types import BOTTOM, SystemConfig, is_bottom
+from repro.types import BOTTOM, SystemConfig
 
 
 def main() -> None:

@@ -26,7 +26,10 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.adversary.base import Adversary
-from repro.fullinfo.decision import make_eig_decision_rule
+from repro.fullinfo.decision import (
+    check_eig_sweep_size,
+    make_eig_decision_rule,
+)
 from repro.fullinfo.protocol import (
     FullInformationAutomaton,
     full_information_factory,
@@ -41,7 +44,12 @@ def eig_agreement_factory(
     value_alphabet: Sequence[Value],
     default: Optional[Value] = None,
 ):
-    """A run_protocol factory for the exponential baseline."""
+    """A run_protocol factory for the exponential baseline.
+
+    Raises :class:`~repro.errors.ConfigurationError` when the decision
+    would sweep more relay chains than its tables may hold.
+    """
+    check_eig_sweep_size(config.n, config.t)
     if default is None:
         default = sorted(value_alphabet, key=repr)[0]
     rule = make_eig_decision_rule(

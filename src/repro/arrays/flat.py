@@ -42,6 +42,7 @@ layout and measurements.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -54,6 +55,13 @@ from repro.errors import ConfigurationError
 #: ``(n, depth)`` -> the distinct-label chain topology (a pure
 #: function of its arguments; see :func:`chain_topology`).
 _TOPOLOGIES: Dict[Tuple[int, int], "ChainTopology"] = {}
+
+#: The most last-level chains, ``n! / (n - depth)!``, a sweep's tables
+#: may hold.  Building them peaks near 46 bytes a chain (265 MB for
+#: the 5,765,760 of n=16, t=5), and a sweep gathers about as much
+#: again, so the cap keeps a decision near half a gigabyte; n=19, t=6
+#: would need 253,955,520 chains.
+MAX_SWEEP_CHAINS = 10_000_000
 
 PURITY_EXEMPT = {
     "tables_for": (
@@ -265,16 +273,30 @@ class ChainTopology:
         return bins
 
 
+def refuse_oversized_tables(n: int, depth: int) -> None:
+    """Raise :class:`ConfigurationError` when ``(n, depth)``'s chain
+    tables would pass :data:`MAX_SWEEP_CHAINS`; allocates nothing."""
+    chains = math.perm(n, depth)
+    if chains > MAX_SWEEP_CHAINS:
+        raise ConfigurationError(
+            f"n={n}, t={depth - 1}: the EIG decision would sweep "
+            f"{chains:,} relay chains, more than the {MAX_SWEEP_CHAINS:,} "
+            "its tables may hold"
+        )
+
+
 def chain_topology(n: int, depth: int) -> ChainTopology:
     """The memoised chain topology for ``(n, depth)``.
 
     Requires ``depth <= n`` — longer distinct-label chains do not
-    exist, and the reference sweep has no resolution for them.
+    exist, and the reference sweep has no resolution for them — and
+    at most :data:`MAX_SWEEP_CHAINS` chains.
     """
     if depth > n:
         raise ConfigurationError(
             f"no depth-{depth} distinct-label chains over {n} labels"
         )
+    refuse_oversized_tables(n, depth)
     key = (n, depth)
     topology = _TOPOLOGIES.get(key)
     if topology is None:

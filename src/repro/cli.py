@@ -35,7 +35,7 @@ _Output = Union[str, Tuple[str, int]]
 #: The event schema ``events validate`` checks against; kept here so
 #: building the parser imports no :mod:`repro.obs`
 #: (``tests/obs/test_cli_events.py`` pins it to ``SCHEMA_VERSION``).
-EVENT_SCHEMA_VERSION = 2
+EVENT_SCHEMA_VERSION = 3
 
 #: ``--adversary`` choices: the fault-free run, then the Byzantine
 #: gallery of :func:`repro.analysis.sweeps.standard_adversary_makers`

@@ -52,7 +52,10 @@ from repro.arrays.value_array import fold_tree, is_index_scalar
 from repro.compact.driver import BlockDriver
 from repro.compact.expansion import BindingExpansion
 from repro.errors import ConfigurationError
-from repro.fullinfo.decision import make_eig_decision_rule
+from repro.fullinfo.decision import (
+    check_eig_sweep_size,
+    make_eig_decision_rule,
+)
 from repro.fullinfo.protocol import DecisionRule
 from repro.runtime.crypto import SignatureOracle
 from repro.runtime.node import broadcast
@@ -283,6 +286,7 @@ def auth_compact_ba_factory(
             f"the EIG decision rule needs n >= 3t+1; got n={config.n}, "
             f"t={config.t}"
         )
+    check_eig_sweep_size(config.n, config.t)
     if default is None:
         default = sorted(value_alphabet, key=repr)[0]
     rule = make_eig_decision_rule(

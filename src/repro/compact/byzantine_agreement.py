@@ -21,7 +21,10 @@ from repro.compact.payload import compact_sizer, payload_is_null
 from repro.compact.protocol import compact_factory
 from repro.core.rounds import BlockSchedule, k_for_epsilon
 from repro.errors import ConfigurationError
-from repro.fullinfo.decision import make_eig_decision_rule
+from repro.fullinfo.decision import (
+    check_eig_sweep_size,
+    make_eig_decision_rule,
+)
 from repro.runtime.engine import ExecutionResult, run_protocol
 from repro.types import SystemConfig, Value
 
@@ -62,8 +65,11 @@ def compact_ba_factory(
 
     ``default`` is the value every correct processor adopts where the
     EIG resolution finds no strict majority; it must be common
-    knowledge (any fixed element of ``V`` works).
+    knowledge (any fixed element of ``V`` works).  Raises
+    :class:`~repro.errors.ConfigurationError` when the decision would
+    sweep more relay chains than its tables may hold.
     """
+    check_eig_sweep_size(config.n, config.t)
     block_parameter = resolve_k(config, k=k, epsilon=epsilon, overhead=overhead)
     rule = make_eig_decision_rule(
         config.t, default=default, alphabet=value_alphabet

@@ -524,6 +524,20 @@ def _flat_sweep_index(
     return flat.eig_sweep(state, vote_of_code, len(ordered), default_index)
 
 
+def check_eig_sweep_size(n: int, t: int) -> None:
+    """Refuse ``n``, ``t`` before a run when its EIG decision would
+    sweep more chains than :data:`repro.arrays.flat.MAX_SWEEP_CHAINS`.
+
+    Raises :class:`~repro.errors.ConfigurationError`, building nothing.
+    A system of at most ``_REFERENCE_MAX_CHAINS`` chains never reaches
+    the tables, so it does not import them (or numpy) either.
+    """
+    if math.perm(n, t + 1) > _REFERENCE_MAX_CHAINS:
+        from repro.arrays.flat import refuse_oversized_tables
+
+        refuse_oversized_tables(n, t + 1)
+
+
 def make_eig_decision_rule(
     t: int, default: Value, alphabet: Optional[Sequence[Value]] = None
 ) -> Callable[[Any, int, ProcessId], Value]:

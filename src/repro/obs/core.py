@@ -26,7 +26,9 @@ executor-level instrumentation only.
 from __future__ import annotations
 
 import contextlib
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import (
+    Any, Callable, Dict, Iterator, List, Optional, Tuple, Union,
+)
 
 from repro.obs.events import EventLog, json_safe
 from repro.obs.registry import InstrumentRegistry
@@ -92,6 +94,11 @@ class Observer:
         self.spans_on = spans
         self._rollup_mark: Dict[str, int] = {}
         self.registry = InstrumentRegistry()
+        #: ``count(name, delta=1)``: the registry's own method, bound
+        #: once — hot paths call it thousands of times a pass.
+        self.count: Callable[..., None] = (
+            self.registry.count if counters else _ignore
+        )
         self.profile = SpanProfile()
         self._span_stack: List[str] = []
         self._run: Optional[str] = None
@@ -105,6 +112,11 @@ class Observer:
         """Append one deterministic event, stamped with the clock."""
         if self.events is not None:
             self.events.emit(kind, self._run, self._round, fields)
+
+    def emit_sends(self, bursts: List[Tuple[int, bool, Any]]) -> None:
+        """Append a round's ``send`` records (:meth:`EventLog.sends`)."""
+        if self.events is not None:
+            self.events.sends(self._run, self._round, bursts)
 
     def emit_nondet(self, kind: str, **fields: Any) -> None:
         """Append one wall-clock-derived event, flagged as such."""
@@ -180,10 +192,6 @@ class Observer:
 
     # -- registry ----------------------------------------------------------
 
-    def count(self, name: str, delta: int = 1) -> None:
-        if self.counters_on:
-            self.registry.count(name, delta)
-
     def gauge(self, name: str, value: float) -> None:
         if self.counters_on:
             self.registry.set_gauge(name, value)
@@ -226,6 +234,10 @@ class Observer:
                 )
         if self.events is not None:
             self.events.close()
+
+
+def _ignore(name: str, delta: int = 1) -> None:
+    """``count`` with counters off."""
 
 
 #: The process-wide active observer; ``None`` is the null observer.

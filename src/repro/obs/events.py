@@ -1,9 +1,9 @@
-"""The structured event log: schema v2, sinks, and validation.
+"""The structured event log: schema v3, sinks, and validation.
 
 Every record is one JSON object per line (JSONL) with a common
 envelope::
 
-    {"v": 2, "kind": "...", "run": "r1" | null, "round": 3, "step": 17, ...}
+    {"v": 3, "kind": "...", "run": "r1" | null, "round": 3, "step": 17, ...}
 
 The clock is **logical**: ``run`` is the observer-scoped run id,
 ``round`` the protocol round the observer was last told about, and
@@ -42,7 +42,7 @@ from typing import (
 )
 
 #: Bump on incompatible record-shape changes.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Fields present on every record.  ``run`` may be null (events emitted
 #: outside any run — sweep chunks, the counters dump).
@@ -79,8 +79,10 @@ EVENT_FIELDS: Dict[str, Dict[str, Tuple[type, ...]]] = {
     # the sender is faulty.  Faulty receivers are listed too;
     # :func:`repro.obs.trace.burst_edges` keeps the correct ones.
     "send": {"sender": (int,), "faulty": (bool,), "messages": (list,)},
-    # state changes
-    "state": {"process": (int,), "summary": (str,)},
+    # state changes: one record per batch of ``receive`` calls — a
+    # lockstep round, or one processor under an asynchronous schedule —
+    # listing the processors in the order their state changed.
+    "state": {"processes": (list,)},
     "decide": {
         "process": (int,),
         "value": (str, int, float, bool, type(None)),
@@ -199,6 +201,13 @@ def _tail_text(*tail: Any) -> str:
     return _encode_other(tail)[1:]
 
 
+@functools.lru_cache(maxsize=4096)
+def _entry_text(head: int, tail: str) -> str:
+    """One entry's text: ``head`` and a tail's text from
+    :func:`_tail_text`."""
+    return f"[{int.__repr__(head)}, {tail}"
+
+
 @functools.lru_cache(maxsize=1024)
 def _uniform_text(heads: Tuple[Any, ...], tail: str) -> _Text:
     return _Text("[" + ", ".join(f"[{_json(h)}, {tail}" for h in heads) + "]")
@@ -244,11 +253,13 @@ class EventLog:
         self._handle: Optional[IO[str]] = None
         self._part = 0
         self._part_bytes = 0
-        # Rendered-once line parts: ``, "name": `` per field name, and
-        # the envelope prefix per kind at the clock last stamped.
+        # Rendered-once line parts: ``, "name": `` per field name, the
+        # envelope's head per kind, and its clock part (run, round and
+        # the step's name) at the clock last stamped.
         self._names: Dict[str, str] = {}
-        self._prefixes: Dict[str, str] = {}
+        self._kinds: Dict[str, str] = {}
         self._clock: Optional[Tuple[Optional[str], int]] = None
+        self._clock_text = ""
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self.path, "w")
@@ -291,26 +302,65 @@ class EventLog:
                 f"{self._render(fields)}}}\n"
             )
 
-    def entries(
-        self, heads: Iterable[Any], tails: Iterable[Tuple[Any, ...]]
-    ) -> Any:
-        """``[[head, *tail], ...]`` (tails are tuples of scalars) as this
-        log takes a field: a plain list in memory; for a stream, text
-        joined from each distinct tail's, rendered once."""
-        pairs = zip(heads, tails)
+    def sends(
+        self,
+        run: Optional[str],
+        round_number: int,
+        bursts: List[Tuple[int, bool, Any]],
+    ) -> None:
+        """One ``send`` record per ``(sender, faulty, messages)`` of a
+        round, in order, ``messages`` from :meth:`entries` or
+        :meth:`uniform_entries`: :meth:`emit` without the generic field
+        walk, for the kind a log writes most."""
+        step = self.step
+        self.step += len(bursts)
         if self._handle is None:
-            return [[head, *tail] for head, tail in pairs]
-        entries = (f"[{_json(h)}, {_tail_text(*t)}" for h, t in pairs)
+            for number, (sender, faulty, messages) in enumerate(bursts, step + 1):
+                self.records.append({
+                    "v": SCHEMA_VERSION, "kind": "send", "run": run,
+                    "round": round_number, "step": number, "sender": sender,
+                    "faulty": faulty, "messages": messages,
+                })
+            return
+        prefix = self._prefix("send", run, round_number)
+        lines = [
+            f'{prefix}{number}, "sender": {_json(sender)}, "faulty": '
+            f'{"true" if faulty else "false"}, "messages": {messages}}}\n'
+            for number, (sender, faulty, messages) in enumerate(bursts, step + 1)
+        ]
+        if self.cap_bytes is None:
+            self._handle.write("".join(lines))
+        else:
+            for line in lines:
+                self._write_line(line)
+
+    def tail(self, *fields: Any) -> Any:
+        """An entry's scalar ``fields`` after its head, as this log takes
+        them: the tuple in memory, for a stream its text (rendered once
+        per distinct tail)."""
+        if self._handle is None:
+            return fields
+        return _tail_text(*fields)
+
+    def entries(self, heads: Iterable[Any], tails: Iterable[Any]) -> Any:
+        """``[[head, *tail], ...]``, each tail from :meth:`tail`, as this
+        log takes a field: a plain list in memory, text for a stream."""
+        if self._handle is None:
+            return [[head, *tail] for head, tail in zip(heads, tails)]
+        # Only an exact ``int`` head is memoised: a Byzantine sender's
+        # key could be an ``int`` subclass whose ``==`` lies.
+        entries = [
+            _entry_text(h, t) if type(h) is int else f"[{_json(h)}, {t}"
+            for h, t in zip(heads, tails)
+        ]
         return _Text("[" + ", ".join(entries) + "]")
 
-    def uniform_entries(
-        self, heads: Tuple[Any, ...], tail: Tuple[Any, ...]
-    ) -> Any:
-        """:meth:`entries` with one ``tail`` for every head; a stream's
-        text is rendered once per ``(heads, tail)``."""
+    def uniform_entries(self, heads: Tuple[Any, ...], tail: Any) -> Any:
+        """:meth:`entries` with one :meth:`tail` for every head; a
+        stream's text is rendered once per ``(heads, tail)``."""
         if self._handle is None:
             return [[head, *tail] for head in heads]
-        return _uniform_text(heads, _tail_text(*tail))
+        return _uniform_text(heads, tail)
 
     def _render(self, fields: Mapping[str, Any]) -> str:
         """``, "name": value`` for every field, in order."""
@@ -331,19 +381,16 @@ class EventLog:
         clock = (run, round_number)
         if clock != self._clock:
             self._clock = clock
-            self._prefixes.clear()
-        prefix = self._prefixes.get(kind)
-        if prefix is None:
-            prefix = self._prefixes[kind] = (
-                '{"v": %d, "kind": %s, "run": %s, "round": %s, "step": '
-                % (
-                    SCHEMA_VERSION,
-                    _json(kind),
-                    _json(run),
-                    _json(round_number),
-                )
+            self._clock_text = (
+                f', "run": {_json(run)}, "round": {_json(round_number)}, '
+                '"step": '
             )
-        return prefix
+        head = self._kinds.get(kind)
+        if head is None:
+            head = self._kinds[kind] = (
+                f'{{"v": {SCHEMA_VERSION}, "kind": {_json(kind)}'
+            )
+        return head + self._clock_text
 
     def _write_line(self, line: str) -> None:
         assert self._handle is not None
@@ -496,6 +543,9 @@ def validate_record(record: Dict[str, Any]) -> List[str]:
             )
     if kind == "send" and isinstance(record.get("messages"), list):
         problems.extend(_message_problems(record))
+    if kind == "state" and isinstance(record.get("processes"), list):
+        if not all(type(p) is int for p in record["processes"]):
+            problems.append("state: processes are not all integers")
     if kind in NONDETERMINISTIC_KINDS:
         if record.get("nondeterministic") is not True:
             problems.append(

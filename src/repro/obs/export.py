@@ -171,15 +171,14 @@ def chrome_trace(records: List[Dict[str, Any]]) -> Dict[str, Any]:
                     }
                 )
         elif kind == "state":
-            process = record["process"]
-            thread(process, f"p{process}")
-            events.append(
-                {
-                    "ph": "X", "name": "state", "cat": "state",
-                    "pid": pid, "tid": process, "ts": step, "dur": 1,
-                    "args": {"summary": record["summary"]},
-                }
-            )
+            for process in record["processes"]:
+                thread(process, f"p{process}")
+                events.append(
+                    {
+                        "ph": "X", "name": "state", "cat": "state",
+                        "pid": pid, "tid": process, "ts": step, "dur": 1,
+                    }
+                )
         elif kind == "decide":
             process = record["process"]
             thread(process, f"p{process}")

@@ -118,7 +118,7 @@ def check_closedness(records: List[Dict[str, Any]]) -> List[str]:
                 delivered.add((sender, receiver))
         elif kind == "state":
             if open_round is not None:
-                state_changed.add(int(record["process"]))
+                state_changed.update(int(p) for p in record["processes"])
     return problems
 
 

@@ -31,11 +31,13 @@ per receiver, one row that already holds the round's broadcasts,
 whatever map it arrives in — and (c) metered once, in the round row
 and the sender row every message of the burst shares.  A burst's one
 ``send`` record and its envelopes are written only when an event sink
-or a trace is attached to read them.
+or a trace is attached to read them, and so is the round's one
+``state`` record, which names the processors whose state changed.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 import repro.obs.core as _obs
@@ -97,13 +99,18 @@ def _node_bits(child_bits: List[int]) -> int:
 _SIZED_CONTAINERS = (tuple, frozenset, list, set, dict)
 #: Containers whose contents are fixed when they are made.
 _FIXED_CONTAINERS = frozenset({tuple, frozenset, InternedArray})
+#: Scalars that are fixed too (a float only when finite).
+_FIXED_SCALARS = frozenset({int, str, bool, type(None), float})
 
 
 def _fixed_default_size(message: Any) -> Tuple[int, bool]:
     """:func:`_default_sizer` of ``message``, and whether the message is
-    built of exact tuples and frozensets only (an interned node counts
-    as a tuple): then nothing in it can change while it lives, so
-    neither can its size or summary.  A scalar reads ``False``."""
+    an exact immutable scalar or built of exact tuples and frozensets
+    only (an interned node counts as a tuple): then nothing in it can
+    change while it lives, so neither can its size or summary."""
+    kind = type(message)
+    if kind in _FIXED_SCALARS:
+        return _leaf_bits(message), kind is not float or math.isfinite(message)
     kinds: Set[type] = set()
 
     def opened(container: Any) -> None:
@@ -175,15 +182,15 @@ class SynchronousNetwork:
         # predicate are pure functions of the payload value.
         self._interned_size_cache: Dict[Any, Tuple[int, bool]] = {}
         # A faulty payload's `send` entry tail per object, whoever
-        # sends it: ``id -> (payload, round, tail)``, with ``round``
-        # None when the tail holds for the whole execution (see
-        # _faulty_tail).  Each entry holds its payload, so no id is
-        # reused while it is cached.
-        self._faulty_tails: Dict[
-            int, Tuple[Any, Optional[Round], Tuple[Any, ...]]
-        ] = {}
-        # The payload summariser of `state`/`send` event records,
-        # bound once per network.  Imported here rather than at module
+        # sends it, as the sink below takes it: ``id -> (payload,
+        # tail)``, for the execution when the payload cannot change
+        # (see _faulty_tail), else for the round.  Each entry holds its
+        # payload, so no id is reused while it is cached.
+        self._fixed_tails: Dict[int, Tuple[Any, Any]] = {}
+        self._round_tails: Dict[int, Tuple[Any, Any]] = {}
+        self._tails_sink: Optional[EventLog] = None
+        # The payload summariser of faulty `send` entries, bound once
+        # per network.  Imported here rather than at module
         # level because render imports the engine, which imports us.
         from repro.runtime.render import summarise_payload
 
@@ -267,16 +274,12 @@ class SynchronousNetwork:
 
         self.adversary.observe_round(round_number, context, faulty_outgoing)
 
-        if self.trace is None and not events:
-            # Fast path: no snapshot or event bookkeeping at all.
-            for receiver, process in self.processes.items():
-                process.receive(round_number, incoming_by_receiver[receiver])
-        else:
-            for receiver, process in self.processes.items():
-                process.receive(round_number, incoming_by_receiver[receiver])
-                self.record_state_change(
-                    round_number, receiver, process, observer, events
-                )
+        for receiver, process in self.processes.items():
+            process.receive(round_number, incoming_by_receiver[receiver])
+        if self.trace is not None or events:
+            self.record_state_changes(
+                round_number, list(self.processes), observer, events
+            )
 
     # -- phase-3 primitives -------------------------------------------------
     #
@@ -285,33 +288,33 @@ class SynchronousNetwork:
     # override of :meth:`dispatch` can vary only *ordering*, never
     # *accounting*.
 
-    def record_state_change(
+    def record_state_changes(
         self,
         round_number: Round,
-        receiver: ProcessId,
-        process: Process,
+        receivers: List[ProcessId],
         observer: Optional[Observer],
         events: bool,
     ) -> None:
-        """Post-``receive`` bookkeeping: snapshot, state/decide events."""
+        """Post-``receive`` bookkeeping for ``receivers``, whose state
+        changes ran in that order: their snapshots, one ``state`` record
+        naming them (an in-memory log keeps the list itself), and a
+        ``decide`` record for each that decided this round."""
+        processes = self.processes
         if self.trace is not None:
-            self.trace.record_snapshot(
-                round_number, receiver, process.snapshot()
-            )
+            for receiver in receivers:
+                self.trace.record_snapshot(
+                    round_number, receiver, processes[receiver].snapshot()
+                )
         if events:
             assert observer is not None
-            # Shape summary, never repr: full-information snapshots are
-            # exponential and repr-ing them would dominate an observed
-            # run.
-            observer.emit(
-                "state", process=receiver,
-                summary=self._summarise(process.snapshot(), limit=60),
-            )
-            if process.decision_round == round_number:
-                observer.emit(
-                    "decide", process=receiver,
-                    value=json_safe(process.decision),
-                )
+            observer.emit("state", processes=receivers)
+            for receiver in receivers:
+                process = processes[receiver]
+                if process.decision_round == round_number:
+                    observer.emit(
+                        "decide", process=receiver,
+                        value=json_safe(process.decision),
+                    )
 
     def _measured(
         self, payload: Any, observer: Optional[Observer] = None,
@@ -368,7 +371,12 @@ class SynchronousNetwork:
         measures and meters it a single time.
         """
         self._size_cache.clear()
+        self._round_tails.clear()
         sink = observer.events if observer is not None else None
+        if sink is not self._tails_sink:
+            # A cached tail is in the form the sink that made it takes.
+            self._fixed_tails.clear()
+            self._tails_sink = sink
         base = dict(self._bottom_row)
         uniform: Set[ProcessId] = set()
         for outgoing in (correct_outgoing, faulty_outgoing):
@@ -377,6 +385,8 @@ class SynchronousNetwork:
                     base[sender] = burst.message
                     uniform.add(sender)
         rows = {receiver: dict(base) for receiver in self.processes}
+        # Each burst's ``send`` record, written together after the loop.
+        bursts: List[Tuple[ProcessId, bool, Any]] = []
         for faulty, outgoing in (
             (False, correct_outgoing), (True, faulty_outgoing)
         ):
@@ -396,32 +406,28 @@ class SynchronousNetwork:
                     continue
                 # An all-BOTTOM burst records nothing.
                 if entries is not None:
-                    assert observer is not None
-                    observer.emit(
-                        "send", sender=sender, faulty=faulty,
-                        messages=entries,
-                    )
+                    bursts.append((sender, faulty, entries))
+        if bursts:
+            assert observer is not None
+            observer.emit_sends(bursts)
         return rows
 
-    def _faulty_tail(
-        self, payload: Any, round_number: Round
-    ) -> Tuple[Any, ...]:
-        """A faulty sender's ``send`` entry after the receiver: sized by
-        the structural fallback, since the protocol sizer may choke on
-        Byzantine garbage, and summarized — its cost is informational,
-        not a canonical-form bit claim.  Once per payload object an
-        execution when the object cannot change (exact tuples and
+    def _faulty_tail(self, payload: Any, sink: EventLog) -> Any:
+        """A faulty sender's ``send`` entry after the receiver, as
+        ``sink`` takes it: sized by the structural fallback, since the
+        protocol sizer may choke on Byzantine garbage, and summarized —
+        its cost is informational, not a canonical-form bit claim.
+        Once per payload object an execution when the object cannot
+        change (an exact immutable scalar, or exact tuples and
         frozensets all the way down), else once per object a round: a
         sender may grow a list it sends again."""
-        entry = self._faulty_tails.get(id(payload))
-        if entry is not None and entry[1] in (None, round_number):
-            return entry[2]
-        bits, fixed = _fixed_default_size(payload)
-        tail = (bits, True, self._summarise(payload))
-        self._faulty_tails[id(payload)] = (
-            payload, None if fixed else round_number, tail
-        )
-        return tail
+        key = id(payload)
+        entry = self._fixed_tails.get(key) or self._round_tails.get(key)
+        if entry is None:
+            bits, fixed = _fixed_default_size(payload)
+            entry = (payload, sink.tail(bits, True, self._summarise(payload)))
+            (self._fixed_tails if fixed else self._round_tails)[key] = entry
+        return entry[1]
 
     def _deliver_uniform(
         self,
@@ -452,8 +458,8 @@ class SynchronousNetwork:
         if sink is None:
             return None
         tail = (
-            self._faulty_tail(message, round_number) if faulty
-            else (bits, non_null)
+            self._faulty_tail(message, sink) if faulty
+            else sink.tail(bits, non_null)
         )
         return sink.uniform_entries(self.config.process_ids, tail)
 
@@ -472,7 +478,7 @@ class SynchronousNetwork:
         Returns the burst's ``send`` entries for ``sink``, if any."""
         trace = self.trace
         heads: List[Any] = []
-        tails: List[Tuple[Any, ...]] = []
+        tails: List[Any] = []
         if not metered and sink is None and trace is None:
             # Nobody reads anything of this burst but the rows.
             for receiver, payload in per_receiver.items():
@@ -509,8 +515,8 @@ class SynchronousNetwork:
             if sink is not None:
                 heads.append(receiver)
                 tails.append(
-                    self._faulty_tail(payload, round_number) if faulty
-                    else (bits, non_null)
+                    self._faulty_tail(payload, sink) if faulty
+                    else sink.tail(bits, non_null)
                 )
             if incoming is not None and trace is not None:
                 trace.record_envelope(

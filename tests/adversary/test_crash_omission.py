@@ -6,7 +6,7 @@ from repro.adversary.crash import CrashAdversary
 from repro.adversary.omission import OmissionAdversary
 from repro.runtime.engine import run_protocol
 from repro.runtime.node import Process, broadcast
-from repro.types import BOTTOM, SystemConfig, is_bottom
+from repro.types import SystemConfig
 
 
 class GossipProcess(Process):

@@ -6,15 +6,12 @@ ghost-running sub-strategies so the crashing node still follows its
 protocol faithfully until its crash round.
 """
 
-import pytest
-
 from repro.adversary import StrategyTable, VoteSplitterAdversary
 from repro.adversary.crash import CrashAdversary
 from repro.avalanche.protocol import avalanche_factory
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.compact.protocol import compact_factory
 from repro.runtime.engine import run_protocol
-from repro.types import SystemConfig, is_bottom
 
 from tests.conftest import assert_agreement_and_validity
 

@@ -16,7 +16,7 @@ from repro.agreement.approximate import (
 from repro.core.automaton import automaton_factory
 from repro.errors import ConfigurationError
 from repro.runtime.engine import run_protocol
-from repro.types import BOTTOM, SystemConfig
+from repro.types import BOTTOM
 
 
 FLOAT_INPUTS = {1: 0.0, 2: 10.0, 3: 5.0, 4: 2.0, 5: 8.0, 6: 1.0, 7: 9.0}

@@ -9,12 +9,9 @@ still holds on every single run.
 
 import statistics
 
-import pytest
-
 from repro.adversary import SilentAdversary, VoteSplitterAdversary
 from repro.agreement.ben_or import ben_or_factory
 from repro.runtime.engine import run_protocol
-from repro.types import SystemConfig
 
 from tests.conftest import assert_agreement_and_validity
 

@@ -7,7 +7,6 @@ from repro.agreement.eig_agreement import (
     run_eig_agreement,
 )
 from repro.analysis.complexity import eig_total_bits
-from repro.types import SystemConfig
 
 from tests.conftest import assert_agreement_and_validity, byzantine_adversaries
 

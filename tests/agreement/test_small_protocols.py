@@ -15,7 +15,6 @@ from repro.agreement.turpin_coan import turpin_coan_factory
 from repro.agreement.weak import weak_agreement_factory
 from repro.errors import ConfigurationError
 from repro.runtime.engine import run_protocol
-from repro.types import BOTTOM, SystemConfig, is_bottom
 
 from tests.conftest import assert_agreement_and_validity
 

@@ -12,7 +12,7 @@ from repro.adversary.base import Adversary
 from repro.agreement.srikanth_toueg import WitnessedBroadcast
 from repro.runtime.engine import run_protocol
 from repro.runtime.node import Process, broadcast
-from repro.types import BOTTOM, SystemConfig
+from repro.types import SystemConfig
 
 
 def garbage_items():

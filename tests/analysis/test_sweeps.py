@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.sweeps import (
-    SweepReport,
     standard_adversary_makers,
     sweep,
 )
@@ -13,7 +12,6 @@ from repro.compact.byzantine_agreement import (
 )
 from repro.compact.payload import compact_sizer, payload_is_null
 from repro.core.predicates import byzantine_agreement_predicate
-from repro.types import SystemConfig
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arrays.store import (
     ArrayStore,
-    InternedArray,
     clear_shared_stores,
     shared_store,
 )

@@ -1,9 +1,6 @@
 """Tests for the null-message coding convention (Section 4)."""
 
-import pytest
-
 from repro.avalanche.coding import NULL_MESSAGE, NullEncoder, is_null_message
-from repro.avalanche.protocol import AvalancheInstance
 from repro.types import BOTTOM, SystemConfig, is_bottom
 from tests.compact.reference_agreement_batch import NullDecoder
 

@@ -12,7 +12,7 @@ from repro.avalanche.fast import fast_thresholds
 from repro.avalanche.protocol import AvalancheInstance, avalanche_factory
 from repro.errors import ConfigurationError
 from repro.runtime.engine import run_protocol
-from repro.types import BOTTOM, SystemConfig, is_bottom
+from repro.types import SystemConfig
 
 from tests.conftest import byzantine_adversaries
 

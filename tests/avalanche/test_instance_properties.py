@@ -8,7 +8,7 @@ local decisions must always be justified by an actual quorum.
 from hypothesis import given, settings, strategies as st
 
 from repro.avalanche.fast import fast_thresholds
-from repro.avalanche.protocol import AvalancheInstance, standard_thresholds
+from repro.avalanche.protocol import AvalancheInstance
 from repro.types import BOTTOM, SystemConfig, is_bottom
 
 

@@ -10,7 +10,6 @@ from repro.avalanche.conditions import (
 )
 from repro.avalanche.protocol import (
     AvalancheInstance,
-    Thresholds,
     avalanche_factory,
     standard_thresholds,
 )

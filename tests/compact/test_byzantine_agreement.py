@@ -12,7 +12,7 @@ from repro.compact.byzantine_agreement import (
 from repro.compact.payload import CompactPayload
 from repro.core.simulation import check_fullinfo_consistency
 from repro.errors import ConfigurationError
-from repro.types import BOTTOM, SystemConfig
+from repro.types import SystemConfig
 
 from tests.conftest import (
     assert_agreement_and_validity,

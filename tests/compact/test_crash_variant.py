@@ -16,7 +16,7 @@ from repro.compact.crash_variant import (
 )
 from repro.errors import ConfigurationError, ProtocolViolation
 from repro.runtime.engine import run_protocol
-from repro.types import BOTTOM, SystemConfig, is_bottom
+from repro.types import BOTTOM, is_bottom
 
 
 ALPHABET = [0, 1, 2]

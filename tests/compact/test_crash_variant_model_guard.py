@@ -13,7 +13,6 @@ from repro.adversary.base import Adversary
 from repro.compact.crash_variant import CrashPayload, crash_compact_factory
 from repro.errors import ProtocolViolation
 from repro.runtime.engine import run_protocol
-from repro.types import SystemConfig
 from tests.conftest import nested_tuple
 
 ALPHABET = [0, 1, 2]

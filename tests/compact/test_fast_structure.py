@@ -5,7 +5,7 @@ import pytest
 from repro.arrays.value_array import array_depth
 from repro.compact.protocol import compact_factory
 from repro.runtime.engine import run_protocol
-from repro.types import BOTTOM, SystemConfig, is_bottom
+from repro.types import is_bottom
 
 
 def run_fast_traced(config, inputs, k, rounds):

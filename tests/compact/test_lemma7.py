@@ -20,7 +20,6 @@ from repro.adversary import (
     SilentAdversary,
 )
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
-from repro.types import SystemConfig
 
 from tests.adversary.compact_attacks import AvalancheEquivocator
 

@@ -16,7 +16,6 @@ from repro.compact.byzantine_agreement import (
     compact_ba_rounds,
     run_compact_byzantine_agreement,
 )
-from repro.types import SystemConfig
 
 
 def per_message_bound(n: int, k: int, value_alphabet_size: int) -> int:

@@ -15,7 +15,6 @@ from repro.adversary.byzantine import MalformedArrayAdversary, SilentAdversary
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.compact.protocol import compact_factory
 from repro.runtime.engine import run_protocol
-from repro.types import SystemConfig
 
 from tests.adversary.compact_attacks import (
     AvalancheEquivocator,

@@ -2,13 +2,11 @@
 
 import pytest
 
-from repro.adversary import PassiveAdversary
 from repro.arrays.value_array import array_depth, array_leaves, is_index_scalar
-from repro.compact.payload import CompactPayload
 from repro.compact.protocol import CompactProcess, compact_factory
 from repro.errors import ConfigurationError
 from repro.runtime.engine import run_protocol
-from repro.types import BOTTOM, SystemConfig, is_bottom
+from repro.types import is_bottom
 
 from tests.conftest import byzantine_adversaries
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import pytest
 

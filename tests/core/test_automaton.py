@@ -10,7 +10,7 @@ from repro.core.automaton import (
 )
 from repro.errors import ConfigurationError
 from repro.runtime.engine import run_protocol
-from repro.types import BOTTOM, SystemConfig
+from repro.types import BOTTOM
 
 from tests.core.reference_simulation import run_automaton_locally
 

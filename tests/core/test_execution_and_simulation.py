@@ -7,7 +7,7 @@ from repro.core.simulation import check_fullinfo_consistency
 from repro.errors import SimulationMismatch
 from repro.runtime.engine import run_protocol
 from repro.runtime.node import Process, broadcast
-from repro.types import BOTTOM, SystemConfig
+from repro.types import BOTTOM
 
 from tests.core.reference_simulation import (
     ExecutionRecord,

@@ -13,7 +13,7 @@ from repro.fullinfo.decision import (
 )
 from repro.fullinfo.protocol import full_information_factory
 from repro.runtime.engine import run_protocol
-from repro.types import BOTTOM, SystemConfig
+from repro.types import BOTTOM
 
 from tests.arrays.builders import uniform_array
 from tests.core.reference_simulation import run_automaton_locally

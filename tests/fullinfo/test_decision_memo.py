@@ -28,7 +28,7 @@ from repro.errors import ProtocolViolation
 from repro.fullinfo.decision import eig_byzantine_decision
 from repro.fullinfo.protocol import full_information_sizer
 from repro.obs import Observer, observing
-from repro.types import BOTTOM, SystemConfig
+from repro.types import BOTTOM
 
 from tests.conftest import to_plain, typed
 from tests.runtime.reference_async import schedule_for

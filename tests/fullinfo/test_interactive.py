@@ -10,7 +10,6 @@ from repro.fullinfo.interactive import (
 )
 from repro.fullinfo.protocol import full_information_factory
 from repro.runtime.engine import run_protocol
-from repro.types import BOTTOM, SystemConfig
 
 from tests.conftest import byzantine_adversaries
 

@@ -1,7 +1,5 @@
 """Tests for Protocol 1: the full-information protocol."""
 
-import pytest
-
 from repro.adversary import (
     Adversary,
     EquivocatingAdversary,
@@ -15,7 +13,7 @@ from repro.fullinfo.protocol import (
     full_information_sizer,
 )
 from repro.runtime.engine import run_protocol
-from repro.types import BOTTOM, SystemConfig
+from repro.types import BOTTOM
 
 from tests.conftest import canonical_bytes, nested_tuple
 from tests.fullinfo.reference_full_information import (

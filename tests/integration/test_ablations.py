@@ -6,13 +6,11 @@ exhibiting a concrete adversarial execution that breaks exactly the
 property the paper's corresponding lemma guarantees.
 """
 
-import pytest
-
 from repro.adversary import EquivocatingAdversary
 from repro.avalanche.conditions import check_avalanche_condition
 from repro.avalanche.protocol import Thresholds, avalanche_factory
 from repro.runtime.engine import run_protocol
-from repro.types import BOTTOM, SystemConfig, is_bottom
+from repro.types import BOTTOM, is_bottom
 
 
 class TestRound1QuorumIsLoadBearing:

@@ -7,8 +7,6 @@ reduction "has a similar impact on both protocols" — so it should run
 over the compact protocol just as well as over Phase King).
 """
 
-import pytest
-
 from repro.adversary import (
     EquivocatingAdversary,
     RandomGarbageAdversary,
@@ -22,9 +20,6 @@ from repro.compact.byzantine_agreement import (
     compact_ba_rounds,
 )
 from repro.runtime.engine import run_protocol
-from repro.types import SystemConfig
-
-from tests.conftest import assert_agreement_and_validity
 
 
 def compact_binary_inner(config):

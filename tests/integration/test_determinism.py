@@ -5,15 +5,12 @@ function of ``(protocol, inputs, adversary, seed)``.  These tests
 replay the most state-heavy stacks and compare full traces.
 """
 
-import pytest
-
 from repro.adversary import RandomGarbageAdversary
 from repro.adversary.omission import OmissionAdversary
 from repro.agreement.ben_or import ben_or_factory
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.compact.crash_variant import crash_compact_factory
 from repro.runtime.engine import run_protocol
-from repro.types import SystemConfig
 
 
 def trace_fingerprint(result):

@@ -11,7 +11,7 @@ import pytest
 
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.core.simulation import check_fullinfo_consistency
-from repro.types import SystemConfig, is_bottom
+from repro.types import is_bottom
 
 from tests.adversary.compact_attacks import (
     AvalancheEquivocator,

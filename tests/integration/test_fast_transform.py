@@ -20,7 +20,6 @@ from repro.core.predicates import (
 from repro.core.rounds import k_for_epsilon
 from repro.core.transform import canonical_form
 from repro.errors import ConfigurationError
-from repro.types import SystemConfig
 
 
 class TestFastCanonicalForm:

@@ -6,13 +6,11 @@ where one's obligations are stronger.  These tests exhibit the
 distinguishing executions.
 """
 
-import pytest
-
 from repro.adversary import EquivocatingAdversary
 from repro.agreement.crusader import SENDER_FAULTY, crusader_factory
 from repro.avalanche.protocol import avalanche_factory
 from repro.runtime.engine import run_protocol
-from repro.types import BOTTOM, SystemConfig, is_bottom
+from repro.types import BOTTOM, is_bottom
 
 
 class TestAvalancheVsByzantineAgreement:
@@ -52,10 +50,6 @@ class TestAvalancheVsByzantineAgreement:
         """Difference 5: BA validity allows deciding a default value
         nobody input when inputs are mixed; avalanche never may.  The
         compact BA protocol (a real BA protocol) shows the contrast."""
-        from repro.compact.byzantine_agreement import (
-            run_compact_byzantine_agreement,
-        )
-
         # Mixed inputs over three values; BA may decide the default 0
         # even if... here we only check avalanche's side: any decision
         # must be some correct input.

@@ -5,7 +5,7 @@ import pytest
 from repro.adversary import EquivocatingAdversary, RandomGarbageAdversary
 from repro.avalanche.protocol import standard_thresholds
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
-from repro.types import BOTTOM, SystemConfig
+from repro.types import SystemConfig
 
 
 class TestBenOrLineage:

@@ -19,7 +19,7 @@ from repro.core.transform import canonical_form, full_information_form
 from repro.fullinfo.decision import reconstruct_state
 from repro.fullinfo.protocol import full_information_factory
 from repro.runtime.engine import run_protocol
-from repro.types import BOTTOM, SystemConfig
+from repro.types import BOTTOM
 
 from tests.conftest import byzantine_adversaries
 from tests.core.reference_simulation import (

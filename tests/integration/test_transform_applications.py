@@ -14,7 +14,6 @@ from repro.adversary import EquivocatingAdversary, SilentAdversary
 from repro.agreement.approximate import ApproximateAgreementAutomaton
 from repro.core.predicates import approximate_agreement_predicate
 from repro.core.transform import canonical_form, full_information_form
-from repro.types import SystemConfig
 
 GRID = list(range(0, 33))  # fixed-point values 0..32
 INPUTS = {1: 0, 2: 32, 3: 16, 4: 8, 5: 24, 6: 4, 7: 28}

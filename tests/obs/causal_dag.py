@@ -118,8 +118,8 @@ def build_dags(records: List[Dict[str, Any]]) -> List[CausalDag]:
 
     Each message a ``send`` record in round ``r`` lands at a correct
     receiver becomes a deliver edge ``(sender, r - 1) -> (receiver,
-    r)``; the first ``state`` record a process emits in round ``r``
-    becomes a local edge ``(process, r - 1) -> (process, r)``.
+    r)``; the first ``state`` record that lists a process in round
+    ``r`` becomes a local edge ``(process, r - 1) -> (process, r)``.
     """
     dags: List[CausalDag] = []
     current: Optional[CausalDag] = None
@@ -154,15 +154,16 @@ def build_dags(records: List[Dict[str, Any]]) -> List[CausalDag]:
                 )
         elif kind == "state":
             round_number = int(record["round"])
-            process = int(record["process"])
-            node = (process, round_number)
-            if node not in local_seen:
+            for process in record["processes"]:
+                node = (int(process), round_number)
+                if node in local_seen:
+                    continue
                 local_seen.add(node)
                 current.rounds = max(current.rounds, round_number)
                 current.edges.append(
                     CausalEdge(
                         kind="local",
-                        src=(process, round_number - 1),
+                        src=(node[0], round_number - 1),
                         dst=node,
                         bits=0,
                         non_null=False,

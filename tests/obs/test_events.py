@@ -280,6 +280,15 @@ class TestValidateRecord:
             "send: message 1 is not [receiver, bits, non_null]"
         ]
 
+    @pytest.mark.parametrize("processes,valid", [
+        ([1, 2, 3], True), ([], True), ([1, True], False), ([1, "2"], False),
+    ])
+    def test_state_lists_integer_processes(self, processes, valid):
+        record = _record(kind="state", processes=processes)
+        assert validate_record(record) == (
+            [] if valid else ["state: processes are not all integers"]
+        )
+
     def test_nullable_run(self):
         record = _record()
         record["run"] = None

@@ -8,7 +8,7 @@ log must roll over at the same records.  Only the wall-clock
 (``tests/runtime/reference_async.py``) the same grid writes, round by
 round, the same records in schedule order.
 
-The pin moved once, on purpose, with event schema v2: a sender's round
+The pin moved twice, on purpose.  First with event schema v2: a sender's round
 of traffic became one ``send`` record listing its messages, where v1
 wrote a ``send`` or ``corrupt`` line per message and, under the old
 trace mode, a ``deliver`` line per message landing at a correct
@@ -17,6 +17,14 @@ the ``counters`` record (5,880 ``send``, 1,960 ``corrupt``, 5,600
 ``deliver``) to 2,512 (1,120 ``send``).  ``test_v2_log_carries_what_v1_did``
 holds the new log to a fixture recorded from the v1 log, so the move
 lost no information.
+
+Then with event schema v3: a lockstep round's state changes became one
+``state`` record listing the processors, where v2 wrote one per
+processor with a ``summary`` that read ``map(4)`` on every line of
+this grid.  The grid went from 2,512 lines to 1,840 (840 ``state``
+records to 168), and every other record kept its bytes but ``v`` and
+``step``.  ``test_v3_log_carries_what_v2_did`` holds the new log to a
+fixture recorded from the v2 log.
 
 The pin is in two parts.  ``GOLDEN`` hashes every deterministic line
 except the closing ``counters`` record (re-recorded, over the same
@@ -52,11 +60,11 @@ from repro.runtime.engine import run_protocol
 from repro.types import SystemConfig
 
 from tests.obs.causal_dag import build_dags
-from tests.runtime.reference_async import async_schedule
+from tests.runtime.reference_async import async_schedule, schedule_for
 
 GOLDEN = (
-    2512,
-    "5e6c6050c5e0902e361efaaba6f5f2bd9d7a09ee469993f3fef33472333a1eab",
+    1840,
+    "595757459f5427d598a391dcb4470f3cac5ed07101b2640649a94b2a48f3dbfd",
 )
 
 #: The closing ``counters`` record.
@@ -116,14 +124,19 @@ CAP_BYTES = 100_000
 #: ``(first step, deterministic lines)`` of each part of the lockstep
 #: log written under ``CAP_BYTES``; the last part ends with the
 #: ``counters`` record.
-GOLDEN_PARTS = [
-    (1, 629), (630, 623), (1253, 618), (1871, 623), (2494, 20),
-]
+GOLDEN_PARTS = [(1, 562), (563, 553), (1116, 544), (1660, 182)]
 
 #: What the v1 log of this grid said, recorded from it before schema
 #: v2 (see :func:`_information`).
 EQUIVALENCE = pathlib.Path(__file__).parent / "golden" / (
     "information_equivalence.json"
+)
+
+#: Per ``(run, round)`` of this grid's v2 log, lockstep and under
+#: ``async:3:7``: the processes its ``state`` records named, in order,
+#: and the distinct ``summary`` strings they carried.
+STATE_PROCESSES = pathlib.Path(__file__).parent / "golden" / (
+    "state_processes.json"
 )
 
 #: The deterministic keys the status report had when the fixture was
@@ -138,7 +151,9 @@ STATUS_KEYS = (
 #: ``profile_records`` and the status report of the time — recorded
 #: from them.  Of the wall-clock ``profile`` record it keeps span
 #: counts and gauge names: times vary run to run, and a high-water
-#: gauge with what the process ran before.
+#: gauge with what the process ran before.  Its two ``records`` counts
+#: moved from 2,514 to 1,842 with event schema v3 (one ``state``
+#: record a lockstep round); nothing else in it did.
 MERGED_READERS = pathlib.Path(__file__).parent / "golden" / (
     "merged_readers.json"
 )
@@ -195,16 +210,28 @@ def _check_against_golden(lines):
 
 
 def _brackets(lines):
-    """Each ``(run, round)``'s records, ``step`` dropped, as a multiset."""
+    """Each ``(run, round)``'s records, ``step`` dropped, as a multiset;
+    a ``state`` record counts once per process it lists (lockstep lists
+    a round's processes in one record, an asynchronous schedule one
+    process a record)."""
     brackets = {}
     for line in lines:
         record = json.loads(line)
         del record["step"]
         key = (record["run"], record["round"])
-        brackets.setdefault(key, []).append(
-            json.dumps(record, sort_keys=True)
-        )
+        for record in _one_per_process(record):
+            brackets.setdefault(key, []).append(
+                json.dumps(record, sort_keys=True)
+            )
     return {key: sorted(records) for key, records in brackets.items()}
+
+
+def _one_per_process(record):
+    if record["kind"] != "state":
+        return [record]
+    return [
+        dict(record, processes=[process]) for process in record["processes"]
+    ]
 
 
 @pytest.mark.parametrize("scheduler", ["async:3:7", "lockstep"])
@@ -465,3 +492,35 @@ def test_v2_log_carries_what_v1_did(tmp_path):
     records = read_log(path)
     assert _information(records) == json.loads(EQUIVALENCE.read_text())
     assert check_closedness(records) == []
+
+
+def _state_rows(records):
+    """``[run, round, processes]`` per round, from its ``state`` records."""
+    rows = {}
+    for record in records:
+        if record["kind"] == "state":
+            key = (record["run"], record["round"])
+            rows.setdefault(key, []).extend(record["processes"])
+    return [[run, round_number, processes]
+            for (run, round_number), processes in rows.items()]
+
+
+@pytest.mark.parametrize("scheduler", ["async:3:7", "lockstep"])
+def test_v3_log_carries_what_v2_did(scheduler, tmp_path):
+    """Every round's ``state`` records name the processes the v2 log's
+    did, in the same order: lockstep in one record a round, the
+    asynchronous schedule one record per state change.  The ``summary``
+    v2 wrote read the same constant on every line of this grid, so
+    dropping it lost nothing."""
+    path = tmp_path / "events.jsonl"
+    with schedule_for(scheduler):
+        _write_grid_log(path)
+    records = read_log(path)
+    fixture = json.loads(STATE_PROCESSES.read_text())[scheduler]
+    assert _state_rows(records) == [row[:3] for row in fixture]
+    assert {summary for row in fixture for summary in row[3]} == {"map(4)"}
+    states = [record for record in records if record["kind"] == "state"]
+    if scheduler == "lockstep":
+        assert len(states) == len(fixture)
+    else:
+        assert all(len(record["processes"]) == 1 for record in states)

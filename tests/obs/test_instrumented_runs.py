@@ -18,7 +18,6 @@ from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.compact.payload import CompactPayload
 from repro.obs import EventLog, Observer, observing, validate_records
 from repro.obs.rollup import status_from_records
-from repro.runtime.engine import run_protocol
 
 
 def observed_compact_ba(config4, adversary):

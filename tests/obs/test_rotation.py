@@ -118,8 +118,9 @@ class TestRotationCli:
                  target],
                 check=True, env=self._env(), capture_output=True,
             )
-            # one ``send`` record per sender per round
-            assert b"OK: 25 record(s)" in result.stdout
+            # one ``send`` record per sender per round, one ``state``
+            # record per round
+            assert b"OK: 21 record(s)" in result.stdout
 
     def test_cap_without_events_is_a_usage_error(self):
         result = subprocess.run(

@@ -1,12 +1,15 @@
 """Summarizing a recorded run: the traffic and wall-clock fields of the
 one report, :func:`repro.obs.rollup.status_from_records`."""
 
-from repro.obs.events import validate_records
+from repro.obs.events import SCHEMA_VERSION, validate_records
 from repro.obs.rollup import render_status, status_from_records
 
 
 def _event(kind, step, **fields):
-    record = {"v": 2, "kind": kind, "run": "r1", "round": 0, "step": step}
+    record = {
+        "v": SCHEMA_VERSION, "kind": kind, "run": "r1", "round": 0,
+        "step": step,
+    }
     record.update(fields)
     return record
 

@@ -157,6 +157,30 @@ class TestClosednessChecker:
         problems = check_closedness(records)
         assert any("phase order violated" in p for p in problems)
 
+    def test_delivery_after_an_earlier_state_record_is_flagged(self, config4):
+        """A ``state`` record lists processes.  Split a round's record in
+        two and move a ``send`` between the halves: it is flagged for
+        the receiver the first half already listed, and for no other."""
+        records = [dict(r) for r in self._closed_log(config4)]
+        state_index = next(
+            i for i, r in enumerate(records) if r["kind"] == "state"
+        )
+        state = records[state_index]
+        first, *rest = state["processes"]
+        assert rest
+        send_index = max(
+            i for i, r in enumerate(records[:state_index])
+            if r["kind"] == "send" and r["round"] == state["round"]
+        )
+        send = records.pop(send_index)
+        assert first in [entry[0] for entry in send["messages"]]
+        records[state_index - 1:state_index] = [
+            dict(state, processes=[first]), send, dict(state, processes=rest),
+        ]
+        problems = check_closedness(records)
+        assert len(problems) == 1
+        assert f"deliver to {first} after its state update" in problems[0]
+
     def test_duplicate_channel_delivery_is_flagged(self, config4):
         records = [dict(r) for r in self._closed_log(config4)]
         index = next(

@@ -101,8 +101,8 @@ class AsyncNetwork(SynchronousNetwork):
             if remaining[receiver] == 0:
                 process = self.processes[receiver]
                 process.receive(round_number, incoming[receiver])
-                self.record_state_change(
-                    round_number, receiver, process, observer, events
+                self.record_state_changes(
+                    round_number, [receiver], observer, events
                 )
                 if receiver != next(expected_order):
                     self.reordered_state_changes += 1

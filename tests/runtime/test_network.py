@@ -408,8 +408,14 @@ class TestFaultyTails:
 
     def test_fixed_default_size_is_the_default_size(self):
         grown = [1]
+
+        class Loud(int):
+            pass
+
         for message, fixed in [
-            ((1, (2, 3)), True), (frozenset({4}), True), (7, False),
+            ((1, (2, 3)), True), (frozenset({4}), True), (7, True),
+            ("x", True), (None, True), (True, True), (0.5, True),
+            (float("nan"), False), (Loud(7), False), (BOTTOM, False),
             ([1, 2], False), ((1, grown), False), ({1: (2,)}, False),
         ]:
             assert _fixed_default_size(message) == (

@@ -12,7 +12,7 @@ from repro.runtime.render import (
     render_round,
     summarise_payload,
 )
-from repro.types import BOTTOM, SystemConfig
+from repro.types import BOTTOM
 
 
 @pytest.fixture

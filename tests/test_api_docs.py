@@ -3,8 +3,6 @@
 import pathlib
 import sys
 
-import pytest
-
 ROOT = pathlib.Path(__file__).parent.parent
 
 

@@ -8,8 +8,6 @@ earlier ones, as the README's do).
 import pathlib
 import re
 
-import pytest
-
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
