@@ -180,6 +180,11 @@ class ProcessSummary:
             f"round={self.decision_round})"
         )
 
+    def __reduce__(self) -> Tuple[type, Tuple[Any, ...]]:
+        return ProcessSummary, (
+            self.process_id, self.decision, self.decision_round
+        )
+
 
 def portable_result(result: ExecutionResult) -> ExecutionResult:
     """``result`` with unpicklable parts replaced, picklable parts kept.

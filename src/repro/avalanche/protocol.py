@@ -35,6 +35,7 @@ unchanged.  Tests cover both the tight and the generalised case.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
@@ -72,8 +73,13 @@ class Thresholds:
     round1_decide: Optional[int] = None
 
 
+@functools.lru_cache()
 def standard_thresholds(config: SystemConfig) -> Thresholds:
-    """Protocol 2 thresholds, generalised to any ``n >= 3t + 1``."""
+    """Protocol 2 thresholds, generalised to any ``n >= 3t + 1``.
+
+    Computed once per config: every processor of a run shares the one
+    (frozen) result.
+    """
     if not config.requires_byzantine_quorum():
         raise ConfigurationError(
             f"avalanche agreement needs n >= 3t+1; got n={config.n}, t={config.t}"

@@ -28,6 +28,10 @@ from typing import Any, Dict, List, Tuple
 from repro.types import ProcessId, Round
 
 
+#: One meter row as it pickles: ``(messages, non_null_messages, bits)``.
+_Row = Tuple[int, int, int]
+
+
 class RoundUsage:
     """Aggregated communication in one round.
 
@@ -74,13 +78,30 @@ class RoundUsage:
             f"non_null_messages={self.non_null_messages}, bits={self.bits})"
         )
 
+    def __reduce__(self) -> Tuple[type, _Row]:
+        return RoundUsage, self._row()
+
+    def _row(self) -> _Row:
+        return self.messages, self.non_null_messages, self.bits
+
 
 class MessageMetrics:
-    """Accumulates communication usage across an execution."""
+    """Accumulates communication usage across an execution.
+
+    Pickles as its rows, ``{round: row}`` and ``{sender: row}`` with
+    each row a ``(messages, non_null_messages, bits)`` tuple, so a
+    result crosses a process boundary as built-in values.
+    """
 
     def __init__(self) -> None:
         self._per_round: Dict[Round, RoundUsage] = defaultdict(RoundUsage)
         self._per_sender: Dict[ProcessId, RoundUsage] = defaultdict(RoundUsage)
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Dict[Round, _Row], ...]]:
+        return _metrics_from_rows, (
+            {key: usage._row() for key, usage in self._per_round.items()},
+            {key: usage._row() for key, usage in self._per_sender.items()},
+        )
 
     def record(
         self,
@@ -188,3 +209,15 @@ class MessageMetrics:
             self._per_sender[sender].add_many(
                 usage.messages, usage.non_null_messages, usage.bits
             )
+
+
+def _metrics_from_rows(
+    per_round: Dict[Round, _Row], per_sender: Dict[ProcessId, _Row]
+) -> MessageMetrics:
+    """The meter :meth:`MessageMetrics.__reduce__` wrote as rows."""
+    metrics = MessageMetrics()
+    for round_number, row in per_round.items():
+        metrics._per_round[round_number] = RoundUsage(*row)
+    for sender, row in per_sender.items():
+        metrics._per_sender[sender] = RoundUsage(*row)
+    return metrics

@@ -17,13 +17,18 @@ from repro.runtime.engine import ExecutionResult
 from repro.types import BOTTOM, SENTINELS, is_bottom
 
 
-def summarise_payload(payload: Any, limit: int = 28) -> str:
-    """A short, shape-first description of one message payload, in
-    O(``limit``) plus a tuple's depth; no payload code runs.  Containers
-    read as kind and length, anything but a builtin scalar by type."""
-    description = _describe(payload, limit)
-    if len(description) > limit:
-        description = description[: limit - 1] + "…"
+#: The most characters a payload summary takes.
+SUMMARY_LIMIT = 28
+
+
+def summarise_payload(payload: Any) -> str:
+    """A short, shape-first description of one message payload, at most
+    :data:`SUMMARY_LIMIT` characters, in O(:data:`SUMMARY_LIMIT`) plus a
+    tuple's depth; no payload code runs.  Containers read as kind and
+    length, anything but a builtin scalar by type."""
+    description = _describe(payload)
+    if len(description) > SUMMARY_LIMIT:
+        description = description[: SUMMARY_LIMIT - 1] + "…"
     return description
 
 
@@ -37,17 +42,17 @@ def _side_fields() -> Dict[int, str]:
     return {id(CompactPayload): "votes", id(CrashPayload): "patches"}
 
 
-def _describe(payload: Any, limit: int) -> str:
+def _describe(payload: Any) -> str:
     # By class identity, not name, and by id, as hashing a class may
     # run its metaclass's code: a look-alike class is no round payload.
     side = _side_fields().get(id(type(payload)))
     if side is None:
-        return _describe_plain(payload, limit)
+        return _describe_plain(payload)
     # A faulty sender may put anything in the field: only a tuple is
     # counted, anything else reads ``?``.
     field = getattr(payload, side, None)
     count = tuple.__len__(field) if issubclass(type(field), tuple) else "?"
-    main = _describe_plain(getattr(payload, "main", BOTTOM), limit)
+    main = _describe_plain(getattr(payload, "main", BOTTOM))
     return f"core:{main} {side}:{count}"
 
 
@@ -56,7 +61,7 @@ _CONTAINERS = ((frozenset, "items"), (dict, "map"), (list, "list"), (set, "set")
 _TYPE_NAME = type.__dict__["__name__"]
 
 
-def _describe_plain(payload: Any, limit: int) -> str:
+def _describe_plain(payload: Any) -> str:
     """Anything but a round payload — one nested in a ``main`` included,
     so no sender chooses how deep a summary goes."""
     if is_bottom(payload):
@@ -72,8 +77,8 @@ def _describe_plain(payload: Any, limit: int) -> str:
         if issubclass(kind, container):
             return f"{label}({container.__len__(payload)})"
     if kind is str:
-        return repr(payload[:limit])
-    if kind is int and payload.bit_length() > 4 * limit:
+        return repr(payload[:SUMMARY_LIMIT])
+    if kind is int and payload.bit_length() > 4 * SUMMARY_LIMIT:
         return f"int({payload.bit_length()} bits)"
     if kind is int or kind is float or kind is bool or payload is None:
         return repr(payload)
@@ -82,7 +87,7 @@ def _describe_plain(payload: Any, limit: int) -> str:
             return sentinel.NAME
     # Not repr: a default one prints the object's address, which would
     # make two logs of one workload differ (repro.obs.events).
-    return f"<{_TYPE_NAME.__get__(kind)[:limit]}>"
+    return f"<{_TYPE_NAME.__get__(kind)[:SUMMARY_LIMIT]}>"
 
 
 def _shape(array: Any) -> tuple:

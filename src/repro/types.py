@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, Dict, FrozenSet, Hashable, Tuple
+from typing import Any, ClassVar, Dict, FrozenSet, Hashable, Tuple
 
 from repro.errors import SystemConfigError
 
@@ -106,6 +106,13 @@ class SystemConfig:
     n: int
     t: int
 
+    #: All processor ids, 1-based as in the paper: the one tuple shared
+    #: by every config of this ``n``, set once when the config is made.
+    #: An instance attribute, declared ``ClassVar`` only to keep it out
+    #: of the fields, so equality, hash, repr and
+    #: :func:`dataclasses.asdict` stay on ``(n, t)``.
+    process_ids: ClassVar[Tuple[ProcessId, ...]]
+
     def __post_init__(self) -> None:
         if self.n < 1:
             raise SystemConfigError(f"n must be positive, got {self.n}")
@@ -115,11 +122,12 @@ class SystemConfig:
             raise SystemConfigError(
                 f"t must be smaller than n, got n={self.n}, t={self.t}"
             )
+        object.__setattr__(self, "process_ids", _process_ids(self.n))
 
-    @property
-    def process_ids(self) -> Tuple[ProcessId, ...]:
-        """All processor ids, 1-based as in the paper."""
-        return _process_ids(self.n)
+    def __reduce__(self) -> Tuple[type, Tuple[int, int]]:
+        # Pickled, copied and deep-copied as its constructor call, so
+        # the copy gets the shared id tuple of its own process.
+        return SystemConfig, (self.n, self.t)
 
     def requires_byzantine_quorum(self) -> bool:
         """Whether ``n >= 3t + 1`` (the Byzantine agreement threshold)."""

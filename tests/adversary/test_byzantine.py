@@ -1,6 +1,8 @@
 """Tests for Byzantine adversary strategies."""
 
+import inspect
 import random
+import typing
 
 import pytest
 
@@ -14,9 +16,11 @@ from repro.adversary import (
     StrategyTable,
     VoteSplitterAdversary,
 )
+from repro.adversary import byzantine
 from repro.adversary.base import RoundContext
 from repro.adversary.byzantine import _two_leading
 from repro.errors import ConfigurationError
+from repro.runtime.node import broadcast
 from repro.runtime.rng import make_rng
 from repro.types import BOTTOM, SystemConfig
 
@@ -191,6 +195,47 @@ class TestCollusion:
     def test_silent_with_no_correct_traffic(self, config):
         adversary = bound(CollusionAdversary([1]), config)
         assert adversary.outgoing(1, 1, context_for(config)) == {}
+
+    def test_reads_broadcast_rows_as_their_plain_maps(self, config):
+        uniform = {
+            sender: broadcast(f"m{sender}", config) for sender in (2, 5, 7)
+        }
+        plain = {sender: dict(row) for sender, row in uniform.items()}
+        adversary = bound(CollusionAdversary([1], mimic_a=2, mimic_b=7), config)
+        assert adversary.outgoing(1, 1, context_for(config, uniform)) == (
+            adversary.outgoing(1, 1, context_for(config, plain))
+        )
+
+
+class TestTwoFacedHalves:
+    @pytest.mark.parametrize("make", [
+        lambda: EquivocatingAdversary([1], "a", "b"),
+        lambda: CollusionAdversary([1]),
+        lambda: VoteSplitterAdversary([1]),
+    ])
+    def test_split_once_per_binding(self, make):
+        adversary = make()
+        bound(adversary, SystemConfig(n=7, t=2))
+        assert adversary._halves == ([1, 2, 3], [4, 5, 6, 7])
+        bound(adversary, SystemConfig(n=4, t=1))
+        assert adversary._halves == ([1, 2], [3, 4])
+
+    def test_equivocator_sends_each_half_its_value(self, config):
+        adversary = bound(EquivocatingAdversary([1], "a", "b"), config)
+        messages = adversary.outgoing(1, 1, context_for(config))
+        assert list(messages.items()) == (
+            [(p, "a") for p in (1, 2, 3)] + [(p, "b") for p in (4, 5, 6, 7)]
+        )
+
+
+def test_every_gallery_annotation_resolves():
+    """``typing.get_type_hints`` reads each method the gallery defines
+    (a tuple of types is no annotation and made it raise)."""
+    for cls in vars(byzantine).values():
+        if isinstance(cls, type) and cls.__module__ == byzantine.__name__:
+            for function in vars(cls).values():
+                if inspect.isfunction(function):
+                    typing.get_type_hints(function)
 
 
 class TestStrategyTable:

@@ -189,7 +189,7 @@ class TestWireForm:
         assert pooled_degraded == (1 if transport else 0)
 
     def test_an_outcome_carries_no_quadratic_table(self):
-        """1,328 bytes; 5,073 when the meter kept a row per link."""
+        """875 bytes; 5,073 when the meter kept a row per link."""
         config = SystemConfig(n=13, t=4)
         report = sweep(
             avalanche_factory(), config, workers=1, seeds=(0,),
@@ -312,6 +312,14 @@ class TestPortability:
         summary = ProcessSummary(1, BOTTOM, None)
         assert not summary.has_decided()
         assert summary.snapshot() == {"decision": BOTTOM}
+
+    @pytest.mark.parametrize("summary", [
+        ProcessSummary(1, BOTTOM, None), ProcessSummary(3, (0, "v"), 4),
+    ])
+    def test_process_summary_round_trips_equal(self, summary):
+        restored = pickle.loads(pickle.dumps(summary))
+        assert type(restored) is ProcessSummary and restored == summary
+        assert restored.has_decided() is summary.has_decided()
 
 
 class TestGracefulDegradation:

@@ -128,3 +128,40 @@ class TestSlots:
         assert (usage.messages, usage.non_null_messages, usage.bits) == (
             0, 0, 0,
         )
+
+
+class TestPickling:
+    """The meters cross a process boundary as their rows."""
+
+    def test_round_usage_round_trips_equal(self):
+        usage = RoundUsage(13, 9, 104)
+        restored = pickle.loads(pickle.dumps(usage))
+        assert type(restored) is RoundUsage and restored == usage
+        assert b"non_null_messages" not in pickle.dumps(usage)
+
+    def test_metrics_round_trip_equal_and_keep_accumulating(self):
+        metrics = MessageMetrics()
+        metrics.record_burst(1, 1, 4, 4, 32)
+        metrics.record_burst(1, 2, 4, 0, 0)
+        metrics.record_burst(3, 2, 2, 1, 9)
+        restored = pickle.loads(pickle.dumps(metrics))
+        for round_number in (1, 2, 3):
+            assert restored.round_usage(round_number) == metrics.round_usage(
+                round_number
+            )
+        for sender in (1, 2, 3):
+            assert restored.sender_usage(sender) == metrics.sender_usage(
+                sender
+            )
+        assert restored.bits_by_round() == metrics.bits_by_round()
+        assert restored.non_null_by_sender() == metrics.non_null_by_sender()
+        assert restored.as_counters() == metrics.as_counters()
+        assert restored.rounds_used == metrics.rounds_used
+        # Still a live meter: new rows appear on first use.
+        restored.record_burst(4, 3, 1, 1, 8)
+        assert restored.round_usage(4) == RoundUsage(1, 1, 8)
+        assert restored.total_bits == metrics.total_bits + 8
+
+    def test_empty_metrics_round_trip(self):
+        restored = pickle.loads(pickle.dumps(MessageMetrics()))
+        assert restored.total_bits == 0 and restored.bits_by_round() == []

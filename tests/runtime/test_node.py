@@ -2,6 +2,8 @@
 
 import copy
 import pickle
+import sys
+import types
 
 import pytest
 
@@ -68,6 +70,81 @@ class TestBroadcast:
         ):
             assert type(clone) is dict and clone == messages
             clone[2] = "other"
+
+
+class TestBroadcastReadsAsThePlainDict:
+    """Every read a recipient map answers, the broadcast answers as the
+    ``dict.fromkeys`` it stands for, though it holds no entries."""
+
+    N = 4
+
+    @pytest.fixture
+    def pair(self):
+        messages = broadcast(("m",), SystemConfig(n=self.N, t=1))
+        return messages, dict.fromkeys(range(1, self.N + 1), ("m",))
+
+    @pytest.mark.parametrize("key", [True, 1.0, 0, N + 1, 2, "2", None])
+    def test_lookups(self, pair, key):
+        messages, plain = pair
+        assert (key in messages) == (key in plain)
+        assert messages.get(key) == plain.get(key)
+        assert messages.get(key, "default") == plain.get(key, "default")
+        if key in plain:
+            assert messages[key] is plain[key]
+        else:
+            with pytest.raises(KeyError):
+                messages[key]
+
+    def test_unhashable_key_raises_as_on_a_dict(self, pair):
+        for mapping in pair:
+            with pytest.raises(TypeError):
+                [2] in mapping
+            with pytest.raises(TypeError):
+                mapping.get([2])
+            with pytest.raises(TypeError):
+                mapping[[2]]
+
+    def test_iteration_order_and_views(self, pair):
+        messages, plain = pair
+        assert list(messages) == list(plain) == [1, 2, 3, 4]
+        assert list(messages.keys()) == list(plain.keys())
+        assert list(messages.values()) == list(plain.values())
+        assert list(messages.items()) == list(plain.items())
+        assert len(messages) == len(plain)
+        assert repr(messages) == repr(plain)
+
+    def test_equality_both_ways(self, pair):
+        messages, plain = pair
+        assert messages == plain and plain == messages
+        assert not messages != plain
+        other = broadcast(("m",), SystemConfig(n=self.N, t=1))
+        assert messages == other
+        assert messages != dict(plain, **{"2": 0})
+
+    def test_mapping_proxy_reads_it_like_the_dict(self, pair):
+        messages, plain = pair
+        view = types.MappingProxyType(messages)
+        assert dict(view) == plain
+        assert view[3] is plain[3]
+        assert view.get(9, "none") == "none"
+        with pytest.raises(TypeError):
+            view[2] = "forged"
+
+    def test_pickles_to_the_plain_dict(self, pair):
+        # A pickle writes a dict only for an exact dict, so the
+        # broadcast's own bytes name its reconstructor; what they load
+        # pickles to the plain dict's bytes.
+        messages, plain = pair
+        restored = pickle.loads(pickle.dumps(messages))
+        assert type(restored) is dict
+        assert pickle.dumps(restored) == pickle.dumps(plain)
+
+    def test_holds_no_entries(self):
+        small = broadcast("m", SystemConfig(n=4, t=1))
+        large = broadcast("m", SystemConfig(n=400, t=1))
+        assert not hasattr(small, "__dict__")
+        assert sys.getsizeof(small) == sys.getsizeof(large)
+        assert large.process_ids is SystemConfig(n=400, t=0).process_ids
 
 
 class TestDecisions:

@@ -1,5 +1,7 @@
 """Tests for the foundational types module and exception hierarchy."""
 
+import copy
+import dataclasses
 import pickle
 
 import pytest
@@ -74,6 +76,34 @@ class TestSystemConfig:
     def test_t_zero_allowed(self):
         config = SystemConfig(n=1, t=0)
         assert config.requires_byzantine_quorum()
+
+    @pytest.mark.parametrize("clone", [
+        lambda config: pickle.loads(pickle.dumps(config)),
+        copy.copy,
+        copy.deepcopy,
+        dataclasses.replace,
+    ])
+    def test_copies_keep_the_ids_and_compare_on_n_t(self, clone):
+        config = SystemConfig(n=5, t=1)
+        copied = clone(config)
+        assert copied == config and hash(copied) == hash(config)
+        assert copied.process_ids is config.process_ids
+        assert dataclasses.asdict(copied) == {"n": 5, "t": 1}
+
+    def test_ids_are_one_shared_tuple_and_no_field(self):
+        config = SystemConfig(n=5, t=1)
+        assert config.process_ids is SystemConfig(n=5, t=2).process_ids
+        assert dataclasses.asdict(config) == {"n": 5, "t": 1}
+        assert repr(config) == "SystemConfig(n=5, t=1)"
+        assert dataclasses.replace(config, n=6).process_ids == tuple(
+            range(1, 7)
+        )
+        assert config != SystemConfig(n=5, t=2)
+
+    def test_pickles_as_n_and_t(self):
+        blob = pickle.dumps(SystemConfig(n=5, t=1))
+        assert b"process_ids" not in blob
+        assert pickle.loads(blob).process_ids == (1, 2, 3, 4, 5)
 
 
 class TestErrorHierarchy:
