@@ -69,25 +69,13 @@ from repro.obs.spans import now as _now
 from repro.runtime.engine import ExecutionResult, ProcessFactory, run_protocol
 from repro.types import ProcessId, Round, SystemConfig, Value, is_bottom
 
-#: Purity exemptions for this module, consumed by ``repro.statics``
-#: (see docs/statics.md).  Worker-entry machinery must be module-level
-#: and communicate through a module global because the ``fork`` pool
-#: shares unpicklable context by inheritance, not by argument passing;
-#: this is declared here, with justification, instead of per-line
-#: ``# noqa`` markers.
-PURITY_EXEMPT = {
-    "execute_cells": (
-        "sets the module-global worker context before forking the pool: "
-        "fork-started workers inherit closures (factories, judges) "
-        "that pickling cannot transport; the global is cleared in a "
-        "finally block and never read by in-process sweep code"
-    ),
-    "_run_cell_chunk": (
-        "calls os.getpid() to label its worker's timing sample — the "
-        "pid never reaches an outcome, only the observer's explicitly "
-        "nondeterministic worker-utilization section"
-    ),
-}
+# Worker-entry machinery is module-level and communicates through a
+# module global because the ``fork`` pool shares unpicklable context
+# (factories, judges) by inheritance, not by argument passing:
+# ``execute_cells`` sets the worker context before forking and clears
+# it in a ``finally`` block.  ``_run_cell_chunk`` labels its timing
+# sample with ``os.getpid()``, which reaches only the observer's
+# nondeterministic worker-utilization section, never an outcome.
 
 #: Modules a cell imports on first use (numpy comes with the flat EIG
 #: sweep; the adversaries' RNG needs it too).  :func:`execute_cells`

@@ -63,19 +63,9 @@ _TOPOLOGIES: Dict[Tuple[int, int], "ChainTopology"] = {}
 #: would need 253,955,520 chains.
 MAX_SWEEP_CHAINS = 10_000_000
 
-PURITY_EXEMPT = {
-    "tables_for": (
-        "memoises one FlatTables mirror per ArrayStore on the store "
-        "itself; the tables are derived read-only views of interned "
-        "nodes, so the cached state is observationally pure"
-    ),
-    "chain_topology": (
-        "memoises the (n, depth) chain tables, computed in closed form "
-        "from n and depth, in a module-level registry (each keeping the "
-        "tally bins of the last candidate count it served); both are "
-        "pure functions of their arguments"
-    ),
-}
+# ``tables_for`` (on the store itself) and ``chain_topology`` (in a
+# module-level registry) memoise pure functions of their arguments:
+# read-only views of interned nodes, and chain tables in closed form.
 
 
 # -- the tables --------------------------------------------------------------

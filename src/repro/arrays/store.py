@@ -71,36 +71,10 @@ TypedLeaf = Tuple[type, Any]
 # node can never alter a protocol-visible outcome; the registry only
 # controls how much structure is shared (and `clear_shared_stores`
 # exists so tests and long-lived services can drop it wholesale).
-PURITY_EXEMPT = {
-    "shared_store": (
-        "memoises one ArrayStore per n in a module-global registry so "
-        "every processor of an execution shares one canonical-node "
-        "pool; nodes are value-equal to the tuples they replace, so "
-        "the shared state is observationally pure"
-    ),
-    "clear_shared_stores": (
-        "drops the module-global registry (the inverse of "
-        "shared_store); exists precisely so the impure cache can be "
-        "reset between unrelated workloads; records the high-water "
-        "mark first so the peak survives the reset"
-    ),
-    "shared_store_stats": (
-        "reads the registry and maintains the module-level high-water "
-        "mark; pure monitoring of the observationally-pure cache"
-    ),
-    "observe_shared_stores": (
-        "forwards shared_store_stats to the active observer's gauges "
-        "(nondeterministic section; never protocol-visible)"
-    ),
-    "release_shared_stores": (
-        "the one between-workload lifecycle helper: records the "
-        "registry gauges, then drops the registry — composing two "
-        "observationally-pure steps; "
-        "what is memoised on a store (the EIG sweep's flat tables and "
-        "the sizes, verdicts, EIG decision and expansion memos: pure "
-        "functions of its canonical nodes) goes with it"
-    ),
-}
+# Dropping the registry records its high-water mark first, so the peak
+# survives the reset, and what is memoised on a store (flat tables,
+# sizes, verdicts, decision and expansion memos: pure functions of its
+# nodes) goes with it.
 
 
 class InternedArray(Tuple[Any, ...]):

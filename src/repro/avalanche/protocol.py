@@ -52,10 +52,6 @@ TAINT_SANITIZERS = {
         "update and decision compares its count against an adoption "
         "or decision quorum"
     ),
-    "_vote_is_legal": (
-        "the per-vote legality predicate behind _tally; a vote it "
-        "accepts is a hashable scalar from the configured value space"
-    ),
 }
 
 
@@ -175,9 +171,9 @@ class AvalancheInstance:
         Ties are broken deterministically (lowest ``repr``), which is
         one way of the paper's "break ties arbitrarily".
         """
-        # The legality predicate is inlined (see _vote_is_legal, kept
-        # as the declared single point of truth): this loop runs once
-        # per received vote slot system-wide.
+        # A vote is legal when it is present (not BOTTOM or None),
+        # accepted by value_ok and hashable; the loop runs once per
+        # received vote slot system-wide.
         value_ok = self._value_ok
         legal: List[Any] = []
         for vote in votes:
@@ -229,18 +225,6 @@ class AvalancheInstance:
                 (v for v, c in counts.items() if c == best_count), key=repr
             )
         return best, best_count
-
-    def _vote_is_legal(self, vote: Any) -> bool:
-        if vote is BOTTOM or vote is None:  # is_bottom, inlined: this
-            # predicate runs once per received vote slot system-wide.
-            return False
-        try:
-            hash(vote)
-        except TypeError:
-            return False
-        if self._value_ok is not None and not self._value_ok(vote):
-            return False
-        return True
 
     def _decide(self, value: Value) -> None:
         if is_bottom(value):

@@ -9,13 +9,14 @@ Gives a downstream user the paper's artifacts without writing code:
 * ``tradeoff``  — the eps <-> k table,
 * ``crossover`` — the exponential-vs-polynomial growth figure,
 * ``avalanche`` — a standalone avalanche agreement demo,
-* ``events``    — validate or export a structured event log
-  recorded via ``run-ba --events`` or ``fuzz --events``
+* ``events``    — export a structured event log recorded via
+  ``run-ba --events`` or ``fuzz --events`` as a Chrome trace
   (see :mod:`repro.obs` and docs/observability.md),
-* ``status``    — read a recorded run: bits, rounds, cells, cache hit
-  rates, where the time went and what was skipped or degraded,
+* ``status``    — read and validate a recorded run: bits, rounds,
+  cells, cache hit rates, where the time went and what was skipped
+  or degraded,
 * ``lint``      — the protocol-aware static analysis of
-  :mod:`repro.statics` (determinism, purity and taint),
+  :mod:`repro.statics` (determinism and taint),
 * ``fuzz``      — seeded adversarial campaigns with differential
   oracles and counterexample shrinking (see docs/fuzzing.md).
 """
@@ -32,8 +33,8 @@ from repro.errors import ConfigurationError
 #: What a handler returns: the report (exit code 0) or ``(report, code)``.
 _Output = Union[str, Tuple[str, int]]
 
-#: The event schema ``events validate`` checks against; kept here so
-#: building the parser imports no :mod:`repro.obs`
+#: The event schema ``status`` checks every record against; kept here
+#: so building the parser imports no :mod:`repro.obs`
 #: (``tests/obs/test_cli_events.py`` pins it to ``SCHEMA_VERSION``).
 EVENT_SCHEMA_VERSION = 3
 
@@ -143,22 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="query a recorded event log (see docs/observability.md)",
     )
     events_sub = events.add_subparsers(dest="events_command", required=True)
-    validate = events_sub.add_parser(
-        "validate",
-        help="check every record against event schema "
-        f"v{EVENT_SCHEMA_VERSION}",
-    )
-    validate.add_argument(
-        "path",
-        help="event log to read: a JSONL file (rotated .part-N "
-        "siblings are included automatically) or a directory of logs",
-    )
-    validate.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format",
-    )
     export = events_sub.add_parser(
         "export",
         help="export to Chrome-trace/Perfetto JSON (see "
@@ -180,7 +165,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="report a finished or in-flight run from its event log "
         "alone: traffic, cells, counters, cache hit rates, spans, "
         "pools and what was skipped or degraded (exit 1 if the log "
-        "is in flight or a line was skipped)",
+        "is in flight or a line was skipped: one that does not parse, "
+        f"fails event schema v{EVENT_SCHEMA_VERSION} or does not "
+        "advance the logical clock)",
     )
     status.add_argument(
         "path",
@@ -454,52 +441,30 @@ def _command_avalanche(args) -> _Output:
 
 def _command_events(args) -> _Output:
     import json
+    import pathlib
 
-    from repro.obs.events import SCHEMA_VERSION, scan_log, validate_records
+    from repro.obs.events import scan_log
+    from repro.obs.export import chrome_trace, validate_chrome_trace
 
     try:
         records, skipped = scan_log(args.path)
     except OSError as error:
         return f"error: {error}", 2
-
-    if args.events_command == "export":
-        import pathlib
-
-        from repro.obs.export import chrome_trace, validate_chrome_trace
-
-        payload = chrome_trace(records)
-        problems = validate_chrome_trace(payload)
-        if problems:
-            body = "\n".join(problems)
-            return f"error: exported trace is invalid:\n{body}", 1
-        rendered = json.dumps(payload, indent=1, sort_keys=True)
-        code = 1 if skipped else 0
-        if args.output is None:
-            return rendered, code
-        target = pathlib.Path(args.output)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(rendered + "\n")
-        lines = [
-            f"wrote chrome export of {len(records)} record(s) to {target}"
-        ]
-        lines.extend(f"skipped {problem}" for problem in skipped)
-        return "\n".join(lines), code
-
-    problems = skipped + validate_records(records)
-    if args.format == "json":
-        payload = {
-            "records": len(records),
-            "valid": not problems,
-            "problems": problems,
-        }
-        return json.dumps(payload, indent=2), (1 if problems else 0)
+    payload = chrome_trace(records)
+    problems = validate_chrome_trace(payload)
     if problems:
         body = "\n".join(problems)
-        return f"{body}\ninvalid: {len(problems)} problem(s)", 1
-    return (
-        f"OK: {len(records)} record(s) conform to event schema "
-        f"v{SCHEMA_VERSION}"
-    )
+        return f"error: exported trace is invalid:\n{body}", 1
+    rendered = json.dumps(payload, indent=1, sort_keys=True)
+    code = 1 if skipped else 0
+    if args.output is None:
+        return rendered, code
+    target = pathlib.Path(args.output)
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(rendered + "\n")
+    lines = [f"wrote chrome export of {len(records)} record(s) to {target}"]
+    lines.extend(f"skipped {problem}" for problem in skipped)
+    return "\n".join(lines), code
 
 
 def _command_status(args) -> _Output:

@@ -32,7 +32,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
         "EventLog",
         "log_paths",
         "read_log",
-        "validate_records",
     ),
     "export": ("chrome_trace", "validate_chrome_trace"),
     "registry": ("InstrumentRegistry",),

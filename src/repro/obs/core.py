@@ -46,18 +46,9 @@ from repro.obs.spans import (
 # code that never receives it as an argument (the arrays kernel, the
 # expansion caches).  Observation never feeds back into protocol
 # behaviour, so the shared state is invisible to every replay theorem.
-PURITY_EXEMPT = {
-    "activate": (
-        "publishes the process-wide observer through the ACTIVE module "
-        "global; observation is write-only telemetry that protocol code "
-        "never reads back, so the shared state cannot alter an outcome"
-    ),
-    "deactivate": (
-        "clears the ACTIVE module global (the inverse of activate); "
-        "exists so forked pool workers and finished CLI runs can drop "
-        "the inherited observer"
-    ),
-}
+# ``activate`` publishes the observer through the ``ACTIVE`` global;
+# ``deactivate`` clears it, so forked pool workers and finished CLI
+# runs can drop the inherited observer.
 
 
 class Observer:

@@ -575,25 +575,3 @@ def _message_problems(record: Dict[str, Any]) -> List[str]:
         ):
             problems.append(f"send: message {index} is not {shape}")
     return problems
-
-
-def validate_records(records: Iterable[Dict[str, Any]]) -> List[str]:
-    """Problems across a record sequence, prefixed by record index.
-
-    Also enforces the log-level invariant that ``step`` strictly
-    increases — the logical clock never stalls or rewinds.
-    """
-    problems: List[str] = []
-    last_step = -1
-    for index, record in enumerate(records):
-        for problem in validate_record(record):
-            problems.append(f"record {index}: {problem}")
-        step = record.get("step")
-        if isinstance(step, int) and not isinstance(step, bool):
-            if step <= last_step:
-                problems.append(
-                    f"record {index}: step {step} does not advance the "
-                    f"logical clock (previous {last_step})"
-                )
-            last_step = step
-    return problems

@@ -16,8 +16,9 @@ sections:
 It works equally on a finished log (which ends with the authoritative
 ``counters`` dump) and on the torn log of a killed run: the counters
 are then the summed ``rollup`` deltas, and every line that does not
-parse or record that fails the schema is skipped and named under
-``degraded``, beside any ``sweep.pool.degraded`` fallback.
+parse, record that fails the schema or step that does not advance the
+logical clock is skipped and named under ``degraded``, beside any
+``sweep.pool.degraded`` fallback.
 
 ``load_status`` accepts everything :func:`repro.obs.events.log_paths`
 does: a single JSONL file, a rotated ``.part-N`` sequence, or a
@@ -46,11 +47,13 @@ def status_from_records(
     """The report of one recorded run, in one pass over its records.
 
     ``skipped`` names lines the loader could not parse; a record that
-    fails :func:`~repro.obs.events.validate_record` is named beside
-    them and not read.
+    fails :func:`~repro.obs.events.validate_record`, or whose ``step``
+    does not advance the log's logical clock, is named beside them and
+    not read.
     """
     degraded = list(skipped)
     valid = 0
+    last_step = -1
     runs_started = runs_ended = decisions = sends = corruptions = 0
     serial = held = falsified = pooled = chunks = planned = 0
     per_round: Dict[int, Dict[str, int]] = {}
@@ -65,6 +68,14 @@ def status_from_records(
     workers: Dict[int, Dict[str, Any]] = {}
     for index, record in enumerate(records):
         problems = validate_record(record)
+        step = record.get("step")
+        if type(step) is int:
+            if not problems and step <= last_step:
+                problems = [
+                    f"step {step} does not advance the logical clock "
+                    f"(previous {last_step})"
+                ]
+            last_step = step
         if problems:
             degraded.append(f"record {index}: {problems[0]}")
             continue

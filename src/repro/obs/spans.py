@@ -13,8 +13,10 @@ Spans read the wall clock and are therefore **explicitly
 nondeterministic**: they never enter the deterministic section of an
 event log (records derived from them carry ``"nondeterministic":
 true``) and never influence protocol behaviour.  This module is the
-single place in the scanned packages allowed to import :mod:`time` —
-see ``CLOCK_MODULES`` in :mod:`repro.statics.runner`.
+single place in the determinism-scanned packages allowed to import
+:mod:`time` (``CLOCK_MODULES`` in :mod:`repro.statics.runner`), and
+the two-process replay (``tests/integration/test_determinism.py``)
+compares every record but those flagged records.
 """
 
 from __future__ import annotations

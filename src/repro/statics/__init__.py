@@ -2,18 +2,14 @@
 
 Coan's construction treats a protocol as a deterministic automaton:
 ``mu_pq``, ``delta_p`` and ``gamma_p`` are *functions*, and Theorem 2
-replays them during reconstruction — so hidden nondeterminism,
-wall-clock reads or mutable shared state silently break the formal
-guarantees without failing any single-run test.  This package checks
-those well-formedness properties by walking the AST, without executing
-any protocol:
+replays them during reconstruction.  Most of that is checked by
+running the code (no I/O under an audit hook, a two-process hash-seed
+replay); this package checks by walking the AST what those runs miss
+(``docs/statics.md`` names the planted mutants behind each pass):
 
 * :mod:`repro.statics.determinism` — no stray entropy sources, no
   unordered-set iteration; randomness flows through
   :mod:`repro.runtime.rng` (protects Theorem 2's replayability),
-* :mod:`repro.statics.purity` — automaton functions and registered
-  factories are free of I/O, global mutation and mutable default
-  arguments (protects the Section 3.1 formalism),
 * :mod:`repro.statics.flow` — no value from ``receive()`` reaches a
   decision or a payload unsanitized (protects validity against a
   Byzantine sender).

@@ -2,23 +2,20 @@
 
 A lint run builds one :class:`ProjectIndex` — each file read once and
 parsed once, by :func:`parse_module`, the package's only ``ast.parse``
-— and every pass is a rule over ``(index, module)``: determinism,
-purity and protoflow's taint pass all ask this model for
-modules, classes, import-resolved inheritance, method lookup and
-declarations instead of walking the tree themselves.  Which
-*files* a pass looks at stays the pass's own policy
-(``PROTOCOL_PACKAGES``, ``WORKER_MODULES``, ``CLOCK_MODULES`` in the
-runner, :data:`FLOW_PACKAGES` here with the protoflow queries that
+— and every pass is a rule over ``(index, module)``: determinism and
+protoflow's taint pass both ask this model for modules, classes,
+import-resolved inheritance, method lookup and declarations instead
+of walking the tree themselves.  Which *files* a pass looks at stays
+the pass's own policy (``PROTOCOL_PACKAGES`` and ``CLOCK_MODULES`` in
+the runner, :data:`FLOW_PACKAGES` here with the protoflow queries that
 need it); the index only guarantees that asking twice costs one parse.
 
 Declarations
-    Two module-level dict literals are trusted by the passes —
-    ``PURITY_EXEMPT`` and ``TAINT_SANITIZERS`` — and
-    :func:`read_declaration` reads both under one grammar:
-    a string key mapped to a non-blank string, or to a pair of
-    non-blank strings.  Anything else comes back as a
-    :class:`Malformed` note that the owning pass turns into *its*
-    finding (PUR005 / TAINT003).
+    One module-level dict literal is trusted by the taint pass,
+    ``TAINT_SANITIZERS``, and :func:`read_declaration` reads it under
+    one grammar: a string key mapped to a non-blank string.  Anything
+    else comes back as a :class:`Malformed` note that the pass turns
+    into a TAINT003 finding.
 
 Class qualnames are canonicalized to the ``repro.`` namespace from the
 path below the scan root, so fixture trees (rooted anywhere) interoperate
@@ -52,16 +49,10 @@ T = TypeVar("T")
 
 @dataclasses.dataclass(frozen=True)
 class Entry:
-    """One well-formed declaration entry.
-
-    ``value`` is the plain string or the first element of the pair
-    form; ``justification`` is the pair's second element and ``""``
-    otherwise.  ``node`` is the key's
-    AST node, where findings about the entry are reported.
-    """
+    """One well-formed declaration entry: its text and the key's AST
+    node, where findings about the entry are reported."""
 
     value: str
-    justification: str
     node: ast.AST
 
     @property
@@ -76,8 +67,8 @@ class Malformed:
 
     ``kind`` is ``"dict"`` (the name is bound to something other than
     a dict literal), ``"key"`` (a key that is not a non-blank string
-    literal) or ``"value"`` (``key`` maps to neither a non-blank string
-    nor a pair of them); ``node`` is the offending node.
+    literal) or ``"value"`` (``key`` maps to something other than a
+    non-blank string); ``node`` is the offending node.
     """
 
     kind: str
@@ -129,18 +120,11 @@ def read_declaration(tree: ast.Module, name: str) -> Declaration:
                     Malformed("key", None, key if key is not None else node)
                 )
                 continue
-            parts = (
-                item.elts
-                if isinstance(item, ast.Tuple) and len(item.elts) == 2
-                else [item]
-            )
-            texts = [text for text in map(_text, parts) if text is not None]
-            if len(texts) != len(parts):
+            text = _text(item)
+            if text is None:
                 declaration.malformed.append(Malformed("value", symbol, item))
                 continue
-            declaration.entries[symbol] = Entry(
-                texts[0], "".join(texts[1:]), key
-            )
+            declaration.entries[symbol] = Entry(text, key)
     return declaration
 
 
@@ -365,18 +349,8 @@ class ProjectIndex:
 
     # -- inheritance --------------------------------------------------------
 
-    def is_subclass(
-        self, info: ClassInfo, root: str, by_name: bool = False
-    ) -> bool:
-        """Whether ``info`` transitively derives from qualname ``root``.
-
-        ``by_name`` also accepts a base nothing indexed defines whose
-        last component is ``root``'s class name — all a lone source
-        string (or a re-exported root) can offer.  The purity pass asks
-        that way, since checking one class too many is the safe side
-        for a linter; certification never does.
-        """
-        root_name = root.rsplit(".", 1)[-1]
+    def is_subclass(self, info: ClassInfo, root: str) -> bool:
+        """Whether ``info`` transitively derives from qualname ``root``."""
         seen: Set[str] = set()
         frontier = list(info.bases)
         while frontier:
@@ -384,13 +358,9 @@ class ProjectIndex:
             if base in seen:
                 continue
             seen.add(base)
-            parent = self.classes.get(base)
-            if base == root or (
-                by_name
-                and parent is None
-                and base.rsplit(".", 1)[-1] == root_name
-            ):
+            if base == root:
                 return True
+            parent = self.classes.get(base)
             if parent is not None:
                 frontier.extend(parent.bases)
         return False

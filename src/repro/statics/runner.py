@@ -1,13 +1,14 @@
 """Pass orchestration: index the tree once, run every pass over it,
 apply the baseline.
 
-The scanned scope is deliberately the *protocol* packages — ``core``,
+The determinism pass scans the *protocol* packages — ``core``,
 ``agreement``, ``avalanche``, ``compact``, ``fullinfo`` — plus the
-kernel (``arrays``) and the observability subsystem (``obs``, whose
-event logs make determinism claims of their own), because those
-implement the objects the paper's theorems quantify over.  The
-runtime (network, metering, the pool) legitimately does I/O and
-is linted only by the general toolchain (ruff/mypy), not by protolint.
+kernel (``arrays``), the fuzzer and the observability subsystem
+(``obs``, whose event logs make determinism claims of their own),
+because those implement the objects the paper's theorems quantify
+over.  The runtime (network, metering, the pool) legitimately reads
+clocks and does I/O and is linted only by the general toolchain
+(ruff/mypy), not by protolint.
 """
 
 from __future__ import annotations
@@ -21,31 +22,13 @@ from repro.statics.determinism import check_determinism
 from repro.statics.findings import Finding
 from repro.statics.flow.passes import analyze_index
 from repro.statics.model import FLOW_PACKAGES, SUPPORT_MODULES, ProjectIndex
-from repro.statics.purity import check_purity
 
-#: The packages whose files get the determinism and purity passes.
-#: ``arrays`` joined when the hash-consing store landed: interning is
-#: observationally pure and must stay that way (canonical nodes are
-#: compared and cached across processes), so its module-level shared
-#: registry carries a ``PURITY_EXEMPT`` justification rather than an
-#: exclusion from scanning.  ``obs`` joined with the observability
-#: subsystem: its records feed determinism claims (diffable event
-#: logs), so the same bans apply to it — with one carve-out below.
+#: The packages whose files get the determinism pass.  ``obs`` is
+#: among them because its records feed determinism claims (diffable
+#: event logs) — with one carve-out below.
 PROTOCOL_PACKAGES = (
     "arrays", "core", "agreement", "avalanche", "compact", "fullinfo",
     "fuzz", "obs",
-)
-
-#: Modules whose entry points are replayed *outside* the calling
-#: process (forked sweep-pool workers) — the process-level analogue of
-#: the Theorem 2 replay that motivates the purity pass.  They get the
-#: purity pass over every module-level function; structural impurities
-#: (fork-pool context globals, the process-wide observer slot) are
-#: exempted in-module via a justified ``PURITY_EXEMPT`` declaration
-#: rather than ad-hoc markers.
-WORKER_MODULES = (
-    "analysis/parallel.py", "arrays/flat.py", "arrays/store.py",
-    "fuzz/campaign.py", "obs/core.py",
 )
 
 #: The one sanctioned wall-clock module.  Timing spans are explicitly
@@ -89,24 +72,13 @@ def collect_findings(package_root: pathlib.Path) -> List[Finding]:
     index = ProjectIndex(
         package_root,
         packages=PROTOCOL_PACKAGES + FLOW_PACKAGES,
-        modules=WORKER_MODULES + SUPPORT_MODULES,
+        modules=SUPPORT_MODULES,
     )
-    workers = [
-        module
-        for module in map(index.module, WORKER_MODULES)
-        if module is not None
-    ]
     clocks = [index.module(subpath) for subpath in CLOCK_MODULES]
     findings: List[Finding] = []
     for module in index.under(PROTOCOL_PACKAGES):
         if module not in clocks:
             findings.extend(check_determinism(module))
-        # Worker modules get the stricter all-functions mode below; the
-        # default mode would report their (live) exemptions as dead.
-        if module not in workers:
-            findings.extend(check_purity(index, module))
-    for module in workers:
-        findings.extend(check_purity(index, module, all_functions=True))
     findings.extend(analyze_index(index).findings)
     return sorted(findings)
 

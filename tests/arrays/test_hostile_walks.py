@@ -38,8 +38,8 @@ from repro.fullinfo.protocol import (
     FullInformationAutomaton,
     full_information_sizer,
 )
-from repro.obs import EventLog, Observer, observing
-from repro.obs.events import read_log, validate_records
+from repro.obs import EventLog, Observer, observing, status_from_records
+from repro.obs.events import read_log
 from repro.runtime.engine import run_protocol
 from repro.runtime.network import _default_sizer
 from repro.runtime.render import summarise_payload
@@ -497,7 +497,7 @@ def test_an_observed_run_summarises_any_payload(name, tmp_path):
     assert observed.decisions == unobserved.decisions
     assert observed.metrics.total_bits == unobserved.metrics.total_bits
     records = read_log(path)
-    assert validate_records(records) == []
+    assert status_from_records(records)["degraded"] == []
     assert [
         record["round"] for record in records
         if record["kind"] == "send" and record["faulty"]

@@ -2,15 +2,29 @@
 
 A core design requirement (DESIGN.md): every execution is a pure
 function of ``(protocol, inputs, adversary, seed)``.  These tests
-replay the most state-heavy stacks and compare full traces.
+replay the most state-heavy stacks and compare full traces, and
+replay the registry and the corpus in two fresh processes under
+different hash seeds, where a wall-clock read, an unseeded RNG or the
+iteration order of a ``set`` of strings shows as a difference.
 """
+
+import os
+import pathlib
+import subprocess
+import sys
 
 from repro.adversary import RandomGarbageAdversary
 from repro.adversary.omission import OmissionAdversary
 from repro.agreement.ben_or import ben_or_factory
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.compact.crash_variant import crash_compact_factory
+from repro.fuzz.protocols import get_spec, protocol_names
+from repro.obs.events import read_log
 from repro.runtime.engine import run_protocol
+from repro.types import SystemConfig
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
+CORPUS = REPO / "tests" / "fuzz" / "corpus"
 
 
 def trace_fingerprint(result):
@@ -96,3 +110,47 @@ class TestOmissionDeterminism:
             )
             fingerprints.append(trace_fingerprint(result))
         assert fingerprints[0] == fingerprints[1]
+
+
+def _replay_in_a_fresh_process(directory, hash_seed):
+    """Stdout of a registry campaign and a corpus replay, and the
+    campaign log's deterministic records, under ``hash_seed``."""
+    directory.mkdir()
+    env = dict(
+        os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(REPO / "src")
+    )
+    config = SystemConfig(n=7, t=2)
+    protocols = [
+        argument
+        for name in protocol_names()
+        if get_spec(name).supports(config) is None
+        for argument in ("--protocol", name)
+    ]
+    commands = (
+        ["fuzz", "--seed", "2026", "--cases", "10", "--n", "7", "--t", "2",
+         *protocols, "--events", "events.jsonl"],
+        ["fuzz", "--replay", str(CORPUS)],
+    )
+    stdout = [
+        subprocess.run(
+            [sys.executable, "-m", "repro", *command], cwd=directory,
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        for command in commands
+    ]
+    records = [
+        record for record in read_log(directory / "events.jsonl")
+        if not record.get("nondeterministic")
+    ]
+    return stdout, records
+
+
+class TestHashSeedReplay:
+    def test_two_processes_two_hash_seeds_one_output(self, tmp_path):
+        first, second = (
+            _replay_in_a_fresh_process(tmp_path / f"hash-{seed}", seed)
+            for seed in (0, 1)
+        )
+        assert first[0] == second[0]
+        assert len(first[1]) > 1000
+        assert first[1] == second[1]

@@ -1,12 +1,13 @@
-"""The observability CLI surface: --events recording, `repro events`
-and `repro status`."""
+"""The observability CLI surface: --events recording, `repro events
+export` and `repro status`, the one reader and validator of a log."""
 
 import json
 
 import pytest
 
 from repro.cli import EVENT_SCHEMA_VERSION, main
-from repro.obs.events import SCHEMA_VERSION, read_log, validate_records
+from repro.obs import status_from_records
+from repro.obs.events import SCHEMA_VERSION, read_log
 
 from tests.obs.causal_dag import build_dags
 
@@ -31,7 +32,7 @@ class TestRunBAEvents:
     def test_writes_a_valid_log(self, recorded_log):
         path, out = recorded_log
         assert f"events: wrote {path}" in out
-        assert validate_records(read_log(path)) == []
+        assert status_from_records(read_log(path))["degraded"] == []
 
     def test_the_log_is_the_causal_trace(self, recorded_log, tmp_path):
         path, out = recorded_log
@@ -84,10 +85,10 @@ class TestIncludeAdversaryTraffic:
 
 
 class TestEventsCommand:
-    def test_events_lists_only_validate_and_export(self, capsys):
+    def test_events_lists_only_export(self, capsys):
         with pytest.raises(SystemExit):
             main(["events", "--help"])
-        assert "{validate,export}" in capsys.readouterr().out
+        assert "{export}" in capsys.readouterr().out
 
     def test_summarize_text(self, recorded_log, capsys):
         """The traffic summary is part of ``repro status``."""
@@ -121,9 +122,9 @@ class TestEventsCommand:
 
     def test_validate_ok(self, recorded_log, capsys):
         path, _ = recorded_log
-        code, out = run_cli(capsys, "events", "validate", str(path))
+        code, out = run_cli(capsys, "status", str(path))
         assert code == 0
-        assert f"conform to event schema v{SCHEMA_VERSION}" in out
+        assert "degraded:" not in out
 
     def test_validate_rejects_a_v1_log(self, tmp_path, capsys):
         path = tmp_path / "old.jsonl"
@@ -131,36 +132,52 @@ class TestEventsCommand:
             '{"v": 1, "kind": "round_start", "run": "r1", "round": 1, '
             '"step": 1}\n'
         )
-        code, out = run_cli(capsys, "events", "validate", str(path))
+        code, out = run_cli(capsys, "status", str(path))
         assert code == 1
         assert f"schema version 1 != {SCHEMA_VERSION}" in out
 
-    def test_validate_help_names_the_schema_version(self, capsys):
+    def test_status_help_names_the_schema_version(self, capsys):
         assert EVENT_SCHEMA_VERSION == SCHEMA_VERSION
         with pytest.raises(SystemExit):
-            main(["events", "--help"])
-        assert f"event schema v{SCHEMA_VERSION}" in capsys.readouterr().out
+            main(["--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert f"event schema v{SCHEMA_VERSION}" in out
 
     def test_validate_json(self, recorded_log, capsys):
         path, _ = recorded_log
         code, out = run_cli(
-            capsys, "events", "validate", str(path), "--format", "json"
+            capsys, "status", str(path), "--format", "json"
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["valid"] is True
-        assert payload["problems"] == []
+        assert payload["skipped_lines"] == 0
+        assert payload["degraded"] == []
 
     def test_validate_flags_bad_records(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"v": 1, "kind": "nope", "round": 0, "step": 1}\n')
-        code, out = run_cli(capsys, "events", "validate", str(path))
+        path.write_text(
+            f'{{"v": {SCHEMA_VERSION}, "kind": "nope", "run": null, '
+            '"round": 0, "step": 1}\n'
+        )
+        code, out = run_cli(capsys, "status", str(path))
         assert code == 1
         assert "unknown event kind" in out
 
+    def test_validate_flags_a_step_that_does_not_advance(
+        self, recorded_log, capsys
+    ):
+        path, _ = recorded_log
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:3] + lines[2:]))
+        code, out = run_cli(capsys, "status", str(path), "--format", "json")
+        assert code == 1
+        status = json.loads(out)
+        assert status["skipped_lines"] == 1
+        (problem,) = status["degraded"]
+        assert problem.startswith("record 3: step 3 does not advance")
+
     def test_unreadable_file_is_a_usage_error(self, tmp_path, capsys):
-        for command in (("events", "validate"), ("events", "export"),
-                        ("status",)):
+        for command in (("events", "export"), ("status",)):
             code, out = run_cli(
                 capsys, *command, str(tmp_path / "missing.jsonl")
             )
@@ -221,7 +238,7 @@ class TestStatusCommand:
     ):
         path, _ = recorded_log
         torn, last = _torn(path)
-        code, out = run_cli(capsys, "events", "validate", str(torn))
+        code, out = run_cli(capsys, "status", str(torn))
         assert code == 1
         assert f"{torn}:{last}: not valid JSON" in out
         output = torn.with_name("trace.json")

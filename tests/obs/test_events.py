@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import status_from_records
 from repro.obs.core import Observer
 from repro.obs.events import (
     EVENT_FIELDS,
@@ -18,7 +19,6 @@ from repro.obs.events import (
     read_log,
     scan_log,
     validate_record,
-    validate_records,
 )
 from repro.types import BOTTOM
 
@@ -104,7 +104,7 @@ class TestEventLog:
             with pytest.raises(ValueError, match="not JSON compliant"):
                 observer.emit("decide", process=1, value=value)
         observer.events.close()
-        assert validate_records(read_log(path)) == []
+        assert status_from_records(read_log(path))["degraded"] == []
         assert [r["value"] for r in read_log(path)] == ["nan"]
 
     def test_payload_may_not_shadow_the_envelope(self, tmp_path):
@@ -310,11 +310,11 @@ class TestValidateRecord:
 class TestValidateRecords:
     def test_step_must_strictly_increase(self):
         records = [_record(step=1), _record(step=1)]
-        problems = validate_records(records)
+        problems = status_from_records(records)["degraded"]
         assert any("logical clock" in p for p in problems)
 
     def test_problems_carry_record_index(self):
-        problems = validate_records([_record(kind="nope")])
+        problems = status_from_records([_record(kind="nope")])["degraded"]
         assert problems[0].startswith("record 0:")
 
 

@@ -16,7 +16,7 @@ from repro.analysis.sweeps import standard_adversary_makers, sweep
 from repro.avalanche.protocol import avalanche_factory
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.compact.payload import CompactPayload
-from repro.obs import EventLog, Observer, observing, validate_records
+from repro.obs import EventLog, Observer, observing, status_from_records
 from repro.obs.rollup import status_from_records
 
 
@@ -36,7 +36,7 @@ def observed_compact_ba(config4, adversary):
 class TestObservedRun:
     def test_records_validate(self, config4):
         records = observed_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
-        assert validate_records(records) == []
+        assert status_from_records(records)["degraded"] == []
 
     def test_expected_event_kinds(self, config4):
         records = observed_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
@@ -165,7 +165,7 @@ class TestMalformedVotesObserved:
                 config4, Observer(events=log, trace=trace)
             )
             assert observed == unobserved
-            assert validate_records(log.records) == []
+            assert status_from_records(log.records)["degraded"] == []
             assert any(
                 entry[3] == "core:array[d0 w0] votes:?"
                 for record in log.records
@@ -231,7 +231,7 @@ class TestObservedSweep:
         assert len(starts) == len(ends) == 2
         assert [r["index"] for r in starts] == [0, 1]
         assert observer.registry.counter("sweep.cells") == 2
-        assert validate_records(log.records) == []
+        assert status_from_records(log.records)["degraded"] == []
 
     def test_pooled_sweep_reports_executor_stats(self, config4):
         log = EventLog()
@@ -264,7 +264,7 @@ class TestObservedSweep:
             name.endswith((".hit", ".miss"))
             for name in observer.registry.counters()
         )
-        assert validate_records(log.records) == []
+        assert status_from_records(log.records)["degraded"] == []
 
     def test_pooled_counters_match_the_serial_reference(self, config4):
         patterns = [{p: p % 2 for p in config4.process_ids}]

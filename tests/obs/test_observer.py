@@ -14,7 +14,7 @@ from repro.obs import (
     observing,
     profile_dict,
     span,
-    validate_records,
+    status_from_records,
 )
 
 
@@ -127,7 +127,7 @@ class TestObserverLifecycle:
         assert [r["step"] for r in log.records] == [1, 2, 3]
         assert log.records[1]["run"] == "r1"
         assert log.records[1]["round"] == 2
-        assert validate_records(log.records) == []
+        assert status_from_records(log.records)["degraded"] == []
 
     def test_second_run_gets_fresh_id(self):
         observer = Observer(events=EventLog())
@@ -165,7 +165,7 @@ class TestObserverLifecycle:
         assert log.records[0]["counters"] == {"x": 2}
         assert log.records[1]["nondeterministic"] is True
         assert "s" in log.records[1]["spans"]
-        assert validate_records(log.records) == []
+        assert status_from_records(log.records)["degraded"] == []
 
     def test_eventless_emit_is_a_no_op(self):
         observer = Observer()

@@ -13,7 +13,7 @@ from repro.obs import (
     log_paths,
     observing,
     read_log,
-    validate_records,
+    status_from_records,
 )
 
 
@@ -51,7 +51,7 @@ class TestRotation:
         self._write_capped(config4, capped, cap_bytes=2000)
         self._write_capped(config4, plain, cap_bytes=None)
         reassembled = read_log(capped)
-        assert validate_records(reassembled) == []
+        assert status_from_records(reassembled)["degraded"] == []
 
         def deterministic(records):
             return [
@@ -114,13 +114,14 @@ class TestRotationCli:
         assert list(tmp_path.glob("events.jsonl.part-*"))
         for target in (str(path), str(tmp_path)):
             result = subprocess.run(
-                [sys.executable, "-m", "repro", "events", "validate",
-                 target],
+                [sys.executable, "-m", "repro", "status", target,
+                 "--format", "json"],
                 check=True, env=self._env(), capture_output=True,
             )
+            status = json.loads(result.stdout)
             # one ``send`` record per sender per round, one ``state``
             # record per round
-            assert b"OK: 21 record(s)" in result.stdout
+            assert (status["records"], status["skipped_lines"]) == (21, 0)
 
     def test_cap_without_events_is_a_usage_error(self):
         result = subprocess.run(

@@ -2,7 +2,7 @@
 
 from repro.adversary import EquivocatingAdversary, SilentAdversary
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
-from repro.obs import EventLog, Observer, observing, validate_records
+from repro.obs import EventLog, Observer, observing, status_from_records
 from repro.obs.trace import burst_edges, check_closedness
 
 from tests.obs.causal_dag import build_dags
@@ -26,7 +26,7 @@ def traced_compact_ba(config4, adversary, result=None):
 class TestDeliverEvents:
     def test_traced_records_validate(self, config4):
         records = traced_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
-        assert validate_records(records) == []
+        assert status_from_records(records)["degraded"] == []
         assert {r["faulty"] for r in records if r["kind"] == "send"} == {
             False, True,
         }

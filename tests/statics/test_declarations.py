@@ -1,9 +1,8 @@
-"""One grammar for the two declaration dicts.
+"""The grammar of the ``TAINT_SANITIZERS`` declaration.
 
-``PURITY_EXEMPT`` and ``TAINT_SANITIZERS`` go through one reader
-(:func:`repro.statics.model.read_declaration`): the same malformed
-shape is rejected for both, and each owning pass reports it under its
-own rule.
+One reader (:func:`repro.statics.model.read_declaration`) holds it to
+a string key mapped to a non-blank string; the taint pass reports
+every other shape under TAINT003.
 """
 
 import ast
@@ -15,7 +14,6 @@ from repro.statics.runner import lint_tree
 
 #: declaration name -> (file it lives in, rule that owns it)
 OWNERS = {
-    "PURITY_EXEMPT": ("agreement/protocol.py", "PUR005"),
     "TAINT_SANITIZERS": ("agreement/protocol.py", "TAINT003"),
 }
 
@@ -25,6 +23,7 @@ MALFORMED = {
     "empty justification": "{name} = {{'thing': '  '}}\n",
     "non-string justification": "{name} = {{'thing': 7}}\n",
     "non-string pair": "{name} = {{'thing': ('constant', 7)}}\n",
+    "pair of strings": "{name} = {{'thing': ('constant', 'why')}}\n",
 }
 
 
@@ -48,18 +47,20 @@ class TestReader:
         return read_declaration(ast.parse(source), "NAME")
 
     def test_plain_and_pair_forms(self):
+        # Only the plain form declares; a pair is a rejected value.
         declaration = self.read(
             "NAME = {\n"
             "    'plain': 'why',\n"
             "    'pair': ('linear', 'capped by k'),\n"
             "}\n"
         )
-        assert not declaration.malformed
-        plain, pair = declaration.entries["plain"], declaration.entries["pair"]
-        assert (plain.value, plain.justification, plain.line) == ("why", "", 2)
-        assert (pair.value, pair.justification, pair.line) == (
-            "linear", "capped by k", 3,
-        )
+        plain = declaration.entries["plain"]
+        assert (plain.value, plain.line) == ("why", 2)
+        assert "pair" not in declaration.entries
+        assert [
+            (note.kind, note.key, note.node.lineno)
+            for note in declaration.malformed
+        ] == [("value", "pair", 3)]
 
     def test_annotated_assignment_and_absence(self):
         assert self.read("NAME: dict = {'a': 'b'}\n").entries["a"].value == "b"

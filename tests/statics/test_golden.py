@@ -1,15 +1,13 @@
 """Golden reports and the one-parse-per-file budget.
 
-The three ``render_json`` reports under ``golden/`` were recorded at
-the parent of the one-front-end refactor (PR 20) — findings *and*
-suppressed, every field — and must be reproduced byte for byte: the
-passes now share one project model, and sharing it must not move a
-single verdict.  (``tree.json`` additionally holds the two PUR findings
-of ``imported_automaton.py``, the fixture that model made visible.)
+The three ``render_json`` reports under ``golden/`` — findings *and*
+suppressed, every field — must be reproduced byte for byte: the
+passes share one project model, and sharing it must not move a single
+verdict.
 
-The parse budget pins the refactor itself: one ``ast.parse`` per
-scanned file for a whole lint run (216 calls for 68 files before), so
-per-pass parsing cannot creep back.
+The parse budget pins the one front end: one ``ast.parse`` per
+scanned file for a whole lint run, so per-pass parsing cannot creep
+back.
 """
 
 import ast
@@ -20,12 +18,7 @@ import pytest
 from repro.statics.baseline import Baseline
 from repro.statics.model import FLOW_PACKAGES, SUPPORT_MODULES
 from repro.statics.report import render_json
-from repro.statics.runner import (
-    PROTOCOL_PACKAGES,
-    WORKER_MODULES,
-    collect_findings,
-    lint_tree,
-)
+from repro.statics.runner import PROTOCOL_PACKAGES, collect_findings, lint_tree
 
 HERE = pathlib.Path(__file__).parent
 REPO = HERE.parent.parent
@@ -52,7 +45,7 @@ def scanned_files(root):
     files = set()
     for package in PROTOCOL_PACKAGES + FLOW_PACKAGES:
         files.update((root / package).rglob("*.py"))
-    for module in WORKER_MODULES + SUPPORT_MODULES:
+    for module in SUPPORT_MODULES:
         if (root / module).is_file():
             files.add(root / module)
     return sorted(map(str, files))
@@ -78,6 +71,4 @@ def test_collect_findings_parses_each_scanned_file_once(parsed):
     # The scope tuples did not silently empty or lose a member.
     for package in PROTOCOL_PACKAGES + FLOW_PACKAGES:
         assert str(PACKAGE_ROOT / package / "__init__.py") in parsed
-    for module in WORKER_MODULES:
-        assert str(PACKAGE_ROOT / module) in parsed
 

@@ -50,20 +50,16 @@ class TestRealTree:
         assert suppressed_keys == baseline_keys
 
     def test_arrays_kernel_is_registered(self):
-        from repro.statics.runner import PROTOCOL_PACKAGES, WORKER_MODULES
+        from repro.statics.runner import PROTOCOL_PACKAGES
 
         assert "arrays" in PROTOCOL_PACKAGES
-        # The store's module-level registry functions carry exemptions
-        # that only the all-functions worker pass can see, so the file
-        # must be listed there (and skipped by the default purity pass).
-        assert "arrays/store.py" in WORKER_MODULES
 
 
 class TestFixtureTree:
     def test_exits_nonzero(self, capsys):
         code, out = run_lint(capsys, "--root", str(FIXTURE_TREE))
         assert code == 1
-        assert "DET001" in out and "PUR001" in out
+        assert "DET001" in out and "DET004" in out
 
     def test_json_schema(self, capsys):
         code, out = run_lint(
@@ -83,12 +79,10 @@ class TestFixtureTree:
                 "symbol",
                 "message",
             }
-            assert finding["rule"].rstrip("0123456789") in (
-                "DET", "PUR", "TAINT",
-            )
+            assert finding["rule"].rstrip("0123456789") in ("DET", "TAINT")
             assert finding["line"] >= 1
         rules = {finding["rule"] for finding in report["findings"]}
-        assert {"DET001", "DET004", "PUR003"} <= rules
+        assert {"DET001", "DET004", "DET005"} <= rules
 
     def test_update_baseline_then_clean(self, capsys, tmp_path):
         baseline_path = tmp_path / "baseline.json"
@@ -135,7 +129,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "subpath",
         [
-            "obs/broken.py",  # determinism and purity only
+            "obs/broken.py",  # determinism only
             "agreement/broken.py",  # every pass, protoflow included
         ],
     )
@@ -143,7 +137,7 @@ class TestErrorHandling:
         self, capsys, tmp_path, subpath
     ):
         # One front end: a file no pass can read fails the whole run
-        # the same way, instead of raising out of determinism/purity
+        # the same way, instead of raising out of determinism
         # while protoflow certifies around it.
         broken = tmp_path / "repro" / subpath
         broken.parent.mkdir(parents=True)
@@ -234,19 +228,14 @@ class TestObservabilityRegistration:
 
         assert "obs" in PROTOCOL_PACKAGES
 
-    def test_observer_module_gets_worker_purity_mode(self):
-        from repro.statics.runner import WORKER_MODULES
-
-        assert "obs/core.py" in WORKER_MODULES
-
     def test_spans_is_the_only_clock_module(self):
         from repro.statics.runner import CLOCK_MODULES
 
         assert CLOCK_MODULES == ("obs/spans.py",)
 
     def test_obs_tree_is_lint_clean(self):
-        # the spans carve-out plus the PURITY_EXEMPT declarations must
-        # cover everything: no obs finding may need the baseline
+        # the spans carve-out must cover everything: no obs finding
+        # may need the baseline
         result = lint_tree()
         assert [
             finding
