@@ -23,14 +23,21 @@ against:
   yet is mutually inconsistent (the attack the compact protocol's
   avalanche layer exists to neutralise);
 * :class:`StrategyTable` — per-processor heterogeneous strategies.
+
+:func:`standard_adversary_makers` is the gallery ``run-ba`` and sweeps use.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.adversary.base import Adversary, RoundContext
 from repro.types import BOTTOM, ProcessId, Round, Value
+
+# Builds a fresh adversary for a fault set: (faulty_ids) -> Adversary.
+AdversaryMaker = Callable[[Sequence[ProcessId]], Adversary]
 
 
 class _TwoFacedAdversary(Adversary):
@@ -266,3 +273,18 @@ class StrategyTable(Adversary):
         # end-of-round hook to keep their honest copies in step.
         for _, strategy in sorted(self._strategies.items()):
             strategy.observe_round(round_number, context, faulty_outgoing)
+
+
+def standard_adversary_makers(
+    values: Sequence[Value] = (0, 1),
+) -> List[Tuple[str, AdversaryMaker]]:
+    """Fresh-instance makers for the whole Byzantine gallery."""
+    value_a, value_b = values[0], values[-1]
+    return [
+        ("silent", SilentAdversary),
+        ("garbage", lambda f: RandomGarbageAdversary(f, palette=list(values))),
+        ("equivocator", lambda f: EquivocatingAdversary(f, value_a, value_b)),
+        ("splitter", VoteSplitterAdversary),
+        ("malformed", MalformedArrayAdversary),
+        ("collusion", CollusionAdversary),
+    ]

@@ -36,7 +36,7 @@ the message budget
 Each instance *is* a binary full-information protocol (Protocol 1)
 with the EIG decision rule, so it runs on the same array kernel as
 :class:`repro.fullinfo.protocol.FullInformationProcess`: one
-:class:`repro.fullinfo.protocol.ReceiveGate` per processor, shared by its
+:class:`repro.fullinfo.gate.ReceiveGate` per processor, shared by its
 live instances, turns every received view into a canonical node of the
 shared store or rejects it, and instance states are interned, so
 validation is O(new nodes) and the decision takes the flat sweep.
@@ -49,7 +49,7 @@ from typing import Any, Dict
 from repro.arrays.store import shared_store
 from repro.errors import ConfigurationError
 from repro.fullinfo.decision import eig_byzantine_decision
-from repro.fullinfo.protocol import REJECT, ReceiveGate
+from repro.fullinfo.gate import REJECT, ReceiveGate
 from repro.runtime.node import Process, broadcast
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
 

@@ -80,8 +80,9 @@ from repro.types import ProcessId, Round, SystemConfig, Value, is_bottom
 #: Modules a cell imports on first use (numpy comes with the flat EIG
 #: sweep; the adversaries' RNG needs it too).  :func:`execute_cells`
 #: imports them once before the pool forks, so workers inherit them
-#: instead of each worker of each pool importing them again.
-_PRELOAD = ("repro.arrays.flat", "repro.runtime.render")
+#: instead of each worker of each pool importing them again.  (A
+#: worker records no events, so it never renders a payload.)
+_PRELOAD = ("repro.arrays.flat",)
 
 #: Target number of chunks handed to each worker.  More than one chunk
 #: per worker smooths load imbalance (cells differ in round counts);

@@ -18,13 +18,14 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.adversary.base import Adversary
+from repro.adversary.byzantine import AdversaryMaker
+# The gallery a sweep usually runs, importable from here as before.
+from repro.adversary.byzantine import (
+    standard_adversary_makers as standard_adversary_makers,
+)
 from repro.core.predicates import CorrectnessPredicate
 from repro.runtime.engine import ExecutionResult, ProcessFactory
 from repro.types import BOTTOM, ProcessId, SystemConfig, Value
-
-# Builds a fresh adversary for a fault set: (faulty_ids) -> Adversary.
-AdversaryMaker = Callable[[Sequence[ProcessId]], Adversary]
 
 # Judges one live execution where it ran: the violations it finds,
 # empty when the execution is fine.
@@ -186,26 +187,3 @@ def _predicate_judge(predicate: CorrectnessPredicate) -> Judge:
 
     return judge
 
-
-def standard_adversary_makers(
-    values: Sequence[Value] = (0, 1),
-) -> List[Tuple[str, AdversaryMaker]]:
-    """Fresh-instance makers for the whole Byzantine gallery."""
-    from repro.adversary import (
-        CollusionAdversary,
-        EquivocatingAdversary,
-        MalformedArrayAdversary,
-        RandomGarbageAdversary,
-        SilentAdversary,
-        VoteSplitterAdversary,
-    )
-
-    value_a, value_b = values[0], values[-1]
-    return [
-        ("silent", SilentAdversary),
-        ("garbage", lambda f: RandomGarbageAdversary(f, palette=list(values))),
-        ("equivocator", lambda f: EquivocatingAdversary(f, value_a, value_b)),
-        ("splitter", VoteSplitterAdversary),
-        ("malformed", MalformedArrayAdversary),
-        ("collusion", CollusionAdversary),
-    ]

@@ -142,7 +142,7 @@ class ArrayStore:
         self.sizes: Dict[Any, int] = {}
         # (leaf policy, node key_token) -> whether every distinct leaf
         # of the node satisfies the policy's predicate, shared by every
-        # processor and gate on this store (repro.fullinfo.protocol).
+        # processor and gate on this store (repro.fullinfo.gate).
         self.verdicts: Dict[Any, bool] = {}
         # The store's FlatTables mirror, attached lazily by
         # repro.arrays.flat.tables_for (typed Any: flat imports this

@@ -39,7 +39,7 @@ _Output = Union[str, Tuple[str, int]]
 EVENT_SCHEMA_VERSION = 3
 
 #: ``--adversary`` choices: the fault-free run, then the Byzantine
-#: gallery of :func:`repro.analysis.sweeps.standard_adversary_makers`
+#: gallery of :func:`repro.adversary.byzantine.standard_adversary_makers`
 #: by name (``tests/test_cold_start.py`` pins the two lists equal), so
 #: building the parser imports no strategy.
 ADVERSARY_CHOICES = (
@@ -54,7 +54,7 @@ def _adversary(name: str, faulty: List[int]) -> Any:
         from repro.adversary.base import PassiveAdversary
 
         return PassiveAdversary()
-    from repro.analysis.sweeps import standard_adversary_makers
+    from repro.adversary.byzantine import standard_adversary_makers
 
     return dict(standard_adversary_makers())[name](faulty)
 
@@ -377,7 +377,7 @@ def _command_run_ba(args) -> _Output:
 def _command_compare(args) -> _Output:
     from repro.analysis.compare import comparison_table, measured_comparison
     from repro.analysis.report import format_table
-    from repro.analysis.sweeps import standard_adversary_makers
+    from repro.adversary.byzantine import standard_adversary_makers
 
     output = format_table(
         comparison_table(args.t),

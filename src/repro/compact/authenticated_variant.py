@@ -56,7 +56,7 @@ from repro.fullinfo.decision import (
     check_eig_sweep_size,
     make_eig_decision_rule,
 )
-from repro.fullinfo.protocol import DecisionRule
+from repro.fullinfo.gate import DecisionRule
 from repro.runtime.crypto import SignatureOracle
 from repro.runtime.node import broadcast
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value

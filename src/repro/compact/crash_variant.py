@@ -48,7 +48,7 @@ from repro.arrays.value_array import is_index_scalar, unique_leaves
 from repro.compact.driver import BlockDriver
 from repro.compact.expansion import BindingExpansion
 from repro.errors import ProtocolViolation
-from repro.fullinfo.protocol import DecisionRule
+from repro.fullinfo.gate import DecisionRule
 from repro.runtime.node import broadcast
 from repro.types import (
     BOTTOM,

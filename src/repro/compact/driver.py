@@ -36,7 +36,7 @@ from typing import Any, Dict, Optional, Sequence
 from repro.compact.expansion import BindingExpansion
 from repro.core.rounds import BlockSchedule
 from repro.errors import ConfigurationError, ProtocolViolation
-from repro.fullinfo.protocol import DecisionRule
+from repro.fullinfo.gate import DecisionRule
 from repro.runtime.node import Process
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
 

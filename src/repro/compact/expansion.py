@@ -54,7 +54,7 @@ import repro.obs.core as _obs
 from repro.arrays.store import ArrayStore, InternedArray, TypedLeaf
 from repro.arrays.value_array import is_index_scalar
 from repro.errors import ProtocolViolation
-from repro.fullinfo.protocol import leaves_satisfy
+from repro.fullinfo.gate import leaves_satisfy
 from repro.types import BOTTOM, ProcessId, SystemConfig, Value, is_bottom
 
 

@@ -50,7 +50,7 @@ through the gates below.
 
 **What a round costs** is what changed in it (docs/perf.md, "The
 compact hot path").  "Correctly shaped" is the verdict of a
-:class:`repro.fullinfo.protocol.ReceiveGate` — canonical node or
+:class:`repro.fullinfo.gate.ReceiveGate` — canonical node or
 reject, one leaf scan per distinct node — over ``V`` in block 1 and
 over processor indices afterwards; "expandable" asks the expansion
 state whether every distinct leaf has an image, which builds nothing.
@@ -76,7 +76,7 @@ from repro.compact.expansion import ExpansionState
 from repro.compact.payload import CompactPayload
 from repro.compact.subprotocol import AgreementBatch, shared
 from repro.errors import ConfigurationError
-from repro.fullinfo.protocol import REJECT, DecisionRule, IndexGate, ReceiveGate
+from repro.fullinfo.gate import REJECT, DecisionRule, IndexGate, ReceiveGate
 from repro.runtime.node import broadcast
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
 

@@ -16,7 +16,7 @@ Following Lynch, Fischer and Fowler, a protocol ``P`` is described by
 :class:`AutomatonProtocol` is that description as an object.  It can
 be *run natively* on the synchronous runtime via
 :class:`AutomatonProcess`, *reconstructed* from full-information
-states via :func:`repro.fullinfo.decision.reconstruct_state`
+states via :func:`repro.fullinfo.protocol.reconstruct_state`
 (Theorem 2), or *transformed* into the communication-efficient
 canonical form via :mod:`repro.core.transform`.
 """

@@ -6,7 +6,7 @@ steps:
 
 1. **Theorem 2** — the full-information protocol simulates ``P`` with
    the identity scaling function and the recursive reconstruction
-   ``f_p`` of :func:`repro.fullinfo.decision.reconstruct_state`;
+   ``f_p`` of :func:`repro.fullinfo.protocol.reconstruct_state`;
    composing ``P``'s decision functions with ``f_p`` gives decision
    rules for the full-information protocol
    (:func:`full_information_form`).
@@ -32,8 +32,8 @@ from repro.compact.protocol import compact_factory
 from repro.core.automaton import AutomatonProtocol
 from repro.core.rounds import BlockSchedule, k_for_epsilon
 from repro.errors import ConfigurationError
-from repro.fullinfo.decision import DerivedDecisionRule
 from repro.fullinfo.protocol import (
+    DerivedDecisionRule,
     full_information_factory,
     full_information_sizer,
 )

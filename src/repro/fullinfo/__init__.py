@@ -8,29 +8,27 @@ exponentially large, which is exactly the cost the compact protocol
 removes.
 
 * :mod:`repro.fullinfo.protocol` — Protocol 1 on the runtime, its
-  automaton form, and the canonical-or-reject receive gate every
-  value-array consumer shares,
-* :mod:`repro.fullinfo.decision` — Theorem 2's recursive
-  reconstruction ``f_p`` (any protocol's state from a full-information
-  state) and the classic distinct-relay-chain Byzantine decision rule
-  that turns ``t + 1`` rounds of full information into Byzantine
-  agreement for ``n > 3t``.
+  automaton form, and Theorem 2's recursive reconstruction ``f_p``
+  (any protocol's state from a full-information state),
+* :mod:`repro.fullinfo.gate` — the canonical-or-reject receive gate
+  every value-array consumer shares,
+* :mod:`repro.fullinfo.decision` — the classic distinct-relay-chain
+  Byzantine decision rule that turns ``t + 1`` rounds of full
+  information into Byzantine agreement for ``n > 3t``.
 """
 
 from repro import _lazy_exports
 
 __getattr__, __dir__, __all__ = _lazy_exports(__name__, {
     "protocol": (
+        "DerivedDecisionRule",
         "FullInformationAutomaton",
         "FullInformationProcess",
-        "ReceiveGate",
         "full_information_factory",
-    ),
-    "decision": (
-        "DerivedDecisionRule",
-        "eig_byzantine_decision",
         "reconstruct_state",
     ),
+    "gate": ("ReceiveGate",),
+    "decision": ("eig_byzantine_decision",),
     "interactive": (
         "interactive_consistency_decision",
         "make_interactive_consistency_rule",

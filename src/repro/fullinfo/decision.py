@@ -1,25 +1,11 @@
-"""Decision rules over full-information states.
+"""The exponential Byzantine agreement decision rule over full-information states.
 
-Two constructions from the paper live here.
-
-**Theorem 2's simulation functions.**  :func:`reconstruct_state`
-computes ``f_p``: the state an arbitrary protocol ``P`` would have
-reached, from a full-information state alone::
-
-    f_p(s) = s                                          if s in V
-    f_p(s) = delta_p(mu_1p(f_1(s_1)), ..., mu_np(f_n(s_n)))  otherwise
-
-Composing a protocol's own decision function with ``f_p`` yields a
-decision rule for the (compact) full-information protocol that, by
-Theorem 1, inherits the original protocol's correctness predicate —
-that composition is :class:`DerivedDecisionRule`.
-
-**The exponential Byzantine agreement decision rule** (Corollary 10
-cites Lamport, Shostak and Pease [13]).  Applied to a depth-``t + 1``
-full-information state with ``n > 3t``, :func:`eig_byzantine_decision`
-performs the classic recursive strict-majority resolution over relay
-chains with *distinct* labels (repeat-label chains carry no extra
-power and are excluded, as in the standard EIG analysis):
+Corollary 10 cites Lamport, Shostak and Pease [13].  Applied to a
+depth-``t + 1`` full-information state with ``n > 3t``,
+:func:`eig_byzantine_decision` performs the classic recursive
+strict-majority resolution over relay chains with *distinct* labels
+(repeat-label chains carry no extra power and are excluded, as in the
+standard EIG analysis):
 
 * a full-length chain resolves to its recorded value,
 * an internal chain resolves to the strict majority of its one-relayer
@@ -59,91 +45,10 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tupl
 import repro.obs.core as _obs
 from repro.arrays.store import InternedArray
 from repro.arrays.value_array import array_depth, unique_leaves
-from repro.core.automaton import AutomatonProtocol
 from repro.errors import ProtocolViolation
 from repro.types import BOTTOM, ProcessId, Value
 
 Chain = Tuple[ProcessId, ...]
-
-
-def reconstruct_state(
-    protocol: AutomatonProtocol,
-    process_id: ProcessId,
-    state: Any,
-    _memo: Optional[Dict[Tuple[ProcessId, Any], Any]] = None,
-) -> Any:
-    """Theorem 2's ``f_p``: protocol ``P``'s state from full information.
-
-    ``state`` is a depth-``i`` value array; the result is the state
-    processor ``process_id`` would hold after ``i`` rounds of ``P`` in
-    the execution the array describes.  Shared subtrees are memoised —
-    without it the recursion revisits the same sub-array once per
-    occurrence, and full-information arrays are full of repeats.
-    """
-    if _memo is None:
-        _memo = {}
-    if not isinstance(state, tuple):
-        return state  # an element of V: an initial state
-    key: Tuple[ProcessId, Any]
-    try:
-        key = (process_id, state)
-        if key in _memo:
-            observer = _obs.ACTIVE
-            if observer is not None:
-                observer.count("fullinfo.reconstruct.hit")
-            return _memo[key]
-    except TypeError:  # unhashable leaf smuggled in; skip memoisation
-        key = None  # type: ignore[assignment]
-    messages = tuple(
-        protocol.message(
-            sender,
-            process_id,
-            reconstruct_state(protocol, sender, state[sender - 1], _memo),
-        )
-        for sender in protocol.config.process_ids
-    )
-    result = protocol.transition(process_id, messages)
-    if key is not None:
-        _memo[key] = result
-        observer = _obs.ACTIVE
-        if observer is not None:
-            observer.count("fullinfo.reconstruct.miss")
-    return result
-
-
-class DerivedDecisionRule:
-    """``gamma'_p(s) = gamma_p(f_p(s))`` — Theorem 1's decision functions.
-
-    A callable usable as the ``decision_rule`` of the full-information
-    and compact full-information processes.  ``horizon`` suppresses
-    evaluation before the round at which the simulated protocol is
-    known to decide (evaluating ``f_p`` is exponential, so it should
-    run as few times as possible).
-    """
-
-    def __init__(
-        self,
-        protocol: AutomatonProtocol,
-        horizon: Optional[int] = None,
-    ):
-        self.protocol = protocol
-        self.horizon = (
-            horizon if horizon is not None else protocol.rounds_to_decide
-        )
-        # Persistent across calls: a round-``r + 1`` state contains the
-        # round-``r`` states as sub-arrays (canonically shared nodes
-        # when interning is on), so reconstruction of a new round only
-        # pays for the top layer.  Sound because ``f_p`` is a pure
-        # function of (process, sub-array) for a fixed protocol.
-        self._memo: Dict[Tuple[ProcessId, Any], Any] = {}
-
-    def __call__(self, state: Any, simulated_round: int, process_id: ProcessId) -> Value:
-        if self.horizon is not None and simulated_round < self.horizon:
-            return BOTTOM
-        reconstructed = reconstruct_state(
-            self.protocol, process_id, state, self._memo
-        )
-        return self.protocol.decision(process_id, reconstructed)
 
 
 def eig_byzantine_decision(

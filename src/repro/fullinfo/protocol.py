@@ -15,168 +15,31 @@ replaced by the receiver's *own previous state*, which always has the
 right shape — the legitimacy of this substitution is exactly what
 Theorem 9's Case 3 argues (any well-shaped value array is a message
 the faulty processor could have sent).
+
+**Theorem 2's simulation functions.**  :func:`reconstruct_state`
+computes ``f_p``: the state an arbitrary protocol ``P`` would have
+reached, from a full-information state alone::
+
+    f_p(s) = s                                          if s in V
+    f_p(s) = delta_p(mu_1p(f_1(s_1)), ..., mu_np(f_n(s_n)))  otherwise
+
+Composing a protocol's own decision function with ``f_p`` yields a
+decision rule for the (compact) full-information protocol that, by
+Theorem 1, inherits the original protocol's correctness predicate —
+that composition is :class:`DerivedDecisionRule`.
 """
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import repro.obs.core as _obs
 from repro.arrays.encoding import MessageSizer
-from repro.arrays.store import ArrayStore, InternedArray, shared_store
-from repro.arrays.value_array import is_index_scalar
+from repro.arrays.store import shared_store
 from repro.core.automaton import AutomatonProtocol
+from repro.fullinfo.gate import REJECT, DecisionRule, ReceiveGate
 from repro.runtime.node import Process, broadcast
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
-
-#: Returned for a rejected message.  A sentinel rather than ``None``
-#: because ``None`` is a perfectly good alphabet value.
-REJECT = object()
-
-# A decision rule examines (state, simulated_round, process_id) and
-# returns a value or BOTTOM.
-DecisionRule = Callable[[Any, int, ProcessId], Value]
-
-#: Protoflow taint: the receive path runs every incoming message
-#: through a legality filter before it can enter STATE.
-TAINT_SANITIZERS = {
-    "ReceiveGate.admit": (
-        "exact depth, exact width n at every level, every leaf in the "
-        "alphabet V — anything else is REJECT, which callers replace "
-        "by the receiver's own previous state (Theorem 9 Case 3)"
-    ),
-}
-
-
-def _alphabet_predicate(alphabet: FrozenSet[Value]) -> Callable[[Any], bool]:
-    """``leaf in alphabet`` that answers ``False`` for unhashable junk."""
-
-    def leaf_ok(leaf: Any) -> bool:
-        try:
-            return leaf in alphabet
-        except TypeError:  # unhashable leaf from a Byzantine sender
-            return False
-
-    return leaf_ok
-
-
-def leaves_satisfy(
-    node: InternedArray,
-    policy: Tuple[str, Any],
-    leaf_ok: Callable[[Any], bool],
-) -> bool:
-    """Whether every leaf of the canonical ``node`` satisfies ``leaf_ok``.
-
-    ``policy`` names the (immutable) predicate — ``("alphabet",
-    frozenset(V))`` or ``("indices", n)`` — and keys the verdict in
-    :attr:`~repro.arrays.store.ArrayStore.verdicts`, so a node is
-    vetted once per store, whichever processor, gate or expansion
-    asks; a subtree vetted at round ``r`` is the *same node* inside
-    round ``r + 1`` states.  Exact: a leaf predicate's verdict depends
-    only on the leaf, so scanning ``leaves_unique`` is equivalent to
-    scanning all ``n ** depth`` occurrences.  Negative verdicts are
-    kept too: neither predicate ever changes.
-    """
-    verdicts = node.store.verdicts
-    key = (policy, node.key_token)
-    verdict = verdicts.get(key)
-    counter = "fullinfo.legality.hit"
-    if verdict is None:
-        verdict = verdicts[key] = all(
-            leaf_ok(leaf) for _, leaf in node.leaves_unique
-        )
-        counter = "fullinfo.legality.miss"
-    observer = _obs.ACTIVE
-    if observer is not None:
-        observer.count(counter)
-    return verdict
-
-
-class ReceiveGate:
-    """Step 2 of Protocol 1 on the array kernel: canonical node or reject.
-
-    Every consumer of Section 5.1 value arrays asks the same question
-    once per incoming message: is this a depth-``r - 1`` ``n``-ary
-    array over the alphabet ``V`` — and if so, which canonical node of
-    the shared :class:`~repro.arrays.store.ArrayStore` is it?
-    :meth:`admit` answers in O(new nodes): a message that is already
-    canonical (the broadcast common case: its sender interned it last
-    round) costs one depth read and one :func:`leaves_satisfy` hit; a
-    plain tuple from an adversary pays one depth-bounded intern walk —
-    shape validation included — and joins the fast path wherever it is
-    replayed.  Hostile input never raises: scalars, ragged or
-    wrong-``n`` levels, unhashable leaves and nesting deeper than
-    expected are all :data:`REJECT`.
-
-    A gate is a store and a leaf policy, nothing per receiver:
-    :class:`FullInformationProcess` holds one,
-    :class:`repro.agreement.firing_squad.FiringSquadProcess` shares one
-    across its live EIG instances, and
-    :class:`repro.compact.protocol.CompactProcess` holds one over ``V``
-    for block 1 and an :class:`IndexGate` for the index arrays of later
-    blocks.
-    """
-
-    def __init__(self, store: ArrayStore, alphabet: Iterable[Value]):
-        legal = frozenset(alphabet)
-        self._bind(store, ("alphabet", legal), _alphabet_predicate(legal))
-
-    def _bind(
-        self,
-        store: ArrayStore,
-        policy: Tuple[str, Any],
-        leaf_ok: Callable[[Any], bool],
-    ) -> None:
-        self.store = store
-        self.policy = policy
-        self.leaf_ok = leaf_ok
-
-    def admit(self, message: Any, expected_depth: int) -> Any:
-        """The interned legal ``message``, or :data:`REJECT`."""
-        if expected_depth == 0:
-            # Depth-0 arrays are bare legal scalars.
-            if isinstance(message, tuple) or not self.leaf_ok(message):
-                return REJECT
-            return message
-        store = self.store
-        if type(message) is InternedArray and message.store is store:
-            node = message
-        else:
-            maybe = store.try_intern(message, expected_depth)
-            if maybe is None:
-                return REJECT  # scalar, ragged, wrong-n, deep or unhashable
-            node = maybe
-        if node.depth != expected_depth:
-            return REJECT
-        if not leaves_satisfy(node, self.policy, self.leaf_ok):
-            return REJECT
-        return node
-
-
-class IndexGate(ReceiveGate):
-    """A :class:`ReceiveGate` whose legal leaves are the ids ``1..n``.
-
-    For the index arrays of the compact protocol's later blocks.  The
-    leaf test is the *predicate*
-    :func:`~repro.arrays.value_array.is_index_scalar`, not membership
-    in ``{1, ..., n}``: ``True`` and ``2.0`` equal (and hash like) the
-    ids ``1`` and ``2`` but are not index scalars.
-    """
-
-    def __init__(self, store: ArrayStore):
-        n = store.n
-        self._bind(
-            store, ("indices", n), lambda leaf: is_index_scalar(leaf, n)
-        )
 
 
 class FullInformationProcess(Process):
@@ -277,12 +140,92 @@ def full_information_sizer(value_alphabet_size: int, n: int) -> Callable[[Any], 
     return sizer.measure_value_array
 
 
+def reconstruct_state(
+    protocol: AutomatonProtocol,
+    process_id: ProcessId,
+    state: Any,
+    _memo: Optional[Dict[Tuple[ProcessId, Any], Any]] = None,
+) -> Any:
+    """Theorem 2's ``f_p``: protocol ``P``'s state from full information.
+
+    ``state`` is a depth-``i`` value array; the result is the state
+    processor ``process_id`` would hold after ``i`` rounds of ``P`` in
+    the execution the array describes.  Shared subtrees are memoised —
+    without it the recursion revisits the same sub-array once per
+    occurrence, and full-information arrays are full of repeats.
+    """
+    if _memo is None:
+        _memo = {}
+    if not isinstance(state, tuple):
+        return state  # an element of V: an initial state
+    key: Tuple[ProcessId, Any]
+    try:
+        key = (process_id, state)
+        if key in _memo:
+            observer = _obs.ACTIVE
+            if observer is not None:
+                observer.count("fullinfo.reconstruct.hit")
+            return _memo[key]
+    except TypeError:  # unhashable leaf smuggled in; skip memoisation
+        key = None  # type: ignore[assignment]
+    messages = tuple(
+        protocol.message(
+            sender,
+            process_id,
+            reconstruct_state(protocol, sender, state[sender - 1], _memo),
+        )
+        for sender in protocol.config.process_ids
+    )
+    result = protocol.transition(process_id, messages)
+    if key is not None:
+        _memo[key] = result
+        observer = _obs.ACTIVE
+        if observer is not None:
+            observer.count("fullinfo.reconstruct.miss")
+    return result
+
+
+class DerivedDecisionRule:
+    """``gamma'_p(s) = gamma_p(f_p(s))`` — Theorem 1's decision functions.
+
+    A callable usable as the ``decision_rule`` of the full-information
+    and compact full-information processes.  ``horizon`` suppresses
+    evaluation before the round at which the simulated protocol is
+    known to decide (evaluating ``f_p`` is exponential, so it should
+    run as few times as possible).
+    """
+
+    def __init__(
+        self,
+        protocol: AutomatonProtocol,
+        horizon: Optional[int] = None,
+    ):
+        self.protocol = protocol
+        self.horizon = (
+            horizon if horizon is not None else protocol.rounds_to_decide
+        )
+        # Persistent across calls: a round-``r + 1`` state contains the
+        # round-``r`` states as sub-arrays (canonically shared nodes
+        # when interning is on), so reconstruction of a new round only
+        # pays for the top layer.  Sound because ``f_p`` is a pure
+        # function of (process, sub-array) for a fixed protocol.
+        self._memo: Dict[Tuple[ProcessId, Any], Any] = {}
+
+    def __call__(self, state: Any, simulated_round: int, process_id: ProcessId) -> Value:
+        if self.horizon is not None and simulated_round < self.horizon:
+            return BOTTOM
+        reconstructed = reconstruct_state(
+            self.protocol, process_id, state, self._memo
+        )
+        return self.protocol.decision(process_id, reconstructed)
+
+
 class FullInformationAutomaton(AutomatonProtocol):
     """Protocol 1 in the Section 3.1 automaton formalism.
 
     Used by the Theorem 2 tests: the identity scaling function and the
-    recursive ``f_p`` of :func:`repro.fullinfo.decision.reconstruct_state`
-    witness that this protocol simulates any consensus protocol.
+    recursive ``f_p`` of :func:`reconstruct_state` witness that this
+    protocol simulates any consensus protocol.
     """
 
     def __init__(
@@ -295,7 +238,6 @@ class FullInformationAutomaton(AutomatonProtocol):
         super().__init__(config, input_values)
         self._decision_rule = decision_rule
         self._horizon = horizon
-        self._rounds_seen: Dict[int, int] = {}
 
     def message(self, sender: ProcessId, receiver: ProcessId, state: Any) -> Any:
         return state  # broadcast the entire state

@@ -27,10 +27,9 @@ from __future__ import annotations
 
 import contextlib
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Tuple, Union,
+    TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Tuple, Union,
 )
 
-from repro.obs.events import EventLog, json_safe
 from repro.obs.registry import InstrumentRegistry
 from repro.obs.spans import (
     NULL_SPAN,
@@ -39,6 +38,10 @@ from repro.obs.spans import (
     SpanHandle,
     SpanProfile,
 )
+
+if TYPE_CHECKING:
+    # Only a caller that records events builds a log, and so loads it.
+    from repro.obs.events import EventLog
 
 # The activation entry points necessarily publish through a module
 # global: hot paths (one check per delivered message / interned node)
@@ -283,7 +286,6 @@ __all__ = [
     "Observer",
     "activate",
     "deactivate",
-    "json_safe",
     "observing",
     "span",
 ]

@@ -48,8 +48,8 @@ def status_from_records(
 
     ``skipped`` names lines the loader could not parse; a record that
     fails :func:`~repro.obs.events.validate_record`, or whose ``step``
-    does not advance the log's logical clock, is named beside them and
-    not read.
+    does not advance the log's logical clock, is named beside them with
+    every problem found, and not read.
     """
     degraded = list(skipped)
     valid = 0
@@ -77,7 +77,7 @@ def status_from_records(
                 ]
             last_step = step
         if problems:
-            degraded.append(f"record {index}: {problems[0]}")
+            degraded.append(f"record {index}: " + ", ".join(problems))
             continue
         valid += 1
         kind = record["kind"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional, Tuple
 
 import repro.obs.core as _obs
 from repro.adversary.base import Adversary, PassiveAdversary
@@ -21,8 +21,10 @@ from repro.runtime.metrics import MessageMetrics
 from repro.runtime.network import SynchronousNetwork
 from repro.runtime.node import Process
 from repro.runtime.rng import derive_rng
-from repro.runtime.trace import ExecutionTrace
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
+
+if TYPE_CHECKING:
+    from repro.runtime.trace import ExecutionTrace
 
 # Builds one correct processor: (process_id, config, input_value) -> Process.
 ProcessFactory = Callable[[ProcessId, SystemConfig, Value], Process]
@@ -143,7 +145,11 @@ def run_protocol(
         if process_id not in adversary.faulty_ids
     }
 
-    trace = ExecutionTrace() if record_trace else None
+    trace: Optional[ExecutionTrace] = None
+    if record_trace:
+        from repro.runtime.trace import ExecutionTrace
+
+        trace = ExecutionTrace()
     network = SynchronousNetwork(
         config=config,
         processes=processes,

@@ -38,7 +38,9 @@ or a trace is attached to read them, and so is the round's one
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Set, Tuple,
+)
 
 import repro.obs.core as _obs
 from repro.adversary.base import Adversary, RoundContext
@@ -46,12 +48,13 @@ from repro.errors import ConfigurationError
 from repro.arrays.store import InternedArray
 from repro.arrays.value_array import fold_tree
 from repro.obs.core import Observer
-from repro.obs.events import EventLog, json_safe
-from repro.runtime.message import Envelope
 from repro.runtime.metrics import MessageMetrics
 from repro.runtime.node import Broadcast, Process
-from repro.runtime.trace import ExecutionTrace
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
+
+if TYPE_CHECKING:
+    from repro.obs.events import EventLog
+    from repro.runtime.trace import ExecutionTrace
 
 
 # The size-memo counters: per-round identity memo, cross-round interned memo.
@@ -124,6 +127,26 @@ def _fixed_default_size(message: Any) -> Tuple[int, bool]:
     return bits, bool(kinds) and kinds <= _FIXED_CONTAINERS
 
 
+def _json_safe(value: Any) -> Any:
+    """:func:`repro.obs.events.json_safe`: only an events run needs it,
+    so the first call loads it and rebinds this name to it."""
+    global _json_safe
+    from repro.obs.events import json_safe
+
+    _json_safe = json_safe
+    return json_safe(value)
+
+
+def _summarise(payload: Any) -> str:
+    """:func:`repro.runtime.render.summarise_payload`, loaded and bound
+    here by the first faulty ``send`` tail (render imports us)."""
+    global _summarise
+    from repro.runtime.render import summarise_payload
+
+    _summarise = summarise_payload
+    return summarise_payload(payload)
+
+
 class SynchronousNetwork:
     """Drives rounds over a set of correct processes plus an adversary."""
 
@@ -189,12 +212,11 @@ class SynchronousNetwork:
         self._fixed_tails: Dict[int, Tuple[Any, Any]] = {}
         self._round_tails: Dict[int, Tuple[Any, Any]] = {}
         self._tails_sink: Optional[EventLog] = None
-        # The payload summariser of faulty `send` entries, bound once
-        # per network.  Imported here rather than at module
-        # level because render imports the engine, which imports us.
-        from repro.runtime.render import summarise_payload
+        if trace is not None:
+            # Loaded once per traced network, not per delivery.
+            from repro.runtime.message import Envelope
 
-        self._summarise = summarise_payload
+            self._envelope = Envelope
 
     def run_round(self) -> Round:
         """Execute one full round; returns its (1-based) number."""
@@ -313,7 +335,7 @@ class SynchronousNetwork:
                 if process.decision_round == round_number:
                     observer.emit(
                         "decide", process=receiver,
-                        value=json_safe(process.decision),
+                        value=_json_safe(process.decision),
                     )
 
     def _measured(
@@ -428,7 +450,7 @@ class SynchronousNetwork:
         entry = self._fixed_tails.get(key) or self._round_tails.get(key)
         if entry is None:
             bits, fixed = _fixed_default_size(payload)
-            entry = (payload, sink.tail(bits, True, self._summarise(payload)))
+            entry = (payload, sink.tail(bits, True, _summarise(payload)))
             (self._fixed_tails if fixed else self._round_tails)[key] = entry
         return entry[1]
 
@@ -456,7 +478,7 @@ class SynchronousNetwork:
             for receiver in self.config.process_ids:
                 if receiver in self.processes:
                     trace.record_envelope(
-                        Envelope(sender, receiver, round_number, message)
+                        self._envelope(sender, receiver, round_number, message)
                     )
         if sink is None:
             return None
@@ -523,7 +545,7 @@ class SynchronousNetwork:
                 )
             if incoming is not None and trace is not None:
                 trace.record_envelope(
-                    Envelope(sender, receiver, round_number, payload)
+                    self._envelope(sender, receiver, round_number, payload)
                 )
         # An all-bottom burst creates no metric rows: rounds_used
         # counts only rounds with recorded traffic.

@@ -6,13 +6,12 @@ Substreams are derived with :func:`derive_rng` so that, e.g., the
 adversary's stream is independent of a protocol's stream yet both are
 fixed by the top-level seed.
 
-numpy is imported on the first call, not with this module, so a run
-that draws nothing never loads it.
+numpy (and, for :func:`derive_rng`, hashlib) is imported on the first
+call, not with this module, so a run that draws nothing never loads it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
@@ -46,6 +45,8 @@ def derive_rng(seed: Seedish, *keys: object) -> np.random.Generator:
     given a generator rather than an int, a stable base is first drawn
     from it — callers who need exact replay should pass ints.
     """
+    import hashlib
+
     import numpy as np
 
     if isinstance(seed, np.random.Generator):

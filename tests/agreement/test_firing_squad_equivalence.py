@@ -1,7 +1,7 @@
 """The kernel firing squad against the plain-tuple oracle.
 
 ``FiringSquadProcess`` validates through the shared
-:class:`~repro.fullinfo.protocol.ReceiveGate` and keeps interned states;
+:class:`~repro.fullinfo.gate.ReceiveGate` and keeps interned states;
 ``tests/agreement/reference_firing_squad.py`` keeps the recursive
 plain-tuple loop it replaced.  Moving to the kernel must be invisible:
 same payloads on the wire, same metered bits, same instance states

@@ -19,7 +19,7 @@ from repro.arrays.store import (
     shared_store_stats,
 )
 from repro.arrays.value_array import fold_tree, is_index_scalar
-from repro.fullinfo.protocol import IndexGate, ReceiveGate, leaves_satisfy
+from repro.fullinfo.gate import IndexGate, ReceiveGate, leaves_satisfy
 from repro.obs.core import Observer, observing
 from repro.types import BOTTOM
 

@@ -7,6 +7,10 @@ signing adversary that equivocates *with valid signatures* — the
 attack the content-addressing exists for.
 """
 
+import contextlib
+import faulthandler
+import signal
+
 import pytest
 
 from repro.adversary import SilentAdversary
@@ -23,6 +27,30 @@ from repro.runtime.engine import run_protocol
 from repro.types import BOTTOM, SystemConfig
 
 from tests.conftest import assert_agreement_and_validity, nested_tuple
+
+
+@contextlib.contextmanager
+def time_bound(seconds, capsys):
+    """Fail, rather than hang, if the body runs past ``seconds`` of wall
+    time.
+
+    A walk over a hostile shared DAG does not raise, it never returns,
+    and it may never leave one C call (hashing a nested tuple), where
+    no Python-level handler runs.  So the alarm keeps its default
+    action and ends the process, after faulthandler has printed the
+    stack (capture is off, so the stack reaches the terminal): the run
+    fails at the bound, naming this test.
+    """
+    with capsys.disabled():
+        previous = signal.signal(signal.SIGALRM, signal.SIG_DFL)
+        faulthandler.register(signal.SIGALRM, all_threads=False, chain=True)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            faulthandler.unregister(signal.SIGALRM)
+            signal.signal(signal.SIGALRM, previous)
 
 
 def run_auth(config, inputs, k, oracle=None, adversary=None, seed=0,
@@ -155,14 +183,17 @@ class TestByzantineResilience:
             assert not process.expansion.has((2, 1, digest_of(fake_core)))
 
     @pytest.mark.parametrize("k", [1, 2])
-    def test_deep_core_rejected_before_anything_walks_it(self, config7, k):
+    def test_deep_core_rejected_before_anything_walks_it(
+        self, config7, k, capsys
+    ):
         """The depth-bounded shape test comes first: hashing or
         comparing the payload would raise ``RecursionError`` out of
         every correct processor's ``receive``."""
         inputs = {p: p % 2 for p in config7.process_ids}
-        result = run_auth(
-            config7, inputs, k=k, adversary=DeepCoreAdversary([2, 5])
-        )
+        with time_bound(20, capsys):
+            result = run_auth(
+                config7, inputs, k=k, adversary=DeepCoreAdversary([2, 5])
+            )
         assert_agreement_and_validity(result, inputs)
         assert result.rounds == config7.t + 1
         # Nobody learned a binding from the attackers: every reference

@@ -14,7 +14,7 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro.arrays import value_array
 from repro.fullinfo.decision import make_eig_decision_rule
-from repro.fullinfo.protocol import DecisionRule
+from repro.fullinfo.gate import DecisionRule
 from repro.runtime.node import Process, broadcast
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
 

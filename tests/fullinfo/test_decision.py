@@ -5,13 +5,12 @@ import pytest
 from repro.adversary import CollusionAdversary, EquivocatingAdversary
 from repro.core.automaton import AutomatonProtocol
 from repro.errors import ProtocolViolation
-from repro.fullinfo.decision import (
+from repro.fullinfo.decision import eig_byzantine_decision, make_eig_decision_rule
+from repro.fullinfo.protocol import (
     DerivedDecisionRule,
-    eig_byzantine_decision,
-    make_eig_decision_rule,
+    full_information_factory,
     reconstruct_state,
 )
-from repro.fullinfo.protocol import full_information_factory
 from repro.runtime.engine import run_protocol
 from repro.types import BOTTOM
 

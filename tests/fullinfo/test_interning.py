@@ -20,11 +20,9 @@ from repro.analysis.sweeps import standard_adversary_makers, sweep
 from repro.arrays import value_array
 from repro.arrays.store import clear_shared_stores, shared_store
 from repro.core.predicates import byzantine_agreement_predicate
-from repro.fullinfo.decision import (
-    DerivedDecisionRule,
-    eig_byzantine_decision,
-)
+from repro.fullinfo.decision import eig_byzantine_decision
 from repro.fullinfo.protocol import (
+    DerivedDecisionRule,
     FullInformationAutomaton,
     full_information_factory,
     full_information_sizer,

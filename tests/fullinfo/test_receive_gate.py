@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arrays.store import ArrayStore, InternedArray
 from repro.arrays.value_array import is_index_scalar, validate_array
-from repro.fullinfo.protocol import REJECT, IndexGate, ReceiveGate
+from repro.fullinfo.gate import REJECT, IndexGate, ReceiveGate
 from repro.types import BOTTOM
 
 N = 3

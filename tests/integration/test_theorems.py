@@ -16,8 +16,7 @@ from repro.agreement.eig_agreement import ExponentialAgreementAutomaton
 from repro.core.automaton import automaton_factory
 from repro.core.predicates import byzantine_agreement_predicate
 from repro.core.transform import canonical_form, full_information_form
-from repro.fullinfo.decision import reconstruct_state
-from repro.fullinfo.protocol import full_information_factory
+from repro.fullinfo.protocol import full_information_factory, reconstruct_state
 from repro.runtime.engine import run_protocol
 from repro.types import BOTTOM
 

@@ -317,6 +317,15 @@ class TestValidateRecords:
         problems = status_from_records([_record(kind="nope")])["degraded"]
         assert problems[0].startswith("record 0:")
 
+    def test_every_problem_of_a_record_is_named(self):
+        (problem,) = status_from_records(
+            [_record(kind="telemetry", v=1)]
+        )["degraded"]
+        assert problem == (
+            f"record 0: schema version 1 != {SCHEMA_VERSION}, "
+            "unknown event kind 'telemetry'"
+        )
+
 
 class TestReadJsonl:
     """One line parser, two sides: ``read_log`` raises at the first bad

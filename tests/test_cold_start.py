@@ -20,12 +20,13 @@ import textwrap
 import pytest
 
 import repro
-from repro.analysis.sweeps import standard_adversary_makers
+from repro.adversary.byzantine import standard_adversary_makers
 from repro.cli import ADVERSARY_CHOICES
 
-#: Run ``python -m repro ARGV``, then report the modules it loaded.
+#: Run ``python -m repro ARGV``, then report the modules it loaded —
+#: listed before the report's own ``json`` import.
 _PROBE = textwrap.dedent("""
-    import json, runpy, sys
+    import runpy, sys
     sys.argv = ["repro"] + sys.argv[1:]
     try:
         runpy.run_module("repro", run_name="__main__", alter_sys=True)
@@ -33,15 +34,38 @@ _PROBE = textwrap.dedent("""
         code = stop.code
     else:
         code = 0
-    print(json.dumps({"code": code, "modules": sorted(sys.modules)}))
+    modules = sorted(sys.modules)
+    import json
+    print(json.dumps({"code": code, "modules": modules}))
 """)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+#: The most ``repro`` source lines ``run-ba --t 1`` may load (7,208 when
+#: set, 8,778 before the event log, renderer, trace, gallery table and
+#: automaton code left its path): a new module-level import that drags
+#: a large module back onto the cold path fails here.
+RUN_BA_LINE_CEILING = 7300
+
+
+def source_lines(modules):
+    """Lines of source the ``repro`` modules among ``modules`` hold."""
+    total = 0
+    for name in modules:
+        if name.split(".")[0] != "repro":
+            continue
+        path = os.path.join(SRC, *name.split("."))
+        if os.path.isdir(path):
+            path = os.path.join(path, "__init__")
+        with open(path + ".py", encoding="utf-8") as handle:
+            total += len(handle.read().splitlines())
+    return total
 
 
 def cold_modules(*argv):
     """``(stdout lines, loaded modules)`` of ``python -m repro *argv``."""
     env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     done = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv],
         env=env, capture_output=True, text=True, timeout=120, check=True,
@@ -65,8 +89,18 @@ def test_run_ba_loads_no_numpy_and_no_unused_package():
         "repro.statics",
         "repro.obs.export",
         "repro.obs.rollup",
+        "repro.obs.events",
+        "repro.runtime.render",
+        "repro.runtime.trace",
+        "repro.runtime.message",
+        "repro.analysis",
+        "repro.core.predicates",
+        "repro.core.automaton",
+        "hashlib",
+        "json",
     }
     assert modules & unused == set()
+    assert source_lines(modules) <= RUN_BA_LINE_CEILING
 
 
 def test_help_imports_no_protocol_package():
