@@ -17,9 +17,10 @@ spans.  Activate one for a region with::
     with observing(Observer(events=EventLog(path))) as obs:
         run_protocol(...)
 
-Pool workers must never record into a fork-inherited observer (their
-events would be lost or interleaved), so the sweep executor clears
-:data:`ACTIVE` first thing in each forked worker — pooled runs record
+A forked sweep worker must never record into an inherited observer
+(its events would be lost or interleaved), so the sweep executor
+clears :data:`ACTIVE` before it forks and keeps it clear while any
+chunk runs, the parent's own included — pooled runs record
 executor-level instrumentation only.
 """
 
@@ -50,8 +51,8 @@ if TYPE_CHECKING:
 # expansion caches).  Observation never feeds back into protocol
 # behaviour, so the shared state is invisible to every replay theorem.
 # ``activate`` publishes the observer through the ``ACTIVE`` global;
-# ``deactivate`` clears it, so forked pool workers and finished CLI
-# runs can drop the inherited observer.
+# ``deactivate`` clears it, so a pooled sweep and a finished CLI run
+# can drop the active observer.
 
 
 class Observer:

@@ -1,9 +1,10 @@
 """The parallel sweep executor: determinism, portability, degradation."""
 
-import itertools
+import os
 import pickle
+import select
+import signal
 import warnings
-from concurrent.futures import Future
 
 import pytest
 
@@ -125,18 +126,39 @@ class LambdaDecider(Process):
         self.decide(("value", unpicklable), round_number)
 
 
-class InertPool:
-    """A ``ProcessPoolExecutor`` stand-in that starts nothing; tests
-    subclass it with the ``submit`` they need."""
+def fake_chunks(monkeypatch, pid_of):
+    """Run no cell: in this process and every child it forks, a chunk
+    returns one ``"an outcome"`` blob per cell, 0.25 s busy, reported
+    by pid ``pid_of(index of the chunk's first cell)``."""
+    blob = pickle.dumps("an outcome")
 
-    def __init__(self, *args, **kwargs):
-        pass
+    def run_chunk(context, cells, observed):
+        return [blob] * len(cells), pid_of(cells[0].index), 0.25, {}
 
-    def __enter__(self):
-        return self
+    monkeypatch.setattr(parallel, "_run_chunk", run_chunk)
 
-    def __exit__(self, *exc):
-        return False
+
+def assert_no_child():
+    """Every child the sweep forked is reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def tiny_context(config):
+    return SweepContext(
+        factory=avalanche_factory(), config=config,
+        adversary_makers=tuple(standard_adversary_makers()[:1]),
+        judge=None, max_rounds=3, run_full_rounds=None,
+        sizer=None, is_null=None,
+    )
+
+
+def tiny_cells(count):
+    return [
+        SweepCell(index=i, inputs={}, faulty=(), adversary_name="x",
+                  adversary_index=0, seed=0)
+        for i in range(count)
+    ]
 
 
 def one_cell_grid(config, faulty):
@@ -173,7 +195,7 @@ class TestWireForm:
                             factory, config4, workers=workers, seeds=(0, 1),
                             max_rounds=2, **one_cell_grid(config4, (4,)),
                         )
-            assert parallel._WORKER_CONTEXT is None
+            assert_no_child()
             return (
                 caught.type,
                 observer.registry.counter("sweep.pool.degraded"),
@@ -207,34 +229,17 @@ class TestPoolTelemetry:
     def test_a_worker_has_one_slot_in_every_record(
         self, config4, monkeypatch, events
     ):
-        """Slots follow collection order; pid order never shows."""
-        blob = pickle.dumps("an outcome")
-        pids = itertools.cycle([900, 800])
-
-        class FakePool(InertPool):
-            def submit(self, function, chunk):
-                future = Future()
-                future.set_result(
-                    ([blob] * len(chunk), next(pids), 0.25, {})
-                )
-                return future
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
-        context = SweepContext(
-            factory=avalanche_factory(), config=config4,
-            adversary_makers=tuple(standard_adversary_makers()[:1]),
-            judge=None, max_rounds=3, run_full_rounds=None,
-            sizer=None, is_null=None,
-        )
-        cells = [
-            SweepCell(index=i, inputs={}, faulty=(), adversary_name="x",
-                      adversary_index=0, seed=0)
-            for i in range(5)
-        ]  # one per chunk at workers=2: pids 900, 800, 900, 800, 900
+        """Slots follow chunk order; pid order never shows."""
+        fake_chunks(monkeypatch, lambda first: 800 if first % 2 else 900)
+        cells = tiny_cells(5)
+        # one per chunk at workers=2: pids 900, 800, 900, 800, 900
         log = EventLog()
         with observing(Observer(events=log if events else None)) as observer:
-            outcomes = parallel.execute_cells(context, cells, workers=2)
+            outcomes = parallel.execute_cells(
+                tiny_context(config4), cells, workers=2
+            )
         assert outcomes == ["an outcome"] * 5
+        assert_no_child()
         gauges = observer.registry.gauges()
         assert gauges["pool.worker.0.cells"] == 3  # pid 900, collected first
         assert gauges["pool.worker.1.cells"] == 2
@@ -326,12 +331,7 @@ class TestGracefulDegradation:
     def test_no_fork_degrades_to_serial_with_warning(
         self, config4, monkeypatch
     ):
-        def no_fork(method):
-            raise ValueError("fork not available")
-
-        monkeypatch.setattr(
-            parallel.multiprocessing, "get_context", no_fork
-        )
+        monkeypatch.delattr(os, "fork")
         factory = compact_ba_factory(config4, [0, 1], default=0, k=1)
         grid = compact_grid(config4)
         with observing(Observer()) as observer:
@@ -344,13 +344,10 @@ class TestGracefulDegradation:
     def test_broken_pool_degrades_to_serial_with_warning(
         self, config4, monkeypatch
     ):
-        class ExplodingPool(InertPool):
-            def submit(self, *args, **kwargs):
-                raise OSError("cannot spawn worker")
+        def exploding_fork():
+            raise OSError("cannot spawn worker")
 
-        monkeypatch.setattr(
-            parallel, "ProcessPoolExecutor", ExplodingPool
-        )
+        monkeypatch.setattr(os, "fork", exploding_fork)
         factory = compact_ba_factory(config4, [0, 1], default=0, k=1)
         grid = compact_grid(config4)
         with observing(Observer()) as observer:
@@ -359,7 +356,7 @@ class TestGracefulDegradation:
         assert observer.registry.counter("sweep.pool.degraded") == 1
         reference = sweep(factory, config4, workers=1, **grid)
         assert pickle.dumps(degraded) == pickle.dumps(reference)
-        assert parallel._WORKER_CONTEXT is None  # always cleaned up
+        assert_no_child()  # always cleaned up
 
     def test_protocol_errors_are_not_masked(self, config4):
         def exploding_factory(process_id, config, value):
@@ -381,3 +378,77 @@ class TestGracefulDegradation:
         )
         with pytest.raises(RuntimeError, match="factory exploded"):
             parallel.execute_cells(context, cells, workers=1)
+
+
+class CellExploded(Exception):
+    """Raised by a cell; module-level, so a child can pickle it home."""
+
+
+def child_hook_factory(config, pipe, action):
+    """A compact-BA factory that, in a forked child, tells the parent on
+    ``pipe`` and then runs ``action``; the parent's first call waits up
+    to 30 s for that word, so some child always holds a chunk."""
+    parent = os.getpid()
+    heard, told = pipe
+    waited = []
+    inner = compact_ba_factory(config, [0, 1], default=0, k=1)
+
+    def factory(process_id, config, value):
+        if os.getpid() != parent:
+            os.write(told, b"!")
+            action()
+        elif not waited:
+            waited.append(select.select([heard], [], [], 30.0))
+        return inner(process_id, config, value)
+
+    return factory
+
+
+@pytest.fixture
+def pipe():
+    ends = os.pipe()
+    yield ends
+    for end in ends:
+        os.close(end)
+
+
+class TestFaultInjection:
+    def test_a_child_killed_mid_chunk_degrades_to_serial(
+        self, config4, pipe
+    ):
+        def die():
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        factory = child_hook_factory(config4, pipe, die)
+        grid = compact_grid(config4)
+        with observing(Observer()) as observer:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                degraded = sweep(factory, config4, workers=2, **grid)
+        assert [str(w.message) for w in caught] == [
+            "parallel sweep degraded to serial execution: "
+            "a sweep worker died before returning its chunk"
+        ]
+        assert caught[0].category is RuntimeWarning
+        assert observer.registry.counter("sweep.pool.degraded") == 1
+        assert_no_child()
+        reference = sweep(factory, config4, workers=1, **grid)
+        assert pickle.dumps(degraded) == pickle.dumps(reference)
+
+    def test_a_cell_raising_in_a_child_raises_its_serial_type(
+        self, config4, pipe
+    ):
+        def explode():
+            raise CellExploded("a cell raised in a child")
+
+        grid = compact_grid(config4)
+        with pytest.raises(CellExploded):
+            sweep(
+                lambda *args: explode(), config4, workers=1, **grid
+            )
+        factory = child_hook_factory(config4, pipe, explode)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CellExploded, match="in a child"):
+                sweep(factory, config4, workers=2, **grid)
+        assert_no_child()

@@ -2,15 +2,12 @@
 
 import json
 import os
-import pickle
 import subprocess
 import sys
-from concurrent.futures import Future
 
 import pytest
 
 from repro.analysis import parallel
-from repro.analysis.parallel import SweepCell, SweepContext
 from repro.analysis.sweeps import standard_adversary_makers, sweep
 from repro.avalanche.protocol import avalanche_factory
 from repro.fuzz.campaign import CampaignSettings, replay_case, run_campaign
@@ -25,7 +22,12 @@ from repro.obs import (
 )
 from repro.obs.events import SCHEMA_VERSION
 
-from tests.analysis.test_parallel import InertPool
+from tests.analysis.test_parallel import (
+    assert_no_child,
+    fake_chunks,
+    tiny_cells,
+    tiny_context,
+)
 
 
 def pooled_sweep_log(config4, close=True):
@@ -115,29 +117,12 @@ class TestStatus:
         self, config4, monkeypatch
     ):
         """A two-worker plan whose second worker never collects a chunk."""
-        blob = pickle.dumps("an outcome")
-
-        class OneWorkerPool(InertPool):
-            def submit(self, function, chunk):
-                future = Future()
-                future.set_result(([blob] * len(chunk), 900, 0.25, {}))
-                return future
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", OneWorkerPool)
-        context = SweepContext(
-            factory=avalanche_factory(), config=config4,
-            adversary_makers=tuple(standard_adversary_makers()[:1]),
-            judge=None, max_rounds=3, run_full_rounds=None,
-            sizer=None, is_null=None,
-        )
-        cells = [
-            SweepCell(index=i, inputs={}, faulty=(), adversary_name="x",
-                      adversary_index=0, seed=0)
-            for i in range(2)
-        ]  # one chunk each at workers=2
+        fake_chunks(monkeypatch, lambda first: 900)
+        cells = tiny_cells(2)  # one chunk each at workers=2
         log = EventLog()
         with observing(Observer(events=log)):
-            parallel.execute_cells(context, cells, workers=2)
+            parallel.execute_cells(tiny_context(config4), cells, workers=2)
+        assert_no_child()
         assert status_from_records(log.records)["degraded"] == []
         status = status_from_records(log.records)
         assert [pool["planned"] for pool in status["pools"]] == [2]

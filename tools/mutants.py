@@ -23,6 +23,7 @@ exactly once, so code motion cannot turn a mutant into a no-op.
 
 import json
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -208,13 +209,25 @@ def _run(argv: List[str], cwd: Path, cap: int) -> Tuple[Optional[int], str]:
     return process.returncode, output
 
 
+#: A frame of a test function in a faulthandler stack.
+_TEST_FRAME = re.compile(r'^File ".*/tests/.*", line \d+ in test_')
+
+
 def _reason(output: str) -> str:
-    """The line of ``output`` that says what failed."""
+    """The line of ``output`` that says what failed.
+
+    A check ended by a test's own alarm prints no pytest marker, only
+    faulthandler's stack, most recent call first: its first frame in a
+    test function names the test.
+    """
     lines = [line.strip() for line in output.splitlines() if line.strip()]
     for marker in ("FAILED ", "ERROR ", "FAIL", "Error"):
         for line in lines:
             if marker in line:
                 return line[:160].replace("|", "/")
+    for line in lines:
+        if _TEST_FRAME.match(line):
+            return line[:160].replace("|", "/")
     return lines[-1][:160].replace("|", "/") if lines else "(no output)"
 
 
