@@ -42,22 +42,6 @@ from repro.runtime.node import Process, broadcast
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
 
 
-#: Protoflow taint: every reception is coerced through the numeric
-#: legality filter (or replaced by the processor's own value).
-TAINT_SANITIZERS = {
-    "_as_number": (
-        "accepts only finite ints/floats (bools excluded); anything "
-        "else is replaced by the receiver's own current value before "
-        "the trimmed midpoint"
-    ),
-    "_trimmed_midpoint": (
-        "discards the t lowest and t highest entries; with at most t "
-        "faulty values the surviving range lies inside the correct "
-        "inputs' range"
-    ),
-}
-
-
 def _trimmed_midpoint(values: List[float], t: int) -> float:
     """The fault-tolerant midpoint: trim ``t`` from each end, then mid."""
     ordered = sorted(values)

@@ -37,17 +37,6 @@ from repro.types import (
 )
 
 
-#: Protoflow taint: values from ``incoming`` must pass a legality
-#: filter before they reach state or a payload (docs/statics.md).
-TAINT_SANITIZERS = {
-    "_scalar": (
-        "rejects BOTTOM, tuples and unhashable junk; what remains is a "
-        "hashable scalar the quorum count in round 2 can only decide "
-        "when n - t processors echoed it"
-    ),
-}
-
-
 class _SenderFaulty(Sentinel):
     """The crusader verdict "the sender is faulty"."""
 

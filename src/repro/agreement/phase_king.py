@@ -58,16 +58,6 @@ def _as_bit(message: Any) -> Optional[int]:
     return None
 
 
-#: Protoflow taint: every reception is parsed through the bit filter.
-TAINT_SANITIZERS = {
-    "_as_bit": (
-        "accepts only the literals 0 and 1 (bools excluded); every "
-        "vote count and king/queen proposal downstream is over parsed "
-        "bits compared against n - t / n/2 + t quorums"
-    ),
-}
-
-
 def phase_king_rounds(t: int) -> int:
     """Total rounds: ``t + 1`` phases of 3 rounds."""
     return 3 * (t + 1)

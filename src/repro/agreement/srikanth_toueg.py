@@ -60,17 +60,6 @@ from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
 # ("init", broadcaster, payload, phase) / ("echo", broadcaster, payload, phase)
 Item = Tuple[str, ProcessId, Any, int]
 
-#: Protoflow taint: every received item passes the shape/legality
-#: filter before entering echo bookkeeping (docs/statics.md).
-TAINT_SANITIZERS = {
-    "_well_formed": (
-        "accepts only 4-tuples with a known kind, an in-range "
-        "broadcaster id, a positive phase and a hashable payload; "
-        "everything downstream counts distinct echoers against t+1 / "
-        "2t+1 quorums"
-    ),
-}
-
 # Primitive instance key.
 InstanceKey = Tuple[ProcessId, Any, int]
 

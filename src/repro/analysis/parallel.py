@@ -392,7 +392,7 @@ class _Pool:
                  observer: Optional[_obs.Observer], workers: int) -> None:
         self.context, self.chunks, self.observer = context, chunks, observer
         self.workers = workers
-        self.observed = observer is not None and observer.counters_on
+        self.observed = observer is not None
         self.results: List[Optional[_ChunkResult]] = [None] * len(chunks)
         #: The outcomes of each chunk decoded so far, in chunk order.
         self.decoded: List[List[SweepOutcome]] = []
@@ -495,8 +495,7 @@ class _Pool:
             row = self.slots.setdefault(pid, [len(self.slots), 0, 0.0])
             row[1] += len(blobs)
             row[2] += busy_s
-            if observer.counters_on:
-                observer.registry.absorb(counters)
+            observer.registry.absorb(counters)
             observer.count("pool.chunks")
             if observer.events_on:
                 observer.emit("chunk", index=index, cells=len(blobs))

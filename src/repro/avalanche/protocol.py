@@ -43,18 +43,6 @@ from repro.runtime.node import Process, broadcast
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
 
 
-#: Protoflow taint: the tally is the protocol's vote filter — illegal
-#: votes are discarded and the survivor is a quorum count's argmax.
-TAINT_SANITIZERS = {
-    "_tally": (
-        "discards non-scalar / unhashable / value_ok-rejected votes "
-        "and returns the most frequent legal survivor; every VAL "
-        "update and decision compares its count against an adoption "
-        "or decision quorum"
-    ),
-}
-
-
 @dataclasses.dataclass(frozen=True)
 class Thresholds:
     """Vote quorums for one avalanche-style protocol.

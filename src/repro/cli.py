@@ -16,7 +16,7 @@ Gives a downstream user the paper's artifacts without writing code:
   cells, cache hit rates, where the time went and what was skipped
   or degraded,
 * ``lint``      — the protocol-aware static analysis of
-  :mod:`repro.statics` (determinism and taint),
+  :mod:`repro.statics` (determinism),
 * ``fuzz``      — seeded adversarial campaigns with differential
   oracles and counterexample shrinking (see docs/fuzzing.md).
 """
@@ -198,17 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="package directory to lint (default: the installed repro "
         "package)",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        help="suppression file (default: tools/lint_baseline.json if "
-        "present)",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="accept all current findings into the baseline file",
     )
 
     fuzz = commands.add_parser(
@@ -489,17 +478,10 @@ def _command_status(args) -> _Output:
 
 
 def _command_lint(args) -> _Output:
-    import json
     import pathlib
 
-    from repro.statics.baseline import Baseline, write_baseline
     from repro.statics.report import render_json, render_sarif, render_text
-    from repro.statics.runner import (
-        collect_findings,
-        default_package_root,
-        find_default_baseline,
-        lint_tree,
-    )
+    from repro.statics.runner import default_package_root, lint_tree
 
     root = (
         pathlib.Path(args.root).resolve()
@@ -508,41 +490,8 @@ def _command_lint(args) -> _Output:
     )
     if not root.is_dir():
         return f"error: lint root {root} is not a directory", 2
-    baseline_path = (
-        pathlib.Path(args.baseline)
-        if args.baseline
-        else find_default_baseline(root)
-    )
     try:
-        if baseline_path is not None and (
-            baseline_path.is_file() or not args.update_baseline
-        ):
-            baseline = Baseline.load(baseline_path)
-        else:
-            baseline = Baseline()
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as error:
-        return f"error: cannot load baseline: {error}", 2
-
-    if args.update_baseline:
-        target = (
-            baseline_path
-            if baseline_path is not None
-            else pathlib.Path.cwd() / "tools" / "lint_baseline.json"
-        )
-        target.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            findings = collect_findings(root)
-        except SyntaxError as error:
-            return _unparsable(error), 2
-        write_baseline(target, findings, previous=baseline)
-        return (
-            f"wrote {len(findings)} suppression(s) to {target} — fill in "
-            "any TODO justifications",
-            0,
-        )
-
-    try:
-        result = lint_tree(root, baseline)
+        result = lint_tree(root)
     except SyntaxError as error:
         return _unparsable(error), 2
     if args.format == "json":
@@ -555,7 +504,7 @@ def _command_lint(args) -> _Output:
 
 
 def _unparsable(error):
-    # A file no pass can read fails the whole lint run, for every pass.
+    # A scanned file that does not parse fails the whole lint run.
     return f"error: {error.filename}: {error.msg} (line {error.lineno})"
 
 

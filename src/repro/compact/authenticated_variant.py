@@ -110,23 +110,6 @@ def _certificates_of(payload: Any, n: int) -> List[Tuple]:
     ]
 
 
-#: Protoflow taint: received cores and certificates pass shape +
-#: signature + expandability validation before use (docs/statics.md).
-TAINT_SANITIZERS = {
-    "_bind_certificate": (
-        "checks the CORE shape before anything walks or hashes it, "
-        "then the owner's signature over (block, digest) and that its "
-        "references are already defined; only then does the "
-        "certificate enter the expansion"
-    ),
-    "digest_of": (
-        "a 16-hex-digit sha256 commitment: constant size, collision "
-        "checked at learn(); relaying a digest relays no adversarial "
-        "content"
-    ),
-}
-
-
 class AuthExpansion(BindingExpansion):
     """Content-addressed expansion functions with used-key tracking.
 

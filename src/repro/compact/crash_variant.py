@@ -125,17 +125,6 @@ class CrashExpansion(BindingExpansion):
         return super().expand_scalar(boundary, scalar)
 
 
-#: Protoflow taint: a binding enters the table only through ``_bind``.
-TAINT_SANITIZERS = {
-    "_bind": (
-        "a patch or phase-1 broadcast becomes a binding only as a "
-        "depth-k CORE of the previous block that is shaped for it and "
-        "expandable there (the driver's _usable), and a second, "
-        "different value for its key raises"
-    ),
-}
-
-
 class CrashCompactProcess(BlockDriver):
     """One processor of the benign-fault compact protocol.
 

@@ -41,17 +41,6 @@ from repro.runtime.node import Process
 from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value, is_bottom
 
 
-#: Protoflow taint: the legality filter every fault model shares.
-TAINT_SANITIZERS = {
-    "_usable": (
-        "the paper's validate-or-substitute rule (steps 5/6 and 11): a "
-        "received CORE is used only with the exact depth, width and "
-        "leaf domain its phase requires and with phi_b defined on it, "
-        "so whatever it expands to is built from validated bindings"
-    ),
-}
-
-
 class BlockDriver(Process):
     """One processor's block loop; subclasses supply the binding rule."""
 

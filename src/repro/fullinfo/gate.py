@@ -28,16 +28,6 @@ REJECT = object()
 # returns a value or BOTTOM.
 DecisionRule = Callable[[Any, int, ProcessId], Value]
 
-#: Protoflow taint: the receive path runs every incoming message
-#: through a legality filter before it can enter STATE.
-TAINT_SANITIZERS = {
-    "ReceiveGate.admit": (
-        "exact depth, exact width n at every level, every leaf in the "
-        "alphabet V — anything else is REJECT, which callers replace "
-        "by the receiver's own previous state (Theorem 9 Case 3)"
-    ),
-}
-
 
 def _alphabet_predicate(alphabet: FrozenSet[Value]) -> Callable[[Any], bool]:
     """``leaf in alphabet`` that answers ``False`` for unhashable junk."""

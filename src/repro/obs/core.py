@@ -63,9 +63,6 @@ class Observer:
     events:
         Event sink; ``None`` records no events (counters and spans
         still work).
-    counters:
-        Whether :meth:`count` / :meth:`gauge` record into the
-        registry.
     spans:
         Whether :meth:`span` times regions (``False`` returns the
         no-op span).
@@ -79,21 +76,21 @@ class Observer:
     def __init__(
         self,
         events: Optional[EventLog] = None,
-        counters: bool = True,
         spans: bool = True,
         trace: bool = False,
     ) -> None:
         self.events = events
         self.events_on = events is not None
-        self.counters_on = counters
+        # Always on: the frozen benchmark harness
+        # (benchmarks/perf/workloads.py) still reads it; it goes with
+        # the next benchmark refresh, like ``trace=``.
+        self.counters_on = True
         self.spans_on = spans
         self._rollup_mark: Dict[str, int] = {}
         self.registry = InstrumentRegistry()
         #: ``count(name, delta=1)``: the registry's own method, bound
         #: once — hot paths call it thousands of times a pass.
-        self.count: Callable[..., None] = (
-            self.registry.count if counters else _ignore
-        )
+        self.count: Callable[..., None] = self.registry.count
         self.profile = SpanProfile()
         self._span_stack: List[str] = []
         self._run: Optional[str] = None
@@ -173,11 +170,10 @@ class Observer:
             "run_end", rounds=rounds, decided=decided, messages=messages,
             non_null=non_null, bits=bits,
         )
-        if self.counters_on:
-            self.registry.count("net.messages", messages)
-            self.registry.count("net.non_null_messages", non_null)
-            self.registry.count("net.bits", bits)
-            self.registry.count("runs", 1)
+        self.registry.count("net.messages", messages)
+        self.registry.count("net.non_null_messages", non_null)
+        self.registry.count("net.bits", bits)
+        self.registry.count("runs", 1)
         self._run = None
         self._round = 0
 
@@ -188,8 +184,7 @@ class Observer:
     # -- registry ----------------------------------------------------------
 
     def gauge(self, name: str, value: float) -> None:
-        if self.counters_on:
-            self.registry.set_gauge(name, value)
+        self.registry.set_gauge(name, value)
 
     # -- spans -------------------------------------------------------------
 
@@ -229,10 +224,6 @@ class Observer:
                 )
         if self.events is not None:
             self.events.close()
-
-
-def _ignore(name: str, delta: int = 1) -> None:
-    """``count`` with counters off."""
 
 
 #: The process-wide active observer; ``None`` is the null observer.

@@ -12,9 +12,7 @@ class Finding:
     """One rule violation at ``path:line``.
 
     ``symbol`` is the dotted lexical context (``Class.method`` or a
-    function name, ``<module>`` at top level); baseline suppressions
-    match on ``(rule, path, symbol)`` rather than on line numbers so
-    they survive unrelated edits to the file.
+    function name, ``<module>`` at top level).
     """
 
     path: str
@@ -37,11 +35,6 @@ class Finding:
             symbol=symbol,
             message=message,
         )
-
-    @property
-    def suppression_key(self) -> str:
-        """The stable identity used by the baseline file."""
-        return f"{self.rule}:{self.path}:{self.symbol}"
 
     def to_json(self) -> Dict[str, Any]:
         """The machine-readable form emitted by ``--format json``."""

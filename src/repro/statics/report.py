@@ -12,10 +12,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.statics.runner import LintResult
 
 #: Bumped whenever the JSON schema changes shape; consumers should
-#: reject versions they do not know.  Version 2 added
-#: ``stale_suppressions`` (baseline entries naming unknown rule ids,
-#: carried as warnings instead of load errors).
-JSON_SCHEMA_VERSION = 2
+#: reject versions they do not know.  Version 3 dropped the baseline's
+#: ``suppressed``, ``unused_suppressions`` and ``stale_suppressions``
+#: keys: a report is its findings.
+JSON_SCHEMA_VERSION = 3
 
 #: The SARIF spec version the ``sarif`` format emits.
 SARIF_VERSION = "2.1.0"
@@ -35,22 +35,11 @@ def render_text(result: "LintResult") -> str:
             f"{finding.rule} [{title}] {finding.message} "
             f"(in {finding.symbol})"
         )
-    for suppression in result.unused_suppressions:
-        lines.append(
-            f"warning: baseline entry {suppression.key} matched nothing "
-            "— delete it"
-        )
-    for stale in result.stale_suppressions:
-        lines.append(f"warning: stale baseline entry {stale}")
     count = len(result.findings)
-    suppressed = len(result.suppressed)
     if count:
-        lines.append(
-            f"{count} finding{'s' if count != 1 else ''} "
-            f"({suppressed} suppressed by baseline)"
-        )
+        lines.append(f"{count} finding{'s' if count != 1 else ''}")
     else:
-        lines.append(f"clean ({suppressed} suppressed by baseline)")
+        lines.append("clean")
     return "\n".join(lines)
 
 
@@ -60,20 +49,13 @@ def render_json(result: "LintResult") -> str:
         {
             "version": JSON_SCHEMA_VERSION,
             "findings": [finding.to_json() for finding in result.findings],
-            "suppressed": [
-                finding.to_json() for finding in result.suppressed
-            ],
-            "unused_suppressions": [
-                suppression.key for suppression in result.unused_suppressions
-            ],
-            "stale_suppressions": list(result.stale_suppressions),
         },
         indent=2,
     )
 
 
-def _sarif_result(finding: "Finding", suppressed: bool) -> Dict[str, Any]:
-    result: Dict[str, Any] = {
+def _sarif_result(finding: "Finding") -> Dict[str, Any]:
+    return {
         "ruleId": finding.rule,
         "level": "error",
         "message": {"text": f"{finding.message} (in {finding.symbol})"},
@@ -89,18 +71,10 @@ def _sarif_result(finding: "Finding", suppressed: bool) -> Dict[str, Any]:
             }
         ],
     }
-    if suppressed:
-        result["suppressions"] = [{"kind": "external"}]
-    return result
 
 
 def render_sarif(result: "LintResult") -> str:
-    """SARIF 2.1.0 report, for code-scanning upload and CI artifacts.
-
-    Baseline-suppressed findings are included with an ``external``
-    suppression (the SARIF term for "accepted outside the source"),
-    so scanners show them as reviewed rather than new.
-    """
+    """SARIF 2.1.0 report, for code-scanning upload and CI artifacts."""
     rules: List[Dict[str, Any]] = [
         {
             "id": rule.id,
@@ -111,14 +85,7 @@ def render_sarif(result: "LintResult") -> str:
         }
         for rule in sorted(RULES.values(), key=lambda rule: rule.id)
     ]
-    results = [
-        _sarif_result(finding, suppressed=False)
-        for finding in result.findings
-    ]
-    results.extend(
-        _sarif_result(finding, suppressed=True)
-        for finding in result.suppressed
-    )
+    results = [_sarif_result(finding) for finding in result.findings]
     return json.dumps(
         {
             "$schema": SARIF_SCHEMA,

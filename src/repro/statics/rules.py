@@ -1,10 +1,8 @@
 """The rule registry: every check has an id, a pass, and a rationale.
 
-Rules are declared where they are implemented (the pass modules) via
-the :func:`rule` decorator-style registrar; the registry exists so the
-reporters and ``docs/statics.md`` can enumerate them and so unknown
-rule ids in the baseline file are rejected instead of silently
-matching nothing.
+Rules are declared where they are implemented (the pass module) via
+the :func:`rule` registrar; the registry exists so the reporters and
+``docs/statics.md`` can enumerate them.
 """
 
 from __future__ import annotations

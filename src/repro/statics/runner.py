@@ -1,5 +1,5 @@
-"""Pass orchestration: index the tree once, run every pass over it,
-apply the baseline.
+"""Pass orchestration: parse each scanned file once, run the
+determinism pass over it.
 
 The determinism pass scans the *protocol* packages — ``core``,
 ``agreement``, ``avalanche``, ``compact``, ``fullinfo`` — plus the
@@ -17,11 +17,9 @@ import dataclasses
 import pathlib
 from typing import List, Optional
 
-from repro.statics.baseline import Baseline, Suppression
 from repro.statics.determinism import check_determinism
 from repro.statics.findings import Finding
-from repro.statics.flow.passes import analyze_index
-from repro.statics.model import FLOW_PACKAGES, SUPPORT_MODULES, ProjectIndex
+from repro.statics.model import parse_module
 
 #: The packages whose files get the determinism pass.  ``obs`` is
 #: among them because its records feed determinism claims (diffable
@@ -42,21 +40,13 @@ CLOCK_MODULES = ("obs/spans.py",)
 
 @dataclasses.dataclass
 class LintResult:
-    """Everything one lint run produced.
-
-    ``findings`` are actionable (unsuppressed); ``suppressed`` matched
-    a baseline entry; ``unused_suppressions`` are baseline entries
-    that matched nothing and should be deleted.
-    """
+    """Everything one lint run produced: its findings, sorted."""
 
     findings: List[Finding]
-    suppressed: List[Finding]
-    unused_suppressions: List[Suppression]
-    stale_suppressions: List[str] = dataclasses.field(default_factory=list)
 
     @property
     def exit_code(self) -> int:
-        """0 when clean; 1 when any unsuppressed finding exists."""
+        """0 when clean; 1 when any finding exists."""
         return 1 if self.findings else 0
 
 
@@ -68,60 +58,23 @@ def default_package_root() -> pathlib.Path:
 
 
 def collect_findings(package_root: pathlib.Path) -> List[Finding]:
-    """Run every pass over ``package_root``, parsing each file once."""
-    index = ProjectIndex(
-        package_root,
-        packages=PROTOCOL_PACKAGES + FLOW_PACKAGES,
-        modules=SUPPORT_MODULES,
-    )
-    clocks = [index.module(subpath) for subpath in CLOCK_MODULES]
+    """The determinism findings of every scanned file, parsing each once."""
     findings: List[Finding] = []
-    for module in index.under(PROTOCOL_PACKAGES):
-        if module not in clocks:
+    for package in PROTOCOL_PACKAGES:
+        for path in sorted((package_root / package).rglob("*.py")):
+            subpath = path.relative_to(package_root).as_posix()
+            if subpath in CLOCK_MODULES:
+                continue
+            module = parse_module(
+                path.read_text(), f"{package_root.name}/{subpath}", path
+            )
             findings.extend(check_determinism(module))
-    findings.extend(analyze_index(index).findings)
     return sorted(findings)
 
 
-def lint_tree(
-    package_root: Optional[pathlib.Path] = None,
-    baseline: Optional[Baseline] = None,
-) -> LintResult:
+def lint_tree(package_root: Optional[pathlib.Path] = None) -> LintResult:
     """Lint ``package_root`` (default: the installed ``repro`` package)."""
     root = package_root if package_root is not None else default_package_root()
     if not root.is_dir():
         raise FileNotFoundError(f"lint root {root} is not a directory")
-    baseline = baseline if baseline is not None else Baseline()
-    actionable: List[Finding] = []
-    suppressed: List[Finding] = []
-    for finding in collect_findings(root):
-        if baseline.match(finding) is not None:
-            suppressed.append(finding)
-        else:
-            actionable.append(finding)
-    return LintResult(
-        findings=actionable,
-        suppressed=suppressed,
-        unused_suppressions=baseline.unused(),
-        stale_suppressions=list(baseline.stale),
-    )
-
-
-def find_default_baseline(
-    package_root: pathlib.Path,
-) -> Optional[pathlib.Path]:
-    """Locate ``tools/lint_baseline.json`` near the tree being linted.
-
-    Checked in order: the current working directory's ``tools/``
-    (developer runs from the repo root), then the checkout the package
-    lives in (``package_root/../../tools``, i.e. ``src/repro`` ->
-    repo root).  Returns ``None`` when neither exists.
-    """
-    candidates = [
-        pathlib.Path.cwd() / "tools" / "lint_baseline.json",
-        package_root.parent.parent / "tools" / "lint_baseline.json",
-    ]
-    for candidate in candidates:
-        if candidate.is_file():
-            return candidate
-    return None
+    return LintResult(findings=collect_findings(root))

@@ -42,8 +42,7 @@ class ScopedVisitor(ast.NodeVisitor):
     """An ``ast.NodeVisitor`` that tracks the dotted lexical context.
 
     Subclasses call :meth:`add` to emit a :class:`Finding` whose
-    ``symbol`` is the enclosing ``Class.method`` path, giving baseline
-    suppressions a line-number-free identity.
+    ``symbol`` is the enclosing ``Class.method`` path.
     """
 
     def __init__(self, path: str):

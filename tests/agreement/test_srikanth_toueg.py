@@ -61,6 +61,20 @@ class ForgeryAdversary(Adversary):
         return {receiver: items for receiver in self.config.process_ids}
 
 
+class IllTypedPhaseAdversary(Adversary):
+    """Each faulty sender broadcasts a well-shaped init and echo of its
+    own source value whose phase is the string ``"1"``: a 4-tuple with
+    a known kind and an in-range broadcaster, which a receiver must
+    discard rather than do phase arithmetic on."""
+
+    def outgoing(self, round_number, sender, context):
+        payload = ("val", sender, 1)
+        items = frozenset(
+            {("init", sender, payload, "1"), ("echo", sender, payload, "1")}
+        )
+        return {receiver: items for receiver in self.config.process_ids}
+
+
 class TestPrimitiveCorrectness:
     def test_correct_broadcast_accepted_in_its_phase(self, config7):
         inputs = {p: 0 for p in config7.process_ids}
@@ -155,7 +169,10 @@ class TestSTAgreement:
     @pytest.mark.parametrize("faulty", [(1, 2), (4, 7)])
     def test_sweep(self, config7, pattern, faulty):
         inputs = {p: (p + pattern) % 2 for p in config7.process_ids}
-        for adversary in byzantine_adversaries(list(faulty)):
+        for adversary in [
+            *byzantine_adversaries(list(faulty)),
+            IllTypedPhaseAdversary(list(faulty)),
+        ]:
             result = run_protocol(
                 st_agreement_factory(),
                 config7,

@@ -145,13 +145,6 @@ class TestObserverLifecycle:
         assert counters["net.bits"] == 240
         assert counters["runs"] == 1
 
-    def test_counters_off(self):
-        observer = Observer(counters=False)
-        observer.count("x")
-        observer.gauge("g", 1.0)
-        assert observer.registry.counters() == {}
-        assert observer.registry.gauges() == {}
-
     def test_close_dumps_counters_then_profile(self):
         log = EventLog()
         observer = Observer(events=log)

@@ -1,13 +1,11 @@
 """Golden reports and the one-parse-per-file budget.
 
-The three ``render_json`` reports under ``golden/`` — findings *and*
-suppressed, every field — must be reproduced byte for byte: the
-passes share one project model, and sharing it must not move a single
-verdict.
+The ``render_json`` reports under ``golden/`` — every finding, every
+field — must be reproduced byte for byte.
 
 The parse budget pins the one front end: one ``ast.parse`` per
-scanned file for a whole lint run, so per-pass parsing cannot creep
-back.
+scanned file for a whole lint run, and none for a file the pass does
+not scan.
 """
 
 import ast
@@ -15,39 +13,36 @@ import pathlib
 
 import pytest
 
-from repro.statics.baseline import Baseline
-from repro.statics.model import FLOW_PACKAGES, SUPPORT_MODULES
 from repro.statics.report import render_json
-from repro.statics.runner import PROTOCOL_PACKAGES, collect_findings, lint_tree
+from repro.statics.runner import (
+    CLOCK_MODULES,
+    PROTOCOL_PACKAGES,
+    collect_findings,
+    lint_tree,
+)
 
 HERE = pathlib.Path(__file__).parent
 REPO = HERE.parent.parent
 PACKAGE_ROOT = REPO / "src" / "repro"
-BASELINE = REPO / "tools" / "lint_baseline.json"
 
 CASES = {
-    "repro": (PACKAGE_ROOT, BASELINE),
-    "tree": (HERE / "fixtures" / "tree", None),
-    "flowtree": (HERE / "fixtures" / "flowtree", None),
+    "repro": PACKAGE_ROOT,
+    "tree": HERE / "fixtures" / "tree",
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_is_byte_identical_to_the_recorded_one(name):
-    root, baseline_path = CASES[name]
-    baseline = Baseline.load(baseline_path) if baseline_path else None
-    report = render_json(lint_tree(root, baseline)) + "\n"
+    report = render_json(lint_tree(CASES[name])) + "\n"
     assert report == (HERE / "golden" / f"{name}.json").read_text()
 
 
 def scanned_files(root):
-    """Every file some pass's scope tuple names, each once."""
+    """Every file under ``PROTOCOL_PACKAGES`` but the clock modules."""
     files = set()
-    for package in PROTOCOL_PACKAGES + FLOW_PACKAGES:
+    for package in PROTOCOL_PACKAGES:
         files.update((root / package).rglob("*.py"))
-    for module in SUPPORT_MODULES:
-        if (root / module).is_file():
-            files.add(root / module)
+    files -= {root / module for module in CLOCK_MODULES}
     return sorted(map(str, files))
 
 
@@ -68,7 +63,7 @@ def parsed(monkeypatch):
 def test_collect_findings_parses_each_scanned_file_once(parsed):
     collect_findings(PACKAGE_ROOT)
     assert sorted(parsed) == scanned_files(PACKAGE_ROOT)
-    # The scope tuples did not silently empty or lose a member.
-    for package in PROTOCOL_PACKAGES + FLOW_PACKAGES:
+    # The scope tuple did not silently empty or lose a member.
+    for package in PROTOCOL_PACKAGES:
         assert str(PACKAGE_ROOT / package / "__init__.py") in parsed
 

@@ -37,7 +37,10 @@ REPO = Path(__file__).resolve().parent.parent
 
 class Mutant(NamedTuple):
     id: str
-    family: str  # the lint pass whose finding class it plants
+    #: The lint pass whose finding class it plants.  PUR and TAINT
+    #: name retired passes: their rows stay as evidence that runtime
+    #: checks kill what those passes used to flag.
+    family: str
     path: str
     find: str
     replace: str

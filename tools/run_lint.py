@@ -5,7 +5,7 @@ Equivalent to ``python -m repro lint`` but importable without
 installing the package: it prepends the checkout's ``src/`` to
 ``sys.path``, so CI and pre-commit hooks can call it directly.
 
-Run:  python tools/run_lint.py [--format json] [--update-baseline]
+Run:  python tools/run_lint.py [--format text|json|sarif] [--root DIR]
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ SRC = ROOT / "src"
 
 
 def main(argv=None) -> int:
-    """Run ``repro lint``, defaulting the root and baseline to this checkout."""
+    """Run ``repro lint``, defaulting the root to this checkout."""
     if str(SRC) not in sys.path:
         sys.path.insert(0, str(SRC))
     from repro.cli import main as cli_main
@@ -26,10 +26,6 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if not any(arg.startswith("--root") for arg in argv):
         argv += ["--root", str(SRC / "repro")]
-    if not any(arg.startswith("--baseline") for arg in argv):
-        baseline = ROOT / "tools" / "lint_baseline.json"
-        if baseline.is_file():
-            argv += ["--baseline", str(baseline)]
     return cli_main(["lint"] + argv)
 
 
