@@ -1,43 +1,31 @@
 """Flat integer tables over the interned DAG, for the EIG sweep.
 
 The hash-consing store (:mod:`repro.arrays.store`) collapses the
-exponential full-information state into a DAG of canonical nodes.  A
-whole benchmark pass interns tens to a thousand of them (counts in
-``docs/perf.md``), so what a node's *own* facts cost — its size under
-a policy, whether its leaves are legal — is a dictionary's work, and
-lives in the store's ``sizes`` and ``verdicts`` memos.  The one
-numeric job that is large is the EIG decision rule: 154,440
-distinct-label chains at n=13, t=4, each a descent through the DAG.
-This module keeps what that sweep gathers over, and nothing else:
+exponential full-information state into a DAG of canonical nodes; a
+node's own facts (its size, whether its leaves are legal) live in the
+store's dictionary memos.  The one numeric job that is large is the
+EIG decision rule over 154,440 distinct-label chains at n=13, t=4.
+This module keeps what that sweep reads, and nothing else:
 
 * every canonical node has a dense **row id** — ``node.row``, its index
-  in :meth:`ArrayStore.interned_nodes`, assigned at intern time — so
-  children always occupy smaller ids than their parents;
-* leaf values are packed into small-integer **codes** from a per-store
-  typed-leaf alphabet (keyed ``(type, value)``, mirroring the store's
-  typed identity, so ``True`` and ``1`` get distinct codes);
+  in :meth:`ArrayStore.interned_nodes` — so children always occupy
+  smaller ids than their parents;
+* leaves are small-integer **codes** from a per-store typed-leaf
+  alphabet (keyed ``(type, value)``, so ``True`` and ``1`` differ);
 * ``children[row]`` holds one *ref* per component — a row id for a
   sub-array, or ``-(code + 1)`` for a leaf.
 
-:func:`eig_sweep` is the suffix-grouped strict-majority resolution of
-the EIG Byzantine decision rule as a row-gather descent and a
-``bincount`` + threshold pass per level over a cached distinct-label
-chain topology.  It runs once per distinct state:
-:func:`repro.fullinfo.decision.eig_byzantine_decision` memoises its
-outcome on the store.
-
-Not every state reaches the sweep.  A memo miss first walks the DAG
-down dominant children (``fullinfo/decision.py::_dominant_child``),
-which settles many states at a leaf, and a node the walk stops at with
-at most ``_REFERENCE_MAX_CHAINS`` (24) chains takes the reference
-sweep in :mod:`repro.fullinfo.decision`, as do plain-tuple and
-hostile states.  That reference sweep is the semantic reference:
-``tests/arrays/test_flat.py`` hands it the same array as builtin tuples
-and requires identical results.  The chain tables are built by index
-arithmetic, one numpy pass per level, and
-``tests/arrays/chain_reference.py`` enumerates them as tuples for
-``tests/arrays/test_chain_topology.py``.  ``docs/perf.md`` has the
-layout and measurements.
+:func:`eig_sweep` descends once through ``children`` along
+:class:`ChainTopology`'s extension-major chain order to every chain's
+leaf code and vote, then tallies each level in place: every
+one-relayer extension of a chain is one column of the level's votes.  It runs once per distinct state —
+:func:`repro.fullinfo.decision.eig_byzantine_decision` memoises it on
+the store — and only for nodes the dominant-child walk leaves with
+more than ``_REFERENCE_MAX_CHAINS`` (24) chains; smaller, plain-tuple
+and hostile states take the reference sweep in
+:mod:`repro.fullinfo.decision`, which ``tests/arrays/test_flat.py``
+holds this one to.  ``tests/arrays/chain_reference.py`` enumerates
+the chain order as tuples; ``docs/perf.md`` has the measurements.
 """
 
 from __future__ import annotations
@@ -57,10 +45,10 @@ from repro.errors import ConfigurationError
 _TOPOLOGIES: Dict[Tuple[int, int], "ChainTopology"] = {}
 
 #: The most last-level chains, ``n! / (n - depth)!``, a sweep's tables
-#: may hold.  Building them peaks near 46 bytes a chain (265 MB for
-#: the 5,765,760 of n=16, t=5), and a sweep gathers about as much
-#: again, so the cap keeps a decision near half a gigabyte; n=19, t=6
-#: would need 253,955,520 chains.
+#: may hold.  They keep one int64 pick a chain, about 9 bytes with the
+#: shorter levels (51 MB for the 5,765,760 of n=16, t=5; 55 MB at the
+#: build's peak), and a sweep adds about 17 while it runs, so the cap
+#: keeps a decision near 260 MB; n=19, t=6 would need 253,955,520.
 MAX_SWEEP_CHAINS = 10_000_000
 
 # ``tables_for`` (on the store itself) and ``chain_topology`` (in a
@@ -174,93 +162,63 @@ def tables_for(store: ArrayStore) -> FlatTables:
 
 
 class ChainTopology:
-    """Index tables over distinct-label relay chains for one ``(n, depth)``.
+    """Gather tables over distinct-label relay chains for one ``(n, depth)``.
 
-    Level ``l`` (1-based) enumerates the length-``l`` chains of
-    distinct labels from ``1..n`` in prefix-major label order.  For
-    level ``l``'s chain ``i``, two parallel int64 arrays say how it
-    relates to level ``l - 1``:
+    Level ``l`` (1-based) lists the ``P(l) = n! / (n - l)!`` chains of
+    ``l`` distinct labels from ``1..n`` **extension-major**: chain
+    ``(q,) + s``, for ``s`` on level ``l - 1``, sits at index
+    ``rank_s(q) * P(l - 1) + index(s)``, where ``rank_s(q)`` is ``q``'s
+    position among the ``n - l + 1`` labels ``s`` leaves free.  Level
+    ``l``'s values reshaped to ``(n - l + 1, P(l - 1))`` thus hold in
+    column ``j`` exactly the one-relayer extensions of level ``l - 1``'s
+    chain ``j``, which is what the majority rule tallies.
 
-    * ``pick[l - 1][i]`` — ``index(chain[:-1]) * n + (chain[-1] - 1)``:
-      where the chain's component sits once the ``children`` rows of
-      all length-``l - 1`` chains are gathered and flattened,
-    * ``suffix[l - 1][i]`` — the index of ``chain[1:]``.
-
-    ``pick`` drives the downward array descent (extending a path
-    appends the label indexing the next component); ``suffix`` drives
-    the upward majority sweep (extending a *chain* prepends the later
-    relayer in array-path order).
-
-    No chain is materialised.  Each level is built from the one before
-    by index arithmetic: every parent chain ``p`` has ``n - l + 1``
-    free labels, listed in ``np.nonzero`` row-major order over a
-    per-parent used-label mask (which *is* prefix-major order), so
-    ``pick = index(p) * n + (label - 1)``, and for ``l >= 2``
-    ``suffix(p + (label,)) = suffix(p) * (n - l + 2) + rank + [p[0] <
-    label]``, ``rank`` being the label's position among ``p``'s free
-    labels: ``p[1:]`` has ``n - l + 2`` extensions in the same order,
-    with ``p[0]`` among them.  Building ``(13, 5)`` takes about 12 ms,
-    ``(16, 6)`` (5,765,760 chains) well under a second.
+    ``pick[l - 1][i]`` is ``index(chain[:-1]) * n + chain[-1] - 1`` for
+    level ``l``'s chain ``i``: where its component sits once the
+    ``children`` rows of all level-``l - 1`` chains are gathered and
+    flattened.  For ``(q,) + s`` the prefix ``(q,) + s[:-1]`` has
+    ``q`` at rank ``e + [last(s) < q]`` (``e = rank_s(q)``), so
+    ``pick = ((e + [last(s) < q]) * P(l - 2) + index(s[:-1])) * n +
+    last(s) - 1``, which is ``s``'s own pick plus
+    ``(e + [last(s) < q]) * n * P(l - 2)``; and ``last(s) < q`` holds
+    iff ``e >= r(s)``, the rank of ``last(s)`` among the labels
+    ``s[:-1]`` leaves free.  ``r`` obeys ``r((q,) + s) = r(s) - [e <
+    r(s)]``, so each level is two lookups into ``(e, r)``-indexed
+    tables of ``(n - l + 1) * (n - l + 2)`` entries: no chain is
+    materialised.
     """
 
-    __slots__ = ("n", "depth", "pick", "suffix", "level_sizes", "_bins")
+    __slots__ = ("pick", "level_sizes")
 
     def __init__(self, n: int, depth: int):
-        self.n = n
-        self.depth = depth
         self.pick: List[IntColumn] = []
-        self.suffix: List[IntColumn] = []
         #: Chains per level, level 0 included (the empty chain).
         self.level_sizes: List[int] = [1]
-        # The last ``(spread, tally_bins(spread))`` served.
-        self._bins: Tuple[int, List[IntColumn]] = (0, [])
-        # Per parent chain, one row each from the empty chain on: the
-        # labels it holds, its first label's column and its suffix.
-        used: NDArray[np.bool_] = np.zeros((1, n), dtype=np.bool_)
-        first: NDArray[Any] = np.zeros(1, dtype=np.int64)
-        suffix: NDArray[Any] = np.zeros(1, dtype=np.int64)
-        for level in range(1, depth + 1):
-            # Row-major over (parent, free label): prefix-major order.
-            parent, label = (
-                axis.astype(np.int64, copy=False) for axis in np.nonzero(~used)
+        if depth == 0:
+            return
+        pick: IntColumn = np.arange(n, dtype=np.int64)
+        rank: NDArray[Any] = np.arange(n, dtype=np.min_scalar_type(n))
+        self.pick.append(pick)
+        self.level_sizes.append(n)
+        for level in range(2, depth + 1):
+            extension = np.arange(n - level + 1)[:, None]
+            last_rank = np.arange(n - level + 2)
+            # Entry ``(e, r)``: the shift of ``s``'s pick, and ``r(q + s)``.
+            shift = (extension + (extension >= last_rank)) * (
+                n * self.level_sizes[-2]
             )
-            free = n - level + 1
-            if level == 1:
-                suffix = np.zeros(n, dtype=np.int64)
-            else:
-                # Every parent has ``free`` extensions, so a label's rank
-                # among its parent's free labels is its position mod
-                # ``free``; the suffix's parent ``p[1:]`` also has ``p[0]``
-                # free, which shifts every later label up by one.
-                rank = np.arange(len(label), dtype=np.int64) % free
-                suffix = (
-                    suffix[parent] * (free + 1)
-                    + rank
-                    + (first[parent] < label)
-                )
-            self.pick.append(parent * n + label)
-            self.suffix.append(suffix)
-            self.level_sizes.append(len(label))
+            grown = shift.take(rank, axis=1)  # the level's one int64 block
+            grown += pick
+            pick = grown.reshape(-1)
             if level < depth:
-                first = first[parent] if level > 1 else label
-                used = used[parent]
-                used[np.arange(len(label)), label] = True
-
-    def tally_bins(self, spread: int) -> List[IntColumn]:
-        """Per level, each chain's first ``bincount`` bin: ``suffix * spread``.
-
-        A chain voting for candidate ``v`` lands in bin
-        ``suffix * spread + v``.  Consecutive sweeps almost always
-        rank the same number of candidates (the alphabet plus the
-        default), so the products of the last ``spread`` are kept —
-        one entry, because a Byzantine sender can vary the candidate
-        count of an alphabet-less state at will.
-        """
-        cached_spread, bins = self._bins
-        if cached_spread != spread:
-            bins = [suffix * spread for suffix in self.suffix]
-            self._bins = (spread, bins)
-        return bins
+                rank = (
+                    (last_rank - (extension < last_rank))
+                    .astype(rank.dtype)
+                    .take(rank, axis=1)
+                    .reshape(-1)
+                )
+            self.pick.append(pick)
+            self.level_sizes.append(len(pick))
 
 
 def refuse_oversized_tables(n: int, depth: int) -> None:
@@ -297,50 +255,59 @@ def chain_topology(n: int, depth: int) -> ChainTopology:
 
 def eig_sweep(
     state: InternedArray,
-    vote_of_code: IntColumn,
+    vote_of_code: NDArray[Any],
     num_candidates: int,
     default_index: int,
 ) -> int:
     """The EIG strict-majority resolution of ``state``, vectorized.
 
     ``vote_of_code`` maps every leaf code of the state's store to a
-    candidate index below ``num_candidates``.  Returns the winning
-    candidate index for the empty chain.
+    candidate index below ``num_candidates`` (int8 when that fits).
+    Returns the winning candidate index for the empty chain.
 
-    One descent reads every distinct-label chain's recorded leaf: per
-    level, the ``children`` rows of all chains so far are gathered
-    whole and the distinct-label columns taken out of the flattened
-    block (``ChainTopology.pick``), so paths sharing an array prefix
-    share the gather.  Then each upward pass tallies length-``l``
-    resolutions under their length-``l - 1`` suffix with one
-    ``bincount`` and applies the strict-majority rule
-    ``2 * count > n - (l - 1)`` in bulk: at most one candidate per
-    group can pass it, so the winners are scattered over a
-    ``default_index`` fill and no tie-break is ever consulted —
-    which is the reference sweep's outcome, whose rank tie-break only
-    picks among candidates that then lose to the default.  Every
-    length-``l - 1`` chain has exactly ``n - (l - 1)`` one-relayer
-    extensions (``depth <= n``), so no tally group is empty.
+    One descent reads every distinct-label chain's vote: per level,
+    the ``children`` rows of all chains so far are gathered whole and
+    the distinct-label columns taken out of the flattened block
+    (``ChainTopology.pick``), so paths sharing an array prefix share
+    the gather; the last level's refs are leaf codes, read through
+    ``vote_of_code``.  Then, level by level upward, the votes reshape
+    to ``(extensions, chains one level up)`` and each column is
+    tallied in place against the strict-majority rule ``2 * count >
+    extensions``, under which at most one candidate per column can win
+    and no tie-break is ever consulted — the reference sweep's
+    outcome, whose rank tie-break only picks among candidates that
+    then lose to the default.  Two candidates take a
+    sum down the column and one compare; more take one ``np.unique``
+    with counts over ``column * k + vote``, so the cost is O(chains log
+    chains) and the memory O(chains) whatever ``k`` a Byzantine leaf
+    set chooses.
     """
     tables = tables_for(state.store)
-    depth = state.depth
     n = tables.n
-    topology = chain_topology(n, depth)
+    topology = chain_topology(n, state.depth)
     tables.sync()
     children = tables.children
-    refs: NDArray[Any] = np.asarray([state.row], dtype=np.int64)
+    refs: IntColumn = np.asarray([state.row], dtype=np.int64)
     for pick in topology.pick:
         refs = children.take(refs, axis=0).reshape(-1).take(pick)
-    votes: IntColumn = vote_of_code.take(-(refs + 1))
-    bins = topology.tally_bins(num_candidates)
-    for level in range(depth, 0, -1):
-        groups = topology.level_sizes[level - 1]
-        counts = np.bincount(
-            bins[level - 1] + votes, minlength=groups * num_candidates
+    votes: NDArray[Any] = vote_of_code.take(~refs)
+    k = num_candidates
+    for level in range(state.depth, 0, -1):
+        columns = topology.level_sizes[level - 1]
+        extensions = n - level + 1
+        half = extensions // 2  # 2 * count > extensions  <=>  count > half
+        votes = votes.reshape(extensions, columns)
+        if k == 2:
+            ones = votes.sum(axis=0, dtype=np.int8 if extensions < 128 else None)
+            # Default 0 loses only to a majority of 1s, default 1 only
+            # to a majority of 0s.
+            won = ones > half if default_index == 0 else ones >= extensions - half
+            votes = won.view(np.int8)
+            continue
+        keys, counts = np.unique(
+            votes + np.arange(0, columns * k, k), return_counts=True
         )
-        # 2 * count > extensions  <=>  count > extensions // 2.
-        won = np.flatnonzero(counts > (n - (level - 1)) // 2)
-        group, vote = np.divmod(won, num_candidates)
-        votes = np.full(groups, default_index, dtype=np.int64)
-        votes[group] = vote
+        winners = keys[counts > half]
+        votes = np.full(columns, default_index, dtype=vote_of_code.dtype)
+        votes[winners // k] = winners % k
     return int(votes[0])

@@ -255,7 +255,8 @@ def _resolve_eig_decision(
     unranked = len(rank)
 
     # Flat-kernel sweep: the same resolution as one numpy descent +
-    # per-level bincount over the interned tables (repro.arrays.flat).
+    # a per-level tally in place over the interned tables
+    # (repro.arrays.flat).
     # Falls back to the reference sweep whenever byte-identity cannot
     # be guaranteed by construction (see _flat_sweep_index).  A state
     # with few chains goes to the reference sweep directly: there the
@@ -420,7 +421,9 @@ def _flat_sweep_index(
     tables.sync()
     default_index = rank[default]
     vote_of_code = np.full(
-        tables.leaf_alphabet_size, default_index, dtype=np.int64
+        tables.leaf_alphabet_size,
+        default_index,
+        dtype=np.int8 if len(ordered) <= 127 else np.int64,
     )
     for position, (typed_class, leaf) in enumerate(state.leaves_unique):
         code = tables.code_of((typed_class, leaf))

@@ -39,35 +39,30 @@ BANNED_FROM_IMPORTS: Set[str] = {"urandom", "getrandom"}
 
 DET001 = rule(
     "DET001",
-    "determinism",
     "banned import",
     "Theorem 2 replays delta_p; modules like random/time inject state "
     "the replay cannot reproduce",
 )
 DET002 = rule(
     "DET002",
-    "determinism",
     "entropy or wall-clock call",
     "a call into an OS entropy pool or clock makes mu/delta/gamma "
     "non-functions, voiding the Section 3.1 formalism",
 )
 DET003 = rule(
     "DET003",
-    "determinism",
     "global numpy randomness",
     "np.random.* bypasses the seed threading of repro.runtime.rng, so "
     "executions stop being replayable from their seed",
 )
 DET004 = rule(
     "DET004",
-    "determinism",
     "iteration over an unordered set",
     "set order depends on PYTHONHASHSEED; iterating one inside a "
     "protocol makes nominally identical executions diverge",
 )
 DET005 = rule(
     "DET005",
-    "determinism",
     "arbitrary element extraction",
     "next(iter(s)) / s.pop() pick a hash-order-dependent element; "
     "Theorem 2's reconstruction would replay a different one",

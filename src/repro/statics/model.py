@@ -16,9 +16,8 @@ from typing import Optional
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ModuleInfo:
-    """One parsed module: where it lives and its AST."""
+    """One parsed module: the path findings carry and its AST."""
 
-    path: pathlib.Path
     relative: str
     tree: ast.Module
 
@@ -29,9 +28,8 @@ def parse_module(
     """One source text in, one parsed module out.
 
     A ``SyntaxError`` propagates, so a file that does not parse fails
-    the lint run.  ``relative`` is the ``<root>/<package>/<module>.py``
-    path findings carry.
+    the lint run; it names ``path`` when given, else ``relative``, the
+    ``<root>/<package>/<module>.py`` path findings carry.
     """
-    location = path if path is not None else pathlib.Path(relative)
-    tree = ast.parse(source, filename=str(location))
-    return ModuleInfo(path=location, relative=relative, tree=tree)
+    tree = ast.parse(source, filename=str(path if path is not None else relative))
+    return ModuleInfo(relative=relative, tree=tree)

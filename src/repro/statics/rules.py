@@ -1,4 +1,4 @@
-"""The rule registry: every check has an id, a pass, and a rationale.
+"""The rule registry: every check has an id, a title and a rationale.
 
 Rules are declared where they are implemented (the pass module) via
 the :func:`rule` registrar; the registry exists so the reporters and
@@ -21,7 +21,6 @@ class Rule:
     """
 
     id: str
-    pass_name: str
     title: str
     rationale: str
 
@@ -29,10 +28,10 @@ class Rule:
 RULES: Dict[str, Rule] = {}
 
 
-def rule(rule_id: str, pass_name: str, title: str, rationale: str) -> Rule:
+def rule(rule_id: str, title: str, rationale: str) -> Rule:
     """Register and return a :class:`Rule`; ids must be unique."""
     if rule_id in RULES:
         raise ValueError(f"duplicate rule id {rule_id!r}")
-    registered = Rule(rule_id, pass_name, title, rationale)
+    registered = Rule(rule_id, title, rationale)
     RULES[rule_id] = registered
     return registered

@@ -1,10 +1,10 @@
-"""The EIG sweep's chain tables equal the tuple enumeration they replace.
+"""The EIG sweep's chain tables equal a tuple enumeration of their order.
 
-:class:`repro.arrays.flat.ChainTopology` builds its ``pick`` and
-``suffix`` columns level by level by index arithmetic; the plain model
-in ``chain_reference`` enumerates the chains as tuples.  Every column
-must match it in value and dtype, so the sweep that gathers over them
-is the one the decisions, bit counts and goldens were recorded with.
+:class:`repro.arrays.flat.ChainTopology` builds its ``pick`` columns
+level by level by index arithmetic; the plain model in
+``chain_reference`` lists the chains as tuples, extension-major, from
+the definition.  Every column must match it in value and dtype, so the
+sweep that gathers over them reads each chain where the model puts it.
 """
 
 import functools
@@ -21,7 +21,7 @@ from repro.compact.byzantine_agreement import compact_ba_factory
 from repro.errors import ConfigurationError
 from repro.types import SystemConfig
 
-from tests.arrays.chain_reference import chain_tables
+from tests.arrays.chain_reference import chain_levels, chain_tables
 
 GRID = [
     (n, depth) for n in range(1, 9) for depth in range(1, n + 1)
@@ -30,20 +30,33 @@ GRID = [
 
 @pytest.mark.parametrize("n,depth", GRID)
 def test_tables_equal_the_tuple_enumeration(n, depth):
-    picks, suffixes, level_sizes = chain_tables(n, depth)
+    picks, level_sizes = chain_tables(n, depth)
     topology = ChainTopology(n, depth)
     assert topology.level_sizes == level_sizes
     assert level_sizes == [math.perm(n, level) for level in range(depth + 1)]
-    built_columns = topology.pick + topology.suffix
-    assert len(built_columns) == len(picks + suffixes) == 2 * depth
-    for built, expected in zip(built_columns, picks + suffixes):
+    assert len(topology.pick) == len(picks) == depth
+    for built, expected in zip(topology.pick, picks):
         assert built.dtype == expected.dtype == np.int64
         assert np.array_equal(built, expected)
 
 
+def test_each_column_holds_one_chains_extensions():
+    """Reshaped to ``(n - l + 1, P(l - 1))``, level ``l``'s column ``j``
+    is the one-relayer extensions of level ``l - 1``'s chain ``j``."""
+    n, depth = 5, 3
+    levels = chain_levels(n, depth)
+    for level in range(1, depth + 1):
+        previous = levels[level - 1]
+        for j, chain in enumerate(previous):
+            column = levels[level][j::len(previous)]
+            assert column == [
+                (q,) + chain for q in range(1, n + 1) if q not in chain
+            ]
+
+
 def test_depth_zero_has_only_the_empty_chain():
     topology = ChainTopology(3, 0)
-    assert topology.pick == topology.suffix == []
+    assert topology.pick == []
     assert topology.level_sizes == [1]
 
 

@@ -18,7 +18,7 @@ import pathlib
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.arrays.encoding import MessageSizer, encoded_array_bits
 from repro.arrays.flat import FlatTables, tables_for
@@ -249,6 +249,64 @@ class TestKernelEquality:
         )
         assert kernel_counts(routed) == (int(stop == 0), int(routed_flat), 0)
         assert kernel_counts(forced) == (int(stop == 0), int(stop > 0), 0)
+
+    @pytest.mark.parametrize(
+        "n, depth", [(5, 3), (5, 4)], ids=["60-chains", "120-chains"]
+    )
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_many_candidates_resolve_as_the_reference(self, n, depth, data):
+        """With no alphabet every distinct leaf is a candidate: 3 to
+        over 40 of them here, ranked around a non-zero default, on
+        levels with an even extension count (4 at level 2, 2 at level
+        4), where a tie fails ``2 * count > extensions``.  In half the
+        states two hot leaves fill about two thirds of the slots, so
+        majorities and ties both occur.  Forced through the kernel,
+        every state resolves exactly as its plain tuples do."""
+        size = data.draw(st.sampled_from([3, 8, 45]))
+        pool = data.draw(st.lists(
+            st.one_of(st.integers(-5, 60), st.text("ab", max_size=2)),
+            min_size=size, max_size=size,
+            unique_by=lambda leaf: (type(leaf), leaf),
+        ))
+        hot = data.draw(st.sampled_from([0, size]))
+        leaves = st.sampled_from(pool[:2] * hot + pool)
+        state = data.draw(uniform_trees(n=n, depth=depth, leaves=leaves))
+        plain = to_plain(ArrayStore(n).intern(state))
+        assume(walk_stop(plain, n, depth, 7, None) == depth)
+        reference = eig_byzantine_decision(
+            plain, n=n, t=depth - 1, process_id=1, default=7
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decision, "_REFERENCE_MAX_CHAINS", 0)
+            with observing(Observer()) as forced:
+                swept = eig_byzantine_decision(
+                    ArrayStore(n).intern(state), n=n, t=depth - 1,
+                    process_id=1, default=7,
+                )
+        assert typed(swept) == typed(reference)
+        assert kernel_counts(forced) == (0, 1, 0)
+
+    @given(uniform_trees(
+        n=5, depth=3,
+        leaves=st.one_of(st.integers(0, 1), st.just("garbage")),
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_two_candidates_with_default_one(self, state):
+        """The two-candidate tally compares a column's count of 1s
+        against a different bound when the default is 1; forced
+        through the kernel, it resolves as the plain tuples do."""
+        plain = to_plain(ArrayStore(5).intern(state))
+        reference = eig_byzantine_decision(
+            plain, n=5, t=2, process_id=1, default=1, alphabet=[0, 1]
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decision, "_REFERENCE_MAX_CHAINS", 0)
+            swept = eig_byzantine_decision(
+                ArrayStore(5).intern(state), n=5, t=2, process_id=1,
+                default=1, alphabet=[0, 1],
+            )
+        assert typed(swept) == typed(reference)
 
     def test_eig_decision_on_ragged_state_identical(self):
         # A Byzantine processor relays a ragged (wrong-arity) level:

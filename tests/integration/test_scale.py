@@ -3,9 +3,12 @@
 The paper's protocols are proved for all n; these tests push the
 implementation past the toy sizes used elsewhere.  The largest EIG
 decision the suite computes is n = 16, t = 5: 5,765,760 distinct relay
-chains, swept on the dense path over hash-consed arrays and closed-form
-chain tables (``repro.arrays.flat.ChainTopology``).  Both sizes run
-under ``EquivocatingAdversary`` and ``StaleCoreAdversary``
+chains, swept on the dense path over hash-consed arrays along
+extension-major chain tables (``repro.arrays.flat.ChainTopology``, one
+int64 pick a chain), each level's int8 votes tallied in place; a
+``run-ba --n 16 --t 5`` process peaks near 170 MB resident
+(docs/perf.md, "The EIG sweep").  Both sizes run under
+``EquivocatingAdversary`` and ``StaleCoreAdversary``
 (``tests/adversary/compact_attacks.py``), under which the
 dominant-child walk stops and the decision reaches the sweep; n = 13,
 t = 4 sweeps 154,440 chains.  The full-information state itself is a

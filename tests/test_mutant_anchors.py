@@ -77,10 +77,22 @@ Stack (most recent call first):
 
 def test_reason_names_the_test_an_alarm_ended():
     assert mutants._reason(ALARM_OUTPUT) == (
-        'File "/tmp/mutant-3k2j9x/repo/tests/compact/'
-        'test_authenticated_variant.py", line 25 in '
+        'File "tests/compact/test_authenticated_variant.py", line 25 in '
         "test_deep_core_rejected_before_anything_walks_it"
     )
+
+
+def test_reason_paths_are_repo_relative_on_every_run():
+    """A faulthandler frame quoting the temp copy reads the same
+    whatever temp directory the copy landed in."""
+    frame = (
+        '  File "{}/repo/tests/fuzz/test_replay.py", line 7 in test_walk\n'
+    )
+    reasons = {
+        mutants._reason(frame.format(root))
+        for root in ("/tmp/mutant-3k2j9x", "/var/tmp/x/mutant-q_81zz")
+    }
+    assert reasons == {'File "tests/fuzz/test_replay.py", line 7 in test_walk'}
 
 
 def test_reason_prefers_a_pytest_marker():

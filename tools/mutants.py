@@ -215,23 +215,32 @@ def _run(argv: List[str], cwd: Path, cap: int) -> Tuple[Optional[int], str]:
 #: A frame of a test function in a faulthandler stack.
 _TEST_FRAME = re.compile(r'^File ".*/tests/.*", line \d+ in test_')
 
+#: The temp copy's root, ``<tmp>/mutant-<random>/repo/``, in a path.
+_COPY_ROOT = re.compile(r'[^\s"]*/mutant-[^/\s"]*/repo/')
+
 
 def _reason(output: str) -> str:
-    """The line of ``output`` that says what failed.
+    """The line of ``output`` that says what failed, as a table cell.
 
     A check ended by a test's own alarm prints no pytest marker, only
     faulthandler's stack, most recent call first: its first frame in a
-    test function names the test.
+    test function names the test.  Paths into the temp copy are made
+    repo-relative, so a row reads the same on every run.
     """
     lines = [line.strip() for line in output.splitlines() if line.strip()]
     for marker in ("FAILED ", "ERROR ", "FAIL", "Error"):
         for line in lines:
             if marker in line:
-                return line[:160].replace("|", "/")
+                return _cell(line)
     for line in lines:
         if _TEST_FRAME.match(line):
-            return line[:160].replace("|", "/")
-    return lines[-1][:160].replace("|", "/") if lines else "(no output)"
+            return _cell(line)
+    return _cell(lines[-1]) if lines else "(no output)"
+
+
+def _cell(line: str) -> str:
+    """``line`` repo-relative, cut to 160 characters, with no ``|``."""
+    return _COPY_ROOT.sub("", line)[:160].replace("|", "/")
 
 
 def judge(mutant: Optional[Mutant]) -> Tuple[str, str]:
