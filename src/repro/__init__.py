@@ -16,9 +16,7 @@ Public API highlights
   phase king/queen, Srikanth–Toueg-style witnessed broadcast, Ben-Or,
   Turpin–Coan, crusader, weak, approximate agreement),
 * :mod:`repro.runtime` / :mod:`repro.adversary` — the synchronous
-  round substrate and fault models everything runs on,
-* :mod:`repro.statics` — protolint, the protocol-aware static
-  analysis behind ``python -m repro lint`` (see ``docs/statics.md``).
+  round substrate and fault models everything runs on.
 
 Every package re-exports lazily (PEP 562): ``from repro import
 run_protocol`` imports :mod:`repro.runtime.engine` on that line, and

@@ -15,8 +15,6 @@ Gives a downstream user the paper's artifacts without writing code:
 * ``status``    — read and validate a recorded run: bits, rounds,
   cells, cache hit rates, where the time went and what was skipped
   or degraded,
-* ``lint``      — the protocol-aware static analysis of
-  :mod:`repro.statics` (determinism),
 * ``fuzz``      — seeded adversarial campaigns with differential
   oracles and counterexample shrinking (see docs/fuzzing.md).
 """
@@ -180,24 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("text", "json"),
         default="text",
         help="report format",
-    )
-
-    lint = commands.add_parser(
-        "lint",
-        help="protocol-aware static analysis (see docs/statics.md)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (json is the machine-readable schema, "
-        "sarif is SARIF 2.1.0 for code-scanning upload)",
-    )
-    lint.add_argument(
-        "--root",
-        default=None,
-        help="package directory to lint (default: the installed repro "
-        "package)",
     )
 
     fuzz = commands.add_parser(
@@ -477,37 +457,6 @@ def _command_status(args) -> _Output:
     return render_status(status), code
 
 
-def _command_lint(args) -> _Output:
-    import pathlib
-
-    from repro.statics.report import render_json, render_sarif, render_text
-    from repro.statics.runner import default_package_root, lint_tree
-
-    root = (
-        pathlib.Path(args.root).resolve()
-        if args.root
-        else default_package_root()
-    )
-    if not root.is_dir():
-        return f"error: lint root {root} is not a directory", 2
-    try:
-        result = lint_tree(root)
-    except SyntaxError as error:
-        return _unparsable(error), 2
-    if args.format == "json":
-        rendered = render_json(result)
-    elif args.format == "sarif":
-        rendered = render_sarif(result)
-    else:
-        rendered = render_text(result)
-    return rendered, result.exit_code
-
-
-def _unparsable(error):
-    # A scanned file that does not parse fails the whole lint run.
-    return f"error: {error.filename}: {error.msg} (line {error.lineno})"
-
-
 def _command_fuzz(args) -> _Output:
     import pathlib
 
@@ -587,7 +536,6 @@ _HANDLERS = {
     "avalanche": _command_avalanche,
     "events": _command_events,
     "status": _command_status,
-    "lint": _command_lint,
     "fuzz": _command_fuzz,
 }
 
@@ -596,9 +544,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code.
 
     Handlers return either the report text (exit code 0) or a
-    ``(text, exit_code)`` pair — ``lint`` uses the latter so CI can
-    gate on findings.  A :class:`ConfigurationError` from any handler
-    is reported as ``error: <message>`` with exit code 2.
+    ``(text, exit_code)`` pair.  A :class:`ConfigurationError` from any
+    handler is reported as ``error: <message>`` with exit code 2.
     """
     args = _build_parser().parse_args(argv)
     try:

@@ -12,11 +12,11 @@ small no matter how hot the instrumented region is.
 Spans read the wall clock and are therefore **explicitly
 nondeterministic**: they never enter the deterministic section of an
 event log (records derived from them carry ``"nondeterministic":
-true``) and never influence protocol behaviour.  This module is the
-single place in the determinism-scanned packages allowed to import
-:mod:`time` (``CLOCK_MODULES`` in :mod:`repro.statics.runner`), and
-the two-process replay (``tests/integration/test_determinism.py``)
-compares every record but those flagged records.
+true``) and never influence protocol behaviour.  The two-process
+hash-seed replay (``tests/integration/test_determinism.py``) is what
+keeps the wall clock out of everything else: it compares every record
+but those flagged ones, and a clock read anywhere in a replayed
+protocol, campaign or event changes its output.
 """
 
 from __future__ import annotations

@@ -136,8 +136,9 @@ class Process(abc.ABC):
     *when* one processor's ``receive(r, ...)`` runs relative to
     another's.  It must not communicate with other processes except
     through its returned messages (no shared mutable state, no
-    out-of-band channels); protolint's purity pass checks this
-    statically, and the schedule-invariance suite
+    out-of-band channels); tests/integration/test_no_io.py runs every
+    automaton under an audit hook and checks that a run does no I/O
+    and leaves no state behind, and the schedule-invariance suite
     (tests/runtime/test_scheduler_equivalence.py) demonstrates that
     violating it — and only violating it — makes an asynchronous
     schedule observable.

@@ -70,16 +70,20 @@ class TestEarlyStopping:
 class TestCorrectness:
     @pytest.mark.parametrize("cut", [0.0, 0.4, 0.8, 1.0])
     @pytest.mark.parametrize(
-        "crash_rounds",
-        [{2: 1}, {2: 1, 5: 2}, {1: 1, 4: 1}, {3: 2, 6: 3}],
+        "t, crash_rounds",
+        [
+            (5, {2: 1}), (5, {2: 1, 5: 2}), (5, {1: 1, 4: 1}), (5, {3: 2, 6: 3}),
+            # t < n/3: a relay of t + 1 values is well short of the
+            # whole set, so a bug in which values get relayed shows.
+            (2, {1: 1}), (2, {1: 1, 2: 2}),
+        ],
     )
-    def test_agreement_and_bound_under_crash_schedules(
-        self, big_config, cut, crash_rounds
-    ):
-        inputs = {p: p % 3 for p in big_config.process_ids}
-        result = run_early(big_config, inputs, crash_rounds, cut=cut)
+    def test_agreement_and_bound_under_crash_schedules(self, t, cut, crash_rounds):
+        config = SystemConfig(n=7, t=t)
+        inputs = {p: f"value-{p}" for p in config.process_ids}
+        result = run_early(config, inputs, crash_rounds, cut=cut)
         assert len(result.decided_values()) == 1
-        bound = early_stopping_rounds(len(crash_rounds), big_config.t)
+        bound = early_stopping_rounds(len(crash_rounds), config.t)
         assert max(result.decision_rounds.values()) <= bound
 
     def test_validity_on_unanimity(self, big_config):

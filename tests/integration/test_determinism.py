@@ -3,9 +3,10 @@
 A core design requirement (DESIGN.md): every execution is a pure
 function of ``(protocol, inputs, adversary, seed)``.  These tests
 replay the most state-heavy stacks and compare full traces, and
-replay the registry and the corpus in two fresh processes under
-different hash seeds, where a wall-clock read, an unseeded RNG or the
-iteration order of a ``set`` of strings shows as a difference.
+replay the registry, the corpus and the four protocols the registry
+exempts in two fresh processes under different hash seeds, where a
+wall-clock read, an unseeded RNG or the iteration order of a ``set``
+of strings shows as a difference.
 """
 
 import os
@@ -112,9 +113,59 @@ class TestOmissionDeterminism:
         assert fingerprints[0] == fingerprints[1]
 
 
+#: The ``CATALOG_EXEMPT`` protocols, which no campaign runs: decisions,
+#: decision rounds, metered bits and each correct processor's final
+#: state, every ``set`` printed sorted by ``repr`` (a snapshot's own
+#: ``set`` repr follows the hash seed on correct code).
+_EXEMPT_RUNS = """
+from repro.adversary import RandomGarbageAdversary, SilentAdversary
+from repro.adversary.crash import CrashAdversary
+from repro.agreement.approximate import approximate_factory
+from repro.agreement.early_stopping import early_stopping_factory
+from repro.agreement.phase_king import phase_king_factory, phase_king_rounds
+from repro.agreement.turpin_coan import turpin_coan_factory
+from repro.compact.crash_variant import crash_compact_factory, crash_sizer
+from repro.runtime.engine import run_protocol
+from repro.types import SystemConfig
+
+def canonical(item):
+    if isinstance(item, (set, frozenset)):
+        return sorted(map(canonical, item), key=repr)
+    if isinstance(item, dict):
+        return {key: canonical(value) for key, value in item.items()}
+    return item
+
+config = SystemConfig(n=7, t=2)
+ids = config.process_ids
+floats = {1: 0.0, 2: 10.0, 3: 5.0, 4: 2.0, 5: 8.0, 6: 1.0, 7: 9.0}
+early = early_stopping_factory()
+crash = crash_compact_factory(k=2, value_alphabet=[0, 1, 2], t=config.t)
+runs = [
+    (approximate_factory(rounds=6), floats, SilentAdversary([3, 4]), 7, None),
+    *((early, {p: f"value-{p}" for p in ids},
+       CrashAdversary(crashes, early, cut_fraction=cut), config.t + 2, None)
+      for crashes, cut in (({1: 1}, 0.5), ({1: 1, 2: 2}, 0.3))),
+    (crash, {p: p % 3 for p in ids}, CrashAdversary({3: 1, 6: 2}, crash),
+     config.t + 2, crash_sizer(config, 3)),
+    (turpin_coan_factory(phase_king_factory(), default="z"),
+     {p: "aabaaca"[p - 1] for p in ids},
+     RandomGarbageAdversary([3, 6], palette=["a", "b", "q"]),
+     3 + phase_king_rounds(config.t), None),
+]
+for factory, inputs, adversary, max_rounds, sizer in runs:
+    result = run_protocol(factory, config, inputs, adversary=adversary,
+                          max_rounds=max_rounds, sizer=sizer)
+    print(sorted(result.decisions.items()),
+          sorted(result.decision_rounds.items()), result.metrics.total_bits)
+    for p, process in sorted(result.processes.items()):
+        print(p, canonical(process.snapshot()))
+"""
+
+
 def _replay_in_a_fresh_process(directory, hash_seed):
-    """Stdout of a registry campaign and a corpus replay, and the
-    campaign log's deterministic records, under ``hash_seed``."""
+    """Stdout of a registry campaign, a corpus replay and the exempt
+    protocols' runs, and the campaign log's deterministic records,
+    under ``hash_seed``."""
     directory.mkdir()
     env = dict(
         os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(REPO / "src")
@@ -127,13 +178,14 @@ def _replay_in_a_fresh_process(directory, hash_seed):
         for argument in ("--protocol", name)
     ]
     commands = (
-        ["fuzz", "--seed", "2026", "--cases", "10", "--n", "7", "--t", "2",
-         *protocols, "--events", "events.jsonl"],
-        ["fuzz", "--replay", str(CORPUS)],
+        ["-m", "repro", "fuzz", "--seed", "2026", "--cases", "10",
+         "--n", "7", "--t", "2", *protocols, "--events", "events.jsonl"],
+        ["-m", "repro", "fuzz", "--replay", str(CORPUS)],
+        ["-c", _EXEMPT_RUNS],
     )
     stdout = [
         subprocess.run(
-            [sys.executable, "-m", "repro", *command], cwd=directory,
+            [sys.executable, *command], cwd=directory,
             env=env, capture_output=True, text=True, check=True,
         ).stdout
         for command in commands

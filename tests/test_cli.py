@@ -176,18 +176,22 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("lint", "--certificates", "out.json"),
             ("fuzz", "--replay", "tests/fuzz/corpus", "--check-closedness"),
             ("fuzz", "--replay", "tests/fuzz/corpus", "--certificates", "x"),
         ],
-        ids=["lint-certificates", "fuzz-check-closedness",
-             "fuzz-certificates"],
+        ids=["fuzz-check-closedness", "fuzz-certificates"],
     )
     def test_retired_closedness_flags_are_unknown(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
             main(list(argv))
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_retired_lint_command_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'lint'" in capsys.readouterr().err
 
 
 class TestClosedPipe:

@@ -86,7 +86,6 @@ def test_run_ba_loads_no_numpy_and_no_unused_package():
         "repro.agreement",
         "repro.analysis.compare",
         "repro.fuzz",
-        "repro.statics",
         "repro.obs.export",
         "repro.obs.rollup",
         "repro.obs.events",

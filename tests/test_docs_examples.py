@@ -1,10 +1,13 @@
-"""The README's code blocks must actually run.
+"""The README's code blocks must actually run, and the docs must name
+only code that exists.
 
 Documentation rot is a bug: every ``python`` fenced block in README.md
 is extracted and executed in one shared namespace (blocks may build on
 earlier ones, as the README's do).
 """
 
+import importlib
+import importlib.util
 import pathlib
 import re
 
@@ -60,3 +63,66 @@ def test_examples_headers_in_readme():
     assert not (core & set(missing)), f"README omits {core & set(missing)}"
     for name in re.findall(r"`(\w+\.py)`", text):
         assert (examples / name).exists(), f"README references missing {name}"
+
+
+#: The prose docs whose references must resolve.
+DOC_FILES = (
+    "README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md",
+    ".claude/skills/verify/SKILL.md",
+)
+
+#: A repo path: ``src/repro/...py``, or anything under tests/, tools/
+#: or benchmarks/ (a file or a directory).
+DOC_PATH = re.compile(
+    r"(?<![\w/.-])(?:src/repro/[\w/]+\.py|(?:tests|tools|benchmarks)/[\w./-]+)"
+)
+
+#: A dotted name inside the package: ``repro.x.y``.
+DOC_NAME = re.compile(r"(?<![\w/.-])repro(?:\.\w+)+")
+
+#: What names the deleted static linter: its subcommand, package and
+#: standalone script.
+RETIRED = re.compile(r"repro[ ]lint|repro[.]statics|run[_]lint[.]py")
+
+
+def _resolves(dotted: str) -> bool:
+    """``dotted`` is a module, or an attribute chain off one."""
+    parts = dotted.split(".")
+    for split in range(len(parts), 0, -1):
+        module = ".".join(parts[:split])
+        try:
+            found = importlib.util.find_spec(module) is not None
+        except ModuleNotFoundError:
+            found = False
+        if not found:
+            continue
+        if split == len(parts):
+            return True
+        value = importlib.import_module(module)
+        for attribute in parts[split:]:
+            if not hasattr(value, attribute):
+                return False
+            value = getattr(value, attribute)
+        return True
+    return False
+
+
+def test_docs_name_only_code_that_exists():
+    """Every repo path and ``repro.*`` name a doc cites still exists,
+    and no doc cites the deleted linter."""
+    root = README.parent
+    broken = []
+    for pattern in DOC_FILES:
+        for doc in sorted(root.glob(pattern)):
+            text = doc.read_text()
+            where = doc.relative_to(root)
+            for path in set(DOC_PATH.findall(text)):
+                if not (root / path.rstrip(".")).exists():
+                    broken.append(f"{where}: {path}")
+            for name in set(DOC_NAME.findall(text)):
+                if not _resolves(name):
+                    broken.append(f"{where}: {name}")
+            broken.extend(
+                f"{where}: {retired}" for retired in set(RETIRED.findall(text))
+            )
+    assert not broken, "\n".join(sorted(broken))

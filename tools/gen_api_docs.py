@@ -5,9 +5,9 @@ functions it *defines* (not re-exports), and writes one markdown
 section per module with each item's signature and docstring summary.
 ``tests/test_docs_examples.py``-style freshness is enforced by
 ``tests/test_api_docs.py``: regenerating must reproduce the committed
-file, so the reference can never drift from the code.  Like
-``tools/run_lint.py`` it prepends the checkout's ``src/`` to
-``sys.path``, so it needs no install and no ``PYTHONPATH``.
+file, so the reference can never drift from the code.  It prepends
+the checkout's ``src/`` to ``sys.path``, so it needs no install and
+no ``PYTHONPATH``.
 
 Run:  python tools/gen_api_docs.py
 """
@@ -29,9 +29,9 @@ HEADER = """# API reference
 Generated by `python tools/gen_api_docs.py` — do not edit by hand.
 One section per module; each entry shows the public signature and the
 first paragraph of its docstring.  See the module sources for the full
-discussions (they carry the paper cross-references).  The lint rules
-enforced over this surface by `repro lint` are documented in
-[statics.md](statics.md).
+discussions (they carry the paper cross-references).  The runtime
+checks that hold this surface to the paper's determinism and purity
+assumptions are documented in [mutants.md](mutants.md).
 """
 
 

@@ -1,27 +1,25 @@
-"""Plant each class of protolint finding as a mutant; see what kills it.
+"""Plant each class of determinism, purity and input-validation bug as
+a mutant; see which runtime check kills it.
 
 A mutant is one small, deliberate bug: a find string in one file and
 its replacement.  For each mutant this script copies the repository
-into a temporary directory, applies the edit, then runs ``repro lint
---format json`` (whose rules are reported, not counted as a kill) and
-the runtime checks in order: CI's fuzz-smoke corpus replay and
-registry campaigns at n = 9 and n = 13, then tier-1 (``pytest -x
--q`` without ``tests/statics``, which runs the linter, and without the
-anchor test below), its run checks first: ``test_no_io.py`` (no I/O,
-no state left behind) and ``test_determinism.py`` (the two-process
-hash-seed replay).  The
-first check that fails kills the mutant; a check that outlives its
-wall-clock cap is reported as ``cap hit``, not as a kill.  A first
-``(control)`` row runs the unmutated copy, which must survive.
+into a temporary directory, applies the edit, then runs the runtime
+checks in order: CI's fuzz-smoke corpus replay and registry campaigns
+at n = 9 and n = 13, then tier-1 (``pytest -x -q`` without the anchor
+test below), its run checks first: ``test_no_io.py`` (no I/O, no
+state left behind) and ``test_determinism.py`` (the two-process
+hash-seed replay).  The first check that fails kills the mutant; a
+check that outlives its wall-clock cap is reported as ``cap hit``,
+not as a kill.  A first ``(control)`` row runs the unmutated copy,
+which must survive.
 
 Run it from anywhere, with no arguments: ``python tools/mutants.py``
-(about an hour on two cores, most of it one tier-1 run per surviving
-mutant).  It needs no PYTHONPATH.
+(about 15 minutes on two cores, plus one tier-1 run per mutant that
+no run check kills).  It needs no PYTHONPATH.
 ``tests/test_mutant_anchors.py`` checks that every find string occurs
 exactly once, so code motion cannot turn a mutant into a no-op.
 """
 
-import json
 import os
 import re
 import shutil
@@ -37,9 +35,9 @@ REPO = Path(__file__).resolve().parent.parent
 
 class Mutant(NamedTuple):
     id: str
-    #: The lint pass whose finding class it plants.  PUR and TAINT
-    #: name retired passes: their rows stay as evidence that runtime
-    #: checks kill what those passes used to flag.
+    #: The retired static-analysis pass whose finding class it plants
+    #: (DET, PUR or TAINT): each row is evidence that a runtime check
+    #: kills what that pass used to flag.
     family: str
     path: str
     find: str
@@ -119,6 +117,10 @@ MUTANTS = tuple(Mutant(id, family, "src/repro/" + path, find, replace) for (
      "        relayed = frozenset(\n            value for value in self.values\n"
      "            if repr(value) in texts[: self.config.t + 1]\n        )\n"
      "        return broadcast(relayed, self.config)\n"),
+    ("det-numpy-registered", "DET", "agreement/ben_or.py",
+     "int(self._rng.integers(0, 2))", "int(np.random.randint(0, 2))"),
+    ("det-pop-unregistered", "DET", _ES, "min(self.values, key=repr)",
+     "next(iter(self.values))"),
     ("det-random-worker", "DET", _CAMPAIGN,
      "case_seed = int(rng.integers(0, 2 ** 31))",
      "import random\n\n        case_seed = random.randrange(2 ** 31)"),
@@ -187,10 +189,8 @@ CHECKS: Tuple[Tuple[str, List[str], int, Optional[Tuple[int, int]]], ...] = (
     ("tier-1 run checks", _PYTEST + ["tests/integration/test_no_io.py",
                                      "tests/integration/test_determinism.py"],
      300, None),
-    # tests/statics runs the linter, so it cannot count as a kill, and
-    # the anchor test fails on every mutant by construction.
-    ("tier-1", _PYTEST + ["--ignore=tests/statics",
-                          "--ignore=tests/test_mutant_anchors.py"], 600, None),
+    # The anchor test fails on every mutant by construction.
+    ("tier-1", _PYTEST + ["--ignore=tests/test_mutant_anchors.py"], 600, None),
 )
 _CAMPAIGN_FLAGS = ["--workers", "2", "--shrink", "--corpus", "fuzz-artifacts"]
 
@@ -243,8 +243,8 @@ def _cell(line: str) -> str:
     return _COPY_ROOT.sub("", line)[:160].replace("|", "/")
 
 
-def judge(mutant: Optional[Mutant]) -> Tuple[str, str]:
-    """``(lint rules fired, verdict)`` for one mutant (``None``: control)."""
+def judge(mutant: Optional[Mutant]) -> str:
+    """The runtime verdict for one mutant (``None``: the control)."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
         copy = Path(scratch) / "repo"
         shutil.copytree(REPO, copy, ignore=shutil.ignore_patterns(
@@ -254,38 +254,31 @@ def judge(mutant: Optional[Mutant]) -> Tuple[str, str]:
             target = copy / mutant.path
             source = target.read_text()
             if source.count(mutant.find) != 1:
-                return "-", "anchor lost: the find string is not unique"
+                return "anchor lost: the find string is not unique"
             target.write_text(source.replace(mutant.find, mutant.replace))
-        code, output = _run(["-m", "repro", "lint", "--format", "json"],
-                            copy, 300)
-        try:
-            findings = json.loads(output)["findings"]
-            rules = ", ".join(sorted({f["rule"] for f in findings}))
-        except (TypeError, ValueError, KeyError):
-            rules = f"lint exit {code}"
         for name, argv, cap, registry in CHECKS:
             if registry is not None:
                 n, t = registry
                 code, listing = _run(
                     ["-c", _REGISTRY.format(n=n, t=t)], copy, 120)
                 if code != 0:
-                    return rules or "nothing", f"killed: {name}: {_reason(listing)}"
+                    return f"killed: {name}: {_reason(listing)}"
                 argv = argv + listing.split() + _CAMPAIGN_FLAGS
             code, output = _run(argv, copy, cap)
             if code is None:
-                return rules or "nothing", f"cap hit: {name} ({cap} s)"
+                return f"cap hit: {name} ({cap} s)"
             if code != 0:
-                return rules or "nothing", f"killed: {name}: {_reason(output)}"
-        return rules or "nothing", "survived"
+                return f"killed: {name}: {_reason(output)}"
+        return "survived"
 
 
 def main() -> int:
-    print("| mutant | family | lint | runtime verdict |")
-    print("| --- | --- | --- | --- |")
+    print("| mutant | family | runtime verdict |")
+    print("| --- | --- | --- |")
     for mutant in (None, *MUTANTS):
-        rules, verdict = judge(mutant)
+        verdict = judge(mutant)
         name, family = (mutant.id, mutant.family) if mutant else ("(control)", "-")
-        print(f"| `{name}` | {family} | {rules} | {verdict} |", flush=True)
+        print(f"| `{name}` | {family} | {verdict} |", flush=True)
     return 0
 
 
