@@ -88,9 +88,11 @@ class EarlyStoppingCrashProcess(Process):
             self.decide(min(self.values, key=repr), round_number)
 
     def snapshot(self) -> Any:
+        # Sorted by ``repr``, the order :meth:`receive` decides by, so
+        # the snapshot does not follow the hash seed.
         return {
-            "values": set(self.values),
-            "heard": set(self._previous_heard or ()),
+            "values": tuple(sorted(self.values, key=repr)),
+            "heard": tuple(sorted(self._previous_heard or (), key=repr)),
             "decision": self.decision,
         }
 

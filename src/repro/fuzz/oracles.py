@@ -245,10 +245,10 @@ def check_budget(spec: ProtocolSpec, result: ExecutionResult) -> List[str]:
 
     Every metered round ``r`` stays within ``spec.message_bits(config,
     r)`` bits per message (the meter keeps per-round totals, so this is
-    the round's average over its messages), and, unless the spec is
-    randomized, every correct processor decided by round
-    ``spec.rounds(config)``.  Not a named oracle: the campaign judges
-    every spec by it.
+    the round's average over its messages), and, when the spec
+    declares a round bound (``spec.rounds`` is not ``None``), every
+    correct processor decided by round ``spec.rounds(config)``.  Not
+    a named oracle: the campaign judges every spec by it.
     """
     config = result.config
     violations: List[str] = []

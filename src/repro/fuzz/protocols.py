@@ -126,8 +126,8 @@ class ProtocolSpec:
     #: execution where it ran.
     oracles: Tuple[str, ...]
     #: The declared round bound: every correct processor has decided
-    #: by round ``rounds(config)``.  ``None`` exactly for a
-    #: ``randomized`` protocol.
+    #: by round ``rounds(config)``.  ``None`` marks a randomized
+    #: protocol, which declares none (:data:`RANDOMIZED_ROUND_CAP`).
     rounds: Optional[Callable[[SystemConfig], int]]
     #: The protocol needs ``n >= resilience * t + 1`` (read by
     #: :meth:`supports`); the factory's module docstring states it.
@@ -142,7 +142,6 @@ class ProtocolSpec:
     #: Non-terminating / externally clocked: run exactly ``rounds``
     #: full rounds instead of stopping once all correct decide.
     run_full: bool = False
-    randomized: bool = False
     #: Runs over the signature oracle: the generic gallery cannot
     #: sign, so only its silent strategy is a meaningful opponent.
     authenticated: bool = False
@@ -389,7 +388,6 @@ register(ProtocolSpec(
     build=lambda config: ben_or_factory(),
     oracles=BA_ORACLES,
     rounds=None,
-    randomized=True,
     resilience=3,
     # ("report" | "propose", bit or no-proposal)
     message_bits=lambda config, r: DEFAULT_NODE_BITS + 2 * DEFAULT_LEAF_BITS,

@@ -1,4 +1,4 @@
-"""The structured event log: schema v3, sinks, and validation.
+"""The structured event log: schema v3, its sink, and validation.
 
 Every record is one JSON object per line (JSONL) with a common
 envelope::
@@ -161,7 +161,7 @@ def json_safe(value: Any) -> Any:
 
 # -- line encoders ----------------------------------------------------------
 #
-# A streamed record is the line ``json.dumps(record, separators=(", ",
+# A record is the line ``json.dumps(record, separators=(", ",
 # ": ")) + "\n"`` would give — that spelling is the on-disk contract
 # (pinned by tests/obs/test_golden_log.py) — but it is assembled from
 # parts that are each rendered once: the envelope prefix per
@@ -175,12 +175,6 @@ _encode_other = json.JSONEncoder(
 ).encode
 
 
-class _Text(str):
-    """JSON text a streamed log writes as it is."""
-
-    __slots__ = ()
-
-
 def _json(value: Any) -> str:
     """``value`` as JSON text; exact ``str``/``int``/``bool`` directly."""
     kind = type(value)
@@ -190,8 +184,6 @@ def _json(value: Any) -> str:
         return _quote(value)
     if kind is bool:
         return "true" if value else "false"
-    if kind is _Text:
-        return value
     return _encode_other(value)
 
 
@@ -209,8 +201,8 @@ def _entry_text(head: int, tail: str) -> str:
 
 
 @functools.lru_cache(maxsize=1024)
-def _uniform_text(heads: Tuple[Any, ...], tail: str) -> _Text:
-    return _Text("[" + ", ".join(f"[{_json(h)}, {tail}" for h in heads) + "]")
+def _uniform_text(heads: Tuple[Any, ...], tail: str) -> str:
+    return "[" + ", ".join(f"[{_json(h)}, {tail}" for h in heads) + "]"
 
 
 #: Rollover part naming: ``<base>.jsonl.part-N`` (N starts at 1; the
@@ -219,13 +211,12 @@ _PART_RE = re.compile(r"^(?P<base>.+\.jsonl)\.part-(?P<n>\d+)$")
 
 
 class EventLog:
-    """An append-only JSONL sink, in memory or streamed to a path.
+    """An append-only JSONL sink streamed to ``path``.
 
-    With a ``path`` the records stream straight to disk (one encoded
-    line per record, flushed on :meth:`close`) and are not retained;
-    without one they accumulate in :attr:`records` for in-process
-    inspection (tests, :func:`~repro.obs.rollup.status_from_records`).
-    Writing to a streamed log after :meth:`close` raises
+    Each record is written as one encoded line when it is appended and
+    is not retained; :meth:`close` flushes the file, and the log is
+    read back with :func:`read_log` or :func:`scan_log`, as
+    ``repro status`` reads it.  Writing after :meth:`close` raises
     ``ValueError``, as a closed file does.
 
     The log owns ``step``, the per-log sequence number: :meth:`emit`
@@ -243,14 +234,12 @@ class EventLog:
 
     def __init__(
         self,
-        path: Optional[Union[str, pathlib.Path]] = None,
+        path: Union[str, pathlib.Path],
         cap_bytes: Optional[int] = None,
     ):
-        self.path = pathlib.Path(path) if path is not None else None
-        self.cap_bytes = cap_bytes if path is not None else None
-        self.records: List[Dict[str, Any]] = []
+        self.path = pathlib.Path(path)
+        self.cap_bytes = cap_bytes
         self.step = 0
-        self._handle: Optional[IO[str]] = None
         self._part = 0
         self._part_bytes = 0
         # Rendered-once line parts: ``, "name": `` per field name, the
@@ -260,16 +249,8 @@ class EventLog:
         self._kinds: Dict[str, str] = {}
         self._clock: Optional[Tuple[Optional[str], int]] = None
         self._clock_text = ""
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "w")
-
-    def write(self, record: Dict[str, Any]) -> None:
-        """Append one record that already carries its envelope."""
-        if self._handle is None:
-            self.records.append(record)
-        else:
-            self._write_line("{" + self._render(record)[2:] + "}\n")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._handle: IO[str] = open(self.path, "w")
 
     def emit(
         self,
@@ -286,42 +267,23 @@ class EventLog:
                 "shadow the envelope"
             )
         self.step = step = self.step + 1
-        if self._handle is None:
-            record: Dict[str, Any] = {
-                "v": SCHEMA_VERSION,
-                "kind": kind,
-                "run": run,
-                "round": round_number,
-                "step": step,
-            }
-            record.update(fields)
-            self.records.append(record)
-        else:
-            self._write_line(
-                f"{self._prefix(kind, run, round_number)}{step}"
-                f"{self._render(fields)}}}\n"
-            )
+        self._write_line(
+            f"{self._prefix(kind, run, round_number)}{step}"
+            f"{self._render(fields)}}}\n"
+        )
 
     def sends(
         self,
         run: Optional[str],
         round_number: int,
-        bursts: List[Tuple[int, bool, Any]],
+        bursts: List[Tuple[int, bool, str]],
     ) -> None:
         """One ``send`` record per ``(sender, faulty, messages)`` of a
-        round, in order, ``messages`` from :meth:`entries` or
+        round, in order, ``messages`` the text of :meth:`entries` or
         :meth:`uniform_entries`: :meth:`emit` without the generic field
         walk, for the kind a log writes most."""
         step = self.step
         self.step += len(bursts)
-        if self._handle is None:
-            for number, (sender, faulty, messages) in enumerate(bursts, step + 1):
-                self.records.append({
-                    "v": SCHEMA_VERSION, "kind": "send", "run": run,
-                    "round": round_number, "step": number, "sender": sender,
-                    "faulty": faulty, "messages": messages,
-                })
-            return
         prefix = self._prefix("send", run, round_number)
         lines = [
             f'{prefix}{number}, "sender": {_json(sender)}, "faulty": '
@@ -334,32 +296,25 @@ class EventLog:
             for line in lines:
                 self._write_line(line)
 
-    def tail(self, *fields: Any) -> Any:
-        """An entry's scalar ``fields`` after its head, as this log takes
-        them: the tuple in memory, for a stream its text (rendered once
-        per distinct tail)."""
-        if self._handle is None:
-            return fields
+    def tail(self, *fields: Any) -> str:
+        """The text of an entry's scalar ``fields`` after its head, up
+        to the entry's closing ``]``; rendered once per distinct tail."""
         return _tail_text(*fields)
 
-    def entries(self, heads: Iterable[Any], tails: Iterable[Any]) -> Any:
-        """``[[head, *tail], ...]``, each tail from :meth:`tail`, as this
-        log takes a field: a plain list in memory, text for a stream."""
-        if self._handle is None:
-            return [[head, *tail] for head, tail in zip(heads, tails)]
+    def entries(self, heads: Iterable[Any], tails: Iterable[str]) -> str:
+        """The text of ``[[head, *tail], ...]``, each tail's text from
+        :meth:`tail`."""
         # Only an exact ``int`` head is memoised: a Byzantine sender's
         # key could be an ``int`` subclass whose ``==`` lies.
         entries = [
             _entry_text(h, t) if type(h) is int else f"[{_json(h)}, {t}"
             for h, t in zip(heads, tails)
         ]
-        return _Text("[" + ", ".join(entries) + "]")
+        return "[" + ", ".join(entries) + "]"
 
-    def uniform_entries(self, heads: Tuple[Any, ...], tail: Any) -> Any:
-        """:meth:`entries` with one :meth:`tail` for every head; a
-        stream's text is rendered once per ``(heads, tail)``."""
-        if self._handle is None:
-            return [[head, *tail] for head in heads]
+    def uniform_entries(self, heads: Tuple[Any, ...], tail: str) -> str:
+        """:meth:`entries` with one :meth:`tail` for every head, rendered
+        once per ``(heads, tail)``."""
         return _uniform_text(heads, tail)
 
     def _render(self, fields: Mapping[str, Any]) -> str:
@@ -393,7 +348,6 @@ class EventLog:
         return head + self._clock_text
 
     def _write_line(self, line: str) -> None:
-        assert self._handle is not None
         if self.cap_bytes is not None:
             if (
                 self._part_bytes > 0
@@ -404,7 +358,6 @@ class EventLog:
         self._handle.write(line)
 
     def _rollover(self) -> None:
-        assert self._handle is not None and self.path is not None
         self._handle.close()
         self._part += 1
         part_path = self.path.with_name(
@@ -414,9 +367,8 @@ class EventLog:
         self._part_bytes = 0
 
     def close(self) -> None:
-        """Flush and close a streamed log; the handle stays closed."""
-        if self._handle is not None:
-            self._handle.close()
+        """Flush and close the log; the handle stays closed."""
+        self._handle.close()
 
 
 def _reject_constant(name: str) -> NoReturn:

@@ -204,14 +204,13 @@ class SynchronousNetwork:
         # hit.  Both entries are stable: the sizer and the null
         # predicate are pure functions of the payload value.
         self._interned_size_cache: Dict[Any, Tuple[int, bool]] = {}
-        # A faulty payload's `send` entry tail per object, whoever
-        # sends it, as the sink below takes it: ``id -> (payload,
-        # tail)``, for the execution when the payload cannot change
-        # (see _faulty_tail), else for the round.  Each entry holds its
-        # payload, so no id is reused while it is cached.
-        self._fixed_tails: Dict[int, Tuple[Any, Any]] = {}
-        self._round_tails: Dict[int, Tuple[Any, Any]] = {}
-        self._tails_sink: Optional[EventLog] = None
+        # A faulty payload's `send` entry tail text per object, whoever
+        # sends it: ``id -> (payload, tail)``, for the execution when
+        # the payload cannot change (see _faulty_tail), else for the
+        # round.  Each entry holds its payload, so no id is reused
+        # while it is cached.
+        self._fixed_tails: Dict[int, Tuple[Any, str]] = {}
+        self._round_tails: Dict[int, Tuple[Any, str]] = {}
         if trace is not None:
             # Loaded once per traced network, not per delivery.
             from repro.runtime.message import Envelope
@@ -319,8 +318,8 @@ class SynchronousNetwork:
     ) -> None:
         """Post-``receive`` bookkeeping for ``receivers``, whose state
         changes ran in that order: their snapshots, one ``state`` record
-        naming them (an in-memory log keeps the list itself), and a
-        ``decide`` record for each that decided this round."""
+        naming them, and a ``decide`` record for each that decided this
+        round."""
         processes = self.processes
         if self.trace is not None:
             for receiver in receivers:
@@ -395,10 +394,6 @@ class SynchronousNetwork:
         self._size_cache.clear()
         self._round_tails.clear()
         sink = observer.events if observer is not None else None
-        if sink is not self._tails_sink:
-            # A cached tail is in the form the sink that made it takes.
-            self._fixed_tails.clear()
-            self._tails_sink = sink
         base = dict(self._bottom_row)
         uniform: Set[ProcessId] = set()
         for outgoing in (correct_outgoing, faulty_outgoing):
@@ -437,11 +432,12 @@ class SynchronousNetwork:
             observer.emit_sends(bursts)
         return rows
 
-    def _faulty_tail(self, payload: Any, sink: EventLog) -> Any:
-        """A faulty sender's ``send`` entry after the receiver, as
-        ``sink`` takes it: sized by the structural fallback, since the
-        protocol sizer may choke on Byzantine garbage, and summarized —
-        its cost is informational, not a canonical-form bit claim.
+    def _faulty_tail(self, payload: Any, sink: EventLog) -> str:
+        """The text of a faulty sender's ``send`` entry after the
+        receiver (:meth:`EventLog.tail`): sized by the structural
+        fallback, since the protocol sizer may choke on Byzantine
+        garbage, and summarized — its cost is informational, not a
+        canonical-form bit claim.
         Once per payload object an execution when the object cannot
         change (an exact immutable scalar, or exact tuples and
         frozensets all the way down), else once per object a round: a

@@ -97,6 +97,23 @@ class TestCorrectness:
         decided = next(iter(result.decided_values()))
         assert decided in set(inputs.values())
 
+    def test_snapshot_fields_are_repr_sorted_tuples(self):
+        # A set's order follows the hash seed; a repr-sorted tuple's
+        # does not.
+        config = SystemConfig(n=7, t=2)
+        inputs = {p: f"value-{p}" for p in config.process_ids}
+        result = run_early(config, inputs, crash_rounds={6: 1, 7: 1})
+        for process in result.processes.values():
+            snapshot = process.snapshot()
+            for field in ("values", "heard"):
+                assert type(snapshot[field]) is tuple
+                assert list(snapshot[field]) == sorted(
+                    snapshot[field], key=repr
+                )
+            assert snapshot["values"] == tuple(
+                sorted(set(inputs.values()), key=repr)
+            )
+
 
 @settings(max_examples=40, deadline=None)
 @given(

@@ -24,7 +24,8 @@ from repro.compact.byzantine_agreement import (
 )
 from repro.compact.payload import compact_sizer, payload_is_null
 from repro.core.predicates import byzantine_agreement_predicate
-from repro.obs import EventLog, Observer, observing
+from repro.obs import Observer, observing
+from repro.obs.events import read_log
 from repro.runtime.engine import run_protocol
 from repro.runtime.node import Process
 from repro.types import BOTTOM, SystemConfig
@@ -227,14 +228,14 @@ class TestWireForm:
 class TestPoolTelemetry:
     @pytest.mark.parametrize("events", [True, False])
     def test_a_worker_has_one_slot_in_every_record(
-        self, config4, monkeypatch, events
+        self, config4, monkeypatch, events, new_log
     ):
         """Slots follow chunk order; pid order never shows."""
         fake_chunks(monkeypatch, lambda first: 800 if first % 2 else 900)
         cells = tiny_cells(5)
         # one per chunk at workers=2: pids 900, 800, 900, 800, 900
-        log = EventLog()
-        with observing(Observer(events=log if events else None)) as observer:
+        log = new_log() if events else None
+        with observing(Observer(events=log)) as observer:
             outcomes = parallel.execute_cells(
                 tiny_context(config4), cells, workers=2
             )
@@ -246,13 +247,14 @@ class TestPoolTelemetry:
         assert gauges["pool.worker.0.busy_s"] == 0.75
         assert gauges["pool.worker.1.busy_s"] == 0.5
         if events:
+            records = read_log(log.path)
             samples = [
-                record["worker"] for record in log.records
+                record["worker"] for record in records
                 if record["kind"] == "worker_sample"
             ]
             assert samples == [0, 1, 0, 1, 0]
             (summary,) = [
-                record for record in log.records
+                record for record in records
                 if record["kind"] == "workers"
             ]
             assert [w["cells"] for w in summary["workers"]] == [3, 2]

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import pickle
 from typing import Dict, List, Sequence, Tuple
 
 import pytest
 
 from repro.analysis.sweeps import standard_adversary_makers
+from repro.obs.events import EventLog
 from repro.types import BOTTOM, ProcessId, SystemConfig, Value
 
 from tests.arrays.builders import map_leaves
@@ -30,6 +32,16 @@ def schedule(request):
     """
     with schedule_for(request.param) as networks:
         yield networks
+
+
+@pytest.fixture
+def new_log(tmp_path):
+    """A factory of event logs: each call opens the next
+    ``events-N.jsonl`` under ``tmp_path``.  Read one back after
+    ``close()`` with ``read_log(log.path)``, as ``repro status`` does.
+    """
+    numbers = itertools.count(1)
+    return lambda: EventLog(tmp_path / f"events-{next(numbers)}.jsonl")
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ import pytest
 from repro.fuzz.campaign import replay_case
 from repro.fuzz.case import load_corpus
 from repro.obs.core import Observer, observing
-from repro.obs.events import EventLog
+from repro.obs.events import read_log
 from repro.obs.trace import check_closedness
 
 from tests.runtime.reference_async import async_schedule, schedule_for
@@ -70,17 +70,20 @@ _CLOSEDNESS_RUNS = [
 
 
 @pytest.mark.parametrize("path,case,asynchronous", _CLOSEDNESS_RUNS)
-def test_corpus_case_closed_under_async_delivery(path, case, asynchronous):
+def test_corpus_case_closed_under_async_delivery(
+    path, case, asynchronous, new_log
+):
     """A replay's trace passes the dynamic closedness checker, and it is
     a real trace: at least one processor sent something."""
     schedule = (
         async_schedule(3, 1) if asynchronous else contextlib.nullcontext()
     )
-    log = EventLog()
+    log = new_log()
     with schedule, observing(Observer(events=log, spans=False)):
         replay_case(case)
-    assert any(record["kind"] == "send" for record in log.records), (
+    records = read_log(log.path)
+    assert any(record["kind"] == "send" for record in records), (
         f"{path.name}: no send record"
     )
-    problems = check_closedness(log.records)
+    problems = check_closedness(records)
     assert problems == [], f"{path.name}: {problems}"

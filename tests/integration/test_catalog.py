@@ -102,7 +102,6 @@ class TestCatalogStructure:
             spec = get_spec(name)
             assert spec.supports(SystemConfig(n=50, t=2)) is None
             assert "needs n >=" in spec.supports(SystemConfig(n=4, t=3))
-            assert (spec.rounds is None) == spec.randomized
 
     def test_one_cap_for_every_caller(self):
         """`max(bound, rounds) + 1`, wherever a run is configured, and

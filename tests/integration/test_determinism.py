@@ -115,8 +115,7 @@ class TestOmissionDeterminism:
 
 #: The ``CATALOG_EXEMPT`` protocols, which no campaign runs: decisions,
 #: decision rounds, metered bits and each correct processor's final
-#: state, every ``set`` printed sorted by ``repr`` (a snapshot's own
-#: ``set`` repr follows the hash seed on correct code).
+#: state, printed as the snapshot gives it.
 _EXEMPT_RUNS = """
 from repro.adversary import RandomGarbageAdversary, SilentAdversary
 from repro.adversary.crash import CrashAdversary
@@ -127,13 +126,6 @@ from repro.agreement.turpin_coan import turpin_coan_factory
 from repro.compact.crash_variant import crash_compact_factory, crash_sizer
 from repro.runtime.engine import run_protocol
 from repro.types import SystemConfig
-
-def canonical(item):
-    if isinstance(item, (set, frozenset)):
-        return sorted(map(canonical, item), key=repr)
-    if isinstance(item, dict):
-        return {key: canonical(value) for key, value in item.items()}
-    return item
 
 config = SystemConfig(n=7, t=2)
 ids = config.process_ids
@@ -158,7 +150,7 @@ for factory, inputs, adversary, max_rounds, sizer in runs:
     print(sorted(result.decisions.items()),
           sorted(result.decision_rounds.items()), result.metrics.total_bits)
     for p, process in sorted(result.processes.items()):
-        print(p, canonical(process.snapshot()))
+        print(p, process.snapshot())
 """
 
 

@@ -9,7 +9,8 @@ import pickle
 
 from repro.analysis.sweeps import standard_adversary_makers, sweep
 from repro.avalanche.protocol import avalanche_factory
-from repro.obs import EventLog, Observer, observing
+from repro.obs import Observer, observing
+from repro.obs.events import read_log
 from repro.types import SystemConfig
 
 
@@ -24,14 +25,18 @@ def small_sweep(workers):
 
 
 class TestSweepByteIdentity:
-    def test_serial_sweep(self):
+    def test_serial_sweep(self, new_log):
         plain = small_sweep(workers=1)
-        with observing(Observer(events=EventLog())):
+        log = new_log()
+        with observing(Observer(events=log)):
             observed = small_sweep(workers=1)
         assert pickle.dumps(plain) == pickle.dumps(observed)
+        assert read_log(log.path)
 
-    def test_pooled_sweep(self):
+    def test_pooled_sweep(self, new_log):
         plain = small_sweep(workers=2)
-        with observing(Observer(events=EventLog())):
+        log = new_log()
+        with observing(Observer(events=log)):
             observed = small_sweep(workers=2)
         assert pickle.dumps(plain) == pickle.dumps(observed)
+        assert read_log(log.path)

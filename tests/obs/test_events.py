@@ -1,4 +1,4 @@
-"""The event log: the schema, sinks, and validation."""
+"""The event log: the schema, the sink, and validation."""
 
 import enum
 import json
@@ -47,33 +47,24 @@ class TestJsonSafe:
 
 
 class TestEventLog:
-    def test_in_memory_accumulates(self):
-        log = EventLog()
-        log.write({"a": 1})
-        log.write({"b": 2})
-        assert log.records == [{"a": 1}, {"b": 2}]
-
     def test_streams_to_path(self, tmp_path):
         path = tmp_path / "nested" / "events.jsonl"
         log = EventLog(path)
-        log.write(_record())
-        log.write(_record(step=2))
+        log.emit("round_start", "r1", 0, {})
+        log.emit("round_start", "r1", 0, {})
         log.close()
-        assert log.records == []  # streamed, not retained
         assert read_log(path) == [_record(), _record(step=2)]
 
     def test_one_json_object_per_line(self, tmp_path):
         path = tmp_path / "events.jsonl"
         log = EventLog(path)
-        log.write(_record())
+        log.emit("round_start", "r1", 0, {})
         log.close()
         lines = path.read_text().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == _record()
 
-
     def test_closed_streamed_log_raises(self, tmp_path):
-        # a closed path-backed log must not turn into a memory sink
         path = tmp_path / "events.jsonl"
         observer = Observer(events=EventLog(path), spans=False)
         observer.emit("round_start")
@@ -83,18 +74,11 @@ class TestEventLog:
             lambda: observer.emit(
                 "send", sender=1, faulty=False, messages=[[2, 8, True]]
             ),
-            lambda: observer.events.write(_record(step=9)),
+            lambda: observer.emit_sends([(1, False, "[[2, 8, true]]")]),
         ):
             with pytest.raises(ValueError, match="closed file"):
                 write()
-        assert observer.events.records == []
         assert len(path.read_text().splitlines()) == 1
-
-    def test_closed_memory_log_keeps_recording(self):
-        log = EventLog()
-        log.close()
-        log.write(_record())
-        assert log.records == [_record()]
 
     def test_non_finite_float_is_refused_not_written(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -107,11 +91,12 @@ class TestEventLog:
         assert status_from_records(read_log(path))["degraded"] == []
         assert [r["value"] for r in read_log(path)] == ["nan"]
 
-    def test_payload_may_not_shadow_the_envelope(self, tmp_path):
-        for log in (EventLog(), EventLog(tmp_path / "events.jsonl")):
-            with pytest.raises(ValueError, match="shadow the envelope"):
-                Observer(events=log).emit("round_start", step=7)
-            log.close()
+    def test_payload_may_not_shadow_the_envelope(self, new_log):
+        log = new_log()
+        with pytest.raises(ValueError, match="shadow the envelope"):
+            Observer(events=log).emit("round_start", step=7)
+        log.close()
+        assert read_log(log.path) == []
 
 
 # -- encoder equivalence ----------------------------------------------------
@@ -180,25 +165,53 @@ def _replay(observer, events):
             observer.end_run(1, 4, 0, 0, 0)
 
 
+def _expected(events):
+    """The records :func:`_replay` appends for ``events``, built by hand:
+    ``v``, ``kind``, ``run``, ``round`` and ``step``, then the fields."""
+    records = []
+
+    def append(kind, run, round_number, fields):
+        records.append({
+            "v": SCHEMA_VERSION, "kind": kind, "run": run,
+            "round": round_number, "step": len(records) + 1, **fields,
+        })
+
+    runs = 0
+    for in_run, round_number, kind, fields in events:
+        run = None
+        if in_run:
+            runs += 1
+            run = f"r{runs}"
+            append("run_start", run, 0, {
+                "n": 4, "t": 1, "seed": 0, "adversary": "A", "faulty": [],
+            })
+        append(kind, run, round_number, fields)
+        if in_run:
+            append("run_end", run, round_number, {
+                "rounds": 1, "decided": 4, "messages": 0, "non_null": 0,
+                "bits": 0,
+            })
+    return records
+
+
 class TestEncoderEquivalence:
     """The streamed line is exactly the stdlib encoding of the record."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_events(), min_size=1, max_size=6))
-    def test_streamed_lines_equal_json_dumps_of_memory_records(self, events):
-        memory = EventLog()
-        _replay(Observer(events=memory), events)
+    def test_streamed_lines_equal_json_dumps_of_the_records(self, events):
         with tempfile.TemporaryDirectory() as directory:
             streamed = EventLog(f"{directory}/events.jsonl")
             _replay(Observer(events=streamed), events)
             streamed.close()
             with open(streamed.path, newline="") as handle:
                 lines = handle.readlines()
+        expected = _expected(events)
         assert lines == [
             json.dumps(record, separators=(", ", ": ")) + "\n"
-            for record in memory.records
+            for record in expected
         ]
-        assert [json.loads(line) for line in lines] == memory.records
+        assert [json.loads(line) for line in lines] == expected
 
     def test_traffic_kinds_stream_their_schema_order(self, tmp_path):
         # the network emits ``send`` fields in the schema's order

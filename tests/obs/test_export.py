@@ -4,14 +4,14 @@ import json
 
 from repro.adversary import EquivocatingAdversary
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
-from repro.obs import EventLog, Observer, observing
+from repro.obs import Observer, observing
+from repro.obs.events import read_log
 from repro.obs.export import SPAN_PID, chrome_trace, validate_chrome_trace
 
 from tests.obs.causal_dag import build_dags
 
 
-def traced_records(config4):
-    log = EventLog()
+def traced_records(log, config4):
     with observing(Observer(events=log)):
         run_compact_byzantine_agreement(
             config4,
@@ -20,16 +20,16 @@ def traced_records(config4):
             k=2,
             adversary=EquivocatingAdversary([4], 0, 1),
         )
-    return log.records
+    return read_log(log.path)
 
 
 class TestChromeTrace:
-    def test_export_validates_against_the_schema(self, config4):
-        payload = chrome_trace(traced_records(config4))
+    def test_export_validates_against_the_schema(self, config4, new_log):
+        payload = chrome_trace(traced_records(new_log(), config4))
         assert validate_chrome_trace(payload) == []
 
-    def test_runs_become_processes_and_rounds_a_track(self, config4):
-        events = chrome_trace(traced_records(config4))["traceEvents"]
+    def test_runs_become_processes_and_rounds_a_track(self, config4, new_log):
+        events = chrome_trace(traced_records(new_log(), config4))["traceEvents"]
         names = [
             e["args"]["name"] for e in events
             if e["ph"] == "M" and e["name"] == "process_name"
@@ -39,18 +39,18 @@ class TestChromeTrace:
         assert rounds
         assert all(e["tid"] == 0 and e["ph"] == "X" for e in rounds)
 
-    def test_deliver_edges_become_balanced_flow_pairs(self, config4):
-        events = chrome_trace(traced_records(config4))["traceEvents"]
+    def test_deliver_edges_become_balanced_flow_pairs(self, config4, new_log):
+        events = chrome_trace(traced_records(new_log(), config4))["traceEvents"]
         starts = [e for e in events if e["ph"] == "s"]
         ends = [e for e in events if e["ph"] == "f"]
         assert starts
         assert len(starts) == len(ends)
-        (dag,) = build_dags(traced_records(config4))
+        (dag,) = build_dags(traced_records(new_log(), config4))
         assert len(starts) == len(dag.deliver_edges())
         assert all(e["bp"] == "e" for e in ends)
 
-    def test_timestamps_are_the_logical_clock(self, config4):
-        records = traced_records(config4)
+    def test_timestamps_are_the_logical_clock(self, config4, new_log):
+        records = traced_records(new_log(), config4)
         events = chrome_trace(records)["traceEvents"]
         max_step = max(r["step"] for r in records)
         run_events = [
@@ -58,8 +58,8 @@ class TestChromeTrace:
         ]
         assert all(0 <= e["ts"] <= max_step for e in run_events)
 
-    def test_span_flame_lives_under_its_own_pid(self, config4):
-        events = chrome_trace(traced_records(config4))["traceEvents"]
+    def test_span_flame_lives_under_its_own_pid(self, config4, new_log):
+        events = chrome_trace(traced_records(new_log(), config4))["traceEvents"]
         flame = [
             e for e in events
             if e["pid"] == SPAN_PID and e["ph"] == "X"
@@ -75,8 +75,8 @@ class TestChromeTrace:
                 continue
             assert event["ts"] >= parent["ts"]
 
-    def test_export_is_deterministic_for_the_same_records(self, config4):
-        records = traced_records(config4)
+    def test_export_is_deterministic_for_the_same_records(self, config4, new_log):
+        records = traced_records(new_log(), config4)
         first = json.dumps(chrome_trace(records), sort_keys=True)
         second = json.dumps(chrome_trace(records), sort_keys=True)
         assert first == second

@@ -60,6 +60,7 @@ from repro.runtime.engine import run_protocol
 from repro.types import SystemConfig
 
 from tests.obs.causal_dag import build_dags
+from tests.obs.reference_log import ReferenceLog
 from tests.runtime.reference_async import async_schedule, schedule_for
 
 GOLDEN = (
@@ -317,10 +318,11 @@ class MemoProbe(Adversary):
 
 
 def test_memoised_send_entries_are_the_fresh_ones(tmp_path):
-    """A streamed log renders ``send`` entries from memos; an in-memory
-    log builds them afresh.  Under traffic that changes behind each
-    memo's key — a correct sender's bits grow every round — the two
-    must agree line for line, warm memos included."""
+    """The log renders ``send`` entries from memos;
+    :class:`~tests.obs.reference_log.ReferenceLog` builds them afresh.
+    Under traffic that changes behind each memo's key — a correct
+    sender's bits grow every round — the two must agree line for line,
+    warm memos included."""
     config = SystemConfig(n=7, t=2)
 
     def run(log):
@@ -334,13 +336,18 @@ def test_memoised_send_entries_are_the_fresh_ones(tmp_path):
             )
         return adversary
 
-    fresh = EventLog()
+    fresh = tmp_path / "fresh.jsonl"
     streamed = [tmp_path / "cold.jsonl", tmp_path / "warm.jsonl"]
     adversary = run(EventLog(streamed[0]))
-    run(fresh)
+    run(ReferenceLog(fresh))
     run(EventLog(streamed[1]))
     assert type(adversary.replayed) is InternedArray
-    sends = [record for record in fresh.records if record["kind"] == "send"]
+    records = read_log(fresh)
+    assert fresh.read_text().splitlines(keepends=True) == [
+        json.dumps(record, separators=(", ", ": ")) + "\n"
+        for record in records
+    ]
+    sends = [record for record in records if record["kind"] == "send"]
     assert len({
         tuple(record["messages"][0]) for record in sends if not record["faulty"]
     }) > 1
@@ -349,13 +356,10 @@ def test_memoised_send_entries_are_the_fresh_ones(tmp_path):
         for entry in record["messages"]
     } == {"list(1)", "list(2)", "list(3)", "array[d1 w7]"}
     # The closing counters differ run to run: the stores stay warm.
-    expected = [
-        (json.dumps(record, separators=(", ", ": ")) + "\n").encode()
-        for record in fresh.records[:-2]
-    ]
-    assert [record["kind"] for record in fresh.records[-2:]] == [
+    assert [record["kind"] for record in records[-2:]] == [
         "counters", "profile",
     ]
+    expected = _deterministic_lines(fresh)[:-1]
     for path in streamed:
         assert _deterministic_lines(path)[:-1] == expected
 

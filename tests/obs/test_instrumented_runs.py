@@ -16,12 +16,11 @@ from repro.analysis.sweeps import standard_adversary_makers, sweep
 from repro.avalanche.protocol import avalanche_factory
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.compact.payload import CompactPayload
-from repro.obs import EventLog, Observer, observing, status_from_records
-from repro.obs.rollup import status_from_records
+from repro.obs import Observer, load_status, observing, status_from_records
+from repro.obs.events import read_log
 
 
-def observed_compact_ba(config4, adversary):
-    log = EventLog()
+def observed_compact_ba(log, config4, adversary):
     with observing(Observer(events=log)):
         run_compact_byzantine_agreement(
             config4,
@@ -30,16 +29,20 @@ def observed_compact_ba(config4, adversary):
             k=2,
             adversary=adversary,
         )
-    return log.records
+    return read_log(log.path)
 
 
 class TestObservedRun:
-    def test_records_validate(self, config4):
-        records = observed_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
+    def test_records_validate(self, config4, new_log):
+        records = observed_compact_ba(
+            new_log(), config4, EquivocatingAdversary([4], 0, 1)
+        )
         assert status_from_records(records)["degraded"] == []
 
-    def test_expected_event_kinds(self, config4):
-        records = observed_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
+    def test_expected_event_kinds(self, config4, new_log):
+        records = observed_compact_ba(
+            new_log(), config4, EquivocatingAdversary([4], 0, 1)
+        )
         kinds = {record["kind"] for record in records}
         assert {
             "run_start", "run_end", "round_start", "round_end",
@@ -47,20 +50,24 @@ class TestObservedRun:
         } <= kinds
         assert any(r["kind"] == "send" and r["faulty"] for r in records)
 
-    def test_corrupt_events_only_under_an_adversary(self, config4):
-        silent = observed_compact_ba(config4, SilentAdversary([]))
+    def test_corrupt_events_only_under_an_adversary(self, config4, new_log):
+        silent = observed_compact_ba(new_log(), config4, SilentAdversary([]))
         assert not any(r.get("faulty") is True for r in silent)
 
-    def test_run_start_describes_the_scenario(self, config4):
-        records = observed_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
+    def test_run_start_describes_the_scenario(self, config4, new_log):
+        records = observed_compact_ba(
+            new_log(), config4, EquivocatingAdversary([4], 0, 1)
+        )
         start = next(r for r in records if r["kind"] == "run_start")
         assert start["n"] == 4
         assert start["t"] == 1
         assert start["adversary"] == "EquivocatingAdversary"
         assert start["faulty"] == [4]
 
-    def test_round_totals_match_the_meters(self, config4):
-        records = observed_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
+    def test_round_totals_match_the_meters(self, config4, new_log):
+        records = observed_compact_ba(
+            new_log(), config4, EquivocatingAdversary([4], 0, 1)
+        )
         end = next(r for r in records if r["kind"] == "run_end")
         round_bits = sum(
             r["bits"] for r in records if r["kind"] == "round_end"
@@ -72,8 +79,10 @@ class TestObservedRun:
         )
         assert end["bits"] == round_bits == send_bits
 
-    def test_counters_expose_the_caches(self, config4):
-        records = observed_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
+    def test_counters_expose_the_caches(self, config4, new_log):
+        records = observed_compact_ba(
+            new_log(), config4, EquivocatingAdversary([4], 0, 1)
+        )
         counters = next(
             r for r in records if r["kind"] == "counters"
         )["counters"]
@@ -82,12 +91,12 @@ class TestObservedRun:
         assert "net.size_cache.hit" in counters
         assert "compact.expansion.hit" in counters
 
-    def test_event_stream_is_deterministic_in_process(self, config4):
+    def test_event_stream_is_deterministic_in_process(self, config4, new_log):
         def stream():
             return [
                 record
                 for record in observed_compact_ba(
-                    config4, EquivocatingAdversary([4], 0, 1)
+                    new_log(), config4, EquivocatingAdversary([4], 0, 1)
                 )
                 # cache-warmth counters and wall time vary in-process
                 if record["kind"] not in ("counters", "profile")
@@ -156,19 +165,19 @@ class TestMalformedVotesObserved:
         with observing(observer):
             return run()
 
-    def test_observed_run_decides_like_the_unobserved_one(self, config4):
+    def test_observed_run_decides_like_the_unobserved_one(self, config4, new_log):
         unobserved = self.decide(config4)
         assert unobserved == {1: 1, 2: 1, 3: 1}
         for trace in (False, True):
-            log = EventLog()
+            log = new_log()
             observed = self.decide(
                 config4, Observer(events=log, trace=trace)
             )
             assert observed == unobserved
-            assert status_from_records(log.records)["degraded"] == []
+            assert load_status(log.path)["degraded"] == []
             assert any(
                 entry[3] == "core:array[d0 w0] votes:?"
-                for record in log.records
+                for record in read_log(log.path)
                 if record["kind"] == "send" and record["faulty"]
                 for entry in record["messages"]
             )
@@ -178,8 +187,7 @@ class TestAvalancheWorkCounters:
     """``compact.avalanche.{tallied,skipped}``: how many avalanche
     instances a run re-tallied and how many it left alone."""
 
-    def run(self, config, adversary=None):
-        log = EventLog()
+    def run(self, log, config, adversary=None):
         inputs = {p: p % 2 for p in config.process_ids}
         with observing(Observer(events=log)):
             result = run_compact_byzantine_agreement(
@@ -190,10 +198,10 @@ class TestAvalancheWorkCounters:
             for process in result.processes.values()
             for batch in process._batches.values()
         ]
-        return batches, status_from_records(log.records)["counters"]
+        return batches, load_status(log.path)["counters"]
 
-    def test_fault_free_run_tallies_two_rounds_per_batch(self, config7):
-        batches, counters = self.run(config7)
+    def test_fault_free_run_tallies_two_rounds_per_batch(self, config7, new_log):
+        batches, counters = self.run(new_log(), config7)
         n = config7.n
         steps = [batch.rounds_stepped for batch in batches]
         # Seven rounds, batches started in rounds 2 and 5.
@@ -207,8 +215,8 @@ class TestAvalancheWorkCounters:
             == n * sum(steps)
         )
 
-    def test_a_revoting_sender_shows_up_as_tallies(self, config7):
-        batches, counters = self.run(config7, RevotingAdversary([1, 2]))
+    def test_a_revoting_sender_shows_up_as_tallies(self, config7, new_log):
+        batches, counters = self.run(new_log(), config7, RevotingAdversary([1, 2]))
         n = config7.n
         steps = sum(batch.rounds_stepped for batch in batches)
         # Every round dirties every row: nothing is ever skipped.
@@ -217,8 +225,8 @@ class TestAvalancheWorkCounters:
 
 
 class TestObservedSweep:
-    def test_cell_lifecycle_events(self, config4):
-        log = EventLog()
+    def test_cell_lifecycle_events(self, config4, new_log):
+        log = new_log()
         patterns = [{p: p % 2 for p in config4.process_ids}]
         with observing(Observer(events=log)) as observer:
             sweep(
@@ -226,15 +234,16 @@ class TestObservedSweep:
                 standard_adversary_makers()[:2], seeds=(0,),
                 run_full_rounds=3, workers=1,
             )
-        starts = [r for r in log.records if r["kind"] == "cell_start"]
-        ends = [r for r in log.records if r["kind"] == "cell_end"]
+        records = read_log(log.path)
+        starts = [r for r in records if r["kind"] == "cell_start"]
+        ends = [r for r in records if r["kind"] == "cell_end"]
         assert len(starts) == len(ends) == 2
         assert [r["index"] for r in starts] == [0, 1]
         assert observer.registry.counter("sweep.cells") == 2
-        assert status_from_records(log.records)["degraded"] == []
+        assert status_from_records(records)["degraded"] == []
 
-    def test_pooled_sweep_reports_executor_stats(self, config4):
-        log = EventLog()
+    def test_pooled_sweep_reports_executor_stats(self, config4, new_log):
+        log = new_log()
         patterns = [{p: p % 2 for p in config4.process_ids}]
         with observing(Observer(events=log)) as observer:
             sweep(
@@ -246,10 +255,11 @@ class TestObservedSweep:
         # for a local counters-only one; the parent records
         # executor-level instrumentation and absorbs the workers'
         # scheduling-independent counters
-        kinds = {r["kind"] for r in log.records}
+        records = read_log(log.path)
+        kinds = {r["kind"] for r in records}
         assert "chunk" in kinds
         assert "cell_start" not in kinds
-        workers_events = [r for r in log.records if r["kind"] == "workers"]
+        workers_events = [r for r in records if r["kind"] == "workers"]
         assert len(workers_events) == 1
         assert workers_events[0]["nondeterministic"] is True
         gauges = observer.registry.gauges()
@@ -264,7 +274,7 @@ class TestObservedSweep:
             name.endswith((".hit", ".miss"))
             for name in observer.registry.counters()
         )
-        assert status_from_records(log.records)["degraded"] == []
+        assert status_from_records(records)["degraded"] == []
 
     def test_pooled_counters_match_the_serial_reference(self, config4):
         patterns = [{p: p % 2 for p in config4.process_ids}]

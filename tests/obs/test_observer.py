@@ -4,7 +4,6 @@ import pytest
 
 import repro.obs.core as obs_core
 from repro.obs import (
-    EventLog,
     InstrumentRegistry,
     NULL_SPAN,
     Observer,
@@ -16,6 +15,7 @@ from repro.obs import (
     span,
     status_from_records,
 )
+from repro.obs.events import read_log
 
 
 @pytest.fixture(autouse=True)
@@ -114,26 +114,29 @@ class TestSpans:
 
 
 class TestObserverLifecycle:
-    def test_clock_stamps_and_advances(self):
-        log = EventLog()
+    def test_clock_stamps_and_advances(self, new_log):
+        log = new_log()
         observer = Observer(events=log)
         run = observer.begin_run(4, 1, 0, "SilentAdversary", [3])
         observer.set_round(2)
         observer.emit("round_start")
         observer.end_run(2, 3, 10, 10, 100)
+        log.close()
         assert run == "r1"
-        kinds = [r["kind"] for r in log.records]
+        records = read_log(log.path)
+        kinds = [r["kind"] for r in records]
         assert kinds == ["run_start", "round_start", "run_end"]
-        assert [r["step"] for r in log.records] == [1, 2, 3]
-        assert log.records[1]["run"] == "r1"
-        assert log.records[1]["round"] == 2
-        assert status_from_records(log.records)["degraded"] == []
+        assert [r["step"] for r in records] == [1, 2, 3]
+        assert records[1]["run"] == "r1"
+        assert records[1]["round"] == 2
+        assert status_from_records(records)["degraded"] == []
 
-    def test_second_run_gets_fresh_id(self):
-        observer = Observer(events=EventLog())
+    def test_second_run_gets_fresh_id(self, new_log):
+        observer = Observer(events=new_log())
         assert observer.begin_run(4, 1, 0, "A", []) == "r1"
         observer.end_run(1, 4, 0, 0, 0)
         assert observer.begin_run(4, 1, 0, "A", []) == "r2"
+        observer.close()
 
     def test_end_run_absorbs_meters(self):
         observer = Observer()
@@ -145,20 +148,21 @@ class TestObserverLifecycle:
         assert counters["net.bits"] == 240
         assert counters["runs"] == 1
 
-    def test_close_dumps_counters_then_profile(self):
-        log = EventLog()
+    def test_close_dumps_counters_then_profile(self, new_log):
+        log = new_log()
         observer = Observer(events=log)
         observer.count("x", 2)
         with observer.span("s"):
             pass
         observer.close()
         observer.close()  # idempotent
-        kinds = [r["kind"] for r in log.records]
+        records = read_log(log.path)
+        kinds = [r["kind"] for r in records]
         assert kinds == ["counters", "profile"]
-        assert log.records[0]["counters"] == {"x": 2}
-        assert log.records[1]["nondeterministic"] is True
-        assert "s" in log.records[1]["spans"]
-        assert status_from_records(log.records)["degraded"] == []
+        assert records[0]["counters"] == {"x": 2}
+        assert records[1]["nondeterministic"] is True
+        assert "s" in records[1]["spans"]
+        assert status_from_records(records)["degraded"] == []
 
     def test_eventless_emit_is_a_no_op(self):
         observer = Observer()
@@ -185,15 +189,18 @@ class TestActivation:
             assert obs_core.ACTIVE is inner
         assert obs_core.ACTIVE is outer
 
-    def test_observing_closes_by_default(self):
-        log = EventLog()
+    def test_observing_closes_by_default(self, new_log):
+        log = new_log()
         observer = Observer(events=log)
         with observing(observer):
             observer.count("x")
-        assert [r["kind"] for r in log.records] == ["counters"]
+        assert [r["kind"] for r in read_log(log.path)] == ["counters"]
 
-    def test_observing_close_false_keeps_it_open(self):
-        log = EventLog()
-        with observing(Observer(events=log), close=False):
-            pass
-        assert log.records == []
+    def test_observing_close_false_keeps_it_open(self, new_log):
+        log = new_log()
+        observer = Observer(events=log)
+        with observing(observer, close=False):
+            observer.count("x")
+        observer.emit("round_start")  # the sink is still open
+        log.close()
+        assert [r["kind"] for r in read_log(log.path)] == ["round_start"]

@@ -13,14 +13,13 @@ from repro.avalanche.protocol import avalanche_factory
 from repro.fuzz.campaign import CampaignSettings, replay_case, run_campaign
 from repro.fuzz.case import FuzzCase
 from repro.obs import (
-    EventLog,
     Observer,
     load_status,
     observing,
     render_status,
     status_from_records,
 )
-from repro.obs.events import SCHEMA_VERSION
+from repro.obs.events import SCHEMA_VERSION, read_log
 
 from tests.analysis.test_parallel import (
     assert_no_child,
@@ -30,21 +29,20 @@ from tests.analysis.test_parallel import (
 )
 
 
-def pooled_sweep_log(config4, close=True):
-    log = EventLog()
+def pooled_sweep_log(log, config4):
     patterns = [{p: p % 2 for p in config4.process_ids}]
-    with observing(Observer(events=log), close=close):
+    with observing(Observer(events=log)):
         sweep(
             avalanche_factory(), config4, patterns, [(3,)],
             standard_adversary_makers()[:2], seeds=(0, 1),
             run_full_rounds=3, workers=2,
         )
-    return log.records
+    return read_log(log.path)
 
 
 class TestRollupRecords:
-    def test_pooled_sweep_emits_plan_and_chunk_rollups(self, config4):
-        records = pooled_sweep_log(config4)
+    def test_pooled_sweep_emits_plan_and_chunk_rollups(self, config4, new_log):
+        records = pooled_sweep_log(new_log(), config4)
         assert status_from_records(records)["degraded"] == []
         rollups = [r for r in records if r["kind"] == "rollup"]
         plans = [r for r in rollups if r["scope"] == "plan"]
@@ -54,9 +52,9 @@ class TestRollupRecords:
         assert chunks
         assert sum(r["cells"] for r in chunks) == 4
 
-    def test_chunk_deltas_sum_to_the_final_counters(self, config4):
+    def test_chunk_deltas_sum_to_the_final_counters(self, config4, new_log):
         """Replaying the deltas reproduces the registry at any cut."""
-        records = pooled_sweep_log(config4)
+        records = pooled_sweep_log(new_log(), config4)
         summed = {}
         for record in records:
             if record["kind"] == "rollup":
@@ -68,8 +66,8 @@ class TestRollupRecords:
         for name, value in summed.items():
             assert final[name] == value, name
 
-    def test_worker_samples_use_stable_slots(self, config4):
-        records = pooled_sweep_log(config4)
+    def test_worker_samples_use_stable_slots(self, config4, new_log):
+        records = pooled_sweep_log(new_log(), config4)
         samples = [r for r in records if r["kind"] == "worker_sample"]
         assert samples
         assert all(r["nondeterministic"] is True for r in samples)
@@ -79,24 +77,25 @@ class TestRollupRecords:
         assert slots == set(range(len(slots)))
         assert sum(r["cells"] for r in samples) == 4
 
-    def test_emit_rollup_reports_deltas_not_totals(self):
-        log = EventLog()
+    def test_emit_rollup_reports_deltas_not_totals(self, new_log):
+        log = new_log()
         observer = Observer(events=log)
         observer.registry.count("x.one", 5)
         observer.emit_rollup("chunk", 0, 1)
         observer.registry.count("x.one", 2)
         observer.registry.count("x.two", 3)
         observer.emit_rollup("chunk", 1, 1)
+        log.close()
         first, second = (
-            r for r in log.records if r["kind"] == "rollup"
+            r for r in read_log(log.path) if r["kind"] == "rollup"
         )
         assert first["counters"] == {"x.one": 5}
         assert second["counters"] == {"x.one": 2, "x.two": 3}
 
 
 class TestStatus:
-    def test_complete_pooled_sweep(self, config4):
-        records = pooled_sweep_log(config4)
+    def test_complete_pooled_sweep(self, config4, new_log):
+        records = pooled_sweep_log(new_log(), config4)
         status = status_from_records(records)
         assert status["phase"] == "complete"
         assert status["cells"]["planned"] == 4
@@ -114,25 +113,25 @@ class TestStatus:
         assert "pool: 2 worker(s)" in rendered
 
     def test_pool_reports_the_plan_when_one_slot_collects_everything(
-        self, config4, monkeypatch
+        self, config4, monkeypatch, new_log
     ):
         """A two-worker plan whose second worker never collects a chunk."""
         fake_chunks(monkeypatch, lambda first: 900)
         cells = tiny_cells(2)  # one chunk each at workers=2
-        log = EventLog()
+        log = new_log()
         with observing(Observer(events=log)):
             parallel.execute_cells(tiny_context(config4), cells, workers=2)
         assert_no_child()
-        assert status_from_records(log.records)["degraded"] == []
-        status = status_from_records(log.records)
+        status = load_status(log.path)
+        assert status["degraded"] == []
         assert [pool["planned"] for pool in status["pools"]] == [2]
         assert [row["chunks"] for row in status["workers"]] == [2]
 
     def test_interrupted_run_reconstructs_from_the_torn_log(
-        self, config4, tmp_path
+        self, config4, tmp_path, new_log
     ):
         """The acceptance shape: a killed run, reconstructed from disk."""
-        records = pooled_sweep_log(config4)
+        records = pooled_sweep_log(new_log(), config4)
         path = tmp_path / "events.jsonl"
         lines = [json.dumps(r, sort_keys=True) for r in records]
         # cut before the final counters dump and tear the last line
@@ -153,18 +152,18 @@ class TestStatus:
         assert f"degraded: {path}:{cut + 1}: not valid JSON" in rendered
         assert "counters:" in rendered
 
-    def test_serial_cells_do_not_count_against_the_plan(self):
+    def test_serial_cells_do_not_count_against_the_plan(self, new_log):
         """A case replayed next to a pooled fuzz campaign runs serially
         (belonging to no plan); progress is pooled-done over planned,
         never > 100%."""
-        log = EventLog()
+        log = new_log()
         with observing(Observer(events=log)):
             run_campaign(CampaignSettings(seed=0, cases=2, workers=2))
             replay_case(FuzzCase.build(
                 protocol="avalanche", n=4, t=1, seed=2026,
                 inputs={1: 1, 2: 1, 3: 0, 4: 1}, faulty=(3,),
             ))
-        status = status_from_records(log.records)
+        status = load_status(log.path)
         cells = status["cells"]
         assert cells["serial"] > 0
         assert cells["pooled"] == cells["planned"] > 0
@@ -209,16 +208,16 @@ class TestStatus:
         )
         assert f"degraded: {skipped}" in render_status(status)
 
-    def test_every_pool_of_a_three_protocol_campaign(self):
+    def test_every_pool_of_a_three_protocol_campaign(self, new_log):
         """Each default protocol runs its own pool; all three are
         listed, and the text prints their totals."""
-        log = EventLog()
+        log = new_log()
         with observing(Observer(events=log)):
             report = run_campaign(
                 CampaignSettings(seed=2026, cases=10, workers=2)
             )
         assert len(report.protocols) == 3
-        status = status_from_records(log.records)
+        status = load_status(log.path)
         pools = status["pools"]
         assert [pool["planned"] for pool in pools] == [2, 2, 2]
         assert status["cells"]["planned"] == status["cells"]["pooled"] == 30

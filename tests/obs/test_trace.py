@@ -2,14 +2,14 @@
 
 from repro.adversary import EquivocatingAdversary, SilentAdversary
 from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
-from repro.obs import EventLog, Observer, observing, status_from_records
+from repro.obs import Observer, observing, status_from_records
+from repro.obs.events import read_log
 from repro.obs.trace import burst_edges, check_closedness
 
 from tests.obs.causal_dag import build_dags
 
 
-def traced_compact_ba(config4, adversary, result=None):
-    log = EventLog()
+def traced_compact_ba(log, config4, adversary, result=None):
     with observing(Observer(events=log)):
         outcome = run_compact_byzantine_agreement(
             config4,
@@ -20,37 +20,39 @@ def traced_compact_ba(config4, adversary, result=None):
         )
     if result is not None:
         result.append(outcome)
-    return log.records
+    return read_log(log.path)
 
 
 class TestDeliverEvents:
-    def test_traced_records_validate(self, config4):
-        records = traced_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
+    def test_traced_records_validate(self, config4, new_log):
+        records = traced_compact_ba(
+            new_log(), config4, EquivocatingAdversary([4], 0, 1)
+        )
         assert status_from_records(records)["degraded"] == []
         assert {r["faulty"] for r in records if r["kind"] == "send"} == {
             False, True,
         }
 
-    def test_trace_off_means_no_deliver_records(self, config4):
+    def test_trace_off_means_no_deliver_records(self, config4, new_log):
         # There is no trace mode: ``trace=True`` writes the same log.
         logs = []
         for trace in (False, True):
-            log = EventLog()
+            log = new_log()
             with observing(Observer(events=log, trace=trace, spans=False)):
                 run_compact_byzantine_agreement(
                     config4, {1: 1, 2: 0, 3: 1, 4: 0},
                     value_alphabet=[0, 1], k=2,
                     adversary=EquivocatingAdversary([4], 0, 1),
                 )
-            logs.append(log.records)
+            logs.append(read_log(log.path))
         assert logs[0] == logs[1]
         assert not any(r["kind"] == "deliver" for r in logs[0])
 
-    def test_correct_deliver_bits_match_send_events(self, config4):
+    def test_correct_deliver_bits_match_send_events(self, config4, new_log):
         """A correct sender's entries carry the meter's measurement."""
         results = []
         records = traced_compact_ba(
-            config4, EquivocatingAdversary([4], 0, 1), results
+            new_log(), config4, EquivocatingAdversary([4], 0, 1), results
         )
         correct_sends = [
             r for r in records if r["kind"] == "send" and not r["faulty"]
@@ -76,8 +78,10 @@ class TestDeliverEvents:
             assert entries[key] == edge.bits
         assert all(edge.dst[0] != 4 for edge in correct_delivers)
 
-    def test_faulty_deliveries_are_marked(self, config4):
-        records = traced_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
+    def test_faulty_deliveries_are_marked(self, config4, new_log):
+        records = traced_compact_ba(
+            new_log(), config4, EquivocatingAdversary([4], 0, 1)
+        )
         faulty = [
             edge for edge in build_dags(records)[0].deliver_edges()
             if edge.faulty
@@ -87,8 +91,10 @@ class TestDeliverEvents:
 
 
 class TestCausalDag:
-    def test_one_dag_per_run_with_edges(self, config4):
-        records = traced_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
+    def test_one_dag_per_run_with_edges(self, config4, new_log):
+        records = traced_compact_ba(
+            new_log(), config4, EquivocatingAdversary([4], 0, 1)
+        )
         dags = build_dags(records)
         assert len(dags) == 1
         dag = dags[0]
@@ -97,20 +103,24 @@ class TestCausalDag:
         assert dag.deliver_edges()
         assert dag.decisions
 
-    def test_deliver_edge_spans_one_round(self, config4):
-        records = traced_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
+    def test_deliver_edge_spans_one_round(self, config4, new_log):
+        records = traced_compact_ba(
+            new_log(), config4, EquivocatingAdversary([4], 0, 1)
+        )
         for edge in build_dags(records)[0].deliver_edges():
             assert edge.dst[1] == edge.src[1] + 1
 
-    def test_bit_accounting_sums_per_round_and_channel(self, config4):
-        records = traced_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
+    def test_bit_accounting_sums_per_round_and_channel(self, config4, new_log):
+        records = traced_compact_ba(
+            new_log(), config4, EquivocatingAdversary([4], 0, 1)
+        )
         dag = build_dags(records)[0]
         total = sum(edge.bits for edge in dag.deliver_edges())
         assert sum(dag.round_bits().values()) == total
         assert sum(dag.channel_bits().values()) == total
 
-    def test_local_edges_connect_consecutive_states(self, config4):
-        records = traced_compact_ba(config4, SilentAdversary([4]))
+    def test_local_edges_connect_consecutive_states(self, config4, new_log):
+        records = traced_compact_ba(new_log(), config4, SilentAdversary([4]))
         dag = build_dags(records)[0]
         locals_ = [e for e in dag.edges if e.kind == "local"]
         assert locals_
@@ -119,31 +129,37 @@ class TestCausalDag:
             assert edge.dst[1] == edge.src[1] + 1
             assert edge.bits == 0
 
-    def test_to_json_round_trips_through_repr(self, config4):
+    def test_to_json_round_trips_through_repr(self, config4, new_log):
         import json
 
-        records = traced_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
+        records = traced_compact_ba(
+
+            new_log(), config4, EquivocatingAdversary([4], 0, 1)
+
+        )
         payload = build_dags(records)[0].to_json()
         assert json.loads(json.dumps(payload)) == payload
 
 
 class TestClosednessChecker:
-    def test_real_execution_is_closed(self, config4):
-        records = traced_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
+    def test_real_execution_is_closed(self, config4, new_log):
+        records = traced_compact_ba(
+            new_log(), config4, EquivocatingAdversary([4], 0, 1)
+        )
         assert check_closedness(records) == []
 
-    def _closed_log(self, config4):
-        return traced_compact_ba(config4, EquivocatingAdversary([4], 0, 1))
+    def _closed_log(self, log, config4):
+        return traced_compact_ba(log, config4, EquivocatingAdversary([4], 0, 1))
 
-    def test_cross_round_delivery_is_flagged(self, config4):
-        records = [dict(r) for r in self._closed_log(config4)]
+    def test_cross_round_delivery_is_flagged(self, config4, new_log):
+        records = [dict(r) for r in self._closed_log(new_log(), config4)]
         send = next(r for r in records if r["kind"] == "send")
         send["round"] = send["round"] + 1
         problems = check_closedness(records)
         assert any("communication-closed" in p for p in problems)
 
-    def test_delivery_after_state_update_is_flagged(self, config4):
-        records = [dict(r) for r in self._closed_log(config4)]
+    def test_delivery_after_state_update_is_flagged(self, config4, new_log):
+        records = [dict(r) for r in self._closed_log(new_log(), config4)]
         # move the first send record after the round's last state
         index = next(
             i for i, r in enumerate(records) if r["kind"] == "send"
@@ -157,11 +173,11 @@ class TestClosednessChecker:
         problems = check_closedness(records)
         assert any("phase order violated" in p for p in problems)
 
-    def test_delivery_after_an_earlier_state_record_is_flagged(self, config4):
+    def test_delivery_after_an_earlier_state_record_is_flagged(self, config4, new_log):
         """A ``state`` record lists processes.  Split a round's record in
         two and move a ``send`` between the halves: it is flagged for
         the receiver the first half already listed, and for no other."""
-        records = [dict(r) for r in self._closed_log(config4)]
+        records = [dict(r) for r in self._closed_log(new_log(), config4)]
         state_index = next(
             i for i, r in enumerate(records) if r["kind"] == "state"
         )
@@ -181,8 +197,8 @@ class TestClosednessChecker:
         assert len(problems) == 1
         assert f"deliver to {first} after its state update" in problems[0]
 
-    def test_duplicate_channel_delivery_is_flagged(self, config4):
-        records = [dict(r) for r in self._closed_log(config4)]
+    def test_duplicate_channel_delivery_is_flagged(self, config4, new_log):
+        records = [dict(r) for r in self._closed_log(new_log(), config4)]
         index = next(
             i for i, r in enumerate(records) if r["kind"] == "send"
         )

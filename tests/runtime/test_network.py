@@ -9,7 +9,8 @@ from repro.compact.byzantine_agreement import run_compact_byzantine_agreement
 from repro.errors import ConfigurationError
 from repro.fullinfo.protocol import full_information_sizer
 import repro.runtime.network as network_module
-from repro.obs import EventLog, Observer, observing
+from repro.obs import Observer, observing
+from repro.obs.events import read_log
 from repro.runtime import engine
 from repro.runtime.engine import run_protocol
 from repro.runtime.metrics import MessageMetrics, RoundUsage
@@ -375,7 +376,7 @@ class TestFaultyTails:
     execution when nothing in it can change, else once a round."""
 
     def test_fixed_payloads_are_sized_once_mutable_ones_every_round(
-        self, monkeypatch
+        self, monkeypatch, new_log
     ):
         sized = []
         real = network_module._fixed_default_size
@@ -388,7 +389,7 @@ class TestFaultyTails:
         config = SystemConfig(n=4, t=1)
         adversary = Resender([4])
         _, network = build(config, adversary)
-        log = EventLog()
+        log = new_log()
         with observing(Observer(events=log)):
             for _ in range(3):
                 network.run_round()
@@ -397,7 +398,7 @@ class TestFaultyTails:
             [fixed, frozen] + [grown, holder] * 3
         )
         tails = [
-            entry[1:] for record in log.records
+            entry[1:] for record in read_log(log.path)
             if record["kind"] == "send" and record["faulty"]
             for entry in record["messages"]
         ]

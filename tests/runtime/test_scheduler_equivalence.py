@@ -133,22 +133,23 @@ def test_two_async_schedules_agree_with_each_other(seed, salt_a, salt_b):
 
 
 @pytest.mark.parametrize("protocol", ("avalanche", "compact-ba", "eig"))
-def test_async_deliver_traces_pass_closedness(protocol):
+def test_async_deliver_traces_pass_closedness(protocol, new_log):
     """Round skew reorders deliveries, never leaks them across rounds."""
     import repro.obs.core as _obs
-    from repro.obs.events import EventLog
+    from repro.obs.events import read_log
     from repro.obs.trace import check_closedness
 
     from tests.obs.causal_dag import build_dags
 
     case = catalog_case(protocol, seed=31)
-    log = EventLog()
+    log = new_log()
     with _obs.observing(_obs.Observer(events=log, spans=False)):
         replay(case, "async:4:2")
-    assert any(dag.deliver_edges() for dag in build_dags(log.records)), (
+    records = read_log(log.path)
+    assert any(dag.deliver_edges() for dag in build_dags(records)), (
         "the event log recorded no deliver edges"
     )
-    assert check_closedness(log.records) == []
+    assert check_closedness(records) == []
 
 
 def test_async_actually_reorders_state_changes():

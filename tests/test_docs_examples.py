@@ -1,15 +1,18 @@
 """The README's code blocks must actually run, and the docs must name
-only code that exists.
+only code and CLI options that exist.
 
 Documentation rot is a bug: every ``python`` fenced block in README.md
 is extracted and executed in one shared namespace (blocks may build on
 earlier ones, as the README's do).
 """
 
+import argparse
 import importlib
 import importlib.util
 import pathlib
 import re
+
+from repro.cli import _build_parser
 
 README = pathlib.Path(__file__).parent.parent / "README.md"
 
@@ -125,4 +128,60 @@ def test_docs_name_only_code_that_exists():
             broken.extend(
                 f"{where}: {retired}" for retired in set(RETIRED.findall(text))
             )
+    assert not broken, "\n".join(sorted(broken))
+
+
+#: ``repro <command> ...`` up to the end of its code span, shell line
+#: (backslash continuations included), pipe or separator.
+INVOCATION = re.compile(
+    r"(?<![\w./-])repro[ \t]+(?:\\\n\s*)?(?P<command>[\w-]+)"
+    r"(?P<rest>(?:\\\n|[^`|;&)\n])*)"
+)
+
+#: A long option as a doc spells it (``--flag`` or ``--flag=value``).
+DOC_FLAG = re.compile(r"(?<![\w-])--[a-zA-Z][\w-]*")
+
+
+def _subcommands(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _options(parser):
+    """Every option string of ``parser`` and of its sub-subcommands."""
+    found = {
+        name for action in parser._actions for name in action.option_strings
+    }
+    for sub in _subcommands(parser).values():
+        found |= _options(sub)
+    return found
+
+
+def test_docs_use_only_cli_options_that_exist():
+    """Every ``repro <command> ... --flag`` a doc shows names a
+    subcommand, and ``--flag`` is an option of it or of one of its
+    sub-subcommands."""
+    root = README.parent
+    commands = _subcommands(_build_parser())
+    checked = 0
+    broken = []
+    for pattern in DOC_FILES:
+        for doc in sorted(root.glob(pattern)):
+            where = doc.relative_to(root)
+            for match in INVOCATION.finditer(doc.read_text()):
+                flags = DOC_FLAG.findall(match["rest"])
+                if not flags:
+                    continue
+                command = commands.get(match["command"])
+                if command is None:
+                    broken.append(f"{where}: repro {match['command']}")
+                    continue
+                checked += 1
+                broken.extend(
+                    f"{where}: repro {match['command']} {flag}"
+                    for flag in flags if flag not in _options(command)
+                )
+    assert checked, "no doc shows a repro command with an option"
     assert not broken, "\n".join(sorted(broken))
