@@ -59,14 +59,19 @@ the fail-closed :meth:`repro.compact.payload.CompactPayload.vote_slots`
 (a malformed field or slot is simply no votes from that sender), and
 routed to the batches, which step once per distinct view and re-tally
 only the instances whose votes changed
-(:mod:`repro.compact.subprotocol`).  Scalar images and rebase verdicts
-are computed once per view, and expansions when ``FULL_STATE`` is
-needed, once per store (:mod:`repro.compact.expansion`).
+(:mod:`repro.compact.subprotocol`).  Receivers at the same batch states
+share the routing and the step once per distinct row of received
+messages, and the gates' verdicts on a row once per phase and view.
+Scalar images and rebase verdicts are computed once per view, and
+expansions when ``FULL_STATE`` is needed, once per store
+(:mod:`repro.compact.expansion`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+import functools
+import operator
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.avalanche.fast import fast_thresholds
 from repro.avalanche.protocol import Thresholds, standard_thresholds
@@ -74,7 +79,7 @@ from repro.arrays.store import shared_store
 from repro.compact.driver import BlockDriver
 from repro.compact.expansion import ExpansionState
 from repro.compact.payload import CompactPayload
-from repro.compact.subprotocol import AgreementBatch, shared
+from repro.compact.subprotocol import AgreementBatch, shared, step_row
 from repro.errors import ConfigurationError
 from repro.fullinfo.gate import REJECT, DecisionRule, IndexGate, ReceiveGate
 from repro.runtime.node import broadcast
@@ -87,6 +92,29 @@ from repro.types import BOTTOM, ProcessId, Round, SystemConfig, Value
 # the protocol ends.  The Section 4 null-message coding keeps the cost
 # of an already-settled instance at zero bits, and the batch's skip
 # rule keeps a settled batch-round at O(n) identity checks.
+
+
+@functools.lru_cache(maxsize=None)
+def _row_reader(
+    process_ids: Tuple[ProcessId, ...]
+) -> Callable[[Mapping[ProcessId, Any]], Tuple[Any, ...]]:
+    """Reads an incoming map as its row of messages, in process-id
+    order: one ``itemgetter`` per config."""
+    getter = operator.itemgetter(*process_ids)
+    if len(process_ids) == 1:  # one key: the item itself, not a 1-tuple
+        return lambda incoming: (getter(incoming),)
+    return getter
+
+
+def _route(row: Tuple[Any, ...], boundary: int) -> List[Any]:
+    """Per sender, the vote component its message carries for the
+    batch of ``boundary`` (a sender's first slot for a boundary is the
+    one that counts); ``None`` for a message that is no payload."""
+    return [
+        message.votes_by_boundary.get(boundary)
+        if type(message) is CompactPayload else None
+        for message in row
+    ]
 
 
 class CompactProcess(BlockDriver):
@@ -155,6 +183,7 @@ class CompactProcess(BlockDriver):
         self._value_gate = ReceiveGate(self._store, frozenset(value_alphabet))
         self._index_gate = IndexGate(self._store)
         self._thresholds = thresholds
+        self._row = _row_reader(config.process_ids)
         self._expose_full_state = expose_full_state
         # Boundary -> batch, in starting (= boundary) order.
         self._batches: Dict[int, AgreementBatch] = {}
@@ -191,27 +220,14 @@ class CompactProcess(BlockDriver):
     # -- the side channel: avalanche votes -----------------------------------
 
     def _side_channel(self, incoming: Dict[ProcessId, Any]) -> None:
-        if not self._batches:
+        batches = self._batches
+        if not batches:
             return
-        # Each payload read its vote slots once, into a map by boundary
-        # (a sender's first slot for a boundary is the one that counts).
-        components: Dict[int, Dict[ProcessId, Any]] = {
-            boundary: {} for boundary in self._batches
-        }
-        for sender, message in incoming.items():
-            if type(message) is CompactPayload:
-                votes = message.votes_by_boundary
-                for boundary, by_sender in components.items():
-                    by_sender[sender] = votes.get(boundary)
-        fresh = [
-            (boundary, subject, value)  # OUT[b][q]
-            for boundary, batch in self._batches.items()
-            for subject, value in batch.step(components[boundary])
-        ]
+        fresh = step_row(batches, self._row(incoming), _route)  # OUT[b][q]
         if fresh:  # else OUT, hence the view, is what it was
             view = self.expansion
             self.expansion = shared(
-                self._batches.values(), self._origin, lambda: view.extended(fresh)
+                batches.values(), self._origin, lambda: view.extended(fresh)
             )
 
     # -- main-component state changes ---------------------------------------
@@ -230,11 +246,27 @@ class CompactProcess(BlockDriver):
         block 1, over processor indices afterwards, which is the
         gate's verdict — *and* expandable by the current ``phi_b``.
         ``phi_1`` is the identity on arrays over ``V``, so in block 1
-        the gate's verdict already is expandability.
+        the gate's verdict already is expandability.  The verdicts are
+        a function of the row, the phase and the view, so processors at
+        the same batch states share them, memoised like the side
+        channel's step (the entry holds the row); each applies only its
+        own ``substitute``.
         """
-        cores = []
-        for sender in self.config.process_ids:
-            message = incoming.get(sender)
+        row = self._row(incoming)
+        view = self.expansion
+        _, verdicts = shared(
+            self._batches.values(),
+            (block, expected_depth, view, tuple(map(id, row))),
+            lambda: (row, self._verdicts(row, expected_depth, block)),
+        )
+        return [substitute if core is REJECT else core for core in verdicts]
+
+    def _verdicts(
+        self, row: Tuple[Any, ...], expected_depth: int, block: int
+    ) -> List[Any]:
+        """Per message of ``row``, its canonical CORE or ``REJECT``."""
+        verdicts = []
+        for message in row:
             main = message.main if type(message) is CompactPayload else BOTTOM
             if main is BOTTOM:
                 core = REJECT
@@ -244,8 +276,8 @@ class CompactProcess(BlockDriver):
                 core = self._index_gate.admit(main, expected_depth)
                 if core is not REJECT and not self.expansion.defined(block, core):
                     core = REJECT
-            cores.append(substitute if core is REJECT else core)
-        return cores
+            verdicts.append(core)
+        return verdicts
 
     def _exchange(
         self, depth: int, block: int, incoming: Dict[ProcessId, Any]

@@ -51,7 +51,10 @@ expansion view and the next payload of a processor's batch states are
 memoised on the newest of them (:func:`shared`), so each is built once
 per distinct history and dies with the states; since the view reads
 ``OUT`` off reported decisions, a step that finds one of those changed
-raises.
+raises.  So is a whole receive's step: correct receivers at the same
+states get the same row of message objects except the faulty senders'
+entries, and :func:`step_row` routes a row's votes to the batches and
+steps them once per distinct row, keyed by the ids of its messages.
 """
 
 from __future__ import annotations
@@ -135,6 +138,16 @@ class _BatchState:
         state.shared = {}
         state.outgoing = state._encode()
         return state
+
+    def stepped(self, components: List[Any]) -> "_BatchState":
+        """The state one round's components lead to, stepped on a memo
+        miss only.  Keyed by identity: a tuple's slots never change, and
+        anything else is malformed, whatever it holds."""
+        key = tuple(map(id, components))
+        entry = self.children.get(key)
+        if entry is None:
+            entry = self.children[key] = (components, self.successor(components))
+        return entry[1]
 
     def successor(self, components: List[Any]) -> "_BatchState":
         """This state stepped by one round's components, on a clone."""
@@ -307,24 +320,69 @@ class AgreementBatch:
         but arbitrary garbage from a faulty sender is tolerated — a
         malformed or missing component contributes bottom votes for
         every subject, for this round only.  Returns the (subject,
-        value) pairs newly decided in this step.
+        value) pairs newly decided in this step.  A processor steps
+        all its batches at once, by one received row (:func:`step_row`).
         """
-        components = list(map(votes_by_sender.get, self._subjects))
-        # Keyed by identity: a tuple's slots never change, and anything
-        # else is malformed, whatever it holds.
-        key = tuple(map(id, components))
-        state = self._state
-        entry = state.children.get(key)
-        if entry is None:
-            entry = state.children[key] = (components, state.successor(components))
-        state = self._state = entry[1]
-        n = self.config.n
-        observer = _obs.ACTIVE
-        if observer is not None:
-            observer.count("compact.avalanche.tallied", state.tallied)
-            observer.count("compact.avalanche.skipped", n - state.tallied)
+        state = self._state = self._state.stepped(
+            list(map(votes_by_sender.get, self._subjects))
+        )
         return [(self._subjects[index], value) for index, value in state.decided]
 
     def decided_subjects(self) -> Tuple[ProcessId, ...]:
         """Subjects whose instance has decided at this processor."""
         return tuple(self._subjects[index] for index in sorted(self._state.reported))
+
+
+#: Fresh ``OUT[b][q]`` entries: ``(boundary, subject, decision)``.
+Fresh = List[Tuple[int, ProcessId, Value]]
+
+
+def step_row(
+    batches: Dict[int, AgreementBatch],
+    row: Tuple[Any, ...],
+    route: Callable[[Tuple[Any, ...], int], List[Any]],
+) -> Fresh:
+    """Step one processor's batches (by boundary, the newest last) by
+    one received row; returns the fresh ``OUT`` entries.
+
+    ``row`` is the round's messages in process-id order and
+    ``route(row, boundary)`` their vote components for the batch of
+    ``boundary``.  Correct processors at the same batch states receive
+    the same message objects but from faulty senders, so the outcome —
+    every batch's successor state, the fresh entries and the tally
+    counts — is memoised through :func:`shared` under the ids of the
+    row's messages, and the entry holds the row, so no id in a live key
+    is reused.  A hit applies it exactly as a miss does.
+    """
+    _, states, fresh, tallied, skipped = shared(
+        batches.values(), tuple(map(id, row)),
+        lambda: _row_step(batches, row, route),
+    )
+    for batch, state in zip(batches.values(), states):
+        batch._state = state
+    observer = _obs.ACTIVE
+    if observer is not None:
+        observer.count("compact.avalanche.tallied", tallied)
+        observer.count("compact.avalanche.skipped", skipped)
+    return fresh
+
+
+def _row_step(
+    batches: Dict[int, AgreementBatch],
+    row: Tuple[Any, ...],
+    route: Callable[[Tuple[Any, ...], int], List[Any]],
+) -> Tuple[Tuple[Any, ...], List[_BatchState], Fresh, int, int]:
+    """:func:`step_row`'s memo entry: ``(row, successor states, fresh
+    entries, instances tallied, instances skipped)``."""
+    states = []
+    fresh: Fresh = []
+    tallied = 0
+    for boundary, batch in batches.items():
+        state = batch._state.stepped(route(row, boundary))
+        states.append(state)
+        tallied += state.tallied
+        subjects = batch._subjects
+        fresh.extend(
+            (boundary, subjects[index], value) for index, value in state.decided
+        )
+    return row, states, fresh, tallied, len(row) * len(states) - tallied

@@ -22,24 +22,24 @@ protocol.  Adversary traffic can be included for diagnostics.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Any, Dict, List, Tuple
 
 from repro.types import ProcessId, Round
 
 
-#: One meter row as it pickles: ``(messages, non_null_messages, bits)``.
+#: One meter row, as kept and as pickled:
+#: ``(messages, non_null_messages, bits)``.
 _Row = Tuple[int, int, int]
+_ZERO: _Row = (0, 0, 0)
 
 
 class RoundUsage:
-    """Aggregated communication in one round.
+    """Aggregated communication in one round, or of one sender.
 
-    A ``__slots__`` class rather than a dataclass: one exists per round
-    and per sender of every metered execution and each is pickled with
-    its result, so the per-instance ``__dict__`` was measurable in
-    sweep profiles.  Equality and repr keep the dataclass semantics
-    tests rely on.
+    What :meth:`MessageMetrics.round_usage` and
+    :meth:`MessageMetrics.sender_usage` read a meter row as.  A
+    ``__slots__`` class with the dataclass's equality and repr, which
+    pickles as its row.
     """
 
     __slots__ = ("messages", "non_null_messages", "bits")
@@ -57,12 +57,6 @@ class RoundUsage:
         if non_null:
             self.non_null_messages += 1
 
-    def add_many(self, messages: int, non_null_messages: int, bits: int) -> None:
-        """Fold in the summed usage of several messages at once."""
-        self.messages += messages
-        self.non_null_messages += non_null_messages
-        self.bits += bits
-
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, RoundUsage):
             return NotImplemented
@@ -79,29 +73,25 @@ class RoundUsage:
         )
 
     def __reduce__(self) -> Tuple[type, _Row]:
-        return RoundUsage, self._row()
-
-    def _row(self) -> _Row:
-        return self.messages, self.non_null_messages, self.bits
+        return RoundUsage, (self.messages, self.non_null_messages, self.bits)
 
 
 class MessageMetrics:
     """Accumulates communication usage across an execution.
 
-    Pickles as its rows, ``{round: row}`` and ``{sender: row}`` with
-    each row a ``(messages, non_null_messages, bits)`` tuple, so a
-    result crosses a process boundary as built-in values.
+    Keeps its rows as ``(messages, non_null_messages, bits)`` tuples in
+    two dicts, ``{round: row}`` and ``{sender: row}``, and pickles as
+    those dicts, so a result crosses a process boundary as built-in
+    values that unpickle in C; :meth:`round_usage` and
+    :meth:`sender_usage` build a :class:`RoundUsage` on read.
     """
 
     def __init__(self) -> None:
-        self._per_round: Dict[Round, RoundUsage] = defaultdict(RoundUsage)
-        self._per_sender: Dict[ProcessId, RoundUsage] = defaultdict(RoundUsage)
+        self._per_round: Dict[Round, _Row] = {}
+        self._per_sender: Dict[ProcessId, _Row] = {}
 
-    def __reduce__(self) -> Tuple[Any, Tuple[Dict[Round, _Row], ...]]:
-        return _metrics_from_rows, (
-            {key: usage._row() for key, usage in self._per_round.items()},
-            {key: usage._row() for key, usage in self._per_sender.items()},
-        )
+    def __reduce__(self) -> Tuple[Any, Tuple[Dict[Any, _Row], ...]]:
+        return _metrics_from_rows, (self._per_round, self._per_sender)
 
     def record(
         self,
@@ -116,8 +106,7 @@ class MessageMetrics:
         ``receiver`` says which message this is and selects no row:
         usage is kept per round and per sender.
         """
-        self._per_round[round_number].add(bits, non_null)
-        self._per_sender[sender].add(bits, non_null)
+        self.record_burst(round_number, sender, 1, 1 if non_null else 0, bits)
 
     def record_burst(
         self,
@@ -135,27 +124,33 @@ class MessageMetrics:
         :meth:`record` per message; like it, creates the rows it names
         — an all-bottom burst must not call this.
         """
-        self._per_round[round_number].add_many(
-            messages, non_null_messages, bits
+        rows = self._per_round
+        row = rows.get(round_number, _ZERO)
+        rows[round_number] = (
+            row[0] + messages, row[1] + non_null_messages, row[2] + bits
         )
-        self._per_sender[sender].add_many(messages, non_null_messages, bits)
+        rows = self._per_sender
+        row = rows.get(sender, _ZERO)
+        rows[sender] = (
+            row[0] + messages, row[1] + non_null_messages, row[2] + bits
+        )
 
     # -- totals -----------------------------------------------------------
 
     @property
     def total_bits(self) -> int:
         """Total measured bits across all rounds."""
-        return sum(usage.bits for usage in self._per_round.values())
+        return sum(row[2] for row in self._per_round.values())
 
     @property
     def total_messages(self) -> int:
         """Total messages, null messages included."""
-        return sum(usage.messages for usage in self._per_round.values())
+        return sum(row[0] for row in self._per_round.values())
 
     @property
     def total_non_null_messages(self) -> int:
         """Total non-null messages (the coding-convention unit)."""
-        return sum(usage.non_null_messages for usage in self._per_round.values())
+        return sum(row[1] for row in self._per_round.values())
 
     @property
     def rounds_used(self) -> int:
@@ -166,24 +161,21 @@ class MessageMetrics:
 
     def round_usage(self, round_number: Round) -> RoundUsage:
         """Usage within one round (zeroes if no traffic was recorded)."""
-        return self._per_round.get(round_number, RoundUsage())
+        return RoundUsage(*self._per_round.get(round_number, _ZERO))
 
     def sender_usage(self, sender: ProcessId) -> RoundUsage:
         """Usage attributed to one sending processor."""
-        return self._per_sender.get(sender, RoundUsage())
+        return RoundUsage(*self._per_sender.get(sender, _ZERO))
 
     def non_null_by_sender(self) -> Dict[ProcessId, int]:
         """Non-null message count per sender — Section 4's bound."""
-        return {
-            sender: usage.non_null_messages
-            for sender, usage in self._per_sender.items()
-        }
+        return {sender: row[1] for sender, row in self._per_sender.items()}
 
     def bits_by_round(self) -> List[Tuple[Round, int]]:
         """(round, bits) pairs in round order."""
         return sorted(
-            (round_number, usage.bits)
-            for round_number, usage in self._per_round.items()
+            (round_number, row[2])
+            for round_number, row in self._per_round.items()
         )
 
     def as_counters(self, prefix: str = "net") -> Dict[str, int]:
@@ -201,23 +193,23 @@ class MessageMetrics:
 
     def merge(self, other: "MessageMetrics") -> None:
         """Fold another meter's records into this one."""
-        for round_number, usage in other._per_round.items():
-            self._per_round[round_number].add_many(
-                usage.messages, usage.non_null_messages, usage.bits
-            )
-        for sender, usage in other._per_sender.items():
-            self._per_sender[sender].add_many(
-                usage.messages, usage.non_null_messages, usage.bits
-            )
+        for rows, others in (
+            (self._per_round, other._per_round),
+            (self._per_sender, other._per_sender),
+        ):
+            for key, (messages, non_null_messages, bits) in others.items():
+                row = rows.get(key, _ZERO)
+                rows[key] = (
+                    row[0] + messages, row[1] + non_null_messages, row[2] + bits
+                )
 
 
 def _metrics_from_rows(
     per_round: Dict[Round, _Row], per_sender: Dict[ProcessId, _Row]
 ) -> MessageMetrics:
-    """The meter :meth:`MessageMetrics.__reduce__` wrote as rows."""
-    metrics = MessageMetrics()
-    for round_number, row in per_round.items():
-        metrics._per_round[round_number] = RoundUsage(*row)
-    for sender, row in per_sender.items():
-        metrics._per_sender[sender] = RoundUsage(*row)
+    """The meter :meth:`MessageMetrics.__reduce__` wrote: it adopts the
+    unpickled dicts as its rows."""
+    metrics = MessageMetrics.__new__(MessageMetrics)
+    metrics._per_round = per_round
+    metrics._per_sender = per_sender
     return metrics

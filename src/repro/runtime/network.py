@@ -177,6 +177,8 @@ class SynchronousNetwork:
         self.config = config
         self.processes = dict(processes)
         self.adversary = adversary
+        # Faulty senders speak in id order; their ids are fixed.
+        self._faulty_order = tuple(sorted(adversary.faulty_ids))
         self.inputs = dict(inputs)
         self.sizer = sizer or _default_sizer
         self.is_null = is_null or is_bottom
@@ -250,7 +252,7 @@ class SynchronousNetwork:
             inputs=self.inputs,
         )
         faulty_outgoing: Dict[ProcessId, Dict[ProcessId, Any]] = {}
-        for sender in sorted(self.adversary.faulty_ids):
+        for sender in self._faulty_order:
             faulty_outgoing[sender] = dict(
                 self.adversary.outgoing(round_number, sender, context)
             )

@@ -48,11 +48,23 @@ class NullDecoder:
 
 class _Unshared:
     """A dense batch's stand-in for a shared batch state: a fresh one per
-    step, so ``subprotocol.shared`` shares nothing between processors
-    or rounds."""
+    step, so ``subprotocol.shared`` (and with it the protocol's
+    ``step_row`` memo) shares nothing between processors or rounds.
+    :meth:`stepped` steps the dense batch itself, and the state it
+    returns reports that step's decisions as a shared state would."""
 
-    def __init__(self) -> None:
+    def __init__(self, batch: "ReferenceAgreementBatch", decided=()) -> None:
         self.shared: Dict[Any, Any] = {}
+        self.batch = batch
+        #: ``(subject index, decision)`` pairs of the step that made it.
+        self.decided = decided
+        #: The dense step runs every instance.
+        self.tallied = batch.config.n
+
+    def stepped(self, components: List[Any]) -> "_Unshared":
+        batch = self.batch
+        batch.step(dict(zip(batch.config.process_ids, components)))
+        return batch._state
 
 
 class ReferenceAgreementBatch:
@@ -88,7 +100,8 @@ class ReferenceAgreementBatch:
         ]
         self._reported: set = set()
         self.rounds_stepped = 0
-        self._state = _Unshared()
+        self._subjects = config.process_ids
+        self._state = _Unshared(self)
 
     def outgoing_votes(self) -> Tuple[Any, ...]:
         """This round's null-encoded votes, one slot per subject."""
@@ -103,7 +116,6 @@ class ReferenceAgreementBatch:
         """Feed one round of received vote components to the instances."""
         n = self.config.n
         self.rounds_stepped += 1
-        self._state = _Unshared()
         decided: List[Tuple[ProcessId, Value]] = []
         process_ids = self.config.process_ids
         # A malformed component (not an n-tuple) contributes bottom for
@@ -139,6 +151,9 @@ class ReferenceAgreementBatch:
             if instance.has_decided() and subject not in self._reported:
                 self._reported.add(subject)
                 decided.append((subject, instance.decision))
+        self._state = _Unshared(self, [
+            (process_ids.index(subject), value) for subject, value in decided
+        ])
         return decided
 
     def decided_subjects(self) -> Tuple[ProcessId, ...]:

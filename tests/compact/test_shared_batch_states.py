@@ -9,7 +9,10 @@ entries, nothing kept alive after a run — and that ``outgoing_votes()``
 is a read.  The expansion view memoised on those states is held to the
 same: one view per round where no fault splits the states, none alive
 after the run, no undefined verdict carried into the next view, and no
-reported decision that moves.
+reported decision that moves.  So is the receive memoised on them, per
+row of received payload objects: the oracle still steps beside every
+receiver, a freed row's ``id`` inherits nothing, and a payload resent
+with a mutated ``main`` is admitted as the gate says.
 """
 
 import gc
@@ -19,6 +22,7 @@ import pytest
 
 import repro.compact.expansion as expansion
 import repro.compact.subprotocol as subprotocol
+from repro.adversary.base import Adversary
 from repro.analysis.sweeps import standard_adversary_makers
 from repro.avalanche.coding import NULL_MESSAGE
 from repro.avalanche.protocol import AvalancheInstance, standard_thresholds
@@ -27,6 +31,7 @@ from repro.compact.payload import CompactPayload
 from repro.compact.protocol import CompactProcess
 from repro.compact.subprotocol import AgreementBatch
 from repro.errors import ProtocolViolation
+from repro.fullinfo.gate import REJECT
 from repro.types import BOTTOM, SystemConfig
 from tests.adversary.compact_attacks import AvalancheEquivocator
 from tests.compact.reference_agreement_batch import ReferenceAgreementBatch
@@ -55,21 +60,23 @@ def live_states():
 
 def recording_steps(monkeypatch):
     """Record ``(boundary, rounds_stepped) -> [state after the step]`` for
-    every batch step, and count the clone-and-step path."""
+    every processor's every batch step, and count the clone-and-step
+    path."""
     after = defaultdict(list)
     computed = []
-    step, successor = AgreementBatch.step, subprotocol._BatchState.successor
+    side_channel = CompactProcess._side_channel
+    successor = subprotocol._BatchState.successor
 
-    def recorded_step(batch, votes_by_sender):
-        decided = step(batch, votes_by_sender)
-        after[batch.boundary, batch.rounds_stepped].append(batch._state)
-        return decided
+    def recorded_side_channel(process, incoming):
+        side_channel(process, incoming)
+        for batch in process._batches.values():
+            after[batch.boundary, batch.rounds_stepped].append(batch._state)
 
     def counted_successor(batch_state, components):
         computed.append(batch_state)
         return successor(batch_state, components)
 
-    monkeypatch.setattr(AgreementBatch, "step", recorded_step)
+    monkeypatch.setattr(CompactProcess, "_side_channel", recorded_side_channel)
     monkeypatch.setattr(
         subprotocol._BatchState, "successor", counted_successor
     )
@@ -108,48 +115,97 @@ class ShadowedBatch(AgreementBatch):
             self.dense.outgoing_votes()
         )
 
-    def step(self, votes_by_sender):
-        decided = super().step(votes_by_sender)
-        assert typed(decided) == typed(self.dense.step(dict(votes_by_sender)))
+    def check_step(self, votes_by_sender, decided):
+        """The dense oracle's step on what this batch was just stepped by."""
+        assert typed(decided) == typed(self.dense.step(votes_by_sender))
         assert state(self) == state(self.dense)
         assert self.decided_subjects() == self.dense.decided_subjects()
         self.check_outgoing()
-        return decided
+
+
+def routed(config, row, boundary):
+    """Per payload sender of ``row``, its vote component for ``boundary``."""
+    return {
+        sender: message.votes_by_boundary.get(boundary)
+        for sender, message in zip(config.process_ids, row)
+        if type(message) is CompactPayload
+    }
 
 
 def run_shadowed(monkeypatch, adversary):
     """A compact BA run at n = 7 whose every batch is shadowed by the
-    dense oracle; returns the recorded states per (boundary, step)."""
+    dense oracle, stepped beside it on every processor's every step
+    whether the row memo hit or missed.  Returns the number of distinct
+    states per (boundary, step), and how many rows hit the memo."""
     import repro.compact.protocol as compact_protocol
 
     config = SystemConfig(n=7, t=2)
     monkeypatch.setattr(compact_protocol, "AgreementBatch", ShadowedBatch)
     after, computed = recording_steps(monkeypatch)
+    step_row = subprotocol.step_row
+    rows, misses = [], []
+
+    def shadowed_step_row(batches, row, route):
+        rows.append(row)
+        fresh = step_row(batches, row, route)
+        for boundary, batch in batches.items():
+            batch.check_step(routed(config, row, boundary), [
+                (subject, value)
+                for fresh_boundary, subject, value in fresh
+                if fresh_boundary == boundary
+            ])
+        return fresh
+
+    def counted_row_step(batches, row, route):
+        misses.append(row)
+        return row_step(batches, row, route)
+
+    row_step = subprotocol._row_step
+    monkeypatch.setattr(compact_protocol, "step_row", shadowed_step_row)
+    monkeypatch.setattr(subprotocol, "_row_step", counted_row_step)
     inputs = {p: p % 2 for p in config.process_ids}
     result = run_compact_byzantine_agreement(
         config, inputs, value_alphabet=[0, 1], k=1, adversary=adversary
     )
     assert result.decisions
     assert len(computed) >= len(after)
-    return [len({id(s) for s in states}) for states in after.values()]
+    # The oracle stepped on every row, hit or miss: its step count is
+    # the batch's at every processor.
+    assert 0 < len(misses) <= len(rows)
+    for process in result.processes.values():
+        for batch in process._batches.values():
+            assert batch.dense.rounds_stepped == batch.rounds_stepped > 0
+    views = [len({id(s) for s in states}) for states in after.values()]
+    return views, len(rows) - len(misses)
 
 
-@pytest.mark.parametrize("maker", ["splitter", "revoting"])
-def test_split_views_still_equal_the_dense_oracle(maker, monkeypatch):
+@pytest.mark.parametrize(
+    "maker, rows_repeat", [("splitter", True), ("revoting", False)],
+    ids=["splitter", "revoting"],
+)
+def test_split_views_still_equal_the_dense_oracle(
+    maker, rows_repeat, monkeypatch
+):
     """Senders that tell receivers different things split the
     processors' states; each still steps as the dense batch would,
-    round by round."""
+    round by round, on memo hits as on misses.  The splitter sends one
+    payload object to each side, so receivers on a side share a row;
+    the revoting sender builds a fresh one per receiver."""
     makers = dict(standard_adversary_makers(), revoting=RevotingAdversary)
-    views = run_shadowed(monkeypatch, makers[maker]([6, 7]))
+    views, hits = run_shadowed(monkeypatch, makers[maker]([6, 7]))
     assert max(views) > 1
+    assert bool(hits) == rows_repeat
 
 
 def test_an_avalanche_equivocator_splits_no_view(monkeypatch):
     """It hands each receiver another correct donor's votes — but
     processors that share a state send that state's one vote tuple, so
     every donor's votes are the same object and no view splits."""
-    views = run_shadowed(monkeypatch, AvalancheEquivocator([6, 7]))
+    views, hits = run_shadowed(monkeypatch, AvalancheEquivocator([6, 7]))
     assert set(views) == {1}
+    # ... though each receiver's row holds its own faulty payloads, so
+    # no row repeats.
+    assert not hits
 
 
 def test_a_freed_component_never_matches_an_old_memo_entry(config, quorum):
@@ -171,6 +227,116 @@ def test_a_freed_component_never_matches_an_old_memo_entry(config, quorum):
     assert state(second) == state(dense)
     assert second._state is not first._state
     assert id(replacement) != keyed
+
+
+def test_a_freed_row_never_matches_an_old_memo_entry(config, quorum):
+    """The row memo keeps the row it was keyed on, so a new payload
+    cannot take a keyed one's ``id`` and inherit its step."""
+    first, second = (
+        CompactProcess(p, config, 0, k=1, value_alphabet=[0, 1]) for p in (1, 2)
+    )
+    cores = {
+        q: CompactPayload(main=(q % 2,) * config.n, votes=())
+        for q in config.process_ids
+    }
+    for process in (first, second):
+        process._stage(1, cores)
+    assert first._batches[2]._state is second._batches[2]._state
+    dense = ReferenceAgreementBatch(config, 2, {
+        q: first._store.intern(payload.main) for q, payload in cores.items()
+    }, quorum)
+
+    def row(vote):
+        """Every sender's message one payload object, built at run time."""
+        payload = CompactPayload(main=BOTTOM, votes=((2, (vote,) * config.n),))
+        return dict.fromkeys(config.process_ids, payload)
+
+    incoming = row("a")
+    first._side_channel(incoming)
+    keyed = id(incoming[1])
+    del incoming
+    replacement = row("b")
+    second._side_channel(replacement)
+    dense.step({s: m.votes_by_boundary[2] for s, m in replacement.items()})
+    assert state(second._batches[2]) == state(dense)
+    assert second._batches[2]._state is not first._batches[2]._state
+    assert id(replacement[1]) != keyed
+
+
+class Resender(Adversary):
+    """Each faulty sender sends everyone one ``CompactPayload`` object,
+    the same in every round, with a vote for every subject of the first
+    batch.  Sender 6's ``main`` is a list it refills between rounds;
+    sender 7's is a plain tuple, a legal block-1 CORE."""
+
+    def __init__(self, faulty_ids):
+        super().__init__(faulty_ids)
+        self.refilled = []
+        self.lengths = set()
+        self.payloads = {}
+
+    def outgoing(self, round_number, sender, context):
+        n = self.config.n
+        if sender not in self.payloads:
+            main = self.refilled if sender == 6 else tuple(
+                q % 2 for q in range(n)
+            )
+            self.payloads[sender] = CompactPayload(
+                main=main, votes=((2, (0,) * n),)
+            )
+        if sender == 6:
+            self.refilled[:] = [round_number % 2] * (n + round_number % 2)
+            self.lengths.add(len(self.refilled))
+        payload = self.payloads[sender]
+        return {receiver: payload for receiver in self.config.process_ids}
+
+
+def test_a_resent_mutable_payload_is_admitted_as_the_gate_says(monkeypatch):
+    """Admissions are memoised per row, phase and view; a payload object
+    resent every round, holding a list refilled in between, gets at
+    every phase what a direct gate call gives it, and the batch states
+    equal the dense oracle's."""
+    admit = CompactProcess._admit_cores
+    blocks = []
+
+    def direct(process, incoming, depth, block):
+        gate = process._value_gate if block == 1 else process._index_gate
+        verdicts = []
+        for sender in process.config.process_ids:
+            message = incoming[sender]
+            main = message.main if type(message) is CompactPayload else BOTTOM
+            core = REJECT if main is BOTTOM else gate.admit(main, depth)
+            if block > 1 and core is not REJECT and not (
+                process.expansion.defined(block, core)
+            ):
+                core = REJECT
+            verdicts.append(core)
+        return verdicts
+
+    def same(left, right):
+        return len(left) == len(right) and all(
+            a is b for a, b in zip(left, right)
+        )
+
+    def checked(process, incoming, expected_depth, block, substitute):
+        cores = admit(process, incoming, expected_depth, block, substitute)
+        assert same(cores, [
+            substitute if core is REJECT else core
+            for core in direct(process, incoming, expected_depth, block)
+        ])
+        for depth in range(process.k + 1):  # any other phase, same row
+            assert same(
+                admit(process, incoming, depth, block, REJECT),
+                direct(process, incoming, depth, block),
+            )
+        blocks.append(block)
+        return cores
+
+    monkeypatch.setattr(CompactProcess, "_admit_cores", checked)
+    adversary = Resender([6, 7])
+    run_shadowed(monkeypatch, adversary)
+    assert {1, 2} <= set(blocks)
+    assert adversary.lengths == {7, 8}
 
 
 def test_no_state_outlives_its_run():

@@ -1,5 +1,7 @@
 """Tests for the synchronous network: delivery, adversary, metering."""
 
+import json
+
 import pytest
 
 from repro.adversary import EquivocatingAdversary
@@ -422,6 +424,26 @@ class TestFaultyTails:
             assert _fixed_default_size(message) == (
                 _default_sizer(message), fixed
             )
+
+
+def test_a_sizer_s_true_and_1_render_apart(new_log):
+    """A user sizer may answer ``True`` for one payload and ``1`` for
+    another: equal and equally hashed, yet the log spells them ``true``
+    and ``1``, so a memoised tail text must keep them apart."""
+    config = SystemConfig(n=4, t=1)
+    _, network = build(
+        config, PassiveAdversary(),
+        sizer=lambda payload: True if payload[0] == 1 else 1,
+    )
+    log = new_log()
+    with observing(Observer(events=log)):
+        network.run_round()
+    sizes = {
+        record["sender"]: {json.dumps(entry[1]) for entry in record["messages"]}
+        for record in read_log(log.path) if record["kind"] == "send"
+    }
+    assert sizes == {1: {"true"}, 2: {"1"}, 3: {"1"}, 4: {"1"}}
+    assert network.metrics.total_bits == 4 * config.n
 
 
 class TestDefaultSizer:

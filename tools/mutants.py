@@ -1,5 +1,5 @@
-"""Plant each class of determinism, purity and input-validation bug as
-a mutant; see which runtime check kills it.
+"""Plant each class of determinism, purity, input-validation and memo-key
+bug as a mutant; see which runtime check kills it.
 
 A mutant is one small, deliberate bug: a find string in one file and
 its replacement.  For each mutant this script copies the repository
@@ -37,7 +37,8 @@ class Mutant(NamedTuple):
     id: str
     #: The retired static-analysis pass whose finding class it plants
     #: (DET, PUR or TAINT): each row is evidence that a runtime check
-    #: kills what that pass used to flag.
+    #: kills what that pass used to flag.  MEMO rows drop a field a
+    #: memo's answer depends on from its key, which no pass flagged.
     family: str
     path: str
     find: str
@@ -66,6 +67,9 @@ MUTANTS = tuple(Mutant(id, family, "src/repro/" + path, find, replace) for (
      "if not self._usable(main, depth, block):", "if main is BOTTOM:"),
     ("compact-gate-bypass", "TAINT", "compact/protocol.py",
      "core = self._value_gate.admit(main, expected_depth)", "core = main"),
+    ("row-memo-phase", "MEMO", "compact/protocol.py",
+     "(block, expected_depth, view, tuple(map(id, row)))",
+     "(view, tuple(map(id, row)))"),
     ("eig-gate-bypass", "TAINT", "fullinfo/protocol.py",
      "message = gate.admit(incoming[sender], expected_depth)",
      "message = incoming[sender]"),
